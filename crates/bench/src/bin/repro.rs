@@ -1,82 +1,19 @@
 //! `repro` — regenerate every table and figure of the ICDCS'01 paper.
 //!
 //! ```text
-//! repro [--threads N | --serial] [--repeats R] [--compare-serial]
-//!       [--conns C] [--rounds R] [--reactors N] [--reload-every N]
-//!       [--wire-conns C] [--bench-json PATH]
-//!       table1|table2|table3|fig3|fig4|fig5|fig6|fig7|fig8|ablation|bench|live-bench|live-wire|live-backend|live-overload|live-zipf|live-refresh|all
+//! repro [--repeats R] [--bench-json PATH]
+//!       table1|table2|table3|fig3|fig4|fig5|fig6|fig7|fig8|ablation|bench|all
 //! ```
 //!
 //! Output is plain text, one section per experiment, matching the layout
-//! recorded in `EXPERIMENTS.md`. The parameter sweeps inside each
-//! section fan their independent simulation runs out across cores
-//! (`--threads`/`MUTCON_THREADS` control the worker count; results are
-//! bit-for-bit identical at any thread count). `bench` is the robustness
-//! grid — every figure grid re-run across `--repeats` seed-shifted trace
-//! realizations — and doubles as the engine's scaling workload.
+//! recorded in `EXPERIMENTS.md`. `bench` is the robustness grid — every
+//! figure grid re-run across `--repeats` seed-shifted trace realizations.
+//! Everything is deterministic: the same seed catalog gives the same
+//! bytes.
 //!
-//! Running `all` writes `BENCH_repro.json` — per-section wall-clock,
-//! polls simulated and the thread count — so the perf trajectory is
-//! tracked PR-over-PR. With `--compare-serial` (and more than one worker
-//! available) every section is re-run with one thread afterwards; the
-//! report then also records the serial wall-clock, the speedup, and
-//! whether the parallel and serial outputs were byte-identical (they
-//! must be).
-//!
-//! `live-bench` is the real-socket load generator
-//! ([`mutcon_bench::livebench`]): `--conns` concurrently open client
-//! connections through the live proxy's reactor threads for `--rounds`
-//! request waves. `all` runs it once at the end (outside the serial
-//! comparison — it measures wall-clock network behavior, not the
-//! deterministic engine) and records it as the `live_bench` section of
-//! the report. With `--reactors N`, `live-bench` instead runs a
-//! reactor-count *sweep* (1, 2, … powers of two up to N), prints every
-//! run, and records the sweep as the `live_bench_sweep` section of
-//! `BENCH_repro.json` (splicing into an existing report, so the sweep
-//! composes with a previous `all`). With `--reload-every N`, every N
-//! request waves a `PUT /admin/rules` swaps the hot object's Δ mid-load
-//! — the reconfigure scenario — and the run (throughput + p99 *across*
-//! the swaps) is recorded as the `live_reload` section.
-//!
-//! `live-wire` is the wire-scale variant: `--wire-conns` (≥ 2000,
-//! default 10000 — the engine raises `RLIMIT_NOFILE` to fit, and the
-//! run clamps, loudly, to the fd headroom a hard cap leaves)
-//! connections held open under the refresher's concurrent writes, with
-//! the zero-copy send path's syscall/copy counters recorded alongside
-//! p50/p99. `all` runs it after `live-bench` and records it as the
-//! `live_wire` section; standalone runs splice the section into an
-//! existing report.
-//!
-//! `live-backend` is the reactor-backend head-to-head: the same
-//! wire-scale load once under coalesced-interest epoll and once under
-//! raw io_uring (skipped, epoll leg still recorded, when the kernel
-//! refuses rings), spliced into the report as the `live_backend`
-//! section.
-//!
-//! `live-overload` is the admission-control wave bench
-//! ([`mutcon_bench::livebench::overload`]): flash-crowd waves of
-//! doubling size thrown at cold keys with the LIMD admission limiter
-//! pinned, spliced into the report as the `live_overload` section. The
-//! run *fails* unless p99 and the non-429 error rate plateau past
-//! saturation — an unstable overload controller is a regression, not a
-//! data point.
-//!
-//! `live-zipf` is the L1 cache-pressure bench
-//! ([`mutcon_bench::livebench::zipf`]): a seeded Zipf(s = 1.0) catalog
-//! big enough to overflow the L2 replayed over the identical request
-//! sequence with the per-reactor L1 enabled and disabled, spliced into
-//! the report as the `live_zipf` section. The run *fails* if any stale
-//! serve is counted (by the engine's post-serve version audit or the
-//! client-side stamp-monotonicity check), if the catalog never forced
-//! an L2 eviction, or if the L1 leg served no L1 hits.
-//!
-//! `live-refresh` is the refresh-plane drift bench
-//! ([`mutcon_bench::livebench::refresh`]): a 50 000-rule backlog, all
-//! due at once, drained through a scripted-latency origin by one poll
-//! worker and then by the pool, spliced into the report as the
-//! `live_refresh` section. The run *fails* unless the concurrent leg
-//! cuts p99 scheduled-vs-actual drift at least 5× at equal poll counts
-//! (±5%) with zero stale serves observed by the hot-path reader.
+//! Running `all` writes `BENCH_repro.json` — the simulator's per-section
+//! wall-clock and polls simulated. The live proxy's speed and fidelity
+//! are measured by `benchmark/` (see `BENCHMARK.json`), not here.
 
 use std::time::Instant;
 
@@ -90,7 +27,6 @@ use mutcon_proxy::experiment::{
     ttr_timeline, value_timeline,
 };
 use mutcon_proxy::report;
-use mutcon_sim::parallel;
 use mutcon_traces::stats::summarize;
 use mutcon_traces::NamedTrace;
 
@@ -101,60 +37,24 @@ struct Section {
     polls: u64,
 }
 
-/// Wall-clock and work measurements for one section, under the default
-/// worker count and (optionally) the forced one-thread reference run.
+/// Wall-clock and work measurements for one section.
 struct Timing {
     name: &'static str,
     wall: std::time::Duration,
-    serial_wall: Option<std::time::Duration>,
     polls: u64,
 }
 
 fn main() {
-    let mut threads_override: Option<String> = None;
     let mut bench_json = String::from("BENCH_repro.json");
     let mut target: Option<String> = None;
     let mut repeats: u64 = 10;
-    let mut compare_serial = false;
-    let mut live = mutcon_bench::livebench::LiveBenchConfig::default();
-    let mut reactors_sweep: Option<usize> = None;
-    let mut wire_conns: usize = 10_000;
-    /// Request waves for the wire-scale run: enough for a stable p99 at
-    /// thousands of connections without dominating `repro all`.
-    const WIRE_ROUNDS: usize = 3;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--threads" => match args.next() {
-                Some(n) => threads_override = Some(n),
-                None => usage_error("--threads needs a value"),
-            },
-            "--serial" => threads_override = Some("1".to_owned()),
-            "--compare-serial" => compare_serial = true,
             "--repeats" => match args.next().and_then(|r| r.parse().ok()) {
                 Some(r) if r > 0 => repeats = r,
                 _ => usage_error("--repeats needs a positive integer"),
-            },
-            "--conns" => match args.next().and_then(|r| r.parse().ok()) {
-                Some(c) if c > 0 => live.conns = c,
-                _ => usage_error("--conns needs a positive integer"),
-            },
-            "--rounds" => match args.next().and_then(|r| r.parse().ok()) {
-                Some(r) if r > 0 => live.rounds = r,
-                _ => usage_error("--rounds needs a positive integer"),
-            },
-            "--reactors" => match args.next().and_then(|r| r.parse().ok()) {
-                Some(r) if r > 0 => reactors_sweep = Some(r),
-                _ => usage_error("--reactors needs a positive integer"),
-            },
-            "--reload-every" => match args.next().and_then(|r| r.parse().ok()) {
-                Some(n) if n > 0 => live.reload_every = Some(n),
-                _ => usage_error("--reload-every needs a positive integer"),
-            },
-            "--wire-conns" => match args.next().and_then(|r| r.parse().ok()) {
-                Some(c) if c >= 2000 => wire_conns = c,
-                _ => usage_error("--wire-conns needs an integer >= 2000 (that scale is the point)"),
             },
             "--bench-json" => match args.next() {
                 Some(p) => bench_json = p,
@@ -166,26 +66,7 @@ fn main() {
             other => usage_error(&format!("unexpected argument {other:?}")),
         }
     }
-    if let Some(n) = &threads_override {
-        if n.parse::<usize>().map(|n| n > 0) != Ok(true) {
-            usage_error("--threads needs a positive integer");
-        }
-        std::env::set_var(parallel::THREADS_ENV, n);
-    }
     let target = target.unwrap_or_else(|| "all".to_owned());
-    if let Some(n) = live.reload_every {
-        if target != "live-bench" {
-            // `all` embeds a live-bench run as the PR-over-PR `live_bench`
-            // baseline; folding reload perturbation into that key would
-            // silently skew the trajectory it exists to track.
-            usage_error("--reload-every only applies to the live-bench target");
-        }
-        if n >= live.rounds {
-            // Wave 0 never reloads, so n >= rounds means a run with zero
-            // swaps would be recorded as the reconfigure scenario.
-            usage_error("--reload-every must be smaller than --rounds (no wave would reload)");
-        }
-    }
 
     let bench = move || bench_section(repeats);
     let known: &[(&'static str, &dyn Fn() -> Section)] = &[
@@ -204,11 +85,7 @@ fn main() {
     let started = Instant::now();
     match target.as_str() {
         "all" => {
-            // Sections run one after another — each is internally
-            // parallel — so the recorded per-section wall-clocks are not
-            // distorted by sections competing for the machine.
             let mut timings: Vec<Timing> = Vec::with_capacity(known.len());
-            let mut texts: Vec<String> = Vec::with_capacity(known.len());
             for (name, run) in known {
                 let section_started = Instant::now();
                 let section = run();
@@ -216,290 +93,24 @@ fn main() {
                 println!("==== {name} ====");
                 print!("{}", section.text);
                 println!();
-                texts.push(section.text);
                 timings.push(Timing {
                     name,
                     wall,
-                    serial_wall: None,
                     polls: section.polls,
                 });
             }
-            let parallel_wall = started.elapsed();
-
-            // Optional forced-serial reference pass: measures the
-            // speedup and proves the outputs are byte-identical.
-            let threads = parallel::default_threads();
-            let mut serial_total = None;
-            let mut outputs_identical = None;
-            if compare_serial && threads > 1 {
-                let saved = std::env::var(parallel::THREADS_ENV).ok();
-                std::env::set_var(parallel::THREADS_ENV, "1");
-                let serial_started = Instant::now();
-                let mut identical = true;
-                for (i, (name, run)) in known.iter().enumerate() {
-                    let section_started = Instant::now();
-                    let section = run();
-                    let wall = section_started.elapsed();
-                    timings[i].serial_wall = Some(wall);
-                    if section.text != texts[i] {
-                        identical = false;
-                        eprintln!("[repro] WARNING: {name} output differs between parallel and serial runs");
-                    }
-                }
-                serial_total = Some(serial_started.elapsed());
-                outputs_identical = Some(identical);
-                match saved {
-                    Some(v) => std::env::set_var(parallel::THREADS_ENV, v),
-                    None => std::env::remove_var(parallel::THREADS_ENV),
-                }
-            }
-
-            // The live-proxy load run: real sockets, measured once,
-            // outside the determinism comparison.
-            let live_report = match mutcon_bench::livebench::run(live) {
-                Ok(report) => {
-                    println!("==== live-bench ====");
-                    print!("{}", mutcon_bench::livebench::render(&report));
-                    println!();
-                    Some(report)
-                }
-                Err(e) => {
-                    eprintln!("[repro] live-bench failed: {e}");
-                    None
-                }
-            };
-
-            // The wire-scale run: thousands of sockets, p99 under the
-            // refresher's concurrent writes, zero-copy counters.
-            let wire_report = match mutcon_bench::livebench::wire(wire_conns, WIRE_ROUNDS, None) {
-                Ok(report) => {
-                    println!("==== live-wire ====");
-                    print!("{}", mutcon_bench::livebench::render_wire(&report));
-                    println!();
-                    Some(report)
-                }
-                Err(e) => {
-                    eprintln!("[repro] live-wire failed: {e}");
-                    None
-                }
-            };
-
-            let report = bench_report(
-                threads,
-                repeats,
-                parallel_wall,
-                serial_total,
-                outputs_identical,
-                &timings,
-                live_report.as_ref(),
-                wire_report.as_ref(),
-            );
+            let report = bench_report(repeats, started.elapsed(), &timings);
             match std::fs::write(&bench_json, &report) {
                 Ok(()) => eprintln!("[repro] wrote {bench_json}"),
                 Err(e) => {
-                    // The benchmark artifact is the point of `all` in CI;
+                    // The timing artifact is the point of `all` in CI;
                     // losing it silently would break the PR-over-PR
-                    // perf trajectory.
+                    // trajectory.
                     eprintln!("[repro] cannot write {bench_json}: {e}");
                     std::process::exit(1);
                 }
             }
-            // A nondeterministic engine is a broken engine — but the
-            // report (recording serial_output_identical: false) must
-            // land on disk first so the failure is diagnosable.
-            if outputs_identical == Some(false) {
-                std::process::exit(1);
-            }
         }
-        "live-wire" => match mutcon_bench::livebench::wire(wire_conns, WIRE_ROUNDS, None) {
-            Ok(report) => {
-                print!("{}", mutcon_bench::livebench::render_wire(&report));
-                let fragment = mutcon_bench::livebench::json_wire_fragment(&report);
-                if let Err(e) = splice_section(&bench_json, "live_wire", &fragment) {
-                    eprintln!("[repro] cannot record live_wire in {bench_json}: {e}");
-                    std::process::exit(1);
-                }
-                eprintln!(
-                    "[repro] recorded the {}-connection wire run in {bench_json}",
-                    report.bench.conns
-                );
-            }
-            Err(e) => {
-                eprintln!("[repro] live-wire failed: {e}");
-                std::process::exit(1);
-            }
-        },
-        "live-backend" => {
-            match mutcon_bench::livebench::backend_head_to_head(wire_conns, WIRE_ROUNDS, None) {
-                Ok(h2h) => {
-                    print!("{}", mutcon_bench::livebench::render_head_to_head(&h2h));
-                    let fragment = mutcon_bench::livebench::json_head_to_head_fragment(&h2h);
-                    if let Err(e) = splice_section(&bench_json, "live_backend", &fragment) {
-                        eprintln!("[repro] cannot record live_backend in {bench_json}: {e}");
-                        std::process::exit(1);
-                    }
-                    eprintln!(
-                        "[repro] recorded the backend head-to-head ({}) in {bench_json}",
-                        if h2h.io_uring.is_some() {
-                            "epoll vs io_uring"
-                        } else {
-                            "epoll only; kernel refuses rings"
-                        }
-                    );
-                }
-                Err(e) => {
-                    eprintln!("[repro] live-backend failed: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        "live-overload" => match mutcon_bench::livebench::overload(Default::default()) {
-            Ok(report) => {
-                print!("{}", mutcon_bench::livebench::render_overload(&report));
-                let fragment = mutcon_bench::livebench::json_overload_fragment(&report);
-                if let Err(e) = splice_section(&bench_json, "live_overload", &fragment) {
-                    eprintln!("[repro] cannot record live_overload in {bench_json}: {e}");
-                    std::process::exit(1);
-                }
-                eprintln!(
-                    "[repro] recorded the {}-wave overload ramp in {bench_json}",
-                    report.stages.len()
-                );
-                if !report.saturated {
-                    // A ramp that never shed proved nothing about the
-                    // limiter; record it, but do not call it a pass.
-                    eprintln!("[repro] live-overload never crossed saturation");
-                    std::process::exit(1);
-                }
-                if !report.stable {
-                    eprintln!("[repro] live-overload ramp is UNSTABLE (p99 or error collapse)");
-                    std::process::exit(1);
-                }
-            }
-            Err(e) => {
-                eprintln!("[repro] live-overload failed: {e}");
-                std::process::exit(1);
-            }
-        },
-        "live-zipf" => match mutcon_bench::livebench::zipf(Default::default()) {
-            Ok(report) => {
-                print!("{}", mutcon_bench::livebench::render_zipf(&report));
-                let fragment = mutcon_bench::livebench::json_zipf_fragment(&report);
-                if let Err(e) = splice_section(&bench_json, "live_zipf", &fragment) {
-                    eprintln!("[repro] cannot record live_zipf in {bench_json}: {e}");
-                    std::process::exit(1);
-                }
-                eprintln!(
-                    "[repro] recorded the {}-object Zipf pressure run in {bench_json}",
-                    report.objects
-                );
-                if !report.coherent {
-                    // A stale serve under Zipf pressure is a correctness
-                    // failure of the L1 protocol, not a perf data point.
-                    eprintln!("[repro] live-zipf counted a STALE SERVE");
-                    std::process::exit(1);
-                }
-                if !report.pressured {
-                    eprintln!("[repro] live-zipf never evicted from L2 (no real pressure)");
-                    std::process::exit(1);
-                }
-                if !report.effective {
-                    eprintln!("[repro] live-zipf L1 leg served no L1 hits");
-                    std::process::exit(1);
-                }
-            }
-            Err(e) => {
-                eprintln!("[repro] live-zipf failed: {e}");
-                std::process::exit(1);
-            }
-        },
-        "live-refresh" => match mutcon_bench::livebench::refresh(Default::default()) {
-            Ok(report) => {
-                print!("{}", mutcon_bench::livebench::render_refresh(&report));
-                let fragment = mutcon_bench::livebench::json_refresh_fragment(&report);
-                if let Err(e) = splice_section(&bench_json, "live_refresh", &fragment) {
-                    eprintln!("[repro] cannot record live_refresh in {bench_json}: {e}");
-                    std::process::exit(1);
-                }
-                eprintln!(
-                    "[repro] recorded the {}-path refresh drain in {bench_json}",
-                    report.paths
-                );
-                if !report.coherent {
-                    // A stale serve traded for drift is a correctness
-                    // failure of the worker pool, not a perf data point.
-                    eprintln!("[repro] live-refresh counted a STALE SERVE");
-                    std::process::exit(1);
-                }
-                if !report.polls_matched {
-                    eprintln!(
-                        "[repro] live-refresh legs diverged in poll count ({} vs {})",
-                        report.serial.polls, report.concurrent.polls
-                    );
-                    std::process::exit(1);
-                }
-                if !report.scaled {
-                    eprintln!(
-                        "[repro] live-refresh pool cut p99 drift only {:.1}x (gate: 5x)",
-                        report.p99_ratio
-                    );
-                    std::process::exit(1);
-                }
-            }
-            Err(e) => {
-                eprintln!("[repro] live-refresh failed: {e}");
-                std::process::exit(1);
-            }
-        },
-        "live-bench" if reactors_sweep.is_some() && live.reload_every.is_some() => {
-            // A sweep point perturbed by mid-run reloads would record a
-            // misleading scaling curve, and the reload section would be
-            // ambiguous about which reactor count it measured.
-            usage_error("--reload-every cannot be combined with --reactors (run them separately)");
-        }
-        "live-bench" => match reactors_sweep {
-            // A reactor-count sweep, recorded into BENCH_repro.json.
-            Some(max) => match mutcon_bench::livebench::sweep(live, max) {
-                Ok(reports) => {
-                    for report in &reports {
-                        print!("{}", mutcon_bench::livebench::render(report));
-                        println!();
-                    }
-                    let fragment = mutcon_bench::livebench::json_sweep_fragment(&reports);
-                    if let Err(e) = splice_section(&bench_json, "live_bench_sweep", &fragment) {
-                        eprintln!("[repro] cannot record the sweep in {bench_json}: {e}");
-                        std::process::exit(1);
-                    }
-                    eprintln!("[repro] recorded {}-point reactor sweep in {bench_json}", reports.len());
-                }
-                Err(e) => {
-                    eprintln!("[repro] live-bench sweep failed: {e}");
-                    std::process::exit(1);
-                }
-            },
-            None => match mutcon_bench::livebench::run(live) {
-                Ok(report) => {
-                    print!("{}", mutcon_bench::livebench::render(&report));
-                    if live.reload_every.is_some() {
-                        // The reconfigure scenario: record throughput +
-                        // p99 across the mid-load rule swaps.
-                        let fragment = mutcon_bench::livebench::json_fragment(&report);
-                        if let Err(e) = splice_section(&bench_json, "live_reload", &fragment) {
-                            eprintln!("[repro] cannot record live_reload in {bench_json}: {e}");
-                            std::process::exit(1);
-                        }
-                        eprintln!(
-                            "[repro] recorded the {}-reload reconfigure run in {bench_json}",
-                            report.reloads
-                        );
-                    }
-                }
-                Err(e) => {
-                    eprintln!("[repro] live-bench failed: {e}");
-                    std::process::exit(1);
-                }
-            },
-        },
         other => match known.iter().find(|(name, _)| *name == other) {
             Some((_, run)) => print!("{}", run().text),
             None => {
@@ -515,132 +126,29 @@ fn main() {
             }
         },
     }
-    eprintln!(
-        "[repro] completed in {:.2?} with {} worker thread(s)",
-        started.elapsed(),
-        parallel::default_threads()
-    );
+    eprintln!("[repro] completed in {:.2?}", started.elapsed());
 }
 
 fn usage_error(message: &str) -> ! {
     eprintln!("repro: {message}");
-    eprintln!(
-        "usage: repro [--threads N | --serial] [--repeats R] [--compare-serial] [--conns C] [--rounds R] [--reactors N] [--reload-every N] [--wire-conns C] [--bench-json PATH] <experiment|live-bench|live-wire|live-backend|live-overload|live-zipf|live-refresh|all>"
-    );
+    eprintln!("usage: repro [--repeats R] [--bench-json PATH] <experiment|all>");
     std::process::exit(2);
 }
 
-/// Records a standalone section in the benchmark report: replaces the
-/// `"<key>"` line of an existing `BENCH_repro.json` (written by `repro
-/// all`), or writes a minimal report holding just the section when no
-/// file exists yet. Line-based splicing is safe because the report
-/// format is this binary's own, one key per line. Used by the reactor
-/// sweep (`live_bench_sweep`) and the reconfigure run (`live_reload`).
-fn splice_section(path: &str, name: &str, fragment: &str) -> std::io::Result<()> {
-    let key = format!("\"{name}\":");
-    match std::fs::read_to_string(path) {
-        Ok(content) => {
-            let mut out = String::with_capacity(content.len() + fragment.len());
-            let mut replaced = false;
-            for line in content.lines() {
-                if line.trim_start().starts_with(&key) {
-                    let comma = if line.trim_end().ends_with(',') { "," } else { "" };
-                    out.push_str(&format!("  {key} {fragment}{comma}\n"));
-                    replaced = true;
-                } else {
-                    out.push_str(line);
-                    out.push('\n');
-                }
-            }
-            if !replaced {
-                // A report from before this key existed: append it
-                // inside the object.
-                out = format!(
-                    "{},\n  {key} {fragment}\n}}\n",
-                    out.trim_end().trim_end_matches('}').trim_end(),
-                );
-            }
-            std::fs::write(path, out)
-        }
-        Err(_) => std::fs::write(path, format!("{{\n  {key} {fragment}\n}}\n")),
-    }
-}
-
-/// Renders the machine-readable benchmark report by hand — the format is
-/// three levels deep, a serializer would be overkill.
-fn bench_report(
-    threads: usize,
-    repeats: u64,
-    parallel_wall: std::time::Duration,
-    serial_wall: Option<std::time::Duration>,
-    outputs_identical: Option<bool>,
-    sections: &[Timing],
-    live: Option<&mutcon_bench::livebench::LiveBenchReport>,
-    wire: Option<&mutcon_bench::livebench::LiveWireReport>,
-) -> String {
+/// Renders the machine-readable timing report by hand — the format is
+/// two levels deep, a serializer would be overkill.
+fn bench_report(repeats: u64, wall: std::time::Duration, sections: &[Timing]) -> String {
     let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
     let total_polls: u64 = sections.iter().map(|t| t.polls).sum();
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str(&format!("  \"threads\": {threads},\n"));
     out.push_str(&format!("  \"bench_repeats\": {repeats},\n"));
     out.push_str(&format!("  \"total_polls\": {total_polls},\n"));
-    out.push_str(&format!(
-        "  \"parallel_wall_ms\": {:.3},\n",
-        ms(parallel_wall)
-    ));
-    match serial_wall {
-        Some(serial) => {
-            out.push_str(&format!("  \"serial_wall_ms\": {:.3},\n", ms(serial)));
-            out.push_str(&format!(
-                "  \"speedup\": {:.3},\n",
-                ms(serial) / ms(parallel_wall).max(1e-9)
-            ));
-            out.push_str(&format!(
-                "  \"serial_output_identical\": {},\n",
-                outputs_identical.unwrap_or(false)
-            ));
-        }
-        None => {
-            out.push_str("  \"serial_wall_ms\": null,\n");
-            out.push_str("  \"speedup\": null,\n");
-            out.push_str("  \"serial_output_identical\": null,\n");
-        }
-    }
-    match live {
-        Some(report) => out.push_str(&format!(
-            "  \"live_bench\": {},\n",
-            mutcon_bench::livebench::json_fragment(report)
-        )),
-        None => out.push_str("  \"live_bench\": null,\n"),
-    }
-    // Wire-path run (`repro all` includes one; `repro live-wire` splices
-    // its section over this line).
-    match wire {
-        Some(report) => out.push_str(&format!(
-            "  \"live_wire\": {},\n",
-            mutcon_bench::livebench::json_wire_fragment(report)
-        )),
-        None => out.push_str("  \"live_wire\": null,\n"),
-    }
-    // Placeholders for `repro live-bench --reactors N` (reactor-count
-    // sweep) and `repro live-bench --reload-every N` (reconfigure run),
-    // which splice their sections over these lines (see
-    // `splice_section`).
-    out.push_str("  \"live_bench_sweep\": null,\n");
-    out.push_str("  \"live_reload\": null,\n");
-    out.push_str("  \"live_backend\": null,\n");
-    out.push_str("  \"live_overload\": null,\n");
-    out.push_str("  \"live_zipf\": null,\n");
-    out.push_str("  \"live_refresh\": null,\n");
+    out.push_str(&format!("  \"wall_ms\": {:.3},\n", ms(wall)));
     out.push_str("  \"sections\": [\n");
     for (i, t) in sections.iter().enumerate() {
-        let serial = match t.serial_wall {
-            Some(w) => format!("{:.3}", ms(w)),
-            None => "null".to_owned(),
-        };
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"wall_ms\": {:.3}, \"serial_wall_ms\": {serial}, \"polls\": {}}}{}\n",
+            "    {{\"name\": \"{}\", \"wall_ms\": {:.3}, \"polls\": {}}}{}\n",
             t.name,
             ms(t.wall),
             t.polls,
@@ -651,8 +159,7 @@ fn bench_report(
     out
 }
 
-/// The robustness grid (see [`mutcon_bench::robustness`]): the engine's
-/// scaling workload.
+/// The robustness grid (see [`mutcon_bench::robustness`]).
 fn bench_section(repeats: u64) -> Section {
     let rows = mutcon_bench::robustness::robustness_grid(repeats);
     let polls = mutcon_bench::robustness::total_polls(&rows);
@@ -696,9 +203,7 @@ fn table1() -> Section {
 }
 
 fn table2() -> Section {
-    // Generating the four calibrated news traces is the cost here; fan
-    // the generators out.
-    let summaries = parallel::run_all(NamedTrace::TEMPORAL.to_vec(), |t| summarize(&t.generate()));
+    let summaries = NamedTrace::TEMPORAL.map(|t| summarize(&t.generate()));
     Section {
         text: report::table2(&summaries),
         polls: 0,
@@ -706,7 +211,7 @@ fn table2() -> Section {
 }
 
 fn table3() -> Section {
-    let summaries = parallel::run_all(NamedTrace::VALUE.to_vec(), |t| summarize(&t.generate()));
+    let summaries = NamedTrace::VALUE.map(|t| summarize(&t.generate()));
     Section {
         text: report::table3(&summaries),
         polls: 0,

@@ -81,7 +81,6 @@ pub fn paper_fig7_config() -> Fig7Config {
     Fig7Config::default()
 }
 
-pub mod livebench;
 pub mod robustness;
 
 #[cfg(test)]

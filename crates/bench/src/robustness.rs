@@ -13,10 +13,9 @@
 //! coordinated as one Mt group — the paper only ever pairs two objects,
 //! so this probes the n > 2 regime its §4 algorithms claim to cover.
 //!
-//! This is also the experiment engine's scaling workload: R repeats ×
-//! (eight grids) of fully independent simulations, fanned out by
-//! [`mutcon_sim::parallel::run_all`]. `repro bench`/`repro all` run it
-//! and record the wall-clock in `BENCH_repro.json`.
+//! This is also the experiment engine's heaviest workload: R repeats ×
+//! (eight grids) of fully independent simulations. `repro bench`/`repro
+//! all` run it and record the wall-clock in `BENCH_repro.json`.
 
 use mutcon_core::limd::LimdConfig;
 use mutcon_core::mutual::temporal::MtPolicy;
@@ -31,7 +30,6 @@ use mutcon_proxy::experiment::{
 };
 use mutcon_proxy::metrics;
 use mutcon_proxy::origin::OriginServer;
-use mutcon_sim::parallel::run_all;
 use mutcon_traces::{NamedTrace, UpdateTrace};
 
 use crate::{
@@ -266,8 +264,8 @@ fn multi_object_outcome(collection: u64) -> GridOutcome {
 
 /// Runs the three figure grids, the four ablation grids and the
 /// multi-object group across `repeats` seed-shifted realizations of
-/// their traces, fanned out across cores, and aggregates per grid.
-/// Deterministic for a given `repeats` at any thread count.
+/// their traces and aggregates per grid. Deterministic for a given
+/// `repeats`.
 pub fn robustness_grid(repeats: u64) -> Vec<RobustnessRow> {
     let grids: [(&'static str, fn(u64) -> GridOutcome); 8] = [
         ("fig3", fig3_outcome),
@@ -280,21 +278,10 @@ pub fn robustness_grid(repeats: u64) -> Vec<RobustnessRow> {
         ("multi4", multi_object_outcome),
     ];
 
-    // Fan out at (grid, collection) granularity: coarse enough that pool
-    // overhead is negligible, fine enough to keep every core busy.
-    let jobs: Vec<(usize, u64)> = (0..grids.len())
-        .flat_map(|g| (0..repeats).map(move |c| (g, c)))
-        .collect();
-    let outcomes = run_all(jobs, |(g, c)| grids[g].1(c));
-
     grids
         .iter()
-        .enumerate()
-        .map(|(g, (name, _))| {
-            let per_grid: Vec<&GridOutcome> = outcomes
-                [g * repeats as usize..(g + 1) * repeats as usize]
-                .iter()
-                .collect();
+        .map(|(name, outcome)| {
+            let per_grid: Vec<GridOutcome> = (0..repeats).map(outcome).collect();
             let n = per_grid.len().max(1);
             let polls_total: u64 = per_grid.iter().map(|o| o.polls).sum();
             RobustnessRow {

@@ -491,8 +491,7 @@ struct L1Slot {
 #[derive(Debug, Clone)]
 pub enum L1Lookup {
     /// Resident and revalidated: the copy is provably current as of the
-    /// version load. Carries the versioned pair so the caller can
-    /// re-check the handle after serving (the stale-serve audit).
+    /// version load — the linearization point of an L1 serve.
     Hit(VersionedEntry),
     /// Resident but the version compare failed — the shared cache
     /// mutated the path. The slot has been dropped; refill from L2.

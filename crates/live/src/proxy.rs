@@ -806,10 +806,6 @@ impl ProxyService {
                                 "stale_rejects",
                                 Json::Number(self.metrics.l1_stale_rejects() as f64),
                             ),
-                            (
-                                "stale_serves",
-                                Json::Number(self.metrics.l1_stale_serves() as f64),
-                            ),
                             ("refills", Json::Number(self.metrics.l1_refills() as f64)),
                             ("evictions", Json::Number(self.metrics.l1_evictions() as f64)),
                         ]),
@@ -860,10 +856,6 @@ impl ProxyService {
                     (
                         "l1_stale_rejects",
                         Json::Number(self.metrics.l1_stale_rejects() as f64),
-                    ),
-                    (
-                        "l1_stale_serves",
-                        Json::Number(self.metrics.l1_stale_serves() as f64),
                     ),
                     (
                         "write_stalls",

@@ -335,7 +335,7 @@ pub struct DriftSnapshot {
 }
 
 /// Shared refresh-plane counters, updated by the poll workers and read
-/// by the stats plane (and the drift bench) without any lock.
+/// by the stats plane (and the benchmark) without any lock.
 #[derive(Debug, Default)]
 pub struct RefreshMetrics {
     workers: AtomicU64,

@@ -399,7 +399,6 @@ pub struct EngineMetrics {
     cqe_completed: AtomicU64,
     l1_hits: AtomicU64,
     l1_stale_rejects: AtomicU64,
-    l1_stale_serves: AtomicU64,
     l1_refills: AtomicU64,
     l1_evictions: AtomicU64,
     write_stalls: AtomicU64,
@@ -432,7 +431,6 @@ impl Default for EngineMetrics {
             cqe_completed: AtomicU64::new(0),
             l1_hits: AtomicU64::new(0),
             l1_stale_rejects: AtomicU64::new(0),
-            l1_stale_serves: AtomicU64::new(0),
             l1_refills: AtomicU64::new(0),
             l1_evictions: AtomicU64::new(0),
             write_stalls: AtomicU64::new(0),
@@ -568,15 +566,6 @@ impl EngineMetrics {
     /// is dropped and the request falls through to the shared cache.
     pub fn l1_stale_rejects(&self) -> u64 {
         self.l1_stale_rejects.load(Ordering::Relaxed)
-    }
-
-    /// L1 hits whose version handle had already moved by the time the
-    /// response was queued — the measured stale-serve count. A serve
-    /// that raced an invalidation is still within the paper's Δ bound,
-    /// but the counter makes the window observable; it must read 0 in
-    /// every steady-state run.
-    pub fn l1_stale_serves(&self) -> u64 {
-        self.l1_stale_serves.load(Ordering::Relaxed)
     }
 
     /// L1 slots (re)filled from shared-cache hits.
@@ -1690,14 +1679,6 @@ impl Reactor {
         };
         self.queue_prepared(idx, prepared);
         self.metrics.l1_hits.fetch_add(1, Ordering::Relaxed);
-        // Post-serve audit: a bump that landed between revalidation and
-        // the queue is a response that raced an invalidation out the
-        // door. The protocol tolerates it (it is exactly the Δ window
-        // the paper trades on) but the count makes the window
-        // measurable — and it must be 0 in every steady-state run.
-        if versioned.handle.load(Ordering::Acquire) != versioned.stamp {
-            self.metrics.l1_stale_serves.fetch_add(1, Ordering::Relaxed);
-        }
         true
     }
 
@@ -2842,13 +2823,12 @@ mod tests {
         assert_eq!(metrics.l1_hits(), 0);
         assert!(metrics.l1_refills() >= 1);
         // Second GET on the same (only) reactor: must be an L1 hit with
-        // identical bytes, and no stale serve.
+        // identical bytes.
         write_request(&mut stream, &Request::get("/obj").build()).unwrap();
         let second = read_response(&mut stream, &mut buf).unwrap();
         assert_eq!(&second.body()[..], b"body:/obj");
         assert_eq!(second.headers().get("x-cache"), Some("l1"));
         assert_eq!(metrics.l1_hits(), 1);
-        assert_eq!(metrics.l1_stale_serves(), 0);
         // A store bumps the path's version: the L1 copy must be
         // rejected and the fresh body served.
         service.cache.insert(
@@ -2870,7 +2850,6 @@ mod tests {
         let fourth = read_response(&mut stream, &mut buf).unwrap();
         assert_eq!(&fourth.body()[..], b"fresh");
         assert_eq!(metrics.l1_hits(), 2);
-        assert_eq!(metrics.l1_stale_serves(), 0);
     }
 
     #[test]

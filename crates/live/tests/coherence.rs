@@ -78,8 +78,7 @@ fn backends() -> Vec<BackendKind> {
 /// invalidate each reactor's L1 copy) while seeded readers hammer it
 /// through the L1 from several reactors. Every reader must observe
 /// complete copies whose body bytes match the version header, with
-/// stamps monotonically nondecreasing and bounded by the logical clock
-/// — and the engine's own post-serve stale audit must count zero.
+/// stamps monotonically nondecreasing and bounded by the logical clock.
 #[test]
 fn l1_readers_never_see_old_bytes_after_a_version_bump() {
     for backend in backends() {
@@ -153,15 +152,9 @@ fn l1_readers_never_see_old_bytes_after_a_version_bump() {
         let total: u32 = readers.into_iter().map(|r| r.join().expect("reader")).sum();
         assert!(total > 100, "{backend:?}: readers made little progress: {total}");
 
-        // The readers must actually have exercised the L1, and the
-        // engine's post-serve version audit must have counted nothing.
+        // The readers must actually have exercised the L1.
         let hits = stats_counter(&proxy, &["cache", "l1", "hits"]);
         assert!(hits > 0, "{backend:?}: the run never served from the L1");
-        assert_eq!(
-            stats_counter(&proxy, &["cache", "l1", "stale_serves"]),
-            0,
-            "{backend:?}: the engine counted a stale L1 serve"
-        );
         let bumps = stats_counter(&proxy, &["cache", "version_bumps"]);
         assert!(bumps > 1, "{backend:?}: the refresher never bumped a version");
     }
@@ -227,7 +220,7 @@ fn l1_on_and_off_are_client_indistinguishable() {
 
 /// Parity under load, both backends: the refresher-vs-readers scenario
 /// with the L1 disabled — the L1-enabled variant above must not be the
-/// only configuration whose invariants hold. (The CI zipf stage also
+/// only configuration whose invariants hold. (`scripts/ci.sh` also
 /// re-runs the whole suite with `MUTCON_LIVE_L1=0`; this test keeps the
 /// disabled path exercised even standalone.)
 #[test]
@@ -264,6 +257,5 @@ fn disabled_l1_keeps_the_same_invariants() {
         );
         assert_eq!(stats_counter(&proxy, &["cache", "l1", "hits"]), 0);
         assert_eq!(stats_counter(&proxy, &["cache", "l1", "refills"]), 0);
-        assert_eq!(stats_counter(&proxy, &["cache", "l1", "stale_serves"]), 0);
     }
 }

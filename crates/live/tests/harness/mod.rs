@@ -182,11 +182,17 @@ impl ScriptedOrigin {
             .insert(path.to_owned(), behaviors);
     }
 
-    /// Opens the [`Behavior::Hold`] gate permanently, releasing every
-    /// parked request.
+    /// Opens the [`Behavior::Hold`] gate, releasing every parked
+    /// request; it stays open until [`ScriptedOrigin::close_gate`].
     pub fn release_all(&self) {
         *self.inner.gate.open.lock().unwrap() = true;
         self.inner.gate.cv.notify_all();
+    }
+
+    /// Closes the gate again, so later [`Behavior::Hold`] requests park
+    /// (a scenario with a second held wave).
+    pub fn close_gate(&self) {
+        *self.inner.gate.open.lock().unwrap() = false;
     }
 
     /// How many requests are currently parked behind the gate.

@@ -49,12 +49,56 @@ fn wait_until(what: &str, mut pred: impl FnMut() -> bool) {
     }
 }
 
+/// Throws `clients` simultaneous GETs for `path` at the proxy; each
+/// thread yields its status and `Retry-After` header.
+fn flash_crowd(
+    addr: std::net::SocketAddr,
+    path: &'static str,
+    clients: usize,
+) -> Vec<std::thread::JoinHandle<(StatusCode, Option<String>)>> {
+    let barrier = Arc::new(std::sync::Barrier::new(clients));
+    (0..clients)
+        .map(|i| {
+            let barrier = Arc::clone(&barrier);
+            std::thread::spawn(move || {
+                let client = HttpClient::with_timeout(StdDuration::from_secs(10));
+                barrier.wait();
+                let resp = client
+                    .get(addr, path, None)
+                    .unwrap_or_else(|e| panic!("client {i}: {e}"));
+                let retry_after = resp.headers().get("retry-after").map(str::to_owned);
+                (resp.status(), retry_after)
+            })
+        })
+        .collect()
+}
+
+/// Joins a [`flash_crowd`] into `(ok, shed)`; every shed response must
+/// carry `Retry-After`, and any other status fails the test.
+fn tally(crowd: Vec<std::thread::JoinHandle<(StatusCode, Option<String>)>>) -> (usize, usize) {
+    let (mut ok, mut shed) = (0, 0);
+    for reader in crowd {
+        let (status, retry_after) = reader.join().expect("reader panicked");
+        match status {
+            StatusCode::OK => ok += 1,
+            StatusCode::TOO_MANY_REQUESTS => {
+                shed += 1;
+                assert_eq!(retry_after.as_deref(), Some("1"), "shed without Retry-After");
+            }
+            other => panic!("unexpected status {other}"),
+        }
+    }
+    (ok, shed)
+}
+
 /// The acceptance scenario: a flash crowd — 100 simultaneous clients on
 /// one cold key — against an admission limit of 2. Exactly the limit's
 /// worth of requests are admitted (and coalesce onto ONE origin fetch);
 /// everyone else gets a clean `429` + `Retry-After`; a request for a
 /// different path-partition sails through while the hot partition is
-/// saturated; and the shed counters surface in `/admin/stats`.
+/// saturated; the shed counters surface in `/admin/stats`; and a second
+/// crowd on the same partition is admitted to the same limit again —
+/// the first wave's permits were released, not leaked.
 #[test]
 fn flash_crowd_sheds_cleanly_and_still_coalesces() {
     const CLIENTS: usize = 100;
@@ -72,21 +116,7 @@ fn flash_crowd_sheds_cleanly_and_still_coalesces() {
     // limit so the algorithm cannot adapt it mid-test).
     put_overload(&proxy, &format!("admission=aimd:min={LIMIT},max={LIMIT}\n"));
 
-    let barrier = Arc::new(std::sync::Barrier::new(CLIENTS));
-    let readers: Vec<_> = (0..CLIENTS)
-        .map(|i| {
-            let barrier = Arc::clone(&barrier);
-            std::thread::spawn(move || {
-                let client = HttpClient::with_timeout(StdDuration::from_secs(10));
-                barrier.wait();
-                let resp = client
-                    .get(addr, "/hot/obj", None)
-                    .unwrap_or_else(|e| panic!("client {i}: {e}"));
-                let retry_after = resp.headers().get("retry-after").map(str::to_owned);
-                (resp.status(), retry_after)
-            })
-        })
-        .collect();
+    let readers = flash_crowd(addr, "/hot/obj", CLIENTS);
 
     // The admitted requests are parked on the held origin fetch; all
     // other requests must shed. Once shed + admitted accounts for every
@@ -107,19 +137,7 @@ fn flash_crowd_sheds_cleanly_and_still_coalesces() {
     );
 
     origin.release_all();
-    let mut ok = 0usize;
-    let mut shed = 0usize;
-    for reader in readers {
-        let (status, retry_after) = reader.join().expect("reader panicked");
-        match status {
-            StatusCode::OK => ok += 1,
-            StatusCode::TOO_MANY_REQUESTS => {
-                shed += 1;
-                assert_eq!(retry_after.as_deref(), Some("1"), "shed without Retry-After");
-            }
-            other => panic!("unexpected status {other}"),
-        }
-    }
+    let (ok, shed) = tally(readers);
     assert_eq!(ok, LIMIT, "exactly the admission limit's worth succeed");
     assert_eq!(shed, CLIENTS - LIMIT);
     assert_eq!(proxy.overload().shed() as usize, shed);
@@ -132,6 +150,21 @@ fn flash_crowd_sheds_cleanly_and_still_coalesces() {
         "admitted flash-crowd misses must still coalesce; log: {:?}",
         origin.log()
     );
+
+    // Second wave, admission still on: a fresh cold key in the same
+    // partition. Leaked permits would shed the whole crowd.
+    origin.close_gate();
+    origin.script("/hot/fresh", vec![Behavior::Hold]);
+    let readers = flash_crowd(addr, "/hot/fresh", CLIENTS);
+    origin.wait_for_held(1);
+    wait_until("the second crowd to shed", || {
+        proxy.overload().shed() as usize == 2 * (CLIENTS - LIMIT)
+    });
+    origin.release_all();
+    let (ok, shed) = tally(readers);
+    assert_eq!(ok, LIMIT, "the second wave is admitted to the limit again");
+    assert_eq!(shed, CLIENTS - LIMIT);
+    assert_eq!(origin.fetches("/hot/fresh"), 1);
 
     // The counters and the hot partition's state surface in the stats
     // plane (published by the reactor between loop turns).

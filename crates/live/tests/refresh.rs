@@ -81,6 +81,48 @@ fn poll_workers_overlap_origin_latency_and_a_single_worker_does_not() {
     drop(proxy);
 }
 
+/// A backlog far wider than the pool, all due at once and all parked at
+/// the origin: the pool never puts more polls on the wire than it has
+/// workers, and once released it drains the backlog with exactly one
+/// fetch — and one recorded drift sample — per path.
+#[test]
+fn a_due_backlog_drains_once_per_path_within_the_pool_width() {
+    const BACKLOG: u64 = 256;
+    const WORKERS: u64 = 4;
+    let paths: Vec<String> = (0..BACKLOG).map(|i| format!("/b{i}")).collect();
+    let origin = ScriptedOrigin::start(FakeClock::new());
+    for p in &paths {
+        origin.script(p, vec![Behavior::Hold]);
+    }
+    // Δ = 1 min: no path comes due a second time inside the test.
+    let refs: Vec<&str> = paths.iter().map(String::as_str).collect();
+    let proxy = refresh_proxy(&origin, WORKERS as usize, &refs, 60_000);
+
+    origin.wait_for_held(WORKERS);
+    assert_eq!(
+        proxy.runtime().refresh_metrics().drift().count,
+        WORKERS,
+        "only the pool's width of polls may have started"
+    );
+    origin.release_all();
+    // Every poll stores its response, so a full cache is a drained backlog.
+    wait_until("the backlog to drain", || {
+        proxy.cached_objects() as u64 == BACKLOG
+    });
+
+    assert_eq!(
+        origin.max_concurrent(),
+        WORKERS,
+        "polls on the wire must fill, and never exceed, the pool"
+    );
+    for p in &paths {
+        assert_eq!(origin.fetches(p), 1, "{p} must be fetched exactly once");
+    }
+    assert_eq!(proxy.stats().polls, BACKLOG);
+    assert_eq!(proxy.runtime().refresh_metrics().drift().count, BACKLOG);
+    drop(proxy);
+}
+
 /// A path whose poll is parked at the origin must not be polled again —
 /// not by its own schedule, and not by a rule swap that marks it due
 /// immediately. The deferred due entry fires only after the in-flight

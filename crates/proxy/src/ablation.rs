@@ -12,13 +12,8 @@
 //!   faster rate" is in the Mt heuristic.
 //! * [`alpha_blend`] — the Equation 10 α: biasing the value-domain TTR
 //!   towards the smallest TTR ever required.
-//!
-//! Like the figure sweeps, every grid fans its independent runs out
-//! across cores via [`mutcon_sim::parallel::run_all`]; rows come back in
-//! grid order, identical to a serial run.
 
 use mutcon_core::limd::DecreaseFactor;
-use mutcon_sim::parallel::run_all;
 use mutcon_core::mutual::temporal::MtPolicy;
 use mutcon_core::object::ObjectId;
 use mutcon_core::time::Duration;
@@ -84,35 +79,41 @@ pub fn limd_aggressiveness(trace: &UpdateTrace, delta: Duration) -> Vec<Ablation
         ("conservative l=0.05, adaptive m", 0.05, DecreaseFactor::PAPER),
         ("harsh        l=0.2, fixed m=0.2", 0.2, DecreaseFactor::Fixed(0.2)),
     ];
-    run_all(variants.to_vec(), |(label, l, m)| {
-        let config = Fig3Config {
-            linear_increase: l,
-            decrease: m,
-            ..Fig3Config::default()
-        };
-        AblationRow {
-            setting: label.to_owned(),
-            ..run_limd_once(trace, delta, &config)
-        }
-    })
+    variants
+        .into_iter()
+        .map(|(label, l, m)| {
+            let config = Fig3Config {
+                linear_increase: l,
+                decrease: m,
+                ..Fig3Config::default()
+            };
+            AblationRow {
+                setting: label.to_owned(),
+                ..run_limd_once(trace, delta, &config)
+            }
+        })
+        .collect()
 }
 
 /// Plain HTTP vs the §5.1 modification-history extension.
 pub fn violation_detection(trace: &UpdateTrace, delta: Duration) -> Vec<AblationRow> {
-    let variants = vec![
+    let variants = [
         ("last-modified only (plain HTTP)", HistorySupport::None),
         ("modification history (§5.1)", HistorySupport::Full),
     ];
-    run_all(variants, |(label, history)| {
-        let config = Fig3Config {
-            history,
-            ..Fig3Config::default()
-        };
-        AblationRow {
-            setting: label.to_owned(),
-            ..run_limd_once(trace, delta, &config)
-        }
-    })
+    variants
+        .into_iter()
+        .map(|(label, history)| {
+            let config = Fig3Config {
+                history,
+                ..Fig3Config::default()
+            };
+            AblationRow {
+                setting: label.to_owned(),
+                ..run_limd_once(trace, delta, &config)
+            }
+        })
+        .collect()
 }
 
 /// The Mt heuristic's rate-comparability threshold, from "trigger almost
@@ -125,7 +126,9 @@ pub fn heuristic_threshold(
 ) -> Vec<AblationRow> {
     let ids = [ObjectId::new(trace_a.name()), ObjectId::new(trace_b.name())];
     let until = trace_a.end().min(trace_b.end());
-    run_all(vec![0.25, 0.5, 0.75, 1.0, 1.5], |threshold| {
+    [0.25, 0.5, 0.75, 1.0, 1.5]
+        .into_iter()
+        .map(|threshold| {
             let mut origin = OriginServer::new();
             origin.host(ids[0].clone(), trace_a.clone());
             origin.host(ids[1].clone(), trace_b.clone());
@@ -155,7 +158,8 @@ pub fn heuristic_threshold(
                 fidelity_violations: stats.fidelity_by_violations(),
                 fidelity_time: stats.fidelity_by_time(),
             }
-    })
+        })
+        .collect()
 }
 
 /// The Equation 10 α-blend in the value domain: α = 1 ignores the
@@ -171,7 +175,9 @@ pub fn alpha_blend(
 
     let ids = [ObjectId::new(trace_a.name()), ObjectId::new(trace_b.name())];
     let until = trace_a.end().min(trace_b.end());
-    run_all(vec![1.0, 0.75, 0.5, 0.25, 0.0], |alpha| {
+    [1.0, 0.75, 0.5, 0.25, 0.0]
+        .into_iter()
+        .map(|alpha| {
             let mut origin = OriginServer::new();
             origin.host(ids[0].clone(), trace_a.clone());
             origin.host(ids[1].clone(), trace_b.clone());
@@ -204,7 +210,8 @@ pub fn alpha_blend(
                 fidelity_violations: stats.fidelity_by_violations(),
                 fidelity_time: stats.fidelity_by_time(),
             }
-    })
+        })
+        .collect()
 }
 
 /// Renders ablation rows as an aligned text table.

@@ -12,16 +12,12 @@
 //!   objects.
 //! * [`clients`] — client request streams against the cache (hit ratios
 //!   and user-visible staleness).
-//! * [`push`] — the ideal server-push baselines of §2 footnote 1
-//!   (extension beyond the paper's proxy-only scope).
 
 pub mod clients;
-pub mod push;
 pub mod temporal;
 pub mod value;
 
 pub use clients::{run_client_workload, ClientStats, ClientWorkload};
-pub use push::{push_delta_t, push_every_update};
 pub use temporal::{run_temporal, MutualSetup, TemporalPolicy, TemporalSimConfig, TemporalSimOutput};
 pub use value::{
     run_value_individual, run_value_pair, ValuePairOutput, ValuePairPolicy,

@@ -14,17 +14,6 @@
 //! Absolute numbers differ from the 2001 paper (the traces are calibrated
 //! synthetics), but the comparative shapes are the reproduction target;
 //! `EXPERIMENTS.md` records both.
-//!
-//! # Parallel sweep engine
-//!
-//! Every sweep in this module is a grid of *independent* simulation runs
-//! (each run owns its event queue and all per-object state), so the
-//! sweeps fan their runs out across cores with
-//! [`mutcon_sim::parallel::run_all`]. Outputs are collected in input
-//! order and stitched back into rows, which makes the parallel result
-//! **bit-for-bit identical** to a serial run — set `MUTCON_THREADS=1` to
-//! force the serial reference path (the determinism tests do exactly
-//! that).
 
 use mutcon_core::functions::ValueFunction;
 use mutcon_core::limd::{DecreaseFactor, LimdConfig};
@@ -33,7 +22,6 @@ use mutcon_core::mutual::value::{PartitionedConfig, VirtualObjectConfig};
 use mutcon_core::object::ObjectId;
 use mutcon_core::time::{Duration, Timestamp};
 use mutcon_core::value::Value;
-use mutcon_sim::parallel::run_all;
 use mutcon_traces::stats::{rate_ratio_timeline, updates_per_window, WindowCount};
 use mutcon_traces::UpdateTrace;
 
@@ -109,9 +97,6 @@ fn host(trace: &UpdateTrace, history: HistorySupport) -> (OriginServer, ObjectId
 }
 
 /// Figure 3: LIMD versus the every-Δ baseline on one trace, for each Δ.
-///
-/// The 2·|Δ grid| runs are independent and fan out across cores; rows
-/// come back in Δ order regardless of scheduling.
 pub fn individual_temporal_sweep(
     trace: &UpdateTrace,
     deltas: &[Duration],
@@ -119,19 +104,7 @@ pub fn individual_temporal_sweep(
 ) -> Vec<Fig3Row> {
     let (origin, id) = host(trace, config.history);
     let until = trace.end();
-
-    // One job per (Δ, policy) pair, so the expensive small-Δ baseline
-    // runs do not serialize behind each other.
-    let jobs: Vec<(Duration, bool)> = deltas
-        .iter()
-        .flat_map(|&delta| [(delta, false), (delta, true)])
-        .collect();
-    let stats = run_all(jobs, |(delta, is_limd)| {
-        let policy = if is_limd {
-            TemporalPolicy::Limd(config.limd(delta))
-        } else {
-            TemporalPolicy::Periodic(delta)
-        };
+    let run = |policy, delta| {
         let out = run_temporal(
             &origin,
             std::slice::from_ref(&id),
@@ -142,13 +115,13 @@ pub fn individual_temporal_sweep(
             },
         );
         metrics::individual_temporal(trace, &out.logs[&id], delta, until)
-    });
+    };
 
     deltas
         .iter()
-        .zip(stats.chunks_exact(2))
-        .map(|(&delta, pair)| {
-            let (base_stats, limd_stats) = (&pair[0], &pair[1]);
+        .map(|&delta| {
+            let base_stats = run(TemporalPolicy::Periodic(delta), delta);
+            let limd_stats = run(TemporalPolicy::Limd(config.limd(delta)), delta);
             Fig3Row {
                 delta,
                 baseline_polls: base_stats.polls(),
@@ -252,9 +225,6 @@ fn run_pair_policy(
 
 /// Figure 5: the three Mt approaches over a pair of traces across δ, at a
 /// fixed individual Δ (the paper uses Δ = 10 minutes).
-///
-/// The 3·|δ grid| policy runs fan out across cores and are stitched back
-/// in grid order.
 pub fn mutual_temporal_sweep(
     trace_a: &UpdateTrace,
     trace_b: &UpdateTrace,
@@ -269,30 +239,19 @@ pub fn mutual_temporal_sweep(
     let until = trace_a.end().min(trace_b.end());
     let limd = config.limd(delta);
 
-    let policies: [Option<MtPolicy>; 3] = [
-        None,
-        Some(MtPolicy::TriggeredPolls),
-        Some(MtPolicy::HEURISTIC),
-    ];
-    let jobs: Vec<(Duration, Option<MtPolicy>)> = mutual_deltas
-        .iter()
-        .flat_map(|&md| policies.map(|p| (md, p)))
-        .collect();
-    let results = run_all(jobs, |(md, policy)| {
-        let mutual = policy.map(|policy| MutualSetup { delta: md, policy });
-        let (result, _) =
-            run_pair_policy(&origin, &ids, [trace_a, trace_b], limd, mutual, md, until);
-        result
-    });
-
     mutual_deltas
         .iter()
-        .zip(results.chunks_exact(3))
-        .map(|(&md, chunk)| Fig5Row {
-            mutual_delta: md,
-            baseline: chunk[0],
-            triggered: chunk[1],
-            heuristic: chunk[2],
+        .map(|&md| {
+            let run = |policy: Option<MtPolicy>| {
+                let mutual = policy.map(|policy| MutualSetup { delta: md, policy });
+                run_pair_policy(&origin, &ids, [trace_a, trace_b], limd, mutual, md, until).0
+            };
+            Fig5Row {
+                mutual_delta: md,
+                baseline: run(None),
+                triggered: run(Some(MtPolicy::TriggeredPolls)),
+                heuristic: run(Some(MtPolicy::HEURISTIC)),
+            }
         })
         .collect()
 }
@@ -397,6 +356,30 @@ pub struct Fig7Row {
     pub partitioned_fidelity: f64,
 }
 
+/// The two Mv approaches (virtual-object, partitioned) at one δ, both
+/// over the difference function of the paper's stock-comparison scenario.
+fn value_pair_policies(delta: Value, config: &Fig7Config) -> [ValuePairPolicy; 2] {
+    let f = ValueFunction::Difference;
+    [
+        ValuePairPolicy::Virtual(
+            VirtualObjectConfig::builder(f, delta)
+                .smoothing(config.smoothing)
+                .alpha(config.alpha)
+                .ttr_bounds(config.ttr_min, config.ttr_max)
+                .build()
+                .expect("experiment parameters are valid"),
+        ),
+        ValuePairPolicy::Partitioned(
+            PartitionedConfig::builder(f, delta)
+                .smoothing(config.smoothing)
+                .alpha(config.alpha)
+                .ttr_bounds(config.ttr_min, config.ttr_max)
+                .build()
+                .expect("experiment parameters are valid"),
+        ),
+    ]
+}
+
 /// Figure 7: adaptive versus partitioned Mv-consistency over a pair of
 /// valued traces, for each δ (the function is the difference, as in the
 /// paper's stock-comparison scenario).
@@ -413,40 +396,14 @@ pub fn mutual_value_sweep(
     let until = trace_a.end().min(trace_b.end());
     let f = ValueFunction::Difference;
 
-    // One job per (δ, approach) pair, fanned out across cores.
-    let jobs: Vec<(Value, bool)> = deltas
-        .iter()
-        .flat_map(|&delta| [(delta, false), (delta, true)])
-        .collect();
-    let stats = run_all(jobs, |(delta, partitioned)| {
-        let policy = if partitioned {
-            ValuePairPolicy::Partitioned(
-                PartitionedConfig::builder(f, delta)
-                    .smoothing(config.smoothing)
-                    .alpha(config.alpha)
-                    .ttr_bounds(config.ttr_min, config.ttr_max)
-                    .build()
-                    .expect("experiment parameters are valid"),
-            )
-        } else {
-            ValuePairPolicy::Virtual(
-                VirtualObjectConfig::builder(f, delta)
-                    .smoothing(config.smoothing)
-                    .alpha(config.alpha)
-                    .ttr_bounds(config.ttr_min, config.ttr_max)
-                    .build()
-                    .expect("experiment parameters are valid"),
-            )
-        };
-        let out = run_value_pair(&origin, &ids[0], &ids[1], &policy, until);
-        metrics::mutual_value(trace_a, &out.log_a, trace_b, &out.log_b, f, delta, until)
-    });
-
     deltas
         .iter()
-        .zip(stats.chunks_exact(2))
-        .map(|(&delta, pair)| {
-            let (adaptive_stats, partitioned_stats) = (&pair[0], &pair[1]);
+        .map(|&delta| {
+            let [adaptive_stats, partitioned_stats] =
+                value_pair_policies(delta, config).map(|policy| {
+                    let out = run_value_pair(&origin, &ids[0], &ids[1], &policy, until);
+                    metrics::mutual_value(trace_a, &out.log_a, trace_b, &out.log_b, f, delta, until)
+                });
             Fig7Row {
                 delta,
                 adaptive_polls: adaptive_stats.polls(),
@@ -484,27 +441,8 @@ pub fn value_timeline(
     let until = trace_a.end().min(trace_b.end());
     let f = ValueFunction::Difference;
 
-    let virtual_cfg = VirtualObjectConfig::builder(f, delta)
-        .smoothing(config.smoothing)
-        .alpha(config.alpha)
-        .ttr_bounds(config.ttr_min, config.ttr_max)
-        .build()
-        .expect("experiment parameters are valid");
-    let partitioned_cfg = PartitionedConfig::builder(f, delta)
-        .smoothing(config.smoothing)
-        .alpha(config.alpha)
-        .ttr_bounds(config.ttr_min, config.ttr_max)
-        .build()
-        .expect("experiment parameters are valid");
-    let policies = vec![
-        ValuePairPolicy::Virtual(virtual_cfg),
-        ValuePairPolicy::Partitioned(partitioned_cfg),
-    ];
-    let mut outputs = run_all(policies, |policy| {
-        run_value_pair(&origin, &ids[0], &ids[1], &policy, until)
-    });
-    let partitioned = outputs.pop().expect("two runs");
-    let adaptive = outputs.pop().expect("two runs");
+    let [adaptive, partitioned] = value_pair_policies(delta, config)
+        .map(|policy| run_value_pair(&origin, &ids[0], &ids[1], &policy, until));
 
     Fig8Output {
         adaptive: metrics::f_timeline(trace_a, &adaptive.log_a, trace_b, &adaptive.log_b, f, from, to),

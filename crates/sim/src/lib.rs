@@ -37,13 +37,11 @@
 #![warn(missing_debug_implementations)]
 
 pub mod latency;
-pub mod parallel;
 pub mod queue;
 pub mod reactor;
 pub mod rng;
 pub mod signal;
 
 pub use latency::LatencyModel;
-pub use parallel::{run_all, run_all_threads, ThreadPool};
 pub use queue::{EventId, EventQueue};
 pub use rng::SimRng;

@@ -12,7 +12,7 @@
 //!   a band, giving the temporal locality the adaptive TTR exploits).
 //! * [`zipf`] — a ranked object catalog with power-law popularity, the
 //!   request-side companion to the update-side generators (shared by the
-//!   `live-zipf` cache-pressure bench and the trace layer).
+//!   benchmark's `hot_hit` load generator and the trace layer).
 
 pub mod news;
 pub mod stock;

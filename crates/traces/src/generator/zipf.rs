@@ -4,11 +4,11 @@
 //! Web-cache request streams are famously Zipfian — the `r`-th most
 //! popular object draws a fraction of requests proportional to
 //! `1 / r^s` with `s ≈ 1` (Breslau et al., INFOCOM'99). The live-proxy
-//! cache-pressure benches (`repro live-zipf`) and the trace layer share
+//! benchmark (`benchmark/`, workload `hot_hit`) and the trace layer share
 //! this generator so both sides agree on the catalog paths and the
 //! popularity law: a seeded catalog is deterministic, and independent
 //! request streams are drawn from caller-provided [`SimRng`] forks so
-//! two bench legs (L1 on vs off) can replay the *identical* sequence.
+//! two runs can replay the *identical* sequence.
 
 use mutcon_sim::rng::SimRng;
 

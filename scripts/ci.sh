@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 verification plus the perf snapshot this repo tracks PR-over-PR.
+# Tier-1 verification, the live suites under every engine leg, the
+# paper's tables and figures, and a smoke run of the benchmark.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -7,122 +8,58 @@ cd "$(dirname "$0")/.."
 cargo build --release
 cargo test -q
 
-# Determinism: the parallel sweep engine must produce byte-identical
-# results to the forced single-thread path (also part of `cargo test`,
-# run again explicitly so a CI failure names the culprit directly).
-cargo test -q -p mutcon-bench --test determinism
-
 # Live-proxy smoke: origin + proxy on real sockets, hundreds of
 # concurrent clients through the reactor threads — a stalled event
 # loop shows up here as read timeouts, not as a hang.
 cargo test -q -p mutcon-live --test reactor_smoke
 
-# live-multi: the deterministic concurrency harness (fake clock +
-# scripted origin + seeded schedules) under four reactors — miss
-# coalescing, mid-transfer origin death, stale pooled sockets,
-# refresh-vs-read interleavings, and the bit-identical-replay check.
-MUTCON_LIVE_REACTORS=4 cargo test -q -p mutcon-live --test concurrency
+# Four reactors: the deterministic concurrency harness (fake clock +
+# scripted origin + seeded schedules), the hot-swappable rule runtime,
+# the zero-copy wire path and the L1 version-stamp protocol.
+MUTCON_LIVE_REACTORS=4 cargo test -q -p mutcon-live \
+  --test concurrency --test admin --test wire --test coherence
 
-# live-admin: the hot-swappable consistency runtime under four
-# reactors — a PUT /admin/rules lands mid-load without dropping a
-# single keep-alive connection or cache entry, the new Δ's poll
-# cadence takes effect, removed paths cannot be resurrected by
-# in-flight polls, and unchanged paths keep their adaptive-TTR state.
-MUTCON_LIVE_REACTORS=4 cargo test -q -p mutcon-live --test admin
-
-# live-wire: the zero-copy hit path under four reactors — vectored
-# writes with partial-flush recovery over real sockets, pooled
-# read/write buffers recycling across connection lifetimes, the
-# flat-body_copies guarantee over keep-alive hit streams, and the
-# /admin/stats wire counters.
-MUTCON_LIVE_REACTORS=4 cargo test -q -p mutcon-live --test wire
-
-# Backend matrix: the wire suite and the deterministic concurrency
-# harness again under each reactor backend, four reactors. The epoll
-# leg exercises the coalesced-interest ledger; the io_uring leg runs
-# real rings where the kernel grants them and falls back (visibly,
-# inside the engine) to epoll where it does not — either way the
-# responses must be byte-identical, which the parity test inside the
-# wire suite asserts directly.
+# Backend matrix: the wire and concurrency suites under each reactor
+# backend. The io_uring leg runs real rings where the kernel grants
+# them and falls back (visibly, inside the engine) to epoll where it
+# does not — either way the responses must be byte-identical, which the
+# parity test inside the wire suite asserts directly.
 for backend in epoll io_uring; do
-  MUTCON_LIVE_BACKEND=$backend MUTCON_LIVE_REACTORS=4 \
-    cargo test -q -p mutcon-live --test wire
-  MUTCON_LIVE_BACKEND=$backend MUTCON_LIVE_REACTORS=4 \
-    cargo test -q -p mutcon-live --test concurrency
+  MUTCON_LIVE_BACKEND=$backend MUTCON_LIVE_REACTORS=4 cargo test -q -p mutcon-live \
+    --test wire --test concurrency
 done
 
-# Perf snapshot: regenerate every figure plus the robustness grid with
-# the default worker count, then the live-proxy load run (recorded as
-# the live_bench section). On a multi-core machine --compare-serial
-# re-runs the deterministic sections with one thread and records the
-# speedup and the parallel/serial output equality in BENCH_repro.json;
-# on a single core the comparison is skipped (there is no parallelism
-# to measure).
-target/release/repro --compare-serial --repeats 10 all > /dev/null
+# Coherence soak: readers on the L1 racing refresher stores must pass
+# every time, not most times.
+for backend in epoll io_uring; do
+  for _ in $(seq 20); do
+    MUTCON_LIVE_BACKEND=$backend MUTCON_LIVE_REACTORS=4 \
+      cargo test -q -p mutcon-live --test coherence
+  done
+done
 
-# live-multi, part 2: the reactor-count sweep (1, 2, 4) of the live
-# proxy, spliced into BENCH_repro.json as live_bench_sweep. On a
-# 1-core runner the points stay flat; on real hardware they must not.
-target/release/repro live-bench --reactors 4 > /dev/null
-
-# live-admin, part 2: the reconfigure scenario — rule reloads driven
-# concurrently with load, recorded (throughput + p99 across the
-# swaps) as the live_reload section of BENCH_repro.json.
-target/release/repro live-bench --conns 100 --rounds 6 --reload-every 2 > /dev/null
-
-# live-wire, part 2: the high-concurrency wire-path snapshot — 10000
-# keep-alive connections (the engine raises RLIMIT_NOFILE to fit;
-# a hard cap it cannot lift clamps the run, loudly, to what fits)
-# with the refresher polling concurrently, p99 plus the syscall/copy
-# and interest-coalescing counters spliced into BENCH_repro.json as
-# the live_wire section.
-target/release/repro live-wire --wire-conns 10000 > /dev/null
-
-# Backend matrix, part 2: the epoll-vs-io_uring head-to-head at wire
-# scale, spliced into BENCH_repro.json as the live_backend section
-# (epoll leg only when the kernel refuses rings).
-target/release/repro live-backend --wire-conns 2000 > /dev/null
-
-# Zipf / L1 coherence: the per-reactor hot-object cache under four
-# reactors — readers hammering the L1 while the refresher bumps
-# versions, bit-identical seeded replay, and L1-on/L1-off parity. The
-# whole live suite then re-runs with the L1 force-disabled
-# (MUTCON_LIVE_L1=0): the L1 must be a pure cache of a cache, invisible
+# L1 force-disabled: the L1 must be a pure cache of a cache, invisible
 # to every behavioral assertion in the suite.
-MUTCON_LIVE_REACTORS=4 cargo test -q -p mutcon-live --test coherence
 MUTCON_LIVE_L1=0 MUTCON_LIVE_REACTORS=4 cargo test -q -p mutcon-live \
   --test coherence --test concurrency --test wire --test admin
-# The cache-pressure snapshot: a Zipf catalog overflowing the L2,
-# identical request sequences with the L1 on and off, spliced into
-# BENCH_repro.json as live_zipf. repro exits non-zero if ANY stale
-# serve is counted (engine post-serve audit or client-side stamp
-# monotonicity), if the L2 never evicted, or if the L1 served no hits.
-target/release/repro live-zipf > /dev/null
 
-# Refresh plane: the due-queue scheduler + poll-worker pool. The
-# refresh suite (never-double-poll, no resurrection, refresh-vs-read
-# monotonicity, worker overlap, /admin/stats drift figures) and the
-# coherence/admin suites run with the pool at its default width and
-# again forced serial (MUTCON_LIVE_REFRESH_WORKERS=1): worker count
-# must never change behavior, only drift. Then the drift bench — a
-# 50k-rule backlog drained serial vs pooled over identical scripted
-# origin latencies, spliced into BENCH_repro.json as live_refresh.
-# repro exits non-zero unless the pool cuts p99 drift >= 5x at equal
-# poll counts with zero stale serves.
-MUTCON_LIVE_REFRESH_WORKERS=4 MUTCON_LIVE_REACTORS=4 cargo test -q -p mutcon-live \
-  --test refresh --test coherence --test admin
-MUTCON_LIVE_REFRESH_WORKERS=1 MUTCON_LIVE_REACTORS=4 cargo test -q -p mutcon-live \
-  --test refresh --test coherence --test admin
-target/release/repro live-refresh > /dev/null
+# Refresh plane at its default pool width and forced serial: worker
+# count must never change behavior, only drift.
+for workers in 4 1; do
+  MUTCON_LIVE_REFRESH_WORKERS=$workers MUTCON_LIVE_REACTORS=4 cargo test -q -p mutcon-live \
+    --test refresh --test coherence --test admin
+done
 
-# Overload control: the LIMD admission/pool limiters end to end — the
-# flash-crowd shed with preserved miss coalescing and partition
-# isolation, the double-death stale-retry regression, and the admin
-# round-trip — then the wave bench: doubling flash crowds ramped 16×
-# past saturation, spliced into BENCH_repro.json as live_overload.
-# repro exits non-zero unless p99 and the non-429 error rate plateau.
+# Overload control: flash-crowd shed with preserved miss coalescing,
+# partition isolation and permits released between waves.
 cargo test -q -p mutcon-live --test overload
-target/release/repro live-overload > /dev/null
 
-echo "--- BENCH_repro.json ---"
-cat BENCH_repro.json
+# The paper's tables and figures (writes the simulator's timings to
+# BENCH_repro.json).
+target/release/repro all > /dev/null
+
+# The live proxy's benchmark (BENCHMARK.json): its own tests, then one
+# short workload that must verify every response and exit 0.
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- \
+  run --workload hot_hit --seed 1 --seconds 3
