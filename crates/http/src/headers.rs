@@ -25,6 +25,8 @@ impl HeaderName {
     pub const CONTENT_LENGTH: &'static str = "content-length";
     /// `Content-Type`.
     pub const CONTENT_TYPE: &'static str = "content-type";
+    /// `Transfer-Encoding`.
+    pub const TRANSFER_ENCODING: &'static str = "transfer-encoding";
     /// `Cache-Control`.
     pub const CACHE_CONTROL: &'static str = "cache-control";
     /// `Date`.

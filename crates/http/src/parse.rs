@@ -12,7 +12,10 @@
 //! Bodies are delimited by `Content-Length` only (the consistency protocol
 //! never needs chunked transfer), and an absent `Content-Length` means an
 //! empty body — all messages the workspace exchanges are self-delimiting,
-//! keeping connections reusable.
+//! keeping connections reusable. A message whose body cannot be delimited
+//! that way (any `Transfer-Encoding`, or `Content-Length` values that
+//! disagree) is an error, so its body bytes are never read as the next
+//! pipelined message.
 //!
 //! For readiness-driven connection loops that feed bytes in as the socket
 //! produces them, the stateful [`RequestParser`]/[`ResponseParser`] carry
@@ -46,8 +49,12 @@ pub enum ParseError {
     InvalidVersion,
     /// The status code is not a number in `100..=599`.
     InvalidStatus,
-    /// `Content-Length` is not a valid number.
+    /// `Content-Length` is not a valid number, or is repeated with
+    /// values that differ.
     InvalidContentLength,
+    /// The message carries `Transfer-Encoding`, which this parser cannot
+    /// delimit.
+    UnsupportedTransferEncoding,
     /// The header section exceeds [`MAX_HEAD_BYTES`].
     HeadTooLarge,
     /// The declared body exceeds [`MAX_BODY_BYTES`].
@@ -62,6 +69,7 @@ impl fmt::Display for ParseError {
             ParseError::InvalidVersion => "unsupported HTTP version",
             ParseError::InvalidStatus => "invalid status code",
             ParseError::InvalidContentLength => "invalid content-length",
+            ParseError::UnsupportedTransferEncoding => "transfer-encoding not supported",
             ParseError::HeadTooLarge => "header section too large",
             ParseError::BodyTooLarge => "body too large",
         };
@@ -109,16 +117,29 @@ fn parse_headers(block: &str) -> Result<HeaderMap, ParseError> {
 }
 
 fn body_length(headers: &HeaderMap) -> Result<usize, ParseError> {
-    match headers.get(HeaderName::CONTENT_LENGTH) {
-        None => Ok(0),
-        Some(v) => {
-            let len: usize = v.trim().parse().map_err(|_| ParseError::InvalidContentLength)?;
-            if len > MAX_BODY_BYTES {
-                Err(ParseError::BodyTooLarge)
-            } else {
-                Ok(len)
+    let mut declared: Option<usize> = None;
+    for (name, value) in headers.iter() {
+        match name.as_str() {
+            HeaderName::TRANSFER_ENCODING => {
+                return Err(ParseError::UnsupportedTransferEncoding);
             }
+            HeaderName::CONTENT_LENGTH => {
+                let len = value
+                    .trim()
+                    .parse()
+                    .map_err(|_| ParseError::InvalidContentLength)?;
+                if declared.is_some_and(|first| first != len) {
+                    return Err(ParseError::InvalidContentLength);
+                }
+                declared = Some(len);
+            }
+            _ => {}
         }
+    }
+    match declared {
+        Some(len) if len > MAX_BODY_BYTES => Err(ParseError::BodyTooLarge),
+        Some(len) => Ok(len),
+        None => Ok(0),
     }
 }
 
@@ -421,6 +442,54 @@ mod tests {
             parse_request(b"GET / HTTP/1.1\r\nContent-Length: abc\r\n\r\n").unwrap_err(),
             ParseError::InvalidContentLength
         );
+    }
+
+    /// A chunked body read as zero-length would leave its chunk bytes to
+    /// be parsed as the next pipelined request.
+    #[test]
+    fn rejects_transfer_encoding_instead_of_desyncing() {
+        let chunked = b"POST /o HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n\
+            1c\r\nGET /smuggled HTTP/1.1\r\n\r\n\r\n0\r\n\r\n";
+        assert_eq!(
+            parse_request(chunked).unwrap_err(),
+            ParseError::UnsupportedTransferEncoding
+        );
+        // A Content-Length beside it does not make the body delimitable.
+        assert_eq!(
+            parse_request(
+                b"POST /o HTTP/1.1\r\nContent-Length: 3\r\nTransfer-Encoding: chunked\r\n\r\nabc"
+            )
+            .unwrap_err(),
+            ParseError::UnsupportedTransferEncoding
+        );
+        assert_eq!(
+            parse_response(b"HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\n0\r\n\r\n")
+                .unwrap_err(),
+            ParseError::UnsupportedTransferEncoding
+        );
+    }
+
+    #[test]
+    fn rejects_content_lengths_that_disagree() {
+        assert_eq!(
+            parse_request(
+                b"PUT /o HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 0\r\n\r\nabc"
+            )
+            .unwrap_err(),
+            ParseError::InvalidContentLength
+        );
+        assert_eq!(
+            parse_response(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: x\r\n\r\nok")
+                .unwrap_err(),
+            ParseError::InvalidContentLength
+        );
+        // Repeating the same value is harmless and stays accepted.
+        let (req, _) = parse_request(
+            b"PUT /o HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 3\r\n\r\nabc",
+        )
+        .unwrap()
+        .unwrap();
+        assert_eq!(&req.body()[..], b"abc");
     }
 
     #[test]

@@ -45,17 +45,14 @@
 //!   per-reactor connection counts, origin-pool reuse/coalesce
 //!   counters, wire-path syscall/copy counters (`writev` vs `write`
 //!   calls, accept batches, body copies, buffer-pool traffic, interest
-//!   coalescing and ring submissions, plus the per-reactor active
-//!   backend), the refresh plane's worker/in-flight/drift figures, and
-//!   the proxy's poll/hit/miss counters.
+//!   coalescing), the refresh plane's worker/in-flight/drift figures,
+//!   and the proxy's poll/hit/miss counters.
 //!
 //! When a bearer token is configured ([`ProxyConfig::admin_token`] or
 //! `MUTCON_ADMIN_TOKEN`), every `/admin/*` request must carry
 //! `Authorization: Bearer <token>` or it is refused with `401`. A
 //! configured [`ProxyConfig::rules_file`] is re-read on `SIGHUP`,
 //! feeding the same install path as `PUT /admin/rules`.
-//!
-//! The legacy plain-text `/__stats` endpoint remains for scripts.
 
 use std::collections::HashMap;
 use std::io;
@@ -141,11 +138,7 @@ pub struct ProxyConfig {
     /// Load tests past the default raise this directly instead of
     /// through the environment.
     pub max_conns: Option<usize>,
-    /// Reactor I/O backend (`None` = the `MUTCON_LIVE_BACKEND`
-    /// environment selection, defaulting to coalesced-interest epoll).
-    /// `Some(BackendKind::IoUring)` still falls back to epoll when the
-    /// kernel refuses rings — see `/admin/stats`'s `wire.backends` for
-    /// what each reactor actually runs.
+    /// Read by nothing; kept because `benchmark/` (read-only here) sets it.
     pub backend: Option<BackendKind>,
     /// Per-reactor L1 hot-object cache capacity in objects (`None` = the
     /// `MUTCON_LIVE_L1` / [`crate::server::DEFAULT_L1_OBJECTS`] default;
@@ -287,7 +280,6 @@ impl LiveProxy {
             config.max_conns.unwrap_or_else(crate::server::max_conns),
             config.reactors.unwrap_or_else(crate::server::num_reactors),
             metrics,
-            config.backend,
             overload,
         )?;
 
@@ -472,20 +464,6 @@ impl Service for ProxyService {
                 Response::builder(StatusCode::METHOD_NOT_ALLOWED).build(),
             );
         }
-        if path == "/__stats" {
-            let c = &self.shared.counters;
-            let body = format!(
-                "polls={}\ntriggered={}\nrefreshes={}\nhits={}\nmisses={}\nerrors={}\nreloads={}\n",
-                c.polls.load(Ordering::SeqCst),
-                c.triggered.load(Ordering::SeqCst),
-                c.refreshes.load(Ordering::SeqCst),
-                c.hits.load(Ordering::SeqCst),
-                c.misses.load(Ordering::SeqCst),
-                c.errors.load(Ordering::SeqCst),
-                c.reloads.load(Ordering::SeqCst),
-            );
-            return ServiceResult::Respond(Response::ok().body(body.into_bytes()).build());
-        }
 
         // Cache hit: the entry's pre-rendered head and shared body go
         // out as-is — no serialization, no body copy, one writev. The
@@ -551,14 +529,10 @@ impl Service for ProxyService {
     }
 
     /// Only plain `GET`s for cacheable paths may be answered from a
-    /// reactor's L1; the admin plane and the stats endpoints always run
-    /// their handlers.
+    /// reactor's L1; the admin plane always runs its handlers.
     fn l1_key<'r>(&self, request: &'r Request) -> Option<&'r str> {
         let path = request.target();
-        if request.method() != &Method::Get
-            || path.starts_with("/admin/")
-            || path == "/__stats"
-        {
+        if request.method() != &Method::Get || path.starts_with("/admin/") {
             return None;
         }
         Some(path)
@@ -574,6 +548,12 @@ impl Service for ProxyService {
         self.shared.counters.hits.fetch_add(1, Ordering::SeqCst);
         Some(prepared(&hit.entry, true))
     }
+}
+
+/// Byte equality whose running time depends only on the lengths, so a
+/// wrong token does not reveal how long a prefix of it was right.
+fn constant_time_eq(a: &[u8], b: &[u8]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).fold(0u8, |diff, (x, y)| diff | (x ^ y)) == 0
 }
 
 fn json_response(status: StatusCode, value: &Json) -> Response {
@@ -602,14 +582,15 @@ impl ProxyService {
     /// Returns the `401` response when a bearer token is configured and
     /// the request doesn't carry it; `None` admits the request. Uses
     /// the standard `Authorization: Bearer <token>` scheme
-    /// (case-sensitive token, scheme per RFC 6750).
+    /// (case-sensitive token, scheme per RFC 6750). The token compare
+    /// takes the same time wherever the first wrong byte sits.
     fn check_admin_auth(&self, request: &Request) -> Option<Response> {
         let expected = self.shared.admin_token.as_deref()?;
         let authorized = request
             .headers()
             .get("authorization")
             .and_then(|value| value.trim().strip_prefix("Bearer "))
-            .is_some_and(|token| token.trim() == expected);
+            .is_some_and(|token| constant_time_eq(token.trim().as_bytes(), expected.as_bytes()));
         if authorized {
             None
         } else {
@@ -844,14 +825,6 @@ impl ProxyService {
                         "interest_coalesced",
                         Json::Number(self.metrics.interest_coalesced() as f64),
                     ),
-                    (
-                        "sqe_submitted",
-                        Json::Number(self.metrics.sqe_submitted() as f64),
-                    ),
-                    (
-                        "cqe_completed",
-                        Json::Number(self.metrics.cqe_completed() as f64),
-                    ),
                     ("l1_hits", Json::Number(self.metrics.l1_hits() as f64)),
                     (
                         "l1_stale_rejects",
@@ -860,18 +833,6 @@ impl ProxyService {
                     (
                         "write_stalls",
                         Json::Number(self.metrics.write_stalls() as f64),
-                    ),
-                    // What each reactor actually runs after any
-                    // io_uring → epoll construction fallback.
-                    (
-                        "backends",
-                        Json::Array(
-                            self.metrics
-                                .reactor_backends()
-                                .into_iter()
-                                .map(|label| Json::String(label.to_owned()))
-                                .collect(),
-                        ),
                     ),
                 ]),
             ),

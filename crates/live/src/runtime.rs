@@ -157,7 +157,7 @@ pub fn validate(rules: &[RefreshRule], group: Option<&GroupRule>) -> Result<(), 
         if !rule.path.starts_with('/') {
             return Err(format!("rule path {:?} must start with '/'", rule.path));
         }
-        if rule.path.starts_with("/admin/") || rule.path == "/__stats" {
+        if rule.path.starts_with("/admin/") {
             return Err(format!(
                 "rule path {:?} shadows a proxy control endpoint",
                 rule.path
@@ -675,25 +675,17 @@ impl ConsistencyRuntime {
                 if shutdown.load(Ordering::SeqCst) {
                     break;
                 }
-                let blocked = d.dispatch(&queue);
-                let wait = if blocked {
-                    // The queue is full or a due path is still on the
-                    // wire — either way a completion is owed and will
-                    // wake us; anything sooner is a spin.
-                    None
-                } else {
-                    match d.sched.next_due_at() {
-                        Some(at) => {
-                            let now = Instant::now();
-                            if at <= now {
-                                continue; // became due since dispatch
-                            }
-                            Some(at - now)
+                let wait = match d.dispatch(&queue) {
+                    Some(at) => {
+                        let now = Instant::now();
+                        if at <= now {
+                            continue; // became due since dispatch
                         }
-                        // Nothing scheduled at all: park until an
-                        // install (or shutdown) notifies.
-                        None => None,
+                        Some(at - now)
                     }
+                    // Only a completion, an install or shutdown can
+                    // create work, and each of them notifies.
+                    None => None,
                 };
                 self.wake.park(wait);
             }
@@ -870,11 +862,15 @@ impl<'a> Dispatcher<'a> {
 
     /// Hands every dispatchable poll to the workers: queued triggers
     /// first (they exist to restore mutual consistency *now*), then
-    /// every due scheduled path. Returns whether dispatch stalled on a
-    /// full queue or an in-flight path — in which case a completion is
-    /// owed and the caller should park until woken rather than spin.
-    fn dispatch(&mut self, queue: &JobQueue) -> bool {
-        let mut blocked = false;
+    /// every due scheduled path. Returns when the caller must dispatch
+    /// again unprompted; `None` means park until woken. A full queue
+    /// owes a completion, which wakes the caller, so anything sooner is
+    /// a spin. An entry deferred behind its own in-flight poll is owed
+    /// one too, but must not hide the other paths' due times: one hung
+    /// origin path would stall the whole fleet for the poll client's
+    /// timeout.
+    fn dispatch(&mut self, queue: &JobQueue) -> Option<Instant> {
+        let mut queue_full = false;
         while let Some((path, due)) = self.trig_queue.pop_front() {
             if !self.sched.epoch.contains(&path) {
                 self.trig_pending.remove(&path);
@@ -899,7 +895,7 @@ impl<'a> Dispatcher<'a> {
                 }
                 Err(_) => {
                     self.trig_queue.push_front((path, due));
-                    blocked = true;
+                    queue_full = true;
                     break;
                 }
             }
@@ -912,7 +908,6 @@ impl<'a> Dispatcher<'a> {
                 // or a triggered poll covers it): park this entry
                 // behind the completion, which re-evaluates it.
                 deferred.push(entry);
-                blocked = true;
                 continue;
             }
             let job = Job {
@@ -926,15 +921,22 @@ impl<'a> Dispatcher<'a> {
                 }
                 Err(_) => {
                     deferred.push(entry);
-                    blocked = true;
+                    queue_full = true;
                     break;
                 }
             }
         }
+        // Read before the deferred entries go back: they are due in the
+        // past and would make the caller spin.
+        let next = if queue_full {
+            None
+        } else {
+            self.sched.next_due_at()
+        };
         for entry in deferred {
             self.sched.requeue(entry);
         }
-        blocked
+        next
     }
 }
 
@@ -1546,13 +1548,44 @@ mod tests {
         // Dispatch hands the trigger to a worker ahead of scheduled
         // work, and an in-flight path defers rather than double-polls.
         let q = JobQueue::new(8);
-        let blocked = d.dispatch(&q);
+        let next = d.dispatch(&q);
         let first = q.pop().unwrap();
         assert_eq!(first.kind, PollKind::Triggered);
         assert_eq!(&*first.path, "/b");
         // /a (in flight) and /b (just dispatched) both deferred their
-        // scheduled due entries — a completion is owed.
-        assert!(blocked);
+        // scheduled due entries, and nothing else is scheduled: only a
+        // completion can create work.
+        assert_eq!(next, None);
+    }
+
+    /// A due entry deferred behind its own in-flight poll must not hide
+    /// when the other paths are due.
+    #[test]
+    fn dispatcher_wakes_for_the_next_free_path_behind_a_deferred_one() {
+        let metrics = RefreshMetrics::default();
+        let q = JobQueue::new(8);
+        let start = Instant::now();
+        let mut d = Dispatcher::new(
+            Scheduler::new(epoch(1, vec![rule("/free", 10), rule("/held", 10)], None), start),
+            &metrics,
+        );
+        assert_eq!(d.dispatch(&q), None, "both on the wire, nothing scheduled");
+        // /free completes and is rescheduled one TTR out; /held stays on
+        // the wire while a rule swap marks it due immediately.
+        d.complete(&Completion {
+            kind: PollKind::Scheduled,
+            path: Arc::from("/free"),
+            ts: unix_now(),
+            result: Some(PollResult::NotModified),
+        });
+        d.sched.reschedule("/held", start);
+        let free_due = d.sched.scheds["/free"].due;
+        assert!(free_due > start);
+
+        assert_eq!(d.dispatch(&q), Some(free_due));
+        // The deferred entry is kept for /held's completion to re-evaluate.
+        assert_eq!(d.sched.next_due_at(), Some(start));
+        assert_eq!(d.in_flight.len(), 1);
     }
 
     #[test]
@@ -1563,8 +1596,9 @@ mod tests {
             Scheduler::new(epoch(1, vec![rule("/a", 10), rule("/b", 10)], None), Instant::now()),
             &metrics,
         );
-        // Cap 1: only /a (path tiebreak) fits; /b defers.
-        assert!(d.dispatch(&q));
+        // Cap 1: only /a (path tiebreak) fits; /b defers behind the full
+        // queue, whose completion will wake the scheduler.
+        assert_eq!(d.dispatch(&q), None);
         assert_eq!(d.in_flight.len(), 1);
         assert!(d.in_flight.contains("/a"));
         let job = q.pop().unwrap();
@@ -1577,7 +1611,7 @@ mod tests {
         assert_eq!(d.in_flight.len(), 2);
 
         // Nothing due and both in flight: a no-op, no spin demanded.
-        assert!(!d.dispatch(&q));
+        assert_eq!(d.dispatch(&q), None);
 
         // /a's completion clears it for future dispatch and reschedules
         // it one TTR out.

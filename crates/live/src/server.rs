@@ -3,14 +3,12 @@
 //!
 //! The engine runs **one reactor per core** (bounded by
 //! [`MUTCON_LIVE_REACTORS`](REACTORS_ENV)): each reactor thread owns its
-//! own pluggable [`Backend`] (coalesced-interest epoll or raw io_uring,
-//! selected by `MUTCON_LIVE_BACKEND` — see
-//! [`mutcon_sim::reactor::backend`]), its own eventfd waker, its own
-//! connection slab, its own keep-alive origin pool — and its own
+//! own coalesced-interest [`EpollBackend`], its own eventfd waker, its
+//! own connection slab, its own keep-alive origin pool — and its own
 //! `SO_REUSEPORT` listener on the shared port, so the kernel
 //! load-balances incoming connections across reactors with no shared
 //! accept lock. Within a reactor every connection is a state machine
-//! driven through the backend seam — no thread per connection, no worker
+//! driven by readiness events — no thread per connection, no worker
 //! pool:
 //!
 //! ```text
@@ -73,7 +71,7 @@ use mutcon_core::time::Duration as CoreDuration;
 use mutcon_http::message::{Request, Response};
 use mutcon_http::parse::{RequestParser, ResponseParser};
 use mutcon_http::types::StatusCode;
-use mutcon_sim::reactor::backend::{self, Backend, BackendCounters, BackendKind};
+use mutcon_sim::reactor::backend::{BackendCounters, EpollBackend};
 use mutcon_sim::reactor::{
     connect_nonblocking, listen_reuseport, raise_nofile_limit, Event, Interest, Waker,
 };
@@ -395,17 +393,11 @@ pub struct EngineMetrics {
     buf_pool_high_water: AtomicUsize,
     epoll_ctl_calls: AtomicU64,
     interest_coalesced: AtomicU64,
-    sqe_submitted: AtomicU64,
-    cqe_completed: AtomicU64,
     l1_hits: AtomicU64,
     l1_stale_rejects: AtomicU64,
     l1_refills: AtomicU64,
     l1_evictions: AtomicU64,
     write_stalls: AtomicU64,
-    /// Active backend per reactor: 0 = unknown, 1 = epoll, 2 = io_uring
-    /// (set after any construction fallback, so it reports what actually
-    /// runs).
-    backends: Vec<AtomicUsize>,
 }
 
 impl Default for EngineMetrics {
@@ -427,14 +419,11 @@ impl Default for EngineMetrics {
             buf_pool_high_water: AtomicUsize::new(0),
             epoll_ctl_calls: AtomicU64::new(0),
             interest_coalesced: AtomicU64::new(0),
-            sqe_submitted: AtomicU64::new(0),
-            cqe_completed: AtomicU64::new(0),
             l1_hits: AtomicU64::new(0),
             l1_stale_rejects: AtomicU64::new(0),
             l1_refills: AtomicU64::new(0),
             l1_evictions: AtomicU64::new(0),
             write_stalls: AtomicU64::new(0),
-            backends: (0..MAX_REACTORS).map(|_| AtomicUsize::new(0)).collect(),
         }
     }
 }
@@ -532,9 +521,9 @@ impl EngineMetrics {
     }
 
     /// Kernel interest operations issued (`epoll_ctl` ADD + MOD) across
-    /// all reactors. Zero on io_uring backends. With interest coalescing
-    /// this grows with *connections*, not requests: keep-alive churn is
-    /// absorbed by the ledger.
+    /// all reactors. With interest coalescing this grows with
+    /// *connections*, not requests: keep-alive churn is absorbed by the
+    /// ledger.
     pub fn epoll_ctl_calls(&self) -> u64 {
         self.epoll_ctl_calls.load(Ordering::Relaxed)
     }
@@ -543,16 +532,6 @@ impl EngineMetrics {
     /// syscalls the coalescing ledger saved.
     pub fn interest_coalesced(&self) -> u64 {
         self.interest_coalesced.load(Ordering::Relaxed)
-    }
-
-    /// io_uring submission-queue entries pushed. Zero on epoll backends.
-    pub fn sqe_submitted(&self) -> u64 {
-        self.sqe_submitted.load(Ordering::Relaxed)
-    }
-
-    /// io_uring completion-queue entries reaped. Zero on epoll backends.
-    pub fn cqe_completed(&self) -> u64 {
-        self.cqe_completed.load(Ordering::Relaxed)
     }
 
     /// Requests served straight from a reactor-local L1 — validated by
@@ -587,25 +566,10 @@ impl EngineMetrics {
         self.write_stalls.load(Ordering::Relaxed)
     }
 
-    /// Active backend label per reactor (`"epoll"` / `"io_uring"`),
-    /// after any io_uring→epoll construction fallback.
+    /// `"epoll"` once per reactor; kept because `benchmark/` (read-only
+    /// here) prints it in its report header.
     pub fn reactor_backends(&self) -> Vec<&'static str> {
-        self.backends[..self.reactor_count()]
-            .iter()
-            .map(|b| match b.load(Ordering::Relaxed) {
-                1 => BackendKind::Epoll.label(),
-                2 => BackendKind::IoUring.label(),
-                _ => "unknown",
-            })
-            .collect()
-    }
-
-    fn note_backend(&self, reactor: usize, kind: BackendKind) {
-        let code = match kind {
-            BackendKind::Epoll => 1,
-            BackendKind::IoUring => 2,
-        };
-        self.backends[reactor].store(code, Ordering::Relaxed);
+        vec!["epoll"; self.reactor_count()]
     }
 
     /// Folds one event-loop turn's backend counter deltas in (no-op for
@@ -618,14 +582,6 @@ impl EngineMetrics {
         if delta.interest_coalesced > 0 {
             self.interest_coalesced
                 .fetch_add(delta.interest_coalesced, Ordering::Relaxed);
-        }
-        if delta.sqe_submitted > 0 {
-            self.sqe_submitted
-                .fetch_add(delta.sqe_submitted, Ordering::Relaxed);
-        }
-        if delta.cqe_completed > 0 {
-            self.cqe_completed
-                .fetch_add(delta.cqe_completed, Ordering::Relaxed);
         }
     }
 
@@ -722,38 +678,17 @@ impl EventLoop {
         reactors: usize,
         metrics: Arc<EngineMetrics>,
     ) -> io::Result<EventLoop> {
-        EventLoop::with_backend(name, service, max_conns, reactors, metrics, None)
-    }
-
-    /// [`EventLoop::with_metrics`] with an explicit reactor backend.
-    /// `None` reads `MUTCON_LIVE_BACKEND` (default epoll). An io_uring
-    /// request falls back to epoll when the kernel refuses rings (logged
-    /// once); the backend each reactor actually runs is recorded in the
-    /// metrics ([`EngineMetrics::reactor_backends`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket and backend setup failures.
-    pub fn with_backend(
-        name: &str,
-        service: Arc<dyn Service>,
-        max_conns: usize,
-        reactors: usize,
-        metrics: Arc<EngineMetrics>,
-        backend_kind: Option<BackendKind>,
-    ) -> io::Result<EventLoop> {
         EventLoop::with_overload(
             name,
             service,
             max_conns,
             reactors,
             metrics,
-            backend_kind,
             Arc::new(OverloadControl::default()),
         )
     }
 
-    /// [`EventLoop::with_backend`] with a caller-supplied overload
+    /// [`EventLoop::with_metrics`] with a caller-supplied overload
     /// control handle (see [`crate::overload`]): the live proxy shares
     /// it with its admin plane, which hot-swaps the admission and
     /// origin-pool limiters and reads back live limits, samples and
@@ -761,7 +696,7 @@ impl EventLoop {
     ///
     /// # Errors
     ///
-    /// Propagates socket and backend setup failures, and rejects a
+    /// Propagates socket and epoll setup failures, and rejects a
     /// handle whose initial configuration fails validation.
     pub fn with_overload(
         name: &str,
@@ -769,14 +704,12 @@ impl EventLoop {
         max_conns: usize,
         reactors: usize,
         metrics: Arc<EngineMetrics>,
-        backend_kind: Option<BackendKind>,
         overload: Arc<OverloadControl>,
     ) -> io::Result<EventLoop> {
         overload
             .config()
             .validate()
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-        let kind = backend_kind.unwrap_or_else(BackendKind::from_env);
         // Raise the fd ceiling once per process so 10k-connection runs
         // don't trip the default 1024 soft limit.
         static RAISE_NOFILE: Once = Once::new();
@@ -811,12 +744,11 @@ impl EventLoop {
         let shares = split_conns(max_conns, reactors);
         for (i, listener) in listeners.into_iter().enumerate() {
             let per_reactor = shares[i];
-            let mut engine_backend = backend::create(kind, TOKEN_WAKER)?;
-            engine_backend.register_acceptor(listener.as_raw_fd(), TOKEN_LISTENER)?;
-            let waker = engine_backend.wake_handle();
-            metrics.note_backend(i, engine_backend.kind());
+            let mut backend = EpollBackend::new(TOKEN_WAKER)?;
+            backend.register(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READABLE)?;
+            let waker = backend.wake_handle();
             let reactor = Reactor {
-                backend: engine_backend,
+                backend,
                 listener,
                 service: Arc::clone(&service),
                 shutdown: Arc::clone(&shutdown),
@@ -997,9 +929,9 @@ impl std::fmt::Debug for Waiting {
 }
 
 struct Reactor {
-    /// The pluggable readiness + data-plane seam (epoll or io_uring);
-    /// every fd operation goes through it.
-    backend: Box<dyn Backend>,
+    /// Readiness and the data-plane syscalls; every fd operation goes
+    /// through it.
+    backend: EpollBackend,
     listener: TcpListener,
     service: Arc<dyn Service>,
     shutdown: Arc<AtomicBool>,
@@ -1078,21 +1010,19 @@ fn clone_err(e: &io::Error) -> io::Error {
 }
 
 /// A [`WriteSink`] routing a connection's flush through the reactor's
-/// backend, so the vectored write path works identically over epoll
-/// (direct `write`/`writev`) and io_uring (inline SQEs).
+/// backend.
 struct BackendSink<'a> {
-    backend: &'a mut dyn Backend,
+    backend: &'a mut EpollBackend,
     fd: std::os::fd::RawFd,
-    token: usize,
 }
 
 impl WriteSink for BackendSink<'_> {
     fn write_one(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.backend.write(self.fd, self.token, buf)
+        self.backend.write(self.fd, buf)
     }
 
     fn write_two(&mut self, first: &[u8], second: &[u8]) -> io::Result<usize> {
-        self.backend.writev(self.fd, self.token, &[first, second])
+        self.backend.writev(self.fd, &[first, second])
     }
 }
 
@@ -1229,7 +1159,7 @@ impl Reactor {
         let mut reused: u64 = 0;
         let mut allocated: u64 = 0;
         while self.accepting {
-            match self.backend.accept(&self.listener, TOKEN_LISTENER) {
+            match self.backend.accept(&self.listener) {
                 Ok(stream) => {
                     if !self.service.accept_connection() {
                         continue; // dropped on arrival (fault injection)
@@ -1332,12 +1262,19 @@ impl Reactor {
         let mut saw_eof = false;
         let mut chunk = [0u8; 16 * 1024];
         while client.read_buf.len() < MAX_BUFFERED {
-            match self.backend.read(fd, idx + TOKEN_BASE, &mut chunk) {
+            match self.backend.read(fd, &mut chunk) {
                 Ok(0) => {
                     saw_eof = true;
                     break;
                 }
-                Ok(n) => client.read_buf.extend_from_slice(&chunk[..n]),
+                Ok(n) => {
+                    client.read_buf.extend_from_slice(&chunk[..n]);
+                    // A short read drained the socket; the backend
+                    // raises a new event for more data or EOF.
+                    if n < chunk.len() {
+                        break;
+                    }
+                }
                 Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(ref e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
@@ -1533,9 +1470,8 @@ impl Reactor {
                 return true;
             }
             let mut sink = BackendSink {
-                backend: &mut *self.backend,
+                backend: &mut self.backend,
                 fd,
-                token: idx + TOKEN_BASE,
             };
             let outcome = client.write.flush(&mut sink, MAX_RETAINED_CAP, &mut stats);
             if matches!(outcome, Ok(FlushOutcome::Done)) {
@@ -1846,7 +1782,7 @@ impl Reactor {
         };
         let mut broken: Option<io::Error> = None;
         while up.written < request.len() {
-            match self.backend.write(fd, idx + TOKEN_BASE, &request[up.written..]) {
+            match self.backend.write(fd, &request[up.written..]) {
                 Ok(0) => {
                     broken = Some(io::Error::new(
                         io::ErrorKind::WriteZero,
@@ -1890,12 +1826,18 @@ impl Reactor {
         let mut saw_eof = false;
         let mut chunk = [0u8; 16 * 1024];
         loop {
-            match self.backend.read(fd, idx + TOKEN_BASE, &mut chunk) {
+            match self.backend.read(fd, &mut chunk) {
                 Ok(0) => {
                     saw_eof = true;
                     break;
                 }
-                Ok(n) => up.read_buf.extend_from_slice(&chunk[..n]),
+                Ok(n) => {
+                    up.read_buf.extend_from_slice(&chunk[..n]);
+                    // As in `client_readable`: short read means drained.
+                    if n < chunk.len() {
+                        break;
+                    }
+                }
                 Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(ref e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => {
@@ -2343,7 +2285,7 @@ impl Reactor {
         );
         let mut shed: u64 = 0;
         while (shed as usize) < PARK_SHED_BATCH {
-            match self.backend.accept(&self.listener, TOKEN_LISTENER) {
+            match self.backend.accept(&self.listener) {
                 Ok(stream) => {
                     // Best effort: the head fits any fresh socket's send
                     // buffer; a peer that raced away just gets the close.
@@ -2685,7 +2627,6 @@ mod tests {
             2,
             1,
             Arc::new(EngineMetrics::new()),
-            None,
             Arc::clone(&overload),
         )
         .unwrap();

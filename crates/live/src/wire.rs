@@ -19,10 +19,10 @@ fn parse_io_error(e: ParseError) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, e)
 }
 
-/// `read` retrying `EINTR`. The io_uring backend's task-work
-/// notifications can interrupt blocking syscalls on any thread of the
-/// process, so these helpers must not surface `Interrupted` to callers
-/// (`write_all` already retries it internally).
+/// `read` retrying `EINTR`. A handled signal (the `SIGHUP` rules
+/// reload) interrupts a blocking read on a socket with a receive
+/// timeout even under `SA_RESTART`, so these helpers must not surface
+/// `Interrupted` to callers (`write_all` already retries it internally).
 fn read_uninterrupted(stream: &mut impl Read, chunk: &mut [u8]) -> io::Result<usize> {
     loop {
         match stream.read(chunk) {

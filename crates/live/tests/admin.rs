@@ -367,7 +367,7 @@ fn admin_stats_reports_shards_reactors_and_pool_counters() {
 }
 
 /// With `admin_token` set, every `/admin/*` endpoint demands a matching
-/// bearer token; the data plane and `/__stats` stay open.
+/// bearer token, compared whole; the data plane stays open.
 #[test]
 fn admin_endpoints_demand_the_configured_bearer_token() {
     let clock = FakeClock::new();
@@ -395,8 +395,18 @@ fn admin_endpoints_demand_the_configured_bearer_token() {
         read_response(&mut sock, &mut buf).expect("response")
     };
 
-    // No credentials, wrong scheme, wrong token: 401 with a challenge.
-    for auth in [None, Some("Basic s3cret"), Some("Bearer nope"), Some("Bearer")] {
+    // No credentials, wrong scheme, wrong token (shorter, longer, and
+    // of equal length differing in the first or the last byte): 401
+    // with a challenge.
+    for auth in [
+        None,
+        Some("Basic s3cret"),
+        Some("Bearer nope"),
+        Some("Bearer"),
+        Some("Bearer s3cret1"),
+        Some("Bearer s3creT"),
+        Some("Bearer S3cret"),
+    ] {
         let resp = raw_get("/admin/stats", auth);
         assert_eq!(resp.status(), StatusCode::UNAUTHORIZED, "auth {auth:?}");
         assert_eq!(
@@ -424,9 +434,8 @@ fn admin_endpoints_demand_the_configured_bearer_token() {
     .unwrap();
     assert_eq!(doc.get("epoch").unwrap().as_u64(), Some(1), "PUT was rejected");
 
-    // The data plane and the plain-text stats page never ask for auth.
+    // The data plane never asks for auth.
     assert_eq!(client.get(addr, "/obj", None).unwrap().status(), StatusCode::OK);
-    assert_eq!(client.get(addr, "/__stats", None).unwrap().status(), StatusCode::OK);
 }
 
 /// SIGHUP re-reads the configured rules file through the same

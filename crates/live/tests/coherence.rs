@@ -25,7 +25,6 @@ use mutcon_core::time::Duration;
 use mutcon_live::client::HttpClient;
 use mutcon_live::proxy::{LiveProxy, ProxyConfig, RefreshRule};
 use mutcon_http::types::StatusCode;
-use mutcon_sim::reactor::BackendKind;
 use mutcon_sim::rng::SimRng;
 use mutcon_traces::json::{self, Json};
 
@@ -36,12 +35,10 @@ fn l1_proxy(
     reactors: usize,
     l1_objects: usize,
     rules: Vec<RefreshRule>,
-    backend: Option<BackendKind>,
 ) -> LiveProxy {
     LiveProxy::start(ProxyConfig {
         rules,
         reactors: Some(reactors),
-        backend,
         l1_objects: Some(l1_objects),
         ..ProxyConfig::new(origin.addr())
     })
@@ -61,18 +58,6 @@ fn stats_counter(proxy: &LiveProxy, path: &[&str]) -> u64 {
     node.as_u64().unwrap_or_else(|| panic!("stats key {path:?} not a number"))
 }
 
-/// The backends to exercise: always epoll, plus io_uring when the
-/// kernel grants rings.
-fn backends() -> Vec<BackendKind> {
-    let mut kinds = vec![BackendKind::Epoll];
-    if mutcon_sim::reactor::backend::io_uring_available() {
-        kinds.push(BackendKind::IoUring);
-    } else {
-        println!("NOTICE: kernel refuses io_uring rings; epoll only");
-    }
-    kinds
-}
-
 /// The tentpole coherence scenario: the refresher keeps storing newer
 /// bodies for the hot object (every store a version bump that must
 /// invalidate each reactor's L1 copy) while seeded readers hammer it
@@ -81,83 +66,80 @@ fn backends() -> Vec<BackendKind> {
 /// stamps monotonically nondecreasing and bounded by the logical clock.
 #[test]
 fn l1_readers_never_see_old_bytes_after_a_version_bump() {
-    for backend in backends() {
-        let clock = FakeClock::new();
-        let origin = ScriptedOrigin::start(clock.clone());
-        let proxy = l1_proxy(
-            &origin,
-            2,
-            128,
-            vec![RefreshRule::new("/hot", Duration::from_millis(20))],
-            Some(backend),
-        );
-        let addr = proxy.local_addr();
+    let clock = FakeClock::new();
+    let origin = ScriptedOrigin::start(clock.clone());
+    let proxy = l1_proxy(
+        &origin,
+        2,
+        128,
+        vec![RefreshRule::new("/hot", Duration::from_millis(20))],
+    );
+    let addr = proxy.local_addr();
 
-        // Warm so readers start from a cached (and L1-refillable) copy.
-        let warm = HttpClient::new();
-        assert_eq!(warm.get(addr, "/hot", None).unwrap().status(), StatusCode::OK);
+    // Warm so readers start from a cached (and L1-refillable) copy.
+    let warm = HttpClient::new();
+    assert_eq!(warm.get(addr, "/hot", None).unwrap().status(), StatusCode::OK);
 
-        let stop = Arc::new(AtomicU64::new(0));
-        let readers: Vec<_> = (0..4)
-            .map(|r| {
-                let stop = Arc::clone(&stop);
-                let clock = clock.clone();
-                std::thread::spawn(move || {
-                    let mut rng = SimRng::seed_from_u64(0x11AC + r);
-                    let client = HttpClient::with_timeout(StdDuration::from_secs(10));
-                    let mut last = 0u64;
-                    let mut served = 0u32;
-                    while stop.load(Ordering::SeqCst) == 0 {
-                        let resp = client
-                            .get(addr, "/hot", None)
-                            .unwrap_or_else(|e| panic!("reader {r}: {e}"));
-                        assert_eq!(resp.status(), StatusCode::OK, "reader {r}");
-                        let stamp = stamp_of(&resp);
-                        // The body is stamped by the origin at fetch
-                        // time; header and bytes must be the same
-                        // version — a reader holding a newer header
-                        // over older bytes caught a torn L1 serve.
-                        assert_eq!(
-                            resp.body().as_ref(),
-                            format!("path=/hot stamp={stamp}\n").as_bytes(),
-                            "reader {r}: body bytes disagree with the version header"
-                        );
-                        assert!(
-                            stamp >= last,
-                            "reader {r}: stamp went backwards ({last} → {stamp})"
-                        );
-                        assert!(
-                            stamp >= CLOCK_BASE_MS && stamp <= CLOCK_BASE_MS + clock.now_ms(),
-                            "reader {r}: stamp {stamp} outside the logical timeline"
-                        );
-                        last = stamp;
-                        served += 1;
-                        if rng.chance(0.2) {
-                            std::thread::sleep(StdDuration::from_micros(rng.uniform_u64(0, 500)));
-                        }
+    let stop = Arc::new(AtomicU64::new(0));
+    let readers: Vec<_> = (0..4)
+        .map(|r| {
+            let stop = Arc::clone(&stop);
+            let clock = clock.clone();
+            std::thread::spawn(move || {
+                let mut rng = SimRng::seed_from_u64(0x11AC + r);
+                let client = HttpClient::with_timeout(StdDuration::from_secs(10));
+                let mut last = 0u64;
+                let mut served = 0u32;
+                while stop.load(Ordering::SeqCst) == 0 {
+                    let resp = client
+                        .get(addr, "/hot", None)
+                        .unwrap_or_else(|e| panic!("reader {r}: {e}"));
+                    assert_eq!(resp.status(), StatusCode::OK, "reader {r}");
+                    let stamp = stamp_of(&resp);
+                    // The body is stamped by the origin at fetch
+                    // time; header and bytes must be the same
+                    // version — a reader holding a newer header
+                    // over older bytes caught a torn L1 serve.
+                    assert_eq!(
+                        resp.body().as_ref(),
+                        format!("path=/hot stamp={stamp}\n").as_bytes(),
+                        "reader {r}: body bytes disagree with the version header"
+                    );
+                    assert!(
+                        stamp >= last,
+                        "reader {r}: stamp went backwards ({last} → {stamp})"
+                    );
+                    assert!(
+                        stamp >= CLOCK_BASE_MS && stamp <= CLOCK_BASE_MS + clock.now_ms(),
+                        "reader {r}: stamp {stamp} outside the logical timeline"
+                    );
+                    last = stamp;
+                    served += 1;
+                    if rng.chance(0.2) {
+                        std::thread::sleep(StdDuration::from_micros(rng.uniform_u64(0, 500)));
                     }
-                    served
-                })
+                }
+                served
             })
-            .collect();
+        })
+        .collect();
 
-        // The seeded schedule drives logical time; each advance lets the
-        // refresher fetch a newer stamp and bump the path's version.
-        let mut rng = SimRng::seed_from_u64(0xC0DE_11AC);
-        for _ in 0..60 {
-            clock.advance(rng.uniform_u64(1, 40));
-            std::thread::sleep(StdDuration::from_millis(5));
-        }
-        stop.store(1, Ordering::SeqCst);
-        let total: u32 = readers.into_iter().map(|r| r.join().expect("reader")).sum();
-        assert!(total > 100, "{backend:?}: readers made little progress: {total}");
-
-        // The readers must actually have exercised the L1.
-        let hits = stats_counter(&proxy, &["cache", "l1", "hits"]);
-        assert!(hits > 0, "{backend:?}: the run never served from the L1");
-        let bumps = stats_counter(&proxy, &["cache", "version_bumps"]);
-        assert!(bumps > 1, "{backend:?}: the refresher never bumped a version");
+    // The seeded schedule drives logical time; each advance lets the
+    // refresher fetch a newer stamp and bump the path's version.
+    let mut rng = SimRng::seed_from_u64(0xC0DE_11AC);
+    for _ in 0..60 {
+        clock.advance(rng.uniform_u64(1, 40));
+        std::thread::sleep(StdDuration::from_millis(5));
     }
+    stop.store(1, Ordering::SeqCst);
+    let total: u32 = readers.into_iter().map(|r| r.join().expect("reader")).sum();
+    assert!(total > 100, "readers made little progress: {total}");
+
+    // The readers must actually have exercised the L1.
+    let hits = stats_counter(&proxy, &["cache", "l1", "hits"]);
+    assert!(hits > 0, "the run never served from the L1");
+    let bumps = stats_counter(&proxy, &["cache", "version_bumps"]);
+    assert!(bumps > 1, "the refresher never bumped a version");
 }
 
 /// One seeded scenario transcript: client-visible (path, status, stamp,
@@ -165,7 +147,7 @@ fn l1_readers_never_see_old_bytes_after_a_version_bump() {
 fn seeded_transcript(seed: u64, l1_objects: usize) -> (Vec<String>, Vec<String>) {
     let clock = FakeClock::new();
     let origin = ScriptedOrigin::start(clock.clone());
-    let proxy = l1_proxy(&origin, 1, l1_objects, vec![], None);
+    let proxy = l1_proxy(&origin, 1, l1_objects, vec![]);
     let client = HttpClient::new();
     let mut rng = SimRng::seed_from_u64(seed);
     let paths = ["/a", "/b", "/c", "/d", "/e", "/f"];
@@ -218,44 +200,41 @@ fn l1_on_and_off_are_client_indistinguishable() {
     }
 }
 
-/// Parity under load, both backends: the refresher-vs-readers scenario
+/// Parity under load: the refresher-vs-readers scenario
 /// with the L1 disabled — the L1-enabled variant above must not be the
 /// only configuration whose invariants hold. (`scripts/ci.sh` also
 /// re-runs the whole suite with `MUTCON_LIVE_L1=0`; this test keeps the
 /// disabled path exercised even standalone.)
 #[test]
 fn disabled_l1_keeps_the_same_invariants() {
-    for backend in backends() {
-        let clock = FakeClock::new();
-        let origin = ScriptedOrigin::start(clock.clone());
-        let proxy = l1_proxy(
-            &origin,
-            2,
-            0,
-            vec![RefreshRule::new("/hot", Duration::from_millis(20))],
-            Some(backend),
-        );
-        let addr = proxy.local_addr();
-        let client = HttpClient::with_timeout(StdDuration::from_secs(10));
-        assert_eq!(client.get(addr, "/hot", None).unwrap().status(), StatusCode::OK);
+    let clock = FakeClock::new();
+    let origin = ScriptedOrigin::start(clock.clone());
+    let proxy = l1_proxy(
+        &origin,
+        2,
+        0,
+        vec![RefreshRule::new("/hot", Duration::from_millis(20))],
+    );
+    let addr = proxy.local_addr();
+    let client = HttpClient::with_timeout(StdDuration::from_secs(10));
+    assert_eq!(client.get(addr, "/hot", None).unwrap().status(), StatusCode::OK);
 
-        let mut rng = SimRng::seed_from_u64(0x0FF);
-        let mut last = 0u64;
-        for _ in 0..40 {
-            clock.advance(rng.uniform_u64(1, 40));
-            let resp = client.get(addr, "/hot", None).expect("get");
-            assert_eq!(resp.status(), StatusCode::OK);
-            let stamp = stamp_of(&resp);
-            assert!(stamp >= last, "stamp went backwards ({last} → {stamp})");
-            last = stamp;
-        }
-
-        assert_eq!(
-            stats_counter(&proxy, &["cache", "l1", "capacity"]),
-            0,
-            "{backend:?}: capacity 0 must disable the L1"
-        );
-        assert_eq!(stats_counter(&proxy, &["cache", "l1", "hits"]), 0);
-        assert_eq!(stats_counter(&proxy, &["cache", "l1", "refills"]), 0);
+    let mut rng = SimRng::seed_from_u64(0x0FF);
+    let mut last = 0u64;
+    for _ in 0..40 {
+        clock.advance(rng.uniform_u64(1, 40));
+        let resp = client.get(addr, "/hot", None).expect("get");
+        assert_eq!(resp.status(), StatusCode::OK);
+        let stamp = stamp_of(&resp);
+        assert!(stamp >= last, "stamp went backwards ({last} → {stamp})");
+        last = stamp;
     }
+
+    assert_eq!(
+        stats_counter(&proxy, &["cache", "l1", "capacity"]),
+        0,
+        "capacity 0 must disable the L1"
+    );
+    assert_eq!(stats_counter(&proxy, &["cache", "l1", "hits"]), 0);
+    assert_eq!(stats_counter(&proxy, &["cache", "l1", "refills"]), 0);
 }

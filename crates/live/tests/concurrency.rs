@@ -31,21 +31,14 @@ fn plain_proxy(origin: &ScriptedOrigin, reactors: usize) -> LiveProxy {
     .expect("start proxy")
 }
 
-/// Polls the proxy's stats endpoint until `pred` holds (5 s cap).
-fn wait_for_stats(proxy: &LiveProxy, pred: impl Fn(&str) -> bool, what: &str) {
-    let client = HttpClient::new();
+/// Polls the proxy's counters until `misses` have registered (5 s cap).
+fn wait_for_misses(proxy: &LiveProxy, misses: usize) {
     let deadline = Instant::now() + StdDuration::from_secs(5);
-    loop {
-        let resp = client
-            .get(proxy.local_addr(), "/__stats", None)
-            .expect("stats endpoint");
-        let text = std::str::from_utf8(resp.body()).expect("utf8 stats").to_owned();
-        if pred(&text) {
-            return;
-        }
+    while proxy.stats().misses != misses as u64 {
         assert!(
             Instant::now() < deadline,
-            "timed out waiting for {what}; stats:\n{text}"
+            "timed out waiting for {misses} misses; stats: {:?}",
+            proxy.stats()
         );
         std::thread::sleep(StdDuration::from_millis(2));
     }
@@ -89,11 +82,7 @@ fn hundred_concurrent_misses_coalesce_into_one_origin_fetch() {
     // The fetch is parked at the origin; once the proxy has counted all
     // 100 misses, every waiter is coalesced onto that one job.
     origin.wait_for_held(1);
-    wait_for_stats(
-        &proxy,
-        |s| s.contains(&format!("misses={CLIENTS}")),
-        "all misses to register",
-    );
+    wait_for_misses(&proxy, CLIENTS);
     origin.release_all();
 
     let mut stamps = Vec::new();
@@ -539,11 +528,7 @@ fn four_reactors_serve_and_bound_coalesced_fetches() {
     // Wait until every client's miss is counted (the counter is shared
     // across reactors), then release the parked fetches.
     origin.wait_for_held(1);
-    wait_for_stats(
-        &proxy,
-        |s| s.contains(&format!("misses={CLIENTS}")),
-        "all misses to register",
-    );
+    wait_for_misses(&proxy, CLIENTS);
     origin.release_all();
     for reader in readers {
         reader.join().expect("client panicked");

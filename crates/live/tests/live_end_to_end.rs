@@ -209,9 +209,7 @@ fn stats_endpoint_and_miss_path() {
     let missing = client.get(proxy.local_addr(), "/nope", None).unwrap();
     assert_eq!(missing.status(), StatusCode::NOT_FOUND);
 
-    // Stats endpoint reflects the traffic.
-    let stats = client.get(proxy.local_addr(), "/__stats", None).unwrap();
-    let text = std::str::from_utf8(stats.body()).unwrap().to_owned();
-    assert!(text.contains("hits=1"), "stats: {text}");
-    assert!(text.contains("misses=2"), "stats: {text}");
+    // The counters reflect the traffic.
+    let stats = proxy.stats();
+    assert_eq!((stats.hits, stats.misses), (1, 2), "stats: {stats:?}");
 }

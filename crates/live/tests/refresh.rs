@@ -171,6 +171,48 @@ fn an_in_flight_path_is_never_double_polled() {
     drop(proxy);
 }
 
+/// A due entry deferred behind its own in-flight poll must not park the
+/// scheduler past the other paths' due times: with `/held` hung at the
+/// origin and marked due again, `/free` is still polled when its TTR
+/// lapses — long before the held poll's 2 s client timeout, the only
+/// other event that would wake a scheduler parked without a deadline.
+#[test]
+fn a_deferred_path_does_not_stall_paths_due_later() {
+    let clock = FakeClock::new();
+    let origin = ScriptedOrigin::start(clock);
+    origin.script("/held", vec![Behavior::Hold]);
+    let proxy = refresh_proxy(&origin, 4, &["/held", "/free"], 100);
+    origin.wait_for_held(1);
+    wait_until("/free's first poll", || origin.fetches("/free") == 1);
+
+    // A changed rule makes /held due immediately while still on the
+    // wire, so its entry is deferred; /free is next due one TTR out.
+    let swapped = Instant::now();
+    proxy
+        .runtime()
+        .install(
+            vec![
+                RefreshRule::new("/held", Duration::from_millis(25)),
+                RefreshRule::new("/free", Duration::from_millis(100)),
+            ],
+            None,
+        )
+        .expect("valid rules");
+
+    wait_until("/free's second poll at its due time", || {
+        assert!(
+            swapped.elapsed() < StdDuration::from_secs(1),
+            "the scheduler slept through /free's due time behind the held path"
+        );
+        origin.fetches("/free") >= 2
+    });
+    assert_eq!(origin.held(), 1, "/held is still parked at the origin");
+    assert_eq!(origin.fetches("/held"), 1, "and was not polled again");
+
+    origin.release_all();
+    drop(proxy);
+}
+
 /// A rule removed while its poll is on the wire must not resurrect the
 /// path: the late response is discarded and the cache entry stays gone.
 #[test]

@@ -32,7 +32,6 @@
 #![allow(unsafe_code)]
 
 pub mod backend;
-pub mod uring;
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -40,12 +39,12 @@ use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 use std::sync::Arc;
 use std::time::Duration;
 
-pub use backend::{Backend, BackendCounters, BackendKind, InterestLedger, BACKEND_ENV};
+pub use backend::{BackendCounters, BackendKind, InterestLedger};
 
 /// The raw syscall surface. Linux-only, declared against the platform C
 /// library (always linked by std) instead of the `libc` crate.
 mod sys {
-    use std::os::raw::{c_int, c_long, c_void};
+    use std::os::raw::{c_int, c_void};
 
     pub const EPOLL_CLOEXEC: c_int = 0o2000000;
     pub const EPOLL_CTL_ADD: c_int = 1;
@@ -75,17 +74,6 @@ mod sys {
     pub const SO_REUSEPORT: c_int = 15;
 
     pub const RLIMIT_NOFILE: c_int = 7;
-
-    pub const PROT_READ: c_int = 1;
-    pub const PROT_WRITE: c_int = 2;
-    pub const MAP_SHARED: c_int = 1;
-    pub const MAP_POPULATE: c_int = 0x8000;
-
-    /// x86-64 syscall numbers for the two io_uring entry points; the C
-    /// library exposes no wrappers for them, so they go through
-    /// `syscall(2)`.
-    pub const SYS_IO_URING_SETUP: c_long = 425;
-    pub const SYS_IO_URING_ENTER: c_long = 426;
 
     /// `struct rlimit64` for `prlimit64(2)`.
     #[repr(C)]
@@ -162,16 +150,6 @@ mod sys {
             new_limit: *const RLimit64,
             old_limit: *mut RLimit64,
         ) -> c_int;
-        pub fn syscall(num: c_long, ...) -> c_long;
-        pub fn mmap(
-            addr: *mut c_void,
-            len: usize,
-            prot: c_int,
-            flags: c_int,
-            fd: c_int,
-            offset: i64,
-        ) -> *mut c_void;
-        pub fn munmap(addr: *mut c_void, len: usize) -> c_int;
     }
 }
 

@@ -1,96 +1,52 @@
-//! Pluggable reactor backends behind one [`Backend`] trait.
+//! The live engine's I/O path: [`EpollBackend`].
 //!
 //! The live engine (`mutcon_live::server`) drives every fd operation —
 //! register/interest/deregister/wait/accept/read/write/writev/wake —
-//! through this seam instead of calling [`Poller`](super::Poller)
-//! directly. Two implementations exist:
-//!
-//! * [`EpollBackend`] — the classic level-triggered epoll reactor,
-//!   upgraded with **lazy, coalesced interest tracking**: interest
-//!   changes land in a per-token [`InterestLedger`] cell and only the
-//!   net desired-vs-kernel diff is flushed as `epoll_ctl(MOD)` once per
-//!   event-loop turn, so a read→write→read keep-alive cycle that used to
-//!   cost 2–3 `epoll_ctl` syscalls per request costs zero.
-//! * [`UringBackend`](super::uring::UringBackend) — a raw-syscall
-//!   io_uring reactor (multishot poll + multishot accept readiness,
-//!   recv/send/writev submitted as inline-completing SQEs).
-//!
-//! Selection is by [`BackendKind`], usually from the `MUTCON_LIVE_BACKEND`
-//! environment variable; [`create`] falls back from io_uring to epoll
-//! (logged once) when the kernel refuses rings, so seccomp'd runners
-//! keep working.
+//! through [`EpollBackend`] instead of calling [`Poller`](super::Poller)
+//! directly. It is the classic level-triggered epoll reactor with
+//! **lazy, coalesced interest tracking**: interest changes land in a
+//! per-token [`InterestLedger`] cell and only the net desired-vs-kernel
+//! diff is flushed as `epoll_ctl(MOD)` once per event-loop turn, so a
+//! read→write→read keep-alive cycle that used to cost 2–3 `epoll_ctl`
+//! syscalls per request costs zero.
 
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::RawFd;
-use std::sync::Once;
 use std::time::Duration;
 
 use super::{accept_nonblocking, cvt, sys, Event, Events, Interest, Poller, Waker};
 
-/// Environment variable selecting the reactor backend (`epoll` or
-/// `io_uring`); unset or unrecognized means epoll.
-pub const BACKEND_ENV: &str = "MUTCON_LIVE_BACKEND";
-
-/// Which reactor backend implementation to use.
+/// The reactor's I/O path. One variant: the name stays only because
+/// `benchmark/` (read-only here) still takes a `--backend` flag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackendKind {
     /// Level-triggered epoll with coalesced interest updates.
     Epoll,
-    /// Raw-syscall io_uring (multishot poll/accept, inline data SQEs).
-    IoUring,
 }
 
 impl BackendKind {
-    /// Stable lowercase name, as accepted by [`BACKEND_ENV`] and
-    /// reported in `/admin/stats`.
+    /// Stable lowercase name; kept for the benchmark's report line.
     pub fn label(self) -> &'static str {
-        match self {
-            BackendKind::Epoll => "epoll",
-            BackendKind::IoUring => "io_uring",
-        }
+        "epoll"
     }
 
-    /// Parses a backend name (`epoll` / `io_uring`, also `uring`).
+    /// `Some` for `epoll`, `None` for anything else; kept for the
+    /// benchmark's `--backend` flag.
     pub fn parse(s: &str) -> Option<BackendKind> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "epoll" => Some(BackendKind::Epoll),
-            "io_uring" | "io-uring" | "uring" => Some(BackendKind::IoUring),
-            _ => None,
-        }
-    }
-
-    /// Reads [`BACKEND_ENV`]; unset, empty, or unrecognized → epoll.
-    pub fn from_env() -> BackendKind {
-        std::env::var(BACKEND_ENV)
-            .ok()
-            .as_deref()
-            .and_then(BackendKind::parse)
-            .unwrap_or(BackendKind::Epoll)
+        s.trim().eq_ignore_ascii_case("epoll").then_some(BackendKind::Epoll)
     }
 }
 
-impl std::fmt::Display for BackendKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-/// Monotonic per-backend syscall-economy counters, snapshotted by the
-/// engine once per event-loop turn and exported as deltas into
-/// `EngineMetrics`.
+/// Monotonic syscall-economy counters, snapshotted by the engine once
+/// per event-loop turn and exported as deltas into `EngineMetrics`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BackendCounters {
     /// Kernel interest operations actually issued (`epoll_ctl` ADD+MOD).
-    /// Always zero on io_uring.
     pub epoll_ctl_calls: u64,
     /// Interest transitions absorbed by the ledger before reaching the
     /// kernel (the syscalls the coalescing saved).
     pub interest_coalesced: u64,
-    /// Submission-queue entries pushed to the ring. Always zero on epoll.
-    pub sqe_submitted: u64,
-    /// Completion-queue entries reaped from the ring. Always zero on epoll.
-    pub cqe_completed: u64,
 }
 
 impl BackendCounters {
@@ -102,80 +58,12 @@ impl BackendCounters {
             interest_coalesced: self
                 .interest_coalesced
                 .saturating_sub(prev.interest_coalesced),
-            sqe_submitted: self.sqe_submitted.saturating_sub(prev.sqe_submitted),
-            cqe_completed: self.cqe_completed.saturating_sub(prev.cqe_completed),
         }
     }
 }
 
-/// A reactor backend: readiness notification plus the data-plane
-/// syscalls, so an implementation may route I/O through a ring instead
-/// of direct syscalls.
-///
-/// Contracts the engine relies on:
-///
-/// * Tokens are small dense integers (slab indices); the backend may
-///   index arrays by them.
-/// * [`Backend::set_interest`] is cheap and may be called many times per
-///   turn; only the net change (diffed at the next [`Backend::wait`])
-///   reaches the kernel.
-/// * [`Backend::deregister`] is called immediately before the fd is
-///   closed; backends need not (and do not) issue a kernel removal of
-///   their own.
-/// * Data-plane calls ([`Backend::read`], [`Backend::write`],
-///   [`Backend::writev`], [`Backend::accept`]) behave exactly like the
-///   equivalent nonblocking syscalls: they complete inline and report
-///   `WouldBlock` rather than parking the buffer, so both backends are
-///   byte-identical by construction.
-pub trait Backend: Send {
-    /// Which implementation this is (after any construction fallback).
-    fn kind(&self) -> BackendKind;
-
-    /// Registers a connected (or connecting) socket under `token`.
-    fn register(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()>;
-
-    /// Registers a listening socket under `token`; readable events mean
-    /// "connections are ready for [`Backend::accept`]".
-    fn register_acceptor(&mut self, fd: RawFd, token: usize) -> io::Result<()>;
-
-    /// Records the desired interest for `token`; flushed (coalesced) at
-    /// the next [`Backend::wait`].
-    fn set_interest(&mut self, token: usize, interest: Interest);
-
-    /// Forgets `token`. The engine closes the fd right afterwards, which
-    /// is what actually detaches it from the kernel.
-    fn deregister(&mut self, token: usize);
-
-    /// Flushes pending interest changes, then blocks until readiness,
-    /// `timeout` (None = forever), or a wake. Fills `events`.
-    fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()>;
-
-    /// Accepts one pending connection on a registered acceptor
-    /// (nonblocking; the returned stream is nonblocking + cloexec).
-    fn accept(&mut self, listener: &TcpListener, token: usize) -> io::Result<TcpStream>;
-
-    /// Reads into `buf` (nonblocking semantics).
-    fn read(&mut self, fd: RawFd, token: usize, buf: &mut [u8]) -> io::Result<usize>;
-
-    /// Writes from `buf` (nonblocking semantics).
-    fn write(&mut self, fd: RawFd, token: usize, buf: &[u8]) -> io::Result<usize>;
-
-    /// Gathers `bufs` into one write (nonblocking semantics).
-    fn writev(&mut self, fd: RawFd, token: usize, bufs: &[&[u8]]) -> io::Result<usize>;
-
-    /// A handle other threads use to interrupt [`Backend::wait`].
-    fn wake_handle(&self) -> Waker;
-
-    /// Resets the wake signal (call when the waker token reports
-    /// readable).
-    fn drain_waker(&self);
-
-    /// Monotonic syscall-economy counters.
-    fn counters(&self) -> BackendCounters;
-}
-
-/// Per-token desired-vs-kernel interest bookkeeping shared by both
-/// backends: the coalescing core, pure (no syscalls) and unit-testable.
+/// Per-token desired-vs-kernel interest bookkeeping: the coalescing
+/// core, pure (no syscalls) and unit-testable.
 ///
 /// Each registered token holds a cell with the interest the engine
 /// *wants* and the interest the kernel *has*. `set` only marks the cell
@@ -273,22 +161,6 @@ impl InterestLedger {
             .map(|c| c.desired)
     }
 
-    /// The fd tracked under `token`.
-    pub fn fd(&self, token: usize) -> Option<RawFd> {
-        self.cells
-            .get(token)
-            .and_then(Option::as_ref)
-            .map(|c| c.fd)
-    }
-
-    /// Iterates `(token, fd, desired)` for every tracked registration.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, RawFd, Interest)> + '_ {
-        self.cells
-            .iter()
-            .enumerate()
-            .filter_map(|(t, c)| c.as_ref().map(|c| (t, c.fd, c.desired)))
-    }
-
     /// Stops tracking `token`, returning its fd. No kernel op: the
     /// caller closes the fd, which detaches it.
     pub fn remove(&mut self, token: usize) -> Option<RawFd> {
@@ -328,10 +200,23 @@ impl InterestLedger {
     }
 }
 
-/// The epoll implementation: the existing [`Poller`] plus the interest
-/// ledger, so interest churn within one event-loop turn never reaches
-/// the kernel. Registrations ADD eagerly (so accept-path errors surface
-/// where they can be handled); only MODs are lazy.
+/// The existing [`Poller`] plus the interest ledger, so interest churn
+/// within one event-loop turn never reaches the kernel. Registrations
+/// ADD eagerly (so accept-path errors surface where they can be
+/// handled); only MODs are lazy.
+///
+/// Contracts the engine relies on:
+///
+/// * Tokens are small dense integers (slab indices); the ledger indexes
+///   an array by them.
+/// * [`EpollBackend::set_interest`] is cheap and may be called many
+///   times per turn; only the net change (diffed at the next
+///   [`EpollBackend::wait`]) reaches the kernel.
+/// * [`EpollBackend::deregister`] is called immediately before the fd is
+///   closed, which is what detaches it from the kernel.
+/// * The poller is level-triggered and every readable registration
+///   carries `EPOLLRDHUP`, so a reader may stop at a short read: more
+///   data or EOF raises a new event.
 pub struct EpollBackend {
     poller: Poller,
     ledger: InterestLedger,
@@ -363,23 +248,14 @@ impl EpollBackend {
             adds_issued: 1,
         })
     }
-}
 
-impl std::fmt::Debug for EpollBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EpollBackend")
-            .field("poller", &self.poller)
-            .field("adds_issued", &self.adds_issued)
-            .finish()
-    }
-}
-
-impl Backend for EpollBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Epoll
-    }
-
-    fn register(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
+    /// Registers a socket (connected, connecting or listening) under
+    /// `token`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the `epoll_ctl` failure.
+    pub fn register(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
         debug_assert!(token != self.waker_token, "token collides with waker");
         self.poller.register(fd, token, interest)?;
         self.adds_issued += 1;
@@ -387,21 +263,25 @@ impl Backend for EpollBackend {
         Ok(())
     }
 
-    fn register_acceptor(&mut self, fd: RawFd, token: usize) -> io::Result<()> {
-        self.register(fd, token, Interest::READABLE)
-    }
-
-    fn set_interest(&mut self, token: usize, interest: Interest) {
+    /// Records the desired interest for `token`; flushed (coalesced) at
+    /// the next [`EpollBackend::wait`].
+    pub fn set_interest(&mut self, token: usize, interest: Interest) {
         self.ledger.set(token, interest);
     }
 
-    fn deregister(&mut self, token: usize) {
-        // No EPOLL_CTL_DEL: the engine closes the fd right after, which
-        // removes the registration for free.
+    /// Forgets `token`. No `EPOLL_CTL_DEL`: the engine closes the fd
+    /// right afterwards, which removes the registration for free.
+    pub fn deregister(&mut self, token: usize) {
         self.ledger.remove(token);
     }
 
-    fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
+    /// Flushes pending interest changes, then blocks until readiness,
+    /// `timeout` (None = forever), or a wake. Fills `events`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates `epoll_wait` failures.
+    pub fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
         let poller = &self.poller;
         self.ledger.flush(|fd, token, interest, is_add| {
             if is_add {
@@ -416,11 +296,25 @@ impl Backend for EpollBackend {
         Ok(())
     }
 
-    fn accept(&mut self, listener: &TcpListener, _token: usize) -> io::Result<TcpStream> {
+    /// Accepts one pending connection on a registered listener
+    /// (nonblocking; the returned stream is nonblocking + cloexec).
+    ///
+    /// # Errors
+    ///
+    /// Propagates the syscall failure (`WouldBlock` on an empty backlog).
+    pub fn accept(&mut self, listener: &TcpListener) -> io::Result<TcpStream> {
         accept_nonblocking(listener)
     }
 
-    fn read(&mut self, fd: RawFd, _token: usize, buf: &mut [u8]) -> io::Result<usize> {
+    /// `read(2)` into `buf`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the syscall failure (`WouldBlock` when nothing is
+    /// buffered).
+    pub fn read(&mut self, fd: RawFd, buf: &mut [u8]) -> io::Result<usize> {
+        // SAFETY: `buf` is a live, exclusively borrowed slice, so the
+        // kernel may write up to `buf.len()` bytes at its pointer.
         let ret = unsafe { sys::read(fd, buf.as_mut_ptr().cast(), buf.len()) };
         if ret < 0 {
             Err(io::Error::last_os_error())
@@ -429,7 +323,15 @@ impl Backend for EpollBackend {
         }
     }
 
-    fn write(&mut self, fd: RawFd, _token: usize, buf: &[u8]) -> io::Result<usize> {
+    /// `write(2)` from `buf`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the syscall failure (`WouldBlock` when the socket's
+    /// send buffer is full).
+    pub fn write(&mut self, fd: RawFd, buf: &[u8]) -> io::Result<usize> {
+        // SAFETY: `buf` is a live slice, so the kernel may read up to
+        // `buf.len()` bytes from its pointer.
         let ret = unsafe { sys::write(fd, buf.as_ptr().cast(), buf.len()) };
         if ret < 0 {
             Err(io::Error::last_os_error())
@@ -438,60 +340,42 @@ impl Backend for EpollBackend {
         }
     }
 
-    fn writev(&mut self, fd: RawFd, _token: usize, bufs: &[&[u8]]) -> io::Result<usize> {
+    /// Gathers `bufs` into one `writev(2)`.
+    ///
+    /// # Errors
+    ///
+    /// As [`writev`](super::writev).
+    pub fn writev(&mut self, fd: RawFd, bufs: &[&[u8]]) -> io::Result<usize> {
         super::writev(fd, bufs)
     }
 
-    fn wake_handle(&self) -> Waker {
+    /// A handle other threads use to interrupt [`EpollBackend::wait`].
+    pub fn wake_handle(&self) -> Waker {
         self.waker.clone()
     }
 
-    fn drain_waker(&self) {
+    /// Resets the wake signal (call when the waker token reports
+    /// readable).
+    pub fn drain_waker(&self) {
         self.waker.drain();
     }
 
-    fn counters(&self) -> BackendCounters {
+    /// Monotonic syscall-economy counters.
+    pub fn counters(&self) -> BackendCounters {
         BackendCounters {
             epoll_ctl_calls: self.adds_issued + self.ledger.mods_issued,
             interest_coalesced: self.ledger.coalesced,
-            sqe_submitted: 0,
-            cqe_completed: 0,
         }
     }
 }
 
-static FALLBACK_LOGGED: Once = Once::new();
-
-/// Constructs the requested backend, falling back from io_uring to epoll
-/// (logged once per process) when ring setup fails — `ENOSYS` on old
-/// kernels, `EPERM`/`EACCES` under seccomp or `io_uring_disabled`.
-///
-/// # Errors
-///
-/// Propagates epoll construction failures (there is nothing left to fall
-/// back to).
-pub fn create(kind: BackendKind, waker_token: usize) -> io::Result<Box<dyn Backend>> {
-    match kind {
-        BackendKind::Epoll => Ok(Box::new(EpollBackend::new(waker_token)?)),
-        BackendKind::IoUring => match super::uring::UringBackend::new(waker_token) {
-            Ok(backend) => Ok(Box::new(backend)),
-            Err(err) => {
-                FALLBACK_LOGGED.call_once(|| {
-                    eprintln!(
-                        "mutcon-live: io_uring unavailable ({err}); falling back to epoll"
-                    );
-                });
-                Ok(Box::new(EpollBackend::new(waker_token)?))
-            }
-        },
+impl std::fmt::Debug for EpollBackend {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("EpollBackend")
+            .field("poller", &self.poller)
+            .field("adds_issued", &self.adds_issued)
+            .finish()
     }
-}
-
-/// Whether this kernel lets us set up an io_uring ring (probes with a
-/// tiny ring, then tears it down). Used by tests to auto-skip io_uring
-/// cases with a visible notice instead of silently passing on epoll.
-pub fn io_uring_available() -> bool {
-    super::uring::probe()
 }
 
 /// Reads the soft/hard fd limit without changing it (a zero-cap raise is
@@ -607,14 +491,12 @@ mod tests {
     }
 
     #[test]
-    fn backend_kind_parse_and_env_default() {
+    fn backend_kind_parse_accepts_only_epoll() {
         assert_eq!(BackendKind::parse("epoll"), Some(BackendKind::Epoll));
-        assert_eq!(BackendKind::parse("io_uring"), Some(BackendKind::IoUring));
-        assert_eq!(BackendKind::parse(" IO-URING "), Some(BackendKind::IoUring));
-        assert_eq!(BackendKind::parse("uring"), Some(BackendKind::IoUring));
+        assert_eq!(BackendKind::parse(" EPOLL "), Some(BackendKind::Epoll));
+        assert_eq!(BackendKind::parse("io_uring"), None);
         assert_eq!(BackendKind::parse("kqueue"), None);
         assert_eq!(BackendKind::Epoll.label(), "epoll");
-        assert_eq!(BackendKind::IoUring.label(), "io_uring");
     }
 
     #[test]
@@ -625,7 +507,7 @@ mod tests {
         let listener = super::super::listen_reuseport("127.0.0.1:0".parse().unwrap()).unwrap();
         let addr = listener.local_addr().unwrap();
         backend
-            .register_acceptor(listener.as_raw_fd(), 0)
+            .register(listener.as_raw_fd(), 0, Interest::READABLE)
             .unwrap();
 
         let client = std::net::TcpStream::connect(addr).unwrap();
@@ -635,7 +517,7 @@ mod tests {
             .unwrap();
         assert!(events.iter().any(|e| e.token == 0 && e.readable));
 
-        let accepted = backend.accept(&listener, 0).unwrap();
+        let accepted = backend.accept(&listener).unwrap();
         let tok = 5;
         backend
             .register(accepted.as_raw_fd(), tok, Interest::READABLE)
@@ -643,9 +525,7 @@ mod tests {
 
         // Nothing to read yet: WouldBlock, like the raw syscall.
         let mut chunk = [0u8; 8];
-        let err = backend
-            .read(accepted.as_raw_fd(), tok, &mut chunk)
-            .unwrap_err();
+        let err = backend.read(accepted.as_raw_fd(), &mut chunk).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
 
         use std::io::Write as _;
@@ -654,11 +534,11 @@ mod tests {
             .wait(&mut events, Some(Duration::from_secs(5)))
             .unwrap();
         assert!(events.iter().any(|e| e.token == tok && e.readable));
-        let n = backend.read(accepted.as_raw_fd(), tok, &mut chunk).unwrap();
+        let n = backend.read(accepted.as_raw_fd(), &mut chunk).unwrap();
         assert_eq!(&chunk[..n], b"ping");
 
         let wrote = backend
-            .writev(accepted.as_raw_fd(), tok, &[b"po", b"ng"])
+            .writev(accepted.as_raw_fd(), &[b"po", b"ng"])
             .unwrap();
         assert_eq!(wrote, 4);
         let mut got = [0u8; 4];
