@@ -1,10 +1,10 @@
 //! # mutcon-bench — the paper's experiment grid
 //!
-//! Shared definitions for the `repro` binary and the Criterion benches:
-//! which traces, which parameter sweeps, and which configurations
-//! correspond to each table and figure of the ICDCS'01 evaluation
-//! (§6.2). Keeping the grid in one place guarantees that `repro`, the
-//! benches and `EXPERIMENTS.md` all describe the same runs.
+//! Shared definitions for the `repro` binary: which traces, which
+//! parameter sweeps, and which configurations correspond to each table
+//! and figure of the ICDCS'01 evaluation (§6.2). Keeping the grid in one
+//! place guarantees that `repro` and `EXPERIMENTS.md` describe the same
+//! runs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

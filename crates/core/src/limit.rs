@@ -1,44 +1,28 @@
-//! Congestion-style adaptive concurrency limits, unified with LIMD.
+//! The adaptive concurrency limit, unified with LIMD.
 //!
 //! The paper's LIMD controller (§3.1, [`crate::limd`]) is AIMD-shaped: it
 //! probes a poll interval upward linearly while the object looks stable and
 //! backs off multiplicatively the moment consistency is violated. The very
 //! same shape governs *concurrency* limits in production proxies: probe the
-//! number of in-flight requests upward while latency looks healthy, back
-//! off multiplicatively on overload. This module extracts that shared shape
-//! into a [`LimitAlgorithm`] trait with three implementations:
+//! number of in-flight requests upward while work completes healthily, back
+//! off multiplicatively on overload. This module is that rule applied to
+//! in-flight work, reusing the LIMD parameter names (`l` for the linear
+//! step, `m` for the decrease factor). Increase is gated on utilisation so
+//! an idle limiter does not drift toward its ceiling.
 //!
-//! * [`Aimd`] — additive increase, multiplicative decrease, reusing the
-//!   LIMD parameter names (`l` for the linear step, `m` for the decrease
-//!   factor). Increase is gated on utilisation so an idle limiter does not
-//!   drift toward its ceiling.
-//! * [`Vegas`] — TCP-Vegas-style latency gradient: estimate the queue
-//!   standing behind the observed latency relative to the best latency
-//!   seen, grow while the queue is shallow, shrink when it is deep.
-//! * [`WindowedGradient`] — aggregates samples into fixed-size windows and
-//!   moves the limit by the ratio of a long-term latency baseline to the
-//!   window's short-term average, with a √limit probe for headroom.
+//! The rule is a pure function of (limit, sample): the caller feeds
+//! [`Sample`]s (one per completed unit of work) through
+//! [`Limiter::on_sample`] and reads the current limit back. Nothing here
+//! blocks, allocates per-sample, or knows about sockets — the live proxy
+//! drives one limiter per origin pool and one per path-partition from its
+//! reactor threads.
 //!
-//! All three are pure state machines: the caller feeds [`Sample`]s (one per
-//! completed unit of work) through [`Limiter::on_sample`] and reads the
-//! current limit back. Nothing here blocks, allocates per-sample, or knows
-//! about sockets — the live proxy drives one limiter per origin pool and
-//! one per path-partition from its reactor threads.
-//!
-//! Configurations serialize to a one-line `algorithm:key=value,...` spec
+//! A configuration serializes to a one-line `aimd:key=value,...` spec
 //! (mirroring [`crate::limd::LimdConfig::to_spec`]) so a control plane can
-//! hot-swap the algorithm and its bounds over the wire.
-
-use std::collections::VecDeque;
-use std::fmt;
+//! hot-swap the bounds over the wire.
 
 use crate::error::ConfigError;
 use crate::time::Duration;
-
-/// Floor for latency ratios: samples are millisecond-resolution, so a
-/// sub-millisecond fetch reads as zero and would otherwise blow up the
-/// Vegas/gradient division.
-const MIN_LATENCY_MS: f64 = 0.5;
 
 /// How one completed unit of work went, as far as the limiter cares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,12 +34,14 @@ pub enum Outcome {
     Overload,
 }
 
-/// One observation fed to a [`LimitAlgorithm`].
+/// One observation fed to a [`Limiter`].
 #[derive(Debug, Clone, Copy)]
 pub struct Sample {
     /// Concurrent units of work in flight when this one completed.
     pub in_flight: usize,
-    /// Observed latency of this unit of work.
+    /// Observed latency of this unit of work. The AIMD rule does not read
+    /// it; it stays in the record because `benchmark/` (read-only here)
+    /// builds samples with it.
     pub latency: Duration,
     /// Whether it succeeded or signalled overload.
     pub outcome: Outcome,
@@ -73,41 +59,14 @@ impl Sample {
     }
 }
 
-/// A concurrency-limit controller: maps (current limit, new sample) to the
-/// next limit.
-///
-/// Implementations are deterministic given the sample sequence — the live
-/// proxy's deterministic harness and the unit tests below rely on that.
-pub trait LimitAlgorithm: fmt::Debug + Send {
-    /// Feed one sample; returns the new limit (already clamped to the
-    /// algorithm's configured bounds).
-    fn update(&mut self, old_limit: usize, sample: &Sample) -> usize;
-}
-
-/// Clamps with the decrease-must-decrease rule shared by every algorithm:
-/// floor (not round) before clamping, so the limit still shrinks at small
-/// values instead of rounding back to where it was.
-fn shrink(old_limit: usize, factor: f64, min: usize) -> usize {
-    ((old_limit as f64 * factor).floor() as usize).clamp(min, old_limit)
-}
-
-// ---------------------------------------------------------------------------
-// AIMD
-// ---------------------------------------------------------------------------
-
-/// Additive-increase / multiplicative-decrease concurrency limit — the
-/// LIMD rule (§3.1) transplanted from poll intervals to in-flight work.
+/// The parameters of the additive-increase / multiplicative-decrease rule
+/// — LIMD (§3.1) transplanted from poll intervals to in-flight work.
 ///
 /// On [`Outcome::Success`] with the limit more than `utilisation` full,
-/// the limit grows by `l`; an under-utilised limiter holds still (growing
-/// a limit nobody is pressing against only delays the reaction when load
-/// arrives). On [`Outcome::Overload`] the limit is multiplied by `m < 1`.
-#[derive(Debug, Clone)]
-pub struct Aimd {
-    config: AimdConfig,
-}
-
-/// Configuration for [`Aimd`].
+/// the limit grows by `increase_by`; an under-utilised limiter holds still
+/// (growing a limit nobody is pressing against only delays the reaction
+/// when load arrives). On [`Outcome::Overload`] the limit is multiplied by
+/// `decrease < 1`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AimdConfig {
     /// Inclusive lower bound for the limit.
@@ -131,7 +90,14 @@ impl Default for AimdConfig {
 
 impl AimdConfig {
     fn validate(&self) -> Result<(), ConfigError> {
-        validate_bounds(self.min, self.max)?;
+        if self.min == 0 {
+            return Err(ConfigError::InvalidSpec { message: "`min` must be >= 1".into() });
+        }
+        if self.max < self.min {
+            return Err(ConfigError::InvalidSpec {
+                message: format!("`max` ({}) must be >= `min` ({})", self.max, self.min),
+            });
+        }
         if self.increase_by == 0 {
             return Err(ConfigError::InvalidSpec {
                 message: "aimd `l` (increase step) must be >= 1".into(),
@@ -153,364 +119,84 @@ impl AimdConfig {
         }
         Ok(())
     }
-}
 
-impl Aimd {
-    /// Builds an AIMD limiter, validating the configuration.
-    pub fn new(config: AimdConfig) -> Result<Self, ConfigError> {
-        config.validate()?;
-        Ok(Aimd { config })
-    }
-}
-
-impl LimitAlgorithm for Aimd {
-    fn update(&mut self, old_limit: usize, sample: &Sample) -> usize {
-        let c = &self.config;
+    /// The update rule: maps (current limit, new sample) to the next
+    /// limit, clamped into the configured bounds. Deterministic given the
+    /// sample sequence — the live proxy's deterministic harness and the
+    /// unit tests below rely on that.
+    fn update(&self, old_limit: usize, sample: &Sample) -> usize {
         match sample.outcome {
             Outcome::Success => {
-                let utilised = sample.in_flight as f64 > old_limit as f64 * c.utilisation;
+                let utilised = sample.in_flight as f64 > old_limit as f64 * self.utilisation;
                 if utilised {
-                    old_limit.saturating_add(c.increase_by).clamp(c.min, c.max)
+                    old_limit.saturating_add(self.increase_by).clamp(self.min, self.max)
                 } else {
-                    old_limit.clamp(c.min, c.max)
+                    old_limit.clamp(self.min, self.max)
                 }
             }
-            Outcome::Overload => shrink(old_limit, c.decrease, c.min),
+            // Floor (not round) before clamping, so the limit still
+            // shrinks at small values instead of rounding back to where
+            // it was.
+            Outcome::Overload => ((old_limit as f64 * self.decrease).floor() as usize)
+                .clamp(self.min, old_limit),
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Vegas
-// ---------------------------------------------------------------------------
-
-/// TCP-Vegas-style latency-gradient limit.
-///
-/// Tracks the best latency seen (`base`, an estimate of the uncongested
-/// service time) and, per sample, estimates the queue the current limit is
-/// sustaining: `queue = limit * (1 - base/observed)`. A shallow queue
-/// (`< alpha`) means there is headroom — grow additively. A deep queue
-/// (`> beta`) means the extra in-flight work is only sitting in line —
-/// shrink multiplicatively. In between, hold. Overload outcomes shrink
-/// regardless of latency.
-#[derive(Debug, Clone)]
-pub struct Vegas {
-    config: VegasConfig,
-    /// Best latency observed, decayed slowly so a route change or origin
-    /// restart cannot pin the baseline to an unreachable past.
-    base_ms: Option<f64>,
-}
-
-/// Configuration for [`Vegas`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct VegasConfig {
-    /// Inclusive lower bound for the limit.
-    pub min: usize,
-    /// Inclusive upper bound for the limit.
-    pub max: usize,
-    /// Queue depth below which the limit grows.
-    pub alpha: f64,
-    /// Queue depth above which the limit shrinks.
-    pub beta: f64,
-    /// Multiplicative factor applied when shrinking, in `(0, 1)`.
-    pub decrease: f64,
-}
-
-impl Default for VegasConfig {
-    fn default() -> Self {
-        VegasConfig { min: 1, max: 256, alpha: 3.0, beta: 6.0, decrease: 0.85 }
-    }
-}
-
-impl VegasConfig {
-    fn validate(&self) -> Result<(), ConfigError> {
-        validate_bounds(self.min, self.max)?;
-        if !(self.alpha >= 0.0 && self.beta > self.alpha) {
-            return Err(ConfigError::ParameterOutOfRange {
-                name: "alpha",
-                value: self.alpha,
-                range: "0 <= alpha < beta",
-            });
-        }
-        if !(self.decrease > 0.0 && self.decrease < 1.0) {
-            return Err(ConfigError::ParameterOutOfRange {
-                name: "m",
-                value: self.decrease,
-                range: "0 < m < 1",
-            });
-        }
-        Ok(())
-    }
-}
-
-impl Vegas {
-    /// Builds a Vegas limiter, validating the configuration.
-    pub fn new(config: VegasConfig) -> Result<Self, ConfigError> {
-        config.validate()?;
-        Ok(Vegas { config, base_ms: None })
-    }
-}
-
-impl LimitAlgorithm for Vegas {
-    fn update(&mut self, old_limit: usize, sample: &Sample) -> usize {
-        let c = &self.config;
-        if sample.outcome == Outcome::Overload {
-            // An error sample carries no usable latency; back off and keep
-            // the baseline as-is.
-            return shrink(old_limit, c.decrease, c.min);
-        }
-        let observed = (sample.latency.as_millis() as f64).max(MIN_LATENCY_MS);
-        let base = match self.base_ms {
-            // Decay the floor ~1% per sample so the baseline can re-learn
-            // upward after a genuine service-time change.
-            Some(b) => (b * 1.01).min(observed).max(MIN_LATENCY_MS),
-            None => observed,
-        };
-        self.base_ms = Some(base);
-        let queue = old_limit as f64 * (1.0 - base / observed);
-        if queue < c.alpha {
-            old_limit.saturating_add(1).clamp(c.min, c.max)
-        } else if queue > c.beta {
-            shrink(old_limit, c.decrease, c.min)
-        } else {
-            old_limit.clamp(c.min, c.max)
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Windowed gradient
-// ---------------------------------------------------------------------------
-
-/// Windowed latency-gradient limit.
-///
-/// Individual samples are noisy; this variant aggregates `window` samples,
-/// then compares the window's average latency to a slow exponentially
-/// smoothed baseline: `gradient = baseline / window_avg`, clamped to
-/// `[0.5, 1.0]` so one bad window can at most halve the limit and a fast
-/// window never inflates it beyond the √limit probe:
-/// `new = gradient * limit + sqrt(limit)`. Overload samples poison the
-/// window — when any are present the window resolves to a multiplicative
-/// decrease instead.
-#[derive(Debug, Clone)]
-pub struct WindowedGradient {
-    config: GradientConfig,
-    /// Latencies (ms) of the current, still-filling window.
-    window: VecDeque<f64>,
-    /// Overload samples seen in the current window.
-    window_overloads: usize,
-    /// Slow EWMA of window averages — the "no congestion" reference.
-    baseline_ms: Option<f64>,
-}
-
-/// Configuration for [`WindowedGradient`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct GradientConfig {
-    /// Inclusive lower bound for the limit.
-    pub min: usize,
-    /// Inclusive upper bound for the limit.
-    pub max: usize,
-    /// Samples aggregated before the limit moves.
-    pub window: usize,
-    /// Baseline smoothing factor in `(0, 1)`: weight given to the newest
-    /// window when updating the long-term baseline.
-    pub smoothing: f64,
-    /// Multiplicative factor applied when a window contains overloads.
-    pub decrease: f64,
-}
-
-impl Default for GradientConfig {
-    fn default() -> Self {
-        GradientConfig { min: 1, max: 256, window: 16, smoothing: 0.2, decrease: 0.75 }
-    }
-}
-
-impl GradientConfig {
-    fn validate(&self) -> Result<(), ConfigError> {
-        validate_bounds(self.min, self.max)?;
-        if self.window == 0 {
-            return Err(ConfigError::InvalidSpec {
-                message: "gradient `window` must be >= 1".into(),
-            });
-        }
-        if !(self.smoothing > 0.0 && self.smoothing < 1.0) {
-            return Err(ConfigError::ParameterOutOfRange {
-                name: "smoothing",
-                value: self.smoothing,
-                range: "0 < smoothing < 1",
-            });
-        }
-        if !(self.decrease > 0.0 && self.decrease < 1.0) {
-            return Err(ConfigError::ParameterOutOfRange {
-                name: "m",
-                value: self.decrease,
-                range: "0 < m < 1",
-            });
-        }
-        Ok(())
-    }
-}
-
-impl WindowedGradient {
-    /// Builds a windowed-gradient limiter, validating the configuration.
-    pub fn new(config: GradientConfig) -> Result<Self, ConfigError> {
-        config.validate()?;
-        Ok(WindowedGradient {
-            config,
-            window: VecDeque::new(),
-            window_overloads: 0,
-            baseline_ms: None,
-        })
-    }
-}
-
-impl LimitAlgorithm for WindowedGradient {
-    fn update(&mut self, old_limit: usize, sample: &Sample) -> usize {
-        let c = &self.config;
-        match sample.outcome {
-            Outcome::Success => {
-                self.window
-                    .push_back((sample.latency.as_millis() as f64).max(MIN_LATENCY_MS));
-            }
-            Outcome::Overload => self.window_overloads += 1,
-        }
-        if self.window.len() + self.window_overloads < c.window {
-            return old_limit.clamp(c.min, c.max);
-        }
-        let overloaded = self.window_overloads > 0;
-        let avg = if self.window.is_empty() {
-            None
-        } else {
-            Some(self.window.iter().sum::<f64>() / self.window.len() as f64)
-        };
-        self.window.clear();
-        self.window_overloads = 0;
-        if overloaded {
-            return shrink(old_limit, c.decrease, c.min);
-        }
-        let avg = avg.expect("window resolved without samples or overloads");
-        let baseline = match self.baseline_ms {
-            Some(b) => b + c.smoothing * (avg - b),
-            None => avg,
-        };
-        // The baseline must never learn congestion as the new normal
-        // faster than it can recover, so it only smooths downward freely;
-        // upward it is dragged by the same EWMA, which is fine — overload
-        // windows are handled by the multiplicative branch above.
-        self.baseline_ms = Some(baseline.min(avg.max(baseline * (1.0 - c.smoothing))));
-        let gradient = (baseline / avg).clamp(0.5, 1.0);
-        let probe = (old_limit as f64).sqrt();
-        let next = (gradient * old_limit as f64 + probe).floor() as usize;
-        next.clamp(c.min, c.max)
-    }
-}
-
-fn validate_bounds(min: usize, max: usize) -> Result<(), ConfigError> {
-    if min == 0 {
-        return Err(ConfigError::InvalidSpec { message: "`min` must be >= 1".into() });
-    }
-    if max < min {
-        return Err(ConfigError::InvalidSpec {
-            message: format!("`max` ({max}) must be >= `min` ({min})"),
-        });
-    }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------
 // Config enum + spec form (the hot-swappable wire shape)
 // ---------------------------------------------------------------------------
 
-/// A serializable choice of limit algorithm plus its parameters.
+/// The limiter's parameters in serializable form.
 ///
-/// This is the form the live proxy's admin plane ships over the wire:
-/// one line, `algorithm:key=value,...`, mirroring
-/// [`crate::limd::LimdConfig::to_spec`]. Examples:
+/// This is what the live proxy's admin plane ships over the wire: one
+/// line, `aimd:key=value,...`, mirroring
+/// [`crate::limd::LimdConfig::to_spec`]:
 ///
 /// ```text
 /// aimd:min=1,max=256,l=1,m=0.75,util=0.8
-/// vegas:min=1,max=256,alpha=3,beta=6,m=0.85
-/// gradient:min=1,max=256,window=16,smoothing=0.2,m=0.75
 /// ```
+///
+/// There is one algorithm. This stays an enum with one variant because
+/// `benchmark/` (read-only here) constructs `LimiterConfig::Aimd(..)`, and
+/// the `aimd:` prefix is the wire format specs are already stored in.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LimiterConfig {
-    /// Additive-increase / multiplicative-decrease ([`Aimd`]).
+    /// Additive-increase / multiplicative-decrease.
     Aimd(AimdConfig),
-    /// Latency-gradient ([`Vegas`]).
-    Vegas(VegasConfig),
-    /// Windowed latency-gradient ([`WindowedGradient`]).
-    Gradient(GradientConfig),
 }
 
 impl LimiterConfig {
-    /// The configured inclusive lower bound.
-    pub fn min(&self) -> usize {
-        match self {
-            LimiterConfig::Aimd(c) => c.min,
-            LimiterConfig::Vegas(c) => c.min,
-            LimiterConfig::Gradient(c) => c.min,
-        }
-    }
-
-    /// The configured inclusive upper bound.
-    pub fn max(&self) -> usize {
-        match self {
-            LimiterConfig::Aimd(c) => c.max,
-            LimiterConfig::Vegas(c) => c.max,
-            LimiterConfig::Gradient(c) => c.max,
-        }
-    }
-
-    /// The algorithm's name as it appears at the head of the spec form.
-    pub fn algorithm(&self) -> &'static str {
-        match self {
-            LimiterConfig::Aimd(_) => "aimd",
-            LimiterConfig::Vegas(_) => "vegas",
-            LimiterConfig::Gradient(_) => "gradient",
-        }
-    }
-
-    /// Instantiates the configured algorithm.
+    /// Checks the parameters.
     ///
     /// # Errors
     ///
-    /// Returns the usual validation errors for out-of-range parameters.
-    pub fn build(&self) -> Result<Box<dyn LimitAlgorithm>, ConfigError> {
-        Ok(match self {
-            LimiterConfig::Aimd(c) => Box::new(Aimd::new(c.clone())?),
-            LimiterConfig::Vegas(c) => Box::new(Vegas::new(c.clone())?),
-            LimiterConfig::Gradient(c) => Box::new(WindowedGradient::new(c.clone())?),
-        })
+    /// Returns [`ConfigError`] for out-of-range parameters.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let LimiterConfig::Aimd(c) = self;
+        c.validate()
     }
 
     /// Serializes to the one-line spec form; [`LimiterConfig::from_spec`]
     /// round-trips this exactly.
     pub fn to_spec(&self) -> String {
-        match self {
-            LimiterConfig::Aimd(c) => format!(
-                "aimd:min={},max={},l={},m={},util={}",
-                c.min, c.max, c.increase_by, c.decrease, c.utilisation
-            ),
-            LimiterConfig::Vegas(c) => format!(
-                "vegas:min={},max={},alpha={},beta={},m={}",
-                c.min, c.max, c.alpha, c.beta, c.decrease
-            ),
-            LimiterConfig::Gradient(c) => format!(
-                "gradient:min={},max={},window={},smoothing={},m={}",
-                c.min, c.max, c.window, c.smoothing, c.decrease
-            ),
-        }
+        let LimiterConfig::Aimd(c) = self;
+        format!(
+            "aimd:min={},max={},l={},m={},util={}",
+            c.min, c.max, c.increase_by, c.decrease, c.utilisation
+        )
     }
 
     /// Parses the spec form written by [`LimiterConfig::to_spec`]. Every
-    /// key defaults as in the algorithm's `Default` config; unknown and
-    /// duplicated keys are rejected (a typo must not silently fall back
-    /// to a default).
+    /// key defaults as in [`AimdConfig::default`]; unknown and duplicated
+    /// keys are rejected (a typo must not silently fall back to a
+    /// default).
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError::InvalidSpec`] for malformed text and the
-    /// usual validation errors for out-of-range values.
+    /// Returns [`ConfigError::InvalidSpec`] for malformed text or an
+    /// algorithm other than `aimd`, and the usual validation errors for
+    /// out-of-range values.
     pub fn from_spec(spec: &str) -> Result<LimiterConfig, ConfigError> {
         fn bad(message: impl Into<String>) -> ConfigError {
             ConfigError::InvalidSpec { message: message.into() }
@@ -529,7 +215,11 @@ impl LimiterConfig {
             Some((name, params)) => (name.trim(), params),
             None => (spec, ""),
         };
-        let mut pairs: Vec<(String, String)> = Vec::new();
+        if name != "aimd" {
+            return Err(bad(format!("unknown algorithm `{name}` (expected aimd)")));
+        }
+        let mut c = AimdConfig::default();
+        let mut seen: Vec<&str> = Vec::new();
         for pair in params.split(',') {
             let pair = pair.trim();
             if pair.is_empty() {
@@ -539,77 +229,34 @@ impl LimiterConfig {
                 .split_once('=')
                 .ok_or_else(|| bad(format!("`{pair}` is not a key=value pair")))?;
             let (key, value) = (key.trim(), value.trim());
-            if pairs.iter().any(|(k, _)| k == key) {
+            if seen.contains(&key) {
                 return Err(bad(format!("duplicate key `{key}`")));
             }
-            pairs.push((key.to_owned(), value.to_owned()));
+            seen.push(key);
+            match key {
+                "min" => c.min = count(value, key)?,
+                "max" => c.max = count(value, key)?,
+                "l" => c.increase_by = count(value, key)?,
+                "m" => c.decrease = factor(value, key)?,
+                "util" => c.utilisation = factor(value, key)?,
+                other => return Err(bad(format!("unknown aimd key `{other}`"))),
+            }
         }
-
-        let config = match name {
-            "aimd" => {
-                let mut c = AimdConfig::default();
-                for (key, value) in &pairs {
-                    match key.as_str() {
-                        "min" => c.min = count(value, key)?,
-                        "max" => c.max = count(value, key)?,
-                        "l" => c.increase_by = count(value, key)?,
-                        "m" => c.decrease = factor(value, key)?,
-                        "util" => c.utilisation = factor(value, key)?,
-                        other => return Err(bad(format!("unknown aimd key `{other}`"))),
-                    }
-                }
-                LimiterConfig::Aimd(c)
-            }
-            "vegas" => {
-                let mut c = VegasConfig::default();
-                for (key, value) in &pairs {
-                    match key.as_str() {
-                        "min" => c.min = count(value, key)?,
-                        "max" => c.max = count(value, key)?,
-                        "alpha" => c.alpha = factor(value, key)?,
-                        "beta" => c.beta = factor(value, key)?,
-                        "m" => c.decrease = factor(value, key)?,
-                        other => return Err(bad(format!("unknown vegas key `{other}`"))),
-                    }
-                }
-                LimiterConfig::Vegas(c)
-            }
-            "gradient" => {
-                let mut c = GradientConfig::default();
-                for (key, value) in &pairs {
-                    match key.as_str() {
-                        "min" => c.min = count(value, key)?,
-                        "max" => c.max = count(value, key)?,
-                        "window" => c.window = count(value, key)?,
-                        "smoothing" => c.smoothing = factor(value, key)?,
-                        "m" => c.decrease = factor(value, key)?,
-                        other => return Err(bad(format!("unknown gradient key `{other}`"))),
-                    }
-                }
-                LimiterConfig::Gradient(c)
-            }
-            other => {
-                return Err(bad(format!(
-                    "unknown algorithm `{other}` (expected aimd, vegas or gradient)"
-                )))
-            }
-        };
         // Validate eagerly so a control plane learns about a bad spec at
         // PUT time, not when the limiter is first driven.
-        config.build()?;
-        Ok(config)
+        c.validate()?;
+        Ok(LimiterConfig::Aimd(c))
     }
 }
 
 // ---------------------------------------------------------------------------
-// Limiter: algorithm + current limit, the unit both live users hold
+// Limiter: parameters + current limit, the unit both live users hold
 // ---------------------------------------------------------------------------
 
-/// An instantiated limit algorithm together with its current limit.
+/// The update rule's parameters together with the current limit.
 #[derive(Debug)]
 pub struct Limiter {
     config: LimiterConfig,
-    algorithm: Box<dyn LimitAlgorithm>,
     limit: usize,
 }
 
@@ -621,9 +268,10 @@ impl Limiter {
     ///
     /// Returns the configuration's validation errors.
     pub fn new(config: LimiterConfig, initial: usize) -> Result<Self, ConfigError> {
-        let algorithm = config.build()?;
-        let limit = initial.clamp(config.min(), config.max());
-        Ok(Limiter { config, algorithm, limit })
+        config.validate()?;
+        let LimiterConfig::Aimd(c) = &config;
+        let limit = initial.clamp(c.min, c.max);
+        Ok(Limiter { config, limit })
     }
 
     /// The current limit.
@@ -638,23 +286,21 @@ impl Limiter {
 
     /// Feeds one sample and returns the (possibly unchanged) new limit.
     pub fn on_sample(&mut self, sample: &Sample) -> usize {
-        self.limit = self.algorithm.update(self.limit, sample);
+        let LimiterConfig::Aimd(c) = &self.config;
+        self.limit = c.update(self.limit, sample);
         self.limit
     }
 
-    /// Replaces the algorithm and bounds, carrying the current limit over
-    /// (clamped into the new bounds) so a hot-swap does not reset learned
-    /// state to a cold start.
+    /// Replaces the parameters, carrying the current limit over (clamped
+    /// into the new bounds) so a hot-swap does not reset learned state to
+    /// a cold start.
     ///
     /// # Errors
     ///
     /// Returns the new configuration's validation errors; on error the
-    /// existing algorithm keeps running untouched.
+    /// existing configuration keeps running untouched.
     pub fn reconfigure(&mut self, config: LimiterConfig) -> Result<(), ConfigError> {
-        let algorithm = config.build()?;
-        self.limit = self.limit.clamp(config.min(), config.max());
-        self.config = config;
-        self.algorithm = algorithm;
+        *self = Limiter::new(config, self.limit)?;
         Ok(())
     }
 }
@@ -730,113 +376,13 @@ mod tests {
     }
 
     #[test]
-    fn vegas_grows_while_latency_stays_at_baseline() {
-        let mut l =
-            Limiter::new(LimiterConfig::Vegas(VegasConfig::default()), 10).unwrap();
-        // Flat 10ms latency: observed == base, queue estimate 0 < alpha.
-        let limits = run_trace(&mut l, &[(10, 10, Outcome::Success); 20]);
-        assert!(limits.windows(2).all(|w| w[1] >= w[0]), "{limits:?}");
-        assert!(*limits.last().unwrap() > 10);
-    }
-
-    #[test]
-    fn vegas_shrinks_when_latency_signals_queueing() {
-        let mut l =
-            Limiter::new(LimiterConfig::Vegas(VegasConfig::default()), 50).unwrap();
-        // Establish a 10ms baseline...
-        l.on_sample(&Sample::success(10, ms(10)));
-        // ...then latency triples: queue ≈ 50 * (1 - 10/30) ≈ 33 > beta.
-        let after = l.on_sample(&Sample::success(50, ms(30)));
-        assert!(after < 50, "limit should shrink, got {after}");
-    }
-
-    #[test]
-    fn vegas_converges_to_a_plateau_on_a_saturation_trace() {
-        // Scripted saturation: past ~20 in flight the origin queues, and
-        // latency grows with the limit. Vegas must settle, not oscillate
-        // to the rails.
-        let mut l =
-            Limiter::new(LimiterConfig::Vegas(VegasConfig::default()), 4).unwrap();
-        let mut seen = Vec::new();
-        for _ in 0..200 {
-            let limit = l.limit();
-            let latency = if limit <= 20 { 10 } else { 10 + (limit as u64 - 20) * 2 };
-            l.on_sample(&Sample::success(limit, ms(latency)));
-            seen.push(l.limit());
-        }
-        let tail = &seen[seen.len() - 50..];
-        let (lo, hi) = (tail.iter().min().unwrap(), tail.iter().max().unwrap());
-        assert!(*lo >= 15 && *hi <= 60, "tail should plateau near the knee: {tail:?}");
-    }
-
-    #[test]
-    fn vegas_backs_off_on_overload_outcome() {
-        let mut l =
-            Limiter::new(LimiterConfig::Vegas(VegasConfig::default()), 40).unwrap();
-        assert_eq!(l.on_sample(&Sample::overload(40, ms(0))), 34);
-    }
-
-    #[test]
-    fn gradient_holds_until_the_window_fills() {
-        let config = GradientConfig { window: 4, ..GradientConfig::default() };
-        let mut l = Limiter::new(LimiterConfig::Gradient(config), 10).unwrap();
-        let limits = run_trace(&mut l, &[(10, 10, Outcome::Success); 3]);
-        assert_eq!(limits, vec![10, 10, 10]);
-    }
-
-    #[test]
-    fn gradient_probes_upward_on_a_flat_trace() {
-        let config = GradientConfig { window: 4, ..GradientConfig::default() };
-        let mut l = Limiter::new(LimiterConfig::Gradient(config), 16).unwrap();
-        for _ in 0..8 {
-            l.on_sample(&Sample::success(16, ms(10)));
-        }
-        // Two windows at the baseline: gradient 1.0, probe sqrt(16)=4.
-        assert!(l.limit() > 16, "flat latency should probe upward, got {}", l.limit());
-    }
-
-    #[test]
-    fn gradient_shrinks_on_a_latency_step() {
-        let config = GradientConfig { window: 4, ..GradientConfig::default() };
-        let mut l = Limiter::new(LimiterConfig::Gradient(config), 64).unwrap();
-        // Baseline window at 10ms.
-        for _ in 0..4 {
-            l.on_sample(&Sample::success(64, ms(10)));
-        }
-        let before = l.limit();
-        // Latency doubles for a full window: gradient clamps at 0.5.
-        for _ in 0..4 {
-            l.on_sample(&Sample::success(64, ms(40)));
-        }
-        assert!(l.limit() < before, "latency step must shrink: {} -> {}", before, l.limit());
-    }
-
-    #[test]
-    fn gradient_treats_overloads_as_a_decrease_window() {
-        let config =
-            GradientConfig { window: 4, decrease: 0.5, ..GradientConfig::default() };
-        let mut l = Limiter::new(LimiterConfig::Gradient(config), 40).unwrap();
-        for _ in 0..3 {
-            l.on_sample(&Sample::success(40, ms(10)));
-        }
-        assert_eq!(l.limit(), 40);
-        l.on_sample(&Sample::overload(40, ms(0)));
-        assert_eq!(l.limit(), 20);
-    }
-
-    #[test]
     fn spec_round_trips_every_algorithm() {
-        let configs = [
-            LimiterConfig::Aimd(AimdConfig { min: 2, max: 64, ..AimdConfig::default() }),
-            LimiterConfig::Vegas(VegasConfig { alpha: 2.0, beta: 4.0, ..VegasConfig::default() }),
-            LimiterConfig::Gradient(GradientConfig { window: 8, ..GradientConfig::default() }),
-        ];
-        for config in configs {
-            let spec = config.to_spec();
-            let back = LimiterConfig::from_spec(&spec)
-                .unwrap_or_else(|e| panic!("{spec}: {e}"));
-            assert_eq!(back, config, "{spec}");
-        }
+        let config =
+            LimiterConfig::Aimd(AimdConfig { min: 2, max: 64, ..AimdConfig::default() });
+        let spec = config.to_spec();
+        assert_eq!(spec, "aimd:min=2,max=64,l=1,m=0.75,util=0.8");
+        let back = LimiterConfig::from_spec(&spec).unwrap_or_else(|e| panic!("{spec}: {e}"));
+        assert_eq!(back, config, "{spec}");
     }
 
     #[test]
@@ -846,27 +392,42 @@ mod tests {
             LimiterConfig::Aimd(AimdConfig::default())
         );
         assert_eq!(
-            LimiterConfig::from_spec(" vegas: alpha=2 , beta=5 ").unwrap(),
-            LimiterConfig::Vegas(VegasConfig { alpha: 2.0, beta: 5.0, ..VegasConfig::default() })
+            LimiterConfig::from_spec(" aimd: min=2 , max=5 ").unwrap(),
+            LimiterConfig::Aimd(AimdConfig { min: 2, max: 5, ..AimdConfig::default() })
         );
     }
 
     #[test]
     fn spec_rejects_garbage() {
         for bad in [
-            "tcp",
             "aimd:bogus=1",
             "aimd:min",
             "aimd:min=1,min=2",
-            "vegas:alpha=6,beta=3",
-            "gradient:window=0",
             "aimd:min=0",
             "aimd:min=9,max=3",
             "aimd:m=1.5",
+            "aimd:increase=1",
+            "aimd:backoff=0.5",
         ] {
             assert!(
                 LimiterConfig::from_spec(bad).is_err(),
                 "`{bad}` should be rejected"
+            );
+        }
+    }
+
+    #[test]
+    fn spec_rejects_every_algorithm_but_aimd() {
+        for (bad, name) in
+            [("vegas", "vegas"), ("gradient:window=16", "gradient"), ("tcp", "tcp")]
+        {
+            let err = LimiterConfig::from_spec(bad).unwrap_err();
+            assert_eq!(
+                err,
+                ConfigError::InvalidSpec {
+                    message: format!("unknown algorithm `{name}` (expected aimd)")
+                },
+                "{bad}"
             );
         }
     }
@@ -880,9 +441,14 @@ mod tests {
         }
         let learned = l.limit();
         assert!(learned > 10);
-        l.reconfigure(LimiterConfig::Vegas(VegasConfig { max: learned - 5, ..VegasConfig::default() }))
-            .unwrap();
+        let tighter = AimdConfig { max: learned - 5, ..AimdConfig::default() };
+        l.reconfigure(LimiterConfig::Aimd(tighter.clone())).unwrap();
         // Carried over, clamped into the new bounds — not reset to cold.
+        assert_eq!(l.limit(), learned - 5);
+        // A rejected swap leaves the running configuration untouched.
+        let invalid = AimdConfig { min: 0, ..tighter.clone() };
+        assert!(l.reconfigure(LimiterConfig::Aimd(invalid)).is_err());
+        assert_eq!(l.config(), &LimiterConfig::Aimd(tighter));
         assert_eq!(l.limit(), learned - 5);
     }
 }

@@ -10,14 +10,14 @@
 //! wire.
 //!
 //! Both daemons serve their connections from **one reactor thread per
-//! core** (`MUTCON_LIVE_REACTORS`, see [`server::num_reactors`]) over
+//! core** (see [`server::default_reactors`]) over
 //! the hand-rolled `epoll` poller in [`mutcon_sim::reactor`]: each
 //! reactor owns an `SO_REUSEPORT` listener shard on the shared port,
 //! per-connection state machines instead of a thread per connection,
 //! and a keep-alive origin connection pool ([`upstream`]) that
 //! coalesces identical concurrent misses into one fetch. One process
 //! sustains hundreds of concurrent sockets (bounded by
-//! `MUTCON_LIVE_CONNS`, see [`server::max_conns`]). The proxy's cache
+//! [`proxy::ProxyConfig::max_conns`]). The proxy's cache
 //! is sharded 16 ways by key hash ([`cache::ShardedCache`]), shared
 //! across all reactors, so background refreshes don't serialize
 //! concurrent hits.

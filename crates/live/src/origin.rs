@@ -28,7 +28,7 @@ use mutcon_http::types::{Method, StatusCode};
 use mutcon_traces::UpdateTrace;
 
 use crate::client::X_LAST_MODIFIED_MS;
-use crate::server::{EventLoop, Service, ServiceResult};
+use crate::server::{default_reactors, EngineConfig, EventLoop, Service, ServiceResult};
 
 /// How long a [`Fault::Stall`] defers each response.
 const STALL: StdDuration = StdDuration::from_millis(300);
@@ -86,9 +86,8 @@ impl LiveOriginBuilder {
         self
     }
 
-    /// Overrides the reactor-thread count (default:
-    /// `MUTCON_LIVE_REACTORS` / one per core, see
-    /// [`crate::server::num_reactors`]).
+    /// Overrides the reactor-thread count (default: one per core, see
+    /// [`crate::server::default_reactors`]).
     pub fn reactors(mut self, reactors: usize) -> Self {
         self.reactors = Some(reactors);
         self
@@ -108,13 +107,15 @@ impl LiveOriginBuilder {
             fault: AtomicU8::new(Fault::None.as_u8()),
             requests: AtomicU64::new(0),
         });
-        let server = EventLoop::with_options(
+        let server = EventLoop::start(
             "mutcon-live-origin-reactor",
             Arc::new(OriginService {
                 shared: Arc::clone(&shared),
             }),
-            crate::server::max_conns(),
-            self.reactors.unwrap_or_else(crate::server::num_reactors),
+            EngineConfig {
+                reactors: self.reactors.unwrap_or_else(default_reactors),
+                ..EngineConfig::default()
+            },
         )?;
         Ok(LiveOrigin { server, shared })
     }

@@ -2,14 +2,16 @@
 //! plane.
 //!
 //! The engine has two adaptive limiters, both driven by the
-//! [`mutcon_core::limit`] algorithms (the LIMD/AIMD shape applied to
+//! [`mutcon_core::limit`] rule (the LIMD/AIMD shape applied to
 //! concurrency instead of poll intervals):
 //!
 //! * **admission** — per path-partition: once a partition's in-flight
 //!   work exceeds its limiter's current limit, further requests are shed
-//!   with `429 Too Many Requests` + `Retry-After` (optionally paced by a
-//!   bounded delay) instead of queueing without bound. Partitions are the
-//!   first path segment, so one hot object cannot starve the rest.
+//!   with `429 Too Many Requests` + `Retry-After` instead of queueing
+//!   without bound. Partitions are the first path segment, so one hot
+//!   object cannot starve the rest; a reactor tracks at most
+//!   [`MAX_PARTITIONS`] of them by name and charges the rest to one
+//!   shared [`OVERFLOW_PARTITION`].
 //! * **origin pool** — the per-reactor fan-out cap in
 //!   [`crate::upstream::PoolCore`] follows observed per-fetch latency and
 //!   errors instead of staying frozen at
@@ -44,6 +46,17 @@ pub const DEFAULT_PARK_DEADLINE: Duration = Duration::from_secs(1);
 /// Default starting limit for a fresh admission partition.
 pub const DEFAULT_ADMISSION_INITIAL: usize = 32;
 
+/// Most admission partitions a reactor tracks by name. The key is the
+/// first path segment, which clients choose: without a bound, a scan over
+/// distinct paths grows the table — and every stats snapshot of it —
+/// without limit.
+pub const MAX_PARTITIONS: usize = 256;
+
+/// The partition charged for every first path segment first seen after a
+/// reactor's table reached [`MAX_PARTITIONS`]. It sheds and releases like
+/// any other.
+pub const OVERFLOW_PARTITION: &str = "*";
+
 /// The overload-control policy, installed as one unit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OverloadConfig {
@@ -53,9 +66,6 @@ pub struct OverloadConfig {
     pub pool: Option<LimiterConfig>,
     /// `Retry-After` value (seconds) on `429`/`503` responses.
     pub retry_after_secs: u32,
-    /// Bounded delay before a shed `429` is delivered (pacing retry
-    /// storms); zero sheds immediately.
-    pub shed_delay: Duration,
     /// How long accepting may stay paused at the connection bound before
     /// the parked backlog is drained with `503`s.
     pub park_deadline: Duration,
@@ -69,7 +79,6 @@ impl Default for OverloadConfig {
             admission: None,
             pool: None,
             retry_after_secs: DEFAULT_RETRY_AFTER_SECS,
-            shed_delay: Duration::ZERO,
             park_deadline: DEFAULT_PARK_DEADLINE,
             admission_initial: DEFAULT_ADMISSION_INITIAL,
         }
@@ -78,18 +87,18 @@ impl Default for OverloadConfig {
 
 impl OverloadConfig {
     /// Validates the configuration the way the rules runtime validates
-    /// an epoch: every embedded limiter spec must build, and the scalar
-    /// knobs must be sane.
+    /// an epoch: every embedded limiter spec must be in range, and the
+    /// scalar knobs must be sane.
     ///
     /// # Errors
     ///
     /// Returns the first validation failure.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if let Some(admission) = &self.admission {
-            admission.build()?;
+            admission.validate()?;
         }
         if let Some(pool) = &self.pool {
-            pool.build()?;
+            pool.validate()?;
         }
         if self.retry_after_secs == 0 {
             return Err(ConfigError::InvalidSpec {
@@ -113,7 +122,8 @@ impl OverloadConfig {
 /// One admission partition's state as a reactor reported it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartitionSnap {
-    /// Partition key (first path segment, e.g. `/stocks`).
+    /// Partition key (first path segment, e.g. `/stocks`, or
+    /// [`OVERFLOW_PARTITION`]).
     pub partition: String,
     /// The partition's current admission limit on that reactor.
     pub limit: usize,
@@ -126,9 +136,10 @@ pub struct PartitionSnap {
 /// Everything one reactor reports between loop turns.
 #[derive(Debug, Clone, Default)]
 pub struct ReactorOverloadSnap {
-    /// Origin-pool limit state (cap, algorithm, recent samples).
+    /// Origin-pool limit state (cap, limiter spec, recent samples).
     pub pool: Option<LimitSnapshot>,
-    /// Admission partitions, in first-seen order.
+    /// Admission partitions, sorted by key; at most
+    /// [`MAX_PARTITIONS`]` + 1` of them.
     pub partitions: Vec<PartitionSnap>,
 }
 
@@ -141,8 +152,6 @@ pub struct OverloadSnapshot {
     pub config: OverloadConfig,
     /// Requests shed with `429`, across all reactors.
     pub shed: u64,
-    /// Shed responses that were delivered after the pacing delay.
-    pub shed_delayed: u64,
     /// Parked backlog connections drained with `503`.
     pub parked_shed: u64,
     /// Per-reactor state, indexed by reactor.
@@ -158,7 +167,6 @@ pub struct OverloadControl {
     version: AtomicU64,
     config: Mutex<OverloadConfig>,
     shed: AtomicU64,
-    shed_delayed: AtomicU64,
     parked_shed: AtomicU64,
     /// One slot per reactor (no cross-reactor lock contention).
     slots: Vec<Mutex<ReactorOverloadSnap>>,
@@ -178,7 +186,6 @@ impl OverloadControl {
             version: AtomicU64::new(0),
             config: Mutex::new(config),
             shed: AtomicU64::new(0),
-            shed_delayed: AtomicU64::new(0),
             parked_shed: AtomicU64::new(0),
             slots: (0..MAX_REACTORS).map(|_| Mutex::new(ReactorOverloadSnap::default())).collect(),
         }
@@ -210,15 +217,9 @@ impl OverloadControl {
         self.config.lock().clone()
     }
 
-    /// Counts `n` requests shed with an immediate `429`.
+    /// Counts `n` requests shed with `429`.
     pub(crate) fn note_shed(&self, n: u64) {
         self.shed.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Counts `n` requests shed with a delay-paced `429`.
-    pub(crate) fn note_shed_delayed(&self, n: u64) {
-        self.shed.fetch_add(n, Ordering::Relaxed);
-        self.shed_delayed.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Counts `n` parked backlog connections drained with `503`.
@@ -249,7 +250,6 @@ impl OverloadControl {
             version: self.version(),
             config: self.config(),
             shed: self.shed.load(Ordering::Relaxed),
-            shed_delayed: self.shed_delayed.load(Ordering::Relaxed),
             parked_shed: self.parked_shed.load(Ordering::Relaxed),
             reactors: self.slots[..reactors.min(self.slots.len())]
                 .iter()
@@ -283,7 +283,6 @@ pub fn render_overload(config: &OverloadConfig) -> String {
     out.push_str(&format!("admission={}\n", limiter(&config.admission)));
     out.push_str(&format!("pool={}\n", limiter(&config.pool)));
     out.push_str(&format!("retry_after_secs={}\n", config.retry_after_secs));
-    out.push_str(&format!("shed_delay_ms={}\n", config.shed_delay.as_millis()));
     out.push_str(&format!("park_deadline_ms={}\n", config.park_deadline.as_millis()));
     out.push_str(&format!("admission_initial={}\n", config.admission_initial));
     out
@@ -324,12 +323,6 @@ pub fn parse_overload_body(body: &str) -> Result<OverloadConfig, ConfigError> {
                 LimiterConfig::from_spec(value).map(Some)
             }
         };
-        let ms = |value: &str, key: &str| -> Result<Duration, ConfigError> {
-            value
-                .parse::<u64>()
-                .map(Duration::from_millis)
-                .map_err(|_| bad(format!("`{key}` must be an integer millisecond count")))
-        };
         match key {
             "admission" => config.admission = limiter(value)?,
             "pool" => config.pool = limiter(value)?,
@@ -338,8 +331,12 @@ pub fn parse_overload_body(body: &str) -> Result<OverloadConfig, ConfigError> {
                     .parse::<u32>()
                     .map_err(|_| bad("`retry_after_secs` must be an integer second count"))?;
             }
-            "shed_delay_ms" => config.shed_delay = ms(value, key)?,
-            "park_deadline_ms" => config.park_deadline = ms(value, key)?,
+            "park_deadline_ms" => {
+                config.park_deadline = value
+                    .parse::<u64>()
+                    .map(Duration::from_millis)
+                    .map_err(|_| bad("`park_deadline_ms` must be an integer millisecond count"))?;
+            }
             "admission_initial" => {
                 config.admission_initial = value
                     .parse::<usize>()
@@ -355,7 +352,7 @@ pub fn parse_overload_body(body: &str) -> Result<OverloadConfig, ConfigError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mutcon_core::limit::{AimdConfig, VegasConfig};
+    use mutcon_core::limit::AimdConfig;
 
     #[test]
     fn partitions_are_first_segments() {
@@ -371,9 +368,12 @@ mod tests {
     fn overload_body_round_trips() {
         let config = OverloadConfig {
             admission: Some(LimiterConfig::Aimd(AimdConfig { max: 128, ..AimdConfig::default() })),
-            pool: Some(LimiterConfig::Vegas(VegasConfig::default())),
+            pool: Some(LimiterConfig::Aimd(AimdConfig {
+                min: 2,
+                decrease: 0.5,
+                ..AimdConfig::default()
+            })),
             retry_after_secs: 2,
-            shed_delay: Duration::from_millis(25),
             park_deadline: Duration::from_millis(750),
             admission_initial: 16,
         };
@@ -403,7 +403,10 @@ mod tests {
             "retry_after_secs=0",
             "park_deadline_ms=1",
             "admission_initial=0",
-            "shed_delay_ms=soon",
+            "shed_delay_ms=25",
+            "pool=vegas",
+            "admission=gradient:window=16",
+            "park_deadline_ms=soon",
         ] {
             assert!(parse_overload_body(bad).is_err(), "`{bad}` should be rejected");
         }
@@ -434,7 +437,6 @@ mod tests {
     fn snapshots_aggregate_reactor_slots() {
         let control = OverloadControl::default();
         control.note_shed(3);
-        control.note_shed_delayed(2);
         control.note_parked_shed(1);
         control.publish(
             1,
@@ -449,8 +451,7 @@ mod tests {
             },
         );
         let snap = control.snapshot(2);
-        assert_eq!(snap.shed, 5);
-        assert_eq!(snap.shed_delayed, 2);
+        assert_eq!(snap.shed, 3);
         assert_eq!(snap.parked_shed, 1);
         assert_eq!(snap.reactors.len(), 2);
         assert_eq!(snap.reactors[1].partitions[0].partition, "/x");

@@ -11,8 +11,8 @@
 //! in a real proxy" future work of §7, in miniature.
 //!
 //! Connections are served by the shared readiness-driven engine
-//! ([`crate::server`]): one reactor per core (`MUTCON_LIVE_REACTORS`,
-//! or [`ProxyConfig::reactors`]), each with its own `SO_REUSEPORT`
+//! ([`crate::server`]): one reactor per core (or
+//! [`ProxyConfig::reactors`]), each with its own `SO_REUSEPORT`
 //! listener shard and its own keep-alive origin pool — cache misses
 //! ride pooled persistent connections, and identical concurrent misses
 //! coalesce into a single origin fetch. There is no thread pool and no
@@ -22,8 +22,7 @@
 //! of all of them. Entries pre-render their serving head at store time,
 //! so a hit is two shared slices handed to `writev` — no serialization
 //! and no body copy on the hot path, however many clients share the
-//! entry. Concurrency is bounded by `MUTCON_LIVE_CONNS` (see
-//! [`crate::server::max_conns`]) or [`ProxyConfig::max_conns`].
+//! entry. Concurrency is bounded by [`ProxyConfig::max_conns`].
 //!
 //! # The admin control plane
 //!
@@ -48,8 +47,8 @@
 //!   coalescing), the refresh plane's worker/in-flight/drift figures,
 //!   and the proxy's poll/hit/miss counters.
 //!
-//! When a bearer token is configured ([`ProxyConfig::admin_token`] or
-//! `MUTCON_ADMIN_TOKEN`), every `/admin/*` request must carry
+//! When a bearer token is configured ([`ProxyConfig::admin_token`]),
+//! every `/admin/*` request must carry
 //! `Authorization: Bearer <token>` or it is refused with `401`. A
 //! configured [`ProxyConfig::rules_file`] is re-read on `SIGHUP`,
 //! feeding the same install path as `PUT /admin/rules`.
@@ -77,7 +76,8 @@ use crate::client::{last_modified_ms, object_value, PersistentClient};
 use crate::overload::{parse_overload_body, render_overload, OverloadControl};
 use crate::runtime::{ConsistencyRuntime, InstallReport, PollKind};
 use crate::server::{
-    EngineMetrics, EventLoop, PreparedResponse, Reply, Service, ServiceResult,
+    default_reactors, EngineConfig, EngineMetrics, EventLoop, PreparedResponse, Reply, Service,
+    ServiceResult, DEFAULT_L1_OBJECTS, DEFAULT_MAX_CONNS, DEFAULT_REFRESH_WORKERS,
 };
 
 /// Consistency requirements for one cached object.
@@ -129,33 +129,28 @@ pub struct ProxyConfig {
     /// Cache bound in objects (`None` = unbounded, the paper's model);
     /// enforced per shard with LRU eviction.
     pub cache_objects: Option<usize>,
-    /// Reactor threads for the connection engine (`None` = the
-    /// `MUTCON_LIVE_REACTORS` / one-per-core default, see
-    /// [`crate::server::num_reactors`]).
+    /// Reactor threads for the connection engine (`None` = one per
+    /// core, [`crate::server::default_reactors`]).
     pub reactors: Option<usize>,
-    /// Concurrent-connection bound across all reactors (`None` = the
-    /// `MUTCON_LIVE_CONNS` default, see [`crate::server::max_conns`]).
-    /// Load tests past the default raise this directly instead of
-    /// through the environment.
+    /// Concurrent-connection bound across all reactors (`None` =
+    /// [`crate::server::DEFAULT_MAX_CONNS`]).
     pub max_conns: Option<usize>,
     /// Read by nothing; kept because `benchmark/` (read-only here) sets it.
     pub backend: Option<BackendKind>,
-    /// Per-reactor L1 hot-object cache capacity in objects (`None` = the
-    /// `MUTCON_LIVE_L1` / [`crate::server::DEFAULT_L1_OBJECTS`] default;
-    /// `Some(0)` disables the L1 entirely). A validated L1 hit is served
+    /// Per-reactor L1 hot-object cache capacity in objects (`None` =
+    /// [`crate::server::DEFAULT_L1_OBJECTS`]; `Some(0)` disables the L1
+    /// entirely). A validated L1 hit is served
     /// without touching any shared shard lock; coherence comes from the
     /// per-path version stamps in [`crate::cache::ShardedCache`].
     pub l1_objects: Option<usize>,
-    /// Poll workers for the refresh plane (`None` = the
-    /// `MUTCON_LIVE_REFRESH_WORKERS` /
-    /// [`crate::server::DEFAULT_REFRESH_WORKERS`] default). Each worker
+    /// Poll workers for the refresh plane (`None` =
+    /// [`crate::server::DEFAULT_REFRESH_WORKERS`]). Each worker
     /// owns one persistent keep-alive origin connection; the scheduler
     /// thread dispatches due paths to them over a bounded queue so
     /// in-flight polls overlap origin latency.
     pub refresh_workers: Option<usize>,
-    /// Bearer token gating the `/admin/*` plane (`None` = the
-    /// `MUTCON_ADMIN_TOKEN` environment value, or no auth when that is
-    /// unset/empty). When set, admin requests without
+    /// Bearer token gating the `/admin/*` plane (`None` or empty = no
+    /// auth). When set, admin requests without
     /// `Authorization: Bearer <token>` get `401`.
     pub admin_token: Option<String>,
     /// Rules file re-read on `SIGHUP` (`None` = no signal hook). The
@@ -259,36 +254,32 @@ impl LiveProxy {
             cache: ShardedCache::new(config.cache_objects),
             counters: Counters::default(),
             runtime: Arc::clone(&runtime),
-            admin_token: config
-                .admin_token
-                .clone()
-                .filter(|t| !t.is_empty())
-                .or_else(crate::server::admin_token),
+            admin_token: config.admin_token.filter(|t| !t.is_empty()),
         });
         let shutdown = Arc::new(AtomicBool::new(false));
 
         let metrics = Arc::new(EngineMetrics::new());
         let overload = Arc::new(OverloadControl::default());
-        let server = EventLoop::with_overload(
+        let server = EventLoop::start(
             "mutcon-live-proxy-reactor",
             Arc::new(ProxyService {
                 shared: Arc::clone(&shared),
                 metrics: Arc::clone(&metrics),
                 overload: Arc::clone(&overload),
-                l1_objects: config.l1_objects.unwrap_or_else(crate::server::l1_objects),
+                l1_objects: config.l1_objects.unwrap_or(DEFAULT_L1_OBJECTS),
             }),
-            config.max_conns.unwrap_or_else(crate::server::max_conns),
-            config.reactors.unwrap_or_else(crate::server::num_reactors),
-            metrics,
-            overload,
+            EngineConfig {
+                max_conns: config.max_conns.unwrap_or(DEFAULT_MAX_CONNS),
+                reactors: config.reactors.unwrap_or_else(default_reactors),
+                metrics,
+                overload,
+            },
         )?;
 
         let refresher = {
             let shared = Arc::clone(&shared);
             let shutdown = Arc::clone(&shutdown);
-            let workers = config
-                .refresh_workers
-                .unwrap_or_else(crate::server::refresh_workers);
+            let workers = config.refresh_workers.unwrap_or(DEFAULT_REFRESH_WORKERS);
             Some(
                 std::thread::Builder::new()
                     .name("mutcon-live-refresh-scheduler".into())
@@ -948,10 +939,6 @@ impl ProxyService {
                 Json::Number(f64::from(snap.config.retry_after_secs)),
             ),
             (
-                "shed_delay_ms",
-                Json::Number(snap.config.shed_delay.as_millis() as f64),
-            ),
-            (
                 "park_deadline_ms",
                 Json::Number(snap.config.park_deadline.as_millis() as f64),
             ),
@@ -960,7 +947,6 @@ impl ProxyService {
                 Json::Number(snap.config.admission_initial as f64),
             ),
             ("shed", Json::Number(snap.shed as f64)),
-            ("shed_delayed", Json::Number(snap.shed_delayed as f64)),
             ("parked_shed", Json::Number(snap.parked_shed as f64)),
             ("reactors", Json::Array(reactors)),
         ])

@@ -1,9 +1,10 @@
 //! The readiness-driven connection engine shared by the live origin and
 //! the live proxy.
 //!
-//! The engine runs **one reactor per core** (bounded by
-//! [`MUTCON_LIVE_REACTORS`](REACTORS_ENV)): each reactor thread owns its
-//! own coalesced-interest [`EpollBackend`], its own eventfd waker, its
+//! The engine runs **one reactor per core** by default
+//! ([`default_reactors`]; [`EngineConfig::reactors`] sets it): each
+//! reactor thread owns its own coalesced-interest [`EpollBackend`], its
+//! own eventfd waker, its
 //! own connection slab, its own keep-alive origin pool — and its own
 //! `SO_REUSEPORT` listener on the shared port, so the kernel
 //! load-balances incoming connections across reactors with no shared
@@ -47,9 +48,9 @@
 //! batch). [`EngineMetrics`] counts the syscalls and copies so the
 //! effect is observable from `/admin/stats`.
 //!
-//! Concurrent-connection capacity is bounded by [`max_conns`]
-//! (`MUTCON_LIVE_CONNS`, default [`DEFAULT_MAX_CONNS`]), split evenly
-//! across reactors: a reactor at its share drops its listener's
+//! Concurrent-connection capacity is bounded by
+//! [`EngineConfig::max_conns`] (default [`DEFAULT_MAX_CONNS`]), split
+//! evenly across reactors: a reactor at its share drops its listener's
 //! readiness interest, parking further clients in the kernel backlog
 //! until a slot frees. On shutdown every reactor is woken and drains:
 //! it stops accepting, finishes flushing in-flight responses (bounded
@@ -79,39 +80,43 @@ use mutcon_sim::reactor::{
 use crate::cache::{L1Cache, L1Lookup, VersionedEntry};
 use crate::overload::{
     partition_of, OverloadConfig, OverloadControl, PartitionSnap, ReactorOverloadSnap,
+    MAX_PARTITIONS, OVERFLOW_PARTITION,
 };
 use crate::upstream::{AfterLeave, Job, JobId, PoolCore, Submit, MAX_CONNS_PER_ORIGIN};
 use crate::vectored::{
     BufPool, FlushOutcome, FlushStats, WritePlan, WriteSink, INLINE_BODY, MAX_RETAINED_CAP,
 };
 
-/// Environment variable bounding concurrent connections per event loop
-/// (the bound is split evenly across its reactors).
-pub const CONNS_ENV: &str = "MUTCON_LIVE_CONNS";
-
-/// Default concurrent-connection bound. Sized for "hundreds of sockets
-/// through one process" with headroom; raise `MUTCON_LIVE_CONNS` for
-/// load tests beyond it.
+/// Default concurrent-connection bound per event loop (split evenly
+/// across its reactors). Sized for "hundreds of sockets through one
+/// process" with headroom; load tests beyond it raise
+/// [`crate::proxy::ProxyConfig::max_conns`].
 pub const DEFAULT_MAX_CONNS: usize = 1024;
 
-/// Environment variable choosing how many reactor threads an event loop
-/// runs (default: one per core, capped at [`MAX_REACTORS`]).
-pub const REACTORS_ENV: &str = "MUTCON_LIVE_REACTORS";
-
-/// Environment variable sizing the per-reactor L1 hot-object cache in
-/// objects (`0` disables it). Services that opt into an L1 (the live
-/// proxy) read it through [`l1_objects`]; an explicit configuration
-/// value wins over the environment.
-pub const L1_ENV: &str = "MUTCON_LIVE_L1";
-
-/// Default per-reactor L1 capacity in objects: big enough to hold the
+/// Default per-reactor L1 capacity in objects
+/// ([`crate::proxy::ProxyConfig::l1_objects`]): big enough to hold the
 /// hot head of a Zipf(≈1.0) catalog, small enough that N reactors'
 /// copies stay a footnote next to the shared cache.
 pub const DEFAULT_L1_OBJECTS: usize = 128;
 
-/// Ceiling on the reactor-count default (and on oversized overrides) —
-/// beyond this the listeners outnumber any plausible load.
+/// Default refresh poll-worker count
+/// ([`crate::proxy::ProxyConfig::refresh_workers`]): enough overlap to
+/// hide origin latency on mid-sized catalogs without hoarding origin
+/// sockets.
+pub const DEFAULT_REFRESH_WORKERS: usize = 4;
+
+/// Ceiling on the reactor count — beyond this the listeners outnumber
+/// any plausible load.
 pub const MAX_REACTORS: usize = 64;
+
+/// The default reactor count: one per available core, capped at
+/// [`MAX_REACTORS`].
+pub fn default_reactors() -> usize {
+    std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1)
+        .min(MAX_REACTORS)
+}
 
 /// Close client connections with no traffic for this long.
 const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
@@ -152,97 +157,6 @@ fn split_conns(max_conns: usize, reactors: usize) -> Vec<usize> {
     (0..reactors)
         .map(|i| max_conns / reactors + usize::from(i < max_conns % reactors))
         .collect()
-}
-
-/// Parses a `MUTCON_LIVE_CONNS`-style override.
-fn conns_from(raw: Option<&str>) -> usize {
-    raw.and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(DEFAULT_MAX_CONNS)
-}
-
-/// The concurrent-connection bound: `MUTCON_LIVE_CONNS` if set to a
-/// positive integer, otherwise [`DEFAULT_MAX_CONNS`].
-pub fn max_conns() -> usize {
-    conns_from(std::env::var(CONNS_ENV).ok().as_deref())
-}
-
-/// Parses a `MUTCON_LIVE_REACTORS`-style override.
-fn reactors_from(raw: Option<&str>) -> usize {
-    raw.and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(default_reactors)
-        .min(MAX_REACTORS)
-}
-
-/// One reactor per available core, capped at [`MAX_REACTORS`].
-pub fn default_reactors() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(MAX_REACTORS)
-}
-
-/// The reactor count: `MUTCON_LIVE_REACTORS` if set to a positive
-/// integer, otherwise [`default_reactors`].
-pub fn num_reactors() -> usize {
-    reactors_from(std::env::var(REACTORS_ENV).ok().as_deref())
-}
-
-/// Parses a `MUTCON_LIVE_L1`-style override. Unlike the other knobs,
-/// an explicit `0` is honored: it means "no L1".
-fn l1_objects_from(raw: Option<&str>) -> usize {
-    match raw.map(str::trim).and_then(|v| v.parse::<usize>().ok()) {
-        Some(n) => n,
-        None => DEFAULT_L1_OBJECTS,
-    }
-}
-
-/// The per-reactor L1 capacity: `MUTCON_LIVE_L1` if set to an integer
-/// (`0` disables), otherwise [`DEFAULT_L1_OBJECTS`].
-pub fn l1_objects() -> usize {
-    l1_objects_from(std::env::var(L1_ENV).ok().as_deref())
-}
-
-/// Environment variable sizing the refresh plane's poll-worker pool
-/// (the threads issuing origin polls concurrently; see
-/// [`crate::runtime::ConsistencyRuntime::run`]). An explicit
-/// [`crate::proxy::ProxyConfig::refresh_workers`] wins over it.
-pub const REFRESH_WORKERS_ENV: &str = "MUTCON_LIVE_REFRESH_WORKERS";
-
-/// Default refresh poll-worker count: enough overlap to hide origin
-/// latency on mid-sized catalogs without hoarding origin sockets.
-pub const DEFAULT_REFRESH_WORKERS: usize = 4;
-
-/// Parses a `MUTCON_LIVE_REFRESH_WORKERS`-style override.
-fn refresh_workers_from(raw: Option<&str>) -> usize {
-    raw.and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(DEFAULT_REFRESH_WORKERS)
-}
-
-/// The refresh poll-worker count: `MUTCON_LIVE_REFRESH_WORKERS` if set
-/// to a positive integer, otherwise [`DEFAULT_REFRESH_WORKERS`].
-pub fn refresh_workers() -> usize {
-    refresh_workers_from(std::env::var(REFRESH_WORKERS_ENV).ok().as_deref())
-}
-
-/// Environment variable carrying the bearer token that gates the
-/// `/admin/*` plane. Unset (or empty) leaves the admin plane open, the
-/// pre-auth behaviour. An explicit
-/// [`crate::proxy::ProxyConfig::admin_token`] wins over it.
-pub const ADMIN_TOKEN_ENV: &str = "MUTCON_ADMIN_TOKEN";
-
-/// Normalizes a raw `MUTCON_ADMIN_TOKEN` value: empty means "no auth".
-fn admin_token_from(raw: Option<&str>) -> Option<String> {
-    raw.map(str::trim)
-        .filter(|t| !t.is_empty())
-        .map(str::to_owned)
-}
-
-/// The admin bearer token from the environment, if one is configured.
-pub fn admin_token() -> Option<String> {
-    admin_token_from(std::env::var(ADMIN_TOKEN_ENV).ok().as_deref())
 }
 
 /// Completion callback for an upstream fetch: receives the origin's
@@ -621,91 +535,54 @@ pub struct EventLoop {
     overload: Arc<OverloadControl>,
 }
 
+/// Everything an [`EventLoop`] is started with. `..Default::default()`
+/// fills in what a caller does not care about.
+#[derive(Debug)]
+pub struct EngineConfig {
+    /// Concurrent-connection bound, total across reactors
+    /// ([`DEFAULT_MAX_CONNS`]). It is split exactly, and each shard
+    /// enforces its share independently, since the kernel's
+    /// `SO_REUSEPORT` balancing ignores occupancy.
+    pub max_conns: usize,
+    /// Reactor threads ([`default_reactors`]); clamped to
+    /// `1..=`[`MAX_REACTORS`] and to `max_conns`, so a small bound is
+    /// never multiplied.
+    pub reactors: usize,
+    /// Where the reactors count. The live proxy shares the struct with
+    /// its admin control plane, which needs it before the loop exists.
+    pub metrics: Arc<EngineMetrics>,
+    /// The overload-control handle (see [`crate::overload`]). The live
+    /// proxy shares it with its admin plane, which hot-swaps the
+    /// admission and origin-pool limiters and reads back live limits,
+    /// samples and shed counters.
+    pub overload: Arc<OverloadControl>,
+}
+
+impl Default for EngineConfig {
+    fn default() -> Self {
+        EngineConfig {
+            max_conns: DEFAULT_MAX_CONNS,
+            reactors: default_reactors(),
+            metrics: Arc::new(EngineMetrics::new()),
+            overload: Arc::new(OverloadControl::default()),
+        }
+    }
+}
+
 impl EventLoop {
-    /// Binds localhost listeners on a shared ephemeral port and starts
-    /// [`num_reactors`] reactor threads with the [`max_conns`]
-    /// connection bound.
+    /// Binds localhost listeners on a shared ephemeral port, one per
+    /// reactor, and starts the reactor threads.
     ///
     /// # Errors
     ///
-    /// Propagates socket and epoll setup failures.
-    pub fn start(name: &str, service: Arc<dyn Service>) -> io::Result<EventLoop> {
-        EventLoop::with_options(name, service, max_conns(), num_reactors())
-    }
-
-    /// [`EventLoop::start`] with an explicit connection bound.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket and epoll setup failures.
-    pub fn with_capacity(
+    /// Propagates socket and epoll setup failures, and rejects an
+    /// overload handle whose initial configuration fails validation.
+    pub fn start(
         name: &str,
         service: Arc<dyn Service>,
-        max_conns: usize,
+        config: EngineConfig,
     ) -> io::Result<EventLoop> {
-        EventLoop::with_options(name, service, max_conns, num_reactors())
-    }
-
-    /// [`EventLoop::start`] with explicit connection and reactor counts.
-    /// `max_conns` is the total across reactors, split exactly (the
-    /// reactor count is capped at the bound so a small bound is never
-    /// multiplied); each shard enforces its share independently, since
-    /// the kernel's `SO_REUSEPORT` balancing ignores occupancy.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket and epoll setup failures.
-    pub fn with_options(
-        name: &str,
-        service: Arc<dyn Service>,
-        max_conns: usize,
-        reactors: usize,
-    ) -> io::Result<EventLoop> {
-        EventLoop::with_metrics(name, service, max_conns, reactors, Arc::new(EngineMetrics::new()))
-    }
-
-    /// [`EventLoop::with_options`] reporting into caller-supplied
-    /// [`EngineMetrics`] — the live proxy shares the struct with its
-    /// admin control plane, which needs it before the loop exists.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket and epoll setup failures.
-    pub fn with_metrics(
-        name: &str,
-        service: Arc<dyn Service>,
-        max_conns: usize,
-        reactors: usize,
-        metrics: Arc<EngineMetrics>,
-    ) -> io::Result<EventLoop> {
-        EventLoop::with_overload(
-            name,
-            service,
-            max_conns,
-            reactors,
-            metrics,
-            Arc::new(OverloadControl::default()),
-        )
-    }
-
-    /// [`EventLoop::with_metrics`] with a caller-supplied overload
-    /// control handle (see [`crate::overload`]): the live proxy shares
-    /// it with its admin plane, which hot-swaps the admission and
-    /// origin-pool limiters and reads back live limits, samples and
-    /// shed counters.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket and epoll setup failures, and rejects a
-    /// handle whose initial configuration fails validation.
-    pub fn with_overload(
-        name: &str,
-        service: Arc<dyn Service>,
-        max_conns: usize,
-        reactors: usize,
-        metrics: Arc<EngineMetrics>,
-        overload: Arc<OverloadControl>,
-    ) -> io::Result<EventLoop> {
+        let EngineConfig { max_conns, reactors, metrics, overload } = config;
         overload
             .config()
             .validate()
@@ -724,8 +601,8 @@ impl EventLoop {
         // Never spawn more reactors than the connection bound allows:
         // the bound is enforced per shard (the kernel's SO_REUSEPORT
         // balancing ignores occupancy), and splitting it must not
-        // multiply it — with_options(.., 2, 8) means 2 connections
-        // total, not 8.
+        // multiply it — `max_conns: 2, reactors: 8` means 2
+        // connections total, not 8.
         let reactors = reactors.clamp(1, MAX_REACTORS).min(max_conns);
         // The first listener picks the ephemeral port; its SO_REUSEPORT
         // siblings join it, one per reactor.
@@ -804,8 +681,7 @@ impl EventLoop {
         self.reactors.len()
     }
 
-    /// The loop's always-on counters (shared with whatever
-    /// [`EngineMetrics`] was passed to [`EventLoop::with_metrics`]).
+    /// The loop's always-on counters ([`EngineConfig::metrics`]).
     pub fn metrics(&self) -> &Arc<EngineMetrics> {
         &self.metrics
     }
@@ -977,7 +853,8 @@ struct Reactor {
     /// The reactor's private copy of the overload config.
     overload_config: OverloadConfig,
     /// Per path-partition admission state, created lazily as
-    /// partitions are first seen. Empty while admission is off.
+    /// partitions are first seen: at most [`MAX_PARTITIONS`] named ones
+    /// plus [`OVERFLOW_PARTITION`]. Empty while admission is off.
     admission: HashMap<Arc<str>, PartitionState>,
     /// Something observable changed (limits, samples, shed counts);
     /// publish a fresh snapshot at the end of the turn.
@@ -1349,8 +1226,8 @@ impl Reactor {
                 client.close_after_write = true;
             }
             if !self.admit_or_shed(idx, &request) {
-                // Shed: a 429 is queued (or pending as a paced delayed
-                // response). Flush and keep draining pipelined input.
+                // Shed: a 429 is queued. Flush and keep draining
+                // pipelined input.
                 if !self.flush_client(idx) {
                     return false;
                 }
@@ -2137,13 +2014,17 @@ impl Reactor {
 
     /// Admission control for one parsed request. Returns `true` if the
     /// request may proceed (a ticket is attached to the client); on
-    /// `false` a `429 Too Many Requests` has been queued — immediately,
-    /// or as a delayed response when shed pacing is configured.
+    /// `false` a `429 Too Many Requests` has been queued.
     fn admit_or_shed(&mut self, idx: usize, request: &Request) -> bool {
         let Some(spec) = self.overload_config.admission.clone() else {
             return true;
         };
-        let key = partition_of(request.target());
+        let mut key = partition_of(request.target());
+        // Clients choose the key, so the table is bounded: once it holds
+        // `MAX_PARTITIONS` names, every new one shares the overflow slot.
+        if !self.admission.contains_key(key) && self.admission.len() >= MAX_PARTITIONS {
+            key = OVERFLOW_PARTITION;
+        }
         if !self.admission.contains_key(key) {
             let initial = self.overload_config.admission_initial;
             let Ok(limiter) = Limiter::new(spec, initial) else {
@@ -2180,29 +2061,12 @@ impl Reactor {
         }
         part.shed += 1;
         self.overload_dirty = true;
+        self.overload.note_shed(1);
         let retry = self.overload_config.retry_after_secs;
-        let delay = self.overload_config.shed_delay;
         let response = Response::builder(StatusCode::TOO_MANY_REQUESTS)
             .header("retry-after", retry.to_string())
             .build();
-        if delay.is_zero() {
-            self.overload.note_shed(1);
-            self.queue_response(idx, response);
-        } else {
-            // Pace the retry storm through the existing delayed-response
-            // machinery instead of answering instantly.
-            self.overload.note_shed_delayed(1);
-            let wire = self.response_bytes(idx, response);
-            if let Some(conn) = self.conns[idx].as_mut() {
-                if let Kind::Client(client) = &mut conn.kind {
-                    client.pending = Pending::Delayed {
-                        at: Instant::now() + delay,
-                        response: wire,
-                    };
-                    self.delayed += 1;
-                }
-            }
-        }
+        self.queue_response(idx, response);
         false
     }
 
@@ -2372,6 +2236,10 @@ mod tests {
         }
     }
 
+    fn engine(max_conns: usize, reactors: usize) -> EngineConfig {
+        EngineConfig { max_conns, reactors, ..EngineConfig::default() }
+    }
+
     fn get(addr: SocketAddr, path: &str) -> io::Result<Response> {
         let mut stream = TcpStream::connect(addr)?;
         stream.set_read_timeout(Some(Duration::from_secs(5)))?;
@@ -2382,7 +2250,7 @@ mod tests {
 
     #[test]
     fn serves_requests_and_keep_alive() {
-        let server = EventLoop::start("test-echo", Arc::new(Echo)).unwrap();
+        let server = EventLoop::start("test-echo", Arc::new(Echo), EngineConfig::default()).unwrap();
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         stream
             .set_read_timeout(Some(Duration::from_secs(5)))
@@ -2399,7 +2267,7 @@ mod tests {
 
     #[test]
     fn serves_pipelined_requests_in_order() {
-        let server = EventLoop::start("test-pipeline", Arc::new(Echo)).unwrap();
+        let server = EventLoop::start("test-pipeline", Arc::new(Echo), EngineConfig::default()).unwrap();
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         stream
             .set_read_timeout(Some(Duration::from_secs(5)))
@@ -2417,7 +2285,7 @@ mod tests {
 
     #[test]
     fn connection_close_is_honored() {
-        let server = EventLoop::start("test-close", Arc::new(Echo)).unwrap();
+        let server = EventLoop::start("test-close", Arc::new(Echo), EngineConfig::default()).unwrap();
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         stream
             .set_read_timeout(Some(Duration::from_secs(5)))
@@ -2438,8 +2306,7 @@ mod tests {
 
     #[test]
     fn multiple_reactors_all_serve() {
-        let server =
-            EventLoop::with_options("test-multi", Arc::new(Echo), 64, 4).unwrap();
+        let server = EventLoop::start("test-multi", Arc::new(Echo), engine(64, 4)).unwrap();
         assert_eq!(server.reactor_count(), 4);
         // Enough connections that the kernel spreads them over several
         // listeners; every one must be served regardless of shard.
@@ -2465,7 +2332,7 @@ mod tests {
                 }
             }
         }
-        let server = EventLoop::with_options("test-sleepy", Arc::new(Sleepy), 64, 1).unwrap();
+        let server = EventLoop::start("test-sleepy", Arc::new(Sleepy), engine(64, 1)).unwrap();
 
         let mut slow = TcpStream::connect(server.local_addr()).unwrap();
         slow.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
@@ -2488,7 +2355,7 @@ mod tests {
     #[test]
     fn connection_bound_parks_clients_in_backlog() {
         // One reactor so the two capacity slots are a single bound.
-        let server = EventLoop::with_options("test-bound", Arc::new(Echo), 2, 1).unwrap();
+        let server = EventLoop::start("test-bound", Arc::new(Echo), engine(2, 1)).unwrap();
         // Fill both slots with idle keep-alive connections.
         let _a = TcpStream::connect(server.local_addr()).unwrap();
         let _b = TcpStream::connect(server.local_addr()).unwrap();
@@ -2508,7 +2375,7 @@ mod tests {
     fn half_closed_peer_still_gets_all_pipelined_responses() {
         // Write two requests, shut down the write side, then read: both
         // responses must arrive before the server closes.
-        let server = EventLoop::start("test-half-close", Arc::new(Echo)).unwrap();
+        let server = EventLoop::start("test-half-close", Arc::new(Echo), EngineConfig::default()).unwrap();
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         stream
             .set_read_timeout(Some(Duration::from_secs(5)))
@@ -2529,7 +2396,7 @@ mod tests {
 
     #[test]
     fn malformed_input_closes_the_connection() {
-        let server = EventLoop::start("test-garbage", Arc::new(Echo)).unwrap();
+        let server = EventLoop::start("test-garbage", Arc::new(Echo), EngineConfig::default()).unwrap();
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         stream
             .set_read_timeout(Some(Duration::from_secs(5)))
@@ -2541,47 +2408,10 @@ mod tests {
     }
 
     #[test]
-    fn conns_env_parsing() {
-        assert_eq!(conns_from(None), DEFAULT_MAX_CONNS);
-        assert_eq!(conns_from(Some("64")), 64);
-        assert_eq!(conns_from(Some(" 2048 ")), 2048);
-        assert_eq!(conns_from(Some("0")), DEFAULT_MAX_CONNS);
-        assert_eq!(conns_from(Some("junk")), DEFAULT_MAX_CONNS);
-    }
-
-    #[test]
-    fn l1_env_parsing() {
-        assert_eq!(l1_objects_from(None), DEFAULT_L1_OBJECTS);
-        assert_eq!(l1_objects_from(Some("64")), 64);
-        assert_eq!(l1_objects_from(Some(" 256 ")), 256);
-        // An explicit 0 disables the L1 — it is not a parse error.
-        assert_eq!(l1_objects_from(Some("0")), 0);
-        assert_eq!(l1_objects_from(Some("junk")), DEFAULT_L1_OBJECTS);
-    }
-
-    #[test]
-    fn refresh_workers_env_parsing() {
-        assert_eq!(refresh_workers_from(None), DEFAULT_REFRESH_WORKERS);
-        assert_eq!(refresh_workers_from(Some("1")), 1);
-        assert_eq!(refresh_workers_from(Some(" 8 ")), 8);
-        assert_eq!(refresh_workers_from(Some("0")), DEFAULT_REFRESH_WORKERS);
-        assert_eq!(refresh_workers_from(Some("junk")), DEFAULT_REFRESH_WORKERS);
-    }
-
-    #[test]
-    fn admin_token_env_parsing() {
-        assert_eq!(admin_token_from(None), None);
-        assert_eq!(admin_token_from(Some("")), None);
-        assert_eq!(admin_token_from(Some("   ")), None);
-        assert_eq!(admin_token_from(Some("s3cret")), Some("s3cret".to_owned()));
-        assert_eq!(admin_token_from(Some(" s3cret ")), Some("s3cret".to_owned()));
-    }
-
-    #[test]
     fn small_connection_bounds_cap_the_reactor_count() {
         // A bound of 2 must mean 2 connections total, not 2 per shard:
         // the reactor count collapses to the bound.
-        let server = EventLoop::with_options("test-tiny-bound", Arc::new(Echo), 2, 8).unwrap();
+        let server = EventLoop::start("test-tiny-bound", Arc::new(Echo), engine(2, 8)).unwrap();
         assert_eq!(server.reactor_count(), 2);
         assert_eq!(get(server.local_addr(), "/ok").unwrap().status(), StatusCode::OK);
     }
@@ -2621,13 +2451,10 @@ mod tests {
             park_deadline: Duration::from_millis(50),
             ..OverloadConfig::default()
         }));
-        let server = EventLoop::with_overload(
+        let server = EventLoop::start(
             "test-park-deadline",
             Arc::new(Echo),
-            2,
-            1,
-            Arc::new(EngineMetrics::new()),
-            Arc::clone(&overload),
+            EngineConfig { overload: Arc::clone(&overload), ..engine(2, 1) },
         )
         .unwrap();
         // Fill both slots with idle keep-alive connections.
@@ -2656,9 +2483,12 @@ mod tests {
     #[test]
     fn engine_metrics_track_accepts_and_open_connections() {
         let metrics = Arc::new(EngineMetrics::new());
-        let server =
-            EventLoop::with_metrics("test-metrics", Arc::new(Echo), 64, 2, Arc::clone(&metrics))
-                .unwrap();
+        let server = EventLoop::start(
+            "test-metrics",
+            Arc::new(Echo),
+            EngineConfig { metrics: Arc::clone(&metrics), ..engine(64, 2) },
+        )
+        .unwrap();
         assert_eq!(metrics.reactor_count(), 2);
         assert!(Arc::ptr_eq(server.metrics(), &metrics));
         assert_eq!(metrics.reactor_accepted().iter().sum::<u64>(), 0);
@@ -2744,12 +2574,10 @@ mod tests {
         let service = Arc::new(CachedEcho {
             cache: crate::cache::ShardedCache::new(None),
         });
-        let server = EventLoop::with_metrics(
+        let server = EventLoop::start(
             "test-l1",
             Arc::clone(&service) as Arc<dyn Service>,
-            64,
-            1,
-            Arc::clone(&metrics),
+            EngineConfig { metrics: Arc::clone(&metrics), ..engine(64, 1) },
         )
         .unwrap();
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
@@ -2799,12 +2627,10 @@ mod tests {
         let service = Arc::new(CachedEcho {
             cache: crate::cache::ShardedCache::new(None),
         });
-        let server = EventLoop::with_metrics(
+        let server = EventLoop::start(
             "test-l1-gen",
             Arc::clone(&service) as Arc<dyn Service>,
-            64,
-            1,
-            Arc::clone(&metrics),
+            EngineConfig { metrics: Arc::clone(&metrics), ..engine(64, 1) },
         )
         .unwrap();
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
@@ -2826,16 +2652,5 @@ mod tests {
         read_response(&mut stream, &mut buf).unwrap();
         assert_eq!(metrics.l1_hits(), 1);
         assert!(metrics.l1_refills() >= 2);
-    }
-
-    #[test]
-    fn reactors_env_parsing() {
-        assert_eq!(reactors_from(None), default_reactors());
-        assert_eq!(reactors_from(Some("4")), 4);
-        assert_eq!(reactors_from(Some(" 2 ")), 2);
-        assert_eq!(reactors_from(Some("0")), default_reactors());
-        assert_eq!(reactors_from(Some("junk")), default_reactors());
-        assert_eq!(reactors_from(Some("100000")), MAX_REACTORS);
-        assert!(default_reactors() >= 1);
     }
 }

@@ -736,7 +736,7 @@ mod tests {
 
     #[test]
     fn hot_swap_keeps_the_learned_cap() {
-        use mutcon_core::limit::{AimdConfig, LimiterConfig, VegasConfig};
+        use mutcon_core::limit::{AimdConfig, LimiterConfig};
 
         let mut pool: PoolCore<u32> = PoolCore::new(8);
         let a = addr(9000);
@@ -744,7 +744,8 @@ mod tests {
         pool.record_fetch(a, Duration::from_millis(50), false);
         let learned = pool.current_cap();
         assert_eq!(learned, 6);
-        pool.set_limiter(LimiterConfig::Vegas(VegasConfig::default())).unwrap();
+        let second = AimdConfig { decrease: 0.5, max: 64, ..AimdConfig::default() };
+        pool.set_limiter(LimiterConfig::Aimd(second)).unwrap();
         assert_eq!(pool.current_cap(), learned, "swap must not reset the cap");
         let bad = pool.set_limiter(LimiterConfig::Aimd(AimdConfig {
             min: 3,

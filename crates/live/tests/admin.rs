@@ -23,6 +23,7 @@ use harness::{stamp_of, Behavior, FakeClock, ScriptedOrigin, CLOCK_BASE_MS};
 use mutcon_core::time::Duration;
 use mutcon_live::client::HttpClient;
 use mutcon_live::proxy::{LiveProxy, ProxyConfig, RefreshRule};
+use mutcon_live::server::{default_reactors, DEFAULT_L1_OBJECTS, DEFAULT_REFRESH_WORKERS};
 use mutcon_live::wire::read_response;
 use mutcon_http::message::Request;
 use mutcon_http::types::StatusCode;
@@ -364,6 +365,28 @@ fn admin_stats_reports_shards_reactors_and_pool_counters() {
     let proxy_counters = doc.get("proxy").unwrap();
     assert_eq!(proxy_counters.get("misses").unwrap().as_u64(), Some(6));
     assert!(proxy_counters.get("hits").unwrap().as_u64().unwrap() >= 1);
+}
+
+/// `ProxyConfig::new(addr)` with nothing else set runs on the coded
+/// defaults: `None` resolves to a constant, not to anything outside the
+/// configuration.
+#[test]
+fn unset_config_fields_resolve_to_the_documented_defaults() {
+    let origin = ScriptedOrigin::start(FakeClock::new());
+    let proxy = LiveProxy::start(ProxyConfig::new(origin.addr())).expect("start proxy");
+    assert_eq!(proxy.reactor_count(), default_reactors());
+    // The scheduler thread records its pool width as it starts.
+    wait_until("the refresh plane to start", || {
+        proxy.runtime().refresh_metrics().workers() > 0
+    });
+    let doc = admin_get(&proxy, "/admin/stats");
+    let refresh = doc.get("refresh").unwrap();
+    assert_eq!(
+        refresh.get("workers").unwrap().as_u64(),
+        Some(DEFAULT_REFRESH_WORKERS as u64)
+    );
+    let l1 = doc.get("cache").unwrap().get("l1").unwrap();
+    assert_eq!(l1.get("capacity").unwrap().as_u64(), Some(DEFAULT_L1_OBJECTS as u64));
 }
 
 /// With `admin_token` set, every `/admin/*` endpoint demands a matching

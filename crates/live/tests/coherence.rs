@@ -10,9 +10,8 @@
 //! bodies, seeded runs must replay bit-identically, and an L1-disabled
 //! proxy must be byte-indistinguishable from an L1-enabled one.
 //!
-//! Reactor counts and L1 capacities are pinned explicitly — the
-//! `MUTCON_LIVE_REACTORS` / `MUTCON_LIVE_L1` environment knobs must not
-//! change what these tests assert.
+//! Reactor counts, L1 capacities and refresh-worker counts are inputs
+//! of the scenarios, pinned explicitly.
 
 mod harness;
 
@@ -64,16 +63,26 @@ fn stats_counter(proxy: &LiveProxy, path: &[&str]) -> u64 {
 /// through the L1 from several reactors. Every reader must observe
 /// complete copies whose body bytes match the version header, with
 /// stamps monotonically nondecreasing and bounded by the logical clock.
+/// The refresh plane runs at its default pool width and forced serial:
+/// worker count must never change behavior, only drift.
 #[test]
 fn l1_readers_never_see_old_bytes_after_a_version_bump() {
+    for refresh_workers in [4, 1] {
+        readers_race_the_refresher(refresh_workers);
+    }
+}
+
+fn readers_race_the_refresher(refresh_workers: usize) {
     let clock = FakeClock::new();
     let origin = ScriptedOrigin::start(clock.clone());
-    let proxy = l1_proxy(
-        &origin,
-        2,
-        128,
-        vec![RefreshRule::new("/hot", Duration::from_millis(20))],
-    );
+    let proxy = LiveProxy::start(ProxyConfig {
+        rules: vec![RefreshRule::new("/hot", Duration::from_millis(20))],
+        reactors: Some(2),
+        l1_objects: Some(128),
+        refresh_workers: Some(refresh_workers),
+        ..ProxyConfig::new(origin.addr())
+    })
+    .expect("start proxy");
     let addr = proxy.local_addr();
 
     // Warm so readers start from a cached (and L1-refillable) copy.
@@ -202,9 +211,7 @@ fn l1_on_and_off_are_client_indistinguishable() {
 
 /// Parity under load: the refresher-vs-readers scenario
 /// with the L1 disabled — the L1-enabled variant above must not be the
-/// only configuration whose invariants hold. (`scripts/ci.sh` also
-/// re-runs the whole suite with `MUTCON_LIVE_L1=0`; this test keeps the
-/// disabled path exercised even standalone.)
+/// only configuration whose invariants hold.
 #[test]
 fn disabled_l1_keeps_the_same_invariants() {
     let clock = FakeClock::new();

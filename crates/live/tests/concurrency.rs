@@ -2,9 +2,8 @@
 //! and its keep-alive origin pool, driven by the in-process harness
 //! (fake clock + scripted origin + seeded schedules; see `harness/`).
 //!
-//! Scenarios pin the reactor count explicitly (the `MUTCON_LIVE_REACTORS`
-//! environment knob must not change what these tests assert) and derive
-//! every schedule from a fixed seed, so a failure replays bit-identically.
+//! Scenarios pin the reactor count explicitly and derive every schedule
+//! from a fixed seed, so a failure replays bit-identically.
 
 mod harness;
 

@@ -1,8 +1,8 @@
 //! Adaptive overload control end to end: flash-crowd admission shedding
-//! with partition isolation and preserved miss coalescing, the
-//! double-death stale-retry path, and hot config swaps through
-//! `PUT /admin/overload` — all on the deterministic in-process harness
-//! (fake clock + scripted origin; see `harness/`).
+//! with partition isolation and preserved miss coalescing, the bound on
+//! the partition table, the double-death stale-retry path, and hot
+//! config swaps through `PUT /admin/overload` — all on the deterministic
+//! in-process harness (fake clock + scripted origin; see `harness/`).
 
 mod harness;
 
@@ -10,10 +10,12 @@ use std::sync::Arc;
 use std::time::{Duration as StdDuration, Instant};
 
 use harness::{Behavior, FakeClock, ScriptedOrigin};
-use mutcon_live::client::HttpClient;
+use mutcon_live::client::{HttpClient, PersistentClient};
+use mutcon_live::overload::{MAX_PARTITIONS, OVERFLOW_PARTITION};
 use mutcon_live::proxy::{LiveProxy, ProxyConfig};
 use mutcon_http::types::StatusCode;
 use mutcon_sim::rng::SimRng;
+use mutcon_traces::json::{self, Json};
 
 /// A proxy in front of a scripted origin with an explicit reactor count
 /// and no refresher rules.
@@ -186,6 +188,105 @@ fn flash_crowd_sheds_cleanly_and_still_coalesces() {
     assert_eq!(proxy.overload().shed(), before, "admission off must not shed");
 }
 
+/// The `(partition, in_flight)` pairs each reactor reports in the
+/// `overload` section of `GET /admin/stats`, one `Vec` per reactor.
+fn stats_partitions(proxy: &LiveProxy) -> Vec<Vec<(String, u64)>> {
+    let resp = HttpClient::new()
+        .get(proxy.local_addr(), "/admin/stats", None)
+        .expect("GET /admin/stats");
+    assert_eq!(resp.status(), StatusCode::OK);
+    let doc = json::parse(std::str::from_utf8(resp.body()).expect("utf8")).expect("stats JSON");
+    fn field<'a>(json: &'a Json, key: &str) -> &'a Json {
+        json.get(key).unwrap_or_else(|| panic!("no `{key}` in {json}"))
+    }
+    field(field(&doc, "overload"), "reactors")
+        .as_array()
+        .expect("reactors")
+        .iter()
+        .map(|reactor| {
+            field(reactor, "partitions")
+                .as_array()
+                .expect("partitions")
+                .iter()
+                .map(|p| {
+                    let name = field(p, "partition").as_str().expect("name").to_owned();
+                    (name, field(p, "in_flight").as_u64().expect("in_flight"))
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Satellite regression: the admission key is the first path segment,
+/// which clients choose. A scan over thousands of distinct one-segment
+/// paths must not grow the per-reactor table (and every stats snapshot
+/// of it) without bound: past `MAX_PARTITIONS` names, new ones share the
+/// overflow partition — which still holds a crowd to the limit and still
+/// gives its permits back.
+#[test]
+fn a_path_scan_cannot_grow_the_admission_table() {
+    const SCAN: usize = 3_000;
+    const CLIENTS: usize = 20;
+    const LIMIT: usize = 2;
+
+    let origin = ScriptedOrigin::start(FakeClock::new());
+    let proxy = plain_proxy(&origin, 1);
+    let addr = proxy.local_addr();
+    put_overload(&proxy, &format!("admission=aimd:min={LIMIT},max={LIMIT}\n"));
+
+    // One keep-alive connection, one request in flight at a time: below
+    // the limit in every partition, so the scan itself is never shed.
+    let mut scanner = PersistentClient::new(addr, StdDuration::from_secs(10));
+    for i in 0..SCAN {
+        let resp = scanner.get(&format!("/scan{i}"), None).expect("scan");
+        assert!(
+            matches!(
+                resp.status(),
+                StatusCode::OK | StatusCode::NOT_FOUND | StatusCode::TOO_MANY_REQUESTS
+            ),
+            "/scan{i}: {}",
+            resp.status()
+        );
+    }
+    assert_eq!(scanner.reconnects(), 0, "the scan must stay on its one connection");
+
+    let reactors = stats_partitions(&proxy);
+    assert_eq!(reactors.len(), 1);
+    for partitions in &reactors {
+        assert!(
+            partitions.len() <= MAX_PARTITIONS + 1,
+            "{} partitions retained after a {SCAN}-path scan",
+            partitions.len()
+        );
+        assert!(
+            partitions.iter().any(|(name, _)| name == OVERFLOW_PARTITION),
+            "the scan's tail must be charged to the overflow partition"
+        );
+    }
+
+    // A crowd on a path first seen after the table filled is charged to
+    // the overflow partition, and is held to the limit like any other.
+    origin.script("/late/obj", vec![Behavior::Hold]);
+    let shed_before = proxy.overload().shed() as usize;
+    let readers = flash_crowd(addr, "/late/obj", CLIENTS);
+    origin.wait_for_held(1);
+    wait_until("the overflow crowd to shed", || {
+        proxy.overload().shed() as usize == shed_before + CLIENTS - LIMIT
+    });
+    origin.release_all();
+    let (ok, shed) = tally(readers);
+    assert_eq!(ok, LIMIT, "exactly the admission limit's worth succeed");
+    assert_eq!(shed, CLIENTS - LIMIT);
+
+    // Every permit came back, the overflow partition's included.
+    wait_until("every partition to drain", || {
+        stats_partitions(&proxy)
+            .iter()
+            .flatten()
+            .all(|(_, in_flight)| *in_flight == 0)
+    });
+}
+
 /// Satellite regression: the double-death case of the one-shot
 /// stale-socket retry. A reused pooled connection dies before its first
 /// response byte (the origin silently closed it while parked) and the
@@ -254,20 +355,27 @@ fn overload_admin_round_trips_and_rejects_bad_bodies() {
     assert!(text.contains("pool=off"), "{text}");
 
     // Install a pool limiter; the GET must echo the spec back.
-    put_overload(&proxy, "pool=vegas\nretry_after_secs=3\n");
-    let resp = client.get(addr, "/admin/overload", None).expect("GET overload");
-    let text = String::from_utf8_lossy(resp.body()).into_owned();
-    assert!(text.contains("pool=vegas:"), "{text}");
+    put_overload(&proxy, "pool=aimd:max=8\nretry_after_secs=3\n");
+    let installed = client.get(addr, "/admin/overload", None).expect("GET overload");
+    let text = String::from_utf8_lossy(installed.body()).into_owned();
+    assert!(text.contains("pool=aimd:min=1,max=8,"), "{text}");
     assert!(text.contains("retry_after_secs=3"), "{text}");
 
-    // A garbage PUT is rejected and changes nothing.
-    let bad = client
-        .put(addr, "/admin/overload", b"pool=tcp-bbr\n".to_vec())
-        .expect("PUT bad overload");
-    assert_eq!(bad.status(), StatusCode::BAD_REQUEST);
-    let resp = client.get(addr, "/admin/overload", None).expect("GET overload");
-    let text = String::from_utf8_lossy(resp.body()).into_owned();
-    assert!(text.contains("pool=vegas:"), "rejected PUT must change nothing: {text}");
+    // Garbage, the algorithms that no longer exist and the pacing key
+    // that no longer exists are each rejected, and change nothing.
+    for bad in ["pool=tcp-bbr\n", "pool=vegas\n", "admission=gradient\n", "shed_delay_ms=25\n"] {
+        let resp = client
+            .put(addr, "/admin/overload", bad.as_bytes().to_vec())
+            .expect("PUT bad overload");
+        assert_eq!(resp.status(), StatusCode::BAD_REQUEST, "{bad}");
+        let resp = client.get(addr, "/admin/overload", None).expect("GET overload");
+        assert_eq!(
+            resp.body(),
+            installed.body(),
+            "rejected PUT `{}` must change nothing",
+            bad.trim()
+        );
+    }
 
     // Traffic still flows, and the reactor's adopted pool limiter (with
     // its recorded fetch samples) surfaces in `/admin/stats`.
@@ -276,6 +384,6 @@ fn overload_admin_round_trips_and_rejects_bad_bodies() {
     wait_until("the pool limiter to surface in stats", || {
         let resp = client.get(addr, "/admin/stats", None).expect("stats");
         let text = String::from_utf8_lossy(resp.body()).into_owned();
-        text.contains("\"algorithm\":\"vegas:") && text.contains("\"samples_ok\":1")
+        text.contains("\"algorithm\":\"aimd:") && text.contains("\"samples_ok\":1")
     });
 }

@@ -2,9 +2,7 @@
 //! plus its pool of poll workers, driven by the in-process harness
 //! (fake clock + scripted origin; see `harness/`).
 //!
-//! Every scenario pins `refresh_workers` explicitly — the
-//! `MUTCON_LIVE_REFRESH_WORKERS` environment knob must not change what
-//! these tests assert.
+//! Every scenario pins `refresh_workers` explicitly.
 
 mod harness;
 

@@ -35,9 +35,9 @@ use mutcon_traces::json::{self, Json};
 
 /// A proxy with no refresher rules: first access to a path is a miss,
 /// every later access is a pure cache hit.
-fn hit_only_proxy(origin_addr: SocketAddr, reactors: Option<usize>) -> LiveProxy {
+fn hit_only_proxy(origin_addr: SocketAddr, reactors: usize) -> LiveProxy {
     LiveProxy::start(ProxyConfig {
-        reactors,
+        reactors: Some(reactors),
         ..ProxyConfig::new(origin_addr)
     })
     .expect("start proxy")
@@ -103,7 +103,7 @@ fn read_raw_response(sock: &mut TcpStream) -> Vec<u8> {
 fn hits_copy_no_body_bytes_and_leave_via_writev() {
     let clock = FakeClock::new();
     let origin = ScriptedOrigin::start(clock);
-    let proxy = hit_only_proxy(origin.addr(), None);
+    let proxy = hit_only_proxy(origin.addr(), 4);
 
     // Warm: the one and only origin fetch.
     let warm = HttpClient::new();
@@ -150,7 +150,7 @@ fn pooled_buffers_recycle_across_connections_with_identical_bytes() {
     let clock = FakeClock::new();
     let origin = ScriptedOrigin::start(clock);
     // One reactor: successive connections land in the same pool.
-    let proxy = hit_only_proxy(origin.addr(), Some(1));
+    let proxy = hit_only_proxy(origin.addr(), 1);
     let metrics = Arc::clone(proxy.engine_metrics());
     let request = Request::get("/obj").build().to_bytes();
 
@@ -241,7 +241,7 @@ fn megabyte_hit_survives_partial_writes_byte_for_byte() {
             .collect(),
     );
     let origin_addr = big_body_origin(Arc::clone(&body));
-    let proxy = hit_only_proxy(origin_addr, Some(1));
+    let proxy = hit_only_proxy(origin_addr, 1);
     let metrics = Arc::clone(proxy.engine_metrics());
     let request = Request::get("/big").build().to_bytes();
 
@@ -291,7 +291,7 @@ fn megabyte_hit_survives_partial_writes_byte_for_byte() {
 fn admin_stats_exposes_wire_counters() {
     let clock = FakeClock::new();
     let origin = ScriptedOrigin::start(clock);
-    let proxy = hit_only_proxy(origin.addr(), None);
+    let proxy = hit_only_proxy(origin.addr(), 4);
     let client = HttpClient::new();
 
     // A miss and a hit so the counters have something to show.
@@ -329,9 +329,7 @@ fn admin_stats_exposes_wire_counters() {
 }
 
 /// `/admin/stats` surfaces the L1 hierarchy counters — capacity and the
-/// hit/stale/refill story. The proxy pins its L1 explicitly so the
-/// `MUTCON_LIVE_L1=0` parity leg in CI cannot change what this test
-/// asserts.
+/// hit/stale/refill story.
 #[test]
 fn admin_stats_exposes_l1_and_cache_counters() {
     let clock = FakeClock::new();
@@ -394,7 +392,7 @@ fn admin_stats_exposes_l1_and_cache_counters() {
 fn epoll_ctl_calls_grow_sublinearly_in_requests() {
     let clock = FakeClock::new();
     let origin = ScriptedOrigin::start(clock);
-    let proxy = hit_only_proxy(origin.addr(), Some(1));
+    let proxy = hit_only_proxy(origin.addr(), 1);
     let metrics = Arc::clone(proxy.engine_metrics());
 
     // Warm the cache so the measured burst is all keep-alive hits.
@@ -435,7 +433,7 @@ fn epoll_ctl_calls_grow_sublinearly_in_requests() {
 fn chunked_post_closes_the_connection_instead_of_desyncing() {
     let clock = FakeClock::new();
     let origin = ScriptedOrigin::start(clock);
-    let proxy = hit_only_proxy(origin.addr(), Some(1));
+    let proxy = hit_only_proxy(origin.addr(), 1);
 
     let mut sock = connect(proxy.local_addr());
     sock.write_all(

@@ -3,15 +3,12 @@
 //! The paper's evaluation runs on "an event-based simulator \[of\] a proxy
 //! cache that receives requests from several clients" (§6.1.1). This crate
 //! is that substrate: a minimal, fully deterministic discrete-event engine
-//! with a virtual clock, plus the seeded randomness and network-latency
-//! models the workloads need.
+//! with a virtual clock, plus the seeded randomness the workloads need.
 //!
 //! * [`queue`] — the event queue: schedule/cancel/pop with a virtual
 //!   clock and deterministic FIFO tie-breaking for simultaneous events.
 //! * [`rng`] — seeded random numbers and the distributions used by the
 //!   trace generators (exponential, normal, Poisson).
-//! * [`latency`] — network latency models; the paper assumes fixed
-//!   latency, richer models support sensitivity experiments.
 //! * [`reactor`] — hand-rolled `epoll` readiness primitives driving the
 //!   live daemons' single-thread event loops.
 //! * [`signal`] — self-pipe `SIGHUP` dispatch, so the live daemons can
@@ -36,12 +33,10 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod latency;
 pub mod queue;
 pub mod reactor;
 pub mod rng;
 pub mod signal;
 
-pub use latency::LatencyModel;
 pub use queue::{EventId, EventQueue};
 pub use rng::SimRng;
