@@ -240,6 +240,11 @@ impl Duration {
         Duration(self.0.saturating_add(rhs.0))
     }
 
+    /// Saturating multiplication.
+    pub fn saturating_mul(self, rhs: u64) -> Duration {
+        Duration(self.0.saturating_mul(rhs))
+    }
+
     /// Saturating subtraction (clamps at zero).
     pub fn saturating_sub(self, rhs: Duration) -> Duration {
         Duration(self.0.saturating_sub(rhs.0))
@@ -421,6 +426,8 @@ mod tests {
             Duration::ZERO.saturating_sub(Duration::from_secs(1)),
             Duration::ZERO
         );
+        assert_eq!(Duration::from_secs(2).saturating_mul(3), Duration::from_secs(6));
+        assert_eq!(Duration::from_millis(u64::MAX / 2).saturating_mul(64), Duration::MAX);
     }
 
     #[test]

@@ -9,16 +9,15 @@
 //! Connections are served by the shared reactor engine
 //! ([`crate::server`]); there is no worker pool. Fault injection
 //! ([`LiveOrigin::set_fault`]) lets tests exercise the proxy's
-//! resilience: connections can be dropped on accept, or responses
-//! stalled ~300 ms — implemented as a *deferred* write on the event
-//! loop, so even a stalling origin keeps serving its other connections.
+//! resilience: connections can be dropped on accept and at their next
+//! request.
 
 use std::collections::HashMap;
 use std::io;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration as StdDuration, Instant, SystemTime, UNIX_EPOCH};
+use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use mutcon_core::time::Timestamp;
 use mutcon_http::extensions::set_modification_history;
@@ -30,9 +29,6 @@ use mutcon_traces::UpdateTrace;
 use crate::client::X_LAST_MODIFIED_MS;
 use crate::server::{default_reactors, EngineConfig, EventLoop, Service, ServiceResult};
 
-/// How long a [`Fault::Stall`] defers each response.
-const STALL: StdDuration = StdDuration::from_millis(300);
-
 /// Injectable failure modes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
@@ -42,27 +38,6 @@ pub enum Fault {
     /// (keep-alive) ones at their next request — a persistent client
     /// must not ride through this fault on a pooled socket.
     DropConnections,
-    /// Stall ~300 ms before each response (exceeds aggressive client
-    /// timeouts).
-    Stall,
-}
-
-impl Fault {
-    fn from_u8(v: u8) -> Fault {
-        match v {
-            1 => Fault::DropConnections,
-            2 => Fault::Stall,
-            _ => Fault::None,
-        }
-    }
-
-    fn as_u8(self) -> u8 {
-        match self {
-            Fault::None => 0,
-            Fault::DropConnections => 1,
-            Fault::Stall => 2,
-        }
-    }
 }
 
 /// Builder for [`LiveOrigin`].
@@ -104,7 +79,7 @@ impl LiveOriginBuilder {
             epoch_unix_ms: unix_now_ms(),
             epoch: Instant::now(),
             history: self.history,
-            fault: AtomicU8::new(Fault::None.as_u8()),
+            dropping: AtomicBool::new(false),
             requests: AtomicU64::new(0),
         });
         let server = EventLoop::start(
@@ -127,7 +102,8 @@ struct Shared {
     epoch_unix_ms: u64,
     epoch: Instant,
     history: bool,
-    fault: AtomicU8,
+    /// [`Fault::DropConnections`] is in force.
+    dropping: AtomicBool,
     requests: AtomicU64,
 }
 
@@ -161,7 +137,9 @@ impl LiveOrigin {
 
     /// Injects (or clears) a fault.
     pub fn set_fault(&self, fault: Fault) {
-        self.shared.fault.store(fault.as_u8(), Ordering::SeqCst);
+        self.shared
+            .dropping
+            .store(fault == Fault::DropConnections, Ordering::SeqCst);
     }
 }
 
@@ -190,24 +168,17 @@ struct OriginService {
 
 impl Service for OriginService {
     fn accept_connection(&self) -> bool {
-        Fault::from_u8(self.shared.fault.load(Ordering::SeqCst)) != Fault::DropConnections
+        !self.shared.dropping.load(Ordering::SeqCst)
     }
 
     fn respond(&self, request: &Request) -> ServiceResult {
-        match Fault::from_u8(self.shared.fault.load(Ordering::SeqCst)) {
-            // Established keep-alive connections die at their next
-            // request, mirroring the accept-time drop.
-            Fault::DropConnections => return ServiceResult::Close,
-            _ => {}
+        // Established keep-alive connections die at their next
+        // request, mirroring the accept-time drop.
+        if !self.accept_connection() {
+            return ServiceResult::Close;
         }
         self.shared.requests.fetch_add(1, Ordering::SeqCst);
-        let response = respond(&self.shared, request);
-        match Fault::from_u8(self.shared.fault.load(Ordering::SeqCst)) {
-            // The stall is a deferred write on the reactor, not a sleep:
-            // other connections keep being served meanwhile.
-            Fault::Stall => ServiceResult::RespondAfter(response, STALL),
-            _ => ServiceResult::Respond(response),
-        }
+        ServiceResult::Respond(respond(&self.shared, request))
     }
 }
 
@@ -278,6 +249,7 @@ fn respond(shared: &Shared, request: &Request) -> Response {
 mod tests {
     use super::*;
     use crate::client::{last_modified_ms, object_value, HttpClient};
+    use std::time::Duration as StdDuration;
     use mutcon_core::value::Value;
     use mutcon_traces::UpdateEvent;
 
@@ -400,24 +372,6 @@ mod tests {
         assert!(client.get(origin.local_addr(), "/obj", None).is_err());
         origin.set_fault(Fault::None);
         assert!(client.get(origin.local_addr(), "/obj", None).is_ok());
-    }
-
-    #[test]
-    fn stall_fault_defers_but_still_serves() {
-        let origin = LiveOrigin::builder()
-            .object("/obj", fast_trace())
-            .start()
-            .unwrap();
-        origin.set_fault(Fault::Stall);
-        // Too impatient for the 300 ms stall.
-        let hasty = HttpClient::with_timeout(StdDuration::from_millis(100));
-        assert!(hasty.get(origin.local_addr(), "/obj", None).is_err());
-        // Patient clients get their (late) response.
-        let patient = HttpClient::with_timeout(StdDuration::from_secs(2));
-        let started = Instant::now();
-        let resp = patient.get(origin.local_addr(), "/obj", None).unwrap();
-        assert_eq!(resp.status(), StatusCode::OK);
-        assert!(started.elapsed() >= STALL, "response was not deferred");
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The live caching proxy daemon.
 //!
 //! Serves client `GET`s from its cache while a background *refresh
-//! plane* — one scheduler thread dispatching due paths to a pool of
-//! poll workers ([`ProxyConfig::refresh_workers`], each with its own
-//! keep-alive origin connection) — keeps configured objects
+//! plane* — [`ProxyConfig::refresh_workers`] poll workers, each with
+//! its own keep-alive origin connection, stepping one shared scheduling
+//! state machine ([`crate::runtime`]) — keeps configured objects
 //! Δt-consistent with the origin by LIMD-scheduled `If-Modified-Since`
 //! polls, and, when a group rule is set, Mt-consistent with one another
 //! via triggered polls, exactly as in the simulator. One binary-ready
@@ -97,7 +97,9 @@ impl RefreshRule {
         RefreshRule {
             path: path.into(),
             delta,
-            ttr_max: delta * 64,
+            // Saturating: an absurd Δ is for `runtime::validate` to
+            // refuse with a reason, not for this to overflow on.
+            ttr_max: delta.saturating_mul(64),
         }
     }
 
@@ -144,10 +146,10 @@ pub struct ProxyConfig {
     /// per-path version stamps in [`crate::cache::ShardedCache`].
     pub l1_objects: Option<usize>,
     /// Poll workers for the refresh plane (`None` =
-    /// [`crate::server::DEFAULT_REFRESH_WORKERS`]). Each worker
-    /// owns one persistent keep-alive origin connection; the scheduler
-    /// thread dispatches due paths to them over a bounded queue so
-    /// in-flight polls overlap origin latency.
+    /// [`crate::server::DEFAULT_REFRESH_WORKERS`]). Each worker owns
+    /// one persistent keep-alive origin connection and takes due paths
+    /// from the shared scheduler itself, so this is the number of polls
+    /// on the wire at once.
     pub refresh_workers: Option<usize>,
     /// Bearer token gating the `/admin/*` plane (`None` or empty = no
     /// auth). When set, admin requests without
@@ -237,18 +239,22 @@ pub struct LiveProxy {
 
 impl LiveProxy {
     /// Binds a localhost listener on an ephemeral port and starts the
-    /// reactor and the background refresher. The refresher thread runs
-    /// even with an empty rule set, so rules installed later through
-    /// `PUT /admin/rules` start polling without a restart.
+    /// reactor and the background refresher. The refresh workers run
+    /// (parked) even with an empty rule set, so rules installed later
+    /// through `PUT /admin/rules` start polling without a restart.
     ///
     /// # Errors
     ///
     /// Propagates socket errors; returns [`io::ErrorKind::InvalidInput`]
     /// for invalid rules (zero Δ, duplicate paths, inverted TTR bounds —
-    /// the same validation `PUT /admin/rules` applies).
+    /// the same validation `PUT /admin/rules` applies) and for a
+    /// zero-object cache bound.
     pub fn start(config: ProxyConfig) -> io::Result<LiveProxy> {
-        let runtime = ConsistencyRuntime::new(config.rules, config.group)
-            .map_err(|reason| io::Error::new(io::ErrorKind::InvalidInput, reason))?;
+        let invalid = |reason: String| io::Error::new(io::ErrorKind::InvalidInput, reason);
+        if config.cache_objects == Some(0) {
+            return Err(invalid("cache_objects must be positive (None = unbounded)".to_owned()));
+        }
+        let runtime = ConsistencyRuntime::new(config.rules, config.group).map_err(invalid)?;
         let shared = Arc::new(Shared {
             origin: config.origin_addr,
             cache: ShardedCache::new(config.cache_objects),
@@ -280,9 +286,11 @@ impl LiveProxy {
             let shared = Arc::clone(&shared);
             let shutdown = Arc::clone(&shutdown);
             let workers = config.refresh_workers.unwrap_or(DEFAULT_REFRESH_WORKERS);
+            // Hosts the scope the poll workers live in: `run` spawns
+            // them, and this thread only waits for them to leave.
             Some(
                 std::thread::Builder::new()
-                    .name("mutcon-live-refresh-scheduler".into())
+                    .name("mutcon-live-refresh".into())
                     .spawn(move || {
                         let runtime = Arc::clone(&shared.runtime);
                         let shared = &shared;
@@ -309,8 +317,8 @@ impl LiveProxy {
                                 }
                             },
                             // Un-ruled paths lose their cached copy when
-                            // the scheduler adopts the swap — this fires
-                            // for every install, including direct
+                            // a worker adopts the swap — this fires for
+                            // every install, including direct
                             // `runtime().install()` callers that never
                             // touch the HTTP handler.
                             |removed| {
@@ -408,9 +416,9 @@ impl LiveProxy {
 impl Drop for LiveProxy {
     fn drop(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        // The scheduler may be parked on its condvar with nothing due;
-        // the wake makes it observe the flag now instead of at the next
-        // poll deadline.
+        // Idle workers wait on the runtime's condvar, possibly with
+        // nothing due; the wake makes them observe the flag now instead
+        // of at the next poll deadline.
         self.shared.runtime.wake();
         if let Some(handle) = self.refresher.take() {
             let _ = handle.join();
@@ -1036,7 +1044,7 @@ fn parse_rules_body(body: &[u8]) -> Result<(Vec<RefreshRule>, Option<GroupRule>)
 /// Paths whose rule is gone lose their cached copy: nothing refreshes
 /// them anymore, and the refresher's epoch gate keeps an in-flight poll
 /// from putting one back. (The refresher also evicts on adoption — see
-/// the `on_removed` hook — but that lags by up to one scheduler wake;
+/// the `on_removed` hook — but that lags by up to one worker wake;
 /// evicting here too makes the install's effect immediate. A later
 /// client miss may re-cache the path like any unruled object: a fresh
 /// copy at fetch time, just never refreshed thereafter.) The

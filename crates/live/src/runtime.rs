@@ -1,68 +1,71 @@
 //! The hot-swappable consistency runtime behind the live proxy's
-//! refresh plane.
+//! refresh plane: the rules in force and the state machine polling them.
 //!
-//! PR 4 extracted the refresher's scheduling state into
-//! [`ConsistencyRuntime`], which owns a **versioned rules epoch**
-//! ([`RulesEpoch`], an immutable snapshot behind an atomically swapped
-//! `Arc`). This PR rebuilds the *execution* side of that plane for
-//! throughput. The old loop picked each next path with an O(P) scan
-//! over the whole rule map, issued one blocking poll at a time over a
-//! single keep-alive connection, and woke every 20 ms even when idle —
-//! so scheduled-vs-actual poll drift grew with both catalog size and
-//! origin latency. The refresh plane is now three cooperating pieces:
+//! **Rules.** [`ConsistencyRuntime`] owns a versioned [`RulesEpoch`], an
+//! immutable snapshot behind an atomically swapped `Arc`. `install`
+//! validates (the same [`validate`] [`crate::proxy::LiveProxy::start`]
+//! uses), bumps the version and swaps. It never blocks the reactors
+//! (readers clone the `Arc` out from under a briefly held lock) and
+//! touches neither cache nor sockets.
 //!
-//! * **Due queue** — a binary heap keyed by `(due, path)`, handing out
-//!   `Arc<str>` paths so the hot scheduling path allocates nothing.
-//!   Reconciles are lazy: stale heap entries (rescheduled, changed, or
-//!   removed paths) carry an out-of-date generation stamp and are
-//!   discarded when they surface. Pop is O(log P) against the old
-//!   O(P) scan, with the exact same `(due, path)` tiebreak order.
-//! * **Poll workers** — [`ConsistencyRuntime::run`] spawns M workers
-//!   (each given its own poller, i.e. its own origin connection) fed
-//!   due paths over a bounded queue, so in-flight polls overlap origin
-//!   latency while the scheduler thread keeps reconciling epochs and
-//!   applying completions. A path is never handed to two workers at
-//!   once, and Mt-triggered polls dedupe per target and ride the same
-//!   workers instead of running inline.
-//! * **Condvar parking** — the scheduler parks until the next due time,
-//!   a worker completion, or [`ConsistencyRuntime::install`] (which
-//!   notifies the runtime's wake signal), so an idle refresher burns no
-//!   wakeups yet still adopts a fresh epoch immediately.
+//! **The state machine.** [`Scheduler`] holds per-path [`Limd`] state, a
+//! binary-heap due queue keyed by `(due, path)` and the Mt coordinator;
+//! [`Dispatcher`] adds the in-flight guard and the queue of Mt-triggered
+//! polls. Together they are pure: every method takes `now` and neither
+//! reads a clock, so tests step them through simulated time. Inputs are
+//! `next_job`, `complete`, `reconcile` and `enqueue_trigger`; the output
+//! is a [`Job`] to poll, or the instant to wake at when nothing is
+//! ready. Triggered polls go out before scheduled ones, a path never has
+//! two polls on the wire, and a trigger whose target is on the wire,
+//! queued or itself due is coalesced into that poll. The heap is lazily
+//! invalidated: a reschedule pushes a fresh entry under a bumped
+//! generation and stale ones are dropped as they surface, so pop is
+//! O(log P) and hands out `Arc<str>` paths without allocating.
 //!
-//! Reconcile semantics are unchanged from PR 4:
+//! A swap is adopted by [`Scheduler::reconcile`]: **unchanged paths**
+//! keep their accumulated adaptive TTR (exactly the state worth
+//! preserving across a reload); **changed** and **added paths** start
+//! from a fresh [`Limd`] and poll immediately; **removed paths** stop,
+//! and the outcome of a poll still on the wire for one is discarded —
+//! it can neither panic the plane nor resurrect the path.
 //!
-//! * **unchanged paths** keep their accumulated adaptive-TTR state (a
-//!   grown TTR is exactly the state worth preserving across a reload);
-//! * **changed paths** rebuild their [`Limd`] from the new config and
-//!   poll immediately;
-//! * **removed paths** stop polling, and a poll already in flight when
-//!   the swap lands is discarded — it can neither panic the scheduler
-//!   nor resurrect the path's (since-evicted) cache entry;
-//! * **added paths** start polling immediately on adoption.
+//! **One lock, M workers.** [`ConsistencyRuntime::run`] starts `workers`
+//! threads and nothing else. The machine sits behind one mutex; each
+//! worker loops *lock → adopt a newer epoch → `next_job` → unlock →
+//! poll the origin → lock → `complete`*, so the lock is never held
+//! across a round trip and `workers` is the number of polls on the wire
+//! at once. A worker that finds nothing ready waits on the one condvar
+//! until the earliest due instant. Whoever takes a job first notifies
+//! one idle worker, so while it is on the wire somebody else watches
+//! the next due instant; [`ConsistencyRuntime::install`],
+//! [`ConsistencyRuntime::wake`] and a worker leaving notify everyone.
+//! Every one of those notifies happens with, or after passing through,
+//! the lock: a worker that has just looked at the epoch and the
+//! shutdown flag is already waiting when it fires, so none is lost.
 //!
-//! Every poll records its **drift** — the gap between the scheduled due
-//! time and the moment a worker actually started sending — into a
-//! fixed-bucket histogram ([`DriftHistogram`]), published with the rest
-//! of [`RefreshMetrics`] under the `refresh` section of
-//! `GET /admin/stats`. Drift is the measurable form of the fidelity
-//! erosion the paper's Δ guarantees suffer when polls fire late.
+//! **Shutdown.** Store the flag, then call [`ConsistencyRuntime::wake`].
+//! A worker looks at the flag each time it holds the lock, after
+//! applying the poll it came back with: polls on the wire finish and
+//! are applied, and no new one starts.
 //!
-//! The swap itself ([`ConsistencyRuntime::install`]) validates first
-//! (duplicate paths, zero tolerances, inverted TTR bounds — the same
-//! validator [`crate::proxy::LiveProxy::start`] uses) and never blocks
-//! the reactors: readers clone the `Arc` out from under a briefly-held
-//! lock. Nothing about the cache or the connection engine is touched, so
-//! a reload keeps every cached object and every established socket.
+//! **Hooks.** `on_removed` / `on_adopted` run under the lock, on
+//! whichever worker adopts the swap. That orders them with the machine:
+//! no job of a later epoch is handed out before they return, so the
+//! proxy's eviction of an un-ruled path cannot race a poll of the same
+//! path re-added afterwards.
 //!
-//! The runtime also publishes a per-path status snapshot
-//! ([`ConsistencyRuntime::status`]) after every poll, which is what
-//! `GET /admin/rules` serves.
+//! Every poll records its **drift** — scheduled due time to the moment
+//! a worker started sending, the measurable form of the fidelity the
+//! paper's Δ guarantees lose when polls fire late — into
+//! [`DriftHistogram`], served with the rest of [`RefreshMetrics`] under
+//! `refresh` in `GET /admin/stats`. [`ConsistencyRuntime::status`]
+//! (`GET /admin/rules`) is built from the scheduler under the same lock
+//! when asked, so it cannot lag a completed poll.
 
-use std::cmp::Ordering as CmpOrdering;
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex as StdMutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard, PoisonError};
 use std::time::{Duration as StdDuration, Instant, SystemTime, UNIX_EPOCH};
 
 use parking_lot::RwLock;
@@ -94,7 +97,8 @@ pub(crate) fn std_duration(d: Duration) -> StdDuration {
 
 /// One immutable snapshot of the refresh rules in force. Epochs are
 /// never mutated — a reload installs a fresh one with a bumped version.
-#[derive(Debug, Clone, PartialEq)]
+/// The default is the empty epoch 0, below any installed version.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RulesEpoch {
     /// Monotonically increasing version; starts at 1, bumped by every
     /// [`ConsistencyRuntime::install`].
@@ -143,10 +147,17 @@ pub(crate) fn limd_config(rule: &RefreshRule) -> Result<LimdConfig, ConfigError>
     LimdConfig::builder(rule.delta).ttr_max(rule.ttr_max).build()
 }
 
+/// Ceiling on Δ and on the group δ: a year. Nothing is usefully cached
+/// against a looser bound, and with `ttr_max` held to 64 times it (the
+/// default multiple) every `timestamp + TTR` on the millisecond timeline
+/// stays far from `u64` overflow.
+pub const MAX_DELTA: Duration = Duration::from_hours(365 * 24);
+
 /// Validates a rule set + group the way both [`crate::proxy::LiveProxy::start`]
 /// and the `PUT /admin/rules` endpoint require: unique paths that don't
-/// shadow control endpoints, per-rule LIMD configs that build cleanly
-/// (positive Δ, `ttr_max ≥ Δ`), and a positive group δ.
+/// shadow control endpoints, tolerances within [`MAX_DELTA`], per-rule
+/// LIMD configs that build cleanly (positive Δ, `ttr_max ≥ Δ`), and a
+/// positive group δ.
 ///
 /// # Errors
 ///
@@ -166,11 +177,20 @@ pub fn validate(rules: &[RefreshRule], group: Option<&GroupRule>) -> Result<(), 
         if !seen.insert(rule.path.as_str()) {
             return Err(format!("duplicate rule for {}", rule.path));
         }
+        if rule.delta > MAX_DELTA {
+            return Err(format!("rule for {}: delta exceeds {MAX_DELTA}", rule.path));
+        }
+        if rule.ttr_max > MAX_DELTA * 64 {
+            return Err(format!("rule for {}: ttr_max exceeds {}", rule.path, MAX_DELTA * 64));
+        }
         limd_config(rule).map_err(|e| format!("rule for {}: {e}", rule.path))?;
     }
     if let Some(group) = group {
         if group.delta.is_zero() {
             return Err("group delta must be positive".to_owned());
+        }
+        if group.delta > MAX_DELTA {
+            return Err(format!("group delta exceeds {MAX_DELTA}"));
         }
     }
     Ok(())
@@ -378,10 +398,6 @@ impl RefreshMetrics {
         self.drift.snapshot()
     }
 
-    fn set_workers(&self, n: u64) {
-        self.workers.store(n, Ordering::Relaxed);
-    }
-
     fn poll_started(&self, drift: StdDuration) {
         self.polls.fetch_add(1, Ordering::Relaxed);
         self.in_flight.fetch_add(1, Ordering::Relaxed);
@@ -395,65 +411,22 @@ impl RefreshMetrics {
         }
     }
 
-    fn note_triggered_coalesced(&self) {
-        self.triggered_coalesced.fetch_add(1, Ordering::Relaxed);
+    fn note_triggered_coalesced(&self, n: u64) {
+        self.triggered_coalesced.fetch_add(n, Ordering::Relaxed);
     }
 }
 
-/// The scheduler's parking spot. A `notify` that lands between a drain
-/// and the following `park` is latched in the flag, so wakeups are
-/// never lost to that gap.
-#[derive(Debug, Default)]
-struct WakeSignal {
-    pending: StdMutex<bool>,
-    cv: Condvar,
-}
-
-impl WakeSignal {
-    fn notify(&self) {
-        let mut pending = self.pending.lock().unwrap_or_else(PoisonError::into_inner);
-        *pending = true;
-        self.cv.notify_all();
-    }
-
-    /// Parks until notified, or until `timeout` elapses (`None` parks
-    /// indefinitely — safe only when some future event is guaranteed to
-    /// notify: a worker completion, an install, or shutdown's wake).
-    fn park(&self, timeout: Option<StdDuration>) {
-        let mut pending = self.pending.lock().unwrap_or_else(PoisonError::into_inner);
-        match timeout {
-            Some(t) => {
-                let deadline = Instant::now() + t;
-                while !*pending {
-                    let left = deadline.saturating_duration_since(Instant::now());
-                    if left.is_zero() {
-                        break;
-                    }
-                    pending = self
-                        .cv
-                        .wait_timeout(pending, left)
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .0;
-                }
-            }
-            None => {
-                while !*pending {
-                    pending = self.cv.wait(pending).unwrap_or_else(PoisonError::into_inner);
-                }
-            }
-        }
-        *pending = false;
-    }
-}
-
-/// The versioned, hot-swappable rules store plus the refresher's
-/// scheduling engine. See the module docs.
+/// The versioned, hot-swappable rules store plus the refresh plane's
+/// state machine and the lock its workers share. See the module docs.
 #[derive(Debug)]
 pub struct ConsistencyRuntime {
     epoch: RwLock<Arc<RulesEpoch>>,
-    status: RwLock<Vec<PathStatus>>,
     metrics: RefreshMetrics,
-    wake: WakeSignal,
+    /// The whole refresh state machine. Empty (epoch 0) until
+    /// [`ConsistencyRuntime::run`] adopts the first epoch.
+    core: StdMutex<Dispatcher>,
+    /// Where idle workers wait, with `core`, for work or shutdown.
+    work: Condvar,
 }
 
 impl ConsistencyRuntime {
@@ -466,9 +439,9 @@ impl ConsistencyRuntime {
         validate(&rules, group.as_ref())?;
         Ok(Arc::new(ConsistencyRuntime {
             epoch: RwLock::new(Arc::new(RulesEpoch::new(1, rules, group))),
-            status: RwLock::new(Vec::new()),
             metrics: RefreshMetrics::default(),
-            wake: WakeSignal::default(),
+            core: StdMutex::new(Dispatcher::default()),
+            work: Condvar::new(),
         }))
     }
 
@@ -487,17 +460,24 @@ impl ConsistencyRuntime {
         &self.metrics
     }
 
-    /// Wakes a parked [`ConsistencyRuntime::run`] scheduler. Installs
-    /// and worker completions call this internally; a shutdown caller
-    /// must call it after storing the flag, or the scheduler keeps
-    /// parking until its next natural wakeup.
+    fn lock(&self) -> MutexGuard<'_, Dispatcher> {
+        self.core.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Wakes every idle [`ConsistencyRuntime::run`] worker to look at
+    /// the epoch and the shutdown flag again. Installs call this
+    /// internally; a shutdown caller must call it after storing the
+    /// flag, or idle workers keep waiting for their next due instant.
     pub fn wake(&self) {
-        self.wake.notify();
+        // Through the lock, so the notify cannot fall between a
+        // worker's look at the epoch and the flag and its wait.
+        drop(self.lock());
+        self.work.notify_all();
     }
 
     /// Validates and atomically installs a new epoch, then wakes the
-    /// scheduler so adoption is immediate. The swap is the whole
-    /// reload: no thread restarts, no cache drop, no connection churn.
+    /// workers so adoption is immediate. The swap is the whole reload:
+    /// no thread restarts, no cache drop, no connection churn.
     ///
     /// # Errors
     ///
@@ -532,411 +512,258 @@ impl ConsistencyRuntime {
         };
         *slot = Arc::new(RulesEpoch::new(version, rules, group));
         drop(slot);
-        self.wake.notify();
+        self.wake();
         Ok(report)
     }
 
-    /// The per-path live state last published by the scheduler, sorted
-    /// by path. May lag the current epoch by the time it takes the
-    /// scheduler to wake and reconcile (one notify, no polling slice).
+    /// Every adopted path's live state, sorted by path, read from the
+    /// scheduler itself. Trails [`ConsistencyRuntime::current`] only by
+    /// the time a worker takes to wake and adopt an install.
     pub fn status(&self) -> Vec<PathStatus> {
-        self.status.read().clone()
-    }
-
-    /// Full status rebuild — reconcile-time only (rule sets change
-    /// rarely; polls are the hot path and use [`Self::publish_one`]).
-    fn publish(&self, sched: &Scheduler) {
-        let mut rows: Vec<PathStatus> = sched
+        let mut rows: Vec<PathStatus> = self
+            .lock()
+            .sched
             .scheds
             .iter()
-            .map(|(path, s)| status_row(path, s))
+            .map(|(path, s)| PathStatus {
+                path: path.to_string(),
+                delta: s.limd.config().delta(),
+                ttr_max: s.limd.config().ttr_max(),
+                ttr: s.limd.current_ttr(),
+                last_poll_unix_ms: s.limd.last_poll().map(Timestamp::as_millis),
+                polls: s.polls,
+                rule_epoch: s.rule_epoch,
+            })
             .collect();
+        // Sorted after the guard is gone: workers do not wait on it.
         rows.sort_by(|a, b| a.path.cmp(&b.path));
-        *self.status.write() = rows;
+        rows
     }
 
-    /// Upserts (or removes) one path's row in the sorted status vector —
-    /// O(log P) per poll instead of rebuilding and re-sorting all P
-    /// rows.
-    fn publish_one(&self, sched: &Scheduler, path: &str) {
-        let mut rows = self.status.write();
-        let at = rows.binary_search_by(|r| r.path.as_str().cmp(path));
-        match (sched.scheds.get(path), at) {
-            (Some(s), Ok(i)) => rows[i] = status_row(path, s),
-            (Some(s), Err(i)) => rows.insert(i, status_row(path, s)),
-            (None, Ok(i)) => {
-                rows.remove(i);
-            }
-            (None, Err(_)) => {}
-        }
-    }
-
-    /// The refresh plane: runs until `shutdown`, spawning `workers`
-    /// scoped poll workers (each owning the poller `make_poller` builds
-    /// for it — in the proxy, a dedicated origin connection) and
-    /// feeding them due paths over a bounded queue while this thread
-    /// keeps reconciling epochs and applying completions.
+    /// The refresh plane: runs until `shutdown` on exactly `workers`
+    /// scoped threads, each owning the poller `make_poller` builds for
+    /// it (in the proxy, a dedicated origin connection). The module
+    /// docs describe the loop, who waits on what, and shutdown.
     ///
-    /// A poller performs the actual origin round trip (and the cache
-    /// store, gated on [`ConsistencyRuntime::contains`] so a removed
-    /// path's in-flight poll cannot resurrect its entry); returning
-    /// `None` marks a network error and backs the path off briefly. A
-    /// path is never handed to two workers at once; Mt-triggered polls
-    /// dedupe per target and ride the same workers. `on_removed` fires
-    /// once per path a swap un-rules, as the scheduler adopts the new
-    /// epoch — the proxy evicts the path's cache entry there, so the
-    /// eviction happens for *every* install (HTTP PUT, SIGHUP reload,
-    /// or a direct [`ConsistencyRuntime::install`] caller), not just
-    /// the admin handler's. `on_adopted` fires once per epoch the
-    /// scheduler adopts, with the new version — the proxy bumps its
-    /// cache generation there, wholesale-invalidating every reactor's
-    /// L1 for the same "every install" guarantee.
-    ///
-    /// Shutdown: store the flag, then call [`ConsistencyRuntime::wake`].
-    /// Workers finish the polls already on the wire (their outcomes are
-    /// applied, not dropped) and queued-but-unstarted jobs are
-    /// discarded.
+    /// A poller performs the origin round trip (and the cache store,
+    /// gated on [`ConsistencyRuntime::contains`] so a removed path's late
+    /// poll cannot resurrect its entry); `None` marks a network error
+    /// and backs the path off briefly. `on_removed` fires once per path
+    /// a swap un-rules and `on_adopted` once per epoch adopted, whoever
+    /// installed it (HTTP PUT, SIGHUP reload, a direct
+    /// [`ConsistencyRuntime::install`]) — the proxy evicts the path's
+    /// cache entry in the first and bumps its cache generation in the
+    /// second. Both run under the plane's lock and must not call back
+    /// into `install`, `status` or `wake`.
     pub fn run<P>(
         &self,
         shutdown: &AtomicBool,
         workers: usize,
         mut make_poller: impl FnMut(usize) -> P,
-        mut on_removed: impl FnMut(&str),
-        mut on_adopted: impl FnMut(u64),
+        on_removed: impl FnMut(&str) + Send,
+        on_adopted: impl FnMut(u64) + Send,
     ) where
         P: FnMut(PollKind, &str) -> Option<PollResult> + Send,
     {
         let workers = workers.max(1);
-        self.metrics.set_workers(workers as u64);
-        // Twice the worker count keeps every worker busy without
-        // hoarding due paths in a queue where their drift only grows.
-        let queue = JobQueue::new(workers * 2);
-        let (done_tx, done_rx) = mpsc::channel::<Completion>();
-        let mut d = Dispatcher::new(Scheduler::new(self.current(), Instant::now()), &self.metrics);
-        self.publish(&d.sched);
+        self.metrics.workers.store(workers as u64, Ordering::Relaxed);
+        // The first epoch is not a swap: adopted here, without hooks.
+        self.lock().sched.reconcile(self.current(), Instant::now());
 
-        // Adopt any epoch installed since the last look, before
-        // dispatching or applying a completion against stale rules.
-        macro_rules! sync_epoch {
-            () => {{
-                let current = self.current();
-                if current.version != d.sched.epoch.version {
-                    for path in d.sched.reconcile(current, Instant::now()) {
-                        on_removed(&path);
-                    }
-                    on_adopted(d.sched.epoch.version);
-                    self.publish(&d.sched);
-                }
-            }};
-        }
+        // Whichever worker adopts a swap needs the `FnMut` hooks by
+        // `&mut`. Only taken with the core lock held: never contended.
+        let hooks = StdMutex::new((on_removed, on_adopted));
+        // Adopts any epoch installed since the last look, so that no job
+        // is handed out and no completion applied against stale rules.
+        let adopt = |core: &mut Dispatcher| {
+            let current = self.current();
+            if current.version == core.sched.epoch.version {
+                return;
+            }
+            let mut hooks = hooks.lock().unwrap_or_else(PoisonError::into_inner);
+            let (on_removed, on_adopted) = &mut *hooks;
+            for path in core.sched.reconcile(current, Instant::now()) {
+                on_removed(&path);
+            }
+            on_adopted(core.sched.epoch.version);
+        };
 
         std::thread::scope(|scope| {
             for worker in 0..workers {
                 let mut poller = make_poller(worker);
-                let queue = &queue;
-                let done_tx = done_tx.clone();
-                let metrics = &self.metrics;
-                let wake = &self.wake;
+                let adopt = &adopt;
                 scope.spawn(move || {
-                    while let Some(job) = queue.pop() {
-                        let drift = Instant::now().saturating_duration_since(job.due);
-                        metrics.poll_started(drift);
-                        let ts = unix_now();
-                        let result = poller(job.kind, &job.path);
-                        metrics.poll_finished(result.is_none());
-                        let delivered = done_tx
-                            .send(Completion {
-                                kind: job.kind,
-                                path: job.path,
-                                ts,
-                                result,
-                            })
-                            .is_ok();
-                        wake.notify();
-                        if !delivered {
+                    let mut core = self.lock();
+                    loop {
+                        adopt(&mut core);
+                        if shutdown.load(Ordering::SeqCst) {
                             break;
                         }
+                        let Some(job) = core.next_job(Instant::now()) else {
+                            // With nothing scheduled, forever: only a
+                            // completion (whose worker then looks for
+                            // work itself), an install or shutdown (which
+                            // notify) can create work.
+                            let left = core.next_wake().map_or(StdDuration::MAX, |at| {
+                                at.saturating_duration_since(Instant::now())
+                            });
+                            let waited = self.work.wait_timeout(core, left);
+                            core = waited.unwrap_or_else(PoisonError::into_inner).0;
+                            continue;
+                        };
+                        // While this worker is on the wire somebody else
+                        // has to watch the next due instant.
+                        self.work.notify_one();
+                        drop(core);
+
+                        self.metrics
+                            .poll_started(Instant::now().saturating_duration_since(job.due));
+                        // The timeline the LIMD/Mt state machines run
+                        // on: taken just before the poll hits the wire.
+                        let ts = unix_now();
+                        let result = poller(job.kind, &job.path);
+                        self.metrics.poll_finished(result.is_none());
+
+                        core = self.lock();
+                        // A swap may have landed meanwhile: adopt it
+                        // first, so that a since-removed path's outcome
+                        // is discarded.
+                        adopt(&mut core);
+                        let coalesced = core.complete(&job, ts, result.as_ref(), Instant::now());
+                        self.metrics.note_triggered_coalesced(coalesced);
                     }
+                    drop(core);
+                    // A poller may store the flag without a `wake`:
+                    // take the idle workers along.
+                    self.work.notify_all();
                 });
-            }
-            drop(done_tx);
-
-            loop {
-                sync_epoch!();
-                while let Ok(done) = done_rx.try_recv() {
-                    // The epoch may have been swapped while this poll
-                    // was on the wire; reconcile *before* touching
-                    // per-path state so a since-removed path's outcome
-                    // is discarded.
-                    sync_epoch!();
-                    d.complete(&done);
-                    self.publish_one(&d.sched, &done.path);
-                }
-                if shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                let wait = match d.dispatch(&queue) {
-                    Some(at) => {
-                        let now = Instant::now();
-                        if at <= now {
-                            continue; // became due since dispatch
-                        }
-                        Some(at - now)
-                    }
-                    // Only a completion, an install or shutdown can
-                    // create work, and each of them notifies.
-                    None => None,
-                };
-                self.wake.park(wait);
-            }
-
-            // Unstarted jobs die here; polls already on the wire finish
-            // and their outcomes are applied below, so a completed poll
-            // is never silently dropped.
-            queue.close();
-            while let Ok(done) = done_rx.recv() {
-                sync_epoch!();
-                d.complete(&done);
-                self.publish_one(&d.sched, &done.path);
             }
         });
     }
 }
 
-fn status_row(path: &str, s: &PathSched) -> PathStatus {
-    PathStatus {
-        path: path.to_owned(),
-        delta: s.limd.config().delta(),
-        ttr_max: s.limd.config().ttr_max(),
-        ttr: s.limd.current_ttr(),
-        last_poll_unix_ms: s.limd.last_poll().map(Timestamp::as_millis),
-        polls: s.polls,
-        rule_epoch: s.rule_epoch,
-    }
-}
-
-/// One unit of work handed to a poll worker.
+/// One poll handed to a worker.
 #[derive(Debug)]
 struct Job {
     kind: PollKind,
     path: Arc<str>,
-    /// When the poll was supposed to start — drift is measured against
-    /// this the instant a worker picks the job up.
+    /// When the poll was supposed to start; drift is measured from it.
     due: Instant,
 }
 
-/// A finished poll, reported back to the scheduler thread.
-#[derive(Debug)]
-struct Completion {
-    kind: PollKind,
-    path: Arc<str>,
-    /// Unix timestamp taken just before the poll hit the wire (the
-    /// timeline the LIMD/Mt state machines run on).
-    ts: Timestamp,
-    result: Option<PollResult>,
-}
-
-/// Bounded MPMC job queue between the scheduler and the poll workers.
-/// `try_push` never blocks (the scheduler must stay responsive);
-/// workers block in `pop` until a job or close arrives. Closing drops
-/// queued-but-unstarted jobs.
-#[derive(Debug)]
-struct JobQueue {
-    state: StdMutex<(VecDeque<Job>, bool)>,
-    ready: Condvar,
-    cap: usize,
-}
-
-impl JobQueue {
-    fn new(cap: usize) -> JobQueue {
-        JobQueue {
-            state: StdMutex::new((VecDeque::with_capacity(cap.max(1)), false)),
-            ready: Condvar::new(),
-            cap: cap.max(1),
-        }
-    }
-
-    fn try_push(&self, job: Job) -> Result<(), Job> {
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        if state.1 || state.0.len() >= self.cap {
-            return Err(job);
-        }
-        state.0.push_back(job);
-        self.ready.notify_one();
-        Ok(())
-    }
-
-    fn pop(&self) -> Option<Job> {
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if state.1 {
-                return None;
-            }
-            if let Some(job) = state.0.pop_front() {
-                return Some(job);
-            }
-            state = self
-                .ready
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    fn close(&self) {
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        state.1 = true;
-        state.0.clear();
-        self.ready.notify_all();
-    }
-}
-
-/// The scheduler thread's dispatch state: which paths are on the wire,
-/// which Mt triggers are waiting for a worker, and the due-queue
-/// scheduler itself. Split from the I/O loop so dedupe/coalescing
-/// semantics are unit-testable without threads.
-struct Dispatcher<'a> {
+/// The state machine the workers share: the scheduler, which paths are
+/// on the wire and which Mt triggers wait for a worker. Clock-free.
+#[derive(Debug, Default)]
+struct Dispatcher {
     sched: Scheduler,
-    /// Paths currently handed to a worker — never dispatch a second
-    /// poll for any of these.
-    in_flight: HashSet<Arc<str>>,
-    /// Mt-triggered targets waiting for queue space, FIFO.
+    /// Paths on the wire — never handed out a second time — each with
+    /// the due entry that surfaced for it meanwhile, if one did. Kept
+    /// off the heap until the poll completes, so a hung origin path
+    /// hides nobody else's due time.
+    in_flight: HashMap<Arc<str>, Option<DueEntry>>,
+    /// Mt-triggered targets waiting for a worker, FIFO, each with the
+    /// instant it was asked for.
     trig_queue: VecDeque<(Arc<str>, Instant)>,
     /// The set view of `trig_queue`, for O(1) dedupe.
     trig_pending: HashSet<Arc<str>>,
-    metrics: &'a RefreshMetrics,
 }
 
-impl<'a> Dispatcher<'a> {
-    fn new(sched: Scheduler, metrics: &'a RefreshMetrics) -> Dispatcher<'a> {
-        Dispatcher {
-            sched,
-            in_flight: HashSet::new(),
-            trig_queue: VecDeque::new(),
-            trig_pending: HashSet::new(),
-            metrics,
-        }
-    }
-
-    /// Applies one finished poll to the scheduling state.
-    fn complete(&mut self, done: &Completion) {
-        self.in_flight.remove(&*done.path);
-        match done.kind {
-            PollKind::Scheduled => match &done.result {
-                Some(result) => {
-                    let triggers = self.sched.on_poll(&done.path, done.ts, result);
-                    for target in triggers {
-                        self.enqueue_trigger(target.as_str());
-                    }
-                }
-                None => self.sched.on_error(&done.path, Instant::now()),
-            },
-            PollKind::Triggered => {
-                // A failed triggered poll is simply dropped: the
-                // target's own LIMD schedule still governs it.
-                if let Some(result) = &done.result {
-                    self.sched
-                        .on_triggered(&ObjectId::new(&done.path), done.ts, result);
-                }
-            }
-        }
-    }
-
-    /// Queues an Mt-triggered poll for `target`, deduping per target: a
-    /// poll already on the wire or already queued satisfies every
-    /// trigger that races in behind it.
-    fn enqueue_trigger(&mut self, target: &str) {
-        if self.in_flight.contains(target) || self.trig_pending.contains(target) {
-            self.metrics.note_triggered_coalesced();
-            return;
-        }
-        // Reuse the scheduler's Arc for the path — no allocation, and
-        // a target un-ruled since the coordinator learned of it is
-        // silently dropped.
-        let Some((key, _)) = self.sched.scheds.get_key_value(target) else {
-            return;
-        };
-        let key = Arc::clone(key);
-        self.trig_pending.insert(Arc::clone(&key));
-        self.trig_queue.push_back((key, Instant::now()));
-    }
-
-    /// Hands every dispatchable poll to the workers: queued triggers
-    /// first (they exist to restore mutual consistency *now*), then
-    /// every due scheduled path. Returns when the caller must dispatch
-    /// again unprompted; `None` means park until woken. A full queue
-    /// owes a completion, which wakes the caller, so anything sooner is
-    /// a spin. An entry deferred behind its own in-flight poll is owed
-    /// one too, but must not hide the other paths' due times: one hung
-    /// origin path would stall the whole fleet for the poll client's
-    /// timeout.
-    fn dispatch(&mut self, queue: &JobQueue) -> Option<Instant> {
-        let mut queue_full = false;
+impl Dispatcher {
+    /// The next poll to put on the wire at `now`, marked in flight:
+    /// queued triggers first (they restore mutual consistency *now*),
+    /// then the earliest due scheduled path that is free.
+    fn next_job(&mut self, now: Instant) -> Option<Job> {
+        // Nothing scheduled is handed out while a trigger waits, so a
+        // queued target (free when it was queued) is still free here.
         while let Some((path, due)) = self.trig_queue.pop_front() {
-            if !self.sched.epoch.contains(&path) {
-                self.trig_pending.remove(&path);
+            self.trig_pending.remove(&path);
+            if !self.sched.scheds.contains_key(&path) {
                 continue; // target un-ruled since the trigger fired
             }
-            if self.in_flight.contains(&path) {
-                // A poll for the target went on the wire after this
-                // trigger was queued; it satisfies the trigger.
-                self.trig_pending.remove(&path);
-                self.metrics.note_triggered_coalesced();
-                continue;
-            }
-            let job = Job {
+            self.in_flight.insert(Arc::clone(&path), None);
+            return Some(Job {
                 kind: PollKind::Triggered,
-                path: Arc::clone(&path),
+                path,
                 due,
-            };
-            match queue.try_push(job) {
-                Ok(()) => {
-                    self.trig_pending.remove(&path);
-                    self.in_flight.insert(path);
-                }
-                Err(_) => {
-                    self.trig_queue.push_front((path, due));
-                    queue_full = true;
-                    break;
-                }
-            }
+            });
         }
-        let now = Instant::now();
-        let mut deferred: Vec<DueEntry> = Vec::new();
         while let Some(entry) = self.sched.pop_due(now) {
-            if self.in_flight.contains(&entry.path) {
-                // Still on the wire (a slow origin outlasted the TTR,
-                // or a triggered poll covers it): park this entry
-                // behind the completion, which re-evaluates it.
-                deferred.push(entry);
+            if let Some(deferred) = self.in_flight.get_mut(&entry.path) {
+                // Still on the wire (a slow origin outlasted the TTR, a
+                // triggered poll covers it, or a swap made it due
+                // again): the completion re-evaluates this entry.
+                *deferred = Some(entry);
                 continue;
             }
-            let job = Job {
+            self.in_flight.insert(Arc::clone(&entry.path), None);
+            return Some(Job {
                 kind: PollKind::Scheduled,
-                path: Arc::clone(&entry.path),
+                path: entry.path,
                 due: entry.due,
-            };
-            match queue.try_push(job) {
-                Ok(()) => {
-                    self.in_flight.insert(Arc::clone(&entry.path));
+            });
+        }
+        None
+    }
+
+    /// When to call [`Dispatcher::next_job`] again after it returned
+    /// `None`: the earliest due time still on the heap, which is never
+    /// later than the earliest free path's. `None` means only a
+    /// completion or a reconcile can create work.
+    fn next_wake(&mut self) -> Option<Instant> {
+        self.sched.next_due_at()
+    }
+
+    /// Applies the outcome of `job`, sent at `ts` and finished at `now`
+    /// (`None` is a network error). Returns how many of the Mt triggers
+    /// it raised were coalesced into polls already queued or in flight.
+    fn complete(
+        &mut self,
+        job: &Job,
+        ts: Timestamp,
+        result: Option<&PollResult>,
+        now: Instant,
+    ) -> u64 {
+        if let Some(Some(deferred)) = self.in_flight.remove(&job.path) {
+            // Back first: a reschedule below outdates it, a triggered
+            // poll's completion leaves it to fire.
+            self.sched.due_queue.push(Reverse(deferred));
+        }
+        let mut coalesced = 0;
+        match (job.kind, result) {
+            (PollKind::Scheduled, Some(result)) => {
+                for target in self.sched.on_poll(&job.path, ts, result, now) {
+                    coalesced += u64::from(self.enqueue_trigger(target.as_str(), now));
                 }
-                Err(_) => {
-                    deferred.push(entry);
-                    queue_full = true;
-                    break;
+            }
+            (PollKind::Scheduled, None) => self.sched.on_error(&job.path, now),
+            // A triggered poll informs the coordinator alone (a failed
+            // one nobody): the target's own LIMD schedule still governs it.
+            (PollKind::Triggered, result) => {
+                if let (Some(coord), Some(result)) = (self.sched.coordinator.as_mut(), result) {
+                    coord.on_poll(&ObjectId::new(&job.path), ts, result);
                 }
             }
         }
-        // Read before the deferred entries go back: they are due in the
-        // past and would make the caller spin.
-        let next = if queue_full {
-            None
-        } else {
-            self.sched.next_due_at()
+        coalesced
+    }
+
+    /// Queues an Mt-triggered poll for `target`, asked for at `now`.
+    /// Returns `true` when it was coalesced instead: a poll already on
+    /// the wire or already queued satisfies every trigger that races in
+    /// behind it, and so does the target's own poll once it is due — it
+    /// is the next thing handed out, and a triggered poll an instant
+    /// before it would leave it a `304` that hides the update from LIMD.
+    fn enqueue_trigger(&mut self, target: &str, now: Instant) -> bool {
+        // Un-ruled since the coordinator learned of it: dropped.
+        let Some((key, sched)) = self.sched.scheds.get_key_value(target) else {
+            return false;
         };
-        for entry in deferred {
-            self.sched.requeue(entry);
+        if sched.due <= now || self.in_flight.contains_key(target) || self.trig_pending.contains(target) {
+            return true;
         }
-        next
+        self.trig_pending.insert(Arc::clone(key));
+        self.trig_queue.push_back((Arc::clone(key), now));
+        false
     }
 }
 
@@ -952,82 +779,37 @@ struct PathSched {
     rule_epoch: u64,
 }
 
-/// One due-queue entry. Ordered so [`BinaryHeap`] (a max-heap) surfaces
-/// the *earliest* `(due, path)` first — the exact tiebreak order the
-/// old O(P) scan used, which the 10k-path parity test pins down.
-#[derive(Debug, Clone)]
+/// One due-queue entry. Field order is the queue's order: the heap
+/// holds them [`Reverse`]d, so the *earliest* `(due, path)` surfaces
+/// first — the tiebreak the 10k-path parity test pins down.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 struct DueEntry {
     due: Instant,
     path: Arc<str>,
     gen: u64,
 }
 
-impl PartialEq for DueEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == CmpOrdering::Equal
-    }
-}
-
-impl Eq for DueEntry {}
-
-impl PartialOrd for DueEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<CmpOrdering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for DueEntry {
-    fn cmp(&self, other: &Self) -> CmpOrdering {
-        other
-            .due
-            .cmp(&self.due)
-            .then_with(|| other.path.cmp(&self.path))
-            .then_with(|| other.gen.cmp(&self.gen))
-    }
-}
-
-/// The refresher's scheduling engine, owned by the scheduler thread and
-/// reconciled against the shared epoch. Separated from the I/O loop so
-/// epoch semantics are unit-testable without sockets or sleeps.
-///
-/// The due queue is a binary heap with **lazy invalidation**: a
-/// reschedule pushes a fresh entry with a bumped generation instead of
-/// finding and fixing the old one; stale entries are discarded as they
-/// reach the top. Pop and peek are amortised O(log P), and popped
-/// entries hand out `Arc<str>` — the hot scheduling path allocates
-/// nothing.
-#[derive(Debug)]
+/// The refresher's scheduling engine: per-path LIMD state, the lazily
+/// invalidated due heap (see the module docs) and the Mt coordinator,
+/// reconciled against the shared epoch. Starts at the empty epoch 0, so
+/// the first [`Scheduler::reconcile`] always applies.
+#[derive(Debug, Default)]
 struct Scheduler {
     epoch: Arc<RulesEpoch>,
     scheds: HashMap<Arc<str>, PathSched>,
-    due_queue: BinaryHeap<DueEntry>,
+    due_queue: BinaryHeap<Reverse<DueEntry>>,
     next_gen: u64,
     coordinator: Option<MtCoordinator>,
 }
 
 impl Scheduler {
-    fn new(epoch: Arc<RulesEpoch>, now: Instant) -> Scheduler {
-        let mut sched = Scheduler {
-            epoch: Arc::new(RulesEpoch::new(0, Vec::new(), None)),
-            scheds: HashMap::new(),
-            due_queue: BinaryHeap::new(),
-            next_gen: 0,
-            coordinator: None,
-        };
-        sched.reconcile(epoch, now);
-        sched
-    }
-
-    /// Adopts a new epoch: unchanged paths keep their state, changed
-    /// paths rebuild from the new config (due immediately), removed
-    /// paths stop polling, added paths are due immediately. The Mt
+    /// Adopts a new epoch, path by path as the module docs say. The Mt
     /// coordinator survives only if both the group rule and the
     /// membership are unchanged (its per-member rate estimators remain
     /// valid then, and only then). Returns the paths that stopped being
-    /// ruled, for the caller's `on_removed` side effects.
-    ///
-    /// Heap entries for removed/changed paths are left behind and
-    /// invalidated by generation; O(changed) work here, not O(heap).
+    /// ruled, for the caller's `on_removed` side effects. Heap entries
+    /// for removed/changed paths are left behind and invalidated by
+    /// generation; O(changed) work here, not O(heap).
     fn reconcile(&mut self, new: Arc<RulesEpoch>, now: Instant) -> Vec<Arc<str>> {
         if new.version == self.epoch.version {
             return Vec::new();
@@ -1090,57 +872,45 @@ impl Scheduler {
         let sched = self.scheds.get_mut(path).expect("key just seen");
         sched.due = due;
         sched.gen = gen;
-        self.due_queue.push(DueEntry { due, path: key, gen });
-    }
-
-    /// Puts a still-valid popped entry back (dispatch deferred it).
-    fn requeue(&mut self, entry: DueEntry) {
-        self.due_queue.push(entry);
+        self.due_queue.push(Reverse(DueEntry { due, path: key, gen }));
     }
 
     /// When the earliest live entry is due, discarding stale tops.
     fn next_due_at(&mut self) -> Option<Instant> {
         loop {
-            let entry = self.due_queue.peek()?;
-            if self
-                .scheds
-                .get(&*entry.path)
-                .is_some_and(|s| s.gen == entry.gen)
-            {
+            let Reverse(entry) = self.due_queue.peek()?;
+            if self.scheds.get(&*entry.path).is_some_and(|s| s.gen == entry.gen) {
                 return Some(entry.due);
             }
             self.due_queue.pop();
         }
     }
 
-    /// Pops the earliest live entry if it is due by `now`; `(due,
-    /// path)` order, stale entries discarded along the way.
+    /// Pops the earliest live entry if it is due by `now`: `(due, path)`
+    /// order, stale entries discarded along the way.
     fn pop_due(&mut self, now: Instant) -> Option<DueEntry> {
-        loop {
-            let head = self.due_queue.peek()?;
-            if head.due > now {
-                return None;
-            }
-            let entry = self.due_queue.pop().expect("peeked just above");
-            if self
-                .scheds
-                .get(&*entry.path)
-                .is_some_and(|s| s.gen == entry.gen)
-            {
-                return Some(entry);
-            }
+        if self.next_due_at()? > now {
+            return None;
         }
+        self.due_queue.pop().map(|Reverse(entry)| entry)
     }
 
-    /// Feeds a scheduled poll's outcome; returns the Mt-triggered
-    /// targets. A path removed while its poll was in flight is a no-op.
-    fn on_poll(&mut self, path: &str, now_ts: Timestamp, result: &PollResult) -> Vec<ObjectId> {
+    /// Feeds the outcome of a scheduled poll sent at `now_ts` and
+    /// finished at `now`; returns the Mt-triggered targets. A path
+    /// removed while its poll was in flight is a no-op.
+    fn on_poll(
+        &mut self,
+        path: &str,
+        now_ts: Timestamp,
+        result: &PollResult,
+        now: Instant,
+    ) -> Vec<ObjectId> {
         let Some(sched) = self.scheds.get_mut(path) else {
             return Vec::new(); // rule removed mid-poll: outcome discarded
         };
         let decision = sched.limd.on_poll(now_ts, result);
         sched.polls += 1;
-        self.reschedule(path, Instant::now() + std_duration(decision.ttr));
+        self.reschedule(path, now + std_duration(decision.ttr));
         match self.coordinator.as_mut() {
             Some(coord) => {
                 let id = ObjectId::new(path);
@@ -1149,13 +919,6 @@ impl Scheduler {
                 triggers
             }
             None => Vec::new(),
-        }
-    }
-
-    /// Feeds a triggered poll's outcome to the coordinator.
-    fn on_triggered(&mut self, target: &ObjectId, now_ts: Timestamp, result: &PollResult) {
-        if let Some(coord) = self.coordinator.as_mut() {
-            coord.on_poll(target, now_ts, result);
         }
     }
 
@@ -1172,6 +935,7 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mutcon_core::limd::PollView;
     use mutcon_core::mutual::temporal::MtPolicy;
     use std::sync::atomic::AtomicU64;
 
@@ -1181,6 +945,19 @@ mod tests {
 
     fn epoch(version: u64, rules: Vec<RefreshRule>, group: Option<GroupRule>) -> Arc<RulesEpoch> {
         Arc::new(RulesEpoch::new(version, rules, group))
+    }
+
+    fn scheduler(epoch: Arc<RulesEpoch>, now: Instant) -> Scheduler {
+        let mut sched = Scheduler::default();
+        sched.reconcile(epoch, now);
+        sched
+    }
+
+    fn dispatcher(epoch: Arc<RulesEpoch>, now: Instant) -> Dispatcher {
+        Dispatcher {
+            sched: scheduler(epoch, now),
+            ..Dispatcher::default()
+        }
     }
 
     #[test]
@@ -1208,6 +985,17 @@ mod tests {
             policy: MtPolicy::TriggeredPolls,
         };
         assert!(validate(&ok, Some(&bad_group)).unwrap_err().contains("group"));
+
+        // The ceiling: Δ, ttr_max and group δ each refused just past it
+        // (a direct `RefreshRule::new` saturates instead of overflowing).
+        let over = MAX_DELTA + Duration::from_millis(1);
+        assert!(validate(&[RefreshRule::new("/a", MAX_DELTA)], None).is_ok());
+        let huge = [RefreshRule::new("/a", Duration::MAX)];
+        assert!(validate(&huge, None).unwrap_err().contains("delta exceeds"));
+        let long_ttr = [rule("/a", 10).ttr_max(MAX_DELTA * 64 + Duration::from_millis(1))];
+        assert!(validate(&long_ttr, None).unwrap_err().contains("ttr_max exceeds"));
+        let wide_group = GroupRule { delta: over, ..bad_group };
+        assert!(validate(&ok, Some(&wide_group)).unwrap_err().contains("group delta exceeds"));
     }
 
     #[test]
@@ -1243,7 +1031,7 @@ mod tests {
     #[test]
     fn reconcile_preserves_unchanged_paths_and_rebuilds_changed_ones() {
         let now = Instant::now();
-        let mut sched = Scheduler::new(
+        let mut sched = scheduler(
             epoch(1, vec![rule("/keep", 10), rule("/change", 10), rule("/drop", 10)], None),
             now,
         );
@@ -1252,7 +1040,7 @@ mod tests {
         let mut ts = unix_now();
         for _ in 0..4 {
             ts += Duration::from_millis(50);
-            sched.on_poll("/keep", ts, &PollResult::NotModified);
+            sched.on_poll("/keep", ts, &PollResult::NotModified, now);
         }
         let grown = sched.scheds["/keep"].limd.current_ttr();
         assert!(grown > Duration::from_millis(10), "TTR must have grown");
@@ -1282,11 +1070,11 @@ mod tests {
     #[test]
     fn poll_for_a_removed_path_is_discarded() {
         let now = Instant::now();
-        let mut sched = Scheduler::new(epoch(1, vec![rule("/gone", 10)], None), now);
+        let mut sched = scheduler(epoch(1, vec![rule("/gone", 10)], None), now);
         sched.reconcile(epoch(2, vec![], None), now);
         // The in-flight poll's outcome arrives after the swap: no panic,
         // no state, no triggers — and the stale heap entry is discarded.
-        let triggers = sched.on_poll("/gone", unix_now(), &PollResult::NotModified);
+        let triggers = sched.on_poll("/gone", unix_now(), &PollResult::NotModified, now);
         assert!(triggers.is_empty());
         assert!(sched.scheds.is_empty());
         assert_eq!(sched.next_due_at(), None);
@@ -1300,14 +1088,16 @@ mod tests {
             policy: MtPolicy::TriggeredPolls,
         };
         let now = Instant::now();
-        let mut sched = Scheduler::new(
+        let mut sched = scheduler(
             epoch(1, vec![rule("/a", 10), rule("/b", 10)], Some(group)),
             now,
         );
         let ts = unix_now();
-        let triggers = sched.on_poll("/a", ts, &PollResult::modified(ts - Duration::from_millis(5)));
+        let triggers =
+            sched.on_poll("/a", ts, &PollResult::modified(ts - Duration::from_millis(5)), now);
         assert_eq!(triggers, vec![ObjectId::new("/b")]);
-        sched.on_triggered(&ObjectId::new("/b"), ts + Duration::from_millis(1), &PollResult::NotModified);
+        let coord = sched.coordinator.as_mut().unwrap();
+        coord.on_poll(&ObjectId::new("/b"), ts + Duration::from_millis(1), &PollResult::NotModified);
 
         // Same group, same membership, changed Δ on one path: the
         // coordinator (with its rate estimators) survives.
@@ -1416,7 +1206,7 @@ mod tests {
         // nothing about the heap order can ride on insertion order.
         let paths: Vec<String> = (0..10_000u64).map(|i| format!("/obj/{:05}", i * 7 % 10_000)).collect();
         let now = Instant::now();
-        let mut sched = Scheduler::new(
+        let mut sched = scheduler(
             epoch(1, paths.iter().map(|p| rule(p, 10)).collect(), None),
             now,
         );
@@ -1448,7 +1238,7 @@ mod tests {
     #[test]
     fn due_queue_stays_consistent_under_reconcile_churn() {
         let all: Vec<String> = (0..2_000).map(|i| format!("/p/{i:04}")).collect();
-        let mut sched = Scheduler::new(
+        let mut sched = scheduler(
             epoch(1, all.iter().map(|p| rule(p, 10)).collect(), None),
             Instant::now(),
         );
@@ -1500,129 +1290,225 @@ mod tests {
     }
 
     #[test]
-    fn job_queue_bounds_pushes_and_close_wakes_poppers() {
-        let job = |p: &str| Job {
-            kind: PollKind::Scheduled,
-            path: Arc::from(p),
-            due: Instant::now(),
-        };
-        let q = JobQueue::new(2);
-        assert!(q.try_push(job("/a")).is_ok());
-        assert!(q.try_push(job("/b")).is_ok());
-        assert!(q.try_push(job("/c")).is_err(), "cap 2 rejects the third job");
-        assert_eq!(&*q.pop().unwrap().path, "/a");
-        std::thread::scope(|scope| {
-            let popper = scope.spawn(|| {
-                let first = q.pop().map(|j| j.path.to_string());
-                // The second pop blocks on an empty queue until close.
-                (first, q.pop().is_none())
-            });
-            std::thread::sleep(StdDuration::from_millis(20));
-            q.close();
-            let (first, closed) = popper.join().unwrap();
-            assert_eq!(first.as_deref(), Some("/b"));
-            assert!(closed, "close must wake and release a blocked pop");
-        });
-        assert!(q.try_push(job("/d")).is_err(), "closed queue rejects pushes");
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
     fn dispatcher_dedupes_triggered_polls_per_target() {
-        let metrics = RefreshMetrics::default();
-        let mut d = Dispatcher::new(
-            Scheduler::new(epoch(1, vec![rule("/a", 10), rule("/b", 10)], None), Instant::now()),
-            &metrics,
-        );
-        d.enqueue_trigger("/b");
-        d.enqueue_trigger("/b"); // already queued: coalesced
-        assert_eq!(metrics.triggered_coalesced(), 1);
+        let now = Instant::now();
+        let due = now + StdDuration::from_millis(10);
+        let ts = Timestamp::from_millis(1_000);
+        let mut d = dispatcher(epoch(1, vec![rule("/a", 10), rule("/b", 10)], None), due);
+        assert!(!d.enqueue_trigger("/b", now));
+        assert!(d.enqueue_trigger("/b", now), "already queued: coalesced");
         assert_eq!(d.trig_queue.len(), 1);
-        d.in_flight.insert(Arc::from("/a"));
-        d.enqueue_trigger("/a"); // already on the wire: coalesced
-        assert_eq!(metrics.triggered_coalesced(), 2);
-        d.enqueue_trigger("/zzz"); // un-ruled target: dropped, not counted
-        assert_eq!(metrics.triggered_coalesced(), 2);
+        d.in_flight.insert(Arc::from("/a"), None);
+        assert!(d.enqueue_trigger("/a", now), "already on the wire: coalesced");
+        assert!(!d.enqueue_trigger("/zzz", now), "un-ruled target: dropped, not counted");
         assert_eq!(d.trig_queue.len(), 1);
 
-        // Dispatch hands the trigger to a worker ahead of scheduled
-        // work, and an in-flight path defers rather than double-polls.
-        let q = JobQueue::new(8);
-        let next = d.dispatch(&q);
-        let first = q.pop().unwrap();
-        assert_eq!(first.kind, PollKind::Triggered);
-        assert_eq!(&*first.path, "/b");
-        // /a (in flight) and /b (just dispatched) both deferred their
-        // scheduled due entries, and nothing else is scheduled: only a
-        // completion can create work.
-        assert_eq!(next, None);
+        // The trigger goes out ahead of scheduled work.
+        let first = d.next_job(due).unwrap();
+        assert_eq!((first.kind, &*first.path), (PollKind::Triggered, "/b"));
+        // Both on the wire, their own entries deferred behind them.
+        assert!(d.next_job(due).is_none());
+        assert_eq!(d.next_wake(), None);
+
+        // The triggered poll's completion leaves /b's own schedule alone:
+        // the deferred entry is back, a trigger now coalesces into it.
+        assert_eq!(d.complete(&first, ts, Some(&PollResult::NotModified), due), 0);
+        assert!(d.enqueue_trigger("/b", due), "its own poll is due: coalesced");
+        let second = d.next_job(due).unwrap();
+        assert_eq!((second.kind, &*second.path), (PollKind::Scheduled, "/b"));
+        assert_eq!(second.due, due);
     }
 
     /// A due entry deferred behind its own in-flight poll must not hide
     /// when the other paths are due.
     #[test]
     fn dispatcher_wakes_for_the_next_free_path_behind_a_deferred_one() {
-        let metrics = RefreshMetrics::default();
-        let q = JobQueue::new(8);
         let start = Instant::now();
-        let mut d = Dispatcher::new(
-            Scheduler::new(epoch(1, vec![rule("/free", 10), rule("/held", 10)], None), start),
-            &metrics,
-        );
-        assert_eq!(d.dispatch(&q), None, "both on the wire, nothing scheduled");
+        let ts = Timestamp::from_millis(1_000);
+        let mut d = dispatcher(epoch(1, vec![rule("/free", 10), rule("/held", 10)], None), start);
+        let free = d.next_job(start).unwrap();
+        let held = d.next_job(start).unwrap();
+        assert_eq!((&*free.path, &*held.path), ("/free", "/held"));
+        assert!(d.next_job(start).is_none());
+        assert_eq!(d.next_wake(), None, "both on the wire, nothing scheduled");
         // /free completes and is rescheduled one TTR out; /held stays on
         // the wire while a rule swap marks it due immediately.
-        d.complete(&Completion {
-            kind: PollKind::Scheduled,
-            path: Arc::from("/free"),
-            ts: unix_now(),
-            result: Some(PollResult::NotModified),
-        });
+        d.complete(&free, ts, Some(&PollResult::NotModified), start);
         d.sched.reschedule("/held", start);
         let free_due = d.sched.scheds["/free"].due;
         assert!(free_due > start);
 
-        assert_eq!(d.dispatch(&q), Some(free_due));
-        // The deferred entry is kept for /held's completion to re-evaluate.
-        assert_eq!(d.sched.next_due_at(), Some(start));
+        assert!(d.next_job(start).is_none(), "/held is not handed out twice");
+        assert_eq!(d.next_wake(), Some(free_due));
+        // The deferred entry waits for /held's completion.
+        assert!(d.in_flight["/held"].is_some());
         assert_eq!(d.in_flight.len(), 1);
     }
 
+    /// Seeded interleavings over the bare state machine in simulated
+    /// time: six paths in a triggered Mt group, up to three jobs on the
+    /// wire, random completion order and outcome, one path un-ruled and
+    /// later brought back.
     #[test]
-    fn dispatcher_never_double_polls_and_respects_queue_capacity() {
-        let metrics = RefreshMetrics::default();
-        let q = JobQueue::new(1);
-        let mut d = Dispatcher::new(
-            Scheduler::new(epoch(1, vec![rule("/a", 10), rule("/b", 10)], None), Instant::now()),
-            &metrics,
-        );
-        // Cap 1: only /a (path tiebreak) fits; /b defers behind the full
-        // queue, whose completion will wake the scheduler.
-        assert_eq!(d.dispatch(&q), None);
-        assert_eq!(d.in_flight.len(), 1);
-        assert!(d.in_flight.contains("/a"));
-        let job = q.pop().unwrap();
-        assert_eq!((&*job.path, job.kind), ("/a", PollKind::Scheduled));
+    fn dispatcher_model_never_double_polls_resurrects_or_starves() {
+        use mutcon_sim::rng::SimRng;
 
-        // Queue drained (but /a still on the wire): /b dispatches, /a
-        // must not be handed out a second time.
-        d.dispatch(&q);
-        assert_eq!(&*q.pop().unwrap().path, "/b");
-        assert_eq!(d.in_flight.len(), 2);
-
-        // Nothing due and both in flight: a no-op, no spin demanded.
-        assert_eq!(d.dispatch(&q), None);
-
-        // /a's completion clears it for future dispatch and reschedules
-        // it one TTR out.
-        d.complete(&Completion {
-            kind: PollKind::Scheduled,
-            path: Arc::from("/a"),
-            ts: unix_now(),
-            result: Some(PollResult::NotModified),
+        let group = Some(GroupRule {
+            delta: Duration::from_millis(20),
+            policy: MtPolicy::TriggeredPolls,
         });
-        assert!(!d.in_flight.contains("/a"));
-        assert!(d.sched.next_due_at().is_some());
+        let full: Vec<RefreshRule> = (0..6)
+            .map(|i| rule(&format!("/m{i}"), 10).ttr_max(Duration::from_millis(80)))
+            .collect();
+        let without: Vec<RefreshRule> = full.iter().filter(|r| r.path != "/m3").cloned().collect();
+        // Everything a completion may change, minus the in-flight set
+        // and the heap (which may take a stale deferred entry back).
+        let fingerprint = |d: &Dispatcher| {
+            format!("{:?} {:?} {:?}", d.sched.scheds, d.trig_queue, d.sched.coordinator)
+        };
+        let mut late_completions = 0;
+        for seed in 0..64 {
+            let mut rng = SimRng::seed_from_u64(seed);
+            let base = Instant::now();
+            let at = |ms: u64| base + StdDuration::from_millis(ms);
+            let unix = |ms: u64| Timestamp::from_millis(1_000_000 + ms);
+            let remove_at = rng.uniform_u64(100, 700);
+            let readd_at = remove_at + rng.uniform_u64(1, 200);
+            let mut d = dispatcher(epoch(1, full.clone(), group), at(0));
+            let mut on_wire: Vec<(Job, u64)> = Vec::new();
+            for t in 0..1_500 {
+                // One step, a simulated millisecond, is: completions in
+                // random order with random outcomes,
+                for _ in 0..on_wire.len() {
+                    if !rng.chance(0.5) {
+                        continue;
+                    }
+                    let pick = rng.uniform_u64(0, on_wire.len() as u64) as usize;
+                    let (job, sent) = on_wire.swap_remove(pick);
+                    let result = match rng.uniform_u64(0, 10) {
+                        0 => None,
+                        1..=3 => Some(PollResult::modified(unix(sent))),
+                        _ => Some(PollResult::NotModified),
+                    };
+                    if d.sched.epoch.contains(&job.path) {
+                        d.complete(&job, unix(sent), result.as_ref(), at(t));
+                    } else {
+                        late_completions += 1;
+                        let before = fingerprint(&d);
+                        assert_eq!(d.complete(&job, unix(sent), result.as_ref(), at(t)), 0);
+                        assert_eq!(fingerprint(&d), before, "seed {seed}: late completion of {}", job.path);
+                    }
+                }
+                // the swap if it is due (here, where triggers just raised
+                // for the path still wait for a worker),
+                if t == remove_at {
+                    let removed = d.sched.reconcile(epoch(2, without.clone(), group), at(t));
+                    assert_eq!(removed, vec![Arc::from("/m3")]);
+                }
+                if t == readd_at {
+                    assert!(d.sched.reconcile(epoch(3, full.clone(), group), at(t)).is_empty());
+                }
+                // and hand-outs, up to three on the wire.
+                while on_wire.len() < 3 && rng.chance(0.8) {
+                    let Some(job) = d.next_job(at(t)) else {
+                        // Nothing ready: every free path is due later
+                        // (one that is not has been lost, and starves),
+                        // and the wake instant covers the earliest.
+                        let earliest_free = d
+                            .sched
+                            .scheds
+                            .iter()
+                            .filter(|(p, _)| !d.in_flight.contains_key(&**p))
+                            .map(|(_, s)| s.due)
+                            .min();
+                        let wake = d.next_wake();
+                        if let Some(due) = earliest_free {
+                            assert!(due > at(t), "seed {seed} t {t}: a free path is overdue");
+                            assert!(wake.is_some_and(|w| w <= due), "seed {seed} t {t}: wake {wake:?}");
+                        }
+                        break;
+                    };
+                    assert!(d.sched.epoch.contains(&job.path), "seed {seed}: un-ruled {}", job.path);
+                    assert!(
+                        on_wire.iter().all(|(j, _)| j.path != job.path),
+                        "seed {seed} t {t}: {} handed out twice",
+                        job.path
+                    );
+                    assert!(job.due <= at(t));
+                    on_wire.push((job, t));
+                }
+            }
+            // Every path kept polling on its own schedule to the end.
+            for (path, s) in &d.sched.scheds {
+                assert!(s.polls >= 4, "seed {seed}: {path} polled {} times", s.polls);
+            }
+        }
+        assert!(late_completions > 0, "no seed completed a poll of the removed path late");
+    }
+
+    /// First instalment of "the live plane schedules like the simulator":
+    /// without a group, the state machine stepped through simulated time
+    /// with zero origin latency polls the four Table 2 traces at exactly
+    /// the instants `run_temporal` does under the same LIMD config.
+    #[test]
+    fn dispatcher_polls_the_table2_traces_at_the_simulators_instants() {
+        use mutcon_proxy::drivers::{run_temporal, TemporalPolicy, TemporalSimConfig};
+        use mutcon_proxy::OriginServer;
+        use mutcon_traces::NamedTrace;
+
+        let mut origin = OriginServer::new();
+        let mut until = Timestamp::from_millis(u64::MAX);
+        let mut rules = Vec::new();
+        for (i, named) in NamedTrace::TEMPORAL.iter().enumerate() {
+            let path = format!("/t{i}");
+            until = until.min(Timestamp::ZERO + named.duration());
+            origin.host(ObjectId::new(&path), named.generate());
+            // Δ = 10 min under a 60 min TTR ceiling, as in Figure 3.
+            rules.push(RefreshRule::new(path, Duration::from_mins(10)).ttr_max(Duration::from_mins(60)));
+        }
+        let ids: Vec<ObjectId> = rules.iter().map(|r| ObjectId::new(&r.path)).collect();
+        let sim = run_temporal(
+            &origin,
+            &ids,
+            &TemporalSimConfig {
+                policy: TemporalPolicy::Limd(limd_config(&rules[0]).unwrap()),
+                mutual: None,
+                until,
+            },
+        );
+
+        let base = Instant::now();
+        let mut d = dispatcher(epoch(1, rules, None), base);
+        let mut validators: HashMap<Arc<str>, Timestamp> = HashMap::new();
+        let mut polled: HashMap<Arc<str>, Vec<Timestamp>> = HashMap::new();
+        let mut t = Timestamp::ZERO;
+        while t <= until {
+            let now = base + std_duration(t.since(Timestamp::ZERO));
+            while let Some(job) = d.next_job(now) {
+                let object = origin.object(&ObjectId::new(&job.path)).unwrap();
+                let resp = object.poll(t, validators.get(&job.path).copied()).unwrap();
+                let result = match resp.as_view() {
+                    PollView::NotModified => PollResult::NotModified,
+                    PollView::Modified { last_modified, history } => {
+                        validators.insert(Arc::clone(&job.path), last_modified);
+                        PollResult::Modified {
+                            last_modified,
+                            history: history.map(<[Timestamp]>::to_vec),
+                        }
+                    }
+                };
+                polled.entry(Arc::clone(&job.path)).or_default().push(t);
+                d.complete(&job, t, Some(&result), now);
+            }
+            let wake = d.next_wake().expect("every path is rescheduled");
+            t = Timestamp::from_millis(wake.duration_since(base).as_millis() as u64);
+        }
+
+        for id in &ids {
+            let expected: Vec<Timestamp> = sim.logs[id].records().iter().map(|r| r.at).collect();
+            assert!(expected.len() > 100, "{id}: the trace must exercise LIMD");
+            assert_eq!(polled[id.as_str()], expected, "{id}: poll instants differ");
+        }
     }
 
     #[test]

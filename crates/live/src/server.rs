@@ -27,8 +27,8 @@
 //!
 //! *READING* feeds partial reads to the resumable
 //! [`mutcon_http::parse::RequestParser`]; a parsed request is handed to
-//! the [`Service`], which answers immediately (*WRITING*), after a delay
-//! (fault injection), or by fetching from an upstream origin. Upstream
+//! the [`Service`], which answers immediately (*WRITING*) or by
+//! fetching from an upstream origin. Upstream
 //! fetches go through the reactor's **keep-alive origin pool**
 //! ([`crate::upstream`]): identical concurrent misses coalesce onto one
 //! fetch (N waiters, one origin round trip), finished connections park
@@ -41,7 +41,7 @@
 //! each response is a reusable contiguous buffer (head + small inlined
 //! bodies) plus an optional shared body slice, gathered into one
 //! `writev(2)`. Cache hits arrive pre-serialized
-//! ([`ServiceResult::RespondPrepared`]) and never copy body bytes.
+//! ([`ServiceResult::RespondCacheable`]) and never copy body bytes.
 //! Connection buffers are recycled through a per-reactor pool, and the
 //! accept loop drains the whole backlog per listener wakeup with
 //! `accept4` (already-nonblocking sockets, one metrics store per
@@ -74,7 +74,8 @@ use mutcon_http::parse::{RequestParser, ResponseParser};
 use mutcon_http::types::StatusCode;
 use mutcon_sim::reactor::backend::{BackendCounters, EpollBackend};
 use mutcon_sim::reactor::{
-    connect_nonblocking, listen_reuseport, raise_nofile_limit, Event, Interest, Waker,
+    accept_nonblocking, connect_nonblocking, listen_reuseport, raise_nofile_limit, Event, Interest,
+    Waker,
 };
 
 use crate::cache::{L1Cache, L1Lookup, VersionedEntry};
@@ -84,7 +85,7 @@ use crate::overload::{
 };
 use crate::upstream::{AfterLeave, Job, JobId, PoolCore, Submit, MAX_CONNS_PER_ORIGIN};
 use crate::vectored::{
-    BufPool, FlushOutcome, FlushStats, WritePlan, WriteSink, INLINE_BODY, MAX_RETAINED_CAP,
+    BufPool, FlushOutcome, FlushStats, WritePlan, INLINE_BODY, MAX_RETAINED_CAP,
 };
 
 /// Default concurrent-connection bound per event loop (split evenly
@@ -196,18 +197,13 @@ pub enum ServiceResult {
     /// Write this response now.
     Respond(Response),
     /// Write this pre-serialized response now, sharing its body bytes
-    /// (the cache-hit fast path: no serialization, no body copy).
-    RespondPrepared(PreparedResponse),
-    /// Write this pre-serialized response now *and* refill the reactor's
-    /// L1 with the versioned copy it was built from — the shared-cache
+    /// (no serialization, no body copy), *and* refill the reactor's L1
+    /// with the versioned copy it was built from — the shared-cache
     /// hit path when a reactor-local L1 is configured
     /// ([`Service::l1_capacity`]). Subsequent requests for the same key
     /// are served from the L1 without touching any shard lock, until a
     /// version bump invalidates the copy.
     RespondCacheable(PreparedResponse, VersionedEntry),
-    /// Write this response after a delay, without blocking the reactor
-    /// (fault injection: the origin's `Stall` mode).
-    RespondAfter(Response, Duration),
     /// Fetch from an upstream server first; `finish` turns its response
     /// into the client's. The fetch goes through the reactor's
     /// keep-alive origin pool; identical concurrent fetches coalesce.
@@ -227,9 +223,7 @@ impl std::fmt::Debug for ServiceResult {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let name = match self {
             ServiceResult::Respond(_) => "Respond",
-            ServiceResult::RespondPrepared(_) => "RespondPrepared",
             ServiceResult::RespondCacheable(..) => "RespondCacheable",
-            ServiceResult::RespondAfter(..) => "RespondAfter",
             ServiceResult::Upstream { .. } => "Upstream",
             ServiceResult::Close => "Close",
         };
@@ -239,8 +233,7 @@ impl std::fmt::Debug for ServiceResult {
 
 /// Request handler plugged into an [`EventLoop`]. May run on several
 /// reactor threads concurrently, and must not block (upstream I/O goes
-/// through [`ServiceResult::Upstream`], delays through
-/// [`ServiceResult::RespondAfter`]).
+/// through [`ServiceResult::Upstream`]).
 pub trait Service: Send + Sync + 'static {
     /// Whether to keep a freshly accepted connection (fault injection
     /// hooks return `false` to drop it on arrival).
@@ -411,9 +404,9 @@ impl EngineMetrics {
     }
 
     /// Response bodies copied into a contiguous write buffer (small
-    /// inlined bodies and delayed fault-injection responses). The
-    /// prepared cache-hit path never increments this: its body is
-    /// always gathered from the shared cache allocation.
+    /// inlined bodies). The prepared cache-hit path never increments
+    /// this: its body is always gathered from the shared cache
+    /// allocation.
     pub fn body_copies(&self) -> u64 {
         self.body_copies.load(Ordering::Relaxed)
     }
@@ -636,7 +629,6 @@ impl EventLoop {
                 accepting: true,
                 last_sweep: Instant::now(),
                 freed_this_batch: Vec::new(),
-                delayed: 0,
                 pool: PoolCore::default(),
                 bufs: BufPool::new(),
                 driving: None,
@@ -722,8 +714,6 @@ enum Pending {
     None,
     /// An upstream fetch (pool job id).
     Upstream(JobId),
-    /// A deferred response (fault injection).
-    Delayed { at: Instant, response: Vec<u8> },
 }
 
 struct ClientState {
@@ -824,10 +814,6 @@ struct Reactor {
     /// closed connection's token can never be applied to a new
     /// connection occupying the same slot (it finds `None` instead).
     freed_this_batch: Vec<usize>,
-    /// Number of connections holding a `Pending::Delayed` response, so
-    /// the hot loop skips the timer scans entirely when (as in every
-    /// non-fault-injected run) there are none.
-    delayed: usize,
     /// The keep-alive origin pool ledger (see [`crate::upstream`]).
     pool: PoolCore<Waiting>,
     /// Recycled read/write buffers, handed to new connections instead
@@ -886,33 +872,14 @@ fn clone_err(e: &io::Error) -> io::Error {
     io::Error::new(e.kind(), e.to_string())
 }
 
-/// A [`WriteSink`] routing a connection's flush through the reactor's
-/// backend.
-struct BackendSink<'a> {
-    backend: &'a mut EpollBackend,
-    fd: std::os::fd::RawFd,
-}
-
-impl WriteSink for BackendSink<'_> {
-    fn write_one(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.backend.write(self.fd, buf)
-    }
-
-    fn write_two(&mut self, first: &[u8], second: &[u8]) -> io::Result<usize> {
-        self.backend.writev(self.fd, &[first, second])
-    }
-}
-
 impl Reactor {
     fn run(mut self) {
         let mut events: Vec<Event> = Vec::with_capacity(1024);
         while !self.shutdown.load(Ordering::SeqCst) {
-            let timeout = self.next_timeout();
-            if self.backend.wait(&mut events, Some(timeout)).is_err() {
+            if self.backend.wait(&mut events, Some(TICK)).is_err() {
                 break;
             }
             self.dispatch(&events);
-            self.fire_timers();
             self.sync_overload();
             self.check_park_deadline();
             self.publish_overload();
@@ -965,12 +932,11 @@ impl Reactor {
                 break;
             }
             self.dispatch(events);
-            self.fire_timers();
         }
     }
 
-    /// Whether any connection still owes work (unflushed response bytes,
-    /// a pending delayed response, or an upstream fetch in flight).
+    /// Whether any connection still owes work (unflushed response bytes
+    /// or an upstream fetch in flight).
     fn has_inflight(&self) -> bool {
         self.conns.iter().flatten().any(|conn| match &conn.kind {
             Kind::Client(client) => {
@@ -978,25 +944,6 @@ impl Reactor {
             }
             Kind::Upstream(up) => up.job.is_some(),
         })
-    }
-
-    /// The wait bound: the nearest delayed-response deadline, else the
-    /// housekeeping tick. O(1) unless fault injection has responses
-    /// actually pending.
-    fn next_timeout(&self) -> Duration {
-        if self.delayed == 0 {
-            return TICK;
-        }
-        let now = Instant::now();
-        let mut timeout = TICK;
-        for conn in self.conns.iter().flatten() {
-            if let Kind::Client(client) = &conn.kind {
-                if let Pending::Delayed { at, .. } = &client.pending {
-                    timeout = timeout.min(at.saturating_duration_since(now));
-                }
-            }
-        }
-        timeout
     }
 
     fn alloc_slot(&mut self) -> usize {
@@ -1036,7 +983,7 @@ impl Reactor {
         let mut reused: u64 = 0;
         let mut allocated: u64 = 0;
         while self.accepting {
-            match self.backend.accept(&self.listener) {
+            match accept_nonblocking(&self.listener) {
                 Ok(stream) => {
                     if !self.service.accept_connection() {
                         continue; // dropped on arrival (fault injection)
@@ -1134,12 +1081,11 @@ impl Reactor {
     /// request/response state machine.
     fn client_readable(&mut self, idx: usize) {
         let Some(conn) = self.conns[idx].as_mut() else { return };
-        let fd = conn.stream.as_raw_fd();
         let Kind::Client(client) = &mut conn.kind else { return };
         let mut saw_eof = false;
         let mut chunk = [0u8; 16 * 1024];
         while client.read_buf.len() < MAX_BUFFERED {
-            match self.backend.read(fd, &mut chunk) {
+            match (&conn.stream).read(&mut chunk) {
                 Ok(0) => {
                     saw_eof = true;
                     break;
@@ -1249,29 +1195,12 @@ impl Reactor {
                         return false;
                     }
                 }
-                ServiceResult::RespondPrepared(prepared) => {
-                    self.queue_prepared(idx, prepared);
-                    if !self.flush_client(idx) {
-                        return false;
-                    }
-                }
                 ServiceResult::RespondCacheable(prepared, versioned) => {
                     self.l1_refill(&request, versioned);
                     self.queue_prepared(idx, prepared);
                     if !self.flush_client(idx) {
                         return false;
                     }
-                }
-                ServiceResult::RespondAfter(response, delay) => {
-                    let wire = self.response_bytes(idx, response);
-                    let Some(conn) = self.conns[idx].as_mut() else { return false };
-                    let Kind::Client(client) = &mut conn.kind else { return false };
-                    client.pending = Pending::Delayed {
-                        at: Instant::now() + delay,
-                        response: wire,
-                    };
-                    self.delayed += 1;
-                    return true;
                 }
                 ServiceResult::Upstream {
                     addr,
@@ -1307,32 +1236,6 @@ impl Reactor {
         }
     }
 
-    /// Serializes a response for `idx` fully (head *and* body into one
-    /// `Vec`), honoring a pending `Connection: close` by marking it on
-    /// the response. Only the delayed fault-injection path pays this
-    /// copy; live responses go through [`Reactor::queue_response`] /
-    /// [`Reactor::queue_prepared`].
-    fn response_bytes(&mut self, idx: usize, mut response: Response) -> Vec<u8> {
-        self.note_response_status(idx, response.status().as_u16());
-        let closing = matches!(
-            self.conns.get(idx).and_then(Option::as_ref),
-            Some(Conn {
-                kind: Kind::Client(ClientState {
-                    close_after_write: true,
-                    ..
-                }),
-                ..
-            })
-        );
-        if closing {
-            mutcon_http::connection::set_close(response.headers_mut());
-        }
-        if !response.body().is_empty() {
-            self.metrics.body_copies.fetch_add(1, Ordering::Relaxed);
-        }
-        response.to_bytes()
-    }
-
     /// Writes as much of the pending response as the socket accepts —
     /// gathering the contiguous buffer and any shared body slice into
     /// one `writev` — and merges the flush's syscall tallies into the
@@ -1341,16 +1244,11 @@ impl Reactor {
         let mut stats = FlushStats::default();
         let outcome = {
             let Some(conn) = self.conns[idx].as_mut() else { return false };
-            let fd = conn.stream.as_raw_fd();
             let Kind::Client(client) = &mut conn.kind else { return false };
             if client.write.is_idle() {
                 return true;
             }
-            let mut sink = BackendSink {
-                backend: &mut self.backend,
-                fd,
-            };
-            let outcome = client.write.flush(&mut sink, MAX_RETAINED_CAP, &mut stats);
+            let outcome = client.write.flush(&mut conn.stream, MAX_RETAINED_CAP, &mut stats);
             if matches!(outcome, Ok(FlushOutcome::Done)) {
                 conn.last_activity = Instant::now();
                 // A half-closed peer may still have pipelined requests
@@ -1638,7 +1536,6 @@ impl Reactor {
         // bytes in the pool's job.
         let (conns, pool) = (&mut self.conns, &self.pool);
         let Some(conn) = conns[idx].as_mut() else { return };
-        let fd = conn.stream.as_raw_fd();
         let Kind::Upstream(up) = &mut conn.kind else { return };
         if !up.connected {
             // Writability concludes the nonblocking connect; SO_ERROR
@@ -1659,7 +1556,7 @@ impl Reactor {
         };
         let mut broken: Option<io::Error> = None;
         while up.written < request.len() {
-            match self.backend.write(fd, &request[up.written..]) {
+            match (&conn.stream).write(&request[up.written..]) {
                 Ok(0) => {
                     broken = Some(io::Error::new(
                         io::ErrorKind::WriteZero,
@@ -1690,7 +1587,6 @@ impl Reactor {
 
     fn upstream_readable(&mut self, idx: usize) {
         let Some(conn) = self.conns[idx].as_mut() else { return };
-        let fd = conn.stream.as_raw_fd();
         let Kind::Upstream(up) = &mut conn.kind else { return };
         if up.job.is_none() {
             // A parked idle connection turned readable: the origin
@@ -1703,7 +1599,7 @@ impl Reactor {
         let mut saw_eof = false;
         let mut chunk = [0u8; 16 * 1024];
         loop {
-            match self.backend.read(fd, &mut chunk) {
+            match (&conn.stream).read(&mut chunk) {
                 Ok(0) => {
                     saw_eof = true;
                     break;
@@ -1864,41 +1760,6 @@ impl Reactor {
         self.resume_client(idx);
     }
 
-    /// Fires due delayed responses.
-    fn fire_timers(&mut self) {
-        if self.delayed == 0 {
-            return;
-        }
-        let now = Instant::now();
-        let due: Vec<usize> = self
-            .conns
-            .iter()
-            .enumerate()
-            .filter_map(|(idx, conn)| {
-                let conn = conn.as_ref()?;
-                match &conn.kind {
-                    Kind::Client(ClientState {
-                        pending: Pending::Delayed { at, .. },
-                        ..
-                    }) if *at <= now => Some(idx),
-                    _ => None,
-                }
-            })
-            .collect();
-        for idx in due {
-            let Some(conn) = self.conns[idx].as_mut() else { continue };
-            let Kind::Client(client) = &mut conn.kind else { continue };
-            let Pending::Delayed { response, .. } =
-                std::mem::replace(&mut client.pending, Pending::None)
-            else {
-                continue;
-            };
-            self.delayed -= 1;
-            client.write.buf_mut().extend_from_slice(&response);
-            self.resume_client(idx);
-        }
-    }
-
     /// Closes connections that have made no progress in a long time and
     /// reaps long-idle pooled origin sockets.
     fn sweep_idle(&mut self) {
@@ -1973,7 +1834,6 @@ impl Reactor {
                         AfterLeave::Dropped => {}
                     }
                 }
-                Pending::Delayed { .. } => self.delayed -= 1,
                 Pending::None => {}
             }
             self.recycle_client_bufs(client);
@@ -2149,7 +2009,7 @@ impl Reactor {
         );
         let mut shed: u64 = 0;
         while (shed as usize) < PARK_SHED_BATCH {
-            match self.backend.accept(&self.listener) {
+            match accept_nonblocking(&self.listener) {
                 Ok(stream) => {
                     // Best effort: the head fits any fresh socket's send
                     // buffer; a peer that raced away just gets the close.
@@ -2315,41 +2175,6 @@ mod tests {
             assert_eq!(resp.status(), StatusCode::OK);
             assert_eq!(&resp.body()[..], format!("/conn/{i}").as_bytes());
         }
-    }
-
-    #[test]
-    fn delayed_responses_do_not_block_other_connections() {
-        struct Sleepy;
-        impl Service for Sleepy {
-            fn respond(&self, request: &Request) -> ServiceResult {
-                if request.target() == "/slow" {
-                    ServiceResult::RespondAfter(
-                        Response::ok().body(&b"slow"[..]).build(),
-                        Duration::from_millis(300),
-                    )
-                } else {
-                    ServiceResult::Respond(Response::ok().body(&b"fast"[..]).build())
-                }
-            }
-        }
-        let server = EventLoop::start("test-sleepy", Arc::new(Sleepy), engine(64, 1)).unwrap();
-
-        let mut slow = TcpStream::connect(server.local_addr()).unwrap();
-        slow.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        write_request(&mut slow, &Request::get("/slow").build()).unwrap();
-
-        // While the slow response is pending, a fast one must complete.
-        let started = Instant::now();
-        let fast = get(server.local_addr(), "/fast").unwrap();
-        assert_eq!(&fast.body()[..], b"fast");
-        assert!(
-            started.elapsed() < Duration::from_millis(250),
-            "fast request was stalled behind the delayed one"
-        );
-
-        let mut buf = BytesMut::new();
-        let resp = read_response(&mut slow, &mut buf).unwrap();
-        assert_eq!(&resp.body()[..], b"slow");
     }
 
     #[test]

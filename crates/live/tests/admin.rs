@@ -331,6 +331,58 @@ fn bad_rules_are_rejected_by_put_and_by_start() {
     assert_eq!(resp.status(), StatusCode::METHOD_NOT_ALLOWED);
 }
 
+/// Bodies that used to take the reactor thread down are refused with a
+/// reason: nesting past the parser's limit (a stack overflow) and
+/// tolerances past the ceiling (64·Δ overflowed). With one reactor, the
+/// `GET` on a fresh connection after each is the proof it lives.
+#[test]
+fn hostile_rules_bodies_are_refused_without_hurting_the_reactor() {
+    let origin = ScriptedOrigin::start(FakeClock::new());
+    let proxy = proxy_with(
+        &origin,
+        vec![RefreshRule::new("/obj", Duration::from_millis(500))],
+        1,
+    );
+    // Nested deep enough to run a recursive parser out of stack.
+    let deep = "[".repeat(200_000);
+    for (body, needle) in [
+        (deep.as_str(), "nested too deeply"),
+        (
+            r#"{"rules": [{"path": "/a", "delta_ms": 1000000000000000000}]}"#,
+            "delta exceeds",
+        ),
+        (
+            r#"{"rules": [{"path": "/a", "delta_ms": 5, "ttr_max_ms": 18000000000000000000}]}"#,
+            "ttr_max exceeds",
+        ),
+        (
+            r#"{"rules": [], "group": {"delta_ms": 1000000000000000000}}"#,
+            "group delta exceeds",
+        ),
+    ] {
+        let (status, parsed) = put_rules(&proxy, body);
+        assert_eq!(status, StatusCode::BAD_REQUEST, "{needle}");
+        let reason = parsed.get("error").unwrap().as_str().unwrap();
+        assert!(reason.contains(needle), "{reason:?} lacks {needle:?}");
+        let doc = admin_get(&proxy, "/admin/rules");
+        assert_eq!(doc.get("epoch").unwrap().as_u64(), Some(1), "{needle}");
+    }
+}
+
+/// A cache bound of zero objects is a config error like every other bad
+/// setting, not a panic.
+#[test]
+fn a_zero_object_cache_is_rejected_at_start() {
+    let origin = ScriptedOrigin::start(FakeClock::new());
+    let err = LiveProxy::start(ProxyConfig {
+        cache_objects: Some(0),
+        ..ProxyConfig::new(origin.addr())
+    })
+    .expect_err("a zero-object cache must be rejected at start");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    assert!(err.to_string().contains("cache_objects"));
+}
+
 /// `GET /admin/stats` reports the threaded-through counters: per-shard
 /// cache state, per-reactor connections, origin-pool activity.
 #[test]

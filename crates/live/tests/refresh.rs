@@ -1,11 +1,12 @@
-//! Concurrency scenarios for the refresh plane: the scheduler thread
-//! plus its pool of poll workers, driven by the in-process harness
-//! (fake clock + scripted origin; see `harness/`).
+//! Concurrency scenarios for the refresh plane: the poll workers and
+//! the one lock they share, driven by the in-process harness (fake
+//! clock + scripted origin; see `harness/`).
 //!
 //! Every scenario pins `refresh_workers` explicitly.
 
 mod harness;
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration as StdDuration, Instant};
 
 use harness::{stamp_of, Behavior, FakeClock, ScriptedOrigin};
@@ -247,6 +248,91 @@ fn a_removed_path_is_not_resurrected_by_its_in_flight_poll() {
         "removed path must vanish from the live status"
     );
     drop(proxy);
+}
+
+/// `status()` is read from the scheduler under the workers' lock, so a
+/// snapshot taken while four workers poll and rule sets swap underneath
+/// is always one whole epoch: sorted, duplicate-free, and exactly one of
+/// the two path sets — never a blend, never a path from the other set.
+#[test]
+fn status_is_a_whole_epoch_while_rule_sets_swap_under_four_workers() {
+    // 64 paths each, half of them shared; both in ascending order.
+    let paths = |range: std::ops::Range<u32>| -> Vec<String> {
+        range.map(|i| format!("/s{i:03}")).collect()
+    };
+    let rules = |paths: &[String]| -> Vec<RefreshRule> {
+        paths
+            .iter()
+            .map(|p| RefreshRule::new(p.clone(), Duration::from_millis(5)))
+            .collect()
+    };
+    let (paths_one, paths_two) = (paths(0..64), paths(32..96));
+    let (one, two) = (rules(&paths_one), rules(&paths_two));
+
+    let origin = ScriptedOrigin::start(FakeClock::new());
+    let refs: Vec<&str> = paths_one.iter().map(String::as_str).collect();
+    let proxy = refresh_proxy(&origin, 4, &refs, 5);
+    let runtime = proxy.runtime();
+    wait_until("the first epoch to be adopted", || !runtime.status().is_empty());
+
+    let stop = AtomicBool::new(false);
+    let snapshots = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            for round in 0.. {
+                if stop.load(Ordering::SeqCst) {
+                    break;
+                }
+                let next = if round % 2 == 0 { &two } else { &one };
+                runtime.install(next.clone(), None).expect("valid rules");
+                std::thread::sleep(StdDuration::from_millis(3));
+            }
+        });
+        let reader = scope.spawn(|| {
+            let mut seen = [0u32; 2];
+            let deadline = Instant::now() + StdDuration::from_millis(600);
+            while Instant::now() < deadline {
+                let snapshot: Vec<String> = runtime.status().into_iter().map(|s| s.path).collect();
+                // Equality with an ascending list covers sortedness and
+                // duplicates too.
+                if snapshot == paths_one {
+                    seen[0] += 1;
+                } else if snapshot == paths_two {
+                    seen[1] += 1;
+                } else {
+                    panic!("a snapshot that is neither rule set: {snapshot:?}");
+                }
+            }
+            stop.store(true, Ordering::SeqCst);
+            seen
+        });
+        reader.join().expect("reader")
+    });
+    assert!(
+        snapshots[0] > 0 && snapshots[1] > 0,
+        "the reader must have seen both epochs: {snapshots:?}"
+    );
+    assert!(proxy.stats().polls > 0, "the workers kept polling throughout");
+    drop(proxy);
+}
+
+/// With no rules every worker waits on the condvar with no deadline;
+/// only the drop's wake can end that, and it must reach all of them.
+#[test]
+fn a_proxy_whose_workers_are_all_parked_drops_promptly() {
+    let origin = ScriptedOrigin::start(FakeClock::new());
+    let proxy = refresh_proxy(&origin, 4, &[], 10);
+    wait_until("the workers to start", || {
+        proxy.runtime().refresh_metrics().workers() == 4
+    });
+    // Let all four reach their wait.
+    std::thread::sleep(StdDuration::from_millis(50));
+    let dropped = Instant::now();
+    drop(proxy);
+    assert!(
+        dropped.elapsed() < StdDuration::from_millis(500),
+        "dropping an idle proxy took {:?}",
+        dropped.elapsed()
+    );
 }
 
 /// Client reads racing the worker pool never observe time running

@@ -231,6 +231,12 @@ impl Sim<'_> {
             None => Vec::new(),
         };
         for target in triggers {
+            // This list was taken before the recursion below ran: with
+            // three or more members, an earlier target's own cascade may
+            // already have polled this one at `now`.
+            if self.logs[target as usize].records().last().is_some_and(|r| r.at == now) {
+                continue;
+            }
             self.triggered_instants.push(now);
             // Same-instant recursion terminates: once polled at `now`, an
             // object's last-poll suppresses any further trigger at `now`.
@@ -361,6 +367,39 @@ mod tests {
         assert!(!out.triggered_instants.is_empty());
         // Triggered records are flagged.
         assert!(out.logs[&b].records().iter().any(|r| r.triggered));
+    }
+
+    /// Three objects that change together: a's poll triggers b and c, and
+    /// b's triggered poll (b changed too) cascades to c before the outer
+    /// loop reaches it. One triggered poll per object per instant is all
+    /// §3.2 asks. (A regular poll may still share the instant: the three
+    /// schedules here are identical.)
+    #[test]
+    fn a_cascade_triggers_each_group_member_once_per_instant() {
+        let (mut origin, a) = regular_origin("a", 30);
+        let mut ids = vec![a.clone()];
+        for name in ["b", "c"] {
+            let id = ObjectId::new(name);
+            origin.host(id.clone(), origin.trace(&a).unwrap().clone());
+            ids.push(id);
+        }
+        let config = TemporalSimConfig {
+            policy: TemporalPolicy::Limd(limd_config(10)),
+            mutual: Some(MutualSetup {
+                delta: Duration::from_mins(2),
+                policy: MtPolicy::TriggeredPolls,
+            }),
+            until: mins(600),
+        };
+        let out = run_temporal(&origin, &ids, &config);
+        assert!(out.total_triggered() > 0);
+        for id in &ids {
+            let triggered: Vec<Timestamp> =
+                out.logs[id].records().iter().filter(|r| r.triggered).map(|r| r.at).collect();
+            for pair in triggered.windows(2) {
+                assert!(pair[0] < pair[1], "{id} triggered twice at {}", pair[1]);
+            }
+        }
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! The live engine's I/O path: [`EpollBackend`].
 //!
-//! The live engine (`mutcon_live::server`) drives every fd operation —
-//! register/interest/deregister/wait/accept/read/write/writev/wake —
-//! through [`EpollBackend`] instead of calling [`Poller`](super::Poller)
-//! directly. It is the classic level-triggered epoll reactor with
+//! The live engine (`mutcon_live::server`) drives readiness —
+//! register/interest/deregister/wait/wake — through [`EpollBackend`]
+//! instead of calling [`Poller`](super::Poller) directly; the data
+//! calls (`accept4`, `read`, `write`, `writev`) it makes on the sockets
+//! themselves. It is the classic level-triggered epoll reactor with
 //! **lazy, coalesced interest tracking**: interest changes land in a
 //! per-token [`InterestLedger`] cell and only the net desired-vs-kernel
 //! diff is flushed as `epoll_ctl(MOD)` once per event-loop turn, so a
@@ -11,11 +12,10 @@
 //! syscalls per request costs zero.
 
 use std::io;
-use std::net::{TcpListener, TcpStream};
 use std::os::fd::RawFd;
 use std::time::Duration;
 
-use super::{accept_nonblocking, cvt, sys, Event, Events, Interest, Poller, Waker};
+use super::{cvt, sys, Event, Events, Interest, Poller, Waker};
 
 /// The reactor's I/O path. One variant: the name stays only because
 /// `benchmark/` (read-only here) still takes a `--backend` flag.
@@ -85,9 +85,8 @@ pub struct InterestLedger {
 struct Cell {
     fd: RawFd,
     desired: Interest,
-    /// What the kernel currently has; `None` until the first flush (or
-    /// eager registration) applies the ADD.
-    registered: Option<Interest>,
+    /// What the kernel currently has.
+    registered: Interest,
     dirty: bool,
 }
 
@@ -97,34 +96,17 @@ impl InterestLedger {
         InterestLedger::default()
     }
 
-    fn ensure(&mut self, token: usize) {
-        if token >= self.cells.len() {
-            self.cells.resize_with(token + 1, || None);
-        }
-    }
-
-    /// Tracks `token` with the kernel registration still pending; the
-    /// next [`InterestLedger::flush`] applies it.
-    pub fn insert(&mut self, token: usize, fd: RawFd, interest: Interest) {
-        self.ensure(token);
-        self.cells[token] = Some(Cell {
-            fd,
-            desired: interest,
-            registered: None,
-            dirty: true,
-        });
-        self.dirty.push(token);
-    }
-
     /// Tracks `token` with the kernel registration already applied by
     /// the caller (eager ADD); only future changes go through the
     /// ledger.
     pub fn insert_applied(&mut self, token: usize, fd: RawFd, interest: Interest) {
-        self.ensure(token);
+        if token >= self.cells.len() {
+            self.cells.resize_with(token + 1, || None);
+        }
         self.cells[token] = Some(Cell {
             fd,
             desired: interest,
-            registered: Some(interest),
+            registered: interest,
             dirty: false,
         });
     }
@@ -144,10 +126,10 @@ impl InterestLedger {
             // A pending change was re-changed (or reverted) before any
             // kernel op: one syscall saved either way.
             self.coalesced += 1;
-            if cell.registered == Some(interest) {
+            if cell.registered == interest {
                 cell.dirty = false;
             }
-        } else if cell.registered != Some(interest) {
+        } else if cell.registered != interest {
             cell.dirty = true;
             self.dirty.push(token);
         }
@@ -171,10 +153,10 @@ impl InterestLedger {
     }
 
     /// Applies every pending net change through `apply(fd, token,
-    /// desired, is_add)`; each successful call counts as one kernel op
-    /// in [`InterestLedger::mods_issued`]. A failed apply leaves the
-    /// cell dirty for the next flush.
-    pub fn flush(&mut self, mut apply: impl FnMut(RawFd, usize, Interest, bool) -> io::Result<()>) {
+    /// desired)`; each successful call counts as one kernel op in
+    /// [`InterestLedger::mods_issued`]. A failed apply leaves the cell
+    /// dirty for the next flush.
+    pub fn flush(&mut self, mut apply: impl FnMut(RawFd, usize, Interest) -> io::Result<()>) {
         if self.dirty.is_empty() {
             return;
         }
@@ -186,10 +168,9 @@ impl InterestLedger {
             if !cell.dirty {
                 continue; // the change cancelled out
             }
-            let is_add = cell.registered.is_none();
-            match apply(cell.fd, token, cell.desired, is_add) {
+            match apply(cell.fd, token, cell.desired) {
                 Ok(()) => {
-                    cell.registered = Some(cell.desired);
+                    cell.registered = cell.desired;
                     cell.dirty = false;
                     self.mods_issued += 1;
                 }
@@ -283,70 +264,11 @@ impl EpollBackend {
     /// Propagates `epoll_wait` failures.
     pub fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
         let poller = &self.poller;
-        self.ledger.flush(|fd, token, interest, is_add| {
-            if is_add {
-                poller.register(fd, token, interest)
-            } else {
-                poller.modify(fd, token, interest)
-            }
-        });
+        self.ledger.flush(|fd, token, interest| poller.modify(fd, token, interest));
         events.clear();
         self.poller.wait(&mut self.epoll_events, timeout)?;
         events.extend(self.epoll_events.iter());
         Ok(())
-    }
-
-    /// Accepts one pending connection on a registered listener
-    /// (nonblocking; the returned stream is nonblocking + cloexec).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the syscall failure (`WouldBlock` on an empty backlog).
-    pub fn accept(&mut self, listener: &TcpListener) -> io::Result<TcpStream> {
-        accept_nonblocking(listener)
-    }
-
-    /// `read(2)` into `buf`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the syscall failure (`WouldBlock` when nothing is
-    /// buffered).
-    pub fn read(&mut self, fd: RawFd, buf: &mut [u8]) -> io::Result<usize> {
-        // SAFETY: `buf` is a live, exclusively borrowed slice, so the
-        // kernel may write up to `buf.len()` bytes at its pointer.
-        let ret = unsafe { sys::read(fd, buf.as_mut_ptr().cast(), buf.len()) };
-        if ret < 0 {
-            Err(io::Error::last_os_error())
-        } else {
-            Ok(ret as usize)
-        }
-    }
-
-    /// `write(2)` from `buf`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the syscall failure (`WouldBlock` when the socket's
-    /// send buffer is full).
-    pub fn write(&mut self, fd: RawFd, buf: &[u8]) -> io::Result<usize> {
-        // SAFETY: `buf` is a live slice, so the kernel may read up to
-        // `buf.len()` bytes from its pointer.
-        let ret = unsafe { sys::write(fd, buf.as_ptr().cast(), buf.len()) };
-        if ret < 0 {
-            Err(io::Error::last_os_error())
-        } else {
-            Ok(ret as usize)
-        }
-    }
-
-    /// Gathers `bufs` into one `writev(2)`.
-    ///
-    /// # Errors
-    ///
-    /// As [`writev`](super::writev).
-    pub fn writev(&mut self, fd: RawFd, bufs: &[&[u8]]) -> io::Result<usize> {
-        super::writev(fd, bufs)
     }
 
     /// A handle other threads use to interrupt [`EpollBackend::wait`].
@@ -388,6 +310,7 @@ pub fn nofile_soft_limit() -> io::Result<u64> {
 
 #[cfg(test)]
 mod tests {
+    use super::super::accept_nonblocking;
     use super::*;
     use std::cell::RefCell;
 
@@ -400,7 +323,7 @@ mod tests {
 
         let applied: RefCell<Vec<(usize, Interest)>> = RefCell::new(Vec::new());
         let flush = |ledger: &mut InterestLedger| {
-            ledger.flush(|_fd, token, interest, _add| {
+            ledger.flush(|_fd, token, interest| {
                 applied.borrow_mut().push((token, interest));
                 Ok(())
             });
@@ -440,7 +363,7 @@ mod tests {
         ledger.insert_applied(0, 10, Interest::READABLE);
         ledger.set(0, Interest::WRITABLE);
         ledger.set(0, Interest::NONE); // re-change before flush: coalesced
-        ledger.flush(|_, _, interest, _| {
+        ledger.flush(|_, _, interest| {
             assert_eq!(interest, Interest::NONE);
             Ok(())
         });
@@ -450,26 +373,12 @@ mod tests {
     }
 
     #[test]
-    fn ledger_lazy_insert_applies_on_flush() {
-        let mut ledger = InterestLedger::new();
-        ledger.insert(3, 44, Interest::READABLE);
-        let mut adds = Vec::new();
-        ledger.flush(|fd, token, interest, is_add| {
-            adds.push((fd, token, interest, is_add));
-            Ok(())
-        });
-        assert_eq!(adds, vec![(44, 3, Interest::READABLE, true)]);
-        // Second flush: nothing pending.
-        ledger.flush(|_, _, _, _| panic!("nothing to apply"));
-    }
-
-    #[test]
     fn ledger_remove_drops_pending_work() {
         let mut ledger = InterestLedger::new();
         ledger.insert_applied(1, 20, Interest::READABLE);
         ledger.set(1, Interest::WRITABLE);
         assert_eq!(ledger.remove(1), Some(20));
-        ledger.flush(|_, _, _, _| panic!("removed token must not flush"));
+        ledger.flush(|_, _, _| panic!("removed token must not flush"));
         ledger.set(1, Interest::READABLE); // unknown token: ignored
         assert_eq!(ledger.desired(1), None);
     }
@@ -479,10 +388,10 @@ mod tests {
         let mut ledger = InterestLedger::new();
         ledger.insert_applied(2, 30, Interest::READABLE);
         ledger.set(2, Interest::WRITABLE);
-        ledger.flush(|_, _, _, _| Err(io::Error::from(io::ErrorKind::Other)));
+        ledger.flush(|_, _, _| Err(io::Error::from(io::ErrorKind::Other)));
         assert_eq!(ledger.mods_issued, 0);
         let mut ok = 0;
-        ledger.flush(|_, _, _, _| {
+        ledger.flush(|_, _, _| {
             ok += 1;
             Ok(())
         });
@@ -517,34 +426,25 @@ mod tests {
             .unwrap();
         assert!(events.iter().any(|e| e.token == 0 && e.readable));
 
-        let accepted = backend.accept(&listener).unwrap();
+        use std::io::{Read as _, Write as _};
+        let accepted = accept_nonblocking(&listener).unwrap();
         let tok = 5;
         backend
             .register(accepted.as_raw_fd(), tok, Interest::READABLE)
             .unwrap();
 
-        // Nothing to read yet: WouldBlock, like the raw syscall.
+        // Nothing to read yet: the accepted socket is nonblocking.
         let mut chunk = [0u8; 8];
-        let err = backend.read(accepted.as_raw_fd(), &mut chunk).unwrap_err();
+        let err = (&accepted).read(&mut chunk).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
 
-        use std::io::Write as _;
         (&client).write_all(b"ping").unwrap();
         backend
             .wait(&mut events, Some(Duration::from_secs(5)))
             .unwrap();
         assert!(events.iter().any(|e| e.token == tok && e.readable));
-        let n = backend.read(accepted.as_raw_fd(), &mut chunk).unwrap();
+        let n = (&accepted).read(&mut chunk).unwrap();
         assert_eq!(&chunk[..n], b"ping");
-
-        let wrote = backend
-            .writev(accepted.as_raw_fd(), &[b"po", b"ng"])
-            .unwrap();
-        assert_eq!(wrote, 4);
-        let mut got = [0u8; 4];
-        use std::io::Read as _;
-        (&client).read_exact(&mut got).unwrap();
-        assert_eq!(&got, b"pong");
 
         let before = backend.counters();
         // Keep-alive style churn coalesces to nothing.

@@ -102,6 +102,7 @@ pub fn parse(text: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -112,9 +113,15 @@ pub fn parse(text: &str) -> Result<Json, JsonError> {
     Ok(value)
 }
 
+/// Deepest array/object nesting [`parse`] follows. The parser recurses
+/// per level, and documents arrive from the network (`PUT /admin/rules`):
+/// unbounded, a body of `[[[[…` overflows the stack of whoever parses it.
+pub const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -159,8 +166,15 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::String(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("nested too deeply"));
+                }
+                self.depth += 1;
+                let nested = if open == b'[' { self.array() } else { self.object() };
+                self.depth -= 1;
+                nested
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
@@ -371,6 +385,19 @@ mod tests {
         assert_eq!(doc.get("b").unwrap().get("c").unwrap().as_str(), Some("x"));
         assert_eq!(parse("[]").unwrap(), Json::Array(vec![]));
         assert_eq!(parse("{}").unwrap(), Json::Object(BTreeMap::new()));
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        assert_eq!(parse(&nest(MAX_DEPTH + 1)).unwrap_err().message, "nested too deeply");
+        // Refused at the limit, long before the recursion could run out
+        // of stack.
+        assert_eq!(
+            parse(&"[{\"k\":".repeat(500_000)).unwrap_err().message,
+            "nested too deeply"
+        );
     }
 
     #[test]

@@ -31,6 +31,14 @@ if grep -rn 'env::var' crates/*/src \
   exit 1
 fi
 
+# One refresh plane: the poll workers step the scheduler themselves
+# under one lock. No scheduler thread, job queue, completion channel,
+# wake latch or status mirror comes back beside it.
+if grep -nE 'mpsc|JobQueue|WakeSignal|publish_one' crates/live/src/runtime.rs; then
+  echo "ci: a second hand-off is back in the refresh plane (lines above)" >&2
+  exit 1
+fi
+
 # Live-proxy smoke: origin + proxy on real sockets, hundreds of
 # concurrent clients through the reactor threads — a stalled event
 # loop shows up here as read timeouts, not as a hang.
@@ -38,15 +46,17 @@ cargo test -q -p mutcon-live --test reactor_smoke
 
 # The deterministic concurrency harness (fake clock + scripted origin +
 # seeded schedules), the hot-swappable rule runtime, the zero-copy wire
-# path and the L1 version-stamp protocol. Reactor counts, L1 on/off and
-# refresh-worker counts are inputs the scenarios pin themselves.
+# path, the L1 version-stamp protocol and the refresh plane. Reactor
+# counts, L1 on/off and refresh-worker counts are inputs the scenarios
+# pin themselves.
 cargo test -q -p mutcon-live \
-  --test concurrency --test admin --test wire --test coherence
+  --test concurrency --test admin --test wire --test coherence --test refresh
 
-# Coherence soak: readers on the L1 racing refresher stores must pass
-# every time, not most times.
+# Soak: readers on the L1 racing refresher stores, and the refresh
+# workers' wait/notify protocol, must pass every time, not most times.
+# The timeout turns a lost wakeup into a failure instead of a hung job.
 for _ in $(seq 20); do
-  cargo test -q -p mutcon-live --test coherence
+  timeout 120 cargo test -q -p mutcon-live --test coherence --test refresh
 done
 
 # Overload control: flash-crowd shed with preserved miss coalescing,
