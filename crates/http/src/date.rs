@@ -21,6 +21,8 @@ use std::fmt;
 
 use mutcon_core::time::Timestamp;
 
+use crate::message::push_decimal;
+
 const DAY_NAMES: [&str; 7] = ["Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun"];
 const MONTH_NAMES: [&str; 12] = [
     "Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec",
@@ -68,22 +70,37 @@ fn civil_from_days(z: i64) -> (i64, u32, u32) {
 /// IMF-fixdate. Sub-second precision is truncated, matching the format's
 /// resolution.
 pub fn format_http_date(t: Timestamp) -> String {
+    let mut out = Vec::with_capacity(29);
+    write_http_date(&mut out, t);
+    String::from_utf8(out).expect("an IMF-fixdate is ASCII")
+}
+
+/// [`format_http_date`] appended to a wire buffer, no `String` between.
+pub fn write_http_date(out: &mut Vec<u8>, t: Timestamp) {
     let secs = t.as_secs() as i64;
     let days = secs.div_euclid(86_400);
-    let tod = secs.rem_euclid(86_400);
+    let tod = secs.rem_euclid(86_400) as u64;
     let (year, month, day) = civil_from_days(days);
     // 1970-01-01 was a Thursday; DAY_NAMES starts at Monday.
     let weekday = (days + 3).rem_euclid(7) as usize;
-    format!(
-        "{}, {:02} {} {:04} {:02}:{:02}:{:02} GMT",
-        DAY_NAMES[weekday],
-        day,
-        MONTH_NAMES[(month - 1) as usize],
-        year,
-        tod / 3_600,
-        (tod / 60) % 60,
-        tod % 60
-    )
+    let two = |out: &mut Vec<u8>, n: u64| {
+        out.extend_from_slice(&[b'0' + (n / 10) as u8, b'0' + (n % 10) as u8])
+    };
+    out.extend_from_slice(DAY_NAMES[weekday].as_bytes());
+    out.extend_from_slice(b", ");
+    two(out, u64::from(day));
+    out.push(b' ');
+    out.extend_from_slice(MONTH_NAMES[(month - 1) as usize].as_bytes());
+    out.push(b' ');
+    // Never before 1970, so at least the four digits the format asks for.
+    push_decimal(out, year as u64);
+    out.push(b' ');
+    two(out, tod / 3_600);
+    out.push(b':');
+    two(out, (tod / 60) % 60);
+    out.push(b':');
+    two(out, tod % 60);
+    out.extend_from_slice(b" GMT");
 }
 
 /// Parses an IMF-fixdate into a timestamp (milliseconds since the Unix

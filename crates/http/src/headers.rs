@@ -2,20 +2,19 @@
 //!
 //! [`HeaderMap`] is an insertion-ordered multi-map: repeated `append`s of
 //! the same name are preserved (as HTTP allows), `insert` replaces all
-//! occurrences, and lookups are case-insensitive via the normalized
-//! [`HeaderName`].
+//! occurrences, and lookups compare names case-insensitively in place —
+//! no look-up, insert or removal allocates for a name. Names are stored
+//! lowercase; [`HeaderName`] holds the ones the workspace uses.
 
-use std::fmt;
-use std::str::FromStr;
+use crate::types::{count_lf, find_crlf, is_token_byte};
 
-use crate::types::is_token_byte;
-
-/// A validated, lowercase-normalized header name.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct HeaderName(String);
+/// The header names used throughout the workspace, lowercase as the map
+/// stores them.
+#[derive(Debug)]
+pub enum HeaderName {}
 
 impl HeaderName {
-    /// Standard names used throughout the workspace.
+    /// `Host`.
     pub const HOST: &'static str = "host";
     /// `Last-Modified`.
     pub const LAST_MODIFIED: &'static str = "last-modified";
@@ -40,52 +39,31 @@ impl HeaderName {
     pub const X_OBJECT_VALUE: &'static str = "x-object-value";
     /// Extension header carrying the origin's version counter.
     pub const X_OBJECT_VERSION: &'static str = "x-object-version";
-
-    /// Creates a header name, validating RFC 7230 token syntax and
-    /// normalizing to lowercase.
-    pub fn new(name: &str) -> Result<HeaderName, InvalidHeaderName> {
-        if name.is_empty() || !name.bytes().all(is_token_byte) {
-            return Err(InvalidHeaderName(name.to_owned()));
-        }
-        Ok(HeaderName(name.to_ascii_lowercase()))
-    }
-
-    /// The normalized (lowercase) name.
-    pub fn as_str(&self) -> &str {
-        &self.0
-    }
 }
-
-impl fmt::Display for HeaderName {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-
-impl FromStr for HeaderName {
-    type Err = InvalidHeaderName;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        HeaderName::new(s)
-    }
-}
-
-/// Error returned for malformed header names.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InvalidHeaderName(String);
-
-impl fmt::Display for InvalidHeaderName {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid header name: {:?}", self.0)
-    }
-}
-
-impl std::error::Error for InvalidHeaderName {}
 
 /// An insertion-ordered, case-insensitive header multi-map.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+///
+/// The map is one text buffer plus an index into it: every name (stored
+/// lowercase) and value lives in `text`, and `fields` says where. `text`
+/// only ever grows — `remove` drops index entries, `insert` appends — so
+/// the index never needs fixing up, and a parsed message costs two
+/// allocations however many headers it carries. A request keeps its
+/// target in the same buffer (the *lead*), which is how the parser gets
+/// away with copying a head exactly once.
+#[derive(Debug, Clone, Default)]
 pub struct HeaderMap {
-    entries: Vec<(HeaderName, String)>,
+    text: String,
+    /// Where in `text` the owning message's lead sits (empty for
+    /// responses and bare maps).
+    lead: (usize, usize),
+    fields: Vec<Field>,
+}
+
+/// One header field as offsets into [`HeaderMap::text`].
+#[derive(Debug, Clone, Copy)]
+struct Field {
+    name: (usize, usize),
+    value: (usize, usize),
 }
 
 impl HeaderMap {
@@ -94,32 +72,75 @@ impl HeaderMap {
         HeaderMap::default()
     }
 
+    /// An empty map carrying `lead` (a request's target).
+    pub(crate) fn with_lead(lead: &str) -> Self {
+        HeaderMap {
+            text: lead.to_owned(),
+            lead: (0, lead.len()),
+            fields: Vec::new(),
+        }
+    }
+
+    /// Indexes a received header section. `head` is the section as it
+    /// arrived, every line (the start line too) still ending in CRLF and
+    /// the blank line dropped; header lines start at `fields_from`, and
+    /// `lead` is the part of the start line the message keeps. `None` if
+    /// a line has no colon or its name is not a token.
+    pub(crate) fn from_head(head: &str, fields_from: usize, lead: (usize, usize)) -> Option<Self> {
+        let mut map = HeaderMap {
+            text: head.to_owned(),
+            lead,
+            fields: Vec::with_capacity(count_lf(&head.as_bytes()[fields_from..])),
+        };
+        let mut pos = fields_from;
+        while pos < head.len() {
+            let line = &head[pos..find_crlf(head.as_bytes(), pos)?];
+            if !line.is_empty() {
+                // `:` is not a token byte, so the first byte that is not
+                // one must be the colon.
+                let colon = line.bytes().position(|b| !is_token_byte(b))?;
+                if colon == 0 || line.as_bytes()[colon] != b':' {
+                    return None;
+                }
+                let raw = &line[colon + 1..];
+                let value = raw.trim();
+                let value_at = pos + colon + 1 + (raw.len() - raw.trim_start().len());
+                map.text[pos..pos + colon].make_ascii_lowercase();
+                map.fields.push(Field {
+                    name: (pos, pos + colon),
+                    value: (value_at, value_at + value.len()),
+                });
+            }
+            pos += line.len() + 2;
+        }
+        Some(map)
+    }
+
+    /// The text the owning message keeps beside its fields.
+    pub(crate) fn lead(&self) -> &str {
+        &self.text[self.lead.0..self.lead.1]
+    }
+
     /// Number of header fields (counting repeats).
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.fields.len()
     }
 
     /// Whether the map holds no fields.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.fields.is_empty()
     }
 
     /// First value for `name`, if any.
     pub fn get(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.entries
-            .iter()
-            .find(|(n, _)| n.0 == name)
-            .map(|(_, v)| v.as_str())
+        self.get_all(name).next()
     }
 
     /// All values for `name`, in insertion order.
-    pub fn get_all<'a>(&'a self, name: &str) -> impl Iterator<Item = &'a str> + 'a {
-        let name = name.to_ascii_lowercase();
-        self.entries
-            .iter()
-            .filter(move |(n, _)| n.0 == name)
-            .map(|(_, v)| v.as_str())
+    pub fn get_all<'a, 'n>(&'a self, name: &'n str) -> impl Iterator<Item = &'a str> + use<'a, 'n> {
+        self.iter()
+            .filter(move |(n, _)| n.eq_ignore_ascii_case(name))
+            .map(|(_, v)| v)
     }
 
     /// Whether any field named `name` exists.
@@ -131,19 +152,12 @@ impl HeaderMap {
     ///
     /// # Panics
     ///
-    /// Panics if `name` is not a valid header token; use
-    /// [`HeaderName::new`] + [`HeaderMap::insert_name`] for fallible
-    /// insertion of untrusted names.
-    pub fn insert(&mut self, name: &str, value: impl Into<String>) {
-        let name = HeaderName::new(name)
-            .unwrap_or_else(|e| panic!("{e} (use insert_name for untrusted input)"));
-        self.insert_name(name, value);
-    }
-
-    /// Replaces all occurrences of a pre-validated name.
-    pub fn insert_name(&mut self, name: HeaderName, value: impl Into<String>) {
-        self.entries.retain(|(n, _)| *n != name);
-        self.entries.push((name, value.into()));
+    /// Panics if `name` is not a valid header token. (Names that come
+    /// from outside the program arrive through the parser, which refuses
+    /// a bad one instead.)
+    pub fn insert(&mut self, name: &str, value: impl AsRef<str>) {
+        self.remove(name);
+        self.append(name, value);
     }
 
     /// Appends a field without touching existing ones with the same name.
@@ -151,71 +165,55 @@ impl HeaderMap {
     /// # Panics
     ///
     /// Panics if `name` is not a valid header token.
-    pub fn append(&mut self, name: &str, value: impl Into<String>) {
-        let name = HeaderName::new(name)
-            .unwrap_or_else(|e| panic!("{e} (use append_name for untrusted input)"));
-        self.append_name(name, value);
-    }
-
-    /// Appends a field with a pre-validated name.
-    pub fn append_name(&mut self, name: HeaderName, value: impl Into<String>) {
-        self.entries.push((name, value.into()));
+    pub fn append(&mut self, name: &str, value: impl AsRef<str>) {
+        let value = value.as_ref();
+        assert!(
+            !name.is_empty() && name.bytes().all(is_token_byte),
+            "invalid header name: {name:?}"
+        );
+        let at = self.text.len();
+        self.text.push_str(name);
+        self.text[at..].make_ascii_lowercase();
+        self.text.push_str(value);
+        let mid = at + name.len();
+        self.fields.push(Field {
+            name: (at, mid),
+            value: (mid, mid + value.len()),
+        });
     }
 
     /// Removes all occurrences of `name`; returns how many were removed.
     pub fn remove(&mut self, name: &str) -> usize {
-        let name = name.to_ascii_lowercase();
-        let before = self.entries.len();
-        self.entries.retain(|(n, _)| n.0 != name);
-        before - self.entries.len()
+        let before = self.fields.len();
+        let text = &self.text;
+        self.fields
+            .retain(|f| !text[f.name.0..f.name.1].eq_ignore_ascii_case(name));
+        before - self.fields.len()
     }
 
-    /// Iterates over `(name, value)` pairs in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = (&HeaderName, &str)> + '_ {
-        self.entries.iter().map(|(n, v)| (n, v.as_str()))
-    }
-}
-
-impl<'a> IntoIterator for &'a HeaderMap {
-    type Item = (&'a HeaderName, &'a str);
-    type IntoIter = std::vec::IntoIter<(&'a HeaderName, &'a str)>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter().collect::<Vec<_>>().into_iter()
+    /// Iterates over `(name, value)` pairs in insertion order; names are
+    /// lowercase.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> + '_ {
+        let text = &self.text;
+        self.fields
+            .iter()
+            .map(move |f| (&text[f.name.0..f.name.1], &text[f.value.0..f.value.1]))
     }
 }
 
-impl FromIterator<(HeaderName, String)> for HeaderMap {
-    fn from_iter<I: IntoIterator<Item = (HeaderName, String)>>(iter: I) -> Self {
-        HeaderMap {
-            entries: iter.into_iter().collect(),
-        }
+/// Two maps are equal when they hold the same fields in the same order
+/// (and the same lead), wherever those sit in their buffers.
+impl PartialEq for HeaderMap {
+    fn eq(&self, other: &HeaderMap) -> bool {
+        self.lead() == other.lead() && self.iter().eq(other.iter())
     }
 }
+
+impl Eq for HeaderMap {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn names_normalize_case() {
-        let a = HeaderName::new("Last-Modified").unwrap();
-        let b = HeaderName::new("LAST-MODIFIED").unwrap();
-        assert_eq!(a, b);
-        assert_eq!(a.as_str(), "last-modified");
-        assert_eq!(a.to_string(), "last-modified");
-        assert_eq!("X-Foo".parse::<HeaderName>().unwrap().as_str(), "x-foo");
-    }
-
-    #[test]
-    fn names_reject_invalid() {
-        assert!(HeaderName::new("").is_err());
-        assert!(HeaderName::new("bad header").is_err());
-        assert!(HeaderName::new("bad:header").is_err());
-        assert!(HeaderName::new("bad\r\nheader").is_err());
-        let e = HeaderName::new("no good").unwrap_err();
-        assert!(e.to_string().contains("no good"));
-    }
 
     #[test]
     fn insert_replaces_append_accumulates() {
@@ -257,9 +255,9 @@ mod tests {
         let mut h = HeaderMap::new();
         h.append("b", "2");
         h.append("a", "1");
-        let names: Vec<_> = h.iter().map(|(n, _)| n.as_str().to_owned()).collect();
+        let names: Vec<_> = h.iter().map(|(n, _)| n.to_owned()).collect();
         assert_eq!(names, vec!["b", "a"]);
-        let pairs: Vec<_> = (&h).into_iter().collect();
+        let pairs: Vec<_> = h.iter().collect();
         assert_eq!(pairs.len(), 2);
     }
 
@@ -268,13 +266,5 @@ mod tests {
     fn insert_panics_on_bad_name() {
         let mut h = HeaderMap::new();
         h.insert("bad name", "v");
-    }
-
-    #[test]
-    fn collect_from_pairs() {
-        let h: HeaderMap = [(HeaderName::new("x").unwrap(), String::from("1"))]
-            .into_iter()
-            .collect();
-        assert_eq!(h.get("x"), Some("1"));
     }
 }

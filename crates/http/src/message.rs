@@ -13,34 +13,34 @@ use crate::types::{HttpVersion, Method, StatusCode};
 #[derive(Debug, Clone, PartialEq)]
 pub struct Request {
     method: Method,
-    target: String,
     version: HttpVersion,
+    /// The fields, and the target as the map's lead: a parsed request is
+    /// one copy of its head.
     headers: HeaderMap,
     body: Bytes,
 }
 
 impl Request {
     /// Starts building a `GET` request for `target`.
-    pub fn get(target: impl Into<String>) -> RequestBuilder {
+    pub fn get(target: impl AsRef<str>) -> RequestBuilder {
         RequestBuilder::new(Method::Get, target)
     }
 
     /// Starts building a request with an arbitrary method.
-    pub fn builder(method: Method, target: impl Into<String>) -> RequestBuilder {
+    pub fn builder(method: Method, target: impl AsRef<str>) -> RequestBuilder {
         RequestBuilder::new(method, target)
     }
 
-    /// Assembles a request from already-parsed parts (used by the parser).
+    /// Assembles a request from already-parsed parts (used by the
+    /// parser); the target is `headers`' lead.
     pub(crate) fn from_parts(
         method: Method,
-        target: String,
         version: HttpVersion,
         headers: HeaderMap,
         body: Bytes,
     ) -> Request {
         Request {
             method,
-            target,
             version,
             headers,
             body,
@@ -54,7 +54,7 @@ impl Request {
 
     /// The request target (path).
     pub fn target(&self) -> &str {
-        &self.target
+        self.headers.lead()
     }
 
     /// The protocol version.
@@ -67,7 +67,8 @@ impl Request {
         &self.headers
     }
 
-    /// Mutable access to the headers.
+    /// Mutable access to the headers. The map also carries the target:
+    /// edit it, do not replace it.
     pub fn headers_mut(&mut self) -> &mut HeaderMap {
         &mut self.headers
     }
@@ -88,7 +89,7 @@ impl Request {
         let mut out = Vec::with_capacity(128 + self.body.len());
         out.extend_from_slice(self.method.as_str().as_bytes());
         out.push(b' ');
-        out.extend_from_slice(self.target.as_bytes());
+        out.extend_from_slice(self.target().as_bytes());
         out.push(b' ');
         out.extend_from_slice(self.version.as_str().as_bytes());
         out.extend_from_slice(b"\r\n");
@@ -101,19 +102,17 @@ impl Request {
 #[derive(Debug, Clone)]
 pub struct RequestBuilder {
     method: Method,
-    target: String,
     version: HttpVersion,
     headers: HeaderMap,
     body: Bytes,
 }
 
 impl RequestBuilder {
-    fn new(method: Method, target: impl Into<String>) -> Self {
+    fn new(method: Method, target: impl AsRef<str>) -> Self {
         RequestBuilder {
             method,
-            target: target.into(),
             version: HttpVersion::V11,
-            headers: HeaderMap::new(),
+            headers: HeaderMap::with_lead(target.as_ref()),
             body: Bytes::new(),
         }
     }
@@ -129,13 +128,13 @@ impl RequestBuilder {
     /// # Panics
     ///
     /// Panics if `name` is not a valid header token.
-    pub fn header(mut self, name: &str, value: impl Into<String>) -> Self {
+    pub fn header(mut self, name: &str, value: impl AsRef<str>) -> Self {
         self.headers.insert(name, value);
         self
     }
 
     /// Sets the `Host` header.
-    pub fn host(self, host: impl Into<String>) -> Self {
+    pub fn host(self, host: impl AsRef<str>) -> Self {
         self.header(HeaderName::HOST, host)
     }
 
@@ -168,7 +167,6 @@ impl RequestBuilder {
     pub fn build(self) -> Request {
         Request {
             method: self.method,
-            target: self.target,
             version: self.version,
             headers: self.headers,
             body: self.body,
@@ -278,7 +276,7 @@ impl Response {
     pub fn write_head(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(self.version.as_str().as_bytes());
         out.push(b' ');
-        out.extend_from_slice(self.status.as_u16().to_string().as_bytes());
+        push_decimal(out, u64::from(self.status.as_u16()));
         out.push(b' ');
         out.extend_from_slice(self.status.reason().as_bytes());
         out.extend_from_slice(b"\r\n");
@@ -314,7 +312,7 @@ impl ResponseBuilder {
     /// # Panics
     ///
     /// Panics if `name` is not a valid header token.
-    pub fn header(mut self, name: &str, value: impl Into<String>) -> Self {
+    pub fn header(mut self, name: &str, value: impl AsRef<str>) -> Self {
         self.headers.insert(name, value);
         self
     }
@@ -368,17 +366,32 @@ fn write_headers_and_body(out: &mut Vec<u8>, headers: &HeaderMap, body: &Bytes) 
 fn write_headers(out: &mut Vec<u8>, headers: &HeaderMap, body_len: usize) {
     let mut wrote_length = false;
     for (name, value) in headers.iter() {
-        if name.as_str() == HeaderName::CONTENT_LENGTH {
-            wrote_length = true;
-        }
-        out.extend_from_slice(name.as_str().as_bytes());
+        wrote_length |= name == HeaderName::CONTENT_LENGTH;
+        out.extend_from_slice(name.as_bytes());
         out.extend_from_slice(b": ");
         out.extend_from_slice(value.as_bytes());
         out.extend_from_slice(b"\r\n");
     }
     if !wrote_length && body_len > 0 {
-        out.extend_from_slice(format!("content-length: {body_len}\r\n").as_bytes());
+        out.extend_from_slice(b"content-length: ");
+        push_decimal(out, body_len as u64);
+        out.extend_from_slice(b"\r\n");
     }
+}
+
+/// Appends `n` in decimal — what `to_string` would, without the `String`.
+pub fn push_decimal(out: &mut Vec<u8>, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
 }
 
 #[cfg(test)]

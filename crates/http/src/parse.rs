@@ -30,7 +30,7 @@ use bytes::Bytes;
 
 use crate::headers::{HeaderMap, HeaderName};
 use crate::message::{Request, Response};
-use crate::types::{HttpVersion, Method, StatusCode};
+use crate::types::{find_crlf, HttpVersion, Method, StatusCode};
 
 /// Maximum accepted header-section size; guards against unbounded buffering.
 pub const MAX_HEAD_BYTES: usize = 64 * 1024;
@@ -84,48 +84,34 @@ impl std::error::Error for ParseError {}
 /// finding it, so resumed scans are O(new bytes), not O(buffer).
 fn find_head_end(buf: &[u8], from: usize) -> Result<Option<usize>, ParseError> {
     // Back up 3 bytes: the terminator may straddle the old buffer end.
-    let start = from.saturating_sub(3).min(buf.len());
-    match buf[start..].windows(4).position(|w| w == b"\r\n\r\n") {
-        Some(pos) => {
-            let end = start + pos + 4;
-            if end > MAX_HEAD_BYTES {
+    let mut at = from.saturating_sub(3);
+    while let Some(crlf) = find_crlf(buf, at) {
+        if buf[crlf + 2..].starts_with(b"\r\n") {
+            let end = crlf + 4;
+            return if end > MAX_HEAD_BYTES {
                 Err(ParseError::HeadTooLarge)
             } else {
                 Ok(Some(end))
-            }
+            };
         }
-        None => {
-            if buf.len() > MAX_HEAD_BYTES {
-                Err(ParseError::HeadTooLarge)
-            } else {
-                Ok(None)
-            }
-        }
+        at = crlf + 2;
     }
-}
-
-/// Parses the header block (everything between the start line and the
-/// blank line).
-fn parse_headers(block: &str) -> Result<HeaderMap, ParseError> {
-    let mut headers = HeaderMap::new();
-    for line in block.split("\r\n").filter(|l| !l.is_empty()) {
-        let (name, value) = line.split_once(':').ok_or(ParseError::InvalidHeader)?;
-        let name = HeaderName::new(name).map_err(|_| ParseError::InvalidHeader)?;
-        headers.append_name(name, value.trim().to_owned());
+    if buf.len() > MAX_HEAD_BYTES {
+        Err(ParseError::HeadTooLarge)
+    } else {
+        Ok(None)
     }
-    Ok(headers)
 }
 
 fn body_length(headers: &HeaderMap) -> Result<usize, ParseError> {
     let mut declared: Option<usize> = None;
     for (name, value) in headers.iter() {
-        match name.as_str() {
+        match name {
             HeaderName::TRANSFER_ENCODING => {
                 return Err(ParseError::UnsupportedTransferEncoding);
             }
             HeaderName::CONTENT_LENGTH => {
                 let len = value
-                    .trim()
                     .parse()
                     .map_err(|_| ParseError::InvalidContentLength)?;
                 if declared.is_some_and(|first| first != len) {
@@ -143,25 +129,19 @@ fn body_length(headers: &HeaderMap) -> Result<usize, ParseError> {
     }
 }
 
-/// Splits the decoded header section into start line and header block.
-fn split_head(buf: &[u8], head_end: usize) -> Result<(&str, &str), ParseError> {
-    let head =
-        std::str::from_utf8(&buf[..head_end - 4]).map_err(|_| ParseError::InvalidHeader)?;
-    Ok(head.split_once("\r\n").unwrap_or((head, "")))
-}
-
-/// Parses `"GET /path HTTP/1.1"`.
-fn parse_request_line(start_line: &str) -> Result<(Method, String, HttpVersion), ParseError> {
+/// Parses `"GET /path HTTP/1.1"`; the second part of the result is where
+/// in the line the target sits.
+fn parse_request_line(
+    start_line: &str,
+) -> Result<((Method, HttpVersion), (usize, usize)), ParseError> {
     let mut parts = start_line.split(' ');
-    let method: Method = parts
-        .next()
-        .ok_or(ParseError::InvalidStartLine)?
-        .parse()
-        .map_err(|_| ParseError::InvalidStartLine)?;
+    let method = parts.next().ok_or(ParseError::InvalidStartLine)?;
     let target = parts.next().ok_or(ParseError::InvalidStartLine)?;
     if target.is_empty() || target.contains(|c: char| c.is_ascii_whitespace()) {
         return Err(ParseError::InvalidStartLine);
     }
+    let target_at = method.len() + 1;
+    let method: Method = method.parse().map_err(|_| ParseError::InvalidStartLine)?;
     let version: HttpVersion = parts
         .next()
         .ok_or(ParseError::InvalidStartLine)?
@@ -170,12 +150,14 @@ fn parse_request_line(start_line: &str) -> Result<(Method, String, HttpVersion),
     if parts.next().is_some() {
         return Err(ParseError::InvalidStartLine);
     }
-    Ok((method, target.to_owned(), version))
+    Ok(((method, version), (target_at, target_at + target.len())))
 }
 
 /// Parses `"HTTP/1.1 200 OK"` — the reason phrase may contain spaces or
-/// be absent.
-fn parse_status_line(start_line: &str) -> Result<(HttpVersion, StatusCode), ParseError> {
+/// be absent. A response keeps nothing of its start line.
+fn parse_status_line(
+    start_line: &str,
+) -> Result<((HttpVersion, StatusCode), (usize, usize)), ParseError> {
     let mut parts = start_line.splitn(3, ' ');
     let version: HttpVersion = parts
         .next()
@@ -188,18 +170,86 @@ fn parse_status_line(start_line: &str) -> Result<(HttpVersion, StatusCode), Pars
         .parse()
         .map_err(|_| ParseError::InvalidStatus)?;
     let status = StatusCode::new(code).ok_or(ParseError::InvalidStatus)?;
-    Ok((version, status))
+    Ok(((version, status), (0, 0)))
 }
 
-/// A fully parsed header section waiting for its body bytes.
+/// A fully parsed header section waiting for its body bytes; `L` is what
+/// the start line came to.
 #[derive(Debug)]
-struct PendingRequest {
-    method: Method,
-    target: String,
-    version: HttpVersion,
+struct Head<L> {
+    line: L,
     headers: HeaderMap,
     head_end: usize,
     body_len: usize,
+}
+
+/// What a start-line parser returns: the parsed line, and the part of it
+/// the message keeps as its header map's lead.
+type StartLine<L> = fn(&str) -> Result<(L, (usize, usize)), ParseError>;
+
+/// The resumable state both parsers share: how far the terminator scan
+/// got, then the parsed head while its body trickles in.
+#[derive(Debug)]
+struct Resumable<L> {
+    /// How far the head-terminator scan got without finding `\r\n\r\n`.
+    scanned: usize,
+    /// Parsed head awaiting `body_len` bytes.
+    head: Option<Head<L>>,
+}
+
+impl<L> Default for Resumable<L> {
+    fn default() -> Self {
+        Resumable {
+            scanned: 0,
+            head: None,
+        }
+    }
+}
+
+impl<L> Resumable<L> {
+    fn in_progress(&self) -> bool {
+        self.scanned > 0 || self.head.is_some()
+    }
+
+    /// Tries to complete one message from the front of `buf`: its start
+    /// line, headers, body and total length.
+    fn advance(
+        &mut self,
+        buf: &[u8],
+        start_line: StartLine<L>,
+    ) -> Result<Option<(L, HeaderMap, Bytes, usize)>, ParseError> {
+        let head = match self.head.take() {
+            Some(head) => head,
+            None => {
+                let Some(head_end) = find_head_end(buf, self.scanned)? else {
+                    self.scanned = buf.len();
+                    return Ok(None);
+                };
+                // Every line keeps its CRLF; only the blank line goes.
+                let text = std::str::from_utf8(&buf[..head_end - 2])
+                    .map_err(|_| ParseError::InvalidHeader)?;
+                let first = find_crlf(text.as_bytes(), 0).ok_or(ParseError::InvalidStartLine)?;
+                let (line, lead) = start_line(&text[..first])?;
+                let headers =
+                    HeaderMap::from_head(text, first + 2, lead).ok_or(ParseError::InvalidHeader)?;
+                let body_len = body_length(&headers)?;
+                Head {
+                    line,
+                    headers,
+                    head_end,
+                    body_len,
+                }
+            }
+        };
+        let total = head.head_end + head.body_len;
+        if buf.len() < total {
+            self.head = Some(head);
+            return Ok(None);
+        }
+        self.scanned = 0;
+        let body = Bytes::copy_from_slice(&buf[head.head_end..total]);
+        Ok(Some((head.line, head.headers, body, total)))
+    }
 }
 
 /// A resumable request parser for readiness-driven connection loops.
@@ -212,12 +262,7 @@ struct PendingRequest {
 /// remembered: the `\r\n\r\n` scan resumes where it left off and a parsed
 /// header section is never re-parsed while body bytes trickle in.
 #[derive(Debug, Default)]
-pub struct RequestParser {
-    /// How far the head-terminator scan got without finding `\r\n\r\n`.
-    scanned: usize,
-    /// Parsed head awaiting `body_len` bytes.
-    head: Option<PendingRequest>,
-}
+pub struct RequestParser(Resumable<(Method, HttpVersion)>);
 
 impl RequestParser {
     /// A parser at the start of a message.
@@ -228,7 +273,7 @@ impl RequestParser {
     /// Whether the parser is mid-message (bytes seen, no message yet) —
     /// distinguishes a clean idle EOF from a truncated message.
     pub fn in_progress(&self) -> bool {
-        self.scanned > 0 || self.head.is_some()
+        self.0.in_progress()
     }
 
     /// Tries to complete one request from the front of `buf`.
@@ -238,55 +283,16 @@ impl RequestParser {
     /// See [`ParseError`]; after an error the connection (and parser) are
     /// beyond recovery. `Ok(None)` means "incomplete, read more".
     pub fn advance(&mut self, buf: &[u8]) -> Result<Option<(Request, usize)>, ParseError> {
-        if self.head.is_none() {
-            let Some(head_end) = find_head_end(buf, self.scanned)? else {
-                self.scanned = buf.len();
-                return Ok(None);
-            };
-            let (start_line, header_block) = split_head(buf, head_end)?;
-            let (method, target, version) = parse_request_line(start_line)?;
-            let headers = parse_headers(header_block)?;
-            let body_len = body_length(&headers)?;
-            self.head = Some(PendingRequest {
-                method,
-                target,
-                version,
-                headers,
-                head_end,
-                body_len,
-            });
-        }
-        let pending = self.head.as_ref().expect("head parsed above");
-        let total = pending.head_end + pending.body_len;
-        if buf.len() < total {
-            return Ok(None);
-        }
-        let pending = self.head.take().expect("head parsed above");
-        let body = Bytes::copy_from_slice(&buf[pending.head_end..total]);
-        self.scanned = 0;
-        Ok(Some((
-            Request::from_parts(pending.method, pending.target, pending.version, pending.headers, body),
-            total,
-        )))
+        let parsed = self.0.advance(buf, parse_request_line)?;
+        Ok(parsed.map(|((method, version), headers, body, total)| {
+            (Request::from_parts(method, version, headers, body), total)
+        }))
     }
-}
-
-/// A fully parsed response head waiting for its body bytes.
-#[derive(Debug)]
-struct PendingResponse {
-    version: HttpVersion,
-    status: StatusCode,
-    headers: HeaderMap,
-    head_end: usize,
-    body_len: usize,
 }
 
 /// The response-side twin of [`RequestParser`]; same contract.
 #[derive(Debug, Default)]
-pub struct ResponseParser {
-    scanned: usize,
-    head: Option<PendingResponse>,
-}
+pub struct ResponseParser(Resumable<(HttpVersion, StatusCode)>);
 
 impl ResponseParser {
     /// A parser at the start of a message.
@@ -296,7 +302,7 @@ impl ResponseParser {
 
     /// Whether the parser is mid-message (bytes seen, no message yet).
     pub fn in_progress(&self) -> bool {
-        self.scanned > 0 || self.head.is_some()
+        self.0.in_progress()
     }
 
     /// Tries to complete one response from the front of `buf`.
@@ -305,35 +311,10 @@ impl ResponseParser {
     ///
     /// See [`ParseError`]; `Ok(None)` means "incomplete, read more".
     pub fn advance(&mut self, buf: &[u8]) -> Result<Option<(Response, usize)>, ParseError> {
-        if self.head.is_none() {
-            let Some(head_end) = find_head_end(buf, self.scanned)? else {
-                self.scanned = buf.len();
-                return Ok(None);
-            };
-            let (start_line, header_block) = split_head(buf, head_end)?;
-            let (version, status) = parse_status_line(start_line)?;
-            let headers = parse_headers(header_block)?;
-            let body_len = body_length(&headers)?;
-            self.head = Some(PendingResponse {
-                version,
-                status,
-                headers,
-                head_end,
-                body_len,
-            });
-        }
-        let pending = self.head.as_ref().expect("head parsed above");
-        let total = pending.head_end + pending.body_len;
-        if buf.len() < total {
-            return Ok(None);
-        }
-        let pending = self.head.take().expect("head parsed above");
-        let body = Bytes::copy_from_slice(&buf[pending.head_end..total]);
-        self.scanned = 0;
-        Ok(Some((
-            Response::from_parts(pending.version, pending.status, pending.headers, body),
-            total,
-        )))
+        let parsed = self.0.advance(buf, parse_status_line)?;
+        Ok(parsed.map(|((version, status), headers, body, total)| {
+            (Response::from_parts(version, status, headers, body), total)
+        }))
     }
 }
 
@@ -438,6 +419,15 @@ mod tests {
             parse_request(b"GET / HTTP/1.1\r\nno-colon\r\n\r\n").unwrap_err(),
             ParseError::InvalidHeader
         );
+        // A header name is a token: not empty, no space, no control byte.
+        for bad in ["bad name: v", ": v", "bad\tname: v", "na\u{e9}me: v", "name : v"] {
+            let wire = format!("GET / HTTP/1.1\r\n{bad}\r\n\r\n");
+            assert_eq!(
+                parse_request(wire.as_bytes()).unwrap_err(),
+                ParseError::InvalidHeader,
+                "{bad:?}"
+            );
+        }
         assert_eq!(
             parse_request(b"GET / HTTP/1.1\r\nContent-Length: abc\r\n\r\n").unwrap_err(),
             ParseError::InvalidContentLength

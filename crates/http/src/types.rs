@@ -68,12 +68,72 @@ impl fmt::Display for InvalidToken {
 
 impl std::error::Error for InvalidToken {}
 
+const LOW: u64 = 0x0101_0101_0101_0101;
+const HIGH: u64 = 0x8080_8080_8080_8080;
+
+/// The high bit of each byte of `word` (eight bytes) that is `\n`. A
+/// head is searched for line ends three times — for its end, for its
+/// line count, then line by line — so the search goes a word a step.
+fn lf_bits(word: &[u8]) -> u64 {
+    // Zero exactly where the word holds `\n`; then, per byte and with no
+    // carry crossing bytes, the high bit is set iff any bit is.
+    let x = u64::from_le_bytes(word.try_into().expect("chunks of eight")) ^ (LOW * 0x0a);
+    !(((x & !HIGH) + !HIGH) | x) & HIGH
+}
+
+fn find_lf(bytes: &[u8]) -> Option<usize> {
+    let mut words = bytes.chunks_exact(8);
+    for (i, word) in words.by_ref().enumerate() {
+        let bits = lf_bits(word);
+        if bits != 0 {
+            return Some(i * 8 + bits.trailing_zeros() as usize / 8);
+        }
+    }
+    let tail = words.remainder();
+    Some(bytes.len() - tail.len() + tail.iter().position(|&b| b == b'\n')?)
+}
+
+/// Offset of the first `\r\n` that starts at or after `from`.
+pub(crate) fn find_crlf(bytes: &[u8], mut from: usize) -> Option<usize> {
+    loop {
+        let lf = from + find_lf(bytes.get(from..)?)?;
+        if lf > from && bytes[lf - 1] == b'\r' {
+            return Some(lf - 1);
+        }
+        from = lf + 1;
+    }
+}
+
+/// How many `\n` `bytes` holds.
+pub(crate) fn count_lf(bytes: &[u8]) -> usize {
+    let mut words = bytes.chunks_exact(8);
+    let in_words: u32 = words.by_ref().map(|word| lf_bits(word).count_ones()).sum();
+    in_words as usize + words.remainder().iter().filter(|&&b| b == b'\n').count()
+}
+
 /// RFC 7230 `tchar`.
-pub(crate) fn is_token_byte(b: u8) -> bool {
+const fn tchar(b: u8) -> bool {
     matches!(b,
         b'!' | b'#' | b'$' | b'%' | b'&' | b'\'' | b'*' | b'+' | b'-' | b'.'
         | b'^' | b'_' | b'`' | b'|' | b'~'
         | b'0'..=b'9' | b'a'..=b'z' | b'A'..=b'Z')
+}
+
+/// [`tchar`] of every byte: names are checked a byte at a time, and one
+/// load is cheaper than the chain of range tests.
+static TCHAR: [bool; 256] = {
+    let mut table = [false; 256];
+    let mut b = 0;
+    while b < 256 {
+        table[b] = tchar(b as u8);
+        b += 1;
+    }
+    table
+};
+
+/// Whether `b` may appear in a token (method, header name).
+pub(crate) fn is_token_byte(b: u8) -> bool {
+    TCHAR[usize::from(b)]
 }
 
 /// An HTTP status code.
@@ -93,6 +153,8 @@ impl StatusCode {
     pub const NOT_FOUND: StatusCode = StatusCode(404);
     /// `405 Method Not Allowed`.
     pub const METHOD_NOT_ALLOWED: StatusCode = StatusCode(405);
+    /// `413 Payload Too Large`.
+    pub const PAYLOAD_TOO_LARGE: StatusCode = StatusCode(413);
     /// `429 Too Many Requests` — overload admission shedding.
     pub const TOO_MANY_REQUESTS: StatusCode = StatusCode(429);
     /// `500 Internal Server Error`.
@@ -124,6 +186,7 @@ impl StatusCode {
             401 => "Unauthorized",
             404 => "Not Found",
             405 => "Method Not Allowed",
+            413 => "Payload Too Large",
             429 => "Too Many Requests",
             500 => "Internal Server Error",
             503 => "Service Unavailable",

@@ -36,6 +36,7 @@
 //! through to the shared cache and refills.
 
 use std::collections::HashMap;
+use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -43,11 +44,9 @@ use bytes::Bytes;
 use parking_lot::RwLock;
 
 use mutcon_core::time::Timestamp;
-use mutcon_http::headers::HeaderName;
-use mutcon_http::message::Response;
+use mutcon_http::date::write_http_date;
+use mutcon_http::message::push_decimal;
 use mutcon_proxy::cache::LruMap;
-
-use crate::client::X_LAST_MODIFIED_MS;
 
 /// Number of independent shards (a fixed power of two so the hash→shard
 /// map is a mask).
@@ -72,34 +71,45 @@ pub struct CacheEntry {
 }
 
 impl CacheEntry {
-    /// Builds an entry, rendering its serving head once.
+    /// Builds an entry, rendering its serving head once, straight into
+    /// one buffer.
     ///
     /// The head is exactly what [`Response::write_head`] produces for the
     /// equivalent response: status line, `last-modified`,
     /// `x-last-modified-ms`, optional `x-object-value` /
     /// `x-object-version`, and the derived `content-length`.
+    ///
+    /// [`Response::write_head`]: mutcon_http::message::Response::write_head
     pub fn new(
         body: Bytes,
         last_modified: Timestamp,
         value: Option<f64>,
         version: Option<String>,
     ) -> CacheEntry {
-        let mut builder = Response::ok()
-            .last_modified(last_modified)
-            .header(X_LAST_MODIFIED_MS, last_modified.as_millis().to_string());
+        let mut head = Vec::with_capacity(192);
+        head.extend_from_slice(b"HTTP/1.1 200 OK\r\nlast-modified: ");
+        write_http_date(&mut head, last_modified);
+        head.extend_from_slice(b"\r\nx-last-modified-ms: ");
+        push_decimal(&mut head, last_modified.as_millis());
         if let Some(v) = value {
-            builder = builder.header(HeaderName::X_OBJECT_VALUE, v.to_string());
+            // Writing into a `Vec` cannot fail.
+            let _ = write!(head, "\r\nx-object-value: {v}");
         }
         if let Some(ver) = &version {
-            builder = builder.header(HeaderName::X_OBJECT_VERSION, ver.clone());
+            head.extend_from_slice(b"\r\nx-object-version: ");
+            head.extend_from_slice(ver.as_bytes());
         }
-        let head = Bytes::from(builder.body(body.clone()).build().head_bytes());
+        if !body.is_empty() {
+            head.extend_from_slice(b"\r\ncontent-length: ");
+            push_decimal(&mut head, body.len() as u64);
+        }
+        head.extend_from_slice(b"\r\n");
         CacheEntry {
             body,
             last_modified,
             value,
             version,
-            head,
+            head: Bytes::from(head),
         }
     }
 
@@ -720,6 +730,46 @@ mod tests {
         let head = std::str::from_utf8(bare.head()).unwrap();
         assert!(!head.contains("x-object-value"));
         assert!(!head.contains("x-object-version"));
+    }
+
+    /// The golden test for the direct render: byte for byte what the
+    /// builder path (`Response::write_head` of the equivalent response)
+    /// produces, over value × version × empty / non-empty body.
+    #[test]
+    fn head_equals_write_head_of_the_equivalent_response() {
+        use mutcon_http::headers::HeaderName;
+        use mutcon_http::message::Response;
+
+        let stamps = [0, 999, 784_111_777_123, 4_102_444_800_000, 253_402_300_799_999];
+        let values = [None, Some(0.0), Some(-2.5), Some(1e21), Some(f64::MIN_POSITIVE)];
+        let versions = [None, Some(""), Some("0"), Some("v7 (beta)")];
+        let bodies = [Bytes::new(), Bytes::from("x"), Bytes::from(vec![7u8; 8192])];
+        for stamp in stamps.map(Timestamp::from_millis) {
+            for value in values {
+                for version in versions {
+                    for body in &bodies {
+                        let mut builder = Response::ok()
+                            .last_modified(stamp)
+                            .header("x-last-modified-ms", stamp.as_millis().to_string());
+                        if let Some(v) = value {
+                            builder = builder.header(HeaderName::X_OBJECT_VALUE, v.to_string());
+                        }
+                        if let Some(ver) = version {
+                            builder = builder.header(HeaderName::X_OBJECT_VERSION, ver);
+                        }
+                        let golden = builder.body(body.clone()).build().head_bytes();
+                        let entry =
+                            CacheEntry::new(body.clone(), stamp, value, version.map(str::to_owned));
+                        assert_eq!(
+                            String::from_utf8_lossy(entry.head()),
+                            String::from_utf8_lossy(&golden),
+                            "{stamp:?} {value:?} {version:?} body {}",
+                            body.len()
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

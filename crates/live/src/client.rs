@@ -12,15 +12,16 @@
 //! stop paying a TCP handshake each. Timeouts guard every socket
 //! operation so a stalled origin cannot wedge the refresher thread.
 
-use std::io;
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration as StdDuration;
 
 use bytes::BytesMut;
 
 use mutcon_core::time::Timestamp;
+use mutcon_http::date::{parse_http_date, write_http_date};
 use mutcon_http::headers::HeaderName;
-use mutcon_http::message::{Request, RequestBuilder, Response};
+use mutcon_http::message::{push_decimal, Request, Response};
 
 use crate::wire::{read_response, write_request};
 
@@ -28,6 +29,27 @@ use crate::wire::{read_response, write_request};
 /// IMF-fixdate in `Last-Modified` only resolves seconds, too coarse for
 /// compressed trace replay).
 pub const X_LAST_MODIFIED_MS: &str = "x-last-modified-ms";
+
+/// A keep-alive `GET` to the origin, written straight into one buffer:
+/// what the proxy sends for a cache miss (no validator) and for a
+/// refresher poll (the cached copy's stamp, as `If-Modified-Since` and as
+/// the millisecond extension header). The bytes are also the origin
+/// pool's coalescing key.
+pub fn get_wire(path: &str, host: &str, validator_ms: Option<Timestamp>) -> Vec<u8> {
+    let mut wire = Vec::with_capacity(path.len() + host.len() + 160);
+    wire.extend_from_slice(b"GET ");
+    wire.extend_from_slice(path.as_bytes());
+    wire.extend_from_slice(b" HTTP/1.1\r\nhost: ");
+    wire.extend_from_slice(host.as_bytes());
+    if let Some(v) = validator_ms {
+        wire.extend_from_slice(b"\r\nif-modified-since: ");
+        write_http_date(&mut wire, v);
+        wire.extend_from_slice(b"\r\nx-last-modified-ms: ");
+        push_decimal(&mut wire, v.as_millis());
+    }
+    wire.extend_from_slice(b"\r\nconnection: keep-alive\r\n\r\n");
+    wire
+}
 
 /// A blocking HTTP client with per-operation timeouts.
 #[derive(Debug, Clone)]
@@ -185,13 +207,19 @@ impl PersistentClient {
     pub fn send(&mut self, request: &Request) -> io::Result<Response> {
         let mut request = request.clone();
         mutcon_http::connection::set_keep_alive(request.headers_mut());
+        self.exchange(&request.to_bytes())
+    }
+
+    /// Writes `wire` (one keep-alive request) and reads the response,
+    /// with the stale-socket retry of [`PersistentClient::send`].
+    fn exchange(&mut self, wire: &[u8]) -> io::Result<Response> {
         loop {
             let reused = self.stream.is_some() && self.served_on_socket > 0;
             let result = (|| {
                 self.connect()?;
                 let PersistentClient { stream, buf, .. } = self;
                 let stream = stream.as_mut().expect("connect ensured a socket");
-                write_request(stream, &request)?;
+                stream.write_all(wire)?;
                 read_response(stream, buf)
             })();
             match result {
@@ -237,25 +265,52 @@ impl PersistentClient {
     ///
     /// See [`PersistentClient::send`].
     pub fn get(&mut self, path: &str, validator_ms: Option<Timestamp>) -> io::Result<Response> {
-        let mut builder: RequestBuilder = Request::get(path).host(self.host.as_str());
-        if let Some(v) = validator_ms {
-            builder = builder
-                .if_modified_since(v)
-                .header(X_LAST_MODIFIED_MS, v.as_millis().to_string());
+        let wire = get_wire(path, &self.host, validator_ms);
+        self.exchange(&wire)
+    }
+}
+
+/// What an origin response says about its object, read from the headers
+/// in one walk (the first field of each name counts, as with `get`).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ObjectStamps<'a> {
+    /// `x-last-modified-ms`, else (absent or malformed) `Last-Modified`.
+    pub last_modified: Option<Timestamp>,
+    /// The `x-object-value` payload (value-bearing objects).
+    pub value: Option<f64>,
+    /// The `x-object-version` payload.
+    pub version: Option<&'a str>,
+}
+
+impl ObjectStamps<'_> {
+    /// Reads the stamps off `response`.
+    pub fn of(response: &Response) -> ObjectStamps<'_> {
+        let (mut exact, mut coarse, mut value, mut version) = (None, None, None, None);
+        for (name, v) in response.headers().iter() {
+            let slot = match name {
+                X_LAST_MODIFIED_MS => &mut exact,
+                HeaderName::LAST_MODIFIED => &mut coarse,
+                HeaderName::X_OBJECT_VALUE => &mut value,
+                HeaderName::X_OBJECT_VERSION => &mut version,
+                _ => continue,
+            };
+            slot.get_or_insert(v);
         }
-        self.send(&builder.build())
+        ObjectStamps {
+            last_modified: exact
+                .and_then(|v| v.trim().parse().ok())
+                .map(Timestamp::from_millis)
+                .or_else(|| parse_http_date(coarse?).ok()),
+            value: value.and_then(|v| v.trim().parse().ok()),
+            version,
+        }
     }
 }
 
 /// Reads the millisecond-precise modification time from a response,
 /// falling back to `Last-Modified` when the extension is absent.
 pub fn last_modified_ms(response: &Response) -> Option<Timestamp> {
-    if let Some(v) = response.headers().get(X_LAST_MODIFIED_MS) {
-        if let Ok(ms) = v.trim().parse::<u64>() {
-            return Some(Timestamp::from_millis(ms));
-        }
-    }
-    response.last_modified()
+    ObjectStamps::of(response).last_modified
 }
 
 /// Reads the millisecond validator from a request (the extension header,
@@ -267,16 +322,6 @@ pub fn validator_ms(request: &Request) -> Option<Timestamp> {
         }
     }
     mutcon_http::conditional::if_modified_since(request)
-}
-
-/// Reads the `x-object-value` header (value-bearing objects).
-pub fn object_value(response: &Response) -> Option<f64> {
-    response
-        .headers()
-        .get(HeaderName::X_OBJECT_VALUE)?
-        .trim()
-        .parse()
-        .ok()
 }
 
 #[cfg(test)]
@@ -297,6 +342,24 @@ mod tests {
             stream.write_all(&response).unwrap();
         });
         addr
+    }
+
+    /// `get_wire` writes exactly the bytes the message builder would.
+    #[test]
+    fn get_wire_equals_the_built_request() {
+        let host = "127.0.0.1:8080";
+        let plain = Request::get("/a/b?c=1").host(host).keep_alive().build();
+        assert_eq!(get_wire("/a/b?c=1", host, None), plain.to_bytes());
+        for ms in [0, 999, 784_111_777_123, 4_102_444_800_000] {
+            let v = Timestamp::from_millis(ms);
+            let poll = Request::get("/obj")
+                .host(host)
+                .if_modified_since(v)
+                .header(X_LAST_MODIFIED_MS, ms.to_string())
+                .keep_alive()
+                .build();
+            assert_eq!(get_wire("/obj", host, Some(v)), poll.to_bytes(), "{ms}");
+        }
     }
 
     #[test]
@@ -344,8 +407,8 @@ mod tests {
         let resp = Response::ok()
             .header(HeaderName::X_OBJECT_VALUE, "36.25")
             .build();
-        assert_eq!(object_value(&resp), Some(36.25));
-        assert_eq!(object_value(&Response::ok().build()), None);
+        assert_eq!(ObjectStamps::of(&resp).value, Some(36.25));
+        assert_eq!(ObjectStamps::of(&Response::ok().build()).value, None);
     }
 
     /// A keep-alive server thread that serves `per_conn` requests per

@@ -248,7 +248,7 @@ fn respond(shared: &Shared, request: &Request) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::{last_modified_ms, object_value, HttpClient};
+    use crate::client::{last_modified_ms, HttpClient, ObjectStamps};
     use std::time::Duration as StdDuration;
     use mutcon_core::value::Value;
     use mutcon_traces::UpdateEvent;
@@ -296,7 +296,7 @@ mod tests {
         assert_eq!(resp.status(), StatusCode::OK);
         let lm = last_modified_ms(&resp).expect("stamped");
         assert!(lm.as_millis() >= origin.epoch_unix_ms());
-        assert!(object_value(&resp).is_some());
+        assert!(ObjectStamps::of(&resp).value.is_some());
         assert!(std::str::from_utf8(resp.body()).unwrap().contains("/obj"));
     }
 

@@ -72,7 +72,7 @@ use mutcon_http::types::{Method, StatusCode};
 use mutcon_traces::json::Json;
 
 use crate::cache::{CacheEntry, ShardedCache};
-use crate::client::{last_modified_ms, object_value, PersistentClient};
+use crate::client::{get_wire, ObjectStamps, PersistentClient};
 use crate::overload::{parse_overload_body, render_overload, OverloadControl};
 use crate::runtime::{ConsistencyRuntime, InstallReport, PollKind};
 use crate::server::{
@@ -219,6 +219,8 @@ struct Counters {
 
 struct Shared {
     origin: SocketAddr,
+    /// `origin` rendered once: the `host` of every upstream request.
+    origin_host: String,
     cache: ShardedCache,
     counters: Counters,
     runtime: Arc<ConsistencyRuntime>,
@@ -257,6 +259,7 @@ impl LiveProxy {
         let runtime = ConsistencyRuntime::new(config.rules, config.group).map_err(invalid)?;
         let shared = Arc::new(Shared {
             origin: config.origin_addr,
+            origin_host: config.origin_addr.to_string(),
             cache: ShardedCache::new(config.cache_objects),
             counters: Counters::default(),
             runtime: Arc::clone(&runtime),
@@ -479,35 +482,35 @@ impl Service for ProxyService {
         // nonblocking state machine), cache, serve.
         self.shared.counters.misses.fetch_add(1, Ordering::SeqCst);
         let shared = Arc::clone(&self.shared);
+        // `connection: keep-alive` advertised explicitly: the fetch
+        // rides a pooled persistent origin connection, and identical
+        // request bytes are the pool's coalescing key.
+        let request = get_wire(path, &self.shared.origin_host, None);
         let path = path.to_owned();
         ServiceResult::Upstream {
             addr: self.shared.origin,
-            // `Connection: keep-alive` advertised explicitly: the fetch
-            // rides a pooled persistent origin connection, and identical
-            // request bytes are the pool's coalescing key.
-            request: Request::get(&path)
-                .host(self.shared.origin.to_string())
-                .keep_alive()
-                .build(),
+            request,
             finish: Box::new(move |result| match result {
                 Ok(mut response) => {
-                    // `Connection` is hop-by-hop (RFC 7230 §6.1): the
-                    // origin's choice governs the pooled origin socket,
-                    // not the client connection — strip it before
-                    // forwarding (the engine re-adds `close` when the
-                    // *client* asked for it).
-                    response.headers_mut().remove(HeaderName::CONNECTION);
-                    if response.status() == StatusCode::OK {
-                        match store_response(&shared, &path, &response) {
-                            // Serve the freshly stored entry the same
-                            // zero-copy way a hit would.
-                            Some(entry) => Reply::Prepared(prepared(&entry, false)),
-                            // Origin 200 without a modification stamp:
-                            // pass through uncached.
-                            None => Reply::Full(response),
+                    let stored = match response.status() {
+                        StatusCode::OK => store_response(&shared, &path, &response),
+                        _ => None,
+                    };
+                    match stored {
+                        // Serve the freshly stored entry the same
+                        // zero-copy way a hit would.
+                        Some(entry) => Reply::Prepared(prepared(&entry, false)),
+                        // 404 etc., or a 200 without a modification
+                        // stamp: pass through uncached. `Connection` is
+                        // hop-by-hop (RFC 7230 §6.1): the origin's choice
+                        // governs the pooled origin socket, not the
+                        // client connection — strip it before forwarding
+                        // (the engine re-adds `close` when the *client*
+                        // asked for it).
+                        None => {
+                            response.headers_mut().remove(HeaderName::CONNECTION);
+                            Reply::Full(response)
                         }
-                    } else {
-                        Reply::Full(response) // 404 etc. pass through
                     }
                 }
                 Err(_) => Reply::Full(
@@ -1083,17 +1086,15 @@ fn reload_rules_file(shared: &Shared, path: &Path) {
 /// `None` when the response carries no modification stamp and is
 /// uncacheable.
 fn store_response(shared: &Shared, path: &str, response: &Response) -> Option<Arc<CacheEntry>> {
-    let lm = last_modified_ms(response)?;
+    let stamps = ObjectStamps::of(response);
+    let lm = stamps.last_modified?;
     // Pre-rendering the serving head happens here, at store time, on
     // the fetching/refreshing thread — never while a hit is served.
     let entry = CacheEntry::new(
         response.body().clone(),
         lm,
-        object_value(response),
-        response
-            .headers()
-            .get(HeaderName::X_OBJECT_VERSION)
-            .map(str::to_owned),
+        stamps.value,
+        stamps.version.map(str::to_owned),
     );
     let resident = shared.cache.insert_if_newer(path, entry);
     if resident.last_modified() == lm {
@@ -1118,7 +1119,7 @@ fn poll_origin(shared: &Shared, client: &mut PersistentClient, path: &str) -> Op
         Ok(response) if response.status() == StatusCode::OK => {
             // The LIMD layer observes what *this poll* saw, not what
             // ended up resident (a concurrent fetch may be fresher).
-            let lm = last_modified_ms(&response)?;
+            let lm = ObjectStamps::of(&response).last_modified?;
             if !shared.runtime.contains(path) {
                 shared.cache.remove(path);
                 return None;

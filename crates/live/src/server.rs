@@ -70,7 +70,7 @@ use bytes::{Bytes, BytesMut};
 use mutcon_core::limit::{Limiter, Outcome as LimitOutcome, Sample as LimitSample};
 use mutcon_core::time::Duration as CoreDuration;
 use mutcon_http::message::{Request, Response};
-use mutcon_http::parse::{RequestParser, ResponseParser};
+use mutcon_http::parse::{ParseError, RequestParser, ResponseParser};
 use mutcon_http::types::StatusCode;
 use mutcon_sim::reactor::backend::{BackendCounters, EpollBackend};
 use mutcon_sim::reactor::{
@@ -127,7 +127,9 @@ const UPSTREAM_TIMEOUT: Duration = Duration::from_secs(5);
 /// Reap pooled origin connections idle longer than this.
 const POOL_IDLE_TIMEOUT: Duration = Duration::from_secs(10);
 /// Stop draining a client socket while this much input is already
-/// buffered ahead of the state machine (pipelining back-pressure).
+/// buffered ahead of the state machine (pipelining back-pressure). Also
+/// the largest request a client may send: one still incomplete when the
+/// buffer is this full will never be read to its end, and gets a `413`.
 const MAX_BUFFERED: usize = 256 * 1024;
 /// Poll-loop tick when nothing else bounds the wait (idle sweeping,
 /// shutdown responsiveness).
@@ -210,8 +212,9 @@ pub enum ServiceResult {
     Upstream {
         /// Upstream address (the origin).
         addr: SocketAddr,
-        /// Request to send upstream.
-        request: Request,
+        /// The serialized request to send upstream — also the key
+        /// identical concurrent fetches coalesce on.
+        request: Vec<u8>,
         /// Builds the client response from the upstream outcome.
         finish: FinishUpstream,
     },
@@ -631,6 +634,7 @@ impl EventLoop {
                 freed_this_batch: Vec::new(),
                 pool: PoolCore::default(),
                 bufs: BufPool::new(),
+                scratch: vec![0; 16 * 1024],
                 driving: None,
                 metrics: Arc::clone(&metrics),
                 reactor_index: i,
@@ -640,6 +644,7 @@ impl EventLoop {
                 overload_config: overload.config(),
                 admission: HashMap::new(),
                 overload_dirty: true,
+                samples_unpublished: false,
                 paused_since: None,
                 l1: match service.l1_capacity() {
                     0 => None,
@@ -819,6 +824,8 @@ struct Reactor {
     /// Recycled read/write buffers, handed to new connections instead
     /// of fresh allocations (reactor-local: no locks).
     bufs: BufPool,
+    /// Where every socket read lands first: zeroed once, not per event.
+    scratch: Vec<u8>,
     /// The client currently inside `drive_client`, if any. Completions
     /// delivered to it are queued, not recursively resumed — the active
     /// drive loop picks them up, keeping pipelined bursts iterative.
@@ -845,6 +852,8 @@ struct Reactor {
     /// Something observable changed (limits, samples, shed counts);
     /// publish a fresh snapshot at the end of the turn.
     overload_dirty: bool,
+    /// Fetches were recorded since the last publish (see `record_fetch`).
+    samples_unpublished: bool,
     /// When `pause_accepting` parked the listener; after
     /// `park_deadline` the backlog is drained with `503`s instead of
     /// making parked clients wait forever.
@@ -867,6 +876,14 @@ struct PartitionState {
     shed: u64,
 }
 
+/// Drops whatever `stream` (nonblocking) has received so far: closing
+/// over unread bytes resets the connection, which can discard a response
+/// still in flight to the peer.
+fn discard_input(mut stream: &TcpStream) {
+    let mut scratch = [0u8; 4096];
+    while matches!(stream.read(&mut scratch), Ok(1..)) {}
+}
+
 /// Clones an `io::Error` well enough for fan-out to several waiters.
 fn clone_err(e: &io::Error) -> io::Error {
     io::Error::new(e.kind(), e.to_string())
@@ -887,6 +904,7 @@ impl Reactor {
             if self.last_sweep.elapsed() >= Duration::from_secs(1) {
                 self.sweep_idle();
                 self.last_sweep = Instant::now();
+                self.overload_dirty |= self.samples_unpublished;
             }
         }
         self.drain(&mut events);
@@ -1083,9 +1101,9 @@ impl Reactor {
         let Some(conn) = self.conns[idx].as_mut() else { return };
         let Kind::Client(client) = &mut conn.kind else { return };
         let mut saw_eof = false;
-        let mut chunk = [0u8; 16 * 1024];
+        let chunk = &mut self.scratch[..];
         while client.read_buf.len() < MAX_BUFFERED {
-            match (&conn.stream).read(&mut chunk) {
+            match (&conn.stream).read(chunk) {
                 Ok(0) => {
                     saw_eof = true;
                     break;
@@ -1154,12 +1172,24 @@ impl Reactor {
             if client.write.has_unwritten() || !matches!(client.pending, Pending::None) {
                 return true; // busy; pipelined requests wait their turn
             }
-            if client.close_after_write {
-                return true; // response flushed path closes the socket
+            if client.close_after_write || client.read_buf.is_empty() {
+                return true; // closing after the flush, or nothing to parse
             }
             let (request, consumed) = match client.parser.advance(&client.read_buf) {
                 Ok(Some(parsed)) => parsed,
-                Ok(None) => return true,
+                Ok(None) if client.read_buf.len() < MAX_BUFFERED => return true,
+                Ok(None) | Err(ParseError::BodyTooLarge) => {
+                    // Well-formed, but more than the buffer (or the
+                    // parser) will hold: say so, then close. What it
+                    // already sent is discarded first, or the close would
+                    // reset the connection under the `413`.
+                    client.close_after_write = true;
+                    client.read_buf.clear();
+                    discard_input(&conn.stream);
+                    let refusal = Response::builder(StatusCode::PAYLOAD_TOO_LARGE).build();
+                    self.queue_response(idx, refusal);
+                    return self.flush_client(idx);
+                }
                 Err(_) => {
                     // The bytes can never become a request; the
                     // connection is beyond saving.
@@ -1207,7 +1237,7 @@ impl Reactor {
                     request,
                     finish,
                 } => {
-                    self.submit_upstream(idx, addr, &request, finish);
+                    self.submit_upstream(idx, addr, request, finish);
                     match self.conns.get(idx).and_then(Option::as_ref) {
                         None => return false,
                         Some(conn) => {
@@ -1299,12 +1329,15 @@ impl Reactor {
     fn update_client_interest(&mut self, idx: usize) {
         let Some(conn) = self.conns[idx].as_ref() else { return };
         let Kind::Client(client) = &conn.kind else { return };
+        // Read interest stays armed while a fetch is pending: dropping and
+        // re-arming it straddles two loop turns, which the ledger cannot
+        // coalesce (two `epoll_ctl` per miss). It is dropped at the
+        // buffering bound, and after the peer's EOF, which a
+        // level-triggered poller would report on every turn.
         let interest = if client.write.has_unwritten() {
             Interest::WRITABLE
-        } else if !matches!(client.pending, Pending::None) {
-            Interest::NONE // response owed; nothing to read or write yet
-        } else if client.read_buf.len() >= MAX_BUFFERED {
-            Interest::NONE // pipelining back-pressure
+        } else if client.peer_closed || client.read_buf.len() >= MAX_BUFFERED {
+            Interest::NONE
         } else {
             Interest::READABLE
         };
@@ -1419,10 +1452,9 @@ impl Reactor {
         &mut self,
         client_idx: usize,
         addr: SocketAddr,
-        request: &Request,
+        wire: Vec<u8>,
         finish: FinishUpstream,
     ) {
-        let wire = request.to_bytes();
         let waiter = Waiting {
             client: client_idx,
             finish,
@@ -1486,8 +1518,7 @@ impl Reactor {
                                 io::ErrorKind::Other,
                                 "cannot register upstream socket",
                             );
-                            self.pool.record_fetch(addr, Duration::ZERO, false);
-                            self.overload_dirty = true;
+                            self.record_fetch(addr, Duration::ZERO, false);
                             if let Some(j) = self.pool.complete(job) {
                                 self.deliver(j, Err(err));
                             }
@@ -1517,8 +1548,7 @@ impl Reactor {
                         self.pool.pop_queued(addr);
                         // A synchronous connect failure is the strongest
                         // overload signal there is: collapse the cap.
-                        self.pool.record_fetch(addr, Duration::ZERO, false);
-                        self.overload_dirty = true;
+                        self.record_fetch(addr, Duration::ZERO, false);
                         if let Some(j) = self.pool.complete(job) {
                             self.deliver(j, Err(e));
                         }
@@ -1529,6 +1559,17 @@ impl Reactor {
                 break; // at the per-origin cap; completions re-pump
             }
         }
+    }
+
+    /// Feeds one fetch outcome to the pool's limiter. A moved cap or a
+    /// failure is published this turn; a success that moved nothing only
+    /// advanced the sample counters, which ride the next publish (at the
+    /// latest the once-a-second sweep's).
+    fn record_fetch(&mut self, addr: SocketAddr, elapsed: Duration, ok: bool) {
+        let before = self.pool.current_cap();
+        let after = self.pool.record_fetch(addr, elapsed, ok);
+        self.overload_dirty |= !ok || after != before;
+        self.samples_unpublished = true;
     }
 
     fn upstream_writable(&mut self, idx: usize) {
@@ -1597,9 +1638,9 @@ impl Reactor {
             return;
         }
         let mut saw_eof = false;
-        let mut chunk = [0u8; 16 * 1024];
+        let chunk = &mut self.scratch[..];
         loop {
-            match (&conn.stream).read(&mut chunk) {
+            match (&conn.stream).read(chunk) {
                 Ok(0) => {
                     saw_eof = true;
                     break;
@@ -1650,8 +1691,7 @@ impl Reactor {
                 // Feed the fetch's latency to the adaptive cap before
                 // re-pumping, so the pump sees the updated limit.
                 let elapsed = fetch_started.map(|t| t.elapsed()).unwrap_or_default();
-                self.pool.record_fetch(addr, elapsed, true);
-                self.overload_dirty = true;
+                self.record_fetch(addr, elapsed, true);
                 if let Some(j) = self.pool.complete(job) {
                     self.deliver(j, Ok(response));
                 }
@@ -1705,8 +1745,7 @@ impl Reactor {
                     self.pool.requeue_for_retry(job);
                 } else {
                     let elapsed = fetch_started.map(|t| t.elapsed()).unwrap_or_default();
-                    self.pool.record_fetch(addr, elapsed, false);
-                    self.overload_dirty = true;
+                    self.record_fetch(addr, elapsed, false);
                     if let Some(j) = self.pool.complete(job) {
                         self.deliver(j, Err(err));
                     }
@@ -2014,11 +2053,7 @@ impl Reactor {
                     // Best effort: the head fits any fresh socket's send
                     // buffer; a peer that raced away just gets the close.
                     let _ = (&stream).write(head.as_bytes());
-                    // Discard whatever the parked client already sent:
-                    // closing with unread bytes queued makes the kernel
-                    // reset the connection, discarding the 503 in flight.
-                    let mut scratch = [0u8; 4096];
-                    while matches!((&stream).read(&mut scratch), Ok(1..)) {}
+                    discard_input(&stream);
                     shed += 1;
                 }
                 Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => break,
@@ -2039,6 +2074,7 @@ impl Reactor {
             return;
         }
         self.overload_dirty = false;
+        self.samples_unpublished = false;
         let mut partitions: Vec<PartitionSnap> = self
             .admission
             .iter()

@@ -1,0 +1,178 @@
+//! The miss path's allocation budget, stage by stage.
+//!
+//! A cache miss runs five library stages between the client's bytes and
+//! the stored entry — request parse, upstream wire, response parse, the
+//! store's header look-ups, `CacheEntry::new` — and then the first
+//! `insert_if_newer`. Each is called here through the same public
+//! functions the reactor (and the benchmark's per-layer replays) call,
+//! under a counting allocator, and held to a budget. Allocation counts
+//! repeat exactly from run to run, so this gate has no noise to know: a
+//! stage that starts allocating per header again fails it on the first
+//! run.
+//!
+//! The counter is per thread, so the tests of this binary may run in
+//! parallel.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use bytes::Bytes;
+use mutcon_http::headers::HeaderName;
+use mutcon_http::message::Response;
+use mutcon_http::parse::{RequestParser, ResponseParser};
+use mutcon_live::cache::{CacheEntry, ShardedCache};
+use mutcon_live::client::{get_wire, ObjectStamps};
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting this thread's `alloc` calls (the
+/// default `realloc` and `alloc_zeroed` go through `alloc`, so a growing
+/// `Vec` counts once per growth).
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the only addition is a bump of a
+// const-initialised, destructor-free thread-local, which neither
+// allocates nor unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's obligations on `layout` are passed on as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `alloc` above, i.e. from `System`, with
+        // this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Runs `stage` and returns its result with the allocations it made.
+fn counted<T>(stage: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = stage();
+    (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+const PATH: &str = "/obj/000017";
+const BODY_BYTES: usize = 8 * 1024;
+
+/// What the benchmark's load generator sends for `PATH`.
+fn client_request() -> Vec<u8> {
+    format!("GET {PATH} HTTP/1.1\r\nhost: bench\r\n\r\n").into_bytes()
+}
+
+/// What the benchmark's fixture origin answers: five lower-case headers
+/// and an 8 KiB body.
+fn origin_response() -> Vec<u8> {
+    let mut wire = format!(
+        "HTTP/1.1 200 OK\r\nx-last-modified-ms: 1700000000123\r\n\
+         x-object-version: 7\r\ncontent-type: application/octet-stream\r\n\
+         content-length: {BODY_BYTES}\r\nconnection: keep-alive\r\n\r\n"
+    )
+    .into_bytes();
+    wire.resize(wire.len() + BODY_BYTES, b'x');
+    wire
+}
+
+#[test]
+fn each_stage_of_a_miss_stays_within_its_allocation_budget() {
+    let request_wire = client_request();
+    let response_wire = origin_response();
+    let cache = ShardedCache::new(Some(1024));
+
+    let (miss, whole_miss) = counted(|| {
+        // Request parse: the head (target included) and its index.
+        let (parsed, request_parse) = counted(|| RequestParser::new().advance(&request_wire));
+        let (request, consumed) = parsed.expect("well-formed").expect("complete");
+        assert_eq!(consumed, request_wire.len());
+        assert_eq!(request.target(), PATH);
+        assert!(request.wants_keep_alive());
+
+        // Upstream wire: one buffer, which is also the coalescing key.
+        let (wire, upstream_wire) = counted(|| get_wire(request.target(), "127.0.0.1:40000", None));
+        assert!(wire.starts_with(b"GET /obj/000017 HTTP/1.1\r\nhost: 127.0.0.1:40000\r\n"));
+
+        // Response parse: head, index, body.
+        let (parsed, response_parse) = counted(|| ResponseParser::new().advance(&response_wire));
+        let (mut response, consumed) = parsed.expect("well-formed").expect("complete");
+        assert_eq!(consumed, response_wire.len());
+
+        // What the reactor and the store ask of the headers.
+        let (keep_alive, reactor_look_ups) = counted(|| {
+            let keep_alive = response.wants_keep_alive();
+            response.headers_mut().remove(HeaderName::CONNECTION);
+            keep_alive
+        });
+        assert!(keep_alive);
+        let (stamps, store_look_ups) = counted(|| ObjectStamps::of(&response));
+        let look_ups = reactor_look_ups + store_look_ups;
+        let last_modified = stamps.last_modified.expect("stamped");
+        assert_eq!(last_modified.as_millis(), 1_700_000_000_123);
+        assert_eq!(stamps.version, Some("7"));
+
+        // The entry: the version string, the head, the head's `Bytes`.
+        let (entry, entry_new) = counted(|| {
+            CacheEntry::new(
+                response.body().clone(),
+                last_modified,
+                stamps.value,
+                stamps.version.map(str::to_owned),
+            )
+        });
+        assert_eq!(entry.body().len(), BODY_BYTES);
+
+        cache.insert_if_newer(PATH, entry);
+        [
+            request_parse,
+            upstream_wire,
+            response_parse,
+            look_ups,
+            entry_new,
+        ]
+    });
+
+    let [request_parse, upstream_wire, response_parse, look_ups, entry_new] = miss;
+    assert!(
+        request_parse <= 2,
+        "request parse: {request_parse} allocations"
+    );
+    assert!(
+        upstream_wire <= 1,
+        "upstream wire: {upstream_wire} allocations"
+    );
+    assert!(
+        response_parse <= 3,
+        "response parse: {response_parse} allocations"
+    );
+    assert_eq!(look_ups, 0, "store look-ups must not allocate");
+    assert!(entry_new <= 3, "CacheEntry::new: {entry_new} allocations");
+    assert!(whole_miss <= 20, "whole miss: {whole_miss} allocations");
+}
+
+/// The serializing side: a response the engine renders per connection
+/// (admin replies, pass-throughs) formats its status and length without
+/// a `String`, and an empty `Bytes` is free.
+#[test]
+fn head_rendering_and_empty_bodies_do_not_allocate() {
+    let response = Response::ok()
+        .header(HeaderName::CONTENT_TYPE, "text/plain")
+        .body(&b"hello"[..])
+        .build();
+    let mut out = Vec::with_capacity(256);
+    let ((), render) = counted(|| response.write_head(&mut out));
+    assert_eq!(render, 0, "write_head into a buffer with room");
+    assert_eq!(
+        out,
+        b"HTTP/1.1 200 OK\r\ncontent-type: text/plain\r\ncontent-length: 5\r\n"
+    );
+    let (empty, made) = counted(Bytes::new);
+    assert!(empty.is_empty());
+    assert_eq!(made, 0, "Bytes::new");
+}

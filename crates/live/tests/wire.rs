@@ -457,3 +457,198 @@ fn chunked_post_closes_the_connection_instead_of_desyncing() {
     );
     assert_eq!(origin.fetches("/obj"), 0, "the pipelined GET must not run");
 }
+
+/// The miss-path twin of `epoll_ctl_calls_grow_sublinearly_in_requests`:
+/// a client's read interest stays armed while its fetch is at the
+/// origin, so a keep-alive connection's misses reach the kernel's
+/// interest list no more often than its hits do. (Dropping the interest
+/// for the fetch and re-arming it after cost two `epoll_ctl` per miss.)
+#[test]
+fn epoll_ctl_calls_stay_flat_over_keep_alive_misses() {
+    let clock = FakeClock::new();
+    let origin = ScriptedOrigin::start(clock);
+    let proxy = hit_only_proxy(origin.addr(), 1);
+    let metrics = Arc::clone(proxy.engine_metrics());
+
+    let mut sock = connect(proxy.local_addr());
+    let mut buf = BytesMut::new();
+    // First miss: the client's ADD, the origin socket's ADD and its
+    // connect-time MOD all land before the measured window.
+    sock.write_all(&Request::get("/miss/warm").build().to_bytes()).unwrap();
+    read_response(&mut sock, &mut buf).expect("first miss");
+    wait_until("pre-burst counters settle", || metrics.pool_opened() >= 1);
+    std::thread::sleep(StdDuration::from_millis(20));
+
+    const MISSES: u64 = 200;
+    let ctl_before = metrics.epoll_ctl_calls();
+    for i in 0..MISSES {
+        sock.write_all(&Request::get(format!("/miss/{i}")).build().to_bytes()).unwrap();
+        let resp = read_response(&mut sock, &mut buf).expect("miss response");
+        assert_eq!(resp.headers().get("x-cache"), Some("miss"));
+    }
+    std::thread::sleep(StdDuration::from_millis(20));
+    let ctl = metrics.epoll_ctl_calls() - ctl_before;
+    assert!(
+        ctl <= MISSES / 8,
+        "a miss must not toggle the client's interest: {ctl} ctl calls for {MISSES} misses"
+    );
+    assert_eq!(metrics.pool_opened(), 1, "every miss rode the one pooled origin socket");
+}
+
+/// CPU time (user + system, in clock ticks) the thread named `comm` has
+/// used so far.
+fn thread_cpu_ticks(comm: &str) -> u64 {
+    for task in std::fs::read_dir("/proc/self/task").expect("procfs") {
+        let dir = task.expect("task entry").path();
+        let Ok(name) = std::fs::read_to_string(dir.join("comm")) else { continue };
+        if name.trim_end() != comm {
+            continue;
+        }
+        let stat = std::fs::read_to_string(dir.join("stat")).expect("task stat");
+        // Fields after the parenthesised comm; utime and stime are the
+        // 14th and 15th of the line, the 12th and 13th from there.
+        let rest = stat.rsplit_once(')').expect("comm in parentheses").1;
+        let mut fields = rest.split_ascii_whitespace().skip(11);
+        let mut tick = || fields.next().and_then(|f| f.parse::<u64>().ok()).expect("cpu field");
+        return tick() + tick();
+    }
+    panic!("no thread named {comm}");
+}
+
+/// A client that half-closes while its miss is held at the origin is
+/// still owed — and gets — the response. Its read interest is dropped at
+/// the EOF: the poller is level-triggered, so an armed interest would
+/// report that EOF on every loop turn for as long as the origin takes.
+/// The engine is driven directly so its one reactor thread has a name of
+/// its own to find in procfs.
+#[test]
+fn half_closed_client_gets_its_held_miss_without_a_spinning_reactor() {
+    use mutcon_live::client::get_wire;
+    use mutcon_live::server::{EngineConfig, EventLoop, Reply, Service, ServiceResult};
+
+    struct FetchEverything(SocketAddr);
+    impl Service for FetchEverything {
+        fn respond(&self, request: &Request) -> ServiceResult {
+            ServiceResult::Upstream {
+                addr: self.0,
+                request: get_wire(request.target(), "origin", None),
+                finish: Box::new(|fetched| {
+                    Reply::Full(fetched.unwrap_or_else(|_| {
+                        Response::builder(StatusCode::INTERNAL_SERVER_ERROR).build()
+                    }))
+                }),
+            }
+        }
+    }
+
+    let origin = ScriptedOrigin::start(FakeClock::new());
+    origin.script("/held", vec![harness::Behavior::Hold]);
+    let engine = EventLoop::start(
+        "eofhold",
+        Arc::new(FetchEverything(origin.addr())),
+        EngineConfig { reactors: 1, ..EngineConfig::default() },
+    )
+    .expect("start engine");
+
+    let mut sock = connect(engine.local_addr());
+    sock.write_all(&Request::get("/held").build().to_bytes()).unwrap();
+    origin.wait_for_held(1);
+    sock.shutdown(std::net::Shutdown::Write).unwrap();
+
+    let before = thread_cpu_ticks("eofhold-r0");
+    std::thread::sleep(StdDuration::from_millis(500));
+    let spent = thread_cpu_ticks("eofhold-r0") - before;
+    // A reactor woken by the EOF on every turn burns the whole hold
+    // (about 50 ticks of 10 ms); one that disarmed sleeps through it.
+    assert!(spent <= 10, "the reactor spun on the client's EOF: {spent} ticks in 500 ms");
+
+    origin.release_all();
+    let mut buf = BytesMut::new();
+    let resp = read_response(&mut sock, &mut buf).expect("the owed response");
+    assert_eq!(resp.status(), StatusCode::OK);
+    assert!(resp.body().starts_with(b"path=/held "));
+    let mut rest = Vec::new();
+    assert_eq!(sock.read_to_end(&mut rest).unwrap(), 0, "then the drained connection closes");
+}
+
+/// Read interest stays armed behind a pending miss, but not without
+/// bound: a client that keeps pipelining while its first request waits
+/// at the origin is read up to the engine's buffering limit (256 KiB)
+/// and then left to the kernel's socket buffers, which push back on the
+/// sender.
+#[test]
+fn pipelining_flood_behind_a_pending_miss_stops_being_read() {
+    let origin = ScriptedOrigin::start(FakeClock::new());
+    origin.script("/held", vec![harness::Behavior::Hold]);
+    let proxy = hit_only_proxy(origin.addr(), 1);
+
+    let mut sock = connect(proxy.local_addr());
+    sock.write_all(&Request::get("/held").build().to_bytes()).unwrap();
+    origin.wait_for_held(1);
+
+    // Far more than the engine's limit plus anything the kernel will
+    // queue on a loopback socket nobody reads (tcp_rmem + tcp_wmem
+    // ceilings: 32 + 4 MiB here).
+    const FLOOD_CAP: usize = 64 << 20;
+    let chunk = Request::get("/flood").build().to_bytes().repeat(1024);
+    sock.set_nonblocking(true).unwrap();
+    let mut sent = 0usize;
+    let mut last_progress = Instant::now();
+    while sent < FLOOD_CAP && last_progress.elapsed() < StdDuration::from_millis(300) {
+        match sock.write(&chunk) {
+            Ok(n) => {
+                sent += n;
+                last_progress = Instant::now();
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                std::thread::sleep(StdDuration::from_millis(5));
+            }
+            Err(e) => panic!("flood write: {e}"),
+        }
+    }
+    assert!(
+        sent < FLOOD_CAP,
+        "the proxy read all {sent} pipelined bytes behind a pending miss"
+    );
+
+    // The held request is still answered first, whatever queued behind it.
+    sock.set_nonblocking(false).unwrap();
+    origin.release_all();
+    let mut buf = BytesMut::new();
+    let resp = read_response(&mut sock, &mut buf).expect("held response");
+    assert!(resp.body().starts_with(b"path=/held "));
+}
+
+/// A request larger than the engine's read buffer is refused with `413`
+/// once the buffer is full, then the connection closes. (It used to hang
+/// until the 30 s idle sweep: the read loop stopped draining at 256 KiB
+/// while the parser waited for the rest.)
+#[test]
+fn oversized_request_body_gets_a_413_and_a_close() {
+    let origin = ScriptedOrigin::start(FakeClock::new());
+    let proxy = hit_only_proxy(origin.addr(), 1);
+    let mut sock = connect(proxy.local_addr());
+    let wire = Request::builder(mutcon_http::types::Method::Put, "/admin/rules")
+        .body(vec![b' '; 300_000])
+        .build()
+        .to_bytes();
+    let started = Instant::now();
+    // The refusal may land while the tail of the body is still being
+    // written; a failed write then is as good as a completed one.
+    let _ = sock.write_all(&wire);
+    let mut buf = BytesMut::new();
+    let resp = read_response(&mut sock, &mut buf).expect("the 413");
+    assert!(started.elapsed() < StdDuration::from_secs(1), "answered in {:?}", started.elapsed());
+    assert_eq!(resp.status(), StatusCode::PAYLOAD_TOO_LARGE);
+    assert!(!resp.wants_keep_alive(), "the refusal announces the close");
+    let mut rest = Vec::new();
+    match sock.read_to_end(&mut rest) {
+        Ok(0) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+        other => panic!("expected the connection to close, got {other:?}"),
+    }
+    // The limit is on one body, not on the connection: the next client
+    // is served.
+    let resp = HttpClient::new().get(proxy.local_addr(), "/after", None).unwrap();
+    assert_eq!(resp.status(), StatusCode::OK);
+}

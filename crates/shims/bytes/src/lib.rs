@@ -19,13 +19,18 @@ use std::sync::Arc;
 pub struct Bytes(Arc<[u8]>);
 
 impl Bytes {
-    /// An empty buffer.
+    /// An empty buffer. `Arc<[u8]>::default()` is std's shared empty
+    /// slice, so this allocates nothing (`Arc::from(&[][..])` would).
     pub fn new() -> Self {
-        Bytes(Arc::from(&[][..]))
+        Bytes::default()
     }
 
-    /// Copies `data` into a new buffer.
+    /// Copies `data` into a new buffer; an empty `data` shares the
+    /// empty buffer, as in the real crate.
     pub fn copy_from_slice(data: &[u8]) -> Self {
+        if data.is_empty() {
+            return Bytes::new();
+        }
         Bytes(Arc::from(data))
     }
 

@@ -48,9 +48,11 @@ cargo test -q -p mutcon-live --test reactor_smoke
 # seeded schedules), the hot-swappable rule runtime, the zero-copy wire
 # path, the L1 version-stamp protocol and the refresh plane. Reactor
 # counts, L1 on/off and refresh-worker counts are inputs the scenarios
-# pin themselves.
+# pin themselves. `alloc_budget` holds each stage of a cache miss to its
+# allocation count (exact, so a gate with no noise to know).
 cargo test -q -p mutcon-live \
-  --test concurrency --test admin --test wire --test coherence --test refresh
+  --test concurrency --test admin --test wire --test coherence --test refresh \
+  --test alloc_budget
 
 # Soak: readers on the L1 racing refresher stores, and the refresh
 # workers' wait/notify protocol, must pass every time, not most times.
@@ -68,8 +70,11 @@ cargo test -q -p mutcon-live --test overload
 # BENCH_repro.json).
 target/release/repro all > /dev/null
 
-# The live proxy's benchmark (BENCHMARK.json): its own tests, then one
-# short workload that must verify every response and exit 0.
+# The live proxy's benchmark (BENCHMARK.json): its own tests, then a
+# short run of the hit path and one of the miss path; each must verify
+# every response and exit 0.
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
-cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- \
-  run --workload hot_hit --seed 1 --seconds 3
+for workload in hot_hit miss_churn; do
+  cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- \
+    run --workload "$workload" --seed 1 --seconds 3
+done
