@@ -153,6 +153,8 @@ impl StatusCode {
     pub const NOT_FOUND: StatusCode = StatusCode(404);
     /// `405 Method Not Allowed`.
     pub const METHOD_NOT_ALLOWED: StatusCode = StatusCode(405);
+    /// `408 Request Timeout`.
+    pub const REQUEST_TIMEOUT: StatusCode = StatusCode(408);
     /// `413 Payload Too Large`.
     pub const PAYLOAD_TOO_LARGE: StatusCode = StatusCode(413);
     /// `429 Too Many Requests` — overload admission shedding.
@@ -186,6 +188,7 @@ impl StatusCode {
             401 => "Unauthorized",
             404 => "Not Found",
             405 => "Method Not Allowed",
+            408 => "Request Timeout",
             413 => "Payload Too Large",
             429 => "Too Many Requests",
             500 => "Internal Server Error",

@@ -47,6 +47,9 @@ use mutcon_core::time::Timestamp;
 use mutcon_http::date::write_http_date;
 use mutcon_http::message::push_decimal;
 use mutcon_proxy::cache::LruMap;
+use mutcon_traces::json::Json;
+
+use crate::metrics::{metrics, put, Counter};
 
 /// Number of independent shards (a fixed power of two so the hash→shard
 /// map is a mask).
@@ -206,6 +209,17 @@ pub struct VersionedEntry {
     pub stamp: u64,
 }
 
+metrics! {
+    /// What the shared cache counts outside any shard lock. (What a shard
+    /// counts under its own lock is in [`ShardStats`].)
+    pub struct CacheMetrics {
+        /// Hit-path lookups that skipped the recency write lock because the
+        /// entry was already the shard's most recently used — reads that
+        /// never queued on a shard write lock.
+        touch_skips: Counter => "cache.touch_skips";
+    }
+}
+
 /// A sharded, optionally bounded cache keyed by object path.
 pub struct ShardedCache {
     shards: Vec<RwLock<Shard>>,
@@ -214,9 +228,7 @@ pub struct ShardedCache {
     /// Bulk-invalidation generation: bumped by admin rule swaps; every
     /// reactor L1 drops wholesale when it observes a new value.
     generation: AtomicU64,
-    /// Hit-path lookups that skipped the recency write lock because the
-    /// entry was already most recent (see [`ShardedCache::get`]).
-    touch_skips: AtomicU64,
+    metrics: CacheMetrics,
     /// Whether a capacity bound is set; the unbounded cache (the
     /// paper's model, and the default) has no recency to maintain, so
     /// its hit path never touches a write lock at all.
@@ -297,7 +309,7 @@ impl ShardedCache {
                 .collect(),
             clock: AtomicU64::new(0),
             generation: AtomicU64::new(0),
-            touch_skips: AtomicU64::new(0),
+            metrics: CacheMetrics::default(),
             bounded: per_shard.is_some(),
         }
     }
@@ -319,7 +331,7 @@ impl ShardedCache {
             {
                 let guard = shard.read();
                 if guard.map.is_most_recent(path) {
-                    self.touch_skips.fetch_add(1, Ordering::Relaxed);
+                    self.metrics.touch_skips.inc();
                     return guard.map.get(path).cloned();
                 }
             }
@@ -341,7 +353,7 @@ impl ShardedCache {
             {
                 let guard = shard.read();
                 if guard.map.is_most_recent(path) {
-                    self.touch_skips.fetch_add(1, Ordering::Relaxed);
+                    self.metrics.touch_skips.inc();
                     return versioned(&guard, path);
                 }
             }
@@ -422,10 +434,24 @@ impl ShardedCache {
         self.generation.fetch_add(1, Ordering::Release);
     }
 
-    /// Hit-path lookups that skipped the recency write lock because the
-    /// entry was already the shard's most recently used.
-    pub fn touch_skips(&self) -> u64 {
-        self.touch_skips.load(Ordering::Relaxed)
+    /// Writes the `cache` section of the stats document: the cells, then
+    /// what the shards count under their own locks, per shard and summed.
+    pub fn render(&self, doc: &mut Json) {
+        self.metrics.render(doc);
+        let num = |n: u64| Json::Number(n as f64);
+        let shards = self.shard_stats();
+        let rows = shards.iter().map(|s| {
+            let mut row = Json::Null;
+            put(&mut row, "len", num(s.len as u64));
+            put(&mut row, "evictions", num(s.evictions));
+            put(&mut row, "version_bumps", num(s.version_bumps));
+            row
+        });
+        put(doc, "cache.shards", Json::Array(rows.collect()));
+        put(doc, "cache.objects", num(shards.iter().map(|s| s.len as u64).sum()));
+        put(doc, "cache.evictions", num(shards.iter().map(|s| s.evictions).sum()));
+        put(doc, "cache.version_bumps", num(shards.iter().map(|s| s.version_bumps).sum()));
+        put(doc, "cache.generation", num(self.generation()));
     }
 
     /// Total version-handle bumps across all shards.
@@ -523,7 +549,6 @@ pub struct L1Cache {
     generation: u64,
     tick: u64,
     len: usize,
-    evictions: u64,
 }
 
 impl L1Cache {
@@ -537,7 +562,6 @@ impl L1Cache {
             generation: 0,
             tick: 0,
             len: 0,
-            evictions: 0,
         }
     }
 
@@ -577,8 +601,8 @@ impl L1Cache {
     }
 
     /// Refills after an L2 hit. A full probe window evicts its least
-    /// recently used slot.
-    pub fn insert(&mut self, path: &str, versioned: VersionedEntry) {
+    /// recently used slot: `true` when it did.
+    pub fn insert(&mut self, path: &str, versioned: VersionedEntry) -> bool {
         let base = fnv1a(path);
         self.tick += 1;
         let mut empty = None;
@@ -592,7 +616,7 @@ impl L1Cache {
                         versioned,
                         used: self.tick,
                     });
-                    return;
+                    return false;
                 }
                 Some(slot) => {
                     if lru.map_or(true, |(_, used)| slot.used < used) {
@@ -611,10 +635,7 @@ impl L1Cache {
                 self.len += 1;
                 idx
             }
-            (None, Some((idx, _))) => {
-                self.evictions += 1;
-                idx
-            }
+            (None, Some((idx, _))) => idx,
             (None, None) => unreachable!("probe window has neither empty nor occupied slots"),
         };
         self.slots[idx] = Some(L1Slot {
@@ -622,6 +643,7 @@ impl L1Cache {
             versioned,
             used: self.tick,
         });
+        empty.is_none()
     }
 
     /// Drops every slot (bulk invalidation).
@@ -647,10 +669,6 @@ impl L1Cache {
         self.slots.len()
     }
 
-    /// Probe-window LRU evictions performed by refills so far.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
 }
 
 impl std::fmt::Debug for L1Cache {
@@ -878,13 +896,13 @@ mod tests {
     fn hot_entry_reads_skip_the_write_lock() {
         let cache = ShardedCache::new(Some(SHARD_COUNT * 4));
         cache.insert("/hot", entry(1));
-        assert_eq!(cache.touch_skips(), 0);
+        assert_eq!(cache.metrics.touch_skips(), 0);
         // The freshly inserted entry is its shard's most recent: every
         // repeat read takes the skip path, and recency stays intact.
         for _ in 0..10 {
             assert!(cache.get("/hot").is_some());
         }
-        assert_eq!(cache.touch_skips(), 10);
+        assert_eq!(cache.metrics.touch_skips(), 10);
         // A second key in the same shard displaces /hot from the
         // recency tail; its next read must take the touch path again
         // (no new skip) and restore it.
@@ -893,16 +911,16 @@ mod tests {
             .find(|p| shard_of(p) == shard_of("/hot"))
             .unwrap();
         cache.insert(&colliding, entry(2));
-        let skips = cache.touch_skips();
+        let skips = cache.metrics.touch_skips();
         assert!(cache.get("/hot").is_some());
-        assert_eq!(cache.touch_skips(), skips, "non-tail read must not skip");
+        assert_eq!(cache.metrics.touch_skips(), skips, "non-tail read must not skip");
         assert!(cache.get("/hot").is_some());
-        assert_eq!(cache.touch_skips(), skips + 1, "touched entry skips again");
+        assert_eq!(cache.metrics.touch_skips(), skips + 1, "touched entry skips again");
         // Unbounded caches have no recency to protect; no skip counting.
         let unbounded = ShardedCache::new(None);
         unbounded.insert("/a", entry(1));
         let _ = unbounded.get("/a");
-        assert_eq!(unbounded.touch_skips(), 0);
+        assert_eq!(unbounded.metrics.touch_skips(), 0);
     }
 
     #[test]
@@ -917,7 +935,7 @@ mod tests {
             cache.insert(&format!("/cold/{i}"), entry(i));
         }
         assert!(cache.get("/hot").is_some(), "hot entry evicted");
-        assert!(cache.touch_skips() > 0, "skew never took the skip path");
+        assert!(cache.metrics.touch_skips() > 0, "skew never took the skip path");
     }
 
     #[test]
@@ -1027,13 +1045,14 @@ mod tests {
     fn l1_probe_window_evicts_lru_under_pressure() {
         let cache = ShardedCache::new(None);
         let mut l1 = L1Cache::new(L1_PROBE); // one window total
+        let mut evictions = 0;
         for i in 0..(L1_PROBE as u64 + 4) {
             let path = format!("/p/{i}");
             cache.insert(&path, entry(i));
-            l1.insert(&path, cache.get_versioned(&path).unwrap());
+            evictions += u64::from(l1.insert(&path, cache.get_versioned(&path).unwrap()));
         }
         assert!(l1.len() <= L1_PROBE);
-        assert_eq!(l1.evictions(), 4, "a full window evicts its LRU slot");
+        assert_eq!(evictions, 4, "a full window evicts its LRU slot");
         // The most recent insert is resident.
         let last = format!("/p/{}", L1_PROBE as u64 + 3);
         assert!(matches!(l1.lookup(&last, cache.generation()), L1Lookup::Hit(_)));
@@ -1044,11 +1063,10 @@ mod tests {
         let cache = ShardedCache::new(None);
         let mut l1 = L1Cache::new(32);
         cache.insert("/a", entry(1));
-        l1.insert("/a", cache.get_versioned("/a").unwrap());
+        assert!(!l1.insert("/a", cache.get_versioned("/a").unwrap()));
         cache.insert("/a", entry(2));
-        l1.insert("/a", cache.get_versioned("/a").unwrap());
+        assert!(!l1.insert("/a", cache.get_versioned("/a").unwrap()), "replaced, not evicted");
         assert_eq!(l1.len(), 1);
-        assert_eq!(l1.evictions(), 0);
         let L1Lookup::Hit(hit) = l1.lookup("/a", cache.generation()) else {
             panic!("replaced entry must hit");
         };

@@ -47,6 +47,8 @@
 //! * [`overload`] — adaptive overload control: per-partition admission
 //!   shedding (`429` + `Retry-After`), the adaptive origin fan-out cap,
 //!   and the versioned, hot-swappable [`overload::OverloadConfig`].
+//! * [`metrics`] — the counter, gauge and histogram cells every count in
+//!   the proxy lives in, and the one form a metric is declared in.
 //! * [`origin`] — the trace-replaying origin server, with fault
 //!   injection for resilience tests.
 //! * [`proxy`] — the caching proxy daemon with a background refresher
@@ -85,6 +87,7 @@
 
 pub mod cache;
 pub mod client;
+pub mod metrics;
 pub mod origin;
 pub mod overload;
 pub mod proxy;

@@ -32,6 +32,7 @@ use mutcon_core::error::ConfigError;
 use mutcon_core::limit::LimiterConfig;
 use parking_lot::Mutex;
 
+use crate::metrics::{metrics, Counter};
 use crate::server::MAX_REACTORS;
 use crate::upstream::LimitSnapshot;
 
@@ -143,38 +144,23 @@ pub struct ReactorOverloadSnap {
     pub partitions: Vec<PartitionSnap>,
 }
 
-/// Aggregated overload state for `GET /admin/stats`.
-#[derive(Debug, Clone)]
-pub struct OverloadSnapshot {
-    /// Installed-config version (0 = never reconfigured).
-    pub version: u64,
-    /// The installed configuration.
-    pub config: OverloadConfig,
-    /// Requests shed with `429`, across all reactors.
-    pub shed: u64,
-    /// Parked backlog connections drained with `503`.
-    pub parked_shed: u64,
-    /// Per-reactor state, indexed by reactor.
-    pub reactors: Vec<ReactorOverloadSnap>,
-}
-
-/// The shared overload-control handle. One per event loop; the proxy
-/// also hands it to its admin plane.
-#[derive(Debug)]
-pub struct OverloadControl {
-    /// Bumped by [`OverloadControl::install`]; reactors reload lazily
-    /// when their cached version falls behind.
-    version: AtomicU64,
-    config: Mutex<OverloadConfig>,
-    shed: AtomicU64,
-    parked_shed: AtomicU64,
-    /// One slot per reactor (no cross-reactor lock contention).
-    slots: Vec<Mutex<ReactorOverloadSnap>>,
-}
-
-impl Default for OverloadControl {
-    fn default() -> Self {
-        OverloadControl::new(OverloadConfig::default())
+metrics! {
+    /// The shared overload-control handle. One per event loop; the proxy
+    /// also hands it to its admin plane.
+    pub struct OverloadControl {
+        /// Requests shed with `429`, across all reactors.
+        shed: Counter => "overload.shed";
+        /// Parked backlog connections drained with `503`.
+        parked_shed: Counter => "overload.parked_shed";
+    }
+    plus {
+        /// Bumped by [`OverloadControl::install`]; reactors reload lazily
+        /// when their cached version falls behind (0 = never reconfigured).
+        version: AtomicU64 = AtomicU64::new(0),
+        config: Mutex<OverloadConfig> = Mutex::new(OverloadConfig::default()),
+        /// One slot per reactor (no cross-reactor lock contention).
+        slots: Vec<Mutex<ReactorOverloadSnap>> =
+            (0..MAX_REACTORS).map(|_| Mutex::new(ReactorOverloadSnap::default())).collect(),
     }
 }
 
@@ -182,13 +168,7 @@ impl OverloadControl {
     /// A handle starting from `config` (version 0; reactors adopt the
     /// initial config at startup without an install).
     pub fn new(config: OverloadConfig) -> OverloadControl {
-        OverloadControl {
-            version: AtomicU64::new(0),
-            config: Mutex::new(config),
-            shed: AtomicU64::new(0),
-            parked_shed: AtomicU64::new(0),
-            slots: (0..MAX_REACTORS).map(|_| Mutex::new(ReactorOverloadSnap::default())).collect(),
-        }
+        OverloadControl { config: Mutex::new(config), ..OverloadControl::default() }
     }
 
     /// Validates and installs a new configuration, returning the new
@@ -217,26 +197,6 @@ impl OverloadControl {
         self.config.lock().clone()
     }
 
-    /// Counts `n` requests shed with `429`.
-    pub(crate) fn note_shed(&self, n: u64) {
-        self.shed.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Counts `n` parked backlog connections drained with `503`.
-    pub(crate) fn note_parked_shed(&self, n: u64) {
-        self.parked_shed.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Requests shed with `429` so far (tests/stats).
-    pub fn shed(&self) -> u64 {
-        self.shed.load(Ordering::Relaxed)
-    }
-
-    /// Parked backlog connections drained with `503` so far.
-    pub fn parked_shed(&self) -> u64 {
-        self.parked_shed.load(Ordering::Relaxed)
-    }
-
     /// Stores reactor `index`'s snapshot (called from its thread).
     pub(crate) fn publish(&self, index: usize, snap: ReactorOverloadSnap) {
         if let Some(slot) = self.slots.get(index) {
@@ -244,18 +204,9 @@ impl OverloadControl {
         }
     }
 
-    /// Aggregates the current state across `reactors` reactors.
-    pub fn snapshot(&self, reactors: usize) -> OverloadSnapshot {
-        OverloadSnapshot {
-            version: self.version(),
-            config: self.config(),
-            shed: self.shed.load(Ordering::Relaxed),
-            parked_shed: self.parked_shed.load(Ordering::Relaxed),
-            reactors: self.slots[..reactors.min(self.slots.len())]
-                .iter()
-                .map(|slot| slot.lock().clone())
-                .collect(),
-        }
+    /// What each of the first `reactors` reactors last published.
+    pub fn reactor_snapshots(&self, reactors: usize) -> Vec<ReactorOverloadSnap> {
+        self.slots.iter().take(reactors).map(|slot| slot.lock().clone()).collect()
     }
 }
 
@@ -436,8 +387,8 @@ mod tests {
     #[test]
     fn snapshots_aggregate_reactor_slots() {
         let control = OverloadControl::default();
-        control.note_shed(3);
-        control.note_parked_shed(1);
+        control.shed.add(3);
+        control.parked_shed.inc();
         control.publish(
             1,
             ReactorOverloadSnap {
@@ -450,10 +401,9 @@ mod tests {
                 }],
             },
         );
-        let snap = control.snapshot(2);
-        assert_eq!(snap.shed, 3);
-        assert_eq!(snap.parked_shed, 1);
-        assert_eq!(snap.reactors.len(), 2);
-        assert_eq!(snap.reactors[1].partitions[0].partition, "/x");
+        assert_eq!((control.shed(), control.parked_shed()), (3, 1));
+        let reactors = control.reactor_snapshots(2);
+        assert_eq!(reactors.len(), 2);
+        assert_eq!(reactors[1].partitions[0].partition, "/x");
     }
 }

@@ -57,7 +57,7 @@ use std::collections::HashMap;
 use std::io;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration as StdDuration;
@@ -73,6 +73,7 @@ use mutcon_traces::json::Json;
 
 use crate::cache::{CacheEntry, ShardedCache};
 use crate::client::{get_wire, ObjectStamps, PersistentClient};
+use crate::metrics::{metrics, put, Counter};
 use crate::overload::{parse_overload_body, render_overload, OverloadControl};
 use crate::runtime::{ConsistencyRuntime, InstallReport, PollKind};
 use crate::server::{
@@ -183,38 +184,30 @@ impl ProxyConfig {
     }
 }
 
-/// A snapshot of the proxy's counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ProxyStats {
-    /// Refresher polls sent to the origin.
-    pub polls: u64,
-    /// Polls initiated by the mutual-consistency coordinator.
-    pub triggered: u64,
-    /// Polls that brought back a fresh copy.
-    pub refreshes: u64,
-    /// Client requests served from cache.
-    pub hits: u64,
-    /// Client requests that had to fetch from the origin.
-    pub misses: u64,
-    /// Failed origin polls (timeouts, resets).
-    pub errors: u64,
-    /// Rule reloads applied through `PUT /admin/rules` or `SIGHUP`.
-    pub reloads: u64,
-    /// `SIGHUP` re-reads that failed (unreadable file, bad JSON,
-    /// invalid rules) and therefore changed nothing.
-    pub reload_errors: u64,
-}
-
-#[derive(Debug, Default)]
-struct Counters {
-    polls: AtomicU64,
-    triggered: AtomicU64,
-    refreshes: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    errors: AtomicU64,
-    reloads: AtomicU64,
-    reload_errors: AtomicU64,
+metrics! {
+    /// The proxy's own counters, counted by the reactors (hits, misses),
+    /// the poll workers and whoever reloads the rules.
+    pub(crate) struct Counters, snapshot
+    /// A snapshot of the proxy's counters.
+    ProxyStats {
+        /// Refresher polls sent to the origin.
+        polls: Counter => "proxy.polls";
+        /// Polls initiated by the mutual-consistency coordinator.
+        triggered: Counter => "proxy.triggered";
+        /// Polls that brought back a fresh copy.
+        refreshes: Counter => "proxy.refreshes";
+        /// Client requests served from cache.
+        hits: Counter => "proxy.hits";
+        /// Client requests that had to fetch from the origin.
+        misses: Counter => "proxy.misses";
+        /// Failed origin polls (timeouts, resets).
+        errors: Counter => "proxy.errors";
+        /// Rule reloads applied through `PUT /admin/rules` or `SIGHUP`.
+        reloads: Counter => "proxy.reloads";
+        /// `SIGHUP` re-reads that failed (unreadable file, bad JSON,
+        /// invalid rules) and therefore changed nothing.
+        reload_errors: Counter => "proxy.reload_errors";
+    }
 }
 
 struct Shared {
@@ -267,7 +260,7 @@ impl LiveProxy {
         });
         let shutdown = Arc::new(AtomicBool::new(false));
 
-        let metrics = Arc::new(EngineMetrics::new());
+        let metrics = Arc::new(EngineMetrics::default());
         let overload = Arc::new(OverloadControl::default());
         let server = EventLoop::start(
             "mutcon-live-proxy-reactor",
@@ -311,10 +304,7 @@ impl LiveProxy {
                                 );
                                 move |kind: PollKind, path: &str| {
                                     if kind == PollKind::Triggered {
-                                        shared
-                                            .counters
-                                            .triggered
-                                            .fetch_add(1, Ordering::SeqCst);
+                                        shared.counters.triggered.inc();
                                     }
                                     poll_origin(shared, &mut client, path)
                                 }
@@ -372,17 +362,7 @@ impl LiveProxy {
 
     /// A snapshot of the counters.
     pub fn stats(&self) -> ProxyStats {
-        let c = &self.shared.counters;
-        ProxyStats {
-            polls: c.polls.load(Ordering::SeqCst),
-            triggered: c.triggered.load(Ordering::SeqCst),
-            refreshes: c.refreshes.load(Ordering::SeqCst),
-            hits: c.hits.load(Ordering::SeqCst),
-            misses: c.misses.load(Ordering::SeqCst),
-            errors: c.errors.load(Ordering::SeqCst),
-            reloads: c.reloads.load(Ordering::SeqCst),
-            reload_errors: c.reload_errors.load(Ordering::SeqCst),
-        }
+        self.shared.counters.snapshot()
     }
 
     /// Number of objects currently cached (across all shards).
@@ -473,14 +453,14 @@ impl Service for ProxyService {
         // and the *next* request for this path skips the shard lock
         // entirely.
         if let Some(hit) = self.shared.cache.get_versioned(path) {
-            self.shared.counters.hits.fetch_add(1, Ordering::SeqCst);
+            self.shared.counters.hits.inc();
             let response = prepared(&hit.entry, true);
             return ServiceResult::RespondCacheable(response, hit);
         }
 
         // Miss: fetch from the origin through the reactor (its own
         // nonblocking state machine), cache, serve.
-        self.shared.counters.misses.fetch_add(1, Ordering::SeqCst);
+        self.shared.counters.misses.inc();
         let shared = Arc::clone(&self.shared);
         // `connection: keep-alive` advertised explicitly: the fetch
         // rides a pooled persistent origin connection, and identical
@@ -547,7 +527,7 @@ impl Service for ProxyService {
         _request: &Request,
         hit: &crate::cache::VersionedEntry,
     ) -> Option<PreparedResponse> {
-        self.shared.counters.hits.fetch_add(1, Ordering::SeqCst);
+        self.shared.counters.hits.inc();
         Some(prepared(&hit.entry, true))
     }
 }
@@ -736,23 +716,17 @@ impl ProxyService {
         }
     }
 
-    /// `GET /admin/stats`: cache shards, reactors, origin pool, proxy
-    /// counters.
+    /// `GET /admin/stats`: every declared metric at its path, then the
+    /// sections that are not counters: reactors and overload state.
     fn stats_json(&self) -> Response {
-        let shards: Vec<Json> = self
-            .shared
-            .cache
-            .shard_stats()
-            .iter()
-            .map(|s| {
-                obj([
-                    ("len", Json::Number(s.len as f64)),
-                    ("evictions", Json::Number(s.evictions as f64)),
-                    ("version_bumps", Json::Number(s.version_bumps as f64)),
-                ])
-            })
-            .collect();
-        let reactors: Vec<Json> = self
+        let mut doc = Json::Null;
+        self.shared.cache.render(&mut doc);
+        self.metrics.render(&mut doc);
+        self.overload.render(&mut doc);
+        self.shared.runtime.refresh_metrics().render(&mut doc);
+        self.shared.counters.render(&mut doc);
+        put(&mut doc, "cache.l1.capacity", Json::Number(self.l1_objects as f64));
+        let reactors = self
             .metrics
             .reactor_connections()
             .into_iter()
@@ -762,150 +736,29 @@ impl ProxyService {
                     ("connections", Json::Number(open as f64)),
                     ("accepted", Json::Number(accepted as f64)),
                 ])
-            })
-            .collect();
-        let c = &self.shared.counters;
-        let doc = obj([
-            (
-                "cache",
-                obj([
-                    ("objects", Json::Number(self.shared.cache.len() as f64)),
-                    ("evictions", Json::Number(self.shared.cache.evictions() as f64)),
-                    ("generation", Json::Number(self.shared.cache.generation() as f64)),
-                    (
-                        "version_bumps",
-                        Json::Number(self.shared.cache.version_bumps() as f64),
-                    ),
-                    // Hit-path touches skipped because the entry was
-                    // already most-recent — reads that never queued on
-                    // a shard write lock.
-                    ("touch_skips", Json::Number(self.shared.cache.touch_skips() as f64)),
-                    (
-                        "l1",
-                        obj([
-                            ("capacity", Json::Number(self.l1_objects as f64)),
-                            ("hits", Json::Number(self.metrics.l1_hits() as f64)),
-                            (
-                                "stale_rejects",
-                                Json::Number(self.metrics.l1_stale_rejects() as f64),
-                            ),
-                            ("refills", Json::Number(self.metrics.l1_refills() as f64)),
-                            ("evictions", Json::Number(self.metrics.l1_evictions() as f64)),
-                        ]),
-                    ),
-                    ("shards", Json::Array(shards)),
-                ]),
-            ),
-            ("reactors", Json::Array(reactors)),
-            (
-                "origin_pool",
-                obj([
-                    ("reuses", Json::Number(self.metrics.pool_reuses() as f64)),
-                    ("coalesced", Json::Number(self.metrics.pool_coalesced() as f64)),
-                    ("opened", Json::Number(self.metrics.pool_opened() as f64)),
-                    ("retries", Json::Number(self.metrics.pool_retries() as f64)),
-                ]),
-            ),
-            (
-                "wire",
-                obj([
-                    ("write_calls", Json::Number(self.metrics.write_calls() as f64)),
-                    ("writev_calls", Json::Number(self.metrics.writev_calls() as f64)),
-                    ("accept_batches", Json::Number(self.metrics.accept_batches() as f64)),
-                    ("body_copies", Json::Number(self.metrics.body_copies() as f64)),
-                    ("buf_reuses", Json::Number(self.metrics.buf_reuses() as f64)),
-                    ("buf_allocs", Json::Number(self.metrics.buf_allocs() as f64)),
-                    (
-                        "buf_pool_high_water",
-                        Json::Number(self.metrics.buf_pool_high_water() as f64),
-                    ),
-                    (
-                        "epoll_ctl_calls",
-                        Json::Number(self.metrics.epoll_ctl_calls() as f64),
-                    ),
-                    (
-                        "interest_coalesced",
-                        Json::Number(self.metrics.interest_coalesced() as f64),
-                    ),
-                    ("l1_hits", Json::Number(self.metrics.l1_hits() as f64)),
-                    (
-                        "l1_stale_rejects",
-                        Json::Number(self.metrics.l1_stale_rejects() as f64),
-                    ),
-                    (
-                        "write_stalls",
-                        Json::Number(self.metrics.write_stalls() as f64),
-                    ),
-                ]),
-            ),
-            ("overload", self.overload_json()),
-            ("refresh", self.refresh_json()),
-            (
-                "proxy",
-                obj([
-                    ("polls", Json::Number(c.polls.load(Ordering::SeqCst) as f64)),
-                    ("triggered", Json::Number(c.triggered.load(Ordering::SeqCst) as f64)),
-                    ("refreshes", Json::Number(c.refreshes.load(Ordering::SeqCst) as f64)),
-                    ("hits", Json::Number(c.hits.load(Ordering::SeqCst) as f64)),
-                    ("misses", Json::Number(c.misses.load(Ordering::SeqCst) as f64)),
-                    ("errors", Json::Number(c.errors.load(Ordering::SeqCst) as f64)),
-                    ("reloads", Json::Number(c.reloads.load(Ordering::SeqCst) as f64)),
-                    (
-                        "reload_errors",
-                        Json::Number(c.reload_errors.load(Ordering::SeqCst) as f64),
-                    ),
-                ]),
-            ),
-        ]);
+            });
+        put(&mut doc, "reactors", Json::Array(reactors.collect()));
+        self.overload_json(&mut doc);
         json_response(StatusCode::OK, &doc)
     }
 
-    /// The `refresh` section of `GET /admin/stats`: the refresh plane's
-    /// worker count, in-flight polls, totals, trigger coalescing, and
-    /// the scheduled-due-vs-actual-send drift histogram's quantiles.
-    fn refresh_json(&self) -> Json {
-        let m = self.shared.runtime.refresh_metrics();
-        let drift = m.drift();
-        obj([
-            ("workers", Json::Number(m.workers() as f64)),
-            ("in_flight", Json::Number(m.in_flight() as f64)),
-            ("polls", Json::Number(m.polls() as f64)),
-            ("errors", Json::Number(m.errors() as f64)),
-            (
-                "triggered_coalesced",
-                Json::Number(m.triggered_coalesced() as f64),
-            ),
-            (
-                "drift",
-                obj([
-                    ("count", Json::Number(drift.count as f64)),
-                    ("p50_ms", Json::Number(drift.p50_ms)),
-                    ("p99_ms", Json::Number(drift.p99_ms)),
-                    ("max_ms", Json::Number(drift.max_ms)),
-                ]),
-            ),
-        ])
-    }
-
-    /// The `overload` section of `GET /admin/stats`: installed config,
-    /// aggregate shed counters, and each reactor's live pool limit,
-    /// recent fetch samples and admission partitions.
-    fn overload_json(&self) -> Json {
-        let snap = self.overload.snapshot(self.metrics.reactor_count());
+    /// The hand-built part of the `overload` section: installed config,
+    /// and each reactor's live pool limit, recent fetch samples and
+    /// admission partitions.
+    fn overload_json(&self, doc: &mut Json) {
+        let config = self.overload.config();
         let spec = |c: &Option<mutcon_core::limit::LimiterConfig>| {
             c.as_ref().map_or(Json::Null, |c| Json::String(c.to_spec()))
         };
-        let reactors: Vec<Json> = snap
-            .reactors
-            .iter()
+        let reactors = self
+            .overload
+            .reactor_snapshots(self.metrics.reactor_count())
+            .into_iter()
             .map(|r| {
-                let pool = r.pool.as_ref().map_or(Json::Null, |p| {
+                let pool = r.pool.map_or(Json::Null, |p| {
                     obj([
                         ("limit", Json::Number(p.limit as f64)),
-                        (
-                            "algorithm",
-                            p.algorithm.clone().map_or(Json::Null, Json::String),
-                        ),
+                        ("algorithm", p.algorithm.map_or(Json::Null, Json::String)),
                         ("samples_ok", Json::Number(p.samples_ok as f64)),
                         ("samples_overload", Json::Number(p.samples_overload as f64)),
                         (
@@ -927,10 +780,10 @@ impl ProxyService {
                 });
                 let partitions = Json::Array(
                     r.partitions
-                        .iter()
+                        .into_iter()
                         .map(|p| {
                             obj([
-                                ("partition", Json::String(p.partition.clone())),
+                                ("partition", Json::String(p.partition)),
                                 ("limit", Json::Number(p.limit as f64)),
                                 ("in_flight", Json::Number(p.in_flight as f64)),
                                 ("shed", Json::Number(p.shed as f64)),
@@ -939,28 +792,14 @@ impl ProxyService {
                         .collect(),
                 );
                 obj([("pool", pool), ("partitions", partitions)])
-            })
-            .collect();
-        obj([
-            ("version", Json::Number(snap.version as f64)),
-            ("admission", spec(&snap.config.admission)),
-            ("pool", spec(&snap.config.pool)),
-            (
-                "retry_after_secs",
-                Json::Number(f64::from(snap.config.retry_after_secs)),
-            ),
-            (
-                "park_deadline_ms",
-                Json::Number(snap.config.park_deadline.as_millis() as f64),
-            ),
-            (
-                "admission_initial",
-                Json::Number(snap.config.admission_initial as f64),
-            ),
-            ("shed", Json::Number(snap.shed as f64)),
-            ("parked_shed", Json::Number(snap.parked_shed as f64)),
-            ("reactors", Json::Array(reactors)),
-        ])
+            });
+        put(doc, "overload.reactors", Json::Array(reactors.collect()));
+        put(doc, "overload.version", Json::Number(self.overload.version() as f64));
+        put(doc, "overload.admission", spec(&config.admission));
+        put(doc, "overload.pool", spec(&config.pool));
+        put(doc, "overload.retry_after_secs", Json::Number(f64::from(config.retry_after_secs)));
+        put(doc, "overload.park_deadline_ms", Json::Number(config.park_deadline.as_millis() as f64));
+        put(doc, "overload.admission_initial", Json::Number(config.admission_initial as f64));
     }
 }
 
@@ -1060,7 +899,7 @@ fn apply_install_effects(shared: &Shared, report: &InstallReport) {
         shared.cache.remove(path);
     }
     shared.cache.bump_generation();
-    shared.counters.reloads.fetch_add(1, Ordering::SeqCst);
+    shared.counters.reloads.inc();
 }
 
 /// One `SIGHUP`-triggered re-read of the configured rules file: read →
@@ -1075,7 +914,7 @@ fn reload_rules_file(shared: &Shared, path: &Path) {
     match outcome {
         Ok(report) => apply_install_effects(shared, &report),
         Err(_) => {
-            shared.counters.reload_errors.fetch_add(1, Ordering::SeqCst);
+            shared.counters.reload_errors.inc();
         }
     }
 }
@@ -1098,7 +937,7 @@ fn store_response(shared: &Shared, path: &str, response: &Response) -> Option<Ar
     );
     let resident = shared.cache.insert_if_newer(path, entry);
     if resident.last_modified() == lm {
-        shared.counters.refreshes.fetch_add(1, Ordering::SeqCst);
+        shared.counters.refreshes.inc();
     }
     Some(resident)
 }
@@ -1111,7 +950,7 @@ fn store_response(shared: &Shared, path: &str, response: &Response) -> Option<Ar
 /// re-evicted), so a dead rule cannot resurrect its cache entry.
 fn poll_origin(shared: &Shared, client: &mut PersistentClient, path: &str) -> Option<PollResult> {
     let validator = shared.cache.get(path).map(|e| e.last_modified());
-    shared.counters.polls.fetch_add(1, Ordering::SeqCst);
+    shared.counters.polls.inc();
     match client.get(path, validator) {
         Ok(response) if response.status() == StatusCode::NOT_MODIFIED => {
             Some(PollResult::NotModified)
@@ -1139,7 +978,7 @@ fn poll_origin(shared: &Shared, client: &mut PersistentClient, path: &str) -> Op
             })
         }
         Ok(_) | Err(_) => {
-            shared.counters.errors.fetch_add(1, Ordering::SeqCst);
+            shared.counters.errors.inc();
             None
         }
     }

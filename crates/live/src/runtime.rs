@@ -57,14 +57,14 @@
 //! Every poll records its **drift** — scheduled due time to the moment
 //! a worker started sending, the measurable form of the fidelity the
 //! paper's Δ guarantees lose when polls fire late — into
-//! [`DriftHistogram`], served with the rest of [`RefreshMetrics`] under
+//! a [`Histogram`], served with the rest of [`RefreshMetrics`] under
 //! `refresh` in `GET /admin/stats`. [`ConsistencyRuntime::status`]
 //! (`GET /admin/rules`) is built from the scheduler under the same lock
 //! when asked, so it cannot lag a completed poll.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard, PoisonError};
 use std::time::{Duration as StdDuration, Instant, SystemTime, UNIX_EPOCH};
 
@@ -76,6 +76,8 @@ use mutcon_core::mutual::temporal::MtCoordinator;
 use mutcon_core::object::ObjectId;
 use mutcon_core::time::{Duration, Timestamp};
 
+pub use crate::metrics::HistogramSnapshot as DriftSnapshot;
+use crate::metrics::{metrics, Counter, Gauge, Histogram};
 use crate::proxy::{GroupRule, RefreshRule};
 
 /// Current wall-clock time on the millisecond Unix timeline the
@@ -243,10 +245,9 @@ pub struct PathStatus {
     pub rule_epoch: u64,
 }
 
-/// Upper bounds (µs) of the fixed drift-histogram buckets; the last
-/// bucket is open-ended. Roughly logarithmic from 100 µs to 10 s —
-/// fine where a healthy refresh plane lives, coarse where it is
-/// already on fire.
+/// Upper bounds (µs) of the drift histogram's buckets. Roughly
+/// logarithmic from 100 µs to 10 s — fine where a healthy refresh plane
+/// lives, coarse where it is already on fire.
 const DRIFT_BUCKET_BOUNDS_US: [u64; 16] = [
     100,
     200,
@@ -266,153 +267,24 @@ const DRIFT_BUCKET_BOUNDS_US: [u64; 16] = [
     10_000_000,
 ];
 
-/// Lock-free fixed-bucket histogram of per-poll drift (scheduled due
-/// time vs the instant a worker actually started the poll). Bucket
-/// bounds are [`DRIFT_BUCKET_BOUNDS_US`]; the recorded maximum caps the
-/// top occupied bucket, so interpolated quantiles stay honest even for
-/// the open-ended tail.
-#[derive(Debug, Default)]
-pub struct DriftHistogram {
-    buckets: [AtomicU64; DRIFT_BUCKET_BOUNDS_US.len() + 1],
-    max_us: AtomicU64,
-}
-
-impl DriftHistogram {
-    fn record(&self, drift: StdDuration) {
-        let us = drift.as_micros().min(u64::MAX as u128) as u64;
-        let at = DRIFT_BUCKET_BOUNDS_US.partition_point(|&bound| us > bound);
-        self.buckets[at].fetch_add(1, Ordering::Relaxed);
-        self.max_us.fetch_max(us, Ordering::Relaxed);
-    }
-
-    /// A point-in-time snapshot with interpolated quantiles.
-    pub fn snapshot(&self) -> DriftSnapshot {
-        let counts: Vec<u64> = self
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
-        let max_us = self.max_us.load(Ordering::Relaxed);
-        DriftSnapshot {
-            count: counts.iter().sum(),
-            p50_ms: quantile_ms(&counts, max_us, 0.50),
-            p99_ms: quantile_ms(&counts, max_us, 0.99),
-            max_ms: max_us as f64 / 1000.0,
-        }
-    }
-}
-
-/// Linear interpolation within the bucket holding the requested rank;
-/// the highest occupied bucket's upper bound is clamped to the recorded
-/// maximum (the open-ended tail would otherwise invent drift).
-fn quantile_ms(counts: &[u64], max_us: u64, q: f64) -> f64 {
-    let total: u64 = counts.iter().sum();
-    if total == 0 {
-        return 0.0;
-    }
-    let last = counts.iter().rposition(|&c| c > 0).unwrap_or(0);
-    let rank = q * total as f64;
-    let mut cum = 0.0;
-    for (i, &c) in counts.iter().enumerate() {
-        if c == 0 {
-            continue;
-        }
-        let next = cum + c as f64;
-        if next >= rank {
-            let lower = if i == 0 {
-                0.0
-            } else {
-                DRIFT_BUCKET_BOUNDS_US[i - 1] as f64
-            };
-            let mut upper = if i < DRIFT_BUCKET_BOUNDS_US.len() {
-                DRIFT_BUCKET_BOUNDS_US[i] as f64
-            } else {
-                max_us as f64
-            };
-            if i == last {
-                upper = upper.min(max_us as f64).max(lower);
-            }
-            let frac = ((rank - cum) / c as f64).clamp(0.0, 1.0);
-            return (lower + frac * (upper - lower)) / 1000.0;
-        }
-        cum = next;
-    }
-    max_us as f64 / 1000.0
-}
-
-/// Interpolated drift quantiles, as served under `refresh.drift` in
-/// `GET /admin/stats` (milliseconds).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DriftSnapshot {
-    /// Polls recorded.
-    pub count: u64,
-    /// Median drift, milliseconds.
-    pub p50_ms: f64,
-    /// 99th-percentile drift, milliseconds.
-    pub p99_ms: f64,
-    /// Worst recorded drift, milliseconds.
-    pub max_ms: f64,
-}
-
-/// Shared refresh-plane counters, updated by the poll workers and read
-/// by the stats plane (and the benchmark) without any lock.
-#[derive(Debug, Default)]
-pub struct RefreshMetrics {
-    workers: AtomicU64,
-    in_flight: AtomicU64,
-    polls: AtomicU64,
-    errors: AtomicU64,
-    triggered_coalesced: AtomicU64,
-    drift: DriftHistogram,
-}
-
-impl RefreshMetrics {
-    /// Poll workers the running refresh plane was started with.
-    pub fn workers(&self) -> u64 {
-        self.workers.load(Ordering::Relaxed)
-    }
-
-    /// Polls currently on the wire.
-    pub fn in_flight(&self) -> u64 {
-        self.in_flight.load(Ordering::Relaxed)
-    }
-
-    /// Polls started (scheduled and triggered).
-    pub fn polls(&self) -> u64 {
-        self.polls.load(Ordering::Relaxed)
-    }
-
-    /// Polls that ended in a network error.
-    pub fn errors(&self) -> u64 {
-        self.errors.load(Ordering::Relaxed)
-    }
-
-    /// Mt triggers satisfied by a poll already in flight or queued for
-    /// the same target, instead of an extra origin round trip.
-    pub fn triggered_coalesced(&self) -> u64 {
-        self.triggered_coalesced.load(Ordering::Relaxed)
-    }
-
-    /// Drift histogram snapshot (scheduled-due vs actual-send gap).
-    pub fn drift(&self) -> DriftSnapshot {
-        self.drift.snapshot()
-    }
-
-    fn poll_started(&self, drift: StdDuration) {
-        self.polls.fetch_add(1, Ordering::Relaxed);
-        self.in_flight.fetch_add(1, Ordering::Relaxed);
-        self.drift.record(drift);
-    }
-
-    fn poll_finished(&self, errored: bool) {
-        self.in_flight.fetch_sub(1, Ordering::Relaxed);
-        if errored {
-            self.errors.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    fn note_triggered_coalesced(&self, n: u64) {
-        self.triggered_coalesced.fetch_add(n, Ordering::Relaxed);
+metrics! {
+    /// Shared refresh-plane counters, updated by the poll workers and read
+    /// by the stats plane (and the benchmark) without any lock.
+    pub struct RefreshMetrics {
+        /// Poll workers the running refresh plane was started with.
+        workers: Gauge => "refresh.workers";
+        /// Polls currently on the wire.
+        in_flight: Gauge => "refresh.in_flight";
+        /// Polls started (scheduled and triggered).
+        polls: Counter => "refresh.polls";
+        /// Polls that ended in a network error.
+        errors: Counter => "refresh.errors";
+        /// Mt triggers satisfied by a poll already in flight or queued for
+        /// the same target, instead of an extra origin round trip.
+        triggered_coalesced: Counter => "refresh.triggered_coalesced";
+        /// Per-poll drift: scheduled due time against the instant a worker
+        /// actually started the poll.
+        drift: Histogram = Histogram::new(&DRIFT_BUCKET_BOUNDS_US) => "refresh.drift";
     }
 }
 
@@ -566,7 +438,7 @@ impl ConsistencyRuntime {
         P: FnMut(PollKind, &str) -> Option<PollResult> + Send,
     {
         let workers = workers.max(1);
-        self.metrics.workers.store(workers as u64, Ordering::Relaxed);
+        self.metrics.workers.set(workers as u64);
         // The first epoch is not a swap: adopted here, without hooks.
         self.lock().sched.reconcile(self.current(), Instant::now());
 
@@ -616,13 +488,15 @@ impl ConsistencyRuntime {
                         self.work.notify_one();
                         drop(core);
 
-                        self.metrics
-                            .poll_started(Instant::now().saturating_duration_since(job.due));
+                        self.metrics.polls.inc();
+                        self.metrics.in_flight.inc();
+                        self.metrics.drift.record(Instant::now().saturating_duration_since(job.due));
                         // The timeline the LIMD/Mt state machines run
                         // on: taken just before the poll hits the wire.
                         let ts = unix_now();
                         let result = poller(job.kind, &job.path);
-                        self.metrics.poll_finished(result.is_none());
+                        self.metrics.in_flight.dec();
+                        self.metrics.errors.add(u64::from(result.is_none()));
 
                         core = self.lock();
                         // A swap may have landed meanwhile: adopt it
@@ -630,7 +504,7 @@ impl ConsistencyRuntime {
                         // is discarded.
                         adopt(&mut core);
                         let coalesced = core.complete(&job, ts, result.as_ref(), Instant::now());
-                        self.metrics.note_triggered_coalesced(coalesced);
+                        self.metrics.triggered_coalesced.add(coalesced);
                     }
                     drop(core);
                     // A poller may store the flag without a `wake`:
@@ -777,6 +651,8 @@ struct PathSched {
     gen: u64,
     polls: u64,
     rule_epoch: u64,
+    /// Scheduled polls that failed since the last one that did not.
+    errors: u32,
 }
 
 /// One due-queue entry. Field order is the queue's order: the heap
@@ -834,6 +710,7 @@ impl Scheduler {
                             gen: 0,
                             polls: 0,
                             rule_epoch: new.version,
+                            errors: 0,
                         },
                     );
                     fresh.push(key);
@@ -910,6 +787,7 @@ impl Scheduler {
         };
         let decision = sched.limd.on_poll(now_ts, result);
         sched.polls += 1;
+        sched.errors = 0;
         self.reschedule(path, now + std_duration(decision.ttr));
         match self.coordinator.as_mut() {
             Some(coord) => {
@@ -922,12 +800,18 @@ impl Scheduler {
         }
     }
 
-    /// Backs a path off after a network error; the rule's Δ governs how
-    /// aggressive a retry is sensible.
+    /// Backs a path off after a network error: the first retry comes
+    /// after min(Δ, 200 ms), each further failure in a row doubles it, up
+    /// to the rule's TTR ceiling — a dead origin costs every path one
+    /// connect per `ttr_max`, not five a second. A poll that succeeds
+    /// puts the path back on its LIMD schedule.
     fn on_error(&mut self, path: &str, now: Instant) {
-        if let Some(sched) = self.scheds.get(path) {
-            let retry = std_duration(sched.limd.config().delta().min(Duration::from_millis(200)));
-            self.reschedule(path, now + retry.max(StdDuration::from_millis(20)));
+        if let Some(sched) = self.scheds.get_mut(path) {
+            let config = sched.limd.config();
+            let first = config.delta().clamp(Duration::from_millis(20), Duration::from_millis(200));
+            let retry = first.saturating_mul(1 << sched.errors.min(32)).min(config.ttr_max().max(first));
+            sched.errors = sched.errors.saturating_add(1);
+            self.reschedule(path, now + std_duration(retry));
         }
     }
 }
@@ -1274,12 +1158,13 @@ mod tests {
 
     #[test]
     fn drift_histogram_interpolates_quantiles_and_caps_the_tail() {
-        let h = DriftHistogram::default();
-        assert_eq!(h.snapshot().count, 0);
+        use crate::metrics::Cell;
+        let h = Histogram::new(&DRIFT_BUCKET_BOUNDS_US);
+        assert_eq!(h.value().count, 0);
         for ms in 1..=100u64 {
             h.record(StdDuration::from_millis(ms));
         }
-        let snap = h.snapshot();
+        let snap = h.value();
         assert_eq!(snap.count, 100);
         assert!((snap.max_ms - 100.0).abs() < 1e-9, "max {}", snap.max_ms);
         assert!((40.0..=60.0).contains(&snap.p50_ms), "p50 {}", snap.p50_ms);
@@ -1343,6 +1228,39 @@ mod tests {
         // The deferred entry waits for /held's completion.
         assert!(d.in_flight["/held"].is_some());
         assert_eq!(d.in_flight.len(), 1);
+    }
+
+    /// A dead origin: each failure in a row doubles the retry, from
+    /// min(Δ, 200 ms) up to the rule's `ttr_max`, and the first poll that
+    /// gets through puts the path back on its LIMD schedule.
+    #[test]
+    fn consecutive_poll_errors_back_off_up_to_ttr_max_and_reset_on_success() {
+        let ms = StdDuration::from_millis;
+        let start = Instant::now();
+        let rules = vec![rule("/dead", 500).ttr_max(Duration::from_millis(3_000))];
+        let mut d = dispatcher(epoch(1, rules, None), start);
+        let mut now = start;
+        let fail = |d: &mut Dispatcher, now: &mut Instant| {
+            let job = d.next_job(*now).expect("due");
+            d.complete(&job, Timestamp::from_millis(1_000), None, *now);
+            assert!(d.next_job(*now).is_none(), "nothing is due before the retry");
+            let wait = d.next_wake().expect("a retry is scheduled") - *now;
+            *now += wait;
+            wait
+        };
+        let waits: Vec<StdDuration> = (0..7).map(|_| fail(&mut d, &mut now)).collect();
+        assert_eq!(waits, [200, 400, 800, 1_600, 3_000, 3_000, 3_000].map(ms));
+
+        let job = d.next_job(now).expect("due");
+        d.complete(&job, Timestamp::from_millis(9_000), Some(&PollResult::NotModified), now);
+        let ttr = d.sched.scheds["/dead"].limd.current_ttr();
+        assert_eq!(d.next_wake(), Some(now + std_duration(ttr)), "back on the LIMD schedule");
+        now += std_duration(ttr);
+        assert_eq!(fail(&mut d, &mut now), ms(200), "the count starts over");
+        // A Δ below the floor retries at the floor even past `ttr_max`.
+        let mut d = dispatcher(epoch(1, vec![rule("/fast", 5).ttr_max(Duration::from_millis(5))], None), start);
+        let mut now = start;
+        assert_eq!([fail(&mut d, &mut now), fail(&mut d, &mut now)], [ms(20), ms(20)]);
     }
 
     /// Seeded interleavings over the bare state machine in simulated

@@ -61,7 +61,7 @@ use std::io;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Once};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -79,6 +79,7 @@ use mutcon_sim::reactor::{
 };
 
 use crate::cache::{L1Cache, L1Lookup, VersionedEntry};
+use crate::metrics::{metrics, Cell, Counter, Gauge};
 use crate::overload::{
     partition_of, OverloadConfig, OverloadControl, PartitionSnap, ReactorOverloadSnap,
     MAX_PARTITIONS, OVERFLOW_PARTITION,
@@ -121,6 +122,10 @@ pub fn default_reactors() -> usize {
 
 /// Close client connections with no traffic for this long.
 const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
+/// A request must be complete this long after its first byte: a sender
+/// of one byte every few seconds never goes idle, so [`IDLE_TIMEOUT`]
+/// alone would hold its slot forever. It gets a `408` and a close.
+const REQUEST_TIMEOUT: Duration = Duration::from_secs(5);
 /// Fail upstream fetches that make no progress for this long (matches
 /// the old blocking client's per-operation timeout ballpark).
 const UPSTREAM_TIMEOUT: Duration = Duration::from_secs(5);
@@ -280,238 +285,90 @@ pub trait Service: Send + Sync + 'static {
     }
 }
 
-/// Lightweight always-on counters an event loop's reactors maintain, for
-/// the admin control plane (`GET /admin/stats`). Per-reactor slots are
-/// sized at [`MAX_REACTORS`] up front so the struct can be shared with a
-/// [`Service`] before the final reactor count is known; all counters are
-/// relaxed atomics — observability, not synchronization.
-#[derive(Debug)]
-pub struct EngineMetrics {
-    reactors: AtomicUsize,
-    conns: Vec<AtomicUsize>,
-    accepted: Vec<AtomicU64>,
-    pool_reuses: AtomicU64,
-    pool_coalesced: AtomicU64,
-    pool_opened: AtomicU64,
-    pool_retries: AtomicU64,
-    write_calls: AtomicU64,
-    writev_calls: AtomicU64,
-    accept_batches: AtomicU64,
-    body_copies: AtomicU64,
-    buf_reuses: AtomicU64,
-    buf_allocs: AtomicU64,
-    buf_pool_high_water: AtomicUsize,
-    epoll_ctl_calls: AtomicU64,
-    interest_coalesced: AtomicU64,
-    l1_hits: AtomicU64,
-    l1_stale_rejects: AtomicU64,
-    l1_refills: AtomicU64,
-    l1_evictions: AtomicU64,
-    write_stalls: AtomicU64,
-}
-
-impl Default for EngineMetrics {
-    fn default() -> Self {
-        EngineMetrics {
-            reactors: AtomicUsize::new(0),
-            conns: (0..MAX_REACTORS).map(|_| AtomicUsize::new(0)).collect(),
-            accepted: (0..MAX_REACTORS).map(|_| AtomicU64::new(0)).collect(),
-            pool_reuses: AtomicU64::new(0),
-            pool_coalesced: AtomicU64::new(0),
-            pool_opened: AtomicU64::new(0),
-            pool_retries: AtomicU64::new(0),
-            write_calls: AtomicU64::new(0),
-            writev_calls: AtomicU64::new(0),
-            accept_batches: AtomicU64::new(0),
-            body_copies: AtomicU64::new(0),
-            buf_reuses: AtomicU64::new(0),
-            buf_allocs: AtomicU64::new(0),
-            buf_pool_high_water: AtomicUsize::new(0),
-            epoll_ctl_calls: AtomicU64::new(0),
-            interest_coalesced: AtomicU64::new(0),
-            l1_hits: AtomicU64::new(0),
-            l1_stale_rejects: AtomicU64::new(0),
-            l1_refills: AtomicU64::new(0),
-            l1_evictions: AtomicU64::new(0),
-            write_stalls: AtomicU64::new(0),
-        }
+metrics! {
+    /// Lightweight always-on counters an event loop's reactors maintain, for
+    /// the admin control plane (`GET /admin/stats`). Per-reactor slots are
+    /// sized at [`MAX_REACTORS`] up front so the struct can be shared with a
+    /// [`Service`] before the final reactor count is known; all cells are
+    /// relaxed atomics — observability, not synchronization.
+    pub struct EngineMetrics {
+        /// Upstream fetches served on a parked keep-alive origin connection.
+        pool_reuses: Counter => "origin_pool.reuses";
+        /// Upstream fetches coalesced onto an identical in-flight fetch.
+        pool_coalesced: Counter => "origin_pool.coalesced";
+        /// Origin sockets opened across all reactors.
+        pool_opened: Counter => "origin_pool.opened";
+        /// Fetches requeued because a reused pooled socket died before the
+        /// first response byte.
+        pool_retries: Counter => "origin_pool.retries";
+        /// Plain `write(2)` calls made flushing client responses.
+        write_calls: Counter => "wire.write_calls";
+        /// `writev(2)` calls made flushing client responses.
+        writev_calls: Counter => "wire.writev_calls";
+        /// Listener wakeups handled; each drains the whole accept backlog.
+        accept_batches: Counter => "wire.accept_batches";
+        /// Response bodies copied into a write buffer (small inlined
+        /// bodies; never a prepared cache hit).
+        body_copies: Counter => "wire.body_copies";
+        /// Connection buffers recycled from a reactor's pool.
+        buf_reuses: Counter => "wire.buf_reuses";
+        /// Connection buffers allocated because the pool was empty.
+        buf_allocs: Counter => "wire.buf_allocs";
+        /// Most buffers any reactor's pool has held at once.
+        buf_pool_high_water: Gauge<usize> => "wire.buf_pool_high_water";
+        /// `epoll_ctl` ADD + MOD issued; with interest coalescing this
+        /// grows with connections, not requests.
+        epoll_ctl_calls: Counter => "wire.epoll_ctl_calls";
+        /// Interest transitions the ledger absorbed before the kernel.
+        interest_coalesced: Counter => "wire.interest_coalesced";
+        /// Requests served from a reactor-local L1: one version-handle
+        /// load, no shard lock.
+        l1_hits: Counter => "cache.l1.hits", "wire.l1_hits";
+        /// L1 lookups whose copy failed version revalidation; the slot is
+        /// dropped and the request falls through to the shared cache.
+        l1_stale_rejects: Counter => "cache.l1.stale_rejects", "wire.l1_stale_rejects";
+        /// L1 slots (re)filled from shared-cache hits.
+        l1_refills: Counter => "cache.l1.refills";
+        /// L1 slots evicted by probe-window pressure (not invalidation).
+        l1_evictions: Counter => "cache.l1.evictions";
+        /// Flush passes that ended with the socket still unwritable. The
+        /// stall is inside the request's admission latency sample, so a
+        /// stalling client pushes its partition's adaptive limit down.
+        write_stalls: Counter => "wire.write_stalls";
+        /// Requests still incomplete [`REQUEST_TIMEOUT`] after their first
+        /// byte, answered `408` and closed.
+        slow_requests: Counter => "wire.slow_requests";
+    }
+    plus {
+        /// How many reactors report (0 until an event loop adopts the struct).
+        reactors: Gauge<usize> = Gauge::default(),
+        /// Client connections currently open, per reactor.
+        conns: Vec<Gauge<usize>> = (0..MAX_REACTORS).map(|_| Gauge::default()).collect(),
+        /// Client connections ever accepted, per reactor.
+        accepted: Vec<Counter> = (0..MAX_REACTORS).map(|_| Counter::default()).collect(),
     }
 }
 
 impl EngineMetrics {
-    /// Fresh zeroed counters.
-    pub fn new() -> EngineMetrics {
-        EngineMetrics::default()
-    }
-
-    /// How many reactors report into these counters (0 until an event
-    /// loop adopts the struct).
+    /// How many reactors report into these counters.
     pub fn reactor_count(&self) -> usize {
-        self.reactors.load(Ordering::Relaxed)
+        self.reactors.value()
     }
 
     /// Client connections currently open, one entry per reactor.
     pub fn reactor_connections(&self) -> Vec<usize> {
-        self.conns[..self.reactor_count()]
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect()
+        self.conns[..self.reactor_count()].iter().map(Cell::value).collect()
     }
 
     /// Client connections ever accepted, one entry per reactor.
     pub fn reactor_accepted(&self) -> Vec<u64> {
-        self.accepted[..self.reactor_count()]
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// Upstream fetches served on a reused (parked keep-alive) origin
-    /// connection instead of a fresh socket.
-    pub fn pool_reuses(&self) -> u64 {
-        self.pool_reuses.load(Ordering::Relaxed)
-    }
-
-    /// Upstream fetches coalesced onto an identical in-flight fetch.
-    pub fn pool_coalesced(&self) -> u64 {
-        self.pool_coalesced.load(Ordering::Relaxed)
-    }
-
-    /// Origin sockets opened across all reactors.
-    pub fn pool_opened(&self) -> u64 {
-        self.pool_opened.load(Ordering::Relaxed)
-    }
-
-    /// Stale-socket retries taken (a reused pooled socket died before
-    /// the first response byte and the fetch was requeued).
-    pub fn pool_retries(&self) -> u64 {
-        self.pool_retries.load(Ordering::Relaxed)
-    }
-
-    /// Plain `write(2)` calls made flushing client responses.
-    pub fn write_calls(&self) -> u64 {
-        self.write_calls.load(Ordering::Relaxed)
-    }
-
-    /// `writev(2)` calls made flushing client responses (head + shared
-    /// body gathered into one syscall).
-    pub fn writev_calls(&self) -> u64 {
-        self.writev_calls.load(Ordering::Relaxed)
-    }
-
-    /// Listener readiness events handled; each drains the whole accept
-    /// backlog, so `reactor_accepted / accept_batches` is the mean
-    /// accepts coalesced per wakeup.
-    pub fn accept_batches(&self) -> u64 {
-        self.accept_batches.load(Ordering::Relaxed)
-    }
-
-    /// Response bodies copied into a contiguous write buffer (small
-    /// inlined bodies). The prepared cache-hit path never increments
-    /// this: its body is always gathered from the shared cache
-    /// allocation.
-    pub fn body_copies(&self) -> u64 {
-        self.body_copies.load(Ordering::Relaxed)
-    }
-
-    /// Connection buffers recycled from a reactor's pool instead of
-    /// freshly allocated.
-    pub fn buf_reuses(&self) -> u64 {
-        self.buf_reuses.load(Ordering::Relaxed)
-    }
-
-    /// Connection buffers allocated because the pool was empty.
-    pub fn buf_allocs(&self) -> u64 {
-        self.buf_allocs.load(Ordering::Relaxed)
-    }
-
-    /// Most buffers any reactor's pool has held at once.
-    pub fn buf_pool_high_water(&self) -> usize {
-        self.buf_pool_high_water.load(Ordering::Relaxed)
-    }
-
-    /// Kernel interest operations issued (`epoll_ctl` ADD + MOD) across
-    /// all reactors. With interest coalescing this grows with
-    /// *connections*, not requests: keep-alive churn is absorbed by the
-    /// ledger.
-    pub fn epoll_ctl_calls(&self) -> u64 {
-        self.epoll_ctl_calls.load(Ordering::Relaxed)
-    }
-
-    /// Interest transitions absorbed before reaching the kernel — the
-    /// syscalls the coalescing ledger saved.
-    pub fn interest_coalesced(&self) -> u64 {
-        self.interest_coalesced.load(Ordering::Relaxed)
-    }
-
-    /// Requests served straight from a reactor-local L1 — validated by
-    /// one version-handle load, no shard lock touched.
-    pub fn l1_hits(&self) -> u64 {
-        self.l1_hits.load(Ordering::Relaxed)
-    }
-
-    /// L1 lookups that found the key but failed version revalidation
-    /// (the copy was invalidated by a store/eviction/removal); the slot
-    /// is dropped and the request falls through to the shared cache.
-    pub fn l1_stale_rejects(&self) -> u64 {
-        self.l1_stale_rejects.load(Ordering::Relaxed)
-    }
-
-    /// L1 slots (re)filled from shared-cache hits.
-    pub fn l1_refills(&self) -> u64 {
-        self.l1_refills.load(Ordering::Relaxed)
-    }
-
-    /// L1 slots evicted by probe-window pressure (not invalidation).
-    pub fn l1_evictions(&self) -> u64 {
-        self.l1_evictions.load(Ordering::Relaxed)
-    }
-
-    /// Flush passes that ended with the socket still unwritable — the
-    /// client write-stall count. Stall time is part of the request's
-    /// latency sample: admission tickets release at flush completion,
-    /// so a stalling client inflates the partition's observed latency
-    /// and the adaptive limiter backs off.
-    pub fn write_stalls(&self) -> u64 {
-        self.write_stalls.load(Ordering::Relaxed)
+        self.accepted[..self.reactor_count()].iter().map(Cell::value).collect()
     }
 
     /// `"epoll"` once per reactor; kept because `benchmark/` (read-only
     /// here) prints it in its report header.
     pub fn reactor_backends(&self) -> Vec<&'static str> {
         vec!["epoll"; self.reactor_count()]
-    }
-
-    /// Folds one event-loop turn's backend counter deltas in (no-op for
-    /// zero deltas, so an idle turn costs nothing).
-    fn note_backend_counters(&self, delta: BackendCounters) {
-        if delta.epoll_ctl_calls > 0 {
-            self.epoll_ctl_calls
-                .fetch_add(delta.epoll_ctl_calls, Ordering::Relaxed);
-        }
-        if delta.interest_coalesced > 0 {
-            self.interest_coalesced
-                .fetch_add(delta.interest_coalesced, Ordering::Relaxed);
-        }
-    }
-
-    /// Folds one flush's syscall tallies in (no-op for zero tallies, so
-    /// the common single-counter flush costs one atomic add).
-    fn note_flush(&self, stats: &FlushStats) {
-        if stats.write_calls > 0 {
-            self.write_calls.fetch_add(stats.write_calls, Ordering::Relaxed);
-        }
-        if stats.writev_calls > 0 {
-            self.writev_calls.fetch_add(stats.writev_calls, Ordering::Relaxed);
-        }
-        if stats.blocked > 0 {
-            self.write_stalls.fetch_add(stats.blocked, Ordering::Relaxed);
-        }
-    }
-
-    /// Raises the pool high-water mark if `candidate` exceeds it.
-    fn note_pool_high_water(&self, candidate: usize) {
-        self.buf_pool_high_water.fetch_max(candidate, Ordering::Relaxed);
     }
 }
 
@@ -559,7 +416,7 @@ impl Default for EngineConfig {
         EngineConfig {
             max_conns: DEFAULT_MAX_CONNS,
             reactors: default_reactors(),
-            metrics: Arc::new(EngineMetrics::new()),
+            metrics: Arc::new(EngineMetrics::default()),
             overload: Arc::new(OverloadControl::default()),
         }
     }
@@ -610,7 +467,7 @@ impl EventLoop {
         }
 
         let shutdown = Arc::new(AtomicBool::new(false));
-        metrics.reactors.store(reactors, Ordering::Relaxed);
+        metrics.reactors.set(reactors);
         let mut handles = Vec::with_capacity(reactors);
         // Split the bound exactly: the first (max_conns % reactors)
         // shards take one extra slot, total = max_conns.
@@ -729,6 +586,9 @@ struct ClientState {
     /// `writev` so a cache hit costs one syscall and zero body copies.
     write: WritePlan,
     pending: Pending,
+    /// When the parser first found the request at the front of
+    /// `read_buf` incomplete; `None` between requests.
+    request_started: Option<Instant>,
     /// Peer sent EOF; close once the in-flight response is flushed.
     peer_closed: bool,
     /// The peer asked for `Connection: close`; serve the current
@@ -932,7 +792,8 @@ impl Reactor {
         let now = self.backend.counters();
         let delta = now.since(self.last_counters);
         self.last_counters = now;
-        self.metrics.note_backend_counters(delta);
+        self.metrics.epoll_ctl_calls.add(delta.epoll_ctl_calls);
+        self.metrics.interest_coalesced.add(delta.interest_coalesced);
     }
 
     /// Graceful-shutdown tail: stop accepting, keep serving until every
@@ -1028,6 +889,7 @@ impl Reactor {
                             read_buf: BytesMut::from_vec(rbuf),
                             write: WritePlan::with_buf(wbuf),
                             pending: Pending::None,
+                            request_started: None,
                             peer_closed: false,
                             close_after_write: false,
                             admitted: None,
@@ -1045,15 +907,11 @@ impl Reactor {
             }
         }
         if batch > 0 {
-            self.metrics.conns[self.reactor_index].store(self.clients, Ordering::Relaxed);
-            self.metrics.accepted[self.reactor_index].fetch_add(batch, Ordering::Relaxed);
-            self.metrics.accept_batches.fetch_add(1, Ordering::Relaxed);
-            if reused > 0 {
-                self.metrics.buf_reuses.fetch_add(reused, Ordering::Relaxed);
-            }
-            if allocated > 0 {
-                self.metrics.buf_allocs.fetch_add(allocated, Ordering::Relaxed);
-            }
+            self.metrics.conns[self.reactor_index].set(self.clients);
+            self.metrics.accepted[self.reactor_index].add(batch);
+            self.metrics.accept_batches.inc();
+            self.metrics.buf_reuses.add(reused);
+            self.metrics.buf_allocs.add(allocated);
         }
     }
 
@@ -1177,17 +1035,14 @@ impl Reactor {
             }
             let (request, consumed) = match client.parser.advance(&client.read_buf) {
                 Ok(Some(parsed)) => parsed,
-                Ok(None) if client.read_buf.len() < MAX_BUFFERED => return true,
+                Ok(None) if client.read_buf.len() < MAX_BUFFERED => {
+                    client.request_started.get_or_insert_with(Instant::now);
+                    return true;
+                }
                 Ok(None) | Err(ParseError::BodyTooLarge) => {
                     // Well-formed, but more than the buffer (or the
-                    // parser) will hold: say so, then close. What it
-                    // already sent is discarded first, or the close would
-                    // reset the connection under the `413`.
-                    client.close_after_write = true;
-                    client.read_buf.clear();
-                    discard_input(&conn.stream);
-                    let refusal = Response::builder(StatusCode::PAYLOAD_TOO_LARGE).build();
-                    self.queue_response(idx, refusal);
+                    // parser) will hold.
+                    self.refuse(idx, StatusCode::PAYLOAD_TOO_LARGE);
                     return self.flush_client(idx);
                 }
                 Err(_) => {
@@ -1198,6 +1053,7 @@ impl Reactor {
                 }
             };
             client.read_buf.advance(consumed);
+            client.request_started = None;
             if !request.wants_keep_alive() {
                 client.close_after_write = true;
             }
@@ -1266,6 +1122,19 @@ impl Reactor {
         }
     }
 
+    /// Queues `status` as the connection's last response: it closes once
+    /// that is flushed. What the client already sent is discarded first,
+    /// or the close would reset the connection under the refusal.
+    fn refuse(&mut self, idx: usize, status: StatusCode) {
+        let Some(conn) = self.conns[idx].as_mut() else { return };
+        let Kind::Client(client) = &mut conn.kind else { return };
+        client.close_after_write = true;
+        client.request_started = None;
+        client.read_buf.clear();
+        discard_input(&conn.stream);
+        self.queue_response(idx, Response::builder(status).build());
+    }
+
     /// Writes as much of the pending response as the socket accepts —
     /// gathering the contiguous buffer and any shared body slice into
     /// one `writev` — and merges the flush's syscall tallies into the
@@ -1288,7 +1157,9 @@ impl Reactor {
             }
             outcome
         };
-        self.metrics.note_flush(&stats);
+        self.metrics.write_calls.add(stats.write_calls);
+        self.metrics.writev_calls.add(stats.writev_calls);
+        self.metrics.write_stalls.add(stats.blocked);
         match outcome {
             Ok(FlushOutcome::Done) => {
                 // The response reached the kernel in full: release the
@@ -1366,7 +1237,7 @@ impl Reactor {
         if !body.is_empty() {
             if body.len() <= INLINE_BODY {
                 buf.extend_from_slice(body);
-                self.metrics.body_copies.fetch_add(1, Ordering::Relaxed);
+                self.metrics.body_copies.inc();
             } else {
                 client.write.set_body(body.clone());
             }
@@ -1413,7 +1284,7 @@ impl Reactor {
         let versioned = match l1.lookup(key, generation) {
             L1Lookup::Hit(versioned) => versioned,
             L1Lookup::Stale => {
-                self.metrics.l1_stale_rejects.fetch_add(1, Ordering::Relaxed);
+                self.metrics.l1_stale_rejects.inc();
                 return false;
             }
             L1Lookup::Miss => return false,
@@ -1422,7 +1293,7 @@ impl Reactor {
             return false;
         };
         self.queue_prepared(idx, prepared);
-        self.metrics.l1_hits.fetch_add(1, Ordering::Relaxed);
+        self.metrics.l1_hits.inc();
         true
     }
 
@@ -1435,13 +1306,9 @@ impl Reactor {
             return;
         };
         let Some(l1) = self.l1.as_mut() else { return };
-        let before = l1.evictions();
-        l1.insert(key, versioned);
-        let evicted = l1.evictions() - before;
-        self.metrics.l1_refills.fetch_add(1, Ordering::Relaxed);
-        if evicted > 0 {
-            self.metrics.l1_evictions.fetch_add(evicted, Ordering::Relaxed);
-        }
+        let evicted = l1.insert(key, versioned);
+        self.metrics.l1_refills.inc();
+        self.metrics.l1_evictions.add(u64::from(evicted));
     }
 
     /// Files a cache miss with the pool: coalesces onto an identical
@@ -1461,7 +1328,7 @@ impl Reactor {
         };
         let submitted = self.pool.submit(addr, wire, waiter);
         if matches!(submitted, Submit::Coalesced(_)) {
-            self.metrics.pool_coalesced.fetch_add(1, Ordering::Relaxed);
+            self.metrics.pool_coalesced.inc();
         }
         let job = submitted.job();
         if let Some(conn) = self.conns[client_idx].as_mut() {
@@ -1481,7 +1348,7 @@ impl Reactor {
     fn pump_origin(&mut self, addr: SocketAddr) {
         while let Some(job) = self.pool.front_queued(addr) {
             if let Some(conn_idx) = self.pool.claim_idle(addr) {
-                self.metrics.pool_reuses.fetch_add(1, Ordering::Relaxed);
+                self.metrics.pool_reuses.inc();
                 self.pool.pop_queued(addr);
                 self.pool.assign(job, conn_idx);
                 if let Some(conn) = self.conns[conn_idx].as_mut() {
@@ -1502,9 +1369,9 @@ impl Reactor {
                     Ok(stream) => {
                         let (rbuf, from_pool) = self.bufs.take();
                         if from_pool {
-                            self.metrics.buf_reuses.fetch_add(1, Ordering::Relaxed);
+                            self.metrics.buf_reuses.inc();
                         } else {
-                            self.metrics.buf_allocs.fetch_add(1, Ordering::Relaxed);
+                            self.metrics.buf_allocs.inc();
                         }
                         let idx = self.alloc_slot();
                         if self
@@ -1541,7 +1408,7 @@ impl Reactor {
                         self.pool.pop_queued(addr);
                         self.pool.assign(job, idx);
                         self.pool.note_opened(addr);
-                        self.metrics.pool_opened.fetch_add(1, Ordering::Relaxed);
+                        self.metrics.pool_opened.inc();
                         // The connect concludes via EPOLLOUT.
                     }
                     Err(e) => {
@@ -1741,7 +1608,7 @@ impl Reactor {
                 if allow_retry && self.pool.retry_eligible(job, served, got_bytes) {
                     // A stale parked socket isn't overload; the retry's
                     // own completion will produce the sample.
-                    self.metrics.pool_retries.fetch_add(1, Ordering::Relaxed);
+                    self.metrics.pool_retries.inc();
                     self.pool.requeue_for_retry(job);
                 } else {
                     let elapsed = fetch_started.map(|t| t.elapsed()).unwrap_or_default();
@@ -1799,11 +1666,17 @@ impl Reactor {
         self.resume_client(idx);
     }
 
-    /// Closes connections that have made no progress in a long time and
-    /// reaps long-idle pooled origin sockets.
+    /// Closes connections that have made no progress in a long time,
+    /// refuses requests still incomplete at their deadline, and reaps
+    /// long-idle pooled origin sockets.
     fn sweep_idle(&mut self) {
         let now = Instant::now();
-        let stale: Vec<(usize, bool)> = self
+        enum Stale {
+            Idle,
+            SlowRequest,
+            Upstream,
+        }
+        let stale: Vec<(usize, Stale)> = self
             .conns
             .iter()
             .enumerate()
@@ -1811,22 +1684,33 @@ impl Reactor {
                 let conn = conn.as_ref()?;
                 let idle = now.duration_since(conn.last_activity);
                 match &conn.kind {
-                    Kind::Client(_) if idle > IDLE_TIMEOUT => Some((idx, false)),
-                    Kind::Upstream(up) if up.job.is_some() && idle > UPSTREAM_TIMEOUT => {
-                        Some((idx, true))
+                    Kind::Client(_) if idle > IDLE_TIMEOUT => Some((idx, Stale::Idle)),
+                    Kind::Client(client) => {
+                        let started = client.request_started?;
+                        (now.duration_since(started) > REQUEST_TIMEOUT)
+                            .then_some((idx, Stale::SlowRequest))
                     }
-                    _ => None,
+                    Kind::Upstream(up) if up.job.is_some() && idle > UPSTREAM_TIMEOUT => {
+                        Some((idx, Stale::Upstream))
+                    }
+                    Kind::Upstream(_) => None,
                 }
             })
             .collect();
-        for (idx, is_upstream) in stale {
-            if is_upstream {
-                // A timeout is a slow origin, not a stale socket: fail
-                // the job outright rather than burning the retry.
-                let err = io::Error::new(io::ErrorKind::TimedOut, "origin fetch timed out");
-                self.upstream_broken(idx, err, false);
-            } else {
-                self.close_client(idx);
+        for (idx, why) in stale {
+            match why {
+                Stale::Idle => self.close_client(idx),
+                Stale::SlowRequest => {
+                    self.metrics.slow_requests.inc();
+                    self.refuse(idx, StatusCode::REQUEST_TIMEOUT);
+                    self.resume_client(idx);
+                }
+                Stale::Upstream => {
+                    // A timeout is a slow origin, not a stale socket: fail
+                    // the job outright rather than burning the retry.
+                    let err = io::Error::new(io::ErrorKind::TimedOut, "origin fetch timed out");
+                    self.upstream_broken(idx, err, false);
+                }
             }
         }
         // Pooled idle sockets past their keep time.
@@ -1853,7 +1737,7 @@ impl Reactor {
         self.freed_this_batch.push(idx);
         if let Kind::Client(client) = &mut conn.kind {
             self.clients -= 1;
-            self.metrics.conns[self.reactor_index].store(self.clients, Ordering::Relaxed);
+            self.metrics.conns[self.reactor_index].set(self.clients);
             if let Some(ticket) = client.admitted.take() {
                 // Abandoned mid-request (or mid-flush): release the
                 // slot without feeding the limiter (no clean completion
@@ -1960,7 +1844,7 @@ impl Reactor {
         }
         part.shed += 1;
         self.overload_dirty = true;
-        self.overload.note_shed(1);
+        self.overload.shed.inc();
         let retry = self.overload_config.retry_after_secs;
         let response = Response::builder(StatusCode::TOO_MANY_REQUESTS)
             .header("retry-after", retry.to_string())
@@ -2062,7 +1946,7 @@ impl Reactor {
             }
         }
         if shed > 0 {
-            self.overload.note_parked_shed(shed);
+            self.overload.parked_shed.add(shed);
             self.overload_dirty = true;
         }
     }
@@ -2101,13 +1985,13 @@ impl Reactor {
         self.bufs.give(client.write.take_buf());
         self.bufs
             .give(std::mem::take(&mut client.read_buf).into_vec());
-        self.metrics.note_pool_high_water(self.bufs.high_water());
+        self.metrics.buf_pool_high_water.raise(self.bufs.high_water());
     }
 
     /// Returns a closing upstream connection's read buffer to the pool.
     fn recycle_upstream_buf(&mut self, up: &mut UpstreamState) {
         self.bufs.give(std::mem::take(&mut up.read_buf).into_vec());
-        self.metrics.note_pool_high_water(self.bufs.high_water());
+        self.metrics.buf_pool_high_water.raise(self.bufs.high_water());
     }
 }
 
@@ -2343,7 +2227,7 @@ mod tests {
 
     #[test]
     fn engine_metrics_track_accepts_and_open_connections() {
-        let metrics = Arc::new(EngineMetrics::new());
+        let metrics = Arc::new(EngineMetrics::default());
         let server = EventLoop::start(
             "test-metrics",
             Arc::new(Echo),
@@ -2431,7 +2315,7 @@ mod tests {
 
     #[test]
     fn l1_serves_validated_hits_and_invalidates_on_store() {
-        let metrics = Arc::new(EngineMetrics::new());
+        let metrics = Arc::new(EngineMetrics::default());
         let service = Arc::new(CachedEcho {
             cache: crate::cache::ShardedCache::new(None),
         });
@@ -2484,7 +2368,7 @@ mod tests {
 
     #[test]
     fn generation_bump_clears_the_l1() {
-        let metrics = Arc::new(EngineMetrics::new());
+        let metrics = Arc::new(EngineMetrics::default());
         let service = Arc::new(CachedEcho {
             cache: crate::cache::ShardedCache::new(None),
         });

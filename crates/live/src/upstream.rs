@@ -126,22 +126,32 @@ pub struct Job<W> {
     pub retried: bool,
 }
 
+/// Everything the ledger keeps per origin address. A record is made at
+/// the origin's first miss and then stays: an origin that has gone quiet
+/// keeps its (empty) map, queue and list, so the next miss finds their
+/// capacity and allocates nothing for them.
+#[derive(Debug)]
+struct Origin {
+    addr: SocketAddr,
+    /// Coalescing index: request bytes → live job. Lookups borrow the
+    /// caller's bytes (`Arc<[u8]>: Borrow<[u8]>`), no key is cloned.
+    by_key: HashMap<Arc<[u8]>, JobId>,
+    /// Jobs awaiting a connection, FIFO.
+    queued: VecDeque<JobId>,
+    /// Idle pooled connections (slab index, parked-at), most recently
+    /// parked last.
+    idle: Vec<(usize, Instant)>,
+    /// Open connections (connecting + busy + idle).
+    open: usize,
+}
+
 /// The per-reactor pool ledger. See the module docs.
 #[derive(Debug)]
 pub struct PoolCore<W> {
     jobs: Vec<Option<Job<W>>>,
     free_jobs: Vec<usize>,
-    /// Coalescing index: origin → request bytes → live job. Nested so
-    /// lookups borrow the caller's bytes (`Arc<[u8]>: Borrow<[u8]>`)
-    /// instead of cloning a key per miss.
-    by_key: HashMap<SocketAddr, HashMap<Arc<[u8]>, JobId>>,
-    /// Jobs awaiting a connection, FIFO per origin.
-    queued: HashMap<SocketAddr, VecDeque<JobId>>,
-    /// Idle pooled connections per origin (slab index, parked-at), most
-    /// recently parked last.
-    idle: HashMap<SocketAddr, Vec<(usize, Instant)>>,
-    /// Open connections per origin (connecting + busy + idle).
-    open: HashMap<SocketAddr, usize>,
+    /// One record per origin seen; a proxy has one origin, so a scan.
+    origins: Vec<Origin>,
     max_per_origin: usize,
     /// Adaptive controller for `max_per_origin`; `None` keeps the cap
     /// static at whatever `new` was given.
@@ -169,16 +179,36 @@ impl<W> PoolCore<W> {
         PoolCore {
             jobs: Vec::new(),
             free_jobs: Vec::new(),
-            by_key: HashMap::new(),
-            queued: HashMap::new(),
-            idle: HashMap::new(),
-            open: HashMap::new(),
+            origins: Vec::new(),
             max_per_origin,
             limiter: None,
             recent: VecDeque::new(),
             samples_ok: 0,
             samples_overload: 0,
         }
+    }
+
+    fn origin(&self, addr: SocketAddr) -> Option<&Origin> {
+        self.origins.iter().find(|o| o.addr == addr)
+    }
+
+    fn origin_mut(&mut self, addr: SocketAddr) -> Option<&mut Origin> {
+        self.origins.iter_mut().find(|o| o.addr == addr)
+    }
+
+    /// `addr`'s record, made if this is its first use.
+    fn origin_entry(&mut self, addr: SocketAddr) -> &mut Origin {
+        let at = self.origins.iter().position(|o| o.addr == addr).unwrap_or_else(|| {
+            self.origins.push(Origin {
+                addr,
+                by_key: HashMap::new(),
+                queued: VecDeque::new(),
+                idle: Vec::new(),
+                open: 0,
+            });
+            self.origins.len() - 1
+        });
+        &mut self.origins[at]
     }
 
     /// Installs (or replaces) the adaptive controller for the per-origin
@@ -221,13 +251,12 @@ impl<W> PoolCore<W> {
         } else {
             self.samples_overload += 1;
         }
+        // In-flight from the limiter's point of view: connections
+        // actually fetching (open minus parked-idle) at this origin.
+        let in_flight = self.origin(addr).map_or(0, |o| o.open.saturating_sub(o.idle.len()));
         if let Some(limiter) = self.limiter.as_mut() {
-            // In-flight from the limiter's point of view: connections
-            // actually fetching (open minus parked-idle) at this origin.
-            let open = self.open.get(&addr).copied().unwrap_or(0);
-            let idle = self.idle.get(&addr).map_or(0, Vec::len);
             let sample = Sample {
-                in_flight: open.saturating_sub(idle),
+                in_flight,
                 latency: CoreDuration::from_millis(latency_ms),
                 outcome: if ok {
                     mutcon_core::limit::Outcome::Success
@@ -268,11 +297,8 @@ impl<W> PoolCore<W> {
     /// and queues a new one. The coalescing lookup borrows `request`;
     /// only a genuinely new job takes ownership of the bytes.
     pub fn submit(&mut self, addr: SocketAddr, request: Vec<u8>, waiter: W) -> Submit {
-        if let Some(&id) = self
-            .by_key
-            .get(&addr)
-            .and_then(|keys| keys.get(request.as_slice()))
-        {
+        let live = self.origin(addr).and_then(|o| o.by_key.get(request.as_slice()));
+        if let Some(&id) = live {
             self.jobs[id]
                 .as_mut()
                 .expect("indexed job is live")
@@ -288,10 +314,9 @@ impl<W> PoolCore<W> {
             }
         };
         let request: Arc<[u8]> = request.into();
-        self.by_key
-            .entry(addr)
-            .or_default()
-            .insert(Arc::clone(&request), id);
+        let origin = self.origin_entry(addr);
+        origin.by_key.insert(Arc::clone(&request), id);
+        origin.queued.push_back(id);
         self.jobs[id] = Some(Job {
             addr,
             request,
@@ -299,51 +324,38 @@ impl<W> PoolCore<W> {
             assigned: None,
             retried: false,
         });
-        self.queued.entry(addr).or_default().push_back(id);
         Submit::New(id)
     }
 
     /// The next queued job for `addr` without removing it.
     pub fn front_queued(&self, addr: SocketAddr) -> Option<JobId> {
-        self.queued.get(&addr)?.front().copied()
+        self.origin(addr)?.queued.front().copied()
     }
 
     /// Removes and returns the next queued job for `addr`.
     pub fn pop_queued(&mut self, addr: SocketAddr) -> Option<JobId> {
-        let id = self.queued.get_mut(&addr)?.pop_front();
-        if self.queued.get(&addr).is_some_and(VecDeque::is_empty) {
-            self.queued.remove(&addr);
-        }
-        id
+        self.origin_mut(addr)?.queued.pop_front()
     }
 
     /// Claims the most recently parked idle connection for `addr`.
     pub fn claim_idle(&mut self, addr: SocketAddr) -> Option<usize> {
-        let list = self.idle.get_mut(&addr)?;
-        let (conn, _) = list.pop()?;
-        if list.is_empty() {
-            self.idle.remove(&addr);
-        }
-        Some(conn)
+        self.origin_mut(addr)?.idle.pop().map(|(conn, _)| conn)
     }
 
     /// Whether another connection to `addr` may be opened.
     pub fn can_open(&self, addr: SocketAddr) -> bool {
-        self.open.get(&addr).copied().unwrap_or(0) < self.max_per_origin
+        self.open_len(addr) < self.max_per_origin
     }
 
     /// Records a connection opened to `addr` (connecting counts).
     pub fn note_opened(&mut self, addr: SocketAddr) {
-        *self.open.entry(addr).or_insert(0) += 1;
+        self.origin_entry(addr).open += 1;
     }
 
     /// Records a connection to `addr` closed (for any reason).
     pub fn note_closed(&mut self, addr: SocketAddr) {
-        if let Some(n) = self.open.get_mut(&addr) {
-            *n -= 1;
-            if *n == 0 {
-                self.open.remove(&addr);
-            }
+        if let Some(origin) = self.origin_mut(addr) {
+            origin.open = origin.open.saturating_sub(1);
         }
     }
 
@@ -364,19 +376,11 @@ impl<W> PoolCore<W> {
     pub fn complete(&mut self, job: JobId) -> Option<Job<W>> {
         let j = self.jobs.get_mut(job)?.take()?;
         self.free_jobs.push(job);
-        if let Some(keys) = self.by_key.get_mut(&j.addr) {
-            keys.remove(&j.request[..]);
-            if keys.is_empty() {
-                self.by_key.remove(&j.addr);
-            }
-        }
-        if j.assigned.is_none() {
-            // Still queued (synchronous failure): unlink it.
-            if let Some(q) = self.queued.get_mut(&j.addr) {
-                q.retain(|&id| id != job);
-                if q.is_empty() {
-                    self.queued.remove(&j.addr);
-                }
+        if let Some(origin) = self.origin_mut(j.addr) {
+            origin.by_key.remove(&j.request[..]);
+            if j.assigned.is_none() {
+                // Still queued (synchronous failure): unlink it.
+                origin.queued.retain(|&id| id != job);
             }
         }
         Some(j)
@@ -402,7 +406,8 @@ impl<W> PoolCore<W> {
         if let Some(j) = self.jobs[job].as_mut() {
             j.assigned = None;
             j.retried = true;
-            self.queued.entry(j.addr).or_default().push_front(job);
+            let addr = j.addr;
+            self.origin_entry(addr).queued.push_front(job);
         }
     }
 
@@ -425,59 +430,48 @@ impl<W> PoolCore<W> {
 
     /// Parks a connection as idle for `addr`.
     pub fn release_idle(&mut self, addr: SocketAddr, conn: usize, now: Instant) {
-        self.idle.entry(addr).or_default().push((conn, now));
+        self.origin_entry(addr).idle.push((conn, now));
     }
 
     /// Removes a connection from the idle lists (it died while parked).
     /// Returns its origin if it was indeed idle.
     pub fn forget_idle(&mut self, conn: usize) -> Option<SocketAddr> {
-        let mut hit = None;
-        for (addr, list) in self.idle.iter_mut() {
-            if let Some(pos) = list.iter().position(|&(c, _)| c == conn) {
-                list.remove(pos);
-                hit = Some(*addr);
-                break;
-            }
-        }
-        if let Some(addr) = hit {
-            if self.idle.get(&addr).is_some_and(Vec::is_empty) {
-                self.idle.remove(&addr);
-            }
-        }
-        hit
+        self.origins.iter_mut().find_map(|origin| {
+            let at = origin.idle.iter().position(|&(c, _)| c == conn)?;
+            origin.idle.remove(at);
+            Some(origin.addr)
+        })
     }
 
     /// Idle connections parked longer than `max_age`, removed from the
     /// ledger and returned (with their origin) for the caller to close.
     pub fn reap_idle(&mut self, now: Instant, max_age: std::time::Duration) -> Vec<(usize, SocketAddr)> {
         let mut reaped = Vec::new();
-        for (addr, list) in self.idle.iter_mut() {
-            list.retain(|&(conn, since)| {
-                if now.duration_since(since) > max_age {
-                    reaped.push((conn, *addr));
-                    false
-                } else {
-                    true
+        for origin in &mut self.origins {
+            origin.idle.retain(|&(conn, since)| {
+                let keep = now.duration_since(since) <= max_age;
+                if !keep {
+                    reaped.push((conn, origin.addr));
                 }
+                keep
             });
         }
-        self.idle.retain(|_, list| !list.is_empty());
         reaped
     }
 
     /// Number of idle pooled connections for `addr` (tests).
     pub fn idle_len(&self, addr: SocketAddr) -> usize {
-        self.idle.get(&addr).map_or(0, Vec::len)
+        self.origin(addr).map_or(0, |o| o.idle.len())
     }
 
     /// Number of queued jobs for `addr` (tests).
     pub fn queued_len(&self, addr: SocketAddr) -> usize {
-        self.queued.get(&addr).map_or(0, VecDeque::len)
+        self.origin(addr).map_or(0, |o| o.queued.len())
     }
 
     /// Open connections recorded for `addr` (tests).
     pub fn open_len(&self, addr: SocketAddr) -> usize {
-        self.open.get(&addr).copied().unwrap_or(0)
+        self.origin(addr).map_or(0, |o| o.open)
     }
 }
 

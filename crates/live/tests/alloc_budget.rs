@@ -8,7 +8,8 @@
 //! under a counting allocator, and held to a budget. Allocation counts
 //! repeat exactly from run to run, so this gate has no noise to know: a
 //! stage that starts allocating per header again fails it on the first
-//! run.
+//! run. The pool ledger's cycle around the upstream fetch has a budget of
+//! its own.
 //!
 //! The counter is per thread, so the tests of this binary may run in
 //! parallel.
@@ -22,6 +23,7 @@ use mutcon_http::message::Response;
 use mutcon_http::parse::{RequestParser, ResponseParser};
 use mutcon_live::cache::{CacheEntry, ShardedCache};
 use mutcon_live::client::{get_wire, ObjectStamps};
+use mutcon_live::upstream::{PoolCore, Submit};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -154,6 +156,39 @@ fn each_stage_of_a_miss_stays_within_its_allocation_budget() {
     assert_eq!(look_ups, 0, "store look-ups must not allocate");
     assert!(entry_new <= 3, "CacheEntry::new: {entry_new} allocations");
     assert!(whole_miss <= 20, "whole miss: {whole_miss} allocations");
+}
+
+/// The pool ledger's share of a sequential miss, in steady state: the
+/// job's request bytes and its waiter list. The origin's record (its
+/// coalescing index, queue and idle list) was made by the first miss and
+/// is not made again.
+#[test]
+fn a_pool_cycle_allocates_for_the_job_alone() {
+    let addr = "127.0.0.1:40000".parse().expect("literal");
+    let now = std::time::Instant::now();
+    let mut pool: PoolCore<u32> = PoolCore::default();
+    pool.note_opened(addr);
+    pool.release_idle(addr, 7, now);
+    let mut cycle = |waiter: u32| {
+        let wire = get_wire(PATH, "127.0.0.1:40000", None);
+        counted(|| {
+            let Submit::New(job) = pool.submit(addr, wire, waiter) else {
+                panic!("nothing to coalesce onto")
+            };
+            assert_eq!(pool.pop_queued(addr), Some(job));
+            let conn = pool.claim_idle(addr).expect("parked by the cycle before");
+            pool.assign(job, conn);
+            let done = pool.complete(job).expect("live job");
+            pool.release_idle(addr, conn, now);
+            done.waiters.len()
+        })
+    };
+    cycle(0); // the first miss makes the record and sizes its containers
+    for waiter in 1..4 {
+        let (waiters, allocations) = cycle(waiter);
+        assert_eq!(waiters, 1);
+        assert!(allocations <= 2, "pool cycle: {allocations} allocations");
+    }
 }
 
 /// The serializing side: a response the engine renders per connection
