@@ -153,9 +153,6 @@ pub struct MtCoordinator<K = ObjectId> {
     delta: Duration,
     policy: MtPolicy,
     members: BTreeMap<K, MemberState>,
-    /// EWMA weight used for the per-object update-rate estimators.
-    rate_alpha: f64,
-    triggered_polls: u64,
 }
 
 impl<K: Ord + Clone> MtCoordinator<K> {
@@ -169,16 +166,13 @@ impl<K: Ord + Clone> MtCoordinator<K> {
         policy: MtPolicy,
         members: impl IntoIterator<Item = K>,
     ) -> Self {
-        let rate_alpha = Self::DEFAULT_RATE_ALPHA;
         MtCoordinator {
             delta,
             policy,
             members: members
                 .into_iter()
-                .map(|id| (id, MemberState::new(rate_alpha)))
+                .map(|id| (id, MemberState::new(Self::DEFAULT_RATE_ALPHA)))
                 .collect(),
-            rate_alpha,
-            triggered_polls: 0,
         }
     }
 
@@ -195,17 +189,6 @@ impl<K: Ord + Clone> MtCoordinator<K> {
     /// Group members known to this coordinator.
     pub fn members(&self) -> impl Iterator<Item = &K> + '_ {
         self.members.keys()
-    }
-
-    /// Adds a member after construction (no-op if already present).
-    pub fn add_member(&mut self, id: K) {
-        let alpha = self.rate_alpha;
-        self.members.entry(id).or_insert_with(|| MemberState::new(alpha));
-    }
-
-    /// Total number of extra polls this coordinator has requested.
-    pub fn triggered_poll_count(&self) -> u64 {
-        self.triggered_polls
     }
 
     /// Records when `object`'s next regular (LIMD-scheduled) poll will
@@ -291,7 +274,6 @@ impl<K: Ord + Clone> MtCoordinator<K> {
             }
             triggers.push(id.clone());
         }
-        self.triggered_polls += triggers.len() as u64;
         triggers
     }
 
@@ -346,7 +328,6 @@ mod tests {
         let mut mt = coordinator(MtPolicy::Baseline);
         let triggers = mt.on_poll(&oid("a"), mins(30), &PollResult::modified(mins(29)));
         assert!(triggers.is_empty());
-        assert_eq!(mt.triggered_poll_count(), 0);
     }
 
     #[test]
@@ -361,7 +342,6 @@ mod tests {
         let mut mt = coordinator(MtPolicy::TriggeredPolls);
         let triggers = mt.on_poll(&oid("a"), mins(30), &PollResult::modified(mins(29)));
         assert_eq!(triggers, vec![oid("b"), oid("c")]);
-        assert_eq!(mt.triggered_poll_count(), 2);
     }
 
     #[test]
@@ -446,15 +426,6 @@ mod tests {
         let mut mt = coordinator(MtPolicy::TriggeredPolls);
         let triggers = mt.on_poll(&oid("zzz"), mins(30), &PollResult::modified(mins(29)));
         assert!(triggers.is_empty());
-    }
-
-    #[test]
-    fn add_member_expands_group() {
-        let mut mt = coordinator(MtPolicy::TriggeredPolls);
-        mt.add_member(oid("d"));
-        assert_eq!(mt.members().count(), 4);
-        let triggers = mt.on_poll(&oid("a"), mins(30), &PollResult::modified(mins(29)));
-        assert!(triggers.contains(&oid("d")));
     }
 
     #[test]

@@ -121,6 +121,16 @@ impl Add<Duration> for Timestamp {
     }
 }
 
+/// A monotonic instant moved by a span of this timeline, so that code
+/// generic over its clock can write `now + ttr` for either.
+impl Add<Duration> for std::time::Instant {
+    type Output = std::time::Instant;
+
+    fn add(self, rhs: Duration) -> std::time::Instant {
+        self + std::time::Duration::from_millis(rhs.0)
+    }
+}
+
 impl AddAssign<Duration> for Timestamp {
     fn add_assign(&mut self, rhs: Duration) {
         self.0 += rhs.0;

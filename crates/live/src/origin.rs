@@ -152,9 +152,11 @@ impl std::fmt::Debug for LiveOrigin {
     }
 }
 
-fn unix_now_ms() -> u64 {
+/// Wall-clock time in Unix milliseconds, the timeline the origin stamps
+/// versions on and the proxy's consistency algorithms run on.
+pub(crate) fn unix_now_ms() -> u64 {
     // Saturating: a clock jumped before the epoch (bad RTC, aggressive
-    // NTP step) reads as 0 instead of panicking the reactor thread.
+    // NTP step) reads as 0 instead of panicking the calling thread.
     SystemTime::now()
         .duration_since(UNIX_EPOCH)
         .unwrap_or_default()

@@ -639,16 +639,14 @@ impl ProxyService {
         let rules: Vec<Json> = epoch
             .rules
             .iter()
-            .map(|rule| {
+            .zip(&epoch.limd)
+            .map(|(rule, limd)| {
                 let live = status.get(&rule.path);
-                let spec = crate::runtime::limd_config(rule)
-                    .map(|c| Json::String(c.to_spec()))
-                    .unwrap_or(Json::Null);
                 obj([
                     ("path", Json::String(rule.path.clone())),
                     ("delta_ms", Json::Number(rule.delta.as_millis() as f64)),
                     ("ttr_max_ms", Json::Number(rule.ttr_max.as_millis() as f64)),
-                    ("limd", spec),
+                    ("limd", Json::String(limd.to_spec())),
                     (
                         "ttr_ms",
                         live.map_or(Json::Null, |s| Json::Number(s.ttr.as_millis() as f64)),

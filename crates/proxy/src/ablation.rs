@@ -270,19 +270,27 @@ mod tests {
         assert!(rows[1].fidelity_violations >= rows[0].fidelity_violations - 1e-9);
     }
 
+    /// On the Figure 5 pair at δ = 5 min, as `repro ablation` runs it.
+    /// (It used to run two ~100-poll synthetic traces and compare the
+    /// first row with the last, where a single trigger decides: 124,
+    /// 107, 106, 108, 105 polls while the simulator double-polled a
+    /// triggered target whose own poll was due, 97, 92, 107, 109, 105 on
+    /// the shared scheduler. On this pair those read 346, 335, 319, 328,
+    /// 325 and 356, 350, 345, 334, 326: only the second is monotone.)
     #[test]
     fn threshold_monotonicity_in_polls() {
-        let a = news("a", 80, 3);
-        let b = news("b", 30, 4);
+        use mutcon_traces::NamedTrace;
         let rows = heuristic_threshold(
-            &a,
-            &b,
+            &NamedTrace::CnnFn.generate(),
+            &NamedTrace::NytAp.generate(),
             Duration::from_mins(10),
-            Duration::from_mins(2),
+            Duration::from_mins(5),
         );
         assert_eq!(rows.len(), 5);
-        // Stricter thresholds trigger fewer polls (non-strictly).
-        assert!(rows.last().unwrap().polls <= rows[0].polls);
+        // Every stricter threshold triggers fewer polls (non-strictly).
+        for step in rows.windows(2) {
+            assert!(step[1].polls <= step[0].polls, "{} then {}", step[0].polls, step[1].polls);
+        }
     }
 
     #[test]

@@ -1,23 +1,27 @@
 //! The temporal-domain simulation driver (§3, §6.2.1–6.2.2).
 //!
 //! Each object is polled on its own schedule — strictly every Δ for the
-//! baseline, or LIMD-adapted — and an optional [`MtCoordinator`] reacts
-//! to observed updates by triggering immediate polls of related objects.
+//! baseline, or LIMD-adapted — and an optional Mt coordinator reacts to
+//! observed updates by triggering immediate polls of related objects.
 //! Triggered polls are *additional* polls (§3.2): they refresh the cache
 //! and inform the coordinator, but the object's regular LIMD schedule and
 //! TTR state are left untouched — exactly the incremental cost the paper
 //! measures in Figure 5(a).
+//!
+//! All of that is [`crate::schedule`], which the live proxy's poll
+//! workers step too. This driver adds simulated time and an origin
+//! model; each object's validator and its logs are all it keeps.
 
 use std::collections::BTreeMap;
 
-use mutcon_core::limd::{Limd, LimdConfig};
-use mutcon_core::mutual::temporal::{MtCoordinator, MtPolicy};
+use mutcon_core::limd::LimdConfig;
+use mutcon_core::mutual::temporal::MtPolicy;
 use mutcon_core::object::ObjectId;
 use mutcon_core::time::{Duration, Timestamp};
-use mutcon_sim::queue::{EventId, EventQueue};
 
 use crate::log::{PollLog, PollOutcome, PollRecord};
 use crate::origin::{HostedObject, OriginServer};
+use crate::schedule::{PollKind, Schedule};
 
 /// How each object maintains its individual Δt guarantee.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,175 +78,68 @@ impl TemporalSimOutput {
     }
 }
 
-struct ObjectState {
-    limd: Option<Limd>,
-    validator: Option<Timestamp>,
-    pending: Option<EventId>,
-}
-
-/// The driver's internal state, keyed by dense object handles.
-///
-/// Object ids are interned to `u32` indices at run start: the event
-/// queue, the per-object state table and the Mt coordinator all work on
-/// indices, so the per-poll path never hashes, compares or clones an
-/// `ObjectId`. The string ids reappear only when the final
-/// [`TemporalSimOutput`] maps are assembled.
-struct Sim<'a> {
-    objects: Vec<HostedObject<'a>>,
-    config: &'a TemporalSimConfig,
-    states: Vec<ObjectState>,
-    coordinator: Option<MtCoordinator<u32>>,
-    queue: EventQueue<u32>,
-    logs: Vec<PollLog>,
-    ttr_timelines: Vec<Vec<(Timestamp, Duration)>>,
-    triggered_instants: Vec<Timestamp>,
-}
-
-/// Runs the temporal driver over `objects` (all hosted by `origin`).
+/// Runs the temporal driver over `objects` (all hosted by `origin`):
+/// steps the shared [`Schedule`] from one due instant to the next,
+/// answering each job from the object's trace at zero latency. Objects
+/// are dense `u32` handles until the output maps are assembled.
 ///
 /// # Panics
 ///
-/// Panics if an object is not hosted by the origin or its trace starts
-/// after [`Timestamp::ZERO`] — experiment setup errors, not runtime
-/// conditions.
+/// Panics if an object is not hosted by the origin, its trace starts
+/// after [`Timestamp::ZERO`] or the periodic policy's period is zero —
+/// experiment setup errors, not runtime conditions.
 pub fn run_temporal(
     origin: &OriginServer,
     objects: &[ObjectId],
     config: &TemporalSimConfig,
 ) -> TemporalSimOutput {
-    let handles: Vec<HostedObject<'_>> = objects
+    let hosted: Vec<HostedObject<'_>> = objects
         .iter()
         .map(|id| origin.object(id).expect("object hosted by origin"))
         .collect();
-    let n = handles.len();
-    let mut sim = Sim {
-        objects: handles,
-        config,
-        states: (0..n)
-            .map(|_| ObjectState {
-                limd: match &config.policy {
-                    TemporalPolicy::Periodic(_) => None,
-                    TemporalPolicy::Limd(cfg) => Some(Limd::new(*cfg)),
-                },
-                validator: None,
-                pending: None,
-            })
-            .collect(),
-        coordinator: config
-            .mutual
-            .map(|m| MtCoordinator::new(m.delta, m.policy, 0..n as u32)),
-        queue: EventQueue::new(),
-        logs: vec![PollLog::new(); n],
-        ttr_timelines: vec![Vec::new(); n],
-        triggered_instants: Vec::new(),
-    };
-    for idx in 0..n as u32 {
-        let ev = sim.queue.schedule_at(Timestamp::ZERO, idx);
-        sim.states[idx as usize].pending = Some(ev);
-    }
-
-    while let Some(at) = sim.queue.peek_time() {
-        if at > config.until {
-            break;
+    // Polling strictly every Δ is LIMD with nowhere to adapt to.
+    let (limd, adaptive) = match config.policy {
+        TemporalPolicy::Limd(limd) => (limd, true),
+        TemporalPolicy::Periodic(every) => {
+            let fixed = LimdConfig::builder(every).ttr_min(every).ttr_max(every);
+            (fixed.build().expect("a positive polling period"), false)
         }
-        let (now, obj) = sim.queue.pop().expect("peeked event exists");
-        sim.states[obj as usize].pending = None;
-        sim.poll(obj, now, false);
+    };
+    let mut schedule: Schedule<u32, Timestamp> = Schedule::default();
+    let members = (0..hosted.len() as u32).map(|obj| (obj, limd));
+    schedule.reconcile(1, members, config.mutual.map(|m| (m.delta, m.policy)), Timestamp::ZERO);
+
+    let mut validators: Vec<Option<Timestamp>> = vec![None; hosted.len()];
+    let mut logs = vec![PollLog::new(); hosted.len()];
+    let mut ttr_timelines = vec![Vec::new(); hosted.len()];
+    let mut out = TemporalSimOutput::default();
+    while let Some(now) = schedule.next_wake().filter(|&at| at <= config.until) {
+        while let Some(job) = schedule.next_job(now) {
+            let i = job.key as usize;
+            let resp = hosted[i].poll(now, validators[i]).expect("object hosted by origin for the whole window");
+            let triggered = job.kind == PollKind::Triggered;
+            let outcome = if resp.not_modified {
+                PollOutcome::NotModified
+            } else {
+                validators[i] = Some(resp.last_modified);
+                PollOutcome::Refreshed { version_index: resp.version_index }
+            };
+            logs[i].push(PollRecord { at: now, outcome, triggered });
+            if triggered {
+                out.triggered_instants.push(now);
+            }
+            let done = schedule.complete(&job, now, Some(resp.as_view()), now);
+            if let (true, Some(ttr)) = (adaptive, done.ttr) {
+                ttr_timelines[i].push((now, ttr));
+            }
+        }
     }
 
-    let mut out = TemporalSimOutput {
-        triggered_instants: sim.triggered_instants,
-        ..TemporalSimOutput::default()
-    };
-    for (idx, id) in objects.iter().enumerate() {
-        out.logs
-            .insert(id.clone(), std::mem::take(&mut sim.logs[idx]));
-        out.ttr_timeline
-            .insert(id.clone(), std::mem::take(&mut sim.ttr_timelines[idx]));
+    for ((id, log), timeline) in objects.iter().zip(logs).zip(ttr_timelines) {
+        out.logs.insert(id.clone(), log);
+        out.ttr_timeline.insert(id.clone(), timeline);
     }
     out
-}
-
-impl Sim<'_> {
-    /// Performs one poll (regular or triggered) of `obj` at `now`,
-    /// reschedules its next regular poll, and cascades coordinator
-    /// triggers at the same instant.
-    fn poll(&mut self, obj: u32, now: Timestamp, triggered: bool) {
-        let i = obj as usize;
-        let validator = self.states[i].validator;
-        let resp = self.objects[i]
-            .poll(now, validator)
-            .expect("object hosted by origin for the whole window");
-
-        let outcome = if resp.not_modified {
-            PollOutcome::NotModified
-        } else {
-            PollOutcome::Refreshed {
-                version_index: resp.version_index,
-            }
-        };
-        self.logs[i].push(PollRecord {
-            at: now,
-            outcome,
-            triggered,
-        });
-
-        let view = resp.as_view();
-        let state = &mut self.states[i];
-        if !resp.not_modified {
-            state.validator = Some(resp.last_modified);
-        }
-
-        // Only regular polls drive the TTR state and the schedule;
-        // triggered polls are additional requests on top of it.
-        let mut next_at = None;
-        if !triggered {
-            let ttr = match (&self.config.policy, state.limd.as_mut()) {
-                (TemporalPolicy::Periodic(d), _) => *d,
-                (TemporalPolicy::Limd(_), Some(limd)) => {
-                    let decision = limd.observe(now, view);
-                    self.ttr_timelines[i].push((now, decision.ttr));
-                    decision.ttr
-                }
-                (TemporalPolicy::Limd(_), None) => {
-                    unreachable!("LIMD state exists for LIMD policy")
-                }
-            };
-            let state = &mut self.states[i];
-            if let Some(ev) = state.pending.take() {
-                self.queue.cancel(ev);
-            }
-            let at = now + ttr;
-            if at <= self.config.until {
-                state.pending = Some(self.queue.schedule_at(at, obj));
-            }
-            next_at = Some(at);
-        }
-
-        // Mutual-consistency coordination.
-        let triggers = match self.coordinator.as_mut() {
-            Some(coord) => {
-                let triggers = coord.observe(&obj, now, view);
-                if let Some(at) = next_at {
-                    coord.record_scheduled_poll(&obj, at);
-                }
-                triggers
-            }
-            None => Vec::new(),
-        };
-        for target in triggers {
-            // This list was taken before the recursion below ran: with
-            // three or more members, an earlier target's own cascade may
-            // already have polled this one at `now`.
-            if self.logs[target as usize].records().last().is_some_and(|r| r.at == now) {
-                continue;
-            }
-            self.triggered_instants.push(now);
-            // Same-instant recursion terminates: once polled at `now`, an
-            // object's last-poll suppresses any further trigger at `now`.
-            self.poll(target, now, true);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -369,18 +266,20 @@ mod tests {
         assert!(out.logs[&b].records().iter().any(|r| r.triggered));
     }
 
-    /// Three objects that change together: a's poll triggers b and c, and
-    /// b's triggered poll (b changed too) cascades to c before the outer
-    /// loop reaches it. One triggered poll per object per instant is all
-    /// §3.2 asks. (A regular poll may still share the instant: the three
-    /// schedules here are identical.)
+    /// Three objects that change together every half hour, at rates that
+    /// stagger their schedules: a's poll triggers b and c, and b's
+    /// triggered poll (b changed too) raises a trigger for c that is
+    /// already queued. One poll per object per instant, of either kind,
+    /// is all §3.2 asks. (On identical schedules every member is due
+    /// whenever one finds an update, and nothing is triggered at all:
+    /// each trigger is coalesced into the target's own poll.)
     #[test]
     fn a_cascade_triggers_each_group_member_once_per_instant() {
         let (mut origin, a) = regular_origin("a", 30);
-        let mut ids = vec![a.clone()];
-        for name in ["b", "c"] {
-            let id = ObjectId::new(name);
-            origin.host(id.clone(), origin.trace(&a).unwrap().clone());
+        let mut ids = vec![a];
+        for (name, period_min) in [("b", 15), ("c", 10)] {
+            let (hosting, id) = regular_origin(name, period_min);
+            origin.host(id.clone(), hosting.trace(&id).unwrap().clone());
             ids.push(id);
         }
         let config = TemporalSimConfig {
@@ -394,10 +293,8 @@ mod tests {
         let out = run_temporal(&origin, &ids, &config);
         assert!(out.total_triggered() > 0);
         for id in &ids {
-            let triggered: Vec<Timestamp> =
-                out.logs[id].records().iter().filter(|r| r.triggered).map(|r| r.at).collect();
-            for pair in triggered.windows(2) {
-                assert!(pair[0] < pair[1], "{id} triggered twice at {}", pair[1]);
+            for pair in out.logs[id].records().windows(2) {
+                assert!(pair[0].at < pair[1].at, "{id} polled twice at {}", pair[1].at);
             }
         }
     }

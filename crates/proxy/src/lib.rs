@@ -9,9 +9,13 @@
 //!   the §5.1 modification-history extension.
 //! * [`cache`] — the proxy's object store (infinite, per the paper).
 //! * [`log`] — per-object poll logs, the raw material of every metric.
-//! * [`drivers`] — event-driven simulation loops wiring the `mutcon-core`
-//!   algorithms to the origin: temporal (periodic/LIMD ± Mt coordination)
-//!   and value (adaptive TTR, virtual-object, partitioned).
+//! * [`schedule`] — the §3 scheduler (LIMD per object, Mt triggers
+//!   across a group) as one clock-free state machine; the temporal
+//!   driver steps it through simulated time and the live proxy's poll
+//!   workers step it on sockets.
+//! * [`drivers`] — simulation drivers wiring the algorithms to the
+//!   origin: temporal (periodic/LIMD ± Mt coordination, over
+//!   [`schedule`]) and value (adaptive TTR, virtual-object, partitioned).
 //! * [`metrics`] — *ground-truth* fidelity evaluation: unlike the proxy,
 //!   the evaluator sees the full server history, so violations and
 //!   out-of-sync time are exact (including the Figure 1(b) cases the
@@ -45,6 +49,7 @@ pub mod log;
 pub mod metrics;
 pub mod origin;
 pub mod report;
+pub mod schedule;
 
 pub use log::{PollLog, PollOutcome, PollRecord};
 pub use origin::{HistorySupport, OriginResponse, OriginServer};

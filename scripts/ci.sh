@@ -39,6 +39,16 @@ if grep -nE 'mpsc|JobQueue|WakeSignal|publish_one' crates/live/src/runtime.rs; t
   exit 1
 fi
 
+# One §3 scheduler: LIMD state and the Mt coordinator are built in
+# crates/proxy/src/schedule.rs, which the simulator's temporal driver and
+# the live poll workers both step. Neither driver grows scheduling state
+# or an event loop of its own again.
+if grep -nE 'Limd::new|MtCoordinator::new|EventQueue' \
+    crates/live/src/runtime.rs crates/proxy/src/drivers/temporal.rs; then
+  echo "ci: a second scheduler is back in a driver (lines above)" >&2
+  exit 1
+fi
+
 # One home per metric: a count is a cell in a `metrics!` declaration
 # (crates/live/src/metrics.rs), which generates its accessor and its place
 # in `/admin/stats`. No stats line names a cell by hand and no accessor
@@ -79,8 +89,11 @@ done
 cargo test -q -p mutcon-live --test overload
 
 # The paper's tables and figures (writes the simulator's timings to
-# BENCH_repro.json).
+# BENCH_repro.json), and the golden test that pins the Figure 5 rows and
+# the multi4 poll total: a scheduling change fails it until the new rows
+# are committed in crates/bench/tests/golden.rs with their cause.
 target/release/repro all > /dev/null
+cargo test -q -p mutcon-bench --test golden
 
 # The live proxy's benchmark (BENCHMARK.json): its own tests, then a
 # short run of the hit path and one of the miss path; each must verify

@@ -150,9 +150,12 @@ fn mutual_consistency_cost_and_fidelity_ordering() {
     // triggering everything.
     assert!(rows[0].heuristic.polls < rows[0].triggered.polls);
     // Where mutual support matters (tight δ), the heuristic clearly beats
-    // plain LIMD.
+    // plain LIMD. (The margin was 0.040, 0.963 against 0.924, while the
+    // simulator polled a triggered target a second time at the instant
+    // its own poll was due; it is 0.025, 0.949 against 0.924, on the
+    // scheduler the live proxy runs, which polls it once.)
     assert!(
-        rows[0].heuristic.fidelity > rows[0].baseline.fidelity + 0.03,
+        rows[0].heuristic.fidelity > rows[0].baseline.fidelity + 0.02,
         "heuristic {:.3} should beat baseline {:.3} at δ=1min",
         rows[0].heuristic.fidelity,
         rows[0].baseline.fidelity
