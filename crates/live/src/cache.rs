@@ -5,9 +5,9 @@
 //! concurrent client hits. Here the key space is split across
 //! [`SHARD_COUNT`] independent shards by key hash, so a refresh write
 //! serializes only the 1/16th of reads that share its shard. Each shard
-//! reuses [`mutcon_proxy::cache::LruMap`] — the O(log n)
-//! recency-indexed bounded map behind the simulator's `ProxyCache` — so
-//! a capacity bound buys LRU eviction without scans.
+//! reuses [`mutcon_proxy::cache::LruMap`] — an O(log n)
+//! recency-indexed bounded map — so a capacity bound buys LRU eviction
+//! without scans.
 //!
 //! Reads take the shard's read lock and hand out an `Arc` of the entry —
 //! a refcount bump, no byte copying. LRU recency on the hit path is
@@ -22,22 +22,21 @@
 //! two shared slices handed to `writev` — zero per-request serialization
 //! and zero body copies.
 //!
-//! ## Version stamps and the per-reactor L1
+//! ## The supersede flag and the per-reactor L1
 //!
-//! Each resident path carries a shared `Arc<AtomicU64>` **version
-//! handle**, bumped under the shard write lock by every mutation that
-//! could make an outstanding copy stale: a store, an LRU eviction, and
-//! an explicit removal. A whole-cache **generation** counter covers bulk
-//! invalidation (admin rule swaps). [`ShardedCache::get_versioned`]
-//! captures `(entry, handle, stamp)` atomically under the shard lock, so
-//! a reactor-local [`L1Cache`] can later revalidate the pair with a
-//! single relaxed atomic load — no shard lock on the L1 hit path at all.
-//! A failed compare means the copy *may* be stale; the reactor falls
-//! through to the shared cache and refills.
+//! Every store installs a *new* `Arc<CacheEntry>`, so "is my copy still
+//! the resident one" is one bit on the copy itself: a copy that leaves
+//! its shard's map — replaced by a store, pushed out by the LRU bound, or
+//! removed — is marked **superseded**, once and for good. The flag has
+//! one writer, the shard's map mutation, under the shard write lock
+//! (`Release`), and one reader, [`L1Cache::lookup`]
+//! ([`CacheEntry::is_current`], one `Relaxed` load) — no shard lock on
+//! the L1 hit path at all. A set flag means the copy *may* be stale; the
+//! reader falls through to the shared cache and refills. A whole-cache
+//! **generation** counter covers bulk invalidation (admin rule swaps).
 
-use std::collections::HashMap;
 use std::io::Write;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -59,8 +58,10 @@ pub const SHARD_COUNT: usize = 16;
 ///
 /// Immutable after construction: [`CacheEntry::new`] renders the serving
 /// header block once, so every later hit reuses it. Fields are private to
-/// keep the pre-rendered head in sync with what it describes.
-#[derive(Debug, Clone, PartialEq)]
+/// keep the pre-rendered head in sync with what it describes. Neither
+/// `Clone` nor `PartialEq`: the supersede flag is identity, and a clone
+/// of the resident copy is not the resident copy.
+#[derive(Debug)]
 pub struct CacheEntry {
     body: Bytes,
     last_modified: Timestamp,
@@ -71,6 +72,9 @@ pub struct CacheEntry {
     /// server can append per-response headers (`x-cache`,
     /// `connection: close`) before the body.
     head: Bytes,
+    /// Set once, under its shard's write lock, when this copy leaves the
+    /// map (see the module docs); never cleared.
+    superseded: AtomicBool,
 }
 
 impl CacheEntry {
@@ -113,7 +117,23 @@ impl CacheEntry {
             value,
             version,
             head: Bytes::from(head),
+            superseded: AtomicBool::new(false),
         }
+    }
+
+    /// Whether this copy is still the one resident in the shared cache,
+    /// as far as this thread can see. Relaxed is the point: a store not
+    /// yet visible here is exactly the propagation window the paper's Δ
+    /// tolerates, and the bytes served are the ones the caller already
+    /// holds — no new memory is read on the strength of this load.
+    pub fn is_current(&self) -> bool {
+        !self.superseded.load(Ordering::Relaxed)
+    }
+
+    /// Marks a copy that just left its shard's map. `Release` pairs with
+    /// the L1's load; only called under the shard write lock.
+    fn supersede(&self) {
+        self.superseded.store(true, Ordering::Release);
     }
 
     /// The object body (cloning is a refcount bump).
@@ -144,42 +164,27 @@ impl CacheEntry {
 
 struct Shard {
     map: LruMap<String, Arc<CacheEntry>, u64>,
-    /// Per-path version handles; created on first store, bumped (under
-    /// this shard's write lock) by stores, evictions and removals, and
-    /// dropped when the path leaves the cache. An L1 holding a dropped
-    /// handle is harmless: the final bump already invalidated it.
-    versions: HashMap<String, Arc<AtomicU64>>,
     /// Entries pushed out by the LRU bound (not replacements/removals),
     /// surfaced by the admin stats endpoint.
     evictions: u64,
-    /// Version-handle bumps this shard has performed (stores, evictions,
+    /// Copies this shard has superseded (replacements, evictions,
     /// removals — every L1-invalidating mutation).
     version_bumps: u64,
 }
 
 impl Shard {
-    /// Bumps `path`'s version handle (creating it for a first store) and
-    /// returns it. `Release` pairs with the relaxed/acquire loads on the
-    /// lock-free L1 validation path.
-    fn bump_version(&mut self, path: &str) -> Arc<AtomicU64> {
-        self.version_bumps += 1;
-        match self.versions.get(path) {
-            Some(handle) => {
-                handle.fetch_add(1, Ordering::Release);
-                Arc::clone(handle)
-            }
-            None => {
-                let handle = Arc::new(AtomicU64::new(1));
-                self.versions.insert(path.to_owned(), Arc::clone(&handle));
-                handle
-            }
+    /// The one place a copy enters the map: marks the copy it replaces
+    /// and the copy the LRU bound evicts to make room.
+    fn store(&mut self, path: &str, entry: Arc<CacheEntry>, now: u64) {
+        if let Some(replaced) = self.map.get(path) {
+            replaced.supersede();
+            self.version_bumps += 1;
         }
-    }
-
-    /// Bumps and drops the handle of a path that left the cache.
-    fn retire_version(&mut self, path: &str) {
-        self.bump_version(path);
-        self.versions.remove(path);
+        if let Some((_, victim)) = self.map.insert(path.to_owned(), entry, now) {
+            victim.supersede();
+            self.evictions += 1;
+            self.version_bumps += 1;
+        }
     }
 }
 
@@ -191,22 +196,8 @@ pub struct ShardStats {
     pub len: usize,
     /// LRU evictions the shard has performed so far.
     pub evictions: u64,
-    /// Version-handle bumps (L1-invalidating mutations) so far.
+    /// Copies superseded (L1-invalidating mutations) so far.
     pub version_bumps: u64,
-}
-
-/// A copy captured together with its version handle, for reactor-local
-/// L1 caches: the pair revalidates later with one relaxed load — the
-/// copy is still current iff `handle.load() == stamp` (and the global
-/// generation is unchanged).
-#[derive(Debug, Clone)]
-pub struct VersionedEntry {
-    /// The cached copy.
-    pub entry: Arc<CacheEntry>,
-    /// The path's shared version handle.
-    pub handle: Arc<AtomicU64>,
-    /// The handle's value at capture time (under the shard lock).
-    pub stamp: u64,
 }
 
 metrics! {
@@ -266,19 +257,6 @@ fn fnv1a(path: &str) -> u64 {
     hash
 }
 
-/// Captures the `(entry, handle, stamp)` triple under one shard-lock
-/// hold, so the pair is consistent: bumps happen under the write lock.
-fn versioned(shard: &Shard, path: &str) -> Option<VersionedEntry> {
-    let entry = Arc::clone(shard.map.get(path)?);
-    let handle = Arc::clone(shard.versions.get(path)?);
-    let stamp = handle.load(Ordering::Acquire);
-    Some(VersionedEntry {
-        entry,
-        handle,
-        stamp,
-    })
-}
-
 impl ShardedCache {
     /// A cache bounded to roughly `capacity` objects in total (`None` =
     /// unbounded, the paper's infinite-cache model). The bound is
@@ -301,7 +279,6 @@ impl ShardedCache {
                             Some(cap) => LruMap::with_capacity(cap),
                             None => LruMap::unbounded(),
                         },
-                        versions: HashMap::new(),
                         evictions: 0,
                         version_bumps: 0,
                     })
@@ -343,43 +320,19 @@ impl ShardedCache {
         shard.read().map.get(path).cloned()
     }
 
-    /// [`ShardedCache::get`] plus the path's version handle and its
-    /// value, captured under the same shard-lock hold as the entry —
-    /// the consistent pair a reactor L1 needs for later lock-free
-    /// revalidation.
-    pub fn get_versioned(&self, path: &str) -> Option<VersionedEntry> {
-        let shard = &self.shards[shard_index(path)];
-        if self.bounded {
-            {
-                let guard = shard.read();
-                if guard.map.is_most_recent(path) {
-                    self.metrics.touch_skips.inc();
-                    return versioned(&guard, path);
-                }
-            }
-            if let Some(mut guard) = shard.try_write() {
-                let now = self.tick();
-                guard.map.touch(path, now);
-                return versioned(&guard, path);
-            }
-        }
-        versioned(&shard.read(), path)
+    /// [`ShardedCache::get`]; kept because `benchmark/` (read-only here)
+    /// calls it by this name.
+    pub fn get_versioned(&self, path: &str) -> Option<Arc<CacheEntry>> {
+        self.get(path)
     }
 
     /// Stores (or replaces) a copy, evicting the shard's LRU entry if
-    /// the shard is at capacity. Bumps the path's version handle (and
-    /// the evicted path's, if any): every outstanding L1 copy of either
-    /// is invalidated.
+    /// the shard is at capacity. The replaced copy and the evicted one
+    /// are superseded: every outstanding L1 copy of either is
+    /// invalidated.
     pub fn insert(&self, path: &str, entry: CacheEntry) {
         let now = self.tick();
-        let mut shard = self.shards[shard_index(path)].write();
-        shard.bump_version(path);
-        if let Some((victim, _)) = shard.map.insert(path.to_owned(), Arc::new(entry), now) {
-            shard.evictions += 1;
-            if victim != path {
-                shard.retire_version(&victim);
-            }
-        }
+        self.shards[shard_index(path)].write().store(path, Arc::new(entry), now);
     }
 
     /// Stores a copy unless a strictly fresher one (by modification
@@ -396,33 +349,26 @@ impl ShardedCache {
                 return Arc::clone(existing);
             }
         }
-        shard.bump_version(path);
-        if let Some((victim, _)) = shard.map.insert(path.to_owned(), Arc::clone(&entry), now) {
-            shard.evictions += 1;
-            if victim != path {
-                shard.retire_version(&victim);
-            }
-        }
+        shard.store(path, Arc::clone(&entry), now);
         entry
     }
 
     /// Drops a copy (the admin plane evicts paths whose refresh rule was
     /// removed — an unrefreshed copy would otherwise be served stale
-    /// forever). Returns the removed entry, if one was resident. The
-    /// path's version handle takes its final bump, so outstanding L1
-    /// copies reject on their next validation.
+    /// forever). Returns the removed entry, if one was resident; it is
+    /// superseded, so outstanding L1 copies reject on their next
+    /// validation.
     pub fn remove(&self, path: &str) -> Option<Arc<CacheEntry>> {
         let mut shard = self.shards[shard_index(path)].write();
-        let removed = shard.map.remove(path);
-        if removed.is_some() {
-            shard.retire_version(path);
-        }
-        removed
+        let removed = shard.map.remove(path)?;
+        removed.supersede();
+        shard.version_bumps += 1;
+        Some(removed)
     }
 
     /// The bulk-invalidation generation. Relaxed: the L1 only needs to
     /// observe new values eventually-promptly, and a swap's own shard
-    /// removals carry per-path bumps with `Release` ordering anyway.
+    /// removals supersede their copies with `Release` ordering anyway.
     pub fn generation(&self) -> u64 {
         self.generation.load(Ordering::Relaxed)
     }
@@ -454,7 +400,7 @@ impl ShardedCache {
         put(doc, "cache.generation", num(self.generation()));
     }
 
-    /// Total version-handle bumps across all shards.
+    /// Total copies superseded across all shards.
     pub fn version_bumps(&self) -> u64 {
         self.shards.iter().map(|s| s.read().version_bumps).sum()
     }
@@ -518,7 +464,7 @@ const L1_PROBE: usize = 8;
 
 struct L1Slot {
     path: String,
-    versioned: VersionedEntry,
+    entry: Arc<CacheEntry>,
     /// Local recency; only breaks eviction ties within a probe window.
     used: u64,
 }
@@ -527,20 +473,20 @@ struct L1Slot {
 #[derive(Debug, Clone)]
 pub enum L1Lookup {
     /// Resident and revalidated: the copy is provably current as of the
-    /// version load — the linearization point of an L1 serve.
-    Hit(VersionedEntry),
-    /// Resident but the version compare failed — the shared cache
-    /// mutated the path. The slot has been dropped; refill from L2.
+    /// flag load — the linearization point of an L1 serve.
+    Hit(Arc<CacheEntry>),
+    /// Resident but superseded — the shared cache mutated the path. The
+    /// slot has been dropped; refill from L2.
     Stale,
     /// Not resident.
     Miss,
 }
 
 /// A reactor-local hot-object cache: an open-addressed `path →
-/// (version, Arc<CacheEntry>)` map consulted before the shared
-/// [`ShardedCache`]. Owned by one reactor thread, so reads and writes
-/// are plain `&mut` — no locks, no atomics except the single relaxed
-/// version load that revalidates a hit.
+/// Arc<CacheEntry>` map consulted before the shared [`ShardedCache`].
+/// Owned by one reactor thread, so reads and writes are plain `&mut` —
+/// no locks, no atomics except the single relaxed flag load that
+/// revalidates a hit.
 pub struct L1Cache {
     slots: Vec<Option<L1Slot>>,
     mask: u64,
@@ -566,8 +512,9 @@ impl L1Cache {
     }
 
     /// Looks up `path`, revalidating any resident copy against its
-    /// version handle (one relaxed load) and against the shared cache's
-    /// bulk `generation` (a changed generation clears the whole L1).
+    /// supersede flag ([`CacheEntry::is_current`], the single
+    /// revalidation load) and against the shared cache's bulk
+    /// `generation` (a changed generation clears the whole L1).
     pub fn lookup(&mut self, path: &str, generation: u64) -> L1Lookup {
         if generation != self.generation {
             self.clear();
@@ -583,15 +530,10 @@ impl L1Cache {
             if slot.path != path {
                 continue;
             }
-            // The single revalidation load. Relaxed is the point: a
-            // bump not yet visible here is exactly the propagation
-            // window the paper's Δ tolerates, and the bytes served are
-            // the ones this reactor already holds — no new memory is
-            // read on the strength of this load.
-            if slot.versioned.handle.load(Ordering::Relaxed) == slot.versioned.stamp {
+            if slot.entry.is_current() {
                 self.tick += 1;
                 slot.used = self.tick;
-                return L1Lookup::Hit(slot.versioned.clone());
+                return L1Lookup::Hit(Arc::clone(&slot.entry));
             }
             self.slots[idx] = None;
             self.len -= 1;
@@ -601,21 +543,20 @@ impl L1Cache {
     }
 
     /// Refills after an L2 hit. A full probe window evicts its least
-    /// recently used slot: `true` when it did.
-    pub fn insert(&mut self, path: &str, versioned: VersionedEntry) -> bool {
+    /// recently used slot: `true` when it did. A slot that is reused
+    /// keeps its `String`, so refilling a resident path allocates
+    /// nothing.
+    pub fn insert(&mut self, path: &str, entry: Arc<CacheEntry>) -> bool {
         let base = fnv1a(path);
         self.tick += 1;
         let mut empty = None;
         let mut lru: Option<(usize, u64)> = None;
         for i in 0..L1_PROBE as u64 {
             let idx = ((base.wrapping_add(i)) & self.mask) as usize;
-            match &self.slots[idx] {
+            match &mut self.slots[idx] {
                 Some(slot) if slot.path == path => {
-                    self.slots[idx] = Some(L1Slot {
-                        path: path.to_owned(),
-                        versioned,
-                        used: self.tick,
-                    });
+                    slot.entry = entry;
+                    slot.used = self.tick;
                     return false;
                 }
                 Some(slot) => {
@@ -630,20 +571,27 @@ impl L1Cache {
                 }
             }
         }
-        let idx = match (empty, lru) {
-            (Some(idx), _) => {
-                self.len += 1;
-                idx
+        let idx = empty
+            .or(lru.map(|(idx, _)| idx))
+            .expect("a probe window has slots");
+        match &mut self.slots[idx] {
+            Some(slot) => {
+                slot.path.clear();
+                slot.path.push_str(path);
+                slot.entry = entry;
+                slot.used = self.tick;
+                true
             }
-            (None, Some((idx, _))) => idx,
-            (None, None) => unreachable!("probe window has neither empty nor occupied slots"),
-        };
-        self.slots[idx] = Some(L1Slot {
-            path: path.to_owned(),
-            versioned,
-            used: self.tick,
-        });
-        empty.is_none()
+            vacant => {
+                *vacant = Some(L1Slot {
+                    path: path.to_owned(),
+                    entry,
+                    used: self.tick,
+                });
+                self.len += 1;
+                false
+            }
+        }
     }
 
     /// Drops every slot (bulk invalidation).
@@ -668,7 +616,6 @@ impl L1Cache {
     pub fn capacity(&self) -> usize {
         self.slots.len()
     }
-
 }
 
 impl std::fmt::Debug for L1Cache {
@@ -938,37 +885,46 @@ mod tests {
         assert!(cache.metrics.touch_skips() > 0, "skew never took the skip path");
     }
 
+    /// Named for the counter (`version_bumps`): what is checked is that
+    /// each of the four mutations supersedes exactly the copy it should.
     #[test]
     fn version_handles_bump_on_every_invalidating_mutation() {
         let cache = ShardedCache::new(None);
+        // A first store supersedes nothing.
         cache.insert("/a", entry(1));
-        let v1 = cache.get_versioned("/a").expect("resident");
-        assert_eq!(v1.handle.load(Ordering::Relaxed), v1.stamp);
+        assert_eq!(cache.version_bumps(), 0);
+        let v1 = cache.get("/a").expect("resident");
+        assert!(v1.is_current());
 
-        // A replacement bumps: the captured pair now fails validation.
+        // A replacement supersedes the copy it replaces, not the new one.
         cache.insert("/a", entry(2));
-        assert_ne!(v1.handle.load(Ordering::Relaxed), v1.stamp);
-        let v2 = cache.get_versioned("/a").expect("resident");
-        assert!(Arc::ptr_eq(&v1.handle, &v2.handle), "handle survives replacement");
-        assert_eq!(v2.handle.load(Ordering::Relaxed), v2.stamp);
+        assert!(!v1.is_current());
+        let v2 = cache.get("/a").expect("resident");
+        assert!(v2.is_current());
 
-        // insert_if_newer with a stale offer does not bump.
+        // A stale `insert_if_newer` offer supersedes nothing.
         let resident = cache.insert_if_newer("/a", entry(1));
-        assert_eq!(resident.last_modified(), Timestamp::from_millis(2));
-        assert_eq!(v2.handle.load(Ordering::Relaxed), v2.stamp);
+        assert!(Arc::ptr_eq(&resident, &v2));
+        assert!(v2.is_current());
+        assert_eq!(cache.version_bumps(), 1);
 
-        // Removal takes the final bump.
+        // An accepted offer supersedes the incumbent.
+        let v3 = cache.insert_if_newer("/a", entry(3));
+        assert!(!v2.is_current());
+        assert!(v3.is_current());
+
+        // Removal supersedes the removed copy.
         cache.remove("/a");
-        assert_ne!(v2.handle.load(Ordering::Relaxed), v2.stamp);
-        assert!(cache.get_versioned("/a").is_none());
-        assert_eq!(cache.version_bumps(), 3, "first store + replacement + removal");
+        assert!(!v3.is_current());
+        assert!(cache.get("/a").is_none());
+        assert_eq!(cache.version_bumps(), 3, "two replacements + one removal");
     }
 
     #[test]
     fn lru_eviction_bumps_the_victims_version() {
         let cache = ShardedCache::new(Some(SHARD_COUNT)); // 1 per shard
         cache.insert("/seed/0", entry(0));
-        let seed = cache.get_versioned("/seed/0").expect("resident");
+        let seed = cache.get("/seed/0").expect("resident");
         // Pour colliding strangers into its shard until it is evicted.
         for i in 0..200u64 {
             let path = format!("/spray/{i}");
@@ -977,10 +933,14 @@ mod tests {
             }
         }
         assert!(cache.get("/seed/0").is_none(), "victim still resident");
-        assert_ne!(
-            seed.handle.load(Ordering::Relaxed),
-            seed.stamp,
+        assert!(
+            !seed.is_current(),
             "eviction must invalidate outstanding L1 copies"
+        );
+        assert_eq!(
+            cache.version_bumps(),
+            cache.evictions(),
+            "each eviction supersedes one copy, the victim"
         );
     }
 
@@ -1000,13 +960,12 @@ mod tests {
         assert!(matches!(l1.lookup("/a", cache.generation()), L1Lookup::Miss));
 
         cache.insert("/a", entry(1));
-        let v = cache.get_versioned("/a").unwrap();
-        l1.insert("/a", v);
+        l1.insert("/a", cache.get("/a").unwrap());
         assert_eq!(l1.len(), 1);
         let L1Lookup::Hit(hit) = l1.lookup("/a", cache.generation()) else {
             panic!("valid entry must hit");
         };
-        assert_eq!(&hit.entry.body()[..], b"v1");
+        assert_eq!(&hit.body()[..], b"v1");
 
         // A store invalidates: next lookup rejects as stale and drops
         // the slot, the one after misses.
@@ -1016,11 +975,11 @@ mod tests {
         assert!(l1.is_empty());
 
         // Refill serves the new copy.
-        l1.insert("/a", cache.get_versioned("/a").unwrap());
+        l1.insert("/a", cache.get("/a").unwrap());
         let L1Lookup::Hit(hit) = l1.lookup("/a", cache.generation()) else {
             panic!("refilled entry must hit");
         };
-        assert_eq!(&hit.entry.body()[..], b"v2");
+        assert_eq!(&hit.body()[..], b"v2");
     }
 
     #[test]
@@ -1030,14 +989,14 @@ mod tests {
         for i in 0..8u64 {
             let path = format!("/g/{i}");
             cache.insert(&path, entry(i));
-            l1.insert(&path, cache.get_versioned(&path).unwrap());
+            l1.insert(&path, cache.get(&path).unwrap());
         }
         assert_eq!(l1.len(), 8);
         cache.bump_generation();
         assert!(matches!(l1.lookup("/g/0", cache.generation()), L1Lookup::Miss));
         assert!(l1.is_empty(), "a new generation drops every slot");
         // Same generation again: refills are accepted as usual.
-        l1.insert("/g/0", cache.get_versioned("/g/0").unwrap());
+        l1.insert("/g/0", cache.get("/g/0").unwrap());
         assert!(matches!(l1.lookup("/g/0", cache.generation()), L1Lookup::Hit(_)));
     }
 
@@ -1049,7 +1008,7 @@ mod tests {
         for i in 0..(L1_PROBE as u64 + 4) {
             let path = format!("/p/{i}");
             cache.insert(&path, entry(i));
-            evictions += u64::from(l1.insert(&path, cache.get_versioned(&path).unwrap()));
+            evictions += u64::from(l1.insert(&path, cache.get(&path).unwrap()));
         }
         assert!(l1.len() <= L1_PROBE);
         assert_eq!(evictions, 4, "a full window evicts its LRU slot");
@@ -1063,14 +1022,14 @@ mod tests {
         let cache = ShardedCache::new(None);
         let mut l1 = L1Cache::new(32);
         cache.insert("/a", entry(1));
-        assert!(!l1.insert("/a", cache.get_versioned("/a").unwrap()));
+        assert!(!l1.insert("/a", cache.get("/a").unwrap()));
         cache.insert("/a", entry(2));
-        assert!(!l1.insert("/a", cache.get_versioned("/a").unwrap()), "replaced, not evicted");
+        assert!(!l1.insert("/a", cache.get("/a").unwrap()), "replaced, not evicted");
         assert_eq!(l1.len(), 1);
         let L1Lookup::Hit(hit) = l1.lookup("/a", cache.generation()) else {
             panic!("replaced entry must hit");
         };
-        assert_eq!(&hit.entry.body()[..], b"v2");
+        assert_eq!(&hit.body()[..], b"v2");
     }
 
     #[test]

@@ -26,6 +26,7 @@ use mutcon_http::message::{Request, Response};
 use mutcon_http::types::{Method, StatusCode};
 use mutcon_traces::UpdateTrace;
 
+use crate::cache::L1Cache;
 use crate::client::X_LAST_MODIFIED_MS;
 use crate::server::{default_reactors, EngineConfig, EventLoop, Service, ServiceResult};
 
@@ -173,7 +174,7 @@ impl Service for OriginService {
         !self.shared.dropping.load(Ordering::SeqCst)
     }
 
-    fn respond(&self, request: &Request) -> ServiceResult {
+    fn respond(&self, request: &Request, _l1: &mut L1Cache) -> ServiceResult {
         // Established keep-alive connections die at their next
         // request, mirroring the accept-time drop.
         if !self.accept_connection() {

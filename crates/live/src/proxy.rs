@@ -71,7 +71,7 @@ use mutcon_http::message::{Request, Response};
 use mutcon_http::types::{Method, StatusCode};
 use mutcon_traces::json::Json;
 
-use crate::cache::{CacheEntry, ShardedCache};
+use crate::cache::{CacheEntry, L1Cache, L1Lookup, ShardedCache};
 use crate::client::{get_wire, ObjectStamps, PersistentClient};
 use crate::metrics::{metrics, put, Counter};
 use crate::overload::{parse_overload_body, render_overload, OverloadControl};
@@ -144,7 +144,7 @@ pub struct ProxyConfig {
     /// [`crate::server::DEFAULT_L1_OBJECTS`]; `Some(0)` disables the L1
     /// entirely). A validated L1 hit is served
     /// without touching any shared shard lock; coherence comes from the
-    /// per-path version stamps in [`crate::cache::ShardedCache`].
+    /// supersede flag on each copy (see [`crate::cache`]).
     pub l1_objects: Option<usize>,
     /// Poll workers for the refresh plane (`None` =
     /// [`crate::server::DEFAULT_REFRESH_WORKERS`]). Each worker owns
@@ -424,13 +424,13 @@ struct ProxyService {
     shared: Arc<Shared>,
     metrics: Arc<EngineMetrics>,
     overload: Arc<OverloadControl>,
-    /// Per-reactor L1 capacity (resolved from config/environment at
-    /// start; 0 disables).
+    /// Per-reactor L1 capacity (resolved from config at start; 0
+    /// disables).
     l1_objects: usize,
 }
 
 impl Service for ProxyService {
-    fn respond(&self, request: &Request) -> ServiceResult {
+    fn respond(&self, request: &Request, l1: &mut L1Cache) -> ServiceResult {
         let path = request.target();
         // The admin prefix is dispatched locally on the reactor — it
         // never touches the cache-miss/upstream machinery. When a
@@ -449,13 +449,31 @@ impl Service for ProxyService {
 
         // Cache hit: the entry's pre-rendered head and shared body go
         // out as-is — no serialization, no body copy, one writev. The
-        // versioned capture rides along so the reactor refills its L1
-        // and the *next* request for this path skips the shard lock
-        // entirely.
-        if let Some(hit) = self.shared.cache.get_versioned(path) {
+        // reactor's own L1 is asked first, so a hot path skips the shard
+        // lock entirely; an L2 hit refills it for the *next* request.
+        let cache = &self.shared.cache;
+        let use_l1 = self.l1_objects > 0;
+        let hit = |entry: &CacheEntry| {
             self.shared.counters.hits.inc();
-            let response = prepared(&hit.entry, true);
-            return ServiceResult::RespondCacheable(response, hit);
+            ServiceResult::Prepared(prepared(entry, true))
+        };
+        if use_l1 {
+            match l1.lookup(path, cache.generation()) {
+                L1Lookup::Hit(entry) => {
+                    self.metrics.l1_hits.inc();
+                    return hit(&entry);
+                }
+                L1Lookup::Stale => self.metrics.l1_stale_rejects.inc(),
+                L1Lookup::Miss => {}
+            }
+        }
+        if let Some(entry) = cache.get(path) {
+            let response = hit(&entry);
+            if use_l1 {
+                self.metrics.l1_refills.inc();
+                self.metrics.l1_evictions.add(u64::from(l1.insert(path, entry)));
+            }
+            return response;
         }
 
         // Miss: fetch from the origin through the reactor (its own
@@ -504,31 +522,6 @@ impl Service for ProxyService {
 
     fn l1_capacity(&self) -> usize {
         self.l1_objects
-    }
-
-    fn l1_generation(&self) -> u64 {
-        self.shared.cache.generation()
-    }
-
-    /// Only plain `GET`s for cacheable paths may be answered from a
-    /// reactor's L1; the admin plane always runs its handlers.
-    fn l1_key<'r>(&self, request: &'r Request) -> Option<&'r str> {
-        let path = request.target();
-        if request.method() != &Method::Get || path.starts_with("/admin/") {
-            return None;
-        }
-        Some(path)
-    }
-
-    /// An L1-validated hit serves the same zero-copy way an L2 hit
-    /// does, and counts as a cache hit.
-    fn l1_serve(
-        &self,
-        _request: &Request,
-        hit: &crate::cache::VersionedEntry,
-    ) -> Option<PreparedResponse> {
-        self.shared.counters.hits.inc();
-        Some(prepared(&hit.entry, true))
     }
 }
 

@@ -41,7 +41,7 @@
 //! each response is a reusable contiguous buffer (head + small inlined
 //! bodies) plus an optional shared body slice, gathered into one
 //! `writev(2)`. Cache hits arrive pre-serialized
-//! ([`ServiceResult::RespondCacheable`]) and never copy body bytes.
+//! ([`ServiceResult::Prepared`]) and never copy body bytes.
 //! Connection buffers are recycled through a per-reactor pool, and the
 //! accept loop drains the whole backlog per listener wakeup with
 //! `accept4` (already-nonblocking sockets, one metrics store per
@@ -78,7 +78,7 @@ use mutcon_sim::reactor::{
     Waker,
 };
 
-use crate::cache::{L1Cache, L1Lookup, VersionedEntry};
+use crate::cache::L1Cache;
 use crate::metrics::{metrics, Cell, Counter, Gauge};
 use crate::overload::{
     partition_of, OverloadConfig, OverloadControl, PartitionSnap, ReactorOverloadSnap,
@@ -204,13 +204,8 @@ pub enum ServiceResult {
     /// Write this response now.
     Respond(Response),
     /// Write this pre-serialized response now, sharing its body bytes
-    /// (no serialization, no body copy), *and* refill the reactor's L1
-    /// with the versioned copy it was built from — the shared-cache
-    /// hit path when a reactor-local L1 is configured
-    /// ([`Service::l1_capacity`]). Subsequent requests for the same key
-    /// are served from the L1 without touching any shard lock, until a
-    /// version bump invalidates the copy.
-    RespondCacheable(PreparedResponse, VersionedEntry),
+    /// (no serialization, no body copy) — the cache-hit path.
+    Prepared(PreparedResponse),
     /// Fetch from an upstream server first; `finish` turns its response
     /// into the client's. The fetch goes through the reactor's
     /// keep-alive origin pool; identical concurrent fetches coalesce.
@@ -231,7 +226,7 @@ impl std::fmt::Debug for ServiceResult {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let name = match self {
             ServiceResult::Respond(_) => "Respond",
-            ServiceResult::RespondCacheable(..) => "RespondCacheable",
+            ServiceResult::Prepared(_) => "Prepared",
             ServiceResult::Upstream { .. } => "Upstream",
             ServiceResult::Close => "Close",
         };
@@ -249,39 +244,17 @@ pub trait Service: Send + Sync + 'static {
         true
     }
 
-    /// Handles one parsed request.
-    fn respond(&self, request: &Request) -> ServiceResult;
+    /// Handles one parsed request. `l1` is the calling reactor's own
+    /// hot-object cache, lent for the call: a service that caches may
+    /// look up and refill it without a lock, since no other thread ever
+    /// sees it. The engine itself never reads or writes it.
+    fn respond(&self, request: &Request, l1: &mut L1Cache) -> ServiceResult;
 
-    /// Per-reactor L1 capacity in objects. `0` (the default) disables
-    /// the reactor-local cache entirely: the engine never consults or
-    /// constructs an L1 and every request reaches [`Service::respond`].
+    /// Capacity in objects of the L1 each reactor constructs and lends
+    /// to [`Service::respond`]. `0` (the default) is for a service that
+    /// ignores the argument; the reactor then holds an empty minimal one.
     fn l1_capacity(&self) -> usize {
         0
-    }
-
-    /// The shared cache's bulk-invalidation generation (see
-    /// [`crate::cache::ShardedCache::generation`]). Loaded once per L1
-    /// lookup; a change wholesale-invalidates every reactor's L1 on its
-    /// next lookup (admin rule swaps, consistency-epoch adoptions).
-    fn l1_generation(&self) -> u64 {
-        0
-    }
-
-    /// The L1 cache key for `request`, or `None` when the request must
-    /// never be served from the reactor-local cache (non-GET methods,
-    /// admin paths, cache-bypass headers — the service owns the policy).
-    fn l1_key<'r>(&self, request: &'r Request) -> Option<&'r str> {
-        let _ = request;
-        None
-    }
-
-    /// Builds the wire response for an L1-validated entry. Returning
-    /// `None` declines the hit and falls through to
-    /// [`Service::respond`]. Only called for requests [`Service::l1_key`]
-    /// accepted, on entries that just passed version revalidation.
-    fn l1_serve(&self, request: &Request, hit: &VersionedEntry) -> Option<PreparedResponse> {
-        let _ = (request, hit);
-        None
     }
 }
 
@@ -321,11 +294,11 @@ metrics! {
         epoll_ctl_calls: Counter => "wire.epoll_ctl_calls";
         /// Interest transitions the ledger absorbed before the kernel.
         interest_coalesced: Counter => "wire.interest_coalesced";
-        /// Requests served from a reactor-local L1: one version-handle
-        /// load, no shard lock.
+        /// Requests served from a reactor-local L1: one flag load, no
+        /// shard lock. Counted by the service that uses the L1.
         l1_hits: Counter => "cache.l1.hits", "wire.l1_hits";
-        /// L1 lookups whose copy failed version revalidation; the slot is
-        /// dropped and the request falls through to the shared cache.
+        /// L1 lookups whose copy had been superseded; the slot is dropped
+        /// and the request falls through to the shared cache.
         l1_stale_rejects: Counter => "cache.l1.stale_rejects", "wire.l1_stale_rejects";
         /// L1 slots (re)filled from shared-cache hits.
         l1_refills: Counter => "cache.l1.refills";
@@ -503,10 +476,7 @@ impl EventLoop {
                 overload_dirty: true,
                 samples_unpublished: false,
                 paused_since: None,
-                l1: match service.l1_capacity() {
-                    0 => None,
-                    capacity => Some(L1Cache::new(capacity)),
-                },
+                l1: L1Cache::new(service.l1_capacity()),
             };
             let thread = std::thread::Builder::new()
                 .name(format!("{name}-r{i}"))
@@ -718,13 +688,10 @@ struct Reactor {
     /// `park_deadline` the backlog is drained with `503`s instead of
     /// making parked clients wait forever.
     paused_since: Option<Instant>,
-    /// The reactor-local hot-object cache, consulted before the service
-    /// (and hence before any shared shard lock). `None` when the
-    /// service's [`Service::l1_capacity`] is 0. Thread-local `&mut`
-    /// access: lookups, refills and evictions take no lock of any kind;
-    /// correctness against concurrent shared-cache mutation comes from
-    /// the per-path version stamps (see [`crate::cache::L1Cache`]).
-    l1: Option<L1Cache>,
+    /// The reactor-local hot-object cache, lent to the service with each
+    /// request ([`Service::respond`]) and otherwise untouched. Owned here
+    /// because one owner per reactor thread is what makes it lock-free.
+    l1: L1Cache,
 }
 
 /// Admission state for one path partition.
@@ -1065,24 +1032,14 @@ impl Reactor {
                 }
                 continue;
             }
-            // The reactor-local L1 is consulted first: a validated hit
-            // serves without calling the service or touching any shared
-            // shard lock.
-            if self.l1_try_serve(idx, &request) {
-                if !self.flush_client(idx) {
-                    return false;
-                }
-                continue;
-            }
-            match self.service.respond(&request) {
+            match self.service.respond(&request, &mut self.l1) {
                 ServiceResult::Respond(response) => {
                     self.queue_response(idx, response);
                     if !self.flush_client(idx) {
                         return false;
                     }
                 }
-                ServiceResult::RespondCacheable(prepared, versioned) => {
-                    self.l1_refill(&request, versioned);
+                ServiceResult::Prepared(prepared) => {
                     self.queue_prepared(idx, prepared);
                     if !self.flush_client(idx) {
                         return false;
@@ -1262,53 +1219,6 @@ impl Reactor {
         }
         buf.extend_from_slice(b"\r\n");
         client.write.set_body(prepared.body);
-    }
-
-    /// Consults the reactor-local L1 for `request`. On a validated hit
-    /// the prepared response is queued and `true` is returned — the
-    /// service was never called and no shard lock was touched. A stale
-    /// slot (version moved) is dropped, counted, and falls through to
-    /// the service, which refills via
-    /// [`ServiceResult::RespondCacheable`].
-    fn l1_try_serve(&mut self, idx: usize, request: &Request) -> bool {
-        if self.l1.is_none() {
-            return false;
-        }
-        let Some(key) = self.service.l1_key(request) else {
-            return false;
-        };
-        let generation = self.service.l1_generation();
-        let Some(l1) = self.l1.as_mut() else {
-            return false;
-        };
-        let versioned = match l1.lookup(key, generation) {
-            L1Lookup::Hit(versioned) => versioned,
-            L1Lookup::Stale => {
-                self.metrics.l1_stale_rejects.inc();
-                return false;
-            }
-            L1Lookup::Miss => return false,
-        };
-        let Some(prepared) = self.service.l1_serve(request, &versioned) else {
-            return false;
-        };
-        self.queue_prepared(idx, prepared);
-        self.metrics.l1_hits.inc();
-        true
-    }
-
-    /// Installs a shared-cache hit's versioned copy into the L1 so the
-    /// next request for the key short-circuits. Keyed by the service's
-    /// [`Service::l1_key`]; probe-window evictions are folded into the
-    /// shared counters.
-    fn l1_refill(&mut self, request: &Request, versioned: VersionedEntry) {
-        let Some(key) = self.service.l1_key(request) else {
-            return;
-        };
-        let Some(l1) = self.l1.as_mut() else { return };
-        let evicted = l1.insert(key, versioned);
-        self.metrics.l1_refills.inc();
-        self.metrics.l1_evictions.add(u64::from(evicted));
     }
 
     /// Files a cache miss with the pool: coalesces onto an identical
@@ -2004,7 +1914,7 @@ mod tests {
 
     struct Echo;
     impl Service for Echo {
-        fn respond(&self, request: &Request) -> ServiceResult {
+        fn respond(&self, request: &Request, _l1: &mut L1Cache) -> ServiceResult {
             if request.method() != &Method::Get {
                 return ServiceResult::Close;
             }
@@ -2258,67 +2168,61 @@ mod tests {
         }
     }
 
-    /// An echo service with a shared cache and a reactor-local L1: the
-    /// first GET for a path stores + refills, later GETs must be L1
-    /// hits, and a store invalidates every reactor's copy.
+    /// An echo service with a shared cache that uses the reactor's L1 the
+    /// way the proxy does: the first GET for a path stores + refills,
+    /// later GETs must be L1 hits, and a store invalidates every
+    /// reactor's copy.
     struct CachedEcho {
         cache: crate::cache::ShardedCache,
-    }
-
-    impl CachedEcho {
-        fn prepared(hit: &crate::cache::VersionedEntry) -> PreparedResponse {
-            PreparedResponse {
-                head: hit.entry.head().clone(),
-                extra: b"x-cache: l1\r\n",
-                body: hit.entry.body().clone(),
-            }
-        }
+        metrics: Arc<EngineMetrics>,
     }
 
     impl Service for CachedEcho {
-        fn respond(&self, request: &Request) -> ServiceResult {
+        fn respond(&self, request: &Request, l1: &mut L1Cache) -> ServiceResult {
+            use crate::cache::{CacheEntry, L1Lookup};
             let path = request.target();
-            if let Some(hit) = self.cache.get_versioned(path) {
-                return ServiceResult::RespondCacheable(CachedEcho::prepared(&hit), hit);
+            let prepared = |entry: &CacheEntry| {
+                ServiceResult::Prepared(PreparedResponse {
+                    head: entry.head().clone(),
+                    extra: b"x-cache: l1\r\n",
+                    body: entry.body().clone(),
+                })
+            };
+            match l1.lookup(path, self.cache.generation()) {
+                L1Lookup::Hit(entry) => {
+                    self.metrics.l1_hits.inc();
+                    return prepared(&entry);
+                }
+                L1Lookup::Stale => self.metrics.l1_stale_rejects.inc(),
+                L1Lookup::Miss => {}
             }
-            let entry = crate::cache::CacheEntry::new(
-                Bytes::from(format!("body:{path}").into_bytes()),
-                mutcon_core::time::Timestamp::from_millis(1),
-                None,
-                None,
-            );
-            self.cache.insert(path, entry);
-            let hit = self.cache.get_versioned(path).expect("just stored");
-            ServiceResult::RespondCacheable(CachedEcho::prepared(&hit), hit)
+            let entry = self.cache.get(path).unwrap_or_else(|| {
+                let body = Bytes::from(format!("body:{path}").into_bytes());
+                let stamp = mutcon_core::time::Timestamp::from_millis(1);
+                self.cache.insert_if_newer(path, CacheEntry::new(body, stamp, None, None))
+            });
+            l1.insert(path, Arc::clone(&entry));
+            self.metrics.l1_refills.inc();
+            prepared(&entry)
         }
 
         fn l1_capacity(&self) -> usize {
             32
         }
+    }
 
-        fn l1_generation(&self) -> u64 {
-            self.cache.generation()
-        }
-
-        fn l1_key<'r>(&self, request: &'r Request) -> Option<&'r str> {
-            Some(request.target())
-        }
-
-        fn l1_serve(
-            &self,
-            _request: &Request,
-            hit: &crate::cache::VersionedEntry,
-        ) -> Option<PreparedResponse> {
-            Some(CachedEcho::prepared(hit))
-        }
+    fn cached_echo() -> (Arc<EngineMetrics>, Arc<CachedEcho>) {
+        let metrics = Arc::new(EngineMetrics::default());
+        let service = Arc::new(CachedEcho {
+            cache: crate::cache::ShardedCache::new(None),
+            metrics: Arc::clone(&metrics),
+        });
+        (metrics, service)
     }
 
     #[test]
     fn l1_serves_validated_hits_and_invalidates_on_store() {
-        let metrics = Arc::new(EngineMetrics::default());
-        let service = Arc::new(CachedEcho {
-            cache: crate::cache::ShardedCache::new(None),
-        });
+        let (metrics, service) = cached_echo();
         let server = EventLoop::start(
             "test-l1",
             Arc::clone(&service) as Arc<dyn Service>,
@@ -2343,8 +2247,8 @@ mod tests {
         assert_eq!(&second.body()[..], b"body:/obj");
         assert_eq!(second.headers().get("x-cache"), Some("l1"));
         assert_eq!(metrics.l1_hits(), 1);
-        // A store bumps the path's version: the L1 copy must be
-        // rejected and the fresh body served.
+        // A store supersedes the copy the L1 holds: it must be rejected
+        // and the fresh body served.
         service.cache.insert(
             "/obj",
             crate::cache::CacheEntry::new(
@@ -2368,10 +2272,7 @@ mod tests {
 
     #[test]
     fn generation_bump_clears_the_l1() {
-        let metrics = Arc::new(EngineMetrics::default());
-        let service = Arc::new(CachedEcho {
-            cache: crate::cache::ShardedCache::new(None),
-        });
+        let (metrics, service) = cached_echo();
         let server = EventLoop::start(
             "test-l1-gen",
             Arc::clone(&service) as Arc<dyn Service>,

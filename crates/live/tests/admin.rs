@@ -543,7 +543,7 @@ fn sighup_rereads_the_rules_file() {
     let doc = admin_get(&proxy, "/admin/rules");
     assert_eq!(doc.get("epoch").unwrap().as_u64(), Some(1));
 
-    mutcon_sim::signal::raise_sighup();
+    mutcon_sim::signal::raise_sighup().expect("raise SIGHUP");
     wait_until("SIGHUP reload to land", || proxy.stats().reloads == 1);
     let doc = admin_get(&proxy, "/admin/rules");
     assert_eq!(doc.get("epoch").unwrap().as_u64(), Some(2));
@@ -556,7 +556,7 @@ fn sighup_rereads_the_rules_file() {
 
     // A broken file: the reload is rejected, counted, and nothing moves.
     std::fs::write(&rules_path, "not json at all").expect("write bad rules file");
-    mutcon_sim::signal::raise_sighup();
+    mutcon_sim::signal::raise_sighup().expect("raise SIGHUP");
     wait_until("bad reload to be counted", || {
         proxy.stats().reload_errors == 1
     });

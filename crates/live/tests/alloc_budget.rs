@@ -21,7 +21,8 @@ use bytes::Bytes;
 use mutcon_http::headers::HeaderName;
 use mutcon_http::message::Response;
 use mutcon_http::parse::{RequestParser, ResponseParser};
-use mutcon_live::cache::{CacheEntry, ShardedCache};
+use mutcon_core::time::Timestamp;
+use mutcon_live::cache::{shard_of, CacheEntry, L1Cache, ShardedCache, SHARD_COUNT};
 use mutcon_live::client::{get_wire, ObjectStamps};
 use mutcon_live::upstream::{PoolCore, Submit};
 
@@ -155,7 +156,52 @@ fn each_stage_of_a_miss_stays_within_its_allocation_budget() {
     );
     assert_eq!(look_ups, 0, "store look-ups must not allocate");
     assert!(entry_new <= 3, "CacheEntry::new: {entry_new} allocations");
-    assert!(whole_miss <= 20, "whole miss: {whole_miss} allocations");
+    assert!(whole_miss <= 14, "whole miss: {whole_miss} allocations");
+}
+
+fn entry(stamp: u64) -> CacheEntry {
+    CacheEntry::new(Bytes::from_static(b"x"), Timestamp::from_millis(stamp), None, None)
+}
+
+/// What a store allocates for itself: the map's key and the entry's
+/// `Arc`, plus the recency index's key on a bounded cache. Nothing is
+/// kept per path beside the map, whether or not an L1 exists. The bounded
+/// cache holds one object per shard, so its recency index is one node
+/// that never splits and every store evicts.
+#[test]
+fn stores_and_l1_refills_stay_within_their_allocation_budgets() {
+    let colliding: Vec<String> = (0..)
+        .map(|i| format!("/obj/{i:06}"))
+        .filter(|p| shard_of(p) == shard_of(PATH))
+        .take(8)
+        .collect();
+
+    let bounded = ShardedCache::new(Some(SHARD_COUNT));
+    bounded.insert(PATH, entry(0));
+    for (stamp, path) in colliding.iter().enumerate() {
+        let fresh = entry(stamp as u64);
+        let (_, evicting) = counted(|| bounded.insert_if_newer(path, fresh));
+        assert!(evicting <= 3, "evicting store: {evicting} allocations");
+    }
+    assert_eq!(bounded.evictions(), colliding.len() as u64);
+
+    let unbounded = ShardedCache::new(None);
+    unbounded.insert(PATH, entry(0)); // sizes the shard's table
+    let fresh = entry(1);
+    let (_, first) = counted(|| unbounded.insert_if_newer(&colliding[0], fresh));
+    assert!(first <= 2, "first store of a path: {first} allocations");
+    let fresh = entry(2);
+    let (_, replacing) = counted(|| unbounded.insert_if_newer(&colliding[0], fresh));
+    assert!(replacing <= 2, "replacing store: {replacing} allocations");
+
+    // An L1 refill of a path that is already resident, as after every
+    // refresh of a hot object, reuses the slot and its `String`.
+    let mut l1 = L1Cache::new(32);
+    let copy = unbounded.get(&colliding[0]).expect("stored above");
+    l1.insert(&colliding[0], copy.clone());
+    let (evicted, refill) = counted(|| l1.insert(&colliding[0], copy));
+    assert!(!evicted);
+    assert_eq!(refill, 0, "L1 refill of a resident path");
 }
 
 /// The pool ledger's share of a sequential miss, in steady state: the

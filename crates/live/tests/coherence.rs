@@ -3,12 +3,13 @@
 //! schedules; see `harness/`).
 //!
 //! The L1 serves validated copies with no locks on the read path; its
-//! only correctness obligation is the version-stamp protocol — an L1
-//! entry is served iff one atomic compare against the L2's per-path
-//! version still passes. These scenarios attack that protocol from the
-//! outside: readers hammer the L1 while the refresher stores newer
-//! bodies, seeded runs must replay bit-identically, and an L1-disabled
-//! proxy must be byte-indistinguishable from an L1-enabled one.
+//! only correctness obligation is the supersede flag — an L1 entry is
+//! served iff one atomic load says the L2 has not replaced, evicted or
+//! removed that copy. These scenarios attack that rule from the outside:
+//! readers hammer the L1 while the refresher stores newer bodies, seeded
+//! runs must replay bit-identically, and an L1-disabled proxy must be
+//! byte-indistinguishable from an L1-enabled one. The last scenario
+//! states the rule on the two caches alone, without sockets.
 //!
 //! Reactor counts, L1 capacities and refresh-worker counts are inputs
 //! of the scenarios, pinned explicitly.
@@ -19,8 +20,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration as StdDuration;
 
+use bytes::Bytes;
 use harness::{stamp_of, FakeClock, ScriptedOrigin, CLOCK_BASE_MS};
-use mutcon_core::time::Duration;
+use mutcon_core::time::{Duration, Timestamp};
+use mutcon_live::cache::{shard_of, CacheEntry, L1Cache, L1Lookup, ShardedCache, SHARD_COUNT};
 use mutcon_live::client::HttpClient;
 use mutcon_live::proxy::{LiveProxy, ProxyConfig, RefreshRule};
 use mutcon_http::types::StatusCode;
@@ -244,4 +247,87 @@ fn disabled_l1_keeps_the_same_invariants() {
     );
     assert_eq!(stats_counter(&proxy, &["cache", "l1", "hits"]), 0);
     assert_eq!(stats_counter(&proxy, &["cache", "l1", "refills"]), 0);
+}
+
+/// The linearization rule, on the two caches alone: a copy superseded
+/// before a lookup began is never an L1 hit. A writer stores stamps 1, 2,
+/// 3, … and publishes each, per path, after the store; a reader loads the
+/// published stamp, then does what a reactor does (L1 lookup; on miss or
+/// stale, L2 `get` and refill) and must be about to serve that stamp or a
+/// later one. The cache holds one object per shard and the paths collide
+/// in pairs, so copies are superseded by eviction as well as by
+/// replacement.
+#[test]
+fn a_copy_superseded_before_the_lookup_is_never_an_l1_hit() {
+    const READERS: u64 = 2;
+    const LOOKUPS: usize = 30_000;
+    let mut paths: Vec<String> = Vec::new();
+    for shard in 0..3 {
+        let colliding = (0..).map(|i| format!("/lin/{i}")).filter(|p| shard_of(p) == shard);
+        paths.extend(colliding.take(2));
+    }
+    let cache = ShardedCache::new(Some(SHARD_COUNT));
+    let published: Vec<AtomicU64> = paths.iter().map(|_| AtomicU64::new(0)).collect();
+
+    let (hits, stale) = std::thread::scope(|scope| {
+        let readers: Vec<_> = (0..READERS)
+            .map(|r| {
+                let (cache, paths, published) = (&cache, &paths, &published);
+                scope.spawn(move || {
+                    let mut rng = SimRng::seed_from_u64(0x11EA + r);
+                    let mut l1 = L1Cache::new(8);
+                    let (mut hits, mut stale) = (0u64, 0u64);
+                    for _ in 0..LOOKUPS {
+                        // Yields, not sleeps: on a one-CPU runner they are
+                        // what interleaves lookups with single stores.
+                        if rng.chance(1.0 / 16.0) {
+                            std::thread::yield_now();
+                        }
+                        let p = rng.uniform_u64(0, paths.len() as u64) as usize;
+                        let floor = published[p].load(Ordering::SeqCst);
+                        let found = l1.lookup(&paths[p], cache.generation());
+                        stale += u64::from(matches!(found, L1Lookup::Stale));
+                        let served = match found {
+                            L1Lookup::Hit(copy) => {
+                                hits += 1;
+                                Some(copy)
+                            }
+                            L1Lookup::Stale | L1Lookup::Miss => cache.get(&paths[p]).inspect(|copy| {
+                                l1.insert(&paths[p], Arc::clone(copy));
+                            }),
+                        };
+                        // `None`: evicted; a reactor would go to the origin.
+                        if let Some(copy) = served {
+                            let stamp = copy.last_modified().as_millis();
+                            assert!(
+                                stamp >= floor,
+                                "reader {r}: {} served at stamp {stamp}, superseded before the \
+                                 lookup began (stamp {floor} was already published)",
+                                paths[p]
+                            );
+                        }
+                    }
+                    (hits, stale)
+                })
+            })
+            .collect();
+
+        let mut rng = SimRng::seed_from_u64(0x11EA_5703);
+        let mut stamp = 0u64;
+        while readers.iter().any(|reader| !reader.is_finished()) {
+            stamp += 1;
+            let p = rng.uniform_u64(0, paths.len() as u64) as usize;
+            let copy = CacheEntry::new(Bytes::new(), Timestamp::from_millis(stamp), None, None);
+            cache.insert(&paths[p], copy);
+            published[p].store(stamp, Ordering::SeqCst);
+            std::thread::yield_now();
+        }
+        readers.into_iter().fold((0, 0), |(hits, stale), reader| {
+            let (h, s) = reader.join().expect("reader");
+            (hits + h, stale + s)
+        })
+    });
+    assert!(hits > 0, "the readers never hit their L1s");
+    assert!(stale > 0, "the readers never met a superseded copy");
+    assert!(cache.evictions() > 0, "colliding paths never evicted each other");
 }

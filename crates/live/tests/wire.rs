@@ -523,12 +523,13 @@ fn thread_cpu_ticks(comm: &str) -> u64 {
 /// its own to find in procfs.
 #[test]
 fn half_closed_client_gets_its_held_miss_without_a_spinning_reactor() {
+    use mutcon_live::cache::L1Cache;
     use mutcon_live::client::get_wire;
     use mutcon_live::server::{EngineConfig, EventLoop, Reply, Service, ServiceResult};
 
     struct FetchEverything(SocketAddr);
     impl Service for FetchEverything {
-        fn respond(&self, request: &Request) -> ServiceResult {
+        fn respond(&self, request: &Request, _l1: &mut L1Cache) -> ServiceResult {
             ServiceResult::Upstream {
                 addr: self.0,
                 request: get_wire(request.target(), "origin", None),

@@ -1,24 +1,16 @@
-//! The proxy's object cache.
+//! The bounded-LRU map under the live proxy's object cache.
 //!
-//! The paper's simulation assumes "an infinitely large cache" (§6.1.1), so
-//! this store never evicts; it exists to hold each object's current copy
-//! (version stamp, value, fetch time) and to answer the cache-hit path.
-//! An optional capacity bound with LRU eviction is provided for
-//! experiments beyond the paper.
-//!
-//! The bounded-LRU machinery — a hash table paired with a
-//! `BTreeSet<(used, key)>` recency index giving O(log n) eviction — is
-//! factored out as the generic [`LruMap`] so other caches (notably the
-//! live proxy's sharded cache in `mutcon-live`) reuse the same indexed
-//! implementation instead of growing their own scan-based one.
+//! The paper's simulation assumes "an infinitely large cache" (§6.1.1);
+//! a capacity bound with LRU eviction is for experiments beyond the
+//! paper. [`LruMap`] pairs a hash table with a `BTreeSet<(used, key)>`
+//! recency index giving O(log n) eviction; each shard of the live
+//! proxy's cache in `mutcon-live` is one.
 
 use std::borrow::Borrow;
 use std::collections::{BTreeSet, HashMap};
 use std::hash::Hash;
 
-use mutcon_core::object::{ObjectId, VersionStamp};
 use mutcon_core::time::Timestamp;
-use mutcon_core::value::Value;
 
 /// One stored value plus its recency key.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -206,245 +198,92 @@ where
     }
 }
 
-/// One cached copy.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CachedEntry {
-    /// The copy's version stamp (version number + creation time, i.e. its
-    /// `Last-Modified`).
-    pub stamp: VersionStamp,
-    /// The copy's value, for value-bearing objects.
-    pub value: Option<Value>,
-    /// When the proxy fetched this copy.
-    pub fetched_at: Timestamp,
-}
-
-/// The proxy cache: unbounded by default (the paper's model), optionally
-/// capacity-limited with LRU eviction — a thin hit/miss-counting layer
-/// over [`LruMap`]. (`ObjectId` is an `Arc<str>`, so the one key clone
-/// per insert/touch is a reference-count bump, not a string copy.)
-#[derive(Debug, Clone, Default)]
-pub struct ProxyCache {
-    map: LruMap<ObjectId, CachedEntry, Timestamp>,
-    hits: u64,
-    misses: u64,
-}
-
-impl ProxyCache {
-    /// An unbounded cache (the paper's assumption).
-    pub fn unbounded() -> Self {
-        ProxyCache::default()
-    }
-
-    /// A cache holding at most `capacity` objects, evicting the least
-    /// recently used.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn with_capacity(capacity: usize) -> Self {
-        ProxyCache {
-            map: LruMap::with_capacity(capacity),
-            ..Default::default()
-        }
-    }
-
-    /// Number of cached objects.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Cache hits served so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Cache misses so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Looks up an object for a client request at `now`, counting
-    /// hit/miss statistics and refreshing LRU recency.
-    pub fn lookup(&mut self, id: &ObjectId, now: Timestamp) -> Option<&CachedEntry> {
-        match self.map.touch(id, now) {
-            Some(entry) => {
-                self.hits += 1;
-                Some(entry)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Peeks without touching statistics or recency (used by the
-    /// consistency machinery, which is not a client access).
-    pub fn peek(&self, id: &ObjectId) -> Option<&CachedEntry> {
-        self.map.get(id)
-    }
-
-    /// Stores (or replaces) the copy fetched at `now`. Evicts the LRU
-    /// entry first when a capacity bound is set and would be exceeded.
-    pub fn store(
-        &mut self,
-        id: ObjectId,
-        stamp: VersionStamp,
-        value: Option<Value>,
-        now: Timestamp,
-    ) {
-        let entry = CachedEntry {
-            stamp,
-            value,
-            fetched_at: now,
-        };
-        self.map.insert(id, entry, now);
-    }
-
-    /// Drops an entry (used by failure-injection tests).
-    pub fn evict(&mut self, id: &ObjectId) -> Option<CachedEntry> {
-        self.map.remove(id)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mutcon_core::object::Version;
-
-    fn oid(s: &str) -> ObjectId {
-        ObjectId::new(s)
-    }
-
-    fn stamp(v: u64, secs: u64) -> VersionStamp {
-        VersionStamp::new(Version::from_raw(v), Timestamp::from_secs(secs))
-    }
-
-    #[test]
-    fn store_and_lookup() {
-        let mut c = ProxyCache::unbounded();
-        assert!(c.is_empty());
-        assert!(c.lookup(&oid("a"), Timestamp::from_secs(1)).is_none());
-        assert_eq!(c.misses(), 1);
-
-        c.store(oid("a"), stamp(0, 0), Some(Value::new(1.5)), Timestamp::from_secs(2));
-        let entry = c.lookup(&oid("a"), Timestamp::from_secs(3)).unwrap();
-        assert_eq!(entry.stamp, stamp(0, 0));
-        assert_eq!(entry.value, Some(Value::new(1.5)));
-        assert_eq!(entry.fetched_at, Timestamp::from_secs(2));
-        assert_eq!(c.hits(), 1);
-        assert_eq!(c.len(), 1);
-    }
-
-    #[test]
-    fn refresh_replaces() {
-        let mut c = ProxyCache::unbounded();
-        c.store(oid("a"), stamp(0, 0), None, Timestamp::from_secs(1));
-        c.store(oid("a"), stamp(1, 10), None, Timestamp::from_secs(20));
-        assert_eq!(c.len(), 1);
-        assert_eq!(c.peek(&oid("a")).unwrap().stamp, stamp(1, 10));
-    }
-
-    #[test]
-    fn peek_does_not_count() {
-        let mut c = ProxyCache::unbounded();
-        c.store(oid("a"), stamp(0, 0), None, Timestamp::from_secs(1));
-        let _ = c.peek(&oid("a"));
-        let _ = c.peek(&oid("b"));
-        assert_eq!(c.hits(), 0);
-        assert_eq!(c.misses(), 0);
-    }
 
     #[test]
     fn lru_eviction() {
-        let mut c = ProxyCache::with_capacity(2);
-        c.store(oid("a"), stamp(0, 0), None, Timestamp::from_secs(1));
-        c.store(oid("b"), stamp(0, 0), None, Timestamp::from_secs(2));
+        let mut m: LruMap<&str, (), u64> = LruMap::with_capacity(2);
+        m.insert("a", (), 1);
+        m.insert("b", (), 2);
         // Touch a so b becomes LRU.
-        c.lookup(&oid("a"), Timestamp::from_secs(3));
-        c.store(oid("c"), stamp(0, 0), None, Timestamp::from_secs(4));
-        assert_eq!(c.len(), 2);
-        assert!(c.peek(&oid("a")).is_some());
-        assert!(c.peek(&oid("b")).is_none());
-        assert!(c.peek(&oid("c")).is_some());
+        m.touch("a", 3);
+        m.insert("c", (), 4);
+        assert_eq!(m.len(), 2);
+        assert!(m.get("a").is_some());
+        assert!(m.get("b").is_none());
+        assert!(m.get("c").is_some());
     }
 
     #[test]
     fn lru_tie_break_is_lexicographic() {
-        // Three entries stored at the same instant: the old linear scan
-        // broke last_used ties by ObjectId order, and the O(log n)
-        // recency index must preserve exactly that.
-        let mut c = ProxyCache::with_capacity(3);
+        // Three entries stored at the same instant: ties on `used` evict
+        // the smallest key, as a linear scan by (used, key) would.
+        let mut m: LruMap<&str, (), u64> = LruMap::with_capacity(3);
         for name in ["b", "c", "a"] {
-            c.store(oid(name), stamp(0, 0), None, Timestamp::from_secs(5));
+            m.insert(name, (), 5);
         }
-        c.store(oid("d"), stamp(0, 0), None, Timestamp::from_secs(6));
-        assert!(c.peek(&oid("a")).is_none(), "lexicographically smallest tie loses");
-        assert!(c.peek(&oid("b")).is_some());
-        assert!(c.peek(&oid("c")).is_some());
-        assert!(c.peek(&oid("d")).is_some());
+        m.insert("d", (), 6);
+        assert!(m.get("a").is_none(), "lexicographically smallest tie loses");
+        assert!(m.get("b").is_some());
+        assert!(m.get("c").is_some());
+        assert!(m.get("d").is_some());
     }
 
     #[test]
     fn lru_matches_reference_scan_model() {
-        // Randomized equivalence against the pre-refactor O(n) scan
-        // semantics: evict min by (last_used, id).
+        // Randomized equivalence against O(n) scan semantics: evict min
+        // by (last_used, key).
         use mutcon_sim::SimRng;
-        use std::collections::HashMap;
 
         let cap = 8;
-        let mut cache = ProxyCache::with_capacity(cap);
-        let mut model: HashMap<ObjectId, Timestamp> = HashMap::new();
+        let mut map: LruMap<String, u64, u64> = LruMap::with_capacity(cap);
+        let mut model: HashMap<String, u64> = HashMap::new();
         let mut rng = SimRng::seed_from_u64(0xCAC4E);
-        let names: Vec<ObjectId> =
-            (0..24).map(|i| ObjectId::new(format!("obj-{i:02}"))).collect();
+        let names: Vec<String> = (0..24).map(|i| format!("obj-{i:02}")).collect();
 
         for step in 0u64..2_000 {
-            let now = Timestamp::from_secs(step / 3); // deliberate ties
+            let now = step / 3; // deliberate ties
             let id = rng.pick(&names).clone();
             if rng.chance(0.5) {
-                cache.store(id.clone(), stamp(0, step), None, now);
+                map.insert(id.clone(), step, now);
                 if !model.contains_key(&id) && model.len() >= cap {
                     let victim = model
                         .iter()
-                        .min_by_key(|(oid, t)| (**t, (*oid).clone()))
-                        .map(|(oid, _)| oid.clone())
+                        .min_by_key(|(name, t)| (**t, (*name).clone()))
+                        .map(|(name, _)| name.clone())
                         .expect("model not empty");
                     model.remove(&victim);
                 }
                 model.insert(id, now);
             } else {
-                let hit = cache.lookup(&id, now).is_some();
+                let hit = map.touch(&id, now).is_some();
                 assert_eq!(hit, model.contains_key(&id), "step {step}");
                 if hit {
                     model.insert(id, now);
                 }
             }
-            assert_eq!(cache.len(), model.len(), "step {step}");
+            assert_eq!(map.len(), model.len(), "step {step}");
         }
         for id in &names {
-            assert_eq!(cache.peek(id).is_some(), model.contains_key(id), "{id}");
+            assert_eq!(map.get(id).is_some(), model.contains_key(id), "{id}");
         }
     }
 
     #[test]
     fn evict_returns_entry() {
-        let mut c = ProxyCache::unbounded();
-        c.store(oid("a"), stamp(0, 0), None, Timestamp::from_secs(1));
-        assert!(c.evict(&oid("a")).is_some());
-        assert!(c.evict(&oid("a")).is_none());
-        assert!(c.is_empty());
+        let mut m: LruMap<&str, u32, u64> = LruMap::unbounded();
+        m.insert("a", 7, 1);
+        assert_eq!(m.remove("a"), Some(7));
+        assert_eq!(m.remove("a"), None);
+        assert!(m.is_empty());
     }
 
     #[test]
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_rejected() {
-        let _ = ProxyCache::with_capacity(0);
+        let _: LruMap<&str, (), u64> = LruMap::with_capacity(0);
     }
 
     #[test]

@@ -10,14 +10,10 @@
 //! * [`value`] — Δv consistency (adaptive TTR) and the two Mv approaches
 //!   (virtual object, partitioned tolerance) over a pair of valued
 //!   objects.
-//! * [`clients`] — client request streams against the cache (hit ratios
-//!   and user-visible staleness).
 
-pub mod clients;
 pub mod temporal;
 pub mod value;
 
-pub use clients::{run_client_workload, ClientStats, ClientWorkload};
 pub use temporal::{run_temporal, MutualSetup, TemporalPolicy, TemporalSimConfig, TemporalSimOutput};
 pub use value::{
     run_value_individual, run_value_pair, ValuePairOutput, ValuePairPolicy,

@@ -7,7 +7,8 @@
 //! * [`origin`] — the trace-driven origin server: answers
 //!   `If-Modified-Since` polls from an [`UpdateTrace`], optionally with
 //!   the §5.1 modification-history extension.
-//! * [`cache`] — the proxy's object store (infinite, per the paper).
+//! * [`cache`] — the bounded-LRU map each shard of the live proxy's
+//!   object cache is built on.
 //! * [`log`] — per-object poll logs, the raw material of every metric.
 //! * [`schedule`] — the §3 scheduler (LIMD per object, Mt triggers
 //!   across a group) as one clock-free state machine; the temporal

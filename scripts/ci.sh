@@ -59,6 +59,17 @@ if grep -nE 'Json::Number\(self\.metrics\.|\.(load|fetch_add|fetch_max)\([^)]*Or
   exit 1
 fi
 
+# One coherence mechanism, and the engine does not know the cache: an L1
+# copy is valid until the flag on it says the L2 let go of it
+# (crates/live/src/cache.rs). No per-path version table, handle or stamp
+# comes back beside the flag, and above its test module server.rs names
+# no cache type but the `L1Cache` it lends to `Service::respond`.
+if grep -rnE 'VersionedEntry|bump_version|retire_version|RespondCacheable|l1_try_serve|l1_refill\b' crates \
+    || sed '/#\[cfg(test)\]/q' crates/live/src/server.rs | grep -nE 'L1Lookup|ShardedCache|CacheEntry'; then
+  echo "ci: a second L1 coherence protocol, or a cache type in the engine, is back (lines above)" >&2
+  exit 1
+fi
+
 # Live-proxy smoke: origin + proxy on real sockets, hundreds of
 # concurrent clients through the reactor threads — a stalled event
 # loop shows up here as read timeouts, not as a hang. (One run in ~120
@@ -67,7 +78,7 @@ timeout 300 cargo test -q -p mutcon-live --test reactor_smoke
 
 # The deterministic concurrency harness (fake clock + scripted origin +
 # seeded schedules), the hot-swappable rule runtime, the zero-copy wire
-# path, the L1 version-stamp protocol and the refresh plane. Reactor
+# path, the L1's supersede flag and the refresh plane. Reactor
 # counts, L1 on/off and refresh-worker counts are inputs the scenarios
 # pin themselves. `alloc_budget` holds each stage of a cache miss to its
 # allocation count (exact, so a gate with no noise to know). `stats`
