@@ -251,6 +251,11 @@ pub fn put(doc: &mut Json, path: &str, value: Json) {
     *at = value;
 }
 
+/// A JSON object with `entries` as its members.
+pub fn obj(entries: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
+    Json::Object(entries.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
+}
+
 /// Declares a set of metrics: each `name: Cell => "path", …;` line, with
 /// its doc comment, is everything there is to write about one metric.
 /// Generates the struct of cells (crate-visible: anything in the crate may

@@ -73,8 +73,8 @@ use mutcon_traces::json::Json;
 
 use crate::cache::{CacheEntry, L1Cache, L1Lookup, ShardedCache};
 use crate::client::{get_wire, ObjectStamps, PersistentClient};
-use crate::metrics::{metrics, put, Counter};
-use crate::overload::{parse_overload_body, render_overload, OverloadControl};
+use crate::metrics::{metrics, obj, put, Counter};
+use crate::overload::{parse_overload_body, render_overload, OverloadControl, ADMIN_PREFIX};
 use crate::runtime::{ConsistencyRuntime, InstallReport, PollKind};
 use crate::server::{
     default_reactors, EngineConfig, EngineMetrics, EventLoop, PreparedResponse, Reply, Service,
@@ -435,7 +435,7 @@ impl Service for ProxyService {
         // The admin prefix is dispatched locally on the reactor — it
         // never touches the cache-miss/upstream machinery. When a
         // bearer token is configured, it gates every admin endpoint.
-        if path.starts_with("/admin/") {
+        if path.starts_with(ADMIN_PREFIX) {
             if let Some(denied) = self.check_admin_auth(request) {
                 return ServiceResult::Respond(denied);
             }
@@ -544,15 +544,6 @@ fn error_response(status: StatusCode, reason: &str) -> Response {
     json_response(status, &Json::Object(body))
 }
 
-fn obj(entries: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
-    Json::Object(
-        entries
-            .into_iter()
-            .map(|(k, v)| (k.to_owned(), v))
-            .collect(),
-    )
-}
-
 impl ProxyService {
     /// Returns the `401` response when a bearer token is configured and
     /// the request doesn't carry it; `None` admits the request. Uses
@@ -603,8 +594,8 @@ impl ProxyService {
             .build()
     }
 
-    /// `PUT /admin/overload`: parse → validate → versioned install; the
-    /// reactors adopt the new limiters on their next loop turn, carrying
+    /// `PUT /admin/overload`: parse → validate → versioned install; every
+    /// reactor's limiters are reconfigured before the reply, carrying
     /// learned limits over. Bad bodies change nothing.
     fn apply_overload(&self, body: &[u8]) -> Response {
         let Ok(text) = std::str::from_utf8(body) else {
@@ -729,68 +720,8 @@ impl ProxyService {
                 ])
             });
         put(&mut doc, "reactors", Json::Array(reactors.collect()));
-        self.overload_json(&mut doc);
+        self.overload.render_state(self.metrics.reactor_count(), &mut doc);
         json_response(StatusCode::OK, &doc)
-    }
-
-    /// The hand-built part of the `overload` section: installed config,
-    /// and each reactor's live pool limit, recent fetch samples and
-    /// admission partitions.
-    fn overload_json(&self, doc: &mut Json) {
-        let config = self.overload.config();
-        let spec = |c: &Option<mutcon_core::limit::LimiterConfig>| {
-            c.as_ref().map_or(Json::Null, |c| Json::String(c.to_spec()))
-        };
-        let reactors = self
-            .overload
-            .reactor_snapshots(self.metrics.reactor_count())
-            .into_iter()
-            .map(|r| {
-                let pool = r.pool.map_or(Json::Null, |p| {
-                    obj([
-                        ("limit", Json::Number(p.limit as f64)),
-                        ("algorithm", p.algorithm.map_or(Json::Null, Json::String)),
-                        ("samples_ok", Json::Number(p.samples_ok as f64)),
-                        ("samples_overload", Json::Number(p.samples_overload as f64)),
-                        (
-                            "recent",
-                            Json::Array(
-                                p.recent
-                                    .iter()
-                                    .map(|s| {
-                                        obj([
-                                            ("latency_ms", Json::Number(s.latency_ms as f64)),
-                                            ("ok", Json::Bool(s.ok)),
-                                            ("limit_after", Json::Number(s.limit_after as f64)),
-                                        ])
-                                    })
-                                    .collect(),
-                            ),
-                        ),
-                    ])
-                });
-                let partitions = Json::Array(
-                    r.partitions
-                        .into_iter()
-                        .map(|p| {
-                            obj([
-                                ("partition", Json::String(p.partition)),
-                                ("limit", Json::Number(p.limit as f64)),
-                                ("in_flight", Json::Number(p.in_flight as f64)),
-                                ("shed", Json::Number(p.shed as f64)),
-                            ])
-                        })
-                        .collect(),
-                );
-                obj([("pool", pool), ("partitions", partitions)])
-            });
-        put(doc, "overload.reactors", Json::Array(reactors.collect()));
-        put(doc, "overload.version", Json::Number(self.overload.version() as f64));
-        put(doc, "overload.admission", spec(&config.admission));
-        put(doc, "overload.pool", spec(&config.pool));
-        put(doc, "overload.retry_after_secs", Json::Number(f64::from(config.retry_after_secs)));
-        put(doc, "overload.park_deadline_ms", Json::Number(config.park_deadline.as_millis() as f64));
-        put(doc, "overload.admission_initial", Json::Number(config.admission_initial as f64));
     }
 }
 
@@ -803,7 +734,9 @@ impl ProxyService {
 ///
 /// `ttr_max_ms` defaults to 64·Δ (as [`RefreshRule::new`] does); `group`
 /// may be absent or `null`; the policy string is the canonical
-/// [`MtPolicy`] wire form (`baseline`, `triggered`, `rate:T`).
+/// [`MtPolicy`] wire form (`baseline`, `triggered`, `rate:T`). What it
+/// returns has passed [`crate::runtime::validate`], as a parsed overload
+/// body has passed [`crate::overload::OverloadConfig::validate`].
 fn parse_rules_body(body: &[u8]) -> Result<(Vec<RefreshRule>, Option<GroupRule>), String> {
     // A typo'd key must not silently fall back to a default (the same
     // stance `LimdConfig::from_spec` takes).
@@ -867,6 +800,7 @@ fn parse_rules_body(body: &[u8]) -> Result<(Vec<RefreshRule>, Option<GroupRule>)
             })
         }
     };
+    crate::runtime::validate(&rules, group.as_ref())?;
     Ok((rules, group))
 }
 
@@ -1059,5 +993,82 @@ mod tests {
             let err = parse_rules_body(body).unwrap_err();
             assert!(err.contains(needle), "{err:?} lacks {needle:?}");
         }
+    }
+
+    /// One random edit of `body`: a flipped bit, a byte overwritten or
+    /// inserted from what the two admin bodies are made of (or a byte
+    /// that is not UTF-8), a range cut or duplicated, a line repeated,
+    /// or the tail dropped.
+    fn mutate(rng: &mut mutcon_sim::rng::SimRng, body: &[u8]) -> Vec<u8> {
+        const SPECIAL: &[u8] = b"=#\n:,{}[]\"0123456789.-\xff\x80";
+        let mut out = body.to_vec();
+        let at = rng.uniform_u64(0, out.len() as u64 + 1) as usize;
+        let span = (rng.uniform_u64(1, 9) as usize).min(out.len() - at);
+        match rng.uniform_u64(0, 7) {
+            0 if at < out.len() => out[at] ^= 1 << rng.uniform_u64(0, 8),
+            1 if at < out.len() => out[at] = *rng.pick(SPECIAL),
+            2 => drop(out.drain(at..at + span)),
+            3 => {
+                let copy = out[at..at + span].to_vec();
+                out.splice(at..at, copy);
+            }
+            4 => {
+                let line = out[at..].split(|&b| b == b'\n').next().unwrap_or_default().to_vec();
+                out.splice(at..at, line.into_iter().chain([b'\n']));
+            }
+            5 => out.truncate(at),
+            _ => out.insert(at, *rng.pick(SPECIAL)),
+        }
+        out
+    }
+
+    /// The seeded mutation corpus over both admin body parsers (ROADMAP
+    /// 5): neither panics, an accepted overload body round-trips through
+    /// `render_overload`, and an accepted rules body installs.
+    #[test]
+    fn mutated_admin_bodies_never_panic_and_what_parses_holds() {
+        let overload_bodies = [
+            "admission=aimd:min=2,max=64\npool=aimd:max=8,m=0.5\nretry_after_secs=2\n",
+            "# defaults\nadmission=off\npark_deadline_ms=750\nadmission_initial=16\n",
+            "pool=aimd:min=1,max=256,l=1,m=0.75,util=0.8 # all keys\n",
+        ];
+        let rules_bodies = [
+            r#"{"rules": [{"path": "/a", "delta_ms": 50}, {"path": "/b", "delta_ms": 20, "ttr_max_ms": 400}],
+                "group": {"delta_ms": 100, "policy": "rate:0.5"}}"#,
+            r#"{"rules": [{"path": "/x/y", "delta_ms": 1000}], "group": null}"#,
+        ];
+        let mut rng = mutcon_sim::rng::SimRng::seed_from_u64(0xad_317);
+        let mut mutants = |bodies: &[&str]| -> Vec<Vec<u8>> {
+            let mut out = Vec::new();
+            for body in bodies {
+                for _ in 0..1_000 {
+                    let mutant = mutate(&mut rng, body.as_bytes());
+                    out.push(if rng.chance(0.3) { mutate(&mut rng, &mutant) } else { mutant });
+                }
+            }
+            out
+        };
+
+        let mut accepted = 0;
+        for mutant in mutants(&overload_bodies) {
+            // The handler's own order: UTF-8 first, then the parser.
+            let Ok(text) = std::str::from_utf8(&mutant) else { continue };
+            if let Ok(config) = parse_overload_body(text) {
+                accepted += 1;
+                let back = parse_overload_body(&render_overload(&config));
+                assert_eq!(back.as_ref(), Ok(&config), "{text:?}");
+            }
+        }
+        // Enough mutants survive for the properties to mean something.
+        assert!(accepted >= 100, "{accepted} overload bodies accepted");
+
+        let mut accepted = 0;
+        for mutant in mutants(&rules_bodies) {
+            if let Ok((rules, group)) = parse_rules_body(&mutant) {
+                accepted += 1;
+                assert!(crate::runtime::validate(&rules, group.as_ref()).is_ok());
+            }
+        }
+        assert!(accepted >= 50, "{accepted} rules bodies accepted");
     }
 }

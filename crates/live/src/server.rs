@@ -56,7 +56,6 @@
 //! it stops accepting, finishes flushing in-flight responses (bounded
 //! by a short grace period), then closes everything and joins.
 
-use std::collections::HashMap;
 use std::io;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -67,8 +66,6 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::{Bytes, BytesMut};
-use mutcon_core::limit::{Limiter, Outcome as LimitOutcome, Sample as LimitSample};
-use mutcon_core::time::Duration as CoreDuration;
 use mutcon_http::message::{Request, Response};
 use mutcon_http::parse::{ParseError, RequestParser, ResponseParser};
 use mutcon_http::types::StatusCode;
@@ -80,11 +77,8 @@ use mutcon_sim::reactor::{
 
 use crate::cache::L1Cache;
 use crate::metrics::{metrics, Cell, Counter, Gauge};
-use crate::overload::{
-    partition_of, OverloadConfig, OverloadControl, PartitionSnap, ReactorOverloadSnap,
-    MAX_PARTITIONS, OVERFLOW_PARTITION,
-};
-use crate::upstream::{AfterLeave, Job, JobId, PoolCore, Submit, MAX_CONNS_PER_ORIGIN};
+use crate::overload::{OverloadControl, Ticket};
+use crate::upstream::{AfterLeave, Job, JobId, PoolCore, Submit};
 use crate::vectored::{
     BufPool, FlushOutcome, FlushStats, WritePlan, INLINE_BODY, MAX_RETAINED_CAP,
 };
@@ -462,7 +456,7 @@ impl EventLoop {
                 accepting: true,
                 last_sweep: Instant::now(),
                 freed_this_batch: Vec::new(),
-                pool: PoolCore::default(),
+                pool: PoolCore::new(overload.slot(i).pool_cap()),
                 bufs: BufPool::new(),
                 scratch: vec![0; 16 * 1024],
                 driving: None,
@@ -470,11 +464,6 @@ impl EventLoop {
                 reactor_index: i,
                 last_counters: BackendCounters::default(),
                 overload: Arc::clone(&overload),
-                overload_version: overload.version(),
-                overload_config: overload.config(),
-                admission: HashMap::new(),
-                overload_dirty: true,
-                samples_unpublished: false,
                 paused_since: None,
                 l1: L1Cache::new(service.l1_capacity()),
             };
@@ -511,7 +500,7 @@ impl EventLoop {
     }
 
     /// The shared overload-control handle (config installs, shed
-    /// counters, per-reactor limit snapshots).
+    /// counters, each reactor's live limits).
     pub fn overload(&self) -> &Arc<OverloadControl> {
         &self.overload
     }
@@ -564,27 +553,14 @@ struct ClientState {
     /// The peer asked for `Connection: close`; serve the current
     /// request, flush, then close (later pipelined bytes are ignored).
     close_after_write: bool,
-    /// The admission ticket for the request in flight. `None` when
-    /// admission control is off or no request is in flight.
-    admitted: Option<AdmissionTicket>,
-}
-
-/// An admission slot charged to a path partition for one in-flight
-/// request. The ticket is released — and the limiter fed a latency
-/// sample — only once the response is **fully flushed**, not when it is
-/// queued: client write-stall time thereby joins the latency sample, so
-/// slow-reading clients push the partition's adaptive limit down like
-/// any other service-time inflation.
-struct AdmissionTicket {
-    /// The path partition the slot was charged against.
-    partition: Arc<str>,
-    /// When the request was admitted.
-    started: Instant,
-    /// The queued response's status, recorded at queue time; `None`
-    /// until a response is queued (e.g. while an upstream fetch is in
-    /// flight). The flush-completion path only samples the limiter once
-    /// this is set.
-    status: Option<u16>,
+    /// The admission ticket of the request in flight, with its queued
+    /// response's status once there is one (not while an upstream fetch
+    /// is out). The ticket goes back only when that response is **fully
+    /// flushed**, so a slow-reading client's write stalls join the
+    /// latency sample and push its partition's limit down like any other
+    /// service-time inflation. `None` when admission is off or nothing
+    /// is in flight.
+    admitted: Option<(Ticket, Option<u16>)>,
 }
 
 /// A connection to an upstream origin, owned by the reactor's pool.
@@ -602,7 +578,7 @@ struct UpstreamState {
     /// (eligible for the stale-socket retry).
     served: u32,
     /// When the current fetch was handed to this connection; the
-    /// elapsed time at completion feeds the pool's adaptive limiter.
+    /// elapsed time at completion feeds the pool's adaptive cap.
     fetch_started: Option<Instant>,
 }
 
@@ -667,23 +643,9 @@ struct Reactor {
     /// Backend counter snapshot from the previous turn; the delta is
     /// folded into the shared metrics once per event-loop turn.
     last_counters: BackendCounters,
-    /// The shared overload-control handle (hot config installs, shed
-    /// counters, published snapshots).
+    /// The shared overload-control handle; this reactor's admission
+    /// partitions and pool limiter live in its slot there.
     overload: Arc<OverloadControl>,
-    /// Config version this reactor has applied; compared against the
-    /// handle's version each turn (one relaxed-ish atomic load).
-    overload_version: u64,
-    /// The reactor's private copy of the overload config.
-    overload_config: OverloadConfig,
-    /// Per path-partition admission state, created lazily as
-    /// partitions are first seen: at most [`MAX_PARTITIONS`] named ones
-    /// plus [`OVERFLOW_PARTITION`]. Empty while admission is off.
-    admission: HashMap<Arc<str>, PartitionState>,
-    /// Something observable changed (limits, samples, shed counts);
-    /// publish a fresh snapshot at the end of the turn.
-    overload_dirty: bool,
-    /// Fetches were recorded since the last publish (see `record_fetch`).
-    samples_unpublished: bool,
     /// When `pause_accepting` parked the listener; after
     /// `park_deadline` the backlog is drained with `503`s instead of
     /// making parked clients wait forever.
@@ -692,15 +654,6 @@ struct Reactor {
     /// request ([`Service::respond`]) and otherwise untouched. Owned here
     /// because one owner per reactor thread is what makes it lock-free.
     l1: L1Cache,
-}
-
-/// Admission state for one path partition.
-struct PartitionState {
-    limiter: Limiter,
-    /// Requests admitted and not yet completed.
-    in_flight: usize,
-    /// Requests shed (`429`) from this partition.
-    shed: u64,
 }
 
 /// Drops whatever `stream` (nonblocking) has received so far: closing
@@ -724,14 +677,11 @@ impl Reactor {
                 break;
             }
             self.dispatch(&events);
-            self.sync_overload();
             self.check_park_deadline();
-            self.publish_overload();
             self.flush_backend_counters();
             if self.last_sweep.elapsed() >= Duration::from_secs(1) {
                 self.sweep_idle();
                 self.last_sweep = Instant::now();
-                self.overload_dirty |= self.samples_unpublished;
             }
         }
         self.drain(&mut events);
@@ -1338,15 +1288,12 @@ impl Reactor {
         }
     }
 
-    /// Feeds one fetch outcome to the pool's limiter. A moved cap or a
-    /// failure is published this turn; a success that moved nothing only
-    /// advanced the sample counters, which ride the next publish (at the
-    /// latest the once-a-second sweep's).
+    /// Feeds one fetch outcome to this reactor's pool limiter and moves
+    /// the ledger's cap to what it returns.
     fn record_fetch(&mut self, addr: SocketAddr, elapsed: Duration, ok: bool) {
-        let before = self.pool.current_cap();
-        let after = self.pool.record_fetch(addr, elapsed, ok);
-        self.overload_dirty |= !ok || after != before;
-        self.samples_unpublished = true;
+        let in_flight = self.pool.fetching(addr);
+        let cap = self.overload.slot(self.reactor_index).record_fetch(in_flight, elapsed, ok);
+        self.pool.set_cap(cap);
     }
 
     fn upstream_writable(&mut self, idx: usize) {
@@ -1648,14 +1595,9 @@ impl Reactor {
         if let Kind::Client(client) = &mut conn.kind {
             self.clients -= 1;
             self.metrics.conns[self.reactor_index].set(self.clients);
-            if let Some(ticket) = client.admitted.take() {
-                // Abandoned mid-request (or mid-flush): release the
-                // slot without feeding the limiter (no clean completion
-                // to measure).
-                if let Some(part) = self.admission.get_mut(&ticket.partition) {
-                    part.in_flight = part.in_flight.saturating_sub(1);
-                    self.overload_dirty = true;
-                }
+            if let Some((ticket, _)) = client.admitted.take() {
+                // Abandoned mid-request (or mid-flush).
+                self.overload.slot(self.reactor_index).abandon(ticket);
             }
             match client.pending {
                 Pending::Upstream(job) => {
@@ -1675,92 +1617,30 @@ impl Reactor {
         self.resume_accepting();
     }
 
-    /// Adopts a freshly installed overload config: one atomic load on
-    /// the hot path; on a version bump the pool limiter is swapped (or
-    /// removed, restoring the static cap) and every admission
-    /// partition's limiter is reconfigured in place, carrying learned
-    /// limits instead of resetting them.
-    fn sync_overload(&mut self) {
-        let version = self.overload.version();
-        if version == self.overload_version {
-            return;
-        }
-        self.overload_version = version;
-        self.overload_config = self.overload.config();
-        match &self.overload_config.pool {
-            // Invalid specs can't get here: `install` validates.
-            Some(spec) => {
-                let _ = self.pool.set_limiter(spec.clone());
-            }
-            None => self.pool.clear_limiter(MAX_CONNS_PER_ORIGIN),
-        }
-        match &self.overload_config.admission {
-            Some(spec) => {
-                for part in self.admission.values_mut() {
-                    let _ = part.limiter.reconfigure(spec.clone());
-                }
-            }
-            None => self.admission.clear(),
-        }
-        self.overload_dirty = true;
-    }
-
     /// Admission control for one parsed request. Returns `true` if the
-    /// request may proceed (a ticket is attached to the client); on
-    /// `false` a `429 Too Many Requests` has been queued.
+    /// request may proceed (with a ticket on the client while admission
+    /// is on); on `false` a `429 Too Many Requests` has been queued.
     fn admit_or_shed(&mut self, idx: usize, request: &Request) -> bool {
-        let Some(spec) = self.overload_config.admission.clone() else {
+        if !self.overload.admits(request.target()) {
             return true;
-        };
-        let mut key = partition_of(request.target());
-        // Clients choose the key, so the table is bounded: once it holds
-        // `MAX_PARTITIONS` names, every new one shares the overflow slot.
-        if !self.admission.contains_key(key) && self.admission.len() >= MAX_PARTITIONS {
-            key = OVERFLOW_PARTITION;
         }
-        if !self.admission.contains_key(key) {
-            let initial = self.overload_config.admission_initial;
-            let Ok(limiter) = Limiter::new(spec, initial) else {
-                return true; // validated at install time; defensive
-            };
-            self.admission.insert(
-                Arc::from(key),
-                PartitionState {
-                    limiter,
-                    in_flight: 0,
-                    shed: 0,
-                },
-            );
-        }
-        let Some((key_arc, _)) = self.admission.get_key_value(key) else {
-            return true;
-        };
-        let key_arc = Arc::clone(key_arc);
-        let Some(part) = self.admission.get_mut(key) else {
-            return true;
-        };
-        if part.in_flight < part.limiter.limit() {
-            part.in_flight += 1;
-            if let Some(conn) = self.conns[idx].as_mut() {
-                if let Kind::Client(client) = &mut conn.kind {
-                    client.admitted = Some(AdmissionTicket {
-                        partition: key_arc,
-                        started: Instant::now(),
-                        status: None,
-                    });
+        let admitted = self.overload.slot(self.reactor_index).admit(request.target());
+        match admitted {
+            Ok(ticket) => {
+                if let Some(Conn { kind: Kind::Client(client), .. }) = self.conns[idx].as_mut() {
+                    client.admitted = ticket.map(|ticket| (ticket, None));
                 }
+                true
             }
-            return true;
+            Err(retry_after) => {
+                self.overload.shed.inc();
+                let response = Response::builder(StatusCode::TOO_MANY_REQUESTS)
+                    .header("retry-after", retry_after.to_string())
+                    .build();
+                self.queue_response(idx, response);
+                false
+            }
         }
-        part.shed += 1;
-        self.overload_dirty = true;
-        self.overload.shed.inc();
-        let retry = self.overload_config.retry_after_secs;
-        let response = Response::builder(StatusCode::TOO_MANY_REQUESTS)
-            .header("retry-after", retry.to_string())
-            .build();
-        self.queue_response(idx, response);
-        false
     }
 
     /// Records the queued response's status on the client's admission
@@ -1773,48 +1653,22 @@ impl Reactor {
             return;
         };
         let Kind::Client(client) = &mut conn.kind else { return };
-        if let Some(ticket) = client.admitted.as_mut() {
-            ticket.status = Some(status);
+        if let Some((_, queued)) = client.admitted.as_mut() {
+            *queued = Some(status);
         }
     }
 
     /// Releases a client's admission ticket once its response is fully
-    /// flushed: the partition's in-flight count drops and the limiter
-    /// is fed the request's end-to-end service time — queue, service,
-    /// upstream *and* client write stalls (5xx count as overload
-    /// signals). A ticket whose response is not yet queued (upstream
-    /// still in flight) is left alone.
+    /// flushed (see `ClientState::admitted`). A ticket whose response is
+    /// not queued yet (upstream still in flight) stays charged.
     fn finish_admission(&mut self, idx: usize) {
-        let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
+        let Some(Conn { kind: Kind::Client(client), .. }) = self.conns[idx].as_mut() else {
             return;
         };
-        let Kind::Client(client) = &mut conn.kind else { return };
-        let Some(ticket) = client.admitted.as_ref() else {
-            return;
-        };
-        let Some(status) = ticket.status else {
-            return; // no response queued yet; the ticket stays charged
-        };
-        let Some(AdmissionTicket { partition, started, .. }) = client.admitted.take() else {
-            return;
-        };
-        let Some(part) = self.admission.get_mut(&partition) else {
-            return; // partition cleared by a config swap mid-request
-        };
-        let in_flight = part.in_flight;
-        part.in_flight = in_flight.saturating_sub(1);
-        let latency_ms = u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX);
-        let sample = LimitSample {
-            in_flight,
-            latency: CoreDuration::from_millis(latency_ms),
-            outcome: if status >= 500 {
-                LimitOutcome::Overload
-            } else {
-                LimitOutcome::Success
-            },
-        };
-        part.limiter.on_sample(&sample);
-        self.overload_dirty = true;
+        let flushed = client.admitted.take_if(|(_, queued)| queued.is_some());
+        if let Some((ticket, Some(status))) = flushed {
+            self.overload.slot(self.reactor_index).release(ticket, status);
+        }
     }
 
     /// Gives parked backlog clients a deadline: when accepting has been
@@ -1826,7 +1680,7 @@ impl Reactor {
             return;
         }
         let Some(since) = self.paused_since else { return };
-        if since.elapsed() < self.overload_config.park_deadline {
+        if since.elapsed() < self.overload.slot(self.reactor_index).park_deadline() {
             return;
         }
         self.shed_backlog();
@@ -1836,9 +1690,9 @@ impl Reactor {
     /// Accepts and immediately rejects up to [`PARK_SHED_BATCH`] parked
     /// connections with `503 Service Unavailable` + `Retry-After`.
     fn shed_backlog(&mut self) {
+        let retry_after = self.overload.slot(self.reactor_index).retry_after_secs();
         let head = format!(
-            "HTTP/1.1 503 Service Unavailable\r\nretry-after: {}\r\nconnection: close\r\ncontent-length: 0\r\n\r\n",
-            self.overload_config.retry_after_secs
+            "HTTP/1.1 503 Service Unavailable\r\nretry-after: {retry_after}\r\nconnection: close\r\ncontent-length: 0\r\n\r\n"
         );
         let mut shed: u64 = 0;
         while (shed as usize) < PARK_SHED_BATCH {
@@ -1855,38 +1709,7 @@ impl Reactor {
                 Err(_) => break,
             }
         }
-        if shed > 0 {
-            self.overload.parked_shed.add(shed);
-            self.overload_dirty = true;
-        }
-    }
-
-    /// Pushes this reactor's overload snapshot (pool limit, partition
-    /// limits, shed counts) to the shared handle when anything changed.
-    fn publish_overload(&mut self) {
-        if !self.overload_dirty {
-            return;
-        }
-        self.overload_dirty = false;
-        self.samples_unpublished = false;
-        let mut partitions: Vec<PartitionSnap> = self
-            .admission
-            .iter()
-            .map(|(key, part)| PartitionSnap {
-                partition: key.to_string(),
-                limit: part.limiter.limit(),
-                in_flight: part.in_flight,
-                shed: part.shed,
-            })
-            .collect();
-        partitions.sort_by(|a, b| a.partition.cmp(&b.partition));
-        self.overload.publish(
-            self.reactor_index,
-            ReactorOverloadSnap {
-                pool: Some(self.pool.limit_snapshot()),
-                partitions,
-            },
-        );
+        self.overload.parked_shed.add(shed);
     }
 
     /// Returns a closing client's buffers to the pool and refreshes the
@@ -2102,6 +1925,8 @@ mod tests {
         // At the connection bound, further clients sit in the kernel
         // backlog. They must not wait forever: once the park deadline
         // lapses the reactor drains them with a clean `503`.
+        use crate::overload::OverloadConfig;
+
         let overload = Arc::new(OverloadControl::new(OverloadConfig {
             park_deadline: Duration::from_millis(50),
             ..OverloadConfig::default()

@@ -11,10 +11,10 @@
 //!   keep-alive semantics parks in an idle list and serves the next
 //!   queued job without a fresh TCP handshake;
 //! * **bounded fan-out** — a per-origin connection cap; excess jobs
-//!   queue FIFO. The cap starts at [`MAX_CONNS_PER_ORIGIN`] and, once a
-//!   [`Limiter`] is installed, adapts to observed per-fetch latency and
-//!   errors ([`PoolCore::record_fetch`]) — LIMD's AIMD shape applied to
-//!   origin concurrency;
+//!   queue FIFO. The cap starts at [`MAX_CONNS_PER_ORIGIN`]; the reactor
+//!   moves it ([`PoolCore::set_cap`]) to whatever its overload slot
+//!   ([`crate::overload`]) returns for each finished fetch, so the
+//!   ledger keeps a number and knows nothing of how it is chosen;
 //! * **stale-socket retry** — a *reused* connection that dies before
 //!   yielding a single response byte was a pooled socket the origin had
 //!   already closed; the job is requeued (once) instead of failed.
@@ -31,46 +31,12 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Instant;
 
-use mutcon_core::error::ConfigError;
-use mutcon_core::limit::{Limiter, LimiterConfig, Sample};
-use mutcon_core::time::Duration as CoreDuration;
-
 /// Default (and initial) upper bound on simultaneously open connections
 /// per origin address (per reactor). Misses beyond the cap queue rather
 /// than fan out — the origin sees bounded concurrency no matter how
-/// bursty the misses are. With an adaptive [`Limiter`] installed this is
-/// only the starting point; the live cap follows the limiter.
+/// bursty the misses are. With a pool limit configured this is only the
+/// starting point ([`crate::overload`]).
 pub const MAX_CONNS_PER_ORIGIN: usize = 32;
-
-/// How many recent fetch samples the ledger keeps for observability
-/// (`/admin/stats` overload section).
-const RECENT_SAMPLES: usize = 16;
-
-/// One recorded origin fetch, as exposed to the stats plane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FetchSample {
-    /// Wall-clock latency of the fetch in milliseconds.
-    pub latency_ms: u64,
-    /// Whether the fetch completed with a response.
-    pub ok: bool,
-    /// The per-origin cap after this sample was applied.
-    pub limit_after: usize,
-}
-
-/// A read-only snapshot of the adaptive fan-out state for stats.
-#[derive(Debug, Clone)]
-pub struct LimitSnapshot {
-    /// The live per-origin connection cap.
-    pub limit: usize,
-    /// Spec form of the governing algorithm (`None` while static).
-    pub algorithm: Option<String>,
-    /// Fetches recorded as successes.
-    pub samples_ok: u64,
-    /// Fetches recorded as overload signals (errors/timeouts).
-    pub samples_overload: u64,
-    /// The most recent samples, oldest first.
-    pub recent: Vec<FetchSample>,
-}
 
 /// Identifies one fetch job within a pool.
 pub type JobId = usize;
@@ -153,13 +119,6 @@ pub struct PoolCore<W> {
     /// One record per origin seen; a proxy has one origin, so a scan.
     origins: Vec<Origin>,
     max_per_origin: usize,
-    /// Adaptive controller for `max_per_origin`; `None` keeps the cap
-    /// static at whatever `new` was given.
-    limiter: Option<Limiter>,
-    /// Recent fetch samples, oldest first (stats only).
-    recent: VecDeque<FetchSample>,
-    samples_ok: u64,
-    samples_overload: u64,
 }
 
 impl<W> Default for PoolCore<W> {
@@ -181,10 +140,6 @@ impl<W> PoolCore<W> {
             free_jobs: Vec::new(),
             origins: Vec::new(),
             max_per_origin,
-            limiter: None,
-            recent: VecDeque::new(),
-            samples_ok: 0,
-            samples_overload: 0,
         }
     }
 
@@ -211,86 +166,11 @@ impl<W> PoolCore<W> {
         &mut self.origins[at]
     }
 
-    /// Installs (or replaces) the adaptive controller for the per-origin
-    /// cap. The current cap is carried into the limiter's bounds rather
-    /// than reset, so a hot-swap keeps the learned operating point.
-    ///
-    /// # Errors
-    ///
-    /// Returns the configuration's validation errors; on error the
-    /// previous controller (or static cap) stays in force.
-    pub fn set_limiter(&mut self, config: LimiterConfig) -> Result<(), ConfigError> {
-        match self.limiter.as_mut() {
-            Some(limiter) => limiter.reconfigure(config)?,
-            None => self.limiter = Some(Limiter::new(config, self.max_per_origin)?),
-        }
-        self.max_per_origin = self.limiter.as_ref().expect("just installed").limit();
-        Ok(())
-    }
-
-    /// Removes the adaptive controller, restoring a static cap.
-    pub fn clear_limiter(&mut self, cap: usize) {
-        self.limiter = None;
+    /// Moves the per-origin connection cap (at least 1). Connections
+    /// already open above a lowered cap finish their fetches; no new
+    /// ones open until the count is below it.
+    pub fn set_cap(&mut self, cap: usize) {
         self.max_per_origin = cap.max(1);
-    }
-
-    /// Records one finished origin fetch: `ok` fetches feed their latency
-    /// to the limiter as successes, failed ones (connect errors, broken
-    /// transfers, timeouts) as overload signals. Returns the possibly
-    /// updated per-origin cap. With no limiter installed this still
-    /// counts the sample for stats but leaves the cap alone.
-    pub fn record_fetch(
-        &mut self,
-        addr: SocketAddr,
-        latency: std::time::Duration,
-        ok: bool,
-    ) -> usize {
-        let latency_ms = u64::try_from(latency.as_millis()).unwrap_or(u64::MAX);
-        if ok {
-            self.samples_ok += 1;
-        } else {
-            self.samples_overload += 1;
-        }
-        // In-flight from the limiter's point of view: connections
-        // actually fetching (open minus parked-idle) at this origin.
-        let in_flight = self.origin(addr).map_or(0, |o| o.open.saturating_sub(o.idle.len()));
-        if let Some(limiter) = self.limiter.as_mut() {
-            let sample = Sample {
-                in_flight,
-                latency: CoreDuration::from_millis(latency_ms),
-                outcome: if ok {
-                    mutcon_core::limit::Outcome::Success
-                } else {
-                    mutcon_core::limit::Outcome::Overload
-                },
-            };
-            self.max_per_origin = limiter.on_sample(&sample);
-        }
-        if self.recent.len() == RECENT_SAMPLES {
-            self.recent.pop_front();
-        }
-        self.recent.push_back(FetchSample {
-            latency_ms,
-            ok,
-            limit_after: self.max_per_origin,
-        });
-        self.max_per_origin
-    }
-
-    /// The live per-origin connection cap.
-    pub fn current_cap(&self) -> usize {
-        self.max_per_origin
-    }
-
-    /// Snapshot of the adaptive fan-out state for the stats plane.
-    pub fn limit_snapshot(&self) -> LimitSnapshot {
-        LimitSnapshot {
-            limit: self.max_per_origin,
-            algorithm: self.limiter.as_ref().map(|l| l.config().to_spec()),
-            samples_ok: self.samples_ok,
-            samples_overload: self.samples_overload,
-            recent: self.recent.iter().copied().collect(),
-        }
     }
 
     /// Files a miss: coalesces onto an identical live job, or creates
@@ -472,6 +352,12 @@ impl<W> PoolCore<W> {
     /// Open connections recorded for `addr` (tests).
     pub fn open_len(&self, addr: SocketAddr) -> usize {
         self.origin(addr).map_or(0, |o| o.open)
+    }
+
+    /// Connections to `addr` busy fetching: open but not parked. The
+    /// in-flight count a finished fetch's limiter sample carries.
+    pub fn fetching(&self, addr: SocketAddr) -> usize {
+        self.origin(addr).map_or(0, |o| o.open.saturating_sub(o.idle.len()))
     }
 }
 
@@ -658,95 +544,57 @@ mod tests {
         let _ = PoolCore::<u32>::new(0);
     }
 
-    #[test]
-    fn static_pool_counts_samples_but_keeps_its_cap() {
-        let mut pool: PoolCore<u32> = PoolCore::new(4);
-        let a = addr(9000);
-        pool.note_opened(a);
-        assert_eq!(pool.record_fetch(a, Duration::from_millis(5), true), 4);
-        assert_eq!(pool.record_fetch(a, Duration::from_millis(5), false), 4);
-        let snap = pool.limit_snapshot();
-        assert_eq!(snap.limit, 4);
-        assert_eq!(snap.algorithm, None);
-        assert_eq!((snap.samples_ok, snap.samples_overload), (1, 1));
-        assert_eq!(snap.recent.len(), 2);
-    }
-
+    /// The ledger's side of the reactor's protocol: a finished fetch
+    /// reports the ledger's busy connections to the reactor's overload
+    /// slot and applies the cap the slot hands back.
     #[test]
     fn adaptive_cap_shrinks_on_errors_and_regrows_under_pressure() {
-        use mutcon_core::limit::{AimdConfig, LimiterConfig};
+        use crate::overload::{parse_overload_body, OverloadControl};
 
-        let mut pool: PoolCore<u32> = PoolCore::new(8);
+        let control = OverloadControl::new(parse_overload_body("pool=aimd:min=1,max=8").unwrap());
+        let mut pool: PoolCore<u32> = PoolCore::new(control.slot(0).pool_cap());
         let a = addr(9000);
-        pool.set_limiter(LimiterConfig::Aimd(AimdConfig {
-            min: 1,
-            max: 16,
-            ..AimdConfig::default()
-        }))
-        .unwrap();
-        assert_eq!(pool.current_cap(), 8, "installed at the current cap");
+        let finish = |pool: &mut PoolCore<u32>, ok: bool| {
+            let cap = control.slot(0).record_fetch(pool.fetching(a), Duration::from_millis(5), ok);
+            pool.set_cap(cap);
+        };
+        assert!(pool.can_open(a));
 
         // Two failed fetches: 8 → 6 → 4.
-        pool.record_fetch(a, Duration::from_millis(100), false);
-        assert_eq!(pool.current_cap(), 6);
-        pool.record_fetch(a, Duration::from_millis(100), false);
-        assert_eq!(pool.current_cap(), 4);
-        assert!(!pool.can_open(a) || pool.open_len(a) < 4);
-
-        // Healthy fetches with the (shrunken) cap fully used: regrow.
+        finish(&mut pool, false);
+        finish(&mut pool, false);
         for _ in 0..4 {
             pool.note_opened(a);
         }
-        pool.record_fetch(a, Duration::from_millis(5), true);
-        assert_eq!(pool.current_cap(), 5);
-        let snap = pool.limit_snapshot();
-        assert_eq!(snap.limit, 5);
-        assert!(snap.algorithm.as_deref().unwrap().starts_with("aimd:"));
-        assert_eq!(snap.recent.last().unwrap().limit_after, 5);
+        assert!(!pool.can_open(a), "four open at a cap of four");
+
+        // Healthy fetches with the shrunken cap fully busy: regrow.
+        finish(&mut pool, true);
+        assert!(pool.can_open(a), "the cap grew to five");
+        // A parked connection is not busy: no pressure, no growth.
+        pool.note_opened(a);
+        pool.release_idle(a, 1, Instant::now());
+        assert_eq!(pool.fetching(a), 4);
+        finish(&mut pool, true);
+        assert!(!pool.can_open(a), "five open at an unchanged cap of five");
     }
 
     #[test]
     fn can_open_follows_the_shrunken_cap() {
-        use mutcon_core::limit::{AimdConfig, LimiterConfig};
-
         let mut pool: PoolCore<u32> = PoolCore::new(4);
         let a = addr(9000);
-        pool.set_limiter(LimiterConfig::Aimd(AimdConfig {
-            min: 1,
-            max: 8,
-            ..AimdConfig::default()
-        }))
-        .unwrap();
         pool.note_opened(a);
         pool.note_opened(a);
+        pool.set_cap(3);
+        // With 2 open, one more may open — then no more.
         assert!(pool.can_open(a));
-        // One error: cap 4 → 3; with 2 open, one more may open — then no
-        // more.
-        pool.record_fetch(a, Duration::from_millis(50), false);
-        assert_eq!(pool.current_cap(), 3);
         pool.note_opened(a);
         assert!(!pool.can_open(a));
-    }
-
-    #[test]
-    fn hot_swap_keeps_the_learned_cap() {
-        use mutcon_core::limit::{AimdConfig, LimiterConfig};
-
-        let mut pool: PoolCore<u32> = PoolCore::new(8);
-        let a = addr(9000);
-        pool.set_limiter(LimiterConfig::Aimd(AimdConfig::default())).unwrap();
-        pool.record_fetch(a, Duration::from_millis(50), false);
-        let learned = pool.current_cap();
-        assert_eq!(learned, 6);
-        let second = AimdConfig { decrease: 0.5, max: 64, ..AimdConfig::default() };
-        pool.set_limiter(LimiterConfig::Aimd(second)).unwrap();
-        assert_eq!(pool.current_cap(), learned, "swap must not reset the cap");
-        let bad = pool.set_limiter(LimiterConfig::Aimd(AimdConfig {
-            min: 3,
-            max: 2,
-            ..AimdConfig::default()
-        }));
-        assert!(bad.is_err());
-        assert_eq!(pool.current_cap(), learned, "a rejected swap changes nothing");
+        // A cap of zero still lets one connection through.
+        pool.set_cap(0);
+        pool.note_closed(a);
+        pool.note_closed(a);
+        pool.note_closed(a);
+        assert!(pool.can_open(a));
     }
 }

@@ -98,6 +98,9 @@ pub enum Behavior {
 
 struct Gate {
     open: Mutex<bool>,
+    /// Paths let through while the gate is closed
+    /// ([`ScriptedOrigin::release`]); locked inside `open`.
+    passed: Mutex<Vec<String>>,
     cv: Condvar,
 }
 
@@ -143,6 +146,7 @@ impl ScriptedOrigin {
             log: Mutex::new(Vec::new()),
             gate: Gate {
                 open: Mutex::new(false),
+                passed: Mutex::new(Vec::new()),
                 cv: Condvar::new(),
             },
             conns: Mutex::new(Vec::new()),
@@ -186,6 +190,14 @@ impl ScriptedOrigin {
     /// request; it stays open until [`ScriptedOrigin::close_gate`].
     pub fn release_all(&self) {
         *self.inner.gate.open.lock().unwrap() = true;
+        self.inner.gate.cv.notify_all();
+    }
+
+    /// Lets the [`Behavior::Hold`] requests for `path` through, parked
+    /// or yet to come, while every other path stays behind the gate.
+    pub fn release(&self, path: &str) {
+        let _open = self.inner.gate.open.lock().unwrap();
+        self.inner.gate.passed.lock().unwrap().push(path.to_owned());
         self.inner.gate.cv.notify_all();
     }
 
@@ -322,7 +334,7 @@ fn serve_request(stream: &mut TcpStream, inner: &Inner, request: &Request) -> bo
     if behavior == Behavior::Hold {
         inner.held.fetch_add(1, Ordering::SeqCst);
         let mut open = inner.gate.open.lock().unwrap();
-        while !*open {
+        while !*open && !inner.gate.passed.lock().unwrap().contains(&path) {
             let (guard, timeout) = inner
                 .gate
                 .cv

@@ -1,18 +1,23 @@
 //! Adaptive overload control end to end: flash-crowd admission shedding
 //! with partition isolation and preserved miss coalescing, the bound on
-//! the partition table, the double-death stale-retry path, and hot
-//! config swaps through `PUT /admin/overload` — all on the deterministic
-//! in-process harness (fake clock + scripted origin; see `harness/`).
+//! the partition table, tickets that outlive an off→on swap, the
+//! double-death stale-retry path, and hot config swaps through
+//! `PUT /admin/overload` — all on the deterministic in-process harness
+//! (fake clock + scripted origin; see `harness/`).
 
 mod harness;
 
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration as StdDuration, Instant};
 
+use bytes::BytesMut;
 use harness::{Behavior, FakeClock, ScriptedOrigin};
 use mutcon_live::client::{HttpClient, PersistentClient};
 use mutcon_live::overload::{MAX_PARTITIONS, OVERFLOW_PARTITION};
 use mutcon_live::proxy::{LiveProxy, ProxyConfig};
+use mutcon_live::wire::{read_response, write_request};
+use mutcon_http::message::Request;
 use mutcon_http::types::StatusCode;
 use mutcon_sim::rng::SimRng;
 use mutcon_traces::json::{self, Json};
@@ -285,6 +290,50 @@ fn a_path_scan_cannot_grow_the_admission_table() {
             .flatten()
             .all(|(_, in_flight)| *in_flight == 0)
     });
+}
+
+/// Satellite regression: turning admission off drops every partition, so
+/// a ticket charged before that belongs to a table that is gone. A is
+/// admitted on `/p` and held at the origin while admission goes off and
+/// on again; B then takes the new `/p`'s only place. A's release must
+/// not give B's place away (it used to find the new partition by name
+/// and decrement it), so C is still shed and the stats plane shows B's
+/// one request in flight.
+#[test]
+fn a_ticket_from_before_an_off_on_swap_releases_nothing() {
+    const LIMITED: &str = "admission=aimd:min=1,max=1\nadmission_initial=1\n";
+
+    let origin = ScriptedOrigin::start(FakeClock::new());
+    origin.script("/p/a", vec![Behavior::Hold]);
+    origin.script("/p/b", vec![Behavior::Hold]);
+    let proxy = plain_proxy(&origin, 1);
+    let addr = proxy.local_addr();
+    let send = |path: &str| {
+        let mut sock = TcpStream::connect(addr).expect("connect");
+        sock.set_read_timeout(Some(StdDuration::from_secs(10))).unwrap();
+        write_request(&mut sock, &Request::get(path).build()).expect("send");
+        sock
+    };
+
+    put_overload(&proxy, LIMITED);
+    let mut a = send("/p/a");
+    origin.wait_for_held(1);
+    put_overload(&proxy, "admission=off\n");
+    put_overload(&proxy, LIMITED);
+    let mut b = send("/p/b");
+    origin.wait_for_held(2);
+
+    origin.release("/p/a");
+    let mut buf = BytesMut::new();
+    assert_eq!(read_response(&mut a, &mut buf).expect("A").status(), StatusCode::OK);
+
+    let c = HttpClient::new().get(addr, "/p/c", None).expect("C");
+    assert_eq!(c.status(), StatusCode::TOO_MANY_REQUESTS, "B holds /p's only place");
+    assert_eq!(stats_partitions(&proxy), vec![vec![("/p".to_owned(), 1)]]);
+
+    origin.release_all();
+    let mut buf = BytesMut::new();
+    assert_eq!(read_response(&mut b, &mut buf).expect("B").status(), StatusCode::OK);
 }
 
 /// Satellite regression: the double-death case of the one-shot

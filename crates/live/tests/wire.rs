@@ -15,7 +15,9 @@
 //!   vectored writes (a megabyte body forced through a slow reader);
 //! * `/admin/stats` exposes the wire counters;
 //! * interest coalescing keeps `epoll_ctl` traffic sublinear in
-//!   requests under keep-alive.
+//!   requests under keep-alive;
+//! * a client that stops reading mid-body stalls only its own
+//!   connection.
 
 mod harness;
 
@@ -26,7 +28,8 @@ use std::time::{Duration as StdDuration, Instant};
 
 use bytes::BytesMut;
 use harness::{FakeClock, ScriptedOrigin};
-use mutcon_live::client::{HttpClient, X_LAST_MODIFIED_MS};
+use mutcon_live::client::{HttpClient, PersistentClient, X_LAST_MODIFIED_MS};
+use mutcon_live::overload::parse_overload_body;
 use mutcon_live::proxy::{LiveProxy, ProxyConfig};
 use mutcon_live::wire::{read_request, read_response, write_response};
 use mutcon_http::message::{Request, Response};
@@ -200,9 +203,10 @@ fn pooled_buffers_recycle_across_connections_with_identical_bytes() {
     );
 }
 
-/// An origin that serves `body` for every GET, keep-alive, stamped with
-/// a fixed modification time (one blocking thread per connection — the
-/// system under test is the proxy's write path, not this fixture).
+/// An origin that serves `body` for GETs under `/big` and a short body
+/// for anything else, keep-alive, stamped with a fixed modification time
+/// (one blocking thread per connection — the system under test is the
+/// proxy's write path, not this fixture).
 fn big_body_origin(body: Arc<Vec<u8>>) -> SocketAddr {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind origin");
     let addr = listener.local_addr().unwrap();
@@ -212,11 +216,15 @@ fn big_body_origin(body: Arc<Vec<u8>>) -> SocketAddr {
             let body = Arc::clone(&body);
             std::thread::spawn(move || {
                 let mut buf = BytesMut::new();
-                while let Ok(Some(_request)) = read_request(&mut stream, &mut buf) {
+                while let Ok(Some(request)) = read_request(&mut stream, &mut buf) {
+                    let body = match request.target().starts_with("/big") {
+                        true => body.as_ref().clone(),
+                        false => b"small".to_vec(),
+                    };
                     let response = Response::ok()
                         .header(X_LAST_MODIFIED_MS, "1000000000000")
                         .keep_alive()
-                        .body(body.as_ref().clone())
+                        .body(body)
                         .build();
                     if write_response(&mut stream, &response).is_err() {
                         break;
@@ -698,4 +706,67 @@ fn a_byte_at_a_time_request_gets_a_408_at_the_deadline() {
     idle.write_all(b"GET /obj HTTP/1.1\r\nhost: x\r\n\r\n").unwrap();
     let again = read_raw_response(&mut idle);
     assert!(again.starts_with(b"HTTP/1.1 200 OK\r\n"), "the idle connection was closed too");
+}
+
+/// `(limit, in_flight)` of admission partition `name` on the proxy's
+/// first reactor, as `/admin/stats` shows it.
+fn partition_state(proxy: &LiveProxy, name: &str) -> Option<(u64, u64)> {
+    let resp = HttpClient::new().get(proxy.local_addr(), "/admin/stats", None).unwrap();
+    let doc = json::parse(std::str::from_utf8(resp.body()).unwrap()).expect("stats JSON");
+    let reactor = &doc.get("overload")?.get("reactors")?.as_array()?[0];
+    reactor.get("partitions")?.as_array()?.iter().find_map(|p| {
+        (p.get("partition")?.as_str()? == name)
+            .then(|| Some((p.get("limit")?.as_u64()?, p.get("in_flight")?.as_u64()?)))?
+    })
+}
+
+/// A client that asks for a 12 MiB hit and then reads nothing (ROADMAP
+/// 5) stalls only its own connection: on the one reactor, another
+/// client's hits keep coming back promptly while the stalls are counted.
+/// When the reader drops its socket the reactor closes the connection
+/// and hands the admission ticket back unsampled: the partition drains
+/// and its limit stays where it was.
+#[test]
+fn a_client_that_stops_reading_mid_body_stalls_only_itself() {
+    let body: Arc<Vec<u8>> = Arc::new(vec![b'x'; 12 << 20]);
+    let proxy = hit_only_proxy(big_body_origin(body), 1);
+    // A utilisation gate this low grows the limit on every released
+    // ticket, so a release would show where an abandon must not.
+    let config = parse_overload_body("admission=aimd:util=0.01\nadmission_initial=1").unwrap();
+    proxy.overload().install(config).unwrap();
+    let metrics = Arc::clone(proxy.engine_metrics());
+    let request = Request::get("/big").build().to_bytes();
+
+    // Warm both objects; the big one's partition settles at its limit.
+    let mut warm = connect(proxy.local_addr());
+    warm.write_all(&request).unwrap();
+    read_raw_response(&mut warm);
+    drop(warm);
+    let mut hits = PersistentClient::new(proxy.local_addr(), StdDuration::from_secs(10));
+    assert_eq!(hits.get("/small", None).unwrap().status(), StatusCode::OK);
+    wait_until("the warm request's release", || {
+        partition_state(&proxy, "/big").is_some_and(|(_, in_flight)| in_flight == 0)
+    });
+    let (limit, _) = partition_state(&proxy, "/big").unwrap();
+
+    let stalls = metrics.write_stalls();
+    let mut stuck = connect(proxy.local_addr());
+    stuck.write_all(&request).unwrap();
+    wait_until("the stuck reader's flush to stall", || metrics.write_stalls() > stalls);
+
+    for i in 0..100 {
+        let started = Instant::now();
+        let resp = hits.get("/small", None).unwrap();
+        assert_eq!(resp.body(), &b"small"[..]);
+        let took = started.elapsed();
+        assert!(took < StdDuration::from_secs(1), "hit {i} took {took:?}");
+    }
+    assert_eq!(partition_state(&proxy, "/big"), Some((limit, 1)));
+
+    // Unread bytes make the close a reset, which the reactor sees at once.
+    drop(stuck);
+    wait_until("the stuck connection to close", || {
+        metrics.reactor_connections().iter().sum::<usize>() == 1
+    });
+    assert_eq!(partition_state(&proxy, "/big"), Some((limit, 0)), "abandoned, not released");
 }

@@ -15,7 +15,7 @@ use std::io;
 use std::os::fd::RawFd;
 use std::time::Duration;
 
-use super::{cvt, sys, Event, Events, Interest, Poller, Waker};
+use super::{Event, Events, Interest, Poller, Waker};
 
 /// The reactor's I/O path. One variant: the name stays only because
 /// `benchmark/` (read-only here) still takes a `--backend` flag.
@@ -133,14 +133,6 @@ impl InterestLedger {
             cell.dirty = true;
             self.dirty.push(token);
         }
-    }
-
-    /// The interest the engine currently wants for `token`.
-    pub fn desired(&self, token: usize) -> Option<Interest> {
-        self.cells
-            .get(token)
-            .and_then(Option::as_ref)
-            .map(|c| c.desired)
     }
 
     /// Stops tracking `token`, returning its fd. No kernel op: the
@@ -300,14 +292,6 @@ impl std::fmt::Debug for EpollBackend {
     }
 }
 
-/// Reads the soft/hard fd limit without changing it (a zero-cap raise is
-/// a no-op probe).
-pub fn nofile_soft_limit() -> io::Result<u64> {
-    let mut old = sys::RLimit64 { cur: 0, max: 0 };
-    cvt(unsafe { sys::prlimit64(0, sys::RLIMIT_NOFILE, std::ptr::null(), &mut old) })?;
-    Ok(old.cur)
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::accept_nonblocking;
@@ -369,7 +353,6 @@ mod tests {
         });
         assert_eq!(ledger.mods_issued, 1);
         assert_eq!(ledger.coalesced, 1);
-        assert_eq!(ledger.desired(0), Some(Interest::NONE));
     }
 
     #[test]
@@ -380,7 +363,7 @@ mod tests {
         assert_eq!(ledger.remove(1), Some(20));
         ledger.flush(|_, _, _| panic!("removed token must not flush"));
         ledger.set(1, Interest::READABLE); // unknown token: ignored
-        assert_eq!(ledger.desired(1), None);
+        ledger.flush(|_, _, _| panic!("an unknown token must not flush"));
     }
 
     #[test]
@@ -486,6 +469,5 @@ mod tests {
         let (before, after) = super::super::raise_nofile_limit(64).unwrap();
         // The cap is far below any sane soft limit: nothing changes.
         assert_eq!(before, after);
-        assert!(nofile_soft_limit().unwrap() >= 64);
     }
 }

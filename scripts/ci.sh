@@ -70,6 +70,18 @@ if grep -rnE 'VersionedEntry|bump_version|retire_version|RespondCacheable|l1_try
   exit 1
 fi
 
+# One copy of overload state: each reactor's admission partitions and
+# pool limiter live in its `OverloadControl` slot (crates/live/src/
+# overload.rs), which install reconfigures in place and the stats plane
+# reads. Above their test modules the reactor holds no limiter, partition
+# table or adopt/publish step again, and the pool ledger only a cap.
+if sed '/#\[cfg(test)\]/q' crates/live/src/server.rs \
+      | grep -nE 'Limiter|PartitionState|overload_version|sync_overload|publish_overload' \
+    || sed '/#\[cfg(test)\]/q' crates/live/src/upstream.rs | grep -n 'Limiter'; then
+  echo "ci: a second copy of overload state is back (lines above)" >&2
+  exit 1
+fi
+
 # Live-proxy smoke: origin + proxy on real sockets, hundreds of
 # concurrent clients through the reactor threads — a stalled event
 # loop shows up here as read timeouts, not as a hang. (One run in ~120
@@ -87,17 +99,17 @@ cargo test -q -p mutcon-live \
   --test concurrency --test admin --test wire --test coherence --test refresh \
   --test alloc_budget --test stats
 
-# Soak: readers on the L1 racing refresher stores, and the refresh
-# workers' wait/notify protocol, must pass every time, not most times.
-# The timeout turns a lost wakeup into a failure instead of a hung job.
+# Soak: readers on the L1 racing refresher stores, the refresh workers'
+# wait/notify protocol, and the reactors' admission against installs
+# and the stats plane on the overload slots, must pass every time, not
+# most times. The timeout turns a lost wakeup into a failure instead of a
+# hung job. The overload suite: flash-crowd shed with preserved miss
+# coalescing, partition isolation, permits released between waves, a
+# partition table a path scan cannot grow, and tickets that outlive an
+# off→on swap.
 for _ in $(seq 20); do
-  timeout 120 cargo test -q -p mutcon-live --test coherence --test refresh
+  timeout 120 cargo test -q -p mutcon-live --test coherence --test refresh --test overload
 done
-
-# Overload control: flash-crowd shed with preserved miss coalescing,
-# partition isolation, permits released between waves, and a partition
-# table a path scan cannot grow.
-cargo test -q -p mutcon-live --test overload
 
 # The paper's tables and figures (writes the simulator's timings to
 # BENCH_repro.json), and the golden test that pins the Figure 5 rows and
