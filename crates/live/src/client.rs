@@ -1,16 +1,14 @@
-//! Blocking HTTP clients.
+//! The blocking HTTP client, and the origin request bytes.
 //!
-//! [`HttpClient`] is the minimal one-connection-per-request client
-//! (`Connection: close` semantics) kept for tests and load generators,
-//! where a fresh socket per request is exactly the point.
-//! [`PersistentClient`] is its keep-alive successor: it advertises
-//! `Connection: keep-alive`, reuses one socket across requests, and —
-//! because a pooled socket may have been closed by the server while
-//! idle — retries a failed send once on a fresh connection before
-//! reporting an error. The proxy's background refresher polls through a
-//! `PersistentClient`, so LIMD's frequent `If-Modified-Since` probes
-//! stop paying a TCP handshake each. Timeouts guard every socket
-//! operation so a stalled origin cannot wedge the refresher thread.
+//! [`PersistentClient`] advertises `Connection: keep-alive`, reuses one
+//! socket across requests, and — because a pooled socket may have been
+//! closed by the server while idle — retries a failed send once on a
+//! fresh connection before reporting an error. The proxy's background
+//! refresher polls through one, so LIMD's frequent `If-Modified-Since`
+//! probes stop paying a TCP handshake each; a test that needs a fresh
+//! socket per request makes one client per request. Timeouts guard
+//! every socket operation so a stalled origin cannot wedge the
+//! refresher thread.
 
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -23,7 +21,7 @@ use mutcon_http::date::{parse_http_date, write_http_date};
 use mutcon_http::headers::HeaderName;
 use mutcon_http::message::{push_decimal, Request, Response};
 
-use crate::wire::{read_response, write_request};
+use crate::wire::read_response;
 
 /// Extension header carrying millisecond-precise modification times (the
 /// IMF-fixdate in `Last-Modified` only resolves seconds, too coarse for
@@ -51,85 +49,15 @@ pub fn get_wire(path: &str, host: &str, validator_ms: Option<Timestamp>) -> Vec<
     wire
 }
 
-/// A blocking HTTP client with per-operation timeouts.
-#[derive(Debug, Clone)]
-pub struct HttpClient {
-    timeout: StdDuration,
-}
-
-impl Default for HttpClient {
-    fn default() -> Self {
-        HttpClient {
-            timeout: StdDuration::from_secs(5),
-        }
-    }
-}
-
-impl HttpClient {
-    /// Creates a client with the default 5-second timeout.
-    pub fn new() -> Self {
-        HttpClient::default()
-    }
-
-    /// Overrides the connect/read/write timeout.
-    pub fn with_timeout(timeout: StdDuration) -> Self {
-        HttpClient { timeout }
-    }
-
-    /// Sends `request` to `addr` and reads the response.
-    ///
-    /// # Errors
-    ///
-    /// Propagates connect/read/write failures and malformed responses.
-    pub fn send(&self, addr: SocketAddr, request: &Request) -> io::Result<Response> {
-        let mut stream = TcpStream::connect_timeout(&addr, self.timeout)?;
-        stream.set_read_timeout(Some(self.timeout))?;
-        stream.set_write_timeout(Some(self.timeout))?;
-        write_request(&mut stream, request)?;
-        let mut buf = BytesMut::new();
-        read_response(&mut stream, &mut buf)
-    }
-
-    /// Convenience `GET`, optionally conditional on a millisecond
-    /// validator (sent both as `If-Modified-Since` and as the
-    /// millisecond-precise extension header).
-    ///
-    /// # Errors
-    ///
-    /// See [`HttpClient::send`].
-    pub fn get(
-        &self,
-        addr: SocketAddr,
-        path: &str,
-        validator_ms: Option<Timestamp>,
-    ) -> io::Result<Response> {
-        let mut builder = Request::get(path).host(addr.to_string());
-        if let Some(v) = validator_ms {
-            builder = builder
-                .if_modified_since(v)
-                .header(X_LAST_MODIFIED_MS, v.as_millis().to_string());
-        }
-        self.send(addr, &builder.build())
-    }
-
-    /// Convenience `PUT` with a body (the proxy's admin control plane
-    /// and the origin's update endpoint speak this).
-    ///
-    /// # Errors
-    ///
-    /// See [`HttpClient::send`].
-    pub fn put(
-        &self,
-        addr: SocketAddr,
-        path: &str,
-        body: impl Into<bytes::Bytes>,
-    ) -> io::Result<Response> {
-        let request = Request::builder(mutcon_http::types::Method::Put, path)
-            .host(addr.to_string())
-            .body(body)
-            .build();
-        self.send(addr, &request)
-    }
+/// The target of the `GET` request line `wire` starts with: the inverse
+/// of [`get_wire`], so a fetch's path is read back from the bytes it
+/// sent rather than carried beside them. `None` unless `wire` starts
+/// with `GET <target> HTTP/1.1\r\n`.
+pub fn wire_target(wire: &[u8]) -> Option<&str> {
+    let rest = wire.strip_prefix(b"GET ")?;
+    let end = rest.iter().position(|&b| b == b' ')?;
+    let target = std::str::from_utf8(&rest[..end]).ok()?;
+    rest[end..].starts_with(b" HTTP/1.1\r\n").then_some(target)
 }
 
 /// A blocking keep-alive client pinned to one server address.
@@ -178,16 +106,21 @@ impl PersistentClient {
         self.stream.is_some()
     }
 
-    fn connect(&mut self) -> io::Result<()> {
-        if self.stream.is_none() {
-            let stream = TcpStream::connect_timeout(&self.addr, self.timeout)?;
-            stream.set_read_timeout(Some(self.timeout))?;
-            stream.set_write_timeout(Some(self.timeout))?;
-            self.buf.clear();
-            self.served_on_socket = 0;
-            self.stream = Some(stream);
-        }
-        Ok(())
+    /// The held socket, connected first if there is none, and the buffer
+    /// its responses are read through.
+    fn connect(&mut self) -> io::Result<(&mut TcpStream, &mut BytesMut)> {
+        let stream = match self.stream.take() {
+            Some(stream) => stream,
+            None => {
+                let stream = TcpStream::connect_timeout(&self.addr, self.timeout)?;
+                stream.set_read_timeout(Some(self.timeout))?;
+                stream.set_write_timeout(Some(self.timeout))?;
+                self.buf.clear();
+                self.served_on_socket = 0;
+                stream
+            }
+        };
+        Ok((self.stream.insert(stream), &mut self.buf))
     }
 
     fn drop_socket(&mut self) {
@@ -215,13 +148,10 @@ impl PersistentClient {
     fn exchange(&mut self, wire: &[u8]) -> io::Result<Response> {
         loop {
             let reused = self.stream.is_some() && self.served_on_socket > 0;
-            let result = (|| {
-                self.connect()?;
-                let PersistentClient { stream, buf, .. } = self;
-                let stream = stream.as_mut().expect("connect ensured a socket");
+            let result = self.connect().and_then(|(stream, buf)| {
                 stream.write_all(wire)?;
                 read_response(stream, buf)
-            })();
+            });
             match result {
                 Ok(response) => {
                     self.served_on_socket += 1;
@@ -259,7 +189,9 @@ impl PersistentClient {
         self.send(&request)
     }
 
-    /// Convenience conditional `GET` (see [`HttpClient::get`]).
+    /// Convenience `GET`, optionally conditional on a millisecond
+    /// validator (sent both as `If-Modified-Since` and as the
+    /// millisecond-precise extension header).
     ///
     /// # Errors
     ///
@@ -344,12 +276,14 @@ mod tests {
         addr
     }
 
-    /// `get_wire` writes exactly the bytes the message builder would.
+    /// `get_wire` writes exactly the bytes the message builder would, and
+    /// `wire_target` reads the path back out of them.
     #[test]
     fn get_wire_equals_the_built_request() {
         let host = "127.0.0.1:8080";
         let plain = Request::get("/a/b?c=1").host(host).keep_alive().build();
         assert_eq!(get_wire("/a/b?c=1", host, None), plain.to_bytes());
+        assert_eq!(wire_target(&get_wire("/a/b?c=1", host, None)), Some("/a/b?c=1"));
         for ms in [0, 999, 784_111_777_123, 4_102_444_800_000] {
             let v = Timestamp::from_millis(ms);
             let poll = Request::get("/obj")
@@ -359,6 +293,17 @@ mod tests {
                 .keep_alive()
                 .build();
             assert_eq!(get_wire("/obj", host, Some(v)), poll.to_bytes(), "{ms}");
+            assert_eq!(wire_target(&get_wire("/obj", host, Some(v))), Some("/obj"), "{ms}");
+        }
+        for not_a_get in [
+            &b""[..],
+            b"GET /obj",
+            b"GET /obj HTTP/1.1",
+            b"PUT /obj HTTP/1.1\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\n\r\n",
+            b" GET /obj HTTP/1.1\r\n\r\n",
+        ] {
+            assert_eq!(wire_target(not_a_get), None, "{not_a_get:?}");
         }
     }
 
@@ -370,10 +315,8 @@ mod tests {
             .build()
             .to_bytes();
         let addr = one_shot_server(canned);
-        let client = HttpClient::new();
-        let resp = client
-            .get(addr, "/x", Some(Timestamp::from_millis(1_000)))
-            .unwrap();
+        let mut client = PersistentClient::new(addr, StdDuration::from_secs(5));
+        let resp = client.get("/x", Some(Timestamp::from_millis(1_000))).unwrap();
         assert_eq!(resp.status(), StatusCode::OK);
         assert_eq!(&resp.body()[..], b"hello");
         assert_eq!(last_modified_ms(&resp), Some(Timestamp::from_millis(123_456)));
@@ -386,8 +329,12 @@ mod tests {
             .unwrap()
             .local_addr()
             .unwrap();
-        let client = HttpClient::with_timeout(StdDuration::from_millis(300));
-        assert!(client.get(addr, "/x", None).is_err());
+        let mut client = PersistentClient::new(addr, StdDuration::from_millis(300));
+        assert!(client.put("/x", "body").is_err());
+        assert!(!client.is_connected(), "a failed connect pools no socket");
+        // The failure is not sticky: each request tries afresh and fails again.
+        assert!(client.put("/x", "body").is_err());
+        assert!(!client.is_connected());
     }
 
     #[test]

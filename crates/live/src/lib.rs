@@ -41,9 +41,9 @@
 //!   slices, not a serialization.
 //! * [`wire`] — blocking socket I/O for the `mutcon-http` types
 //!   (clients and tests; the server path is nonblocking).
-//! * [`client`] — blocking HTTP clients: one-shot ([`client::HttpClient`])
-//!   and keep-alive ([`client::PersistentClient`], used by the proxy's
-//!   background refresher).
+//! * [`client`] — the blocking keep-alive client
+//!   ([`client::PersistentClient`], used by the proxy's background
+//!   refresher and the tests) and the origin `GET` bytes.
 //! * [`overload`] — adaptive overload control: per-partition admission
 //!   shedding (`429` + `Retry-After`), the adaptive origin fan-out cap,
 //!   and the versioned, hot-swappable [`overload::OverloadConfig`].

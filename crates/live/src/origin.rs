@@ -251,10 +251,14 @@ fn respond(shared: &Shared, request: &Request) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::{last_modified_ms, HttpClient, ObjectStamps};
+    use crate::client::{last_modified_ms, ObjectStamps, PersistentClient};
     use std::time::Duration as StdDuration;
     use mutcon_core::value::Value;
     use mutcon_traces::UpdateEvent;
+
+    fn connect(origin: &LiveOrigin, timeout_ms: u64) -> PersistentClient {
+        PersistentClient::new(origin.local_addr(), StdDuration::from_millis(timeout_ms))
+    }
 
     fn fast_trace() -> UpdateTrace {
         // Updates every 50 ms for 10 s.
@@ -280,10 +284,10 @@ mod tests {
             .object("/obj", fast_trace())
             .start()
             .unwrap();
-        let client = HttpClient::new();
-        let resp = client.get(origin.local_addr(), "/__health", None).unwrap();
+        let mut client = connect(&origin, 5_000);
+        let resp = client.get("/__health", None).unwrap();
         assert_eq!(resp.status(), StatusCode::OK);
-        let resp = client.get(origin.local_addr(), "/missing", None).unwrap();
+        let resp = client.get("/missing", None).unwrap();
         assert_eq!(resp.status(), StatusCode::NOT_FOUND);
         assert!(origin.request_count() >= 2);
     }
@@ -294,8 +298,8 @@ mod tests {
             .object("/obj", fast_trace())
             .start()
             .unwrap();
-        let client = HttpClient::new();
-        let resp = client.get(origin.local_addr(), "/obj", None).unwrap();
+        let mut client = connect(&origin, 5_000);
+        let resp = client.get("/obj", None).unwrap();
         assert_eq!(resp.status(), StatusCode::OK);
         let lm = last_modified_ms(&resp).expect("stamped");
         assert!(lm.as_millis() >= origin.epoch_unix_ms());
@@ -309,12 +313,12 @@ mod tests {
             .object("/obj", fast_trace())
             .start()
             .unwrap();
-        let client = HttpClient::new();
-        let first = client.get(origin.local_addr(), "/obj", None).unwrap();
+        let mut client = connect(&origin, 5_000);
+        let first = client.get("/obj", None).unwrap();
         let lm = last_modified_ms(&first).unwrap();
         // Immediately revalidating may race a 50 ms update; ask with the
         // freshly returned validator and accept 304 or a *newer* 200.
-        let second = client.get(origin.local_addr(), "/obj", Some(lm)).unwrap();
+        let second = client.get("/obj", Some(lm)).unwrap();
         if second.status() == StatusCode::OK {
             assert!(last_modified_ms(&second).unwrap() > lm);
         } else {
@@ -322,7 +326,7 @@ mod tests {
         }
         // After waiting past several updates, a conditional GET must be 200.
         std::thread::sleep(StdDuration::from_millis(200));
-        let third = client.get(origin.local_addr(), "/obj", Some(lm)).unwrap();
+        let third = client.get("/obj", Some(lm)).unwrap();
         assert_eq!(third.status(), StatusCode::OK);
         assert!(last_modified_ms(&third).unwrap() > lm);
     }
@@ -334,11 +338,11 @@ mod tests {
             .with_history(true)
             .start()
             .unwrap();
-        let client = HttpClient::new();
-        let first = client.get(origin.local_addr(), "/obj", None).unwrap();
+        let mut client = connect(&origin, 5_000);
+        let first = client.get("/obj", None).unwrap();
         let lm = last_modified_ms(&first).unwrap();
         std::thread::sleep(StdDuration::from_millis(300));
-        let later = client.get(origin.local_addr(), "/obj", Some(lm)).unwrap();
+        let later = client.get("/obj", Some(lm)).unwrap();
         assert_eq!(later.status(), StatusCode::OK);
         let history =
             mutcon_http::extensions::modification_history(later.headers()).expect("history");
@@ -356,11 +360,11 @@ mod tests {
         )
         .unwrap();
         let origin = LiveOrigin::builder().object("/s", trace).start().unwrap();
-        let client = HttpClient::new();
-        let first = client.get(origin.local_addr(), "/s", None).unwrap();
+        let mut client = connect(&origin, 5_000);
+        let first = client.get("/s", None).unwrap();
         let lm = last_modified_ms(&first).unwrap();
         std::thread::sleep(StdDuration::from_millis(100));
-        let again = client.get(origin.local_addr(), "/s", Some(lm)).unwrap();
+        let again = client.get("/s", Some(lm)).unwrap();
         assert_eq!(again.status(), StatusCode::NOT_MODIFIED);
     }
 
@@ -371,10 +375,10 @@ mod tests {
             .start()
             .unwrap();
         origin.set_fault(Fault::DropConnections);
-        let client = HttpClient::with_timeout(StdDuration::from_millis(500));
-        assert!(client.get(origin.local_addr(), "/obj", None).is_err());
+        // A client per request: the fault is on the fresh connection.
+        assert!(connect(&origin, 500).get("/obj", None).is_err());
         origin.set_fault(Fault::None);
-        assert!(client.get(origin.local_addr(), "/obj", None).is_ok());
+        assert!(connect(&origin, 500).get("/obj", None).is_ok());
     }
 
     #[test]
@@ -383,9 +387,9 @@ mod tests {
             .object("/obj", fast_trace())
             .start()
             .unwrap();
-        let client = HttpClient::new();
+        let mut client = connect(&origin, 5_000);
         let req = Request::builder(Method::Put, "/obj").build();
-        let resp = client.send(origin.local_addr(), &req).unwrap();
+        let resp = client.send(&req).unwrap();
         assert_eq!(resp.status(), StatusCode::METHOD_NOT_ALLOWED);
     }
 }

@@ -72,7 +72,7 @@ use mutcon_http::types::{Method, StatusCode};
 use mutcon_traces::json::Json;
 
 use crate::cache::{CacheEntry, L1Cache, L1Lookup, ShardedCache};
-use crate::client::{get_wire, ObjectStamps, PersistentClient};
+use crate::client::{get_wire, wire_target, ObjectStamps, PersistentClient};
 use crate::metrics::{metrics, obj, put, Counter};
 use crate::overload::{parse_overload_body, render_overload, OverloadControl, ADMIN_PREFIX};
 use crate::runtime::{ConsistencyRuntime, InstallReport, PollKind};
@@ -194,7 +194,8 @@ metrics! {
         polls: Counter => "proxy.polls";
         /// Polls initiated by the mutual-consistency coordinator.
         triggered: Counter => "proxy.triggered";
-        /// Polls that brought back a fresh copy.
+        /// Fetches and polls that stored a fresh copy; a fetch that
+        /// coalesced many misses counts once.
         refreshes: Counter => "proxy.refreshes";
         /// Client requests served from cache.
         hits: Counter => "proxy.hits";
@@ -477,46 +478,44 @@ impl Service for ProxyService {
         }
 
         // Miss: fetch from the origin through the reactor (its own
-        // nonblocking state machine), cache, serve.
-        self.shared.counters.misses.inc();
-        let shared = Arc::clone(&self.shared);
+        // nonblocking state machine); `fetched` caches and serves it.
         // `connection: keep-alive` advertised explicitly: the fetch
         // rides a pooled persistent origin connection, and identical
         // request bytes are the pool's coalescing key.
-        let request = get_wire(path, &self.shared.origin_host, None);
-        let path = path.to_owned();
+        self.shared.counters.misses.inc();
         ServiceResult::Upstream {
             addr: self.shared.origin,
-            request,
-            finish: Box::new(move |result| match result {
-                Ok(mut response) => {
-                    let stored = match response.status() {
-                        StatusCode::OK => store_response(&shared, &path, &response),
-                        _ => None,
-                    };
-                    match stored {
-                        // Serve the freshly stored entry the same
-                        // zero-copy way a hit would.
-                        Some(entry) => Reply::Prepared(prepared(&entry, false)),
-                        // 404 etc., or a 200 without a modification
-                        // stamp: pass through uncached. `Connection` is
-                        // hop-by-hop (RFC 7230 §6.1): the origin's choice
-                        // governs the pooled origin socket, not the
-                        // client connection — strip it before forwarding
-                        // (the engine re-adds `close` when the *client*
-                        // asked for it).
-                        None => {
-                            response.headers_mut().remove(HeaderName::CONNECTION);
-                            Reply::Full(response)
-                        }
-                    }
-                }
-                Err(_) => Reply::Full(
-                    Response::builder(StatusCode::INTERNAL_SERVER_ERROR)
-                        .body(&b"origin unreachable\n"[..])
-                        .build(),
-                ),
-            }),
+            request: get_wire(path, &self.shared.origin_host, None),
+        }
+    }
+
+    fn fetched(&self, request: &[u8], result: io::Result<Response>) -> Reply {
+        let Ok(mut response) = result else {
+            return Reply::Full(
+                Response::builder(StatusCode::INTERNAL_SERVER_ERROR)
+                    .body(&b"origin unreachable\n"[..])
+                    .build(),
+            );
+        };
+        // One store however many misses coalesced onto the fetch.
+        let stored = match (response.status(), wire_target(request)) {
+            (StatusCode::OK, Some(path)) => store_response(&self.shared, path, &response),
+            _ => None,
+        };
+        match stored {
+            // Serve the freshly stored entry the same zero-copy way a
+            // hit would.
+            Some(entry) => Reply::Prepared(prepared(&entry, false)),
+            // 404 etc., or a 200 without a modification stamp: pass
+            // through uncached. `Connection` is hop-by-hop (RFC 7230
+            // §6.1): the origin's choice governs the pooled origin
+            // socket, not the client connection — strip it before
+            // forwarding (the engine re-adds `close` when the *client*
+            // asked for it).
+            None => {
+                response.headers_mut().remove(HeaderName::CONNECTION);
+                Reply::Full(response)
+            }
         }
     }
 

@@ -34,8 +34,11 @@
 //! fetch (N waiters, one origin round trip), finished connections park
 //! for reuse instead of closing, idle pooled sockets are reaped, and a
 //! pooled socket the origin silently closed is detected and the fetch
-//! retried once on a fresh connection. `Connection: close` is honored in
-//! both directions ([`mutcon_http::connection`]).
+//! retried once on a fresh connection. However a fetch ends, it ends in
+//! one place: the pool limiter gets its sample, and if any client still
+//! waits, [`Service::fetched`] turns the outcome into one [`Reply`] that
+//! every waiter gets. `Connection: close` is honored in both directions
+//! ([`mutcon_http::connection`]).
 //!
 //! *WRITING* goes through the zero-copy send path ([`crate::vectored`]):
 //! each response is a reusable contiguous buffer (head + small inlined
@@ -78,7 +81,7 @@ use mutcon_sim::reactor::{
 use crate::cache::L1Cache;
 use crate::metrics::{metrics, Cell, Counter, Gauge};
 use crate::overload::{OverloadControl, Ticket};
-use crate::upstream::{AfterLeave, Job, JobId, PoolCore, Submit};
+use crate::upstream::{JobId, PoolCore, Submit};
 use crate::vectored::{
     BufPool, FlushOutcome, FlushStats, WritePlan, INLINE_BODY, MAX_RETAINED_CAP,
 };
@@ -161,12 +164,6 @@ fn split_conns(max_conns: usize, reactors: usize) -> Vec<usize> {
         .collect()
 }
 
-/// Completion callback for an upstream fetch: receives the origin's
-/// response (or the I/O error) and produces the reply for the waiting
-/// client — either a full [`Response`] or a pre-serialized
-/// [`PreparedResponse`] sharing a cached body.
-pub type FinishUpstream = Box<dyn FnOnce(io::Result<Response>) -> Reply + Send>;
-
 /// A response pre-serialized at store time, served without touching the
 /// body bytes: the head is copied into the connection's write buffer
 /// (~150 bytes), the body rides as a shared [`Bytes`] slice gathered by
@@ -184,8 +181,9 @@ pub struct PreparedResponse {
     pub body: Bytes,
 }
 
-/// What an upstream completion hands back to the engine.
-#[derive(Debug)]
+/// What [`Service::fetched`] hands back to the engine: the reply every
+/// client waiting on the fetch receives.
+#[derive(Debug, Clone)]
 pub enum Reply {
     /// A response to serialize per-connection.
     Full(Response),
@@ -194,38 +192,26 @@ pub enum Reply {
 }
 
 /// What a [`Service`] wants done with a parsed request.
+#[derive(Debug)]
 pub enum ServiceResult {
     /// Write this response now.
     Respond(Response),
     /// Write this pre-serialized response now, sharing its body bytes
     /// (no serialization, no body copy) — the cache-hit path.
     Prepared(PreparedResponse),
-    /// Fetch from an upstream server first; `finish` turns its response
-    /// into the client's. The fetch goes through the reactor's
-    /// keep-alive origin pool; identical concurrent fetches coalesce.
+    /// Fetch from an upstream server first; [`Service::fetched`] turns
+    /// its response into the client's. The fetch goes through the
+    /// reactor's keep-alive origin pool; identical concurrent fetches
+    /// coalesce.
     Upstream {
         /// Upstream address (the origin).
         addr: SocketAddr,
         /// The serialized request to send upstream — also the key
         /// identical concurrent fetches coalesce on.
         request: Vec<u8>,
-        /// Builds the client response from the upstream outcome.
-        finish: FinishUpstream,
     },
     /// Drop the connection without responding.
     Close,
-}
-
-impl std::fmt::Debug for ServiceResult {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let name = match self {
-            ServiceResult::Respond(_) => "Respond",
-            ServiceResult::Prepared(_) => "Prepared",
-            ServiceResult::Upstream { .. } => "Upstream",
-            ServiceResult::Close => "Close",
-        };
-        f.write_str(name)
-    }
 }
 
 /// Request handler plugged into an [`EventLoop`]. May run on several
@@ -243,6 +229,18 @@ pub trait Service: Send + Sync + 'static {
     /// look up and refill it without a lock, since no other thread ever
     /// sees it. The engine itself never reads or writes it.
     fn respond(&self, request: &Request, l1: &mut L1Cache) -> ServiceResult;
+
+    /// Turns the outcome of a [`ServiceResult::Upstream`] fetch, sent as
+    /// `request`, into the reply for the clients waiting on it. Called
+    /// once per finished fetch that still has waiters, however many
+    /// misses coalesced onto it; each waiter gets a clone. The default
+    /// relays the response, or a bare `500` if the fetch failed.
+    fn fetched(&self, request: &[u8], result: io::Result<Response>) -> Reply {
+        let _ = request;
+        Reply::Full(result.unwrap_or_else(|_| {
+            Response::builder(StatusCode::INTERNAL_SERVER_ERROR).build()
+        }))
+    }
 
     /// Capacity in objects of the L1 each reactor constructs and lends
     /// to [`Service::respond`]. `0` (the default) is for a service that
@@ -529,14 +527,6 @@ impl std::fmt::Debug for EventLoop {
     }
 }
 
-/// What a client connection is waiting on besides socket readiness.
-enum Pending {
-    /// Nothing: reading the next request.
-    None,
-    /// An upstream fetch (pool job id).
-    Upstream(JobId),
-}
-
 struct ClientState {
     parser: RequestParser,
     read_buf: BytesMut,
@@ -544,7 +534,8 @@ struct ClientState {
     /// inlined bodies) plus an optional shared body slice, flushed with
     /// `writev` so a cache hit costs one syscall and zero body copies.
     write: WritePlan,
-    pending: Pending,
+    /// The pool job of the upstream fetch this client waits on, if any.
+    pending: Option<JobId>,
     /// When the parser first found the request at the front of
     /// `read_buf` incomplete; `None` between requests.
     request_started: Option<Instant>,
@@ -593,18 +584,6 @@ struct Conn {
     kind: Kind,
 }
 
-/// The waiter payload the pool tracks per coalesced miss.
-struct Waiting {
-    client: usize,
-    finish: FinishUpstream,
-}
-
-impl std::fmt::Debug for Waiting {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Waiting").field("client", &self.client).finish()
-    }
-}
-
 struct Reactor {
     /// Readiness and the data-plane syscalls; every fd operation goes
     /// through it.
@@ -625,8 +604,9 @@ struct Reactor {
     /// closed connection's token can never be applied to a new
     /// connection occupying the same slot (it finds `None` instead).
     freed_this_batch: Vec<usize>,
-    /// The keep-alive origin pool ledger (see [`crate::upstream`]).
-    pool: PoolCore<Waiting>,
+    /// The keep-alive origin pool ledger (see [`crate::upstream`]); a
+    /// waiter is the waiting client's slab index.
+    pool: PoolCore<usize>,
     /// Recycled read/write buffers, handed to new connections instead
     /// of fresh allocations (reactor-local: no locks).
     bufs: BufPool,
@@ -662,11 +642,6 @@ struct Reactor {
 fn discard_input(mut stream: &TcpStream) {
     let mut scratch = [0u8; 4096];
     while matches!(stream.read(&mut scratch), Ok(1..)) {}
-}
-
-/// Clones an `io::Error` well enough for fan-out to several waiters.
-fn clone_err(e: &io::Error) -> io::Error {
-    io::Error::new(e.kind(), e.to_string())
 }
 
 impl Reactor {
@@ -735,21 +710,23 @@ impl Reactor {
     /// or an upstream fetch in flight).
     fn has_inflight(&self) -> bool {
         self.conns.iter().flatten().any(|conn| match &conn.kind {
-            Kind::Client(client) => {
-                client.write.has_unwritten() || !matches!(client.pending, Pending::None)
-            }
+            Kind::Client(client) => client.write.has_unwritten() || client.pending.is_some(),
             Kind::Upstream(up) => up.job.is_some(),
         })
     }
 
-    fn alloc_slot(&mut self) -> usize {
-        match self.free.pop() {
-            Some(idx) => idx,
-            None => {
-                self.conns.push(None);
-                self.conns.len() - 1
-            }
+    /// Takes a free slab slot for `stream` and registers the socket under
+    /// the slot's token; if that fails the slot goes straight back.
+    fn register_slot(&mut self, stream: &TcpStream, interest: Interest) -> io::Result<usize> {
+        let idx = self.free.pop().unwrap_or_else(|| {
+            self.conns.push(None);
+            self.conns.len() - 1
+        });
+        let registered = self.backend.register(stream.as_raw_fd(), idx + TOKEN_BASE, interest);
+        if registered.is_err() {
+            self.free.push(idx);
         }
+        registered.map(|()| idx)
     }
 
     fn pause_accepting(&mut self) {
@@ -785,15 +762,9 @@ impl Reactor {
                         continue; // dropped on arrival (fault injection)
                     }
                     let _ = stream.set_nodelay(true);
-                    let idx = self.alloc_slot();
-                    if self
-                        .backend
-                        .register(stream.as_raw_fd(), idx + TOKEN_BASE, Interest::READABLE)
-                        .is_err()
-                    {
-                        self.free.push(idx);
+                    let Ok(idx) = self.register_slot(&stream, Interest::READABLE) else {
                         continue;
-                    }
+                    };
                     let (wbuf, wfrom_pool) = self.bufs.take();
                     let (rbuf, rfrom_pool) = self.bufs.take();
                     reused += u64::from(wfrom_pool) + u64::from(rfrom_pool);
@@ -805,7 +776,7 @@ impl Reactor {
                             parser: RequestParser::new(),
                             read_buf: BytesMut::from_vec(rbuf),
                             write: WritePlan::with_buf(wbuf),
-                            pending: Pending::None,
+                            pending: None,
                             request_started: None,
                             peer_closed: false,
                             close_after_write: false,
@@ -944,7 +915,7 @@ impl Reactor {
         loop {
             let Some(conn) = self.conns[idx].as_mut() else { return false };
             let Kind::Client(client) = &mut conn.kind else { return false };
-            if client.write.has_unwritten() || !matches!(client.pending, Pending::None) {
+            if client.write.has_unwritten() || client.pending.is_some() {
                 return true; // busy; pipelined requests wait their turn
             }
             if client.close_after_write || client.read_buf.is_empty() {
@@ -995,17 +966,13 @@ impl Reactor {
                         return false;
                     }
                 }
-                ServiceResult::Upstream {
-                    addr,
-                    request,
-                    finish,
-                } => {
-                    self.submit_upstream(idx, addr, request, finish);
+                ServiceResult::Upstream { addr, request } => {
+                    self.submit_upstream(idx, addr, request);
                     match self.conns.get(idx).and_then(Option::as_ref) {
                         None => return false,
                         Some(conn) => {
                             let Kind::Client(client) = &conn.kind else { return false };
-                            if matches!(client.pending, Pending::Upstream(_)) {
+                            if client.pending.is_some() {
                                 // Fetch in flight; its completion
                                 // resumes this connection.
                                 return true;
@@ -1093,7 +1060,7 @@ impl Reactor {
         let Kind::Client(client) = &conn.kind else { return false };
         if (client.peer_closed || client.close_after_write)
             && client.write.is_idle()
-            && matches!(client.pending, Pending::None)
+            && client.pending.is_none()
         {
             self.close_client(idx);
             return true;
@@ -1135,7 +1102,7 @@ impl Reactor {
         if client.close_after_write {
             mutcon_http::connection::set_close(response.headers_mut());
         }
-        client.pending = Pending::None;
+        client.pending = None;
         debug_assert!(client.write.is_idle(), "one response in flight at a time");
         let buf = client.write.buf_mut();
         response.write_head(buf);
@@ -1159,7 +1126,7 @@ impl Reactor {
         self.note_response_status(idx, StatusCode::OK.as_u16());
         let Some(conn) = self.conns[idx].as_mut() else { return };
         let Kind::Client(client) = &mut conn.kind else { return };
-        client.pending = Pending::None;
+        client.pending = None;
         debug_assert!(client.write.is_idle(), "one response in flight at a time");
         let buf = client.write.buf_mut();
         buf.extend_from_slice(&prepared.head);
@@ -1175,26 +1142,13 @@ impl Reactor {
     /// in-flight fetch or starts a new one. On synchronous failure the
     /// error response is queued on the client (not flushed), so
     /// [`Reactor::drive_client_inner`] continues iteratively.
-    fn submit_upstream(
-        &mut self,
-        client_idx: usize,
-        addr: SocketAddr,
-        wire: Vec<u8>,
-        finish: FinishUpstream,
-    ) {
-        let waiter = Waiting {
-            client: client_idx,
-            finish,
-        };
-        let submitted = self.pool.submit(addr, wire, waiter);
+    fn submit_upstream(&mut self, client_idx: usize, addr: SocketAddr, wire: Vec<u8>) {
+        let submitted = self.pool.submit(addr, wire, client_idx);
         if matches!(submitted, Submit::Coalesced(_)) {
             self.metrics.pool_coalesced.inc();
         }
-        let job = submitted.job();
-        if let Some(conn) = self.conns[client_idx].as_mut() {
-            if let Kind::Client(client) = &mut conn.kind {
-                client.pending = Pending::Upstream(job);
-            }
+        if let Some(Conn { kind: Kind::Client(client), .. }) = self.conns[client_idx].as_mut() {
+            client.pending = Some(submitted.job());
         }
         if matches!(submitted, Submit::New(_)) {
             self.pump_origin(addr);
@@ -1225,67 +1179,47 @@ impl Reactor {
                 // the request now instead of waiting for a poll round.
                 self.upstream_writable(conn_idx);
             } else if self.pool.can_open(addr) {
-                match connect_nonblocking(addr) {
-                    Ok(stream) => {
-                        let (rbuf, from_pool) = self.bufs.take();
-                        if from_pool {
-                            self.metrics.buf_reuses.inc();
-                        } else {
-                            self.metrics.buf_allocs.inc();
-                        }
-                        let idx = self.alloc_slot();
-                        if self
-                            .backend
-                            .register(stream.as_raw_fd(), idx + TOKEN_BASE, Interest::WRITABLE)
-                            .is_err()
-                        {
-                            self.free.push(idx);
-                            self.pool.pop_queued(addr);
-                            let err = io::Error::new(
-                                io::ErrorKind::Other,
-                                "cannot register upstream socket",
-                            );
-                            self.record_fetch(addr, Duration::ZERO, false);
-                            if let Some(j) = self.pool.complete(job) {
-                                self.deliver(j, Err(err));
-                            }
-                            continue;
-                        }
-                        self.conns[idx] = Some(Conn {
-                            stream,
-                            last_activity: Instant::now(),
-                            kind: Kind::Upstream(UpstreamState {
-                                addr,
-                                job: Some(job),
-                                written: 0,
-                                read_buf: BytesMut::from_vec(rbuf),
-                                parser: ResponseParser::new(),
-                                connected: false,
-                                served: 0,
-                                fetch_started: Some(Instant::now()),
-                            }),
-                        });
-                        self.pool.pop_queued(addr);
-                        self.pool.assign(job, idx);
-                        self.pool.note_opened(addr);
-                        self.metrics.pool_opened.inc();
-                        // The connect concludes via EPOLLOUT.
-                    }
-                    Err(e) => {
-                        self.pool.pop_queued(addr);
-                        // A synchronous connect failure is the strongest
-                        // overload signal there is: collapse the cap.
-                        self.record_fetch(addr, Duration::ZERO, false);
-                        if let Some(j) = self.pool.complete(job) {
-                            self.deliver(j, Err(e));
-                        }
-                        continue;
-                    }
+                self.pool.pop_queued(addr);
+                if let Err(e) = self.open_upstream(addr, job) {
+                    // A fetch that cannot even start is the strongest
+                    // overload signal there is: collapse the cap.
+                    self.finish_fetch(addr, job, Duration::ZERO, Err(e));
                 }
             } else {
                 break; // at the per-origin cap; completions re-pump
             }
         }
+    }
+
+    /// Opens a fresh origin connection to fetch `job`; the nonblocking
+    /// connect concludes via `EPOLLOUT`.
+    fn open_upstream(&mut self, addr: SocketAddr, job: JobId) -> io::Result<()> {
+        let stream = connect_nonblocking(addr)?;
+        let idx = self.register_slot(&stream, Interest::WRITABLE)?;
+        let (rbuf, from_pool) = self.bufs.take();
+        if from_pool {
+            self.metrics.buf_reuses.inc();
+        } else {
+            self.metrics.buf_allocs.inc();
+        }
+        self.conns[idx] = Some(Conn {
+            stream,
+            last_activity: Instant::now(),
+            kind: Kind::Upstream(UpstreamState {
+                addr,
+                job: Some(job),
+                written: 0,
+                read_buf: BytesMut::from_vec(rbuf),
+                parser: ResponseParser::new(),
+                connected: false,
+                served: 0,
+                fetch_started: Some(Instant::now()),
+            }),
+        });
+        self.pool.assign(job, idx);
+        self.pool.note_opened(addr);
+        self.metrics.pool_opened.inc();
+        Ok(())
     }
 
     /// Feeds one fetch outcome to this reactor's pool limiter and moves
@@ -1353,14 +1287,14 @@ impl Reactor {
     fn upstream_readable(&mut self, idx: usize) {
         let Some(conn) = self.conns[idx].as_mut() else { return };
         let Kind::Upstream(up) = &mut conn.kind else { return };
-        if up.job.is_none() {
+        let Some(job) = up.job else {
             // A parked idle connection turned readable: the origin
             // closed it (EOF) or sent nonsense — either way the socket
             // is useless; reap it before a job can be assigned to it.
             let err = io::Error::new(io::ErrorKind::BrokenPipe, "pooled origin socket closed");
             self.upstream_broken(idx, err, true);
             return;
-        }
+        };
         let mut saw_eof = false;
         let chunk = &mut self.scratch[..];
         loop {
@@ -1390,9 +1324,9 @@ impl Reactor {
                 let leftover = up.read_buf.len() > consumed;
                 let reusable = !saw_eof && !leftover && response.wants_keep_alive();
                 let addr = up.addr;
-                let job = up.job.take().expect("checked above");
+                up.job = None;
                 up.served += 1;
-                let fetch_started = up.fetch_started.take();
+                let elapsed = up.fetch_started.take().map(|t| t.elapsed()).unwrap_or_default();
                 if reusable {
                     // Park for the next fetch to this origin.
                     up.read_buf.clear();
@@ -1403,22 +1337,11 @@ impl Reactor {
                 } else {
                     // One-shot connection (origin said close, or the
                     // stream is already at EOF).
-                    self.backend.deregister(idx + TOKEN_BASE);
-                    if let Some(mut gone) = self.conns[idx].take() {
-                        if let Kind::Upstream(dead) = &mut gone.kind {
-                            self.recycle_upstream_buf(dead);
-                        }
-                    }
-                    self.freed_this_batch.push(idx);
-                    self.pool.note_closed(addr);
+                    self.release_slot(idx);
                 }
-                // Feed the fetch's latency to the adaptive cap before
-                // re-pumping, so the pump sees the updated limit.
-                let elapsed = fetch_started.map(|t| t.elapsed()).unwrap_or_default();
-                self.record_fetch(addr, elapsed, true);
-                if let Some(j) = self.pool.complete(job) {
-                    self.deliver(j, Ok(response));
-                }
+                // The fetch's latency reaches the adaptive cap before the
+                // re-pump, so the pump sees the updated limit.
+                self.finish_fetch(addr, job, elapsed, Ok(response));
                 self.pump_origin(addr);
             }
             Ok(None) if saw_eof => {
@@ -1443,65 +1366,72 @@ impl Reactor {
     /// e.g. a timeout: the origin is slow, not the socket stale);
     /// everything else fails the job to its waiters.
     fn upstream_broken(&mut self, idx: usize, err: io::Error, allow_retry: bool) {
-        let Some(mut conn) = self.conns[idx].take() else { return };
-        self.backend.deregister(idx + TOKEN_BASE);
-        self.freed_this_batch.push(idx);
-        let Kind::Upstream(up) = &mut conn.kind else { return };
-        let addr = up.addr;
-        self.pool.note_closed(addr);
-        match up.job {
+        let Some(Conn { kind: Kind::Upstream(up), .. }) = self.conns[idx].as_ref() else { return };
+        let (addr, job, served, started) = (up.addr, up.job, up.served, up.fetch_started);
+        let got_bytes = !up.read_buf.is_empty() || up.parser.in_progress();
+        // Closes the socket before any retry connects.
+        self.release_slot(idx);
+        match job {
+            // Died while parked: just forget it.
             None => {
-                // Died while parked: just forget it.
-                self.recycle_upstream_buf(up);
                 self.pool.forget_idle(idx);
-                drop(conn);
+            }
+            Some(job) if allow_retry && self.pool.retry_eligible(job, served, got_bytes) => {
+                // A stale parked socket isn't overload; the retry's own
+                // completion will produce the sample.
+                self.metrics.pool_retries.inc();
+                self.pool.requeue_for_retry(job);
             }
             Some(job) => {
-                let got_bytes = !up.read_buf.is_empty() || up.parser.in_progress();
-                let served = up.served;
-                let fetch_started = up.fetch_started.take();
-                self.recycle_upstream_buf(up);
-                drop(conn); // closes the socket before any retry connects
-                if allow_retry && self.pool.retry_eligible(job, served, got_bytes) {
-                    // A stale parked socket isn't overload; the retry's
-                    // own completion will produce the sample.
-                    self.metrics.pool_retries.inc();
-                    self.pool.requeue_for_retry(job);
-                } else {
-                    let elapsed = fetch_started.map(|t| t.elapsed()).unwrap_or_default();
-                    self.record_fetch(addr, elapsed, false);
-                    if let Some(j) = self.pool.complete(job) {
-                        self.deliver(j, Err(err));
-                    }
-                }
+                let elapsed = started.map(|t| t.elapsed()).unwrap_or_default();
+                self.finish_fetch(addr, job, elapsed, Err(err));
             }
         }
         self.pump_origin(addr);
     }
 
-    /// Hands a finished job's outcome to every waiter, in arrival order.
-    /// All but the last waiter receive clones.
-    fn deliver(&mut self, job: Job<Waiting>, result: io::Result<Response>) {
-        let mut waiters = job.waiters;
-        match result {
-            Ok(response) => {
-                let last = waiters.pop();
-                for waiter in waiters {
-                    let reply = (waiter.finish)(Ok(response.clone()));
-                    self.complete_client(waiter.client, reply);
-                }
-                if let Some(waiter) = last {
-                    let reply = (waiter.finish)(Ok(response));
-                    self.complete_client(waiter.client, reply);
-                }
+    /// The one way a fetch ends, whatever ended it: its outcome feeds
+    /// the pool limiter, the job leaves the ledger and, if anyone still
+    /// waits on it, [`Service::fetched`] makes one reply, which every
+    /// waiter gets in arrival order (all but the last a clone).
+    fn finish_fetch(
+        &mut self,
+        addr: SocketAddr,
+        job: JobId,
+        elapsed: Duration,
+        result: io::Result<Response>,
+    ) {
+        self.record_fetch(addr, elapsed, result.is_ok());
+        let Some(job) = self.pool.complete(job) else { return };
+        let Some((&last, rest)) = job.waiters.split_last() else { return };
+        let reply = self.service.fetched(&job.request, result);
+        for &client in rest {
+            self.complete_client(client, reply.clone());
+        }
+        self.complete_client(last, reply);
+    }
+
+    /// Takes connection `idx` out of the slab: forgets its readiness
+    /// interest, returns its buffers to the pool (an upstream socket also
+    /// leaves its origin's open count) and defers the slot's reuse to the
+    /// end of the event batch. The socket closes when the caller drops
+    /// what is returned.
+    fn release_slot(&mut self, idx: usize) -> Option<Conn> {
+        let mut conn = self.conns[idx].take()?;
+        self.backend.deregister(idx + TOKEN_BASE);
+        self.freed_this_batch.push(idx);
+        match &mut conn.kind {
+            Kind::Client(client) => {
+                self.bufs.give(client.write.take_buf());
+                self.bufs.give(std::mem::take(&mut client.read_buf).into_vec());
             }
-            Err(err) => {
-                for waiter in waiters {
-                    let reply = (waiter.finish)(Err(clone_err(&err)));
-                    self.complete_client(waiter.client, reply);
-                }
+            Kind::Upstream(up) => {
+                self.pool.note_closed(up.addr);
+                self.bufs.give(std::mem::take(&mut up.read_buf).into_vec());
             }
         }
+        self.metrics.buf_pool_high_water.raise(self.bufs.high_water());
+        Some(conn)
     }
 
     /// Delivers an asynchronously produced reply (upstream completion)
@@ -1571,49 +1501,29 @@ impl Reactor {
             }
         }
         // Pooled idle sockets past their keep time.
-        for (idx, addr) in self.pool.reap_idle(now, POOL_IDLE_TIMEOUT) {
-            if let Some(mut conn) = self.conns[idx].take() {
-                self.backend.deregister(idx + TOKEN_BASE);
-                if let Kind::Upstream(up) = &mut conn.kind {
-                    self.recycle_upstream_buf(up);
-                }
-                self.freed_this_batch.push(idx);
-                self.pool.note_closed(addr);
-                drop(conn);
-            }
+        for (idx, _) in self.pool.reap_idle(now, POOL_IDLE_TIMEOUT) {
+            self.release_slot(idx);
         }
     }
 
     /// Closes a client connection, detaching it from any fetch it waits
-    /// on (the last waiter leaving a queued fetch cancels it) and
-    /// returning its buffers to the reactor's pool for the next
+    /// on and returning its buffers to the reactor's pool for the next
     /// connection.
     fn close_client(&mut self, idx: usize) {
-        let Some(mut conn) = self.conns[idx].take() else { return };
-        self.backend.deregister(idx + TOKEN_BASE);
-        self.freed_this_batch.push(idx);
-        if let Kind::Client(client) = &mut conn.kind {
-            self.clients -= 1;
-            self.metrics.conns[self.reactor_index].set(self.clients);
-            if let Some((ticket, _)) = client.admitted.take() {
-                // Abandoned mid-request (or mid-flush).
-                self.overload.slot(self.reactor_index).abandon(ticket);
-            }
-            match client.pending {
-                Pending::Upstream(job) => {
-                    match self.pool.leave(job, |w| w.client == idx) {
-                        // Other clients still await the fetch, or a
-                        // connection is already fetching (it will finish
-                        // and park; the result is discarded).
-                        AfterLeave::StillWanted | AfterLeave::Orphaned => {}
-                        AfterLeave::Dropped => {}
-                    }
-                }
-                Pending::None => {}
-            }
-            self.recycle_client_bufs(client);
+        let Some(Conn { kind: Kind::Client(client), .. }) = self.release_slot(idx) else {
+            return;
+        };
+        self.clients -= 1;
+        self.metrics.conns[self.reactor_index].set(self.clients);
+        if let Some((ticket, _)) = client.admitted {
+            // Abandoned mid-request (or mid-flush).
+            self.overload.slot(self.reactor_index).abandon(ticket);
         }
-        drop(conn);
+        if let Some(job) = client.pending {
+            // The last waiter leaving a queued fetch cancels it; a fetch
+            // already on a connection finishes and parks, unread.
+            self.pool.leave(job, |&waiter| waiter == idx);
+        }
         self.resume_accepting();
     }
 
@@ -1710,21 +1620,6 @@ impl Reactor {
             }
         }
         self.overload.parked_shed.add(shed);
-    }
-
-    /// Returns a closing client's buffers to the pool and refreshes the
-    /// shared high-water mark.
-    fn recycle_client_bufs(&mut self, client: &mut ClientState) {
-        self.bufs.give(client.write.take_buf());
-        self.bufs
-            .give(std::mem::take(&mut client.read_buf).into_vec());
-        self.metrics.buf_pool_high_water.raise(self.bufs.high_water());
-    }
-
-    /// Returns a closing upstream connection's read buffer to the pool.
-    fn recycle_upstream_buf(&mut self, up: &mut UpstreamState) {
-        self.bufs.give(std::mem::take(&mut up.read_buf).into_vec());
-        self.metrics.buf_pool_high_water.raise(self.bufs.high_water());
     }
 }
 

@@ -24,7 +24,7 @@
 //! [`crate::server`] owns the actual connections (as slab entries) and
 //! drives this ledger from its event handlers. The ledger is generic
 //! over the waiter payload `W` (the reactor uses the waiting client's
-//! slab index plus its completion callback; tests use plain integers).
+//! slab index; tests use plain integers).
 
 use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;

@@ -19,9 +19,8 @@ use std::sync::Arc;
 use std::time::{Duration as StdDuration, Instant};
 
 use bytes::BytesMut;
-use harness::{stamp_of, Behavior, FakeClock, ScriptedOrigin, CLOCK_BASE_MS};
+use harness::{get, get_json, put, stamp_of, Behavior, FakeClock, ScriptedOrigin, CLOCK_BASE_MS};
 use mutcon_core::time::Duration;
-use mutcon_live::client::HttpClient;
 use mutcon_live::proxy::{LiveProxy, ProxyConfig, RefreshRule};
 use mutcon_live::server::{default_reactors, DEFAULT_L1_OBJECTS, DEFAULT_REFRESH_WORKERS};
 use mutcon_live::wire::read_response;
@@ -41,17 +40,12 @@ fn proxy_with(origin: &ScriptedOrigin, rules: Vec<RefreshRule>, reactors: usize)
 
 /// Fetches and parses an admin JSON endpoint.
 fn admin_get(proxy: &LiveProxy, path: &str) -> Json {
-    let client = HttpClient::new();
-    let resp = client.get(proxy.local_addr(), path, None).expect(path);
-    assert_eq!(resp.status(), StatusCode::OK, "{path}");
-    json::parse(std::str::from_utf8(resp.body()).expect("utf8")).expect("admin JSON")
+    get_json(proxy.local_addr(), path)
 }
 
 /// PUTs a rules document; returns (status, parsed body).
 fn put_rules(proxy: &LiveProxy, body: &str) -> (StatusCode, Json) {
-    let client = HttpClient::new();
-    let resp = client
-        .put(proxy.local_addr(), "/admin/rules", body.as_bytes().to_vec())
+    let resp = put(proxy.local_addr(), "/admin/rules", body.as_bytes().to_vec())
         .expect("PUT /admin/rules");
     let parsed = json::parse(std::str::from_utf8(resp.body()).expect("utf8")).expect("JSON body");
     (resp.status(), parsed)
@@ -84,8 +78,7 @@ fn put_changes_delta_in_place_without_dropping_cache_or_connections() {
     let addr = proxy.local_addr();
 
     // Warm: the refresher's first poll (or this miss) caches /obj.
-    let warm = HttpClient::new();
-    assert_eq!(warm.get(addr, "/obj", None).unwrap().status(), StatusCode::OK);
+    assert_eq!(get(addr, "/obj").unwrap().status(), StatusCode::OK);
     wait_until("first poll + cached copy", || {
         proxy.stats().polls >= 1 && proxy.cached_objects() == 1
     });
@@ -262,8 +255,7 @@ fn unchanged_paths_preserve_adaptive_ttr_state_across_swap() {
 
     // /drop's cached copy was evicted with its rule: the next client
     // read is a miss (refetched fresh), not a stale never-refreshed hit.
-    let client = HttpClient::new();
-    let resp = client.get(proxy.local_addr(), "/drop", None).unwrap();
+    let resp = get(proxy.local_addr(), "/drop").unwrap();
     assert_eq!(resp.headers().get("x-cache"), Some("miss"));
 }
 
@@ -322,12 +314,9 @@ fn bad_rules_are_rejected_by_put_and_by_start() {
     assert!(err.to_string().contains("duplicate"));
 
     // Unknown admin endpoints 404; wrong methods 405.
-    let client = HttpClient::new();
-    let resp = client.get(proxy.local_addr(), "/admin/nope", None).unwrap();
+    let resp = get(proxy.local_addr(), "/admin/nope").unwrap();
     assert_eq!(resp.status(), StatusCode::NOT_FOUND);
-    let resp = client
-        .put(proxy.local_addr(), "/admin/stats", &b"{}"[..])
-        .unwrap();
+    let resp = put(proxy.local_addr(), "/admin/stats", &b"{}"[..]).unwrap();
     assert_eq!(resp.status(), StatusCode::METHOD_NOT_ALLOWED);
 }
 
@@ -390,14 +379,13 @@ fn admin_stats_reports_shards_reactors_and_pool_counters() {
     let clock = FakeClock::new();
     let origin = ScriptedOrigin::start(clock);
     let proxy = proxy_with(&origin, vec![], 2);
-    let client = HttpClient::new();
 
     // Generate misses (pool opens + possibly reuses) and hits.
     for i in 0..6 {
-        let resp = client.get(proxy.local_addr(), &format!("/s/{i}"), None).unwrap();
+        let resp = get(proxy.local_addr(), &format!("/s/{i}")).unwrap();
         assert_eq!(resp.status(), StatusCode::OK);
     }
-    let resp = client.get(proxy.local_addr(), "/s/0", None).unwrap();
+    let resp = get(proxy.local_addr(), "/s/0").unwrap();
     assert_eq!(resp.headers().get("x-cache"), Some("hit"));
 
     let doc = admin_get(&proxy, "/admin/stats");
@@ -498,10 +486,7 @@ fn admin_endpoints_demand_the_configured_bearer_token() {
     assert_eq!(resp.status(), StatusCode::OK);
 
     // Mutations are gated too: an unauthenticated PUT changes nothing.
-    let client = HttpClient::new();
-    let resp = client
-        .put(addr, "/admin/rules", &br#"{"rules": []}"#[..])
-        .unwrap();
+    let resp = put(addr, "/admin/rules", &br#"{"rules": []}"#[..]).unwrap();
     assert_eq!(resp.status(), StatusCode::UNAUTHORIZED);
     let doc = json::parse(
         std::str::from_utf8(raw_get("/admin/rules", Some("Bearer s3cret")).body()).unwrap(),
@@ -510,7 +495,7 @@ fn admin_endpoints_demand_the_configured_bearer_token() {
     assert_eq!(doc.get("epoch").unwrap().as_u64(), Some(1), "PUT was rejected");
 
     // The data plane never asks for auth.
-    assert_eq!(client.get(addr, "/obj", None).unwrap().status(), StatusCode::OK);
+    assert_eq!(get(addr, "/obj").unwrap().status(), StatusCode::OK);
 }
 
 /// SIGHUP re-reads the configured rules file through the same
@@ -581,8 +566,7 @@ fn refresh_vs_read_monotonicity_holds_across_epoch_bumps() {
         2,
     );
     let addr = proxy.local_addr();
-    let warm = HttpClient::new();
-    assert_eq!(warm.get(addr, "/obj", None).unwrap().status(), StatusCode::OK);
+    assert_eq!(get(addr, "/obj").unwrap().status(), StatusCode::OK);
 
     let stop = Arc::new(AtomicU64::new(0));
     let readers: Vec<_> = (0..3)
@@ -591,13 +575,10 @@ fn refresh_vs_read_monotonicity_holds_across_epoch_bumps() {
             let clock = clock.clone();
             std::thread::spawn(move || {
                 let mut rng = SimRng::seed_from_u64(0xAD31 + r);
-                let client = HttpClient::with_timeout(StdDuration::from_secs(10));
                 let mut last = 0u64;
                 let mut served = 0u32;
                 while stop.load(Ordering::SeqCst) == 0 {
-                    let resp = client
-                        .get(addr, "/obj", None)
-                        .unwrap_or_else(|e| panic!("reader {r}: {e}"));
+                    let resp = get(addr, "/obj").unwrap_or_else(|e| panic!("reader {r}: {e}"));
                     assert_eq!(resp.status(), StatusCode::OK, "reader {r}");
                     let stamp = stamp_of(&resp);
                     assert!(

@@ -23,7 +23,7 @@ use mutcon_http::message::Response;
 use mutcon_http::parse::{RequestParser, ResponseParser};
 use mutcon_core::time::Timestamp;
 use mutcon_live::cache::{shard_of, CacheEntry, L1Cache, ShardedCache, SHARD_COUNT};
-use mutcon_live::client::{get_wire, ObjectStamps};
+use mutcon_live::client::{get_wire, wire_target, ObjectStamps};
 use mutcon_live::upstream::{PoolCore, Submit};
 
 thread_local! {
@@ -101,6 +101,9 @@ fn each_stage_of_a_miss_stays_within_its_allocation_budget() {
         // Upstream wire: one buffer, which is also the coalescing key.
         let (wire, upstream_wire) = counted(|| get_wire(request.target(), "127.0.0.1:40000", None));
         assert!(wire.starts_with(b"GET /obj/000017 HTTP/1.1\r\nhost: 127.0.0.1:40000\r\n"));
+        // The finished fetch reads its path back out of the same bytes.
+        let (target, read_back) = counted(|| wire_target(&wire));
+        assert_eq!((target, read_back), (Some(PATH), 0), "wire_target: no allocation");
 
         // Response parse: head, index, body.
         let (parsed, response_parse) = counted(|| ResponseParser::new().advance(&response_wire));

@@ -21,14 +21,12 @@ use std::sync::Arc;
 use std::time::Duration as StdDuration;
 
 use bytes::Bytes;
-use harness::{stamp_of, FakeClock, ScriptedOrigin, CLOCK_BASE_MS};
+use harness::{get, stamp_of, stats_counter, FakeClock, ScriptedOrigin, CLOCK_BASE_MS};
 use mutcon_core::time::{Duration, Timestamp};
 use mutcon_live::cache::{shard_of, CacheEntry, L1Cache, L1Lookup, ShardedCache, SHARD_COUNT};
-use mutcon_live::client::HttpClient;
 use mutcon_live::proxy::{LiveProxy, ProxyConfig, RefreshRule};
 use mutcon_http::types::StatusCode;
 use mutcon_sim::rng::SimRng;
-use mutcon_traces::json::{self, Json};
 
 /// A proxy with the L1 capacity pinned explicitly (`0` disables) and an
 /// optional refresher rule set.
@@ -45,19 +43,6 @@ fn l1_proxy(
         ..ProxyConfig::new(origin.addr())
     })
     .expect("start proxy")
-}
-
-/// Reads one `u64` counter out of `GET /admin/stats` by key path.
-fn stats_counter(proxy: &LiveProxy, path: &[&str]) -> u64 {
-    let client = HttpClient::new();
-    let resp = client.get(proxy.local_addr(), "/admin/stats", None).expect("stats");
-    assert_eq!(resp.status(), StatusCode::OK);
-    let doc: Json = json::parse(std::str::from_utf8(resp.body()).unwrap()).expect("stats JSON");
-    let mut node = &doc;
-    for key in path {
-        node = node.get(key).unwrap_or_else(|| panic!("stats key {path:?}"));
-    }
-    node.as_u64().unwrap_or_else(|| panic!("stats key {path:?} not a number"))
 }
 
 /// The tentpole coherence scenario: the refresher keeps storing newer
@@ -89,8 +74,7 @@ fn readers_race_the_refresher(refresh_workers: usize) {
     let addr = proxy.local_addr();
 
     // Warm so readers start from a cached (and L1-refillable) copy.
-    let warm = HttpClient::new();
-    assert_eq!(warm.get(addr, "/hot", None).unwrap().status(), StatusCode::OK);
+    assert_eq!(get(addr, "/hot").unwrap().status(), StatusCode::OK);
 
     let stop = Arc::new(AtomicU64::new(0));
     let readers: Vec<_> = (0..4)
@@ -99,13 +83,10 @@ fn readers_race_the_refresher(refresh_workers: usize) {
             let clock = clock.clone();
             std::thread::spawn(move || {
                 let mut rng = SimRng::seed_from_u64(0x11AC + r);
-                let client = HttpClient::with_timeout(StdDuration::from_secs(10));
                 let mut last = 0u64;
                 let mut served = 0u32;
                 while stop.load(Ordering::SeqCst) == 0 {
-                    let resp = client
-                        .get(addr, "/hot", None)
-                        .unwrap_or_else(|e| panic!("reader {r}: {e}"));
+                    let resp = get(addr, "/hot").unwrap_or_else(|e| panic!("reader {r}: {e}"));
                     assert_eq!(resp.status(), StatusCode::OK, "reader {r}");
                     let stamp = stamp_of(&resp);
                     // The body is stamped by the origin at fetch
@@ -148,9 +129,9 @@ fn readers_race_the_refresher(refresh_workers: usize) {
     assert!(total > 100, "readers made little progress: {total}");
 
     // The readers must actually have exercised the L1.
-    let hits = stats_counter(&proxy, &["cache", "l1", "hits"]);
+    let hits = stats_counter(addr, &["cache", "l1", "hits"]);
     assert!(hits > 0, "the run never served from the L1");
-    let bumps = stats_counter(&proxy, &["cache", "version_bumps"]);
+    let bumps = stats_counter(addr, &["cache", "version_bumps"]);
     assert!(bumps > 1, "the refresher never bumped a version");
 }
 
@@ -160,7 +141,6 @@ fn seeded_transcript(seed: u64, l1_objects: usize) -> (Vec<String>, Vec<String>)
     let clock = FakeClock::new();
     let origin = ScriptedOrigin::start(clock.clone());
     let proxy = l1_proxy(&origin, 1, l1_objects, vec![]);
-    let client = HttpClient::new();
     let mut rng = SimRng::seed_from_u64(seed);
     let paths = ["/a", "/b", "/c", "/d", "/e", "/f"];
     let mut transcript = Vec::new();
@@ -170,7 +150,7 @@ fn seeded_transcript(seed: u64, l1_objects: usize) -> (Vec<String>, Vec<String>)
             continue;
         }
         let path = *rng.pick(&paths);
-        let resp = client.get(proxy.local_addr(), path, None).expect("get");
+        let resp = get(proxy.local_addr(), path).expect("get");
         transcript.push(format!(
             "{path} {} {} {}",
             resp.status(),
@@ -226,14 +206,13 @@ fn disabled_l1_keeps_the_same_invariants() {
         vec![RefreshRule::new("/hot", Duration::from_millis(20))],
     );
     let addr = proxy.local_addr();
-    let client = HttpClient::with_timeout(StdDuration::from_secs(10));
-    assert_eq!(client.get(addr, "/hot", None).unwrap().status(), StatusCode::OK);
+    assert_eq!(get(addr, "/hot").unwrap().status(), StatusCode::OK);
 
     let mut rng = SimRng::seed_from_u64(0x0FF);
     let mut last = 0u64;
     for _ in 0..40 {
         clock.advance(rng.uniform_u64(1, 40));
-        let resp = client.get(addr, "/hot", None).expect("get");
+        let resp = get(addr, "/hot").expect("get");
         assert_eq!(resp.status(), StatusCode::OK);
         let stamp = stamp_of(&resp);
         assert!(stamp >= last, "stamp went backwards ({last} → {stamp})");
@@ -241,12 +220,12 @@ fn disabled_l1_keeps_the_same_invariants() {
     }
 
     assert_eq!(
-        stats_counter(&proxy, &["cache", "l1", "capacity"]),
+        stats_counter(addr, &["cache", "l1", "capacity"]),
         0,
         "capacity 0 must disable the L1"
     );
-    assert_eq!(stats_counter(&proxy, &["cache", "l1", "hits"]), 0);
-    assert_eq!(stats_counter(&proxy, &["cache", "l1", "refills"]), 0);
+    assert_eq!(stats_counter(addr, &["cache", "l1", "hits"]), 0);
+    assert_eq!(stats_counter(addr, &["cache", "l1", "refills"]), 0);
 }
 
 /// The linearization rule, on the two caches alone: a copy superseded

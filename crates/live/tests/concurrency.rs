@@ -12,10 +12,9 @@ use std::sync::Arc;
 use std::time::{Duration as StdDuration, Instant};
 
 use bytes::Bytes;
-use harness::{stamp_of, Behavior, FakeClock, ScriptedOrigin, CLOCK_BASE_MS};
+use harness::{get, stamp_of, stats_counter, Behavior, FakeClock, ScriptedOrigin, CLOCK_BASE_MS};
 use mutcon_core::time::{Duration, Timestamp};
 use mutcon_live::cache::{shard_of, CacheEntry, ShardedCache, SHARD_COUNT};
-use mutcon_live::client::HttpClient;
 use mutcon_live::proxy::{LiveProxy, ProxyConfig, RefreshRule};
 use mutcon_http::types::StatusCode;
 use mutcon_sim::rng::SimRng;
@@ -68,11 +67,8 @@ fn hundred_concurrent_misses_coalesce_into_one_origin_fetch() {
         .map(|i| {
             let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || {
-                let client = HttpClient::with_timeout(StdDuration::from_secs(10));
                 barrier.wait();
-                let resp = client
-                    .get(addr, "/hot", None)
-                    .unwrap_or_else(|e| panic!("client {i}: {e}"));
+                let resp = get(addr, "/hot").unwrap_or_else(|e| panic!("client {i}: {e}"));
                 (resp.status(), stamp_of(&resp))
             })
         })
@@ -105,6 +101,10 @@ fn hundred_concurrent_misses_coalesce_into_one_origin_fetch() {
         1,
         "one pooled connection carries the one fetch"
     );
+    // The fetch is finished once: one stored copy, not one per waiter,
+    // so no waiter's store supersedes another's.
+    assert_eq!(proxy.stats().refreshes, 1, "one fetch, one store");
+    assert_eq!(stats_counter(addr, &["cache", "version_bumps"]), 0);
 }
 
 /// Sequential misses for different keys ride one pooled keep-alive
@@ -113,9 +113,9 @@ fn hundred_concurrent_misses_coalesce_into_one_origin_fetch() {
 fn sequential_misses_reuse_one_origin_connection() {
     let origin = ScriptedOrigin::start(FakeClock::new());
     let proxy = plain_proxy(&origin, 1);
-    let client = HttpClient::new();
+    let mut client = harness::client(proxy.local_addr());
     for path in ["/p/1", "/p/2", "/p/3", "/p/4", "/p/5"] {
-        let resp = client.get(proxy.local_addr(), path, None).expect(path);
+        let resp = client.get(path, None).expect(path);
         assert_eq!(resp.status(), StatusCode::OK, "{path}");
         assert_eq!(origin.fetches(path), 1, "{path} fetched exactly once");
     }
@@ -135,16 +135,15 @@ fn mid_transfer_origin_death_fails_cleanly_then_recovers() {
     let origin = ScriptedOrigin::start(FakeClock::new());
     origin.script("/frail", vec![Behavior::DieMidTransfer]);
     let proxy = plain_proxy(&origin, 1);
-    let client = HttpClient::with_timeout(StdDuration::from_secs(10));
 
-    let failed = client.get(proxy.local_addr(), "/frail", None).expect("response");
+    let failed = get(proxy.local_addr(), "/frail").expect("response");
     assert_eq!(
         failed.status(),
         StatusCode::INTERNAL_SERVER_ERROR,
         "a truncated origin transfer must surface as a 500"
     );
 
-    let recovered = client.get(proxy.local_addr(), "/frail", None).expect("response");
+    let recovered = get(proxy.local_addr(), "/frail").expect("response");
     assert_eq!(recovered.status(), StatusCode::OK, "the retry-by-client recovers");
     assert_eq!(origin.fetches("/frail"), 2);
     assert_eq!(
@@ -165,9 +164,8 @@ fn close_advertised_responses_are_not_pooled() {
     let origin = ScriptedOrigin::start(FakeClock::new());
     origin.script("/one", vec![Behavior::CloseAdvertised]);
     let proxy = plain_proxy(&origin, 1);
-    let client = HttpClient::new();
 
-    let first = client.get(proxy.local_addr(), "/one", None).expect("first");
+    let first = get(proxy.local_addr(), "/one").expect("first");
     assert_eq!(first.status(), StatusCode::OK);
     // `Connection` is hop-by-hop: the origin's close applies to the
     // pooled origin socket and must not leak through to the client.
@@ -175,7 +173,7 @@ fn close_advertised_responses_are_not_pooled() {
         first.wants_keep_alive(),
         "origin's Connection: close leaked through the proxy"
     );
-    let second = client.get(proxy.local_addr(), "/two", None).expect("second");
+    let second = get(proxy.local_addr(), "/two").expect("second");
     assert_eq!(second.status(), StatusCode::OK);
 
     assert_eq!(origin.fetches("/one"), 1);
@@ -205,10 +203,9 @@ fn stale_pooled_sockets_recover_transparently() {
             origin.script("/seed", vec![Behavior::SilentClose]);
         }
         let proxy = plain_proxy(&origin, 1);
-        let client = HttpClient::with_timeout(StdDuration::from_secs(10));
 
         // Miss → fetch #1 → connection parked in the pool.
-        let first = client.get(proxy.local_addr(), "/seed", None).expect("warm");
+        let first = get(proxy.local_addr(), "/seed").expect("warm");
         assert_eq!(first.status(), StatusCode::OK, "round {round}");
 
         // The parked socket dies; depending on the (seeded) delay the
@@ -220,7 +217,7 @@ fn stale_pooled_sockets_recover_transparently() {
         let delay_us = rng.uniform_u64(0, 3_000);
         std::thread::sleep(StdDuration::from_micros(delay_us));
 
-        let second = client.get(proxy.local_addr(), "/fresh", None).expect("fresh");
+        let second = get(proxy.local_addr(), "/fresh").expect("fresh");
         assert_eq!(
             second.status(),
             StatusCode::OK,
@@ -253,8 +250,7 @@ fn refresh_vs_read_interleavings_stay_monotonic() {
     let addr = proxy.local_addr();
 
     // Warm so readers start from a cached copy.
-    let warm = HttpClient::new();
-    assert_eq!(warm.get(addr, "/obj", None).unwrap().status(), StatusCode::OK);
+    assert_eq!(get(addr, "/obj").unwrap().status(), StatusCode::OK);
 
     let stop = Arc::new(AtomicU64::new(0));
     let readers: Vec<_> = (0..4)
@@ -263,13 +259,10 @@ fn refresh_vs_read_interleavings_stay_monotonic() {
             let clock = clock.clone();
             std::thread::spawn(move || {
                 let mut rng = SimRng::seed_from_u64(0xBEEF + r);
-                let client = HttpClient::with_timeout(StdDuration::from_secs(10));
                 let mut last = 0u64;
                 let mut served = 0u32;
                 while stop.load(Ordering::SeqCst) == 0 {
-                    let resp = client
-                        .get(addr, "/obj", None)
-                        .unwrap_or_else(|e| panic!("reader {r}: {e}"));
+                    let resp = get(addr, "/obj").unwrap_or_else(|e| panic!("reader {r}: {e}"));
                     assert_eq!(resp.status(), StatusCode::OK, "reader {r}");
                     assert!(!resp.body().is_empty(), "reader {r}: torn copy");
                     let stamp = stamp_of(&resp);
@@ -316,7 +309,6 @@ fn seeded_scenario_replays_bit_identically() {
         let clock = FakeClock::new();
         let origin = ScriptedOrigin::start(clock.clone());
         let proxy = plain_proxy(&origin, 1);
-        let client = HttpClient::new();
         let mut rng = SimRng::seed_from_u64(seed);
         let paths = ["/a", "/b", "/c", "/d", "/e", "/f"];
         let mut transcript = Vec::new();
@@ -326,7 +318,7 @@ fn seeded_scenario_replays_bit_identically() {
                 continue;
             }
             let path = *rng.pick(&paths);
-            let resp = client.get(proxy.local_addr(), path, None).expect("get");
+            let resp = get(proxy.local_addr(), path).expect("get");
             transcript.push(format!("{path} {} {}", resp.status(), stamp_of(&resp)));
         }
         (origin.log(), transcript)
@@ -514,11 +506,8 @@ fn four_reactors_serve_and_bound_coalesced_fetches() {
         .map(|i| {
             let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || {
-                let client = HttpClient::with_timeout(StdDuration::from_secs(10));
                 barrier.wait();
-                let resp = client
-                    .get(addr, "/spread", None)
-                    .unwrap_or_else(|e| panic!("client {i}: {e}"));
+                let resp = get(addr, "/spread").unwrap_or_else(|e| panic!("client {i}: {e}"));
                 assert_eq!(resp.status(), StatusCode::OK, "client {i}");
             })
         })

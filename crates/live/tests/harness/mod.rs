@@ -28,17 +28,51 @@
 #![allow(dead_code)]
 
 use std::collections::HashMap;
-use std::io::Write;
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use bytes::BytesMut;
-use mutcon_live::client::{validator_ms, X_LAST_MODIFIED_MS};
+use bytes::{Bytes, BytesMut};
+use mutcon_live::client::{validator_ms, PersistentClient, X_LAST_MODIFIED_MS};
 use mutcon_live::wire::{read_request, write_response};
 use mutcon_http::message::{Request, Response};
 use mutcon_http::types::{Method, StatusCode};
+use mutcon_traces::json::{self, Json};
+
+/// A keep-alive client with the scenarios' 10 s timeout.
+pub fn client(addr: SocketAddr) -> PersistentClient {
+    PersistentClient::new(addr, Duration::from_secs(10))
+}
+
+/// One `GET` on a fresh connection: a client per request, so every
+/// request is one accept and no stale-socket retry can hide a fault.
+pub fn get(addr: SocketAddr, path: &str) -> io::Result<Response> {
+    client(addr).get(path, None)
+}
+
+/// One `PUT` with `body` on a fresh connection.
+pub fn put(addr: SocketAddr, path: &str, body: impl Into<Bytes>) -> io::Result<Response> {
+    client(addr).put(path, body)
+}
+
+/// `GET path` on a fresh connection, which must answer `200` with JSON.
+pub fn get_json(addr: SocketAddr, path: &str) -> Json {
+    let resp = get(addr, path).expect(path);
+    assert_eq!(resp.status(), StatusCode::OK, "{path}");
+    json::parse(std::str::from_utf8(resp.body()).expect("utf8")).expect("JSON body")
+}
+
+/// One `u64` of `GET /admin/stats`, by key path.
+pub fn stats_counter(addr: SocketAddr, path: &[&str]) -> u64 {
+    let doc = get_json(addr, "/admin/stats");
+    let mut node = &doc;
+    for key in path {
+        node = node.get(key).unwrap_or_else(|| panic!("stats key {path:?}"));
+    }
+    node.as_u64().unwrap_or_else(|| panic!("stats key {path:?} not a number"))
+}
 
 /// Base Unix-epoch-ish stamp for fake-clock time 0 (an arbitrary,
 /// readable constant — determinism matters, the epoch does not).

@@ -6,7 +6,7 @@ use std::time::Duration as StdDuration;
 use mutcon_core::mutual::temporal::MtPolicy;
 use mutcon_core::time::{Duration, Timestamp};
 use mutcon_core::value::Value;
-use mutcon_live::client::{last_modified_ms, HttpClient, X_LAST_MODIFIED_MS};
+use mutcon_live::client::{last_modified_ms, PersistentClient, X_LAST_MODIFIED_MS};
 use mutcon_live::origin::{Fault, LiveOrigin};
 use mutcon_live::proxy::{GroupRule, LiveProxy, ProxyConfig, RefreshRule};
 use mutcon_http::types::StatusCode;
@@ -48,14 +48,14 @@ fn proxy_keeps_cached_object_fresh() {
     })
     .unwrap();
 
-    let client = HttpClient::new();
+    let mut client = PersistentClient::new(proxy.local_addr(), StdDuration::from_secs(5));
     // Warm the cache, then let the refresher run for a while.
-    let first = client.get(proxy.local_addr(), "/fast", None).unwrap();
+    let first = client.get("/fast", None).unwrap();
     assert_eq!(first.status(), StatusCode::OK);
     std::thread::sleep(StdDuration::from_millis(800));
 
     // The cached copy must be recent: within Δ plus scheduling slack.
-    let resp = client.get(proxy.local_addr(), "/fast", None).unwrap();
+    let resp = client.get("/fast", None).unwrap();
     assert_eq!(resp.status(), StatusCode::OK);
     assert_eq!(resp.headers().get("x-cache"), Some("hit"));
     let lm = last_modified_ms(&resp).expect("cached copy is stamped");
@@ -131,9 +131,9 @@ fn triggered_polls_keep_related_objects_in_step() {
     );
 
     // Both copies should be present and stamped close together.
-    let client = HttpClient::new();
-    let story = client.get(proxy.local_addr(), "/story", None).unwrap();
-    let photo = client.get(proxy.local_addr(), "/photo", None).unwrap();
+    let mut client = PersistentClient::new(proxy.local_addr(), StdDuration::from_secs(5));
+    let story = client.get("/story", None).unwrap();
+    let photo = client.get("/photo", None).unwrap();
     let lm_story = last_modified_ms(&story).unwrap();
     let lm_photo = last_modified_ms(&photo).unwrap();
     let skew = lm_story.abs_diff(lm_photo);
@@ -154,16 +154,16 @@ fn proxy_survives_origin_faults() {
         ..ProxyConfig::new(origin.local_addr())
     })
     .unwrap();
-    let client = HttpClient::new();
+    let mut client = PersistentClient::new(proxy.local_addr(), StdDuration::from_secs(5));
 
     // Warm up.
-    let warm = client.get(proxy.local_addr(), "/fast", None).unwrap();
+    let warm = client.get("/fast", None).unwrap();
     assert_eq!(warm.status(), StatusCode::OK);
 
     // Break the origin: the proxy must keep serving the cached copy.
     origin.set_fault(Fault::DropConnections);
     std::thread::sleep(StdDuration::from_millis(300));
-    let during = client.get(proxy.local_addr(), "/fast", None).unwrap();
+    let during = client.get("/fast", None).unwrap();
     assert_eq!(during.status(), StatusCode::OK);
     assert_eq!(during.headers().get("x-cache"), Some("hit"));
     let errors_during = proxy.stats().errors;
@@ -172,7 +172,7 @@ fn proxy_survives_origin_faults() {
     // Heal the origin: refreshing resumes.
     origin.set_fault(Fault::None);
     std::thread::sleep(StdDuration::from_millis(500));
-    let after = client.get(proxy.local_addr(), "/fast", None).unwrap();
+    let after = client.get("/fast", None).unwrap();
     let lm = last_modified_ms(&after).unwrap();
     let now_ms = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
@@ -195,18 +195,18 @@ fn stats_endpoint_and_miss_path() {
         ..ProxyConfig::new(origin.local_addr())
     })
     .unwrap();
-    let client = HttpClient::new();
+    let mut client = PersistentClient::new(proxy.local_addr(), StdDuration::from_secs(5));
 
     // Miss then hit.
-    let first = client.get(proxy.local_addr(), "/obj", None).unwrap();
+    let first = client.get("/obj", None).unwrap();
     assert_eq!(first.status(), StatusCode::OK);
     assert_eq!(first.headers().get("x-cache"), Some("miss"));
     assert!(first.headers().contains(X_LAST_MODIFIED_MS));
-    let second = client.get(proxy.local_addr(), "/obj", None).unwrap();
+    let second = client.get("/obj", None).unwrap();
     assert_eq!(second.headers().get("x-cache"), Some("hit"));
 
     // Unknown objects pass the origin's 404 through.
-    let missing = client.get(proxy.local_addr(), "/nope", None).unwrap();
+    let missing = client.get("/nope", None).unwrap();
     assert_eq!(missing.status(), StatusCode::NOT_FOUND);
 
     // The counters reflect the traffic.

@@ -12,15 +12,14 @@ use std::sync::Arc;
 use std::time::{Duration as StdDuration, Instant};
 
 use bytes::BytesMut;
-use harness::{Behavior, FakeClock, ScriptedOrigin};
-use mutcon_live::client::{HttpClient, PersistentClient};
+use harness::{get, get_json, put, Behavior, FakeClock, ScriptedOrigin};
 use mutcon_live::overload::{MAX_PARTITIONS, OVERFLOW_PARTITION};
 use mutcon_live::proxy::{LiveProxy, ProxyConfig};
 use mutcon_live::wire::{read_response, write_request};
 use mutcon_http::message::Request;
 use mutcon_http::types::StatusCode;
 use mutcon_sim::rng::SimRng;
-use mutcon_traces::json::{self, Json};
+use mutcon_traces::json::Json;
 
 /// A proxy in front of a scripted origin with an explicit reactor count
 /// and no refresher rules.
@@ -35,9 +34,7 @@ fn plain_proxy(origin: &ScriptedOrigin, reactors: usize) -> LiveProxy {
 /// Installs an overload config through the admin plane, asserting the
 /// PUT is accepted.
 fn put_overload(proxy: &LiveProxy, body: &str) {
-    let client = HttpClient::new();
-    let resp = client
-        .put(proxy.local_addr(), "/admin/overload", body.as_bytes().to_vec())
+    let resp = put(proxy.local_addr(), "/admin/overload", body.as_bytes().to_vec())
         .expect("PUT /admin/overload");
     assert_eq!(
         resp.status(),
@@ -68,11 +65,8 @@ fn flash_crowd(
         .map(|i| {
             let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || {
-                let client = HttpClient::with_timeout(StdDuration::from_secs(10));
                 barrier.wait();
-                let resp = client
-                    .get(addr, path, None)
-                    .unwrap_or_else(|e| panic!("client {i}: {e}"));
+                let resp = get(addr, path).unwrap_or_else(|e| panic!("client {i}: {e}"));
                 let retry_after = resp.headers().get("retry-after").map(str::to_owned);
                 (resp.status(), retry_after)
             })
@@ -135,8 +129,7 @@ fn flash_crowd_sheds_cleanly_and_still_coalesces() {
 
     // Partition isolation: the hot partition is saturated, but a
     // request in another partition is admitted and served.
-    let bystander = HttpClient::with_timeout(StdDuration::from_secs(10));
-    let cold = bystander.get(addr, "/cold/obj", None).expect("cold partition");
+    let cold = get(addr, "/cold/obj").expect("cold partition");
     assert_eq!(
         cold.status(),
         StatusCode::OK,
@@ -175,9 +168,8 @@ fn flash_crowd_sheds_cleanly_and_still_coalesces() {
 
     // The counters and the hot partition's state surface in the stats
     // plane (published by the reactor between loop turns).
-    let client = HttpClient::new();
     wait_until("the stats plane to show the shed partition", || {
-        let resp = client.get(addr, "/admin/stats", None).expect("stats");
+        let resp = get(addr, "/admin/stats").expect("stats");
         let text = String::from_utf8_lossy(resp.body()).into_owned();
         text.contains("\"overload\"") && text.contains("\"/hot\"")
     });
@@ -187,7 +179,7 @@ fn flash_crowd_sheds_cleanly_and_still_coalesces() {
     put_overload(&proxy, "admission=off\n");
     let before = proxy.overload().shed();
     for _ in 0..10 {
-        let resp = client.get(addr, "/hot/obj", None).expect("after off");
+        let resp = get(addr, "/hot/obj").expect("after off");
         assert_eq!(resp.status(), StatusCode::OK);
     }
     assert_eq!(proxy.overload().shed(), before, "admission off must not shed");
@@ -196,11 +188,7 @@ fn flash_crowd_sheds_cleanly_and_still_coalesces() {
 /// The `(partition, in_flight)` pairs each reactor reports in the
 /// `overload` section of `GET /admin/stats`, one `Vec` per reactor.
 fn stats_partitions(proxy: &LiveProxy) -> Vec<Vec<(String, u64)>> {
-    let resp = HttpClient::new()
-        .get(proxy.local_addr(), "/admin/stats", None)
-        .expect("GET /admin/stats");
-    assert_eq!(resp.status(), StatusCode::OK);
-    let doc = json::parse(std::str::from_utf8(resp.body()).expect("utf8")).expect("stats JSON");
+    let doc = get_json(proxy.local_addr(), "/admin/stats");
     fn field<'a>(json: &'a Json, key: &str) -> &'a Json {
         json.get(key).unwrap_or_else(|| panic!("no `{key}` in {json}"))
     }
@@ -241,7 +229,7 @@ fn a_path_scan_cannot_grow_the_admission_table() {
 
     // One keep-alive connection, one request in flight at a time: below
     // the limit in every partition, so the scan itself is never shed.
-    let mut scanner = PersistentClient::new(addr, StdDuration::from_secs(10));
+    let mut scanner = harness::client(addr);
     for i in 0..SCAN {
         let resp = scanner.get(&format!("/scan{i}"), None).expect("scan");
         assert!(
@@ -327,7 +315,7 @@ fn a_ticket_from_before_an_off_on_swap_releases_nothing() {
     let mut buf = BytesMut::new();
     assert_eq!(read_response(&mut a, &mut buf).expect("A").status(), StatusCode::OK);
 
-    let c = HttpClient::new().get(addr, "/p/c", None).expect("C");
+    let c = get(addr, "/p/c").expect("C");
     assert_eq!(c.status(), StatusCode::TOO_MANY_REQUESTS, "B holds /p's only place");
     assert_eq!(stats_partitions(&proxy), vec![vec![("/p".to_owned(), 1)]]);
 
@@ -358,16 +346,15 @@ fn double_death_fails_fast_with_a_clean_error() {
         // served == 0). Either way: clean error, no stall.
         origin.script("/frail", vec![Behavior::Reject]);
         let proxy = plain_proxy(&origin, 1);
-        let client = HttpClient::with_timeout(StdDuration::from_secs(10));
 
-        let warm = client.get(proxy.local_addr(), "/warm", None).expect("warm");
+        let warm = get(proxy.local_addr(), "/warm").expect("warm");
         assert_eq!(warm.status(), StatusCode::OK, "round {round}");
 
         let delay_us = rng.uniform_u64(0, 3_000);
         std::thread::sleep(StdDuration::from_micros(delay_us));
 
         let started = Instant::now();
-        let failed = client.get(proxy.local_addr(), "/frail", None).expect("response");
+        let failed = get(proxy.local_addr(), "/frail").expect("response");
         assert_eq!(
             failed.status(),
             StatusCode::INTERNAL_SERVER_ERROR,
@@ -381,7 +368,7 @@ fn double_death_fails_fast_with_a_clean_error() {
         );
 
         // The pool recovered: the next miss opens fresh and succeeds.
-        let after = client.get(proxy.local_addr(), "/frail", None).expect("recovery");
+        let after = get(proxy.local_addr(), "/frail").expect("recovery");
         assert_eq!(after.status(), StatusCode::OK, "round {round}: no recovery");
     }
 }
@@ -393,11 +380,10 @@ fn double_death_fails_fast_with_a_clean_error() {
 fn overload_admin_round_trips_and_rejects_bad_bodies() {
     let origin = ScriptedOrigin::start(FakeClock::new());
     let proxy = plain_proxy(&origin, 1);
-    let client = HttpClient::new();
     let addr = proxy.local_addr();
 
     // Defaults render with both limiters off.
-    let resp = client.get(addr, "/admin/overload", None).expect("GET overload");
+    let resp = get(addr, "/admin/overload").expect("GET overload");
     assert_eq!(resp.status(), StatusCode::OK);
     let text = String::from_utf8_lossy(resp.body()).into_owned();
     assert!(text.contains("admission=off"), "{text}");
@@ -405,7 +391,7 @@ fn overload_admin_round_trips_and_rejects_bad_bodies() {
 
     // Install a pool limiter; the GET must echo the spec back.
     put_overload(&proxy, "pool=aimd:max=8\nretry_after_secs=3\n");
-    let installed = client.get(addr, "/admin/overload", None).expect("GET overload");
+    let installed = get(addr, "/admin/overload").expect("GET overload");
     let text = String::from_utf8_lossy(installed.body()).into_owned();
     assert!(text.contains("pool=aimd:min=1,max=8,"), "{text}");
     assert!(text.contains("retry_after_secs=3"), "{text}");
@@ -413,11 +399,9 @@ fn overload_admin_round_trips_and_rejects_bad_bodies() {
     // Garbage, the algorithms that no longer exist and the pacing key
     // that no longer exists are each rejected, and change nothing.
     for bad in ["pool=tcp-bbr\n", "pool=vegas\n", "admission=gradient\n", "shed_delay_ms=25\n"] {
-        let resp = client
-            .put(addr, "/admin/overload", bad.as_bytes().to_vec())
-            .expect("PUT bad overload");
+        let resp = put(addr, "/admin/overload", bad.as_bytes().to_vec()).expect("PUT bad overload");
         assert_eq!(resp.status(), StatusCode::BAD_REQUEST, "{bad}");
-        let resp = client.get(addr, "/admin/overload", None).expect("GET overload");
+        let resp = get(addr, "/admin/overload").expect("GET overload");
         assert_eq!(
             resp.body(),
             installed.body(),
@@ -428,10 +412,10 @@ fn overload_admin_round_trips_and_rejects_bad_bodies() {
 
     // Traffic still flows, and the reactor's adopted pool limiter (with
     // its recorded fetch samples) surfaces in `/admin/stats`.
-    let resp = client.get(addr, "/one", None).expect("one");
+    let resp = get(addr, "/one").expect("one");
     assert_eq!(resp.status(), StatusCode::OK);
     wait_until("the pool limiter to surface in stats", || {
-        let resp = client.get(addr, "/admin/stats", None).expect("stats");
+        let resp = get(addr, "/admin/stats").expect("stats");
         let text = String::from_utf8_lossy(resp.body()).into_owned();
         text.contains("\"algorithm\":\"aimd:") && text.contains("\"samples_ok\":1")
     });

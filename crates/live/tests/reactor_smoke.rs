@@ -10,7 +10,7 @@ use std::time::{Duration as StdDuration, Instant};
 use bytes::BytesMut;
 use mutcon_core::time::{Duration, Timestamp};
 use mutcon_core::value::Value;
-use mutcon_live::client::{last_modified_ms, HttpClient};
+use mutcon_live::client::{last_modified_ms, PersistentClient};
 use mutcon_live::origin::LiveOrigin;
 use mutcon_live::proxy::{LiveProxy, ProxyConfig, RefreshRule};
 use mutcon_live::wire::read_response;
@@ -49,11 +49,8 @@ fn five_hundred_concurrent_connections_through_one_reactor() {
     .unwrap();
 
     // Warm the cache so the load below is the pure hit path.
-    let warm = HttpClient::new();
-    assert_eq!(
-        warm.get(proxy.local_addr(), "/obj", None).unwrap().status(),
-        StatusCode::OK
-    );
+    let mut warm = PersistentClient::new(proxy.local_addr(), StdDuration::from_secs(5));
+    assert_eq!(warm.get("/obj", None).unwrap().status(), StatusCode::OK);
 
     // Phase 1: open every connection and keep all of them open.
     let mut socks: Vec<TcpStream> = Vec::with_capacity(CONNS);
@@ -136,8 +133,8 @@ fn refreshes_during_reads_stay_consistent() {
     let addr = proxy.local_addr();
 
     // Warm.
-    let warm = HttpClient::new();
-    assert_eq!(warm.get(addr, "/hot", None).unwrap().status(), StatusCode::OK);
+    let mut warm = PersistentClient::new(addr, StdDuration::from_secs(5));
+    assert_eq!(warm.get("/hot", None).unwrap().status(), StatusCode::OK);
 
     let readers: Vec<_> = (0..8)
         .map(|r| {
@@ -240,11 +237,11 @@ fn bounded_cache_misses_fetch_through_reactor() {
     })
     .unwrap();
 
-    let client = HttpClient::new();
+    let mut client = PersistentClient::new(proxy.local_addr(), StdDuration::from_secs(5));
     for round in 0..3 {
         for i in 0..64 {
             let resp = client
-                .get(proxy.local_addr(), &format!("/o/{i}"), None)
+                .get(&format!("/o/{i}"), None)
                 .unwrap_or_else(|e| panic!("round {round} /o/{i}: {e}"));
             assert_eq!(resp.status(), StatusCode::OK, "round {round} /o/{i}");
         }

@@ -9,11 +9,10 @@ mod harness;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration as StdDuration, Instant};
 
-use harness::{stamp_of, Behavior, FakeClock, ScriptedOrigin};
+use harness::{get, get_json, stamp_of, Behavior, FakeClock, ScriptedOrigin};
 use mutcon_core::time::Duration;
-use mutcon_live::client::HttpClient;
 use mutcon_live::proxy::{LiveProxy, ProxyConfig, RefreshRule};
-use mutcon_traces::json::{parse, Json};
+use mutcon_traces::json::Json;
 
 /// A proxy over a scripted origin with `workers` poll workers and one
 /// rule per `paths` entry (Δ = `delta_ms`).
@@ -344,11 +343,10 @@ fn refresh_vs_read_stamps_stay_monotone() {
     let proxy = refresh_proxy(&origin, 4, &["/m"], 5);
     wait_until("/m cached", || proxy.cached_objects() == 1);
 
-    let client = HttpClient::new();
     let mut last = 0u64;
     for round in 0..50 {
         clock.advance(3);
-        let resp = client.get(proxy.local_addr(), "/m", None).expect("read /m");
+        let resp = get(proxy.local_addr(), "/m").expect("read /m");
         let stamp = stamp_of(&resp);
         assert!(
             stamp >= last,
@@ -368,11 +366,7 @@ fn admin_stats_exports_the_refresh_plane() {
     let proxy = refresh_proxy(&origin, 4, &["/a", "/b"], 10);
     wait_until("a healthy batch of polls", || proxy.stats().polls >= 10);
 
-    let client = HttpClient::new();
-    let resp = client
-        .get(proxy.local_addr(), "/admin/stats", None)
-        .expect("admin stats");
-    let doc = parse(std::str::from_utf8(resp.body()).expect("utf8")).expect("json");
+    let doc = get_json(proxy.local_addr(), "/admin/stats");
     let refresh = doc.get("refresh").expect("refresh section");
 
     let num = |v: &Json, key: &str| {

@@ -27,14 +27,14 @@ use std::sync::Arc;
 use std::time::{Duration as StdDuration, Instant};
 
 use bytes::BytesMut;
-use harness::{FakeClock, ScriptedOrigin};
-use mutcon_live::client::{HttpClient, PersistentClient, X_LAST_MODIFIED_MS};
+use harness::{get, get_json, FakeClock, ScriptedOrigin};
+use mutcon_live::client::{PersistentClient, X_LAST_MODIFIED_MS};
 use mutcon_live::overload::parse_overload_body;
 use mutcon_live::proxy::{LiveProxy, ProxyConfig};
 use mutcon_live::wire::{read_request, read_response, write_response};
 use mutcon_http::message::{Request, Response};
 use mutcon_http::types::StatusCode;
-use mutcon_traces::json::{self, Json};
+use mutcon_traces::json::Json;
 
 /// A proxy with no refresher rules: first access to a path is a miss,
 /// every later access is a pure cache hit.
@@ -109,8 +109,7 @@ fn hits_copy_no_body_bytes_and_leave_via_writev() {
     let proxy = hit_only_proxy(origin.addr(), 4);
 
     // Warm: the one and only origin fetch.
-    let warm = HttpClient::new();
-    let first = warm.get(proxy.local_addr(), "/obj", None).unwrap();
+    let first = get(proxy.local_addr(), "/obj").unwrap();
     assert_eq!(first.status(), StatusCode::OK);
     assert_eq!(first.headers().get("x-cache"), Some("miss"));
 
@@ -300,17 +299,13 @@ fn admin_stats_exposes_wire_counters() {
     let clock = FakeClock::new();
     let origin = ScriptedOrigin::start(clock);
     let proxy = hit_only_proxy(origin.addr(), 4);
-    let client = HttpClient::new();
 
     // A miss and a hit so the counters have something to show.
-    client.get(proxy.local_addr(), "/obj", None).unwrap();
-    let hit = client.get(proxy.local_addr(), "/obj", None).unwrap();
+    get(proxy.local_addr(), "/obj").unwrap();
+    let hit = get(proxy.local_addr(), "/obj").unwrap();
     assert_eq!(hit.headers().get("x-cache"), Some("hit"));
 
-    let resp = client.get(proxy.local_addr(), "/admin/stats", None).unwrap();
-    assert_eq!(resp.status(), StatusCode::OK);
-    let doc: Json =
-        json::parse(std::str::from_utf8(resp.body()).unwrap()).expect("stats JSON");
+    let doc = get_json(proxy.local_addr(), "/admin/stats");
     let wire = doc.get("wire").expect("wire section");
     for key in [
         "write_calls",
@@ -348,19 +343,16 @@ fn admin_stats_exposes_l1_and_cache_counters() {
         ..ProxyConfig::new(origin.addr())
     })
     .expect("start proxy");
-    let client = HttpClient::new();
 
     // A miss (stores to L2), an L2 hit (refills the L1), then two L1
     // hits — the refill protocol only promotes on a validated L2 hit.
-    client.get(proxy.local_addr(), "/obj", None).unwrap();
+    get(proxy.local_addr(), "/obj").unwrap();
     for _ in 0..3 {
-        let hit = client.get(proxy.local_addr(), "/obj", None).unwrap();
+        let hit = get(proxy.local_addr(), "/obj").unwrap();
         assert_eq!(hit.headers().get("x-cache"), Some("hit"));
     }
 
-    let resp = client.get(proxy.local_addr(), "/admin/stats", None).unwrap();
-    let doc: Json =
-        json::parse(std::str::from_utf8(resp.body()).unwrap()).expect("stats JSON");
+    let doc = get_json(proxy.local_addr(), "/admin/stats");
     let cache = doc.get("cache").expect("cache section");
     for key in ["objects", "evictions", "generation", "version_bumps", "touch_skips"] {
         assert!(
@@ -404,8 +396,7 @@ fn epoll_ctl_calls_grow_sublinearly_in_requests() {
     let metrics = Arc::clone(proxy.engine_metrics());
 
     // Warm the cache so the measured burst is all keep-alive hits.
-    let warm = HttpClient::new();
-    warm.get(proxy.local_addr(), "/obj", None).unwrap();
+    get(proxy.local_addr(), "/obj").unwrap();
 
     let mut sock = connect(proxy.local_addr());
     let mut buf = BytesMut::new();
@@ -533,7 +524,7 @@ fn thread_cpu_ticks(comm: &str) -> u64 {
 fn half_closed_client_gets_its_held_miss_without_a_spinning_reactor() {
     use mutcon_live::cache::L1Cache;
     use mutcon_live::client::get_wire;
-    use mutcon_live::server::{EngineConfig, EventLoop, Reply, Service, ServiceResult};
+    use mutcon_live::server::{EngineConfig, EventLoop, Service, ServiceResult};
 
     struct FetchEverything(SocketAddr);
     impl Service for FetchEverything {
@@ -541,11 +532,6 @@ fn half_closed_client_gets_its_held_miss_without_a_spinning_reactor() {
             ServiceResult::Upstream {
                 addr: self.0,
                 request: get_wire(request.target(), "origin", None),
-                finish: Box::new(|fetched| {
-                    Reply::Full(fetched.unwrap_or_else(|_| {
-                        Response::builder(StatusCode::INTERNAL_SERVER_ERROR).build()
-                    }))
-                }),
             }
         }
     }
@@ -658,7 +644,7 @@ fn oversized_request_body_gets_a_413_and_a_close() {
     }
     // The limit is on one body, not on the connection: the next client
     // is served.
-    let resp = HttpClient::new().get(proxy.local_addr(), "/after", None).unwrap();
+    let resp = get(proxy.local_addr(), "/after").unwrap();
     assert_eq!(resp.status(), StatusCode::OK);
 }
 
@@ -711,8 +697,7 @@ fn a_byte_at_a_time_request_gets_a_408_at_the_deadline() {
 /// `(limit, in_flight)` of admission partition `name` on the proxy's
 /// first reactor, as `/admin/stats` shows it.
 fn partition_state(proxy: &LiveProxy, name: &str) -> Option<(u64, u64)> {
-    let resp = HttpClient::new().get(proxy.local_addr(), "/admin/stats", None).unwrap();
-    let doc = json::parse(std::str::from_utf8(resp.body()).unwrap()).expect("stats JSON");
+    let doc = get_json(proxy.local_addr(), "/admin/stats");
     let reactor = &doc.get("overload")?.get("reactors")?.as_array()?[0];
     reactor.get("partitions")?.as_array()?.iter().find_map(|p| {
         (p.get("partition")?.as_str()? == name)

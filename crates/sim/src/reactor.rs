@@ -48,7 +48,6 @@ mod sys {
 
     pub const EPOLL_CLOEXEC: c_int = 0o2000000;
     pub const EPOLL_CTL_ADD: c_int = 1;
-    pub const EPOLL_CTL_DEL: c_int = 2;
     pub const EPOLL_CTL_MOD: c_int = 3;
 
     pub const EPOLLIN: u32 = 0x001;
@@ -221,16 +220,6 @@ impl Events {
         }
     }
 
-    /// Number of events delivered by the last wait.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the last wait delivered nothing.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Iterates over the delivered events.
     pub fn iter(&self) -> impl Iterator<Item = Event> + '_ {
         self.buf[..self.len].iter().map(|raw| {
@@ -260,8 +249,8 @@ impl std::fmt::Debug for Events {
 ///
 /// Registrations map a raw fd to a caller-chosen `token`; [`Poller::wait`]
 /// reports which tokens are ready. The caller keeps ownership of every
-/// registered fd and must [`Poller::deregister`] (or close) it before
-/// reusing its token.
+/// registered fd and must close it (which removes the registration)
+/// before reusing its token.
 pub struct Poller {
     epfd: OwnedFd,
 }
@@ -304,16 +293,6 @@ impl Poller {
     /// Propagates `epoll_ctl` failures.
     pub fn modify(&self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
         self.ctl(sys::EPOLL_CTL_MOD, fd, token, interest)
-    }
-
-    /// Removes a registration. Closing the fd removes it implicitly; this
-    /// exists for fds that outlive their registration.
-    ///
-    /// # Errors
-    ///
-    /// Propagates `epoll_ctl` failures.
-    pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
-        self.ctl(sys::EPOLL_CTL_DEL, fd, 0, Interest::NONE)
     }
 
     /// Blocks until at least one registered fd is ready, `timeout`
@@ -742,25 +721,6 @@ mod tests {
             }
         }
         assert_eq!(sink, b"ping");
-    }
-
-    #[test]
-    fn deregister_silences_events() {
-        let poller = Poller::new().unwrap();
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        listener.set_nonblocking(true).unwrap();
-        poller
-            .register(listener.as_raw_fd(), 9, Interest::READABLE)
-            .unwrap();
-        poller.deregister(listener.as_raw_fd()).unwrap();
-        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let mut events = Events::with_capacity(4);
-        assert_eq!(
-            poller
-                .wait(&mut events, Some(Duration::from_millis(50)))
-                .unwrap(),
-            0
-        );
     }
 
     #[test]

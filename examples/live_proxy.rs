@@ -10,7 +10,7 @@ use std::time::Duration as StdDuration;
 
 use mutcon::core::mutual::temporal::MtPolicy;
 use mutcon::core::time::Duration;
-use mutcon::live::client::{last_modified_ms, HttpClient};
+use mutcon::live::client::{last_modified_ms, PersistentClient};
 use mutcon::live::origin::LiveOrigin;
 use mutcon::live::proxy::{GroupRule, LiveProxy, ProxyConfig, RefreshRule};
 use mutcon::traces::transform::scale_time;
@@ -52,10 +52,10 @@ fn main() -> std::io::Result<()> {
     println!("proxy   listening on {}\n", proxy.local_addr());
 
     // A client hitting the proxy once per "hour" of trace time.
-    let client = HttpClient::new();
+    let mut client = PersistentClient::new(proxy.local_addr(), StdDuration::from_secs(5));
     for tick in 0..8 {
         std::thread::sleep(StdDuration::from_millis(250));
-        let resp = client.get(proxy.local_addr(), "/news/cnn-fn.html", None)?;
+        let resp = client.get("/news/cnn-fn.html", None)?;
         let stamp = last_modified_ms(&resp)
             .map(|t| t.as_millis().to_string())
             .unwrap_or_else(|| "?".into());

@@ -82,6 +82,17 @@ if sed '/#\[cfg(test)\]/q' crates/live/src/server.rs \
   exit 1
 fi
 
+# One way a fetch ends, and one blocking client: a finished upstream
+# fetch becomes a reply in `Service::fetched` alone, called once for all
+# its waiters from the reactor's one completion path, and the tests speak
+# through `PersistentClient`. No per-waiter closure, waiter payload,
+# pending-state enum or second client comes back.
+if grep -rnE 'FinishUpstream|clone_err|HttpClient' crates examples src tests \
+    || sed '/#\[cfg(test)\]/q' crates/live/src/server.rs | grep -nE 'struct Waiting|enum Pending'; then
+  echo "ci: a second fetch completion path or a second client is back (lines above)" >&2
+  exit 1
+fi
+
 # Live-proxy smoke: origin + proxy on real sockets, hundreds of
 # concurrent clients through the reactor threads — a stalled event
 # loop shows up here as read timeouts, not as a hang. (One run in ~120
