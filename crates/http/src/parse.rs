@@ -498,6 +498,46 @@ mod tests {
         );
     }
 
+    /// `GET / HTTP/1.1` and one header padded so the head is `len` bytes
+    /// with its terminator.
+    fn head_of_len(len: usize) -> Vec<u8> {
+        let bare = b"GET / HTTP/1.1\r\nx: \r\n\r\n".len();
+        let mut head = b"GET / HTTP/1.1\r\nx: ".to_vec();
+        head.extend(std::iter::repeat_n(b'a', len - bare));
+        head.extend_from_slice(b"\r\n\r\n");
+        assert_eq!(head.len(), len);
+        head
+    }
+
+    #[test]
+    fn head_and_body_limits_are_exact() {
+        let at_limit = head_of_len(MAX_HEAD_BYTES);
+        let (_, n) = parse_request(&at_limit).unwrap().expect("a head of MAX_HEAD_BYTES parses");
+        assert_eq!(n, MAX_HEAD_BYTES);
+        let mut parser = RequestParser::new();
+        assert!(parser.advance(&at_limit[..MAX_HEAD_BYTES - 2]).unwrap().is_none());
+        assert!(parser.advance(&at_limit).unwrap().is_some(), "terminator in a second read");
+        let over = head_of_len(MAX_HEAD_BYTES + 1);
+        assert_eq!(parse_request(&over).unwrap_err(), ParseError::HeadTooLarge);
+        // Without a terminator: MAX_HEAD_BYTES buffered is still "read
+        // more", one byte more is refused before the rest arrives.
+        let mut unfinished = b"GET / HTTP/1.1\r\nx: ".to_vec();
+        unfinished.resize(MAX_HEAD_BYTES + 1, b'a');
+        assert_eq!(parse_request(&unfinished[..MAX_HEAD_BYTES]).unwrap(), None);
+        assert_eq!(parse_request(&unfinished).unwrap_err(), ParseError::HeadTooLarge);
+
+        let put = |len: usize| format!("PUT /o HTTP/1.1\r\nContent-Length: {len}\r\n\r\n");
+        let mut wire = put(MAX_BODY_BYTES).into_bytes();
+        let head = wire.len();
+        wire.resize(head + MAX_BODY_BYTES, b'b');
+        let (req, n) = parse_request(&wire).unwrap().expect("a MAX_BODY_BYTES body parses");
+        assert_eq!((req.body().len(), n), (MAX_BODY_BYTES, wire.len()));
+        assert_eq!(
+            parse_request(put(MAX_BODY_BYTES + 1).as_bytes()).unwrap_err(),
+            ParseError::BodyTooLarge
+        );
+    }
+
     #[test]
     fn parses_minimal_response() {
         let wire = b"HTTP/1.1 304 Not Modified\r\n\r\n";

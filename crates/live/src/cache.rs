@@ -549,32 +549,26 @@ impl L1Cache {
     pub fn insert(&mut self, path: &str, entry: Arc<CacheEntry>) -> bool {
         let base = fnv1a(path);
         self.tick += 1;
-        let mut empty = None;
-        let mut lru: Option<(usize, u64)> = None;
+        // The victim: the first empty slot (rank 0), otherwise the least
+        // recently used one (rank `used`, at least 1). The window's first
+        // slot stands in until the probe ranks it.
+        let (mut victim, mut victim_rank) = ((base & self.mask) as usize, u64::MAX);
         for i in 0..L1_PROBE as u64 {
             let idx = ((base.wrapping_add(i)) & self.mask) as usize;
-            match &mut self.slots[idx] {
+            let rank = match &mut self.slots[idx] {
                 Some(slot) if slot.path == path => {
                     slot.entry = entry;
                     slot.used = self.tick;
                     return false;
                 }
-                Some(slot) => {
-                    if lru.map_or(true, |(_, used)| slot.used < used) {
-                        lru = Some((idx, slot.used));
-                    }
-                }
-                None => {
-                    if empty.is_none() {
-                        empty = Some(idx);
-                    }
-                }
+                Some(slot) => slot.used,
+                None => 0,
+            };
+            if rank < victim_rank {
+                (victim, victim_rank) = (idx, rank);
             }
         }
-        let idx = empty
-            .or(lru.map(|(idx, _)| idx))
-            .expect("a probe window has slots");
-        match &mut self.slots[idx] {
+        match &mut self.slots[victim] {
             Some(slot) => {
                 slot.path.clear();
                 slot.path.push_str(path);

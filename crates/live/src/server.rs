@@ -3,9 +3,9 @@
 //!
 //! The engine runs **one reactor per core** by default
 //! ([`default_reactors`]; [`EngineConfig::reactors`] sets it): each
-//! reactor thread owns its own coalesced-interest [`EpollBackend`], its
-//! own eventfd waker, its
-//! own connection slab, its own keep-alive origin pool — and its own
+//! reactor thread owns its own level-triggered epoll [`Poller`], its own
+//! eventfd [`Waker`], its own connection slab, its own keep-alive origin
+//! pool — and its own
 //! `SO_REUSEPORT` listener on the shared port, so the kernel
 //! load-balances incoming connections across reactors with no shared
 //! accept lock. Within a reactor every connection is a state machine
@@ -62,7 +62,7 @@
 use std::io;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::fd::AsRawFd;
+use std::os::fd::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Once};
 use std::thread::JoinHandle;
@@ -72,10 +72,9 @@ use bytes::{Bytes, BytesMut};
 use mutcon_http::message::{Request, Response};
 use mutcon_http::parse::{ParseError, RequestParser, ResponseParser};
 use mutcon_http::types::StatusCode;
-use mutcon_sim::reactor::backend::{BackendCounters, EpollBackend};
 use mutcon_sim::reactor::{
-    accept_nonblocking, connect_nonblocking, listen_reuseport, raise_nofile_limit, Event, Interest,
-    Waker,
+    accept_nonblocking, connect_nonblocking, listen_reuseport, raise_nofile_limit, Event, Events,
+    Interest, Poller, Waker,
 };
 
 use crate::cache::L1Cache;
@@ -281,11 +280,10 @@ metrics! {
         buf_allocs: Counter => "wire.buf_allocs";
         /// Most buffers any reactor's pool has held at once.
         buf_pool_high_water: Gauge<usize> => "wire.buf_pool_high_water";
-        /// `epoll_ctl` ADD + MOD issued; with interest coalescing this
-        /// grows with connections, not requests.
+        /// `epoll_ctl` ADD + MOD issued, counted at the call: one ADD per
+        /// socket, one MOD per change of a socket's interest, none per
+        /// request.
         epoll_ctl_calls: Counter => "wire.epoll_ctl_calls";
-        /// Interest transitions the ledger absorbed before the kernel.
-        interest_coalesced: Counter => "wire.interest_coalesced";
         /// Requests served from a reactor-local L1: one flag load, no
         /// shard lock. Counted by the service that uses the L1.
         l1_hits: Counter => "cache.l1.hits", "wire.l1_hits";
@@ -424,7 +422,7 @@ impl EventLoop {
         let reactors = reactors.clamp(1, MAX_REACTORS).min(max_conns);
         // The first listener picks the ephemeral port; its SO_REUSEPORT
         // siblings join it, one per reactor.
-        let first = listen_reuseport("127.0.0.1:0".parse().expect("valid literal"))?;
+        let first = listen_reuseport(SocketAddr::from(([127, 0, 0, 1], 0)))?;
         let addr = first.local_addr()?;
         let mut listeners = vec![first];
         for _ in 1..reactors {
@@ -438,16 +436,13 @@ impl EventLoop {
         // shards take one extra slot, total = max_conns.
         let shares = split_conns(max_conns, reactors);
         for (i, listener) in listeners.into_iter().enumerate() {
-            let per_reactor = shares[i];
-            let mut backend = EpollBackend::new(TOKEN_WAKER)?;
-            backend.register(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READABLE)?;
-            let waker = backend.wake_handle();
             let reactor = Reactor {
-                backend,
+                poller: Poller::new()?,
+                waker: Waker::new()?,
                 listener,
                 service: Arc::clone(&service),
                 shutdown: Arc::clone(&shutdown),
-                max_conns: per_reactor.max(1),
+                max_conns: shares[i].max(1),
                 conns: Vec::new(),
                 free: Vec::new(),
                 clients: 0,
@@ -460,11 +455,13 @@ impl EventLoop {
                 driving: None,
                 metrics: Arc::clone(&metrics),
                 reactor_index: i,
-                last_counters: BackendCounters::default(),
                 overload: Arc::clone(&overload),
                 paused_since: None,
                 l1: L1Cache::new(service.l1_capacity()),
             };
+            reactor.register(reactor.waker.as_raw_fd(), TOKEN_WAKER, Interest::READABLE)?;
+            reactor.register(reactor.listener.as_raw_fd(), TOKEN_LISTENER, Interest::READABLE)?;
+            let waker = reactor.waker.clone();
             let thread = std::thread::Builder::new()
                 .name(format!("{name}-r{i}"))
                 .spawn(move || reactor.run())?;
@@ -580,14 +577,19 @@ enum Kind {
 
 struct Conn {
     stream: TcpStream,
+    /// The interest the kernel holds for the socket.
+    interest: Interest,
     last_activity: Instant,
     kind: Kind,
 }
 
 struct Reactor {
-    /// Readiness and the data-plane syscalls; every fd operation goes
-    /// through it.
-    backend: EpollBackend,
+    /// The reactor's epoll instance. Every `epoll_ctl` goes through
+    /// [`Reactor::register`], [`Reactor::set_interest`] or
+    /// [`Reactor::listener_interest`], which count it at the call.
+    poller: Poller,
+    /// Interrupts the wait for shutdown; its clone is the loop's handle.
+    waker: Waker,
     listener: TcpListener,
     service: Arc<dyn Service>,
     shutdown: Arc<AtomicBool>,
@@ -620,9 +622,6 @@ struct Reactor {
     metrics: Arc<EngineMetrics>,
     /// This reactor's slot in the per-reactor metric arrays.
     reactor_index: usize,
-    /// Backend counter snapshot from the previous turn; the delta is
-    /// folded into the shared metrics once per event-loop turn.
-    last_counters: BackendCounters,
     /// The shared overload-control handle; this reactor's admission
     /// partitions and pool limiter live in its slot there.
     overload: Arc<OverloadControl>,
@@ -646,30 +645,28 @@ fn discard_input(mut stream: &TcpStream) {
 
 impl Reactor {
     fn run(mut self) {
-        let mut events: Vec<Event> = Vec::with_capacity(1024);
+        let mut events = Events::with_capacity(1024);
         while !self.shutdown.load(Ordering::SeqCst) {
-            if self.backend.wait(&mut events, Some(TICK)).is_err() {
+            if self.poller.wait(&mut events, Some(TICK)).is_err() {
                 break;
             }
             self.dispatch(&events);
             self.check_park_deadline();
-            self.flush_backend_counters();
             if self.last_sweep.elapsed() >= Duration::from_secs(1) {
                 self.sweep_idle();
                 self.last_sweep = Instant::now();
             }
         }
         self.drain(&mut events);
-        self.flush_backend_counters();
         // Dropping the slab closes every socket.
     }
 
     /// Applies one event batch.
-    fn dispatch(&mut self, events: &[Event]) {
-        for &event in events {
+    fn dispatch(&mut self, events: &Events) {
+        for event in events.iter() {
             match event.token {
                 TOKEN_LISTENER => self.accept_ready(),
-                TOKEN_WAKER => self.backend.drain_waker(),
+                TOKEN_WAKER => self.waker.drain(),
                 token => self.conn_event(token - TOKEN_BASE, event),
             }
         }
@@ -678,19 +675,9 @@ impl Reactor {
         self.free.append(&mut self.freed_this_batch);
     }
 
-    /// Exports the backend's monotonic syscall-economy counters into the
-    /// shared metrics as a delta, once per event-loop turn.
-    fn flush_backend_counters(&mut self) {
-        let now = self.backend.counters();
-        let delta = now.since(self.last_counters);
-        self.last_counters = now;
-        self.metrics.epoll_ctl_calls.add(delta.epoll_ctl_calls);
-        self.metrics.interest_coalesced.add(delta.interest_coalesced);
-    }
-
     /// Graceful-shutdown tail: stop accepting, keep serving until every
     /// in-flight response is flushed or the grace period lapses.
-    fn drain(&mut self, events: &mut Vec<Event>) {
+    fn drain(&mut self, events: &mut Events) {
         self.pause_accepting();
         let deadline = Instant::now() + DRAIN_GRACE;
         while self.has_inflight() {
@@ -699,7 +686,7 @@ impl Reactor {
                 break;
             }
             let timeout = (deadline - now).min(Duration::from_millis(10));
-            if self.backend.wait(events, Some(timeout)).is_err() {
+            if self.poller.wait(events, Some(timeout)).is_err() {
                 break;
             }
             self.dispatch(events);
@@ -715,32 +702,70 @@ impl Reactor {
         })
     }
 
+    /// Adds `fd` to the poller under `token`: one counted
+    /// `epoll_ctl(ADD)`.
+    fn register(&self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
+        self.poller.register(fd, token, interest)?;
+        self.metrics.epoll_ctl_calls.inc();
+        Ok(())
+    }
+
     /// Takes a free slab slot for `stream` and registers the socket under
-    /// the slot's token; if that fails the slot goes straight back.
+    /// the slot's token; if that fails the slot goes straight back. No
+    /// `EPOLL_CTL_DEL` ever follows: closing the socket in
+    /// [`Reactor::release_slot`] is what removes the registration.
     fn register_slot(&mut self, stream: &TcpStream, interest: Interest) -> io::Result<usize> {
         let idx = self.free.pop().unwrap_or_else(|| {
             self.conns.push(None);
             self.conns.len() - 1
         });
-        let registered = self.backend.register(stream.as_raw_fd(), idx + TOKEN_BASE, interest);
+        let registered = self.register(stream.as_raw_fd(), idx + TOKEN_BASE, interest);
         if registered.is_err() {
             self.free.push(idx);
         }
         registered.map(|()| idx)
     }
 
+    /// Moves connection `idx`'s kernel interest to `interest`: one counted
+    /// `epoll_ctl(MOD)` when it differs from what the kernel holds,
+    /// nothing when it does not. The caller handles a failure.
+    fn set_interest(&mut self, idx: usize, interest: Interest) -> io::Result<()> {
+        let Some(conn) = self.conns[idx].as_mut() else { return Ok(()) };
+        if conn.interest == interest {
+            return Ok(());
+        }
+        self.poller.modify(conn.stream.as_raw_fd(), idx + TOKEN_BASE, interest)?;
+        conn.interest = interest;
+        self.metrics.epoll_ctl_calls.inc();
+        Ok(())
+    }
+
+    /// Moves the listener's kernel interest: one counted
+    /// `epoll_ctl(MOD)`. `false` if it failed, so `accepting` (which
+    /// records what the kernel holds) stays as it was and the next pause
+    /// or resume tries again.
+    fn listener_interest(&self, interest: Interest) -> bool {
+        let fd = self.listener.as_raw_fd();
+        let modified = self.poller.modify(fd, TOKEN_LISTENER, interest).is_ok();
+        if modified {
+            self.metrics.epoll_ctl_calls.inc();
+        }
+        modified
+    }
+
     fn pause_accepting(&mut self) {
-        if self.accepting {
+        if self.accepting && self.listener_interest(Interest::NONE) {
             self.accepting = false;
-            self.backend.set_interest(TOKEN_LISTENER, Interest::NONE);
             self.paused_since = Some(Instant::now());
         }
     }
 
     fn resume_accepting(&mut self) {
-        if !self.accepting && self.clients < self.max_conns {
+        if !self.accepting
+            && self.clients < self.max_conns
+            && self.listener_interest(Interest::READABLE)
+        {
             self.accepting = true;
-            self.backend.set_interest(TOKEN_LISTENER, Interest::READABLE);
             self.paused_since = None;
         }
     }
@@ -750,12 +775,16 @@ impl Reactor {
     /// and adopts pooled read/write buffers; shared metrics are stored
     /// once per batch, not once per connection, and the listener's
     /// epoll interest is only touched when the batch hits the
-    /// connection bound.
+    /// connection bound (a failed pause is retried at the next wakeup).
     fn accept_ready(&mut self) {
         let mut batch: u64 = 0;
         let mut reused: u64 = 0;
         let mut allocated: u64 = 0;
         while self.accepting {
+            if self.clients >= self.max_conns {
+                self.pause_accepting();
+                break;
+            }
             match accept_nonblocking(&self.listener) {
                 Ok(stream) => {
                     if !self.service.accept_connection() {
@@ -771,6 +800,7 @@ impl Reactor {
                     allocated += u64::from(!wfrom_pool) + u64::from(!rfrom_pool);
                     self.conns[idx] = Some(Conn {
                         stream,
+                        interest: Interest::READABLE,
                         last_activity: Instant::now(),
                         kind: Kind::Client(ClientState {
                             parser: RequestParser::new(),
@@ -785,9 +815,6 @@ impl Reactor {
                     });
                     self.clients += 1;
                     batch += 1;
-                    if self.clients >= self.max_conns {
-                        self.pause_accepting();
-                    }
                 }
                 Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(ref e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -847,8 +874,11 @@ impl Reactor {
         let Some(conn) = self.conns[idx].as_mut() else { return };
         let Kind::Client(client) = &mut conn.kind else { return };
         let mut saw_eof = false;
-        let chunk = &mut self.scratch[..];
         while client.read_buf.len() < MAX_BUFFERED {
+            // Never past the bound: a request one byte over it must not
+            // fit, however its bytes arrive.
+            let room = (MAX_BUFFERED - client.read_buf.len()).min(self.scratch.len());
+            let chunk = &mut self.scratch[..room];
             match (&conn.stream).read(chunk) {
                 Ok(0) => {
                     saw_eof = true;
@@ -856,8 +886,8 @@ impl Reactor {
                 }
                 Ok(n) => {
                     client.read_buf.extend_from_slice(&chunk[..n]);
-                    // A short read drained the socket; the backend
-                    // raises a new event for more data or EOF.
+                    // A short read drained the socket; the level-triggered
+                    // poller raises a new event for more data or EOF.
                     if n < chunk.len() {
                         break;
                     }
@@ -1068,16 +1098,15 @@ impl Reactor {
         false
     }
 
-    /// Recomputes the client's desired readiness interest from its
-    /// state. The backend's ledger coalesces: only a net change reaches
-    /// the kernel, at the next wait.
+    /// Recomputes the client's readiness interest from its state. Only a
+    /// change reaches the kernel, at once; if it fails, the client is
+    /// closed.
     fn update_client_interest(&mut self, idx: usize) {
         let Some(conn) = self.conns[idx].as_ref() else { return };
         let Kind::Client(client) = &conn.kind else { return };
         // Read interest stays armed while a fetch is pending: dropping and
-        // re-arming it straddles two loop turns, which the ledger cannot
-        // coalesce (two `epoll_ctl` per miss). It is dropped at the
-        // buffering bound, and after the peer's EOF, which a
+        // re-arming it would cost two `epoll_ctl` per miss. It is dropped
+        // at the buffering bound, and after the peer's EOF, which a
         // level-triggered poller would report on every turn.
         let interest = if client.write.has_unwritten() {
             Interest::WRITABLE
@@ -1086,7 +1115,9 @@ impl Reactor {
         } else {
             Interest::READABLE
         };
-        self.backend.set_interest(idx + TOKEN_BASE, interest);
+        if self.set_interest(idx, interest).is_err() {
+            self.close_client(idx);
+        }
     }
 
     /// Queues a response on a client without driving the connection
@@ -1204,6 +1235,7 @@ impl Reactor {
         }
         self.conns[idx] = Some(Conn {
             stream,
+            interest: Interest::WRITABLE,
             last_activity: Instant::now(),
             kind: Kind::Upstream(UpstreamState {
                 addr,
@@ -1266,7 +1298,9 @@ impl Reactor {
                 Ok(n) => up.written += n,
                 Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => {
                     // Partial write: wait for writability.
-                    self.backend.set_interest(idx + TOKEN_BASE, Interest::WRITABLE);
+                    if let Err(err) = self.set_interest(idx, Interest::WRITABLE) {
+                        self.upstream_broken(idx, err, true);
+                    }
                     return;
                 }
                 Err(ref e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -1281,7 +1315,9 @@ impl Reactor {
             return;
         }
         conn.last_activity = Instant::now();
-        self.backend.set_interest(idx + TOKEN_BASE, Interest::READABLE);
+        if let Err(err) = self.set_interest(idx, Interest::READABLE) {
+            self.upstream_broken(idx, err, true);
+        }
     }
 
     fn upstream_readable(&mut self, idx: usize) {
@@ -1328,11 +1364,12 @@ impl Reactor {
                 up.served += 1;
                 let elapsed = up.fetch_started.take().map(|t| t.elapsed()).unwrap_or_default();
                 if reusable {
-                    // Park for the next fetch to this origin.
+                    // Park for the next fetch to this origin. The socket
+                    // is still READABLE from the request write, so the
+                    // origin closing it wakes the reactor.
                     up.read_buf.clear();
                     up.parser = ResponseParser::new();
                     up.written = 0;
-                    self.backend.set_interest(idx + TOKEN_BASE, Interest::READABLE);
                     self.pool.release_idle(addr, idx, Instant::now());
                 } else {
                     // One-shot connection (origin said close, or the
@@ -1411,14 +1448,12 @@ impl Reactor {
         self.complete_client(last, reply);
     }
 
-    /// Takes connection `idx` out of the slab: forgets its readiness
-    /// interest, returns its buffers to the pool (an upstream socket also
-    /// leaves its origin's open count) and defers the slot's reuse to the
-    /// end of the event batch. The socket closes when the caller drops
-    /// what is returned.
+    /// Takes connection `idx` out of the slab: returns its buffers to the
+    /// pool (an upstream socket also leaves its origin's open count) and
+    /// defers the slot's reuse to the end of the event batch. The socket
+    /// closes, leaving the poller, when the caller drops what is returned.
     fn release_slot(&mut self, idx: usize) -> Option<Conn> {
         let mut conn = self.conns[idx].take()?;
-        self.backend.deregister(idx + TOKEN_BASE);
         self.freed_this_batch.push(idx);
         match &mut conn.kind {
             Kind::Client(client) => {
@@ -1813,6 +1848,68 @@ mod tests {
             // The extra slots go to the first shards, deterministically.
             assert!(shares.windows(2).all(|w| w[0] >= w[1]), "{shares:?}");
         }
+    }
+
+    /// One reactor on a fresh listener, not started: the test drives it.
+    fn idle_reactor(metrics: &Arc<EngineMetrics>) -> Reactor {
+        let reactor = Reactor {
+            poller: Poller::new().unwrap(),
+            waker: Waker::new().unwrap(),
+            listener: listen_reuseport(SocketAddr::from(([127, 0, 0, 1], 0))).unwrap(),
+            service: Arc::new(Echo),
+            shutdown: Arc::new(AtomicBool::new(false)),
+            max_conns: 4,
+            conns: Vec::new(),
+            free: Vec::new(),
+            clients: 0,
+            accepting: true,
+            last_sweep: Instant::now(),
+            freed_this_batch: Vec::new(),
+            pool: PoolCore::new(1),
+            bufs: BufPool::new(),
+            scratch: vec![0; 16 * 1024],
+            driving: None,
+            metrics: Arc::clone(metrics),
+            reactor_index: 0,
+            overload: Arc::new(OverloadControl::default()),
+            paused_since: None,
+            l1: L1Cache::new(0),
+        };
+        reactor.register(reactor.waker.as_raw_fd(), TOKEN_WAKER, Interest::READABLE).unwrap();
+        reactor.register(reactor.listener.as_raw_fd(), TOKEN_LISTENER, Interest::READABLE).unwrap();
+        reactor
+    }
+
+    /// An interest change reaches the kernel when it is made, as one
+    /// counted `epoll_ctl`; setting the interest the kernel already holds
+    /// issues none.
+    #[test]
+    fn only_a_changed_interest_issues_an_epoll_ctl() {
+        let metrics = Arc::new(EngineMetrics::default());
+        let mut reactor = idle_reactor(&metrics);
+        assert_eq!(metrics.epoll_ctl_calls(), 2, "the waker's ADD and the listener's");
+        let _client = TcpStream::connect(reactor.listener.local_addr().unwrap()).unwrap();
+        let mut events = Events::with_capacity(4);
+        reactor.poller.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
+        reactor.dispatch(&events);
+        assert_eq!(reactor.clients, 1);
+        assert_eq!(metrics.epoll_ctl_calls(), 3, "the accepted socket's ADD");
+
+        let mut ctl = |interest| {
+            reactor.set_interest(0, interest).unwrap();
+            metrics.epoll_ctl_calls()
+        };
+        assert_eq!(ctl(Interest::READABLE), 3, "unchanged: no MOD");
+        assert_eq!(ctl(Interest::WRITABLE), 4, "a change: one MOD");
+        assert_eq!(ctl(Interest::WRITABLE), 4);
+        assert_eq!(ctl(Interest::READABLE), 5);
+
+        reactor.pause_accepting();
+        reactor.pause_accepting();
+        assert_eq!(metrics.epoll_ctl_calls(), 6, "the listener's MOD, once");
+        reactor.close_client(0);
+        assert!(reactor.accepting);
+        assert_eq!(metrics.epoll_ctl_calls(), 7, "and back");
     }
 
     #[test]

@@ -83,7 +83,6 @@ wire.buf_allocs: number
 wire.buf_pool_high_water: number
 wire.buf_reuses: number
 wire.epoll_ctl_calls: number
-wire.interest_coalesced: number
 wire.l1_hits: number
 wire.l1_stale_rejects: number
 wire.write_calls: number
@@ -236,7 +235,6 @@ fn the_document_and_the_accessors_read_the_same_cells() {
             ("wire.buf_allocs", engine.buf_allocs()),
             ("wire.buf_pool_high_water", engine.buf_pool_high_water() as u64),
             ("wire.epoll_ctl_calls", engine.epoll_ctl_calls()),
-            ("wire.interest_coalesced", engine.interest_coalesced()),
             ("wire.l1_hits", engine.l1_hits()),
             ("wire.l1_stale_rejects", engine.l1_stale_rejects()),
             ("wire.write_stalls", engine.write_stalls()),

@@ -39,7 +39,7 @@ use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 use std::sync::Arc;
 use std::time::Duration;
 
-pub use backend::{BackendCounters, BackendKind, InterestLedger};
+pub use backend::BackendKind;
 
 /// The raw syscall surface. Linux-only, declared against the platform C
 /// library (always linked by std) instead of the `libc` crate.
@@ -930,6 +930,13 @@ mod tests {
         let mut got = [0u8; 5];
         client.read_exact(&mut got).unwrap();
         assert_eq!(&got, b"hello");
+    }
+
+    #[test]
+    fn raise_nofile_limit_reports_current() {
+        let (before, after) = raise_nofile_limit(64).unwrap();
+        // The cap is far below any sane soft limit: nothing changes.
+        assert_eq!(before, after);
     }
 
     #[test]

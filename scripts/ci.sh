@@ -93,6 +93,16 @@ if grep -rnE 'FinishUpstream|clone_err|HttpClient' crates examples src tests \
   exit 1
 fi
 
+# One epoll layer: the reactor drives its `Poller` itself, records the
+# interest the kernel holds for each socket, and issues and counts an
+# `epoll_ctl` when that interest changes. No backend wrapper, deferred
+# interest ledger or per-turn counter fold comes back between them.
+if grep -rnE 'EpollBackend|InterestLedger|BackendCounters|interest_coalesced|flush_backend_counters' \
+    crates src tests examples README.md .claude; then
+  echo "ci: a second epoll layer is back (lines above)" >&2
+  exit 1
+fi
+
 # Live-proxy smoke: origin + proxy on real sockets, hundreds of
 # concurrent clients through the reactor threads — a stalled event
 # loop shows up here as read timeouts, not as a hang. (One run in ~120
