@@ -33,9 +33,7 @@
 //! * [`upstream`] — the keep-alive origin pool's bookkeeping (miss
 //!   coalescing, idle reuse, stale-socket retry).
 //! * [`vectored`] — the zero-copy send path: per-connection write plans
-//!   (contiguous head + shared body flushed via `writev`) and the
-//!   per-reactor buffer pool that recycles read/write buffers across
-//!   connections.
+//!   (contiguous head + shared body flushed via `writev`).
 //! * [`cache`] — the 16-way sharded, recency-indexed object cache;
 //!   entries pre-render their serving head so a hit is two shared
 //!   slices, not a serialization.
@@ -49,8 +47,7 @@
 //!   and the versioned, hot-swappable [`overload::OverloadConfig`].
 //! * [`metrics`] — the counter, gauge and histogram cells every count in
 //!   the proxy lives in, and the one form a metric is declared in.
-//! * [`origin`] — the trace-replaying origin server, with fault
-//!   injection for resilience tests.
+//! * [`origin`] — the trace-replaying origin server.
 //! * [`proxy`] — the caching proxy daemon with a background refresher
 //!   running LIMD + mutual-consistency coordination, plus the
 //!   `/admin/*` HTTP control plane.

@@ -36,8 +36,8 @@ pub trait Cell {
 pub struct Metric {
     /// The cell's (and its accessor's) Rust name.
     pub name: &'static str,
-    /// Where the cell appears in `GET /admin/stats`, as dotted key paths.
-    pub paths: &'static [&'static str],
+    /// Where the cell appears in `GET /admin/stats`, as a dotted key path.
+    pub path: &'static str,
     /// The doc comment it was declared with.
     pub doc: &'static str,
 }
@@ -256,12 +256,12 @@ pub fn obj(entries: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
     Json::Object(entries.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
 }
 
-/// Declares a set of metrics: each `name: Cell => "path", …;` line, with
+/// Declares a set of metrics: each `name: Cell => "path";` line, with
 /// its doc comment, is everything there is to write about one metric.
 /// Generates the struct of cells (crate-visible: anything in the crate may
 /// count), `Default`, `pub fn name()` per cell (carrying the doc comment),
 /// `METRICS` (the declared table) and `render` (every cell written to its
-/// paths in a stats document).
+/// path in a stats document).
 ///
 /// * `name: Cell = expr => …` builds the cell with `expr` in place of
 ///   `Default` (a [`Histogram`] needs its bounds).
@@ -273,12 +273,12 @@ macro_rules! metrics {
     (
         $(#[$meta:meta])* $vis:vis struct $Name:ident,
         snapshot $(#[$smeta:meta])* $Snap:ident {
-            $( $(#[doc = $doc:literal])* $field:ident : $kind:ty => $($path:literal),+ ; )*
+            $( $(#[doc = $doc:literal])* $field:ident : $kind:ty => $path:literal ; )*
         }
     ) => {
         $crate::metrics::metrics! {
             $(#[$meta])* $vis struct $Name {
-                $( $(#[doc = $doc])* $field : $kind => $($path),+ ; )*
+                $( $(#[doc = $doc])* $field : $kind => $path ; )*
             }
         }
 
@@ -298,7 +298,7 @@ macro_rules! metrics {
         $(#[$meta:meta])* $vis:vis struct $Name:ident {
             $(
                 $(#[doc = $doc:literal])*
-                $field:ident : $kind:ty $(= $init:expr)? => $($path:literal),+ ;
+                $field:ident : $kind:ty $(= $init:expr)? => $path:literal ;
             )*
         }
         $(plus { $( $(#[$pmeta:meta])* $pfield:ident : $pty:ty = $pinit:expr, )* })?
@@ -321,11 +321,11 @@ macro_rules! metrics {
 
         impl $Name {
             /// Every metric declared here: name, `GET /admin/stats`
-            /// path(s), meaning.
+            /// path, meaning.
             pub const METRICS: &'static [$crate::metrics::Metric] = &[
                 $( $crate::metrics::Metric {
                     name: stringify!($field),
-                    paths: &[$($path),+],
+                    path: $path,
                     doc: concat!($($doc),*),
                 }, )*
             ];
@@ -337,11 +337,11 @@ macro_rules! metrics {
                 }
             )*
 
-            /// Writes every cell to its path(s) in the stats document.
+            /// Writes every cell to its path in the stats document.
             pub fn render(&self, doc: &mut mutcon_traces::json::Json) {
-                $($(
+                $(
                     $crate::metrics::put(doc, $path, $crate::metrics::Cell::json(&self.$field));
-                )+)*
+                )*
             }
         }
     };
@@ -362,7 +362,7 @@ mod tests {
         /// What `Sample` read.
         SampleSnap {
             /// Things seen.
-            seen: Counter => "sample.seen", "also.seen";
+            seen: Counter => "sample.seen";
             /// Things held.
             held: Gauge => "sample.held";
         }
@@ -398,22 +398,19 @@ mod tests {
             [
                 Metric {
                     name: "seen",
-                    paths: &["sample.seen", "also.seen"],
+                    path: "sample.seen",
                     doc: " Things seen."
                 },
                 Metric {
                     name: "held",
-                    paths: &["sample.held"],
+                    path: "sample.held",
                     doc: " Things held."
                 },
             ]
         );
         let mut doc = Json::Null;
         sample.render(&mut doc);
-        assert_eq!(
-            doc.to_string(),
-            r#"{"also":{"seen":3},"sample":{"held":1,"seen":3}}"#
-        );
+        assert_eq!(doc.to_string(), r#"{"sample":{"held":1,"seen":3}}"#);
     }
 
     #[test]
@@ -449,11 +446,10 @@ mod tests {
                 "{} has no doc comment",
                 metric.name
             );
-            for path in metric.paths {
-                assert!(names.insert(path), "{path} is declared twice");
-                let row = format!("| `{}` | `{path}` |", metric.name);
-                assert!(readme.contains(&row), "README.md has no row `{row}`");
-            }
+            let path = metric.path;
+            assert!(names.insert(path), "{path} is declared twice");
+            let row = format!("| `{}` | `{path}` |", metric.name);
+            assert!(readme.contains(&row), "README.md has no row `{row}`");
         }
     }
 

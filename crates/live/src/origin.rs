@@ -7,15 +7,12 @@
 //! proxy and origin share one timeline without clock negotiation.
 //!
 //! Connections are served by the shared reactor engine
-//! ([`crate::server`]); there is no worker pool. Fault injection
-//! ([`LiveOrigin::set_fault`]) lets tests exercise the proxy's
-//! resilience: connections can be dropped on accept and at their next
-//! request.
+//! ([`crate::server`]); there is no worker pool.
 
 use std::collections::HashMap;
 use std::io;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
@@ -29,17 +26,6 @@ use mutcon_traces::UpdateTrace;
 use crate::cache::L1Cache;
 use crate::client::X_LAST_MODIFIED_MS;
 use crate::server::{default_reactors, EngineConfig, EventLoop, Service, ServiceResult};
-
-/// Injectable failure modes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Fault {
-    /// Behave normally.
-    None,
-    /// Drop every connection: new ones on arrival, established
-    /// (keep-alive) ones at their next request — a persistent client
-    /// must not ride through this fault on a pooled socket.
-    DropConnections,
-}
 
 /// Builder for [`LiveOrigin`].
 #[derive(Debug, Default)]
@@ -80,7 +66,6 @@ impl LiveOriginBuilder {
             epoch_unix_ms: unix_now_ms(),
             epoch: Instant::now(),
             history: self.history,
-            dropping: AtomicBool::new(false),
             requests: AtomicU64::new(0),
         });
         let server = EventLoop::start(
@@ -103,8 +88,6 @@ struct Shared {
     epoch_unix_ms: u64,
     epoch: Instant,
     history: bool,
-    /// [`Fault::DropConnections`] is in force.
-    dropping: AtomicBool,
     requests: AtomicU64,
 }
 
@@ -135,13 +118,6 @@ impl LiveOrigin {
     pub fn epoch_unix_ms(&self) -> u64 {
         self.shared.epoch_unix_ms
     }
-
-    /// Injects (or clears) a fault.
-    pub fn set_fault(&self, fault: Fault) {
-        self.shared
-            .dropping
-            .store(fault == Fault::DropConnections, Ordering::SeqCst);
-    }
 }
 
 impl std::fmt::Debug for LiveOrigin {
@@ -170,16 +146,7 @@ struct OriginService {
 }
 
 impl Service for OriginService {
-    fn accept_connection(&self) -> bool {
-        !self.shared.dropping.load(Ordering::SeqCst)
-    }
-
     fn respond(&self, request: &Request, _l1: &mut L1Cache) -> ServiceResult {
-        // Established keep-alive connections die at their next
-        // request, mirroring the accept-time drop.
-        if !self.accept_connection() {
-            return ServiceResult::Close;
-        }
         self.shared.requests.fetch_add(1, Ordering::SeqCst);
         ServiceResult::Respond(respond(&self.shared, request))
     }
@@ -366,19 +333,6 @@ mod tests {
         std::thread::sleep(StdDuration::from_millis(100));
         let again = client.get("/s", Some(lm)).unwrap();
         assert_eq!(again.status(), StatusCode::NOT_MODIFIED);
-    }
-
-    #[test]
-    fn fault_injection_drops_connections() {
-        let origin = LiveOrigin::builder()
-            .object("/obj", fast_trace())
-            .start()
-            .unwrap();
-        origin.set_fault(Fault::DropConnections);
-        // A client per request: the fault is on the fresh connection.
-        assert!(connect(&origin, 500).get("/obj", None).is_err());
-        origin.set_fault(Fault::None);
-        assert!(connect(&origin, 500).get("/obj", None).is_ok());
     }
 
     #[test]

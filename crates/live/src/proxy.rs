@@ -201,7 +201,8 @@ metrics! {
         hits: Counter => "proxy.hits";
         /// Client requests that had to fetch from the origin.
         misses: Counter => "proxy.misses";
-        /// Failed origin polls (timeouts, resets).
+        /// Failed origin polls (timeouts, resets, unexpected statuses, a
+        /// `200` without a modification stamp).
         errors: Counter => "proxy.errors";
         /// Rule reloads applied through `PUT /admin/rules` or `SIGHUP`.
         reloads: Counter => "proxy.reloads";
@@ -867,45 +868,47 @@ fn store_response(shared: &Shared, path: &str, response: &Response) -> Option<Ar
 }
 
 /// One refresher poll over the persistent keep-alive connection.
-/// Returns the poll result for the adaptation layers, or `None` on a
-/// network error. The cache store is gated on the path still being ruled
-/// in the **current** epoch: a rule removed while the poll was on the
-/// wire means the response is discarded (and any raced-in entry
-/// re-evicted), so a dead rule cannot resurrect its cache entry.
+/// Returns the poll result for the adaptation layers, or `None` (counted
+/// in `proxy.errors`) on a network error, an unexpected status or a
+/// `200` without a modification stamp. The cache store is gated on the
+/// path still being ruled in the **current** epoch: a rule removed while
+/// the poll was on the wire means the response is discarded (and any
+/// raced-in entry re-evicted), so a dead rule cannot resurrect its cache
+/// entry. Its result is still returned; the scheduler drops the outcome
+/// of an un-ruled path itself.
 fn poll_origin(shared: &Shared, client: &mut PersistentClient, path: &str) -> Option<PollResult> {
     let validator = shared.cache.get(path).map(|e| e.last_modified());
     shared.counters.polls.inc();
-    match client.get(path, validator) {
+    let result = match client.get(path, validator) {
         Ok(response) if response.status() == StatusCode::NOT_MODIFIED => {
             Some(PollResult::NotModified)
         }
         Ok(response) if response.status() == StatusCode::OK => {
             // The LIMD layer observes what *this poll* saw, not what
             // ended up resident (a concurrent fetch may be fresher).
-            let lm = ObjectStamps::of(&response).last_modified?;
-            if !shared.runtime.contains(path) {
-                shared.cache.remove(path);
-                return None;
-            }
-            store_response(shared, path, &response)?;
-            // Re-check after the store: an epoch swap that removed the
-            // path *between* the gate and the insert is unwound here
-            // (the admin handler's own evict covers the other order).
-            if !shared.runtime.contains(path) {
-                shared.cache.remove(path);
-                return None;
-            }
-            let history = mutcon_http::extensions::modification_history(response.headers());
-            Some(PollResult::Modified {
-                last_modified: lm,
-                history,
+            ObjectStamps::of(&response).last_modified.map(|lm| {
+                let ruled = shared.runtime.contains(path);
+                if ruled {
+                    store_response(shared, path, &response);
+                }
+                // Re-check after the store: an epoch swap that removed the
+                // path *between* the gate and the insert is unwound here
+                // (the admin handler's own evict covers the other order).
+                if !ruled || !shared.runtime.contains(path) {
+                    shared.cache.remove(path);
+                }
+                PollResult::Modified {
+                    last_modified: lm,
+                    history: mutcon_http::extensions::modification_history(response.headers()),
+                }
             })
         }
-        Ok(_) | Err(_) => {
-            shared.counters.errors.inc();
-            None
-        }
+        Ok(_) | Err(_) => None,
+    };
+    if result.is_none() {
+        shared.counters.errors.inc();
     }
+    result
 }
 
 /// The zero-copy serving form of a cache entry: the head pre-rendered

@@ -241,7 +241,8 @@ metrics! {
         in_flight: Gauge => "refresh.in_flight";
         /// Polls started (scheduled and triggered).
         polls: Counter => "refresh.polls";
-        /// Polls that ended in a network error.
+        /// Polls that failed; in the live proxy, the polls `proxy.errors`
+        /// counts.
         errors: Counter => "refresh.errors";
         /// Mt triggers satisfied by a poll already in flight or queued for
         /// the same target, instead of an extra origin round trip.

@@ -45,8 +45,8 @@
 //! bodies) plus an optional shared body slice, gathered into one
 //! `writev(2)`. Cache hits arrive pre-serialized
 //! ([`ServiceResult::Prepared`]) and never copy body bytes.
-//! Connection buffers are recycled through a per-reactor pool, and the
-//! accept loop drains the whole backlog per listener wakeup with
+//! A connection owns its read and write buffers from accept to close, and
+//! the accept loop drains the whole backlog per listener wakeup with
 //! `accept4` (already-nonblocking sockets, one metrics store per
 //! batch). [`EngineMetrics`] counts the syscalls and copies so the
 //! effect is observable from `/admin/stats`.
@@ -81,9 +81,7 @@ use crate::cache::L1Cache;
 use crate::metrics::{metrics, Cell, Counter, Gauge};
 use crate::overload::{OverloadControl, Ticket};
 use crate::upstream::{JobId, PoolCore, Submit};
-use crate::vectored::{
-    BufPool, FlushOutcome, FlushStats, WritePlan, INLINE_BODY, MAX_RETAINED_CAP,
-};
+use crate::vectored::{FlushOutcome, FlushStats, WritePlan, INLINE_BODY, MAX_RETAINED_CAP};
 
 /// Default concurrent-connection bound per event loop (split evenly
 /// across its reactors). Sized for "hundreds of sockets through one
@@ -209,20 +207,12 @@ pub enum ServiceResult {
         /// identical concurrent fetches coalesce on.
         request: Vec<u8>,
     },
-    /// Drop the connection without responding.
-    Close,
 }
 
 /// Request handler plugged into an [`EventLoop`]. May run on several
 /// reactor threads concurrently, and must not block (upstream I/O goes
 /// through [`ServiceResult::Upstream`]).
 pub trait Service: Send + Sync + 'static {
-    /// Whether to keep a freshly accepted connection (fault injection
-    /// hooks return `false` to drop it on arrival).
-    fn accept_connection(&self) -> bool {
-        true
-    }
-
     /// Handles one parsed request. `l1` is the calling reactor's own
     /// hot-object cache, lent for the call: a service that caches may
     /// look up and refill it without a lock, since no other thread ever
@@ -274,22 +264,19 @@ metrics! {
         /// Response bodies copied into a write buffer (small inlined
         /// bodies; never a prepared cache hit).
         body_copies: Counter => "wire.body_copies";
-        /// Connection buffers recycled from a reactor's pool.
-        buf_reuses: Counter => "wire.buf_reuses";
-        /// Connection buffers allocated because the pool was empty.
+        /// Buffers allocated for new connections: two per accepted client,
+        /// one per opened origin socket. Kept because `benchmark/` reads it.
         buf_allocs: Counter => "wire.buf_allocs";
-        /// Most buffers any reactor's pool has held at once.
-        buf_pool_high_water: Gauge<usize> => "wire.buf_pool_high_water";
         /// `epoll_ctl` ADD + MOD issued, counted at the call: one ADD per
         /// socket, one MOD per change of a socket's interest, none per
         /// request.
         epoll_ctl_calls: Counter => "wire.epoll_ctl_calls";
         /// Requests served from a reactor-local L1: one flag load, no
         /// shard lock. Counted by the service that uses the L1.
-        l1_hits: Counter => "cache.l1.hits", "wire.l1_hits";
+        l1_hits: Counter => "cache.l1.hits";
         /// L1 lookups whose copy had been superseded; the slot is dropped
         /// and the request falls through to the shared cache.
-        l1_stale_rejects: Counter => "cache.l1.stale_rejects", "wire.l1_stale_rejects";
+        l1_stale_rejects: Counter => "cache.l1.stale_rejects";
         /// L1 slots (re)filled from shared-cache hits.
         l1_refills: Counter => "cache.l1.refills";
         /// L1 slots evicted by probe-window pressure (not invalidation).
@@ -450,7 +437,6 @@ impl EventLoop {
                 last_sweep: Instant::now(),
                 freed_this_batch: Vec::new(),
                 pool: PoolCore::new(overload.slot(i).pool_cap()),
-                bufs: BufPool::new(),
                 scratch: vec![0; 16 * 1024],
                 driving: None,
                 metrics: Arc::clone(&metrics),
@@ -527,7 +513,7 @@ impl std::fmt::Debug for EventLoop {
 struct ClientState {
     parser: RequestParser,
     read_buf: BytesMut,
-    /// The outgoing response: a pooled contiguous buffer (head + small
+    /// The outgoing response: a contiguous buffer (head + small
     /// inlined bodies) plus an optional shared body slice, flushed with
     /// `writev` so a cache hit costs one syscall and zero body copies.
     write: WritePlan,
@@ -609,9 +595,6 @@ struct Reactor {
     /// The keep-alive origin pool ledger (see [`crate::upstream`]); a
     /// waiter is the waiting client's slab index.
     pool: PoolCore<usize>,
-    /// Recycled read/write buffers, handed to new connections instead
-    /// of fresh allocations (reactor-local: no locks).
-    bufs: BufPool,
     /// Where every socket read lands first: zeroed once, not per event.
     scratch: Vec<u8>,
     /// The client currently inside `drive_client`, if any. Completions
@@ -641,6 +624,37 @@ struct Reactor {
 fn discard_input(mut stream: &TcpStream) {
     let mut scratch = [0u8; 4096];
     while matches!(stream.read(&mut scratch), Ok(1..)) {}
+}
+
+/// Reads what `stream` (nonblocking) has into `buf` through `scratch`,
+/// at most `limit` bytes in all. Stops at a short read, which drained the
+/// socket (the level-triggered poller raises a new event for more data
+/// or EOF), or at `WouldBlock`; `Ok(true)` if the peer sent EOF.
+fn read_into(
+    mut stream: &TcpStream,
+    scratch: &mut [u8],
+    buf: &mut BytesMut,
+    limit: usize,
+) -> io::Result<bool> {
+    let mut room = limit;
+    while room > 0 {
+        let len = room.min(scratch.len());
+        let chunk = &mut scratch[..len];
+        match stream.read(chunk) {
+            Ok(0) => return Ok(true),
+            Ok(n) => {
+                buf.extend_from_slice(&chunk[..n]);
+                room -= n;
+                if n < chunk.len() {
+                    break;
+                }
+            }
+            Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            Err(ref e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(false)
 }
 
 impl Reactor {
@@ -772,14 +786,12 @@ impl Reactor {
 
     /// Drains the whole accept backlog in one batch. Each connection
     /// arrives already nonblocking (`accept4`, no per-accept `fcntl`)
-    /// and adopts pooled read/write buffers; shared metrics are stored
+    /// with its own read and write buffers; shared metrics are stored
     /// once per batch, not once per connection, and the listener's
     /// epoll interest is only touched when the batch hits the
     /// connection bound (a failed pause is retried at the next wakeup).
     fn accept_ready(&mut self) {
         let mut batch: u64 = 0;
-        let mut reused: u64 = 0;
-        let mut allocated: u64 = 0;
         while self.accepting {
             if self.clients >= self.max_conns {
                 self.pause_accepting();
@@ -787,25 +799,18 @@ impl Reactor {
             }
             match accept_nonblocking(&self.listener) {
                 Ok(stream) => {
-                    if !self.service.accept_connection() {
-                        continue; // dropped on arrival (fault injection)
-                    }
                     let _ = stream.set_nodelay(true);
                     let Ok(idx) = self.register_slot(&stream, Interest::READABLE) else {
                         continue;
                     };
-                    let (wbuf, wfrom_pool) = self.bufs.take();
-                    let (rbuf, rfrom_pool) = self.bufs.take();
-                    reused += u64::from(wfrom_pool) + u64::from(rfrom_pool);
-                    allocated += u64::from(!wfrom_pool) + u64::from(!rfrom_pool);
                     self.conns[idx] = Some(Conn {
                         stream,
                         interest: Interest::READABLE,
                         last_activity: Instant::now(),
                         kind: Kind::Client(ClientState {
                             parser: RequestParser::new(),
-                            read_buf: BytesMut::from_vec(rbuf),
-                            write: WritePlan::with_buf(wbuf),
+                            read_buf: BytesMut::new(),
+                            write: WritePlan::new(),
                             pending: None,
                             request_started: None,
                             peer_closed: false,
@@ -825,8 +830,7 @@ impl Reactor {
             self.metrics.conns[self.reactor_index].set(self.clients);
             self.metrics.accepted[self.reactor_index].add(batch);
             self.metrics.accept_batches.inc();
-            self.metrics.buf_reuses.add(reused);
-            self.metrics.buf_allocs.add(allocated);
+            self.metrics.buf_allocs.add(2 * batch);
         }
     }
 
@@ -873,33 +877,14 @@ impl Reactor {
     fn client_readable(&mut self, idx: usize) {
         let Some(conn) = self.conns[idx].as_mut() else { return };
         let Kind::Client(client) = &mut conn.kind else { return };
-        let mut saw_eof = false;
-        while client.read_buf.len() < MAX_BUFFERED {
-            // Never past the bound: a request one byte over it must not
-            // fit, however its bytes arrive.
-            let room = (MAX_BUFFERED - client.read_buf.len()).min(self.scratch.len());
-            let chunk = &mut self.scratch[..room];
-            match (&conn.stream).read(chunk) {
-                Ok(0) => {
-                    saw_eof = true;
-                    break;
-                }
-                Ok(n) => {
-                    client.read_buf.extend_from_slice(&chunk[..n]);
-                    // A short read drained the socket; the level-triggered
-                    // poller raises a new event for more data or EOF.
-                    if n < chunk.len() {
-                        break;
-                    }
-                }
-                Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(ref e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.close_client(idx);
-                    return;
-                }
-            }
-        }
+        // Never past the bound: a request one byte over it must not fit,
+        // however its bytes arrive.
+        let room = MAX_BUFFERED.saturating_sub(client.read_buf.len());
+        let Ok(saw_eof) = read_into(&conn.stream, &mut self.scratch, &mut client.read_buf, room)
+        else {
+            self.close_client(idx);
+            return;
+        };
         conn.last_activity = Instant::now();
         client.peer_closed |= saw_eof;
         self.resume_client(idx);
@@ -1017,10 +1002,6 @@ impl Reactor {
                             }
                         }
                     }
-                }
-                ServiceResult::Close => {
-                    self.close_client(idx);
-                    return false;
                 }
             }
         }
@@ -1227,12 +1208,7 @@ impl Reactor {
     fn open_upstream(&mut self, addr: SocketAddr, job: JobId) -> io::Result<()> {
         let stream = connect_nonblocking(addr)?;
         let idx = self.register_slot(&stream, Interest::WRITABLE)?;
-        let (rbuf, from_pool) = self.bufs.take();
-        if from_pool {
-            self.metrics.buf_reuses.inc();
-        } else {
-            self.metrics.buf_allocs.inc();
-        }
+        self.metrics.buf_allocs.inc();
         self.conns[idx] = Some(Conn {
             stream,
             interest: Interest::WRITABLE,
@@ -1241,7 +1217,7 @@ impl Reactor {
                 addr,
                 job: Some(job),
                 written: 0,
-                read_buf: BytesMut::from_vec(rbuf),
+                read_buf: BytesMut::new(),
                 parser: ResponseParser::new(),
                 connected: false,
                 served: 0,
@@ -1331,29 +1307,14 @@ impl Reactor {
             self.upstream_broken(idx, err, true);
             return;
         };
-        let mut saw_eof = false;
-        let chunk = &mut self.scratch[..];
-        loop {
-            match (&conn.stream).read(chunk) {
-                Ok(0) => {
-                    saw_eof = true;
-                    break;
-                }
-                Ok(n) => {
-                    up.read_buf.extend_from_slice(&chunk[..n]);
-                    // As in `client_readable`: short read means drained.
-                    if n < chunk.len() {
-                        break;
-                    }
-                }
-                Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(ref e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    self.upstream_broken(idx, e, true);
-                    return;
-                }
+        let scratch = &mut self.scratch;
+        let saw_eof = match read_into(&conn.stream, scratch, &mut up.read_buf, usize::MAX) {
+            Ok(saw_eof) => saw_eof,
+            Err(e) => {
+                self.upstream_broken(idx, e, true);
+                return;
             }
-        }
+        };
         conn.last_activity = Instant::now();
         match up.parser.advance(&up.read_buf) {
             Ok(Some((response, consumed))) => {
@@ -1448,24 +1409,16 @@ impl Reactor {
         self.complete_client(last, reply);
     }
 
-    /// Takes connection `idx` out of the slab: returns its buffers to the
-    /// pool (an upstream socket also leaves its origin's open count) and
-    /// defers the slot's reuse to the end of the event batch. The socket
-    /// closes, leaving the poller, when the caller drops what is returned.
+    /// Takes connection `idx` out of the slab (an upstream socket also
+    /// leaves its origin's open count) and defers the slot's reuse to the
+    /// end of the event batch. The socket closes, leaving the poller, and
+    /// its buffers are freed when the caller drops what is returned.
     fn release_slot(&mut self, idx: usize) -> Option<Conn> {
-        let mut conn = self.conns[idx].take()?;
+        let conn = self.conns[idx].take()?;
         self.freed_this_batch.push(idx);
-        match &mut conn.kind {
-            Kind::Client(client) => {
-                self.bufs.give(client.write.take_buf());
-                self.bufs.give(std::mem::take(&mut client.read_buf).into_vec());
-            }
-            Kind::Upstream(up) => {
-                self.pool.note_closed(up.addr);
-                self.bufs.give(std::mem::take(&mut up.read_buf).into_vec());
-            }
+        if let Kind::Upstream(up) = &conn.kind {
+            self.pool.note_closed(up.addr);
         }
-        self.metrics.buf_pool_high_water.raise(self.bufs.high_water());
         Some(conn)
     }
 
@@ -1542,8 +1495,7 @@ impl Reactor {
     }
 
     /// Closes a client connection, detaching it from any fetch it waits
-    /// on and returning its buffers to the reactor's pool for the next
-    /// connection.
+    /// on.
     fn close_client(&mut self, idx: usize) {
         let Some(Conn { kind: Kind::Client(client), .. }) = self.release_slot(idx) else {
             return;
@@ -1668,14 +1620,12 @@ mod tests {
     struct Echo;
     impl Service for Echo {
         fn respond(&self, request: &Request, _l1: &mut L1Cache) -> ServiceResult {
-            if request.method() != &Method::Get {
-                return ServiceResult::Close;
-            }
-            ServiceResult::Respond(
-                Response::ok()
+            ServiceResult::Respond(match request.method() {
+                Method::Get => Response::ok()
                     .body(request.target().as_bytes().to_vec())
                     .build(),
-            )
+                _ => Response::builder(StatusCode::METHOD_NOT_ALLOWED).build(),
+            })
         }
     }
 
@@ -1866,7 +1816,6 @@ mod tests {
             last_sweep: Instant::now(),
             freed_this_batch: Vec::new(),
             pool: PoolCore::new(1),
-            bufs: BufPool::new(),
             scratch: vec![0; 16 * 1024],
             driving: None,
             metrics: Arc::clone(metrics),

@@ -177,13 +177,9 @@ impl<W> PoolCore<W> {
     /// and queues a new one. The coalescing lookup borrows `request`;
     /// only a genuinely new job takes ownership of the bytes.
     pub fn submit(&mut self, addr: SocketAddr, request: Vec<u8>, waiter: W) -> Submit {
-        let live = self.origin(addr).and_then(|o| o.by_key.get(request.as_slice()));
-        if let Some(&id) = live {
-            self.jobs[id]
-                .as_mut()
-                .expect("indexed job is live")
-                .waiters
-                .push(waiter);
+        let live = self.origin(addr).and_then(|o| o.by_key.get(request.as_slice())).copied();
+        if let Some((id, Some(job))) = live.map(|id| (id, self.jobs[id].as_mut())) {
+            job.waiters.push(waiter);
             return Submit::Coalesced(id);
         }
         let id = match self.free_jobs.pop() {

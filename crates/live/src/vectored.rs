@@ -1,4 +1,4 @@
-//! The zero-copy send path: write plans and buffer pooling.
+//! The zero-copy send path: write plans.
 //!
 //! A response leaves the reactor as **two logical segments**: a small
 //! contiguous buffer (status line + headers + any per-response additions
@@ -9,12 +9,11 @@
 //! unwritten bytes, falling back to plain `write(2)` when only one
 //! remains.
 //!
-//! The contiguous buffers come from a per-reactor [`BufPool`]: a
-//! connection keeps its buffer across keep-alive responses (cleared, not
-//! freed) and returns it to the pool when the connection closes, so a
-//! steady-state reactor allocates no per-request buffers at all. A
-//! one-off huge response doesn't pin memory: buffers above
-//! [`MAX_RETAINED_CAP`] are dropped instead of retained or pooled.
+//! Each connection owns its plan's buffer and keeps it across keep-alive
+//! responses (cleared, not freed), so a keep-alive connection allocates
+//! no per-request buffers at all. A one-off huge response doesn't pin
+//! memory: a buffer grown past [`MAX_RETAINED_CAP`] is dropped instead of
+//! retained.
 //!
 //! Flushing is abstracted over [`WriteSink`] so tests can drive a plan
 //! through every possible partial-write split (the write-side mirror of
@@ -28,14 +27,9 @@ use bytes::Bytes;
 
 use mutcon_sim::reactor;
 
-/// Per-buffer capacity ceiling for retention and pooling: a buffer grown
-/// past this by an outsized response is dropped at reset/close instead
-/// of kept hot.
+/// Per-buffer capacity ceiling for retention: a buffer grown past this
+/// by an outsized response is dropped at reset instead of kept hot.
 pub const MAX_RETAINED_CAP: usize = 64 * 1024;
-
-/// Most free buffers a [`BufPool`] holds; beyond this, returned buffers
-/// are dropped.
-pub const MAX_POOLED: usize = 64;
 
 /// Bodies at or below this many bytes are cheaper to memcpy into the
 /// contiguous buffer (one `write`) than to gather with a second iovec.
@@ -120,17 +114,6 @@ impl WritePlan {
         WritePlan::default()
     }
 
-    /// An empty plan adopting `buf` (typically from a [`BufPool`]) as
-    /// its contiguous buffer.
-    pub fn with_buf(mut buf: Vec<u8>) -> WritePlan {
-        buf.clear();
-        WritePlan {
-            buf,
-            body: None,
-            written: 0,
-        }
-    }
-
     /// The contiguous buffer, for queueing head bytes (and inlined
     /// bodies). Appending while a previous response is still partially
     /// flushed is fine — pipelined responses queue back to back.
@@ -180,16 +163,6 @@ impl WritePlan {
         self.written = 0;
     }
 
-    /// Takes the contiguous buffer out (for returning to a [`BufPool`]
-    /// when the connection closes), leaving the plan empty.
-    pub fn take_buf(&mut self) -> Vec<u8> {
-        self.body = None;
-        self.written = 0;
-        let mut buf = std::mem::take(&mut self.buf);
-        buf.clear();
-        buf
-    }
-
     /// Pushes queued bytes into `sink` until everything is out
     /// ([`FlushOutcome::Done`] — the plan auto-resets, retaining at most
     /// `max_retain` buffer capacity) or the sink blocks
@@ -212,22 +185,21 @@ impl WritePlan {
                 self.reset(max_retain);
                 return Ok(FlushOutcome::Done);
             }
-            let result = if self.written < self.buf.len() {
-                match &self.body {
-                    Some(body) => {
-                        stats.writev_calls += 1;
-                        sink.write_two(&self.buf[self.written..], body)
-                    }
-                    None => {
-                        stats.write_calls += 1;
-                        sink.write_one(&self.buf[self.written..])
-                    }
+            // With nothing of the buffer left, what is unwritten is body.
+            let head = &self.buf[self.written.min(self.buf.len())..];
+            let result = match &self.body {
+                Some(body) if !head.is_empty() => {
+                    stats.writev_calls += 1;
+                    sink.write_two(head, body)
                 }
-            } else {
-                let body = self.body.as_ref().expect("has_unwritten implies a body");
-                let offset = self.written - self.buf.len();
-                stats.write_calls += 1;
-                sink.write_one(&body[offset..])
+                Some(body) => {
+                    stats.write_calls += 1;
+                    sink.write_one(&body[self.written - self.buf.len()..])
+                }
+                None => {
+                    stats.write_calls += 1;
+                    sink.write_one(head)
+                }
             };
             match result {
                 Ok(0) => {
@@ -245,59 +217,6 @@ impl WritePlan {
                 Err(e) => return Err(e),
             }
         }
-    }
-}
-
-/// A reactor-local free list of contiguous buffers.
-///
-/// Not thread-safe by design — each reactor owns one, so takes and
-/// returns are plain vector ops with no locking. The pool only retains
-/// buffers whose capacity is at most [`MAX_RETAINED_CAP`] and holds at
-/// most [`MAX_POOLED`] of them; everything else is dropped on return.
-#[derive(Debug, Default)]
-pub struct BufPool {
-    free: Vec<Vec<u8>>,
-    high_water: usize,
-}
-
-impl BufPool {
-    /// An empty pool.
-    pub fn new() -> BufPool {
-        BufPool::default()
-    }
-
-    /// Hands out a cleared buffer and whether it was recycled (`true`)
-    /// or freshly allocated (`false`).
-    pub fn take(&mut self) -> (Vec<u8>, bool) {
-        match self.free.pop() {
-            Some(buf) => (buf, true),
-            None => (Vec::new(), false),
-        }
-    }
-
-    /// Returns a buffer to the pool (cleared); oversized or surplus
-    /// buffers are dropped instead.
-    pub fn give(&mut self, mut buf: Vec<u8>) {
-        if buf.capacity() == 0
-            || buf.capacity() > MAX_RETAINED_CAP
-            || self.free.len() >= MAX_POOLED
-        {
-            return;
-        }
-        buf.clear();
-        self.free.push(buf);
-        self.high_water = self.high_water.max(self.free.len());
-    }
-
-    /// Buffers currently pooled.
-    pub fn pooled(&self) -> usize {
-        self.free.len()
-    }
-
-    /// Most buffers ever pooled at once — bounded by [`MAX_POOLED`], so
-    /// a leak of returns shows up as a plateau here, not growth.
-    pub fn high_water(&self) -> usize {
-        self.high_water
     }
 }
 
@@ -471,35 +390,5 @@ mod tests {
             "keep-alive reuse must not reallocate"
         );
         assert_eq!(sink.out, b"response onetwo");
-    }
-
-    #[test]
-    fn pool_recycles_and_bounds_retention() {
-        let mut pool = BufPool::new();
-        let (buf, reused) = pool.take();
-        assert!(!reused, "empty pool allocates");
-        assert_eq!(pool.high_water(), 0);
-        let mut buf = buf;
-        buf.extend_from_slice(b"data");
-        pool.give(buf);
-        assert_eq!(pool.pooled(), 1);
-        assert_eq!(pool.high_water(), 1);
-        let (back, reused) = pool.take();
-        assert!(reused);
-        assert!(back.is_empty(), "pooled buffers come back cleared");
-        assert!(back.capacity() >= 4);
-
-        // Oversized buffers are dropped, not pooled.
-        pool.give(Vec::with_capacity(MAX_RETAINED_CAP + 1));
-        assert_eq!(pool.pooled(), 0);
-        // Zero-capacity buffers aren't worth pooling.
-        pool.give(Vec::new());
-        assert_eq!(pool.pooled(), 0);
-        // The pool itself is bounded.
-        for _ in 0..(MAX_POOLED + 10) {
-            pool.give(Vec::with_capacity(8));
-        }
-        assert_eq!(pool.pooled(), MAX_POOLED);
-        assert_eq!(pool.high_water(), MAX_POOLED);
     }
 }

@@ -7,7 +7,7 @@ use mutcon_core::mutual::temporal::MtPolicy;
 use mutcon_core::time::{Duration, Timestamp};
 use mutcon_core::value::Value;
 use mutcon_live::client::{last_modified_ms, PersistentClient, X_LAST_MODIFIED_MS};
-use mutcon_live::origin::{Fault, LiveOrigin};
+use mutcon_live::origin::LiveOrigin;
 use mutcon_live::proxy::{GroupRule, LiveProxy, ProxyConfig, RefreshRule};
 use mutcon_http::types::StatusCode;
 use mutcon_traces::{UpdateEvent, UpdateTrace};
@@ -140,47 +140,6 @@ fn triggered_polls_keep_related_objects_in_step() {
     assert!(
         skew < Duration::from_millis(600),
         "cached copies {skew} apart"
-    );
-}
-
-#[test]
-fn proxy_survives_origin_faults() {
-    let origin = LiveOrigin::builder()
-        .object("/fast", ticking_trace("fast", 40, 60_000))
-        .start()
-        .unwrap();
-    let proxy = LiveProxy::start(ProxyConfig {
-        rules: vec![RefreshRule::new("/fast", Duration::from_millis(100))],
-        ..ProxyConfig::new(origin.local_addr())
-    })
-    .unwrap();
-    let mut client = PersistentClient::new(proxy.local_addr(), StdDuration::from_secs(5));
-
-    // Warm up.
-    let warm = client.get("/fast", None).unwrap();
-    assert_eq!(warm.status(), StatusCode::OK);
-
-    // Break the origin: the proxy must keep serving the cached copy.
-    origin.set_fault(Fault::DropConnections);
-    std::thread::sleep(StdDuration::from_millis(300));
-    let during = client.get("/fast", None).unwrap();
-    assert_eq!(during.status(), StatusCode::OK);
-    assert_eq!(during.headers().get("x-cache"), Some("hit"));
-    let errors_during = proxy.stats().errors;
-    assert!(errors_during > 0, "refresher should have recorded errors");
-
-    // Heal the origin: refreshing resumes.
-    origin.set_fault(Fault::None);
-    std::thread::sleep(StdDuration::from_millis(500));
-    let after = client.get("/fast", None).unwrap();
-    let lm = last_modified_ms(&after).unwrap();
-    let now_ms = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .unwrap()
-        .as_millis() as u64;
-    assert!(
-        now_ms.saturating_sub(lm.as_millis()) < 1_500,
-        "refresher did not recover after the fault cleared"
     );
 }
 

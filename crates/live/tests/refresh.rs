@@ -213,10 +213,11 @@ fn a_deferred_path_does_not_stall_paths_due_later() {
 
 /// A rule removed while its poll is on the wire must not resurrect the
 /// path: the late response is discarded and the cache entry stays gone.
+/// The discarded `200` is not a failed poll in either error counter.
 #[test]
 fn a_removed_path_is_not_resurrected_by_its_in_flight_poll() {
     let clock = FakeClock::new();
-    let origin = ScriptedOrigin::start(clock);
+    let origin = ScriptedOrigin::start(clock.clone());
     let proxy = refresh_proxy(&origin, 4, &["/keep", "/gone"], 10);
 
     // Scheduled polls self-populate the cache.
@@ -233,6 +234,8 @@ fn a_removed_path_is_not_resurrected_by_its_in_flight_poll() {
         proxy.cached_objects() == 1
     });
 
+    // A newer stamp, so the held poll reads a 200 rather than a 304.
+    clock.advance(1_000);
     origin.release_all();
     // The released poll's 200 must be discarded, not stored; give the
     // completion ample time to land before asserting.
@@ -246,6 +249,45 @@ fn a_removed_path_is_not_resurrected_by_its_in_flight_poll() {
         proxy.runtime().status().iter().all(|s| s.path != "/gone"),
         "removed path must vanish from the live status"
     );
+    assert_eq!(
+        (proxy.runtime().refresh_metrics().errors(), proxy.stats().errors),
+        (0, 0),
+        "refresh.errors and proxy.errors count the same failed polls"
+    );
+    drop(proxy);
+}
+
+/// An origin that refuses every request for a while: the proxy keeps
+/// serving its cached copy as a hit, counts the failed polls, and serves
+/// a fresh stamp once the origin answers again.
+#[test]
+fn proxy_survives_origin_faults() {
+    let clock = FakeClock::new();
+    let origin = ScriptedOrigin::start(clock.clone());
+    let proxy = LiveProxy::start(ProxyConfig {
+        rules: vec![RefreshRule::new("/fast", Duration::from_millis(100))
+            .ttr_max(Duration::from_millis(400))],
+        reactors: Some(1),
+        refresh_workers: Some(1),
+        ..ProxyConfig::new(origin.addr())
+    })
+    .expect("start proxy");
+    wait_until("/fast cached", || proxy.cached_objects() == 1);
+
+    // Break the origin: every request is read and refused without a byte,
+    // and the sockets already open die with it.
+    origin.script("/fast", vec![Behavior::Reject; 1_000]);
+    origin.drop_connections();
+    wait_until("a failed poll", || proxy.stats().errors > 0);
+    let during = get(proxy.local_addr(), "/fast").expect("read during the fault");
+    assert_eq!(during.headers().get("x-cache"), Some("hit"));
+
+    // Heal the origin with a newer version: refreshing resumes.
+    clock.advance(1_000);
+    origin.script("/fast", vec![]);
+    wait_until("the fresh stamp served", || {
+        stamp_of(&get(proxy.local_addr(), "/fast").expect("read after")) == clock.stamp_ms()
+    });
     drop(proxy);
 }
 

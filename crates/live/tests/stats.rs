@@ -80,11 +80,7 @@ refresh.workers: number
 wire.accept_batches: number
 wire.body_copies: number
 wire.buf_allocs: number
-wire.buf_pool_high_water: number
-wire.buf_reuses: number
 wire.epoll_ctl_calls: number
-wire.l1_hits: number
-wire.l1_stale_rejects: number
 wire.write_calls: number
 wire.write_stalls: number
 wire.writev_calls: number
@@ -231,12 +227,8 @@ fn the_document_and_the_accessors_read_the_same_cells() {
             ("wire.writev_calls", engine.writev_calls()),
             ("wire.accept_batches", engine.accept_batches()),
             ("wire.body_copies", engine.body_copies()),
-            ("wire.buf_reuses", engine.buf_reuses()),
             ("wire.buf_allocs", engine.buf_allocs()),
-            ("wire.buf_pool_high_water", engine.buf_pool_high_water() as u64),
             ("wire.epoll_ctl_calls", engine.epoll_ctl_calls()),
-            ("wire.l1_hits", engine.l1_hits()),
-            ("wire.l1_stale_rejects", engine.l1_stale_rejects()),
             ("wire.write_stalls", engine.write_stalls()),
             ("cache.l1.hits", engine.l1_hits()),
             ("cache.l1.stale_rejects", engine.l1_stale_rejects()),

@@ -164,7 +164,6 @@ impl BytesMut {
     }
 
     /// Wraps an existing `Vec`, keeping its contents and capacity.
-    /// Used to recycle buffers through a pool.
     pub fn from_vec(vec: Vec<u8>) -> Self {
         BytesMut(vec)
     }

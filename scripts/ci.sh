@@ -103,6 +103,18 @@ if grep -rnE 'EpollBackend|InterestLedger|BackendCounters|interest_coalesced|flu
   exit 1
 fi
 
+# One owner per connection buffer, and one accept path: a connection
+# allocates its own read and write buffers and frees them when it closes,
+# and every accepted connection is served. No buffer pool, accept hook,
+# close-without-response result or origin fault switch comes back for
+# traffic no workload makes; origin faults are scripted in the test
+# harness.
+if grep -rnE 'BufPool|MAX_POOLED|take_buf|with_buf|buf_reuses|buf_pool_high_water|accept_connection|ServiceResult::Close|set_fault|Fault::DropConnections' \
+    crates src tests examples README.md .claude; then
+  echo "ci: a connection buffer pool or a test fault hook is back in the engine (lines above)" >&2
+  exit 1
+fi
+
 # Live-proxy smoke: origin + proxy on real sockets, hundreds of
 # concurrent clients through the reactor threads — a stalled event
 # loop shows up here as read timeouts, not as a hang. (One run in ~120
