@@ -11,7 +11,7 @@
 //! Millisecond resolution is three orders of magnitude finer than the
 //! paper's workloads need (trace updates arrive minutes apart; stock ticks
 //! seconds apart) while keeping all arithmetic exact — no floating-point
-//! drift in the event queue.
+//! drift in the simulated clock.
 //!
 //! ```
 //! use mutcon_core::time::{Duration, Timestamp};

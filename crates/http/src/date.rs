@@ -72,7 +72,8 @@ fn civil_from_days(z: i64) -> (i64, u32, u32) {
 pub fn format_http_date(t: Timestamp) -> String {
     let mut out = Vec::with_capacity(29);
     write_http_date(&mut out, t);
-    String::from_utf8(out).expect("an IMF-fixdate is ASCII")
+    // Every byte is ASCII, where a byte and its `char` are the same text.
+    out.into_iter().map(char::from).collect()
 }
 
 /// [`format_http_date`] appended to a wire buffer, no `String` between.

@@ -71,26 +71,25 @@ impl std::error::Error for InvalidToken {}
 const LOW: u64 = 0x0101_0101_0101_0101;
 const HIGH: u64 = 0x8080_8080_8080_8080;
 
-/// The high bit of each byte of `word` (eight bytes) that is `\n`. A
-/// head is searched for line ends three times — for its end, for its
-/// line count, then line by line — so the search goes a word a step.
-fn lf_bits(word: &[u8]) -> u64 {
+/// The high bit of each byte of `word` that is `\n`. A head is searched
+/// for line ends three times — for its end, for its line count, then line
+/// by line — so the search goes a word a step.
+fn lf_bits(word: &[u8; 8]) -> u64 {
     // Zero exactly where the word holds `\n`; then, per byte and with no
     // carry crossing bytes, the high bit is set iff any bit is.
-    let x = u64::from_le_bytes(word.try_into().expect("chunks of eight")) ^ (LOW * 0x0a);
+    let x = u64::from_le_bytes(*word) ^ (LOW * 0x0a);
     !(((x & !HIGH) + !HIGH) | x) & HIGH
 }
 
 fn find_lf(bytes: &[u8]) -> Option<usize> {
-    let mut words = bytes.chunks_exact(8);
-    for (i, word) in words.by_ref().enumerate() {
+    let (words, tail) = bytes.as_chunks::<8>();
+    for (i, word) in words.iter().enumerate() {
         let bits = lf_bits(word);
         if bits != 0 {
             return Some(i * 8 + bits.trailing_zeros() as usize / 8);
         }
     }
-    let tail = words.remainder();
-    Some(bytes.len() - tail.len() + tail.iter().position(|&b| b == b'\n')?)
+    Some(words.len() * 8 + tail.iter().position(|&b| b == b'\n')?)
 }
 
 /// Offset of the first `\r\n` that starts at or after `from`.
@@ -106,9 +105,9 @@ pub(crate) fn find_crlf(bytes: &[u8], mut from: usize) -> Option<usize> {
 
 /// How many `\n` `bytes` holds.
 pub(crate) fn count_lf(bytes: &[u8]) -> usize {
-    let mut words = bytes.chunks_exact(8);
-    let in_words: u32 = words.by_ref().map(|word| lf_bits(word).count_ones()).sum();
-    in_words as usize + words.remainder().iter().filter(|&&b| b == b'\n').count()
+    let (words, tail) = bytes.as_chunks::<8>();
+    let in_words: u32 = words.iter().map(|word| lf_bits(word).count_ones()).sum();
+    in_words as usize + tail.iter().filter(|&&b| b == b'\n').count()
 }
 
 /// RFC 7230 `tchar`.

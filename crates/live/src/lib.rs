@@ -30,6 +30,7 @@
 //! * [`server`] — the shared readiness-driven connection engine
 //!   (multi-reactor event loop, connection state machines, pooled
 //!   nonblocking upstream fetches).
+//! * `conn` — a client connection's state machine, without its socket.
 //! * [`upstream`] — the keep-alive origin pool's bookkeeping (miss
 //!   coalescing, idle reuse, stale-socket retry).
 //! * [`vectored`] — the zero-copy send path: per-connection write plans
@@ -84,6 +85,7 @@
 
 pub mod cache;
 pub mod client;
+mod conn;
 pub mod metrics;
 pub mod origin;
 pub mod overload;

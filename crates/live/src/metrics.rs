@@ -14,7 +14,6 @@
 //! reader may see two cells a few increments apart.
 
 use std::collections::BTreeMap;
-use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Duration;
 
@@ -74,26 +73,19 @@ impl Cell for Counter {
 }
 
 /// A level: set, moved by one either way, or raised to a high-water
-/// mark. `T` is the integer type the accessor hands back.
-#[derive(Debug)]
-pub struct Gauge<T = u64>(AtomicU64, PhantomData<T>);
+/// mark.
+#[derive(Debug, Default)]
+pub struct Gauge(AtomicU64);
 
-impl<T> Default for Gauge<T> {
-    fn default() -> Self {
-        Gauge(AtomicU64::new(0), PhantomData)
-    }
-}
-
-impl<T: TryInto<u64>> Gauge<T> {
+impl Gauge {
     /// Replaces the level.
-    pub fn set(&self, level: T) {
-        self.0.store(level.try_into().unwrap_or(u64::MAX), Relaxed);
+    pub fn set(&self, level: u64) {
+        self.0.store(level, Relaxed);
     }
 
     /// Raises the level to `level` if that is higher (a high-water mark).
-    pub fn raise(&self, level: T) {
-        self.0
-            .fetch_max(level.try_into().unwrap_or(u64::MAX), Relaxed);
+    pub fn raise(&self, level: u64) {
+        self.0.fetch_max(level, Relaxed);
     }
 
     /// One more.
@@ -107,17 +99,15 @@ impl<T: TryInto<u64>> Gauge<T> {
     }
 }
 
-impl<T: TryFrom<u64>> Cell for Gauge<T> {
-    type Value = T;
+impl Cell for Gauge {
+    type Value = u64;
 
-    fn value(&self) -> T {
-        T::try_from(self.0.load(Relaxed))
-            .ok()
-            .expect("the level was stored from a `T`")
+    fn value(&self) -> u64 {
+        self.0.load(Relaxed)
     }
 
     fn json(&self) -> Json {
-        Json::Number(self.0.load(Relaxed) as f64)
+        Json::Number(self.value() as f64)
     }
 }
 
@@ -374,7 +364,7 @@ mod tests {
             /// How long things took.
             took: Histogram = Histogram::new(&BOUNDS_US) => "timed.took";
             /// The most things held at once.
-            most: Gauge<usize> => "timed.most";
+            most: Gauge => "timed.most";
         }
         plus {
             /// Not rendered.
@@ -420,7 +410,7 @@ mod tests {
         timed.most.raise(7);
         timed.most.raise(3);
         timed.most.set(timed.most() + 1);
-        assert_eq!(timed.most(), 8_usize);
+        assert_eq!(timed.most(), 8);
         for ms in [1, 2, 3, 50] {
             timed.took.record(Duration::from_millis(ms));
         }

@@ -284,8 +284,8 @@ impl LiveProxy {
             let shared = Arc::clone(&shared);
             let shutdown = Arc::clone(&shutdown);
             let workers = config.refresh_workers.unwrap_or(DEFAULT_REFRESH_WORKERS);
-            // Hosts the scope the poll workers live in: `run` spawns
-            // them, and this thread only waits for them to leave.
+            // Poll worker 0: `run` starts the other workers beside it
+            // and returns once all of them have left.
             Some(
                 std::thread::Builder::new()
                     .name("mutcon-live-refresh".into())

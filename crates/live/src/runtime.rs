@@ -15,8 +15,9 @@
 //! handing the new epoch's paths, LIMD configs and group to
 //! [`Schedule::reconcile`].
 //!
-//! **One lock, M workers.** [`ConsistencyRuntime::run`] starts `workers`
-//! threads and nothing else. The machine sits behind one mutex; each
+//! **One lock, M workers.** [`ConsistencyRuntime::run`] is `workers`
+//! workers and nothing else: the calling thread is worker 0, and the
+//! rest are threads it starts. The machine sits behind one mutex; each
 //! worker loops *lock → adopt a newer epoch → `next_job` → unlock →
 //! poll the origin → lock → `complete`*, so the lock is never held
 //! across a round trip and `workers` is the number of polls on the wire
@@ -377,9 +378,10 @@ impl ConsistencyRuntime {
     }
 
     /// The refresh plane: runs until `shutdown` on exactly `workers`
-    /// scoped threads, each owning the poller `make_poller` builds for
-    /// it (in the proxy, a dedicated origin connection). The module
-    /// docs describe the loop, who waits on what, and shutdown.
+    /// threads, the calling one and `workers - 1` scoped ones, each owning
+    /// the poller `make_poller` builds for it (in the proxy, a dedicated
+    /// origin connection). The module docs describe the loop, who waits on
+    /// what, and shutdown.
     ///
     /// A poller performs the origin round trip (and the cache store,
     /// gated on [`ConsistencyRuntime::contains`] so a removed path's late
@@ -424,59 +426,62 @@ impl ConsistencyRuntime {
             on_adopted(current.version);
         };
 
-        std::thread::scope(|scope| {
-            for worker in 0..workers {
-                let mut poller = make_poller(worker);
-                let adopt = &adopt;
-                scope.spawn(move || {
-                    let mut core = self.lock();
-                    loop {
-                        adopt(&mut core);
-                        if shutdown.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        let Some(job) = core.next_job(Instant::now()) else {
-                            // With nothing scheduled, forever: only a
-                            // completion (whose worker then looks for
-                            // work itself), an install or shutdown (which
-                            // notify) can create work.
-                            let left = core.next_wake().map_or(StdDuration::MAX, |at| {
-                                at.saturating_duration_since(Instant::now())
-                            });
-                            let waited = self.work.wait_timeout(core, left);
-                            core = waited.unwrap_or_else(PoisonError::into_inner).0;
-                            continue;
-                        };
-                        // While this worker is on the wire somebody else
-                        // has to watch the next due instant.
-                        self.work.notify_one();
-                        drop(core);
+        // One worker's life, the poller it owns moved in.
+        let work = |mut poller: P| {
+            let mut core = self.lock();
+            loop {
+                adopt(&mut core);
+                if shutdown.load(Ordering::SeqCst) {
+                    break;
+                }
+                let Some(job) = core.next_job(Instant::now()) else {
+                    // With nothing scheduled, forever: only a completion
+                    // (whose worker then looks for work itself), an
+                    // install or shutdown (which notify) can create work.
+                    let left = core.next_wake().map_or(StdDuration::MAX, |at| {
+                        at.saturating_duration_since(Instant::now())
+                    });
+                    let waited = self.work.wait_timeout(core, left);
+                    core = waited.unwrap_or_else(PoisonError::into_inner).0;
+                    continue;
+                };
+                // While this worker is on the wire somebody else has to
+                // watch the next due instant.
+                self.work.notify_one();
+                drop(core);
 
-                        self.metrics.polls.inc();
-                        self.metrics.in_flight.inc();
-                        self.metrics.drift.record(Instant::now().saturating_duration_since(job.due));
-                        // The timeline the LIMD/Mt state machines run
-                        // on: taken just before the poll hits the wire.
-                        let ts = Timestamp::from_millis(unix_now_ms());
-                        let result = poller(job.kind, &job.key);
-                        self.metrics.in_flight.dec();
-                        self.metrics.errors.add(u64::from(result.is_none()));
+                self.metrics.polls.inc();
+                self.metrics.in_flight.inc();
+                self.metrics.drift.record(Instant::now().saturating_duration_since(job.due));
+                // The timeline the LIMD/Mt state machines run on: taken
+                // just before the poll hits the wire.
+                let ts = Timestamp::from_millis(unix_now_ms());
+                let result = poller(job.kind, &job.key);
+                self.metrics.in_flight.dec();
+                self.metrics.errors.add(u64::from(result.is_none()));
 
-                        core = self.lock();
-                        // A swap may have landed meanwhile: adopt it
-                        // first, so that a since-removed path's outcome
-                        // is discarded.
-                        adopt(&mut core);
-                        let view = result.as_ref().map(PollResult::as_view);
-                        let done = core.complete(&job, ts, view, Instant::now());
-                        self.metrics.triggered_coalesced.add(done.coalesced);
-                    }
-                    drop(core);
-                    // A poller may store the flag without a `wake`:
-                    // take the idle workers along.
-                    self.work.notify_all();
-                });
+                core = self.lock();
+                // A swap may have landed meanwhile: adopt it first, so
+                // that a since-removed path's outcome is discarded.
+                adopt(&mut core);
+                let view = result.as_ref().map(PollResult::as_view);
+                let done = core.complete(&job, ts, view, Instant::now());
+                self.metrics.triggered_coalesced.add(done.coalesced);
             }
+            drop(core);
+            // A poller may store the flag without a `wake`: take the idle
+            // workers along.
+            self.work.notify_all();
+        };
+
+        // Worker 0 is the calling thread; the rest are scoped threads.
+        let work = &work;
+        std::thread::scope(|scope| {
+            let first = make_poller(0);
+            for poller in (1..workers).map(&mut make_poller) {
+                scope.spawn(move || work(poller));
+            }
+            work(first);
         });
     }
 }

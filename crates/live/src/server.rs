@@ -25,9 +25,9 @@
 //!             └────────peer gone───────┘    alive socket) ───┘
 //! ```
 //!
-//! *READING* feeds partial reads to the resumable
-//! [`mutcon_http::parse::RequestParser`]; a parsed request is handed to
-//! the [`Service`], which answers immediately (*WRITING*) or by
+//! A client's side of that diagram is a [`ClientConn`], which holds no
+//! socket; the reactor moves bytes between the two. A parsed request is
+//! handed to the [`Service`], which answers immediately (*WRITING*) or by
 //! fetching from an upstream origin. Upstream
 //! fetches go through the reactor's **keep-alive origin pool**
 //! ([`crate::upstream`]): identical concurrent misses coalesce onto one
@@ -70,7 +70,7 @@ use std::time::{Duration, Instant};
 
 use bytes::{Bytes, BytesMut};
 use mutcon_http::message::{Request, Response};
-use mutcon_http::parse::{ParseError, RequestParser, ResponseParser};
+use mutcon_http::parse::ResponseParser;
 use mutcon_http::types::StatusCode;
 use mutcon_sim::reactor::{
     accept_nonblocking, connect_nonblocking, listen_reuseport, raise_nofile_limit, Event, Events,
@@ -78,10 +78,11 @@ use mutcon_sim::reactor::{
 };
 
 use crate::cache::L1Cache;
+use crate::conn::{ClientConn, Flush, Next};
 use crate::metrics::{metrics, Cell, Counter, Gauge};
-use crate::overload::{OverloadControl, Ticket};
+use crate::overload::OverloadControl;
 use crate::upstream::{JobId, PoolCore, Submit};
-use crate::vectored::{FlushOutcome, FlushStats, WritePlan, INLINE_BODY, MAX_RETAINED_CAP};
+use crate::vectored::FlushStats;
 
 /// Default concurrent-connection bound per event loop (split evenly
 /// across its reactors). Sized for "hundreds of sockets through one
@@ -116,20 +117,11 @@ pub fn default_reactors() -> usize {
 
 /// Close client connections with no traffic for this long.
 const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
-/// A request must be complete this long after its first byte: a sender
-/// of one byte every few seconds never goes idle, so [`IDLE_TIMEOUT`]
-/// alone would hold its slot forever. It gets a `408` and a close.
-const REQUEST_TIMEOUT: Duration = Duration::from_secs(5);
 /// Fail upstream fetches that make no progress for this long (matches
 /// the old blocking client's per-operation timeout ballpark).
 const UPSTREAM_TIMEOUT: Duration = Duration::from_secs(5);
 /// Reap pooled origin connections idle longer than this.
 const POOL_IDLE_TIMEOUT: Duration = Duration::from_secs(10);
-/// Stop draining a client socket while this much input is already
-/// buffered ahead of the state machine (pipelining back-pressure). Also
-/// the largest request a client may send: one still incomplete when the
-/// buffer is this full will never be read to its end, and gets a `413`.
-const MAX_BUFFERED: usize = 256 * 1024;
 /// Poll-loop tick when nothing else bounds the wait (idle sweeping,
 /// shutdown responsiveness).
 const TICK: Duration = Duration::from_millis(200);
@@ -285,15 +277,15 @@ metrics! {
         /// stall is inside the request's admission latency sample, so a
         /// stalling client pushes its partition's adaptive limit down.
         write_stalls: Counter => "wire.write_stalls";
-        /// Requests still incomplete [`REQUEST_TIMEOUT`] after their first
-        /// byte, answered `408` and closed.
+        /// Requests still incomplete `REQUEST_TIMEOUT` (5 s) after their
+        /// first byte, answered `408` and closed.
         slow_requests: Counter => "wire.slow_requests";
     }
     plus {
         /// How many reactors report (0 until an event loop adopts the struct).
-        reactors: Gauge<usize> = Gauge::default(),
+        reactors: Gauge = Gauge::default(),
         /// Client connections currently open, per reactor.
-        conns: Vec<Gauge<usize>> = (0..MAX_REACTORS).map(|_| Gauge::default()).collect(),
+        conns: Vec<Gauge> = (0..MAX_REACTORS).map(|_| Gauge::default()).collect(),
         /// Client connections ever accepted, per reactor.
         accepted: Vec<Counter> = (0..MAX_REACTORS).map(|_| Counter::default()).collect(),
     }
@@ -302,12 +294,12 @@ metrics! {
 impl EngineMetrics {
     /// How many reactors report into these counters.
     pub fn reactor_count(&self) -> usize {
-        self.reactors.value()
+        self.reactors.value() as usize
     }
 
     /// Client connections currently open, one entry per reactor.
     pub fn reactor_connections(&self) -> Vec<usize> {
-        self.conns[..self.reactor_count()].iter().map(Cell::value).collect()
+        self.conns[..self.reactor_count()].iter().map(|conns| conns.value() as usize).collect()
     }
 
     /// Client connections ever accepted, one entry per reactor.
@@ -417,7 +409,7 @@ impl EventLoop {
         }
 
         let shutdown = Arc::new(AtomicBool::new(false));
-        metrics.reactors.set(reactors);
+        metrics.reactors.set(reactors as u64);
         let mut handles = Vec::with_capacity(reactors);
         // Split the bound exactly: the first (max_conns % reactors)
         // shards take one extra slot, total = max_conns.
@@ -510,33 +502,6 @@ impl std::fmt::Debug for EventLoop {
     }
 }
 
-struct ClientState {
-    parser: RequestParser,
-    read_buf: BytesMut,
-    /// The outgoing response: a contiguous buffer (head + small
-    /// inlined bodies) plus an optional shared body slice, flushed with
-    /// `writev` so a cache hit costs one syscall and zero body copies.
-    write: WritePlan,
-    /// The pool job of the upstream fetch this client waits on, if any.
-    pending: Option<JobId>,
-    /// When the parser first found the request at the front of
-    /// `read_buf` incomplete; `None` between requests.
-    request_started: Option<Instant>,
-    /// Peer sent EOF; close once the in-flight response is flushed.
-    peer_closed: bool,
-    /// The peer asked for `Connection: close`; serve the current
-    /// request, flush, then close (later pipelined bytes are ignored).
-    close_after_write: bool,
-    /// The admission ticket of the request in flight, with its queued
-    /// response's status once there is one (not while an upstream fetch
-    /// is out). The ticket goes back only when that response is **fully
-    /// flushed**, so a slow-reading client's write stalls join the
-    /// latency sample and push its partition's limit down like any other
-    /// service-time inflation. `None` when admission is off or nothing
-    /// is in flight.
-    admitted: Option<(Ticket, Option<u16>)>,
-}
-
 /// A connection to an upstream origin, owned by the reactor's pool.
 struct UpstreamState {
     /// The origin this connection belongs to.
@@ -557,7 +522,7 @@ struct UpstreamState {
 }
 
 enum Kind {
-    Client(ClientState),
+    Client(ClientConn),
     Upstream(UpstreamState),
 }
 
@@ -618,9 +583,9 @@ struct Reactor {
     l1: L1Cache,
 }
 
-/// Drops whatever `stream` (nonblocking) has received so far: closing
-/// over unread bytes resets the connection, which can discard a response
-/// still in flight to the peer.
+/// Drops whatever `stream` (nonblocking) has received so far, before a
+/// refusal: closing over unread bytes resets the connection, which can
+/// discard the response still in flight to the peer.
 fn discard_input(mut stream: &TcpStream) {
     let mut scratch = [0u8; 4096];
     while matches!(stream.read(&mut scratch), Ok(1..)) {}
@@ -711,7 +676,7 @@ impl Reactor {
     /// or an upstream fetch in flight).
     fn has_inflight(&self) -> bool {
         self.conns.iter().flatten().any(|conn| match &conn.kind {
-            Kind::Client(client) => client.write.has_unwritten() || client.pending.is_some(),
+            Kind::Client(client) => client.in_flight(),
             Kind::Upstream(up) => up.job.is_some(),
         })
     }
@@ -807,16 +772,7 @@ impl Reactor {
                         stream,
                         interest: Interest::READABLE,
                         last_activity: Instant::now(),
-                        kind: Kind::Client(ClientState {
-                            parser: RequestParser::new(),
-                            read_buf: BytesMut::new(),
-                            write: WritePlan::new(),
-                            pending: None,
-                            request_started: None,
-                            peer_closed: false,
-                            close_after_write: false,
-                            admitted: None,
-                        }),
+                        kind: Kind::Client(ClientConn::default()),
                     });
                     self.clients += 1;
                     batch += 1;
@@ -827,7 +783,7 @@ impl Reactor {
             }
         }
         if batch > 0 {
-            self.metrics.conns[self.reactor_index].set(self.clients);
+            self.metrics.conns[self.reactor_index].set(self.clients as u64);
             self.metrics.accepted[self.reactor_index].add(batch);
             self.metrics.accept_batches.inc();
             self.metrics.buf_allocs.add(2 * batch);
@@ -838,19 +794,12 @@ impl Reactor {
         let Some(conn) = self.conns.get(idx).and_then(Option::as_ref) else {
             return; // closed earlier in this event batch
         };
+        // A client socket's interest is READABLE or WRITABLE, never both.
         match &conn.kind {
-            Kind::Client(_) => {
-                if event.closed {
-                    self.close_client(idx);
-                    return;
-                }
-                if event.writable {
-                    self.client_writable(idx);
-                }
-                if event.readable {
-                    self.client_readable(idx);
-                }
-            }
+            Kind::Client(_) if event.closed => self.close_client(idx),
+            Kind::Client(_) if event.readable => self.client_readable(idx),
+            Kind::Client(_) if event.writable => self.resume_client(idx),
+            Kind::Client(_) => {}
             Kind::Upstream(_) => {
                 if event.closed {
                     let err = self.conns[idx]
@@ -875,50 +824,41 @@ impl Reactor {
     /// Drains the socket into the client's read buffer, then drives the
     /// request/response state machine.
     fn client_readable(&mut self, idx: usize) {
-        let Some(conn) = self.conns[idx].as_mut() else { return };
-        let Kind::Client(client) = &mut conn.kind else { return };
-        // Never past the bound: a request one byte over it must not fit,
-        // however its bytes arrive.
-        let room = MAX_BUFFERED.saturating_sub(client.read_buf.len());
-        let Ok(saw_eof) = read_into(&conn.stream, &mut self.scratch, &mut client.read_buf, room)
+        let Some(Conn { stream, last_activity, kind: Kind::Client(client), .. }) =
+            self.conns[idx].as_mut()
         else {
-            self.close_client(idx);
             return;
         };
-        conn.last_activity = Instant::now();
-        client.peer_closed |= saw_eof;
-        self.resume_client(idx);
-    }
-
-    fn client_writable(&mut self, idx: usize) {
-        self.resume_client(idx);
-    }
-
-    /// The connection's resume sequence after any progress: flush
-    /// whatever response is pending, drive buffered requests to
-    /// quiescence, close a drained half-closed peer, and recompute the
-    /// epoll interest. Every event/completion path funnels through
-    /// here.
-    fn resume_client(&mut self, idx: usize) {
-        if !self.flush_client(idx) {
+        let scratch = &mut self.scratch;
+        if client.fill(|buf, room| read_into(stream, scratch, buf, room)).is_err() {
+            self.close_client(idx);
             return;
         }
+        *last_activity = Instant::now();
+        self.resume_client(idx);
+    }
+
+    /// The connection's resume sequence after any progress: drive it to
+    /// quiescence, then close it if nothing is left to serve or move the
+    /// epoll interest to what it now wants. Every event/completion path
+    /// funnels through here.
+    fn resume_client(&mut self, idx: usize) {
         if !self.drive_client(idx) {
             return;
         }
-        // EOF (or Connection: close) with nothing left to serve: close.
-        if self.close_if_finished(idx) {
-            return;
+        let Some(Conn { kind: Kind::Client(client), .. }) = &self.conns[idx] else { return };
+        let interest = client.interest();
+        if client.is_finished() || self.set_interest(idx, interest).is_err() {
+            self.close_client(idx);
         }
-        self.update_client_interest(idx);
     }
 
-    /// Parses and dispatches buffered requests while the connection has
-    /// no response in flight. Returns `false` if the connection was
-    /// closed. Wraps the loop with the `driving` marker so completions
-    /// for *this* client queue instead of recursing (a pipelined burst
-    /// of synchronously failing misses must not nest one stack frame per
-    /// request).
+    /// Flushes whatever response is pending, then parses and dispatches
+    /// buffered requests while the connection has none in flight, flushing
+    /// each reply. Returns `false` if the connection was closed. Wraps the
+    /// loop with the `driving` marker so completions for *this* client
+    /// queue instead of recursing (a pipelined burst of synchronously
+    /// failing misses must not nest one stack frame per request).
     fn drive_client(&mut self, idx: usize) -> bool {
         let prev = self.driving.replace(idx);
         let alive = self.drive_client_inner(idx);
@@ -928,77 +868,63 @@ impl Reactor {
 
     fn drive_client_inner(&mut self, idx: usize) -> bool {
         loop {
-            let Some(conn) = self.conns[idx].as_mut() else { return false };
-            let Kind::Client(client) = &mut conn.kind else { return false };
-            if client.write.has_unwritten() || client.pending.is_some() {
-                return true; // busy; pipelined requests wait their turn
+            if !self.flush_client(idx) {
+                return false;
             }
-            if client.close_after_write || client.read_buf.is_empty() {
-                return true; // closing after the flush, or nothing to parse
-            }
-            let (request, consumed) = match client.parser.advance(&client.read_buf) {
-                Ok(Some(parsed)) => parsed,
-                Ok(None) if client.read_buf.len() < MAX_BUFFERED => {
-                    client.request_started.get_or_insert_with(Instant::now);
-                    return true;
+            let Some(Conn { stream, kind: Kind::Client(client), .. }) = self.conns[idx].as_mut()
+            else {
+                return false;
+            };
+            let request = match client.next_request(Instant::now) {
+                Next::Request(request) => request,
+                Next::Busy | Next::Incomplete => return true,
+                Next::TooLarge => {
+                    discard_input(stream);
+                    client.refuse(StatusCode::PAYLOAD_TOO_LARGE);
+                    continue;
                 }
-                Ok(None) | Err(ParseError::BodyTooLarge) => {
-                    // Well-formed, but more than the buffer (or the
-                    // parser) will hold.
-                    self.refuse(idx, StatusCode::PAYLOAD_TOO_LARGE);
-                    return self.flush_client(idx);
-                }
-                Err(_) => {
-                    // The bytes can never become a request; the
-                    // connection is beyond saving.
+                Next::Malformed => {
                     self.close_client(idx);
                     return false;
                 }
             };
-            client.read_buf.advance(consumed);
-            client.request_started = None;
-            if !request.wants_keep_alive() {
-                client.close_after_write = true;
-            }
-            if !self.admit_or_shed(idx, &request) {
-                // Shed: a 429 is queued. Flush and keep draining
-                // pipelined input.
-                if !self.flush_client(idx) {
-                    return false;
+            let path = request.target();
+            let admitted = if self.overload.admits(path) {
+                self.overload.slot(self.reactor_index).admit(path)
+            } else {
+                Ok(None)
+            };
+            match admitted {
+                // Shed: the 429 is flushed and pipelined input keeps
+                // draining.
+                Err(retry_after) => {
+                    self.overload.shed.inc();
+                    let response = Response::builder(StatusCode::TOO_MANY_REQUESTS)
+                        .header("retry-after", retry_after.to_string())
+                        .build();
+                    client.queue(Reply::Full(response));
                 }
-                continue;
-            }
-            match self.service.respond(&request, &mut self.l1) {
-                ServiceResult::Respond(response) => {
-                    self.queue_response(idx, response);
-                    if !self.flush_client(idx) {
-                        return false;
-                    }
-                }
-                ServiceResult::Prepared(prepared) => {
-                    self.queue_prepared(idx, prepared);
-                    if !self.flush_client(idx) {
-                        return false;
-                    }
-                }
-                ServiceResult::Upstream { addr, request } => {
-                    self.submit_upstream(idx, addr, request);
-                    match self.conns.get(idx).and_then(Option::as_ref) {
-                        None => return false,
-                        Some(conn) => {
-                            let Kind::Client(client) = &conn.kind else { return false };
-                            if client.pending.is_some() {
-                                // Fetch in flight; its completion
-                                // resumes this connection.
-                                return true;
+                Ok(ticket) => {
+                    client.admitted(ticket);
+                    match self.service.respond(&request, &mut self.l1) {
+                        ServiceResult::Respond(response) => {
+                            if client.queue(Reply::Full(response)) {
+                                self.metrics.body_copies.inc();
                             }
-                            // The fetch concluded synchronously (connect
-                            // failure, or a coalesced job that finished
-                            // within this very call): its response is
-                            // queued. Flush and keep driving
-                            // iteratively.
-                            if !self.flush_client(idx) {
-                                return false;
+                        }
+                        ServiceResult::Prepared(prepared) => {
+                            client.queue(Reply::Prepared(prepared));
+                        }
+                        // The fetch's completion resumes the connection. One
+                        // that concludes within this call (a connect failure,
+                        // or a coalesced job finishing) has only queued its
+                        // reply, which the next turn flushes.
+                        ServiceResult::Upstream { addr, request } => {
+                            let submitted = self.pool.submit(addr, request, idx);
+                            client.await_fetch(submitted.job());
+                            match submitted {
+                                Submit::Coalesced(_) => self.metrics.pool_coalesced.inc(),
+                                Submit::New(_) => self.pump_origin(addr),
                             }
                         }
                     }
@@ -1007,163 +933,35 @@ impl Reactor {
         }
     }
 
-    /// Queues `status` as the connection's last response: it closes once
-    /// that is flushed. What the client already sent is discarded first,
-    /// or the close would reset the connection under the refusal.
-    fn refuse(&mut self, idx: usize, status: StatusCode) {
-        let Some(conn) = self.conns[idx].as_mut() else { return };
-        let Kind::Client(client) = &mut conn.kind else { return };
-        client.close_after_write = true;
-        client.request_started = None;
-        client.read_buf.clear();
-        discard_input(&conn.stream);
-        self.queue_response(idx, Response::builder(status).build());
-    }
-
-    /// Writes as much of the pending response as the socket accepts —
-    /// gathering the contiguous buffer and any shared body slice into
-    /// one `writev` — and merges the flush's syscall tallies into the
-    /// shared metrics. Returns `false` if the connection was closed.
+    /// Writes as much of the client's queued response as the socket
+    /// accepts and merges the flush's syscall tallies into the shared
+    /// metrics. Once the response is out its admission ticket goes back,
+    /// so any write-stall time is inside the latency sample. Returns
+    /// `false` if the connection was closed.
     fn flush_client(&mut self, idx: usize) -> bool {
-        let mut stats = FlushStats::default();
-        let outcome = {
-            let Some(conn) = self.conns[idx].as_mut() else { return false };
-            let Kind::Client(client) = &mut conn.kind else { return false };
-            if client.write.is_idle() {
-                return true;
-            }
-            let outcome = client.write.flush(&mut conn.stream, MAX_RETAINED_CAP, &mut stats);
-            if matches!(outcome, Ok(FlushOutcome::Done)) {
-                conn.last_activity = Instant::now();
-                // A half-closed peer may still have pipelined requests
-                // buffered in read_buf; closing is decided centrally in
-                // [`Reactor::close_if_finished`] once everything
-                // parseable has been served.
-            }
-            outcome
+        let Some(Conn { stream, last_activity, kind: Kind::Client(client), .. }) =
+            self.conns[idx].as_mut()
+        else {
+            return false;
         };
+        let mut stats = FlushStats::default();
+        let flushed = client.flush(stream, &mut stats);
         self.metrics.write_calls.add(stats.write_calls);
         self.metrics.writev_calls.add(stats.writev_calls);
         self.metrics.write_stalls.add(stats.blocked);
-        match outcome {
-            Ok(FlushOutcome::Done) => {
-                // The response reached the kernel in full: release the
-                // admission ticket now, so any write-stall time the
-                // flush accumulated is inside the latency sample.
-                self.finish_admission(idx);
+        match flushed {
+            Ok(Flush::Done(ticket)) => {
+                *last_activity = Instant::now();
+                if let Some((ticket, status)) = ticket {
+                    self.overload.slot(self.reactor_index).release(ticket, status);
+                }
                 true
             }
-            Ok(_) => true,
+            Ok(Flush::Idle | Flush::Blocked) => true,
             Err(_) => {
                 self.close_client(idx);
                 false
             }
-        }
-    }
-
-    /// Closes a connection once nothing more can be served: the peer
-    /// sent EOF (or asked for `Connection: close`), no response is in
-    /// flight or owed, and (because [`Reactor::drive_client`] ran to
-    /// quiescence first) no complete request remains buffered. Returns
-    /// `true` if it closed.
-    fn close_if_finished(&mut self, idx: usize) -> bool {
-        let Some(conn) = self.conns[idx].as_ref() else { return true };
-        let Kind::Client(client) = &conn.kind else { return false };
-        if (client.peer_closed || client.close_after_write)
-            && client.write.is_idle()
-            && client.pending.is_none()
-        {
-            self.close_client(idx);
-            return true;
-        }
-        false
-    }
-
-    /// Recomputes the client's readiness interest from its state. Only a
-    /// change reaches the kernel, at once; if it fails, the client is
-    /// closed.
-    fn update_client_interest(&mut self, idx: usize) {
-        let Some(conn) = self.conns[idx].as_ref() else { return };
-        let Kind::Client(client) = &conn.kind else { return };
-        // Read interest stays armed while a fetch is pending: dropping and
-        // re-arming it would cost two `epoll_ctl` per miss. It is dropped
-        // at the buffering bound, and after the peer's EOF, which a
-        // level-triggered poller would report on every turn.
-        let interest = if client.write.has_unwritten() {
-            Interest::WRITABLE
-        } else if client.peer_closed || client.read_buf.len() >= MAX_BUFFERED {
-            Interest::NONE
-        } else {
-            Interest::READABLE
-        };
-        if self.set_interest(idx, interest).is_err() {
-            self.close_client(idx);
-        }
-    }
-
-    /// Queues a response on a client without driving the connection
-    /// further (the caller decides when to flush/resume). The head is
-    /// rendered straight into the connection's reusable write buffer;
-    /// bodies at most [`INLINE_BODY`] bytes are inlined behind it (one
-    /// contiguous `write`, counted as a body copy), larger ones ride as
-    /// a shared slice gathered by `writev` — zero copies.
-    fn queue_response(&mut self, idx: usize, mut response: Response) {
-        self.note_response_status(idx, response.status().as_u16());
-        let Some(conn) = self.conns[idx].as_mut() else { return };
-        let Kind::Client(client) = &mut conn.kind else { return };
-        if client.close_after_write {
-            mutcon_http::connection::set_close(response.headers_mut());
-        }
-        client.pending = None;
-        debug_assert!(client.write.is_idle(), "one response in flight at a time");
-        let buf = client.write.buf_mut();
-        response.write_head(buf);
-        buf.extend_from_slice(b"\r\n");
-        let body = response.body();
-        if !body.is_empty() {
-            if body.len() <= INLINE_BODY {
-                buf.extend_from_slice(body);
-                self.metrics.body_copies.inc();
-            } else {
-                client.write.set_body(body.clone());
-            }
-        }
-    }
-
-    /// Queues a pre-serialized response: the stored head (and the
-    /// per-response extras) are appended to the reusable write buffer,
-    /// the shared body is attached untouched. This path never copies
-    /// body bytes, whatever their size — the zero-copy cache hit.
-    fn queue_prepared(&mut self, idx: usize, prepared: PreparedResponse) {
-        self.note_response_status(idx, StatusCode::OK.as_u16());
-        let Some(conn) = self.conns[idx].as_mut() else { return };
-        let Kind::Client(client) = &mut conn.kind else { return };
-        client.pending = None;
-        debug_assert!(client.write.is_idle(), "one response in flight at a time");
-        let buf = client.write.buf_mut();
-        buf.extend_from_slice(&prepared.head);
-        buf.extend_from_slice(prepared.extra);
-        if client.close_after_write {
-            buf.extend_from_slice(b"connection: close\r\n");
-        }
-        buf.extend_from_slice(b"\r\n");
-        client.write.set_body(prepared.body);
-    }
-
-    /// Files a cache miss with the pool: coalesces onto an identical
-    /// in-flight fetch or starts a new one. On synchronous failure the
-    /// error response is queued on the client (not flushed), so
-    /// [`Reactor::drive_client_inner`] continues iteratively.
-    fn submit_upstream(&mut self, client_idx: usize, addr: SocketAddr, wire: Vec<u8>) {
-        let submitted = self.pool.submit(addr, wire, client_idx);
-        if matches!(submitted, Submit::Coalesced(_)) {
-            self.metrics.pool_coalesced.inc();
-        }
-        if let Some(Conn { kind: Kind::Client(client), .. }) = self.conns[client_idx].as_mut() {
-            client.pending = Some(submitted.job());
-        }
-        if matches!(submitted, Submit::New(_)) {
-            self.pump_origin(addr);
         }
     }
 
@@ -1228,14 +1026,6 @@ impl Reactor {
         self.pool.note_opened(addr);
         self.metrics.pool_opened.inc();
         Ok(())
-    }
-
-    /// Feeds one fetch outcome to this reactor's pool limiter and moves
-    /// the ledger's cap to what it returns.
-    fn record_fetch(&mut self, addr: SocketAddr, elapsed: Duration, ok: bool) {
-        let in_flight = self.pool.fetching(addr);
-        let cap = self.overload.slot(self.reactor_index).record_fetch(in_flight, elapsed, ok);
-        self.pool.set_cap(cap);
     }
 
     fn upstream_writable(&mut self, idx: usize) {
@@ -1399,7 +1189,9 @@ impl Reactor {
         elapsed: Duration,
         result: io::Result<Response>,
     ) {
-        self.record_fetch(addr, elapsed, result.is_ok());
+        let (in_flight, ok) = (self.pool.fetching(addr), result.is_ok());
+        let cap = self.overload.slot(self.reactor_index).record_fetch(in_flight, elapsed, ok);
+        self.pool.set_cap(cap);
         let Some(job) = self.pool.complete(job) else { return };
         let Some((&last, rest)) = job.waiters.split_last() else { return };
         let reply = self.service.fetched(&job.request, result);
@@ -1428,17 +1220,15 @@ impl Reactor {
     /// queued and the active drive loop flushes it (keeping pipelined
     /// bursts iterative instead of recursive).
     fn complete_client(&mut self, idx: usize, reply: Reply) {
-        if self.conns[idx].is_none() {
+        let Some(Conn { kind: Kind::Client(client), .. }) = self.conns[idx].as_mut() else {
             return; // client gone; drop the reply
+        };
+        if client.queue(reply) {
+            self.metrics.body_copies.inc();
         }
-        match reply {
-            Reply::Full(response) => self.queue_response(idx, response),
-            Reply::Prepared(prepared) => self.queue_prepared(idx, prepared),
+        if self.driving != Some(idx) {
+            self.resume_client(idx);
         }
-        if self.driving == Some(idx) {
-            return;
-        }
-        self.resume_client(idx);
     }
 
     /// Closes connections that have made no progress in a long time,
@@ -1446,46 +1236,25 @@ impl Reactor {
     /// long-idle pooled origin sockets.
     fn sweep_idle(&mut self) {
         let now = Instant::now();
-        enum Stale {
-            Idle,
-            SlowRequest,
-            Upstream,
-        }
-        let stale: Vec<(usize, Stale)> = self
-            .conns
-            .iter()
-            .enumerate()
-            .filter_map(|(idx, conn)| {
-                let conn = conn.as_ref()?;
-                let idle = now.duration_since(conn.last_activity);
-                match &conn.kind {
-                    Kind::Client(_) if idle > IDLE_TIMEOUT => Some((idx, Stale::Idle)),
-                    Kind::Client(client) => {
-                        let started = client.request_started?;
-                        (now.duration_since(started) > REQUEST_TIMEOUT)
-                            .then_some((idx, Stale::SlowRequest))
-                    }
-                    Kind::Upstream(up) if up.job.is_some() && idle > UPSTREAM_TIMEOUT => {
-                        Some((idx, Stale::Upstream))
-                    }
-                    Kind::Upstream(_) => None,
-                }
-            })
-            .collect();
-        for (idx, why) in stale {
-            match why {
-                Stale::Idle => self.close_client(idx),
-                Stale::SlowRequest => {
+        // By index: acting on one connection may close or open others.
+        for idx in 0..self.conns.len() {
+            let Some(conn) = &mut self.conns[idx] else { continue };
+            let idle = now.duration_since(conn.last_activity);
+            match &mut conn.kind {
+                Kind::Client(_) if idle > IDLE_TIMEOUT => self.close_client(idx),
+                Kind::Client(client) if client.overdue(now) => {
                     self.metrics.slow_requests.inc();
-                    self.refuse(idx, StatusCode::REQUEST_TIMEOUT);
+                    discard_input(&conn.stream);
+                    client.refuse(StatusCode::REQUEST_TIMEOUT);
                     self.resume_client(idx);
                 }
-                Stale::Upstream => {
+                Kind::Upstream(up) if up.job.is_some() && idle > UPSTREAM_TIMEOUT => {
                     // A timeout is a slow origin, not a stale socket: fail
                     // the job outright rather than burning the retry.
                     let err = io::Error::new(io::ErrorKind::TimedOut, "origin fetch timed out");
                     self.upstream_broken(idx, err, false);
                 }
+                Kind::Client(_) | Kind::Upstream(_) => {}
             }
         }
         // Pooled idle sockets past their keep time.
@@ -1501,71 +1270,18 @@ impl Reactor {
             return;
         };
         self.clients -= 1;
-        self.metrics.conns[self.reactor_index].set(self.clients);
-        if let Some((ticket, _)) = client.admitted {
+        self.metrics.conns[self.reactor_index].set(self.clients as u64);
+        let (ticket, job) = client.close();
+        if let Some(ticket) = ticket {
             // Abandoned mid-request (or mid-flush).
             self.overload.slot(self.reactor_index).abandon(ticket);
         }
-        if let Some(job) = client.pending {
+        if let Some(job) = job {
             // The last waiter leaving a queued fetch cancels it; a fetch
             // already on a connection finishes and parks, unread.
             self.pool.leave(job, |&waiter| waiter == idx);
         }
         self.resume_accepting();
-    }
-
-    /// Admission control for one parsed request. Returns `true` if the
-    /// request may proceed (with a ticket on the client while admission
-    /// is on); on `false` a `429 Too Many Requests` has been queued.
-    fn admit_or_shed(&mut self, idx: usize, request: &Request) -> bool {
-        if !self.overload.admits(request.target()) {
-            return true;
-        }
-        let admitted = self.overload.slot(self.reactor_index).admit(request.target());
-        match admitted {
-            Ok(ticket) => {
-                if let Some(Conn { kind: Kind::Client(client), .. }) = self.conns[idx].as_mut() {
-                    client.admitted = ticket.map(|ticket| (ticket, None));
-                }
-                true
-            }
-            Err(retry_after) => {
-                self.overload.shed.inc();
-                let response = Response::builder(StatusCode::TOO_MANY_REQUESTS)
-                    .header("retry-after", retry_after.to_string())
-                    .build();
-                self.queue_response(idx, response);
-                false
-            }
-        }
-    }
-
-    /// Records the queued response's status on the client's admission
-    /// ticket. The ticket itself is *not* released here: release (and
-    /// the limiter's latency sample) happens at flush completion
-    /// ([`Reactor::finish_admission`]), so the time spent stalled on an
-    /// unwritable client socket is part of the measured latency.
-    fn note_response_status(&mut self, idx: usize, status: u16) {
-        let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
-            return;
-        };
-        let Kind::Client(client) = &mut conn.kind else { return };
-        if let Some((_, queued)) = client.admitted.as_mut() {
-            *queued = Some(status);
-        }
-    }
-
-    /// Releases a client's admission ticket once its response is fully
-    /// flushed (see `ClientState::admitted`). A ticket whose response is
-    /// not queued yet (upstream still in flight) stays charged.
-    fn finish_admission(&mut self, idx: usize) {
-        let Some(Conn { kind: Kind::Client(client), .. }) = self.conns[idx].as_mut() else {
-            return;
-        };
-        let flushed = client.admitted.take_if(|(_, queued)| queued.is_some());
-        if let Some((ticket, Some(status))) = flushed {
-            self.overload.slot(self.reactor_index).release(ticket, status);
-        }
     }
 
     /// Gives parked backlog clients a deadline: when accepting has been

@@ -1,8 +1,8 @@
-//! Event-driven simulation loops.
+//! Simulated-time loops.
 //!
-//! Drivers wire the `mutcon-core` algorithms to the trace-driven origin
-//! through the `mutcon-sim` event queue and record every poll in a
-//! [`PollLog`](crate::log::PollLog):
+//! Drivers wire the `mutcon-core` algorithms to the trace-driven origin,
+//! each stepping its own simulated clock from one poll instant to the
+//! next, and record every poll in a [`PollLog`](crate::log::PollLog):
 //!
 //! * [`temporal`] — Δt consistency (periodic baseline or LIMD) with
 //!   optional Mt coordination (triggered polls / rate heuristic) across a

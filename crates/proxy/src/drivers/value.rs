@@ -17,7 +17,6 @@ use mutcon_core::mutual::value::{
 use mutcon_core::object::ObjectId;
 use mutcon_core::time::Timestamp;
 use mutcon_core::value::Value;
-use mutcon_sim::queue::EventQueue;
 
 use crate::log::{PollLog, PollOutcome, PollRecord};
 use crate::origin::{HostedObject, OriginServer};
@@ -164,26 +163,39 @@ fn run_partitioned(
     let mut validator_b = None;
     let obj_a = origin.object(a).expect("object hosted by origin");
     let obj_b = origin.object(b).expect("object hosted by origin");
-    let mut queue: EventQueue<PairMember> = EventQueue::new();
-    queue.schedule_at(Timestamp::ZERO, PairMember::A);
-    queue.schedule_at(Timestamp::ZERO, PairMember::B);
-    while let Some(at) = queue.peek_time() {
-        if at > until {
-            break;
-        }
-        let (now, member) = queue.pop().expect("peeked event exists");
-        let (object, validator, log) = match member {
-            PairMember::A => (&obj_a, &mut validator_a, &mut out.log_a),
-            PairMember::B => (&obj_b, &mut validator_b, &mut out.log_b),
+    // Each member's next poll, `None` once it would fall past `until`.
+    let (mut next_a, mut next_b) = (Some(Timestamp::ZERO), Some(Timestamp::ZERO));
+    let mut last = PairMember::B;
+    while let Some((member, now)) = next_poll(next_a, next_b, last) {
+        let (object, validator, log, next) = match member {
+            PairMember::A => (&obj_a, &mut validator_a, &mut out.log_a, &mut next_a),
+            PairMember::B => (&obj_b, &mut validator_b, &mut out.log_b, &mut next_b),
         };
         let value = poll_value(object, now, validator, log);
         let ttr = policy.on_poll(member, now, value);
-        let next = now + ttr;
-        if next <= until {
-            queue.schedule_at(next, member);
-        }
+        *next = Some(now + ttr).filter(|&at| at <= until);
+        last = member;
     }
     out
+}
+
+/// Which member polls next, given each one's next instant and the member
+/// polled `last`: the earlier instant, and at equal instants the member
+/// scheduled earlier, which is the one not polled last (`A` before `B`
+/// at time 0).
+fn next_poll(
+    a: Option<Timestamp>,
+    b: Option<Timestamp>,
+    last: PairMember,
+) -> Option<(PairMember, Timestamp)> {
+    match (a, b) {
+        (Some(a), Some(b)) if a < b || (a == b && last == PairMember::B) => {
+            Some((PairMember::A, a))
+        }
+        (Some(a), None) => Some((PairMember::A, a)),
+        (_, Some(b)) => Some((PairMember::B, b)),
+        (None, None) => None,
+    }
 }
 
 #[cfg(test)]
@@ -260,6 +272,23 @@ mod tests {
             out.log_b.poll_count(),
             out.log_a.poll_count()
         );
+    }
+
+    #[test]
+    fn partitioned_ties_go_to_the_member_scheduled_first() {
+        use PairMember::{A, B};
+        let t = Timestamp::from_secs;
+        assert_eq!(next_poll(Some(t(0)), Some(t(0)), B), Some((A, t(0))), "A first at 0");
+        // After A polls, B was scheduled first; after B, A.
+        assert_eq!(next_poll(Some(t(5)), Some(t(5)), A), Some((B, t(5))));
+        assert_eq!(next_poll(Some(t(5)), Some(t(5)), B), Some((A, t(5))));
+        // Apart, the earlier instant goes first whoever polled last.
+        assert_eq!(next_poll(Some(t(6)), Some(t(5)), B), Some((B, t(5))));
+        assert_eq!(next_poll(Some(t(5)), Some(t(6)), A), Some((A, t(5))));
+        // A member past the window drops out.
+        assert_eq!(next_poll(None, Some(t(9)), B), Some((B, t(9))));
+        assert_eq!(next_poll(Some(t(9)), None, A), Some((A, t(9))));
+        assert_eq!(next_poll(None, None, A), None);
     }
 
     #[test]

@@ -1,29 +1,27 @@
-//! # mutcon-sim — deterministic discrete-event simulation
+//! # mutcon-sim — seeded randomness and the live reactors' primitives
 //!
 //! The paper's evaluation runs on "an event-based simulator \[of\] a proxy
-//! cache that receives requests from several clients" (§6.1.1). This crate
-//! is that substrate: a minimal, fully deterministic discrete-event engine
-//! with a virtual clock, plus the seeded randomness the workloads need.
+//! cache that receives requests from several clients" (§6.1.1). The
+//! simulated-time drivers that step it live in `mutcon-proxy`, each
+//! advancing its own clock; this crate holds what they and the live
+//! daemons share underneath:
 //!
-//! * [`queue`] — the event queue: schedule/cancel/pop with a virtual
-//!   clock and deterministic FIFO tie-breaking for simultaneous events.
 //! * [`rng`] — seeded random numbers and the distributions used by the
-//!   trace generators (exponential, normal, Poisson).
+//!   trace generators (exponential, normal, Poisson), so every simulation
+//!   is bit-for-bit reproducible.
 //! * [`reactor`] — hand-rolled `epoll` readiness primitives driving the
 //!   live daemons' single-thread event loops.
 //! * [`signal`] — self-pipe `SIGHUP` dispatch, so the live daemons can
 //!   re-read configuration on the conventional reload signal.
 //!
 //! ```
-//! use mutcon_sim::queue::EventQueue;
-//! use mutcon_core::time::{Duration, Timestamp};
+//! use mutcon_sim::SimRng;
 //!
-//! let mut q: EventQueue<&str> = EventQueue::new();
-//! q.schedule_after(Duration::from_secs(2), "second");
-//! q.schedule_after(Duration::from_secs(1), "first");
-//! assert_eq!(q.pop(), Some((Timestamp::from_secs(1), "first")));
-//! assert_eq!(q.pop(), Some((Timestamp::from_secs(2), "second")));
-//! assert_eq!(q.now(), Timestamp::from_secs(2));
+//! // The same seed draws the same numbers, run after run.
+//! let (mut a, mut b) = (SimRng::seed_from_u64(7), SimRng::seed_from_u64(7));
+//! let gaps: Vec<f64> = (0..3).map(|_| a.exponential(60.0)).collect();
+//! assert!(gaps.iter().all(|&gap| gap >= 0.0));
+//! assert_eq!(gaps, (0..3).map(|_| b.exponential(60.0)).collect::<Vec<_>>());
 //! ```
 
 // `deny` rather than `forbid`: the raw-syscall `reactor` and `signal`
@@ -33,10 +31,8 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod queue;
 pub mod reactor;
 pub mod rng;
 pub mod signal;
 
-pub use queue::{EventId, EventQueue};
 pub use rng::SimRng;

@@ -42,8 +42,8 @@ fi
 # One §3 scheduler: LIMD state and the Mt coordinator are built in
 # crates/proxy/src/schedule.rs, which the simulator's temporal driver and
 # the live poll workers both step. Neither driver grows scheduling state
-# or an event loop of its own again.
-if grep -nE 'Limd::new|MtCoordinator::new|EventQueue' \
+# of its own again.
+if grep -nE 'Limd::new|MtCoordinator::new' \
     crates/live/src/runtime.rs crates/proxy/src/drivers/temporal.rs; then
   echo "ci: a second scheduler is back in a driver (lines above)" >&2
   exit 1
@@ -112,6 +112,15 @@ fi
 if grep -rnE 'BufPool|MAX_POOLED|take_buf|with_buf|buf_reuses|buf_pool_high_water|accept_connection|ServiceResult::Close|set_fault|Fault::DropConnections' \
     crates src tests examples README.md .claude; then
   echo "ci: a connection buffer pool or a test fault hook is back in the engine (lines above)" >&2
+  exit 1
+fi
+
+# One home for the request side of a client connection: parsing, the
+# read buffer's bound and the request limits live in `ClientConn`
+# (crates/live/src/conn.rs), which touches no socket and has its own unit
+# tests. The reactor only moves bytes between it and the socket.
+if grep -nE 'RequestParser|MAX_BUFFERED' crates/live/src/server.rs; then
+  echo "ci: the reactor parses client requests again (lines above)" >&2
   exit 1
 fi
 

@@ -10,7 +10,8 @@
 //!
 //! * [`core`] — consistency semantics and algorithms (LIMD, adaptive
 //!   TTR, Mt/Mv coordinators, fidelity metrics).
-//! * [`sim`] — deterministic discrete-event simulation.
+//! * [`sim`] — seeded randomness for the simulator, and the raw-syscall
+//!   `epoll` primitives the live reactors run on.
 //! * [`http`] — a from-scratch HTTP/1.1 subset with the paper's §5.1
 //!   extensions.
 //! * [`depgraph`] — HTML link extraction and dependence graphs for
