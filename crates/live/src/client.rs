@@ -1,27 +1,25 @@
 //! The blocking HTTP client, and the origin request bytes.
 //!
-//! [`PersistentClient`] advertises `Connection: keep-alive`, reuses one
-//! socket across requests, and — because a pooled socket may have been
-//! closed by the server while idle — retries a failed send once on a
-//! fresh connection before reporting an error. The proxy's background
-//! refresher polls through one, so LIMD's frequent `If-Modified-Since`
-//! probes stop paying a TCP handshake each; a test that needs a fresh
-//! socket per request makes one client per request. Timeouts guard
-//! every socket operation so a stalled origin cannot wedge the
-//! refresher thread.
+//! [`PersistentClient`] drives over one blocking keep-alive socket the
+//! origin exchange the reactor drives nonblockingly (`OriginConn`,
+//! `conn.rs`), so polls and misses share its reuse and stale-socket
+//! rules. The proxy's background refresher polls through one, so LIMD's
+//! frequent `If-Modified-Since` probes stop paying a TCP handshake each;
+//! a test that needs a fresh socket per request makes one client per
+//! request. Timeouts guard every socket operation, so a stalled origin
+//! holds a poll worker for one timeout.
 
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration as StdDuration;
-
-use bytes::BytesMut;
 
 use mutcon_core::time::Timestamp;
 use mutcon_http::date::{parse_http_date, write_http_date};
 use mutcon_http::headers::HeaderName;
 use mutcon_http::message::{push_decimal, Request, Response};
 
-use crate::wire::read_response;
+use crate::conn::{OriginConn, Received};
+use crate::wire::read_uninterrupted;
 
 /// Extension header carrying millisecond-precise modification times (the
 /// IMF-fixdate in `Last-Modified` only resolves seconds, too coarse for
@@ -60,13 +58,9 @@ pub fn wire_target(wire: &[u8]) -> Option<&str> {
     rest[end..].starts_with(b" HTTP/1.1\r\n").then_some(target)
 }
 
-/// A blocking keep-alive client pinned to one server address.
-///
-/// Reuses a single connection across requests; a send that fails on a
-/// *reused* socket (the server closed it while idle) is retried once on
-/// a fresh connection. Requests advertise `Connection: keep-alive`; a
-/// response carrying `Connection: close` drops the socket so the next
-/// request reconnects.
+/// A blocking keep-alive client pinned to one server address: one socket,
+/// reused, and a request retried once on a fresh one, by `OriginConn`'s
+/// rules. Requests advertise `Connection: keep-alive`.
 #[derive(Debug)]
 pub struct PersistentClient {
     addr: SocketAddr,
@@ -75,10 +69,8 @@ pub struct PersistentClient {
     /// rate — no reason to re-format the address each time.
     host: String,
     timeout: StdDuration,
-    stream: Option<TcpStream>,
-    buf: BytesMut,
-    /// Responses served over the current socket (0 = fresh).
-    served_on_socket: u64,
+    /// The held socket and the exchange on it.
+    conn: Option<(TcpStream, OriginConn)>,
     reconnects: u64,
 }
 
@@ -89,9 +81,7 @@ impl PersistentClient {
             addr,
             host: addr.to_string(),
             timeout,
-            stream: None,
-            buf: BytesMut::new(),
-            served_on_socket: 0,
+            conn: None,
             reconnects: 0,
         }
     }
@@ -103,30 +93,7 @@ impl PersistentClient {
 
     /// Whether a connection is currently held open.
     pub fn is_connected(&self) -> bool {
-        self.stream.is_some()
-    }
-
-    /// The held socket, connected first if there is none, and the buffer
-    /// its responses are read through.
-    fn connect(&mut self) -> io::Result<(&mut TcpStream, &mut BytesMut)> {
-        let stream = match self.stream.take() {
-            Some(stream) => stream,
-            None => {
-                let stream = TcpStream::connect_timeout(&self.addr, self.timeout)?;
-                stream.set_read_timeout(Some(self.timeout))?;
-                stream.set_write_timeout(Some(self.timeout))?;
-                self.buf.clear();
-                self.served_on_socket = 0;
-                stream
-            }
-        };
-        Ok((self.stream.insert(stream), &mut self.buf))
-    }
-
-    fn drop_socket(&mut self) {
-        self.stream = None;
-        self.buf.clear();
-        self.served_on_socket = 0;
+        self.conn.is_some()
     }
 
     /// Sends `request` (forced to advertise keep-alive) and reads the
@@ -135,8 +102,8 @@ impl PersistentClient {
     ///
     /// # Errors
     ///
-    /// Propagates connect/read/write failures and malformed responses
-    /// (after the single stale-socket retry, where applicable).
+    /// Propagates connect/read/write failures, timeouts and malformed
+    /// responses (after the single stale-socket retry, where applicable).
     pub fn send(&mut self, request: &Request) -> io::Result<Response> {
         let mut request = request.clone();
         mutcon_http::connection::set_keep_alive(request.headers_mut());
@@ -147,31 +114,27 @@ impl PersistentClient {
     /// with the stale-socket retry of [`PersistentClient::send`].
     fn exchange(&mut self, wire: &[u8]) -> io::Result<Response> {
         loop {
-            let reused = self.stream.is_some() && self.served_on_socket > 0;
-            let result = self.connect().and_then(|(stream, buf)| {
-                stream.write_all(wire)?;
-                read_response(stream, buf)
-            });
-            match result {
-                Ok(response) => {
-                    self.served_on_socket += 1;
-                    if !response.wants_keep_alive() {
-                        self.drop_socket();
-                    }
-                    return Ok(response);
-                }
-                Err(e) => {
-                    self.drop_socket();
-                    if reused {
-                        // The server closed the idle socket between
-                        // requests; one fresh attempt.
-                        self.reconnects += 1;
-                        continue;
-                    }
-                    return Err(e);
-                }
+            let (stream, http) = match &mut self.conn {
+                Some(conn) => conn,
+                None => self.conn.insert((self.connect()?, OriginConn::default())),
+            };
+            let result = exchange_on(stream, http, wire);
+            let retry = result.as_ref().is_err_and(|err| http.stale(err));
+            if !matches!(result, Ok((_, true))) {
+                self.conn = None;
             }
+            if !retry {
+                return result.map(|(response, _)| response);
+            }
+            self.reconnects += 1;
         }
+    }
+
+    fn connect(&self) -> io::Result<TcpStream> {
+        let stream = TcpStream::connect_timeout(&self.addr, self.timeout)?;
+        stream.set_read_timeout(Some(self.timeout))?;
+        stream.set_write_timeout(Some(self.timeout))?;
+        Ok(stream)
     }
 
     /// Convenience `PUT` with a body over the persistent connection —
@@ -199,6 +162,31 @@ impl PersistentClient {
     pub fn get(&mut self, path: &str, validator_ms: Option<Timestamp>) -> io::Result<Response> {
         let wire = get_wire(path, &self.host, validator_ms);
         self.exchange(&wire)
+    }
+}
+
+/// One request and its response over blocking `stream`, driven through
+/// `http`; the flag is whether the socket may be reused. A socket
+/// timeout surfaces as `WouldBlock`.
+fn exchange_on(
+    stream: &mut TcpStream,
+    http: &mut OriginConn,
+    wire: &[u8],
+) -> io::Result<(Response, bool)> {
+    if !http.send(wire, |bytes| stream.write(bytes))? {
+        return Err(io::Error::new(io::ErrorKind::WouldBlock, "origin write timed out"));
+    }
+    loop {
+        match http.response() {
+            Received::Done { response, reusable } => return Ok((response, reusable)),
+            Received::Failed(err) => return Err(err),
+            Received::Pending => http.fill(|buf| {
+                let mut chunk = [0u8; 4096];
+                let n = read_uninterrupted(stream, &mut chunk)?;
+                buf.extend_from_slice(&chunk[..n]);
+                Ok(n == 0)
+            })?,
+        }
     }
 }
 
@@ -259,6 +247,7 @@ pub fn validator_ms(request: &Request) -> Option<Timestamp> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BytesMut;
     use mutcon_http::types::StatusCode;
     use std::io::{Read, Write};
     use std::net::TcpListener;
@@ -422,6 +411,104 @@ mod tests {
         let conns = accepted.load(std::sync::atomic::Ordering::SeqCst);
         assert!(conns >= 3, "server closes every 2 requests: {conns} conns");
         assert!(client.reconnects() >= 1, "stale sockets must be retried");
+    }
+
+    /// A server that answers each connection's first request with a
+    /// keep-alive `200`, then hands the socket to `second` once the
+    /// second request has arrived; a thread per connection.
+    fn second_request_server(second: fn(TcpStream)) -> SocketAddr {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        std::thread::spawn(move || {
+            for conn in listener.incoming() {
+                let Ok(mut stream) = conn else { break };
+                std::thread::spawn(move || {
+                    let mut buf = BytesMut::new();
+                    let Ok(Some(_)) = crate::wire::read_request(&mut stream, &mut buf) else {
+                        return;
+                    };
+                    let ok = Response::ok().keep_alive().body(&b"first"[..]).build();
+                    crate::wire::write_response(&mut stream, &ok).unwrap();
+                    if let Ok(Some(_)) = crate::wire::read_request(&mut stream, &mut buf) {
+                        second(stream);
+                    }
+                });
+            }
+        });
+        addr
+    }
+
+    /// A reused socket whose origin stops answering is a slow origin,
+    /// not a stale socket: the request fails after one timeout.
+    #[test]
+    fn a_timeout_on_a_reused_socket_is_not_retried() {
+        let timeout = StdDuration::from_millis(400);
+        let addr = second_request_server(|stream| {
+            std::thread::sleep(StdDuration::from_secs(2));
+            drop(stream);
+        });
+        let mut client = PersistentClient::new(addr, timeout);
+        assert_eq!(&client.get("/a", None).unwrap().body()[..], b"first");
+        let started = std::time::Instant::now();
+        assert!(client.get("/b", None).is_err());
+        let elapsed = started.elapsed();
+        assert_eq!(client.reconnects(), 0, "a timeout is never retried");
+        assert!(
+            elapsed >= timeout && elapsed < 2 * timeout,
+            "one timeout, not two: {elapsed:?}"
+        );
+        assert!(!client.is_connected());
+    }
+
+    /// A reused socket that dies after part of a response was not stale:
+    /// the origin had started answering, so the request fails at once.
+    #[test]
+    fn a_reused_socket_that_dies_mid_response_is_not_retried() {
+        let timeout = StdDuration::from_secs(5);
+        let addr = second_request_server(|mut stream| {
+            let _ = stream.write_all(b"HTTP/1.1 200 OK\r\ncontent-length: 100\r\n\r\npart");
+        });
+        let mut client = PersistentClient::new(addr, timeout);
+        assert_eq!(&client.get("/a", None).unwrap().body()[..], b"first");
+        let started = std::time::Instant::now();
+        let err = client.get("/b", None).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert_eq!(client.reconnects(), 0, "bytes had arrived: no retry");
+        assert!(started.elapsed() < timeout, "no wait: {:?}", started.elapsed());
+        assert!(!client.is_connected());
+    }
+
+    /// Bytes behind a response are not the next response: the socket is
+    /// dropped, and the next request reads its own answer on a fresh one.
+    #[test]
+    fn trailing_bytes_after_a_response_drop_the_socket() {
+        // Answers each request with its target; the first connection
+        // also writes a second, unasked-for response behind each answer.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        std::thread::spawn(move || {
+            for (i, conn) in listener.incoming().enumerate() {
+                let Ok(mut stream) = conn else { break };
+                std::thread::spawn(move || {
+                    let mut buf = BytesMut::new();
+                    while let Ok(Some(req)) = crate::wire::read_request(&mut stream, &mut buf) {
+                        let body = req.target().as_bytes().to_vec();
+                        let mut wire = Response::ok().keep_alive().body(body).build().to_bytes();
+                        if i == 0 {
+                            wire.extend(Response::ok().body(&b"WRONG"[..]).build().to_bytes());
+                        }
+                        if stream.write_all(&wire).is_err() {
+                            break;
+                        }
+                    }
+                });
+            }
+        });
+        let mut client = PersistentClient::new(addr, StdDuration::from_secs(5));
+        assert_eq!(&client.get("/a", None).unwrap().body()[..], b"/a");
+        assert!(!client.is_connected(), "a socket with trailing bytes is not kept");
+        assert_eq!(&client.get("/b", None).unwrap().body()[..], b"/b");
+        assert_eq!(client.reconnects(), 0);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The client half of a connection, without its socket.
+//! The client and the origin half of a connection, without their sockets.
 //!
 //! [`ClientConn`] is everything the engine keeps for one client between
 //! accept and close: the request parser and the unparsed input, the
@@ -13,13 +13,18 @@
 //! One request is in flight at a time: pipelined requests wait in the
 //! read buffer until the response before them is flushed, so responses
 //! leave in request order.
+//!
+//! [`OriginConn`] is one origin socket's exchange. The reactor's pooled
+//! sockets drive it for misses and [`crate::client::PersistentClient`]
+//! for polls, so both reuse a socket only after a clean keep-alive
+//! response and retry only a stale one ([`OriginConn::stale`]).
 
 use std::io;
 use std::time::{Duration, Instant};
 
 use bytes::{Bytes, BytesMut};
 use mutcon_http::message::{Request, Response};
-use mutcon_http::parse::{ParseError, RequestParser};
+use mutcon_http::parse::{ParseError, RequestParser, ResponseParser};
 use mutcon_http::types::StatusCode;
 use mutcon_sim::reactor::Interest;
 
@@ -261,6 +266,95 @@ impl ClientConn {
     /// and the fetch to leave, if any.
     pub(crate) fn close(self) -> (Option<Ticket>, Option<JobId>) {
         (self.admitted.map(|(ticket, _)| ticket), self.pending)
+    }
+}
+
+/// What [`OriginConn::response`] found.
+#[derive(Debug)]
+pub(crate) enum Received {
+    /// Not yet a whole response.
+    Pending,
+    /// A whole response; `reusable` if it was keep-alive, nothing
+    /// followed it and the origin sent no EOF. Otherwise the socket closes.
+    Done { response: Response, reusable: bool },
+    /// EOF mid-response (`UnexpectedEof`) or bytes that can never parse
+    /// (`InvalidData`): the socket is lost.
+    Failed(io::Error),
+}
+
+/// One origin socket's exchange: the response parser and read buffer,
+/// the request bytes written and the responses served. See the module
+/// docs.
+#[derive(Debug, Default)]
+pub(crate) struct OriginConn {
+    parser: ResponseParser,
+    read_buf: BytesMut,
+    written: usize,
+    /// `> 0` marks the socket as reused.
+    served: u32,
+    eof: bool,
+}
+
+impl OriginConn {
+    /// Writes what `write` takes of `request` past the bytes already
+    /// out; `Ok(true)` once all of it is, `Ok(false)` at `WouldBlock`
+    /// (the socket is full or, if blocking, timed out).
+    pub(crate) fn send(
+        &mut self,
+        request: &[u8],
+        mut write: impl FnMut(&[u8]) -> io::Result<usize>,
+    ) -> io::Result<bool> {
+        while self.written < request.len() {
+            match write(&request[self.written..]) {
+                Ok(0) => return Err(io::Error::new(io::ErrorKind::WriteZero, "origin closed")),
+                Ok(n) => self.written += n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(true)
+    }
+
+    /// Takes input: `read` appends to the buffer and returns whether the
+    /// origin sent EOF.
+    pub(crate) fn fill(
+        &mut self,
+        read: impl FnOnce(&mut BytesMut) -> io::Result<bool>,
+    ) -> io::Result<()> {
+        self.eof |= read(&mut self.read_buf)?;
+        Ok(())
+    }
+
+    /// The response, once the input holds all of it; a whole one readies
+    /// the connection for the next request.
+    pub(crate) fn response(&mut self) -> Received {
+        match self.parser.advance(&self.read_buf) {
+            Ok(Some((response, used))) => {
+                let reusable =
+                    !self.eof && used == self.read_buf.len() && response.wants_keep_alive();
+                self.read_buf.clear();
+                self.written = 0;
+                self.served += 1;
+                Received::Done { response, reusable }
+            }
+            Ok(None) if self.eof => {
+                Received::Failed(io::Error::new(io::ErrorKind::UnexpectedEof, "origin closed"))
+            }
+            Ok(None) => Received::Pending,
+            Err(e) => Received::Failed(io::Error::new(io::ErrorKind::InvalidData, e)),
+        }
+    }
+
+    /// Whether the exchange failed with `err` only because the socket was
+    /// stale, so the request may go once more on a fresh one: it had
+    /// served a response, no byte of this one arrived, and `err` is not a
+    /// timeout (a slow origin). A blocking socket's timeout is `WouldBlock`.
+    pub(crate) fn stale(&self, err: &io::Error) -> bool {
+        self.served > 0
+            && self.read_buf.is_empty()
+            && !self.parser.in_progress()
+            && !matches!(err.kind(), io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock)
     }
 }
 
@@ -602,5 +696,128 @@ mod tests {
         assert_eq!(served, ["/1", "/2"]);
         assert_eq!(responses(&sink.out).len(), 2);
         assert!(conn.is_finished());
+    }
+
+    /// Hands `origin` what a read of `bytes` would; `eof` if the origin
+    /// then closed.
+    fn receive(origin: &mut OriginConn, bytes: &[u8], eof: bool) {
+        origin
+            .fill(|buf| {
+                buf.extend_from_slice(bytes);
+                Ok(eof)
+            })
+            .unwrap();
+    }
+
+    fn ok_wire(body: &str) -> Vec<u8> {
+        Response::ok().keep_alive().body(body.as_bytes().to_vec()).build().to_bytes()
+    }
+
+    /// Whether a response in `wire` (fed in one read, then `eof`) leaves
+    /// the socket reusable.
+    fn reusable(wire: &[u8], eof: bool) -> bool {
+        let mut origin = OriginConn::default();
+        receive(&mut origin, wire, eof);
+        match origin.response() {
+            Received::Done { reusable, .. } => reusable,
+            other => panic!("expected a response, got {other:?}"),
+        }
+    }
+
+    fn failure(origin: &mut OriginConn) -> io::ErrorKind {
+        match origin.response() {
+            Received::Failed(err) => err.kind(),
+            other => panic!("expected a failure, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_origin_socket_is_reusable_only_after_a_clean_keep_alive_response() {
+        assert!(reusable(&ok_wire("a"), false));
+        let close = Response::ok().connection_close().body(&b"a"[..]).build().to_bytes();
+        assert!(!reusable(&close, false), "the origin said close");
+        assert!(!reusable(&ok_wire("a"), true), "the origin sent EOF");
+        let smuggled = [ok_wire("a"), ok_wire("WRONG")].concat();
+        assert!(!reusable(&smuggled, false), "bytes behind the response");
+        assert!(!reusable(&[ok_wire("a"), b"x".to_vec()].concat(), false));
+
+        // Arriving in pieces changes nothing; a reusable socket starts
+        // the next exchange from nothing.
+        let mut origin = OriginConn::default();
+        let wire = ok_wire("body");
+        let (head, tail) = wire.split_at(10);
+        receive(&mut origin, head, false);
+        assert!(matches!(origin.response(), Received::Pending));
+        receive(&mut origin, tail, false);
+        assert!(matches!(origin.response(), Received::Done { reusable: true, .. }));
+        assert!(matches!(origin.response(), Received::Pending), "nothing buffered");
+    }
+
+    #[test]
+    fn eof_mid_response_is_unexpected_eof() {
+        let wire = ok_wire("body");
+        let mut origin = OriginConn::default();
+        receive(&mut origin, &wire[..wire.len() - 1], true);
+        assert_eq!(failure(&mut origin), io::ErrorKind::UnexpectedEof);
+        let mut origin = OriginConn::default();
+        receive(&mut origin, &[], true);
+        assert_eq!(failure(&mut origin), io::ErrorKind::UnexpectedEof, "before any byte");
+    }
+
+    #[test]
+    fn malformed_origin_bytes_are_invalid_data() {
+        let mut origin = OriginConn::default();
+        receive(&mut origin, b"definitely not http\r\n\r\n", false);
+        assert_eq!(failure(&mut origin), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn a_request_split_over_partial_writes_goes_out_in_order() {
+        let request = get("/a/longer/path");
+        let mut origin = OriginConn::default();
+        let mut out = Vec::new();
+        let mut turns = 0;
+        // Three bytes a turn, then the socket is full until the next one.
+        while !origin
+            .send(&request, |bytes| {
+                if out.len() >= 3 * (turns + 1) {
+                    return Err(io::ErrorKind::WouldBlock.into());
+                }
+                let n = bytes.len().min(3);
+                out.extend_from_slice(&bytes[..n]);
+                Ok(n)
+            })
+            .unwrap()
+        {
+            turns += 1;
+        }
+        assert_eq!(out, request);
+        assert!(turns > 1, "it took several writes");
+        assert!(origin.send(&request, |_| panic!("all of it is out")).unwrap());
+
+        let closed = OriginConn::default().send(&request, |_| Ok(0));
+        assert_eq!(closed.unwrap_err().kind(), io::ErrorKind::WriteZero, "it took nothing");
+    }
+
+    #[test]
+    fn only_a_reused_socket_that_got_no_byte_and_did_not_time_out_is_stale() {
+        let reset = || io::Error::from(io::ErrorKind::ConnectionReset);
+        let eof = || io::Error::from(io::ErrorKind::UnexpectedEof);
+        let mut origin = OriginConn::default();
+        assert!(!origin.stale(&reset()), "a fresh socket is never stale");
+
+        receive(&mut origin, &ok_wire("a"), false);
+        assert!(matches!(origin.response(), Received::Done { reusable: true, .. }));
+        assert!(origin.stale(&reset()));
+        assert!(origin.stale(&eof()));
+        assert!(!origin.stale(&io::ErrorKind::TimedOut.into()), "the reactor's timeout");
+        assert!(
+            !origin.stale(&io::ErrorKind::WouldBlock.into()),
+            "a blocking socket's timeout"
+        );
+
+        receive(&mut origin, b"HTTP/1.1 2", false);
+        assert!(matches!(origin.response(), Received::Pending));
+        assert!(!origin.stale(&reset()), "bytes of this response arrived");
     }
 }

@@ -17,7 +17,7 @@
 //! and a keep-alive origin connection pool ([`upstream`]) that
 //! coalesces identical concurrent misses into one fetch. One process
 //! sustains hundreds of concurrent sockets (bounded by
-//! [`proxy::ProxyConfig::max_conns`]). The proxy's cache
+//! [`server::DEFAULT_MAX_CONNS`]). The proxy's cache
 //! is sharded 16 ways by key hash ([`cache::ShardedCache`]), shared
 //! across all reactors, so background refreshes don't serialize
 //! concurrent hits.
@@ -30,7 +30,8 @@
 //! * [`server`] — the shared readiness-driven connection engine
 //!   (multi-reactor event loop, connection state machines, pooled
 //!   nonblocking upstream fetches).
-//! * `conn` — a client connection's state machine, without its socket.
+//! * `conn` — a client connection's state machine and an origin socket's
+//!   exchange, without their sockets.
 //! * [`upstream`] — the keep-alive origin pool's bookkeeping (miss
 //!   coalescing, idle reuse, stale-socket retry).
 //! * [`vectored`] — the zero-copy send path: per-connection write plans
@@ -38,11 +39,10 @@
 //! * [`cache`] — the 16-way sharded, recency-indexed object cache;
 //!   entries pre-render their serving head so a hit is two shared
 //!   slices, not a serialization.
-//! * [`wire`] — blocking socket I/O for the `mutcon-http` types
-//!   (clients and tests; the server path is nonblocking).
+//! * [`wire`] — blocking socket I/O for the `mutcon-http` types (tests).
 //! * [`client`] — the blocking keep-alive client
-//!   ([`client::PersistentClient`], used by the proxy's background
-//!   refresher and the tests) and the origin `GET` bytes.
+//!   ([`client::PersistentClient`], the origin exchange over a blocking
+//!   socket: the refresher and the tests) and the origin `GET` bytes.
 //! * [`overload`] — adaptive overload control: per-partition admission
 //!   shedding (`429` + `Retry-After`), the adaptive origin fan-out cap,
 //!   and the versioned, hot-swappable [`overload::OverloadConfig`].

@@ -22,7 +22,8 @@
 //! of all of them. Entries pre-render their serving head at store time,
 //! so a hit is two shared slices handed to `writev` — no serialization
 //! and no body copy on the hot path, however many clients share the
-//! entry. Concurrency is bounded by [`ProxyConfig::max_conns`].
+//! entry. Concurrency is bounded by [`crate::server::DEFAULT_MAX_CONNS`]
+//! connections, split across the reactors.
 //!
 //! # The admin control plane
 //!
@@ -135,9 +136,6 @@ pub struct ProxyConfig {
     /// Reactor threads for the connection engine (`None` = one per
     /// core, [`crate::server::default_reactors`]).
     pub reactors: Option<usize>,
-    /// Concurrent-connection bound across all reactors (`None` =
-    /// [`crate::server::DEFAULT_MAX_CONNS`]).
-    pub max_conns: Option<usize>,
     /// Read by nothing; kept because `benchmark/` (read-only here) sets it.
     pub backend: Option<BackendKind>,
     /// Per-reactor L1 hot-object cache capacity in objects (`None` =
@@ -166,7 +164,7 @@ pub struct ProxyConfig {
 
 impl ProxyConfig {
     /// A configuration with no rules, no group, an unbounded cache and
-    /// the default reactor and connection counts.
+    /// the default reactor count.
     pub fn new(origin_addr: SocketAddr) -> ProxyConfig {
         ProxyConfig {
             origin_addr,
@@ -174,7 +172,6 @@ impl ProxyConfig {
             group: None,
             cache_objects: None,
             reactors: None,
-            max_conns: None,
             backend: None,
             l1_objects: None,
             refresh_workers: None,
@@ -273,7 +270,7 @@ impl LiveProxy {
                 l1_objects: config.l1_objects.unwrap_or(DEFAULT_L1_OBJECTS),
             }),
             EngineConfig {
-                max_conns: config.max_conns.unwrap_or(DEFAULT_MAX_CONNS),
+                max_conns: DEFAULT_MAX_CONNS,
                 reactors: config.reactors.unwrap_or_else(default_reactors),
                 metrics,
                 overload,

@@ -25,20 +25,20 @@
 //!             └────────peer gone───────┘    alive socket) ───┘
 //! ```
 //!
-//! A client's side of that diagram is a [`ClientConn`], which holds no
-//! socket; the reactor moves bytes between the two. A parsed request is
-//! handed to the [`Service`], which answers immediately (*WRITING*) or by
-//! fetching from an upstream origin. Upstream
-//! fetches go through the reactor's **keep-alive origin pool**
-//! ([`crate::upstream`]): identical concurrent misses coalesce onto one
-//! fetch (N waiters, one origin round trip), finished connections park
-//! for reuse instead of closing, idle pooled sockets are reaped, and a
-//! pooled socket the origin silently closed is detected and the fetch
-//! retried once on a fresh connection. However a fetch ends, it ends in
-//! one place: the pool limiter gets its sample, and if any client still
-//! waits, [`Service::fetched`] turns the outcome into one [`Reply`] that
-//! every waiter gets. `Connection: close` is honored in both directions
-//! ([`mutcon_http::connection`]).
+//! A client's side of that diagram is a [`ClientConn`], and an origin
+//! socket's is an [`OriginConn`]; neither holds a socket, and the reactor
+//! moves bytes between them and the sockets. A parsed request is handed
+//! to the [`Service`], which answers immediately (*WRITING*) or by
+//! fetching from an upstream origin. Upstream fetches go through the
+//! reactor's **keep-alive origin pool** ([`crate::upstream`]): identical
+//! concurrent misses coalesce onto one fetch (N waiters, one origin round
+//! trip), finished connections park for reuse instead of closing, idle
+//! pooled sockets are reaped, and a fetch on a pooled socket the origin
+//! silently closed is retried once on a fresh one. However a fetch ends,
+//! it ends in one place: the pool limiter gets its sample, and if any
+//! client still waits, [`Service::fetched`] turns the outcome into one
+//! [`Reply`] that every waiter gets. `Connection: close` is honored in
+//! both directions ([`mutcon_http::connection`]).
 //!
 //! *WRITING* goes through the zero-copy send path ([`crate::vectored`]):
 //! each response is a reusable contiguous buffer (head + small inlined
@@ -70,7 +70,6 @@ use std::time::{Duration, Instant};
 
 use bytes::{Bytes, BytesMut};
 use mutcon_http::message::{Request, Response};
-use mutcon_http::parse::ResponseParser;
 use mutcon_http::types::StatusCode;
 use mutcon_sim::reactor::{
     accept_nonblocking, connect_nonblocking, listen_reuseport, raise_nofile_limit, Event, Events,
@@ -78,16 +77,16 @@ use mutcon_sim::reactor::{
 };
 
 use crate::cache::L1Cache;
-use crate::conn::{ClientConn, Flush, Next};
+use crate::conn::{ClientConn, Flush, Next, OriginConn, Received};
 use crate::metrics::{metrics, Cell, Counter, Gauge};
 use crate::overload::OverloadControl;
 use crate::upstream::{JobId, PoolCore, Submit};
 use crate::vectored::FlushStats;
 
 /// Default concurrent-connection bound per event loop (split evenly
-/// across its reactors). Sized for "hundreds of sockets through one
-/// process" with headroom; load tests beyond it raise
-/// [`crate::proxy::ProxyConfig::max_conns`].
+/// across its reactors), and the live proxy's bound. Sized for "hundreds
+/// of sockets through one process" with headroom; an engine that needs
+/// another sets [`EngineConfig::max_conns`].
 pub const DEFAULT_MAX_CONNS: usize = 1024;
 
 /// Default per-reactor L1 capacity in objects
@@ -506,19 +505,15 @@ impl std::fmt::Debug for EventLoop {
 struct UpstreamState {
     /// The origin this connection belongs to.
     addr: SocketAddr,
-    /// The pool job being fetched, or `None` while parked idle.
+    /// The pool job being fetched, or `None` while parked idle. Its
+    /// request bytes live in the job.
     job: Option<JobId>,
-    /// Request bytes written so far (the bytes live in the job).
-    written: usize,
-    read_buf: BytesMut,
-    parser: ResponseParser,
     connected: bool,
-    /// Responses served on this connection; `> 0` marks it as reused
-    /// (eligible for the stale-socket retry).
-    served: u32,
     /// When the current fetch was handed to this connection; the
     /// elapsed time at completion feeds the pool's adaptive cap.
     fetch_started: Option<Instant>,
+    /// The exchange on the socket: what is written, read and parsed.
+    http: OriginConn,
 }
 
 enum Kind {
@@ -800,17 +795,12 @@ impl Reactor {
             Kind::Client(_) if event.readable => self.client_readable(idx),
             Kind::Client(_) if event.writable => self.resume_client(idx),
             Kind::Client(_) => {}
+            Kind::Upstream(_) if event.closed => {
+                let hung_up = || io::Error::new(io::ErrorKind::BrokenPipe, "origin hung up");
+                let err = conn.stream.take_error().ok().flatten().unwrap_or_else(hung_up);
+                self.upstream_broken(idx, err);
+            }
             Kind::Upstream(_) => {
-                if event.closed {
-                    let err = self.conns[idx]
-                        .as_ref()
-                        .and_then(|c| c.stream.take_error().ok().flatten())
-                        .unwrap_or_else(|| {
-                            io::Error::new(io::ErrorKind::BrokenPipe, "origin hung up")
-                        });
-                    self.upstream_broken(idx, err, true);
-                    return;
-                }
                 if event.writable {
                     self.upstream_writable(idx);
                 }
@@ -975,15 +965,12 @@ impl Reactor {
                 self.metrics.pool_reuses.inc();
                 self.pool.pop_queued(addr);
                 self.pool.assign(job, conn_idx);
-                if let Some(conn) = self.conns[conn_idx].as_mut() {
-                    if let Kind::Upstream(up) = &mut conn.kind {
-                        up.job = Some(job);
-                        up.written = 0;
-                        up.read_buf.clear();
-                        up.parser = ResponseParser::new();
-                        up.fetch_started = Some(Instant::now());
-                    }
-                    conn.last_activity = Instant::now();
+                if let Some(Conn { last_activity, kind: Kind::Upstream(up), .. }) =
+                    self.conns[conn_idx].as_mut()
+                {
+                    up.job = Some(job);
+                    up.fetch_started = Some(Instant::now());
+                    *last_activity = Instant::now();
                 }
                 // The parked socket is almost certainly writable: push
                 // the request now instead of waiting for a poll round.
@@ -1014,12 +1001,9 @@ impl Reactor {
             kind: Kind::Upstream(UpstreamState {
                 addr,
                 job: Some(job),
-                written: 0,
-                read_buf: BytesMut::new(),
-                parser: ResponseParser::new(),
                 connected: false,
-                served: 0,
                 fetch_started: Some(Instant::now()),
+                http: OriginConn::default(),
             }),
         });
         self.pool.assign(job, idx);
@@ -1040,49 +1024,27 @@ impl Reactor {
             match conn.stream.take_error() {
                 Ok(None) => up.connected = true,
                 Ok(Some(e)) | Err(e) => {
-                    self.upstream_broken(idx, e, true);
+                    self.upstream_broken(idx, e);
                     return;
                 }
             }
         }
-        let Some(job) = up.job else {
-            return; // parked idle; nothing to write
-        };
-        let Some(request) = pool.job(job).map(|j| &j.request[..]) else {
-            return;
-        };
-        let mut broken: Option<io::Error> = None;
-        while up.written < request.len() {
-            match (&conn.stream).write(&request[up.written..]) {
-                Ok(0) => {
-                    broken = Some(io::Error::new(
-                        io::ErrorKind::WriteZero,
-                        "origin closed mid-request",
-                    ));
-                    break;
-                }
-                Ok(n) => up.written += n,
-                Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    // Partial write: wait for writability.
-                    if let Err(err) = self.set_interest(idx, Interest::WRITABLE) {
-                        self.upstream_broken(idx, err, true);
-                    }
-                    return;
-                }
-                Err(ref e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    broken = Some(e);
-                    break;
-                }
+        // Parked idle: nothing to write.
+        let Some(request) = up.job.and_then(|job| pool.job(job)) else { return };
+        let interest = match up.http.send(&request.request, |bytes| (&conn.stream).write(bytes)) {
+            Ok(true) => {
+                conn.last_activity = Instant::now();
+                Interest::READABLE
             }
-        }
-        if let Some(err) = broken {
-            self.upstream_broken(idx, err, true);
-            return;
-        }
-        conn.last_activity = Instant::now();
-        if let Err(err) = self.set_interest(idx, Interest::READABLE) {
-            self.upstream_broken(idx, err, true);
+            // Partial write: wait for writability.
+            Ok(false) => Interest::WRITABLE,
+            Err(err) => {
+                self.upstream_broken(idx, err);
+                return;
+            }
+        };
+        if let Err(err) = self.set_interest(idx, interest) {
+            self.upstream_broken(idx, err);
         }
     }
 
@@ -1094,37 +1056,28 @@ impl Reactor {
             // closed it (EOF) or sent nonsense — either way the socket
             // is useless; reap it before a job can be assigned to it.
             let err = io::Error::new(io::ErrorKind::BrokenPipe, "pooled origin socket closed");
-            self.upstream_broken(idx, err, true);
+            self.upstream_broken(idx, err);
             return;
         };
         let scratch = &mut self.scratch;
-        let saw_eof = match read_into(&conn.stream, scratch, &mut up.read_buf, usize::MAX) {
-            Ok(saw_eof) => saw_eof,
-            Err(e) => {
-                self.upstream_broken(idx, e, true);
-                return;
-            }
-        };
+        if let Err(err) = up.http.fill(|buf| read_into(&conn.stream, scratch, buf, usize::MAX)) {
+            self.upstream_broken(idx, err);
+            return;
+        }
         conn.last_activity = Instant::now();
-        match up.parser.advance(&up.read_buf) {
-            Ok(Some((response, consumed))) => {
-                let leftover = up.read_buf.len() > consumed;
-                let reusable = !saw_eof && !leftover && response.wants_keep_alive();
+        match up.http.response() {
+            Received::Pending => {}
+            Received::Failed(err) => self.upstream_broken(idx, err),
+            Received::Done { response, reusable } => {
                 let addr = up.addr;
                 up.job = None;
-                up.served += 1;
                 let elapsed = up.fetch_started.take().map(|t| t.elapsed()).unwrap_or_default();
                 if reusable {
                     // Park for the next fetch to this origin. The socket
                     // is still READABLE from the request write, so the
                     // origin closing it wakes the reactor.
-                    up.read_buf.clear();
-                    up.parser = ResponseParser::new();
-                    up.written = 0;
                     self.pool.release_idle(addr, idx, Instant::now());
                 } else {
-                    // One-shot connection (origin said close, or the
-                    // stream is already at EOF).
                     self.release_slot(idx);
                 }
                 // The fetch's latency reaches the adaptive cap before the
@@ -1132,31 +1085,16 @@ impl Reactor {
                 self.finish_fetch(addr, job, elapsed, Ok(response));
                 self.pump_origin(addr);
             }
-            Ok(None) if saw_eof => {
-                let err = io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "origin closed mid-response",
-                );
-                self.upstream_broken(idx, err, true);
-            }
-            Ok(None) => {}
-            Err(e) => {
-                let err = io::Error::new(io::ErrorKind::InvalidData, e);
-                self.upstream_broken(idx, err, true);
-            }
         }
     }
 
-    /// Tears down an upstream connection that can no longer serve. A
-    /// *reused* pooled socket that died before yielding a single
-    /// response byte was closed by the origin while parked — its job is
-    /// retried once on a fresh socket (unless `allow_retry` is false,
-    /// e.g. a timeout: the origin is slow, not the socket stale);
-    /// everything else fails the job to its waiters.
-    fn upstream_broken(&mut self, idx: usize, err: io::Error, allow_retry: bool) {
+    /// Tears down an upstream connection that can no longer serve. A job
+    /// whose socket was stale ([`OriginConn::stale`]: reused, no response
+    /// byte, not a timeout) is retried once on a fresh socket; everything
+    /// else fails the job to its waiters.
+    fn upstream_broken(&mut self, idx: usize, err: io::Error) {
         let Some(Conn { kind: Kind::Upstream(up), .. }) = self.conns[idx].as_ref() else { return };
-        let (addr, job, served, started) = (up.addr, up.job, up.served, up.fetch_started);
-        let got_bytes = !up.read_buf.is_empty() || up.parser.in_progress();
+        let (addr, job, started, stale) = (up.addr, up.job, up.fetch_started, up.http.stale(&err));
         // Closes the socket before any retry connects.
         self.release_slot(idx);
         match job {
@@ -1164,7 +1102,7 @@ impl Reactor {
             None => {
                 self.pool.forget_idle(idx);
             }
-            Some(job) if allow_retry && self.pool.retry_eligible(job, served, got_bytes) => {
+            Some(job) if stale && self.pool.retry_eligible(job) => {
                 // A stale parked socket isn't overload; the retry's own
                 // completion will produce the sample.
                 self.metrics.pool_retries.inc();
@@ -1252,7 +1190,7 @@ impl Reactor {
                     // A timeout is a slow origin, not a stale socket: fail
                     // the job outright rather than burning the retry.
                     let err = io::Error::new(io::ErrorKind::TimedOut, "origin fetch timed out");
-                    self.upstream_broken(idx, err, false);
+                    self.upstream_broken(idx, err);
                 }
                 Kind::Client(_) | Kind::Upstream(_) => {}
             }

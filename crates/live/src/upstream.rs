@@ -1,9 +1,7 @@
 //! Bookkeeping for the keep-alive origin connection pool.
 //!
-//! PR 2's upstream path opened one socket per cache miss — a 2001-era
-//! `Connection: close` client. This module is the ledger behind its
-//! replacement: per-reactor pools of persistent nonblocking origin
-//! connections with
+//! The ledger behind each reactor's pool of persistent nonblocking origin
+//! connections, with
 //!
 //! * **miss coalescing** — concurrent misses whose serialized request
 //!   bytes match share one *job*; N waiters, one origin fetch;
@@ -15,9 +13,9 @@
 //!   moves it ([`PoolCore::set_cap`]) to whatever its overload slot
 //!   ([`crate::overload`]) returns for each finished fetch, so the
 //!   ledger keeps a number and knows nothing of how it is chosen;
-//! * **stale-socket retry** — a *reused* connection that dies before
-//!   yielding a single response byte was a pooled socket the origin had
-//!   already closed; the job is requeued (once) instead of failed.
+//! * **stale-socket retry** — a job whose socket was stale (reused, died
+//!   before a response byte, not timed out: `OriginConn::stale`) is
+//!   requeued (once) instead of failed.
 //!
 //! The pool here is pure bookkeeping — no sockets, no I/O — so every
 //! transition is unit-testable deterministically. The reactor in
@@ -262,18 +260,10 @@ impl<W> PoolCore<W> {
         Some(j)
     }
 
-    /// Whether `job` may use its stale-socket retry, given that the
-    /// connection serving it had already served `served` responses and
-    /// `got_bytes` says whether any response bytes arrived this time. A
-    /// reused pooled socket that dies *before the first response byte*
-    /// was simply closed by the origin while parked — retry on a fresh
-    /// socket; anything else is a real failure.
-    pub fn retry_eligible(&self, job: JobId, served: u32, got_bytes: bool) -> bool {
-        served > 0
-            && !got_bytes
-            && self
-                .job(job)
-                .is_some_and(|j| !j.retried && !j.waiters.is_empty())
+    /// Whether `job`, whose socket turned out stale, may be retried on a
+    /// fresh one: its one retry is unspent and someone still waits on it.
+    pub fn retry_eligible(&self, job: JobId) -> bool {
+        self.job(job).is_some_and(|j| !j.retried && !j.waiters.is_empty())
     }
 
     /// Returns a failed job to the *front* of its origin's queue for the
@@ -480,19 +470,23 @@ mod tests {
         pool.pop_queued(a);
         pool.assign(job, 3);
 
-        // A fresh (never-reused) connection failing is a real failure.
-        assert!(!pool.retry_eligible(job, 0, false));
-        // Response bytes arrived → mid-transfer death, not staleness.
-        assert!(!pool.retry_eligible(job, 2, true));
-        // Reused + zero bytes → retry once.
-        assert!(pool.retry_eligible(job, 2, false));
+        // Which failures are stale is `OriginConn::stale`'s rule (its
+        // tests are in `conn.rs`); the ledger allows the retry once.
+        assert!(pool.retry_eligible(job));
         pool.requeue_for_retry(job);
         assert_eq!(pool.front_queued(a), Some(job));
         assert!(pool.job(job).unwrap().retried);
         // The retry is spent.
         pool.pop_queued(a);
         pool.assign(job, 4);
-        assert!(!pool.retry_eligible(job, 5, false));
+        assert!(!pool.retry_eligible(job));
+
+        // A job nobody waits on any more is not retried either.
+        let orphan = pool.submit(a, b"GET /y".to_vec(), 2).job();
+        pool.pop_queued(a);
+        pool.assign(orphan, 5);
+        pool.leave(orphan, |&w| w == 2);
+        assert!(!pool.retry_eligible(orphan));
     }
 
     #[test]

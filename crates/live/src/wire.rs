@@ -1,10 +1,8 @@
-//! Blocking socket I/O for `mutcon-http` messages.
-//!
-//! Reads accumulate into a `BytesMut` and drive the resumable parser
-//! until a complete message (or EOF/error) arrives; writes serialize and
-//! flush in one call. The reactor-driven server ([`crate::server`]) uses
-//! the same parsers nonblockingly; these helpers remain for clients
-//! (the refresher, tests, load generators) where blocking is fine.
+//! Blocking socket I/O for `mutcon-http` messages, for the tests and the
+//! test harness's scripted origin. Reads drive a resumable parser until a
+//! whole message (or EOF/error) arrives; writes serialize and flush in one
+//! call. No engine or client reads responses through it: the reactor and
+//! [`crate::client::PersistentClient`] both drive `OriginConn` (`conn.rs`).
 
 use std::io::{self, Read, Write};
 
@@ -13,22 +11,43 @@ use bytes::BytesMut;
 use mutcon_http::message::{Request, Response};
 use mutcon_http::parse::{ParseError, RequestParser, ResponseParser};
 
-/// Converts a parse failure into an I/O error (the connection is beyond
-/// saving either way).
-fn parse_io_error(e: ParseError) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, e)
-}
-
 /// `read` retrying `EINTR`. A handled signal (the `SIGHUP` rules
 /// reload) interrupts a blocking read on a socket with a receive
-/// timeout even under `SA_RESTART`, so these helpers must not surface
-/// `Interrupted` to callers (`write_all` already retries it internally).
-fn read_uninterrupted(stream: &mut impl Read, chunk: &mut [u8]) -> io::Result<usize> {
+/// timeout even under `SA_RESTART`, so these helpers and
+/// [`crate::client::PersistentClient`] must not surface `Interrupted` to
+/// callers (`write_all` and `OriginConn::send` retry it themselves).
+pub(crate) fn read_uninterrupted(stream: &mut impl Read, chunk: &mut [u8]) -> io::Result<usize> {
     loop {
         match stream.read(chunk) {
             Err(ref e) if e.kind() == io::ErrorKind::Interrupted => {}
             other => return other,
         }
+    }
+}
+
+/// Reads one message from `stream` through `parse` (a fresh parser's
+/// `advance`), leaving what follows it in `buf`. `Ok(None)` on a clean
+/// EOF before any bytes.
+fn read_message<M>(
+    stream: &mut impl Read,
+    buf: &mut BytesMut,
+    mut parse: impl FnMut(&[u8]) -> Result<Option<(M, usize)>, ParseError>,
+) -> io::Result<Option<M>> {
+    loop {
+        // A parse failure leaves the connection beyond saving.
+        let parsed = parse(buf).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        if let Some((message, consumed)) = parsed {
+            let _ = buf.split_to(consumed);
+            return Ok(Some(message));
+        }
+        let mut chunk = [0u8; 4096];
+        let n = read_uninterrupted(stream, &mut chunk)?;
+        if n == 0 && buf.is_empty() {
+            return Ok(None);
+        } else if n == 0 {
+            return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "closed mid-message"));
+        }
+        buf.extend_from_slice(&chunk[..n]);
     }
 }
 
@@ -41,25 +60,7 @@ fn read_uninterrupted(stream: &mut impl Read, chunk: &mut [u8]) -> io::Result<us
 /// EOF in the middle of a message ([`io::ErrorKind::UnexpectedEof`]).
 pub fn read_request(stream: &mut impl Read, buf: &mut BytesMut) -> io::Result<Option<Request>> {
     let mut parser = RequestParser::new();
-    loop {
-        if let Some((req, consumed)) = parser.advance(buf).map_err(parse_io_error)? {
-            let _ = buf.split_to(consumed);
-            return Ok(Some(req));
-        }
-        let mut chunk = [0u8; 4096];
-        let n = read_uninterrupted(stream, &mut chunk)?;
-        if n == 0 {
-            return if buf.is_empty() {
-                Ok(None)
-            } else {
-                Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-request",
-                ))
-            };
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    }
+    read_message(stream, buf, |bytes| parser.advance(bytes))
 }
 
 /// Reads one response from `stream`.
@@ -69,21 +70,8 @@ pub fn read_request(stream: &mut impl Read, buf: &mut BytesMut) -> io::Result<Op
 /// I/O errors, malformed messages, or EOF before a complete response.
 pub fn read_response(stream: &mut impl Read, buf: &mut BytesMut) -> io::Result<Response> {
     let mut parser = ResponseParser::new();
-    loop {
-        if let Some((resp, consumed)) = parser.advance(buf).map_err(parse_io_error)? {
-            let _ = buf.split_to(consumed);
-            return Ok(resp);
-        }
-        let mut chunk = [0u8; 4096];
-        let n = read_uninterrupted(stream, &mut chunk)?;
-        if n == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "connection closed mid-response",
-            ));
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    }
+    read_message(stream, buf, |bytes| parser.advance(bytes))?
+        .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "closed before a response"))
 }
 
 /// Writes a request and flushes.

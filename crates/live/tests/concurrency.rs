@@ -186,6 +186,32 @@ fn close_advertised_responses_are_not_pooled() {
     );
 }
 
+/// A body longer than declared on a miss: the smuggled response behind
+/// `/a`'s is not the next fetch's answer. The socket leaves the pool, and
+/// each miss serves and stores its own path's copy.
+#[test]
+fn a_response_smuggled_behind_a_miss_is_not_the_next_fetchs_answer() {
+    let origin = ScriptedOrigin::start(FakeClock::new());
+    origin.script("/a", vec![Behavior::Overlong]);
+    let proxy = plain_proxy(&origin, 1);
+    for path in ["/a", "/b", "/c", "/b"] {
+        let resp = get(proxy.local_addr(), path).expect(path);
+        assert_eq!(resp.status(), StatusCode::OK, "{path}");
+        assert_eq!(
+            std::str::from_utf8(resp.body()).expect("utf8"),
+            format!("path={path} stamp={CLOCK_BASE_MS}\n"),
+            "{path} got another path's answer; log: {:?}",
+            origin.log()
+        );
+        assert_eq!(origin.fetches(path), 1, "{path}");
+    }
+    assert_eq!(
+        origin.accepted(),
+        2,
+        "the socket with bytes behind its response is not pooled; /b and /c share the next"
+    );
+}
+
 /// Stale pooled sockets: the origin serves (seeding the pool), then
 /// kills the parked connection. Whichever way the race falls — the
 /// reactor reaps the EOF first, or reuses the stale socket and takes

@@ -128,6 +128,11 @@ pub enum Behavior {
     /// second death of the double-death scenario: a stale-socket retry
     /// whose replacement also dies).
     Reject,
+    /// Serve keep-alive with a complete second response smuggled behind
+    /// the declared body, in the same write: a body longer than declared.
+    /// A client that reads the extra bytes as its next answer stores it
+    /// under the wrong path.
+    Overlong,
 }
 
 struct Gate {
@@ -424,6 +429,15 @@ fn serve_request(stream: &mut TcpStream, inner: &Inner, request: &Request) -> bo
             .build(),
         _ => builder.build(),
     };
+    if behavior == Behavior::Overlong {
+        inner.log.lock().unwrap().push(format!("overlong {path}"));
+        let mut wire = response.to_bytes();
+        wire.extend_from_slice(
+            format!("HTTP/1.1 200 OK\r\n{X_LAST_MODIFIED_MS}: {stamp}\r\ncontent-length: 5\r\n\r\nWRONG")
+                .as_bytes(),
+        );
+        return stream.write_all(&wire).is_ok();
+    }
     if write_response(stream, &response).is_err() {
         return false;
     }

@@ -9,7 +9,7 @@ mod harness;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration as StdDuration, Instant};
 
-use harness::{get, get_json, stamp_of, Behavior, FakeClock, ScriptedOrigin};
+use harness::{get, get_json, stamp_of, Behavior, FakeClock, ScriptedOrigin, CLOCK_BASE_MS};
 use mutcon_core::time::Duration;
 use mutcon_live::proxy::{LiveProxy, ProxyConfig, RefreshRule};
 use mutcon_traces::json::Json;
@@ -288,6 +288,37 @@ fn proxy_survives_origin_faults() {
     wait_until("the fresh stamp served", || {
         stamp_of(&get(proxy.local_addr(), "/fast").expect("read after")) == clock.stamp_ms()
     });
+    drop(proxy);
+}
+
+/// A body longer than declared: `/a`'s poll carries a whole second
+/// response behind its own. The one worker's socket must not carry the
+/// next polls, or each would store the answer to the request before it
+/// (`/b` the smuggled `WRONG`, `/c` the copy of `/b`).
+#[test]
+fn a_response_smuggled_behind_a_poll_is_not_the_next_polls_answer() {
+    let origin = ScriptedOrigin::start(FakeClock::new());
+    origin.script("/a", vec![Behavior::Overlong]);
+    // Δ = 1 min: each path is polled once inside the test.
+    let proxy = refresh_proxy(&origin, 1, &["/a"], 60_000);
+    wait_until("/a's poll stored", || proxy.cached_objects() == 1);
+    let rules = ["/a", "/b", "/c"].map(|p| RefreshRule::new(p, Duration::from_millis(60_000)));
+    proxy.runtime().install(rules.to_vec(), None).expect("valid rules");
+    wait_until("/b and /c polled and stored", || proxy.cached_objects() == 3);
+
+    for path in ["/a", "/b", "/c"] {
+        let resp = get(proxy.local_addr(), path).expect(path);
+        assert_eq!(resp.headers().get("x-cache"), Some("hit"), "{path}");
+        assert_eq!(
+            std::str::from_utf8(resp.body()).expect("utf8"),
+            format!("path={path} stamp={CLOCK_BASE_MS}\n"),
+            "{path} holds another path's answer; log: {:?}",
+            origin.log()
+        );
+        assert_eq!(stamp_of(&resp), CLOCK_BASE_MS, "{path}");
+        assert_eq!(origin.fetches(path), 1, "{path}");
+    }
+    assert_eq!(proxy.stats().errors, 0);
     drop(proxy);
 }
 

@@ -124,6 +124,20 @@ if grep -nE 'RequestParser|MAX_BUFFERED' crates/live/src/server.rs; then
   exit 1
 fi
 
+# One home for the response side of an origin connection: framing,
+# keep-alive, trailing bytes and the stale-socket rule live in `OriginConn`
+# (crates/live/src/conn.rs), which the reactor's pooled sockets and the
+# blocking `PersistentClient` both drive. Above their test modules
+# neither parses a response or judges reuse itself, and no caller-side
+# retry flag comes back.
+origin_rules='ResponseParser|wants_keep_alive|read_response'
+if sed '/#\[cfg(test)\]/q' crates/live/src/server.rs | grep -nE "$origin_rules" \
+    || sed '/#\[cfg(test)\]/q' crates/live/src/client.rs | grep -nE "$origin_rules" \
+    || grep -rn 'allow_retry' crates src tests examples; then
+  echo "ci: a second copy of the origin exchange's rules is back (lines above)" >&2
+  exit 1
+fi
+
 # Live-proxy smoke: origin + proxy on real sockets, hundreds of
 # concurrent clients through the reactor threads — a stalled event
 # loop shows up here as read timeouts, not as a hang. (One run in ~120
