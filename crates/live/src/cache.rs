@@ -484,8 +484,8 @@ pub enum L1Lookup {
 
 /// A reactor-local hot-object cache: an open-addressed `path →
 /// Arc<CacheEntry>` map consulted before the shared [`ShardedCache`].
-/// Owned by one reactor thread, so reads and writes are plain `&mut` —
-/// no locks, no atomics except the single relaxed flag load that
+/// Owned by one reactor's service instance, so reads and writes are
+/// plain `&mut` — no locks, no atomics but the relaxed flag load that
 /// revalidates a hit.
 pub struct L1Cache {
     slots: Vec<Option<L1Slot>>,

@@ -28,8 +28,8 @@
 //! (IMF-fixdates only resolve seconds).
 //!
 //! * [`server`] — the shared readiness-driven connection engine
-//!   (multi-reactor event loop, connection state machines, pooled
-//!   nonblocking upstream fetches).
+//!   (multi-reactor event loop, one service instance per reactor,
+//!   pooled nonblocking upstream fetches).
 //! * `conn` — a client connection's state machine and an origin socket's
 //!   exchange, without their sockets.
 //! * [`upstream`] — the keep-alive origin pool's bookkeeping (miss

@@ -23,9 +23,8 @@ use mutcon_http::message::{Request, Response};
 use mutcon_http::types::{Method, StatusCode};
 use mutcon_traces::UpdateTrace;
 
-use crate::cache::L1Cache;
 use crate::client::X_LAST_MODIFIED_MS;
-use crate::server::{default_reactors, EngineConfig, EventLoop, Service, ServiceResult};
+use crate::server::{default_reactors, EngineConfig, EventLoop, Reply, Service, ServiceResult};
 
 /// Builder for [`LiveOrigin`].
 #[derive(Debug, Default)]
@@ -70,9 +69,7 @@ impl LiveOriginBuilder {
         });
         let server = EventLoop::start(
             "mutcon-live-origin-reactor",
-            Arc::new(OriginService {
-                shared: Arc::clone(&shared),
-            }),
+            || Box::new(OriginService { shared: Arc::clone(&shared) }),
             EngineConfig {
                 reactors: self.reactors.unwrap_or_else(default_reactors),
                 ..EngineConfig::default()
@@ -140,15 +137,15 @@ pub(crate) fn unix_now_ms() -> u64 {
         .as_millis() as u64
 }
 
-/// The request handler running on the reactor thread.
+/// The request handler, one instance per reactor.
 struct OriginService {
     shared: Arc<Shared>,
 }
 
 impl Service for OriginService {
-    fn respond(&self, request: &Request, _l1: &mut L1Cache) -> ServiceResult {
+    fn respond(&mut self, request: &Request) -> ServiceResult {
         self.shared.requests.fetch_add(1, Ordering::SeqCst);
-        ServiceResult::Respond(respond(&self.shared, request))
+        ServiceResult::Reply(Reply::Full(respond(&self.shared, request)))
     }
 }
 

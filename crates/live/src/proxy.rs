@@ -13,7 +13,8 @@
 //! Connections are served by the shared readiness-driven engine
 //! ([`crate::server`]): one reactor per core (or
 //! [`ProxyConfig::reactors`]), each with its own `SO_REUSEPORT`
-//! listener shard and its own keep-alive origin pool — cache misses
+//! listener shard, its own keep-alive origin pool and its own instance of
+//! the proxy's service, which owns that reactor's L1 — cache misses
 //! ride pooled persistent connections, and identical concurrent misses
 //! coalesce into a single origin fetch. There is no thread pool and no
 //! thread per connection. The cache is the 16-way sharded
@@ -79,7 +80,7 @@ use crate::overload::{parse_overload_body, render_overload, OverloadControl, ADM
 use crate::runtime::{ConsistencyRuntime, InstallReport, PollKind};
 use crate::server::{
     default_reactors, EngineConfig, EngineMetrics, EventLoop, PreparedResponse, Reply, Service,
-    ServiceResult, DEFAULT_L1_OBJECTS, DEFAULT_MAX_CONNS, DEFAULT_REFRESH_WORKERS,
+    ServiceResult, DEFAULT_L1_OBJECTS, DEFAULT_MAX_CONNS, DEFAULT_REFRESH_WORKERS, MAX_L1_OBJECTS,
 };
 
 /// Consistency requirements for one cached object.
@@ -140,7 +141,8 @@ pub struct ProxyConfig {
     pub backend: Option<BackendKind>,
     /// Per-reactor L1 hot-object cache capacity in objects (`None` =
     /// [`crate::server::DEFAULT_L1_OBJECTS`]; `Some(0)` disables the L1
-    /// entirely). A validated L1 hit is served
+    /// entirely; more than [`crate::server::MAX_L1_OBJECTS`] is refused
+    /// at start). A validated L1 hit is served
     /// without touching any shared shard lock; coherence comes from the
     /// supersede flag on each copy (see [`crate::cache`]).
     pub l1_objects: Option<usize>,
@@ -218,6 +220,9 @@ struct Shared {
     runtime: Arc<ConsistencyRuntime>,
     /// Bearer token gating `/admin/*`; `None` leaves the plane open.
     admin_token: Option<String>,
+    /// Each reactor's L1 capacity as configured (0 = no L1), reported as
+    /// `cache.l1.capacity`.
+    l1_objects: usize,
 }
 
 /// The running proxy; shuts down (and joins its threads) on drop.
@@ -241,12 +246,16 @@ impl LiveProxy {
     ///
     /// Propagates socket errors; returns [`io::ErrorKind::InvalidInput`]
     /// for invalid rules (zero Δ, duplicate paths, inverted TTR bounds —
-    /// the same validation `PUT /admin/rules` applies) and for a
-    /// zero-object cache bound.
+    /// the same validation `PUT /admin/rules` applies), for a
+    /// zero-object cache bound and for an L1 above [`MAX_L1_OBJECTS`].
     pub fn start(config: ProxyConfig) -> io::Result<LiveProxy> {
         let invalid = |reason: String| io::Error::new(io::ErrorKind::InvalidInput, reason);
         if config.cache_objects == Some(0) {
             return Err(invalid("cache_objects must be positive (None = unbounded)".to_owned()));
+        }
+        let l1_objects = config.l1_objects.unwrap_or(DEFAULT_L1_OBJECTS);
+        if l1_objects > MAX_L1_OBJECTS {
+            return Err(invalid(format!("l1_objects must be at most {MAX_L1_OBJECTS}")));
         }
         let runtime = ConsistencyRuntime::new(config.rules, config.group).map_err(invalid)?;
         let shared = Arc::new(Shared {
@@ -256,6 +265,7 @@ impl LiveProxy {
             counters: Counters::default(),
             runtime: Arc::clone(&runtime),
             admin_token: config.admin_token.filter(|t| !t.is_empty()),
+            l1_objects,
         });
         let shutdown = Arc::new(AtomicBool::new(false));
 
@@ -263,17 +273,19 @@ impl LiveProxy {
         let overload = Arc::new(OverloadControl::default());
         let server = EventLoop::start(
             "mutcon-live-proxy-reactor",
-            Arc::new(ProxyService {
-                shared: Arc::clone(&shared),
-                metrics: Arc::clone(&metrics),
-                overload: Arc::clone(&overload),
-                l1_objects: config.l1_objects.unwrap_or(DEFAULT_L1_OBJECTS),
-            }),
+            || {
+                Box::new(ProxyService {
+                    shared: Arc::clone(&shared),
+                    metrics: Arc::clone(&metrics),
+                    overload: Arc::clone(&overload),
+                    l1: (l1_objects > 0).then(|| L1Cache::new(l1_objects)),
+                })
+            },
             EngineConfig {
                 max_conns: DEFAULT_MAX_CONNS,
                 reactors: config.reactors.unwrap_or_else(default_reactors),
-                metrics,
-                overload,
+                metrics: Arc::clone(&metrics),
+                overload: Arc::clone(&overload),
             },
         )?;
 
@@ -418,32 +430,30 @@ impl std::fmt::Debug for LiveProxy {
     }
 }
 
-/// The request handler running on the reactor thread.
+/// The request handler, one instance per reactor.
 struct ProxyService {
     shared: Arc<Shared>,
     metrics: Arc<EngineMetrics>,
     overload: Arc<OverloadControl>,
-    /// Per-reactor L1 capacity (resolved from config at start; 0
-    /// disables).
-    l1_objects: usize,
+    /// This reactor's hot-object cache, asked before the shared one
+    /// (`None` when `l1_objects` is 0). Only this instance's reactor
+    /// thread touches it, so it needs no lock.
+    l1: Option<L1Cache>,
 }
 
 impl Service for ProxyService {
-    fn respond(&self, request: &Request, l1: &mut L1Cache) -> ServiceResult {
+    fn respond(&mut self, request: &Request) -> ServiceResult {
         let path = request.target();
         // The admin prefix is dispatched locally on the reactor — it
         // never touches the cache-miss/upstream machinery. When a
         // bearer token is configured, it gates every admin endpoint.
         if path.starts_with(ADMIN_PREFIX) {
-            if let Some(denied) = self.check_admin_auth(request) {
-                return ServiceResult::Respond(denied);
-            }
-            return ServiceResult::Respond(self.admin(request));
+            let response = self.check_admin_auth(request).unwrap_or_else(|| self.admin(request));
+            return ServiceResult::Reply(Reply::Full(response));
         }
         if request.method() != &Method::Get {
-            return ServiceResult::Respond(
-                Response::builder(StatusCode::METHOD_NOT_ALLOWED).build(),
-            );
+            let response = Response::builder(StatusCode::METHOD_NOT_ALLOWED).build();
+            return ServiceResult::Reply(Reply::Full(response));
         }
 
         // Cache hit: the entry's pre-rendered head and shared body go
@@ -451,12 +461,11 @@ impl Service for ProxyService {
         // reactor's own L1 is asked first, so a hot path skips the shard
         // lock entirely; an L2 hit refills it for the *next* request.
         let cache = &self.shared.cache;
-        let use_l1 = self.l1_objects > 0;
         let hit = |entry: &CacheEntry| {
             self.shared.counters.hits.inc();
-            ServiceResult::Prepared(prepared(entry, true))
+            ServiceResult::Reply(Reply::Prepared(prepared(entry, true)))
         };
-        if use_l1 {
+        if let Some(l1) = &mut self.l1 {
             match l1.lookup(path, cache.generation()) {
                 L1Lookup::Hit(entry) => {
                     self.metrics.l1_hits.inc();
@@ -468,7 +477,7 @@ impl Service for ProxyService {
         }
         if let Some(entry) = cache.get(path) {
             let response = hit(&entry);
-            if use_l1 {
+            if let Some(l1) = &mut self.l1 {
                 self.metrics.l1_refills.inc();
                 self.metrics.l1_evictions.add(u64::from(l1.insert(path, entry)));
             }
@@ -487,7 +496,7 @@ impl Service for ProxyService {
         }
     }
 
-    fn fetched(&self, request: &[u8], result: io::Result<Response>) -> Reply {
+    fn fetched(&mut self, request: &[u8], result: io::Result<Response>) -> Reply {
         let Ok(mut response) = result else {
             return Reply::Full(
                 Response::builder(StatusCode::INTERNAL_SERVER_ERROR)
@@ -516,10 +525,6 @@ impl Service for ProxyService {
             }
         }
     }
-
-    fn l1_capacity(&self) -> usize {
-        self.l1_objects
-    }
 }
 
 /// Byte equality whose running time depends only on the lengths, so a
@@ -544,16 +549,20 @@ fn error_response(status: StatusCode, reason: &str) -> Response {
 impl ProxyService {
     /// Returns the `401` response when a bearer token is configured and
     /// the request doesn't carry it; `None` admits the request. Uses
-    /// the standard `Authorization: Bearer <token>` scheme
-    /// (case-sensitive token, scheme per RFC 6750). The token compare
-    /// takes the same time wherever the first wrong byte sits.
+    /// the standard `Authorization: Bearer <token>` scheme (RFC 6750),
+    /// whose name matches without regard to case (RFC 7235 §2.1); the
+    /// token is case-sensitive, and its compare takes the same time
+    /// wherever the first wrong byte sits.
     fn check_admin_auth(&self, request: &Request) -> Option<Response> {
         let expected = self.shared.admin_token.as_deref()?;
         let authorized = request
             .headers()
             .get("authorization")
-            .and_then(|value| value.trim().strip_prefix("Bearer "))
-            .is_some_and(|token| constant_time_eq(token.trim().as_bytes(), expected.as_bytes()));
+            .and_then(|value| value.trim().split_once(' '))
+            .filter(|(scheme, _)| scheme.eq_ignore_ascii_case("Bearer"))
+            .is_some_and(|(_, token)| {
+                constant_time_eq(token.trim().as_bytes(), expected.as_bytes())
+            });
         if authorized {
             None
         } else {
@@ -704,7 +713,7 @@ impl ProxyService {
         self.overload.render(&mut doc);
         self.shared.runtime.refresh_metrics().render(&mut doc);
         self.shared.counters.render(&mut doc);
-        put(&mut doc, "cache.l1.capacity", Json::Number(self.l1_objects as f64));
+        put(&mut doc, "cache.l1.capacity", Json::Number(self.shared.l1_objects as f64));
         let reactors = self
             .metrics
             .reactor_connections()

@@ -5,7 +5,7 @@
 //! ([`default_reactors`]; [`EngineConfig::reactors`] sets it): each
 //! reactor thread owns its own level-triggered epoll [`Poller`], its own
 //! eventfd [`Waker`], its own connection slab, its own keep-alive origin
-//! pool — and its own
+//! pool, its own [`Service`] instance — and its own
 //! `SO_REUSEPORT` listener on the shared port, so the kernel
 //! load-balances incoming connections across reactors with no shared
 //! accept lock. Within a reactor every connection is a state machine
@@ -28,13 +28,15 @@
 //! A client's side of that diagram is a [`ClientConn`], and an origin
 //! socket's is an [`OriginConn`]; neither holds a socket, and the reactor
 //! moves bytes between them and the sockets. A parsed request is handed
-//! to the [`Service`], which answers immediately (*WRITING*) or by
-//! fetching from an upstream origin. Upstream fetches go through the
-//! reactor's **keep-alive origin pool** ([`crate::upstream`]): identical
-//! concurrent misses coalesce onto one fetch (N waiters, one origin round
-//! trip), finished connections park for reuse instead of closing, idle
-//! pooled sockets are reaped, and a fetch on a pooled socket the origin
-//! silently closed is retried once on a fresh one. However a fetch ends,
+//! to the reactor's own [`Service`] instance, which answers with a
+//! [`Reply`] (*WRITING*) or by fetching from an upstream origin; state it
+//! keeps per reactor is a plain field no other thread touches. Upstream
+//! fetches go through the reactor's **keep-alive origin pool**
+//! ([`crate::upstream`]): identical concurrent misses coalesce onto one
+//! fetch (N waiters, one origin round trip), finished connections park
+//! for reuse instead of closing, idle pooled sockets are reaped, and a
+//! fetch on a pooled socket the origin silently closed is retried once
+//! on a fresh one. However a fetch ends,
 //! it ends in one place: the pool limiter gets its sample, and if any
 //! client still waits, [`Service::fetched`] turns the outcome into one
 //! [`Reply`] that every waiter gets. `Connection: close` is honored in
@@ -44,7 +46,7 @@
 //! each response is a reusable contiguous buffer (head + small inlined
 //! bodies) plus an optional shared body slice, gathered into one
 //! `writev(2)`. Cache hits arrive pre-serialized
-//! ([`ServiceResult::Prepared`]) and never copy body bytes.
+//! ([`Reply::Prepared`]) and never copy body bytes.
 //! A connection owns its read and write buffers from accept to close, and
 //! the accept loop drains the whole backlog per listener wakeup with
 //! `accept4` (already-nonblocking sockets, one metrics store per
@@ -76,7 +78,6 @@ use mutcon_sim::reactor::{
     Interest, Poller, Waker,
 };
 
-use crate::cache::L1Cache;
 use crate::conn::{ClientConn, Flush, Next, OriginConn, Received};
 use crate::metrics::{metrics, Cell, Counter, Gauge};
 use crate::overload::OverloadControl;
@@ -94,6 +95,11 @@ pub const DEFAULT_MAX_CONNS: usize = 1024;
 /// hot head of a Zipf(≈1.0) catalog, small enough that N reactors'
 /// copies stay a footnote next to the shared cache.
 pub const DEFAULT_L1_OBJECTS: usize = 128;
+
+/// The largest per-reactor L1 capacity the live proxy accepts
+/// ([`crate::proxy::ProxyConfig::l1_objects`]): 64 Ki objects, a few MiB
+/// of slots per reactor. Anything larger is refused at start.
+pub const MAX_L1_OBJECTS: usize = 1 << 16;
 
 /// Default refresh poll-worker count
 /// ([`crate::proxy::ProxyConfig::refresh_workers`]): enough overlap to
@@ -169,24 +175,22 @@ pub struct PreparedResponse {
     pub body: Bytes,
 }
 
-/// What [`Service::fetched`] hands back to the engine: the reply every
-/// client waiting on the fetch receives.
+/// A response a [`Service`] hands the engine to write: an answer to a
+/// request, or the outcome of a fetch that every waiting client gets.
 #[derive(Debug, Clone)]
 pub enum Reply {
     /// A response to serialize per-connection.
     Full(Response),
-    /// A pre-serialized response sharing its body allocation.
+    /// A pre-serialized response sharing its body allocation (no
+    /// serialization, no body copy) — the cache-hit path.
     Prepared(PreparedResponse),
 }
 
 /// What a [`Service`] wants done with a parsed request.
 #[derive(Debug)]
 pub enum ServiceResult {
-    /// Write this response now.
-    Respond(Response),
-    /// Write this pre-serialized response now, sharing its body bytes
-    /// (no serialization, no body copy) — the cache-hit path.
-    Prepared(PreparedResponse),
+    /// Write this reply now.
+    Reply(Reply),
     /// Fetch from an upstream server first; [`Service::fetched`] turns
     /// its response into the client's. The fetch goes through the
     /// reactor's keep-alive origin pool; identical concurrent fetches
@@ -200,33 +204,25 @@ pub enum ServiceResult {
     },
 }
 
-/// Request handler plugged into an [`EventLoop`]. May run on several
-/// reactor threads concurrently, and must not block (upstream I/O goes
-/// through [`ServiceResult::Upstream`]).
-pub trait Service: Send + Sync + 'static {
-    /// Handles one parsed request. `l1` is the calling reactor's own
-    /// hot-object cache, lent for the call: a service that caches may
-    /// look up and refill it without a lock, since no other thread ever
-    /// sees it. The engine itself never reads or writes it.
-    fn respond(&self, request: &Request, l1: &mut L1Cache) -> ServiceResult;
+/// Request handler plugged into an [`EventLoop`]. Each reactor owns one
+/// instance, built for it by the constructor [`EventLoop::start`] takes,
+/// and calls it from its own thread only: state a service keeps per
+/// reactor is a plain field, with no lock. It must not block (upstream
+/// I/O goes through [`ServiceResult::Upstream`]).
+pub trait Service: Send + 'static {
+    /// Handles one parsed request.
+    fn respond(&mut self, request: &Request) -> ServiceResult;
 
     /// Turns the outcome of a [`ServiceResult::Upstream`] fetch, sent as
     /// `request`, into the reply for the clients waiting on it. Called
     /// once per finished fetch that still has waiters, however many
     /// misses coalesced onto it; each waiter gets a clone. The default
     /// relays the response, or a bare `500` if the fetch failed.
-    fn fetched(&self, request: &[u8], result: io::Result<Response>) -> Reply {
+    fn fetched(&mut self, request: &[u8], result: io::Result<Response>) -> Reply {
         let _ = request;
         Reply::Full(result.unwrap_or_else(|_| {
             Response::builder(StatusCode::INTERNAL_SERVER_ERROR).build()
         }))
-    }
-
-    /// Capacity in objects of the L1 each reactor constructs and lends
-    /// to [`Service::respond`]. `0` (the default) is for a service that
-    /// ignores the argument; the reactor then holds an empty minimal one.
-    fn l1_capacity(&self) -> usize {
-        0
     }
 }
 
@@ -263,7 +259,7 @@ metrics! {
         /// request.
         epoll_ctl_calls: Counter => "wire.epoll_ctl_calls";
         /// Requests served from a reactor-local L1: one flag load, no
-        /// shard lock. Counted by the service that uses the L1.
+        /// shard lock. Counted by the service instance that owns the L1.
         l1_hits: Counter => "cache.l1.hits";
         /// L1 lookups whose copy had been superseded; the slot is dropped
         /// and the request falls through to the shared cache.
@@ -365,7 +361,8 @@ impl Default for EngineConfig {
 
 impl EventLoop {
     /// Binds localhost listeners on a shared ephemeral port, one per
-    /// reactor, and starts the reactor threads.
+    /// reactor, and starts the reactor threads. `new_service` is called
+    /// once per reactor; each reactor owns the instance it gets.
     ///
     /// # Errors
     ///
@@ -373,7 +370,7 @@ impl EventLoop {
     /// overload handle whose initial configuration fails validation.
     pub fn start(
         name: &str,
-        service: Arc<dyn Service>,
+        mut new_service: impl FnMut() -> Box<dyn Service>,
         config: EngineConfig,
     ) -> io::Result<EventLoop> {
         let EngineConfig { max_conns, reactors, metrics, overload } = config;
@@ -418,7 +415,7 @@ impl EventLoop {
                 poller: Poller::new()?,
                 waker: Waker::new()?,
                 listener,
-                service: Arc::clone(&service),
+                service: new_service(),
                 shutdown: Arc::clone(&shutdown),
                 max_conns: shares[i].max(1),
                 conns: Vec::new(),
@@ -434,7 +431,6 @@ impl EventLoop {
                 reactor_index: i,
                 overload: Arc::clone(&overload),
                 paused_since: None,
-                l1: L1Cache::new(service.l1_capacity()),
             };
             reactor.register(reactor.waker.as_raw_fd(), TOKEN_WAKER, Interest::READABLE)?;
             reactor.register(reactor.listener.as_raw_fd(), TOKEN_LISTENER, Interest::READABLE)?;
@@ -537,7 +533,7 @@ struct Reactor {
     /// Interrupts the wait for shutdown; its clone is the loop's handle.
     waker: Waker,
     listener: TcpListener,
-    service: Arc<dyn Service>,
+    service: Box<dyn Service>,
     shutdown: Arc<AtomicBool>,
     max_conns: usize,
     conns: Vec<Option<Conn>>,
@@ -572,10 +568,6 @@ struct Reactor {
     /// `park_deadline` the backlog is drained with `503`s instead of
     /// making parked clients wait forever.
     paused_since: Option<Instant>,
-    /// The reactor-local hot-object cache, lent to the service with each
-    /// request ([`Service::respond`]) and otherwise untouched. Owned here
-    /// because one owner per reactor thread is what makes it lock-free.
-    l1: L1Cache,
 }
 
 /// Drops whatever `stream` (nonblocking) has received so far, before a
@@ -896,14 +888,11 @@ impl Reactor {
                 }
                 Ok(ticket) => {
                     client.admitted(ticket);
-                    match self.service.respond(&request, &mut self.l1) {
-                        ServiceResult::Respond(response) => {
-                            if client.queue(Reply::Full(response)) {
+                    match self.service.respond(&request) {
+                        ServiceResult::Reply(reply) => {
+                            if client.queue(reply) {
                                 self.metrics.body_copies.inc();
                             }
-                        }
-                        ServiceResult::Prepared(prepared) => {
-                            client.queue(Reply::Prepared(prepared));
                         }
                         // The fetch's completion resumes the connection. One
                         // that concludes within this call (a connect failure,
@@ -1273,14 +1262,18 @@ mod tests {
 
     struct Echo;
     impl Service for Echo {
-        fn respond(&self, request: &Request, _l1: &mut L1Cache) -> ServiceResult {
-            ServiceResult::Respond(match request.method() {
+        fn respond(&mut self, request: &Request) -> ServiceResult {
+            ServiceResult::Reply(Reply::Full(match request.method() {
                 Method::Get => Response::ok()
                     .body(request.target().as_bytes().to_vec())
                     .build(),
                 _ => Response::builder(StatusCode::METHOD_NOT_ALLOWED).build(),
-            })
+            }))
         }
+    }
+
+    fn echo() -> Box<dyn Service> {
+        Box::new(Echo)
     }
 
     fn engine(max_conns: usize, reactors: usize) -> EngineConfig {
@@ -1297,7 +1290,7 @@ mod tests {
 
     #[test]
     fn serves_requests_and_keep_alive() {
-        let server = EventLoop::start("test-echo", Arc::new(Echo), EngineConfig::default()).unwrap();
+        let server = EventLoop::start("test-echo", echo, EngineConfig::default()).unwrap();
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         stream
             .set_read_timeout(Some(Duration::from_secs(5)))
@@ -1314,7 +1307,7 @@ mod tests {
 
     #[test]
     fn serves_pipelined_requests_in_order() {
-        let server = EventLoop::start("test-pipeline", Arc::new(Echo), EngineConfig::default()).unwrap();
+        let server = EventLoop::start("test-pipeline", echo, EngineConfig::default()).unwrap();
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         stream
             .set_read_timeout(Some(Duration::from_secs(5)))
@@ -1332,7 +1325,7 @@ mod tests {
 
     #[test]
     fn connection_close_is_honored() {
-        let server = EventLoop::start("test-close", Arc::new(Echo), EngineConfig::default()).unwrap();
+        let server = EventLoop::start("test-close", echo, EngineConfig::default()).unwrap();
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         stream
             .set_read_timeout(Some(Duration::from_secs(5)))
@@ -1353,7 +1346,7 @@ mod tests {
 
     #[test]
     fn multiple_reactors_all_serve() {
-        let server = EventLoop::start("test-multi", Arc::new(Echo), engine(64, 4)).unwrap();
+        let server = EventLoop::start("test-multi", echo, engine(64, 4)).unwrap();
         assert_eq!(server.reactor_count(), 4);
         // Enough connections that the kernel spreads them over several
         // listeners; every one must be served regardless of shard.
@@ -1364,10 +1357,44 @@ mod tests {
         }
     }
 
+    /// Answers every request with the number of the instance serving it.
+    struct Tagged(usize);
+    impl Service for Tagged {
+        fn respond(&mut self, _request: &Request) -> ServiceResult {
+            ServiceResult::Reply(Reply::Full(Response::ok().body(self.0.to_string()).build()))
+        }
+    }
+
+    /// The constructor runs once per reactor, and a connection, which
+    /// lives on one reactor, is served by that reactor's instance alone.
+    #[test]
+    fn each_reactor_owns_one_service_instance() {
+        let built = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let counter = Arc::clone(&built);
+        let new_tagged = move || -> Box<dyn Service> {
+            Box::new(Tagged(counter.fetch_add(1, Ordering::SeqCst)))
+        };
+        let server = EventLoop::start("test-instances", new_tagged, engine(64, 4)).unwrap();
+        assert_eq!(built.load(Ordering::SeqCst), server.reactor_count());
+        for _ in 0..8 {
+            let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+            stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            let mut buf = BytesMut::new();
+            let mut tags = Vec::new();
+            for _ in 0..5 {
+                write_request(&mut stream, &Request::get("/tag").build()).unwrap();
+                let resp = read_response(&mut stream, &mut buf).unwrap();
+                tags.push(String::from_utf8(resp.body().to_vec()).unwrap());
+            }
+            assert!(tags.iter().all(|tag| *tag == tags[0]), "several instances: {tags:?}");
+            assert!(tags[0].parse::<usize>().unwrap() < server.reactor_count());
+        }
+    }
+
     #[test]
     fn connection_bound_parks_clients_in_backlog() {
         // One reactor so the two capacity slots are a single bound.
-        let server = EventLoop::start("test-bound", Arc::new(Echo), engine(2, 1)).unwrap();
+        let server = EventLoop::start("test-bound", echo, engine(2, 1)).unwrap();
         // Fill both slots with idle keep-alive connections.
         let _a = TcpStream::connect(server.local_addr()).unwrap();
         let _b = TcpStream::connect(server.local_addr()).unwrap();
@@ -1387,7 +1414,7 @@ mod tests {
     fn half_closed_peer_still_gets_all_pipelined_responses() {
         // Write two requests, shut down the write side, then read: both
         // responses must arrive before the server closes.
-        let server = EventLoop::start("test-half-close", Arc::new(Echo), EngineConfig::default()).unwrap();
+        let server = EventLoop::start("test-half-close", echo, EngineConfig::default()).unwrap();
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         stream
             .set_read_timeout(Some(Duration::from_secs(5)))
@@ -1408,7 +1435,7 @@ mod tests {
 
     #[test]
     fn malformed_input_closes_the_connection() {
-        let server = EventLoop::start("test-garbage", Arc::new(Echo), EngineConfig::default()).unwrap();
+        let server = EventLoop::start("test-garbage", echo, EngineConfig::default()).unwrap();
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         stream
             .set_read_timeout(Some(Duration::from_secs(5)))
@@ -1423,7 +1450,7 @@ mod tests {
     fn small_connection_bounds_cap_the_reactor_count() {
         // A bound of 2 must mean 2 connections total, not 2 per shard:
         // the reactor count collapses to the bound.
-        let server = EventLoop::start("test-tiny-bound", Arc::new(Echo), engine(2, 8)).unwrap();
+        let server = EventLoop::start("test-tiny-bound", echo, engine(2, 8)).unwrap();
         assert_eq!(server.reactor_count(), 2);
         assert_eq!(get(server.local_addr(), "/ok").unwrap().status(), StatusCode::OK);
     }
@@ -1460,7 +1487,7 @@ mod tests {
             poller: Poller::new().unwrap(),
             waker: Waker::new().unwrap(),
             listener: listen_reuseport(SocketAddr::from(([127, 0, 0, 1], 0))).unwrap(),
-            service: Arc::new(Echo),
+            service: Box::new(Echo),
             shutdown: Arc::new(AtomicBool::new(false)),
             max_conns: 4,
             conns: Vec::new(),
@@ -1476,7 +1503,6 @@ mod tests {
             reactor_index: 0,
             overload: Arc::new(OverloadControl::default()),
             paused_since: None,
-            l1: L1Cache::new(0),
         };
         reactor.register(reactor.waker.as_raw_fd(), TOKEN_WAKER, Interest::READABLE).unwrap();
         reactor.register(reactor.listener.as_raw_fd(), TOKEN_LISTENER, Interest::READABLE).unwrap();
@@ -1528,7 +1554,7 @@ mod tests {
         }));
         let server = EventLoop::start(
             "test-park-deadline",
-            Arc::new(Echo),
+            echo,
             EngineConfig { overload: Arc::clone(&overload), ..engine(2, 1) },
         )
         .unwrap();
@@ -1560,7 +1586,7 @@ mod tests {
         let metrics = Arc::new(EngineMetrics::default());
         let server = EventLoop::start(
             "test-metrics",
-            Arc::new(Echo),
+            echo,
             EngineConfig { metrics: Arc::clone(&metrics), ..engine(64, 2) },
         )
         .unwrap();
@@ -1588,26 +1614,28 @@ mod tests {
         }
     }
 
-    /// An echo service with a shared cache that uses the reactor's L1 the
-    /// way the proxy does: the first GET for a path stores + refills,
+    /// An echo service with a shared cache and an L1 of its own, used the
+    /// way the proxy uses them: the first GET for a path stores + refills,
     /// later GETs must be L1 hits, and a store invalidates every
-    /// reactor's copy.
+    /// instance's copy.
     struct CachedEcho {
-        cache: crate::cache::ShardedCache,
+        cache: Arc<crate::cache::ShardedCache>,
         metrics: Arc<EngineMetrics>,
+        l1: crate::cache::L1Cache,
     }
 
     impl Service for CachedEcho {
-        fn respond(&self, request: &Request, l1: &mut L1Cache) -> ServiceResult {
+        fn respond(&mut self, request: &Request) -> ServiceResult {
             use crate::cache::{CacheEntry, L1Lookup};
             let path = request.target();
             let prepared = |entry: &CacheEntry| {
-                ServiceResult::Prepared(PreparedResponse {
+                ServiceResult::Reply(Reply::Prepared(PreparedResponse {
                     head: entry.head().clone(),
                     extra: b"x-cache: l1\r\n",
                     body: entry.body().clone(),
-                })
+                }))
             };
+            let l1 = &mut self.l1;
             match l1.lookup(path, self.cache.generation()) {
                 L1Lookup::Hit(entry) => {
                     self.metrics.l1_hits.inc();
@@ -1625,27 +1653,34 @@ mod tests {
             self.metrics.l1_refills.inc();
             prepared(&entry)
         }
-
-        fn l1_capacity(&self) -> usize {
-            32
-        }
     }
 
-    fn cached_echo() -> (Arc<EngineMetrics>, Arc<CachedEcho>) {
+    /// The metrics and the shared cache the tests inspect, and the
+    /// constructor of the instances that use them.
+    fn cached_echo() -> (
+        Arc<EngineMetrics>,
+        Arc<crate::cache::ShardedCache>,
+        impl FnMut() -> Box<dyn Service>,
+    ) {
         let metrics = Arc::new(EngineMetrics::default());
-        let service = Arc::new(CachedEcho {
-            cache: crate::cache::ShardedCache::new(None),
-            metrics: Arc::clone(&metrics),
-        });
-        (metrics, service)
+        let cache = Arc::new(crate::cache::ShardedCache::new(None));
+        let (m, c) = (Arc::clone(&metrics), Arc::clone(&cache));
+        let new_service = move || -> Box<dyn Service> {
+            Box::new(CachedEcho {
+                cache: Arc::clone(&c),
+                metrics: Arc::clone(&m),
+                l1: crate::cache::L1Cache::new(32),
+            })
+        };
+        (metrics, cache, new_service)
     }
 
     #[test]
     fn l1_serves_validated_hits_and_invalidates_on_store() {
-        let (metrics, service) = cached_echo();
+        let (metrics, cache, new_service) = cached_echo();
         let server = EventLoop::start(
             "test-l1",
-            Arc::clone(&service) as Arc<dyn Service>,
+            new_service,
             EngineConfig { metrics: Arc::clone(&metrics), ..engine(64, 1) },
         )
         .unwrap();
@@ -1669,7 +1704,7 @@ mod tests {
         assert_eq!(metrics.l1_hits(), 1);
         // A store supersedes the copy the L1 holds: it must be rejected
         // and the fresh body served.
-        service.cache.insert(
+        cache.insert(
             "/obj",
             crate::cache::CacheEntry::new(
                 Bytes::from_static(b"fresh"),
@@ -1692,10 +1727,10 @@ mod tests {
 
     #[test]
     fn generation_bump_clears_the_l1() {
-        let (metrics, service) = cached_echo();
+        let (metrics, cache, new_service) = cached_echo();
         let server = EventLoop::start(
             "test-l1-gen",
-            Arc::clone(&service) as Arc<dyn Service>,
+            new_service,
             EngineConfig { metrics: Arc::clone(&metrics), ..engine(64, 1) },
         )
         .unwrap();
@@ -1713,7 +1748,7 @@ mod tests {
         // L1 wholesale: the next request goes back to the shared cache
         // (a refill, not a hit, and not a stale reject either — the
         // whole map was dropped).
-        service.cache.bump_generation();
+        cache.bump_generation();
         write_request(&mut stream, &Request::get("/gen").build()).unwrap();
         read_response(&mut stream, &mut buf).unwrap();
         assert_eq!(metrics.l1_hits(), 1);

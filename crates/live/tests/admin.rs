@@ -22,7 +22,9 @@ use bytes::BytesMut;
 use harness::{get, get_json, put, stamp_of, Behavior, FakeClock, ScriptedOrigin, CLOCK_BASE_MS};
 use mutcon_core::time::Duration;
 use mutcon_live::proxy::{LiveProxy, ProxyConfig, RefreshRule};
-use mutcon_live::server::{default_reactors, DEFAULT_L1_OBJECTS, DEFAULT_REFRESH_WORKERS};
+use mutcon_live::server::{
+    default_reactors, DEFAULT_L1_OBJECTS, DEFAULT_REFRESH_WORKERS, MAX_L1_OBJECTS,
+};
 use mutcon_live::wire::read_response;
 use mutcon_http::message::Request;
 use mutcon_http::types::StatusCode;
@@ -372,6 +374,31 @@ fn a_zero_object_cache_is_rejected_at_start() {
     assert!(err.to_string().contains("cache_objects"));
 }
 
+/// An L1 capacity no reactor can size is refused at start too, instead
+/// of overflowing while the L1 is built or killing a reactor at its
+/// first lookup; the ceiling itself still starts.
+#[test]
+fn an_oversized_l1_is_rejected_at_start() {
+    let origin = ScriptedOrigin::start(FakeClock::new());
+    for l1_objects in [MAX_L1_OBJECTS + 1, usize::MAX] {
+        let err = LiveProxy::start(ProxyConfig {
+            l1_objects: Some(l1_objects),
+            reactors: Some(1),
+            ..ProxyConfig::new(origin.addr())
+        })
+        .expect_err("an oversized L1 must be rejected at start");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("l1_objects"));
+    }
+    let proxy = LiveProxy::start(ProxyConfig {
+        l1_objects: Some(MAX_L1_OBJECTS),
+        reactors: Some(1),
+        ..ProxyConfig::new(origin.addr())
+    })
+    .expect("the ceiling starts");
+    assert_eq!(get(proxy.local_addr(), "/ok").unwrap().status(), StatusCode::OK);
+}
+
 /// `GET /admin/stats` reports the threaded-through counters: per-shard
 /// cache state, per-reactor connections, origin-pool activity.
 #[test]
@@ -479,9 +506,12 @@ fn admin_endpoints_demand_the_configured_bearer_token() {
         );
     }
 
-    // The matching token opens every admin endpoint.
-    let resp = raw_get("/admin/stats", Some("Bearer s3cret"));
-    assert_eq!(resp.status(), StatusCode::OK);
+    // The matching token opens every admin endpoint, whatever the case
+    // of the scheme's name (RFC 7235 §2.1).
+    for auth in ["Bearer s3cret", "bearer s3cret", "BEARER s3cret"] {
+        let resp = raw_get("/admin/stats", Some(auth));
+        assert_eq!(resp.status(), StatusCode::OK, "auth {auth:?}");
+    }
     let resp = raw_get("/admin/rules", Some("Bearer s3cret"));
     assert_eq!(resp.status(), StatusCode::OK);
 

@@ -62,11 +62,14 @@ fi
 # One coherence mechanism, and the engine does not know the cache: an L1
 # copy is valid until the flag on it says the L2 let go of it
 # (crates/live/src/cache.rs). No per-path version table, handle or stamp
-# comes back beside the flag, and above its test module server.rs names
-# no cache type but the `L1Cache` it lends to `Service::respond`.
+# comes back beside the flag. Each reactor owns its service instance and
+# lends it nothing: above its test module server.rs names no cache type,
+# and no L1 sizing hook or second immediate-reply variant comes back.
+lent='l1_capacit[y]|ServiceResult::(Respon[d]|Prepare[d])\b'
 if grep -rnE 'VersionedEntry|bump_version|retire_version|RespondCacheable|l1_try_serve|l1_refill\b' crates \
-    || sed '/#\[cfg(test)\]/q' crates/live/src/server.rs | grep -nE 'L1Lookup|ShardedCache|CacheEntry'; then
-  echo "ci: a second L1 coherence protocol, or a cache type in the engine, is back (lines above)" >&2
+    || grep -rnE "$lent" crates src tests examples \
+    || sed '/#\[cfg(test)\]/q' crates/live/src/server.rs | grep -nE 'L1Cache|L1Lookup|ShardedCache|CacheEntry'; then
+  echo "ci: a second L1 coherence protocol, or a cache in the engine, is back (lines above)" >&2
   exit 1
 fi
 
