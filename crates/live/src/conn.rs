@@ -15,9 +15,9 @@
 //! leave in request order.
 //!
 //! [`OriginConn`] is one origin socket's exchange. The reactor's pooled
-//! sockets drive it for misses and [`crate::client::PersistentClient`]
-//! for polls, so both reuse a socket only after a clean keep-alive
-//! response and retry only a stale one ([`OriginConn::stale`]).
+//! sockets drive it for misses and refresh polls alike, so both reuse a
+//! socket only after a clean keep-alive response and retry only a stale
+//! one ([`OriginConn::stale`]).
 
 use std::io;
 use std::time::{Duration, Instant};
@@ -298,7 +298,7 @@ pub(crate) struct OriginConn {
 impl OriginConn {
     /// Writes what `write` takes of `request` past the bytes already
     /// out; `Ok(true)` once all of it is, `Ok(false)` at `WouldBlock`
-    /// (the socket is full or, if blocking, timed out).
+    /// (the socket is full).
     pub(crate) fn send(
         &mut self,
         request: &[u8],
@@ -349,12 +349,12 @@ impl OriginConn {
     /// Whether the exchange failed with `err` only because the socket was
     /// stale, so the request may go once more on a fresh one: it had
     /// served a response, no byte of this one arrived, and `err` is not a
-    /// timeout (a slow origin). A blocking socket's timeout is `WouldBlock`.
+    /// timeout (a slow origin).
     pub(crate) fn stale(&self, err: &io::Error) -> bool {
         self.served > 0
             && self.read_buf.is_empty()
             && !self.parser.in_progress()
-            && !matches!(err.kind(), io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock)
+            && err.kind() != io::ErrorKind::TimedOut
     }
 }
 
@@ -811,10 +811,6 @@ mod tests {
         assert!(origin.stale(&reset()));
         assert!(origin.stale(&eof()));
         assert!(!origin.stale(&io::ErrorKind::TimedOut.into()), "the reactor's timeout");
-        assert!(
-            !origin.stale(&io::ErrorKind::WouldBlock.into()),
-            "a blocking socket's timeout"
-        );
 
         receive(&mut origin, b"HTTP/1.1 2", false);
         assert!(matches!(origin.response(), Received::Pending));

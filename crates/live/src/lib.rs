@@ -39,19 +39,18 @@
 //! * [`cache`] — the 16-way sharded, recency-indexed object cache;
 //!   entries pre-render their serving head so a hit is two shared
 //!   slices, not a serialization.
-//! * [`wire`] — blocking socket I/O for the `mutcon-http` types (tests).
-//! * [`client`] — the blocking keep-alive client
-//!   ([`client::PersistentClient`], the origin exchange over a blocking
-//!   socket: the refresher and the tests) and the origin `GET` bytes.
+//! * [`client`] — the origin `GET` bytes (a miss's and a poll's) and
+//!   the stamps an origin response carries.
 //! * [`overload`] — adaptive overload control: per-partition admission
 //!   shedding (`429` + `Retry-After`), the adaptive origin fan-out cap,
 //!   and the versioned, hot-swappable [`overload::OverloadConfig`].
 //! * [`metrics`] — the counter, gauge and histogram cells every count in
 //!   the proxy lives in, and the one form a metric is declared in.
 //! * [`origin`] — the trace-replaying origin server.
-//! * [`proxy`] — the caching proxy daemon with a background refresher
-//!   running LIMD + mutual-consistency coordination, plus the
-//!   `/admin/*` HTTP control plane.
+//! * [`proxy`] — the caching proxy daemon, whose first reactor steps
+//!   the refresh plane (LIMD + mutual-consistency coordination) and
+//!   sends its polls through its origin pool, plus the `/admin/*` HTTP
+//!   control plane.
 //! * [`runtime`] — the hot-swappable consistency runtime: a versioned
 //!   rules epoch swapped atomically, so Δ/TTR/group changes land
 //!   without dropping the cache or any connection.
@@ -94,7 +93,13 @@ pub mod runtime;
 pub mod server;
 pub mod upstream;
 pub mod vectored;
-pub mod wire;
+#[cfg(test)]
+mod wire;
+
+// The unit tests share the integration tests' harness file, which names
+// this crate.
+#[cfg(test)]
+extern crate self as mutcon_live;
 
 pub use origin::LiveOrigin;
 pub use proxy::{LiveProxy, ProxyConfig, RefreshRule};

@@ -215,13 +215,14 @@ fn respond(shared: &Shared, request: &Request) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::{last_modified_ms, ObjectStamps, PersistentClient};
+    use crate::client::{last_modified_ms, ObjectStamps};
+    use crate::wire::Client;
     use std::time::Duration as StdDuration;
     use mutcon_core::value::Value;
     use mutcon_traces::UpdateEvent;
 
-    fn connect(origin: &LiveOrigin, timeout_ms: u64) -> PersistentClient {
-        PersistentClient::new(origin.local_addr(), StdDuration::from_millis(timeout_ms))
+    fn connect(origin: &LiveOrigin, timeout_ms: u64) -> Client {
+        Client::new(origin.local_addr(), StdDuration::from_millis(timeout_ms))
     }
 
     fn fast_trace() -> UpdateTrace {

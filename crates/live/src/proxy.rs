@@ -1,14 +1,16 @@
 //! The live caching proxy daemon.
 //!
-//! Serves client `GET`s from its cache while a background *refresh
-//! plane* — [`ProxyConfig::refresh_workers`] poll workers, each with
-//! its own keep-alive origin connection, stepping one shared scheduling
-//! state machine ([`crate::runtime`]) — keeps configured objects
-//! Δt-consistent with the origin by LIMD-scheduled `If-Modified-Since`
-//! polls, and, when a group rule is set, Mt-consistent with one another
-//! via triggered polls, exactly as in the simulator. One binary-ready
-//! struct, ephemeral ports, clean shutdown on drop: the "implement it
-//! in a real proxy" future work of §7, in miniature.
+//! Serves client `GET`s from its cache while a *refresh plane* keeps
+//! configured objects Δt-consistent with the origin by LIMD-scheduled
+//! `If-Modified-Since` polls, and, when a group rule is set,
+//! Mt-consistent with one another via triggered polls, exactly as in the
+//! simulator. The plane runs on no thread of its own: reactor 0's service
+//! instance steps the one shared scheduling state machine
+//! ([`crate::runtime`]) at each wake, sends each due poll as a pooled
+//! origin fetch beside the misses, and applies the answer when the fetch
+//! completes. One binary-ready struct, ephemeral ports, clean shutdown on
+//! drop: the "implement it in a real proxy" future work of §7, in
+//! miniature.
 //!
 //! Connections are served by the shared readiness-driven engine
 //! ([`crate::server`]): one reactor per core (or
@@ -46,7 +48,7 @@
 //!   per-reactor connection counts, origin-pool reuse/coalesce
 //!   counters, wire-path syscall/copy counters (`writev` vs `write`
 //!   calls, accept batches, body copies, buffer-pool traffic, interest
-//!   coalescing), the refresh plane's worker/in-flight/drift figures,
+//!   coalescing), the refresh plane's poll/in-flight/drift figures,
 //!   and the proxy's poll/hit/miss counters.
 //!
 //! When a bearer token is configured ([`ProxyConfig::admin_token`]),
@@ -59,10 +61,8 @@ use std::collections::HashMap;
 use std::io;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration as StdDuration;
+use std::time::Instant;
 
 use mutcon_core::limd::PollResult;
 use mutcon_core::mutual::temporal::MtPolicy;
@@ -74,13 +74,13 @@ use mutcon_http::types::{Method, StatusCode};
 use mutcon_traces::json::Json;
 
 use crate::cache::{CacheEntry, L1Cache, L1Lookup, ShardedCache};
-use crate::client::{get_wire, wire_target, ObjectStamps, PersistentClient};
+use crate::client::{get_wire, wire_target, ObjectStamps};
 use crate::metrics::{metrics, obj, put, Counter};
 use crate::overload::{parse_overload_body, render_overload, OverloadControl, ADMIN_PREFIX};
-use crate::runtime::{ConsistencyRuntime, InstallReport, PollKind};
+use crate::runtime::{Adoption, ConsistencyRuntime, InstallReport, Poll, PollKind};
 use crate::server::{
     default_reactors, EngineConfig, EngineMetrics, EventLoop, PreparedResponse, Reply, Service,
-    ServiceResult, DEFAULT_L1_OBJECTS, DEFAULT_MAX_CONNS, DEFAULT_REFRESH_WORKERS, MAX_L1_OBJECTS,
+    ServiceResult, DEFAULT_L1_OBJECTS, DEFAULT_MAX_CONNS, MAX_L1_OBJECTS,
 };
 
 /// Consistency requirements for one cached object.
@@ -146,12 +146,6 @@ pub struct ProxyConfig {
     /// without touching any shared shard lock; coherence comes from the
     /// supersede flag on each copy (see [`crate::cache`]).
     pub l1_objects: Option<usize>,
-    /// Poll workers for the refresh plane (`None` =
-    /// [`crate::server::DEFAULT_REFRESH_WORKERS`]). Each worker owns
-    /// one persistent keep-alive origin connection and takes due paths
-    /// from the shared scheduler itself, so this is the number of polls
-    /// on the wire at once.
-    pub refresh_workers: Option<usize>,
     /// Bearer token gating the `/admin/*` plane (`None` or empty = no
     /// auth). When set, admin requests without
     /// `Authorization: Bearer <token>` get `401`.
@@ -176,7 +170,6 @@ impl ProxyConfig {
             reactors: None,
             backend: None,
             l1_objects: None,
-            refresh_workers: None,
             admin_token: None,
             rules_file: None,
         }
@@ -184,8 +177,8 @@ impl ProxyConfig {
 }
 
 metrics! {
-    /// The proxy's own counters, counted by the reactors (hits, misses),
-    /// the poll workers and whoever reloads the rules.
+    /// The proxy's own counters, counted by the reactors (hits, misses,
+    /// polls on reactor 0) and whoever reloads the rules.
     pub(crate) struct Counters, snapshot
     /// A snapshot of the proxy's counters.
     ProxyStats {
@@ -225,12 +218,27 @@ struct Shared {
     l1_objects: usize,
 }
 
-/// The running proxy; shuts down (and joins its threads) on drop.
+impl Shared {
+    /// An adopted swap's effect on the cache: an un-ruled path loses its
+    /// copy, and a new epoch bulk-invalidates the reactors' L1s. It fires
+    /// for every install, including direct `runtime().install()` callers
+    /// that never touch the HTTP handler. (The PUT handler also bumps at
+    /// install time; the double bump is harmless and closes the adoption
+    /// lag.)
+    fn adopt(&self, adoption: Adoption<'_>) {
+        match adoption {
+            Adoption::Removed(path) => {
+                self.cache.remove(path);
+            }
+            Adoption::Adopted(_) => self.cache.bump_generation(),
+        }
+    }
+}
+
+/// The running proxy; shuts down (and joins its reactors) on drop.
 pub struct LiveProxy {
     server: EventLoop,
     shared: Arc<Shared>,
-    shutdown: Arc<AtomicBool>,
-    refresher: Option<JoinHandle<()>>,
     /// Keeps the `SIGHUP` → rules-file reload listener registered for
     /// the proxy's lifetime (dropped, and thus unregistered, with it).
     _sighup: Option<mutcon_sim::signal::SighupGuard>,
@@ -238,9 +246,9 @@ pub struct LiveProxy {
 
 impl LiveProxy {
     /// Binds a localhost listener on an ephemeral port and starts the
-    /// reactor and the background refresher. The refresh workers run
-    /// (parked) even with an empty rule set, so rules installed later
-    /// through `PUT /admin/rules` start polling without a restart.
+    /// reactors, the first of which steps the refresh plane. Rules
+    /// installed later through `PUT /admin/rules` wake it, so they start
+    /// polling without a restart.
     ///
     /// # Errors
     ///
@@ -267,10 +275,10 @@ impl LiveProxy {
             admin_token: config.admin_token.filter(|t| !t.is_empty()),
             l1_objects,
         });
-        let shutdown = Arc::new(AtomicBool::new(false));
-
         let metrics = Arc::new(EngineMetrics::default());
         let overload = Arc::new(OverloadControl::default());
+        // Reactor 0's instance is built first, and only it steps the plane.
+        let mut plane = true;
         let server = EventLoop::start(
             "mutcon-live-proxy-reactor",
             || {
@@ -279,6 +287,7 @@ impl LiveProxy {
                     metrics: Arc::clone(&metrics),
                     overload: Arc::clone(&overload),
                     l1: (l1_objects > 0).then(|| L1Cache::new(l1_objects)),
+                    polls: std::mem::take(&mut plane).then(HashMap::new),
                 })
             },
             EngineConfig {
@@ -288,58 +297,7 @@ impl LiveProxy {
                 overload: Arc::clone(&overload),
             },
         )?;
-
-        let refresher = {
-            let shared = Arc::clone(&shared);
-            let shutdown = Arc::clone(&shutdown);
-            let workers = config.refresh_workers.unwrap_or(DEFAULT_REFRESH_WORKERS);
-            // Poll worker 0: `run` starts the other workers beside it
-            // and returns once all of them have left.
-            Some(
-                std::thread::Builder::new()
-                    .name("mutcon-live-refresh".into())
-                    .spawn(move || {
-                        let runtime = Arc::clone(&shared.runtime);
-                        let shared = &shared;
-                        runtime.run(
-                            &shutdown,
-                            workers,
-                            // Each poll worker owns one persistent
-                            // keep-alive origin connection; a stale
-                            // socket reconnects transparently inside
-                            // the client.
-                            |_worker| {
-                                let mut client = PersistentClient::new(
-                                    shared.origin,
-                                    StdDuration::from_secs(2),
-                                );
-                                move |kind: PollKind, path: &str| {
-                                    if kind == PollKind::Triggered {
-                                        shared.counters.triggered.inc();
-                                    }
-                                    poll_origin(shared, &mut client, path)
-                                }
-                            },
-                            // Un-ruled paths lose their cached copy when
-                            // a worker adopts the swap — this fires for
-                            // every install, including direct
-                            // `runtime().install()` callers that never
-                            // touch the HTTP handler.
-                            |removed| {
-                                shared.cache.remove(removed);
-                            },
-                            // Every adopted swap — HTTP PUT or direct
-                            // install — bulk-invalidates the reactors'
-                            // L1s. (The PUT handler also bumps at
-                            // install time; the double bump is harmless
-                            // and closes the adoption lag.)
-                            |_version| {
-                                shared.cache.bump_generation();
-                            },
-                        );
-                    })?,
-            )
-        };
+        runtime.wake_with(server.waker(0));
 
         // SIGHUP → re-read the rules file, when one is configured. The
         // guard unregisters on drop, so the listener dies with the
@@ -360,8 +318,6 @@ impl LiveProxy {
         Ok(LiveProxy {
             server,
             shared,
-            shutdown,
-            refresher,
             _sighup: sighup,
         })
     }
@@ -407,20 +363,6 @@ impl LiveProxy {
     }
 }
 
-impl Drop for LiveProxy {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Idle workers wait on the runtime's condvar, possibly with
-        // nothing due; the wake makes them observe the flag now instead
-        // of at the next poll deadline.
-        self.shared.runtime.wake();
-        if let Some(handle) = self.refresher.take() {
-            let _ = handle.join();
-        }
-        // The EventLoop field's own Drop wakes and joins the reactor.
-    }
-}
-
 impl std::fmt::Debug for LiveProxy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LiveProxy")
@@ -439,6 +381,10 @@ struct ProxyService {
     /// (`None` when `l1_objects` is 0). Only this instance's reactor
     /// thread touches it, so it needs no lock.
     l1: Option<L1Cache>,
+    /// The refresh plane's polls out as origin fetches, by path (never
+    /// two for one path); `None` on every reactor but the first, which
+    /// alone steps the plane.
+    polls: Option<HashMap<Arc<str>, Poll>>,
 }
 
 impl Service for ProxyService {
@@ -524,6 +470,38 @@ impl Service for ProxyService {
                 Reply::Full(response)
             }
         }
+    }
+
+    /// Reactor 0 hands every due poll to the origin pool as a
+    /// conditional `GET`, validated by the cached copy's stamp.
+    fn own_work(
+        &mut self,
+        now: Instant,
+        start: &mut dyn FnMut(SocketAddr, Vec<u8>),
+    ) -> Option<Instant> {
+        let polls = self.polls.as_mut()?;
+        let shared = &*self.shared;
+        let mut plane = shared.runtime.plane(&mut |adoption| shared.adopt(adoption));
+        while let Some(poll) = plane.next_poll(now) {
+            let validator = shared.cache.get(poll.path()).map(|e| e.last_modified());
+            shared.counters.polls.inc();
+            if poll.kind() == PollKind::Triggered {
+                shared.counters.triggered.inc();
+            }
+            start(shared.origin, get_wire(poll.path(), &shared.origin_host, validator));
+            polls.insert(Arc::clone(poll.path()), poll);
+        }
+        plane.next_wake()
+    }
+
+    fn own_fetched(&mut self, request: &[u8], result: &io::Result<Response>) {
+        let Some(path) = wire_target(request) else { return };
+        let Some(poll) = self.polls.as_mut().and_then(|polls| polls.remove(path)) else {
+            return;
+        };
+        let shared = &*self.shared;
+        let outcome = poll_outcome(shared, path, result);
+        shared.runtime.plane(&mut |adoption| shared.adopt(adoption)).finish(poll, outcome);
     }
 }
 
@@ -817,7 +795,7 @@ fn parse_rules_body(body: &[u8]) -> Result<(Vec<RefreshRule>, Option<GroupRule>)
 /// Paths whose rule is gone lose their cached copy: nothing refreshes
 /// them anymore, and the refresher's epoch gate keeps an in-flight poll
 /// from putting one back. (The refresher also evicts on adoption — see
-/// the `on_removed` hook — but that lags by up to one worker wake;
+/// [`Shared::adopt`] — but that lags by up to one reactor wake;
 /// evicting here too makes the install's effect immediate. A later
 /// client miss may re-cache the path like any unruled object: a fresh
 /// copy at fetch time, just never refreshed thereafter.) The
@@ -873,29 +851,27 @@ fn store_response(shared: &Shared, path: &str, response: &Response) -> Option<Ar
     Some(resident)
 }
 
-/// One refresher poll over the persistent keep-alive connection.
-/// Returns the poll result for the adaptation layers, or `None` (counted
-/// in `proxy.errors`) on a network error, an unexpected status or a
-/// `200` without a modification stamp. The cache store is gated on the
-/// path still being ruled in the **current** epoch: a rule removed while
-/// the poll was on the wire means the response is discarded (and any
-/// raced-in entry re-evicted), so a dead rule cannot resurrect its cache
-/// entry. Its result is still returned; the scheduler drops the outcome
-/// of an un-ruled path itself.
-fn poll_origin(shared: &Shared, client: &mut PersistentClient, path: &str) -> Option<PollResult> {
-    let validator = shared.cache.get(path).map(|e| e.last_modified());
-    shared.counters.polls.inc();
-    let result = match client.get(path, validator) {
+/// What one refresher poll's answer means for the adaptation layers:
+/// the poll result, or `None` (counted in `proxy.errors`) for a network
+/// error, a timeout, an unexpected status or a `200` without a
+/// modification stamp. A `200` is stored, gated on the path still being
+/// ruled in the **current** epoch: a rule removed while the poll was on
+/// the wire means the response is discarded (and any raced-in entry
+/// re-evicted), so a dead rule cannot resurrect its cache entry. Its
+/// result is still returned; the scheduler drops the outcome of an
+/// un-ruled path itself.
+fn poll_outcome(shared: &Shared, path: &str, answer: &io::Result<Response>) -> Option<PollResult> {
+    let result = match answer {
         Ok(response) if response.status() == StatusCode::NOT_MODIFIED => {
             Some(PollResult::NotModified)
         }
         Ok(response) if response.status() == StatusCode::OK => {
             // The LIMD layer observes what *this poll* saw, not what
             // ended up resident (a concurrent fetch may be fresher).
-            ObjectStamps::of(&response).last_modified.map(|lm| {
+            ObjectStamps::of(response).last_modified.map(|lm| {
                 let ruled = shared.runtime.contains(path);
                 if ruled {
-                    store_response(shared, path, &response);
+                    store_response(shared, path, response);
                 }
                 // Re-check after the store: an epoch swap that removed the
                 // path *between* the gate and the insert is unwound here

@@ -4,45 +4,37 @@
 //! **Rules.** [`ConsistencyRuntime`] owns a versioned [`RulesEpoch`], an
 //! immutable snapshot behind an atomically swapped `Arc`. `install`
 //! validates (the same [`validate`] [`crate::proxy::LiveProxy::start`]
-//! uses), bumps the version and swaps. It never blocks the reactors
-//! (readers clone the `Arc` out from under a briefly held lock) and
-//! touches neither cache nor sockets.
+//! uses), bumps the version, swaps and wakes whoever steps the plane. It
+//! never blocks the reactors (readers clone the `Arc` out from under a
+//! briefly held lock) and touches neither cache nor sockets.
 //!
 //! **The state machine** is [`mutcon_proxy::schedule`], the one §3
 //! scheduler the simulator steps too. This module is its socket driver
-//! and adds what only a running proxy has: epochs, the lock, the workers,
-//! metrics and hooks. No scheduling rule lives here. A swap is adopted by
-//! handing the new epoch's paths, LIMD configs and group to
-//! [`Schedule::reconcile`].
+//! and adds what only a running proxy has: epochs, the lock, metrics and
+//! hooks. No scheduling rule lives here. A swap is adopted by handing the
+//! new epoch's paths, LIMD configs and group to [`Schedule::reconcile`].
 //!
-//! **One lock, M workers.** [`ConsistencyRuntime::run`] is `workers`
-//! workers and nothing else: the calling thread is worker 0, and the
-//! rest are threads it starts. The machine sits behind one mutex; each
-//! worker loops *lock → adopt a newer epoch → `next_job` → unlock →
-//! poll the origin → lock → `complete`*, so the lock is never held
-//! across a round trip and `workers` is the number of polls on the wire
-//! at once. A worker that finds nothing ready waits on the one condvar
-//! until the earliest due instant. Whoever takes a job first notifies
-//! one idle worker, so while it is on the wire somebody else watches
-//! the next due instant; [`ConsistencyRuntime::install`],
-//! [`ConsistencyRuntime::wake`] and a worker leaving notify everyone.
-//! Every one of those notifies happens with, or after passing through,
-//! the lock: a worker that has just looked at the epoch and the
-//! shutdown flag is already waiting when it fires, so none is lost.
+//! **One lock, stepped.** The machine sits behind one mutex, and
+//! `ConsistencyRuntime::plane` is the only way in: it locks and adopts
+//! any epoch installed since the last look, so no job is handed out and
+//! no completion applied against stale rules. On the guard, `next_poll`
+//! hands out a due poll, `finish` applies its outcome and `next_wake`
+//! says when to look again. The lock is never held across a round trip.
+//! In the live proxy, reactor 0 steps the plane: it takes due polls at
+//! each wake, sends them as pooled origin fetches and finishes each in
+//! its completion, and [`ConsistencyRuntime::install`] wakes it through
+//! the reactor's waker, which the proxy registers at start.
+//! [`ConsistencyRuntime::run`] steps the same plane from blocking
+//! worker threads; it is kept because `benchmark/` drives it.
 //!
-//! **Shutdown.** Store the flag, then call [`ConsistencyRuntime::wake`].
-//! A worker looks at the flag each time it holds the lock, after
-//! applying the poll it came back with: polls on the wire finish and
-//! are applied, and no new one starts.
-//!
-//! **Hooks.** `on_removed` / `on_adopted` run under the lock, on
-//! whichever worker adopts the swap. That orders them with the machine:
-//! no job of a later epoch is handed out before they return, so the
-//! proxy's eviction of an un-ruled path cannot race a poll of the same
-//! path re-added afterwards.
+//! **Hooks.** Adopting a swap reports each un-ruled path and then the
+//! new epoch (`Adoption`) under the lock, to whoever took it. That
+//! orders them with the machine: no job of a later epoch is handed out
+//! before they return, so the proxy's eviction of an un-ruled path
+//! cannot race a poll of the same path re-added afterwards.
 //!
 //! Every poll records its **drift** — scheduled due time to the moment
-//! a worker started sending, the measurable form of the fidelity the
+//! it was handed out for sending, the measurable form of the fidelity the
 //! paper's Δ guarantees lose when polls fire late — into
 //! a [`Histogram`], served with the rest of [`RefreshMetrics`] under
 //! `refresh` in `GET /admin/stats`. [`ConsistencyRuntime::status`]
@@ -51,7 +43,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration as StdDuration, Instant};
 
 use parking_lot::RwLock;
@@ -59,7 +51,8 @@ use parking_lot::RwLock;
 use mutcon_core::limd::{LimdConfig, PollResult};
 use mutcon_core::time::{Duration, Timestamp};
 pub use mutcon_proxy::schedule::PollKind;
-use mutcon_proxy::schedule::Schedule;
+use mutcon_proxy::schedule::{Job, Schedule};
+use mutcon_sim::reactor::Waker;
 
 pub use crate::metrics::HistogramSnapshot as DriftSnapshot;
 use crate::metrics::{metrics, Counter, Gauge, Histogram};
@@ -233,12 +226,11 @@ const DRIFT_BUCKET_BOUNDS_US: [u64; 16] = [
 ];
 
 metrics! {
-    /// Shared refresh-plane counters, updated by the poll workers and read
-    /// by the stats plane (and the benchmark) without any lock.
+    /// Shared refresh-plane counters, updated as the plane is stepped and
+    /// read by the stats plane (and the benchmark) without any lock.
     pub struct RefreshMetrics {
-        /// Poll workers the running refresh plane was started with.
-        workers: Gauge => "refresh.workers";
-        /// Polls currently on the wire.
+        /// Polls handed out and not yet finished: on the wire, or queued
+        /// at the origin pool's per-origin cap.
         in_flight: Gauge => "refresh.in_flight";
         /// Polls started (scheduled and triggered).
         polls: Counter => "refresh.polls";
@@ -248,14 +240,14 @@ metrics! {
         /// Mt triggers satisfied by a poll already in flight or queued for
         /// the same target, instead of an extra origin round trip.
         triggered_coalesced: Counter => "refresh.triggered_coalesced";
-        /// Per-poll drift: scheduled due time against the instant a worker
-        /// actually started the poll.
+        /// Per-poll drift: scheduled due time against the instant the poll
+        /// was handed out for sending.
         drift: Histogram = Histogram::new(&DRIFT_BUCKET_BOUNDS_US) => "refresh.drift";
     }
 }
 
-/// The shared §3 scheduler as the workers step it: keyed by path, due
-/// on the monotonic clock.
+/// The shared §3 scheduler as the plane steps it: keyed by path, due on
+/// the monotonic clock.
 type Core = Schedule<Arc<str>, Instant>;
 
 /// Hands `epoch` to the scheduler; returns the paths it un-ruled.
@@ -265,17 +257,91 @@ fn reconcile(core: &mut Core, epoch: &RulesEpoch) -> Vec<Arc<str>> {
     core.reconcile(epoch.version, members, group, Instant::now())
 }
 
+/// What adopting a swapped-in epoch reports, under the plane's lock, to
+/// whoever took it (`ConsistencyRuntime::plane`): each path the swap
+/// un-ruled, then the epoch. The proxy evicts the path's cache entry in
+/// the first and bumps its cache generation in the second. A hook must
+/// not call back into the runtime.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Adoption<'a> {
+    /// A path the swap un-ruled.
+    Removed(&'a str),
+    /// The epoch adopted, after all of its removals.
+    Adopted(u64),
+}
+
+/// A poll handed out by [`Plane::next_poll`], to be finished by
+/// [`Plane::finish`] with what the origin answered.
+#[derive(Debug)]
+pub(crate) struct Poll {
+    job: Job<Arc<str>, Instant>,
+    /// The LIMD/Mt timeline's instant for the poll, taken as it was
+    /// handed out for sending.
+    sent: Timestamp,
+}
+
+impl Poll {
+    /// The path to poll.
+    pub(crate) fn path(&self) -> &Arc<str> {
+        &self.job.key
+    }
+
+    /// Whether LIMD or the Mt coordinator asked for the poll.
+    pub(crate) fn kind(&self) -> PollKind {
+        self.job.kind
+    }
+}
+
+/// The refresh plane's state machine, locked, with the newest epoch
+/// adopted ([`ConsistencyRuntime::plane`]). Drop it before a round trip.
+#[derive(Debug)]
+pub(crate) struct Plane<'a> {
+    core: MutexGuard<'a, Core>,
+    metrics: &'a RefreshMetrics,
+}
+
+impl Plane<'_> {
+    /// The next poll due at `now`, counted and its drift recorded, if any.
+    pub(crate) fn next_poll(&mut self, now: Instant) -> Option<Poll> {
+        let job = self.core.next_job(now)?;
+        self.metrics.polls.inc();
+        self.metrics.in_flight.inc();
+        self.metrics.drift.record(Instant::now().saturating_duration_since(job.due));
+        Some(Poll { job, sent: Timestamp::from_millis(unix_now_ms()) })
+    }
+
+    /// Applies `poll`'s outcome: `None` marks a failed poll, which backs
+    /// the path off briefly. The outcome of a path un-ruled while the poll
+    /// was out is discarded.
+    pub(crate) fn finish(&mut self, poll: Poll, result: Option<PollResult>) {
+        self.metrics.in_flight.dec();
+        self.metrics.errors.add(u64::from(result.is_none()));
+        let view = result.as_ref().map(PollResult::as_view);
+        let done = self.core.complete(&poll.job, poll.sent, view, Instant::now());
+        self.metrics.triggered_coalesced.add(done.coalesced);
+    }
+
+    /// The earliest instant a poll falls due, if any is scheduled. A
+    /// finish or an install can bring it forward.
+    pub(crate) fn next_wake(&mut self) -> Option<Instant> {
+        self.core.next_wake()
+    }
+}
+
 /// The versioned, hot-swappable rules store plus the refresh plane's
-/// state machine and the lock its workers share. See the module docs.
+/// state machine and the lock around it. See the module docs.
 #[derive(Debug)]
 pub struct ConsistencyRuntime {
     epoch: RwLock<Arc<RulesEpoch>>,
     metrics: RefreshMetrics,
-    /// The whole refresh state machine. Empty (version 0) until
-    /// [`ConsistencyRuntime::run`] adopts the first epoch.
+    /// The whole refresh state machine. Empty (version 0) until the
+    /// first `ConsistencyRuntime::plane` adopts the first epoch.
     core: StdMutex<Core>,
-    /// Where idle workers wait, with `core`, for work or shutdown.
+    /// Where idle [`ConsistencyRuntime::run`] workers wait, with `core`.
     work: Condvar,
+    /// Interrupts the reactor that steps the plane, so an install is
+    /// adopted at once (`ConsistencyRuntime::wake_with`).
+    waker: OnceLock<Waker>,
 }
 
 impl ConsistencyRuntime {
@@ -290,6 +356,7 @@ impl ConsistencyRuntime {
             metrics: RefreshMetrics::default(),
             core: StdMutex::new(Core::default()),
             work: Condvar::new(),
+            waker: OnceLock::new(),
         }))
     }
 
@@ -312,19 +379,53 @@ impl ConsistencyRuntime {
         self.core.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Wakes every idle [`ConsistencyRuntime::run`] worker to look at
-    /// the epoch and the shutdown flag again. Installs call this
-    /// internally; a shutdown caller must call it after storing the
+    /// Locks the plane, first adopting any epoch installed since the last
+    /// look and reporting the swap to `adopt`. The first epoch is not a
+    /// swap: it is adopted without a report.
+    pub(crate) fn plane(&self, adopt: &mut dyn FnMut(Adoption<'_>)) -> Plane<'_> {
+        let mut core = self.lock();
+        self.adopt(&mut core, adopt);
+        Plane { core, metrics: &self.metrics }
+    }
+
+    fn adopt(&self, core: &mut Core, adopt: &mut dyn FnMut(Adoption<'_>)) {
+        let current = self.current();
+        if current.version == core.version() {
+            return;
+        }
+        let first = core.version() == 0;
+        for path in reconcile(core, &current) {
+            adopt(Adoption::Removed(&path));
+        }
+        if !first {
+            adopt(Adoption::Adopted(current.version));
+        }
+    }
+
+    /// Registers the waker of the reactor that steps the plane; every
+    /// later [`ConsistencyRuntime::wake`] (each install makes one) fires
+    /// it. Only the first registration counts.
+    pub(crate) fn wake_with(&self, waker: Waker) {
+        let _ = self.waker.set(waker);
+    }
+
+    /// Makes whoever steps the plane look at the epoch (and, for
+    /// [`ConsistencyRuntime::run`]'s workers, the shutdown flag) again:
+    /// the registered reactor, and every idle worker. Installs call this
+    /// internally; a `run` caller must call it after storing the shutdown
     /// flag, or idle workers keep waiting for their next due instant.
     pub fn wake(&self) {
         // Through the lock, so the notify cannot fall between a
         // worker's look at the epoch and the flag and its wait.
         drop(self.lock());
         self.work.notify_all();
+        if let Some(waker) = self.waker.get() {
+            waker.wake();
+        }
     }
 
     /// Validates and atomically installs a new epoch, then wakes the
-    /// workers so adoption is immediate. The swap is the whole reload:
+    /// plane so adoption is immediate. The swap is the whole reload:
     /// no thread restarts, no cache drop, no connection churn.
     ///
     /// # Errors
@@ -357,7 +458,7 @@ impl ConsistencyRuntime {
 
     /// Every adopted path's live state, sorted by path, read from the
     /// scheduler itself. Trails [`ConsistencyRuntime::current`] only by
-    /// the time a worker takes to wake and adopt an install.
+    /// the time the plane takes to wake and adopt an install.
     pub fn status(&self) -> Vec<PathStatus> {
         let mut rows: Vec<PathStatus> = self
             .lock()
@@ -372,27 +473,27 @@ impl ConsistencyRuntime {
                 rule_epoch: s.rule_version,
             })
             .collect();
-        // Sorted after the guard is gone: workers do not wait on it.
+        // Sorted after the guard is gone: the plane does not wait on it.
         rows.sort_by(|a, b| a.path.cmp(&b.path));
         rows
     }
 
-    /// The refresh plane: runs until `shutdown` on exactly `workers`
-    /// threads, the calling one and `workers - 1` scoped ones, each owning
-    /// the poller `make_poller` builds for it (in the proxy, a dedicated
-    /// origin connection). The module docs describe the loop, who waits on
-    /// what, and shutdown.
+    /// The refresh plane stepped by blocking workers until `shutdown`:
+    /// kept because `benchmark/` drives it for its dispatch-capacity
+    /// figure; the live proxy steps the plane on its reactor instead.
+    /// Runs on exactly `workers` threads, the calling one and
+    /// `workers - 1` scoped ones, each owning the poller `make_poller`
+    /// builds for it and looping *plane → next poll → unlock → poll →
+    /// plane → finish*. A worker with nothing due waits on the one
+    /// condvar until the earliest due instant; whoever takes a poll
+    /// notifies one idle worker to watch the next one, and
+    /// [`ConsistencyRuntime::wake`] notifies all.
     ///
-    /// A poller performs the origin round trip (and the cache store,
-    /// gated on [`ConsistencyRuntime::contains`] so a removed path's late
-    /// poll cannot resurrect its entry); `None` marks a network error
-    /// and backs the path off briefly. `on_removed` fires once per path
-    /// a swap un-rules and `on_adopted` once per epoch adopted, whoever
-    /// installed it (HTTP PUT, SIGHUP reload, a direct
-    /// [`ConsistencyRuntime::install`]) — the proxy evicts the path's
-    /// cache entry in the first and bumps its cache generation in the
-    /// second. Both run under the plane's lock and must not call back
-    /// into `install`, `status` or `wake`.
+    /// A poller performs the origin round trip; `None` marks a failed
+    /// poll. `on_removed` fires once per path a swap un-rules and
+    /// `on_adopted` once per epoch adopted, on whichever worker adopts
+    /// it, under the plane's lock; neither may call back into the
+    /// runtime.
     pub fn run<P>(
         &self,
         shutdown: &AtomicBool,
@@ -403,72 +504,40 @@ impl ConsistencyRuntime {
     ) where
         P: FnMut(PollKind, &str) -> Option<PollResult> + Send,
     {
-        let workers = workers.max(1);
-        self.metrics.workers.set(workers as u64);
-        // The first epoch is not a swap: adopted here, without hooks.
-        reconcile(&mut self.lock(), &self.current());
-
-        // Whichever worker adopts a swap needs the `FnMut` hooks by
-        // `&mut`. Only taken with the core lock held: never contended.
+        // Only taken under the plane's lock: never contended.
         let hooks = StdMutex::new((on_removed, on_adopted));
-        // Adopts any epoch installed since the last look, so that no job
-        // is handed out and no completion applied against stale rules.
-        let adopt = |core: &mut Core| {
-            let current = self.current();
-            if current.version == core.version() {
-                return;
-            }
-            let mut hooks = hooks.lock().unwrap_or_else(PoisonError::into_inner);
-            let (on_removed, on_adopted) = &mut *hooks;
-            for path in reconcile(core, &current) {
-                on_removed(&path);
-            }
-            on_adopted(current.version);
-        };
-
-        // One worker's life, the poller it owns moved in.
         let work = |mut poller: P| {
-            let mut core = self.lock();
-            loop {
-                adopt(&mut core);
-                if shutdown.load(Ordering::SeqCst) {
-                    break;
+            let mut adopt = |adoption: Adoption<'_>| {
+                let mut hooks = hooks.lock().unwrap_or_else(PoisonError::into_inner);
+                match adoption {
+                    Adoption::Removed(path) => (hooks.0)(path),
+                    Adoption::Adopted(version) => (hooks.1)(version),
                 }
-                let Some(job) = core.next_job(Instant::now()) else {
-                    // With nothing scheduled, forever: only a completion
+            };
+            let mut plane = self.plane(&mut adopt);
+            while !shutdown.load(Ordering::SeqCst) {
+                let Some(poll) = plane.next_poll(Instant::now()) else {
+                    // With nothing scheduled, forever: only a finish
                     // (whose worker then looks for work itself), an
-                    // install or shutdown (which notify) can create work.
-                    let left = core.next_wake().map_or(StdDuration::MAX, |at| {
+                    // install or `wake` can create work.
+                    let left = plane.next_wake().map_or(StdDuration::MAX, |at| {
                         at.saturating_duration_since(Instant::now())
                     });
-                    let waited = self.work.wait_timeout(core, left);
-                    core = waited.unwrap_or_else(PoisonError::into_inner).0;
+                    let waited = self.work.wait_timeout(plane.core, left);
+                    let mut core = waited.unwrap_or_else(PoisonError::into_inner).0;
+                    self.adopt(&mut core, &mut adopt);
+                    plane = Plane { core, metrics: &self.metrics };
                     continue;
                 };
                 // While this worker is on the wire somebody else has to
                 // watch the next due instant.
                 self.work.notify_one();
-                drop(core);
-
-                self.metrics.polls.inc();
-                self.metrics.in_flight.inc();
-                self.metrics.drift.record(Instant::now().saturating_duration_since(job.due));
-                // The timeline the LIMD/Mt state machines run on: taken
-                // just before the poll hits the wire.
-                let ts = Timestamp::from_millis(unix_now_ms());
-                let result = poller(job.kind, &job.key);
-                self.metrics.in_flight.dec();
-                self.metrics.errors.add(u64::from(result.is_none()));
-
-                core = self.lock();
-                // A swap may have landed meanwhile: adopt it first, so
-                // that a since-removed path's outcome is discarded.
-                adopt(&mut core);
-                let view = result.as_ref().map(PollResult::as_view);
-                let done = core.complete(&job, ts, view, Instant::now());
-                self.metrics.triggered_coalesced.add(done.coalesced);
+                drop(plane);
+                let result = poller(poll.kind(), poll.path());
+                plane = self.plane(&mut adopt);
+                plane.finish(poll, result);
             }
-            drop(core);
+            drop(plane);
             // A poller may store the flag without a `wake`: take the idle
             // workers along.
             self.work.notify_all();
@@ -478,7 +547,7 @@ impl ConsistencyRuntime {
         let work = &work;
         std::thread::scope(|scope| {
             let first = make_poller(0);
-            for poller in (1..workers).map(&mut make_poller) {
+            for poller in (1..workers.max(1)).map(&mut make_poller) {
                 scope.spawn(move || work(poller));
             }
             work(first);
@@ -500,7 +569,7 @@ mod tests {
         RefreshRule::new(path, Duration::from_millis(delta_ms))
     }
 
-    /// Adopts epoch `version` into `core` the way a worker does; returns
+    /// Adopts epoch `version` into `core` the way the plane does; returns
     /// the paths it un-ruled.
     fn swap(core: &mut Core, version: u64, rules: Vec<RefreshRule>, group: Option<GroupRule>) -> Vec<Arc<str>> {
         reconcile(core, &RulesEpoch::new(version, rules, group).unwrap())
@@ -703,7 +772,6 @@ mod tests {
         assert!(status[0].last_poll_unix_ms.is_some());
         assert!(status[0].ttr >= status[0].delta);
         let metrics = runtime.refresh_metrics();
-        assert_eq!(metrics.workers(), 1);
         assert_eq!(metrics.polls(), 5);
         assert_eq!(metrics.in_flight(), 0);
         assert_eq!(metrics.errors(), 0);
@@ -812,7 +880,6 @@ mod tests {
             "4 workers against a 3 ms origin must overlap polls"
         );
         let metrics = runtime.refresh_metrics();
-        assert_eq!(metrics.workers(), 4);
         assert_eq!(metrics.polls(), total, "every started poll completed and was counted");
         assert_eq!(metrics.in_flight(), 0);
         let drift = metrics.drift();

@@ -42,6 +42,14 @@
 //! [`Reply`] that every waiter gets. `Connection: close` is honored in
 //! both directions ([`mutcon_http::connection`]).
 //!
+//! A service may also fetch for itself: at every wake the reactor asks
+//! it for [`Service::own_work`], submits what it starts as pool jobs the
+//! service waits on, hands each outcome to [`Service::own_fetched`], and
+//! sleeps no later than the instant the service names. Another thread
+//! wakes a reactor early through its waker (`EventLoop::waker`). The
+//! engine knows nothing of what the service schedules: the live proxy's
+//! reactor 0 sends its refresh polls this way.
+//!
 //! *WRITING* goes through the zero-copy send path ([`crate::vectored`]):
 //! each response is a reusable contiguous buffer (head + small inlined
 //! bodies) plus an optional shared body slice, gathered into one
@@ -101,10 +109,10 @@ pub const DEFAULT_L1_OBJECTS: usize = 128;
 /// of slots per reactor. Anything larger is refused at start.
 pub const MAX_L1_OBJECTS: usize = 1 << 16;
 
-/// Default refresh poll-worker count
-/// ([`crate::proxy::ProxyConfig::refresh_workers`]): enough overlap to
-/// hide origin latency on mid-sized catalogs without hoarding origin
-/// sockets.
+/// The worker count `benchmark/` drives
+/// [`crate::runtime::ConsistencyRuntime::run`] with; kept because
+/// `benchmark/` (read-only here) reads it. The live proxy runs no poll
+/// workers: its polls are reactor 0's pooled fetches.
 pub const DEFAULT_REFRESH_WORKERS: usize = 4;
 
 /// Ceiling on the reactor count — beyond this the listeners outnumber
@@ -122,13 +130,14 @@ pub fn default_reactors() -> usize {
 
 /// Close client connections with no traffic for this long.
 const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
-/// Fail upstream fetches that make no progress for this long (matches
-/// the old blocking client's per-operation timeout ballpark).
+/// Fail upstream fetches that make no progress for this long (a miss's
+/// and a refresh poll's alike).
 const UPSTREAM_TIMEOUT: Duration = Duration::from_secs(5);
 /// Reap pooled origin connections idle longer than this.
 const POOL_IDLE_TIMEOUT: Duration = Duration::from_secs(10);
 /// Poll-loop tick when nothing else bounds the wait (idle sweeping,
-/// shutdown responsiveness).
+/// shutdown responsiveness); a service's own next instant
+/// ([`Service::own_work`]) shortens it.
 const TICK: Duration = Duration::from_millis(200);
 /// How long a shutting-down reactor keeps serving to flush in-flight
 /// responses before closing everything.
@@ -224,6 +233,38 @@ pub trait Service: Send + 'static {
             Response::builder(StatusCode::INTERNAL_SERVER_ERROR).build()
         }))
     }
+
+    /// Fetches the service starts for itself, not for a client. The
+    /// reactor asks at every wake, including one its waker
+    /// (`EventLoop::waker`) causes: each `start(addr, request)` becomes a
+    /// job on the reactor's origin pool, with the service as its waiter
+    /// (so it coalesces, queues at the per-origin cap and times out like a
+    /// miss). The reactor sleeps no later than the instant returned. The
+    /// default starts nothing.
+    fn own_work(
+        &mut self,
+        now: Instant,
+        start: &mut dyn FnMut(SocketAddr, Vec<u8>),
+    ) -> Option<Instant> {
+        let _ = (now, start);
+        None
+    }
+
+    /// The outcome of a fetch [`Service::own_work`] started, sent as
+    /// `request`; called before [`Service::fetched`] when clients
+    /// coalesced onto the same job.
+    fn own_fetched(&mut self, request: &[u8], result: &io::Result<Response>) {
+        let _ = (request, result);
+    }
+}
+
+/// Who waits on an origin pool job.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Waiter {
+    /// A client connection, by slab index.
+    Client(usize),
+    /// The reactor's service ([`Service::own_work`]).
+    Service,
 }
 
 metrics! {
@@ -362,7 +403,8 @@ impl Default for EngineConfig {
 impl EventLoop {
     /// Binds localhost listeners on a shared ephemeral port, one per
     /// reactor, and starts the reactor threads. `new_service` is called
-    /// once per reactor; each reactor owns the instance it gets.
+    /// once per reactor, in reactor order (reactor 0's instance first);
+    /// each reactor owns the instance it gets.
     ///
     /// # Errors
     ///
@@ -462,6 +504,16 @@ impl EventLoop {
         self.reactors.len()
     }
 
+    /// A handle that interrupts reactor `i`'s wait, so that it asks its
+    /// service for [`Service::own_work`] at once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not below [`EventLoop::reactor_count`].
+    pub(crate) fn waker(&self, i: usize) -> Waker {
+        self.reactors[i].waker.clone()
+    }
+
     /// The loop's always-on counters ([`EngineConfig::metrics`]).
     pub fn metrics(&self) -> &Arc<EngineMetrics> {
         &self.metrics
@@ -548,9 +600,8 @@ struct Reactor {
     /// closed connection's token can never be applied to a new
     /// connection occupying the same slot (it finds `None` instead).
     freed_this_batch: Vec<usize>,
-    /// The keep-alive origin pool ledger (see [`crate::upstream`]); a
-    /// waiter is the waiting client's slab index.
-    pool: PoolCore<usize>,
+    /// The keep-alive origin pool ledger (see [`crate::upstream`]).
+    pool: PoolCore<Waiter>,
     /// Where every socket read lands first: zeroed once, not per event.
     scratch: Vec<u8>,
     /// The client currently inside `drive_client`, if any. Completions
@@ -612,8 +663,10 @@ fn read_into(
 impl Reactor {
     fn run(mut self) {
         let mut events = Events::with_capacity(1024);
+        let mut due = self.own_work();
         while !self.shutdown.load(Ordering::SeqCst) {
-            if self.poller.wait(&mut events, Some(TICK)).is_err() {
+            let timeout = due.map_or(TICK, |at| at.saturating_duration_since(Instant::now()).min(TICK));
+            if self.poller.wait(&mut events, Some(timeout)).is_err() {
                 break;
             }
             self.dispatch(&events);
@@ -622,6 +675,9 @@ impl Reactor {
                 self.sweep_idle();
                 self.last_sweep = Instant::now();
             }
+            // Last, so that what ended above (a completion, a timeout) is
+            // in the service's next instant.
+            due = self.own_work();
         }
         self.drain(&mut events);
         // Dropping the slab closes every socket.
@@ -639,6 +695,30 @@ impl Reactor {
         // Freed slots become reusable only once every event of the
         // batch has been applied (see `freed_this_batch`).
         self.free.append(&mut self.freed_this_batch);
+    }
+
+    /// Submits the fetches the service starts itself and pumps their
+    /// origins; returns the instant the service next wants asking. Asks
+    /// again after a pump, which may have ended a fetch (a connect that
+    /// failed at once) and so moved that instant.
+    fn own_work(&mut self) -> Option<Instant> {
+        loop {
+            let (pool, metrics) = (&mut self.pool, &self.metrics);
+            let mut origins: Vec<SocketAddr> = Vec::new();
+            let due = self.service.own_work(Instant::now(), &mut |addr, request| {
+                match pool.submit(addr, request, Waiter::Service) {
+                    Submit::Coalesced(_) => metrics.pool_coalesced.inc(),
+                    Submit::New(_) if !origins.contains(&addr) => origins.push(addr),
+                    Submit::New(_) => {}
+                }
+            });
+            if origins.is_empty() {
+                return due;
+            }
+            for addr in origins {
+                self.pump_origin(addr);
+            }
+        }
     }
 
     /// Graceful-shutdown tail: stop accepting, keep serving until every
@@ -899,7 +979,7 @@ impl Reactor {
                         // or a coalesced job finishing) has only queued its
                         // reply, which the next turn flushes.
                         ServiceResult::Upstream { addr, request } => {
-                            let submitted = self.pool.submit(addr, request, idx);
+                            let submitted = self.pool.submit(addr, request, Waiter::Client(idx));
                             client.await_fetch(submitted.job());
                             match submitted {
                                 Submit::Coalesced(_) => self.metrics.pool_coalesced.inc(),
@@ -1106,9 +1186,10 @@ impl Reactor {
     }
 
     /// The one way a fetch ends, whatever ended it: its outcome feeds
-    /// the pool limiter, the job leaves the ledger and, if anyone still
-    /// waits on it, [`Service::fetched`] makes one reply, which every
-    /// waiter gets in arrival order (all but the last a clone).
+    /// the pool limiter and the job leaves the ledger. If the service
+    /// waits on it, [`Service::own_fetched`] sees the outcome first; if
+    /// clients still wait, [`Service::fetched`] makes one reply, which
+    /// every client gets in arrival order (all but the last a clone).
     fn finish_fetch(
         &mut self,
         addr: SocketAddr,
@@ -1119,7 +1200,12 @@ impl Reactor {
         let (in_flight, ok) = (self.pool.fetching(addr), result.is_ok());
         let cap = self.overload.slot(self.reactor_index).record_fetch(in_flight, elapsed, ok);
         self.pool.set_cap(cap);
-        let Some(job) = self.pool.complete(job) else { return };
+        let Some(mut job) = self.pool.complete(job) else { return };
+        let waiters = job.waiters.len();
+        job.waiters.retain(|&waiter| waiter != Waiter::Service);
+        if job.waiters.len() < waiters {
+            self.service.own_fetched(&job.request, &result);
+        }
         let Some((&last, rest)) = job.waiters.split_last() else { return };
         let reply = self.service.fetched(&job.request, result);
         for &client in rest {
@@ -1146,7 +1232,8 @@ impl Reactor {
     /// the one currently being driven, in which case the reply is only
     /// queued and the active drive loop flushes it (keeping pipelined
     /// bursts iterative instead of recursive).
-    fn complete_client(&mut self, idx: usize, reply: Reply) {
+    fn complete_client(&mut self, waiter: Waiter, reply: Reply) {
+        let Waiter::Client(idx) = waiter else { return };
         let Some(Conn { kind: Kind::Client(client), .. }) = self.conns[idx].as_mut() else {
             return; // client gone; drop the reply
         };
@@ -1206,7 +1293,7 @@ impl Reactor {
         if let Some(job) = job {
             // The last waiter leaving a queued fetch cancels it; a fetch
             // already on a connection finishes and parks, unread.
-            self.pool.leave(job, |&waiter| waiter == idx);
+            self.pool.leave(job, |&waiter| waiter == Waiter::Client(idx));
         }
         self.resume_accepting();
     }

@@ -1,102 +1,18 @@
-//! Blocking socket I/O for `mutcon-http` messages, for the tests and the
-//! test harness's scripted origin. Reads drive a resumable parser until a
-//! whole message (or EOF/error) arrives; writes serialize and flush in one
-//! call. No engine or client reads responses through it: the reactor and
-//! [`crate::client::PersistentClient`] both drive `OriginConn` (`conn.rs`).
+//! The test harness's blocking message I/O and keep-alive client
+//! (`tests/harness/wire.rs`), compiled into the unit tests only, with
+//! the tests of its reads and writes.
 
-use std::io::{self, Read, Write};
+#[path = "../tests/harness/wire.rs"]
+#[allow(dead_code)]
+mod harness;
 
-use bytes::BytesMut;
+pub(crate) use harness::*;
 
-use mutcon_http::message::{Request, Response};
-use mutcon_http::parse::{ParseError, RequestParser, ResponseParser};
-
-/// `read` retrying `EINTR`. A handled signal (the `SIGHUP` rules
-/// reload) interrupts a blocking read on a socket with a receive
-/// timeout even under `SA_RESTART`, so these helpers and
-/// [`crate::client::PersistentClient`] must not surface `Interrupted` to
-/// callers (`write_all` and `OriginConn::send` retry it themselves).
-pub(crate) fn read_uninterrupted(stream: &mut impl Read, chunk: &mut [u8]) -> io::Result<usize> {
-    loop {
-        match stream.read(chunk) {
-            Err(ref e) if e.kind() == io::ErrorKind::Interrupted => {}
-            other => return other,
-        }
-    }
-}
-
-/// Reads one message from `stream` through `parse` (a fresh parser's
-/// `advance`), leaving what follows it in `buf`. `Ok(None)` on a clean
-/// EOF before any bytes.
-fn read_message<M>(
-    stream: &mut impl Read,
-    buf: &mut BytesMut,
-    mut parse: impl FnMut(&[u8]) -> Result<Option<(M, usize)>, ParseError>,
-) -> io::Result<Option<M>> {
-    loop {
-        // A parse failure leaves the connection beyond saving.
-        let parsed = parse(buf).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        if let Some((message, consumed)) = parsed {
-            let _ = buf.split_to(consumed);
-            return Ok(Some(message));
-        }
-        let mut chunk = [0u8; 4096];
-        let n = read_uninterrupted(stream, &mut chunk)?;
-        if n == 0 && buf.is_empty() {
-            return Ok(None);
-        } else if n == 0 {
-            return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "closed mid-message"));
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    }
-}
-
-/// Reads one request from `stream`. Returns `Ok(None)` on a clean EOF
-/// before any bytes (the peer closed an idle connection).
-///
-/// # Errors
-///
-/// I/O errors, malformed messages ([`io::ErrorKind::InvalidData`]), or an
-/// EOF in the middle of a message ([`io::ErrorKind::UnexpectedEof`]).
-pub fn read_request(stream: &mut impl Read, buf: &mut BytesMut) -> io::Result<Option<Request>> {
-    let mut parser = RequestParser::new();
-    read_message(stream, buf, |bytes| parser.advance(bytes))
-}
-
-/// Reads one response from `stream`.
-///
-/// # Errors
-///
-/// I/O errors, malformed messages, or EOF before a complete response.
-pub fn read_response(stream: &mut impl Read, buf: &mut BytesMut) -> io::Result<Response> {
-    let mut parser = ResponseParser::new();
-    read_message(stream, buf, |bytes| parser.advance(bytes))?
-        .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "closed before a response"))
-}
-
-/// Writes a request and flushes.
-///
-/// # Errors
-///
-/// Propagates I/O errors.
-pub fn write_request(stream: &mut impl Write, request: &Request) -> io::Result<()> {
-    stream.write_all(&request.to_bytes())?;
-    stream.flush()
-}
-
-/// Writes a response and flushes.
-///
-/// # Errors
-///
-/// Propagates I/O errors.
-pub fn write_response(stream: &mut impl Write, response: &Response) -> io::Result<()> {
-    stream.write_all(&response.to_bytes())?;
-    stream.flush()
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BytesMut;
+    use mutcon_http::message::{Request, Response};
+    use std::io;
     use mutcon_http::types::StatusCode;
     use std::io::Cursor;
 

@@ -19,13 +19,12 @@ use std::sync::Arc;
 use std::time::{Duration as StdDuration, Instant};
 
 use bytes::BytesMut;
-use harness::{get, get_json, put, stamp_of, Behavior, FakeClock, ScriptedOrigin, CLOCK_BASE_MS};
+use harness::{
+    get, get_json, put, read_response, stamp_of, Behavior, FakeClock, ScriptedOrigin, CLOCK_BASE_MS,
+};
 use mutcon_core::time::Duration;
 use mutcon_live::proxy::{LiveProxy, ProxyConfig, RefreshRule};
-use mutcon_live::server::{
-    default_reactors, DEFAULT_L1_OBJECTS, DEFAULT_REFRESH_WORKERS, MAX_L1_OBJECTS,
-};
-use mutcon_live::wire::read_response;
+use mutcon_live::server::{default_reactors, DEFAULT_L1_OBJECTS, MAX_L1_OBJECTS};
 use mutcon_http::message::Request;
 use mutcon_http::types::StatusCode;
 use mutcon_sim::rng::SimRng;
@@ -442,16 +441,7 @@ fn unset_config_fields_resolve_to_the_documented_defaults() {
     let origin = ScriptedOrigin::start(FakeClock::new());
     let proxy = LiveProxy::start(ProxyConfig::new(origin.addr())).expect("start proxy");
     assert_eq!(proxy.reactor_count(), default_reactors());
-    // The scheduler thread records its pool width as it starts.
-    wait_until("the refresh plane to start", || {
-        proxy.runtime().refresh_metrics().workers() > 0
-    });
     let doc = admin_get(&proxy, "/admin/stats");
-    let refresh = doc.get("refresh").unwrap();
-    assert_eq!(
-        refresh.get("workers").unwrap().as_u64(),
-        Some(DEFAULT_REFRESH_WORKERS as u64)
-    );
     let l1 = doc.get("cache").unwrap().get("l1").unwrap();
     assert_eq!(l1.get("capacity").unwrap().as_u64(), Some(DEFAULT_L1_OBJECTS as u64));
 }

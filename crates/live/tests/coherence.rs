@@ -11,8 +11,8 @@
 //! byte-indistinguishable from an L1-enabled one. The last scenario
 //! states the rule on the two caches alone, without sockets.
 //!
-//! Reactor counts, L1 capacities and refresh-worker counts are inputs
-//! of the scenarios, pinned explicitly.
+//! Reactor counts and L1 capacities are inputs of the scenarios, pinned
+//! explicitly.
 
 mod harness;
 
@@ -51,23 +51,14 @@ fn l1_proxy(
 /// through the L1 from several reactors. Every reader must observe
 /// complete copies whose body bytes match the version header, with
 /// stamps monotonically nondecreasing and bounded by the logical clock.
-/// The refresh plane runs at its default pool width and forced serial:
-/// worker count must never change behavior, only drift.
 #[test]
 fn l1_readers_never_see_old_bytes_after_a_version_bump() {
-    for refresh_workers in [4, 1] {
-        readers_race_the_refresher(refresh_workers);
-    }
-}
-
-fn readers_race_the_refresher(refresh_workers: usize) {
     let clock = FakeClock::new();
     let origin = ScriptedOrigin::start(clock.clone());
     let proxy = LiveProxy::start(ProxyConfig {
         rules: vec![RefreshRule::new("/hot", Duration::from_millis(20))],
         reactors: Some(2),
         l1_objects: Some(128),
-        refresh_workers: Some(refresh_workers),
         ..ProxyConfig::new(origin.addr())
     })
     .expect("start proxy");

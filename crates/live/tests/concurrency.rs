@@ -127,14 +127,17 @@ fn sequential_misses_reuse_one_origin_connection() {
     );
 }
 
-/// Mid-transfer origin death: the waiter gets a clean 500 (no retry —
-/// response bytes had arrived, so the socket was not merely stale), the
-/// broken socket leaves the pool, and the next miss fetches fresh.
+/// Mid-transfer origin death on a reused pooled socket: the waiter gets
+/// a clean 500 (no retry — response bytes had arrived, so the socket was
+/// not merely stale), the broken socket leaves the pool, and the next
+/// miss fetches fresh.
 #[test]
 fn mid_transfer_origin_death_fails_cleanly_then_recovers() {
     let origin = ScriptedOrigin::start(FakeClock::new());
     origin.script("/frail", vec![Behavior::DieMidTransfer]);
     let proxy = plain_proxy(&origin, 1);
+    let warm = get(proxy.local_addr(), "/warm").expect("a miss that parks its socket");
+    assert_eq!(warm.status(), StatusCode::OK);
 
     let failed = get(proxy.local_addr(), "/frail").expect("response");
     assert_eq!(
@@ -142,6 +145,9 @@ fn mid_transfer_origin_death_fails_cleanly_then_recovers() {
         StatusCode::INTERNAL_SERVER_ERROR,
         "a truncated origin transfer must surface as a 500"
     );
+    let engine = proxy.engine_metrics();
+    assert_eq!(engine.pool_reuses(), 1, "the death was on the parked socket");
+    assert_eq!(engine.pool_retries(), 0, "bytes had arrived: no retry");
 
     let recovered = get(proxy.local_addr(), "/frail").expect("response");
     assert_eq!(recovered.status(), StatusCode::OK, "the retry-by-client recovers");
@@ -149,6 +155,7 @@ fn mid_transfer_origin_death_fails_cleanly_then_recovers() {
     assert_eq!(
         origin.log(),
         vec![
+            "fetch /warm #1".to_owned(),
             "fetch /frail #1".to_owned(),
             "die /frail".to_owned(),
             "fetch /frail #2".to_owned(),

@@ -18,6 +18,8 @@
 //! * Seeded schedules — scenarios derive all choices (paths, op order,
 //!   clock steps) from a `mutcon_sim::rng::SimRng` seed, so a failing
 //!   run replays exactly.
+//! * [`Client`] and the blocking message reads and writes (`wire.rs`) —
+//!   how the tests speak HTTP; the proxy itself has no blocking client.
 //!
 //! The origin intentionally uses one blocking thread per connection:
 //! the *system under test* is the proxy's multi-reactor engine, and the
@@ -35,15 +37,19 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use bytes::{Bytes, BytesMut};
-use mutcon_live::client::{validator_ms, PersistentClient, X_LAST_MODIFIED_MS};
-use mutcon_live::wire::{read_request, write_response};
+use mutcon_live::client::{validator_ms, X_LAST_MODIFIED_MS};
 use mutcon_http::message::{Request, Response};
 use mutcon_http::types::{Method, StatusCode};
 use mutcon_traces::json::{self, Json};
 
+mod wire;
+// Each test binary uses its own share of these.
+#[allow(unused_imports)]
+pub use wire::{read_request, read_response, write_request, write_response, Client};
+
 /// A keep-alive client with the scenarios' 10 s timeout.
-pub fn client(addr: SocketAddr) -> PersistentClient {
-    PersistentClient::new(addr, Duration::from_secs(10))
+pub fn client(addr: SocketAddr) -> Client {
+    Client::new(addr, Duration::from_secs(10))
 }
 
 /// One `GET` on a fresh connection: a client per request, so every

@@ -1,12 +1,15 @@
 //! End-to-end tests: a real origin and a real proxy on localhost TCP,
 //! running the LIMD + mutual-consistency machinery in wall-clock time.
 
+mod harness;
+
 use std::time::Duration as StdDuration;
 
 use mutcon_core::mutual::temporal::MtPolicy;
 use mutcon_core::time::{Duration, Timestamp};
 use mutcon_core::value::Value;
-use mutcon_live::client::{last_modified_ms, PersistentClient, X_LAST_MODIFIED_MS};
+use harness::Client;
+use mutcon_live::client::{last_modified_ms, X_LAST_MODIFIED_MS};
 use mutcon_live::origin::LiveOrigin;
 use mutcon_live::proxy::{GroupRule, LiveProxy, ProxyConfig, RefreshRule};
 use mutcon_http::types::StatusCode;
@@ -48,7 +51,7 @@ fn proxy_keeps_cached_object_fresh() {
     })
     .unwrap();
 
-    let mut client = PersistentClient::new(proxy.local_addr(), StdDuration::from_secs(5));
+    let mut client = Client::new(proxy.local_addr(), StdDuration::from_secs(5));
     // Warm the cache, then let the refresher run for a while.
     let first = client.get("/fast", None).unwrap();
     assert_eq!(first.status(), StatusCode::OK);
@@ -131,7 +134,7 @@ fn triggered_polls_keep_related_objects_in_step() {
     );
 
     // Both copies should be present and stamped close together.
-    let mut client = PersistentClient::new(proxy.local_addr(), StdDuration::from_secs(5));
+    let mut client = Client::new(proxy.local_addr(), StdDuration::from_secs(5));
     let story = client.get("/story", None).unwrap();
     let photo = client.get("/photo", None).unwrap();
     let lm_story = last_modified_ms(&story).unwrap();
@@ -154,7 +157,7 @@ fn stats_endpoint_and_miss_path() {
         ..ProxyConfig::new(origin.local_addr())
     })
     .unwrap();
-    let mut client = PersistentClient::new(proxy.local_addr(), StdDuration::from_secs(5));
+    let mut client = Client::new(proxy.local_addr(), StdDuration::from_secs(5));
 
     // Miss then hit.
     let first = client.get("/obj", None).unwrap();

@@ -12,10 +12,9 @@ use std::sync::Arc;
 use std::time::{Duration as StdDuration, Instant};
 
 use bytes::BytesMut;
-use harness::{get, get_json, put, Behavior, FakeClock, ScriptedOrigin};
+use harness::{get, get_json, put, read_response, write_request, Behavior, FakeClock, ScriptedOrigin};
 use mutcon_live::overload::{MAX_PARTITIONS, OVERFLOW_PARTITION};
 use mutcon_live::proxy::{LiveProxy, ProxyConfig};
-use mutcon_live::wire::{read_response, write_request};
 use mutcon_http::message::Request;
 use mutcon_http::types::StatusCode;
 use mutcon_sim::rng::SimRng;

@@ -3,6 +3,8 @@
 //! 16-way sharded cache must stay consistent while the background
 //! refresher writes during concurrent reads.
 
+mod harness;
+
 use std::io::Write;
 use std::net::TcpStream;
 use std::time::{Duration as StdDuration, Instant};
@@ -10,10 +12,10 @@ use std::time::{Duration as StdDuration, Instant};
 use bytes::BytesMut;
 use mutcon_core::time::{Duration, Timestamp};
 use mutcon_core::value::Value;
-use mutcon_live::client::{last_modified_ms, PersistentClient};
+use harness::{read_response, Client};
+use mutcon_live::client::last_modified_ms;
 use mutcon_live::origin::LiveOrigin;
 use mutcon_live::proxy::{LiveProxy, ProxyConfig, RefreshRule};
-use mutcon_live::wire::read_response;
 use mutcon_http::message::Request;
 use mutcon_http::types::StatusCode;
 use mutcon_traces::{UpdateEvent, UpdateTrace};
@@ -49,7 +51,7 @@ fn five_hundred_concurrent_connections_through_one_reactor() {
     .unwrap();
 
     // Warm the cache so the load below is the pure hit path.
-    let mut warm = PersistentClient::new(proxy.local_addr(), StdDuration::from_secs(5));
+    let mut warm = Client::new(proxy.local_addr(), StdDuration::from_secs(5));
     assert_eq!(warm.get("/obj", None).unwrap().status(), StatusCode::OK);
 
     // Phase 1: open every connection and keep all of them open.
@@ -133,7 +135,7 @@ fn refreshes_during_reads_stay_consistent() {
     let addr = proxy.local_addr();
 
     // Warm.
-    let mut warm = PersistentClient::new(addr, StdDuration::from_secs(5));
+    let mut warm = Client::new(addr, StdDuration::from_secs(5));
     assert_eq!(warm.get("/hot", None).unwrap().status(), StatusCode::OK);
 
     let readers: Vec<_> = (0..8)
@@ -237,7 +239,7 @@ fn bounded_cache_misses_fetch_through_reactor() {
     })
     .unwrap();
 
-    let mut client = PersistentClient::new(proxy.local_addr(), StdDuration::from_secs(5));
+    let mut client = Client::new(proxy.local_addr(), StdDuration::from_secs(5));
     for round in 0..3 {
         for i in 0..64 {
             let resp = client

@@ -12,10 +12,9 @@ mod harness;
 use std::collections::BTreeMap;
 use std::time::{Duration as StdDuration, Instant};
 
-use harness::{FakeClock, ScriptedOrigin};
+use harness::{Client, FakeClock, ScriptedOrigin};
 use mutcon_core::time::Duration;
 use mutcon_http::types::StatusCode;
-use mutcon_live::client::PersistentClient;
 use mutcon_live::proxy::{LiveProxy, ProxyConfig, RefreshRule};
 use mutcon_traces::json::{self, Json};
 
@@ -76,7 +75,6 @@ refresh.errors: number
 refresh.in_flight: number
 refresh.polls: number
 refresh.triggered_coalesced: number
-refresh.workers: number
 wire.accept_batches: number
 wire.body_copies: number
 wire.buf_allocs: number
@@ -112,7 +110,7 @@ fn wait_until(what: &str, mut pred: impl FnMut() -> bool) {
     }
 }
 
-fn get(client: &mut PersistentClient, path: &str) -> Json {
+fn get(client: &mut Client, path: &str) -> Json {
     let resp = client.get(path, None).expect(path);
     assert_eq!(resp.status(), StatusCode::OK, "{path}");
     match path.starts_with("/admin/") {
@@ -123,7 +121,7 @@ fn get(client: &mut PersistentClient, path: &str) -> Json {
 
 /// The rule's first poll, then two misses and three hits, then the
 /// document once the reactor has published its overload snapshot.
-fn driven_stats(proxy: &LiveProxy, client: &mut PersistentClient) -> Json {
+fn driven_stats(proxy: &LiveProxy, client: &mut Client) -> Json {
     wait_until("the first poll", || proxy.cached_objects() == 1);
     for path in ["/a/1", "/a/2", "/a/1", "/a/1", "/ruled"] {
         get(client, path);
@@ -172,7 +170,7 @@ fn flatten(prefix: &str, value: &Json, out: &mut BTreeMap<String, &'static str>)
 fn admin_stats_keeps_every_key_path_and_type() {
     let origin = ScriptedOrigin::start(FakeClock::new());
     let proxy = proxy(&origin);
-    let mut client = PersistentClient::new(proxy.local_addr(), StdDuration::from_secs(5));
+    let mut client = Client::new(proxy.local_addr(), StdDuration::from_secs(5));
     let doc = driven_stats(&proxy, &mut client);
 
     let mut found = BTreeMap::new();
@@ -195,7 +193,7 @@ fn admin_stats_keeps_every_key_path_and_type() {
 fn the_document_and_the_accessors_read_the_same_cells() {
     let origin = ScriptedOrigin::start(FakeClock::new());
     let proxy = proxy(&origin);
-    let mut client = PersistentClient::new(proxy.local_addr(), StdDuration::from_secs(5));
+    let mut client = Client::new(proxy.local_addr(), StdDuration::from_secs(5));
     driven_stats(&proxy, &mut client);
 
     // Serving the document moves a few wire counters itself, so each
@@ -213,7 +211,6 @@ fn the_document_and_the_accessors_read_the_same_cells() {
             ("proxy.errors", p.errors),
             ("proxy.reloads", p.reloads),
             ("proxy.reload_errors", p.reload_errors),
-            ("refresh.workers", r.workers()),
             ("refresh.in_flight", r.in_flight()),
             ("refresh.polls", r.polls()),
             ("refresh.errors", r.errors()),

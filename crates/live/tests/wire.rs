@@ -27,11 +27,12 @@ use std::sync::Arc;
 use std::time::{Duration as StdDuration, Instant};
 
 use bytes::BytesMut;
-use harness::{get, get_json, FakeClock, ScriptedOrigin};
-use mutcon_live::client::{PersistentClient, X_LAST_MODIFIED_MS};
+use harness::{
+    get, get_json, read_request, read_response, write_response, Client, FakeClock, ScriptedOrigin,
+};
+use mutcon_live::client::X_LAST_MODIFIED_MS;
 use mutcon_live::overload::parse_overload_body;
 use mutcon_live::proxy::{LiveProxy, ProxyConfig};
-use mutcon_live::wire::{read_request, read_response, write_response};
 use mutcon_http::message::{Request, Response};
 use mutcon_http::types::StatusCode;
 use mutcon_traces::json::Json;
@@ -733,7 +734,7 @@ fn a_client_that_stops_reading_mid_body_stalls_only_itself() {
     warm.write_all(&request).unwrap();
     read_raw_response(&mut warm);
     drop(warm);
-    let mut hits = PersistentClient::new(proxy.local_addr(), StdDuration::from_secs(10));
+    let mut hits = Client::new(proxy.local_addr(), StdDuration::from_secs(10));
     assert_eq!(hits.get("/small", None).unwrap().status(), StatusCode::OK);
     wait_until("the warm request's release", || {
         partition_state(&proxy, "/big").is_some_and(|(_, in_flight)| in_flight == 0)

@@ -14,7 +14,7 @@
 //!
 //! [`crate::drivers::run_temporal`] steps it through simulated time
 //! (`u32` handles, [`Timestamp`] instants, zero latency, an origin that
-//! always answers); the live proxy's poll workers step it on sockets
+//! always answers); the live proxy's reactor 0 steps it on sockets
 //! (`Arc<str>` paths, monotonic `Instant`s, Unix milliseconds only for
 //! what LIMD and the coordinator are told). Neither is visible in here.
 

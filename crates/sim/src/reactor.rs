@@ -36,6 +36,8 @@ pub mod backend;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
+use std::os::raw::{c_long, c_void};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -44,7 +46,7 @@ pub use backend::BackendKind;
 /// The raw syscall surface. Linux-only, declared against the platform C
 /// library (always linked by std) instead of the `libc` crate.
 mod sys {
-    use std::os::raw::{c_int, c_void};
+    use std::os::raw::{c_int, c_long, c_void};
 
     pub const EPOLL_CLOEXEC: c_int = 0o2000000;
     pub const EPOLL_CTL_ADD: c_int = 1;
@@ -66,6 +68,12 @@ mod sys {
     pub const SOCK_CLOEXEC: c_int = 0o2000000;
 
     pub const EINTR: i32 = 4;
+    pub const ENOSYS: i32 = 38;
+
+    /// `epoll_pwait2(2)` (Linux 5.11), numbered alike on every
+    /// architecture; called through `syscall(2)`, which every C library
+    /// has, where the wrapper needs glibc 2.35.
+    pub const SYS_EPOLL_PWAIT2: c_long = 441;
     pub const EINPROGRESS: i32 = 115;
 
     pub const SOL_SOCKET: c_int = 1;
@@ -110,6 +118,13 @@ mod sys {
         pub scope_id: u32,
     }
 
+    /// `struct __kernel_timespec`, the timeout `epoll_pwait2` takes.
+    #[repr(C)]
+    pub struct KernelTimespec {
+        pub sec: i64,
+        pub nsec: i64,
+    }
+
     /// `struct iovec` for scatter/gather I/O.
     #[repr(C)]
     #[derive(Clone, Copy)]
@@ -149,8 +164,14 @@ mod sys {
             new_limit: *const RLimit64,
             old_limit: *mut RLimit64,
         ) -> c_int;
+        pub fn syscall(number: c_long, ...) -> c_long;
     }
 }
+
+/// Cleared for good the first time `epoll_pwait2` turns out missing (a
+/// kernel before 5.11); every wait then takes `epoll_wait`'s whole
+/// milliseconds. Relaxed: it publishes nothing but itself.
+static PWAIT2: AtomicBool = AtomicBool::new(true);
 
 /// Converts a `-1` syscall return into the current `errno` as an
 /// [`io::Error`].
@@ -298,6 +319,10 @@ impl Poller {
     /// Blocks until at least one registered fd is ready, `timeout`
     /// expires (`None` waits forever), or a [`Waker`] fires. Fills
     /// `events` and returns the count. `EINTR` is retried internally.
+    /// A timeout is kept to the nanosecond (`epoll_pwait2`), so a reactor
+    /// that sleeps until a deadline wakes at it, not up to a millisecond
+    /// later; a kernel without `epoll_pwait2` rounds it up to whole
+    /// milliseconds.
     ///
     /// # Errors
     ///
@@ -311,13 +336,40 @@ impl Poller {
         };
         events.len = 0;
         loop {
-            let ret = unsafe {
-                sys::epoll_wait(
-                    self.epfd.as_raw_fd(),
-                    events.buf.as_mut_ptr(),
-                    events.buf.len() as i32,
-                    timeout_ms,
-                )
+            let ret = match timeout {
+                Some(d) if PWAIT2.load(Ordering::Relaxed) => {
+                    let ts = sys::KernelTimespec {
+                        sec: i64::try_from(d.as_secs()).unwrap_or(i64::MAX),
+                        nsec: i64::from(d.subsec_nanos()),
+                    };
+                    // SAFETY: the kernel writes at most `buf.len()` events
+                    // into `buf`, which owns that many; `ts` outlives the
+                    // call; a null signal mask leaves the mask alone.
+                    let ret = unsafe {
+                        sys::syscall(
+                            sys::SYS_EPOLL_PWAIT2,
+                            c_long::from(self.epfd.as_raw_fd()),
+                            events.buf.as_mut_ptr(),
+                            events.buf.len() as c_long,
+                            &ts as *const sys::KernelTimespec,
+                            std::ptr::null::<c_void>(),
+                            0 as c_long,
+                        )
+                    };
+                    if ret < 0 && io::Error::last_os_error().raw_os_error() == Some(sys::ENOSYS) {
+                        PWAIT2.store(false, Ordering::Relaxed);
+                        continue;
+                    }
+                    ret as i32
+                }
+                _ => unsafe {
+                    sys::epoll_wait(
+                        self.epfd.as_raw_fd(),
+                        events.buf.as_mut_ptr(),
+                        events.buf.len() as i32,
+                        timeout_ms,
+                    )
+                },
             };
             match cvt(ret) {
                 Ok(n) => {
@@ -750,6 +802,26 @@ mod tests {
             0
         );
         handle.join().unwrap();
+    }
+
+    /// A timeout shorter than a millisecond is kept, not rounded up to
+    /// one: a reactor sleeping until a deadline wakes at it. The median of
+    /// several waits, so a preempted one cannot fail the test.
+    #[test]
+    fn a_sub_millisecond_timeout_is_kept() {
+        let poller = Poller::new().unwrap();
+        let mut events = Events::with_capacity(4);
+        let timeout = Duration::from_micros(300);
+        let mut waited: Vec<Duration> = (0..11)
+            .map(|_| {
+                let started = std::time::Instant::now();
+                assert_eq!(poller.wait(&mut events, Some(timeout)).unwrap(), 0);
+                started.elapsed()
+            })
+            .collect();
+        waited.sort();
+        assert!(waited[0] >= timeout, "woke early: {waited:?}");
+        assert!(waited[5] < Duration::from_micros(900), "rounded up: {waited:?}");
     }
 
     #[test]

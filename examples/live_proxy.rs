@@ -6,15 +6,34 @@
 //! cargo run --example live_proxy
 //! ```
 
+use std::io::{self, Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::time::Duration as StdDuration;
 
 use mutcon::core::mutual::temporal::MtPolicy;
 use mutcon::core::time::Duration;
-use mutcon::live::client::{last_modified_ms, PersistentClient};
+use mutcon::http::message::{Request, Response};
+use mutcon::http::parse::parse_response;
+use mutcon::live::client::last_modified_ms;
 use mutcon::live::origin::LiveOrigin;
 use mutcon::live::proxy::{GroupRule, LiveProxy, ProxyConfig, RefreshRule};
 use mutcon::traces::transform::scale_time;
 use mutcon::traces::NamedTrace;
+
+/// One `GET` over a plain socket: the request asks the proxy to close
+/// the connection after answering, so the response is everything read.
+fn get(addr: SocketAddr, path: &str) -> io::Result<Response> {
+    let mut stream = TcpStream::connect(addr)?;
+    stream.set_read_timeout(Some(StdDuration::from_secs(5)))?;
+    let request = Request::get(path).host(addr.to_string()).connection_close().build();
+    stream.write_all(&request.to_bytes())?;
+    let mut wire = Vec::new();
+    stream.read_to_end(&mut wire)?;
+    match parse_response(&wire) {
+        Ok(Some((response, _))) => Ok(response),
+        _ => Err(io::Error::new(io::ErrorKind::InvalidData, "no whole response")),
+    }
+}
 
 fn main() -> std::io::Result<()> {
     // Compress ~49.5 h of CNN/FN and ~45 h of NYT/AP into a few seconds.
@@ -52,10 +71,9 @@ fn main() -> std::io::Result<()> {
     println!("proxy   listening on {}\n", proxy.local_addr());
 
     // A client hitting the proxy once per "hour" of trace time.
-    let mut client = PersistentClient::new(proxy.local_addr(), StdDuration::from_secs(5));
     for tick in 0..8 {
         std::thread::sleep(StdDuration::from_millis(250));
-        let resp = client.get("/news/cnn-fn.html", None)?;
+        let resp = get(proxy.local_addr(), "/news/cnn-fn.html")?;
         let stamp = last_modified_ms(&resp)
             .map(|t| t.as_millis().to_string())
             .unwrap_or_else(|| "?".into());

@@ -31,17 +31,23 @@ if grep -rn 'env::var' crates/*/src \
   exit 1
 fi
 
-# One refresh plane: the poll workers step the scheduler themselves
-# under one lock. No scheduler thread, job queue, completion channel,
-# wake latch or status mirror comes back beside it.
-if grep -nE 'mpsc|JobQueue|WakeSignal|publish_one' crates/live/src/runtime.rs; then
-  echo "ci: a second hand-off is back in the refresh plane (lines above)" >&2
+# One refresh plane: reactor 0 steps the scheduler under one lock, and
+# its polls are pooled origin fetches. No scheduler thread, job queue,
+# completion channel, wake latch or status mirror comes back beside it,
+# and the proxy starts no thread of its own again: no blocking poll
+# client, no worker count, no spawn (the classes keep these patterns
+# from matching themselves).
+proxy_threads='PersistentClien[t]|refresh_worker[s]|thread::(spawn|scope|Builde[r])|\.spawn\('
+if grep -nE 'mpsc|JobQueue|WakeSignal|publish_one' crates/live/src/runtime.rs \
+    || grep -nE "$proxy_threads" crates/live/src/proxy.rs \
+    || grep -rn 'PersistentClien[t]' crates src tests examples; then
+  echo "ci: a second hand-off or a refresh thread is back in the refresh plane (lines above)" >&2
   exit 1
 fi
 
 # One §3 scheduler: LIMD state and the Mt coordinator are built in
 # crates/proxy/src/schedule.rs, which the simulator's temporal driver and
-# the live poll workers both step. Neither driver grows scheduling state
+# the live proxy's reactor 0 both step. Neither driver grows scheduling state
 # of its own again.
 if grep -nE 'Limd::new|MtCoordinator::new' \
     crates/live/src/runtime.rs crates/proxy/src/drivers/temporal.rs; then
@@ -86,10 +92,11 @@ if sed '/#\[cfg(test)\]/q' crates/live/src/server.rs \
 fi
 
 # One way a fetch ends, and one blocking client: a finished upstream
-# fetch becomes a reply in `Service::fetched` alone, called once for all
-# its waiters from the reactor's one completion path, and the tests speak
-# through `PersistentClient`. No per-waiter closure, waiter payload,
-# pending-state enum or second client comes back.
+# fetch reaches its waiters from the reactor's one completion path, as
+# one `Service::own_fetched` call when the service waits on it and one
+# `Service::fetched` reply for all its clients, and the tests speak
+# through the harness's `Client`. No per-waiter closure, pending-state
+# enum or second client comes back.
 if grep -rnE 'FinishUpstream|clone_err|HttpClient' crates examples src tests \
     || sed '/#\[cfg(test)\]/q' crates/live/src/server.rs | grep -nE 'struct Waiting|enum Pending'; then
   echo "ci: a second fetch completion path or a second client is back (lines above)" >&2
@@ -129,10 +136,10 @@ fi
 
 # One home for the response side of an origin connection: framing,
 # keep-alive, trailing bytes and the stale-socket rule live in `OriginConn`
-# (crates/live/src/conn.rs), which the reactor's pooled sockets and the
-# blocking `PersistentClient` both drive. Above their test modules
-# neither parses a response or judges reuse itself, and no caller-side
-# retry flag comes back.
+# (crates/live/src/conn.rs), which the reactor's pooled sockets drive for
+# misses and polls alike. Above their test modules neither the reactor
+# nor the origin request code parses a response or judges reuse itself,
+# and no caller-side retry flag comes back.
 origin_rules='ResponseParser|wants_keep_alive|read_response'
 if sed '/#\[cfg(test)\]/q' crates/live/src/server.rs | grep -nE "$origin_rules" \
     || sed '/#\[cfg(test)\]/q' crates/live/src/client.rs | grep -nE "$origin_rules" \
@@ -150,18 +157,20 @@ timeout 300 cargo test -q -p mutcon-live --test reactor_smoke
 # The deterministic concurrency harness (fake clock + scripted origin +
 # seeded schedules), the hot-swappable rule runtime, the zero-copy wire
 # path, the L1's supersede flag and the refresh plane. Reactor
-# counts, L1 on/off and refresh-worker counts are inputs the scenarios
-# pin themselves. `alloc_budget` holds each stage of a cache miss to its
-# allocation count (exact, so a gate with no noise to know). `stats`
-# pins every key path and value type of `/admin/stats`.
+# counts and L1 on/off are inputs the scenarios pin themselves.
+# `alloc_budget` holds each stage of a cache miss to its allocation
+# count (exact, so a gate with no noise to know). `stats` pins every key
+# path and value type of `/admin/stats`. `threads` counts the process's
+# threads: a proxy adds its reactors and nothing else, ruled or not.
 cargo test -q -p mutcon-live \
   --test concurrency --test admin --test wire --test coherence --test refresh \
-  --test alloc_budget --test stats
+  --test alloc_budget --test stats --test threads
 
-# Soak: readers on the L1 racing refresher stores, the refresh workers'
-# wait/notify protocol, and the reactors' admission against installs
-# and the stats plane on the overload slots, must pass every time, not
-# most times. The timeout turns a lost wakeup into a failure instead of a
+# Soak: readers on the L1 racing refresher stores, reactor 0's poll
+# timing (woken by an install, asleep until the next due instant, polls
+# queued at the pool's cap and timed out), and the reactors' admission
+# against installs and the stats plane on the overload slots, must pass
+# every time, not most times. The timeout turns a lost wakeup into a failure instead of a
 # hung job. The overload suite: flash-crowd shed with preserved miss
 # coalescing, partition isolation, permits released between waves, a
 # partition table a path scan cannot grow, and tickets that outlive an
