@@ -1,10 +1,9 @@
 //! The live proxy's 16-way sharded object cache.
 //!
-//! The previous implementation guarded one `RwLock<HashMap>`: every
-//! background TTR refresh took the single write lock and stalled all
-//! concurrent client hits. Here the key space is split across
-//! [`SHARD_COUNT`] independent shards by key hash, so a refresh write
-//! serializes only the 1/16th of reads that share its shard. Each shard
+//! The key space is split across [`SHARD_COUNT`] independent shards by
+//! key hash, so a refresh write serializes only the 1/16th of reads that
+//! share its shard, where one lock over the whole map would stall every
+//! concurrent client hit behind every background TTR refresh. Each shard
 //! reuses [`mutcon_proxy::cache::LruMap`] — an O(log n)
 //! recency-indexed bounded map — so a capacity bound buys LRU eviction
 //! without scans.
@@ -335,17 +334,18 @@ impl ShardedCache {
         self.shards[shard_index(path)].write().store(path, Arc::new(entry), now);
     }
 
-    /// Stores a copy unless a strictly fresher one (by modification
+    /// Stores a copy unless one at least as fresh (by modification
     /// stamp) is already resident — the check and the insert happen
     /// under one shard write lock, so a slow fetch that raced a faster
-    /// refresh can never clobber the newer copy. Returns the entry now
-    /// resident (the given one, or the fresher incumbent).
-    pub fn insert_if_newer(&self, path: &str, entry: CacheEntry) -> Arc<CacheEntry> {
+    /// refresh can never clobber the newer copy, and a second store of
+    /// the same version supersedes nothing. Returns the entry now
+    /// resident (the given one, or the incumbent).
+    pub fn insert_if_newer(&self, path: &str, entry: impl Into<Arc<CacheEntry>>) -> Arc<CacheEntry> {
         let now = self.tick();
-        let entry = Arc::new(entry);
+        let entry = entry.into();
         let mut shard = self.shards[shard_index(path)].write();
         if let Some(existing) = shard.map.get(path) {
-            if existing.last_modified > entry.last_modified {
+            if existing.last_modified >= entry.last_modified {
                 return Arc::clone(existing);
             }
         }
@@ -761,9 +761,12 @@ mod tests {
             cache.get("/a").unwrap().last_modified(),
             Timestamp::from_millis(20)
         );
-        // Equal stamps re-store (idempotent refresh).
+        // An equal stamp keeps the incumbent: the same version stored
+        // twice supersedes nothing.
+        let incumbent = cache.get("/a").unwrap();
         let resident = cache.insert_if_newer("/a", entry(20));
-        assert_eq!(resident.last_modified(), Timestamp::from_millis(20));
+        assert!(Arc::ptr_eq(&resident, &incumbent));
+        assert!(incumbent.is_current());
     }
 
     #[test]

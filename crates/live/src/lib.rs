@@ -51,9 +51,10 @@
 //!   the refresh plane (LIMD + mutual-consistency coordination) and
 //!   sends its polls through its origin pool, plus the `/admin/*` HTTP
 //!   control plane.
-//! * [`runtime`] — the hot-swappable consistency runtime: a versioned
-//!   rules epoch swapped atomically, so Δ/TTR/group changes land
-//!   without dropping the cache or any connection.
+//! * [`runtime`] — the hot-swappable consistency runtime: the rules in
+//!   force are the refresh plane's schedule, reconciled by each install
+//!   under the plane's one lock, so Δ/TTR/group changes land without
+//!   dropping the cache or any connection.
 //!
 //! ```no_run
 //! use mutcon_core::time::Duration;

@@ -35,21 +35,25 @@
 //! through three endpoints the reactors serve **locally** (no cache, no
 //! upstream):
 //!
-//! * `GET /admin/rules` — the current epoch, group rule and per-path
-//!   live state (Δ, TTR bounds, current adaptive TTR, last poll) as
-//!   JSON.
-//! * `PUT /admin/rules` — validate → epoch bump → atomic swap. Bad
-//!   rules (duplicate paths, zero Δ, inverted TTR bounds) are rejected
-//!   with `400` and a reason; nothing changes. A successful swap keeps
-//!   the cache and every established connection: unchanged paths keep
-//!   their adaptive-TTR state, changed paths rebuild, removed paths
-//!   stop polling and their cache entries are evicted.
+//! * `GET /admin/rules` — the epoch in force, the group rule and
+//!   per-path live state (Δ, TTR bounds, current adaptive TTR, last
+//!   poll) as JSON, one row per path sorted by path, all read under the
+//!   refresh plane's lock.
+//! * `PUT /admin/rules` — validate, then reconcile the schedule and bump
+//!   the epoch under the plane's lock. Bad rules (duplicate paths, zero
+//!   Δ, inverted TTR bounds) are rejected with `400` and a reason;
+//!   nothing changes. A successful swap is in force when the reply is
+//!   sent, and keeps the cache and every established connection:
+//!   unchanged paths keep their adaptive-TTR state, changed paths
+//!   rebuild, removed paths stop polling and their cache entries are
+//!   evicted (by the install hook, so a direct
+//!   [`ConsistencyRuntime::install`] evicts them too).
 //! * `GET /admin/stats` — per-shard cache occupancy and evictions,
 //!   per-reactor connection counts, origin-pool reuse/coalesce
 //!   counters, wire-path syscall/copy counters (`writev` vs `write`
-//!   calls, accept batches, body copies, buffer-pool traffic, interest
-//!   coalescing), the refresh plane's poll/in-flight/drift figures,
-//!   and the proxy's poll/hit/miss counters.
+//!   calls, accept batches, body copies, `epoll_ctl` calls), the refresh
+//!   plane's poll/in-flight/drift figures, and the proxy's
+//!   poll/hit/miss counters.
 //!
 //! When a bearer token is configured ([`ProxyConfig::admin_token`]),
 //! every `/admin/*` request must carry
@@ -77,7 +81,7 @@ use crate::cache::{CacheEntry, L1Cache, L1Lookup, ShardedCache};
 use crate::client::{get_wire, wire_target, ObjectStamps};
 use crate::metrics::{metrics, obj, put, Counter};
 use crate::overload::{parse_overload_body, render_overload, OverloadControl, ADMIN_PREFIX};
-use crate::runtime::{Adoption, ConsistencyRuntime, InstallReport, Poll, PollKind};
+use crate::runtime::{ConsistencyRuntime, Plane, Poll, PollKind};
 use crate::server::{
     default_reactors, EngineConfig, EngineMetrics, EventLoop, PreparedResponse, Reply, Service,
     ServiceResult, DEFAULT_L1_OBJECTS, DEFAULT_MAX_CONNS, MAX_L1_OBJECTS,
@@ -218,23 +222,6 @@ struct Shared {
     l1_objects: usize,
 }
 
-impl Shared {
-    /// An adopted swap's effect on the cache: an un-ruled path loses its
-    /// copy, and a new epoch bulk-invalidates the reactors' L1s. It fires
-    /// for every install, including direct `runtime().install()` callers
-    /// that never touch the HTTP handler. (The PUT handler also bumps at
-    /// install time; the double bump is harmless and closes the adoption
-    /// lag.)
-    fn adopt(&self, adoption: Adoption<'_>) {
-        match adoption {
-            Adoption::Removed(path) => {
-                self.cache.remove(path);
-            }
-            Adoption::Adopted(_) => self.cache.bump_generation(),
-        }
-    }
-}
-
 /// The running proxy; shuts down (and joins its reactors) on drop.
 pub struct LiveProxy {
     server: EventLoop,
@@ -297,12 +284,28 @@ impl LiveProxy {
                 overload: Arc::clone(&overload),
             },
         )?;
-        runtime.wake_with(server.waker(0));
+        // After each install, outside the plane's lock: an un-ruled path
+        // loses its copy (a late poll cannot put it back, see
+        // `crate::runtime`), every reactor's L1 is invalidated wholesale,
+        // since a swap may change what a path's bytes mean (Δ, group),
+        // and reactor 0 looks at the new schedule at once. The hook holds
+        // the proxy weakly: the runtime is part of it.
+        let proxy = Arc::downgrade(&shared);
+        let waker = server.waker(0);
+        runtime.on_install(move |report| {
+            if let Some(shared) = proxy.upgrade() {
+                for path in &report.removed {
+                    shared.cache.remove(path);
+                }
+                shared.cache.bump_generation();
+            }
+            waker.wake();
+        });
 
         // SIGHUP → re-read the rules file, when one is configured. The
         // guard unregisters on drop, so the listener dies with the
-        // proxy; the reload itself is the same validate → install →
-        // evict/bump path `PUT /admin/rules` takes.
+        // proxy; the reload itself is the same validated install
+        // `PUT /admin/rules` makes.
         let sighup = match config.rules_file {
             Some(path) => {
                 let shared = Arc::clone(&shared);
@@ -481,7 +484,7 @@ impl Service for ProxyService {
     ) -> Option<Instant> {
         let polls = self.polls.as_mut()?;
         let shared = &*self.shared;
-        let mut plane = shared.runtime.plane(&mut |adoption| shared.adopt(adoption));
+        let mut plane = shared.runtime.plane();
         while let Some(poll) = plane.next_poll(now) {
             let validator = shared.cache.get(poll.path()).map(|e| e.last_modified());
             shared.counters.polls.inc();
@@ -500,8 +503,9 @@ impl Service for ProxyService {
             return;
         };
         let shared = &*self.shared;
-        let outcome = poll_outcome(shared, path, result);
-        shared.runtime.plane(&mut |adoption| shared.adopt(adoption)).finish(poll, outcome);
+        let mut plane = shared.runtime.plane();
+        let outcome = poll_outcome(shared, &plane, path, result);
+        plane.finish(poll, outcome);
     }
 }
 
@@ -595,68 +599,45 @@ impl ProxyService {
         }
     }
 
-    /// `GET /admin/rules`: current epoch + per-path live state.
+    /// `GET /admin/rules`: the epoch, the group and per-path live state,
+    /// from one locked read of the schedule.
     fn rules_json(&self) -> Response {
-        let runtime = &self.shared.runtime;
-        let epoch = runtime.current();
-        let status: HashMap<String, _> = runtime
-            .status()
-            .into_iter()
-            .map(|s| (s.path.clone(), s))
-            .collect();
-        let rules: Vec<Json> = epoch
-            .rules
-            .iter()
-            .zip(&epoch.limd)
-            .map(|(rule, limd)| {
-                let live = status.get(&rule.path);
-                obj([
-                    ("path", Json::String(rule.path.clone())),
-                    ("delta_ms", Json::Number(rule.delta.as_millis() as f64)),
-                    ("ttr_max_ms", Json::Number(rule.ttr_max.as_millis() as f64)),
-                    ("limd", Json::String(limd.to_spec())),
-                    (
-                        "ttr_ms",
-                        live.map_or(Json::Null, |s| Json::Number(s.ttr.as_millis() as f64)),
-                    ),
-                    (
-                        "last_poll_unix_ms",
-                        live.and_then(|s| s.last_poll_unix_ms)
-                            .map_or(Json::Null, |ms| Json::Number(ms as f64)),
-                    ),
-                    (
-                        "polls",
-                        live.map_or(Json::Null, |s| Json::Number(s.polls as f64)),
-                    ),
-                    (
-                        "rule_epoch",
-                        live.map_or(Json::Null, |s| Json::Number(s.rule_epoch as f64)),
-                    ),
-                ])
-            })
-            .collect();
-        let group = epoch.group.map_or(Json::Null, |g| {
+        let (epoch, group, rows) = self.shared.runtime.rules();
+        let num = |n: u64| Json::Number(n as f64);
+        let rules = rows.into_iter().map(|(limd, s)| {
             obj([
-                ("delta_ms", Json::Number(g.delta.as_millis() as f64)),
+                ("path", Json::String(s.path)),
+                ("delta_ms", num(s.delta.as_millis())),
+                ("ttr_max_ms", num(s.ttr_max.as_millis())),
+                ("limd", Json::String(limd.to_spec())),
+                ("ttr_ms", num(s.ttr.as_millis())),
+                ("last_poll_unix_ms", s.last_poll_unix_ms.map_or(Json::Null, num)),
+                ("polls", num(s.polls)),
+                ("rule_epoch", num(s.rule_epoch)),
+            ])
+        });
+        let group = group.map_or(Json::Null, |g| {
+            obj([
+                ("delta_ms", num(g.delta.as_millis())),
                 ("policy", Json::String(g.policy.to_string())),
             ])
         });
         let doc = obj([
-            ("epoch", Json::Number(epoch.version as f64)),
+            ("epoch", num(epoch)),
             ("group", group),
-            ("rules", Json::Array(rules)),
+            ("rules", Json::Array(rules.collect())),
         ]);
         json_response(StatusCode::OK, &doc)
     }
 
-    /// `PUT /admin/rules`: parse → validate → epoch bump → atomic swap.
+    /// `PUT /admin/rules`: parse → validate → install.
     fn apply_rules(&self, body: &[u8]) -> Response {
         match parse_rules_body(body) {
             Err(reason) => error_response(StatusCode::BAD_REQUEST, &reason),
             Ok((rules, group)) => match self.shared.runtime.install(rules, group) {
                 Err(reason) => error_response(StatusCode::BAD_REQUEST, &reason),
                 Ok(report) => {
-                    apply_install_effects(&self.shared, &report);
+                    self.shared.counters.reloads.inc();
                     let doc = obj([
                         ("epoch", Json::Number(report.version as f64)),
                         (
@@ -788,31 +769,8 @@ fn parse_rules_body(body: &[u8]) -> Result<(Vec<RefreshRule>, Option<GroupRule>)
     Ok((rules, group))
 }
 
-/// The cache-and-counter side effects of an adopted rules install,
-/// shared by the `PUT /admin/rules` handler and the `SIGHUP` file
-/// reload.
-///
-/// Paths whose rule is gone lose their cached copy: nothing refreshes
-/// them anymore, and the refresher's epoch gate keeps an in-flight poll
-/// from putting one back. (The refresher also evicts on adoption — see
-/// [`Shared::adopt`] — but that lags by up to one reactor wake;
-/// evicting here too makes the install's effect immediate. A later
-/// client miss may re-cache the path like any unruled object: a fresh
-/// copy at fetch time, just never refreshed thereafter.) The
-/// generation bump bulk-invalidates every reactor's L1: the rule swap
-/// may change what a path's bytes *mean* (Δ, group membership), so
-/// reactor-local copies are cleared wholesale on their next lookup
-/// rather than trusting per-path stamps alone.
-fn apply_install_effects(shared: &Shared, report: &InstallReport) {
-    for path in &report.removed {
-        shared.cache.remove(path);
-    }
-    shared.cache.bump_generation();
-    shared.counters.reloads.inc();
-}
-
 /// One `SIGHUP`-triggered re-read of the configured rules file: read →
-/// parse → validate → install → the same effects as an admin `PUT`. Any
+/// parse → validate → install, as an admin `PUT` does. Any
 /// failure (unreadable file, bad JSON, invalid rules) bumps
 /// `reload_errors` and leaves the running epoch untouched.
 fn reload_rules_file(shared: &Shared, path: &Path) {
@@ -821,16 +779,16 @@ fn reload_rules_file(shared: &Shared, path: &Path) {
         .and_then(|body| parse_rules_body(&body))
         .and_then(|(rules, group)| shared.runtime.install(rules, group));
     match outcome {
-        Ok(report) => apply_install_effects(shared, &report),
-        Err(_) => {
-            shared.counters.reload_errors.inc();
-        }
+        Ok(_) => shared.counters.reloads.inc(),
+        Err(_) => shared.counters.reload_errors.inc(),
     }
 }
 
 /// Stores a 200 response in the cache; returns the entry now resident —
-/// the stored one, or a strictly fresher copy that a concurrent refresh
-/// raced in first (a slow fetch must never roll the cache backwards).
+/// the stored one, or a copy at least as fresh that was already there (a
+/// slow fetch must never roll the cache backwards, and a second store of
+/// one version, as when a miss coalesced onto a poll, changes nothing).
+/// Counts a refresh only when the offered copy is the one resident.
 /// `None` when the response carries no modification stamp and is
 /// uncacheable.
 fn store_response(shared: &Shared, path: &str, response: &Response) -> Option<Arc<CacheEntry>> {
@@ -838,14 +796,14 @@ fn store_response(shared: &Shared, path: &str, response: &Response) -> Option<Ar
     let lm = stamps.last_modified?;
     // Pre-rendering the serving head happens here, at store time, on
     // the fetching/refreshing thread — never while a hit is served.
-    let entry = CacheEntry::new(
+    let offered = Arc::new(CacheEntry::new(
         response.body().clone(),
         lm,
         stamps.value,
         stamps.version.map(str::to_owned),
-    );
-    let resident = shared.cache.insert_if_newer(path, entry);
-    if resident.last_modified() == lm {
+    ));
+    let resident = shared.cache.insert_if_newer(path, Arc::clone(&offered));
+    if Arc::ptr_eq(&resident, &offered) {
         shared.counters.refreshes.inc();
     }
     Some(resident)
@@ -854,13 +812,17 @@ fn store_response(shared: &Shared, path: &str, response: &Response) -> Option<Ar
 /// What one refresher poll's answer means for the adaptation layers:
 /// the poll result, or `None` (counted in `proxy.errors`) for a network
 /// error, a timeout, an unexpected status or a `200` without a
-/// modification stamp. A `200` is stored, gated on the path still being
-/// ruled in the **current** epoch: a rule removed while the poll was on
-/// the wire means the response is discarded (and any raced-in entry
-/// re-evicted), so a dead rule cannot resurrect its cache entry. Its
-/// result is still returned; the scheduler drops the outcome of an
-/// un-ruled path itself.
-fn poll_outcome(shared: &Shared, path: &str, answer: &io::Result<Response>) -> Option<PollResult> {
+/// modification stamp. A `200` is stored only while `plane`, the locked
+/// schedule, still rules the path, so a rule removed while the poll was
+/// on the wire leaves no copy behind (the ordering argument is in
+/// `crate::runtime`). Its result is still returned; the scheduler drops
+/// the outcome of an un-ruled path itself.
+fn poll_outcome(
+    shared: &Shared,
+    plane: &Plane<'_>,
+    path: &str,
+    answer: &io::Result<Response>,
+) -> Option<PollResult> {
     let result = match answer {
         Ok(response) if response.status() == StatusCode::NOT_MODIFIED => {
             Some(PollResult::NotModified)
@@ -869,15 +831,8 @@ fn poll_outcome(shared: &Shared, path: &str, answer: &io::Result<Response>) -> O
             // The LIMD layer observes what *this poll* saw, not what
             // ended up resident (a concurrent fetch may be fresher).
             ObjectStamps::of(response).last_modified.map(|lm| {
-                let ruled = shared.runtime.contains(path);
-                if ruled {
+                if plane.ruled(path) {
                     store_response(shared, path, response);
-                }
-                // Re-check after the store: an epoch swap that removed the
-                // path *between* the gate and the insert is unwound here
-                // (the admin handler's own evict covers the other order).
-                if !ruled || !shared.runtime.contains(path) {
-                    shared.cache.remove(path);
                 }
                 PollResult::Modified {
                     last_modified: lm,

@@ -1,116 +1,58 @@
 //! The hot-swappable consistency runtime behind the live proxy's
-//! refresh plane: the rules in force and the state machine polling them.
-//!
-//! **Rules.** [`ConsistencyRuntime`] owns a versioned [`RulesEpoch`], an
-//! immutable snapshot behind an atomically swapped `Arc`. `install`
-//! validates (the same [`validate`] [`crate::proxy::LiveProxy::start`]
-//! uses), bumps the version, swaps and wakes whoever steps the plane. It
-//! never blocks the reactors (readers clone the `Arc` out from under a
-//! briefly held lock) and touches neither cache nor sockets.
+//! refresh plane: the rules in force and the state machine polling them,
+//! which are one and the same.
 //!
 //! **The state machine** is [`mutcon_proxy::schedule`], the one §3
 //! scheduler the simulator steps too. This module is its socket driver
-//! and adds what only a running proxy has: epochs, the lock, metrics and
-//! hooks. No scheduling rule lives here. A swap is adopted by handing the
-//! new epoch's paths, LIMD configs and group to [`Schedule::reconcile`].
+//! and adds what only a running proxy has: validation, the lock, metrics
+//! and the install hook. No scheduling rule lives here, and no second copy
+//! of the rules: the [`Schedule`] holds each path's LIMD config, the
+//! group and the epoch (its version).
 //!
-//! **One lock, stepped.** The machine sits behind one mutex, and
-//! `ConsistencyRuntime::plane` is the only way in: it locks and adopts
-//! any epoch installed since the last look, so no job is handed out and
-//! no completion applied against stale rules. On the guard, `next_poll`
-//! hands out a due poll, `finish` applies its outcome and `next_wake`
-//! says when to look again. The lock is never held across a round trip.
-//! In the live proxy, reactor 0 steps the plane: it takes due polls at
-//! each wake, sends them as pooled origin fetches and finishes each in
-//! its completion, and [`ConsistencyRuntime::install`] wakes it through
-//! the reactor's waker, which the proxy registers at start.
-//! [`ConsistencyRuntime::run`] steps the same plane from blocking
-//! worker threads; it is kept because `benchmark/` drives it.
+//! **One lock.** The machine sits behind one mutex.
+//! [`ConsistencyRuntime::install`] validates outside it; under it, it
+//! diffs the new rule set against the schedule, hands it to
+//! [`Schedule::reconcile`] and bumps the version. That is a swap's
+//! linearization point: when `install` returns, the new rules are in
+//! force. After unlocking it runs the install hook, which the proxy
+//! registers at start to evict the un-ruled paths, bump its cache
+//! generation and wake reactor 0. `ConsistencyRuntime::plane` locks the
+//! machine for the reactor: `next_poll` hands out a due poll, `ruled`
+//! says whether a path is still ruled, `finish` applies a poll's outcome
+//! and `next_wake` says when to look again. The lock is never held across
+//! a round trip. [`ConsistencyRuntime::run`] steps the same plane from
+//! blocking worker threads; it is kept because `benchmark/` drives it.
 //!
-//! **Hooks.** Adopting a swap reports each un-ruled path and then the
-//! new epoch (`Adoption`) under the lock, to whoever took it. That
-//! orders them with the machine: no job of a later epoch is handed out
-//! before they return, so the proxy's eviction of an un-ruled path
-//! cannot race a poll of the same path re-added afterwards.
+//! **A poll's `200` against a swap.** Reactor 0 stores a poll's `200`
+//! under the plane's lock, and only while the schedule still rules the
+//! path. If the store takes the lock before an install that un-rules the
+//! path, the install's hook runs after the install's own turn at the lock,
+//! so its eviction follows the store. If the install takes it first,
+//! reactor 0 finds the path unruled and does not store. Either way a
+//! removed rule's late poll leaves no copy behind.
 //!
 //! Every poll records its **drift** — scheduled due time to the moment
 //! it was handed out for sending, the measurable form of the fidelity the
 //! paper's Δ guarantees lose when polls fire late — into
 //! a [`Histogram`], served with the rest of [`RefreshMetrics`] under
-//! `refresh` in `GET /admin/stats`. [`ConsistencyRuntime::status`]
-//! (`GET /admin/rules`) is built from the scheduler under the same lock
-//! when asked, so it cannot lag a completed poll.
+//! `refresh` in `GET /admin/stats`. [`ConsistencyRuntime::status`] and
+//! `GET /admin/rules` are read from the scheduler under the same lock,
+//! so each is one whole epoch and cannot lag a completed poll.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration as StdDuration, Instant};
-
-use parking_lot::RwLock;
 
 use mutcon_core::limd::{LimdConfig, PollResult};
 use mutcon_core::time::{Duration, Timestamp};
 pub use mutcon_proxy::schedule::PollKind;
 use mutcon_proxy::schedule::{Job, Schedule};
-use mutcon_sim::reactor::Waker;
 
 pub use crate::metrics::HistogramSnapshot as DriftSnapshot;
 use crate::metrics::{metrics, Counter, Gauge, Histogram};
 use crate::origin::unix_now_ms;
 use crate::proxy::{GroupRule, RefreshRule};
-
-/// One immutable snapshot of the refresh rules in force. Epochs are
-/// never mutated — a reload installs a fresh one with a bumped version.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RulesEpoch {
-    /// Monotonically increasing version; starts at 1, bumped by every
-    /// [`ConsistencyRuntime::install`].
-    pub version: u64,
-    /// Per-path refresh rules (validated: paths unique).
-    pub rules: Vec<RefreshRule>,
-    /// Optional Mt coordination across all rule paths.
-    pub group: Option<GroupRule>,
-    /// The LIMD configuration each rule implies, in `rules` order, as
-    /// [`validate`] built it.
-    pub(crate) limd: Vec<LimdConfig>,
-    /// Path → index into `rules`, so `rule()` is O(1): installs diff
-    /// 50k-path catalogs, and a linear lookup would make that O(P²).
-    by_path: HashMap<String, usize>,
-}
-
-impl RulesEpoch {
-    /// Validates (see [`validate`]) and builds an epoch, indexing the
-    /// paths.
-    ///
-    /// # Errors
-    ///
-    /// Returns the validation reason.
-    pub fn new(version: u64, rules: Vec<RefreshRule>, group: Option<GroupRule>) -> Result<RulesEpoch, String> {
-        let limd = validate(&rules, group.as_ref())?;
-        let by_path = rules
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (r.path.clone(), i))
-            .collect();
-        Ok(RulesEpoch {
-            version,
-            rules,
-            group,
-            limd,
-            by_path,
-        })
-    }
-
-    /// The rule for `path`, if this epoch has one.
-    pub fn rule(&self, path: &str) -> Option<&RefreshRule> {
-        self.by_path.get(path).map(|&i| &self.rules[i])
-    }
-
-    /// Whether `path` is ruled in this epoch.
-    pub fn contains(&self, path: &str) -> bool {
-        self.by_path.contains_key(path)
-    }
-}
 
 /// Ceiling on Δ and on the group δ: a year. Nothing is usefully cached
 /// against a looser bound, and with `ttr_max` held to 64 times it (the
@@ -176,8 +118,8 @@ pub struct InstallReport {
     /// Paths ruled before and now, with a different Δ or TTR bound
     /// (their adaptive state is rebuilt).
     pub changed: Vec<String>,
-    /// Paths no longer ruled (their poll schedule stops; the caller
-    /// should evict their cache entries).
+    /// Paths no longer ruled, sorted (their poll schedule stops; the
+    /// proxy's install hook evicts their cache entries).
     pub removed: Vec<String>,
 }
 
@@ -250,24 +192,17 @@ metrics! {
 /// the monotonic clock.
 type Core = Schedule<Arc<str>, Instant>;
 
-/// Hands `epoch` to the scheduler; returns the paths it un-ruled.
-fn reconcile(core: &mut Core, epoch: &RulesEpoch) -> Vec<Arc<str>> {
-    let members = epoch.rules.iter().zip(&epoch.limd).map(|(rule, limd)| (Arc::from(rule.path.as_str()), *limd));
-    let group = epoch.group.map(|g| (g.delta, g.policy));
-    core.reconcile(epoch.version, members, group, Instant::now())
-}
-
-/// What adopting a swapped-in epoch reports, under the plane's lock, to
-/// whoever took it (`ConsistencyRuntime::plane`): each path the swap
-/// un-ruled, then the epoch. The proxy evicts the path's cache entry in
-/// the first and bumps its cache generation in the second. A hook must
-/// not call back into the runtime.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Adoption<'a> {
-    /// A path the swap un-ruled.
-    Removed(&'a str),
-    /// The epoch adopted, after all of its removals.
-    Adopted(u64),
+/// Hands a validated rule set to the scheduler as `version`; returns the
+/// paths it un-ruled, sorted.
+fn reconcile(
+    core: &mut Core,
+    version: u64,
+    rules: &[RefreshRule],
+    limd: Vec<LimdConfig>,
+    group: Option<GroupRule>,
+) -> Vec<Arc<str>> {
+    let members = rules.iter().zip(limd).map(|(rule, limd)| (Arc::from(rule.path.as_str()), limd));
+    core.reconcile(version, members, group.map(|g| (g.delta, g.policy)), Instant::now())
 }
 
 /// A poll handed out by [`Plane::next_poll`], to be finished by
@@ -292,8 +227,8 @@ impl Poll {
     }
 }
 
-/// The refresh plane's state machine, locked, with the newest epoch
-/// adopted ([`ConsistencyRuntime::plane`]). Drop it before a round trip.
+/// The refresh plane's state machine, locked
+/// ([`ConsistencyRuntime::plane`]). Drop it before a round trip.
 #[derive(Debug)]
 pub(crate) struct Plane<'a> {
     core: MutexGuard<'a, Core>,
@@ -326,22 +261,37 @@ impl Plane<'_> {
     pub(crate) fn next_wake(&mut self) -> Option<Instant> {
         self.core.next_wake()
     }
+
+    /// Whether the rules in force cover `path`. A store gated on it under
+    /// this guard cannot outlive an install that un-rules the path (see
+    /// the module docs).
+    pub(crate) fn ruled(&self, path: &str) -> bool {
+        self.core.path(path).is_some()
+    }
 }
 
-/// The versioned, hot-swappable rules store plus the refresh plane's
-/// state machine and the lock around it. See the module docs.
-#[derive(Debug)]
+/// What runs after each install, outside the plane's lock.
+type InstallHook = Box<dyn Fn(&InstallReport) + Send + Sync>;
+
+/// The rules in force, which are the refresh plane's state machine, and
+/// the lock around them. See the module docs.
 pub struct ConsistencyRuntime {
-    epoch: RwLock<Arc<RulesEpoch>>,
     metrics: RefreshMetrics,
-    /// The whole refresh state machine. Empty (version 0) until the
-    /// first `ConsistencyRuntime::plane` adopts the first epoch.
+    /// The whole refresh state machine; its version is the epoch in force.
     core: StdMutex<Core>,
     /// Where idle [`ConsistencyRuntime::run`] workers wait, with `core`.
     work: Condvar,
-    /// Interrupts the reactor that steps the plane, so an install is
-    /// adopted at once (`ConsistencyRuntime::wake_with`).
-    waker: OnceLock<Waker>,
+    /// Registered by the proxy at start (`ConsistencyRuntime::on_install`).
+    on_install: OnceLock<InstallHook>,
+}
+
+impl std::fmt::Debug for ConsistencyRuntime {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ConsistencyRuntime")
+            .field("metrics", &self.metrics)
+            .field("core", &self.core)
+            .finish_non_exhaustive()
+    }
 }
 
 impl ConsistencyRuntime {
@@ -351,23 +301,14 @@ impl ConsistencyRuntime {
     ///
     /// Returns the validation reason (see [`validate`]).
     pub fn new(rules: Vec<RefreshRule>, group: Option<GroupRule>) -> Result<Arc<Self>, String> {
-        Ok(Arc::new(ConsistencyRuntime {
-            epoch: RwLock::new(Arc::new(RulesEpoch::new(1, rules, group)?)),
+        let runtime = ConsistencyRuntime {
             metrics: RefreshMetrics::default(),
             core: StdMutex::new(Core::default()),
             work: Condvar::new(),
-            waker: OnceLock::new(),
-        }))
-    }
-
-    /// The epoch currently in force.
-    pub fn current(&self) -> Arc<RulesEpoch> {
-        Arc::clone(&self.epoch.read())
-    }
-
-    /// Whether `path` is ruled in the current epoch.
-    pub fn contains(&self, path: &str) -> bool {
-        self.epoch.read().contains(path)
+            on_install: OnceLock::new(),
+        };
+        runtime.install(rules, group)?;
+        Ok(Arc::new(runtime))
     }
 
     /// The refresh plane's shared counters and drift histogram.
@@ -379,103 +320,100 @@ impl ConsistencyRuntime {
         self.core.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Locks the plane, first adopting any epoch installed since the last
-    /// look and reporting the swap to `adopt`. The first epoch is not a
-    /// swap: it is adopted without a report.
-    pub(crate) fn plane(&self, adopt: &mut dyn FnMut(Adoption<'_>)) -> Plane<'_> {
-        let mut core = self.lock();
-        self.adopt(&mut core, adopt);
-        Plane { core, metrics: &self.metrics }
+    /// Locks the plane.
+    pub(crate) fn plane(&self) -> Plane<'_> {
+        Plane { core: self.lock(), metrics: &self.metrics }
     }
 
-    fn adopt(&self, core: &mut Core, adopt: &mut dyn FnMut(Adoption<'_>)) {
-        let current = self.current();
-        if current.version == core.version() {
-            return;
-        }
-        let first = core.version() == 0;
-        for path in reconcile(core, &current) {
-            adopt(Adoption::Removed(&path));
-        }
-        if !first {
-            adopt(Adoption::Adopted(current.version));
-        }
+    /// Registers what runs after every later install, outside the lock,
+    /// with its report: the proxy evicts the un-ruled paths, bumps its
+    /// cache generation and wakes reactor 0. Only the first registration
+    /// counts; the hook must not install.
+    pub(crate) fn on_install(&self, hook: impl Fn(&InstallReport) + Send + Sync + 'static) {
+        let _ = self.on_install.set(Box::new(hook));
     }
 
-    /// Registers the waker of the reactor that steps the plane; every
-    /// later [`ConsistencyRuntime::wake`] (each install makes one) fires
-    /// it. Only the first registration counts.
-    pub(crate) fn wake_with(&self, waker: Waker) {
-        let _ = self.waker.set(waker);
-    }
-
-    /// Makes whoever steps the plane look at the epoch (and, for
-    /// [`ConsistencyRuntime::run`]'s workers, the shutdown flag) again:
-    /// the registered reactor, and every idle worker. Installs call this
-    /// internally; a `run` caller must call it after storing the shutdown
-    /// flag, or idle workers keep waiting for their next due instant.
+    /// Makes [`ConsistencyRuntime::run`]'s idle workers look at the
+    /// schedule and the shutdown flag again. Installs notify them
+    /// themselves; a `run` caller must call this after storing the
+    /// shutdown flag, or idle workers keep waiting for their next due
+    /// instant.
     pub fn wake(&self) {
         // Through the lock, so the notify cannot fall between a
-        // worker's look at the epoch and the flag and its wait.
+        // worker's look at the flag and its wait.
         drop(self.lock());
         self.work.notify_all();
-        if let Some(waker) = self.waker.get() {
-            waker.wake();
-        }
     }
 
-    /// Validates and atomically installs a new epoch, then wakes the
-    /// plane so adoption is immediate. The swap is the whole reload:
-    /// no thread restarts, no cache drop, no connection churn.
+    /// Validates a new rule set, then, under the plane's lock, diffs it
+    /// against the rules in force, reconciles the schedule and bumps the
+    /// epoch; the new rules are in force when it returns. Then it wakes
+    /// whoever steps the plane and runs the install hook. The swap is the
+    /// whole reload: no thread restarts, no cache drop, no connection
+    /// churn.
     ///
     /// # Errors
     ///
-    /// Returns the validation reason; the current epoch stays in force.
+    /// Returns the validation reason; the rules in force stay.
     pub fn install(
         &self,
         rules: Vec<RefreshRule>,
         group: Option<GroupRule>,
     ) -> Result<InstallReport, String> {
-        fn paths<'a>(rules: impl Iterator<Item = &'a RefreshRule>) -> Vec<String> {
-            rules.map(|r| r.path.clone()).collect()
+        let limd = validate(&rules, group.as_ref())?;
+        let mut core = self.lock();
+        let version = core.version() + 1;
+        let (mut added, mut changed) = (Vec::new(), Vec::new());
+        for (rule, config) in rules.iter().zip(&limd) {
+            match core.path(rule.path.as_str()) {
+                None => added.push(rule.path.clone()),
+                Some(old) if old.limd.config() != config => changed.push(rule.path.clone()),
+                Some(_) => {}
+            }
         }
-        // Validated and indexed before the lock the reactors read under.
-        let mut new = RulesEpoch::new(0, rules, group)?;
-        let mut slot = self.epoch.write();
-        let old = Arc::clone(&slot);
-        new.version = old.version + 1;
-        let report = InstallReport {
-            version: new.version,
-            added: paths(new.rules.iter().filter(|r| !old.contains(&r.path))),
-            changed: paths(new.rules.iter().filter(|r| old.rule(&r.path).is_some_and(|o| o != *r))),
-            removed: paths(old.rules.iter().filter(|r| !new.contains(&r.path))),
-        };
-        *slot = Arc::new(new);
-        drop(slot);
-        self.wake();
+        let removed = reconcile(&mut core, version, &rules, limd, group);
+        drop(core);
+        self.work.notify_all();
+        let removed = removed.iter().map(|path| path.to_string()).collect();
+        let report = InstallReport { version, added, changed, removed };
+        if let Some(hook) = self.on_install.get() {
+            hook(&report);
+        }
         Ok(report)
     }
 
-    /// Every adopted path's live state, sorted by path, read from the
-    /// scheduler itself. Trails [`ConsistencyRuntime::current`] only by
-    /// the time the plane takes to wake and adopt an install.
-    pub fn status(&self) -> Vec<PathStatus> {
-        let mut rows: Vec<PathStatus> = self
-            .lock()
+    /// The rules in force, from one locked read of the schedule: the
+    /// epoch, the group, and each path's LIMD config with its live
+    /// state, sorted by path.
+    pub(crate) fn rules(&self) -> (u64, Option<GroupRule>, Vec<(LimdConfig, PathStatus)>) {
+        let core = self.lock();
+        let group = core.group().map(|(delta, policy)| GroupRule { delta, policy });
+        let mut rows: Vec<(LimdConfig, PathStatus)> = core
             .paths()
-            .map(|(path, s)| PathStatus {
-                path: path.to_string(),
-                delta: s.limd.config().delta(),
-                ttr_max: s.limd.config().ttr_max(),
-                ttr: s.limd.current_ttr(),
-                last_poll_unix_ms: s.limd.last_poll().map(Timestamp::as_millis),
-                polls: s.polls,
-                rule_epoch: s.rule_version,
+            .map(|(path, s)| {
+                let status = PathStatus {
+                    path: path.to_string(),
+                    delta: s.limd.config().delta(),
+                    ttr_max: s.limd.config().ttr_max(),
+                    ttr: s.limd.current_ttr(),
+                    last_poll_unix_ms: s.limd.last_poll().map(Timestamp::as_millis),
+                    polls: s.polls,
+                    rule_epoch: s.rule_version,
+                };
+                (*s.limd.config(), status)
             })
             .collect();
+        let epoch = core.version();
         // Sorted after the guard is gone: the plane does not wait on it.
-        rows.sort_by(|a, b| a.path.cmp(&b.path));
-        rows
+        drop(core);
+        rows.sort_by(|a, b| a.1.path.cmp(&b.1.path));
+        (epoch, group, rows)
+    }
+
+    /// Every ruled path's live state, sorted by path, read from the
+    /// scheduler itself.
+    pub fn status(&self) -> Vec<PathStatus> {
+        self.rules().2.into_iter().map(|(_, status)| status).collect()
     }
 
     /// The refresh plane stepped by blocking workers until `shutdown`:
@@ -486,35 +424,25 @@ impl ConsistencyRuntime {
     /// builds for it and looping *plane → next poll → unlock → poll →
     /// plane → finish*. A worker with nothing due waits on the one
     /// condvar until the earliest due instant; whoever takes a poll
-    /// notifies one idle worker to watch the next one, and
+    /// notifies one idle worker to watch the next one, and an install or
     /// [`ConsistencyRuntime::wake`] notifies all.
     ///
     /// A poller performs the origin round trip; `None` marks a failed
-    /// poll. `on_removed` fires once per path a swap un-rules and
-    /// `on_adopted` once per epoch adopted, on whichever worker adopts
-    /// it, under the plane's lock; neither may call back into the
-    /// runtime.
+    /// poll. `_on_removed` and `_on_adopted` are never called: an install
+    /// reconciles the schedule itself, and only the install hook hears
+    /// of it. They are kept because `benchmark/` passes them.
     pub fn run<P>(
         &self,
         shutdown: &AtomicBool,
         workers: usize,
         mut make_poller: impl FnMut(usize) -> P,
-        on_removed: impl FnMut(&str) + Send,
-        on_adopted: impl FnMut(u64) + Send,
+        _on_removed: impl FnMut(&str) + Send,
+        _on_adopted: impl FnMut(u64) + Send,
     ) where
         P: FnMut(PollKind, &str) -> Option<PollResult> + Send,
     {
-        // Only taken under the plane's lock: never contended.
-        let hooks = StdMutex::new((on_removed, on_adopted));
         let work = |mut poller: P| {
-            let mut adopt = |adoption: Adoption<'_>| {
-                let mut hooks = hooks.lock().unwrap_or_else(PoisonError::into_inner);
-                match adoption {
-                    Adoption::Removed(path) => (hooks.0)(path),
-                    Adoption::Adopted(version) => (hooks.1)(version),
-                }
-            };
-            let mut plane = self.plane(&mut adopt);
+            let mut plane = self.plane();
             while !shutdown.load(Ordering::SeqCst) {
                 let Some(poll) = plane.next_poll(Instant::now()) else {
                     // With nothing scheduled, forever: only a finish
@@ -524,8 +452,7 @@ impl ConsistencyRuntime {
                         at.saturating_duration_since(Instant::now())
                     });
                     let waited = self.work.wait_timeout(plane.core, left);
-                    let mut core = waited.unwrap_or_else(PoisonError::into_inner).0;
-                    self.adopt(&mut core, &mut adopt);
+                    let core = waited.unwrap_or_else(PoisonError::into_inner).0;
                     plane = Plane { core, metrics: &self.metrics };
                     continue;
                 };
@@ -534,7 +461,7 @@ impl ConsistencyRuntime {
                 self.work.notify_one();
                 drop(plane);
                 let result = poller(poll.kind(), poll.path());
-                plane = self.plane(&mut adopt);
+                plane = self.plane();
                 plane.finish(poll, result);
             }
             drop(plane);
@@ -569,10 +496,16 @@ mod tests {
         RefreshRule::new(path, Duration::from_millis(delta_ms))
     }
 
-    /// Adopts epoch `version` into `core` the way the plane does; returns
-    /// the paths it un-ruled.
+    /// Reconciles rule set `version` into `core` the way an install does;
+    /// returns the paths it un-ruled.
     fn swap(core: &mut Core, version: u64, rules: Vec<RefreshRule>, group: Option<GroupRule>) -> Vec<Arc<str>> {
-        reconcile(core, &RulesEpoch::new(version, rules, group).unwrap())
+        let limd = validate(&rules, group.as_ref()).unwrap();
+        reconcile(core, version, &rules, limd, group)
+    }
+
+    /// The ruled paths, as `status()` lists them.
+    fn ruled(runtime: &ConsistencyRuntime) -> Vec<String> {
+        runtime.status().into_iter().map(|s| s.path).collect()
     }
 
     /// Polls whatever is due at `now`, in order, answering `304` except to the
@@ -636,7 +569,7 @@ mod tests {
     fn install_bumps_version_and_reports_the_diff() {
         let runtime =
             ConsistencyRuntime::new(vec![rule("/keep", 10), rule("/drop", 10)], None).unwrap();
-        assert_eq!(runtime.current().version, 1);
+        assert_eq!(runtime.rules().0, 1);
 
         let report = runtime
             .install(vec![rule("/keep", 10), rule("/grow", 10), rule("/drop2", 10)], None)
@@ -645,7 +578,7 @@ mod tests {
         assert_eq!(report.added, vec!["/grow", "/drop2"]);
         assert!(report.changed.is_empty());
         assert_eq!(report.removed, vec!["/drop"]);
-        assert_eq!(runtime.current().version, 2);
+        assert_eq!(runtime.rules().0, 2);
 
         let report = runtime
             .install(vec![rule("/keep", 25), rule("/grow", 10)], None)
@@ -654,12 +587,25 @@ mod tests {
         assert_eq!(report.changed, vec!["/keep"]);
         assert_eq!(report.removed, vec!["/drop2"]);
 
-        // A rejected install leaves the current epoch untouched.
+        // A rejected install leaves the rules in force untouched.
         let err = runtime.install(vec![rule("/x", 0)], None).unwrap_err();
         assert!(err.contains("/x"));
-        assert_eq!(runtime.current().version, 3);
-        assert!(runtime.contains("/keep"));
-        assert!(!runtime.contains("/drop"));
+        assert_eq!(runtime.rules().0, 3);
+        assert_eq!(ruled(&runtime), ["/grow", "/keep"]);
+    }
+
+    /// Nothing has to step the plane for an install to land: the rules a
+    /// `new` or an `install` returns with are the ones `status()` lists.
+    #[test]
+    fn an_install_is_in_force_when_it_returns() {
+        let runtime = ConsistencyRuntime::new(vec![rule("/b", 10), rule("/a", 10)], None).unwrap();
+        assert_eq!(ruled(&runtime), ["/a", "/b"]);
+
+        runtime.install(vec![rule("/c", 10), rule("/a", 20)], None).unwrap();
+        let status = runtime.status();
+        let rows: Vec<(&str, u64, Duration)> =
+            status.iter().map(|s| (s.path.as_str(), s.rule_epoch, s.delta)).collect();
+        assert_eq!(rows, [("/a", 2, Duration::from_millis(20)), ("/c", 2, Duration::from_millis(10))]);
     }
 
     #[test]
@@ -781,21 +727,27 @@ mod tests {
     #[test]
     fn run_adopts_an_install_made_mid_flight() {
         let runtime = ConsistencyRuntime::new(vec![rule("/old", 1)], None).unwrap();
+        let reports = Arc::new(StdMutex::new(Vec::new()));
+        let hook_reports = Arc::clone(&reports);
+        runtime.on_install(move |report| hook_reports.lock().unwrap().push(report.clone()));
         let shutdown = AtomicBool::new(false);
-        let seen = RwLock::new(Vec::<String>::new());
-        let removed = RwLock::new(Vec::<String>::new());
-        let adopted = RwLock::new(Vec::<u64>::new());
+        let seen = StdMutex::new(Vec::<String>::new());
         runtime.run(
             &shutdown,
             1,
             |_| {
                 |_: PollKind, path: &str| {
-                    seen.write().push(path.to_owned());
-                    let count = seen.read().len();
+                    let count = {
+                        let mut seen = seen.lock().unwrap();
+                        seen.push(path.to_owned());
+                        seen.len()
+                    };
                     if count == 2 {
                         // Swap mid-run: /old out, /new in — a *direct*
-                        // install, no HTTP handler involved.
+                        // install, no HTTP handler involved — and in
+                        // force before the poll returns.
                         runtime.install(vec![rule("/new", 1)], None).unwrap();
+                        assert_eq!(ruled(&runtime), ["/new"]);
                     }
                     if count >= 5 {
                         shutdown.store(true, Ordering::SeqCst);
@@ -803,20 +755,24 @@ mod tests {
                     Some(PollResult::NotModified)
                 }
             },
-            |path| removed.write().push(path.to_owned()),
-            |version| adopted.write().push(version),
+            |path| panic!("run's removal hook is never called, got {path}"),
+            |version| panic!("run's adoption hook is never called, got {version}"),
         );
-        // The adoption hook fired exactly once, with the new epoch — the
-        // proxy's L1 bulk invalidation rides on it.
-        assert_eq!(adopted.into_inner(), vec![2]);
-        let seen = seen.into_inner();
+        // The install hook fired exactly once, with the whole swap: the
+        // proxy's eviction and L1 bulk invalidation ride on it, so they
+        // do not depend on the HTTP plane.
+        let expected = InstallReport {
+            version: 2,
+            added: vec!["/new".to_owned()],
+            changed: Vec::new(),
+            removed: vec!["/old".to_owned()],
+        };
+        assert_eq!(*reports.lock().unwrap(), [expected]);
+        let seen = seen.into_inner().unwrap();
         assert_eq!(&seen[..2], &["/old", "/old"]);
         // Everything after the swap polls the new path only — including
         // the in-flight poll's outcome being discarded for /old.
         assert!(seen[2..].iter().all(|p| p == "/new"), "{seen:?}");
-        // The removal hook fired for the direct install, so eviction
-        // side effects don't depend on the HTTP plane.
-        assert_eq!(removed.into_inner(), vec!["/old"]);
         let status = runtime.status();
         assert_eq!(status.len(), 1);
         assert_eq!(status[0].path, "/new");

@@ -1831,7 +1831,7 @@ mod tests {
             read_response(&mut stream, &mut buf).unwrap();
         }
         assert_eq!(metrics.l1_hits(), 1);
-        // A bulk invalidation (rule swap / epoch adoption) empties the
+        // A bulk invalidation (a rules install) empties the
         // L1 wholesale: the next request goes back to the shared cache
         // (a refill, not a hit, and not a stale reject either — the
         // whole map was dropped).

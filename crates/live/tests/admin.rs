@@ -113,10 +113,14 @@ fn put_changes_delta_in_place_without_dropping_cache_or_connections() {
     assert_eq!(rule.get("path").unwrap().as_str(), Some("/obj"));
     assert_eq!(rule.get("delta_ms").unwrap().as_u64(), Some(60_000));
     assert!(rule.get("limd").unwrap().as_str().unwrap().contains("delta_ms=60000"));
+    assert!(doc.get("group").unwrap().is_null());
 
-    // The swap: Δ 60 s → 25 ms.
-    let (status, body) =
-        put_rules(&proxy, r#"{"rules": [{"path": "/obj", "delta_ms": 25}]}"#);
+    // The swap: Δ 60 s → 25 ms, under a group.
+    let (status, body) = put_rules(
+        &proxy,
+        r#"{"rules": [{"path": "/obj", "delta_ms": 25}],
+            "group": {"delta_ms": 100, "policy": "triggered"}}"#,
+    );
     assert_eq!(status, StatusCode::OK, "{body}");
     assert_eq!(body.get("epoch").unwrap().as_u64(), Some(2));
     assert_eq!(
@@ -124,9 +128,13 @@ fn put_changes_delta_in_place_without_dropping_cache_or_connections() {
         Some("/obj")
     );
 
-    // Takes effect #1: the control plane reports the new Δ and epoch.
+    // Takes effect #1: the control plane reports the new Δ, group and
+    // epoch.
     let doc = admin_get(&proxy, "/admin/rules");
     assert_eq!(doc.get("epoch").unwrap().as_u64(), Some(2));
+    let group = doc.get("group").unwrap();
+    assert_eq!(group.get("delta_ms").unwrap().as_u64(), Some(100));
+    assert_eq!(group.get("policy").unwrap().as_str(), Some("triggered"));
     let rule = &doc.get("rules").unwrap().as_array().unwrap()[0];
     assert_eq!(rule.get("delta_ms").unwrap().as_u64(), Some(25));
 
@@ -236,9 +244,10 @@ fn unchanged_paths_preserve_adaptive_ttr_state_across_swap() {
     );
     assert_eq!(status, StatusCode::OK);
 
-    wait_until("scheduler adopts epoch 2", || {
-        proxy.runtime().status().iter().any(|s| s.path == "/add")
-    });
+    assert!(
+        proxy.runtime().status().iter().any(|s| s.path == "/add"),
+        "epoch 2 is in force when the PUT returns"
+    );
     let after = keep_status(&proxy).expect("/keep status after swap");
     assert!(
         after.ttr >= before.ttr,

@@ -105,6 +105,30 @@ fn hundred_concurrent_misses_coalesce_into_one_origin_fetch() {
     // so no waiter's store supersedes another's.
     assert_eq!(proxy.stats().refreshes, 1, "one fetch, one store");
     assert_eq!(stats_counter(addr, &["cache", "version_bumps"]), 0);
+    drop(proxy);
+
+    // The same holds when the fetch is a poll. A ruled path that is not
+    // cached is polled without a validator, in the very bytes of a miss,
+    // so a client miss behind the held poll coalesces onto it: the poll
+    // and the client are both answered from one response, stored once.
+    origin.close_gate();
+    origin.script("/ruled", vec![Behavior::Hold]);
+    let proxy = LiveProxy::start(ProxyConfig {
+        rules: vec![RefreshRule::new("/ruled", Duration::from_secs(60))],
+        reactors: Some(1),
+        ..ProxyConfig::new(origin.addr())
+    })
+    .expect("start proxy");
+    let addr = proxy.local_addr();
+    origin.wait_for_held(1);
+    let reader = std::thread::spawn(move || get(addr, "/ruled").expect("a miss behind the poll"));
+    wait_for_misses(&proxy, 1);
+    origin.release_all();
+    let resp = reader.join().expect("reader panicked");
+    assert_eq!(resp.status(), StatusCode::OK);
+    assert_eq!(origin.fetches("/ruled"), 1, "the miss rode the poll's fetch");
+    assert_eq!(proxy.stats().refreshes, 1, "one fetch, one store");
+    assert_eq!(stats_counter(addr, &["cache", "version_bumps"]), 0);
 }
 
 /// Sequential misses for different keys ride one pooled keep-alive

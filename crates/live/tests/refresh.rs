@@ -8,7 +8,6 @@
 
 mod harness;
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration as StdDuration, Instant};
 
 use harness::{get, get_json, stamp_of, Behavior, FakeClock, ScriptedOrigin, CLOCK_BASE_MS};
@@ -230,9 +229,7 @@ fn a_removed_path_is_not_resurrected_by_its_in_flight_poll() {
         .runtime()
         .install(vec![RefreshRule::new("/keep", Duration::from_millis(10))], None)
         .expect("valid rules");
-    wait_until("/gone evicted on rule removal", || {
-        proxy.cached_objects() == 1
-    });
+    assert_eq!(proxy.cached_objects(), 1, "/gone is evicted when the install returns");
 
     // A newer stamp, so the held poll reads a 200 rather than a 304.
     clock.advance(1_000);
@@ -321,11 +318,12 @@ fn a_response_smuggled_behind_a_poll_is_not_the_next_polls_answer() {
     drop(proxy);
 }
 
-/// `status()` is read from the scheduler under the plane's lock, so a
-/// snapshot taken on another thread while the reactor polls and rule
-/// sets swap underneath is always one whole epoch: sorted,
-/// duplicate-free, and exactly one of the two path sets — never a blend,
-/// never a path from the other set.
+/// `status()` and `GET /admin/rules` are read from the scheduler under
+/// the plane's lock, so a snapshot taken on another thread while the
+/// reactor polls and rule sets swap underneath is always one whole
+/// epoch: sorted, duplicate-free, and exactly one of the two path sets —
+/// never a blend, never a path from the other set. Every row of the
+/// document has its live state, installed no later than its epoch.
 #[test]
 fn status_is_a_whole_epoch_while_rule_sets_swap_under_polling() {
     // 64 paths each, half of them shared; both in ascending order.
@@ -345,13 +343,15 @@ fn status_is_a_whole_epoch_while_rule_sets_swap_under_polling() {
     let refs: Vec<&str> = paths_one.iter().map(String::as_str).collect();
     let proxy = refresh_proxy(&origin, &refs, 5);
     let runtime = proxy.runtime();
-    wait_until("the first epoch to be adopted", || !runtime.status().is_empty());
+    assert_eq!(runtime.status().len(), paths_one.len(), "the first epoch is in force at start");
 
-    let stop = AtomicBool::new(false);
+    // One deadline for both threads, so a failing reader cannot leave
+    // the installer spinning.
+    let deadline = Instant::now() + StdDuration::from_millis(600);
     let snapshots = std::thread::scope(|scope| {
         scope.spawn(|| {
             for round in 0.. {
-                if stop.load(Ordering::SeqCst) {
+                if Instant::now() >= deadline {
                     break;
                 }
                 let next = if round % 2 == 0 { &two } else { &one };
@@ -361,11 +361,10 @@ fn status_is_a_whole_epoch_while_rule_sets_swap_under_polling() {
         });
         let reader = scope.spawn(|| {
             let mut seen = [0u32; 2];
-            let deadline = Instant::now() + StdDuration::from_millis(600);
-            while Instant::now() < deadline {
-                let snapshot: Vec<String> = runtime.status().into_iter().map(|s| s.path).collect();
-                // Equality with an ascending list covers sortedness and
-                // duplicates too.
+            let mut documents = 0u32;
+            // Equality with an ascending list covers sortedness and
+            // duplicates too.
+            let mut count = |snapshot: Vec<String>| {
                 if snapshot == paths_one {
                     seen[0] += 1;
                 } else if snapshot == paths_two {
@@ -373,8 +372,23 @@ fn status_is_a_whole_epoch_while_rule_sets_swap_under_polling() {
                 } else {
                     panic!("a snapshot that is neither rule set: {snapshot:?}");
                 }
+            };
+            while Instant::now() < deadline {
+                count(runtime.status().into_iter().map(|s| s.path).collect());
+                let doc = get_json(proxy.local_addr(), "/admin/rules");
+                let epoch = doc.get("epoch").and_then(Json::as_u64).expect("epoch");
+                let rows = doc.get("rules").and_then(Json::as_array).expect("rules");
+                for row in rows {
+                    for key in ["delta_ms", "ttr_ms", "polls", "rule_epoch"] {
+                        assert!(row.get(key).and_then(Json::as_u64).is_some(), "{key} in {row}");
+                    }
+                    let rule_epoch = row.get("rule_epoch").and_then(Json::as_u64).unwrap();
+                    assert!(rule_epoch <= epoch, "row from epoch {rule_epoch} in epoch {epoch}: {row}");
+                }
+                count(rows.iter().map(|r| r.get("path").and_then(Json::as_str).unwrap().to_owned()).collect());
+                documents += 1;
             }
-            stop.store(true, Ordering::SeqCst);
+            assert!(documents > 0);
             seen
         });
         reader.join().expect("reader")

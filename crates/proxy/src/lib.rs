@@ -12,8 +12,8 @@
 //! * [`log`] — per-object poll logs, the raw material of every metric.
 //! * [`schedule`] — the §3 scheduler (LIMD per object, Mt triggers
 //!   across a group) as one clock-free state machine; the temporal
-//!   driver steps it through simulated time and the live proxy's poll
-//!   workers step it on sockets.
+//!   driver steps it through simulated time and the live proxy's first
+//!   reactor steps it on sockets.
 //! * [`drivers`] — simulation drivers wiring the algorithms to the
 //!   origin: temporal (periodic/LIMD ± Mt coordination, over
 //!   [`schedule`]) and value (adaptive TTR, virtual-object, partitioned).

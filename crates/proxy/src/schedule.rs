@@ -18,6 +18,7 @@
 //! (`Arc<str>` paths, monotonic `Instant`s, Unix milliseconds only for
 //! what LIMD and the coordinator are told). Neither is visible in here.
 
+use std::borrow::Borrow;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::hash::Hash;
@@ -126,7 +127,7 @@ where
     K: Clone + Ord + Hash,
     T: Copy + Ord + Add<Duration, Output = T>,
 {
-    /// The version of the rule set last adopted.
+    /// The version of the rule set last reconciled (0 before the first).
     pub fn version(&self) -> u64 {
         self.version
     }
@@ -134,6 +135,21 @@ where
     /// Every ruled key's state, in no particular order.
     pub fn paths(&self) -> impl Iterator<Item = (&K, &PathSched<T>)> {
         self.paths.iter()
+    }
+
+    /// `key`'s state, if the rule set in force has it.
+    pub fn path<Q>(&self, key: &Q) -> Option<&PathSched<T>>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        self.paths.get(key)
+    }
+
+    /// The Mt group `(δ, policy)` across every key, if the rule set in
+    /// force has one.
+    pub fn group(&self) -> Option<(Duration, MtPolicy)> {
+        self.coordinator.as_ref().map(|c| (c.delta(), c.policy()))
     }
 
     /// Adopts rule set `version`: its members with their LIMD configs
@@ -178,8 +194,7 @@ where
         // the new set.
         let mut removed: Vec<K> = self.paths.drain().map(|(key, _)| key).collect();
         removed.sort();
-        let in_force = self.coordinator.as_ref().map(|c| (c.delta(), c.policy()));
-        if in_force != group || added || !removed.is_empty() {
+        if self.group() != group || added || !removed.is_empty() {
             self.coordinator =
                 group.map(|(delta, policy)| MtCoordinator::new(delta, policy, next.keys().cloned()));
         }

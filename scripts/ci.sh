@@ -45,6 +45,18 @@ if grep -nE 'mpsc|JobQueue|WakeSignal|publish_one' crates/live/src/runtime.rs \
   exit 1
 fi
 
+# One copy of the rules in force: the refresh plane's schedule is the
+# rules, and `install` reconciles it under the plane's lock, then runs the
+# one install hook. No epoch snapshot beside the schedule, no lazy
+# adoption at the reactor's next look, no waker registration in place of
+# the hook and no second eviction path in the admin handlers comes back
+# (the classes keep the pattern from matching itself).
+second_rules='RulesEpoc[h]|Adoptio[n]|fn adop[t]\b|wake_wit[h]|apply_install_effect[s]'
+if grep -rnE "$second_rules" crates/live/src; then
+  echo "ci: a second copy of the rules in force is back (lines above)" >&2
+  exit 1
+fi
+
 # One §3 scheduler: LIMD state and the Mt coordinator are built in
 # crates/proxy/src/schedule.rs, which the simulator's temporal driver and
 # the live proxy's reactor 0 both step. Neither driver grows scheduling state
