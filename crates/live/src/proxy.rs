@@ -58,8 +58,8 @@
 //! When a bearer token is configured ([`ProxyConfig::admin_token`]),
 //! every `/admin/*` request must carry
 //! `Authorization: Bearer <token>` or it is refused with `401`. A
-//! configured [`ProxyConfig::rules_file`] is re-read on `SIGHUP`,
-//! feeding the same install path as `PUT /admin/rules`.
+//! configured [`ProxyConfig::rules_file`] is re-read on `SIGHUP` by
+//! reactor 0 at its next wake, through `PUT /admin/rules`'s path.
 
 use std::collections::HashMap;
 use std::io;
@@ -72,6 +72,7 @@ use mutcon_core::limd::PollResult;
 use mutcon_core::mutual::temporal::MtPolicy;
 use mutcon_core::time::Duration;
 use mutcon_sim::reactor::BackendKind;
+use mutcon_sim::signal;
 use mutcon_http::headers::HeaderName;
 use mutcon_http::message::{Request, Response};
 use mutcon_http::types::{Method, StatusCode};
@@ -154,11 +155,13 @@ pub struct ProxyConfig {
     /// auth). When set, admin requests without
     /// `Authorization: Bearer <token>` get `401`.
     pub admin_token: Option<String>,
-    /// Rules file re-read on `SIGHUP` (`None` = no signal hook). The
-    /// file holds the same JSON body `PUT /admin/rules` accepts; a
-    /// successful re-read feeds [`ConsistencyRuntime::install`] exactly
-    /// as the HTTP handler does, a failed one bumps `reload_errors` and
-    /// changes nothing.
+    /// Rules file re-read on `SIGHUP` (`None` = no signal handler) by
+    /// reactor 0 at its next wake, at most one 200 ms tick after its
+    /// wait (re)starts; signals that arrive together make one re-read.
+    /// The file holds the same JSON body `PUT /admin/rules` accepts; a
+    /// successful re-read feeds [`ConsistencyRuntime::install`] as the
+    /// HTTP handler does, a failed one bumps `reload_errors` and changes
+    /// nothing.
     pub rules_file: Option<PathBuf>,
 }
 
@@ -181,8 +184,8 @@ impl ProxyConfig {
 }
 
 metrics! {
-    /// The proxy's own counters, counted by the reactors (hits, misses,
-    /// polls on reactor 0) and whoever reloads the rules.
+    /// The proxy's own counters, all counted by the reactors (hits,
+    /// misses, `PUT` reloads; polls and `SIGHUP` reloads on reactor 0).
     pub(crate) struct Counters, snapshot
     /// A snapshot of the proxy's counters.
     ProxyStats {
@@ -226,9 +229,6 @@ struct Shared {
 pub struct LiveProxy {
     server: EventLoop,
     shared: Arc<Shared>,
-    /// Keeps the `SIGHUP` → rules-file reload listener registered for
-    /// the proxy's lifetime (dropped, and thus unregistered, with it).
-    _sighup: Option<mutcon_sim::signal::SighupGuard>,
 }
 
 impl LiveProxy {
@@ -262,9 +262,15 @@ impl LiveProxy {
             admin_token: config.admin_token.filter(|t| !t.is_empty()),
             l1_objects,
         });
+        if config.rules_file.is_some() {
+            signal::count_sighups()?;
+        }
+        // The `SIGHUP` count as of now: only later signals reload.
+        let mut reload = config.rules_file.map(|path| (path, signal::sighup_count()));
         let metrics = Arc::new(EngineMetrics::default());
         let overload = Arc::new(OverloadControl::default());
-        // Reactor 0's instance is built first, and only it steps the plane.
+        // Reactor 0's instance is built first, and only it steps the plane
+        // and reloads.
         let mut plane = true;
         let server = EventLoop::start(
             "mutcon-live-proxy-reactor",
@@ -275,6 +281,7 @@ impl LiveProxy {
                     overload: Arc::clone(&overload),
                     l1: (l1_objects > 0).then(|| L1Cache::new(l1_objects)),
                     polls: std::mem::take(&mut plane).then(HashMap::new),
+                    reload: reload.take(),
                 })
             },
             EngineConfig {
@@ -301,28 +308,7 @@ impl LiveProxy {
             }
             waker.wake();
         });
-
-        // SIGHUP → re-read the rules file, when one is configured. The
-        // guard unregisters on drop, so the listener dies with the
-        // proxy; the reload itself is the same validated install
-        // `PUT /admin/rules` makes.
-        let sighup = match config.rules_file {
-            Some(path) => {
-                let shared = Arc::clone(&shared);
-                Some(
-                    mutcon_sim::signal::on_sighup(move || {
-                        reload_rules_file(&shared, &path);
-                    })?,
-                )
-            }
-            None => None,
-        };
-
-        Ok(LiveProxy {
-            server,
-            shared,
-            _sighup: sighup,
-        })
+        Ok(LiveProxy { server, shared })
     }
 
     /// The bound address.
@@ -388,6 +374,9 @@ struct ProxyService {
     /// two for one path); `None` on every reactor but the first, which
     /// alone steps the plane.
     polls: Option<HashMap<Arc<str>, Poll>>,
+    /// The rules file re-read on `SIGHUP` and the signal count last
+    /// seen; reactor 0's only, and only with a rules file.
+    reload: Option<(PathBuf, u64)>,
 }
 
 impl Service for ProxyService {
@@ -475,7 +464,8 @@ impl Service for ProxyService {
         }
     }
 
-    /// Reactor 0 hands every due poll to the origin pool as a
+    /// Reactor 0 re-reads the rules file if a `SIGHUP` came since it
+    /// last looked, then hands every due poll to the origin pool as a
     /// conditional `GET`, validated by the cached copy's stamp.
     fn own_work(
         &mut self,
@@ -484,6 +474,14 @@ impl Service for ProxyService {
     ) -> Option<Instant> {
         let polls = self.polls.as_mut()?;
         let shared = &*self.shared;
+        // Before the plane's lock, which `install` takes.
+        if let Some((path, seen)) = &mut self.reload {
+            let count = signal::sighup_count();
+            if count != *seen {
+                *seen = count;
+                reload_rules_file(shared, path);
+            }
+        }
         let mut plane = shared.runtime.plane();
         while let Some(poll) = plane.next_poll(now) {
             let validator = shared.cache.get(poll.path()).map(|e| e.last_modified());
@@ -769,8 +767,8 @@ fn parse_rules_body(body: &[u8]) -> Result<(Vec<RefreshRule>, Option<GroupRule>)
     Ok((rules, group))
 }
 
-/// One `SIGHUP`-triggered re-read of the configured rules file: read →
-/// parse → validate → install, as an admin `PUT` does. Any
+/// One `SIGHUP`-triggered re-read of the configured rules file, on
+/// reactor 0: read → parse → validate → install, as an admin `PUT` does. Any
 /// failure (unreadable file, bad JSON, invalid rules) bumps
 /// `reload_errors` and leaves the running epoch untouched.
 fn reload_rules_file(shared: &Shared, path: &Path) {

@@ -77,6 +77,15 @@ pub fn validate(rules: &[RefreshRule], group: Option<&GroupRule>) -> Result<Vec<
         if !rule.path.starts_with('/') {
             return Err(format!("rule path {:?} must start with '/'", rule.path));
         }
+        // The path goes out verbatim as the poll's request target, so it
+        // must be one: no space to split the request line, no CR/LF to
+        // end it early (the request parser refuses them too).
+        if rule.path.bytes().any(|b| b.is_ascii_whitespace() || b.is_ascii_control()) {
+            return Err(format!(
+                "rule path {:?} contains whitespace or a control byte",
+                rule.path
+            ));
+        }
         if rule.path.starts_with("/admin/") {
             return Err(format!(
                 "rule path {:?} shadows a proxy control endpoint",
@@ -546,6 +555,12 @@ mod tests {
 
         let relative = [rule("x", 10)];
         assert!(validate(&relative, None).unwrap_err().contains("start with"));
+
+        // Not a request target: the poll's request line would split or end.
+        for path in ["/a b", "/a\tb", "/a\r\nx: y", "/a\nb", "/a\0", "/a\x7f"] {
+            let err = validate(&[rule(path, 10)], None).unwrap_err();
+            assert!(err.contains("whitespace or a control byte"), "{path:?}: {err}");
+        }
 
         let bad_group = GroupRule {
             delta: Duration::ZERO,

@@ -293,6 +293,10 @@ fn bad_rules_are_rejected_by_put_and_by_start() {
             "ttr",
         ),
         (r#"{"rules": [{"path": "relative", "delta_ms": 5}]}"#, "start with"),
+        // Not a request target: reactor 0 would send `GET /a b HTTP/1.1`
+        // or end the poll's request line early.
+        (r#"{"rules": [{"path": "/a b", "delta_ms": 5}]}"#, "whitespace"),
+        (r#"{"rules": [{"path": "/a\r\nx: y", "delta_ms": 5}]}"#, "control byte"),
         (r#"not json at all"#, "invalid JSON"),
         (r#"{"rules": 5}"#, "rules"),
         (
@@ -528,8 +532,9 @@ fn admin_endpoints_demand_the_configured_bearer_token() {
 }
 
 /// SIGHUP re-reads the configured rules file through the same
-/// validated install path as `PUT /admin/rules`; a bad file is counted
-/// and changes nothing.
+/// validated install path as `PUT /admin/rules`, on reactor 0; a bad or
+/// half-written file is counted and changes nothing, and the reactor
+/// goes on serving.
 #[test]
 fn sighup_rereads_the_rules_file() {
     let clock = FakeClock::new();
@@ -539,11 +544,8 @@ fn sighup_rereads_the_rules_file() {
         std::process::id(),
         &origin as *const _ as usize
     ));
-    std::fs::write(
-        &rules_path,
-        r#"{"rules": [{"path": "/hup", "delta_ms": 40}]}"#,
-    )
-    .expect("write rules file");
+    let valid = r#"{"rules": [{"path": "/hup", "delta_ms": 40}]}"#;
+    std::fs::write(&rules_path, valid).expect("write rules file");
 
     let proxy = LiveProxy::start(ProxyConfig {
         rules: vec![RefreshRule::new("/initial", Duration::from_millis(500))],
@@ -568,15 +570,19 @@ fn sighup_rereads_the_rules_file() {
         origin.fetches("/hup") >= 1
     });
 
-    // A broken file: the reload is rejected, counted, and nothing moves.
-    std::fs::write(&rules_path, "not json at all").expect("write bad rules file");
-    mutcon_sim::signal::raise_sighup().expect("raise SIGHUP");
-    wait_until("bad reload to be counted", || {
-        proxy.stats().reload_errors == 1
-    });
-    let doc = admin_get(&proxy, "/admin/rules");
-    assert_eq!(doc.get("epoch").unwrap().as_u64(), Some(2), "bad file changed nothing");
-    assert_eq!(proxy.stats().reloads, 1);
+    // A broken file, then one caught half-written: each reload is
+    // rejected and counted, nothing moves, and reactor 0 still serves.
+    for (errors, bad) in [(1, "not json at all"), (2, &valid[..valid.len() / 2])] {
+        std::fs::write(&rules_path, bad).expect("write bad rules file");
+        mutcon_sim::signal::raise_sighup().expect("raise SIGHUP");
+        wait_until("bad reload to be counted", || {
+            proxy.stats().reload_errors == errors
+        });
+        let doc = admin_get(&proxy, "/admin/rules");
+        assert_eq!(doc.get("epoch").unwrap().as_u64(), Some(2), "{bad:?} changed nothing");
+        assert_eq!(proxy.stats().reloads, 1);
+        assert_eq!(get(proxy.local_addr(), "/hup").unwrap().status(), StatusCode::OK);
+    }
 
     drop(proxy);
     let _ = std::fs::remove_file(&rules_path);

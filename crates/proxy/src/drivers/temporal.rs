@@ -8,8 +8,8 @@
 //! TTR state are left untouched — exactly the incremental cost the paper
 //! measures in Figure 5(a).
 //!
-//! All of that is [`crate::schedule`], which the live proxy's poll
-//! workers step too. This driver adds simulated time and an origin
+//! All of that is [`crate::schedule`], which the live proxy's reactor 0
+//! steps too. This driver adds simulated time and an origin
 //! model; each object's validator and its logs are all it keeps.
 
 use std::collections::BTreeMap;

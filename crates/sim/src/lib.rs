@@ -11,8 +11,9 @@
 //!   is bit-for-bit reproducible.
 //! * [`reactor`] — hand-rolled `epoll` readiness primitives driving the
 //!   live daemons' single-thread event loops.
-//! * [`signal`] — self-pipe `SIGHUP` dispatch, so the live daemons can
-//!   re-read configuration on the conventional reload signal.
+//! * [`signal`] — a `SIGHUP` count, which a live daemon's event loop
+//!   reads at each wake to re-read configuration on the conventional
+//!   reload signal.
 //!
 //! ```
 //! use mutcon_sim::SimRng;

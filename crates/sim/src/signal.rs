@@ -1,14 +1,12 @@
-//! Process-signal dispatch for long-running daemons: the classic
-//! **self-pipe trick**, hand-rolled against the platform C library like
-//! [`crate::reactor`].
+//! Process-signal counting for long-running daemons, hand-rolled against
+//! the platform C library like [`crate::reactor`].
 //!
 //! A signal handler may only touch async-signal-safe state, so the
-//! handler installed here does exactly one thing: `write(2)` a byte to
-//! a pipe. A dedicated dispatcher thread blocks on the read end and
-//! fans each delivery out to every registered listener — ordinary Rust
-//! closures running on an ordinary thread, free to take locks, allocate
-//! and do I/O. Registration ([`on_sighup`]) returns a guard whose drop
-//! unregisters, so a daemon's reload hook dies with the daemon.
+//! handler installed here does exactly one thing: increment a
+//! process-wide atomic count. Whoever wants to act on the signal reads
+//! the count ([`sighup_count`]) on a thread of its own — the live proxy's
+//! reactor 0 does at each wake — and acts once when it has moved, so
+//! signals that arrive together make one action, as `SIGHUP` means.
 //!
 //! Only `SIGHUP` is wired up — the conventional "re-read your
 //! configuration" signal — and [`raise_sighup`] sends it to the current
@@ -16,145 +14,60 @@
 
 #![allow(unsafe_code)]
 
-use std::collections::HashMap;
 use std::io;
-use std::sync::atomic::{AtomicI32, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
-/// The raw surface: signal installation, the self-pipe, and test
-/// delivery. Linux-only, declared against the platform C library.
+/// The raw surface: signal installation and test delivery. Linux-only,
+/// declared against the platform C library.
 mod sys {
-    use std::os::raw::{c_int, c_void};
+    use std::os::raw::c_int;
 
     pub const SIGHUP: c_int = 1;
-    pub const O_CLOEXEC: c_int = 0o2000000;
 
     extern "C" {
         pub fn signal(signum: c_int, handler: usize) -> usize;
-        pub fn pipe2(fds: *mut c_int, flags: c_int) -> c_int;
-        pub fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
-        pub fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
         pub fn kill(pid: c_int, sig: c_int) -> c_int;
         pub fn getpid() -> c_int;
     }
 }
 
-/// Write end of the self-pipe. The handler reads this atomically —
-/// it must not touch the registry, the heap, or any lock.
-static PIPE_WR: AtomicI32 = AtomicI32::new(-1);
+/// `SIGHUP`s received since [`count_sighups`] installed the handler.
+static SIGHUPS: AtomicU64 = AtomicU64::new(0);
 
+/// Async-signal-safe: a lock-free atomic add, no lock, no allocation.
 extern "C" fn handle_signal(_signum: i32) {
-    let fd = PIPE_WR.load(Ordering::Relaxed);
-    if fd >= 0 {
-        let byte = 1u8;
-        // A full pipe just drops the byte — deliveries coalesce, which
-        // is exactly SIGHUP's semantics anyway.
-        unsafe { sys::write(fd, (&byte as *const u8).cast(), 1) };
-    }
+    SIGHUPS.fetch_add(1, Ordering::SeqCst);
 }
 
-type Listener = Box<dyn Fn() + Send>;
-
-struct Registry {
-    listeners: Mutex<HashMap<u64, Listener>>,
-    next_id: AtomicU64,
-}
-
-static REGISTRY: OnceLock<io::Result<Registry>> = OnceLock::new();
-
-fn registry() -> io::Result<&'static Registry> {
-    let slot = REGISTRY.get_or_init(|| {
-        let mut fds = [-1i32; 2];
-        if unsafe { sys::pipe2(fds.as_mut_ptr(), sys::O_CLOEXEC) } != 0 {
-            return Err(io::Error::last_os_error());
-        }
-        PIPE_WR.store(fds[1], Ordering::SeqCst);
-        // BSD semantics on Linux/glibc: the handler stays installed and
-        // interrupted syscalls restart, so one install lasts the
-        // process lifetime.
-        let handler = handle_signal as *const () as usize;
-        if unsafe { sys::signal(sys::SIGHUP, handler) } == usize::MAX {
-            return Err(io::Error::last_os_error());
-        }
-        let read_fd = fds[0];
-        std::thread::Builder::new()
-            .name("mutcon-sighup-dispatch".into())
-            .spawn(move || dispatch_loop(read_fd))?;
-        Ok(Registry {
-            listeners: Mutex::new(HashMap::new()),
-            next_id: AtomicU64::new(1),
-        })
-    });
-    match slot {
-        Ok(registry) => Ok(registry),
-        Err(e) => Err(io::Error::new(e.kind(), e.to_string())),
-    }
-}
-
-fn dispatch_loop(read_fd: i32) {
-    let mut buf = [0u8; 64];
-    loop {
-        let n = unsafe { sys::read(read_fd, buf.as_mut_ptr().cast(), buf.len()) };
-        if n > 0 {
-            if let Some(Ok(registry)) = REGISTRY.get() {
-                // Listeners run under the registry lock: registering or
-                // unregistering from inside a listener would deadlock,
-                // so don't. (The proxy's reload hook only touches its
-                // own runtime.)
-                let listeners = registry
-                    .listeners
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
-                for listener in listeners.values() {
-                    listener();
-                }
-            }
-        } else if n < 0 {
-            if io::Error::last_os_error().kind() == io::ErrorKind::Interrupted {
-                continue;
-            }
-            return;
-        } else {
-            return; // EOF — cannot happen, the write end is never closed
-        }
-    }
-}
-
-/// Unregisters its listener on drop (see [`on_sighup`]).
-#[derive(Debug)]
-pub struct SighupGuard {
-    id: u64,
-}
-
-impl Drop for SighupGuard {
-    fn drop(&mut self) {
-        if let Some(Ok(registry)) = REGISTRY.get() {
-            registry
-                .listeners
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .remove(&self.id);
-        }
-    }
-}
-
-/// Registers `listener` to run (on the dispatcher thread, outside any
-/// signal context) every time the process receives `SIGHUP`. The first
-/// registration installs the process-wide handler and spawns the
-/// dispatcher thread; both last for the process lifetime.
+/// Installs the process-wide `SIGHUP` handler that counts deliveries
+/// (read with [`sighup_count`]). Idempotent: the first call installs,
+/// and every call returns that first call's outcome. With BSD semantics
+/// on Linux/glibc the handler stays installed and interrupted syscalls
+/// restart, so one install lasts the process lifetime.
 ///
 /// # Errors
 ///
-/// Propagates pipe/handler-installation failures from the first call.
-pub fn on_sighup(listener: impl Fn() + Send + 'static) -> io::Result<SighupGuard> {
-    let registry = registry()?;
-    let id = registry.next_id.fetch_add(1, Ordering::SeqCst);
-    registry
-        .listeners
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .insert(id, Box::new(listener));
-    Ok(SighupGuard { id })
+/// Propagates the first call's `signal(2)` failure.
+pub fn count_sighups() -> io::Result<()> {
+    static INSTALLED: OnceLock<Result<(), i32>> = OnceLock::new();
+    let installed = INSTALLED.get_or_init(|| {
+        let handler = handle_signal as *const () as usize;
+        // SAFETY: `handler` is an `extern "C" fn(i32)` that lives for the
+        // process and touches only an atomic.
+        if unsafe { sys::signal(sys::SIGHUP, handler) } == usize::MAX {
+            Err(io::Error::last_os_error().raw_os_error().unwrap_or(0))
+        } else {
+            Ok(())
+        }
+    });
+    installed.map_err(io::Error::from_raw_os_error)
+}
+
+/// `SIGHUP`s this process has received since [`count_sighups`] first
+/// ran (0 before).
+pub fn sighup_count() -> u64 {
+    SIGHUPS.load(Ordering::SeqCst)
 }
 
 /// Sends `SIGHUP` to the current process — the test-suite stand-in for
@@ -164,6 +77,7 @@ pub fn on_sighup(listener: impl Fn() + Send + 'static) -> io::Result<SighupGuard
 ///
 /// Propagates `kill(2)` failures.
 pub fn raise_sighup() -> io::Result<()> {
+    // SAFETY: `getpid` and `kill` take and return plain integers.
     if unsafe { sys::kill(sys::getpid(), sys::SIGHUP) } == 0 {
         Ok(())
     } else {
@@ -174,32 +88,22 @@ pub fn raise_sighup() -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::mpsc;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     #[test]
-    fn sighup_reaches_listeners_and_guards_unregister() {
-        let (tx, rx) = mpsc::channel::<&'static str>();
-        let tx2 = tx.clone();
-        let first = on_sighup(move || tx.send("first").unwrap()).unwrap();
-        let second = on_sighup(move || tx2.send("second").unwrap()).unwrap();
-
-        raise_sighup().unwrap();
-        let mut got = [
-            rx.recv_timeout(Duration::from_secs(5)).unwrap(),
-            rx.recv_timeout(Duration::from_secs(5)).unwrap(),
-        ];
-        got.sort_unstable();
-        assert_eq!(got, ["first", "second"]);
-
-        // Dropping a guard unregisters its listener; the other survives.
-        drop(first);
-        raise_sighup().unwrap();
-        assert_eq!(rx.recv_timeout(Duration::from_secs(5)).unwrap(), "second");
-        assert!(
-            rx.recv_timeout(Duration::from_millis(100)).is_err(),
-            "the dropped guard's listener must not fire"
-        );
-        drop(second);
+    fn raise_sighup_advances_the_count() {
+        count_sighups().unwrap();
+        count_sighups().expect("a second install is a no-op");
+        for _ in 0..2 {
+            let before = sighup_count();
+            raise_sighup().unwrap();
+            // The kernel may hand the signal to another thread of the
+            // test binary, so its count can land a moment after `kill`.
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while sighup_count() == before {
+                assert!(Instant::now() < deadline, "the count stayed at {before}");
+                std::hint::spin_loop();
+            }
+        }
     }
 }

@@ -45,6 +45,16 @@ if grep -nE 'mpsc|JobQueue|WakeSignal|publish_one' crates/live/src/runtime.rs \
   exit 1
 fi
 
+# One SIGHUP path: the handler only counts, and reactor 0 reloads the
+# rules file when the count moves. No signal thread, self-pipe, listener
+# registry or registration guard comes back (the classes keep these
+# patterns from matching themselves).
+if grep -nE 'thread[:]:|pipe[2]' crates/sim/src/signal.rs \
+    || grep -rnE 'on_sighu[p]|SighupGuar[d]|dispatch_loo[p]' crates src tests examples; then
+  echo "ci: a SIGHUP thread or listener registry is back (lines above)" >&2
+  exit 1
+fi
+
 # One copy of the rules in force: the refresh plane's schedule is the
 # rules, and `install` reconciles it under the plane's lock, then runs the
 # one install hook. No epoch snapshot beside the schedule, no lazy
