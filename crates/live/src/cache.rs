@@ -171,19 +171,28 @@ struct Shard {
     version_bumps: u64,
 }
 
+/// The copies a store pushed out of a shard: the one it replaced and
+/// the one the LRU bound evicted. The caller drops them after releasing
+/// the shard's write lock, so freeing a body is not done under it.
+type Displaced = [Option<Arc<CacheEntry>>; 2];
+
 impl Shard {
     /// The one place a copy enters the map: marks the copy it replaces
-    /// and the copy the LRU bound evicts to make room.
-    fn store(&mut self, path: &str, entry: Arc<CacheEntry>, now: u64) {
-        if let Some(replaced) = self.map.get(path) {
+    /// and the copy the LRU bound evicts to make room, and hands both
+    /// back.
+    fn store(&mut self, path: &str, entry: Arc<CacheEntry>, now: u64) -> Displaced {
+        let replaced = self.map.get(path).cloned();
+        if let Some(replaced) = &replaced {
             replaced.supersede();
             self.version_bumps += 1;
         }
-        if let Some((_, victim)) = self.map.insert(path.to_owned(), entry, now) {
+        let evicted = self.map.insert(path.to_owned(), entry, now).map(|(_, victim)| victim);
+        if let Some(victim) = &evicted {
             victim.supersede();
             self.evictions += 1;
             self.version_bumps += 1;
         }
+        [replaced, evicted]
     }
 }
 
@@ -328,10 +337,11 @@ impl ShardedCache {
     /// Stores (or replaces) a copy, evicting the shard's LRU entry if
     /// the shard is at capacity. The replaced copy and the evicted one
     /// are superseded: every outstanding L1 copy of either is
-    /// invalidated.
+    /// invalidated. Both are dropped after the shard's lock is released.
     pub fn insert(&self, path: &str, entry: CacheEntry) {
         let now = self.tick();
-        self.shards[shard_index(path)].write().store(path, Arc::new(entry), now);
+        // The guard goes at the end of the statement, the copies after it.
+        let _displaced = self.shards[shard_index(path)].write().store(path, Arc::new(entry), now);
     }
 
     /// Stores a copy unless one at least as fresh (by modification
@@ -349,7 +359,9 @@ impl ShardedCache {
                 return Arc::clone(existing);
             }
         }
-        shard.store(path, Arc::clone(&entry), now);
+        let displaced = shard.store(path, Arc::clone(&entry), now);
+        drop(shard);
+        drop(displaced);
         entry
     }
 

@@ -7,10 +7,11 @@
 //! simulator. The plane runs on no thread of its own: reactor 0's service
 //! instance steps the one shared scheduling state machine
 //! ([`crate::runtime`]) at each wake, sends each due poll as a pooled
-//! origin fetch beside the misses, and applies the answer when the fetch
-//! completes. One binary-ready struct, ephemeral ports, clean shutdown on
-//! drop: the "implement it in a real proxy" future work of §7, in
-//! miniature.
+//! origin fetch beside the misses, at most
+//! [`POLL_WIDTH`](crate::runtime::POLL_WIDTH) at once, and applies the
+//! answer when the fetch completes. One binary-ready struct, ephemeral
+//! ports, clean shutdown on drop: the "implement it in a real proxy"
+//! future work of §7, in miniature.
 //!
 //! Connections are served by the shared readiness-driven engine
 //! ([`crate::server`]): one reactor per core (or
@@ -465,8 +466,9 @@ impl Service for ProxyService {
     }
 
     /// Reactor 0 re-reads the rules file if a `SIGHUP` came since it
-    /// last looked, then hands every due poll to the origin pool as a
-    /// conditional `GET`, validated by the cached copy's stamp.
+    /// last looked, then hands every due poll the width admits to the
+    /// origin pool as a conditional `GET`, validated by the cached copy's
+    /// stamp.
     fn own_work(
         &mut self,
         now: Instant,

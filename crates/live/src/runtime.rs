@@ -23,6 +23,16 @@
 //! a round trip. [`ConsistencyRuntime::run`] steps the same plane from
 //! blocking worker threads; it is kept because `benchmark/` drives it.
 //!
+//! **The width.** The schedule hands out at most [`POLL_WIDTH`] (4)
+//! polls at once, so whichever driver steps it, at most that many are on
+//! the wire: reactor 0 uses at most 4 of an origin's pooled sockets for
+//! polls, and its polls never queue in the pool ahead of a miss. With
+//! the width full, `next_poll` returns `None` and `next_wake` has no
+//! instant: the next completion brings the next poll. Due polls past the
+//! width wait in the schedule in due order, so polls per second are at
+//! most `POLL_WIDTH` ÷ origin RTT, and a path's drift includes its wait
+//! for a slot.
+//!
 //! **A poll's `200` against a swap.** Reactor 0 stores a poll's `200`
 //! under the plane's lock, and only while the schedule still rules the
 //! path. If the store takes the lock before an install that un-rules the
@@ -46,7 +56,7 @@ use std::time::{Duration as StdDuration, Instant};
 
 use mutcon_core::limd::{LimdConfig, PollResult};
 use mutcon_core::time::{Duration, Timestamp};
-pub use mutcon_proxy::schedule::PollKind;
+pub use mutcon_proxy::schedule::{PollKind, POLL_WIDTH};
 use mutcon_proxy::schedule::{Job, Schedule};
 
 pub use crate::metrics::HistogramSnapshot as DriftSnapshot;
@@ -180,8 +190,8 @@ metrics! {
     /// Shared refresh-plane counters, updated as the plane is stepped and
     /// read by the stats plane (and the benchmark) without any lock.
     pub struct RefreshMetrics {
-        /// Polls handed out and not yet finished: on the wire, or queued
-        /// at the origin pool's per-origin cap.
+        /// Polls handed out and not yet finished, at most `POLL_WIDTH`:
+        /// on the wire, or queued at the origin pool's per-origin cap.
         in_flight: Gauge => "refresh.in_flight";
         /// Polls started (scheduled and triggered).
         polls: Counter => "refresh.polls";
@@ -431,10 +441,11 @@ impl ConsistencyRuntime {
     /// Runs on exactly `workers` threads, the calling one and
     /// `workers - 1` scoped ones, each owning the poller `make_poller`
     /// builds for it and looping *plane → next poll → unlock → poll →
-    /// plane → finish*. A worker with nothing due waits on the one
-    /// condvar until the earliest due instant; whoever takes a poll
-    /// notifies one idle worker to watch the next one, and an install or
-    /// [`ConsistencyRuntime::wake`] notifies all.
+    /// plane → finish*; workers past [`POLL_WIDTH`] stay idle. A worker
+    /// with nothing due waits on the one condvar until the earliest due
+    /// instant; whoever takes a poll notifies one idle worker to watch
+    /// the next one, and an install or [`ConsistencyRuntime::wake`]
+    /// notifies all.
     ///
     /// A poller performs the origin round trip; `None` marks a failed
     /// poll. `_on_removed` and `_on_adopted` are never called: an install
@@ -821,9 +832,11 @@ mod tests {
         let cur = AtomicU64::new(0);
         let max_overlap = AtomicU64::new(0);
         let total = AtomicU64::new(0);
+        // Twice the width in workers: the schedule, not the worker
+        // count, bounds the polls out.
         runtime.run(
             &shutdown,
-            4,
+            2 * POLL_WIDTH,
             |_| {
                 |_: PollKind, path: &str| {
                     assert!(
@@ -846,9 +859,10 @@ mod tests {
         );
         let total = total.load(Ordering::SeqCst);
         assert!(total >= 60);
+        let max_overlap = max_overlap.load(Ordering::SeqCst);
         assert!(
-            max_overlap.load(Ordering::SeqCst) > 1,
-            "4 workers against a 3 ms origin must overlap polls"
+            (2..=POLL_WIDTH as u64).contains(&max_overlap),
+            "workers against a 3 ms origin overlap polls up to the width: {max_overlap}"
         );
         let metrics = runtime.refresh_metrics();
         assert_eq!(metrics.polls(), total, "every started poll completed and was counted");

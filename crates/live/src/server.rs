@@ -81,6 +81,7 @@ use std::time::{Duration, Instant};
 use bytes::{Bytes, BytesMut};
 use mutcon_http::message::{Request, Response};
 use mutcon_http::types::StatusCode;
+use mutcon_proxy::schedule::POLL_WIDTH;
 use mutcon_sim::reactor::{
     accept_nonblocking, connect_nonblocking, listen_reuseport, raise_nofile_limit, Event, Events,
     Interest, Poller, Waker,
@@ -111,9 +112,10 @@ pub const MAX_L1_OBJECTS: usize = 1 << 16;
 
 /// The worker count `benchmark/` drives
 /// [`crate::runtime::ConsistencyRuntime::run`] with; kept because
-/// `benchmark/` (read-only here) reads it. The live proxy runs no poll
-/// workers: its polls are reactor 0's pooled fetches.
-pub const DEFAULT_REFRESH_WORKERS: usize = 4;
+/// `benchmark/` (read-only here) reads it. It is the plane's width,
+/// [`POLL_WIDTH`], so no worker waits for a slot. The live proxy runs no
+/// poll workers: its polls are reactor 0's pooled fetches.
+pub const DEFAULT_REFRESH_WORKERS: usize = POLL_WIDTH;
 
 /// Ceiling on the reactor count — beyond this the listeners outnumber
 /// any plausible load.

@@ -10,11 +10,11 @@ mod harness;
 
 use std::time::{Duration as StdDuration, Instant};
 
-use harness::{get, get_json, stamp_of, Behavior, FakeClock, ScriptedOrigin, CLOCK_BASE_MS};
+use harness::{get, get_json, stamp_of, Behavior, Client, FakeClock, ScriptedOrigin, CLOCK_BASE_MS};
 use mutcon_core::time::Duration;
 use mutcon_http::types::StatusCode;
 use mutcon_live::proxy::{LiveProxy, ProxyConfig, RefreshRule};
-use mutcon_live::upstream::MAX_CONNS_PER_ORIGIN;
+use mutcon_live::runtime::POLL_WIDTH;
 use mutcon_traces::json::Json;
 
 /// The reactor's `UPSTREAM_TIMEOUT`: a fetch that makes no progress
@@ -73,15 +73,15 @@ fn polls_overlap_origin_latency_within_the_pool_width() {
     drop(proxy);
 }
 
-/// A backlog far wider than the pool, all due at once and all parked at
-/// the origin: every poll is handed out at once, but the pool never puts
-/// more on the wire than its per-origin cap, and once released it drains
-/// the backlog with exactly one fetch — and one recorded drift sample —
-/// per path.
+/// A backlog far wider than the plane, all due at once and all parked
+/// at the origin: exactly the plane's width of polls is handed out, on
+/// the wire, over that many pooled sockets; once released the backlog
+/// drains through those sockets with exactly one fetch — and one
+/// recorded drift sample — per path.
 #[test]
-fn a_due_backlog_drains_once_per_path_within_the_pool_width() {
+fn a_due_backlog_drains_once_per_path_within_the_poll_width() {
     const BACKLOG: u64 = 256;
-    const WIDTH: u64 = MAX_CONNS_PER_ORIGIN as u64;
+    const WIDTH: u64 = POLL_WIDTH as u64;
     let paths: Vec<String> = (0..BACKLOG).map(|i| format!("/b{i}")).collect();
     let origin = ScriptedOrigin::start(FakeClock::new());
     for p in &paths {
@@ -93,9 +93,11 @@ fn a_due_backlog_drains_once_per_path_within_the_pool_width() {
 
     origin.wait_for_held(WIDTH);
     let metrics = proxy.runtime().refresh_metrics();
-    assert_eq!(metrics.in_flight(), BACKLOG, "every due poll is handed out");
     std::thread::sleep(StdDuration::from_millis(50));
-    assert_eq!(origin.held(), WIDTH, "only the pool's width of polls may be on the wire");
+    assert_eq!(origin.held(), WIDTH, "only the plane's width of polls may be on the wire");
+    assert_eq!(metrics.in_flight(), WIDTH, "and only that many handed out");
+    let engine = proxy.engine_metrics();
+    assert_eq!(engine.pool_opened(), WIDTH, "one pooled socket per poll out");
     origin.release_all();
     // Every poll stores its response, so a full cache is a drained backlog.
     wait_until("the backlog to drain", || {
@@ -105,7 +107,7 @@ fn a_due_backlog_drains_once_per_path_within_the_pool_width() {
     assert_eq!(
         origin.max_concurrent(),
         WIDTH,
-        "polls on the wire must fill, and never exceed, the pool"
+        "polls on the wire must fill, and never exceed, the width"
     );
     for p in &paths {
         assert_eq!(origin.fetches(p), 1, "{p} must be fetched exactly once");
@@ -114,10 +116,39 @@ fn a_due_backlog_drains_once_per_path_within_the_pool_width() {
     assert_eq!(metrics.drift().count, BACKLOG);
     wait_until("the last poll finished", || metrics.in_flight() == 0);
     assert_eq!(
-        proxy.engine_metrics().pool_opened(),
+        engine.pool_opened(),
         WIDTH,
-        "the queued polls ride the parked sockets"
+        "the waiting polls ride the parked sockets"
     );
+    drop(proxy);
+}
+
+/// Polls past the width wait in the schedule, not in the origin pool's
+/// queue: with 64 due polls held at the origin, a client miss on an
+/// unruled path is fetched beside the held ones at once.
+#[test]
+fn a_miss_is_answered_while_a_poll_backlog_is_held() {
+    const BACKLOG: u64 = 64;
+    let paths: Vec<String> = (0..BACKLOG).map(|i| format!("/q{i}")).collect();
+    let origin = ScriptedOrigin::start(FakeClock::new());
+    for p in &paths {
+        origin.script(p, vec![Behavior::Hold]);
+    }
+    let refs: Vec<&str> = paths.iter().map(String::as_str).collect();
+    let proxy = refresh_proxy(&origin, &refs, 60_000);
+    origin.wait_for_held(POLL_WIDTH as u64);
+
+    let started = Instant::now();
+    let miss = Client::new(proxy.local_addr(), StdDuration::from_secs(2))
+        .get("/unruled", None)
+        .expect("a miss answered while the polls are held");
+    assert_eq!(miss.status(), StatusCode::OK);
+    assert_eq!(miss.headers().get("x-cache"), Some("miss"));
+    assert!(started.elapsed() < StdDuration::from_secs(2), "the miss took {:?}", started.elapsed());
+    assert_eq!(origin.held(), POLL_WIDTH as u64, "every poll out is still held");
+    assert_eq!(origin.max_concurrent(), POLL_WIDTH as u64 + 1, "the held polls and the miss");
+    assert_eq!(proxy.stats().polls, POLL_WIDTH as u64, "the rest wait in the schedule");
+    origin.release_all();
     drop(proxy);
 }
 
@@ -284,6 +315,9 @@ fn proxy_survives_origin_faults() {
     wait_until("the fresh stamp served", || {
         stamp_of(&get(proxy.local_addr(), "/fast").expect("read after")) == clock.stamp_ms()
     });
+    // No failed poll kept its slot in the width.
+    let metrics = proxy.runtime().refresh_metrics();
+    wait_until("no poll out", || metrics.in_flight() == 0);
     drop(proxy);
 }
 
@@ -493,6 +527,9 @@ fn a_poll_the_origin_never_answers_times_out_without_stalling_hits() {
         "the failed path was polled again after only {:?}",
         failed.elapsed()
     );
+    // The timed-out poll did not keep its slot in the width.
+    let metrics = proxy.runtime().refresh_metrics();
+    wait_until("no poll out", || metrics.in_flight() == 0);
     origin.release_all();
     drop(proxy);
 }

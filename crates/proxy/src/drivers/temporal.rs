@@ -10,7 +10,9 @@
 //!
 //! All of that is [`crate::schedule`], which the live proxy's reactor 0
 //! steps too. This driver adds simulated time and an origin
-//! model; each object's validator and its logs are all it keeps.
+//! model that answers each poll as it is handed out, so one poll is out
+//! at a time, well inside the schedule's width; each object's validator
+//! and its logs are all it keeps.
 
 use std::collections::BTreeMap;
 

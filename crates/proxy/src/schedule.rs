@@ -6,11 +6,13 @@
 //! the queue of Mt-triggered polls. Every method takes `now` and none
 //! reads a clock. Inputs are `next_job`, `complete` and `reconcile`; the
 //! output is a [`Job`] to poll, or the instant to wake at when nothing is
-//! ready. Triggered polls go out before scheduled ones, a key never has
-//! two polls on the wire, and a trigger whose target is on the wire,
-//! queued or itself due is coalesced into that poll. The heap is lazily
-//! invalidated: a reschedule pushes a fresh entry under a bumped
-//! generation and stale ones are dropped as they surface.
+//! ready. At most [`POLL_WIDTH`] polls are out at once: past it, due
+//! polls wait here in order and a completion brings the next. Triggered
+//! polls go out before scheduled ones, a key never has two polls on the
+//! wire, and a trigger whose target is on the wire, queued or itself due
+//! is coalesced into that poll. The heap is lazily invalidated: a
+//! reschedule pushes a fresh entry under a bumped generation and stale
+//! ones are dropped as they surface.
 //!
 //! [`crate::drivers::run_temporal`] steps it through simulated time
 //! (`u32` handles, [`Timestamp`] instants, zero latency, an origin that
@@ -27,6 +29,12 @@ use std::ops::Add;
 use mutcon_core::limd::{Limd, LimdConfig, PollView};
 use mutcon_core::mutual::temporal::{MtCoordinator, MtPolicy};
 use mutcon_core::time::{Duration, Timestamp};
+
+/// The refresh plane's width: the most polls [`Schedule::next_job`] has
+/// out at once, whoever drives it. Every driver takes the bound from
+/// here; the simulator, which answers each poll as it is handed out,
+/// never reaches it.
+pub const POLL_WIDTH: usize = 4;
 
 /// Whether a poll was LIMD-scheduled or triggered by the Mt coordinator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -219,8 +227,17 @@ where
     /// When to call [`Schedule::next_job`] again after it returned
     /// `None`: the earliest due time still on the heap (stale tops
     /// discarded), which is never later than the earliest free key's.
-    /// `None` means only a completion or a reconcile can create work.
+    /// `None` means only a completion or a reconcile can create work;
+    /// with [`POLL_WIDTH`] polls out, only a completion can.
     pub fn next_wake(&mut self) -> Option<T> {
+        if self.in_flight.len() >= POLL_WIDTH {
+            return None;
+        }
+        self.earliest_due()
+    }
+
+    /// The earliest live due time on the heap, stale tops discarded.
+    fn earliest_due(&mut self) -> Option<T> {
         loop {
             let Reverse(entry) = self.due_queue.peek()?;
             if self.paths.get(&entry.key).is_some_and(|s| s.gen == entry.gen) {
@@ -233,7 +250,7 @@ where
     /// Pops the earliest live entry if it is due by `now`: `(due, key)`
     /// order, stale entries discarded along the way.
     fn pop_due(&mut self, now: T) -> Option<DueEntry<K, T>> {
-        if self.next_wake()? > now {
+        if self.earliest_due()? > now {
             return None;
         }
         self.due_queue.pop().map(|Reverse(entry)| entry)
@@ -241,8 +258,12 @@ where
 
     /// The next poll to put on the wire at `now`, marked in flight:
     /// queued triggers first (they restore mutual consistency *now*),
-    /// then the earliest due scheduled key that is free.
+    /// then the earliest due scheduled key that is free. `None` while
+    /// [`POLL_WIDTH`] polls are out.
     pub fn next_job(&mut self, now: T) -> Option<Job<K, T>> {
+        if self.in_flight.len() >= POLL_WIDTH {
+            return None;
+        }
         // Nothing scheduled is handed out while a trigger waits, so a
         // queued target (free when it was queued) is still free here.
         while let Some((key, due)) = self.trig_queue.pop_front() {
@@ -586,10 +607,11 @@ mod tests {
 
     /// Seeded interleavings over the bare state machine in simulated
     /// time: six paths in a triggered Mt group, random outcomes, one path
-    /// un-ruled and later brought back. Three seeds in four keep up to
-    /// three jobs on the wire and complete them in random order; the
-    /// fourth is the simulator's regime, one job at a time answered at
-    /// the instant it is handed out.
+    /// un-ruled and later brought back. Three seeds in four ask for up to
+    /// six jobs on the wire, more than [`POLL_WIDTH`] lets out, and
+    /// complete them in random order; the fourth is the simulator's
+    /// regime, one job at a time answered at the instant it is handed
+    /// out.
     #[test]
     fn dispatcher_model_never_double_polls_resurrects_or_starves() {
         use mutcon_sim::rng::SimRng;
@@ -602,7 +624,7 @@ mod tests {
         // and the heap (which may take a stale deferred entry back).
         let fingerprint =
             |d: &Sched<&str>| format!("{:?} {:?} {:?}", d.paths, d.trig_queue, d.coordinator);
-        let (mut late_completions, mut late_cascades, mut cascades) = (0, 0, 0);
+        let (mut late_completions, mut late_cascades, mut cascades, mut full_width) = (0, 0, 0, 0);
         for seed in 0..64 {
             let mut rng = SimRng::seed_from_u64(seed);
             let zero_latency = seed % 4 == 3;
@@ -654,15 +676,21 @@ mod tests {
                 if readd_at == Some(t) {
                     assert!(d.reconcile(3, full.clone(), group, at(t)).is_empty());
                 }
-                // and hand-outs, up to three on the wire.
-                while on_wire.len() < 3 && (zero_latency || rng.chance(0.8)) {
+                // and hand-outs, up to six asked for.
+                while on_wire.len() < 6 && (zero_latency || rng.chance(0.8)) {
                     let Some(job) = d.next_job(at(t)) else {
+                        let wake = d.next_wake();
+                        if d.in_flight.len() == POLL_WIDTH {
+                            // At full width only a completion makes work.
+                            assert_eq!(wake, None, "seed {seed} t {t}: a wake at full width");
+                            full_width += 1;
+                            break;
+                        }
                         // Nothing ready: every free path is due later
                         // (one that is not has been lost, and starves),
                         // and the wake instant covers the earliest.
                         let earliest_free =
                             d.paths.iter().filter(|(p, _)| !d.in_flight.contains_key(*p)).map(|(_, s)| s.due).min();
-                        let wake = d.next_wake();
                         if let Some(due) = earliest_free {
                             assert!(due > at(t), "seed {seed} t {t}: a free path is overdue");
                             assert!(wake.is_some_and(|w| w <= due), "seed {seed} t {t}: wake {wake:?}");
@@ -687,6 +715,8 @@ mod tests {
                         on_wire.push((job, t));
                     }
                 }
+                assert!(d.in_flight.len() <= POLL_WIDTH, "seed {seed} t {t}: {} out", d.in_flight.len());
+                assert_eq!(d.in_flight.len(), on_wire.len(), "seed {seed} t {t}");
             }
             // Every path kept polling on its own schedule to the end.
             for (path, s) in &d.paths {
@@ -696,5 +726,31 @@ mod tests {
         assert!(late_completions > 0, "no seed completed a poll of the removed path late");
         assert!(late_cascades > 0, "no late completion had an update to cascade");
         assert!(cascades > 0, "no triggered poll's update triggered anybody");
+        assert!(full_width > 0, "no seed filled the width");
+    }
+
+    /// At [`POLL_WIDTH`] polls out nothing more is handed out, not even
+    /// a due path, and there is no instant to wake at; one completion
+    /// frees one slot for the earliest due path, `(due, key)` order.
+    #[test]
+    fn a_full_width_hands_out_nothing_until_a_completion() {
+        let keys = ["/p0", "/p1", "/p2", "/p3", "/p4", "/p5"];
+        let mut d = schedule(keys, limd(10), None, at(0));
+        d.reschedule(&"/p4", at(5));
+        d.reschedule(&"/p5", at(3));
+        let now = at(10);
+        let out: Vec<_> = (0..POLL_WIDTH).map(|_| d.next_job(now).expect("free width")).collect();
+        assert_eq!(out.iter().map(|j| j.key).collect::<Vec<_>>(), ["/p0", "/p1", "/p2", "/p3"]);
+        assert!(d.next_job(now).is_none(), "/p4 and /p5 are due, but the width is full");
+        assert_eq!(d.next_wake(), None);
+        // A trigger for a path waiting past the width coalesces into it.
+        assert!(d.enqueue_trigger(&"/p4", now));
+
+        d.complete(&out[0], at(1_000), QUIET, now);
+        let next = d.next_job(now).expect("a slot is free");
+        assert_eq!((next.kind, next.key, next.due), (PollKind::Scheduled, "/p5", at(3)));
+        assert!(d.next_job(now).is_none() && d.next_wake().is_none(), "full again");
+        d.complete(&out[1], at(1_000), QUIET, now);
+        assert_eq!(d.next_job(now).map(|j| j.key), Some("/p4"));
     }
 }

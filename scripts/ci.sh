@@ -45,6 +45,20 @@ if grep -nE 'mpsc|JobQueue|WakeSignal|publish_one' crates/live/src/runtime.rs \
   exit 1
 fi
 
+# One poll width: the refresh plane's width is `POLL_WIDTH`
+# (crates/proxy/src/schedule.rs), which every driver of the schedule
+# inherits. The worker count `benchmark/` reads is that constant, not a
+# literal, and no second poll-width or poll-worker constant comes back
+# (the classes keep these patterns from matching themselves).
+second_width='const [A-Z0-9_]*(POL[L]|REFRES[H])[A-Z0-9_]*(WIDT[H]|WORKER[S]|IN_FLIGH[T]|CONCURRENC[Y])[A-Z0-9_]*:'
+if grep -rnE 'DEFAULT_REFRESH_WORKER[S]: usize = [^P]' crates \
+    || grep -rnE "$second_width" crates \
+      | grep -vE '^crates/proxy/src/schedule\.rs:[0-9]+:pub const POLL_WIDTH: usize = 4;$' \
+      | grep -vE '^crates/live/src/server\.rs:[0-9]+:pub const DEFAULT_REFRESH_WORKERS: usize = POLL_WIDTH;$'; then
+  echo "ci: a second poll width is back (lines above)" >&2
+  exit 1
+fi
+
 # One SIGHUP path: the handler only counts, and reactor 0 reloads the
 # rules file when the count moves. No signal thread, self-pipe, listener
 # registry or registration guard comes back (the classes keep these
