@@ -41,7 +41,7 @@ pub enum ConfigError {
         len: usize,
     },
     /// A serialized configuration spec could not be parsed (see
-    /// [`crate::limd::LimdConfig::from_spec`] and
+    /// [`crate::limit::LimiterConfig::from_spec`] and
     /// [`crate::mutual::temporal::MtPolicy`]'s `FromStr`).
     InvalidSpec {
         /// What was wrong with the spec text.

@@ -192,9 +192,8 @@ impl LimdConfig {
     /// ```
     ///
     /// The decrease rule is `m=fixed:M` or `m=adaptive:FLOOR:CEILING`.
-    /// [`LimdConfig::from_spec`] round-trips this exactly; control planes
-    /// (the live proxy's admin API) ship configs over the wire in this
-    /// form.
+    /// The live proxy's `GET /admin/rules` shows each path's config in
+    /// this form.
     pub fn to_spec(&self) -> String {
         let m = match self.decrease {
             DecreaseFactor::Fixed(m) => format!("fixed:{m}"),
@@ -211,89 +210,6 @@ impl LimdConfig {
             self.ttr_max.as_millis(),
             self.idle_threshold.as_millis(),
         )
-    }
-
-    /// Parses a configuration from the spec form written by
-    /// [`LimdConfig::to_spec`]. `delta_ms` is mandatory; every other key
-    /// defaults as in [`LimdConfig::builder`]. Unknown keys are rejected
-    /// (a typo must not silently fall back to a default).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError::InvalidSpec`] for malformed text and the
-    /// usual validation errors for out-of-range values.
-    pub fn from_spec(spec: &str) -> Result<LimdConfig, ConfigError> {
-        fn bad(message: impl Into<String>) -> ConfigError {
-            ConfigError::InvalidSpec {
-                message: message.into(),
-            }
-        }
-        fn ms(value: &str, key: &str) -> Result<Duration, ConfigError> {
-            value
-                .parse::<u64>()
-                .map(Duration::from_millis)
-                .map_err(|_| bad(format!("`{key}` must be an integer millisecond count")))
-        }
-        fn factor(value: &str, key: &str) -> Result<f64, ConfigError> {
-            value
-                .parse::<f64>()
-                .map_err(|_| bad(format!("`{key}` must be a number")))
-        }
-
-        let mut pending: Vec<(String, String)> = Vec::new();
-        for pair in spec.split(',') {
-            let pair = pair.trim();
-            if pair.is_empty() {
-                continue;
-            }
-            let (key, value) = pair
-                .split_once('=')
-                .ok_or_else(|| bad(format!("`{pair}` is not a key=value pair")))?;
-            let (key, value) = (key.trim(), value.trim());
-            if pending.iter().any(|(k, _)| k == key) {
-                // Same strictness as unknown keys: a duplicated key is
-                // a mangled spec, not a silent last-wins.
-                return Err(bad(format!("duplicate key `{key}`")));
-            }
-            pending.push((key.to_owned(), value.to_owned()));
-        }
-        let delta_at = pending
-            .iter()
-            .position(|(k, _)| k == "delta_ms")
-            .ok_or_else(|| bad("missing mandatory `delta_ms`"))?;
-        let (_, delta_value) = pending.remove(delta_at);
-        let mut builder = LimdConfig::builder(ms(&delta_value, "delta_ms")?);
-        for (key, value) in pending {
-            builder = match key.as_str() {
-                "l" => builder.linear_increase(factor(&value, &key)?),
-                "eps" => builder.epsilon(factor(&value, &key)?),
-                "ttr_min_ms" => builder.ttr_min(ms(&value, &key)?),
-                "ttr_max_ms" => builder.ttr_max(ms(&value, &key)?),
-                "idle_ms" => builder.idle_threshold(ms(&value, &key)?),
-                "m" => {
-                    let mut parts = value.split(':');
-                    let rule = match (parts.next(), parts.next(), parts.next(), parts.next()) {
-                        (Some("fixed"), Some(m), None, None) => {
-                            DecreaseFactor::Fixed(factor(m, "m")?)
-                        }
-                        (Some("adaptive"), Some(floor), Some(ceiling), None) => {
-                            DecreaseFactor::DeltaOverOutSync {
-                                floor: factor(floor, "m.floor")?,
-                                ceiling: factor(ceiling, "m.ceiling")?,
-                            }
-                        }
-                        _ => {
-                            return Err(bad(
-                                "`m` must be `fixed:M` or `adaptive:FLOOR:CEILING`",
-                            ))
-                        }
-                    };
-                    builder.decrease(rule)
-                }
-                other => return Err(bad(format!("unknown key `{other}`"))),
-            };
-        }
-        builder.build()
     }
 }
 
@@ -962,62 +878,22 @@ mod tests {
     }
 
     #[test]
-    fn spec_round_trips_every_field() {
-        let configs = [
-            LimdConfig::builder(Duration::from_mins(10)).build().unwrap(),
-            LimdConfig::builder(Duration::from_millis(50))
-                .linear_increase(0.35)
-                .decrease(DecreaseFactor::Fixed(0.5))
-                .epsilon(0.0)
-                .ttr_min(Duration::from_millis(25))
-                .ttr_max(Duration::from_millis(3_200))
-                .idle_threshold(Duration::from_secs(9))
-                .build()
-                .unwrap(),
-        ];
-        for config in configs {
-            let spec = config.to_spec();
-            let back = LimdConfig::from_spec(&spec).unwrap_or_else(|e| panic!("{spec}: {e}"));
-            assert_eq!(back, config, "{spec}");
-        }
-    }
-
-    #[test]
-    fn spec_defaults_match_builder_defaults() {
-        let parsed = LimdConfig::from_spec("delta_ms=600000").unwrap();
-        assert_eq!(parsed, LimdConfig::builder(Duration::from_mins(10)).build().unwrap());
-        // Order and whitespace are immaterial; delta_ms may come last.
-        let parsed = LimdConfig::from_spec(" ttr_max_ms=1200000 , delta_ms=600000 ").unwrap();
-        assert_eq!(parsed.ttr_max(), Duration::from_mins(20));
-    }
-
-    #[test]
-    fn spec_rejects_malformed_text_and_bad_values() {
-        for bad in [
-            "",                       // no delta
-            "l=0.2",                  // no delta
-            "delta_ms=abc",           // not a number
-            "delta_ms",               // not key=value
-            "delta_ms=1000,m=weird:1",// unknown decrease rule
-            "delta_ms=1000,m=adaptive:0.1", // missing ceiling
-            "delta_ms=1000,nope=1",   // unknown key
-            "delta_ms=1000,eps=0.02,eps=0.2", // duplicate key
-            "delta_ms=1000,delta_ms=2000",    // duplicate delta
-        ] {
-            assert!(
-                matches!(LimdConfig::from_spec(bad), Err(ConfigError::InvalidSpec { .. })),
-                "accepted {bad:?}"
-            );
-        }
-        // Well-formed spec, out-of-range value → the builder's own error.
-        assert!(matches!(
-            LimdConfig::from_spec("delta_ms=0"),
-            Err(ConfigError::ZeroTolerance { .. })
-        ));
-        assert!(matches!(
-            LimdConfig::from_spec("delta_ms=1000,l=1.5"),
-            Err(ConfigError::ParameterOutOfRange { name: "l", .. })
-        ));
+    fn spec_renders_every_field() {
+        let paper = LimdConfig::builder(Duration::from_mins(10)).build().unwrap();
+        assert_eq!(
+            paper.to_spec(),
+            "delta_ms=600000,l=0.2,m=adaptive:0.05:0.95,eps=0.02,ttr_min_ms=600000,ttr_max_ms=3600000,idle_ms=3600000"
+        );
+        let tuned = LimdConfig::builder(Duration::from_millis(50))
+            .linear_increase(0.35)
+            .decrease(DecreaseFactor::Fixed(0.5))
+            .epsilon(0.0)
+            .ttr_min(Duration::from_millis(25))
+            .ttr_max(Duration::from_millis(3_200))
+            .idle_threshold(Duration::from_secs(9))
+            .build()
+            .unwrap();
+        assert_eq!(tuned.to_spec(), "delta_ms=50,l=0.35,m=fixed:0.5,eps=0,ttr_min_ms=25,ttr_max_ms=3200,idle_ms=9000");
     }
 
     #[test]

@@ -72,8 +72,7 @@ impl Cell for Counter {
     }
 }
 
-/// A level: set, moved by one either way, or raised to a high-water
-/// mark.
+/// A level: set, or raised to a high-water mark.
 #[derive(Debug, Default)]
 pub struct Gauge(AtomicU64);
 
@@ -86,16 +85,6 @@ impl Gauge {
     /// Raises the level to `level` if that is higher (a high-water mark).
     pub fn raise(&self, level: u64) {
         self.0.fetch_max(level, Relaxed);
-    }
-
-    /// One more.
-    pub fn inc(&self) {
-        self.0.fetch_add(1, Relaxed);
-    }
-
-    /// One fewer.
-    pub fn dec(&self) {
-        self.0.fetch_sub(1, Relaxed);
     }
 }
 
@@ -378,9 +367,8 @@ mod tests {
         sample.seen.inc();
         sample.seen.add(2);
         sample.seen.add(0);
-        sample.held.inc();
-        sample.held.inc();
-        sample.held.dec();
+        sample.held.set(1);
+        sample.held.raise(0);
         assert_eq!((sample.seen(), sample.held()), (3, 1));
         assert_eq!(sample.snapshot(), SampleSnap { seen: 3, held: 1 });
         assert_eq!(

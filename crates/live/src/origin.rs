@@ -1,26 +1,33 @@
-//! The live origin server: replays an [`UpdateTrace`] in wall-clock time
-//! over real TCP.
+//! The live origin server: the simulator's origin model
+//! ([`OriginServer`]) over real TCP, on trace time that runs with the
+//! wall clock.
 //!
-//! Trace time 0 is anchored to the server's start instant; every
+//! Trace time 0 is anchored to the server's start instant. A request is
+//! answered by [`HostedObject::poll`] at the current trace time, the
+//! same call the simulator makes, and `render` turns that answer into
+//! the HTTP response; the origin keeps no replay of its own. Every
 //! `Last-Modified` (and the millisecond-precise `x-last-modified-ms`
 //! extension) is reported in absolute Unix-epoch milliseconds, so the
 //! proxy and origin share one timeline without clock negotiation.
 //!
+//! [`HostedObject::poll`]: mutcon_proxy::origin::HostedObject::poll
+//!
 //! Connections are served by the shared reactor engine
 //! ([`crate::server`]); there is no worker pool.
 
-use std::collections::HashMap;
 use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
+use mutcon_core::object::ObjectId;
 use mutcon_core::time::Timestamp;
 use mutcon_http::extensions::set_modification_history;
 use mutcon_http::headers::HeaderName;
 use mutcon_http::message::{Request, Response};
 use mutcon_http::types::{Method, StatusCode};
+use mutcon_proxy::origin::{HistorySupport, OriginResponse, OriginServer};
 use mutcon_traces::UpdateTrace;
 
 use crate::client::X_LAST_MODIFIED_MS;
@@ -29,21 +36,21 @@ use crate::server::{default_reactors, EngineConfig, EventLoop, Reply, Service, S
 /// Builder for [`LiveOrigin`].
 #[derive(Debug, Default)]
 pub struct LiveOriginBuilder {
-    objects: Vec<(String, UpdateTrace)>,
-    history: bool,
+    origin: OriginServer,
     reactors: Option<usize>,
 }
 
 impl LiveOriginBuilder {
     /// Hosts `trace` at `path`.
     pub fn object(mut self, path: impl Into<String>, trace: UpdateTrace) -> Self {
-        self.objects.push((path.into(), trace));
+        self.origin.host(ObjectId::from(path.into()), trace);
         self
     }
 
     /// Enables the §5.1 modification-history extension header.
     pub fn with_history(mut self, yes: bool) -> Self {
-        self.history = yes;
+        let history = if yes { HistorySupport::Full } else { HistorySupport::None };
+        self.origin = self.origin.with_history(history);
         self
     }
 
@@ -61,10 +68,9 @@ impl LiveOriginBuilder {
     /// Propagates socket errors.
     pub fn start(self) -> io::Result<LiveOrigin> {
         let shared = Arc::new(Shared {
-            objects: self.objects.into_iter().collect(),
+            origin: self.origin,
             epoch_unix_ms: unix_now_ms(),
             epoch: Instant::now(),
-            history: self.history,
             requests: AtomicU64::new(0),
         });
         let server = EventLoop::start(
@@ -80,11 +86,10 @@ impl LiveOriginBuilder {
 }
 
 struct Shared {
-    objects: HashMap<String, UpdateTrace>,
+    origin: OriginServer,
     /// Unix-epoch milliseconds corresponding to trace time 0.
     epoch_unix_ms: u64,
     epoch: Instant,
-    history: bool,
     requests: AtomicU64,
 }
 
@@ -121,7 +126,7 @@ impl std::fmt::Debug for LiveOrigin {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LiveOrigin")
             .field("addr", &self.local_addr())
-            .field("objects", &self.shared.objects.len())
+            .field("objects", &self.shared.origin.object_ids().count())
             .finish()
     }
 }
@@ -144,72 +149,68 @@ struct OriginService {
 
 impl Service for OriginService {
     fn respond(&mut self, request: &Request) -> ServiceResult {
-        self.shared.requests.fetch_add(1, Ordering::SeqCst);
-        ServiceResult::Reply(Reply::Full(respond(&self.shared, request)))
+        let shared = &*self.shared;
+        shared.requests.fetch_add(1, Ordering::SeqCst);
+        let response = if request.method() != &Method::Get {
+            Response::builder(StatusCode::METHOD_NOT_ALLOWED).build()
+        } else if request.target() == "/__health" {
+            Response::ok().body(&b"ok\n"[..]).build()
+        } else {
+            let now = Timestamp::from_millis(shared.epoch.elapsed().as_millis() as u64);
+            answer(&shared.origin, shared.epoch_unix_ms, request, now)
+        };
+        ServiceResult::Reply(Reply::Full(response))
     }
 }
 
-fn respond(shared: &Shared, request: &Request) -> Response {
-    if request.method() != &Method::Get {
-        return Response::builder(StatusCode::METHOD_NOT_ALLOWED).build();
+/// The answer to `request`, a `GET` of a hosted path, at trace time
+/// `now` from `origin`, whose trace time 0 is `epoch_unix_ms`: the
+/// request's validator moved to trace time, `HostedObject::poll`,
+/// then [`render`]. `404` for a path not hosted or not yet created.
+pub(crate) fn answer(origin: &OriginServer, epoch_unix_ms: u64, request: &Request, now: Timestamp) -> Response {
+    // A validator from before trace time 0 (an `If-Modified-Since` date
+    // rounded down to the second) predates every version: it validates
+    // nothing, rather than reading as trace time 0.
+    let validator = crate::client::validator_ms(request)
+        .and_then(|v| v.as_millis().checked_sub(epoch_unix_ms))
+        .map(Timestamp::from_millis);
+    match origin.object(&ObjectId::new(request.target())).map(|o| o.poll(now, validator)) {
+        Ok(Ok(response)) => render(request.target(), &response, epoch_unix_ms),
+        _ => Response::builder(StatusCode::NOT_FOUND).build(),
     }
-    if request.target() == "/__health" {
-        return Response::ok().body(&b"ok\n"[..]).build();
+}
+
+/// The HTTP form of what `HostedObject::poll` answered for `target`,
+/// its trace stamps moved to Unix milliseconds by `epoch_unix_ms`. A
+/// `304` carries `x-last-modified-ms`; a `200` also `Last-Modified`, the
+/// version, the value of a valued object, a body naming all three and,
+/// when the answer has one, the modification history.
+pub(crate) fn render(target: &str, response: &OriginResponse<'_>, epoch_unix_ms: u64) -> Response {
+    let unix = |t: Timestamp| Timestamp::from_millis(epoch_unix_ms + t.as_millis());
+    let last_modified = unix(response.last_modified);
+    if response.not_modified {
+        return Response::not_modified()
+            .header(X_LAST_MODIFIED_MS, last_modified.as_millis().to_string())
+            .build();
     }
-    let Some(trace) = shared.objects.get(request.target()) else {
-        return Response::builder(StatusCode::NOT_FOUND).build();
-    };
-
-    // Current trace time.
-    let elapsed_ms = shared.epoch.elapsed().as_millis() as u64;
-    let now_rel = Timestamp::from_millis(elapsed_ms.min(trace.end().as_millis()));
-    let Some(version_index) = trace.version_index_at(now_rel.max(trace.start())) else {
-        return Response::builder(StatusCode::NOT_FOUND).build();
-    };
-    let event = &trace.events()[version_index];
-    let event_abs = Timestamp::from_millis(shared.epoch_unix_ms + event.at.as_millis());
-
-    // Conditional handling on the absolute millisecond timeline.
-    let validator = crate::client::validator_ms(request);
-    if let Some(v) = validator {
-        if event_abs <= v {
-            return Response::not_modified()
-                .header(X_LAST_MODIFIED_MS, event_abs.as_millis().to_string())
-                .build();
-        }
-    }
-
-    let body = match event.value {
-        Some(value) => format!(
-            "object={} version={} value={}\n",
-            request.target(),
-            version_index,
-            value.as_f64()
-        ),
-        None => format!("object={} version={}\n", request.target(), version_index),
-    };
+    let version = response.version_index;
+    let mut body = format!("object={target} version={version}");
     let mut builder = Response::ok()
-        .last_modified(event_abs)
-        .header(X_LAST_MODIFIED_MS, event_abs.as_millis().to_string())
-        .header(HeaderName::X_OBJECT_VERSION, version_index.to_string())
+        .last_modified(last_modified)
+        .header(X_LAST_MODIFIED_MS, last_modified.as_millis().to_string())
+        .header(HeaderName::X_OBJECT_VERSION, version.to_string())
         .header(HeaderName::CONTENT_TYPE, "text/plain");
-    if let Some(value) = event.value {
+    if let Some(value) = response.value {
+        body += &format!(" value={}", value.as_f64());
         builder = builder.header(HeaderName::X_OBJECT_VALUE, value.as_f64().to_string());
     }
-    let mut response = builder.body(body.into_bytes()).build();
-
-    if shared.history {
-        let since_rel = validator
-            .map(|v| Timestamp::from_millis(v.as_millis().saturating_sub(shared.epoch_unix_ms)))
-            .unwrap_or(Timestamp::ZERO);
-        let history: Vec<Timestamp> = trace
-            .events_between(since_rel, now_rel)
-            .iter()
-            .map(|e| Timestamp::from_millis(shared.epoch_unix_ms + e.at.as_millis()))
-            .collect();
-        set_modification_history(response.headers_mut(), &history);
+    body.push('\n');
+    let mut rendered = builder.body(body.into_bytes()).build();
+    if let Some(history) = response.history {
+        let history: Vec<Timestamp> = history.iter().map(|&t| unix(t)).collect();
+        set_modification_history(rendered.headers_mut(), &history);
     }
-    response
+    rendered
 }
 
 #[cfg(test)]

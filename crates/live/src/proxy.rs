@@ -9,9 +9,10 @@
 //! ([`crate::runtime`]) at each wake, sends each due poll as a pooled
 //! origin fetch beside the misses, at most
 //! [`POLL_WIDTH`](crate::runtime::POLL_WIDTH) at once, and applies the
-//! answer when the fetch completes. One binary-ready struct, ephemeral
-//! ports, clean shutdown on drop: the "implement it in a real proxy"
-//! future work of §7, in miniature.
+//! answer to the path its request names when the fetch completes. It
+//! keeps no poll table and reads the wall clock once per wake. One
+//! binary-ready struct, ephemeral ports, clean shutdown on drop: the
+//! "implement it in a real proxy" future work of §7, in miniature.
 //!
 //! Connections are served by the shared readiness-driven engine
 //! ([`crate::server`]): one reactor per core (or
@@ -62,7 +63,6 @@
 //! configured [`ProxyConfig::rules_file`] is re-read on `SIGHUP` by
 //! reactor 0 at its next wake, through `PUT /admin/rules`'s path.
 
-use std::collections::HashMap;
 use std::io;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
@@ -71,7 +71,7 @@ use std::time::Instant;
 
 use mutcon_core::limd::PollResult;
 use mutcon_core::mutual::temporal::MtPolicy;
-use mutcon_core::time::Duration;
+use mutcon_core::time::{Duration, Timestamp};
 use mutcon_sim::reactor::BackendKind;
 use mutcon_sim::signal;
 use mutcon_http::headers::HeaderName;
@@ -82,8 +82,9 @@ use mutcon_traces::json::Json;
 use crate::cache::{CacheEntry, L1Cache, L1Lookup, ShardedCache};
 use crate::client::{get_wire, wire_target, ObjectStamps};
 use crate::metrics::{metrics, obj, put, Counter};
+use crate::origin::unix_now_ms;
 use crate::overload::{parse_overload_body, render_overload, OverloadControl, ADMIN_PREFIX};
-use crate::runtime::{ConsistencyRuntime, Plane, Poll, PollKind};
+use crate::runtime::{ConsistencyRuntime, Plane, PollKind};
 use crate::server::{
     default_reactors, EngineConfig, EngineMetrics, EventLoop, PreparedResponse, Reply, Service,
     ServiceResult, DEFAULT_L1_OBJECTS, DEFAULT_MAX_CONNS, MAX_L1_OBJECTS,
@@ -272,7 +273,7 @@ impl LiveProxy {
         let overload = Arc::new(OverloadControl::default());
         // Reactor 0's instance is built first, and only it steps the plane
         // and reloads.
-        let mut plane = true;
+        let mut first = true;
         let server = EventLoop::start(
             "mutcon-live-proxy-reactor",
             || {
@@ -281,7 +282,7 @@ impl LiveProxy {
                     metrics: Arc::clone(&metrics),
                     overload: Arc::clone(&overload),
                     l1: (l1_objects > 0).then(|| L1Cache::new(l1_objects)),
-                    polls: std::mem::take(&mut plane).then(HashMap::new),
+                    plane: std::mem::take(&mut first),
                     reload: reload.take(),
                 })
             },
@@ -371,10 +372,9 @@ struct ProxyService {
     /// (`None` when `l1_objects` is 0). Only this instance's reactor
     /// thread touches it, so it needs no lock.
     l1: Option<L1Cache>,
-    /// The refresh plane's polls out as origin fetches, by path (never
-    /// two for one path); `None` on every reactor but the first, which
-    /// alone steps the plane.
-    polls: Option<HashMap<Arc<str>, Poll>>,
+    /// Whether this is reactor 0's instance, which alone steps the
+    /// refresh plane.
+    plane: bool,
     /// The rules file re-read on `SIGHUP` and the signal count last
     /// seen; reactor 0's only, and only with a rules file.
     reload: Option<(PathBuf, u64)>,
@@ -466,46 +466,29 @@ impl Service for ProxyService {
     }
 
     /// Reactor 0 re-reads the rules file if a `SIGHUP` came since it
-    /// last looked, then hands every due poll the width admits to the
-    /// origin pool as a conditional `GET`, validated by the cached copy's
-    /// stamp.
-    fn own_work(
-        &mut self,
-        now: Instant,
-        start: &mut dyn FnMut(SocketAddr, Vec<u8>),
-    ) -> Option<Instant> {
-        let polls = self.polls.as_mut()?;
-        let shared = &*self.shared;
+    /// last looked, then reads the wall clock once and steps the refresh
+    /// plane ([`ProxyService::refresh`]).
+    fn own_work(&mut self, now: Instant, start: &mut dyn FnMut(SocketAddr, Vec<u8>)) -> Option<Instant> {
+        if !self.plane {
+            return None;
+        }
         // Before the plane's lock, which `install` takes.
         if let Some((path, seen)) = &mut self.reload {
             let count = signal::sighup_count();
             if count != *seen {
                 *seen = count;
-                reload_rules_file(shared, path);
+                reload_rules_file(&self.shared, path);
             }
         }
-        let mut plane = shared.runtime.plane();
-        while let Some(poll) = plane.next_poll(now) {
-            let validator = shared.cache.get(poll.path()).map(|e| e.last_modified());
-            shared.counters.polls.inc();
-            if poll.kind() == PollKind::Triggered {
-                shared.counters.triggered.inc();
-            }
-            start(shared.origin, get_wire(poll.path(), &shared.origin_host, validator));
-            polls.insert(Arc::clone(poll.path()), poll);
-        }
-        plane.next_wake()
+        self.refresh(now, Timestamp::from_millis(unix_now_ms()), start)
     }
 
-    fn own_fetched(&mut self, request: &[u8], result: &io::Result<Response>) {
+    fn own_fetched(&mut self, request: &[u8], result: &io::Result<Response>, now: Instant) {
         let Some(path) = wire_target(request) else { return };
-        let Some(poll) = self.polls.as_mut().and_then(|polls| polls.remove(path)) else {
-            return;
-        };
         let shared = &*self.shared;
         let mut plane = shared.runtime.plane();
         let outcome = poll_outcome(shared, &plane, path, result);
-        plane.finish(poll, outcome);
+        plane.finish(path, outcome, now);
     }
 }
 
@@ -529,6 +512,24 @@ fn error_response(status: StatusCode, reason: &str) -> Response {
 }
 
 impl ProxyService {
+    /// One step of the refresh plane at `now`, `ts` on the LIMD/Mt
+    /// timeline, reading no clock: hands every due poll the width admits
+    /// to `start` as a conditional `GET`, validated by the cached copy's
+    /// stamp, and returns when to step again.
+    fn refresh(&self, now: Instant, ts: Timestamp, start: &mut dyn FnMut(SocketAddr, Vec<u8>)) -> Option<Instant> {
+        let shared = &*self.shared;
+        let mut plane = shared.runtime.plane();
+        while let Some(job) = plane.next_poll(now, ts) {
+            let validator = shared.cache.get(&job.key).map(|e| e.last_modified());
+            shared.counters.polls.inc();
+            if job.kind == PollKind::Triggered {
+                shared.counters.triggered.inc();
+            }
+            start(shared.origin, get_wire(&job.key, &shared.origin_host, validator));
+        }
+        plane.next_wake()
+    }
+
     /// Returns the `401` response when a bearer token is configured and
     /// the request doesn't carry it; `None` admits the request. Uses
     /// the standard `Authorization: Bearer <token>` scheme (RFC 6750),
@@ -704,7 +705,7 @@ impl ProxyService {
 /// body has passed [`crate::overload::OverloadConfig::validate`].
 fn parse_rules_body(body: &[u8]) -> Result<(Vec<RefreshRule>, Option<GroupRule>), String> {
     // A typo'd key must not silently fall back to a default (the same
-    // stance `LimdConfig::from_spec` takes).
+    // stance `LimiterConfig::from_spec` takes for `PUT /admin/overload`).
     fn known_keys_only(value: &Json, allowed: &[&str], what: &str) -> Result<(), String> {
         let Json::Object(map) = value else {
             return Err(format!("{what} must be a JSON object"));
@@ -1009,5 +1010,240 @@ mod tests {
             }
         }
         assert!(accepted >= 50, "{accepted} rules bodies accepted");
+    }
+
+    /// Reactor 0's service alone, with no listener and no reactor: its
+    /// origin address is never dialed, because the test answers every
+    /// fetch the service starts.
+    fn plane_service(rules: Vec<RefreshRule>, group: Option<GroupRule>) -> ProxyService {
+        let origin: SocketAddr = "127.0.0.1:9".parse().unwrap();
+        let shared = Shared {
+            origin,
+            origin_host: origin.to_string(),
+            cache: ShardedCache::new(None),
+            counters: Counters::default(),
+            runtime: ConsistencyRuntime::new(rules, group).unwrap(),
+            admin_token: None,
+            l1_objects: 0,
+        };
+        ProxyService {
+            shared: Arc::new(shared),
+            metrics: Arc::new(EngineMetrics::default()),
+            overload: Arc::new(OverloadControl::default()),
+            l1: None,
+            plane: true,
+            reload: None,
+        }
+    }
+
+    /// Trace time 0 on the Unix timeline, not on a whole second: an
+    /// `If-Modified-Since` date of it rounds down to before the epoch.
+    const EPOCH_UNIX_MS: u64 = 1_700_000_000_250;
+
+    /// Figure 5's triggered column, live: reactor 0's service stepped
+    /// through virtual instants against the simulator's own origin,
+    /// every poll answered at rtt = 0 through the origin's `render`
+    /// before the service is asked again, polls what `run_temporal`
+    /// polls, instant for instant, with the same answers.
+    #[test]
+    fn reactor_0_in_virtual_time_polls_as_the_simulator_does() {
+        use mutcon_core::limd::LimdConfig;
+        use mutcon_core::object::ObjectId;
+        use mutcon_http::parse::parse_request;
+        use mutcon_proxy::drivers::{run_temporal, MutualSetup, TemporalPolicy, TemporalSimConfig};
+        use mutcon_proxy::log::PollOutcome;
+        use mutcon_proxy::origin::OriginServer;
+        use mutcon_traces::catalog::NamedTrace;
+
+        // Named so that `(due, key)` order is the simulator's object order.
+        let paths = ["/0-cnn-fn", "/1-nyt-ap"];
+        let traces = [NamedTrace::CnnFn, NamedTrace::NytAp].map(NamedTrace::generate);
+        let ids = paths.map(ObjectId::new);
+        let mut origin = OriginServer::new();
+        for (id, trace) in ids.iter().zip(&traces) {
+            origin.host(id.clone(), trace.clone());
+        }
+        let until = traces[0].end().min(traces[1].end());
+        // Fig3Config's LIMD: the builder's defaults, Δ = 10 min, 60 min TTR cap.
+        let (delta, ttr_max) = (Duration::from_mins(10), Duration::from_mins(60));
+        let limd = LimdConfig::builder(delta).ttr_max(ttr_max).build().unwrap();
+
+        // (ms since trace time 0, status, version) per poll.
+        type Polls = Vec<(u64, u16, Option<usize>)>;
+        for (group_min, golden) in [(1, 389), (5, 373), (15, 325), (30, 310)] {
+            let group = GroupRule { delta: Duration::from_mins(group_min), policy: MtPolicy::TriggeredPolls };
+            let sim = run_temporal(
+                &origin,
+                &ids,
+                &TemporalSimConfig {
+                    policy: TemporalPolicy::Limd(limd),
+                    mutual: Some(MutualSetup { delta: group.delta, policy: group.policy }),
+                    until,
+                },
+            );
+            let expected: Vec<Polls> = ids
+                .iter()
+                .map(|id| {
+                    let polls = sim.logs[id].records().iter();
+                    polls
+                        .map(|r| match r.outcome {
+                            PollOutcome::NotModified => (r.at.as_millis(), 304, None),
+                            PollOutcome::Refreshed { version_index } => (r.at.as_millis(), 200, Some(version_index)),
+                        })
+                        .collect()
+                })
+                .collect();
+            assert_eq!(expected.iter().map(Vec::len).sum::<usize>(), golden, "δ = {group_min} min");
+
+            let rules = paths.iter().map(|p| RefreshRule::new(*p, delta).ttr_max(ttr_max)).collect();
+            let mut service = plane_service(rules, Some(group));
+            // After the install: every path is due at `base`.
+            let base = Instant::now();
+            let mut live: Vec<Polls> = vec![Vec::new(); paths.len()];
+            let mut offset = Duration::ZERO;
+            loop {
+                let now = base + offset;
+                let mut sent = Vec::new();
+                let wake = service.refresh(now, Timestamp::from_millis(EPOCH_UNIX_MS) + offset, &mut |_, wire| {
+                    sent.push(wire);
+                });
+                if sent.is_empty() {
+                    // Nothing more at this instant: on to the next due one,
+                    // within the simulator's window.
+                    let next = wake.map(|at| Duration::from_millis(at.duration_since(base).as_millis() as u64));
+                    match next.filter(|&next| Timestamp::ZERO + next <= until) {
+                        Some(next) => offset = next,
+                        None => break,
+                    }
+                    continue;
+                }
+                for wire in sent {
+                    let (request, _) = parse_request(&wire).unwrap().expect("a whole request");
+                    let response =
+                        crate::origin::answer(&origin, EPOCH_UNIX_MS, &request, Timestamp::ZERO + offset);
+                    let version = ObjectStamps::of(&response).version.map(|v| v.parse().unwrap());
+                    let path = paths.iter().position(|p| *p == request.target()).expect("a ruled path");
+                    live[path].push((offset.as_millis(), response.status().as_u16(), version));
+                    service.own_fetched(&wire, &Ok(response), now);
+                }
+            }
+
+            for (path, (live, expected)) in paths.iter().zip(live.iter().zip(&expected)) {
+                let first = live.iter().zip(expected).position(|(l, e)| l != e);
+                let first = first.unwrap_or(live.len().min(expected.len()));
+                assert!(
+                    live.len() == expected.len() && first == live.len(),
+                    "δ = {group_min} min, {path}: poll #{first} differs, live {:?} against the simulator's {:?} ({} against {} polls)",
+                    live.get(first),
+                    expected.get(first),
+                    live.len(),
+                    expected.len(),
+                );
+            }
+            let stats = service.shared.counters.snapshot();
+            assert_eq!((stats.polls, stats.triggered), (golden as u64, sim.total_triggered()), "δ = {group_min} min");
+            assert_eq!(service.shared.runtime.refresh_metrics().in_flight(), 0);
+        }
+    }
+
+    /// The live origin is the simulator's origin model: on a grid of
+    /// (instant, validator), with and without the history extension,
+    /// `render`'s response, read back the way the proxy reads it, says
+    /// exactly what `HostedObject::poll` answered.
+    #[test]
+    fn the_live_origin_renders_what_the_simulators_origin_answers() {
+        use mutcon_core::object::ObjectId;
+        use mutcon_core::value::Value;
+        use mutcon_http::date::write_http_date;
+        use mutcon_http::extensions::modification_history;
+        use mutcon_http::parse::parse_request;
+        use mutcon_proxy::origin::{HistorySupport, OriginServer};
+        use mutcon_traces::{UpdateEvent, UpdateTrace};
+
+        let at = Timestamp::from_millis;
+        let unix = |t: Timestamp| at(EPOCH_UNIX_MS + t.as_millis());
+        // Two objects updated at 2, 2.5 and 4 s in a window that ends at
+        // 5 s: one created at trace time 0, one at 1 s.
+        let trace = |created: u64| {
+            let events = [(created, 1.5), (2_000, 2.5), (2_500, 3.5), (4_000, 4.5)]
+                .map(|(ms, value)| UpdateEvent::valued(at(ms), Value::new(value)));
+            UpdateTrace::new("valued", Timestamp::ZERO, at(5_000), events.to_vec()).unwrap()
+        };
+        let objects = [("/early", trace(0)), ("/late", trace(1_000))];
+        let rules = objects.iter().map(|(path, _)| RefreshRule::new(*path, Duration::from_millis(10))).collect();
+        let service = plane_service(rules, None);
+        // What the proxy reads off a response, and what it makes of it.
+        type ReadBack = (u16, Option<Timestamp>, Option<String>, Option<f64>, Option<Vec<Timestamp>>, Option<PollResult>);
+        let read_back = |path: &str, response: Response| -> ReadBack {
+            let stamps = ObjectStamps::of(&response);
+            let (version, value, last_modified) = (stamps.version.map(str::to_owned), stamps.value, stamps.last_modified);
+            let history = modification_history(response.headers());
+            let outcome = poll_outcome(&service.shared, &service.shared.runtime.plane(), path, &Ok(response.clone()));
+            (response.status().as_u16(), last_modified, version, value, history, outcome)
+        };
+        let (mut seen_304, mut seen_history_after_validator, mut seen_404) = (0, 0, 0);
+        for history in [HistorySupport::None, HistorySupport::Full] {
+            let mut origin = OriginServer::new().with_history(history);
+            for (path, trace) in &objects {
+                origin.host(ObjectId::new(path), trace.clone());
+            }
+            for (path, _) in &objects {
+                let hosted = origin.object(&ObjectId::new(path)).unwrap();
+                // The request's validator on the wire, and the one the
+                // simulator is given: the `x-last-modified-ms` stamp of a
+                // copy, or an `If-Modified-Since` date alone. That date
+                // rounds trace time 0 down to before the epoch, so it
+                // validates no version, not even one created at 0.
+                let mut ims = format!("GET {path} HTTP/1.1\r\nhost: o\r\nif-modified-since: ").into_bytes();
+                write_http_date(&mut ims, unix(Timestamp::ZERO));
+                ims.extend_from_slice(b"\r\n\r\n");
+                let mut validators = vec![(get_wire(path, "o", None), None), (ims, None)];
+                for ms in [0, 999, 1_000, 1_999, 2_000, 2_499, 2_500, 4_000, 9_999] {
+                    validators.push((get_wire(path, "o", Some(unix(at(ms)))), Some(at(ms))));
+                }
+                for now in [0, 500, 999, 1_000, 1_500, 2_000, 2_200, 2_500, 3_000, 4_000, 5_000, 60_000].map(at) {
+                    for (wire, validator) in &validators {
+                        let (request, _) = parse_request(wire).unwrap().unwrap();
+                        let live = read_back(path, crate::origin::answer(&origin, EPOCH_UNIX_MS, &request, now));
+                        let expected: ReadBack = match hosted.poll(now, *validator) {
+                            Err(_) => (404, None, None, None, None, None),
+                            Ok(r) if r.not_modified => {
+                                (304, Some(unix(r.last_modified)), None, None, None, Some(PollResult::NotModified))
+                            }
+                            Ok(r) => {
+                                let history = r.history.map(|h| h.iter().map(|&t| unix(t)).collect::<Vec<_>>());
+                                let last_modified = unix(r.last_modified);
+                                (
+                                    200,
+                                    Some(last_modified),
+                                    Some(r.version_index.to_string()),
+                                    r.value.map(Value::as_f64),
+                                    history.clone(),
+                                    Some(PollResult::Modified { last_modified, history }),
+                                )
+                            }
+                        };
+                        assert_eq!(live, expected, "{history:?} {path} at {now} with {validator:?}");
+                        seen_304 += u32::from(live.0 == 304);
+                        seen_404 += u32::from(live.0 == 404);
+                        seen_history_after_validator += u32::from(validator.is_some() && live.4.is_some());
+                        if hosted.trace().version_index_at(now).is_some() && validator.is_none() {
+                            // Unconditional, or validated by a pre-epoch date:
+                            // a `200`, with the current version alone as its
+                            // history.
+                            assert_eq!(live.0, 200, "{history:?} {path} at {now}");
+                            if history == HistorySupport::Full {
+                                assert_eq!(live.4.as_deref(), live.1.as_slice().into(), "{path} at {now}");
+                            }
+                        }
+                    }
+                }
+                // Past the window's end the last version stays current.
+                let (request, _) = parse_request(&validators[0].0).unwrap().unwrap();
+                let live = read_back(path, crate::origin::answer(&origin, EPOCH_UNIX_MS, &request, at(60_000)));
+                assert_eq!((live.1, live.2.as_deref()), (Some(unix(at(4_000))), Some("3")));
+            }
+        }
+        assert!(seen_304 > 0 && seen_404 > 0 && seen_history_after_validator > 0);
     }
 }

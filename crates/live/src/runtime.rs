@@ -18,10 +18,18 @@
 //! registers at start to evict the un-ruled paths, bump its cache
 //! generation and wake reactor 0. `ConsistencyRuntime::plane` locks the
 //! machine for the reactor: `next_poll` hands out a due poll, `ruled`
-//! says whether a path is still ruled, `finish` applies a poll's outcome
-//! and `next_wake` says when to look again. The lock is never held across
-//! a round trip. [`ConsistencyRuntime::run`] steps the same plane from
-//! blocking worker threads; it is kept because `benchmark/` drives it.
+//! says whether a path is still ruled, `finish` applies the outcome of a
+//! path's poll and `next_wake` says when to look again. The lock is never
+//! held across a round trip. [`ConsistencyRuntime::run`] steps the same
+//! plane from blocking worker threads; it is kept because `benchmark/`
+//! drives it.
+//!
+//! **One ledger, no clock.** A poll out is an entry in the schedule's
+//! in-flight table (kind, send stamp) until `finish` names its path;
+//! `refresh.in_flight` is that table's size. `next_poll(now, ts)` and
+//! `finish(path, result, now)` take their instants from the caller, `ts`
+//! on the Unix-millisecond timeline LIMD and the coordinator run on. Only
+//! `install` (the instant new rules fall due) and `run` read a clock.
 //!
 //! **The width.** The schedule hands out at most [`POLL_WIDTH`] (4)
 //! polls at once, so whichever driver steps it, at most that many are on
@@ -211,41 +219,6 @@ metrics! {
 /// the monotonic clock.
 type Core = Schedule<Arc<str>, Instant>;
 
-/// Hands a validated rule set to the scheduler as `version`; returns the
-/// paths it un-ruled, sorted.
-fn reconcile(
-    core: &mut Core,
-    version: u64,
-    rules: &[RefreshRule],
-    limd: Vec<LimdConfig>,
-    group: Option<GroupRule>,
-) -> Vec<Arc<str>> {
-    let members = rules.iter().zip(limd).map(|(rule, limd)| (Arc::from(rule.path.as_str()), limd));
-    core.reconcile(version, members, group.map(|g| (g.delta, g.policy)), Instant::now())
-}
-
-/// A poll handed out by [`Plane::next_poll`], to be finished by
-/// [`Plane::finish`] with what the origin answered.
-#[derive(Debug)]
-pub(crate) struct Poll {
-    job: Job<Arc<str>, Instant>,
-    /// The LIMD/Mt timeline's instant for the poll, taken as it was
-    /// handed out for sending.
-    sent: Timestamp,
-}
-
-impl Poll {
-    /// The path to poll.
-    pub(crate) fn path(&self) -> &Arc<str> {
-        &self.job.key
-    }
-
-    /// Whether LIMD or the Mt coordinator asked for the poll.
-    pub(crate) fn kind(&self) -> PollKind {
-        self.job.kind
-    }
-}
-
 /// The refresh plane's state machine, locked
 /// ([`ConsistencyRuntime::plane`]). Drop it before a round trip.
 #[derive(Debug)]
@@ -255,23 +228,26 @@ pub(crate) struct Plane<'a> {
 }
 
 impl Plane<'_> {
-    /// The next poll due at `now`, counted and its drift recorded, if any.
-    pub(crate) fn next_poll(&mut self, now: Instant) -> Option<Poll> {
-        let job = self.core.next_job(now)?;
+    /// The next poll due at `now`, sent at `ts` on the LIMD/Mt timeline
+    /// (Unix milliseconds), if any: marked in flight in the schedule,
+    /// counted, and its drift from its due instant recorded.
+    pub(crate) fn next_poll(&mut self, now: Instant, ts: Timestamp) -> Option<Job<Arc<str>, Instant>> {
+        let job = self.core.next_job(now, ts)?;
         self.metrics.polls.inc();
-        self.metrics.in_flight.inc();
-        self.metrics.drift.record(Instant::now().saturating_duration_since(job.due));
-        Some(Poll { job, sent: Timestamp::from_millis(unix_now_ms()) })
+        self.metrics.in_flight.set(self.core.in_flight() as u64);
+        self.metrics.drift.record(now.saturating_duration_since(job.due));
+        Some(job)
     }
 
-    /// Applies `poll`'s outcome: `None` marks a failed poll, which backs
-    /// the path off briefly. The outcome of a path un-ruled while the poll
-    /// was out is discarded.
-    pub(crate) fn finish(&mut self, poll: Poll, result: Option<PollResult>) {
-        self.metrics.in_flight.dec();
+    /// Applies the outcome of `path`'s poll, finished at `now`: `None`
+    /// marks a failed poll, which backs the path off briefly. The
+    /// outcome of a path un-ruled while the poll was out is discarded,
+    /// and a path with no poll out changes nothing.
+    pub(crate) fn finish(&mut self, path: &str, result: Option<PollResult>, now: Instant) {
         self.metrics.errors.add(u64::from(result.is_none()));
         let view = result.as_ref().map(PollResult::as_view);
-        let done = self.core.complete(&poll.job, poll.sent, view, Instant::now());
+        let done = self.core.complete(path, view, now);
+        self.metrics.in_flight.set(self.core.in_flight() as u64);
         self.metrics.triggered_coalesced.add(done.coalesced);
     }
 
@@ -390,7 +366,9 @@ impl ConsistencyRuntime {
                 Some(_) => {}
             }
         }
-        let removed = reconcile(&mut core, version, &rules, limd, group);
+        // New and changed rules fall due now.
+        let members = rules.iter().zip(limd).map(|(rule, limd)| (Arc::from(rule.path.as_str()), limd));
+        let removed = core.reconcile(version, members, group.map(|g| (g.delta, g.policy)), Instant::now());
         drop(core);
         self.work.notify_all();
         let removed = removed.iter().map(|path| path.to_string()).collect();
@@ -464,13 +442,12 @@ impl ConsistencyRuntime {
         let work = |mut poller: P| {
             let mut plane = self.plane();
             while !shutdown.load(Ordering::SeqCst) {
-                let Some(poll) = plane.next_poll(Instant::now()) else {
+                let now = Instant::now();
+                let Some(job) = plane.next_poll(now, Timestamp::from_millis(unix_now_ms())) else {
                     // With nothing scheduled, forever: only a finish
                     // (whose worker then looks for work itself), an
                     // install or `wake` can create work.
-                    let left = plane.next_wake().map_or(StdDuration::MAX, |at| {
-                        at.saturating_duration_since(Instant::now())
-                    });
+                    let left = plane.next_wake().map_or(StdDuration::MAX, |at| at.saturating_duration_since(now));
                     let waited = self.work.wait_timeout(plane.core, left);
                     let core = waited.unwrap_or_else(PoisonError::into_inner).0;
                     plane = Plane { core, metrics: &self.metrics };
@@ -480,9 +457,9 @@ impl ConsistencyRuntime {
                 // watch the next due instant.
                 self.work.notify_one();
                 drop(plane);
-                let result = poller(poll.kind(), poll.path());
+                let result = poller(job.kind, &job.key);
                 plane = self.plane();
-                plane.finish(poll, result);
+                plane.finish(&job.key, result, Instant::now());
             }
             drop(plane);
             // A poller may store the flag without a `wake`: take the idle
@@ -520,7 +497,8 @@ mod tests {
     /// returns the paths it un-ruled.
     fn swap(core: &mut Core, version: u64, rules: Vec<RefreshRule>, group: Option<GroupRule>) -> Vec<Arc<str>> {
         let limd = validate(&rules, group.as_ref()).unwrap();
-        reconcile(core, version, &rules, limd, group)
+        let members = rules.iter().zip(limd).map(|(rule, limd)| (Arc::from(rule.path.as_str()), limd));
+        core.reconcile(version, members, group.map(|g| (g.delta, g.policy)), Instant::now())
     }
 
     /// The ruled paths, as `status()` lists them.
@@ -532,12 +510,12 @@ mod tests {
     /// paths in `updated`; returns `(kind, path)` per poll.
     fn poll_due(core: &mut Core, now: Instant, ts: Timestamp, updated: &[&str]) -> Vec<(PollKind, String)> {
         let mut polled = Vec::new();
-        while let Some(job) = core.next_job(now) {
+        while let Some(job) = core.next_job(now, ts) {
             let result = match updated.contains(&&*job.key) {
                 true => PollResult::modified(ts),
                 false => PollResult::NotModified,
             };
-            core.complete(&job, ts, Some(result.as_view()), now);
+            core.complete(&job.key, Some(result.as_view()), now);
             polled.push((job.kind, job.key.to_string()));
         }
         polled
@@ -667,15 +645,15 @@ mod tests {
     fn poll_for_a_removed_path_is_discarded() {
         let mut core = Core::default();
         swap(&mut core, 1, vec![rule("/gone", 10)], None);
-        let job = core.next_job(Instant::now()).expect("due at once");
+        let job = core.next_job(Instant::now(), unix_now()).expect("due at once");
         swap(&mut core, 2, vec![], None);
         // The in-flight poll's outcome arrives after the swap: no panic,
         // no state, no triggers — and the stale heap entry is discarded.
-        let done = core.complete(&job, unix_now(), Some(PollResult::NotModified.as_view()), Instant::now());
+        let done = core.complete(&job.key, Some(PollResult::NotModified.as_view()), Instant::now());
         assert_eq!((done.coalesced, done.ttr), (0, None));
-        assert_eq!(core.paths().count(), 0);
+        assert_eq!((core.paths().count(), core.in_flight()), (0, 0));
         assert_eq!(core.next_wake(), None);
-        assert!(core.next_job(Instant::now() + StdDuration::from_secs(1)).is_none());
+        assert!(core.next_job(Instant::now() + StdDuration::from_secs(1), unix_now()).is_none());
     }
 
     #[test]

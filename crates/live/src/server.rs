@@ -253,10 +253,10 @@ pub trait Service: Send + 'static {
     }
 
     /// The outcome of a fetch [`Service::own_work`] started, sent as
-    /// `request`; called before [`Service::fetched`] when clients
-    /// coalesced onto the same job.
-    fn own_fetched(&mut self, request: &[u8], result: &io::Result<Response>) {
-        let _ = (request, result);
+    /// `request` and finished at `now`; called before
+    /// [`Service::fetched`] when clients coalesced onto the same job.
+    fn own_fetched(&mut self, request: &[u8], result: &io::Result<Response>, now: Instant) {
+        let _ = (request, result, now);
     }
 }
 
@@ -1206,7 +1206,7 @@ impl Reactor {
         let waiters = job.waiters.len();
         job.waiters.retain(|&waiter| waiter != Waiter::Service);
         if job.waiters.len() < waiters {
-            self.service.own_fetched(&job.request, &result);
+            self.service.own_fetched(&job.request, &result, Instant::now());
         }
         let Some((&last, rest)) = job.waiters.split_last() else { return };
         let reply = self.service.fetched(&job.request, result);

@@ -116,7 +116,7 @@ pub fn run_temporal(
     let mut ttr_timelines = vec![Vec::new(); hosted.len()];
     let mut out = TemporalSimOutput::default();
     while let Some(now) = schedule.next_wake().filter(|&at| at <= config.until) {
-        while let Some(job) = schedule.next_job(now) {
+        while let Some(job) = schedule.next_job(now, now) {
             let i = job.key as usize;
             let resp = hosted[i].poll(now, validators[i]).expect("object hosted by origin for the whole window");
             let triggered = job.kind == PollKind::Triggered;
@@ -130,7 +130,7 @@ pub fn run_temporal(
             if triggered {
                 out.triggered_instants.push(now);
             }
-            let done = schedule.complete(&job, now, Some(resp.as_view()), now);
+            let done = schedule.complete(&job.key, Some(resp.as_view()), now);
             if let (true, Some(ttr)) = (adaptive, done.ttr) {
                 ttr_timelines[i].push((now, ttr));
             }

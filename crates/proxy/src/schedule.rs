@@ -2,17 +2,19 @@
 //! group (§3.2), as one clock-free state machine under both drivers.
 //!
 //! [`Schedule`] holds per-key [`Limd`] state, a binary-heap due queue
-//! ordered by `(due, key)`, the Mt coordinator, the in-flight guard and
+//! ordered by `(due, key)`, the Mt coordinator, the polls in flight and
 //! the queue of Mt-triggered polls. Every method takes `now` and none
 //! reads a clock. Inputs are `next_job`, `complete` and `reconcile`; the
 //! output is a [`Job`] to poll, or the instant to wake at when nothing is
-//! ready. At most [`POLL_WIDTH`] polls are out at once: past it, due
-//! polls wait here in order and a completion brings the next. Triggered
-//! polls go out before scheduled ones, a key never has two polls on the
-//! wire, and a trigger whose target is on the wire, queued or itself due
-//! is coalesced into that poll. The heap is lazily invalidated: a
-//! reschedule pushes a fresh entry under a bumped generation and stale
-//! ones are dropped as they surface.
+//! ready. The in-flight table is the one poll ledger (each poll's kind
+//! and send stamp), so a driver completes a poll by its key alone. At
+//! most [`POLL_WIDTH`] polls are out at once: past it, due polls wait
+//! here in order and a completion brings the next. Triggered polls go
+//! out before scheduled ones, a key never has two polls on the wire, and
+//! a trigger whose target is on the wire, queued or itself due is
+//! coalesced into that poll. The heap is lazily invalidated: a reschedule
+//! pushes a fresh entry under a bumped generation and stale ones are
+//! dropped as they surface.
 //!
 //! [`crate::drivers::run_temporal`] steps it through simulated time
 //! (`u32` handles, [`Timestamp`] instants, zero latency, an origin that
@@ -96,6 +98,17 @@ struct DueEntry<K, T> {
     gen: u64,
 }
 
+/// A poll on the wire: its kind, its send stamp on LIMD's and the
+/// coordinator's timeline, and the due entry that surfaced for its key
+/// meanwhile, if one did, kept off the heap until the poll completes so
+/// a hung origin path hides nobody else's due time.
+#[derive(Debug)]
+struct Flight<K, T> {
+    kind: PollKind,
+    sent: Timestamp,
+    deferred: Option<DueEntry<K, T>>,
+}
+
 /// The state machine both drivers step; see the module docs. Starts
 /// empty, at version 0.
 #[derive(Debug)]
@@ -105,11 +118,8 @@ pub struct Schedule<K, T> {
     due_queue: BinaryHeap<Reverse<DueEntry<K, T>>>,
     next_gen: u64,
     coordinator: Option<MtCoordinator<K>>,
-    /// Keys on the wire — never handed out a second time — each with
-    /// the due entry that surfaced for it meanwhile, if one did. Kept
-    /// off the heap until the poll completes, so a hung origin path
-    /// hides nobody else's due time.
-    in_flight: HashMap<K, Option<DueEntry<K, T>>>,
+    /// Keys on the wire, never handed out a second time.
+    in_flight: HashMap<K, Flight<K, T>>,
     /// Mt-triggered targets waiting for a driver, FIFO, each with the
     /// instant it was asked for. An entry counts while its target's
     /// `trigger_queued` is set.
@@ -138,6 +148,11 @@ where
     /// The version of the rule set last reconciled (0 before the first).
     pub fn version(&self) -> u64 {
         self.version
+    }
+
+    /// Polls handed out and not yet completed, at most [`POLL_WIDTH`].
+    pub fn in_flight(&self) -> usize {
+        self.in_flight.len()
     }
 
     /// Every ruled key's state, in no particular order.
@@ -256,65 +271,68 @@ where
         self.due_queue.pop().map(|Reverse(entry)| entry)
     }
 
-    /// The next poll to put on the wire at `now`, marked in flight:
-    /// queued triggers first (they restore mutual consistency *now*),
-    /// then the earliest due scheduled key that is free. `None` while
-    /// [`POLL_WIDTH`] polls are out.
-    pub fn next_job(&mut self, now: T) -> Option<Job<K, T>> {
+    /// The next poll to put on the wire at `now`, marked in flight with
+    /// its kind and `ts`, the send instant on LIMD's and the
+    /// coordinator's timeline: queued triggers first (they restore mutual
+    /// consistency *now*), then the earliest due scheduled key that is
+    /// free. `None` while [`POLL_WIDTH`] polls are out.
+    pub fn next_job(&mut self, now: T, ts: Timestamp) -> Option<Job<K, T>> {
         if self.in_flight.len() >= POLL_WIDTH {
             return None;
         }
+        let flight = |kind| Flight { kind, sent: ts, deferred: None };
         // Nothing scheduled is handed out while a trigger waits, so a
         // queued target (free when it was queued) is still free here.
         while let Some((key, due)) = self.trig_queue.pop_front() {
             // Not if the target was un-ruled, or its rule rebuilt, since.
             if self.paths.get_mut(&key).is_some_and(|s| std::mem::take(&mut s.trigger_queued)) {
-                self.in_flight.insert(key.clone(), None);
+                self.in_flight.insert(key.clone(), flight(PollKind::Triggered));
                 return Some(Job { kind: PollKind::Triggered, key, due });
             }
         }
         while let Some(entry) = self.pop_due(now) {
-            if let Some(deferred) = self.in_flight.get_mut(&entry.key) {
+            if let Some(out) = self.in_flight.get_mut(&entry.key) {
                 // Still on the wire (a slow origin outlasted the TTR, a
                 // triggered poll covers it, or a swap made it due
                 // again): the completion re-evaluates this entry.
-                *deferred = Some(entry);
+                out.deferred = Some(entry);
                 continue;
             }
-            self.in_flight.insert(entry.key.clone(), None);
+            self.in_flight.insert(entry.key.clone(), flight(PollKind::Scheduled));
             return Some(Job { kind: PollKind::Scheduled, key: entry.key, due: entry.due });
         }
         None
     }
 
-    /// Applies the outcome of `job`, sent at `ts` on LIMD's and the
-    /// coordinator's timeline and finished at `now` (`None` is a network
-    /// error). A scheduled poll drives the key's TTR and next due time, a
-    /// triggered one leaves both alone; either tells the coordinator, and
-    /// the triggers an update raises are queued. For a key un-ruled while
-    /// its poll was on the wire the outcome is discarded: it can neither
-    /// panic the plane nor resurrect the key.
-    pub fn complete(
-        &mut self,
-        job: &Job<K, T>,
-        ts: Timestamp,
-        result: Option<PollView<'_>>,
-        now: T,
-    ) -> Completion {
-        if let Some(Some(deferred)) = self.in_flight.remove(&job.key) {
+    /// Applies the outcome of `key`'s poll in flight, finished at `now`
+    /// (`None` is a network error). A scheduled poll drives the key's
+    /// TTR and next due time, a triggered one leaves both alone; either
+    /// tells the coordinator, and the triggers an update raises are
+    /// queued. A key with no poll in flight changes nothing. For a key
+    /// un-ruled while its poll was on the wire the outcome is discarded:
+    /// it can neither panic the plane nor resurrect the key.
+    pub fn complete<Q>(&mut self, key: &Q, result: Option<PollView<'_>>, now: T) -> Completion
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let mut done = Completion::default();
+        let Some((key, flight)) = self.in_flight.remove_entry(key) else {
+            return done;
+        };
+        if let Some(deferred) = flight.deferred {
             // Back first: a reschedule below outdates it, a triggered
             // poll's completion leaves it to fire.
             self.due_queue.push(Reverse(deferred));
         }
-        let mut done = Completion::default();
-        let Some(sched) = self.paths.get_mut(&job.key) else {
+        let Some(sched) = self.paths.get_mut::<K>(&key) else {
             return done;
         };
         // `ts` is wall-clock time on sockets, and a wall clock can step
         // back: this key's polls stay in order whatever it does.
-        let ts = sched.limd.last_poll().map_or(ts, |previous| ts.max(previous));
+        let ts = sched.limd.last_poll().map_or(flight.sent, |previous| flight.sent.max(previous));
         let Some(view) = result else {
-            if job.kind == PollKind::Scheduled {
+            if flight.kind == PollKind::Scheduled {
                 // The first retry comes after min(Δ, 200 ms), each further
                 // failure in a row doubles it, up to the TTR ceiling: a
                 // dead origin costs every key one connect per `ttr_max`,
@@ -325,21 +343,21 @@ where
                 let first = config.delta().clamp(Duration::from_millis(20), Duration::from_millis(200));
                 let retry = first.saturating_mul(1 << sched.errors.min(32)).min(config.ttr_max().max(first));
                 sched.errors = sched.errors.saturating_add(1);
-                self.reschedule(&job.key, now + retry);
+                self.reschedule(&key, now + retry);
             }
             return done;
         };
-        if job.kind == PollKind::Scheduled {
+        if flight.kind == PollKind::Scheduled {
             let ttr = sched.limd.observe(ts, view).ttr;
             sched.polls += 1;
             sched.errors = 0;
             done.ttr = Some(ttr);
-            self.reschedule(&job.key, now + ttr);
+            self.reschedule(&key, now + ttr);
         }
         if let Some(coord) = self.coordinator.as_mut() {
-            let triggers = coord.observe(&job.key, ts, view);
+            let triggers = coord.observe(&key, ts, view);
             if let Some(ttr) = done.ttr {
-                coord.record_scheduled_poll(&job.key, ts + ttr);
+                coord.record_scheduled_poll(&key, ts + ttr);
             }
             for target in triggers {
                 done.coalesced += u64::from(self.enqueue_trigger(&target, now));
@@ -476,23 +494,23 @@ mod tests {
         assert!(!d.enqueue_trigger(&"/b", now));
         assert!(d.enqueue_trigger(&"/b", now), "already queued: coalesced");
         assert_eq!(d.trig_queue.len(), 1);
-        d.in_flight.insert("/a", None);
+        d.in_flight.insert("/a", Flight { kind: PollKind::Scheduled, sent: at(0), deferred: None });
         assert!(d.enqueue_trigger(&"/a", now), "already on the wire: coalesced");
         assert!(!d.enqueue_trigger(&"/zzz", now), "un-ruled target: dropped, not counted");
         assert_eq!(d.trig_queue.len(), 1);
 
         // The trigger goes out ahead of scheduled work.
-        let first = d.next_job(due).unwrap();
+        let first = d.next_job(due, at(1_000)).unwrap();
         assert_eq!((first.kind, first.key), (PollKind::Triggered, "/b"));
         // Both on the wire, their own entries deferred behind them.
-        assert!(d.next_job(due).is_none());
+        assert!(d.next_job(due, at(1_000)).is_none());
         assert_eq!(d.next_wake(), None);
 
         // The triggered poll's completion leaves /b's own schedule alone:
         // the deferred entry is back, a trigger now coalesces into it.
-        assert_eq!(d.complete(&first, at(1_000), QUIET, due), Completion::default());
+        assert_eq!(d.complete(&first.key, QUIET, due), Completion::default());
         assert!(d.enqueue_trigger(&"/b", due), "its own poll is due: coalesced");
-        let second = d.next_job(due).unwrap();
+        let second = d.next_job(due, at(1_000)).unwrap();
         assert_eq!((second.kind, second.key), (PollKind::Scheduled, "/b"));
         assert_eq!(second.due, due);
     }
@@ -503,20 +521,20 @@ mod tests {
     fn dispatcher_wakes_for_the_next_free_path_behind_a_deferred_one() {
         let start = at(0);
         let mut d = schedule(["/free", "/held"], limd(10), None, start);
-        let free = d.next_job(start).unwrap();
-        let held = d.next_job(start).unwrap();
+        let free = d.next_job(start, at(1_000)).unwrap();
+        let held = d.next_job(start, at(1_000)).unwrap();
         assert_eq!((free.key, held.key), ("/free", "/held"));
-        assert!(d.next_job(start).is_none());
+        assert!(d.next_job(start, at(1_000)).is_none());
         assert_eq!(d.next_wake(), None, "both on the wire, nothing scheduled");
         // /free completes and is rescheduled one TTR out; /held stays on
         // the wire while a rule swap marks it due immediately.
-        let ttr = d.complete(&free, at(1_000), QUIET, start).ttr.expect("LIMD chose one");
+        let ttr = d.complete(&free.key, QUIET, start).ttr.expect("LIMD chose one");
         d.reschedule(&"/held", start);
 
-        assert!(d.next_job(start).is_none(), "/held is not handed out twice");
+        assert!(d.next_job(start, at(1_000)).is_none(), "/held is not handed out twice");
         assert_eq!(d.next_wake(), Some(start + ttr));
         // The deferred entry waits for /held's completion.
-        assert!(d.in_flight["/held"].is_some());
+        assert!(d.in_flight["/held"].deferred.is_some());
         assert_eq!(d.in_flight.len(), 1);
     }
 
@@ -528,9 +546,9 @@ mod tests {
         let mut d = schedule(["/dead"], limd_up_to(500, 3_000), None, at(0));
         let mut now = at(0);
         let fail = |d: &mut Sched<&str>, now: &mut Timestamp| {
-            let job = d.next_job(*now).expect("due");
-            assert_eq!(d.complete(&job, at(1_000), None, *now), Completion::default());
-            assert!(d.next_job(*now).is_none(), "nothing is due before the retry");
+            let job = d.next_job(*now, at(1_000)).expect("due");
+            assert_eq!(d.complete(&job.key, None, *now), Completion::default());
+            assert!(d.next_job(*now, at(1_000)).is_none(), "nothing is due before the retry");
             let wait = d.next_wake().expect("a retry is scheduled") - *now;
             *now += wait;
             wait
@@ -538,8 +556,8 @@ mod tests {
         let waits: Vec<Duration> = (0..7).map(|_| fail(&mut d, &mut now)).collect();
         assert_eq!(waits, [200, 400, 800, 1_600, 3_000, 3_000, 3_000].map(ms));
 
-        let job = d.next_job(now).expect("due");
-        let ttr = d.complete(&job, at(9_000), QUIET, now).ttr.expect("LIMD chose one");
+        let job = d.next_job(now, at(9_000)).expect("due");
+        let ttr = d.complete(&job.key, QUIET, now).ttr.expect("LIMD chose one");
         assert_eq!(d.next_wake(), Some(now + ttr), "back on the LIMD schedule");
         now += ttr;
         assert_eq!(fail(&mut d, &mut now), ms(200), "the count starts over");
@@ -566,27 +584,27 @@ mod tests {
         let members = [("/a", limd(10_000)), ("/b", limd(40_000)), ("/c", limd(40_000))];
         d.reconcile(1, members, Some((ms(1_000), MtPolicy::HEURISTIC)), start);
         for period in [1_000, 1_250, 1_600] {
-            let job = d.next_job(start).expect("all due at the start");
+            let job = d.next_job(start, start).expect("all due at the start");
             let seen = every(period, start);
             // Unknown rates trigger everyone; everyone is due: coalesced.
-            let done = d.complete(&job, start, modified(*seen.last().unwrap(), &seen), start);
+            let done = d.complete(&job.key, modified(*seen.last().unwrap(), &seen), start);
             assert!(done.ttr.is_some());
         }
-        assert!(d.next_job(start).is_none() && d.trig_queue.is_empty());
+        assert!(d.next_job(start, start).is_none() && d.trig_queue.is_empty());
 
         let now = d.next_wake().expect("/a is due first");
-        let a = d.next_job(now).unwrap();
+        let a = d.next_job(now, now).unwrap();
         assert_eq!((a.kind, a.key), (PollKind::Scheduled, "/a"));
         let seen = every(1_000, now);
-        assert_eq!(d.complete(&a, now, modified(*seen.last().unwrap(), &seen), now).coalesced, 0);
-        let b = d.next_job(now).unwrap();
+        assert_eq!(d.complete(&a.key, modified(*seen.last().unwrap(), &seen), now).coalesced, 0);
+        let b = d.next_job(now, now).unwrap();
         assert_eq!((b.kind, b.key), (PollKind::Triggered, "/b"));
-        assert!(d.next_job(now).is_none(), "/a's update does not reach /c");
+        assert!(d.next_job(now, now).is_none(), "/a's update does not reach /c");
 
         // /b changed too, and its triggered poll is what finds out.
         let seen = every(1_250, now);
-        assert_eq!(d.complete(&b, now, modified(*seen.last().unwrap(), &seen), now), Completion::default());
-        let c = d.next_job(now).expect("/b's update reaches /c");
+        assert_eq!(d.complete(&b.key, modified(*seen.last().unwrap(), &seen), now), Completion::default());
+        let c = d.next_job(now, now).expect("/b's update reaches /c");
         assert_eq!((c.kind, c.key), (PollKind::Triggered, "/c"));
     }
 
@@ -597,12 +615,41 @@ mod tests {
         let mut d = schedule(["/a"], limd(10), None, at(0));
         let mut now = at(0);
         for ts in [50_000, 20_000, 20_005] {
-            let job = d.next_job(now).expect("/a is due");
-            let ttr = d.complete(&job, at(ts), modified(at(ts), &[]), now).ttr;
+            let job = d.next_job(now, at(ts)).expect("/a is due");
+            let ttr = d.complete(&job.key, modified(at(ts), &[]), now).ttr;
             assert_eq!(d.paths["/a"].limd.last_poll(), Some(at(50_000)), "polls stay in order");
             assert_eq!(d.next_wake(), Some(now + ttr.expect("a scheduled poll")), "a live due entry");
             now += ttr.unwrap();
         }
+    }
+
+    /// The in-flight table is the ledger a completion is checked
+    /// against: a key with no poll out (never handed out, or already
+    /// completed) changes nothing, whatever the outcome says.
+    #[test]
+    fn a_completion_for_a_key_not_in_flight_changes_nothing() {
+        let group = Some((ms(20), MtPolicy::TriggeredPolls));
+        let mut d = schedule(["/a", "/b", "/c"], limd(10), group, at(0));
+        let a = d.next_job(at(0), at(0)).expect("/a is due");
+        assert_eq!(d.complete(&a.key, QUIET, at(0)).ttr.map(|_| ()), Some(()));
+        let b = d.next_job(at(0), at(0)).expect("/b is due");
+        let snapshot = |d: &mut Sched<&str>| {
+            let wake = d.next_wake();
+            let flights: Vec<_> = d.in_flight.keys().copied().collect();
+            format!("{:?} {:?} {:?} {flights:?} {wake:?}", d.paths, d.trig_queue, d.coordinator)
+        };
+        let before = snapshot(&mut d);
+        let update = modified(at(5), &[]);
+        // /a completed already, /c was never handed out, /zzz is not ruled.
+        for key in ["/a", "/c", "/zzz"] {
+            assert_eq!(d.complete(&key, update, at(5)), Completion::default(), "{key}");
+            assert_eq!(d.complete(&key, None, at(5)), Completion::default(), "{key}");
+            assert_eq!(snapshot(&mut d), before, "{key}");
+        }
+        assert_eq!(d.in_flight(), 1);
+        // The poll that is out still completes as one.
+        assert!(d.complete(&b.key, QUIET, at(5)).ttr.is_some());
+        assert_eq!(d.in_flight(), 0);
     }
 
     /// Seeded interleavings over the bare state machine in simulated
@@ -653,7 +700,7 @@ mod tests {
                     let result = outcome(&mut rng, sent);
                     let queued = d.trig_queue.len();
                     if d.paths.contains_key(job.key) {
-                        d.complete(&job, unix(sent), result, at(t));
+                        d.complete(&job.key, result, at(t));
                         let found_update = job.kind == PollKind::Triggered && d.trig_queue.len() > queued;
                         cascades += u64::from(found_update);
                     } else {
@@ -661,7 +708,7 @@ mod tests {
                         late_completions += 1;
                         late_cascades += u64::from(matches!(result, Some(PollView::Modified { .. })));
                         let before = fingerprint(&d);
-                        assert_eq!(d.complete(&job, unix(sent), result, at(t)), Completion::default());
+                        assert_eq!(d.complete(&job.key, result, at(t)), Completion::default());
                         assert_eq!(fingerprint(&d), before, "seed {seed}: late completion of {}", job.key);
                     }
                 }
@@ -678,7 +725,7 @@ mod tests {
                 }
                 // and hand-outs, up to six asked for.
                 while on_wire.len() < 6 && (zero_latency || rng.chance(0.8)) {
-                    let Some(job) = d.next_job(at(t)) else {
+                    let Some(job) = d.next_job(at(t), unix(t)) else {
                         let wake = d.next_wake();
                         if d.in_flight.len() == POLL_WIDTH {
                             // At full width only a completion makes work.
@@ -710,7 +757,7 @@ mod tests {
                         let previous = handed_at.insert(job.key, t);
                         assert_ne!(previous, Some(t), "seed {seed}: {} polled twice at {t}", job.key);
                         let result = outcome(&mut rng, t);
-                        d.complete(&job, unix(t), result, at(t));
+                        d.complete(&job.key, result, at(t));
                     } else {
                         on_wire.push((job, t));
                     }
@@ -739,18 +786,18 @@ mod tests {
         d.reschedule(&"/p4", at(5));
         d.reschedule(&"/p5", at(3));
         let now = at(10);
-        let out: Vec<_> = (0..POLL_WIDTH).map(|_| d.next_job(now).expect("free width")).collect();
+        let out: Vec<_> = (0..POLL_WIDTH).map(|_| d.next_job(now, now).expect("free width")).collect();
         assert_eq!(out.iter().map(|j| j.key).collect::<Vec<_>>(), ["/p0", "/p1", "/p2", "/p3"]);
-        assert!(d.next_job(now).is_none(), "/p4 and /p5 are due, but the width is full");
+        assert!(d.next_job(now, now).is_none(), "/p4 and /p5 are due, but the width is full");
         assert_eq!(d.next_wake(), None);
         // A trigger for a path waiting past the width coalesces into it.
         assert!(d.enqueue_trigger(&"/p4", now));
 
-        d.complete(&out[0], at(1_000), QUIET, now);
-        let next = d.next_job(now).expect("a slot is free");
+        d.complete(&out[0].key, QUIET, now);
+        let next = d.next_job(now, now).expect("a slot is free");
         assert_eq!((next.kind, next.key, next.due), (PollKind::Scheduled, "/p5", at(3)));
-        assert!(d.next_job(now).is_none() && d.next_wake().is_none(), "full again");
-        d.complete(&out[1], at(1_000), QUIET, now);
-        assert_eq!(d.next_job(now).map(|j| j.key), Some("/p4"));
+        assert!(d.next_job(now, now).is_none() && d.next_wake().is_none(), "full again");
+        d.complete(&out[1].key, QUIET, now);
+        assert_eq!(d.next_job(now, now).map(|j| j.key), Some("/p4"));
     }
 }

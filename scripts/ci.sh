@@ -45,6 +45,29 @@ if grep -nE 'mpsc|JobQueue|WakeSignal|publish_one' crates/live/src/runtime.rs \
   exit 1
 fi
 
+# One poll ledger, one origin model, and a refresh plane that reads no
+# clock. The schedule's in-flight table is the only record of a poll on
+# the wire: no `Poll` struct in runtime.rs and no map of them in
+# proxy.rs. Above its test module the live origin answers through the
+# simulator's `HostedObject::poll` and replays no trace itself. Above
+# their test modules runtime.rs and proxy.rs read a clock only in
+# `install` (the instant new rules fall due), in `run` and once in
+# `own_work`; every other instant comes from the caller.
+clock_reads() {
+  sed '/#\[cfg(test)\]/q' "$1" | awk -v f="$1" '
+    match($0, /fn [a-z_0-9]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
+    /Instant::now|unix_now_ms|SystemTime/ && !/^use / { print f ":" NR ": in " fn ":" $0 }'
+}
+if grep -nE 'struct Poll\b' crates/live/src/runtime.rs \
+    || grep -nE 'HashMap<[^;]*,[[:space:]]*Poll>' crates/live/src/proxy.rs \
+    || sed '/#\[cfg(test)\]/q' crates/live/src/origin.rs | grep -nE 'version_index_at|events_between|times_between' \
+    || clock_reads crates/live/src/runtime.rs | grep -vE '^[^:]+:[0-9]+: in (install|run):' \
+    || clock_reads crates/live/src/proxy.rs | grep -vE '^[^:]+:[0-9]+: in own_work:' \
+    || [ "$(clock_reads crates/live/src/proxy.rs | grep -c ': in own_work:')" != 1 ]; then
+  echo "ci: a second poll ledger, a second origin model or a plane clock read is back (lines above)" >&2
+  exit 1
+fi
+
 # One poll width: the refresh plane's width is `POLL_WIDTH`
 # (crates/proxy/src/schedule.rs), which every driver of the schedule
 # inherits. The worker count `benchmark/` reads is that constant, not a
