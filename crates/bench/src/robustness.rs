@@ -17,7 +17,6 @@
 //! (eight grids) of fully independent simulations. `repro bench`/`repro
 //! all` run it and record the wall-clock in `BENCH_repro.json`.
 
-use mutcon_core::limd::LimdConfig;
 use mutcon_core::mutual::temporal::MtPolicy;
 use mutcon_core::object::ObjectId;
 use mutcon_core::time::Duration;
@@ -26,10 +25,10 @@ use mutcon_proxy::drivers::{
     run_temporal, MutualSetup, TemporalPolicy, TemporalSimConfig, TemporalSimOutput,
 };
 use mutcon_proxy::experiment::{
-    individual_temporal_sweep, mutual_temporal_sweep, mutual_value_sweep,
+    host, individual_temporal_sweep, mutual_temporal_sweep, mutual_value_sweep,
 };
 use mutcon_proxy::metrics;
-use mutcon_proxy::origin::OriginServer;
+use mutcon_proxy::origin::HistorySupport;
 use mutcon_traces::{NamedTrace, UpdateTrace};
 
 use crate::{
@@ -120,17 +119,6 @@ fn fig7_outcome(collection: u64) -> GridOutcome {
 /// δ for the multi-object group run (the Figure 5 grid's midpoint).
 fn group_delta() -> Duration {
     Duration::from_mins(5)
-}
-
-fn limd_config(delta: Duration) -> LimdConfig {
-    let config = paper_fig3_config();
-    LimdConfig::builder(delta)
-        .linear_increase(config.linear_increase)
-        .epsilon(config.epsilon)
-        .ttr_max(config.ttr_max.max(delta))
-        .decrease(config.decrease)
-        .build()
-        .expect("paper parameters are valid")
 }
 
 /// Ablation A across collections; the claim is the §3.1 trade-off: the
@@ -225,23 +213,13 @@ fn multi_object_outcome(collection: u64) -> GridOutcome {
         .iter()
         .map(|t| t.generate_with_seed(t.seed() + collection * SEED_STRIDE))
         .collect();
-    let ids: Vec<ObjectId> = traces.iter().map(|t| ObjectId::new(t.name())).collect();
-    let mut origin = OriginServer::new();
-    for (id, trace) in ids.iter().zip(&traces) {
-        origin.host(id.clone(), trace.clone());
-    }
-    let until = traces
-        .iter()
-        .map(UpdateTrace::end)
-        .min()
-        .expect("four traces");
-
+    let (origin, ids, until) = host(&traces, HistorySupport::None);
     let run = |policy: MtPolicy| {
         run_temporal(
             &origin,
             &ids,
             &TemporalSimConfig {
-                policy: TemporalPolicy::Limd(limd_config(fixed_delta())),
+                policy: TemporalPolicy::Limd(paper_fig3_config().limd(fixed_delta())),
                 mutual: Some(MutualSetup {
                     delta: group_delta(),
                     policy,

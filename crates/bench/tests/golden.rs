@@ -91,7 +91,8 @@ delta  adaptive    partitioned
 #[test]
 fn fig7_rows_are_the_committed_ones() {
     let (a, b) = VALUE_PAIR;
-    let rows = mutual_value_sweep(&a.generate(), &b.generate(), &fig7_deltas(), &paper_fig7_config());
+    let rows =
+        mutual_value_sweep(&a.generate(), &b.generate(), &fig7_deltas(), &paper_fig7_config());
     let mut table = String::from("\ndelta  adaptive    partitioned\n");
     for r in &rows {
         table += &format!(
@@ -134,7 +135,8 @@ fn ablation_d_rows_are_the_committed_ones() {
 
 /// Figure 6(b): the heuristic's extra (triggered) polls per two-hour
 /// window, as `repro fig6` prints them.
-const FIG6_EXTRA_POLLS: [u32; 23] = [0, 4, 2, 6, 3, 2, 0, 0, 0, 0, 6, 3, 5, 2, 4, 4, 3, 1, 0, 0, 0, 0, 0];
+const FIG6_EXTRA_POLLS: [u32; 23] =
+    [0, 4, 2, 6, 3, 2, 0, 0, 0, 0, 6, 3, 5, 2, 4, 4, 3, 1, 0, 0, 0, 0, 0];
 
 #[test]
 fn fig6_extra_polls_are_the_committed_ones() {
@@ -170,5 +172,8 @@ fn fig8_series_is_the_committed_one() {
     let digest = text.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, byte| {
         (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
     });
-    assert_eq!((out.adaptive.len(), out.partitioned.len(), digest), (685, 830, 0xf631_7f7f_d41f_fb0c));
+    assert_eq!(
+        (out.adaptive.len(), out.partitioned.len(), digest),
+        (685, 830, 0xf631_7f7f_d41f_fb0c)
+    );
 }

@@ -187,7 +187,9 @@ impl AdaptiveTtrConfigBuilder {
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdaptiveTtr {
     config: AdaptiveTtrConfig,
-    rate: ValueRateEstimator,
+    estimator: ValueRateEstimator,
+    /// The last slope the estimator returned (value units per ms).
+    rate: Option<f64>,
     /// Previous smoothed TTR, in ms (None until the second poll).
     smoothed_ms: Option<f64>,
     /// Smallest raw TTR estimate seen so far, in ms.
@@ -202,7 +204,8 @@ impl AdaptiveTtr {
         AdaptiveTtr {
             current_ttr: config.ttr_min,
             config,
-            rate: ValueRateEstimator::new(),
+            estimator: ValueRateEstimator::new(),
+            rate: None,
             smoothed_ms: None,
             observed_min_ms: None,
         }
@@ -216,6 +219,14 @@ impl AdaptiveTtr {
     /// The TTR separating the latest poll from the next one.
     pub fn current_ttr(&self) -> Duration {
         self.current_ttr
+    }
+
+    /// The last observed rate of change `r` (Figure 2), in value units
+    /// per millisecond; `None` until two samples at distinct instants.
+    ///
+    /// The partitioned Mv approach (§4.2) apportions δ by these rates.
+    pub fn rate(&self) -> Option<f64> {
+        self.rate
     }
 
     /// Replaces the tolerance Δ, keeping the learned rate state.
@@ -255,11 +266,12 @@ impl AdaptiveTtr {
     /// Equation 12 (`0 < θ ≤ 1`).
     pub fn on_poll_scaled(&mut self, now: Timestamp, value: Value, scale: f64) -> Duration {
         debug_assert!(scale > 0.0 && scale <= 1.0, "scale must be in (0, 1]");
-        let Some(rate) = self.rate.observe(now, value) else {
+        let Some(rate) = self.estimator.observe(now, value) else {
             // First sample (or repeated timestamp): stay conservative.
             self.current_ttr = self.config.ttr_min;
             return self.current_ttr;
         };
+        self.rate = Some(rate);
 
         // Equation 9: Δ / r, i.e. time for the value to drift by Δ at the
         // observed rate. A zero rate means "no drift observed": optimistic
@@ -412,6 +424,18 @@ mod tests {
         let half = b.on_poll_scaled(Timestamp::from_secs(10), Value::new(100.1), 0.5);
         assert_eq!(full, Duration::from_secs(50));
         assert_eq!(half, Duration::from_secs(25));
+    }
+
+    #[test]
+    fn rate_is_the_last_observed_slope() {
+        let mut s = cfg(0.5).into_state();
+        assert_eq!(s.rate(), None);
+        s.on_poll(Timestamp::from_secs(0), Value::new(100.0));
+        assert_eq!(s.rate(), None);
+        // 0.1 over 10 s; a repeated instant keeps the slope.
+        s.on_poll(Timestamp::from_secs(10), Value::new(100.1));
+        s.on_poll(Timestamp::from_secs(10), Value::new(100.2));
+        assert!((s.rate().unwrap() - 0.1 / 10_000.0).abs() < 1e-12);
     }
 
     #[test]

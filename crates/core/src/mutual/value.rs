@@ -4,8 +4,8 @@
 //! function `f` over two cached values. Two approaches from the paper:
 //!
 //! * **Virtual object** ([`VirtualObjectPolicy`]) — treat `f(a, b)` itself
-//!   as the value of a virtual object and run the §4.1 adaptive-TTR
-//!   machinery on it: estimate the rate `r` at which `f` changes
+//!   as the value of a virtual object and run one §4.1
+//!   [`AdaptiveTtr`] on it: estimate the rate `r` at which `f` changes
 //!   (Equation 11) and poll both objects every `TTR = (δ/r)·θ`
 //!   (Equation 12). The feedback factor `θ ∈ (0, 1]` shrinks
 //!   multiplicatively whenever a violation is detected and recovers
@@ -13,23 +13,31 @@
 //!   when the linear extrapolation of `f` has been failing.
 //! * **Partitioned tolerance** ([`PartitionedPolicy`]) — when `f` is
 //!   difference-like, split δ into per-object budgets δ_a + δ_b = δ and
-//!   enforce plain Δv-consistency on each object independently; by the
-//!   triangle inequality the mutual bound follows. The split is
-//!   re-apportioned periodically so the faster-changing object gets the
-//!   *smaller* tolerance: δ_a = (r_b/(r_a+r_b))·δ (§4.2).
+//!   enforce plain Δv-consistency on each object independently, one
+//!   [`AdaptiveTtr`] per member; by the triangle inequality the mutual
+//!   bound follows. The split is re-apportioned periodically so the
+//!   faster-changing object gets the *smaller* tolerance:
+//!   δ_a = (r_b/(r_a+r_b))·δ (§4.2), with each `r` the slope its member's
+//!   adaptive TTR last observed ([`AdaptiveTtr::rate`]).
+//!
+//! Both configurations take the §4.1 tuning as one [`AdaptiveTtrConfig`]
+//! (`w`, `α`, the TTR bounds) whose Δ is the mutual tolerance δ.
 //!
 //! The trade-off measured in Figure 7: partitioning tracks the server
 //! function more tightly (higher fidelity) at the cost of more polls.
 //!
 //! ```
+//! use mutcon_core::adaptive_ttr::AdaptiveTtrConfig;
 //! use mutcon_core::functions::ValueFunction;
-//! use mutcon_core::mutual::value::{PairMember, PartitionedPolicy, PartitionedConfig};
+//! use mutcon_core::mutual::value::{PairMember, PartitionedConfig};
 //! use mutcon_core::time::{Duration, Timestamp};
 //! use mutcon_core::value::Value;
 //!
 //! # fn main() -> Result<(), mutcon_core::error::ConfigError> {
-//! let mut policy = PartitionedConfig::builder(ValueFunction::Difference, Value::new(0.6))
+//! let ttr = AdaptiveTtrConfig::builder(Value::new(0.6))
 //!     .ttr_bounds(Duration::from_secs(5), Duration::from_secs(300))
+//!     .build()?;
+//! let mut policy = PartitionedConfig::builder(ValueFunction::Difference, ttr)
 //!     .build()?
 //!     .into_policy();
 //!
@@ -45,7 +53,6 @@
 use crate::adaptive_ttr::{AdaptiveTtr, AdaptiveTtrConfig};
 use crate::error::ConfigError;
 use crate::functions::ValueFunction;
-use crate::rate::ValueRateEstimator;
 use crate::time::{Duration, Timestamp};
 use crate::value::Value;
 
@@ -102,22 +109,18 @@ impl FeedbackConfig {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VirtualObjectConfig {
     function: ValueFunction,
-    delta: Value,
     ttr: AdaptiveTtrConfig,
     feedback: FeedbackConfig,
 }
 
 impl VirtualObjectConfig {
-    /// Starts building a virtual-object policy for function `f` and
-    /// mutual tolerance `delta` (the δ of Equation 5).
-    pub fn builder(function: ValueFunction, delta: Value) -> VirtualObjectConfigBuilder {
+    /// Starts building a virtual-object policy for function `f`, run by
+    /// the §4.1 adaptive TTR `ttr` whose Δ is the mutual tolerance δ of
+    /// Equation 5.
+    pub fn builder(function: ValueFunction, ttr: AdaptiveTtrConfig) -> VirtualObjectConfigBuilder {
         VirtualObjectConfigBuilder {
             function,
-            delta,
-            smoothing: 0.5,
-            alpha: 0.5,
-            ttr_min: Duration::from_secs(1),
-            ttr_max: Duration::from_mins(10),
+            ttr,
             feedback: FeedbackConfig::default(),
         }
     }
@@ -129,7 +132,7 @@ impl VirtualObjectConfig {
 
     /// The mutual tolerance δ.
     pub fn delta(&self) -> Value {
-        self.delta
+        self.ttr.delta()
     }
 
     /// Consumes the configuration into a policy.
@@ -142,34 +145,11 @@ impl VirtualObjectConfig {
 #[derive(Debug, Clone)]
 pub struct VirtualObjectConfigBuilder {
     function: ValueFunction,
-    delta: Value,
-    smoothing: f64,
-    alpha: f64,
-    ttr_min: Duration,
-    ttr_max: Duration,
+    ttr: AdaptiveTtrConfig,
     feedback: FeedbackConfig,
 }
 
 impl VirtualObjectConfigBuilder {
-    /// Sets the smoothing weight `w` of the underlying adaptive TTR.
-    pub fn smoothing(mut self, w: f64) -> Self {
-        self.smoothing = w;
-        self
-    }
-
-    /// Sets the α-blend of the underlying adaptive TTR (Equation 10).
-    pub fn alpha(mut self, alpha: f64) -> Self {
-        self.alpha = alpha;
-        self
-    }
-
-    /// Sets the TTR clamp bounds.
-    pub fn ttr_bounds(mut self, min: Duration, max: Duration) -> Self {
-        self.ttr_min = min;
-        self.ttr_max = max;
-        self
-    }
-
     /// Sets the θ feedback dynamics.
     pub fn feedback(mut self, feedback: FeedbackConfig) -> Self {
         self.feedback = feedback;
@@ -180,19 +160,13 @@ impl VirtualObjectConfigBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] if δ is not positive, the TTR bounds are
-    /// invalid, or the feedback parameters are outside their ranges.
+    /// Returns [`ConfigError`] if the feedback parameters are outside
+    /// their ranges.
     pub fn build(self) -> Result<VirtualObjectConfig, ConfigError> {
         self.feedback.validate()?;
-        let ttr = AdaptiveTtrConfig::builder(self.delta)
-            .smoothing(self.smoothing)
-            .alpha(self.alpha)
-            .ttr_bounds(self.ttr_min, self.ttr_max)
-            .build()?;
         Ok(VirtualObjectConfig {
             function: self.function,
-            delta: self.delta,
-            ttr,
+            ttr: self.ttr,
             feedback: self.feedback,
         })
     }
@@ -267,7 +241,7 @@ impl VirtualObjectPolicy {
         // this one, so the cached pair was (at some point) out of bounds.
         let violated = self
             .last_f
-            .is_some_and(|prev| f_new.abs_diff(prev) >= self.config.delta);
+            .is_some_and(|prev| f_new.abs_diff(prev) >= self.config.delta());
         if violated {
             self.violations += 1;
             self.theta = (self.theta * self.config.feedback.decrease).max(self.config.feedback.min);
@@ -299,25 +273,18 @@ pub enum PairMember {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PartitionedConfig {
     function: ValueFunction,
-    delta: Value,
-    smoothing: f64,
-    alpha: f64,
-    ttr_min: Duration,
-    ttr_max: Duration,
+    ttr: AdaptiveTtrConfig,
     repartition_every: u32,
 }
 
 impl PartitionedConfig {
     /// Starts building a partitioned policy for function `f` (which must
-    /// support partitioning) and mutual tolerance `delta`.
-    pub fn builder(function: ValueFunction, delta: Value) -> PartitionedConfigBuilder {
+    /// support partitioning); each member runs the §4.1 adaptive TTR
+    /// `ttr` on its share of `ttr`'s Δ, the mutual tolerance δ.
+    pub fn builder(function: ValueFunction, ttr: AdaptiveTtrConfig) -> PartitionedConfigBuilder {
         PartitionedConfigBuilder {
             function,
-            delta,
-            smoothing: 0.5,
-            alpha: 0.5,
-            ttr_min: Duration::from_secs(1),
-            ttr_max: Duration::from_mins(10),
+            ttr,
             repartition_every: 8,
         }
     }
@@ -329,7 +296,7 @@ impl PartitionedConfig {
 
     /// The mutual tolerance δ.
     pub fn delta(&self) -> Value {
-        self.delta
+        self.ttr.delta()
     }
 
     /// Consumes the configuration into a policy.
@@ -342,34 +309,11 @@ impl PartitionedConfig {
 #[derive(Debug, Clone)]
 pub struct PartitionedConfigBuilder {
     function: ValueFunction,
-    delta: Value,
-    smoothing: f64,
-    alpha: f64,
-    ttr_min: Duration,
-    ttr_max: Duration,
+    ttr: AdaptiveTtrConfig,
     repartition_every: u32,
 }
 
 impl PartitionedConfigBuilder {
-    /// Sets the smoothing weight `w` of the per-object adaptive TTRs.
-    pub fn smoothing(mut self, w: f64) -> Self {
-        self.smoothing = w;
-        self
-    }
-
-    /// Sets the α-blend of the per-object adaptive TTRs.
-    pub fn alpha(mut self, alpha: f64) -> Self {
-        self.alpha = alpha;
-        self
-    }
-
-    /// Sets the TTR clamp bounds.
-    pub fn ttr_bounds(mut self, min: Duration, max: Duration) -> Self {
-        self.ttr_min = min;
-        self.ttr_max = max;
-        self
-    }
-
     /// Sets how many polls elapse between re-apportionings of δ
     /// (0 disables re-apportioning; the initial even split persists).
     pub fn repartition_every(mut self, polls: u32) -> Self {
@@ -382,8 +326,7 @@ impl PartitionedConfigBuilder {
     /// # Errors
     ///
     /// Returns [`ConfigError`] if the function does not support
-    /// partitioning (e.g. [`ValueFunction::Ratio`]), δ is not positive, or
-    /// the TTR bounds are invalid.
+    /// partitioning (e.g. [`ValueFunction::Ratio`]).
     pub fn build(self) -> Result<PartitionedConfig, ConfigError> {
         if self.function.lipschitz_weights().is_none() {
             return Err(ConfigError::ParameterOutOfRange {
@@ -392,33 +335,12 @@ impl PartitionedConfigBuilder {
                 range: "a partitionable function (difference/sum/weighted-sum)",
             });
         }
-        if self.delta <= Value::ZERO {
-            return Err(ConfigError::ZeroTolerance { name: "group delta" });
-        }
-        // Validate the shared adaptive-TTR parameters once.
-        AdaptiveTtrConfig::builder(self.delta)
-            .smoothing(self.smoothing)
-            .alpha(self.alpha)
-            .ttr_bounds(self.ttr_min, self.ttr_max)
-            .build()?;
         Ok(PartitionedConfig {
             function: self.function,
-            delta: self.delta,
-            smoothing: self.smoothing,
-            alpha: self.alpha,
-            ttr_min: self.ttr_min,
-            ttr_max: self.ttr_max,
+            ttr: self.ttr,
             repartition_every: self.repartition_every,
         })
     }
-}
-
-#[derive(Debug, Clone, PartialEq)]
-struct MemberTracker {
-    ttr: AdaptiveTtr,
-    rate: ValueRateEstimator,
-    /// Most recent rate estimate (value units per ms).
-    last_rate: Option<f64>,
 }
 
 /// The partitioned Mv policy: δ is split into per-object tolerances that
@@ -431,8 +353,8 @@ struct MemberTracker {
 pub struct PartitionedPolicy {
     config: PartitionedConfig,
     weights: (f64, f64),
-    a: MemberTracker,
-    b: MemberTracker,
+    a: AdaptiveTtr,
+    b: AdaptiveTtr,
     tolerances: (Value, Value),
     polls_since_repartition: u32,
 }
@@ -449,27 +371,16 @@ impl PartitionedPolicy {
             .function
             .lipschitz_weights()
             .expect("PartitionedConfig guarantees a partitionable function");
-        let (da, db) = Self::split(config.delta, weights, 0.5);
-        let make = |delta: Value| {
-            AdaptiveTtrConfig::builder(delta)
-                .smoothing(config.smoothing)
-                .alpha(config.alpha)
-                .ttr_bounds(config.ttr_min, config.ttr_max)
-                .build()
-                .expect("validated by PartitionedConfigBuilder")
-                .into_state()
+        let (da, db) = Self::split(config.delta(), weights, 0.5);
+        let member = |delta: Value| {
+            let mut ttr = config.ttr.into_state();
+            // split() keeps both tolerances positive.
+            ttr.set_delta(delta).expect("positive tolerance");
+            ttr
         };
         PartitionedPolicy {
-            a: MemberTracker {
-                ttr: make(da),
-                rate: ValueRateEstimator::new(),
-                last_rate: None,
-            },
-            b: MemberTracker {
-                ttr: make(db),
-                rate: ValueRateEstimator::new(),
-                last_rate: None,
-            },
+            a: member(da),
+            b: member(db),
             tolerances: (da, db),
             polls_since_repartition: 0,
             weights,
@@ -503,17 +414,10 @@ impl PartitionedPolicy {
     /// Feeds the value observed by polling one member at `now`; returns
     /// that member's next TTR.
     pub fn on_poll(&mut self, member: PairMember, now: Timestamp, value: Value) -> Duration {
-        let tracker = match member {
-            PairMember::A => &mut self.a,
-            PairMember::B => &mut self.b,
+        let ttr = match member {
+            PairMember::A => self.a.on_poll(now, value),
+            PairMember::B => self.b.on_poll(now, value),
         };
-        if let Some(rate) = tracker.rate.observe(now, value) {
-            tracker.last_rate = Some(rate);
-        }
-        // NB: the adaptive TTR keeps its own (timestamp, value) history;
-        // feeding it after the rate estimator keeps both in sync.
-        let ttr = tracker.ttr.on_poll(now, value);
-
         self.polls_since_repartition += 1;
         if self.config.repartition_every > 0
             && self.polls_since_repartition >= self.config.repartition_every
@@ -524,10 +428,10 @@ impl PartitionedPolicy {
         ttr
     }
 
-    /// Re-apportions δ by the latest rate estimates: the faster object
-    /// receives the smaller tolerance — δ_a = (r_b / (r_a + r_b))·δ.
+    /// Re-apportions δ by the members' latest rate estimates: the faster
+    /// object receives the smaller tolerance — δ_a = (r_b / (r_a + r_b))·δ.
     fn repartition(&mut self) {
-        let (Some(ra), Some(rb)) = (self.a.last_rate, self.b.last_rate) else {
+        let (Some(ra), Some(rb)) = (self.a.rate(), self.b.rate()) else {
             return;
         };
         let total = ra + rb;
@@ -535,11 +439,11 @@ impl PartitionedPolicy {
             return;
         }
         let frac_a = (rb / total).clamp(0.05, 0.95); // keep both positive
-        let (da, db) = Self::split(self.config.delta, self.weights, frac_a);
+        let (da, db) = Self::split(self.config.delta(), self.weights, frac_a);
         self.tolerances = (da, db);
         // set_delta validated: split() keeps both tolerances positive.
-        self.a.ttr.set_delta(da).expect("positive tolerance");
-        self.b.ttr.set_delta(db).expect("positive tolerance");
+        self.a.set_delta(da).expect("positive tolerance");
+        self.b.set_delta(db).expect("positive tolerance");
     }
 }
 
@@ -551,11 +455,26 @@ mod tests {
         Timestamp::from_secs(s)
     }
 
+    /// The §4.1 tuning with its defaults and the given bounds.
+    fn ttr(delta: f64, min: Duration, max: Duration) -> AdaptiveTtrConfig {
+        AdaptiveTtrConfig::builder(Value::new(delta))
+            .ttr_bounds(min, max)
+            .build()
+            .unwrap()
+    }
+
+    fn default_ttr(delta: f64) -> AdaptiveTtrConfig {
+        AdaptiveTtrConfig::builder(Value::new(delta)).build().unwrap()
+    }
+
     fn virtual_policy(delta: f64) -> VirtualObjectPolicy {
-        VirtualObjectConfig::builder(ValueFunction::Difference, Value::new(delta))
+        let ttr = AdaptiveTtrConfig::builder(Value::new(delta))
             .smoothing(1.0)
             .alpha(1.0)
             .ttr_bounds(Duration::from_secs(1), Duration::from_secs(3_600))
+            .build()
+            .unwrap();
+        VirtualObjectConfig::builder(ValueFunction::Difference, ttr)
             .build()
             .unwrap()
             .into_policy()
@@ -564,7 +483,7 @@ mod tests {
     #[test]
     fn feedback_validation() {
         let bad = |f: FeedbackConfig| {
-            VirtualObjectConfig::builder(ValueFunction::Difference, Value::new(1.0))
+            VirtualObjectConfig::builder(ValueFunction::Difference, default_ttr(1.0))
                 .feedback(f)
                 .build()
         };
@@ -604,7 +523,7 @@ mod tests {
 
     #[test]
     fn theta_floors_and_caps() {
-        let mut p = VirtualObjectConfig::builder(ValueFunction::Difference, Value::new(0.1))
+        let mut p = VirtualObjectConfig::builder(ValueFunction::Difference, default_ttr(0.1))
             .feedback(FeedbackConfig {
                 decrease: 0.1,
                 increase: 2.0,
@@ -647,14 +566,14 @@ mod tests {
     #[test]
     fn partitioned_rejects_ratio() {
         assert!(matches!(
-            PartitionedConfig::builder(ValueFunction::Ratio, Value::new(1.0)).build(),
+            PartitionedConfig::builder(ValueFunction::Ratio, default_ttr(1.0)).build(),
             Err(ConfigError::ParameterOutOfRange { name: "function", .. })
         ));
     }
 
     #[test]
     fn partitioned_initial_split_is_even() {
-        let p = PartitionedConfig::builder(ValueFunction::Difference, Value::new(0.6))
+        let p = PartitionedConfig::builder(ValueFunction::Difference, default_ttr(0.6))
             .build()
             .unwrap()
             .into_policy();
@@ -667,7 +586,7 @@ mod tests {
     fn partitioned_split_respects_weights() {
         let p = PartitionedConfig::builder(
             ValueFunction::WeightedSum { wa: 2.0, wb: 1.0 },
-            Value::new(1.0),
+            default_ttr(1.0),
         )
         .build()
         .unwrap()
@@ -679,9 +598,9 @@ mod tests {
 
     #[test]
     fn partitioned_reapportions_towards_slower_object() {
-        let mut p = PartitionedConfig::builder(ValueFunction::Difference, Value::new(1.0))
+        let ttr = ttr(1.0, Duration::from_secs(1), Duration::from_secs(3_600));
+        let mut p = PartitionedConfig::builder(ValueFunction::Difference, ttr)
             .repartition_every(4)
-            .ttr_bounds(Duration::from_secs(1), Duration::from_secs(3_600))
             .build()
             .unwrap()
             .into_policy();
@@ -701,7 +620,7 @@ mod tests {
 
     #[test]
     fn partitioned_without_repartition_keeps_split() {
-        let mut p = PartitionedConfig::builder(ValueFunction::Difference, Value::new(1.0))
+        let mut p = PartitionedConfig::builder(ValueFunction::Difference, default_ttr(1.0))
             .repartition_every(0)
             .build()
             .unwrap()
@@ -720,8 +639,7 @@ mod tests {
     fn partitioned_ttrs_within_bounds() {
         let lo = Duration::from_secs(2);
         let hi = Duration::from_secs(500);
-        let mut p = PartitionedConfig::builder(ValueFunction::Difference, Value::new(0.5))
-            .ttr_bounds(lo, hi)
+        let mut p = PartitionedConfig::builder(ValueFunction::Difference, ttr(0.5, lo, hi))
             .build()
             .unwrap()
             .into_policy();

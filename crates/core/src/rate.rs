@@ -127,11 +127,6 @@ impl ValueRateEstimator {
         self.prev = Some((at, value));
         rate
     }
-
-    /// The most recent sample.
-    pub fn last_sample(&self) -> Option<(Timestamp, Value)> {
-        self.prev
-    }
 }
 
 #[cfg(test)]
@@ -199,6 +194,8 @@ mod tests {
         let mut est = ValueRateEstimator::new();
         est.observe(Timestamp::from_secs(1), Value::new(1.0));
         assert_eq!(est.observe(Timestamp::from_secs(1), Value::new(2.0)), None);
-        assert_eq!(est.last_sample(), Some((Timestamp::from_secs(1), Value::new(2.0))));
+        // The repeated instant's sample replaced the first: 0.5 over 1 s.
+        let r = est.observe(Timestamp::from_secs(2), Value::new(2.5)).unwrap();
+        assert!((r - 0.0005).abs() < 1e-12);
     }
 }

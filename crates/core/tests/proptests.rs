@@ -107,7 +107,10 @@ proptest! {
             (prop::bool::ANY, 1u64..=600, -2.0f64..2.0), 1..100),
     ) {
         let function = ValueFunction::WeightedSum { wa, wb };
-        let mut policy = PartitionedConfig::builder(function, Value::new(delta))
+        let ttr = AdaptiveTtrConfig::builder(Value::new(delta))
+            .build()
+            .expect("valid configuration");
+        let mut policy = PartitionedConfig::builder(function, ttr)
             .repartition_every(4)
             .build()
             .expect("valid configuration")

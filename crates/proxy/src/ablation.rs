@@ -13,17 +13,20 @@
 //! * [`alpha_blend`] — the Equation 10 α: biasing the value-domain TTR
 //!   towards the smallest TTR ever required.
 
+use mutcon_core::functions::ValueFunction;
 use mutcon_core::limd::DecreaseFactor;
 use mutcon_core::mutual::temporal::MtPolicy;
-use mutcon_core::object::ObjectId;
+use mutcon_core::mutual::value::VirtualObjectConfig;
 use mutcon_core::time::Duration;
 use mutcon_core::value::Value;
 use mutcon_traces::UpdateTrace;
 
-use crate::drivers::{run_temporal, MutualSetup, TemporalPolicy, TemporalSimConfig};
-use crate::experiment::{Fig3Config, Fig7Config};
+use crate::drivers::{
+    run_temporal, run_value_pair, MutualSetup, TemporalPolicy, TemporalSimConfig, ValuePairPolicy,
+};
+use crate::experiment::{host, Fig3Config, Fig7Config};
 use crate::metrics;
-use crate::origin::{HistorySupport, OriginServer};
+use crate::origin::HistorySupport;
 
 /// One configuration's outcome in an ablation sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,35 +42,23 @@ pub struct AblationRow {
 }
 
 fn run_limd_once(trace: &UpdateTrace, delta: Duration, config: &Fig3Config) -> AblationRow {
-    let id = ObjectId::new(trace.name());
-    let mut origin = OriginServer::new().with_history(config.history);
-    origin.host(id.clone(), trace.clone());
+    let (origin, ids, until) = host([trace], config.history);
     let out = run_temporal(
         &origin,
-        std::slice::from_ref(&id),
+        &ids,
         &TemporalSimConfig {
-            policy: TemporalPolicy::Limd(limd_from(config, delta)),
+            policy: TemporalPolicy::Limd(config.limd(delta)),
             mutual: None,
-            until: trace.end(),
+            until,
         },
     );
-    let stats = metrics::individual_temporal(trace, &out.logs[&id], delta, trace.end());
+    let stats = metrics::individual_temporal(trace, &out.logs[&ids[0]], delta, until);
     AblationRow {
         setting: String::new(),
         polls: stats.polls(),
         fidelity_violations: stats.fidelity_by_violations(),
         fidelity_time: stats.fidelity_by_time(),
     }
-}
-
-fn limd_from(config: &Fig3Config, delta: Duration) -> mutcon_core::limd::LimdConfig {
-    mutcon_core::limd::LimdConfig::builder(delta)
-        .linear_increase(config.linear_increase)
-        .epsilon(config.epsilon)
-        .ttr_max(config.ttr_max.max(delta))
-        .decrease(config.decrease)
-        .build()
-        .expect("ablation parameters are valid")
 }
 
 /// §3.1 aggressiveness: optimistic (large `l`) to conservative (small
@@ -124,19 +115,16 @@ pub fn heuristic_threshold(
     delta: Duration,
     mutual_delta: Duration,
 ) -> Vec<AblationRow> {
-    let ids = [ObjectId::new(trace_a.name()), ObjectId::new(trace_b.name())];
-    let until = trace_a.end().min(trace_b.end());
+    let (origin, ids, until) = host([trace_a, trace_b], HistorySupport::None);
+    let limd = Fig3Config::default().limd(delta);
     [0.25, 0.5, 0.75, 1.0, 1.5]
         .into_iter()
         .map(|threshold| {
-            let mut origin = OriginServer::new();
-            origin.host(ids[0].clone(), trace_a.clone());
-            origin.host(ids[1].clone(), trace_b.clone());
             let out = run_temporal(
                 &origin,
                 &ids,
                 &TemporalSimConfig {
-                    policy: TemporalPolicy::Limd(limd_from(&Fig3Config::default(), delta)),
+                    policy: TemporalPolicy::Limd(limd),
                     mutual: Some(MutualSetup {
                         delta: mutual_delta,
                         policy: MtPolicy::RateHeuristic { threshold },
@@ -169,23 +157,12 @@ pub fn alpha_blend(
     trace_b: &UpdateTrace,
     delta: Value,
 ) -> Vec<AblationRow> {
-    use crate::drivers::{run_value_pair, ValuePairPolicy};
-    use mutcon_core::functions::ValueFunction;
-    use mutcon_core::mutual::value::VirtualObjectConfig;
-
-    let ids = [ObjectId::new(trace_a.name()), ObjectId::new(trace_b.name())];
-    let until = trace_a.end().min(trace_b.end());
+    let (origin, ids, until) = host([trace_a, trace_b], HistorySupport::None);
     [1.0, 0.75, 0.5, 0.25, 0.0]
         .into_iter()
         .map(|alpha| {
-            let mut origin = OriginServer::new();
-            origin.host(ids[0].clone(), trace_a.clone());
-            origin.host(ids[1].clone(), trace_b.clone());
-            let defaults = Fig7Config::default();
-            let cfg = VirtualObjectConfig::builder(ValueFunction::Difference, delta)
-                .smoothing(defaults.smoothing)
-                .alpha(alpha)
-                .ttr_bounds(defaults.ttr_min, defaults.ttr_max)
+            let ttr = Fig7Config { alpha, ..Fig7Config::default() }.ttr(delta);
+            let cfg = VirtualObjectConfig::builder(ValueFunction::Difference, ttr)
                 .build()
                 .expect("ablation parameters are valid");
             let out = run_value_pair(

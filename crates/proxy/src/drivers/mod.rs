@@ -7,14 +7,15 @@
 //! * [`temporal`] — Δt consistency (periodic baseline or LIMD) with
 //!   optional Mt coordination (triggered polls / rate heuristic) across a
 //!   group of objects.
-//! * [`value`] — Δv consistency (adaptive TTR) and the two Mv approaches
-//!   (virtual object, partitioned tolerance) over a pair of valued
-//!   objects.
+//! * [`value`] — the two Mv approaches (virtual object, partitioned
+//!   tolerance) over a pair of valued objects, each built on the §4.1
+//!   adaptive TTR (Δv consistency). The §4 loops are not hosted in the
+//!   §3 [`Schedule`](crate::schedule::Schedule): each is a few lines of
+//!   "poll, ask the policy for the next instant" and needs none of its
+//!   trigger queue, coordinator, width or in-flight ledger.
 
 pub mod temporal;
 pub mod value;
 
 pub use temporal::{run_temporal, MutualSetup, TemporalPolicy, TemporalSimConfig, TemporalSimOutput};
-pub use value::{
-    run_value_individual, run_value_pair, ValuePairOutput, ValuePairPolicy,
-};
+pub use value::{run_value_pair, ValuePairOutput, ValuePairPolicy};

@@ -1,16 +1,12 @@
-//! The value-domain simulation driver (§4, §6.2.3).
+//! The value-domain simulation driver (§4.2, §6.2.3): [`run_value_pair`]
+//! steps a pair of valued objects under one of the two Mv approaches.
 //!
-//! Three modes:
-//!
-//! * [`run_value_individual`] — one object under the §4.1 adaptive TTR
-//!   (Δv-consistency).
-//! * [`run_value_pair`] with [`ValuePairPolicy::Virtual`] — the pair is
-//!   polled *together* on one schedule derived from the rate of change of
-//!   `f` (Equations 11–12); each pair poll issues two HTTP requests.
-//! * [`run_value_pair`] with [`ValuePairPolicy::Partitioned`] — δ is split
-//!   into per-object tolerances and each object polls independently.
+//! * [`ValuePairPolicy::Virtual`] — the pair is polled *together* on one
+//!   schedule derived from the rate of change of `f` (Equations 11–12);
+//!   each pair poll issues two HTTP requests.
+//! * [`ValuePairPolicy::Partitioned`] — δ is split into per-object
+//!   tolerances and each object polls independently.
 
-use mutcon_core::adaptive_ttr::{AdaptiveTtr, AdaptiveTtrConfig};
 use mutcon_core::mutual::value::{
     PairMember, PartitionedConfig, PartitionedPolicy, VirtualObjectConfig, VirtualObjectPolicy,
 };
@@ -73,34 +69,6 @@ fn poll_value(
     });
     resp.value
         .expect("value-domain driver requires valued traces")
-}
-
-/// Runs one object under the §4.1 adaptive TTR until `until`; returns its
-/// poll log.
-///
-/// # Panics
-///
-/// Panics if the object is not hosted or its trace is not valued.
-pub fn run_value_individual(
-    origin: &OriginServer,
-    id: &ObjectId,
-    config: AdaptiveTtrConfig,
-    until: Timestamp,
-) -> PollLog {
-    let mut log = PollLog::new();
-    let mut ttr = AdaptiveTtr::new(config);
-    let mut validator = None;
-    let mut now = Timestamp::ZERO;
-    let object = origin.object(id).expect("object hosted by origin");
-    loop {
-        let value = poll_value(&object, now, &mut validator, &mut log);
-        let next = ttr.on_poll(now, value);
-        now += next;
-        if now > until {
-            break;
-        }
-    }
-    log
 }
 
 /// Runs a pair of valued objects under an Mv policy until `until`.
@@ -201,6 +169,7 @@ fn next_poll(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mutcon_core::adaptive_ttr::AdaptiveTtrConfig;
     use mutcon_core::functions::ValueFunction;
     use mutcon_core::time::Duration;
     use mutcon_traces::NamedTrace;
@@ -218,26 +187,18 @@ mod tests {
         Timestamp::ZERO + NamedTrace::Att.duration()
     }
 
-    #[test]
-    fn individual_adaptive_ttr_polls_less_than_minimum_rate() {
-        let (origin, att, _) = stock_origin();
-        let config = AdaptiveTtrConfig::builder(Value::new(0.25))
-            .ttr_bounds(Duration::from_secs(5), Duration::from_mins(10))
+    /// The §4.1 tuning at `delta` with TTR bounds `[ttr_min_s, 10 min]`.
+    fn ttr(delta: f64, ttr_min_s: u64) -> AdaptiveTtrConfig {
+        AdaptiveTtrConfig::builder(Value::new(delta))
+            .ttr_bounds(Duration::from_secs(ttr_min_s), Duration::from_mins(10))
             .build()
-            .unwrap();
-        let log = run_value_individual(&origin, &att, config, until());
-        assert!(log.poll_count() > 2);
-        // Upper bound: polling every ttr_min for 3 h = 2160 polls.
-        assert!(log.poll_count() <= 2_161);
-        // Polls stay inside the window.
-        assert!(log.records().last().unwrap().at <= until());
+            .unwrap()
     }
 
     #[test]
     fn virtual_pair_polls_in_lockstep() {
         let (origin, att, yahoo) = stock_origin();
-        let cfg = VirtualObjectConfig::builder(ValueFunction::Difference, Value::new(1.0))
-            .ttr_bounds(Duration::from_secs(10), Duration::from_mins(10))
+        let cfg = VirtualObjectConfig::builder(ValueFunction::Difference, ttr(1.0, 10))
             .build()
             .unwrap();
         let out = run_value_pair(&origin, &att, &yahoo, &ValuePairPolicy::Virtual(cfg), until());
@@ -252,8 +213,7 @@ mod tests {
     #[test]
     fn partitioned_pair_polls_independently() {
         let (origin, att, yahoo) = stock_origin();
-        let cfg = PartitionedConfig::builder(ValueFunction::Difference, Value::new(1.0))
-            .ttr_bounds(Duration::from_secs(10), Duration::from_mins(10))
+        let cfg = PartitionedConfig::builder(ValueFunction::Difference, ttr(1.0, 10))
             .build()
             .unwrap();
         let out = run_value_pair(
@@ -295,8 +255,7 @@ mod tests {
     fn tighter_delta_means_more_polls() {
         let (origin, att, yahoo) = stock_origin();
         let mk = |delta: f64| {
-            let cfg = VirtualObjectConfig::builder(ValueFunction::Difference, Value::new(delta))
-                .ttr_bounds(Duration::from_secs(5), Duration::from_mins(10))
+            let cfg = VirtualObjectConfig::builder(ValueFunction::Difference, ttr(delta, 5))
                 .build()
                 .unwrap();
             run_value_pair(&origin, &att, &yahoo, &ValuePairPolicy::Virtual(cfg), until())
@@ -313,8 +272,7 @@ mod tests {
     #[test]
     fn virtual_detects_some_violations_under_tight_delta() {
         let (origin, att, yahoo) = stock_origin();
-        let cfg = VirtualObjectConfig::builder(ValueFunction::Difference, Value::new(0.25))
-            .ttr_bounds(Duration::from_secs(30), Duration::from_mins(10))
+        let cfg = VirtualObjectConfig::builder(ValueFunction::Difference, ttr(0.25, 30))
             .build()
             .unwrap();
         let out = run_value_pair(&origin, &att, &yahoo, &ValuePairPolicy::Virtual(cfg), until());

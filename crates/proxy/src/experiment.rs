@@ -15,6 +15,7 @@
 //! synthetics), but the comparative shapes are the reproduction target;
 //! `EXPERIMENTS.md` records both.
 
+use mutcon_core::adaptive_ttr::AdaptiveTtrConfig;
 use mutcon_core::functions::ValueFunction;
 use mutcon_core::limd::{DecreaseFactor, LimdConfig};
 use mutcon_core::mutual::temporal::MtPolicy;
@@ -61,7 +62,9 @@ impl Default for Fig3Config {
 }
 
 impl Fig3Config {
-    fn limd(&self, delta: Duration) -> LimdConfig {
+    /// The LIMD configuration for tolerance `delta` under this tuning
+    /// (the TTR cap is raised to Δ when Δ exceeds it).
+    pub fn limd(&self, delta: Duration) -> LimdConfig {
         LimdConfig::builder(delta)
             .linear_increase(self.linear_increase)
             .epsilon(self.epsilon)
@@ -89,11 +92,27 @@ pub struct Fig3Row {
     pub limd_fidelity_time: f64,
 }
 
-fn host(trace: &UpdateTrace, history: HistorySupport) -> (OriginServer, ObjectId) {
-    let id = ObjectId::new(trace.name());
+/// Hosts each trace at an origin under its own name; returns the origin,
+/// the ids in trace order and the end of the shortest trace, where every
+/// run over them stops.
+///
+/// # Panics
+///
+/// Panics if `traces` is empty.
+pub fn host<'a>(
+    traces: impl IntoIterator<Item = &'a UpdateTrace>,
+    history: HistorySupport,
+) -> (OriginServer, Vec<ObjectId>, Timestamp) {
     let mut origin = OriginServer::new().with_history(history);
-    origin.host(id.clone(), trace.clone());
-    (origin, id)
+    let mut ids = Vec::new();
+    let mut until = None::<Timestamp>;
+    for trace in traces {
+        let id = ObjectId::new(trace.name());
+        origin.host(id.clone(), trace.clone());
+        ids.push(id);
+        until = Some(until.map_or(trace.end(), |u| u.min(trace.end())));
+    }
+    (origin, ids, until.expect("at least one trace"))
 }
 
 /// Figure 3: LIMD versus the every-Δ baseline on one trace, for each Δ.
@@ -102,19 +121,18 @@ pub fn individual_temporal_sweep(
     deltas: &[Duration],
     config: &Fig3Config,
 ) -> Vec<Fig3Row> {
-    let (origin, id) = host(trace, config.history);
-    let until = trace.end();
+    let (origin, ids, until) = host([trace], config.history);
     let run = |policy, delta| {
         let out = run_temporal(
             &origin,
-            std::slice::from_ref(&id),
+            &ids,
             &TemporalSimConfig {
                 policy,
                 mutual: None,
                 until,
             },
         );
-        metrics::individual_temporal(trace, &out.logs[&id], delta, until)
+        metrics::individual_temporal(trace, &out.logs[&ids[0]], delta, until)
     };
 
     deltas
@@ -150,19 +168,19 @@ pub fn ttr_timeline(
     window: Duration,
     config: &Fig3Config,
 ) -> Fig4Output {
-    let (origin, id) = host(trace, config.history);
+    let (origin, ids, until) = host([trace], config.history);
     let out = run_temporal(
         &origin,
-        std::slice::from_ref(&id),
+        &ids,
         &TemporalSimConfig {
             policy: TemporalPolicy::Limd(config.limd(delta)),
             mutual: None,
-            until: trace.end(),
+            until,
         },
     );
     Fig4Output {
         update_counts: updates_per_window(trace, window),
-        ttr: out.ttr_timeline[&id].clone(),
+        ttr: out.ttr_timeline[&ids[0]].clone(),
     }
 }
 
@@ -190,7 +208,7 @@ pub struct Fig5Row {
 
 fn run_pair_policy(
     origin: &OriginServer,
-    ids: &[ObjectId; 2],
+    ids: &[ObjectId],
     traces: [&UpdateTrace; 2],
     limd: LimdConfig,
     mutual: Option<MutualSetup>,
@@ -232,11 +250,7 @@ pub fn mutual_temporal_sweep(
     mutual_deltas: &[Duration],
     config: &Fig3Config,
 ) -> Vec<Fig5Row> {
-    let ids = [ObjectId::new(trace_a.name()), ObjectId::new(trace_b.name())];
-    let mut origin = OriginServer::new().with_history(config.history);
-    origin.host(ids[0].clone(), trace_a.clone());
-    origin.host(ids[1].clone(), trace_b.clone());
-    let until = trace_a.end().min(trace_b.end());
+    let (origin, ids, until) = host([trace_a, trace_b], config.history);
     let limd = config.limd(delta);
 
     mutual_deltas
@@ -275,12 +289,7 @@ pub fn heuristic_timeline(
     window: Duration,
     config: &Fig3Config,
 ) -> Fig6Output {
-    let ids = [ObjectId::new(trace_a.name()), ObjectId::new(trace_b.name())];
-    let mut origin = OriginServer::new().with_history(config.history);
-    origin.host(ids[0].clone(), trace_a.clone());
-    origin.host(ids[1].clone(), trace_b.clone());
-    let until = trace_a.end().min(trace_b.end());
-
+    let (origin, ids, until) = host([trace_a, trace_b], config.history);
     let out = run_temporal(
         &origin,
         &ids,
@@ -341,6 +350,19 @@ impl Default for Fig7Config {
     }
 }
 
+impl Fig7Config {
+    /// The §4.1 adaptive-TTR configuration for tolerance `delta` under
+    /// this tuning.
+    pub fn ttr(&self, delta: Value) -> AdaptiveTtrConfig {
+        AdaptiveTtrConfig::builder(delta)
+            .smoothing(self.smoothing)
+            .alpha(self.alpha)
+            .ttr_bounds(self.ttr_min, self.ttr_max)
+            .build()
+            .expect("experiment parameters are valid")
+    }
+}
+
 /// One δ of the Figure 7 sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig7Row {
@@ -359,21 +381,15 @@ pub struct Fig7Row {
 /// The two Mv approaches (virtual-object, partitioned) at one δ, both
 /// over the difference function of the paper's stock-comparison scenario.
 fn value_pair_policies(delta: Value, config: &Fig7Config) -> [ValuePairPolicy; 2] {
-    let f = ValueFunction::Difference;
+    let (f, ttr) = (ValueFunction::Difference, config.ttr(delta));
     [
         ValuePairPolicy::Virtual(
-            VirtualObjectConfig::builder(f, delta)
-                .smoothing(config.smoothing)
-                .alpha(config.alpha)
-                .ttr_bounds(config.ttr_min, config.ttr_max)
+            VirtualObjectConfig::builder(f, ttr)
                 .build()
                 .expect("experiment parameters are valid"),
         ),
         ValuePairPolicy::Partitioned(
-            PartitionedConfig::builder(f, delta)
-                .smoothing(config.smoothing)
-                .alpha(config.alpha)
-                .ttr_bounds(config.ttr_min, config.ttr_max)
+            PartitionedConfig::builder(f, ttr)
                 .build()
                 .expect("experiment parameters are valid"),
         ),
@@ -389,11 +405,7 @@ pub fn mutual_value_sweep(
     deltas: &[Value],
     config: &Fig7Config,
 ) -> Vec<Fig7Row> {
-    let ids = [ObjectId::new(trace_a.name()), ObjectId::new(trace_b.name())];
-    let mut origin = OriginServer::new();
-    origin.host(ids[0].clone(), trace_a.clone());
-    origin.host(ids[1].clone(), trace_b.clone());
-    let until = trace_a.end().min(trace_b.end());
+    let (origin, ids, until) = host([trace_a, trace_b], HistorySupport::None);
     let f = ValueFunction::Difference;
 
     deltas
@@ -434,11 +446,7 @@ pub fn value_timeline(
     to: Timestamp,
     config: &Fig7Config,
 ) -> Fig8Output {
-    let ids = [ObjectId::new(trace_a.name()), ObjectId::new(trace_b.name())];
-    let mut origin = OriginServer::new();
-    origin.host(ids[0].clone(), trace_a.clone());
-    origin.host(ids[1].clone(), trace_b.clone());
-    let until = trace_a.end().min(trace_b.end());
+    let (origin, ids, until) = host([trace_a, trace_b], HistorySupport::None);
     let f = ValueFunction::Difference;
 
     let [adaptive, partitioned] = value_pair_policies(delta, config)
@@ -578,6 +586,42 @@ mod tests {
             assert!((0.0..=1.0).contains(&r.adaptive_fidelity));
             assert!((0.0..=1.0).contains(&r.partitioned_fidelity));
         }
+    }
+
+    /// Figure 7's partitioned column with δ split evenly and never
+    /// re-split is monotone in δ: polls fall and fidelity rises, and the
+    /// AT&T member sits at `ttr_max` (19 polls in 3 h) throughout. With
+    /// the default re-split every 8 polls it is not (837 polls at $0.25
+    /// against 949 at $0.50), so the re-split by two instantaneous slopes
+    /// is what bends the column, not `ttr_min` or Equation 9's zero-rate
+    /// branch, which this run keeps.
+    #[test]
+    fn fig7_partitioned_even_split_is_monotone() {
+        use crate::drivers::run_value_pair;
+        use mutcon_traces::NamedTrace;
+
+        let (yahoo, att) = (NamedTrace::Yahoo.generate(), NamedTrace::Att.generate());
+        let (origin, ids, until) = host([&yahoo, &att], HistorySupport::None);
+        let f = ValueFunction::Difference;
+        let rows: Vec<(u64, u64, f64)> = [0.25, 0.5, 0.6, 1.0, 2.0, 3.0, 4.0, 5.0]
+            .map(|d| {
+                let delta = Value::new(d);
+                let config = PartitionedConfig::builder(f, Fig7Config::default().ttr(delta))
+                    .repartition_every(0)
+                    .build()
+                    .unwrap();
+                let policy = ValuePairPolicy::Partitioned(config);
+                let out = run_value_pair(&origin, &ids[0], &ids[1], &policy, until);
+                let stats =
+                    metrics::mutual_value(&yahoo, &out.log_a, &att, &out.log_b, f, delta, until);
+                (stats.polls(), out.log_b.poll_count(), stats.fidelity_by_violations())
+            })
+            .into();
+        let polls: Vec<u64> = rows.iter().map(|r| r.0).collect();
+        assert_eq!(polls, [435, 234, 152, 91, 50, 44, 41, 41]);
+        assert!(rows.iter().all(|r| r.1 == 19), "{rows:?}");
+        assert!(rows.windows(2).all(|w| w[1].2 >= w[0].2), "{rows:?}");
+        assert_eq!(format!("{:.3} {:.3}", rows[0].2, rows[7].2), "0.662 1.000");
     }
 
     #[test]

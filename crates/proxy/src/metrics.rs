@@ -148,50 +148,6 @@ pub fn mutual_temporal(
     stats
 }
 
-/// Evaluates Δv-consistency of one valued object's run.
-pub fn individual_value(
-    trace: &UpdateTrace,
-    log: &PollLog,
-    delta: Value,
-    until: Timestamp,
-) -> FidelityStats {
-    let mut stats = FidelityStats::new(until.since(trace.start()));
-    stats.record_polls(log.poll_count());
-
-    // Violations at polls: drift of the pre-refresh cached value.
-    let mut cached: Option<Value> = None;
-    for r in log.records() {
-        let server = trace.value_at(r.at).expect("valued trace");
-        if let Some(p) = cached {
-            if server.abs_diff(p) >= delta {
-                stats.record_violation(Duration::ZERO);
-            }
-        }
-        if let PollOutcome::Refreshed { version_index } = r.outcome {
-            cached = trace.events()[version_index].value;
-        }
-    }
-
-    // Exact out-of-sync time via a merged sweep of server updates and
-    // proxy refreshes.
-    let mut out_of_sync = Duration::ZERO;
-    sweep_value_pair(
-        trace,
-        log,
-        None,
-        until,
-        |seg_len, server, proxy, _, _| {
-            if let (Some(s), Some(p)) = (server, proxy) {
-                if s.abs_diff(p) >= delta {
-                    out_of_sync = out_of_sync.saturating_add(seg_len);
-                }
-            }
-        },
-    );
-    stats.add_out_of_sync(out_of_sync);
-    stats
-}
-
 /// Evaluates Mv-consistency of a pair's run for function `f`.
 pub fn mutual_value(
     trace_a: &UpdateTrace,
@@ -243,19 +199,11 @@ pub fn mutual_value(
 
     // Exact out-of-sync time.
     let mut out_of_sync = Duration::ZERO;
-    sweep_value_pair(
-        trace_a,
-        log_a,
-        Some((trace_b, log_b)),
-        until,
-        |seg_len, sa, pa, sb_pb, _| {
-            if let (Some(sa), Some(pa), Some((Some(sb), Some(pb)))) = (sa, pa, sb_pb) {
-                if f.eval(sa, sb).abs_diff(f.eval(pa, pb)) >= delta {
-                    out_of_sync = out_of_sync.saturating_add(seg_len);
-                }
-            }
-        },
-    );
+    sweep_value_pair(trace_a, log_a, trace_b, log_b, f, until, |_, seg_len, server, proxy| {
+        if server.abs_diff(proxy) >= delta {
+            out_of_sync = out_of_sync.saturating_add(seg_len);
+        }
+    });
     stats.add_out_of_sync(out_of_sync);
     stats
 }
@@ -285,50 +233,34 @@ pub fn f_timeline(
     to: Timestamp,
 ) -> Vec<FPoint> {
     let mut points = Vec::new();
-    sweep_value_pair(
-        trace_a,
-        log_a,
-        Some((trace_b, log_b)),
-        to,
-        |seg_len, sa, pa, sb_pb, seg_start| {
-            // Emit one point per constant segment intersecting [from, to],
-            // clamped to the window start.
-            let seg_end = seg_start.saturating_add(seg_len);
-            if seg_end <= from || seg_start > to {
-                return;
-            }
-            let Some((Some(sb), Some(pb))) = sb_pb else {
-                return;
-            };
-            let (Some(sa), Some(pa)) = (sa, pa) else {
-                return;
-            };
-            points.push(FPoint {
-                at: seg_start.max(from),
-                server: f.eval(sa, sb).as_f64(),
-                proxy: f.eval(pa, pb).as_f64(),
-            });
-        },
-    );
+    sweep_value_pair(trace_a, log_a, trace_b, log_b, f, to, |seg_start, seg_len, server, proxy| {
+        // Emit one point per constant segment intersecting [from, to],
+        // clamped to the window start.
+        let seg_end = seg_start.saturating_add(seg_len);
+        if seg_end <= from || seg_start > to {
+            return;
+        }
+        points.push(FPoint {
+            at: seg_start.max(from),
+            server: server.as_f64(),
+            proxy: proxy.as_f64(),
+        });
+    });
     points
 }
 
-/// Sweeps the merged step function of (server value, proxy value) for one
-/// object — or a pair when `second` is given — calling `visit` for every
-/// constant segment with `(segment length, server_a, proxy_a,
-/// Option<(server_b, proxy_b)>, segment start)`.
+/// Sweeps the merged step function of a pair's server and proxy values,
+/// calling `visit` for every constant segment in which all four are known
+/// with `(segment start, segment length, f at the server, f at the
+/// proxy)`.
 fn sweep_value_pair(
     trace_a: &UpdateTrace,
     log_a: &PollLog,
-    second: Option<(&UpdateTrace, &PollLog)>,
+    trace_b: &UpdateTrace,
+    log_b: &PollLog,
+    f: ValueFunction,
     until: Timestamp,
-    mut visit: impl FnMut(
-        Duration,
-        Option<Value>,
-        Option<Value>,
-        Option<(Option<Value>, Option<Value>)>,
-        Timestamp,
-    ),
+    mut visit: impl FnMut(Timestamp, Duration, Value, Value),
 ) {
     #[derive(Clone, Copy)]
     enum Change {
@@ -344,13 +276,11 @@ fn sweep_value_pair(
     for (at, vi) in log_a.refresh_timeline() {
         changes.push((at, 1, Change::RefreshA(trace_a.events()[vi].value)));
     }
-    if let Some((trace_b, log_b)) = second {
-        for e in trace_b.events() {
-            changes.push((e.at, 0, Change::ServerB(e.value)));
-        }
-        for (at, vi) in log_b.refresh_timeline() {
-            changes.push((at, 1, Change::RefreshB(trace_b.events()[vi].value)));
-        }
+    for e in trace_b.events() {
+        changes.push((e.at, 0, Change::ServerB(e.value)));
+    }
+    for (at, vi) in log_b.refresh_timeline() {
+        changes.push((at, 1, Change::RefreshB(trace_b.events()[vi].value)));
     }
     // Server changes apply before refreshes at the same instant: a poll
     // coinciding with an update fetches the updated version.
@@ -361,6 +291,11 @@ fn sweep_value_pair(
     let mut sb: Option<Value> = None;
     let mut pb: Option<Value> = None;
     let mut cursor = Timestamp::ZERO;
+    let mut segment = |start: Timestamp, end: Timestamp, sa, pa, sb, pb| {
+        if let (Some(sa), Some(pa), Some(sb), Some(pb)) = (sa, pa, sb, pb) {
+            visit(start, end.since(start), f.eval(sa, sb), f.eval(pa, pb));
+        }
+    };
     let mut idx = 0;
     while idx < changes.len() {
         let t = changes[idx].0;
@@ -368,8 +303,7 @@ fn sweep_value_pair(
             break;
         }
         if t > cursor {
-            let b_state = second.map(|_| (sb, pb));
-            visit(t.since(cursor), sa, pa, b_state, cursor);
+            segment(cursor, t, sa, pa, sb, pb);
             cursor = t;
         }
         while idx < changes.len() && changes[idx].0 == t {
@@ -383,8 +317,7 @@ fn sweep_value_pair(
         }
     }
     if until > cursor {
-        let b_state = second.map(|_| (sb, pb));
-        visit(until.since(cursor), sa, pa, b_state, cursor);
+        segment(cursor, until, sa, pa, sb, pb);
     }
 }
 
@@ -508,28 +441,6 @@ mod tests {
         let stats = mutual_temporal(&ta, &la, &tb, &lb, Duration::from_secs(60), secs(1_000));
         assert_eq!(stats.violations(), 0);
         assert_eq!(stats.out_of_sync(), Duration::ZERO);
-    }
-
-    #[test]
-    fn value_drift_accounting() {
-        // Server: 10.0 at t=0, 11.0 at t=100, 10.2 at t=200.
-        // Proxy fetches at 0 and never again. Δv = 0.5.
-        let trace = valued_trace(&[(0, 10.0), (100, 11.0), (200, 10.2)]);
-        let l = log(&[(0, Some(0))]);
-        let stats = individual_value(&trace, &l, Value::new(0.5), secs(300));
-        // Out of sync on [100, 200): |11−10| = 1 ≥ 0.5; back in sync on
-        // [200, 300): |10.2−10| = 0.2.
-        assert_eq!(stats.out_of_sync(), Duration::from_secs(100));
-        assert_eq!(stats.violations(), 0);
-    }
-
-    #[test]
-    fn value_violation_at_poll() {
-        let trace = valued_trace(&[(0, 10.0), (100, 11.0)]);
-        let l = log(&[(0, Some(0)), (150, Some(1))]);
-        let stats = individual_value(&trace, &l, Value::new(0.5), secs(300));
-        assert_eq!(stats.violations(), 1); // drift 1.0 ≥ 0.5 seen at 150
-        assert_eq!(stats.out_of_sync(), Duration::from_secs(50)); // 100..150
     }
 
     #[test]

@@ -1,7 +1,6 @@
-//! Trace persistence: from-scratch TSV and JSON codecs.
-//!
-//! The TSV format is the primary, dependency-light interchange format
-//! (what the paper's `wget`-style collection scripts would have written):
+//! Trace persistence: a from-scratch TSV codec, the dependency-light
+//! interchange format (what the paper's `wget`-style collection scripts
+//! would have written):
 //!
 //! ```text
 //! # mutcon-trace v1
@@ -13,9 +12,7 @@
 //! ```
 //!
 //! One line per event: milliseconds-since-start, then the value or `-`
-//! for temporal (value-less) events. JSON (`to_json`/`from_json`) carries
-//! the same information for tooling that prefers it (encoded with the in-tree [`crate::json`]
-//! module, so no serialization crate is needed).
+//! for temporal (value-less) events.
 
 use std::fmt;
 
@@ -39,10 +36,6 @@ pub enum TraceIoError {
     },
     /// The decoded events violate trace invariants.
     Invalid(TraceError),
-    /// JSON (de)serialization failed.
-    Json(crate::json::JsonError),
-    /// The JSON parsed but does not describe a trace.
-    Schema(&'static str),
 }
 
 impl fmt::Display for TraceIoError {
@@ -52,8 +45,6 @@ impl fmt::Display for TraceIoError {
             TraceIoError::MissingHeader(h) => write!(f, "missing header `{h}`"),
             TraceIoError::BadLine { line } => write!(f, "cannot parse line {line}"),
             TraceIoError::Invalid(e) => write!(f, "invalid trace: {e}"),
-            TraceIoError::Json(e) => write!(f, "json error: {e}"),
-            TraceIoError::Schema(what) => write!(f, "json does not describe a trace: {what}"),
         }
     }
 }
@@ -62,7 +53,6 @@ impl std::error::Error for TraceIoError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             TraceIoError::Invalid(e) => Some(e),
-            TraceIoError::Json(e) => Some(e),
             _ => None,
         }
     }
@@ -71,12 +61,6 @@ impl std::error::Error for TraceIoError {
 impl From<TraceError> for TraceIoError {
     fn from(e: TraceError) -> Self {
         TraceIoError::Invalid(e)
-    }
-}
-
-impl From<crate::json::JsonError> for TraceIoError {
-    fn from(e: crate::json::JsonError) -> Self {
-        TraceIoError::Json(e)
     }
 }
 
@@ -153,92 +137,6 @@ pub fn from_tsv(text: &str) -> Result<UpdateTrace, TraceIoError> {
     let start = Timestamp::from_millis(start.ok_or(TraceIoError::MissingHeader("start_ms"))?);
     let end = Timestamp::from_millis(end.ok_or(TraceIoError::MissingHeader("end_ms"))?);
     Ok(UpdateTrace::new(name, start, end, events)?)
-}
-
-/// Encodes a trace as pretty JSON.
-///
-/// The schema is stable and hand-written:
-/// `{"name": …, "start": ms, "end": ms, "events": [{"at": ms, "value": f64|null}]}`.
-///
-/// # Errors
-///
-/// Infallible in practice; the `Result` is kept for API stability.
-pub fn to_json(trace: &UpdateTrace) -> Result<String, TraceIoError> {
-    let mut out = String::with_capacity(64 + trace.events().len() * 32);
-    out.push_str("{\n  \"name\": ");
-    crate::json::write_escaped(&mut out, trace.name());
-    out.push_str(&format!(",\n  \"start\": {},", trace.start().as_millis()));
-    out.push_str(&format!("\n  \"end\": {},", trace.end().as_millis()));
-    out.push_str("\n  \"events\": [");
-    for (i, e) in trace.events().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    ");
-        match e.value {
-            Some(v) => out.push_str(&format!(
-                "{{\"at\": {}, \"value\": {}}}",
-                e.at.as_millis(),
-                v.as_f64()
-            )),
-            None => out.push_str(&format!("{{\"at\": {}, \"value\": null}}", e.at.as_millis())),
-        }
-    }
-    out.push_str("\n  ]\n}\n");
-    Ok(out)
-}
-
-/// Decodes a trace from JSON.
-///
-/// # Errors
-///
-/// Returns [`TraceIoError`] on malformed JSON. Invariants are re-checked
-/// by round-tripping through [`UpdateTrace::new`].
-pub fn from_json(text: &str) -> Result<UpdateTrace, TraceIoError> {
-    let doc = crate::json::parse(text)?;
-    let name = doc
-        .get("name")
-        .and_then(|v| v.as_str())
-        .ok_or(TraceIoError::Schema("name"))?;
-    let start = doc
-        .get("start")
-        .and_then(|v| v.as_u64())
-        .ok_or(TraceIoError::Schema("start"))?;
-    let end = doc
-        .get("end")
-        .and_then(|v| v.as_u64())
-        .ok_or(TraceIoError::Schema("end"))?;
-    let raw_events = doc
-        .get("events")
-        .and_then(|v| v.as_array())
-        .ok_or(TraceIoError::Schema("events"))?;
-    let mut events = Vec::with_capacity(raw_events.len());
-    for raw in raw_events {
-        let at = raw
-            .get("at")
-            .and_then(|v| v.as_u64())
-            .ok_or(TraceIoError::Schema("events[].at"))?;
-        let value = match raw.get("value") {
-            None | Some(crate::json::Json::Null) => None,
-            Some(v) => Some(
-                v.as_f64()
-                    .and_then(Value::checked_new)
-                    .ok_or(TraceIoError::Schema("events[].value"))?,
-            ),
-        };
-        events.push(UpdateEvent {
-            at: Timestamp::from_millis(at),
-            value,
-        });
-    }
-    // The parser bypasses the constructor; validate invariants the same
-    // way the TSV path does.
-    Ok(UpdateTrace::new(
-        name.to_owned(),
-        Timestamp::from_millis(start),
-        Timestamp::from_millis(end),
-        events,
-    )?)
 }
 
 #[cfg(test)]
@@ -327,29 +225,6 @@ mod tests {
             from_tsv(out_of_order),
             Err(TraceIoError::Invalid(_))
         ));
-    }
-
-    #[test]
-    fn json_round_trips() {
-        let t = valued_trace();
-        let text = to_json(&t).unwrap();
-        let back = from_json(&text).unwrap();
-        assert_eq!(back, t);
-    }
-
-    #[test]
-    fn json_revalidates_invariants() {
-        // Hand-crafted JSON with out-of-order events must be rejected.
-        let bad = r#"{
-            "name": "x",
-            "start": 0,
-            "end": 10000,
-            "events": [
-                {"at": 5000, "value": null},
-                {"at": 1000, "value": null}
-            ]
-        }"#;
-        assert!(from_json(bad).is_err());
     }
 
     #[test]

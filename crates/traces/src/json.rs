@@ -1,8 +1,9 @@
 //! A minimal from-scratch JSON value model, parser and writer.
 //!
-//! The workspace builds offline, so trace JSON persistence cannot lean on
-//! `serde_json`. This module implements the small subset the repo needs:
-//! a [`Json`] value tree, a strict recursive-descent parser, and
+//! The workspace builds offline, so the JSON the live proxy reads and
+//! writes (rules, `/admin/stats`) cannot lean on `serde_json`. This
+//! module implements the small subset the repo needs: a [`Json`] value
+//! tree, a strict recursive-descent parser, and
 //! `Display`-based writing. Numbers are `f64` (written with Rust's
 //! shortest-round-trip formatting, so values survive a round trip
 //! bit-for-bit); strings support the standard escapes.
@@ -308,7 +309,7 @@ impl<'a> Parser<'a> {
 }
 
 /// Writes a string with JSON escaping into `out`.
-pub fn write_escaped(out: &mut String, s: &str) {
+fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
     for ch in s.chars() {
         match ch {

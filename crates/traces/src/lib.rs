@@ -18,7 +18,7 @@
 //! * [`catalog`] — the six named workloads of Tables 2 and 3.
 //! * [`stats`] — summaries and windowed update counts (Figures 4(a),
 //!   6(a)).
-//! * [`io`] — TSV (from scratch) and JSON (from scratch) persistence.
+//! * [`io`] — TSV persistence (from scratch).
 //! * [`transform`] — time compression/shift/window utilities (used by the
 //!   live proxy to replay multi-day traces in seconds).
 //!

@@ -9,6 +9,7 @@
 //! cargo run --example stock_ticker
 //! ```
 
+use mutcon::core::adaptive_ttr::AdaptiveTtrConfig;
 use mutcon::core::functions::ValueFunction;
 use mutcon::core::mutual::value::{PartitionedConfig, VirtualObjectConfig};
 use mutcon::core::object::ObjectId;
@@ -46,14 +47,16 @@ fn main() {
         "approach", "polls", "Mv fidelity", "out-of-sync"
     );
 
-    let ttr_bounds = (Duration::from_secs(10), Duration::from_mins(10));
-
-    let virtual_cfg = VirtualObjectConfig::builder(f, delta)
-        .ttr_bounds(ttr_bounds.0, ttr_bounds.1)
+    // The §4.1 adaptive TTR both approaches run, its Δ being δ.
+    let ttr = AdaptiveTtrConfig::builder(delta)
+        .ttr_bounds(Duration::from_secs(10), Duration::from_mins(10))
         .build()
         .expect("valid policy parameters");
-    let partitioned_cfg = PartitionedConfig::builder(f, delta)
-        .ttr_bounds(ttr_bounds.0, ttr_bounds.1)
+
+    let virtual_cfg = VirtualObjectConfig::builder(f, ttr)
+        .build()
+        .expect("valid policy parameters");
+    let partitioned_cfg = PartitionedConfig::builder(f, ttr)
         .build()
         .expect("valid policy parameters");
 

@@ -114,6 +114,22 @@ if grep -nE 'Limd::new|MtCoordinator::new' \
   exit 1
 fi
 
+# One §4 tuning, one rate estimate, one LIMD-from-tuning. The Mv configs
+# in crates/core/src/mutual/value.rs take the §4.1 `AdaptiveTtrConfig`
+# and keep no copy of its fields, and the partitioned policy reads each
+# member's slope from that member's `AdaptiveTtr` rather than estimating
+# it a second time. The ablations and the robustness grid build LIMD
+# through `Fig3Config::limd` (crates/proxy/src/experiment.rs).
+above_tests() { sed '/#\[cfg(test)\]/q' "$1"; }
+if above_tests crates/core/src/mutual/value.rs \
+      | grep -nE '^[[:space:]]*(pub )?(smoothing|alpha|ttr_min|ttr_max):' \
+    || grep -n 'ValueRateEstimator' crates/core/src/mutual/value.rs \
+    || above_tests crates/proxy/src/ablation.rs | grep -n 'LimdConfig::builder' \
+    || above_tests crates/bench/src/robustness.rs | grep -n 'LimdConfig::builder'; then
+  echo "ci: a second copy of the §4 tuning, a second slope estimate or a second LIMD-from-tuning is back (lines above)" >&2
+  exit 1
+fi
+
 # One home per metric: a count is a cell in a `metrics!` declaration
 # (crates/live/src/metrics.rs), which generates its accessor and its place
 # in `/admin/stats`. No stats line names a cell by hand and no accessor
@@ -239,9 +255,10 @@ for _ in $(seq 20); do
 done
 
 # The paper's tables and figures (writes the simulator's timings to
-# BENCH_repro.json), and the golden test that pins the Figure 5 rows and
-# the multi4 poll total: a scheduling change fails it until the new rows
-# are committed in crates/bench/tests/golden.rs with their cause.
+# BENCH_repro.json), and the golden test that pins Figures 5–8, ablation
+# D and every robustness grid's poll total: a scheduling or §4 policy
+# change fails it until the new rows are committed in
+# crates/bench/tests/golden.rs with their cause.
 target/release/repro all > /dev/null
 cargo test -q -p mutcon-bench --test golden
 

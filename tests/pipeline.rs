@@ -13,7 +13,7 @@ use mutcon::proxy::drivers::{run_temporal, MutualSetup, TemporalPolicy, Temporal
 use mutcon::proxy::metrics;
 use mutcon::proxy::origin::{HistorySupport, OriginServer};
 use mutcon::traces::generator::NewsTraceBuilder;
-use mutcon::traces::io::{from_json, from_tsv, to_json, to_tsv};
+use mutcon::traces::io::{from_tsv, to_tsv};
 use mutcon::traces::NamedTrace;
 
 /// HTML → groups → mutual-consistency simulation, end to end.
@@ -74,7 +74,6 @@ fn html_deduction_drives_mutual_consistency() {
 fn persistence_preserves_experiment_results() {
     let trace = NamedTrace::NytReuters.generate();
     let via_tsv = from_tsv(&to_tsv(&trace)).expect("tsv round-trip");
-    let via_json = from_json(&to_json(&trace).expect("encode")).expect("json round-trip");
 
     let run = |t: &mutcon::traces::UpdateTrace| {
         let id = ObjectId::new("x");
@@ -95,7 +94,6 @@ fn persistence_preserves_experiment_results() {
     };
     let original = run(&trace);
     assert_eq!(run(&via_tsv), original);
-    assert_eq!(run(&via_json), original);
 }
 
 /// The §5.1 history extension changes what the proxy can detect: with
