@@ -14,8 +14,7 @@
 //! [`Sample`]s (one per completed unit of work) through
 //! [`Limiter::on_sample`] and reads the current limit back. Nothing here
 //! blocks, allocates per-sample, or knows about sockets — the live proxy
-//! drives one limiter per origin pool and one per path-partition from its
-//! reactor threads.
+//! drives one limiter per origin pool from its reactor threads.
 //!
 //! A configuration serializes to a one-line `aimd:key=value,...` spec
 //! (mirroring [`crate::limd::LimdConfig::to_spec`]) so a control plane can

@@ -156,7 +156,7 @@ impl StatusCode {
     pub const REQUEST_TIMEOUT: StatusCode = StatusCode(408);
     /// `413 Payload Too Large`.
     pub const PAYLOAD_TOO_LARGE: StatusCode = StatusCode(413);
-    /// `429 Too Many Requests` — overload admission shedding.
+    /// `429 Too Many Requests`.
     pub const TOO_MANY_REQUESTS: StatusCode = StatusCode(429);
     /// `500 Internal Server Error`.
     pub const INTERNAL_SERVER_ERROR: StatusCode = StatusCode(500);

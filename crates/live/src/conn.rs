@@ -3,10 +3,10 @@
 //! [`ClientConn`] is everything the engine keeps for one client between
 //! accept and close: the request parser and the unparsed input, the
 //! response being written, the fetch the client waits on, the request
-//! deadline, the EOF and `Connection: close` flags, and the admission
-//! ticket. It touches no socket and reads the time only from the clock it
-//! is handed. The reactor ([`crate::server`]) moves the bytes and calls it
-//! at the boundaries a request crosses: read done ([`ClientConn::fill`]),
+//! deadline, and the EOF and `Connection: close` flags. It touches no
+//! socket and reads the time only from the clock it is handed. The
+//! reactor ([`crate::server`]) moves the bytes and calls it at the
+//! boundaries a request crosses: read done ([`ClientConn::fill`]),
 //! parsed ([`ClientConn::next_request`]), queued ([`ClientConn::queue`]),
 //! flushed ([`ClientConn::flush`]).
 //!
@@ -28,7 +28,6 @@ use mutcon_http::parse::{ParseError, RequestParser, ResponseParser};
 use mutcon_http::types::StatusCode;
 use mutcon_sim::reactor::Interest;
 
-use crate::overload::Ticket;
 use crate::server::Reply;
 use crate::upstream::JobId;
 use crate::vectored::{
@@ -69,9 +68,8 @@ pub(crate) enum Flush {
     Idle,
     /// The socket is full; the rest waits for writability.
     Blocked,
-    /// All of it is out. The response's admission ticket, if any, comes
-    /// back with its status, so write stalls are inside its latency sample.
-    Done(Option<(Ticket, u16)>),
+    /// All of it is out.
+    Done,
 }
 
 /// One client connection's request/response state. See the module docs.
@@ -92,10 +90,6 @@ pub(crate) struct ClientConn {
     /// The peer asked for `Connection: close` (or was refused); serve the
     /// current request, flush, then close. Later bytes are ignored.
     close_after_write: bool,
-    /// The admission ticket of the request in flight, with its queued
-    /// response's status once there is one (not while an upstream fetch
-    /// is out). `None` when admission is off or nothing is in flight.
-    admitted: Option<(Ticket, Option<u16>)>,
 }
 
 impl ClientConn {
@@ -139,12 +133,6 @@ impl ClientConn {
         }
     }
 
-    /// Charges the request in flight to `ticket` (`None`: admission is
-    /// off for it).
-    pub(crate) fn admitted(&mut self, ticket: Option<Ticket>) {
-        self.admitted = ticket.map(|ticket| (ticket, None));
-    }
-
     /// The request in flight waits on upstream fetch `job`.
     pub(crate) fn await_fetch(&mut self, job: JobId) {
         self.pending = Some(job);
@@ -162,7 +150,7 @@ impl ClientConn {
         self.pending = None;
         let buf = self.write.buf_mut();
         let mut copied = false;
-        let (status, shared) = match reply {
+        let shared = match reply {
             Reply::Full(mut response) => {
                 if self.close_after_write {
                     mutcon_http::connection::set_close(response.headers_mut());
@@ -171,11 +159,11 @@ impl ClientConn {
                 buf.extend_from_slice(b"\r\n");
                 let body = response.body();
                 if body.len() > INLINE_BODY {
-                    (response.status(), body.clone())
+                    body.clone()
                 } else {
                     buf.extend_from_slice(body);
                     copied = !body.is_empty();
-                    (response.status(), Bytes::new())
+                    Bytes::new()
                 }
             }
             Reply::Prepared(prepared) => {
@@ -185,13 +173,10 @@ impl ClientConn {
                     buf.extend_from_slice(b"connection: close\r\n");
                 }
                 buf.extend_from_slice(b"\r\n");
-                (StatusCode::OK, prepared.body)
+                prepared.body
             }
         };
         self.write.set_body(shared);
-        if let Some((_, queued)) = &mut self.admitted {
-            *queued = Some(status.as_u16());
-        }
         copied
     }
 
@@ -216,13 +201,7 @@ impl ClientConn {
         }
         Ok(match self.write.flush(sink, MAX_RETAINED_CAP, stats)? {
             FlushOutcome::Blocked => Flush::Blocked,
-            // A ticket whose response is not queued yet (a fetch is
-            // still out) stays charged.
-            FlushOutcome::Done => Flush::Done(
-                self.admitted
-                    .take_if(|(_, queued)| queued.is_some())
-                    .and_then(|(ticket, status)| Some((ticket, status?))),
-            ),
+            FlushOutcome::Done => Flush::Done,
         })
     }
 
@@ -262,10 +241,9 @@ impl ClientConn {
             .is_some_and(|started| now.duration_since(started) > REQUEST_TIMEOUT)
     }
 
-    /// Closes the connection's books: the admission ticket to abandon
-    /// and the fetch to leave, if any.
-    pub(crate) fn close(self) -> (Option<Ticket>, Option<JobId>) {
-        (self.admitted.map(|(ticket, _)| ticket), self.pending)
+    /// Closes the connection's books: the fetch to leave, if any.
+    pub(crate) fn close(self) -> Option<JobId> {
+        self.pending
     }
 }
 
@@ -361,7 +339,6 @@ impl OriginConn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::overload::{parse_overload_body, OverloadControl};
     use crate::server::PreparedResponse;
     use mutcon_http::parse::parse_response;
     use mutcon_http::types::Method;
@@ -474,7 +451,7 @@ mod tests {
             matches!(conn.next_request(|| now), Next::Busy),
             "its response is unwritten"
         );
-        assert!(matches!(flush(&mut conn, &mut sink), Flush::Done(None)));
+        assert!(matches!(flush(&mut conn, &mut sink), Flush::Done));
 
         assert_eq!(target(conn.next_request(|| now)), "/2");
         conn.await_fetch(7);
@@ -510,7 +487,7 @@ mod tests {
         assert_eq!(target(conn.next_request(|| now)), "/last");
         conn.queue(ok("bye"));
         let mut sink = Sink::open();
-        assert!(matches!(flush(&mut conn, &mut sink), Flush::Done(None)));
+        assert!(matches!(flush(&mut conn, &mut sink), Flush::Done));
         assert!(
             matches!(conn.next_request(|| now), Next::Busy),
             "nothing after the close"
@@ -584,7 +561,7 @@ mod tests {
         assert!(matches!(flush(&mut conn, &mut sink), Flush::Blocked));
         assert_eq!(conn.interest(), Interest::WRITABLE, "still unwritten");
         sink.room = usize::MAX;
-        assert!(matches!(flush(&mut conn, &mut sink), Flush::Done(None)));
+        assert!(matches!(flush(&mut conn, &mut sink), Flush::Done));
         assert_eq!(conn.interest(), Interest::READABLE);
         assert_eq!(responses(&sink.out)[0].body().as_ref(), b"body");
 
@@ -627,48 +604,6 @@ mod tests {
             !conn.overdue(t0 + REQUEST_TIMEOUT * 2),
             "cleared by the request"
         );
-    }
-
-    #[test]
-    fn the_ticket_goes_back_after_a_full_flush_with_the_queued_status() {
-        let control = OverloadControl::new(parse_overload_body("admission=aimd").unwrap());
-        let now = Instant::now();
-        let mut conn = ClientConn::default();
-        feed(&mut conn, &get("/p/a"), false);
-        target(conn.next_request(|| now));
-        conn.admitted(control.slot(0).admit("/p/a").unwrap());
-        conn.await_fetch(3);
-        let mut sink = Sink {
-            out: Vec::new(),
-            room: 5,
-        };
-        assert!(
-            matches!(flush(&mut conn, &mut sink), Flush::Idle),
-            "no response yet: the ticket stays charged"
-        );
-
-        conn.queue(Reply::Full(
-            Response::builder(StatusCode::SERVICE_UNAVAILABLE).build(),
-        ));
-        assert!(matches!(flush(&mut conn, &mut sink), Flush::Blocked));
-        sink.room = usize::MAX;
-        match flush(&mut conn, &mut sink) {
-            Flush::Done(Some((ticket, 503))) => control.slot(0).release(ticket, 503),
-            other => panic!("expected the ticket with a 503, got {other:?}"),
-        }
-        assert!(
-            matches!(flush(&mut conn, &mut sink), Flush::Idle),
-            "given back once"
-        );
-
-        // A client that leaves first gives back what it holds.
-        feed(&mut conn, &get("/p/b"), false);
-        target(conn.next_request(|| now));
-        conn.admitted(control.slot(0).admit("/p/b").unwrap());
-        conn.await_fetch(4);
-        let (ticket, job) = conn.close();
-        assert!(ticket.is_some());
-        assert_eq!(job, Some(4));
     }
 
     #[test]

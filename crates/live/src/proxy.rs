@@ -83,12 +83,17 @@ use crate::cache::{CacheEntry, L1Cache, L1Lookup, ShardedCache};
 use crate::client::{get_wire, wire_target, ObjectStamps};
 use crate::metrics::{metrics, obj, put, Counter};
 use crate::origin::unix_now_ms;
-use crate::overload::{parse_overload_body, render_overload, OverloadControl, ADMIN_PREFIX};
+use crate::overload::{parse_overload_body, render_overload, OverloadControl};
 use crate::runtime::{ConsistencyRuntime, Plane, PollKind};
 use crate::server::{
     default_reactors, EngineConfig, EngineMetrics, EventLoop, PreparedResponse, Reply, Service,
     ServiceResult, DEFAULT_L1_OBJECTS, DEFAULT_MAX_CONNS, MAX_L1_OBJECTS,
 };
+
+/// Paths under this prefix are the proxy's admin plane: answered on the
+/// reactor, never from the cache or the origin, and never a rule path
+/// (`runtime::validate` refuses one).
+pub(crate) const ADMIN_PREFIX: &str = "/admin/";
 
 /// Consistency requirements for one cached object.
 #[derive(Debug, Clone, PartialEq)]
@@ -346,8 +351,8 @@ impl LiveProxy {
         self.server.metrics()
     }
 
-    /// The hot-swappable overload control (admission shedding + adaptive
-    /// origin fan-out). `GET`/`PUT /admin/overload` is a thin layer over
+    /// The hot-swappable overload control (adaptive origin fan-out and
+    /// park-and-`503`). `GET`/`PUT /admin/overload` is a thin layer over
     /// this, like the rules admin over [`LiveProxy::runtime`].
     pub fn overload(&self) -> &Arc<OverloadControl> {
         self.server.overload()
@@ -968,8 +973,8 @@ mod tests {
     #[test]
     fn mutated_admin_bodies_never_panic_and_what_parses_holds() {
         let overload_bodies = [
-            "admission=aimd:min=2,max=64\npool=aimd:max=8,m=0.5\nretry_after_secs=2\n",
-            "# defaults\nadmission=off\npark_deadline_ms=750\nadmission_initial=16\n",
+            "pool=aimd:min=2,max=64\nretry_after_secs=2\npark_deadline_ms=250\n",
+            "# defaults\npool=off\npark_deadline_ms=750\n",
             "pool=aimd:min=1,max=256,l=1,m=0.75,util=0.8 # all keys\n",
         ];
         let rules_bodies = [
@@ -1040,11 +1045,13 @@ mod tests {
     /// `If-Modified-Since` date of it rounds down to before the epoch.
     const EPOCH_UNIX_MS: u64 = 1_700_000_000_250;
 
-    /// Figure 5's triggered column, live: reactor 0's service stepped
-    /// through virtual instants against the simulator's own origin,
-    /// every poll answered at rtt = 0 through the origin's `render`
-    /// before the service is asked again, polls what `run_temporal`
-    /// polls, instant for instant, with the same answers.
+    /// Figure 5's triggered column and the Table 2 group, live: reactor
+    /// 0's service stepped through virtual instants against the
+    /// simulator's own origin, every poll answered at rtt = 0 through the
+    /// origin's `render` before the service is asked again, polls what
+    /// `run_temporal` polls, instant for instant, with the same answers.
+    /// The four-trace group is due together, so a step hands out a full
+    /// [`POLL_WIDTH`](crate::runtime::POLL_WIDTH).
     #[test]
     fn reactor_0_in_virtual_time_polls_as_the_simulator_does() {
         use mutcon_core::limd::LimdConfig;
@@ -1055,94 +1062,105 @@ mod tests {
         use mutcon_proxy::origin::OriginServer;
         use mutcon_traces::catalog::NamedTrace;
 
-        // Named so that `(due, key)` order is the simulator's object order.
-        let paths = ["/0-cnn-fn", "/1-nyt-ap"];
-        let traces = [NamedTrace::CnnFn, NamedTrace::NytAp].map(NamedTrace::generate);
-        let ids = paths.map(ObjectId::new);
-        let mut origin = OriginServer::new();
-        for (id, trace) in ids.iter().zip(&traces) {
-            origin.host(id.clone(), trace.clone());
-        }
-        let until = traces[0].end().min(traces[1].end());
         // Fig3Config's LIMD: the builder's defaults, Δ = 10 min, 60 min TTR cap.
         let (delta, ttr_max) = (Duration::from_mins(10), Duration::from_mins(60));
         let limd = LimdConfig::builder(delta).ttr_max(ttr_max).build().unwrap();
-
+        // Paths named so that `(due, key)` order is the simulator's object
+        // order; per group δ (min), the golden polls and triggered polls.
+        type Golden = [(u64, usize, u64); 4];
         // (ms since trace time 0, status, version) per poll.
         type Polls = Vec<(u64, u16, Option<usize>)>;
-        for (group_min, golden) in [(1, 389), (5, 373), (15, 325), (30, 310)] {
-            let group = GroupRule { delta: Duration::from_mins(group_min), policy: MtPolicy::TriggeredPolls };
-            let sim = run_temporal(
-                &origin,
-                &ids,
-                &TemporalSimConfig {
-                    policy: TemporalPolicy::Limd(limd),
-                    mutual: Some(MutualSetup { delta: group.delta, policy: group.policy }),
-                    until,
-                },
-            );
-            let expected: Vec<Polls> = ids
-                .iter()
-                .map(|id| {
-                    let polls = sim.logs[id].records().iter();
-                    polls
-                        .map(|r| match r.outcome {
-                            PollOutcome::NotModified => (r.at.as_millis(), 304, None),
-                            PollOutcome::Refreshed { version_index } => (r.at.as_millis(), 200, Some(version_index)),
-                        })
-                        .collect()
-                })
-                .collect();
-            assert_eq!(expected.iter().map(Vec::len).sum::<usize>(), golden, "δ = {group_min} min");
-
-            let rules = paths.iter().map(|p| RefreshRule::new(*p, delta).ttr_max(ttr_max)).collect();
-            let mut service = plane_service(rules, Some(group));
-            // After the install: every path is due at `base`.
-            let base = Instant::now();
-            let mut live: Vec<Polls> = vec![Vec::new(); paths.len()];
-            let mut offset = Duration::ZERO;
-            loop {
-                let now = base + offset;
-                let mut sent = Vec::new();
-                let wake = service.refresh(now, Timestamp::from_millis(EPOCH_UNIX_MS) + offset, &mut |_, wire| {
-                    sent.push(wire);
-                });
-                if sent.is_empty() {
-                    // Nothing more at this instant: on to the next due one,
-                    // within the simulator's window.
-                    let next = wake.map(|at| Duration::from_millis(at.duration_since(base).as_millis() as u64));
-                    match next.filter(|&next| Timestamp::ZERO + next <= until) {
-                        Some(next) => offset = next,
-                        None => break,
-                    }
-                    continue;
-                }
-                for wire in sent {
-                    let (request, _) = parse_request(&wire).unwrap().expect("a whole request");
-                    let response =
-                        crate::origin::answer(&origin, EPOCH_UNIX_MS, &request, Timestamp::ZERO + offset);
-                    let version = ObjectStamps::of(&response).version.map(|v| v.parse().unwrap());
-                    let path = paths.iter().position(|p| *p == request.target()).expect("a ruled path");
-                    live[path].push((offset.as_millis(), response.status().as_u16(), version));
-                    service.own_fetched(&wire, &Ok(response), now);
-                }
+        let pair: (&[&str], Golden) =
+            (&["/0-cnn-fn", "/1-nyt-ap"], [(1, 389, 118), (5, 373, 102), (15, 325, 30), (30, 310, 5)]);
+        let group: (&[&str], Golden) = (
+            &["/0-cnn-fn", "/1-nyt-ap", "/2-nyt-reuters", "/3-guardian"],
+            [(1, 1048, 545), (5, 857, 402), (15, 678, 145), (30, 612, 10)],
+        );
+        for (paths, goldens) in [pair, group] {
+            let traces: Vec<_> = NamedTrace::TEMPORAL[..paths.len()].iter().map(|t| t.generate()).collect();
+            let ids: Vec<_> = paths.iter().map(ObjectId::new).collect();
+            let mut origin = OriginServer::new();
+            for (id, trace) in ids.iter().zip(&traces) {
+                origin.host(id.clone(), trace.clone());
             }
-
-            for (path, (live, expected)) in paths.iter().zip(live.iter().zip(&expected)) {
-                let first = live.iter().zip(expected).position(|(l, e)| l != e);
-                let first = first.unwrap_or(live.len().min(expected.len()));
-                assert!(
-                    live.len() == expected.len() && first == live.len(),
-                    "δ = {group_min} min, {path}: poll #{first} differs, live {:?} against the simulator's {:?} ({} against {} polls)",
-                    live.get(first),
-                    expected.get(first),
-                    live.len(),
-                    expected.len(),
+            let until = traces.iter().map(|t| t.end()).min().unwrap();
+            for (group_min, golden, golden_triggered) in goldens {
+                let group = GroupRule { delta: Duration::from_mins(group_min), policy: MtPolicy::TriggeredPolls };
+                let sim = run_temporal(
+                    &origin,
+                    &ids,
+                    &TemporalSimConfig {
+                        policy: TemporalPolicy::Limd(limd),
+                        mutual: Some(MutualSetup { delta: group.delta, policy: group.policy }),
+                        until,
+                    },
                 );
+                let expected: Vec<Polls> = ids
+                    .iter()
+                    .map(|id| {
+                        let polls = sim.logs[id].records().iter();
+                        polls
+                            .map(|r| match r.outcome {
+                                PollOutcome::NotModified => (r.at.as_millis(), 304, None),
+                                PollOutcome::Refreshed { version_index } => (r.at.as_millis(), 200, Some(version_index)),
+                            })
+                            .collect()
+                    })
+                    .collect();
+                assert_eq!(expected.iter().map(Vec::len).sum::<usize>(), golden, "δ = {group_min} min");
+                assert_eq!(sim.total_triggered(), golden_triggered, "δ = {group_min} min");
+
+                let rules = paths.iter().map(|p| RefreshRule::new(*p, delta).ttr_max(ttr_max)).collect();
+                let mut service = plane_service(rules, Some(group));
+                // After the install: every path is due at `base`.
+                let base = Instant::now();
+                let mut live: Vec<Polls> = vec![Vec::new(); paths.len()];
+                let (mut offset, mut widest) = (Duration::ZERO, 0);
+                loop {
+                    let now = base + offset;
+                    let mut sent = Vec::new();
+                    let wake = service.refresh(now, Timestamp::from_millis(EPOCH_UNIX_MS) + offset, &mut |_, wire| {
+                        sent.push(wire);
+                    });
+                    widest = widest.max(sent.len());
+                    if sent.is_empty() {
+                        // Nothing more at this instant: on to the next due one,
+                        // within the simulator's window.
+                        let next = wake.map(|at| Duration::from_millis(at.duration_since(base).as_millis() as u64));
+                        match next.filter(|&next| Timestamp::ZERO + next <= until) {
+                            Some(next) => offset = next,
+                            None => break,
+                        }
+                        continue;
+                    }
+                    for wire in sent {
+                        let (request, _) = parse_request(&wire).unwrap().expect("a whole request");
+                        let response =
+                            crate::origin::answer(&origin, EPOCH_UNIX_MS, &request, Timestamp::ZERO + offset);
+                        let version = ObjectStamps::of(&response).version.map(|v| v.parse().unwrap());
+                        let path = paths.iter().position(|p| *p == request.target()).expect("a ruled path");
+                        live[path].push((offset.as_millis(), response.status().as_u16(), version));
+                        service.own_fetched(&wire, &Ok(response), now);
+                    }
+                }
+
+                for (path, (live, expected)) in paths.iter().zip(live.iter().zip(&expected)) {
+                    let first = live.iter().zip(expected).position(|(l, e)| l != e);
+                    let first = first.unwrap_or(live.len().min(expected.len()));
+                    assert!(
+                        live.len() == expected.len() && first == live.len(),
+                        "δ = {group_min} min, {path}: poll #{first} differs, live {:?} against the simulator's {:?} ({} against {} polls)",
+                        live.get(first),
+                        expected.get(first),
+                        live.len(),
+                        expected.len(),
+                    );
+                }
+                let stats = service.shared.counters.snapshot();
+                assert_eq!((stats.polls, stats.triggered), (golden as u64, golden_triggered), "δ = {group_min} min");
+                assert_eq!(widest, paths.len().min(crate::runtime::POLL_WIDTH), "δ = {group_min} min");
+                assert_eq!(service.shared.runtime.refresh_metrics().in_flight(), 0);
             }
-            let stats = service.shared.counters.snapshot();
-            assert_eq!((stats.polls, stats.triggered), (golden as u64, sim.total_triggered()), "δ = {group_min} min");
-            assert_eq!(service.shared.runtime.refresh_metrics().in_flight(), 0);
         }
     }
 

@@ -70,7 +70,7 @@ use mutcon_proxy::schedule::{Job, Schedule};
 pub use crate::metrics::HistogramSnapshot as DriftSnapshot;
 use crate::metrics::{metrics, Counter, Gauge, Histogram};
 use crate::origin::unix_now_ms;
-use crate::proxy::{GroupRule, RefreshRule};
+use crate::proxy::{GroupRule, RefreshRule, ADMIN_PREFIX};
 
 /// Ceiling on Δ and on the group δ: a year. Nothing is usefully cached
 /// against a looser bound, and with `ttr_max` held to 64 times it (the
@@ -104,7 +104,7 @@ pub fn validate(rules: &[RefreshRule], group: Option<&GroupRule>) -> Result<Vec<
                 rule.path
             ));
         }
-        if rule.path.starts_with("/admin/") {
+        if rule.path.starts_with(ADMIN_PREFIX) {
             return Err(format!(
                 "rule path {:?} shadows a proxy control endpoint",
                 rule.path

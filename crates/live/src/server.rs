@@ -311,9 +311,8 @@ metrics! {
         l1_refills: Counter => "cache.l1.refills";
         /// L1 slots evicted by probe-window pressure (not invalidation).
         l1_evictions: Counter => "cache.l1.evictions";
-        /// Flush passes that ended with the socket still unwritable. The
-        /// stall is inside the request's admission latency sample, so a
-        /// stalling client pushes its partition's adaptive limit down.
+        /// Flush passes that ended with the socket still unwritable: a
+        /// stalled client holds only its own connection.
         write_stalls: Counter => "wire.write_stalls";
         /// Requests still incomplete `REQUEST_TIMEOUT` (5 s) after their
         /// first byte, answered `408` and closed.
@@ -386,8 +385,8 @@ pub struct EngineConfig {
     pub metrics: Arc<EngineMetrics>,
     /// The overload-control handle (see [`crate::overload`]). The live
     /// proxy shares it with its admin plane, which hot-swaps the
-    /// admission and origin-pool limiters and reads back live limits,
-    /// samples and shed counters.
+    /// origin-pool limiter and the park-and-`503` settings and reads back
+    /// the live limit, samples and the parked-shed counter.
     pub overload: Arc<OverloadControl>,
 }
 
@@ -521,8 +520,8 @@ impl EventLoop {
         &self.metrics
     }
 
-    /// The shared overload-control handle (config installs, shed
-    /// counters, each reactor's live limits).
+    /// The shared overload-control handle (config installs, the
+    /// parked-shed counter, each reactor's live pool limit).
     pub fn overload(&self) -> &Arc<OverloadControl> {
         &self.overload
     }
@@ -614,8 +613,8 @@ struct Reactor {
     metrics: Arc<EngineMetrics>,
     /// This reactor's slot in the per-reactor metric arrays.
     reactor_index: usize,
-    /// The shared overload-control handle; this reactor's admission
-    /// partitions and pool limiter live in its slot there.
+    /// The shared overload-control handle; this reactor's pool limiter
+    /// and park settings live in its slot there.
     overload: Arc<OverloadControl>,
     /// When `pause_accepting` parked the listener; after
     /// `park_deadline` the backlog is drained with `503`s instead of
@@ -952,42 +951,22 @@ impl Reactor {
                     return false;
                 }
             };
-            let path = request.target();
-            let admitted = if self.overload.admits(path) {
-                self.overload.slot(self.reactor_index).admit(path)
-            } else {
-                Ok(None)
-            };
-            match admitted {
-                // Shed: the 429 is flushed and pipelined input keeps
-                // draining.
-                Err(retry_after) => {
-                    self.overload.shed.inc();
-                    let response = Response::builder(StatusCode::TOO_MANY_REQUESTS)
-                        .header("retry-after", retry_after.to_string())
-                        .build();
-                    client.queue(Reply::Full(response));
+            match self.service.respond(&request) {
+                ServiceResult::Reply(reply) => {
+                    if client.queue(reply) {
+                        self.metrics.body_copies.inc();
+                    }
                 }
-                Ok(ticket) => {
-                    client.admitted(ticket);
-                    match self.service.respond(&request) {
-                        ServiceResult::Reply(reply) => {
-                            if client.queue(reply) {
-                                self.metrics.body_copies.inc();
-                            }
-                        }
-                        // The fetch's completion resumes the connection. One
-                        // that concludes within this call (a connect failure,
-                        // or a coalesced job finishing) has only queued its
-                        // reply, which the next turn flushes.
-                        ServiceResult::Upstream { addr, request } => {
-                            let submitted = self.pool.submit(addr, request, Waiter::Client(idx));
-                            client.await_fetch(submitted.job());
-                            match submitted {
-                                Submit::Coalesced(_) => self.metrics.pool_coalesced.inc(),
-                                Submit::New(_) => self.pump_origin(addr),
-                            }
-                        }
+                // The fetch's completion resumes the connection. One that
+                // concludes within this call (a connect failure, or a
+                // coalesced job finishing) has only queued its reply, which
+                // the next turn flushes.
+                ServiceResult::Upstream { addr, request } => {
+                    let submitted = self.pool.submit(addr, request, Waiter::Client(idx));
+                    client.await_fetch(submitted.job());
+                    match submitted {
+                        Submit::Coalesced(_) => self.metrics.pool_coalesced.inc(),
+                        Submit::New(_) => self.pump_origin(addr),
                     }
                 }
             }
@@ -996,9 +975,7 @@ impl Reactor {
 
     /// Writes as much of the client's queued response as the socket
     /// accepts and merges the flush's syscall tallies into the shared
-    /// metrics. Once the response is out its admission ticket goes back,
-    /// so any write-stall time is inside the latency sample. Returns
-    /// `false` if the connection was closed.
+    /// metrics. Returns `false` if the connection was closed.
     fn flush_client(&mut self, idx: usize) -> bool {
         let Some(Conn { stream, last_activity, kind: Kind::Client(client), .. }) =
             self.conns[idx].as_mut()
@@ -1011,11 +988,8 @@ impl Reactor {
         self.metrics.writev_calls.add(stats.writev_calls);
         self.metrics.write_stalls.add(stats.blocked);
         match flushed {
-            Ok(Flush::Done(ticket)) => {
+            Ok(Flush::Done) => {
                 *last_activity = Instant::now();
-                if let Some((ticket, status)) = ticket {
-                    self.overload.slot(self.reactor_index).release(ticket, status);
-                }
                 true
             }
             Ok(Flush::Idle | Flush::Blocked) => true,
@@ -1287,12 +1261,7 @@ impl Reactor {
         };
         self.clients -= 1;
         self.metrics.conns[self.reactor_index].set(self.clients as u64);
-        let (ticket, job) = client.close();
-        if let Some(ticket) = ticket {
-            // Abandoned mid-request (or mid-flush).
-            self.overload.slot(self.reactor_index).abandon(ticket);
-        }
-        if let Some(job) = job {
+        if let Some(job) = client.close() {
             // The last waiter leaving a queued fetch cancels it; a fetch
             // already on a connection finishes and parks, unread.
             self.pool.leave(job, |&waiter| waiter == Waiter::Client(idx));

@@ -78,9 +78,7 @@ pub struct FlushStats {
     pub writev_calls: u64,
     /// Flush passes that ended [`FlushOutcome::Blocked`] — the client
     /// socket back-pressured mid-response. The engine counts these as
-    /// write stalls; the stall *duration* reaches the admission limiter
-    /// through the deferred latency sample (the ticket releases only
-    /// once the response is fully flushed).
+    /// write stalls.
     pub blocked: u64,
 }
 

@@ -38,15 +38,9 @@ origin_pool.coalesced: number
 origin_pool.opened: number
 origin_pool.retries: number
 origin_pool.reuses: number
-overload.admission: string
-overload.admission_initial: number
 overload.park_deadline_ms: number
 overload.parked_shed: number
 overload.pool: string
-overload.reactors[].partitions[].in_flight: number
-overload.reactors[].partitions[].limit: number
-overload.reactors[].partitions[].partition: string
-overload.reactors[].partitions[].shed: number
 overload.reactors[].pool.algorithm: string
 overload.reactors[].pool.limit: number
 overload.reactors[].pool.recent[].latency_ms: number
@@ -55,7 +49,6 @@ overload.reactors[].pool.recent[].ok: bool
 overload.reactors[].pool.samples_ok: number
 overload.reactors[].pool.samples_overload: number
 overload.retry_after_secs: number
-overload.shed: number
 overload.version: number
 proxy.errors: number
 proxy.hits: number
@@ -87,8 +80,8 @@ wire.writev_calls: number
 /// Paths added since the golden list was taken.
 const ADDED: [&str; 1] = ["wire.slow_requests: number"];
 
-/// One ruled path (so the refresh plane polls), both limiters on (so the
-/// overload section shows a partition, an algorithm and fetch samples).
+/// One ruled path (so the refresh plane polls), the pool limiter on (so
+/// the overload section shows an algorithm and fetch samples).
 fn proxy(origin: &ScriptedOrigin) -> LiveProxy {
     let proxy = LiveProxy::start(ProxyConfig {
         rules: vec![RefreshRule::new("/ruled", Duration::from_secs(10))],
@@ -96,7 +89,7 @@ fn proxy(origin: &ScriptedOrigin) -> LiveProxy {
         ..ProxyConfig::new(origin.addr())
     })
     .expect("start proxy");
-    let overload = mutcon_live::overload::parse_overload_body("admission=aimd\npool=aimd\n")
+    let overload = mutcon_live::overload::parse_overload_body("pool=aimd\n")
         .expect("overload config");
     proxy.overload().install(overload).expect("install overload config");
     proxy
@@ -131,8 +124,7 @@ fn driven_stats(proxy: &LiveProxy, client: &mut Client) -> Json {
         doc = get(client, "/admin/stats");
         let reactor = &doc.get("overload").unwrap().get("reactors").unwrap().as_array().unwrap()[0];
         let pool = reactor.get("pool").unwrap();
-        !reactor.get("partitions").unwrap().as_array().unwrap().is_empty()
-            && pool.get("algorithm").unwrap().as_str().is_some()
+        pool.get("algorithm").unwrap().as_str().is_some()
             && !pool.get("recent").unwrap().as_array().unwrap().is_empty()
     });
     doc
@@ -231,7 +223,6 @@ fn the_document_and_the_accessors_read_the_same_cells() {
             ("cache.l1.stale_rejects", engine.l1_stale_rejects()),
             ("cache.l1.refills", engine.l1_refills()),
             ("cache.l1.evictions", engine.l1_evictions()),
-            ("overload.shed", proxy.overload().shed()),
             ("overload.parked_shed", proxy.overload().parked_shed()),
         ]
     };

@@ -154,15 +154,23 @@ if grep -rnE 'VersionedEntry|bump_version|retire_version|RespondCacheable|l1_try
   exit 1
 fi
 
-# One copy of overload state: each reactor's admission partitions and
-# pool limiter live in its `OverloadControl` slot (crates/live/src/
-# overload.rs), which install reconfigures in place and the stats plane
-# reads. Above their test modules the reactor holds no limiter, partition
-# table or adopt/publish step again, and the pool ledger only a cap.
+# One copy of overload state: each reactor's pool limiter lives in its
+# `OverloadControl` slot (crates/live/src/overload.rs), which install
+# reconfigures in place and the stats plane reads. Above their test
+# modules the reactor holds no limiter, partition table or adopt/publish
+# step again, and the pool ledger only a cap. Per-path admission is gone
+# (no workload turned it on, and on a flash crowd it turned 98 of 100
+# coalesced misses into 429s): no ticket, partition table, admit step,
+# admission setting or 429 comes back above the test modules of
+# crates/live/src.
+admission='Ticket|fn admit|partition_of|MAX_PARTITIONS|OVERFLOW_PARTITION|admission|TOO_MANY_REQUESTS'
 if sed '/#\[cfg(test)\]/q' crates/live/src/server.rs \
       | grep -nE 'Limiter|PartitionState|overload_version|sync_overload|publish_overload' \
-    || sed '/#\[cfg(test)\]/q' crates/live/src/upstream.rs | grep -n 'Limiter'; then
-  echo "ci: a second copy of overload state is back (lines above)" >&2
+    || sed '/#\[cfg(test)\]/q' crates/live/src/upstream.rs | grep -n 'Limiter' \
+    || for f in crates/live/src/*.rs; do
+         above_tests "$f" | grep -nE "$admission" | sed "s|^|$f:|"
+       done | grep .; then
+  echo "ci: a second copy of overload state, or per-path admission, is back (lines above)" >&2
   exit 1
 fi
 
@@ -241,15 +249,12 @@ cargo test -q -p mutcon-live \
   --test concurrency --test admin --test wire --test coherence --test refresh \
   --test alloc_budget --test stats --test threads
 
-# Soak: readers on the L1 racing refresher stores, reactor 0's poll
+# Soak: readers on the L1 racing refresher stores, and reactor 0's poll
 # timing (woken by an install, asleep until the next due instant, polls
-# queued at the pool's cap and timed out), and the reactors' admission
-# against installs and the stats plane on the overload slots, must pass
-# every time, not most times. The timeout turns a lost wakeup into a failure instead of a
-# hung job. The overload suite: flash-crowd shed with preserved miss
-# coalescing, partition isolation, permits released between waves, a
-# partition table a path scan cannot grow, and tickets that outlive an
-# off→on swap.
+# queued at the pool's cap and timed out), must pass every time, not most
+# times. The timeout turns a lost wakeup into a failure instead of a hung
+# job. The overload suite soaks the double-death stale-socket retry (a
+# seeded reap-versus-reuse race) and the `/admin/overload` round trip.
 for _ in $(seq 20); do
   timeout 120 cargo test -q -p mutcon-live --test coherence --test refresh --test overload
 done
