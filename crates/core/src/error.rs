@@ -41,8 +41,8 @@ pub enum ConfigError {
         len: usize,
     },
     /// A serialized configuration spec could not be parsed (see
-    /// [`crate::limit::LimiterConfig::from_spec`] and
-    /// [`crate::mutual::temporal::MtPolicy`]'s `FromStr`).
+    /// [`crate::mutual::temporal::MtPolicy`]'s `FromStr`), or a parsed
+    /// one names a value out of range.
     InvalidSpec {
         /// What was wrong with the spec text.
         message: String,

@@ -30,8 +30,8 @@
 //! * [`mutual::value`] — Mv coordination: the virtual-object and
 //!   partitioned-tolerance approaches (§4.2).
 //! * [`fidelity`] — the two fidelity metrics of the evaluation (§6.1.3).
-//! * [`limit`] — the LIMD/AIMD shape applied to concurrency limits
-//!   (adaptive overload control for the live proxy).
+//! * [`limit`] — the LIMD/AIMD shape applied to concurrency limits; only
+//!   the benchmark drives it (`core.limit.on_sample_ns`).
 //!
 //! ## Quick start
 //!

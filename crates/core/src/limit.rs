@@ -1,24 +1,20 @@
-//! The adaptive concurrency limit, unified with LIMD.
+//! The AIMD concurrency-limit rule, kept as a benchmarked kernel.
 //!
 //! The paper's LIMD controller (§3.1, [`crate::limd`]) is AIMD-shaped: it
 //! probes a poll interval upward linearly while the object looks stable and
-//! backs off multiplicatively the moment consistency is violated. The very
-//! same shape governs *concurrency* limits in production proxies: probe the
-//! number of in-flight requests upward while work completes healthily, back
-//! off multiplicatively on overload. This module is that rule applied to
-//! in-flight work, reusing the LIMD parameter names (`l` for the linear
-//! step, `m` for the decrease factor). Increase is gated on utilisation so
-//! an idle limiter does not drift toward its ceiling.
+//! backs off multiplicatively the moment consistency is violated. This
+//! module is that rule applied to in-flight work, reusing the LIMD
+//! parameter names (`l` for the linear step, `m` for the decrease factor).
+//! Increase is gated on utilisation so an idle limiter does not drift
+//! toward its ceiling.
 //!
-//! The rule is a pure function of (limit, sample): the caller feeds
-//! [`Sample`]s (one per completed unit of work) through
-//! [`Limiter::on_sample`] and reads the current limit back. Nothing here
-//! blocks, allocates per-sample, or knows about sockets — the live proxy
-//! drives one limiter per origin pool from its reactor threads.
-//!
-//! A configuration serializes to a one-line `aimd:key=value,...` spec
-//! (mirroring [`crate::limd::LimdConfig::to_spec`]) so a control plane can
-//! hot-swap the bounds over the wire.
+//! Nothing in the workspace drives it: the live proxy bounds origin fan-out
+//! with a static per-origin cap. It stays only because `benchmark/` times
+//! [`Limiter::on_sample`] as `core.limit.on_sample_ns`, and it holds what
+//! that call needs: [`AimdConfig`], the one-variant [`LimiterConfig`],
+//! [`Limiter`] and [`Sample`]. The rule is a pure function of
+//! (limit, sample): nothing here blocks, allocates per sample, or knows
+//! about sockets.
 
 use crate::error::ConfigError;
 use crate::time::Duration;
@@ -121,8 +117,7 @@ impl AimdConfig {
 
     /// The update rule: maps (current limit, new sample) to the next
     /// limit, clamped into the configured bounds. Deterministic given the
-    /// sample sequence — the live proxy's deterministic harness and the
-    /// unit tests below rely on that.
+    /// sample sequence — the unit tests below rely on that.
     fn update(&self, old_limit: usize, sample: &Sample) -> usize {
         match sample.outcome {
             Outcome::Success => {
@@ -142,115 +137,14 @@ impl AimdConfig {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Config enum + spec form (the hot-swappable wire shape)
-// ---------------------------------------------------------------------------
-
-/// The limiter's parameters in serializable form.
-///
-/// This is what the live proxy's admin plane ships over the wire: one
-/// line, `aimd:key=value,...`, mirroring
-/// [`crate::limd::LimdConfig::to_spec`]:
-///
-/// ```text
-/// aimd:min=1,max=256,l=1,m=0.75,util=0.8
-/// ```
-///
-/// There is one algorithm. This stays an enum with one variant because
-/// `benchmark/` (read-only here) constructs `LimiterConfig::Aimd(..)`, and
-/// the `aimd:` prefix is the wire format specs are already stored in.
+/// The limiter's parameters. There is one algorithm; this stays an enum
+/// with one variant because `benchmark/` constructs
+/// `LimiterConfig::Aimd(..)`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LimiterConfig {
     /// Additive-increase / multiplicative-decrease.
     Aimd(AimdConfig),
 }
-
-impl LimiterConfig {
-    /// Checks the parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] for out-of-range parameters.
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        let LimiterConfig::Aimd(c) = self;
-        c.validate()
-    }
-
-    /// Serializes to the one-line spec form; [`LimiterConfig::from_spec`]
-    /// round-trips this exactly.
-    pub fn to_spec(&self) -> String {
-        let LimiterConfig::Aimd(c) = self;
-        format!(
-            "aimd:min={},max={},l={},m={},util={}",
-            c.min, c.max, c.increase_by, c.decrease, c.utilisation
-        )
-    }
-
-    /// Parses the spec form written by [`LimiterConfig::to_spec`]. Every
-    /// key defaults as in [`AimdConfig::default`]; unknown and duplicated
-    /// keys are rejected (a typo must not silently fall back to a
-    /// default).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError::InvalidSpec`] for malformed text or an
-    /// algorithm other than `aimd`, and the usual validation errors for
-    /// out-of-range values.
-    pub fn from_spec(spec: &str) -> Result<LimiterConfig, ConfigError> {
-        fn bad(message: impl Into<String>) -> ConfigError {
-            ConfigError::InvalidSpec { message: message.into() }
-        }
-        fn count(value: &str, key: &str) -> Result<usize, ConfigError> {
-            value
-                .parse::<usize>()
-                .map_err(|_| bad(format!("`{key}` must be a non-negative integer")))
-        }
-        fn factor(value: &str, key: &str) -> Result<f64, ConfigError> {
-            value.parse::<f64>().map_err(|_| bad(format!("`{key}` must be a number")))
-        }
-
-        let spec = spec.trim();
-        let (name, params) = match spec.split_once(':') {
-            Some((name, params)) => (name.trim(), params),
-            None => (spec, ""),
-        };
-        if name != "aimd" {
-            return Err(bad(format!("unknown algorithm `{name}` (expected aimd)")));
-        }
-        let mut c = AimdConfig::default();
-        let mut seen: Vec<&str> = Vec::new();
-        for pair in params.split(',') {
-            let pair = pair.trim();
-            if pair.is_empty() {
-                continue;
-            }
-            let (key, value) = pair
-                .split_once('=')
-                .ok_or_else(|| bad(format!("`{pair}` is not a key=value pair")))?;
-            let (key, value) = (key.trim(), value.trim());
-            if seen.contains(&key) {
-                return Err(bad(format!("duplicate key `{key}`")));
-            }
-            seen.push(key);
-            match key {
-                "min" => c.min = count(value, key)?,
-                "max" => c.max = count(value, key)?,
-                "l" => c.increase_by = count(value, key)?,
-                "m" => c.decrease = factor(value, key)?,
-                "util" => c.utilisation = factor(value, key)?,
-                other => return Err(bad(format!("unknown aimd key `{other}`"))),
-            }
-        }
-        // Validate eagerly so a control plane learns about a bad spec at
-        // PUT time, not when the limiter is first driven.
-        c.validate()?;
-        Ok(LimiterConfig::Aimd(c))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Limiter: parameters + current limit, the unit both live users hold
-// ---------------------------------------------------------------------------
 
 /// The update rule's parameters together with the current limit.
 #[derive(Debug)]
@@ -267,8 +161,8 @@ impl Limiter {
     ///
     /// Returns the configuration's validation errors.
     pub fn new(config: LimiterConfig, initial: usize) -> Result<Self, ConfigError> {
-        config.validate()?;
         let LimiterConfig::Aimd(c) = &config;
+        c.validate()?;
         let limit = initial.clamp(c.min, c.max);
         Ok(Limiter { config, limit })
     }
@@ -278,29 +172,11 @@ impl Limiter {
         self.limit
     }
 
-    /// The configuration this limiter was built from.
-    pub fn config(&self) -> &LimiterConfig {
-        &self.config
-    }
-
     /// Feeds one sample and returns the (possibly unchanged) new limit.
     pub fn on_sample(&mut self, sample: &Sample) -> usize {
         let LimiterConfig::Aimd(c) = &self.config;
         self.limit = c.update(self.limit, sample);
         self.limit
-    }
-
-    /// Replaces the parameters, carrying the current limit over (clamped
-    /// into the new bounds) so a hot-swap does not reset learned state to
-    /// a cold start.
-    ///
-    /// # Errors
-    ///
-    /// Returns the new configuration's validation errors; on error the
-    /// existing configuration keeps running untouched.
-    pub fn reconfigure(&mut self, config: LimiterConfig) -> Result<(), ConfigError> {
-        *self = Limiter::new(config, self.limit)?;
-        Ok(())
     }
 }
 
@@ -372,82 +248,5 @@ mod tests {
             l.on_sample(&Sample::success(10 + i, ms(5)));
         }
         assert_eq!(l.limit(), 12);
-    }
-
-    #[test]
-    fn spec_round_trips_every_algorithm() {
-        let config =
-            LimiterConfig::Aimd(AimdConfig { min: 2, max: 64, ..AimdConfig::default() });
-        let spec = config.to_spec();
-        assert_eq!(spec, "aimd:min=2,max=64,l=1,m=0.75,util=0.8");
-        let back = LimiterConfig::from_spec(&spec).unwrap_or_else(|e| panic!("{spec}: {e}"));
-        assert_eq!(back, config, "{spec}");
-    }
-
-    #[test]
-    fn spec_defaults_and_whitespace() {
-        assert_eq!(
-            LimiterConfig::from_spec("aimd").unwrap(),
-            LimiterConfig::Aimd(AimdConfig::default())
-        );
-        assert_eq!(
-            LimiterConfig::from_spec(" aimd: min=2 , max=5 ").unwrap(),
-            LimiterConfig::Aimd(AimdConfig { min: 2, max: 5, ..AimdConfig::default() })
-        );
-    }
-
-    #[test]
-    fn spec_rejects_garbage() {
-        for bad in [
-            "aimd:bogus=1",
-            "aimd:min",
-            "aimd:min=1,min=2",
-            "aimd:min=0",
-            "aimd:min=9,max=3",
-            "aimd:m=1.5",
-            "aimd:increase=1",
-            "aimd:backoff=0.5",
-        ] {
-            assert!(
-                LimiterConfig::from_spec(bad).is_err(),
-                "`{bad}` should be rejected"
-            );
-        }
-    }
-
-    #[test]
-    fn spec_rejects_every_algorithm_but_aimd() {
-        for (bad, name) in
-            [("vegas", "vegas"), ("gradient:window=16", "gradient"), ("tcp", "tcp")]
-        {
-            let err = LimiterConfig::from_spec(bad).unwrap_err();
-            assert_eq!(
-                err,
-                ConfigError::InvalidSpec {
-                    message: format!("unknown algorithm `{name}` (expected aimd)")
-                },
-                "{bad}"
-            );
-        }
-    }
-
-    #[test]
-    fn reconfigure_carries_the_limit_across_a_swap() {
-        let mut l =
-            Limiter::new(LimiterConfig::Aimd(AimdConfig::default()), 10).unwrap();
-        for i in 0..30 {
-            l.on_sample(&Sample::success(10 + i, ms(5)));
-        }
-        let learned = l.limit();
-        assert!(learned > 10);
-        let tighter = AimdConfig { max: learned - 5, ..AimdConfig::default() };
-        l.reconfigure(LimiterConfig::Aimd(tighter.clone())).unwrap();
-        // Carried over, clamped into the new bounds — not reset to cold.
-        assert_eq!(l.limit(), learned - 5);
-        // A rejected swap leaves the running configuration untouched.
-        let invalid = AimdConfig { min: 0, ..tighter.clone() };
-        assert!(l.reconfigure(LimiterConfig::Aimd(invalid)).is_err());
-        assert_eq!(l.config(), &LimiterConfig::Aimd(tighter));
-        assert_eq!(l.limit(), learned - 5);
     }
 }

@@ -41,9 +41,10 @@
 //!   slices, not a serialization.
 //! * [`client`] — the origin `GET` bytes (a miss's and a poll's) and
 //!   the stamps an origin response carries.
-//! * [`overload`] — overload control: the adaptive origin fan-out cap,
-//!   park-and-`503` for clients parked at the connection bound, and the
-//!   versioned, hot-swappable [`overload::OverloadConfig`].
+//! * [`overload`] — overload control: park-and-`503` for clients parked
+//!   at the connection bound, set by the versioned, hot-swappable
+//!   [`overload::OverloadConfig`]. Origin fan-out has one static bound,
+//!   [`upstream::MAX_CONNS_PER_ORIGIN`].
 //! * [`metrics`] — the counter, gauge and histogram cells every count in
 //!   the proxy lives in, and the one form a metric is declared in.
 //! * [`origin`] — the trace-replaying origin server.

@@ -351,9 +351,9 @@ impl LiveProxy {
         self.server.metrics()
     }
 
-    /// The hot-swappable overload control (adaptive origin fan-out and
-    /// park-and-`503`). `GET`/`PUT /admin/overload` is a thin layer over
-    /// this, like the rules admin over [`LiveProxy::runtime`].
+    /// The hot-swappable overload control (park-and-`503`).
+    /// `GET`/`PUT /admin/overload` is a thin layer over this, like the
+    /// rules admin over [`LiveProxy::runtime`].
     pub fn overload(&self) -> &Arc<OverloadControl> {
         self.server.overload()
     }
@@ -588,9 +588,8 @@ impl ProxyService {
             .build()
     }
 
-    /// `PUT /admin/overload`: parse → validate → versioned install; every
-    /// reactor's limiters are reconfigured before the reply, carrying
-    /// learned limits over. Bad bodies change nothing.
+    /// `PUT /admin/overload`: parse → validate → versioned install; the
+    /// config is in force before the reply. Bad bodies change nothing.
     fn apply_overload(&self, body: &[u8]) -> Response {
         let Ok(text) = std::str::from_utf8(body) else {
             return error_response(StatusCode::BAD_REQUEST, "body is not UTF-8");
@@ -691,7 +690,7 @@ impl ProxyService {
                 ])
             });
         put(&mut doc, "reactors", Json::Array(reactors.collect()));
-        self.overload.render_state(self.metrics.reactor_count(), &mut doc);
+        self.overload.render_state(&mut doc);
         json_response(StatusCode::OK, &doc)
     }
 }
@@ -710,7 +709,7 @@ impl ProxyService {
 /// body has passed [`crate::overload::OverloadConfig::validate`].
 fn parse_rules_body(body: &[u8]) -> Result<(Vec<RefreshRule>, Option<GroupRule>), String> {
     // A typo'd key must not silently fall back to a default (the same
-    // stance `LimiterConfig::from_spec` takes for `PUT /admin/overload`).
+    // stance `parse_overload_body` takes for `PUT /admin/overload`).
     fn known_keys_only(value: &Json, allowed: &[&str], what: &str) -> Result<(), String> {
         let Json::Object(map) = value else {
             return Err(format!("{what} must be a JSON object"));
@@ -973,9 +972,9 @@ mod tests {
     #[test]
     fn mutated_admin_bodies_never_panic_and_what_parses_holds() {
         let overload_bodies = [
-            "pool=aimd:min=2,max=64\nretry_after_secs=2\npark_deadline_ms=250\n",
-            "# defaults\npool=off\npark_deadline_ms=750\n",
-            "pool=aimd:min=1,max=256,l=1,m=0.75,util=0.8 # all keys\n",
+            "retry_after_secs=2\npark_deadline_ms=250\n",
+            "# defaults\npark_deadline_ms=750\n",
+            "retry_after_secs=1 # all keys\npark_deadline_ms=1000\n",
         ];
         let rules_bodies = [
             r#"{"rules": [{"path": "/a", "delta_ms": 50}, {"path": "/b", "delta_ms": 20, "ttr_max_ms": 400}],

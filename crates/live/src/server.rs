@@ -36,11 +36,13 @@
 //! fetch (N waiters, one origin round trip), finished connections park
 //! for reuse instead of closing, idle pooled sockets are reaped, and a
 //! fetch on a pooled socket the origin silently closed is retried once
-//! on a fresh one. However a fetch ends,
-//! it ends in one place: the pool limiter gets its sample, and if any
-//! client still waits, [`Service::fetched`] turns the outcome into one
-//! [`Reply`] that every waiter gets. `Connection: close` is honored in
-//! both directions ([`mutcon_http::connection`]).
+//! on a fresh one. The pool opens at most
+//! [`crate::upstream::MAX_CONNS_PER_ORIGIN`] sockets per origin; further
+//! fetches queue for the next free one. However a fetch ends, it ends in
+//! one place: the job leaves the ledger, and if any client still waits,
+//! [`Service::fetched`] turns the outcome into one [`Reply`] that every
+//! waiter gets. `Connection: close` is honored in both directions
+//! ([`mutcon_http::connection`]).
 //!
 //! A service may also fetch for itself: at every wake the reactor asks
 //! it for [`Service::own_work`], submits what it starts as pool jobs the
@@ -385,8 +387,7 @@ pub struct EngineConfig {
     pub metrics: Arc<EngineMetrics>,
     /// The overload-control handle (see [`crate::overload`]). The live
     /// proxy shares it with its admin plane, which hot-swaps the
-    /// origin-pool limiter and the park-and-`503` settings and reads back
-    /// the live limit, samples and the parked-shed counter.
+    /// park-and-`503` settings and reads back the parked-shed counter.
     pub overload: Arc<OverloadControl>,
 }
 
@@ -467,7 +468,7 @@ impl EventLoop {
                 accepting: true,
                 last_sweep: Instant::now(),
                 freed_this_batch: Vec::new(),
-                pool: PoolCore::new(overload.slot(i).pool_cap()),
+                pool: PoolCore::default(),
                 scratch: vec![0; 16 * 1024],
                 driving: None,
                 metrics: Arc::clone(&metrics),
@@ -520,8 +521,8 @@ impl EventLoop {
         &self.metrics
     }
 
-    /// The shared overload-control handle (config installs, the
-    /// parked-shed counter, each reactor's live pool limit).
+    /// The shared overload-control handle (config installs and the
+    /// parked-shed counter).
     pub fn overload(&self) -> &Arc<OverloadControl> {
         &self.overload
     }
@@ -558,9 +559,6 @@ struct UpstreamState {
     /// request bytes live in the job.
     job: Option<JobId>,
     connected: bool,
-    /// When the current fetch was handed to this connection; the
-    /// elapsed time at completion feeds the pool's adaptive cap.
-    fetch_started: Option<Instant>,
     /// The exchange on the socket: what is written, read and parsed.
     http: OriginConn,
 }
@@ -613,8 +611,8 @@ struct Reactor {
     metrics: Arc<EngineMetrics>,
     /// This reactor's slot in the per-reactor metric arrays.
     reactor_index: usize,
-    /// The shared overload-control handle; this reactor's pool limiter
-    /// and park settings live in its slot there.
+    /// The shared overload-control handle: the park-and-`503` settings
+    /// and the parked-shed counter.
     overload: Arc<OverloadControl>,
     /// When `pause_accepting` parked the listener; after
     /// `park_deadline` the backlog is drained with `503`s instead of
@@ -1014,7 +1012,6 @@ impl Reactor {
                     self.conns[conn_idx].as_mut()
                 {
                     up.job = Some(job);
-                    up.fetch_started = Some(Instant::now());
                     *last_activity = Instant::now();
                 }
                 // The parked socket is almost certainly writable: push
@@ -1023,9 +1020,7 @@ impl Reactor {
             } else if self.pool.can_open(addr) {
                 self.pool.pop_queued(addr);
                 if let Err(e) = self.open_upstream(addr, job) {
-                    // A fetch that cannot even start is the strongest
-                    // overload signal there is: collapse the cap.
-                    self.finish_fetch(addr, job, Duration::ZERO, Err(e));
+                    self.finish_fetch(job, Err(e));
                 }
             } else {
                 break; // at the per-origin cap; completions re-pump
@@ -1047,7 +1042,6 @@ impl Reactor {
                 addr,
                 job: Some(job),
                 connected: false,
-                fetch_started: Some(Instant::now()),
                 http: OriginConn::default(),
             }),
         });
@@ -1116,7 +1110,6 @@ impl Reactor {
             Received::Done { response, reusable } => {
                 let addr = up.addr;
                 up.job = None;
-                let elapsed = up.fetch_started.take().map(|t| t.elapsed()).unwrap_or_default();
                 if reusable {
                     // Park for the next fetch to this origin. The socket
                     // is still READABLE from the request write, so the
@@ -1125,9 +1118,7 @@ impl Reactor {
                 } else {
                     self.release_slot(idx);
                 }
-                // The fetch's latency reaches the adaptive cap before the
-                // re-pump, so the pump sees the updated limit.
-                self.finish_fetch(addr, job, elapsed, Ok(response));
+                self.finish_fetch(job, Ok(response));
                 self.pump_origin(addr);
             }
         }
@@ -1139,7 +1130,7 @@ impl Reactor {
     /// else fails the job to its waiters.
     fn upstream_broken(&mut self, idx: usize, err: io::Error) {
         let Some(Conn { kind: Kind::Upstream(up), .. }) = self.conns[idx].as_ref() else { return };
-        let (addr, job, started, stale) = (up.addr, up.job, up.fetch_started, up.http.stale(&err));
+        let (addr, job, stale) = (up.addr, up.job, up.http.stale(&err));
         // Closes the socket before any retry connects.
         self.release_slot(idx);
         match job {
@@ -1148,34 +1139,21 @@ impl Reactor {
                 self.pool.forget_idle(idx);
             }
             Some(job) if stale && self.pool.retry_eligible(job) => {
-                // A stale parked socket isn't overload; the retry's own
-                // completion will produce the sample.
+                // The retry's own completion ends the job.
                 self.metrics.pool_retries.inc();
                 self.pool.requeue_for_retry(job);
             }
-            Some(job) => {
-                let elapsed = started.map(|t| t.elapsed()).unwrap_or_default();
-                self.finish_fetch(addr, job, elapsed, Err(err));
-            }
+            Some(job) => self.finish_fetch(job, Err(err)),
         }
         self.pump_origin(addr);
     }
 
-    /// The one way a fetch ends, whatever ended it: its outcome feeds
-    /// the pool limiter and the job leaves the ledger. If the service
-    /// waits on it, [`Service::own_fetched`] sees the outcome first; if
-    /// clients still wait, [`Service::fetched`] makes one reply, which
-    /// every client gets in arrival order (all but the last a clone).
-    fn finish_fetch(
-        &mut self,
-        addr: SocketAddr,
-        job: JobId,
-        elapsed: Duration,
-        result: io::Result<Response>,
-    ) {
-        let (in_flight, ok) = (self.pool.fetching(addr), result.is_ok());
-        let cap = self.overload.slot(self.reactor_index).record_fetch(in_flight, elapsed, ok);
-        self.pool.set_cap(cap);
+    /// The one way a fetch ends, whatever ended it: the job leaves the
+    /// ledger. If the service waits on it, [`Service::own_fetched`] sees
+    /// the outcome first; if clients still wait, [`Service::fetched`]
+    /// makes one reply, which every client gets in arrival order (all but
+    /// the last a clone).
+    fn finish_fetch(&mut self, job: JobId, result: io::Result<Response>) {
         let Some(mut job) = self.pool.complete(job) else { return };
         let waiters = job.waiters.len();
         job.waiters.retain(|&waiter| waiter != Waiter::Service);
@@ -1278,7 +1256,7 @@ impl Reactor {
             return;
         }
         let Some(since) = self.paused_since else { return };
-        if since.elapsed() < self.overload.slot(self.reactor_index).park_deadline() {
+        if since.elapsed() < self.overload.config().park_deadline {
             return;
         }
         self.shed_backlog();
@@ -1288,7 +1266,7 @@ impl Reactor {
     /// Accepts and immediately rejects up to [`PARK_SHED_BATCH`] parked
     /// connections with `503 Service Unavailable` + `Retry-After`.
     fn shed_backlog(&mut self) {
-        let retry_after = self.overload.slot(self.reactor_index).retry_after_secs();
+        let retry_after = self.overload.config().retry_after_secs;
         let head = format!(
             "HTTP/1.1 503 Service Unavailable\r\nretry-after: {retry_after}\r\nconnection: close\r\ncontent-length: 0\r\n\r\n"
         );

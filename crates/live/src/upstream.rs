@@ -8,11 +8,9 @@
 //! * **connection reuse** — a connection that finishes a response with
 //!   keep-alive semantics parks in an idle list and serves the next
 //!   queued job without a fresh TCP handshake;
-//! * **bounded fan-out** — a per-origin connection cap; excess jobs
-//!   queue FIFO. The cap starts at [`MAX_CONNS_PER_ORIGIN`]; the reactor
-//!   moves it ([`PoolCore::set_cap`]) to whatever its overload slot
-//!   ([`crate::overload`]) returns for each finished fetch, so the
-//!   ledger keeps a number and knows nothing of how it is chosen;
+//! * **bounded fan-out** — a static per-origin connection cap (the
+//!   reactor's is [`MAX_CONNS_PER_ORIGIN`]); excess jobs queue FIFO and
+//!   each finished fetch's socket takes the next one;
 //! * **stale-socket retry** — a job whose socket was stale (reused, died
 //!   before a response byte, not timed out: `OriginConn::stale`) is
 //!   requeued (once) instead of failed.
@@ -29,11 +27,9 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Default (and initial) upper bound on simultaneously open connections
-/// per origin address (per reactor). Misses beyond the cap queue rather
-/// than fan out — the origin sees bounded concurrency no matter how
-/// bursty the misses are. With a pool limit configured this is only the
-/// starting point ([`crate::overload`]).
+/// Upper bound on simultaneously open connections per origin address
+/// (per reactor). Misses beyond the cap queue rather than fan out — the
+/// origin sees bounded concurrency no matter how bursty the misses are.
 pub const MAX_CONNS_PER_ORIGIN: usize = 32;
 
 /// Identifies one fetch job within a pool.
@@ -162,13 +158,6 @@ impl<W> PoolCore<W> {
             self.origins.len() - 1
         });
         &mut self.origins[at]
-    }
-
-    /// Moves the per-origin connection cap (at least 1). Connections
-    /// already open above a lowered cap finish their fetches; no new
-    /// ones open until the count is below it.
-    pub fn set_cap(&mut self, cap: usize) {
-        self.max_per_origin = cap.max(1);
     }
 
     /// Files a miss: coalesces onto an identical live job, or creates
@@ -338,12 +327,6 @@ impl<W> PoolCore<W> {
     /// Open connections recorded for `addr` (tests).
     pub fn open_len(&self, addr: SocketAddr) -> usize {
         self.origin(addr).map_or(0, |o| o.open)
-    }
-
-    /// Connections to `addr` busy fetching: open but not parked. The
-    /// in-flight count a finished fetch's limiter sample carries.
-    pub fn fetching(&self, addr: SocketAddr) -> usize {
-        self.origin(addr).map_or(0, |o| o.open.saturating_sub(o.idle.len()))
     }
 }
 
@@ -534,56 +517,22 @@ mod tests {
         let _ = PoolCore::<u32>::new(0);
     }
 
-    /// The ledger's side of the reactor's protocol: a finished fetch
-    /// reports the ledger's busy connections to the reactor's overload
-    /// slot and applies the cap the slot hands back.
-    #[test]
-    fn adaptive_cap_shrinks_on_errors_and_regrows_under_pressure() {
-        use crate::overload::{parse_overload_body, OverloadControl};
-
-        let control = OverloadControl::new(parse_overload_body("pool=aimd:min=1,max=8").unwrap());
-        let mut pool: PoolCore<u32> = PoolCore::new(control.slot(0).pool_cap());
-        let a = addr(9000);
-        let finish = |pool: &mut PoolCore<u32>, ok: bool| {
-            let cap = control.slot(0).record_fetch(pool.fetching(a), Duration::from_millis(5), ok);
-            pool.set_cap(cap);
-        };
-        assert!(pool.can_open(a));
-
-        // Two failed fetches: 8 → 6 → 4.
-        finish(&mut pool, false);
-        finish(&mut pool, false);
-        for _ in 0..4 {
-            pool.note_opened(a);
-        }
-        assert!(!pool.can_open(a), "four open at a cap of four");
-
-        // Healthy fetches with the shrunken cap fully busy: regrow.
-        finish(&mut pool, true);
-        assert!(pool.can_open(a), "the cap grew to five");
-        // A parked connection is not busy: no pressure, no growth.
-        pool.note_opened(a);
-        pool.release_idle(a, 1, Instant::now());
-        assert_eq!(pool.fetching(a), 4);
-        finish(&mut pool, true);
-        assert!(!pool.can_open(a), "five open at an unchanged cap of five");
-    }
-
     #[test]
     fn can_open_follows_the_shrunken_cap() {
-        let mut pool: PoolCore<u32> = PoolCore::new(4);
         let a = addr(9000);
+        // The cap is what `new` was given: with 2 open, a pool of 3 lets
+        // one more open — then no more.
+        let mut pool: PoolCore<u32> = PoolCore::new(3);
         pool.note_opened(a);
         pool.note_opened(a);
-        pool.set_cap(3);
-        // With 2 open, one more may open — then no more.
         assert!(pool.can_open(a));
         pool.note_opened(a);
         assert!(!pool.can_open(a));
-        // A cap of zero still lets one connection through.
-        pool.set_cap(0);
-        pool.note_closed(a);
-        pool.note_closed(a);
+        // A pool of one serializes its origin's fetches.
+        let mut pool: PoolCore<u32> = PoolCore::new(1);
+        assert!(pool.can_open(a));
+        pool.note_opened(a);
+        assert!(!pool.can_open(a));
         pool.note_closed(a);
         assert!(pool.can_open(a));
     }

@@ -16,6 +16,7 @@ use harness::{get, stamp_of, stats_counter, Behavior, FakeClock, ScriptedOrigin,
 use mutcon_core::time::{Duration, Timestamp};
 use mutcon_live::cache::{shard_of, CacheEntry, ShardedCache, SHARD_COUNT};
 use mutcon_live::proxy::{LiveProxy, ProxyConfig, RefreshRule};
+use mutcon_live::upstream::MAX_CONNS_PER_ORIGIN;
 use mutcon_http::types::StatusCode;
 use mutcon_sim::rng::SimRng;
 
@@ -129,6 +130,56 @@ fn hundred_concurrent_misses_coalesce_into_one_origin_fetch() {
     assert_eq!(origin.fetches("/ruled"), 1, "the miss rode the poll's fetch");
     assert_eq!(proxy.stats().refreshes, 1, "one fetch, one store");
     assert_eq!(stats_counter(addr, &["cache", "version_bumps"]), 0);
+}
+
+/// A crowd of distinct cold keys meets the static per-origin cap: 100
+/// misses, one per key, each fetch held at the origin. Exactly
+/// `MAX_CONNS_PER_ORIGIN` fetches reach the origin, each on its own
+/// socket, and the rest queue at the proxy; once the gate opens, the
+/// queued fetches ride the parked sockets and no further socket opens.
+#[test]
+fn a_many_key_crowd_opens_exactly_the_static_cap() {
+    const KEYS: usize = 100;
+    let cap = MAX_CONNS_PER_ORIGIN as u64;
+
+    let origin = ScriptedOrigin::start(FakeClock::new());
+    for key in 0..KEYS {
+        origin.script(&format!("/crowd/{key}"), vec![Behavior::Hold]);
+    }
+    // One reactor: the cap is per reactor.
+    let proxy = plain_proxy(&origin, 1);
+    let addr = proxy.local_addr();
+
+    // Threads spawn behind a barrier, so the held window stays far below
+    // the reactor's upstream timeout.
+    let barrier = Arc::new(std::sync::Barrier::new(KEYS));
+    let readers: Vec<_> = (0..KEYS)
+        .map(|key| {
+            let barrier = Arc::clone(&barrier);
+            std::thread::spawn(move || {
+                barrier.wait();
+                let path = format!("/crowd/{key}");
+                get(addr, &path).unwrap_or_else(|e| panic!("{path}: {e}")).status()
+            })
+        })
+        .collect();
+
+    origin.wait_for_held(cap);
+    wait_for_misses(&proxy, KEYS);
+    assert_eq!(origin.held(), cap, "the cap bounds the fetches at the origin");
+    assert_eq!(origin.accepted(), cap, "one socket per held fetch");
+    assert_eq!(proxy.engine_metrics().pool_opened(), cap);
+    origin.release_all();
+
+    for reader in readers {
+        assert_eq!(reader.join().expect("reader panicked"), StatusCode::OK);
+    }
+    assert_eq!(
+        origin.accepted(),
+        cap,
+        "the queued fetches ride the parked sockets; log: {:?}",
+        origin.log()
+    );
 }
 
 /// Sequential misses for different keys ride one pooled keep-alive

@@ -34,15 +34,6 @@ fn put_overload(proxy: &LiveProxy, body: &str) {
     );
 }
 
-/// Waits (5 s cap) until `pred` holds.
-fn wait_until(what: &str, mut pred: impl FnMut() -> bool) {
-    let deadline = Instant::now() + StdDuration::from_secs(5);
-    while !pred() {
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(StdDuration::from_millis(2));
-    }
-}
-
 /// Satellite regression: the double-death case of the one-shot
 /// stale-socket retry. A reused pooled connection dies before its first
 /// response byte (the origin silently closed it while parked) and the
@@ -92,32 +83,31 @@ fn double_death_fails_fast_with_a_clean_error() {
     }
 }
 
-/// `GET`/`PUT /admin/overload` round-trips the config text, rejects
-/// invalid bodies without changing anything, and a pool-limiter install
-/// shows up in the stats plane with the algorithm spec.
+/// `GET`/`PUT /admin/overload` round-trips the two park-and-503 settings
+/// and rejects invalid bodies without changing anything; a key that is
+/// not one of the two (`pool`, the admission keys) is refused by name.
 #[test]
 fn overload_admin_round_trips_and_rejects_bad_bodies() {
     let origin = ScriptedOrigin::start(FakeClock::new());
     let proxy = plain_proxy(&origin, 1);
     let addr = proxy.local_addr();
 
-    // Defaults render the pool limiter off and the park-and-503 settings.
+    // Defaults render the two park-and-503 settings, and nothing else.
     let resp = get(addr, "/admin/overload").expect("GET overload");
     assert_eq!(resp.status(), StatusCode::OK);
     let text = String::from_utf8_lossy(resp.body()).into_owned();
-    assert_eq!(text, "pool=off\nretry_after_secs=1\npark_deadline_ms=1000\n");
+    assert_eq!(text, "retry_after_secs=1\npark_deadline_ms=1000\n");
 
-    // Install a pool limiter; the GET must echo the spec back.
-    put_overload(&proxy, "pool=aimd:max=8\nretry_after_secs=3\n");
+    // Install new values; the GET must echo them back.
+    put_overload(&proxy, "retry_after_secs=3\npark_deadline_ms=250\n");
     let installed = get(addr, "/admin/overload").expect("GET overload");
     let text = String::from_utf8_lossy(installed.body()).into_owned();
-    assert!(text.contains("pool=aimd:min=1,max=8,"), "{text}");
-    assert!(text.contains("retry_after_secs=3"), "{text}");
+    assert_eq!(text, "retry_after_secs=3\npark_deadline_ms=250\n");
 
-    // Garbage, the algorithms that no longer exist and the keys that no
-    // longer exist (pacing, per-path admission) are each rejected, and
-    // change nothing; a removed key is named in the refusal.
+    // Every other key is rejected by name, and changes nothing.
     for bad in [
+        "pool=aimd\n",
+        "pool=off\n",
         "pool=tcp-bbr\n",
         "pool=vegas\n",
         "admission=gradient\n",
@@ -128,10 +118,8 @@ fn overload_admin_round_trips_and_rejects_bad_bodies() {
         let resp = put(addr, "/admin/overload", bad.as_bytes().to_vec()).expect("PUT bad overload");
         assert_eq!(resp.status(), StatusCode::BAD_REQUEST, "{bad}");
         let key = bad.split('=').next().unwrap();
-        if key != "pool" {
-            let reason = String::from_utf8_lossy(resp.body());
-            assert!(reason.contains(&format!("`{key}`")), "{bad}: {reason}");
-        }
+        let reason = String::from_utf8_lossy(resp.body());
+        assert!(reason.contains(&format!("`{key}`")), "{bad}: {reason}");
         let resp = get(addr, "/admin/overload").expect("GET overload");
         assert_eq!(
             resp.body(),
@@ -141,13 +129,7 @@ fn overload_admin_round_trips_and_rejects_bad_bodies() {
         );
     }
 
-    // Traffic still flows, and the reactor's adopted pool limiter (with
-    // its recorded fetch samples) surfaces in `/admin/stats`.
+    // Traffic still flows.
     let resp = get(addr, "/one").expect("one");
     assert_eq!(resp.status(), StatusCode::OK);
-    wait_until("the pool limiter to surface in stats", || {
-        let resp = get(addr, "/admin/stats").expect("stats");
-        let text = String::from_utf8_lossy(resp.body()).into_owned();
-        text.contains("\"algorithm\":\"aimd:") && text.contains("\"samples_ok\":1")
-    });
 }

@@ -40,14 +40,6 @@ origin_pool.retries: number
 origin_pool.reuses: number
 overload.park_deadline_ms: number
 overload.parked_shed: number
-overload.pool: string
-overload.reactors[].pool.algorithm: string
-overload.reactors[].pool.limit: number
-overload.reactors[].pool.recent[].latency_ms: number
-overload.reactors[].pool.recent[].limit_after: number
-overload.reactors[].pool.recent[].ok: bool
-overload.reactors[].pool.samples_ok: number
-overload.reactors[].pool.samples_overload: number
 overload.retry_after_secs: number
 overload.version: number
 proxy.errors: number
@@ -80,19 +72,14 @@ wire.writev_calls: number
 /// Paths added since the golden list was taken.
 const ADDED: [&str; 1] = ["wire.slow_requests: number"];
 
-/// One ruled path (so the refresh plane polls), the pool limiter on (so
-/// the overload section shows an algorithm and fetch samples).
+/// One ruled path, so the refresh plane polls.
 fn proxy(origin: &ScriptedOrigin) -> LiveProxy {
-    let proxy = LiveProxy::start(ProxyConfig {
+    LiveProxy::start(ProxyConfig {
         rules: vec![RefreshRule::new("/ruled", Duration::from_secs(10))],
         reactors: Some(1),
         ..ProxyConfig::new(origin.addr())
     })
-    .expect("start proxy");
-    let overload = mutcon_live::overload::parse_overload_body("pool=aimd\n")
-        .expect("overload config");
-    proxy.overload().install(overload).expect("install overload config");
-    proxy
+    .expect("start proxy")
 }
 
 fn wait_until(what: &str, mut pred: impl FnMut() -> bool) {
@@ -113,21 +100,13 @@ fn get(client: &mut Client, path: &str) -> Json {
 }
 
 /// The rule's first poll, then two misses and three hits, then the
-/// document once the reactor has published its overload snapshot.
+/// document.
 fn driven_stats(proxy: &LiveProxy, client: &mut Client) -> Json {
     wait_until("the first poll", || proxy.cached_objects() == 1);
     for path in ["/a/1", "/a/2", "/a/1", "/a/1", "/ruled"] {
         get(client, path);
     }
-    let mut doc = Json::Null;
-    wait_until("the overload snapshot", || {
-        doc = get(client, "/admin/stats");
-        let reactor = &doc.get("overload").unwrap().get("reactors").unwrap().as_array().unwrap()[0];
-        let pool = reactor.get("pool").unwrap();
-        pool.get("algorithm").unwrap().as_str().is_some()
-            && !pool.get("recent").unwrap().as_array().unwrap().is_empty()
-    });
-    doc
+    get(client, "/admin/stats")
 }
 
 fn flatten(prefix: &str, value: &Json, out: &mut BTreeMap<String, &'static str>) {

@@ -154,23 +154,28 @@ if grep -rnE 'VersionedEntry|bump_version|retire_version|RespondCacheable|l1_try
   exit 1
 fi
 
-# One copy of overload state: each reactor's pool limiter lives in its
-# `OverloadControl` slot (crates/live/src/overload.rs), which install
-# reconfigures in place and the stats plane reads. Above their test
-# modules the reactor holds no limiter, partition table or adopt/publish
-# step again, and the pool ledger only a cap. Per-path admission is gone
-# (no workload turned it on, and on a flash crowd it turned 98 of 100
-# coalesced misses into 429s): no ticket, partition table, admit step,
-# admission setting or 429 comes back above the test modules of
-# crates/live/src.
+# One copy of overload state, and one origin fan-out bound. The
+# park-and-503 config lives in `OverloadControl`
+# (crates/live/src/overload.rs), which install swaps and a paused reactor
+# reads; origin fan-out is the static `MAX_CONNS_PER_ORIGIN`. The
+# adaptive pool limiter is gone (no workload turned it on; a 400-key
+# flash crowd made it open 216 origin sockets where the static cap opens
+# 32, and six failed fetches pinned its cap at 4 for good): above their
+# test modules no crates/live/src file names a limiter (`Limiter` also
+# matches `LimiterConfig`), the core limit module, a cap setter, a fetch
+# sample or its start stamp, a per-reactor overload slot, or a partition
+# table or adopt/publish step, and the core limit module keeps no spec
+# wire form. Per-path admission is gone too (no workload turned it on, and on
+# a flash crowd it turned 98 of 100 coalesced misses into 429s): no
+# ticket, partition table, admit step, admission setting or 429 comes
+# back above the test modules of crates/live/src.
+overload_state='Limiter|mutcon_core::limit|set_cap|record_fetch|pool_cap|fetch_started|ReactorOverload|PartitionState|overload_version|sync_overload|publish_overload'
 admission='Ticket|fn admit|partition_of|MAX_PARTITIONS|OVERFLOW_PARTITION|admission|TOO_MANY_REQUESTS'
-if sed '/#\[cfg(test)\]/q' crates/live/src/server.rs \
-      | grep -nE 'Limiter|PartitionState|overload_version|sync_overload|publish_overload' \
-    || sed '/#\[cfg(test)\]/q' crates/live/src/upstream.rs | grep -n 'Limiter' \
-    || for f in crates/live/src/*.rs; do
-         above_tests "$f" | grep -nE "$admission" | sed "s|^|$f:|"
-       done | grep .; then
-  echo "ci: a second copy of overload state, or per-path admission, is back (lines above)" >&2
+if for f in crates/live/src/*.rs; do
+     above_tests "$f" | grep -nE "$overload_state|$admission" | sed "s|^|$f:|"
+   done | grep . \
+    || above_tests crates/core/src/limit.rs | grep -nE 'fn (to|from)_spec' | sed 's|^|crates/core/src/limit.rs:|'; then
+  echo "ci: a second copy of overload state, an adaptive pool cap or per-path admission is back (lines above)" >&2
   exit 1
 fi
 
@@ -254,7 +259,8 @@ cargo test -q -p mutcon-live \
 # queued at the pool's cap and timed out), must pass every time, not most
 # times. The timeout turns a lost wakeup into a failure instead of a hung
 # job. The overload suite soaks the double-death stale-socket retry (a
-# seeded reap-versus-reuse race) and the `/admin/overload` round trip.
+# seeded reap-versus-reuse race) and the `/admin/overload` round trip of
+# the two park-and-503 settings, with the removed keys refused by name.
 for _ in $(seq 20); do
   timeout 120 cargo test -q -p mutcon-live --test coherence --test refresh --test overload
 done
