@@ -456,4 +456,31 @@ mod tests {
             assert!(d >= Duration::from_secs(2) && d <= Duration::from_secs(120));
         }
     }
+
+    /// Random tunings on random walks stay inside the TTR bounds too.
+    #[test]
+    fn ttr_within_bounds_on_random_walks() {
+        let (lo, hi) = (Duration::from_secs(1), Duration::from_mins(30));
+        for seed in 0..512 {
+            let mut rng = mutcon_sim::rng::SimRng::seed_from_u64(seed);
+            let mut s = AdaptiveTtrConfig::builder(Value::new(rng.uniform_range(0.05, 5.0)))
+                .smoothing(rng.uniform())
+                .alpha(rng.uniform())
+                .ttr_bounds(lo, hi)
+                .build()
+                .unwrap_or_else(|e| panic!("seed {seed}: {e}"))
+                .into_state();
+            let mut t = Timestamp::ZERO;
+            let mut v = 100.0;
+            for _ in 0..rng.uniform_u64(1, 80) {
+                t += Duration::from_secs(rng.uniform_u64(1, 601));
+                v += rng.uniform_range(-5.0, 5.0);
+                let d = s.on_poll(t, Value::new(v));
+                assert!(
+                    d >= lo && d <= hi,
+                    "seed {seed}: ttr {d} outside [{lo}, {hi}]"
+                );
+            }
+        }
+    }
 }

@@ -896,6 +896,44 @@ mod tests {
         assert_eq!(tuned.to_spec(), "delta_ms=50,l=0.35,m=fixed:0.5,eps=0,ttr_min_ms=25,ttr_max_ms=3200,idle_ms=9000");
     }
 
+    /// Random valid configurations fed random poll sequences: the TTR
+    /// never leaves `[ttr_min, ttr_max]`, and the decision is the state.
+    #[test]
+    fn ttr_stays_within_bounds_on_random_configs_and_polls() {
+        for seed in 0..512 {
+            let mut rng = mutcon_sim::rng::SimRng::seed_from_u64(seed);
+            let config = LimdConfig::builder(Duration::from_mins(rng.uniform_u64(1, 61)))
+                .linear_increase(rng.uniform_range(0.01, 0.9))
+                .decrease(DecreaseFactor::Fixed(rng.uniform_range(0.05, 0.9)))
+                .epsilon(rng.uniform_range(0.0, 0.2))
+                .ttr_max(Duration::from_mins(rng.uniform_u64(61, 241)))
+                .build()
+                .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            let mut limd = Limd::new(config);
+            let mut now = Timestamp::ZERO;
+            let mut last_mod = Timestamp::ZERO;
+            for _ in 0..rng.uniform_u64(1, 60) {
+                now += Duration::from_mins(rng.uniform_u64(1, 121));
+                let result = if rng.chance(0.5) {
+                    // Last-modified moves forward only.
+                    let age = Duration::from_mins(rng.uniform_u64(0, 601));
+                    last_mod = now.saturating_sub(age).max(last_mod);
+                    PollResult::modified(last_mod)
+                } else {
+                    PollResult::NotModified
+                };
+                let ttr = limd.on_poll(now, &result).ttr;
+                assert!(
+                    (config.ttr_min()..=config.ttr_max()).contains(&ttr),
+                    "seed {seed}: ttr {ttr} outside [{}, {}]",
+                    config.ttr_min(),
+                    config.ttr_max()
+                );
+                assert_eq!(ttr, limd.current_ttr(), "seed {seed}");
+            }
+        }
+    }
+
     #[test]
     fn case_display() {
         assert_eq!(LimdCase::Unchanged.to_string(), "unchanged");

@@ -652,4 +652,45 @@ mod tests {
             assert!(tb >= lo && tb <= hi);
         }
     }
+
+    /// Across any poll pattern the weighted budget `wa·δa + wb·δb` stays
+    /// exactly δ, and both member tolerances stay positive.
+    #[test]
+    fn partitioned_budget_is_preserved_on_random_polls() {
+        for seed in 0..512 {
+            let mut rng = mutcon_sim::rng::SimRng::seed_from_u64(seed);
+            let delta = rng.uniform_range(0.1, 10.0);
+            let (wa, wb) = (rng.uniform_range(0.5, 3.0), rng.uniform_range(0.5, 3.0));
+            let mut p = PartitionedConfig::builder(
+                ValueFunction::WeightedSum { wa, wb },
+                default_ttr(delta),
+            )
+            .repartition_every(4)
+            .build()
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}"))
+            .into_policy();
+            let mut t = 0;
+            let mut values = [100.0, 50.0];
+            for _ in 0..rng.uniform_u64(1, 100) {
+                t += rng.uniform_u64(1, 601);
+                let (member, i) = if rng.chance(0.5) {
+                    (PairMember::A, 0)
+                } else {
+                    (PairMember::B, 1)
+                };
+                values[i] += rng.uniform_range(-2.0, 2.0);
+                p.on_poll(member, secs(t), Value::new(values[i]));
+                let (da, db) = p.tolerances();
+                assert!(
+                    da > Value::ZERO && db > Value::ZERO,
+                    "seed {seed}: tolerances {da}, {db}"
+                );
+                let budget = wa * da.as_f64() + wb * db.as_f64();
+                assert!(
+                    (budget - delta).abs() < 1e-9,
+                    "seed {seed}: budget {budget} drifted from δ {delta}"
+                );
+            }
+        }
+    }
 }

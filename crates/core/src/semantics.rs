@@ -243,6 +243,16 @@ mod tests {
         Timestamp::from_secs(s)
     }
 
+    /// Two closed intervals drawn from `seed`, with their starts and
+    /// lengths in seconds.
+    fn random_pair(seed: u64) -> (ValidityInterval, ValidityInterval, [u64; 4]) {
+        let mut rng = mutcon_sim::rng::SimRng::seed_from_u64(seed);
+        let [s1, l1, s2, l2] = [10_000, 5_000, 10_000, 5_000].map(|hi| rng.uniform_u64(0, hi));
+        let a = ValidityInterval::closed(secs(s1), secs(s1 + l1));
+        let b = ValidityInterval::closed(secs(s2), secs(s2 + l2));
+        (a, b, [s1, l1, s2, l2])
+    }
+
     #[test]
     fn taxonomy_classification() {
         assert_eq!(Semantics::Strong.domain(), Domain::Temporal);
@@ -293,6 +303,12 @@ mod tests {
         let b = ValidityInterval::closed(secs(40), secs(90));
         assert_eq!(a.gap(b), Duration::ZERO);
         assert_eq!(b.gap(a), Duration::ZERO);
+        // The gap is zero exactly when the closed intervals meet.
+        for seed in 0..512 {
+            let (a, b, [s1, l1, s2, l2]) = random_pair(seed);
+            let meet = s1 <= s2 + l2 && s2 <= s1 + l1;
+            assert_eq!(a.gap(b).is_zero(), meet, "seed {seed}: {a:?} and {b:?}");
+        }
     }
 
     #[test]
@@ -301,6 +317,10 @@ mod tests {
         let b = ValidityInterval::closed(secs(25), secs(30));
         assert_eq!(a.gap(b), Duration::from_secs(15));
         assert_eq!(b.gap(a), Duration::from_secs(15));
+        for seed in 0..512 {
+            let (a, b, _) = random_pair(seed);
+            assert_eq!(a.gap(b), b.gap(a), "seed {seed}: {a:?} and {b:?}");
+        }
     }
 
     #[test]

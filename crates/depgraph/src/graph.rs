@@ -311,4 +311,51 @@ mod tests {
         let reg = g.to_registry(Grouping::Component).unwrap();
         assert_eq!(reg.len(), 1);
     }
+
+    /// Random graphs: every embedding group holds its page and something
+    /// it embeds, and the component groups partition the nodes that have
+    /// an edge.
+    #[test]
+    fn groupings_are_sound_on_random_graphs() {
+        for seed in 0..1_000 {
+            let mut rng = mutcon_sim::rng::SimRng::seed_from_u64(seed);
+            let mut g = DependencyGraph::new();
+            let mut linked = std::collections::BTreeSet::new();
+            for _ in 0..rng.uniform_u64(1, 60) {
+                let (a, b) = (
+                    oid(&format!("n{}", rng.uniform_u64(0, 20))),
+                    oid(&format!("n{}", rng.uniform_u64(0, 20))),
+                );
+                if a != b {
+                    linked.extend([a.clone(), b.clone()]);
+                }
+                g.add_dependency(a, b);
+            }
+            for group in g.embedding_groups() {
+                let page = group
+                    .id()
+                    .as_str()
+                    .strip_prefix("embed:")
+                    .expect("embedding group ids are prefixed");
+                assert!(
+                    group.contains(&oid(page)),
+                    "seed {seed}: {page} missing from its group"
+                );
+                assert!(
+                    group.len() >= 2,
+                    "seed {seed}: {page}'s group embeds nothing"
+                );
+            }
+            let mut covered = std::collections::BTreeSet::new();
+            for group in g.component_groups() {
+                for m in group.members() {
+                    assert!(
+                        covered.insert(m.clone()),
+                        "seed {seed}: {m} in two components"
+                    );
+                }
+            }
+            assert_eq!(covered, linked, "seed {seed}");
+        }
+    }
 }

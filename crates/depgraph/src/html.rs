@@ -214,6 +214,7 @@ impl fmt::Display for ExtractedLink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mutcon_sim::rng::SimRng;
 
     fn urls(html: &str, kind: LinkKind) -> Vec<String> {
         extract_links(html)
@@ -332,5 +333,63 @@ mod tests {
             tag: "img".into(),
         };
         assert_eq!(l.to_string(), "<img \"x.png\">");
+    }
+
+    /// Up to `max` (at least one) bytes of `alphabet`, as text.
+    fn word(rng: &mut SimRng, max: u64, alphabet: &[u8]) -> String {
+        (0..rng.uniform_u64(1, max + 1))
+            .map(|_| *rng.pick(alphabet) as char)
+            .collect()
+    }
+
+    /// Neither random text (any non-control character, with the ones
+    /// markup hangs on over-drawn) nor random tag soup panics the
+    /// tokenizer, and no extracted URL is blank.
+    #[test]
+    fn random_text_and_tag_soup_never_panic() {
+        const MARKUP: &[char] = &[
+            '<', '>', '"', '\'', '=', '/', '!', '-', ' ', 's', 'r', 'c', '\n',
+        ];
+        const LOWER: &[u8] = b"abcdefghijklmnopqrstuvwxyz";
+        for seed in 0..10_000 {
+            let mut rng = SimRng::seed_from_u64(seed);
+            let text: String = (0..rng.uniform_u64(0, 600))
+                .map(|_| {
+                    if rng.chance(0.5) {
+                        *rng.pick(MARKUP)
+                    } else {
+                        char::from_u32(rng.uniform_u64(0x20, 0x3_0000) as u32)
+                            .filter(|c| !c.is_control())
+                            .unwrap_or('<')
+                    }
+                })
+                .collect();
+            // Tags like `<img src="a/b.png">`, any part of them missing.
+            let mut soup = String::new();
+            for _ in 0..rng.uniform_u64(0, 40) {
+                soup += &format!("<{}", word(&mut rng, 6, LOWER));
+                if rng.chance(0.5) {
+                    let name = word(&mut rng, 4, LOWER);
+                    let value = if rng.chance(0.2) {
+                        String::new()
+                    } else {
+                        word(&mut rng, 10, b"abcdefghijklmnopqrstuvwxyz./")
+                    };
+                    let [open, close] = [(); 2].map(|_| if rng.chance(0.5) { "\"" } else { "" });
+                    soup += &format!(" {name}={open}{value}{close}");
+                }
+                if rng.chance(0.5) {
+                    soup.push('>');
+                }
+            }
+            for html in [text, soup] {
+                for link in extract_links(&html) {
+                    assert!(
+                        !link.url.trim().is_empty(),
+                        "seed {seed}: blank URL from {html:?}"
+                    );
+                }
+            }
+        }
     }
 }

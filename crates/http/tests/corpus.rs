@@ -1,17 +1,19 @@
-//! A seeded corpus for the parsers, dependency-free (the randomized
-//! `--features proptests` suite needs a crate this offline workspace does
-//! not have).
+//! A seeded corpus for the parsers: each test loops over inputs drawn
+//! from a fixed seed, and a failure names the input.
 //!
 //! Valid requests and responses are mutated — bytes flipped, ranges cut,
 //! duplicated or overwritten with the bytes a head is made of — and every
 //! mutant goes through the one-shot and the resumable parser. Neither may
 //! panic, and feeding the bytes one at a time must end exactly where the
-//! one-shot parse does: same message, same length, same error. A second
-//! test round-trips random header sets through `to_bytes` and back.
+//! one-shot parse does: same message, same length, same error. Formatted
+//! HTTP-dates are mutated the same way and must not panic the date
+//! parser. Further tests round-trip random header sets through
+//! `to_bytes` and back, and random instants through the date format.
 
 use std::fmt::Debug;
 
 use mutcon_core::time::Timestamp;
+use mutcon_http::date::{format_http_date, parse_http_date};
 use mutcon_http::message::{Request, Response};
 use mutcon_http::parse::{ParseError, RequestParser, ResponseParser};
 use mutcon_http::types::Method;
@@ -150,6 +152,42 @@ fn mutated_responses_never_panic_and_parse_the_same_however_fragmented() {
             Box::new(move |prefix| parser.advance(prefix))
         },
     );
+}
+
+/// An instant in `[0, 11e9)` s: 1970 to past 2318, the years the
+/// format's four digits hold with room to spare.
+fn random_instant(rng: &mut SimRng) -> Timestamp {
+    Timestamp::from_secs(rng.uniform_u64(0, 11_000_000_000))
+}
+
+#[test]
+fn mutated_dates_never_panic_and_what_parses_round_trips() {
+    let mut rng = SimRng::seed_from_u64(SEED ^ 2);
+    for _ in 0..20_000 {
+        let date = format_http_date(random_instant(&mut rng));
+        let mut mutant = mutate(&mut rng, date.as_bytes());
+        if rng.chance(0.3) && !mutant.is_empty() {
+            mutant = mutate(&mut rng, &mutant);
+        }
+        let text = String::from_utf8_lossy(&mutant);
+        if let Ok(t) = parse_http_date(&text) {
+            assert_eq!(
+                parse_http_date(&format_http_date(t)),
+                Ok(t),
+                "{text:?} parsed to {t}"
+            );
+        }
+    }
+}
+
+#[test]
+fn http_dates_round_trip_at_random_instants() {
+    let mut rng = SimRng::seed_from_u64(SEED ^ 3);
+    for _ in 0..20_000 {
+        let t = random_instant(&mut rng);
+        let text = format_http_date(t);
+        assert_eq!(parse_http_date(&text), Ok(t), "{text}");
+    }
 }
 
 /// `name` with each letter's case flipped at random.

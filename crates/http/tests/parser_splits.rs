@@ -3,9 +3,8 @@
 //! exactly what the one-shot parser produces — the property the
 //! readiness-driven reactors rely on when reads fragment arbitrarily.
 //!
-//! These are the dependency-free exhaustive twins of the randomized
-//! `--features proptests` suite (which needs the external `proptest`
-//! crate and is gated off in offline builds).
+//! The seeded twins, mutated streams fed a byte at a time, are in
+//! `corpus.rs`.
 
 use mutcon_http::message::{Request, Response};
 use mutcon_http::parse::{parse_request, parse_response, RequestParser, ResponseParser};

@@ -147,6 +147,10 @@ pub fn run_temporal(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics;
+    use mutcon_sim::rng::SimRng;
+    use mutcon_traces::generator::NewsTraceBuilder;
+    use mutcon_traces::model::TraceError;
     use mutcon_traces::{UpdateEvent, UpdateTrace};
 
     fn mins(m: u64) -> Timestamp {
@@ -343,5 +347,140 @@ mod tests {
         let a = run_temporal(&origin, std::slice::from_ref(&id), &config);
         let b = run_temporal(&origin, std::slice::from_ref(&id), &config);
         assert_eq!(a.logs, b.logs);
+    }
+
+    /// An eight-hour news trace of `updates` updates drawn from `rng`,
+    /// hosted alone under `id`.
+    fn random_origin(
+        rng: &mut SimRng,
+        id: &str,
+        updates: usize,
+    ) -> Result<(OriginServer, ObjectId, UpdateTrace), TraceError> {
+        let trace = NewsTraceBuilder::new(id, Duration::from_hours(8), updates)
+            .seed(rng.uniform_u64(0, u64::MAX))
+            .build()?;
+        let oid = ObjectId::new(id);
+        let mut origin = OriginServer::new();
+        origin.host(oid.clone(), trace.clone());
+        Ok((origin, oid, trace))
+    }
+
+    /// LIMD on random workloads: fidelities in `[0, 1]`, out-of-sync time
+    /// inside the window, at most one poll per `ttr_min` (plus the first),
+    /// none after `until`, and the same log on a second run.
+    #[test]
+    fn limd_pipeline_invariants_on_random_workloads() {
+        for seed in 0..256 {
+            let mut rng = SimRng::seed_from_u64(seed);
+            let updates = rng.uniform_u64(0, 150) as usize;
+            let (origin, id, trace) = random_origin(&mut rng, "obj", updates)
+                .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            let delta = Duration::from_mins(rng.uniform_u64(1, 40));
+            let config = TemporalSimConfig {
+                policy: TemporalPolicy::Limd(
+                    LimdConfig::builder(delta)
+                        .ttr_max(Duration::from_mins(60).max(delta))
+                        .build()
+                        .unwrap_or_else(|e| panic!("seed {seed}: {e}")),
+                ),
+                mutual: None,
+                until: trace.end(),
+            };
+            let out = run_temporal(&origin, std::slice::from_ref(&id), &config);
+            let log = &out.logs[&id];
+            let max_polls = 2 + trace.duration().as_millis() / delta.as_millis();
+            assert!(
+                log.poll_count() <= max_polls,
+                "seed {seed}: {} polls > {max_polls}",
+                log.poll_count()
+            );
+            assert!(
+                log.records().iter().all(|r| r.at <= trace.end()),
+                "seed {seed}: poll after until"
+            );
+            let stats = metrics::individual_temporal(&trace, log, delta, trace.end());
+            assert!(
+                (0.0..=1.0).contains(&stats.fidelity_by_violations()),
+                "seed {seed}: {stats:?}"
+            );
+            assert!(
+                (0.0..=1.0).contains(&stats.fidelity_by_time()),
+                "seed {seed}: {stats:?}"
+            );
+            assert!(
+                stats.out_of_sync() <= stats.observed(),
+                "seed {seed}: {stats:?}"
+            );
+            assert!(
+                stats.violations() <= stats.polls(),
+                "seed {seed}: {stats:?}"
+            );
+            let again = run_temporal(&origin, std::slice::from_ref(&id), &config);
+            assert_eq!(&again.logs[&id], log, "seed {seed}: second run differs");
+        }
+    }
+
+    /// The paper's headline claim (§3.2, §6.2.2): LIMD plus triggered
+    /// polls keeps any pair of workloads within any Mt bound δ.
+    #[test]
+    fn triggered_polls_keep_any_pair_within_mt() {
+        for seed in 0..256 {
+            let mut rng = SimRng::seed_from_u64(seed);
+            let (updates_a, updates_b) = (rng.uniform_u64(1, 120), rng.uniform_u64(1, 120));
+            let (mut origin, a, trace_a) = random_origin(&mut rng, "a", updates_a as usize)
+                .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            let (_, b, trace_b) = random_origin(&mut rng, "b", updates_b as usize)
+                .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            origin.host(b.clone(), trace_b.clone());
+            let delta = Duration::from_mins(rng.uniform_u64(0, 30));
+            let until = trace_a.end().min(trace_b.end());
+            let config = TemporalSimConfig {
+                policy: TemporalPolicy::Limd(limd_config(10)),
+                mutual: Some(MutualSetup {
+                    delta,
+                    policy: MtPolicy::TriggeredPolls,
+                }),
+                until,
+            };
+            let out = run_temporal(&origin, &[a.clone(), b.clone()], &config);
+            let stats = metrics::mutual_temporal(
+                &trace_a,
+                &out.logs[&a],
+                &trace_b,
+                &out.logs[&b],
+                delta,
+                until,
+            );
+            assert_eq!(
+                stats.violations(),
+                0,
+                "seed {seed}: Mt violated at δ = {delta}: {stats:?}"
+            );
+        }
+    }
+
+    /// Polling strictly every Δ never serves a copy older than Δ.
+    #[test]
+    fn periodic_baseline_is_perfect_on_random_workloads() {
+        for seed in 0..256 {
+            let mut rng = SimRng::seed_from_u64(seed);
+            let updates = rng.uniform_u64(0, 150) as usize;
+            let (origin, id, trace) = random_origin(&mut rng, "obj", updates)
+                .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            let delta = Duration::from_mins(rng.uniform_u64(1, 30));
+            let config = TemporalSimConfig {
+                policy: TemporalPolicy::Periodic(delta),
+                mutual: None,
+                until: trace.end(),
+            };
+            let out = run_temporal(&origin, std::slice::from_ref(&id), &config);
+            let stats = metrics::individual_temporal(&trace, &out.logs[&id], delta, trace.end());
+            assert_eq!(stats.violations(), 0, "seed {seed}: Δ = {delta}: {stats:?}");
+            assert_eq!(
+                stats.out_of_sync(),
+                Duration::ZERO,
+                "seed {seed}: Δ = {delta}: {stats:?}"
+            );
+        }
     }
 }

@@ -362,4 +362,64 @@ mod tests {
             .build();
         assert!(result.is_err());
     }
+
+    /// Any seed, size and phase: the exact update count, strictly
+    /// increasing events from zero to at most the end, and two-hour
+    /// windows whose counts add up to every update.
+    #[test]
+    fn invariants_hold_for_any_seed_size_and_phase() {
+        for seed in 0..256 {
+            let mut rng = SimRng::seed_from_u64(seed);
+            let updates = rng.uniform_u64(0, 300) as usize;
+            let trace =
+                NewsTraceBuilder::new("t", Duration::from_hours(rng.uniform_u64(1, 100)), updates)
+                    .start_hour(rng.uniform_range(0.0, 24.0))
+                    .seed(rng.uniform_u64(0, u64::MAX))
+                    .build()
+                    .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            assert_eq!(trace.update_count(), updates, "seed {seed}");
+            assert_eq!(trace.events()[0].at, Timestamp::ZERO, "seed {seed}");
+            assert!(
+                trace.events().windows(2).all(|w| w[1].at > w[0].at),
+                "seed {seed}: out of order"
+            );
+            assert!(
+                trace.events().last().unwrap().at <= trace.end(),
+                "seed {seed}: event after the end"
+            );
+            let windowed: u32 = crate::stats::updates_per_window(&trace, Duration::from_hours(2))
+                .iter()
+                .map(|w| w.count)
+                .sum();
+            assert_eq!(windowed as usize, updates, "seed {seed}");
+        }
+    }
+
+    /// A custom profile active only 08:00–15:59 puts no update outside it.
+    #[test]
+    fn zero_weight_hours_stay_quiet_for_any_seed() {
+        let mut weights = [0.0; 24];
+        weights[8..16].fill(1.0);
+        let profile = DiurnalProfile::from_weights(weights).unwrap();
+        for seed in 0..256 {
+            let mut rng = SimRng::seed_from_u64(seed);
+            let trace = NewsTraceBuilder::new(
+                "t",
+                Duration::from_hours(48),
+                rng.uniform_u64(1, 200) as usize,
+            )
+            .start_hour(0.0)
+            .profile(profile.clone())
+            .seed(rng.uniform_u64(0, u64::MAX))
+            .build()
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            for e in &trace.events()[1..] {
+                let hour = (e.at.as_millis() / 3_600_000) % 24;
+                assert!(
+                    (8..16).contains(&hour),
+                    "seed {seed}: update at hour {hour}"
+                );
+            }
+        }
+    }
 }

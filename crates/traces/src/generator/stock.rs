@@ -284,4 +284,27 @@ mod tests {
         let mean_step = steps.iter().sum::<f64>() / steps.len() as f64;
         assert!(mean_step < 0.2, "steps too wild: {mean_step}");
     }
+
+    /// Any seed, size, window and band: the exact count, and every price
+    /// inside the band.
+    #[test]
+    fn count_and_band_hold_for_any_seed_and_band() {
+        for seed in 0..256 {
+            let mut rng = SimRng::seed_from_u64(seed);
+            let updates = rng.uniform_u64(1, 500) as usize;
+            let mins = rng.uniform_u64(10, 300);
+            let lo = rng.uniform_range(1.0, 200.0);
+            let hi = lo + rng.uniform_range(0.5, 50.0);
+            let t = StockTraceBuilder::new("s", Duration::from_mins(mins), updates, lo, hi)
+                .seed(rng.uniform_u64(0, u64::MAX))
+                .build()
+                .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            assert_eq!(t.update_count(), updates, "seed {seed}");
+            let (min, max) = t.value_range().unwrap();
+            assert!(
+                min.as_f64() >= lo - 1e-9 && max.as_f64() <= hi + 1e-9,
+                "seed {seed}: prices {min}..{max} outside {lo}..{hi}"
+            );
+        }
+    }
 }

@@ -144,6 +144,7 @@ mod tests {
     use super::*;
     use crate::catalog::NamedTrace;
     use crate::model::UpdateEvent;
+    use mutcon_core::time::Duration;
 
     fn secs(s: u64) -> Timestamp {
         Timestamp::from_secs(s)
@@ -232,5 +233,26 @@ mod tests {
         assert!(TraceIoError::BadMagic.to_string().contains("magic"));
         assert!(TraceIoError::MissingHeader("name").to_string().contains("name"));
         assert!(TraceIoError::BadLine { line: 3 }.to_string().contains('3'));
+    }
+
+    /// TSV is lossless for generated valued traces of any size.
+    #[test]
+    fn tsv_round_trips_generated_traces() {
+        for seed in 0..256 {
+            let mut rng = mutcon_sim::rng::SimRng::seed_from_u64(seed);
+            let updates = rng.uniform_u64(1, 100) as usize;
+            let t = crate::generator::StockTraceBuilder::new(
+                "codec",
+                Duration::from_mins(30),
+                updates,
+                30.0,
+                40.0,
+            )
+            .seed(rng.uniform_u64(0, u64::MAX))
+            .build()
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            let back = from_tsv(&to_tsv(&t)).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            assert_eq!(back, t, "seed {seed}");
+        }
     }
 }

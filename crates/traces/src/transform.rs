@@ -92,7 +92,9 @@ pub fn window(trace: &UpdateTrace, from: Timestamp, to: Timestamp) -> Result<Upd
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generator::NewsTraceBuilder;
     use mutcon_core::value::Value;
+    use mutcon_sim::rng::SimRng;
 
     fn secs(s: u64) -> Timestamp {
         Timestamp::from_secs(s)
@@ -174,5 +176,67 @@ mod tests {
         let w = window(&t(), secs(100), secs(1_000)).unwrap();
         assert_eq!(w.events()[0].value, Some(Value::new(2.0)));
         assert_eq!(w.update_count(), 1);
+    }
+
+    /// A ten-hour news trace of 1–79 updates drawn from `rng`.
+    fn random_news(rng: &mut SimRng) -> Result<UpdateTrace, TraceError> {
+        let updates = rng.uniform_u64(1, 80) as usize;
+        NewsTraceBuilder::new("t", Duration::from_hours(10), updates)
+            .seed(rng.uniform_u64(0, u64::MAX))
+            .build()
+    }
+
+    /// On generated traces, scaling keeps the count and the strict order,
+    /// and shifting moves every event by the offset.
+    #[test]
+    fn scale_and_shift_preserve_structure_of_generated_traces() {
+        for seed in 0..256 {
+            let mut rng = SimRng::seed_from_u64(seed);
+            let trace = random_news(&mut rng).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            let scaled = scale_time(&trace, rng.uniform_range(0.01, 10.0))
+                .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            assert_eq!(scaled.update_count(), trace.update_count(), "seed {seed}");
+            assert!(
+                scaled.events().windows(2).all(|w| w[1].at > w[0].at),
+                "seed {seed}: out of order"
+            );
+
+            let offset = Duration::from_secs(rng.uniform_u64(0, 10_000));
+            let shifted = shift(&trace, offset);
+            assert_eq!(shifted.duration(), trace.duration(), "seed {seed}");
+            for (a, b) in trace.events().iter().zip(shifted.events()) {
+                assert_eq!((b.at, b.value), (a.at + offset, a.value), "seed {seed}");
+            }
+        }
+    }
+
+    /// A window of a generated trace starts with the version current at
+    /// its start, keeps exactly the updates inside it, and agrees with
+    /// the original at its midpoint.
+    #[test]
+    fn windows_of_generated_traces_are_consistent() {
+        for seed in 0..256 {
+            let mut rng = SimRng::seed_from_u64(seed);
+            let trace = random_news(&mut rng).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            let total = trace.duration().as_millis() as f64;
+            let from_frac = rng.uniform_range(0.0, 0.9);
+            let len_frac = rng.uniform_range(0.05, 1.0);
+            let from = Timestamp::from_millis((total * from_frac) as u64);
+            let to = Timestamp::from_millis((total * (from_frac + len_frac)).min(total) as u64);
+            let w = window(&trace, from, to).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            assert_eq!((w.start(), w.end()), (from, to), "seed {seed}");
+            assert_eq!(w.events()[0].at, from, "seed {seed}");
+            assert_eq!(
+                w.update_count(),
+                trace.events_between(from, to).len(),
+                "seed {seed}"
+            );
+            let mid = Timestamp::from_millis((from.as_millis() + to.as_millis()) / 2);
+            assert_eq!(
+                w.event_at(mid).map(|e| e.value),
+                trace.event_at(mid).map(|e| e.value),
+                "seed {seed}"
+            );
+        }
     }
 }

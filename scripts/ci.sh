@@ -8,6 +8,19 @@ cd "$(dirname "$0")/.."
 cargo build --release
 cargo test -q
 
+# Every property check runs in tier-1, as a loop over a fixed seed list
+# on `mutcon_sim::rng::SimRng`. No suite hides behind a cargo feature or
+# a crate the workspace does not have, and every feature of every crate
+# builds with its tests (the classes keep the pattern from matching
+# itself).
+gated_suite='feature = "proptes[t]s"|use proptes[t]|proptes[t]!'
+if grep -rnE "$gated_suite" crates src tests scripts \
+    || grep -nE 'proptes[t]s' crates/*/Cargo.toml; then
+  echo "ci: a property suite gated off tier-1 is back (lines above)" >&2
+  exit 1
+fi
+cargo test --workspace --all-features --no-run
+
 # One I/O path: the reactor is epoll and nothing selects another. The
 # classes keep this pattern from matching itself; the one line allowed
 # to name the deleted backend is the unit test pinning that
