@@ -4,7 +4,7 @@
 //! accept and close: the request parser and the unparsed input, the
 //! response being written, the fetch the client waits on, the request
 //! deadline, and the EOF and `Connection: close` flags. It touches no
-//! socket and reads the time only from the clock it is handed. The
+//! socket and reads the time only from the instant it is handed. The
 //! reactor ([`crate::server`]) moves the bytes and calls it at the
 //! boundaries a request crosses: read done ([`ClientConn::fill`]),
 //! parsed ([`ClientConn::next_request`]), queued ([`ClientConn::queue`]),
@@ -109,8 +109,8 @@ impl ClientConn {
     /// a request's reply or awaits its fetch before asking again; from
     /// then until the reply is flushed the answer is [`Next::Busy`]. A
     /// request first found incomplete starts the request deadline at
-    /// `now()`, which is not called otherwise.
-    pub(crate) fn next_request(&mut self, now: impl FnOnce() -> Instant) -> Next {
+    /// `now`.
+    pub(crate) fn next_request(&mut self, now: Instant) -> Next {
         if self.in_flight() || self.close_after_write {
             return Next::Busy;
         }
@@ -125,7 +125,7 @@ impl ClientConn {
                 Next::Request(request)
             }
             Ok(None) if self.read_buf.len() < MAX_BUFFERED => {
-                self.request_started.get_or_insert_with(now);
+                self.request_started.get_or_insert(now);
                 Next::Incomplete
             }
             Ok(None) | Err(ParseError::BodyTooLarge) => Next::TooLarge,
@@ -445,31 +445,31 @@ mod tests {
         feed(&mut conn, &wire, false);
         let mut sink = Sink::open();
 
-        assert_eq!(target(conn.next_request(|| now)), "/1");
+        assert_eq!(target(conn.next_request(now)), "/1");
         conn.queue(ok("first"));
         assert!(
-            matches!(conn.next_request(|| now), Next::Busy),
+            matches!(conn.next_request(now), Next::Busy),
             "its response is unwritten"
         );
         assert!(matches!(flush(&mut conn, &mut sink), Flush::Done));
 
-        assert_eq!(target(conn.next_request(|| now)), "/2");
+        assert_eq!(target(conn.next_request(now)), "/2");
         conn.await_fetch(7);
         assert!(
             matches!(flush(&mut conn, &mut sink), Flush::Idle),
             "nothing queued"
         );
         assert!(
-            matches!(conn.next_request(|| now), Next::Busy),
+            matches!(conn.next_request(now), Next::Busy),
             "a fetch is out"
         );
         conn.queue(ok("second"));
         flush(&mut conn, &mut sink);
 
-        assert_eq!(target(conn.next_request(|| now)), "/3");
+        assert_eq!(target(conn.next_request(now)), "/3");
         conn.queue(ok("third"));
         flush(&mut conn, &mut sink);
-        assert!(matches!(conn.next_request(|| now), Next::Incomplete));
+        assert!(matches!(conn.next_request(now), Next::Incomplete));
 
         let bodies: Vec<_> = responses(&sink.out)
             .iter()
@@ -484,12 +484,12 @@ mod tests {
         let mut conn = ClientConn::default();
         let last = Request::get("/last").connection_close().build().to_bytes();
         feed(&mut conn, &[last, get("/ignored")].concat(), false);
-        assert_eq!(target(conn.next_request(|| now)), "/last");
+        assert_eq!(target(conn.next_request(now)), "/last");
         conn.queue(ok("bye"));
         let mut sink = Sink::open();
         assert!(matches!(flush(&mut conn, &mut sink), Flush::Done));
         assert!(
-            matches!(conn.next_request(|| now), Next::Busy),
+            matches!(conn.next_request(now), Next::Busy),
             "nothing after the close"
         );
         assert!(conn.is_finished());
@@ -507,14 +507,14 @@ mod tests {
         let wire = put_of_len(MAX_BUFFERED + 1);
         let mut conn = ClientConn::default();
         feed(&mut conn, &wire[..MAX_BUFFERED - 1], false);
-        assert!(matches!(conn.next_request(|| now), Next::Incomplete));
+        assert!(matches!(conn.next_request(now), Next::Incomplete));
         assert_eq!(conn.interest(), Interest::READABLE);
         assert_eq!(
             feed(&mut conn, &wire[MAX_BUFFERED - 1..], false),
             1,
             "one byte of room"
         );
-        assert!(matches!(conn.next_request(|| now), Next::TooLarge));
+        assert!(matches!(conn.next_request(now), Next::TooLarge));
         assert_eq!(conn.interest(), Interest::NONE, "nothing more can be read");
 
         conn.refuse(StatusCode::PAYLOAD_TOO_LARGE);
@@ -528,14 +528,14 @@ mod tests {
         // A request of exactly the bound fits.
         let mut conn = ClientConn::default();
         feed(&mut conn, &put_of_len(MAX_BUFFERED), false);
-        assert!(matches!(conn.next_request(|| now), Next::Request(_)));
+        assert!(matches!(conn.next_request(now), Next::Request(_)));
     }
 
     #[test]
     fn malformed_bytes_break_the_connection() {
         let mut conn = ClientConn::default();
         feed(&mut conn, b"definitely not http\r\n\r\n", false);
-        assert!(matches!(conn.next_request(Instant::now), Next::Malformed));
+        assert!(matches!(conn.next_request(Instant::now()), Next::Malformed));
     }
 
     #[test]
@@ -544,7 +544,7 @@ mod tests {
         let mut conn = ClientConn::default();
         assert_eq!(conn.interest(), Interest::READABLE);
         feed(&mut conn, &get("/a"), false);
-        assert_eq!(target(conn.next_request(|| now)), "/a");
+        assert_eq!(target(conn.next_request(now)), "/a");
         conn.await_fetch(1);
         assert_eq!(conn.interest(), Interest::READABLE, "armed behind a fetch");
 
@@ -571,7 +571,7 @@ mod tests {
         // A flood pipelined behind a pending fetch fills the buffer.
         let mut conn = ClientConn::default();
         feed(&mut conn, &get("/b"), false);
-        target(conn.next_request(|| now));
+        target(conn.next_request(now));
         conn.await_fetch(2);
         feed(&mut conn, &get("/c").repeat(MAX_BUFFERED), false);
         assert_eq!(conn.interest(), Interest::NONE, "at the bound");
@@ -581,17 +581,17 @@ mod tests {
     fn the_request_deadline_runs_from_the_first_incomplete_parse() {
         let t0 = Instant::now();
         let mut conn = ClientConn::default();
-        assert!(matches!(conn.next_request(|| t0), Next::Incomplete));
+        assert!(matches!(conn.next_request(t0), Next::Incomplete));
         assert!(
             !conn.overdue(t0 + REQUEST_TIMEOUT * 2),
             "nothing buffered, no deadline"
         );
 
         feed(&mut conn, b"GET /slow HTTP/1.1\r\n", false);
-        assert!(matches!(conn.next_request(|| t0), Next::Incomplete));
+        assert!(matches!(conn.next_request(t0), Next::Incomplete));
         feed(&mut conn, b"host: x\r\n", false);
         let later = t0 + Duration::from_secs(1);
-        assert!(matches!(conn.next_request(|| later), Next::Incomplete));
+        assert!(matches!(conn.next_request(later), Next::Incomplete));
         assert!(!conn.overdue(t0 + REQUEST_TIMEOUT));
         assert!(
             conn.overdue(t0 + REQUEST_TIMEOUT + Duration::from_millis(1)),
@@ -599,7 +599,7 @@ mod tests {
         );
 
         feed(&mut conn, b"\r\n", false);
-        assert_eq!(target(conn.next_request(|| later)), "/slow");
+        assert_eq!(target(conn.next_request(later)), "/slow");
         assert!(
             !conn.overdue(t0 + REQUEST_TIMEOUT * 2),
             "cleared by the request"
@@ -617,7 +617,7 @@ mod tests {
         // What the reactor does: serve until no request comes out, then
         // ask whether the connection is finished.
         loop {
-            match conn.next_request(|| now) {
+            match conn.next_request(now) {
                 Next::Request(request) => {
                     served.push(request.target().to_owned());
                     conn.queue(ok("x"));

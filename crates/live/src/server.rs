@@ -52,6 +52,10 @@
 //! engine knows nothing of what the service schedules: the live proxy's
 //! reactor 0 sends its refresh polls this way.
 //!
+//! A reactor reads the clock once per turn, when its wait returns: the
+//! service, the activity stamps and every timer take that instant, so a
+//! timer is a function of the reactor's state and `now`.
+//!
 //! *WRITING* goes through the zero-copy send path ([`crate::vectored`]):
 //! each response is a reusable contiguous buffer (head + small inlined
 //! bodies) plus an optional shared body slice, gathered into one
@@ -141,7 +145,7 @@ const UPSTREAM_TIMEOUT: Duration = Duration::from_secs(5);
 const POOL_IDLE_TIMEOUT: Duration = Duration::from_secs(10);
 /// Poll-loop tick when nothing else bounds the wait (idle sweeping,
 /// shutdown responsiveness); a service's own next instant
-/// ([`Service::own_work`]) shortens it.
+/// ([`Service::own_work`]) and the park deadline shorten it.
 const TICK: Duration = Duration::from_millis(200);
 /// How long a shutting-down reactor keeps serving to flush in-flight
 /// responses before closing everything.
@@ -466,7 +470,6 @@ impl EventLoop {
                 free: Vec::new(),
                 clients: 0,
                 accepting: true,
-                last_sweep: Instant::now(),
                 freed_this_batch: Vec::new(),
                 pool: PoolCore::default(),
                 scratch: vec![0; 16 * 1024],
@@ -593,7 +596,6 @@ struct Reactor {
     /// against the accept bound).
     clients: usize,
     accepting: bool,
-    last_sweep: Instant,
     /// Slots freed while processing the current event batch. Reuse is
     /// deferred to the end of the batch so a stale event queued for a
     /// closed connection's token can never be applied to a new
@@ -659,36 +661,59 @@ fn read_into(
     Ok(false)
 }
 
+/// How long a reactor that turned at `now` may wait: until the service's
+/// `due` or the parked backlog's shed, whichever comes first, and never
+/// longer than [`TICK`].
+fn wait_timeout(now: Instant, due: Option<Instant>, shed_at: Option<Instant>) -> Duration {
+    due.into_iter()
+        .chain(shed_at)
+        .map(|at| at.saturating_duration_since(now))
+        .fold(TICK, Duration::min)
+}
+
 impl Reactor {
+    /// Serves until shutdown, then drains; reads the clock once per turn.
     fn run(mut self) {
         let mut events = Events::with_capacity(1024);
-        let mut due = self.own_work();
+        // The first wait returns at once, so the service is asked for its
+        // own work before the reactor first sleeps.
+        let mut timeout = Duration::ZERO;
+        let mut last_sweep = None;
         while !self.shutdown.load(Ordering::SeqCst) {
-            let timeout = due.map_or(TICK, |at| at.saturating_duration_since(Instant::now()).min(TICK));
             if self.poller.wait(&mut events, Some(timeout)).is_err() {
                 break;
             }
-            self.dispatch(&events);
-            self.check_park_deadline();
-            if self.last_sweep.elapsed() >= Duration::from_secs(1) {
-                self.sweep_idle();
-                self.last_sweep = Instant::now();
-            }
-            // Last, so that what ended above (a completion, a timeout) is
-            // in the service's next instant.
-            due = self.own_work();
+            let now = Instant::now();
+            timeout = self.turn(&events, now, last_sweep.get_or_insert(now));
         }
         self.drain(&mut events);
         // Dropping the slab closes every socket.
     }
 
-    /// Applies one event batch.
-    fn dispatch(&mut self, events: &Events) {
+    /// One loop turn at `now`: applies the event batch, sheds the parked
+    /// backlog past its deadline, sweeps if a second of `now` has passed
+    /// since `last_sweep`, and asks the service for its own work. Returns
+    /// how long the next wait may last.
+    fn turn(&mut self, events: &Events, now: Instant, last_sweep: &mut Instant) -> Duration {
+        self.dispatch(events, now);
+        self.check_park_deadline(now);
+        if now.duration_since(*last_sweep) >= Duration::from_secs(1) {
+            self.sweep_idle(now);
+            *last_sweep = now;
+        }
+        // Last, so that what ended above (a completion, a timeout) is
+        // in the service's next instant.
+        let due = self.own_work(now);
+        wait_timeout(now, due, self.shed_at())
+    }
+
+    /// Applies one event batch at `now`.
+    fn dispatch(&mut self, events: &Events, now: Instant) {
         for event in events.iter() {
             match event.token {
-                TOKEN_LISTENER => self.accept_ready(),
+                TOKEN_LISTENER => self.accept_ready(now),
                 TOKEN_WAKER => self.waker.drain(),
-                token => self.conn_event(token - TOKEN_BASE, event),
+                token => self.conn_event(token - TOKEN_BASE, event, now),
             }
         }
         // Freed slots become reusable only once every event of the
@@ -700,11 +725,11 @@ impl Reactor {
     /// origins; returns the instant the service next wants asking. Asks
     /// again after a pump, which may have ended a fetch (a connect that
     /// failed at once) and so moved that instant.
-    fn own_work(&mut self) -> Option<Instant> {
+    fn own_work(&mut self, now: Instant) -> Option<Instant> {
         loop {
             let (pool, metrics) = (&mut self.pool, &self.metrics);
             let mut origins: Vec<SocketAddr> = Vec::new();
-            let due = self.service.own_work(Instant::now(), &mut |addr, request| {
+            let due = self.service.own_work(now, &mut |addr, request| {
                 match pool.submit(addr, request, Waiter::Service) {
                     Submit::Coalesced(_) => metrics.pool_coalesced.inc(),
                     Submit::New(_) if !origins.contains(&addr) => origins.push(addr),
@@ -715,7 +740,7 @@ impl Reactor {
                 return due;
             }
             for addr in origins {
-                self.pump_origin(addr);
+                self.pump_origin(addr, now);
             }
         }
     }
@@ -723,18 +748,16 @@ impl Reactor {
     /// Graceful-shutdown tail: stop accepting, keep serving until every
     /// in-flight response is flushed or the grace period lapses.
     fn drain(&mut self, events: &mut Events) {
-        self.pause_accepting();
-        let deadline = Instant::now() + DRAIN_GRACE;
-        while self.has_inflight() {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
+        let mut now = Instant::now();
+        self.pause_accepting(now);
+        let deadline = now + DRAIN_GRACE;
+        while self.has_inflight() && now < deadline {
             let timeout = (deadline - now).min(Duration::from_millis(10));
             if self.poller.wait(events, Some(timeout)).is_err() {
                 break;
             }
-            self.dispatch(events);
+            now = Instant::now();
+            self.dispatch(events, now);
         }
     }
 
@@ -798,10 +821,10 @@ impl Reactor {
         modified
     }
 
-    fn pause_accepting(&mut self) {
+    fn pause_accepting(&mut self, now: Instant) {
         if self.accepting && self.listener_interest(Interest::NONE) {
             self.accepting = false;
-            self.paused_since = Some(Instant::now());
+            self.paused_since = Some(now);
         }
     }
 
@@ -821,11 +844,11 @@ impl Reactor {
     /// once per batch, not once per connection, and the listener's
     /// epoll interest is only touched when the batch hits the
     /// connection bound (a failed pause is retried at the next wakeup).
-    fn accept_ready(&mut self) {
+    fn accept_ready(&mut self, now: Instant) {
         let mut batch: u64 = 0;
         while self.accepting {
             if self.clients >= self.max_conns {
-                self.pause_accepting();
+                self.pause_accepting(now);
                 break;
             }
             match accept_nonblocking(&self.listener) {
@@ -837,7 +860,7 @@ impl Reactor {
                     self.conns[idx] = Some(Conn {
                         stream,
                         interest: Interest::READABLE,
-                        last_activity: Instant::now(),
+                        last_activity: now,
                         kind: Kind::Client(ClientConn::default()),
                     });
                     self.clients += 1;
@@ -856,27 +879,27 @@ impl Reactor {
         }
     }
 
-    fn conn_event(&mut self, idx: usize, event: Event) {
+    fn conn_event(&mut self, idx: usize, event: Event, now: Instant) {
         let Some(conn) = self.conns.get(idx).and_then(Option::as_ref) else {
             return; // closed earlier in this event batch
         };
         // A client socket's interest is READABLE or WRITABLE, never both.
         match &conn.kind {
             Kind::Client(_) if event.closed => self.close_client(idx),
-            Kind::Client(_) if event.readable => self.client_readable(idx),
-            Kind::Client(_) if event.writable => self.resume_client(idx),
+            Kind::Client(_) if event.readable => self.client_readable(idx, now),
+            Kind::Client(_) if event.writable => self.resume_client(idx, now),
             Kind::Client(_) => {}
             Kind::Upstream(_) if event.closed => {
                 let hung_up = || io::Error::new(io::ErrorKind::BrokenPipe, "origin hung up");
                 let err = conn.stream.take_error().ok().flatten().unwrap_or_else(hung_up);
-                self.upstream_broken(idx, err);
+                self.upstream_broken(idx, err, now);
             }
             Kind::Upstream(_) => {
                 if event.writable {
-                    self.upstream_writable(idx);
+                    self.upstream_writable(idx, now);
                 }
                 if event.readable {
-                    self.upstream_readable(idx);
+                    self.upstream_readable(idx, now);
                 }
             }
         }
@@ -884,7 +907,7 @@ impl Reactor {
 
     /// Drains the socket into the client's read buffer, then drives the
     /// request/response state machine.
-    fn client_readable(&mut self, idx: usize) {
+    fn client_readable(&mut self, idx: usize, now: Instant) {
         let Some(Conn { stream, last_activity, kind: Kind::Client(client), .. }) =
             self.conns[idx].as_mut()
         else {
@@ -895,16 +918,16 @@ impl Reactor {
             self.close_client(idx);
             return;
         }
-        *last_activity = Instant::now();
-        self.resume_client(idx);
+        *last_activity = now;
+        self.resume_client(idx, now);
     }
 
     /// The connection's resume sequence after any progress: drive it to
     /// quiescence, then close it if nothing is left to serve or move the
     /// epoll interest to what it now wants. Every event/completion path
     /// funnels through here.
-    fn resume_client(&mut self, idx: usize) {
-        if !self.drive_client(idx) {
+    fn resume_client(&mut self, idx: usize, now: Instant) {
+        if !self.drive_client(idx, now) {
             return;
         }
         let Some(Conn { kind: Kind::Client(client), .. }) = &self.conns[idx] else { return };
@@ -920,23 +943,23 @@ impl Reactor {
     /// loop with the `driving` marker so completions for *this* client
     /// queue instead of recursing (a pipelined burst of synchronously
     /// failing misses must not nest one stack frame per request).
-    fn drive_client(&mut self, idx: usize) -> bool {
+    fn drive_client(&mut self, idx: usize, now: Instant) -> bool {
         let prev = self.driving.replace(idx);
-        let alive = self.drive_client_inner(idx);
+        let alive = self.drive_client_inner(idx, now);
         self.driving = prev;
         alive
     }
 
-    fn drive_client_inner(&mut self, idx: usize) -> bool {
+    fn drive_client_inner(&mut self, idx: usize, now: Instant) -> bool {
         loop {
-            if !self.flush_client(idx) {
+            if !self.flush_client(idx, now) {
                 return false;
             }
             let Some(Conn { stream, kind: Kind::Client(client), .. }) = self.conns[idx].as_mut()
             else {
                 return false;
             };
-            let request = match client.next_request(Instant::now) {
+            let request = match client.next_request(now) {
                 Next::Request(request) => request,
                 Next::Busy | Next::Incomplete => return true,
                 Next::TooLarge => {
@@ -964,7 +987,7 @@ impl Reactor {
                     client.await_fetch(submitted.job());
                     match submitted {
                         Submit::Coalesced(_) => self.metrics.pool_coalesced.inc(),
-                        Submit::New(_) => self.pump_origin(addr),
+                        Submit::New(_) => self.pump_origin(addr, now),
                     }
                 }
             }
@@ -974,7 +997,7 @@ impl Reactor {
     /// Writes as much of the client's queued response as the socket
     /// accepts and merges the flush's syscall tallies into the shared
     /// metrics. Returns `false` if the connection was closed.
-    fn flush_client(&mut self, idx: usize) -> bool {
+    fn flush_client(&mut self, idx: usize, now: Instant) -> bool {
         let Some(Conn { stream, last_activity, kind: Kind::Client(client), .. }) =
             self.conns[idx].as_mut()
         else {
@@ -987,7 +1010,7 @@ impl Reactor {
         self.metrics.write_stalls.add(stats.blocked);
         match flushed {
             Ok(Flush::Done) => {
-                *last_activity = Instant::now();
+                *last_activity = now;
                 true
             }
             Ok(Flush::Idle | Flush::Blocked) => true,
@@ -1002,7 +1025,7 @@ impl Reactor {
     /// parked keep-alive connections first, then fresh sockets up to the
     /// per-origin cap. Jobs beyond capacity stay queued; completions
     /// call back here.
-    fn pump_origin(&mut self, addr: SocketAddr) {
+    fn pump_origin(&mut self, addr: SocketAddr, now: Instant) {
         while let Some(job) = self.pool.front_queued(addr) {
             if let Some(conn_idx) = self.pool.claim_idle(addr) {
                 self.metrics.pool_reuses.inc();
@@ -1012,15 +1035,15 @@ impl Reactor {
                     self.conns[conn_idx].as_mut()
                 {
                     up.job = Some(job);
-                    *last_activity = Instant::now();
+                    *last_activity = now;
                 }
                 // The parked socket is almost certainly writable: push
                 // the request now instead of waiting for a poll round.
-                self.upstream_writable(conn_idx);
+                self.upstream_writable(conn_idx, now);
             } else if self.pool.can_open(addr) {
                 self.pool.pop_queued(addr);
-                if let Err(e) = self.open_upstream(addr, job) {
-                    self.finish_fetch(job, Err(e));
+                if let Err(e) = self.open_upstream(addr, job, now) {
+                    self.finish_fetch(job, Err(e), now);
                 }
             } else {
                 break; // at the per-origin cap; completions re-pump
@@ -1030,14 +1053,14 @@ impl Reactor {
 
     /// Opens a fresh origin connection to fetch `job`; the nonblocking
     /// connect concludes via `EPOLLOUT`.
-    fn open_upstream(&mut self, addr: SocketAddr, job: JobId) -> io::Result<()> {
+    fn open_upstream(&mut self, addr: SocketAddr, job: JobId, now: Instant) -> io::Result<()> {
         let stream = connect_nonblocking(addr)?;
         let idx = self.register_slot(&stream, Interest::WRITABLE)?;
         self.metrics.buf_allocs.inc();
         self.conns[idx] = Some(Conn {
             stream,
             interest: Interest::WRITABLE,
-            last_activity: Instant::now(),
+            last_activity: now,
             kind: Kind::Upstream(UpstreamState {
                 addr,
                 job: Some(job),
@@ -1051,7 +1074,7 @@ impl Reactor {
         Ok(())
     }
 
-    fn upstream_writable(&mut self, idx: usize) {
+    fn upstream_writable(&mut self, idx: usize, now: Instant) {
         // Split borrows: the connection lives in `conns`, its request
         // bytes in the pool's job.
         let (conns, pool) = (&mut self.conns, &self.pool);
@@ -1063,7 +1086,7 @@ impl Reactor {
             match conn.stream.take_error() {
                 Ok(None) => up.connected = true,
                 Ok(Some(e)) | Err(e) => {
-                    self.upstream_broken(idx, e);
+                    self.upstream_broken(idx, e, now);
                     return;
                 }
             }
@@ -1072,22 +1095,22 @@ impl Reactor {
         let Some(request) = up.job.and_then(|job| pool.job(job)) else { return };
         let interest = match up.http.send(&request.request, |bytes| (&conn.stream).write(bytes)) {
             Ok(true) => {
-                conn.last_activity = Instant::now();
+                conn.last_activity = now;
                 Interest::READABLE
             }
             // Partial write: wait for writability.
             Ok(false) => Interest::WRITABLE,
             Err(err) => {
-                self.upstream_broken(idx, err);
+                self.upstream_broken(idx, err, now);
                 return;
             }
         };
         if let Err(err) = self.set_interest(idx, interest) {
-            self.upstream_broken(idx, err);
+            self.upstream_broken(idx, err, now);
         }
     }
 
-    fn upstream_readable(&mut self, idx: usize) {
+    fn upstream_readable(&mut self, idx: usize, now: Instant) {
         let Some(conn) = self.conns[idx].as_mut() else { return };
         let Kind::Upstream(up) = &mut conn.kind else { return };
         let Some(job) = up.job else {
@@ -1095,18 +1118,18 @@ impl Reactor {
             // closed it (EOF) or sent nonsense — either way the socket
             // is useless; reap it before a job can be assigned to it.
             let err = io::Error::new(io::ErrorKind::BrokenPipe, "pooled origin socket closed");
-            self.upstream_broken(idx, err);
+            self.upstream_broken(idx, err, now);
             return;
         };
         let scratch = &mut self.scratch;
         if let Err(err) = up.http.fill(|buf| read_into(&conn.stream, scratch, buf, usize::MAX)) {
-            self.upstream_broken(idx, err);
+            self.upstream_broken(idx, err, now);
             return;
         }
-        conn.last_activity = Instant::now();
+        conn.last_activity = now;
         match up.http.response() {
             Received::Pending => {}
-            Received::Failed(err) => self.upstream_broken(idx, err),
+            Received::Failed(err) => self.upstream_broken(idx, err, now),
             Received::Done { response, reusable } => {
                 let addr = up.addr;
                 up.job = None;
@@ -1114,12 +1137,12 @@ impl Reactor {
                     // Park for the next fetch to this origin. The socket
                     // is still READABLE from the request write, so the
                     // origin closing it wakes the reactor.
-                    self.pool.release_idle(addr, idx, Instant::now());
+                    self.pool.release_idle(addr, idx, now);
                 } else {
                     self.release_slot(idx);
                 }
-                self.finish_fetch(job, Ok(response));
-                self.pump_origin(addr);
+                self.finish_fetch(job, Ok(response), now);
+                self.pump_origin(addr, now);
             }
         }
     }
@@ -1128,7 +1151,7 @@ impl Reactor {
     /// whose socket was stale ([`OriginConn::stale`]: reused, no response
     /// byte, not a timeout) is retried once on a fresh socket; everything
     /// else fails the job to its waiters.
-    fn upstream_broken(&mut self, idx: usize, err: io::Error) {
+    fn upstream_broken(&mut self, idx: usize, err: io::Error, now: Instant) {
         let Some(Conn { kind: Kind::Upstream(up), .. }) = self.conns[idx].as_ref() else { return };
         let (addr, job, stale) = (up.addr, up.job, up.http.stale(&err));
         // Closes the socket before any retry connects.
@@ -1143,29 +1166,29 @@ impl Reactor {
                 self.metrics.pool_retries.inc();
                 self.pool.requeue_for_retry(job);
             }
-            Some(job) => self.finish_fetch(job, Err(err)),
+            Some(job) => self.finish_fetch(job, Err(err), now),
         }
-        self.pump_origin(addr);
+        self.pump_origin(addr, now);
     }
 
-    /// The one way a fetch ends, whatever ended it: the job leaves the
-    /// ledger. If the service waits on it, [`Service::own_fetched`] sees
-    /// the outcome first; if clients still wait, [`Service::fetched`]
-    /// makes one reply, which every client gets in arrival order (all but
-    /// the last a clone).
-    fn finish_fetch(&mut self, job: JobId, result: io::Result<Response>) {
+    /// The one way a fetch ends, whatever ended it, at `now`: the job
+    /// leaves the ledger. If the service waits on it,
+    /// [`Service::own_fetched`] sees the outcome first; if clients still
+    /// wait, [`Service::fetched`] makes one reply, which every client gets
+    /// in arrival order (all but the last a clone).
+    fn finish_fetch(&mut self, job: JobId, result: io::Result<Response>, now: Instant) {
         let Some(mut job) = self.pool.complete(job) else { return };
         let waiters = job.waiters.len();
         job.waiters.retain(|&waiter| waiter != Waiter::Service);
         if job.waiters.len() < waiters {
-            self.service.own_fetched(&job.request, &result, Instant::now());
+            self.service.own_fetched(&job.request, &result, now);
         }
         let Some((&last, rest)) = job.waiters.split_last() else { return };
         let reply = self.service.fetched(&job.request, result);
         for &client in rest {
-            self.complete_client(client, reply.clone());
+            self.complete_client(client, reply.clone(), now);
         }
-        self.complete_client(last, reply);
+        self.complete_client(last, reply, now);
     }
 
     /// Takes connection `idx` out of the slab (an upstream socket also
@@ -1186,7 +1209,7 @@ impl Reactor {
     /// the one currently being driven, in which case the reply is only
     /// queued and the active drive loop flushes it (keeping pipelined
     /// bursts iterative instead of recursive).
-    fn complete_client(&mut self, waiter: Waiter, reply: Reply) {
+    fn complete_client(&mut self, waiter: Waiter, reply: Reply, now: Instant) {
         let Waiter::Client(idx) = waiter else { return };
         let Some(Conn { kind: Kind::Client(client), .. }) = self.conns[idx].as_mut() else {
             return; // client gone; drop the reply
@@ -1195,15 +1218,14 @@ impl Reactor {
             self.metrics.body_copies.inc();
         }
         if self.driving != Some(idx) {
-            self.resume_client(idx);
+            self.resume_client(idx, now);
         }
     }
 
     /// Closes connections that have made no progress in a long time,
     /// refuses requests still incomplete at their deadline, and reaps
-    /// long-idle pooled origin sockets.
-    fn sweep_idle(&mut self) {
-        let now = Instant::now();
+    /// long-idle pooled origin sockets, as of `now`.
+    fn sweep_idle(&mut self, now: Instant) {
         // By index: acting on one connection may close or open others.
         for idx in 0..self.conns.len() {
             let Some(conn) = &mut self.conns[idx] else { continue };
@@ -1214,13 +1236,13 @@ impl Reactor {
                     self.metrics.slow_requests.inc();
                     discard_input(&conn.stream);
                     client.refuse(StatusCode::REQUEST_TIMEOUT);
-                    self.resume_client(idx);
+                    self.resume_client(idx, now);
                 }
                 Kind::Upstream(up) if up.job.is_some() && idle > UPSTREAM_TIMEOUT => {
                     // A timeout is a slow origin, not a stale socket: fail
                     // the job outright rather than burning the retry.
                     let err = io::Error::new(io::ErrorKind::TimedOut, "origin fetch timed out");
-                    self.upstream_broken(idx, err);
+                    self.upstream_broken(idx, err, now);
                 }
                 Kind::Client(_) | Kind::Upstream(_) => {}
             }
@@ -1247,20 +1269,21 @@ impl Reactor {
         self.resume_accepting();
     }
 
-    /// Gives parked backlog clients a deadline: when accepting has been
-    /// paused at the connection bound for longer than `park_deadline`,
-    /// drain a batch of parked connections with a static `503` + close
-    /// instead of letting them wait forever.
-    fn check_park_deadline(&mut self) {
-        if self.accepting {
-            return;
+    /// When the parked backlog is next shed: `park_deadline` after
+    /// accepting paused at the connection bound, or after the last shed;
+    /// `None` while accepting.
+    fn shed_at(&self) -> Option<Instant> {
+        self.paused_since.map(|since| since + self.overload.config().park_deadline)
+    }
+
+    /// Gives parked backlog clients a deadline: once [`Reactor::shed_at`]
+    /// has come, drain a batch of parked connections with a static `503`
+    /// + close instead of letting them wait forever.
+    fn check_park_deadline(&mut self, now: Instant) {
+        if self.shed_at().is_some_and(|at| now >= at) {
+            self.shed_backlog();
+            self.paused_since = Some(now);
         }
-        let Some(since) = self.paused_since else { return };
-        if since.elapsed() < self.overload.config().park_deadline {
-            return;
-        }
-        self.shed_backlog();
-        self.paused_since = Some(Instant::now());
     }
 
     /// Accepts and immediately rejects up to [`PARK_SHED_BATCH`] parked
@@ -1292,7 +1315,7 @@ impl Reactor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{read_response, write_request};
+    use crate::wire::{read_request, read_response, write_request};
     use mutcon_http::types::{Method, StatusCode};
     use std::io::{Read, Write};
 
@@ -1530,7 +1553,6 @@ mod tests {
             free: Vec::new(),
             clients: 0,
             accepting: true,
-            last_sweep: Instant::now(),
             freed_this_batch: Vec::new(),
             pool: PoolCore::new(1),
             scratch: vec![0; 16 * 1024],
@@ -1556,7 +1578,8 @@ mod tests {
         let _client = TcpStream::connect(reactor.listener.local_addr().unwrap()).unwrap();
         let mut events = Events::with_capacity(4);
         reactor.poller.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
-        reactor.dispatch(&events);
+        let now = Instant::now();
+        reactor.dispatch(&events, now);
         assert_eq!(reactor.clients, 1);
         assert_eq!(metrics.epoll_ctl_calls(), 3, "the accepted socket's ADD");
 
@@ -1569,12 +1592,230 @@ mod tests {
         assert_eq!(ctl(Interest::WRITABLE), 4);
         assert_eq!(ctl(Interest::READABLE), 5);
 
-        reactor.pause_accepting();
-        reactor.pause_accepting();
+        reactor.pause_accepting(now);
+        reactor.pause_accepting(now);
         assert_eq!(metrics.epoll_ctl_calls(), 6, "the listener's MOD, once");
         reactor.close_client(0);
         assert!(reactor.accepting);
         assert_eq!(metrics.epoll_ctl_calls(), 7, "and back");
+    }
+
+    /// Applies event batches at `now` until `done` holds. Each wait is
+    /// for readiness, not for time: the 5 s cap only ends a broken test.
+    fn dispatch_until(reactor: &mut Reactor, now: Instant, done: impl Fn(&Reactor) -> bool) {
+        let mut events = Events::with_capacity(16);
+        while !done(reactor) {
+            let ready = reactor.poller.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
+            assert!(ready > 0, "no readiness in 5 s");
+            reactor.dispatch(&events, now);
+        }
+    }
+
+    /// `idle_reactor` with one client accepted at `now`.
+    fn reactor_with_client(metrics: &Arc<EngineMetrics>, now: Instant) -> (Reactor, TcpStream) {
+        let mut reactor = idle_reactor(metrics);
+        let client = TcpStream::connect(reactor.listener.local_addr().unwrap()).unwrap();
+        client.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        dispatch_until(&mut reactor, now, |r| r.clients == 1);
+        (reactor, client)
+    }
+
+    // The timers below are functions of the reactor's state and the
+    // instant it is handed: each test steps `now` past a deadline without
+    // waiting for it.
+
+    #[test]
+    fn an_idle_client_is_closed_after_the_idle_timeout_and_not_before() {
+        let metrics = Arc::new(EngineMetrics::default());
+        let t0 = Instant::now();
+        let (mut reactor, mut client) = reactor_with_client(&metrics, t0);
+        reactor.sweep_idle(t0 + IDLE_TIMEOUT);
+        assert_eq!(reactor.clients, 1, "kept at the timeout");
+        reactor.sweep_idle(t0 + IDLE_TIMEOUT + Duration::from_millis(1));
+        assert_eq!(reactor.clients, 0, "closed past it");
+        assert_eq!(client.read(&mut [0; 1]).unwrap(), 0, "the client sees EOF");
+    }
+
+    #[test]
+    fn a_partial_request_is_answered_408_after_the_request_timeout() {
+        use crate::conn::REQUEST_TIMEOUT;
+
+        let metrics = Arc::new(EngineMetrics::default());
+        let t0 = Instant::now();
+        let (mut reactor, mut client) = reactor_with_client(&metrics, t0);
+        client.write_all(b"GET /slow HTTP/1.1\r\nhost: x\r\n").unwrap();
+        // Read and found incomplete at t0: the request deadline starts.
+        dispatch_until(&mut reactor, t0, |r| {
+            matches!(&r.conns[0], Some(Conn { kind: Kind::Client(c), .. })
+                if c.overdue(t0 + IDLE_TIMEOUT))
+        });
+        reactor.sweep_idle(t0 + REQUEST_TIMEOUT);
+        assert_eq!(metrics.slow_requests(), 0, "not at the deadline");
+        reactor.sweep_idle(t0 + REQUEST_TIMEOUT + Duration::from_millis(1));
+        assert_eq!(metrics.slow_requests(), 1);
+        let resp = read_response(&mut client, &mut BytesMut::new()).unwrap();
+        assert_eq!(resp.status(), StatusCode::REQUEST_TIMEOUT);
+        assert_eq!(reactor.clients, 0, "closed after the 408");
+    }
+
+    /// The outcome of each fetch a service waited on, in finishing order.
+    type Outcomes = Arc<std::sync::Mutex<Vec<Result<StatusCode, io::ErrorKind>>>>;
+
+    /// Records the outcome of every fetch it waits on itself.
+    struct Fetches(Outcomes);
+    impl Service for Fetches {
+        fn respond(&mut self, _request: &Request) -> ServiceResult {
+            ServiceResult::Reply(Reply::Full(Response::builder(StatusCode::NOT_FOUND).build()))
+        }
+        fn own_fetched(&mut self, _request: &[u8], result: &io::Result<Response>, _now: Instant) {
+            let outcome = result.as_ref().map(Response::status).map_err(io::Error::kind);
+            self.0.lock().unwrap().push(outcome);
+        }
+    }
+
+    /// Whether the reactor's one origin socket has written its whole
+    /// request and waits for the response.
+    fn sent_all(reactor: &Reactor) -> bool {
+        reactor.conns.iter().flatten().any(|conn| {
+            matches!(&conn.kind, Kind::Upstream(up) if up.job.is_some())
+                && conn.interest == Interest::READABLE
+        })
+    }
+
+    /// `idle_reactor` whose service has fetched once, at `now`, from the
+    /// returned origin, over a keep-alive socket now parked in the pool.
+    /// Returns the origin's end of that socket and the fetch outcomes.
+    fn reactor_with_parked_origin(
+        metrics: &Arc<EngineMetrics>,
+        now: Instant,
+    ) -> (Reactor, SocketAddr, TcpStream, Outcomes) {
+        let mut reactor = idle_reactor(metrics);
+        let outcomes = Arc::new(std::sync::Mutex::new(Vec::new()));
+        reactor.service = Box::new(Fetches(Arc::clone(&outcomes)));
+        let origin = TcpListener::bind(SocketAddr::from(([127, 0, 0, 1], 0))).unwrap();
+        let addr = origin.local_addr().unwrap();
+        reactor.pool.submit(addr, Request::get("/first").build().to_bytes(), Waiter::Service);
+        reactor.pump_origin(addr, now);
+        let (mut upstream, _) = origin.accept().unwrap();
+        upstream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        // The connect concludes and the request goes out.
+        dispatch_until(&mut reactor, now, sent_all);
+        let mut buf = BytesMut::new();
+        let sent = read_request(&mut upstream, &mut buf).unwrap().unwrap();
+        assert_eq!(sent.target(), "/first");
+        upstream.write_all(b"HTTP/1.1 200 OK\r\ncontent-length: 2\r\n\r\nok").unwrap();
+        dispatch_until(&mut reactor, now, |r| r.pool.idle_len(addr) == 1);
+        assert_eq!(*outcomes.lock().unwrap(), [Ok(StatusCode::OK)]);
+        (reactor, addr, upstream, outcomes)
+    }
+
+    #[test]
+    fn a_parked_origin_socket_is_reaped_after_the_pool_idle_timeout() {
+        let metrics = Arc::new(EngineMetrics::default());
+        let t0 = Instant::now();
+        let (mut reactor, addr, mut upstream, _) = reactor_with_parked_origin(&metrics, t0);
+        reactor.sweep_idle(t0 + POOL_IDLE_TIMEOUT);
+        assert_eq!((reactor.pool.idle_len(addr), reactor.pool.open_len(addr)), (1, 1), "kept");
+        reactor.sweep_idle(t0 + POOL_IDLE_TIMEOUT + Duration::from_millis(1));
+        assert_eq!((reactor.pool.idle_len(addr), reactor.pool.open_len(addr)), (0, 0), "reaped");
+        assert!(reactor.conns.iter().all(Option::is_none), "its slot is freed");
+        assert_eq!(upstream.read(&mut [0; 1]).unwrap(), 0, "the origin sees EOF");
+    }
+
+    /// A fetch on a reused socket that gets no answer fails with
+    /// `TimedOut`: a slow origin, not a stale socket, so the one retry a
+    /// stale socket earns is not spent.
+    #[test]
+    fn a_held_fetch_times_out_after_the_upstream_timeout_and_is_not_retried() {
+        let metrics = Arc::new(EngineMetrics::default());
+        let t0 = Instant::now();
+        let (mut reactor, addr, _upstream, outcomes) = reactor_with_parked_origin(&metrics, t0);
+        let t1 = t0 + Duration::from_secs(1);
+        reactor.pool.submit(addr, Request::get("/held").build().to_bytes(), Waiter::Service);
+        reactor.pump_origin(addr, t1);
+        assert_eq!(metrics.pool_reuses(), 1);
+        dispatch_until(&mut reactor, t1, sent_all);
+        reactor.sweep_idle(t1 + UPSTREAM_TIMEOUT);
+        assert_eq!(outcomes.lock().unwrap().len(), 1, "still held at the timeout");
+        reactor.sweep_idle(t1 + UPSTREAM_TIMEOUT + Duration::from_millis(1));
+        assert_eq!(outcomes.lock().unwrap()[1], Err(io::ErrorKind::TimedOut));
+        assert_eq!(metrics.pool_retries(), 0);
+        assert_eq!(metrics.pool_opened(), 1, "no fresh socket");
+        assert_eq!((reactor.pool.queued_len(addr), reactor.pool.open_len(addr)), (0, 0));
+    }
+
+    /// A listener paused at the connection bound is shed at
+    /// `paused_since + park_deadline` and not before, and the reactor
+    /// wakes for it even when the deadline is shorter than the tick.
+    #[test]
+    fn the_parked_backlog_is_shed_at_the_park_deadline_and_not_before() {
+        use crate::overload::OverloadConfig;
+
+        let park_deadline = Duration::from_millis(10);
+        let metrics = Arc::new(EngineMetrics::default());
+        let mut reactor = idle_reactor(&metrics);
+        reactor.max_conns = 1;
+        let config = OverloadConfig { park_deadline, ..OverloadConfig::default() };
+        reactor.overload = Arc::new(OverloadControl::new(config));
+        let addr = reactor.listener.local_addr().unwrap();
+        let _held = TcpStream::connect(addr).unwrap();
+        let t0 = Instant::now();
+        dispatch_until(&mut reactor, t0, |r| !r.accepting);
+        assert_eq!(reactor.shed_at(), Some(t0 + park_deadline));
+
+        let mut parked = TcpStream::connect(addr).unwrap();
+        parked.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        // Wait (for readiness) until the backlog holds it, on a probe of
+        // its own: the reactor's poller no longer watches the listener.
+        let probe = Poller::new().unwrap();
+        probe.register(reactor.listener.as_raw_fd(), 0, Interest::READABLE).unwrap();
+        let ready = probe.wait(&mut Events::with_capacity(1), Some(Duration::from_secs(5)));
+        assert!(ready.unwrap() > 0, "no parked connection in 5 s");
+
+        let none = Events::with_capacity(1);
+        let mut last_sweep = t0;
+        assert_eq!(reactor.turn(&none, t0, &mut last_sweep), park_deadline, "not the tick");
+        let early = t0 + park_deadline - Duration::from_millis(1);
+        assert_eq!(reactor.turn(&none, early, &mut last_sweep), Duration::from_millis(1));
+        assert_eq!(reactor.overload.parked_shed(), 0, "not before the deadline");
+        let at = t0 + park_deadline;
+        assert_eq!(reactor.turn(&none, at, &mut last_sweep), park_deadline, "the next shed");
+        assert_eq!(reactor.overload.parked_shed(), 1);
+        let resp = read_response(&mut parked, &mut BytesMut::new()).unwrap();
+        assert_eq!(resp.status(), StatusCode::SERVICE_UNAVAILABLE);
+        assert_eq!(reactor.clients, 1, "the held client is untouched");
+    }
+
+    #[test]
+    fn the_sweep_runs_once_a_second_of_now_not_once_a_wake() {
+        let metrics = Arc::new(EngineMetrics::default());
+        let t0 = Instant::now();
+        let (mut reactor, _client) = reactor_with_client(&metrics, t0);
+        let none = Events::with_capacity(1);
+        // Swept just before the client's idle timeout ran out.
+        let swept = t0 + IDLE_TIMEOUT;
+        let mut last_sweep = swept;
+        for wake in 1..1000 {
+            let now = swept + Duration::from_millis(wake);
+            assert_eq!(reactor.turn(&none, now, &mut last_sweep), TICK);
+        }
+        assert_eq!((reactor.clients, last_sweep), (1, swept), "999 wakes in the second, no sweep");
+        let next = swept + Duration::from_secs(1);
+        reactor.turn(&none, next, &mut last_sweep);
+        assert_eq!((reactor.clients, last_sweep), (0, next), "the second's sweep closed it");
+    }
+
+    #[test]
+    fn the_wait_ends_at_the_due_instant_or_the_park_shed_whichever_is_first() {
+        let now = Instant::now();
+        let ms = Duration::from_millis;
+        assert_eq!(wait_timeout(now, None, None), TICK);
+        assert_eq!(wait_timeout(now, Some(now + ms(50)), None), ms(50));
+        assert_eq!(wait_timeout(now, None, Some(now + ms(10))), ms(10));
+        assert_eq!(wait_timeout(now, Some(now + ms(50)), Some(now + ms(10))), ms(10));
+        assert_eq!(wait_timeout(now, Some(now + ms(5)), Some(now + ms(10))), ms(5));
+        assert_eq!(wait_timeout(now, Some(now + ms(500)), Some(now + ms(300))), TICK);
+        assert_eq!(wait_timeout(now + ms(20), Some(now + ms(10)), None), Duration::ZERO, "overdue");
     }
 
     #[test]

@@ -69,7 +69,7 @@ fi
 clock_reads() {
   sed '/#\[cfg(test)\]/q' "$1" | awk -v f="$1" '
     match($0, /fn [a-z_0-9]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
-    /Instant::now|unix_now_ms|SystemTime/ && !/^use / { print f ":" NR ": in " fn ":" $0 }'
+    /Instant::now|unix_now_ms|SystemTime|\.elapsed\(\)/ && !/^use / { print f ":" NR ": in " fn ":" $0 }'
 }
 if grep -nE 'struct Poll\b' crates/live/src/runtime.rs \
     || grep -nE 'HashMap<[^;]*,[[:space:]]*Poll>' crates/live/src/proxy.rs \
@@ -78,6 +78,17 @@ if grep -nE 'struct Poll\b' crates/live/src/runtime.rs \
     || clock_reads crates/live/src/proxy.rs | grep -vE '^[^:]+:[0-9]+: in own_work:' \
     || [ "$(clock_reads crates/live/src/proxy.rs | grep -c ': in own_work:')" != 1 ]; then
   echo "ci: a second poll ledger, a second origin model or a plane clock read is back (lines above)" >&2
+  exit 1
+fi
+
+# One clock read per reactor turn. Above its test module, server.rs
+# reads a clock once in `Reactor::run`, right after the wait returns,
+# and in the shutdown `drain`; every timer (idle, request, upstream and
+# pool timeouts, the park deadline, the sweep, the next wait) takes the
+# turn's `now`, so a unit test can drive it with synthetic instants.
+if clock_reads crates/live/src/server.rs | grep -vE '^[^:]+:[0-9]+: in (run|drain):' \
+    || [ "$(clock_reads crates/live/src/server.rs | grep -c ': in run:')" != 1 ]; then
+  echo "ci: a second clock read is back in the reactor (lines above)" >&2
   exit 1
 fi
 
