@@ -29,11 +29,13 @@
 //!
 //! * [`server`] — the shared readiness-driven connection engine
 //!   (multi-reactor event loop, one service instance per reactor,
-//!   pooled nonblocking upstream fetches).
+//!   pooled nonblocking upstream fetches), and its fixed overload
+//!   policy: park-and-`503` for clients parked at the connection bound.
 //! * `conn` — a client connection's state machine and an origin socket's
 //!   exchange, without their sockets.
 //! * [`upstream`] — the keep-alive origin pool's bookkeeping (miss
-//!   coalescing, idle reuse, stale-socket retry).
+//!   coalescing, idle reuse, stale-socket retry) and origin fan-out's
+//!   one static bound, [`upstream::MAX_CONNS_PER_ORIGIN`].
 //! * [`vectored`] — the zero-copy send path: per-connection write plans
 //!   (contiguous head + shared body flushed via `writev`).
 //! * [`cache`] — the 16-way sharded, recency-indexed object cache;
@@ -41,10 +43,6 @@
 //!   slices, not a serialization.
 //! * [`client`] — the origin `GET` bytes (a miss's and a poll's) and
 //!   the stamps an origin response carries.
-//! * [`overload`] — overload control: park-and-`503` for clients parked
-//!   at the connection bound, set by the versioned, hot-swappable
-//!   [`overload::OverloadConfig`]. Origin fan-out has one static bound,
-//!   [`upstream::MAX_CONNS_PER_ORIGIN`].
 //! * [`metrics`] — the counter, gauge and histogram cells every count in
 //!   the proxy lives in, and the one form a metric is declared in.
 //! * [`origin`] — the trace-replaying origin server.
@@ -89,7 +87,6 @@ pub mod client;
 mod conn;
 pub mod metrics;
 pub mod origin;
-pub mod overload;
 pub mod proxy;
 pub mod runtime;
 pub mod server;

@@ -204,12 +204,11 @@ pub struct HistogramSnapshot {
 }
 
 /// Every metric the crate declares, one table per `metrics!` use.
-pub fn declared() -> [&'static [Metric]; 5] {
+pub fn declared() -> [&'static [Metric]; 4] {
     [
         crate::server::EngineMetrics::METRICS,
         crate::proxy::Counters::METRICS,
         crate::runtime::RefreshMetrics::METRICS,
-        crate::overload::OverloadControl::METRICS,
         crate::cache::CacheMetrics::METRICS,
     ]
 }

@@ -54,8 +54,8 @@
 //!   per-reactor connection counts, origin-pool reuse/coalesce
 //!   counters, wire-path syscall/copy counters (`writev` vs `write`
 //!   calls, accept batches, body copies, `epoll_ctl` calls), the refresh
-//!   plane's poll/in-flight/drift figures, and the proxy's
-//!   poll/hit/miss counters.
+//!   plane's poll/in-flight/drift figures, the proxy's poll/hit/miss
+//!   counters, and the parked clients the engine shed with `503`.
 //!
 //! When a bearer token is configured ([`ProxyConfig::admin_token`]),
 //! every `/admin/*` request must carry
@@ -83,7 +83,6 @@ use crate::cache::{CacheEntry, L1Cache, L1Lookup, ShardedCache};
 use crate::client::{get_wire, wire_target, ObjectStamps};
 use crate::metrics::{metrics, obj, put, Counter};
 use crate::origin::unix_now_ms;
-use crate::overload::{parse_overload_body, render_overload, OverloadControl};
 use crate::runtime::{ConsistencyRuntime, Plane, PollKind};
 use crate::server::{
     default_reactors, EngineConfig, EngineMetrics, EventLoop, PreparedResponse, Reply, Service,
@@ -275,7 +274,6 @@ impl LiveProxy {
         // The `SIGHUP` count as of now: only later signals reload.
         let mut reload = config.rules_file.map(|path| (path, signal::sighup_count()));
         let metrics = Arc::new(EngineMetrics::default());
-        let overload = Arc::new(OverloadControl::default());
         // Reactor 0's instance is built first, and only it steps the plane
         // and reloads.
         let mut first = true;
@@ -285,7 +283,6 @@ impl LiveProxy {
                 Box::new(ProxyService {
                     shared: Arc::clone(&shared),
                     metrics: Arc::clone(&metrics),
-                    overload: Arc::clone(&overload),
                     l1: (l1_objects > 0).then(|| L1Cache::new(l1_objects)),
                     plane: std::mem::take(&mut first),
                     reload: reload.take(),
@@ -295,7 +292,6 @@ impl LiveProxy {
                 max_conns: DEFAULT_MAX_CONNS,
                 reactors: config.reactors.unwrap_or_else(default_reactors),
                 metrics: Arc::clone(&metrics),
-                overload: Arc::clone(&overload),
             },
         )?;
         // After each install, outside the plane's lock: an un-ruled path
@@ -351,11 +347,11 @@ impl LiveProxy {
         self.server.metrics()
     }
 
-    /// The hot-swappable overload control (park-and-`503`).
-    /// `GET`/`PUT /admin/overload` is a thin layer over this, like the
-    /// rules admin over [`LiveProxy::runtime`].
-    pub fn overload(&self) -> &Arc<OverloadControl> {
-        self.server.overload()
+    /// The engine's counters again, for their overload pair
+    /// ([`EngineMetrics::shed`], [`EngineMetrics::parked_shed`]). Kept
+    /// because `benchmark/` (read-only here) reads it.
+    pub fn overload(&self) -> &Arc<EngineMetrics> {
+        self.server.metrics()
     }
 }
 
@@ -372,7 +368,6 @@ impl std::fmt::Debug for LiveProxy {
 struct ProxyService {
     shared: Arc<Shared>,
     metrics: Arc<EngineMetrics>,
-    overload: Arc<OverloadControl>,
     /// This reactor's hot-object cache, asked before the shared one
     /// (`None` when `l1_objects` is 0). Only this instance's reactor
     /// thread touches it, so it needs no lock.
@@ -569,38 +564,10 @@ impl ProxyService {
             (Method::Get, "/admin/rules") => self.rules_json(),
             (Method::Put, "/admin/rules") => self.apply_rules(request.body()),
             (Method::Get, "/admin/stats") => self.stats_json(),
-            (Method::Get, "/admin/overload") => self.overload_text(),
-            (Method::Put, "/admin/overload") => self.apply_overload(request.body()),
-            (_, "/admin/rules" | "/admin/stats" | "/admin/overload") => {
+            (_, "/admin/rules" | "/admin/stats") => {
                 Response::builder(StatusCode::METHOD_NOT_ALLOWED).build()
             }
             _ => error_response(StatusCode::NOT_FOUND, "unknown admin endpoint"),
-        }
-    }
-
-    /// `GET /admin/overload`: the installed config in the same
-    /// `key=value` text form `PUT` accepts, so a round trip is
-    /// copy-paste.
-    fn overload_text(&self) -> Response {
-        Response::ok()
-            .header(HeaderName::CONTENT_TYPE, "text/plain")
-            .body(render_overload(&self.overload.config()).into_bytes())
-            .build()
-    }
-
-    /// `PUT /admin/overload`: parse → validate → versioned install; the
-    /// config is in force before the reply. Bad bodies change nothing.
-    fn apply_overload(&self, body: &[u8]) -> Response {
-        let Ok(text) = std::str::from_utf8(body) else {
-            return error_response(StatusCode::BAD_REQUEST, "body is not UTF-8");
-        };
-        match parse_overload_body(text).map(|config| self.overload.install(config)) {
-            Ok(Ok(version)) => {
-                json_response(StatusCode::OK, &obj([("version", Json::Number(version as f64))]))
-            }
-            Ok(Err(reason)) | Err(reason) => {
-                error_response(StatusCode::BAD_REQUEST, &reason.to_string())
-            }
         }
     }
 
@@ -668,13 +635,12 @@ impl ProxyService {
         }
     }
 
-    /// `GET /admin/stats`: every declared metric at its path, then the
-    /// sections that are not counters: reactors and overload state.
+    /// `GET /admin/stats`: every declared metric at its path, then what
+    /// is not a counter: the L1 capacity and the reactors.
     fn stats_json(&self) -> Response {
         let mut doc = Json::Null;
         self.shared.cache.render(&mut doc);
         self.metrics.render(&mut doc);
-        self.overload.render(&mut doc);
         self.shared.runtime.refresh_metrics().render(&mut doc);
         self.shared.counters.render(&mut doc);
         put(&mut doc, "cache.l1.capacity", Json::Number(self.shared.l1_objects as f64));
@@ -690,7 +656,6 @@ impl ProxyService {
                 ])
             });
         put(&mut doc, "reactors", Json::Array(reactors.collect()));
-        self.overload.render_state(&mut doc);
         json_response(StatusCode::OK, &doc)
     }
 }
@@ -705,11 +670,9 @@ impl ProxyService {
 /// `ttr_max_ms` defaults to 64·Δ (as [`RefreshRule::new`] does); `group`
 /// may be absent or `null`; the policy string is the canonical
 /// [`MtPolicy`] wire form (`baseline`, `triggered`, `rate:T`). What it
-/// returns has passed [`crate::runtime::validate`], as a parsed overload
-/// body has passed [`crate::overload::OverloadConfig::validate`].
+/// returns has passed [`crate::runtime::validate`].
 fn parse_rules_body(body: &[u8]) -> Result<(Vec<RefreshRule>, Option<GroupRule>), String> {
-    // A typo'd key must not silently fall back to a default (the same
-    // stance `parse_overload_body` takes for `PUT /admin/overload`).
+    // A typo'd key must not silently fall back to a default.
     fn known_keys_only(value: &Json, allowed: &[&str], what: &str) -> Result<(), String> {
         let Json::Object(map) = value else {
             return Err(format!("{what} must be a JSON object"));
@@ -940,9 +903,9 @@ mod tests {
     }
 
     /// One random edit of `body`: a flipped bit, a byte overwritten or
-    /// inserted from what the two admin bodies are made of (or a byte
-    /// that is not UTF-8), a range cut or duplicated, a line repeated,
-    /// or the tail dropped.
+    /// inserted from a set of punctuation and digits (or a byte that is
+    /// not UTF-8), a range cut or duplicated, a line repeated, or the
+    /// tail dropped.
     fn mutate(rng: &mut mutcon_sim::rng::SimRng, body: &[u8]) -> Vec<u8> {
         const SPECIAL: &[u8] = b"=#\n:,{}[]\"0123456789.-\xff\x80";
         let mut out = body.to_vec();
@@ -966,53 +929,30 @@ mod tests {
         out
     }
 
-    /// The seeded mutation corpus over both admin body parsers (ROADMAP
-    /// 5): neither panics, an accepted overload body round-trips through
-    /// `render_overload`, and an accepted rules body installs.
+    /// The seeded mutation corpus over the admin plane's one body parser
+    /// (ROADMAP 5): it never panics, and an accepted rules body installs.
     #[test]
     fn mutated_admin_bodies_never_panic_and_what_parses_holds() {
-        let overload_bodies = [
-            "retry_after_secs=2\npark_deadline_ms=250\n",
-            "# defaults\npark_deadline_ms=750\n",
-            "retry_after_secs=1 # all keys\npark_deadline_ms=1000\n",
-        ];
         let rules_bodies = [
             r#"{"rules": [{"path": "/a", "delta_ms": 50}, {"path": "/b", "delta_ms": 20, "ttr_max_ms": 400}],
                 "group": {"delta_ms": 100, "policy": "rate:0.5"}}"#,
             r#"{"rules": [{"path": "/x/y", "delta_ms": 1000}], "group": null}"#,
         ];
         let mut rng = mutcon_sim::rng::SimRng::seed_from_u64(0xad_317);
-        let mut mutants = |bodies: &[&str]| -> Vec<Vec<u8>> {
-            let mut out = Vec::new();
-            for body in bodies {
-                for _ in 0..1_000 {
-                    let mutant = mutate(&mut rng, body.as_bytes());
-                    out.push(if rng.chance(0.3) { mutate(&mut rng, &mutant) } else { mutant });
+        let mut accepted = 0;
+        for body in rules_bodies {
+            for _ in 0..1_000 {
+                let mut mutant = mutate(&mut rng, body.as_bytes());
+                if rng.chance(0.3) {
+                    mutant = mutate(&mut rng, &mutant);
+                }
+                if let Ok((rules, group)) = parse_rules_body(&mutant) {
+                    accepted += 1;
+                    assert!(crate::runtime::validate(&rules, group.as_ref()).is_ok());
                 }
             }
-            out
-        };
-
-        let mut accepted = 0;
-        for mutant in mutants(&overload_bodies) {
-            // The handler's own order: UTF-8 first, then the parser.
-            let Ok(text) = std::str::from_utf8(&mutant) else { continue };
-            if let Ok(config) = parse_overload_body(text) {
-                accepted += 1;
-                let back = parse_overload_body(&render_overload(&config));
-                assert_eq!(back.as_ref(), Ok(&config), "{text:?}");
-            }
         }
-        // Enough mutants survive for the properties to mean something.
-        assert!(accepted >= 100, "{accepted} overload bodies accepted");
-
-        let mut accepted = 0;
-        for mutant in mutants(&rules_bodies) {
-            if let Ok((rules, group)) = parse_rules_body(&mutant) {
-                accepted += 1;
-                assert!(crate::runtime::validate(&rules, group.as_ref()).is_ok());
-            }
-        }
+        // Enough mutants survive for the property to mean something.
         assert!(accepted >= 50, "{accepted} rules bodies accepted");
     }
 
@@ -1033,7 +973,6 @@ mod tests {
         ProxyService {
             shared: Arc::new(shared),
             metrics: Arc::new(EngineMetrics::default()),
-            overload: Arc::new(OverloadControl::default()),
             l1: None,
             plane: true,
             reload: None,

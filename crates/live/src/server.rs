@@ -71,9 +71,14 @@
 //! [`EngineConfig::max_conns`] (default [`DEFAULT_MAX_CONNS`]), split
 //! evenly across reactors: a reactor at its share drops its listener's
 //! readiness interest, parking further clients in the kernel backlog
-//! until a slot frees. On shutdown every reactor is woken and drains:
-//! it stops accepting, finishes flushing in-flight responses (bounded
-//! by a short grace period), then closes everything and joins.
+//! until a slot frees. That is the engine's one overload policy, and it
+//! is fixed: a client parked for [`PARK_DEADLINE`] is accepted, told
+//! `503` with `Retry-After:` [`RETRY_AFTER_SECS`] and closed. A shed
+//! pass that empties the backlog watches the listener again, so the next
+//! client to arrive at the bound parks with a deadline of its own and an
+//! empty backlog costs no wake. On shutdown every reactor is woken and
+//! drains: it stops accepting, finishes flushing in-flight responses
+//! (bounded by a short grace period), then closes everything and joins.
 
 use std::io;
 use std::io::{Read, Write};
@@ -95,7 +100,6 @@ use mutcon_sim::reactor::{
 
 use crate::conn::{ClientConn, Flush, Next, OriginConn, Received};
 use crate::metrics::{metrics, Cell, Counter, Gauge};
-use crate::overload::OverloadControl;
 use crate::upstream::{JobId, PoolCore, Submit};
 use crate::vectored::FlushStats;
 
@@ -154,6 +158,16 @@ const DRAIN_GRACE: Duration = Duration::from_millis(250);
 /// for 10k-connection wire runs without demanding the hard limit.
 const NOFILE_CAP: u64 = 65536;
 
+/// How long a client may wait parked in the kernel backlog of a reactor
+/// at its connection bound before it is accepted, told `503` and closed.
+pub const PARK_DEADLINE: Duration = Duration::from_secs(1);
+/// The `Retry-After` a parked client is told, in seconds: the value
+/// written in `PARKED_503`.
+pub const RETRY_AFTER_SECS: u32 = 1;
+/// What a client parked past [`PARK_DEADLINE`] is told before the close,
+/// rendered once: `503` with `Retry-After:` [`RETRY_AFTER_SECS`].
+const PARKED_503: &[u8] = b"HTTP/1.1 503 Service Unavailable\r\n\
+    retry-after: 1\r\nconnection: close\r\ncontent-length: 0\r\n\r\n";
 /// Most parked backlog connections drained with a `503` per deadline
 /// pass (bounds the time the reactor spends off its event loop).
 const PARK_SHED_BATCH: usize = 64;
@@ -323,6 +337,8 @@ metrics! {
         /// Requests still incomplete `REQUEST_TIMEOUT` (5 s) after their
         /// first byte, answered `408` and closed.
         slow_requests: Counter => "wire.slow_requests";
+        /// Parked backlog connections drained with `503`.
+        parked_shed: Counter => "overload.parked_shed";
     }
     plus {
         /// How many reactors report (0 until an event loop adopts the struct).
@@ -355,6 +371,13 @@ impl EngineMetrics {
     pub fn reactor_backends(&self) -> Vec<&'static str> {
         vec!["epoll"; self.reactor_count()]
     }
+
+    /// Always 0: the proxy sheds no request by path. Parked connections
+    /// drained with `503` are [`EngineMetrics::parked_shed`]. Kept
+    /// because `benchmark/` (read-only here) reads it.
+    pub fn shed(&self) -> u64 {
+        0
+    }
 }
 
 struct ReactorHandle {
@@ -370,7 +393,6 @@ pub struct EventLoop {
     shutdown: Arc<AtomicBool>,
     reactors: Vec<ReactorHandle>,
     metrics: Arc<EngineMetrics>,
-    overload: Arc<OverloadControl>,
 }
 
 /// Everything an [`EventLoop`] is started with. `..Default::default()`
@@ -389,10 +411,6 @@ pub struct EngineConfig {
     /// Where the reactors count. The live proxy shares the struct with
     /// its admin control plane, which needs it before the loop exists.
     pub metrics: Arc<EngineMetrics>,
-    /// The overload-control handle (see [`crate::overload`]). The live
-    /// proxy shares it with its admin plane, which hot-swaps the
-    /// park-and-`503` settings and reads back the parked-shed counter.
-    pub overload: Arc<OverloadControl>,
 }
 
 impl Default for EngineConfig {
@@ -401,7 +419,6 @@ impl Default for EngineConfig {
             max_conns: DEFAULT_MAX_CONNS,
             reactors: default_reactors(),
             metrics: Arc::new(EngineMetrics::default()),
-            overload: Arc::new(OverloadControl::default()),
         }
     }
 }
@@ -414,18 +431,13 @@ impl EventLoop {
     ///
     /// # Errors
     ///
-    /// Propagates socket and epoll setup failures, and rejects an
-    /// overload handle whose initial configuration fails validation.
+    /// Propagates socket and epoll setup failures.
     pub fn start(
         name: &str,
         mut new_service: impl FnMut() -> Box<dyn Service>,
         config: EngineConfig,
     ) -> io::Result<EventLoop> {
-        let EngineConfig { max_conns, reactors, metrics, overload } = config;
-        overload
-            .config()
-            .validate()
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
+        let EngineConfig { max_conns, reactors, metrics } = config;
         // Raise the fd ceiling once per process so 10k-connection runs
         // don't trip the default 1024 soft limit.
         static RAISE_NOFILE: Once = Once::new();
@@ -476,7 +488,6 @@ impl EventLoop {
                 driving: None,
                 metrics: Arc::clone(&metrics),
                 reactor_index: i,
-                overload: Arc::clone(&overload),
                 paused_since: None,
             };
             reactor.register(reactor.waker.as_raw_fd(), TOKEN_WAKER, Interest::READABLE)?;
@@ -495,7 +506,6 @@ impl EventLoop {
             shutdown,
             reactors: handles,
             metrics,
-            overload,
         })
     }
 
@@ -522,12 +532,6 @@ impl EventLoop {
     /// The loop's always-on counters ([`EngineConfig::metrics`]).
     pub fn metrics(&self) -> &Arc<EngineMetrics> {
         &self.metrics
-    }
-
-    /// The shared overload-control handle (config installs and the
-    /// parked-shed counter).
-    pub fn overload(&self) -> &Arc<OverloadControl> {
-        &self.overload
     }
 }
 
@@ -613,12 +617,9 @@ struct Reactor {
     metrics: Arc<EngineMetrics>,
     /// This reactor's slot in the per-reactor metric arrays.
     reactor_index: usize,
-    /// The shared overload-control handle: the park-and-`503` settings
-    /// and the parked-shed counter.
-    overload: Arc<OverloadControl>,
-    /// When `pause_accepting` parked the listener; after
-    /// `park_deadline` the backlog is drained with `503`s instead of
-    /// making parked clients wait forever.
+    /// When `pause_accepting` parked the listener, or when the last shed
+    /// pass left clients parked; [`PARK_DEADLINE`] later the backlog is
+    /// drained with `503`s instead of making parked clients wait forever.
     paused_since: Option<Instant>,
 }
 
@@ -1269,46 +1270,55 @@ impl Reactor {
         self.resume_accepting();
     }
 
-    /// When the parked backlog is next shed: `park_deadline` after
-    /// accepting paused at the connection bound, or after the last shed;
-    /// `None` while accepting.
+    /// When the parked backlog is next shed: [`PARK_DEADLINE`] after
+    /// accepting paused at the connection bound, or after a shed pass
+    /// that left clients parked; `None` while accepting.
     fn shed_at(&self) -> Option<Instant> {
-        self.paused_since.map(|since| since + self.overload.config().park_deadline)
+        self.paused_since.map(|since| since + PARK_DEADLINE)
     }
 
     /// Gives parked backlog clients a deadline: once [`Reactor::shed_at`]
     /// has come, drain a batch of parked connections with a static `503`
-    /// + close instead of letting them wait forever.
+    /// and a close instead of letting them wait forever. A pass that
+    /// empties the backlog watches the listener again: the next client to
+    /// arrive at the bound pauses it anew ([`Reactor::accept_ready`]) and
+    /// is shed [`PARK_DEADLINE`] after its own arrival, and an empty
+    /// backlog costs no wake.
     fn check_park_deadline(&mut self, now: Instant) {
         if self.shed_at().is_some_and(|at| now >= at) {
-            self.shed_backlog();
-            self.paused_since = Some(now);
+            if self.shed_backlog() && self.listener_interest(Interest::READABLE) {
+                self.accepting = true;
+                self.paused_since = None;
+            } else {
+                self.paused_since = Some(now);
+            }
         }
     }
 
     /// Accepts and immediately rejects up to [`PARK_SHED_BATCH`] parked
-    /// connections with `503 Service Unavailable` + `Retry-After`.
-    fn shed_backlog(&mut self) {
-        let retry_after = self.overload.config().retry_after_secs;
-        let head = format!(
-            "HTTP/1.1 503 Service Unavailable\r\nretry-after: {retry_after}\r\nconnection: close\r\ncontent-length: 0\r\n\r\n"
-        );
+    /// connections with [`PARKED_503`]; `true` if that emptied the
+    /// backlog.
+    fn shed_backlog(&mut self) -> bool {
         let mut shed: u64 = 0;
-        while (shed as usize) < PARK_SHED_BATCH {
+        let drained = loop {
+            if shed as usize == PARK_SHED_BATCH {
+                break false;
+            }
             match accept_nonblocking(&self.listener) {
                 Ok(stream) => {
                     // Best effort: the head fits any fresh socket's send
                     // buffer; a peer that raced away just gets the close.
-                    let _ = (&stream).write(head.as_bytes());
+                    let _ = (&stream).write(PARKED_503);
                     discard_input(&stream);
                     shed += 1;
                 }
-                Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(ref e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => break,
+                Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => break true,
+                Err(ref e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => break false,
             }
-        }
-        self.overload.parked_shed.add(shed);
+        };
+        self.metrics.parked_shed.add(shed);
+        drained
     }
 }
 
@@ -1559,7 +1569,6 @@ mod tests {
             driving: None,
             metrics: Arc::clone(metrics),
             reactor_index: 0,
-            overload: Arc::new(OverloadControl::default()),
             paused_since: None,
         };
         reactor.register(reactor.waker.as_raw_fd(), TOKEN_WAKER, Interest::READABLE).unwrap();
@@ -1745,23 +1754,18 @@ mod tests {
     }
 
     /// A listener paused at the connection bound is shed at
-    /// `paused_since + park_deadline` and not before, and the reactor
-    /// wakes for it even when the deadline is shorter than the tick.
+    /// `paused_since + PARK_DEADLINE` and not before, and the reactor's
+    /// wait ends at that instant rather than at the next tick.
     #[test]
     fn the_parked_backlog_is_shed_at_the_park_deadline_and_not_before() {
-        use crate::overload::OverloadConfig;
-
-        let park_deadline = Duration::from_millis(10);
         let metrics = Arc::new(EngineMetrics::default());
         let mut reactor = idle_reactor(&metrics);
         reactor.max_conns = 1;
-        let config = OverloadConfig { park_deadline, ..OverloadConfig::default() };
-        reactor.overload = Arc::new(OverloadControl::new(config));
         let addr = reactor.listener.local_addr().unwrap();
         let _held = TcpStream::connect(addr).unwrap();
         let t0 = Instant::now();
         dispatch_until(&mut reactor, t0, |r| !r.accepting);
-        assert_eq!(reactor.shed_at(), Some(t0 + park_deadline));
+        assert_eq!(reactor.shed_at(), Some(t0 + PARK_DEADLINE));
 
         let mut parked = TcpStream::connect(addr).unwrap();
         parked.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
@@ -1774,13 +1778,54 @@ mod tests {
 
         let none = Events::with_capacity(1);
         let mut last_sweep = t0;
-        assert_eq!(reactor.turn(&none, t0, &mut last_sweep), park_deadline, "not the tick");
-        let early = t0 + park_deadline - Duration::from_millis(1);
+        assert_eq!(reactor.turn(&none, t0, &mut last_sweep), TICK);
+        let early = t0 + PARK_DEADLINE - Duration::from_millis(1);
         assert_eq!(reactor.turn(&none, early, &mut last_sweep), Duration::from_millis(1));
-        assert_eq!(reactor.overload.parked_shed(), 0, "not before the deadline");
-        let at = t0 + park_deadline;
-        assert_eq!(reactor.turn(&none, at, &mut last_sweep), park_deadline, "the next shed");
-        assert_eq!(reactor.overload.parked_shed(), 1);
+        assert_eq!(metrics.parked_shed(), 0, "not before the deadline");
+        let at = t0 + PARK_DEADLINE;
+        assert_eq!(reactor.turn(&none, at, &mut last_sweep), TICK, "the backlog is empty");
+        assert_eq!(metrics.parked_shed(), 1);
+        let resp = read_response(&mut parked, &mut BytesMut::new()).unwrap();
+        assert_eq!(resp.status(), StatusCode::SERVICE_UNAVAILABLE);
+        assert_eq!(reactor.clients, 1, "the held client is untouched");
+    }
+
+    /// A shed pass that empties the backlog watches the listener again:
+    /// the reactor wakes for no deadline while nobody is parked, and the
+    /// next client to arrive at the bound is shed `PARK_DEADLINE` after
+    /// its own arrival, not after the last pass.
+    #[test]
+    fn an_emptied_backlog_costs_no_wake_and_the_next_arrival_gets_its_own_deadline() {
+        let metrics = Arc::new(EngineMetrics::default());
+        let mut reactor = idle_reactor(&metrics);
+        reactor.max_conns = 1;
+        let addr = reactor.listener.local_addr().unwrap();
+        let _held = TcpStream::connect(addr).unwrap();
+        let t0 = Instant::now();
+        dispatch_until(&mut reactor, t0, |r| !r.accepting);
+
+        // Nobody is parked: the pass at the deadline finds the backlog
+        // empty and leaves no next deadline to wake for.
+        let none = Events::with_capacity(1);
+        let mut last_sweep = t0;
+        let t1 = t0 + PARK_DEADLINE;
+        assert_eq!(reactor.turn(&none, t1, &mut last_sweep), TICK, "no wake for an empty backlog");
+        assert_eq!((reactor.accepting, reactor.shed_at()), (true, None));
+        assert_eq!(reactor.turn(&none, t1 + PARK_DEADLINE, &mut last_sweep), TICK);
+        assert_eq!(metrics.parked_shed(), 0);
+
+        // A client arrives at the bound much later and parks with a
+        // deadline of its own.
+        let mut parked = TcpStream::connect(addr).unwrap();
+        parked.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let t2 = t1 + 3 * PARK_DEADLINE;
+        dispatch_until(&mut reactor, t2, |r| !r.accepting);
+        assert_eq!(reactor.shed_at(), Some(t2 + PARK_DEADLINE), "its arrival's deadline");
+        let early = t2 + PARK_DEADLINE - Duration::from_millis(1);
+        assert_eq!(reactor.turn(&none, early, &mut last_sweep), Duration::from_millis(1));
+        assert_eq!(metrics.parked_shed(), 0, "not before its deadline");
+        assert_eq!(reactor.turn(&none, t2 + PARK_DEADLINE, &mut last_sweep), TICK);
+        assert_eq!(metrics.parked_shed(), 1);
         let resp = read_response(&mut parked, &mut BytesMut::new()).unwrap();
         assert_eq!(resp.status(), StatusCode::SERVICE_UNAVAILABLE);
         assert_eq!(reactor.clients, 1, "the held client is untouched");
@@ -1823,18 +1868,7 @@ mod tests {
         // At the connection bound, further clients sit in the kernel
         // backlog. They must not wait forever: once the park deadline
         // lapses the reactor drains them with a clean `503`.
-        use crate::overload::OverloadConfig;
-
-        let overload = Arc::new(OverloadControl::new(OverloadConfig {
-            park_deadline: Duration::from_millis(50),
-            ..OverloadConfig::default()
-        }));
-        let server = EventLoop::start(
-            "test-park-deadline",
-            echo,
-            EngineConfig { overload: Arc::clone(&overload), ..engine(2, 1) },
-        )
-        .unwrap();
+        let server = EventLoop::start("test-park-deadline", echo, engine(2, 1)).unwrap();
         // Fill both slots with idle keep-alive connections.
         let _a = TcpStream::connect(server.local_addr()).unwrap();
         let _b = TcpStream::connect(server.local_addr()).unwrap();
@@ -1847,10 +1881,11 @@ mod tests {
         let mut buf = BytesMut::new();
         let resp = read_response(&mut c, &mut buf).unwrap();
         assert_eq!(resp.status(), StatusCode::SERVICE_UNAVAILABLE);
-        assert_eq!(resp.headers().get("retry-after"), Some("1"));
+        let retry_after = RETRY_AFTER_SECS.to_string();
+        assert_eq!(resp.headers().get("retry-after"), Some(retry_after.as_str()));
         let mut rest = Vec::new();
         assert_eq!(c.read_to_end(&mut rest).unwrap(), 0, "then a clean close");
-        assert!(overload.parked_shed() >= 1);
+        assert!(server.metrics().parked_shed() >= 1);
         // The slots themselves were untouched: freeing one serves a
         // newly connected client normally.
         drop(_a);

@@ -327,10 +327,18 @@ fn bad_rules_are_rejected_by_put_and_by_start() {
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
     assert!(err.to_string().contains("duplicate"));
 
-    // Unknown admin endpoints 404; wrong methods 405.
-    let resp = get(proxy.local_addr(), "/admin/nope").unwrap();
-    assert_eq!(resp.status(), StatusCode::NOT_FOUND);
-    let resp = put(proxy.local_addr(), "/admin/stats", &b"{}"[..]).unwrap();
+    // Unknown admin endpoints 404, `/admin/overload` among them (the
+    // park-and-503 policy is fixed, with nothing to set); wrong methods
+    // 405.
+    let addr = proxy.local_addr();
+    for resp in [
+        get(addr, "/admin/nope"),
+        get(addr, "/admin/overload"),
+        put(addr, "/admin/overload", &b"retry_after_secs=2\n"[..]),
+    ] {
+        assert_eq!(resp.unwrap().status(), StatusCode::NOT_FOUND);
+    }
+    let resp = put(addr, "/admin/stats", &b"{}"[..]).unwrap();
     assert_eq!(resp.status(), StatusCode::METHOD_NOT_ALLOWED);
 }
 

@@ -1,12 +1,12 @@
-//! Overload control end to end: the double-death stale-retry path, and
-//! hot config swaps through `PUT /admin/overload` — on the deterministic
-//! in-process harness (fake clock + scripted origin; see `harness/`).
+//! Origin overload end to end: the double-death stale-retry path, on the
+//! deterministic in-process harness (fake clock + scripted origin; see
+//! `harness/`).
 
 mod harness;
 
 use std::time::{Duration as StdDuration, Instant};
 
-use harness::{get, put, Behavior, FakeClock, ScriptedOrigin};
+use harness::{get, Behavior, FakeClock, ScriptedOrigin};
 use mutcon_live::proxy::{LiveProxy, ProxyConfig};
 use mutcon_http::types::StatusCode;
 use mutcon_sim::rng::SimRng;
@@ -19,19 +19,6 @@ fn plain_proxy(origin: &ScriptedOrigin, reactors: usize) -> LiveProxy {
         ..ProxyConfig::new(origin.addr())
     })
     .expect("start proxy")
-}
-
-/// Installs an overload config through the admin plane, asserting the
-/// PUT is accepted.
-fn put_overload(proxy: &LiveProxy, body: &str) {
-    let resp = put(proxy.local_addr(), "/admin/overload", body.as_bytes().to_vec())
-        .expect("PUT /admin/overload");
-    assert_eq!(
-        resp.status(),
-        StatusCode::OK,
-        "install rejected: {}",
-        String::from_utf8_lossy(resp.body())
-    );
 }
 
 /// Satellite regression: the double-death case of the one-shot
@@ -81,55 +68,4 @@ fn double_death_fails_fast_with_a_clean_error() {
         let after = get(proxy.local_addr(), "/frail").expect("recovery");
         assert_eq!(after.status(), StatusCode::OK, "round {round}: no recovery");
     }
-}
-
-/// `GET`/`PUT /admin/overload` round-trips the two park-and-503 settings
-/// and rejects invalid bodies without changing anything; a key that is
-/// not one of the two (`pool`, the admission keys) is refused by name.
-#[test]
-fn overload_admin_round_trips_and_rejects_bad_bodies() {
-    let origin = ScriptedOrigin::start(FakeClock::new());
-    let proxy = plain_proxy(&origin, 1);
-    let addr = proxy.local_addr();
-
-    // Defaults render the two park-and-503 settings, and nothing else.
-    let resp = get(addr, "/admin/overload").expect("GET overload");
-    assert_eq!(resp.status(), StatusCode::OK);
-    let text = String::from_utf8_lossy(resp.body()).into_owned();
-    assert_eq!(text, "retry_after_secs=1\npark_deadline_ms=1000\n");
-
-    // Install new values; the GET must echo them back.
-    put_overload(&proxy, "retry_after_secs=3\npark_deadline_ms=250\n");
-    let installed = get(addr, "/admin/overload").expect("GET overload");
-    let text = String::from_utf8_lossy(installed.body()).into_owned();
-    assert_eq!(text, "retry_after_secs=3\npark_deadline_ms=250\n");
-
-    // Every other key is rejected by name, and changes nothing.
-    for bad in [
-        "pool=aimd\n",
-        "pool=off\n",
-        "pool=tcp-bbr\n",
-        "pool=vegas\n",
-        "admission=gradient\n",
-        "shed_delay_ms=25\n",
-        "admission=aimd\n",
-        "admission_initial=32\n",
-    ] {
-        let resp = put(addr, "/admin/overload", bad.as_bytes().to_vec()).expect("PUT bad overload");
-        assert_eq!(resp.status(), StatusCode::BAD_REQUEST, "{bad}");
-        let key = bad.split('=').next().unwrap();
-        let reason = String::from_utf8_lossy(resp.body());
-        assert!(reason.contains(&format!("`{key}`")), "{bad}: {reason}");
-        let resp = get(addr, "/admin/overload").expect("GET overload");
-        assert_eq!(
-            resp.body(),
-            installed.body(),
-            "rejected PUT `{}` must change nothing",
-            bad.trim()
-        );
-    }
-
-    // Traffic still flows.
-    let resp = get(addr, "/one").expect("one");
-    assert_eq!(resp.status(), StatusCode::OK);
 }

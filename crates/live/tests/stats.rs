@@ -38,10 +38,7 @@ origin_pool.coalesced: number
 origin_pool.opened: number
 origin_pool.retries: number
 origin_pool.reuses: number
-overload.park_deadline_ms: number
 overload.parked_shed: number
-overload.retry_after_secs: number
-overload.version: number
 proxy.errors: number
 proxy.hits: number
 proxy.misses: number
@@ -202,7 +199,7 @@ fn the_document_and_the_accessors_read_the_same_cells() {
             ("cache.l1.stale_rejects", engine.l1_stale_rejects()),
             ("cache.l1.refills", engine.l1_refills()),
             ("cache.l1.evictions", engine.l1_evictions()),
-            ("overload.parked_shed", proxy.overload().parked_shed()),
+            ("overload.parked_shed", engine.parked_shed()),
         ]
     };
     let before = read();

@@ -33,7 +33,7 @@ if grep -rniE "$second_path" crates scripts src tests examples \
 fi
 
 # One option surface: every engine setting is a `ProxyConfig` /
-# `OverloadConfig` field with a coded default. Nothing reads the
+# `EngineConfig` field with a coded default. Nothing reads the
 # environment, nothing documents a variable that would be read, and this
 # script sets none (the class keeps the pattern from matching itself).
 env_knob='MUTCON[_]'
@@ -178,28 +178,31 @@ if grep -rnE 'VersionedEntry|bump_version|retire_version|RespondCacheable|l1_try
   exit 1
 fi
 
-# One copy of overload state, and one origin fan-out bound. The
-# park-and-503 config lives in `OverloadControl`
-# (crates/live/src/overload.rs), which install swaps and a paused reactor
-# reads; origin fan-out is the static `MAX_CONNS_PER_ORIGIN`. The
-# adaptive pool limiter is gone (no workload turned it on; a 400-key
-# flash crowd made it open 216 origin sockets where the static cap opens
-# 32, and six failed fetches pinned its cap at 4 for good): above their
-# test modules no crates/live/src file names a limiter (`Limiter` also
-# matches `LimiterConfig`), the core limit module, a cap setter, a fetch
-# sample or its start stamp, a per-reactor overload slot, or a partition
-# table or adopt/publish step, and the core limit module keeps no spec
-# wire form. Per-path admission is gone too (no workload turned it on, and on
-# a flash crowd it turned 98 of 100 coalesced misses into 429s): no
-# ticket, partition table, admit step, admission setting or 429 comes
-# back above the test modules of crates/live/src.
-overload_state='Limiter|mutcon_core::limit|set_cap|record_fetch|pool_cap|fetch_started|ReactorOverload|PartitionState|overload_version|sync_overload|publish_overload'
+# One fixed overload policy, and one origin fan-out bound. Park-and-503
+# is the engine's own: `PARK_DEADLINE` and `RETRY_AFTER_SECS` are
+# constants in crates/live/src/server.rs and the parked-shed count is an
+# `EngineMetrics` cell, so no settable park config, its text form or an
+# admin endpoint for it comes back (no workload could park a client, and
+# nothing but its own round-trip test set it); origin fan-out is the
+# static `MAX_CONNS_PER_ORIGIN`. The adaptive pool limiter is gone (no
+# workload turned it on; a 400-key flash crowd made it open 216 origin
+# sockets where the static cap opens 32, and six failed fetches pinned
+# its cap at 4 for good): above their test modules no crates/live/src
+# file names a limiter (`Limiter` also matches `LimiterConfig`), the
+# core limit module, a cap setter, a fetch sample or its start stamp, a
+# per-reactor overload slot, or a partition table or adopt/publish step,
+# and the core limit module keeps no spec wire form. Per-path admission
+# is gone too (no workload turned it on, and on a flash crowd it turned
+# 98 of 100 coalesced misses into 429s): no ticket, partition table,
+# admit step, admission setting or 429 comes back above the test modules
+# of crates/live/src.
+overload_state='Limiter|mutcon_core::limit|set_cap|record_fetch|pool_cap|fetch_started|ReactorOverload|PartitionState|overload_version|sync_overload|publish_overload|OverloadConfig|parse_overload_body|render_overload|admin/overload'
 admission='Ticket|fn admit|partition_of|MAX_PARTITIONS|OVERFLOW_PARTITION|admission|TOO_MANY_REQUESTS'
 if for f in crates/live/src/*.rs; do
      above_tests "$f" | grep -nE "$overload_state|$admission" | sed "s|^|$f:|"
    done | grep . \
     || above_tests crates/core/src/limit.rs | grep -nE 'fn (to|from)_spec' | sed 's|^|crates/core/src/limit.rs:|'; then
-  echo "ci: a second copy of overload state, an adaptive pool cap or per-path admission is back (lines above)" >&2
+  echo "ci: a settable overload policy, an adaptive pool cap or per-path admission is back (lines above)" >&2
   exit 1
 fi
 
@@ -283,18 +286,18 @@ cargo test -q -p mutcon-live \
 # queued at the pool's cap and timed out), must pass every time, not most
 # times. The timeout turns a lost wakeup into a failure instead of a hung
 # job. The overload suite soaks the double-death stale-socket retry (a
-# seeded reap-versus-reuse race) and the `/admin/overload` round trip of
-# the two park-and-503 settings, with the removed keys refused by name.
+# seeded reap-versus-reuse race).
 for _ in $(seq 20); do
   timeout 120 cargo test -q -p mutcon-live --test coherence --test refresh --test overload
 done
 
-# The paper's tables and figures (writes the simulator's timings to
-# BENCH_repro.json), and the golden test that pins Figures 5–8, ablation
-# D and every robustness grid's poll total: a scheduling or §4 policy
-# change fails it until the new rows are committed in
-# crates/bench/tests/golden.rs with their cause.
-target/release/repro all > /dev/null
+# The paper's tables and figures (the simulator's timings go under the
+# git-ignored target/, so a green run leaves the tree clean), and the
+# golden test that pins Figures 5–8, ablation D and every robustness
+# grid's poll total: a scheduling or §4 policy change fails it until the
+# new rows are committed in crates/bench/tests/golden.rs with their
+# cause.
+target/release/repro --bench-json target/BENCH_repro.ci.json all > /dev/null
 cargo test -q -p mutcon-bench --test golden
 
 # The live proxy's benchmark (BENCHMARK.json): its own tests, then a
