@@ -19,10 +19,10 @@
 //! socket only after a clean keep-alive response and retry only a stale
 //! one ([`OriginConn::stale`]).
 
-use std::io;
+use std::io::{self, Read};
 use std::time::{Duration, Instant};
 
-use bytes::{Bytes, BytesMut};
+use bytes::BytesMut;
 use mutcon_http::message::{Request, Response};
 use mutcon_http::parse::{ParseError, RequestParser, ResponseParser};
 use mutcon_http::types::StatusCode;
@@ -30,15 +30,23 @@ use mutcon_sim::reactor::Interest;
 
 use crate::server::Reply;
 use crate::upstream::JobId;
-use crate::vectored::{
-    FlushOutcome, FlushStats, WritePlan, WriteSink, INLINE_BODY, MAX_RETAINED_CAP,
-};
+use crate::vectored::{FlushOutcome, FlushStats, WritePlan, WriteSink, MAX_RETAINED_CAP};
 
 /// The most input buffered ahead of the state machine (pipelining
 /// back-pressure), and so the largest request a client may send: one
 /// still incomplete when the buffer is this full will never be read to
 /// its end, and gets a `413`.
 pub(crate) const MAX_BUFFERED: usize = 256 * 1024;
+
+/// Drops what `input` (nonblocking) has received, up to [`MAX_BUFFERED`]
+/// bytes, before a refusal: closing over unread bytes resets the
+/// connection, which can discard the response still in flight to the
+/// peer. It stops at the first error, `WouldBlock` included. The cap
+/// keeps a client that never stops sending from holding its reactor
+/// here; the close may then reset it mid-send.
+pub(crate) fn discard_input(input: impl Read) {
+    let _ = io::copy(&mut input.take(MAX_BUFFERED as u64), &mut io::sink());
+}
 
 /// A request must be complete this long after its first byte: a sender
 /// of one byte every few seconds never goes idle, so the reactor's idle
@@ -140,31 +148,21 @@ impl ClientConn {
 
     /// Queues the response to the request in flight, which ends any
     /// fetch it waited on. The head is rendered into the connection's
-    /// reusable write buffer. A [`Reply::Full`] body of at most
-    /// [`INLINE_BODY`] bytes is copied behind it (one contiguous
-    /// `write`); a larger one, and a [`Reply::Prepared`] body whatever its
-    /// size, rides as a shared slice gathered by `writev`. Returns whether
-    /// body bytes were copied.
-    pub(crate) fn queue(&mut self, reply: Reply) -> bool {
+    /// reusable write buffer; a body, whatever the reply, rides behind
+    /// it as a shared slice, never copied, and the two leave in one
+    /// `writev`.
+    pub(crate) fn queue(&mut self, reply: Reply) {
         debug_assert!(self.write.is_idle(), "one response in flight at a time");
         self.pending = None;
         let buf = self.write.buf_mut();
-        let mut copied = false;
-        let shared = match reply {
+        let body = match reply {
             Reply::Full(mut response) => {
                 if self.close_after_write {
                     mutcon_http::connection::set_close(response.headers_mut());
                 }
                 response.write_head(buf);
                 buf.extend_from_slice(b"\r\n");
-                let body = response.body();
-                if body.len() > INLINE_BODY {
-                    body.clone()
-                } else {
-                    buf.extend_from_slice(body);
-                    copied = !body.is_empty();
-                    Bytes::new()
-                }
+                response.body().clone()
             }
             Reply::Prepared(prepared) => {
                 buf.extend_from_slice(&prepared.head);
@@ -176,8 +174,7 @@ impl ClientConn {
                 prepared.body
             }
         };
-        self.write.set_body(shared);
-        copied
+        self.write.set_body(body);
     }
 
     /// Queues `status` as the connection's last response: it closes once
@@ -340,6 +337,7 @@ impl OriginConn {
 mod tests {
     use super::*;
     use crate::server::PreparedResponse;
+    use bytes::Bytes;
     use mutcon_http::parse::parse_response;
     use mutcon_http::types::Method;
 
@@ -499,6 +497,27 @@ mod tests {
             !sent[0].wants_keep_alive(),
             "the response announces the close"
         );
+    }
+
+    /// A sender that never stops: every read fills the buffer. It panics
+    /// once it has given far more than any discard may take, so a discard
+    /// without a bound fails here rather than hanging.
+    struct Endless(usize);
+
+    impl Read for Endless {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.0 += buf.len();
+            assert!(self.0 <= 16 * MAX_BUFFERED, "discarded {} bytes and still reading", self.0);
+            buf.fill(b'x');
+            Ok(buf.len())
+        }
+    }
+
+    #[test]
+    fn a_discard_stops_at_the_buffer_bound_however_long_the_client_sends() {
+        let mut sender = Endless(0);
+        discard_input(&mut sender);
+        assert_eq!(sender.0, MAX_BUFFERED);
     }
 
     #[test]

@@ -610,24 +610,14 @@ impl ProxyService {
                 Err(reason) => error_response(StatusCode::BAD_REQUEST, &reason),
                 Ok(report) => {
                     self.shared.counters.reloads.inc();
+                    let paths = |paths: &[Arc<str>]| {
+                        Json::Array(paths.iter().map(|path| Json::String(path.to_string())).collect())
+                    };
                     let doc = obj([
                         ("epoch", Json::Number(report.version as f64)),
-                        (
-                            "added",
-                            Json::Array(report.added.iter().cloned().map(Json::String).collect()),
-                        ),
-                        (
-                            "changed",
-                            Json::Array(
-                                report.changed.iter().cloned().map(Json::String).collect(),
-                            ),
-                        ),
-                        (
-                            "removed",
-                            Json::Array(
-                                report.removed.iter().cloned().map(Json::String).collect(),
-                            ),
-                        ),
+                        ("added", paths(&report.added)),
+                        ("changed", paths(&report.changed)),
+                        ("removed", paths(&report.removed)),
                     ]);
                     json_response(StatusCode::OK, &doc)
                 }
@@ -669,8 +659,10 @@ impl ProxyService {
 ///
 /// `ttr_max_ms` defaults to 64·Δ (as [`RefreshRule::new`] does); `group`
 /// may be absent or `null`; the policy string is the canonical
-/// [`MtPolicy`] wire form (`baseline`, `triggered`, `rate:T`). What it
-/// returns has passed [`crate::runtime::validate`].
+/// [`MtPolicy`] wire form (`baseline`, `triggered`, `rate:T`). It checks
+/// the document's shape only: the install that takes what it returns
+/// validates the rules ([`crate::runtime::validate`]) and refuses them
+/// with the reason a `400` carries.
 fn parse_rules_body(body: &[u8]) -> Result<(Vec<RefreshRule>, Option<GroupRule>), String> {
     // A typo'd key must not silently fall back to a default.
     fn known_keys_only(value: &Json, allowed: &[&str], what: &str) -> Result<(), String> {
@@ -733,7 +725,6 @@ fn parse_rules_body(body: &[u8]) -> Result<(Vec<RefreshRule>, Option<GroupRule>)
             })
         }
     };
-    crate::runtime::validate(&rules, group.as_ref())?;
     Ok((rules, group))
 }
 
@@ -930,7 +921,8 @@ mod tests {
     }
 
     /// The seeded mutation corpus over the admin plane's one body parser
-    /// (ROADMAP 5): it never panics, and an accepted rules body installs.
+    /// (ROADMAP 5): it never panics, and a body that parses and installs
+    /// puts exactly its paths in force.
     #[test]
     fn mutated_admin_bodies_never_panic_and_what_parses_holds() {
         let rules_bodies = [
@@ -939,6 +931,7 @@ mod tests {
             r#"{"rules": [{"path": "/x/y", "delta_ms": 1000}], "group": null}"#,
         ];
         let mut rng = mutcon_sim::rng::SimRng::seed_from_u64(0xad_317);
+        let runtime = ConsistencyRuntime::new(Vec::new(), None).unwrap();
         let mut accepted = 0;
         for body in rules_bodies {
             for _ in 0..1_000 {
@@ -946,9 +939,13 @@ mod tests {
                 if rng.chance(0.3) {
                     mutant = mutate(&mut rng, &mutant);
                 }
-                if let Ok((rules, group)) = parse_rules_body(&mutant) {
+                let Ok((rules, group)) = parse_rules_body(&mutant) else { continue };
+                let mut parsed: Vec<String> = rules.iter().map(|rule| rule.path.clone()).collect();
+                if runtime.install(rules, group).is_ok() {
                     accepted += 1;
-                    assert!(crate::runtime::validate(&rules, group.as_ref()).is_ok());
+                    parsed.sort();
+                    let installed: Vec<String> = runtime.status().into_iter().map(|s| s.path).collect();
+                    assert_eq!(installed, parsed);
                 }
             }
         }

@@ -10,19 +10,19 @@
 //! group and the epoch (its version).
 //!
 //! **One lock.** The machine sits behind one mutex.
-//! [`ConsistencyRuntime::install`] validates outside it; under it, it
-//! diffs the new rule set against the schedule, hands it to
-//! [`Schedule::reconcile`] and bumps the version. That is a swap's
-//! linearization point: when `install` returns, the new rules are in
-//! force. After unlocking it runs the install hook, which the proxy
-//! registers at start to evict the un-ruled paths, bump its cache
-//! generation and wake reactor 0. `ConsistencyRuntime::plane` locks the
-//! machine for the reactor: `next_poll` hands out a due poll, `ruled`
-//! says whether a path is still ruled, `finish` applies the outcome of a
-//! path's poll and `next_wake` says when to look again. The lock is never
-//! held across a round trip. [`ConsistencyRuntime::run`] steps the same
-//! plane from blocking worker threads; it is kept because `benchmark/`
-//! drives it.
+//! [`ConsistencyRuntime::install`] validates outside it; under it,
+//! [`Schedule::reconcile`], the one diff of a rule set, updates the
+//! schedule in place, bumps the version and reports the paths added,
+//! changed and removed. That is a swap's linearization point: when
+//! `install` returns, the new rules are in force. After unlocking it
+//! runs the install hook, which the proxy registers at start to evict
+//! the un-ruled paths, bump its cache generation and wake reactor 0.
+//! `ConsistencyRuntime::plane` locks the machine for the reactor:
+//! `next_poll` hands out a due poll, `ruled` says whether a path is still
+//! ruled, `finish` applies the outcome of a path's poll and `next_wake`
+//! says when to look again. The lock is never held across a round trip.
+//! [`ConsistencyRuntime::run`] steps the same plane from blocking worker
+//! threads; it is kept because `benchmark/` drives it.
 //!
 //! **One ledger, no clock.** A poll out is an entry in the schedule's
 //! in-flight table (kind, send stamp) until `finish` names its path;
@@ -65,7 +65,7 @@ use std::time::{Duration as StdDuration, Instant};
 use mutcon_core::limd::{LimdConfig, PollResult};
 use mutcon_core::time::{Duration, Timestamp};
 pub use mutcon_proxy::schedule::{PollKind, POLL_WIDTH};
-use mutcon_proxy::schedule::{Job, Schedule};
+use mutcon_proxy::schedule::{Job, Schedule, Swap};
 
 pub use crate::metrics::HistogramSnapshot as DriftSnapshot;
 use crate::metrics::{metrics, Counter, Gauge, Histogram};
@@ -135,20 +135,10 @@ pub fn validate(rules: &[RefreshRule], group: Option<&GroupRule>) -> Result<Vec<
     Ok(configs)
 }
 
-/// What a successful [`ConsistencyRuntime::install`] did, path by path.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InstallReport {
-    /// The freshly installed epoch's version.
-    pub version: u64,
-    /// Paths ruled now but not before.
-    pub added: Vec<String>,
-    /// Paths ruled before and now, with a different Δ or TTR bound
-    /// (their adaptive state is rebuilt).
-    pub changed: Vec<String>,
-    /// Paths no longer ruled, sorted (their poll schedule stops; the
-    /// proxy's install hook evicts their cache entries).
-    pub removed: Vec<String>,
-}
+/// What a successful [`ConsistencyRuntime::install`] did, as the
+/// schedule reports it: paths added and changed in the rule set's order,
+/// paths removed sorted (the proxy's install hook evicts their copies).
+pub type InstallReport = Swap<Arc<str>>;
 
 /// Live per-path refresher state, as published for `GET /admin/rules`.
 #[derive(Debug, Clone, PartialEq)]
@@ -340,12 +330,11 @@ impl ConsistencyRuntime {
         self.work.notify_all();
     }
 
-    /// Validates a new rule set, then, under the plane's lock, diffs it
-    /// against the rules in force, reconciles the schedule and bumps the
-    /// epoch; the new rules are in force when it returns. Then it wakes
-    /// whoever steps the plane and runs the install hook. The swap is the
-    /// whole reload: no thread restarts, no cache drop, no connection
-    /// churn.
+    /// Validates a new rule set, then, under the plane's lock,
+    /// reconciles the schedule with it, which bumps the epoch; the new
+    /// rules are in force when it returns. Then it wakes whoever steps the
+    /// plane and runs the install hook. The swap is the whole reload: no
+    /// thread restarts, no cache drop, no connection churn.
     ///
     /// # Errors
     ///
@@ -356,23 +345,10 @@ impl ConsistencyRuntime {
         group: Option<GroupRule>,
     ) -> Result<InstallReport, String> {
         let limd = validate(&rules, group.as_ref())?;
-        let mut core = self.lock();
-        let version = core.version() + 1;
-        let (mut added, mut changed) = (Vec::new(), Vec::new());
-        for (rule, config) in rules.iter().zip(&limd) {
-            match core.path(rule.path.as_str()) {
-                None => added.push(rule.path.clone()),
-                Some(old) if old.limd.config() != config => changed.push(rule.path.clone()),
-                Some(_) => {}
-            }
-        }
+        let members = rules.iter().map(|rule| rule.path.as_str()).zip(limd);
         // New and changed rules fall due now.
-        let members = rules.iter().zip(limd).map(|(rule, limd)| (Arc::from(rule.path.as_str()), limd));
-        let removed = core.reconcile(version, members, group.map(|g| (g.delta, g.policy)), Instant::now());
-        drop(core);
+        let report = self.lock().reconcile(members, group.map(|g| (g.delta, g.policy)), Instant::now());
         self.work.notify_all();
-        let removed = removed.iter().map(|path| path.to_string()).collect();
-        let report = InstallReport { version, added, changed, removed };
         if let Some(hook) = self.on_install.get() {
             hook(&report);
         }
@@ -493,12 +469,16 @@ mod tests {
         RefreshRule::new(path, Duration::from_millis(delta_ms))
     }
 
-    /// Reconciles rule set `version` into `core` the way an install does;
-    /// returns the paths it un-ruled.
-    fn swap(core: &mut Core, version: u64, rules: Vec<RefreshRule>, group: Option<GroupRule>) -> Vec<Arc<str>> {
+    /// Reconciles `rules` into `core` through the call an install makes.
+    fn swap(core: &mut Core, rules: Vec<RefreshRule>, group: Option<GroupRule>) -> InstallReport {
         let limd = validate(&rules, group.as_ref()).unwrap();
-        let members = rules.iter().zip(limd).map(|(rule, limd)| (Arc::from(rule.path.as_str()), limd));
-        core.reconcile(version, members, group.map(|g| (g.delta, g.policy)), Instant::now())
+        let members = rules.iter().map(|rule| rule.path.as_str()).zip(limd);
+        core.reconcile(members, group.map(|g| (g.delta, g.policy)), Instant::now())
+    }
+
+    /// A report's paths, as strings.
+    fn paths(keys: &[Arc<str>]) -> Vec<&str> {
+        keys.iter().map(|key| &**key).collect()
     }
 
     /// The ruled paths, as `status()` lists them.
@@ -579,17 +559,17 @@ mod tests {
             .install(vec![rule("/keep", 10), rule("/grow", 10), rule("/drop2", 10)], None)
             .unwrap();
         assert_eq!(report.version, 2);
-        assert_eq!(report.added, vec!["/grow", "/drop2"]);
+        assert_eq!(paths(&report.added), ["/grow", "/drop2"]);
         assert!(report.changed.is_empty());
-        assert_eq!(report.removed, vec!["/drop"]);
+        assert_eq!(paths(&report.removed), ["/drop"]);
         assert_eq!(runtime.rules().0, 2);
 
         let report = runtime
             .install(vec![rule("/keep", 25), rule("/grow", 10)], None)
             .unwrap();
         assert_eq!(report.version, 3);
-        assert_eq!(report.changed, vec!["/keep"]);
-        assert_eq!(report.removed, vec!["/drop2"]);
+        assert_eq!(paths(&report.changed), ["/keep"]);
+        assert_eq!(paths(&report.removed), ["/drop2"]);
 
         // A rejected install leaves the rules in force untouched.
         let err = runtime.install(vec![rule("/x", 0)], None).unwrap_err();
@@ -615,7 +595,7 @@ mod tests {
     #[test]
     fn reconcile_preserves_unchanged_paths_and_rebuilds_changed_ones() {
         let (mut core, base) = (Core::default(), Instant::now());
-        swap(&mut core, 1, vec![rule("/keep", 10), rule("/change", 10), rule("/drop", 10)], None);
+        swap(&mut core, vec![rule("/keep", 10), rule("/change", 10), rule("/drop", 10)], None);
 
         // Grow every TTR with a few quiet polls, a second apart.
         for round in 1..=4 {
@@ -625,8 +605,8 @@ mod tests {
         let grown = state(&core, "/keep").limd.current_ttr();
         assert!(grown > Duration::from_millis(10), "TTR must have grown");
 
-        let removed = swap(&mut core, 2, vec![rule("/keep", 10), rule("/change", 25), rule("/new", 10)], None);
-        assert_eq!(removed, vec![Arc::from("/drop")]);
+        let report = swap(&mut core, vec![rule("/keep", 10), rule("/change", 25), rule("/new", 10)], None);
+        assert_eq!(paths(&report.removed), ["/drop"]);
 
         // Unchanged: adaptive state and origin epoch preserved.
         assert_eq!(state(&core, "/keep").limd.current_ttr(), grown);
@@ -644,9 +624,9 @@ mod tests {
     #[test]
     fn poll_for_a_removed_path_is_discarded() {
         let mut core = Core::default();
-        swap(&mut core, 1, vec![rule("/gone", 10)], None);
+        swap(&mut core, vec![rule("/gone", 10)], None);
         let job = core.next_job(Instant::now(), unix_now()).expect("due at once");
-        swap(&mut core, 2, vec![], None);
+        swap(&mut core, vec![], None);
         // The in-flight poll's outcome arrives after the swap: no panic,
         // no state, no triggers — and the stale heap entry is discarded.
         let done = core.complete(&job.key, Some(PollResult::NotModified.as_view()), Instant::now());
@@ -672,7 +652,7 @@ mod tests {
             polled.iter().map(|(kind, path)| (*kind, path.to_string())).collect()
         };
         let mut core = Core::default();
-        swap(&mut core, 1, vec![rule("/a", 10), rule("/b", 10)], group);
+        swap(&mut core, vec![rule("/a", 10), rule("/b", 10)], group);
         // /a's update finds /b due: one poll serves both. The `304`
         // stretches /b's TTR to 12 ms, the update keeps /a's at 10.
         assert_eq!(poll_due(&mut core, at(0), ts(0), &["/a"]), polls(&[(Scheduled, "/a"), (Scheduled, "/b")]));
@@ -681,14 +661,14 @@ mod tests {
 
         // Same group, same membership, changed Δ on one path: the
         // coordinator survives, and remembers polling /b within δ.
-        swap(&mut core, 2, vec![rule("/a", 25), rule("/b", 10)], group);
+        swap(&mut core, vec![rule("/a", 25), rule("/b", 10)], group);
         assert_eq!(poll_due(&mut core, at(11), ts(12), &["/a"]), polls(&[(Scheduled, "/a")]));
 
         // A membership change rebuilds it: it has never seen /a polled.
-        swap(&mut core, 3, vec![rule("/a", 25), rule("/c", 10)], group);
+        swap(&mut core, vec![rule("/a", 25), rule("/c", 10)], group);
         assert_eq!(poll_due(&mut core, at(11), ts(13), &["/c"]), polls(&[(Scheduled, "/c"), (Triggered, "/a")]));
         // Dropping the group removes it: /a, 11 ms on, is left alone.
-        swap(&mut core, 4, vec![rule("/a", 25), rule("/c", 10)], None);
+        swap(&mut core, vec![rule("/a", 25), rule("/c", 10)], None);
         assert_eq!(poll_due(&mut core, at(22), ts(24), &["/c"]), polls(&[(Scheduled, "/c")]));
     }
 
@@ -767,9 +747,9 @@ mod tests {
         // do not depend on the HTTP plane.
         let expected = InstallReport {
             version: 2,
-            added: vec!["/new".to_owned()],
+            added: vec![Arc::from("/new")],
             changed: Vec::new(),
-            removed: vec!["/old".to_owned()],
+            removed: vec![Arc::from("/old")],
         };
         assert_eq!(*reports.lock().unwrap(), [expected]);
         let seen = seen.into_inner().unwrap();

@@ -57,14 +57,14 @@
 //! timer is a function of the reactor's state and `now`.
 //!
 //! *WRITING* goes through the zero-copy send path ([`crate::vectored`]):
-//! each response is a reusable contiguous buffer (head + small inlined
-//! bodies) plus an optional shared body slice, gathered into one
-//! `writev(2)`. Cache hits arrive pre-serialized
-//! ([`Reply::Prepared`]) and never copy body bytes.
+//! each response is its head, rendered into a reusable contiguous
+//! buffer, plus its body as a shared slice, gathered into one
+//! `writev(2)`; no body byte is copied. Cache hits arrive pre-serialized
+//! ([`Reply::Prepared`]).
 //! A connection owns its read and write buffers from accept to close, and
 //! the accept loop drains the whole backlog per listener wakeup with
 //! `accept4` (already-nonblocking sockets, one metrics store per
-//! batch). [`EngineMetrics`] counts the syscalls and copies so the
+//! batch). [`EngineMetrics`] counts the syscalls so the
 //! effect is observable from `/admin/stats`.
 //!
 //! Concurrent-connection capacity is bounded by
@@ -98,7 +98,7 @@ use mutcon_sim::reactor::{
     Interest, Poller, Waker,
 };
 
-use crate::conn::{ClientConn, Flush, Next, OriginConn, Received};
+use crate::conn::{discard_input, ClientConn, Flush, Next, OriginConn, Received};
 use crate::metrics::{metrics, Cell, Counter, Gauge};
 use crate::upstream::{JobId, PoolCore, Submit};
 use crate::vectored::FlushStats;
@@ -311,8 +311,9 @@ metrics! {
         writev_calls: Counter => "wire.writev_calls";
         /// Listener wakeups handled; each drains the whole accept backlog.
         accept_batches: Counter => "wire.accept_batches";
-        /// Response bodies copied into a write buffer (small inlined
-        /// bodies; never a prepared cache hit).
+        /// Response bodies copied into a write buffer: none, since every
+        /// body is sent as a shared slice, so it reads 0. Kept because
+        /// `benchmark/` reads it.
         body_copies: Counter => "wire.body_copies";
         /// Buffers allocated for new connections: two per accepted client,
         /// one per opened origin socket. Kept because `benchmark/` reads it.
@@ -621,14 +622,6 @@ struct Reactor {
     /// pass left clients parked; [`PARK_DEADLINE`] later the backlog is
     /// drained with `503`s instead of making parked clients wait forever.
     paused_since: Option<Instant>,
-}
-
-/// Drops whatever `stream` (nonblocking) has received so far, before a
-/// refusal: closing over unread bytes resets the connection, which can
-/// discard the response still in flight to the peer.
-fn discard_input(mut stream: &TcpStream) {
-    let mut scratch = [0u8; 4096];
-    while matches!(stream.read(&mut scratch), Ok(1..)) {}
 }
 
 /// Reads what `stream` (nonblocking) has into `buf` through `scratch`,
@@ -974,11 +967,7 @@ impl Reactor {
                 }
             };
             match self.service.respond(&request) {
-                ServiceResult::Reply(reply) => {
-                    if client.queue(reply) {
-                        self.metrics.body_copies.inc();
-                    }
-                }
+                ServiceResult::Reply(reply) => client.queue(reply),
                 // The fetch's completion resumes the connection. One that
                 // concludes within this call (a connect failure, or a
                 // coalesced job finishing) has only queued its reply, which
@@ -1215,9 +1204,7 @@ impl Reactor {
         let Some(Conn { kind: Kind::Client(client), .. }) = self.conns[idx].as_mut() else {
             return; // client gone; drop the reply
         };
-        if client.queue(reply) {
-            self.metrics.body_copies.inc();
-        }
+        client.queue(reply);
         if self.driving != Some(idx) {
             self.resume_client(idx, now);
         }

@@ -1,9 +1,10 @@
 //! The zero-copy send path: write plans.
 //!
 //! A response leaves the reactor as **two logical segments**: a small
-//! contiguous buffer (status line + headers + any per-response additions
-//! + blank line, and inlined small bodies) and an optional **shared body
-//! slice** — a refcounted `Bytes` handed out by the cache, never copied.
+//! contiguous buffer (status line, headers, any per-response additions
+//! and the blank line) and an optional **shared body slice** — a
+//! refcounted `Bytes`, handed out by the cache or held by the reply,
+//! never copied.
 //! [`WritePlan`] tracks flush progress across both segments and pushes
 //! them with one `writev(2)` per readiness while both still have
 //! unwritten bytes, falling back to plain `write(2)` when only one
@@ -30,12 +31,6 @@ use mutcon_sim::reactor;
 /// Per-buffer capacity ceiling for retention: a buffer grown past this
 /// by an outsized response is dropped at reset instead of kept hot.
 pub const MAX_RETAINED_CAP: usize = 64 * 1024;
-
-/// Bodies at or below this many bytes are cheaper to memcpy into the
-/// contiguous buffer (one `write`) than to gather with a second iovec.
-/// The cache hit path ignores this and always shares — its body slice
-/// already exists for the entry's whole lifetime.
-pub const INLINE_BODY: usize = 4 * 1024;
 
 /// Destination of a flush: a socket in production, a scripted sink in
 /// tests.
@@ -95,9 +90,9 @@ pub enum FlushOutcome {
 /// Flush progress over a contiguous buffer plus an optional shared body
 /// slice.
 ///
-/// Queue a response by appending its head (and any inlined body) to
-/// [`WritePlan::buf_mut`] and, for large or shared bodies, attaching the
-/// refcounted slice with [`WritePlan::set_body`]. Then call
+/// Queue a response by appending its head to [`WritePlan::buf_mut`] and
+/// attaching its body's refcounted slice with [`WritePlan::set_body`].
+/// Then call
 /// [`WritePlan::flush`] whenever the socket is writable.
 #[derive(Debug, Default)]
 pub struct WritePlan {
@@ -112,9 +107,9 @@ impl WritePlan {
         WritePlan::default()
     }
 
-    /// The contiguous buffer, for queueing head bytes (and inlined
-    /// bodies). Appending while a previous response is still partially
-    /// flushed is fine — pipelined responses queue back to back.
+    /// The contiguous buffer, for queueing head bytes. Appending while a
+    /// previous response is still partially flushed is fine — pipelined
+    /// responses queue back to back.
     pub fn buf_mut(&mut self) -> &mut Vec<u8> {
         &mut self.buf
     }

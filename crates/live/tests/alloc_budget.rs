@@ -1,4 +1,5 @@
-//! The miss path's allocation budget, stage by stage.
+//! The miss path's allocation budget, stage by stage, and a rule
+//! install's.
 //!
 //! A cache miss runs five library stages between the client's bytes and
 //! the stored entry — request parse, upstream wire, response parse, the
@@ -21,10 +22,11 @@ use bytes::Bytes;
 use mutcon_http::headers::HeaderName;
 use mutcon_http::message::Response;
 use mutcon_http::parse::{RequestParser, ResponseParser};
-use mutcon_core::time::Timestamp;
+use mutcon_core::time::{Duration, Timestamp};
 use mutcon_live::cache::{shard_of, CacheEntry, L1Cache, ShardedCache, SHARD_COUNT};
 use mutcon_live::client::{get_wire, wire_target, ObjectStamps};
 use mutcon_live::upstream::{PoolCore, Submit};
+use mutcon_live::{ConsistencyRuntime, RefreshRule};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -259,4 +261,34 @@ fn head_rendering_and_empty_bodies_do_not_allocate() {
     let (empty, made) = counted(Bytes::new);
     assert!(empty.is_empty());
     assert_eq!(made, 0, "Bytes::new");
+}
+
+/// `n` rules, 500 ms each, as `delta_fleet` installs them.
+fn rules(n: usize) -> Vec<RefreshRule> {
+    (0..n).map(|i| RefreshRule::new(format!("/obj/{i:06}"), Duration::from_millis(500))).collect()
+}
+
+/// A rule install diffs the rule set against the schedule in place.
+/// Installing the rules already in force allocates validation's set and
+/// vector and nothing per rule, so 64 and 1,024 rules cost the same;
+/// adding 64 rules to 960 allocates each new path's key, plus the growth
+/// of the report's list and of the schedule's containers.
+#[test]
+fn a_rule_install_allocates_for_the_rules_it_adds_alone() {
+    let reinstall = |n: usize| {
+        let runtime = ConsistencyRuntime::new(rules(n), None).expect("valid rules");
+        let again = rules(n);
+        let (report, allocations) = counted(|| runtime.install(again, None).expect("valid rules"));
+        assert!(report.added.is_empty() && report.changed.is_empty() && report.removed.is_empty());
+        allocations
+    };
+    let (few, many) = (reinstall(64), reinstall(1_024));
+    assert_eq!(few, many, "re-installing 64 rules against 1,024");
+    assert!(many <= 2, "re-installing 1,024 rules: {many} allocations");
+
+    let runtime = ConsistencyRuntime::new(rules(960), None).expect("valid rules");
+    let grown = rules(1_024);
+    let (report, adding) = counted(|| runtime.install(grown, None).expect("valid rules"));
+    assert_eq!((report.added.len(), report.removed.len()), (64, 0));
+    assert!(adding <= 64 + 16, "adding 64 rules to 960: {adding} allocations");
 }

@@ -109,7 +109,7 @@ pub fn run_temporal(
     };
     let mut schedule: Schedule<u32, Timestamp> = Schedule::default();
     let members = (0..hosted.len() as u32).map(|obj| (obj, limd));
-    schedule.reconcile(1, members, config.mutual.map(|m| (m.delta, m.policy)), Timestamp::ZERO);
+    schedule.reconcile(members, config.mutual.map(|m| (m.delta, m.policy)), Timestamp::ZERO);
 
     let mut validators: Vec<Option<Timestamp>> = vec![None; hosted.len()];
     let mut logs = vec![PollLog::new(); hosted.len()];

@@ -27,6 +27,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::hash::Hash;
 use std::ops::Add;
+use std::sync::Arc;
 
 use mutcon_core::limd::{Limd, LimdConfig, PollView};
 use mutcon_core::mutual::temporal::{MtCoordinator, MtPolicy};
@@ -68,6 +69,49 @@ pub struct Completion {
     pub ttr: Option<Duration>,
 }
 
+/// A key a [`Schedule`] rules: a rule set names it by its borrowed
+/// form, and [`Schedule::reconcile`] makes the owned key only when it
+/// adds one.
+pub trait Key: Clone + Ord + Hash {
+    /// What a rule set names the key by; the key must borrow as it.
+    type Borrowed: ?Sized + Hash + Eq;
+
+    /// The owned key for `name`.
+    fn to_key(name: &Self::Borrowed) -> Self;
+}
+
+/// The simulator's dense object handles: copied.
+impl Key for u32 {
+    type Borrowed = u32;
+
+    fn to_key(name: &u32) -> u32 {
+        *name
+    }
+}
+
+/// The live proxy's paths: one allocation per path added.
+impl Key for Arc<str> {
+    type Borrowed = str;
+
+    fn to_key(name: &str) -> Arc<str> {
+        Arc::from(name)
+    }
+}
+
+/// What a [`Schedule::reconcile`] changed, key by key.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Swap<K> {
+    /// The version now in force.
+    pub version: u64,
+    /// Keys ruled now but not before, in the rule set's order.
+    pub added: Vec<K>,
+    /// Keys ruled before and now under a different config, in the rule
+    /// set's order (their adaptive state is rebuilt).
+    pub changed: Vec<K>,
+    /// Keys no longer ruled, sorted.
+    pub removed: Vec<K>,
+}
+
 /// One key's scheduling state.
 #[derive(Debug)]
 pub struct PathSched<T> {
@@ -78,6 +122,8 @@ pub struct PathSched<T> {
     /// The [`Schedule::reconcile`] version that (last) installed this
     /// key's config; unchanged across swaps that keep its adaptive state.
     pub rule_version: u64,
+    /// The last reconcile version whose rule set listed this key.
+    listed: u64,
     due: T,
     /// Generation of this key's live due-queue entry; heap entries
     /// with any other stamp are stale and discarded when they surface.
@@ -142,7 +188,7 @@ impl<K, T> Default for Schedule<K, T> {
 
 impl<K, T> Schedule<K, T>
 where
-    K: Clone + Ord + Hash,
+    K: Key,
     T: Copy + Ord + Add<Duration, Output = T>,
 {
     /// The version of the rule set last reconciled (0 before the first).
@@ -175,55 +221,57 @@ where
         self.coordinator.as_ref().map(|c| (c.delta(), c.policy()))
     }
 
-    /// Adopts rule set `version`: its members with their LIMD configs
-    /// and the optional Mt group `(δ, policy)` across all of them.
-    /// **Unchanged keys** keep their accumulated adaptive TTR (exactly
-    /// the state worth preserving across a reload); **changed** and
-    /// **added keys** start from a fresh [`Limd`] and poll immediately;
-    /// **removed keys** stop, and are returned, sorted. The coordinator
-    /// survives only if both the group and the membership are unchanged
-    /// (its per-member rate estimators remain valid then, and only
-    /// then). Heap entries for removed/changed keys are left behind and
-    /// invalidated by generation; O(changed) work here, not O(heap).
-    pub fn reconcile(
+    /// Adopts the next rule set, version [`Schedule::version`] + 1, in
+    /// place: its members (distinct keys, by their borrowed form) with
+    /// their LIMD configs, and the optional Mt group `(δ, policy)` across
+    /// them. **Unchanged keys** keep their adaptive TTR and due time;
+    /// **changed** and **added keys** start from a fresh [`Limd`], due at
+    /// `now`; **removed keys** stop. Only an added key is made owned. The
+    /// coordinator survives only if the group and the membership are
+    /// unchanged (its rate estimators are valid then, and only then).
+    /// Stale heap entries are invalidated by generation, not removed.
+    pub fn reconcile<Q: Borrow<K::Borrowed>>(
         &mut self,
-        version: u64,
-        members: impl IntoIterator<Item = (K, LimdConfig)>,
+        members: impl IntoIterator<Item = (Q, LimdConfig)>,
         group: Option<(Duration, MtPolicy)>,
         now: T,
-    ) -> Vec<K> {
-        let members = members.into_iter();
-        let mut next: HashMap<K, PathSched<T>> = HashMap::with_capacity(members.size_hint().0);
-        let mut added = false;
-        for (key, config) in members {
-            match self.paths.remove_entry(&key) {
-                Some((key, existing)) if *existing.limd.config() == config => {
-                    next.insert(key, existing);
-                }
-                prior => {
-                    added |= prior.is_none();
-                    self.next_gen += 1;
-                    let gen = self.next_gen;
-                    self.due_queue.push(Reverse(DueEntry { due: now, key: key.clone(), gen }));
-                    let fresh = PathSched {
-                        limd: Limd::new(config), polls: 0, rule_version: version,
-                        due: now, gen, errors: 0, trigger_queued: false,
-                    };
-                    next.insert(key, fresh);
-                }
+    ) -> Swap<K>
+    where
+        K: Borrow<K::Borrowed>,
+    {
+        self.version += 1;
+        let version = self.version;
+        let mut swap = Swap { version, added: Vec::new(), changed: Vec::new(), removed: Vec::new() };
+        for (name, config) in members {
+            let name = name.borrow();
+            if let Some(sched) = self.paths.get_mut(name).filter(|s| *s.limd.config() == config) {
+                sched.listed = version;
+                continue;
             }
+            let (key, report) = match self.paths.remove_entry(name) {
+                Some((key, _)) => (key, &mut swap.changed),
+                None => (K::to_key(name), &mut swap.added),
+            };
+            report.push(key.clone());
+            self.next_gen += 1;
+            let gen = self.next_gen;
+            self.due_queue.push(Reverse(DueEntry { due: now, key: key.clone(), gen }));
+            let fresh = PathSched {
+                limd: Limd::new(config), polls: 0, rule_version: version, listed: version,
+                due: now, gen, errors: 0, trigger_queued: false,
+            };
+            self.paths.insert(key, fresh);
         }
-        // Whatever the keep/rebuild loop did not claim has no rule in
-        // the new set.
-        let mut removed: Vec<K> = self.paths.drain().map(|(key, _)| key).collect();
-        removed.sort();
-        if self.group() != group || added || !removed.is_empty() {
+        // A key the new set did not list has no rule any more.
+        let unlisted = self.paths.iter().filter(|(_, sched)| sched.listed != version);
+        swap.removed = unlisted.map(|(key, _)| key.clone()).collect();
+        swap.removed.sort();
+        self.paths.retain(|_, sched| sched.listed == version);
+        if self.group() != group || !swap.added.is_empty() || !swap.removed.is_empty() {
             self.coordinator =
-                group.map(|(delta, policy)| MtCoordinator::new(delta, policy, next.keys().cloned()));
+                group.map(|(delta, policy)| MtCoordinator::new(delta, policy, self.paths.keys().cloned()));
         }
-        self.paths = next;
-        self.version = version;
-        removed
+        swap
     }
 
     /// Moves `key`'s next scheduled poll to `due`: bumps its generation
@@ -394,6 +442,22 @@ mod tests {
 
     type Sched<K> = Schedule<K, Timestamp>;
 
+    impl Key for &str {
+        type Borrowed = Self;
+
+        fn to_key(name: &Self) -> Self {
+            name
+        }
+    }
+
+    impl Key for String {
+        type Borrowed = str;
+
+        fn to_key(name: &str) -> String {
+            name.to_owned()
+        }
+    }
+
     fn at(ms: u64) -> Timestamp {
         Timestamp::from_millis(ms)
     }
@@ -412,14 +476,14 @@ mod tests {
     }
 
     /// Version 1: `keys`, all under `config`, first due at `now`.
-    fn schedule<K: Clone + Ord + Hash>(
+    fn schedule<K: Key + Borrow<K::Borrowed>>(
         keys: impl IntoIterator<Item = K>,
         config: LimdConfig,
         group: Option<(Duration, MtPolicy)>,
         now: Timestamp,
     ) -> Sched<K> {
         let mut s = Schedule::default();
-        s.reconcile(1, keys.into_iter().map(|k| (k, config)), group, now);
+        s.reconcile(keys.into_iter().map(|k| (k, config)), group, now);
         s
     }
 
@@ -469,7 +533,7 @@ mod tests {
                 .map(|(i, p)| (p.clone(), limd(if i % 3 == 0 { 10 + round } else { 10 })))
                 .collect();
             let live: HashSet<String> = members.iter().map(|(p, _)| p.clone()).collect();
-            let removed = s.reconcile(round, members, None, at(round));
+            let removed = s.reconcile(members, None, at(round)).removed;
             for gone in &removed {
                 assert!(!live.contains(gone), "{gone} reported removed but still ruled");
             }
@@ -582,7 +646,7 @@ mod tests {
         // /a polls four times as often, so its second poll finds /b and
         // /c a long way from theirs.
         let members = [("/a", limd(10_000)), ("/b", limd(40_000)), ("/c", limd(40_000))];
-        d.reconcile(1, members, Some((ms(1_000), MtPolicy::HEURISTIC)), start);
+        d.reconcile(members, Some((ms(1_000), MtPolicy::HEURISTIC)), start);
         for period in [1_000, 1_250, 1_600] {
             let job = d.next_job(start, start).expect("all due at the start");
             let seen = every(period, start);
@@ -685,7 +749,7 @@ mod tests {
             let remove_after = rng.uniform_u64(100, 700);
             let mut readd_at = None;
             let mut d: Sched<&str> = Schedule::default();
-            d.reconcile(1, full.clone(), group, at(0));
+            d.reconcile(full.clone(), group, at(0));
             let mut on_wire: Vec<(Job<&str, Timestamp>, u64)> = Vec::new();
             let mut handed_at: HashMap<&str, u64> = HashMap::new();
             for t in 0..1_500 {
@@ -717,11 +781,11 @@ mod tests {
                 // of it on the wire if polls take time),
                 let m3_on_wire = on_wire.iter().any(|(job, _)| job.key == "/m3");
                 if d.version() == 1 && t >= remove_after && (zero_latency || m3_on_wire) {
-                    assert_eq!(d.reconcile(2, without.clone(), group, at(t)), vec!["/m3"]);
+                    assert_eq!(d.reconcile(without.clone(), group, at(t)).removed, vec!["/m3"]);
                     readd_at = Some(t + rng.uniform_u64(1, 200));
                 }
                 if readd_at == Some(t) {
-                    assert!(d.reconcile(3, full.clone(), group, at(t)).is_empty());
+                    assert!(d.reconcile(full.clone(), group, at(t)).removed.is_empty());
                 }
                 // and hand-outs, up to six asked for.
                 while on_wire.len() < 6 && (zero_latency || rng.chance(0.8)) {
