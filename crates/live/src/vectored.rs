@@ -204,7 +204,7 @@ impl WritePlan {
                 Ok(n) => self.written += n,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     stats.blocked += 1;
-                    return Ok(FlushOutcome::Blocked)
+                    return Ok(FlushOutcome::Blocked);
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),

@@ -19,10 +19,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use bytes::Bytes;
+use mutcon_core::time::{Duration, Timestamp};
 use mutcon_http::headers::HeaderName;
 use mutcon_http::message::Response;
 use mutcon_http::parse::{RequestParser, ResponseParser};
-use mutcon_core::time::{Duration, Timestamp};
 use mutcon_live::cache::{shard_of, CacheEntry, L1Cache, ShardedCache, SHARD_COUNT};
 use mutcon_live::client::{get_wire, wire_target, ObjectStamps};
 use mutcon_live::upstream::{PoolCore, Submit};
@@ -105,7 +105,11 @@ fn each_stage_of_a_miss_stays_within_its_allocation_budget() {
         assert!(wire.starts_with(b"GET /obj/000017 HTTP/1.1\r\nhost: 127.0.0.1:40000\r\n"));
         // The finished fetch reads its path back out of the same bytes.
         let (target, read_back) = counted(|| wire_target(&wire));
-        assert_eq!((target, read_back), (Some(PATH), 0), "wire_target: no allocation");
+        assert_eq!(
+            (target, read_back),
+            (Some(PATH), 0),
+            "wire_target: no allocation"
+        );
 
         // Response parse: head, index, body.
         let (parsed, response_parse) = counted(|| ResponseParser::new().advance(&response_wire));
@@ -165,7 +169,12 @@ fn each_stage_of_a_miss_stays_within_its_allocation_budget() {
 }
 
 fn entry(stamp: u64) -> CacheEntry {
-    CacheEntry::new(Bytes::from_static(b"x"), Timestamp::from_millis(stamp), None, None)
+    CacheEntry::new(
+        Bytes::from_static(b"x"),
+        Timestamp::from_millis(stamp),
+        None,
+        None,
+    )
 }
 
 /// What a store allocates for itself: the map's key and the entry's
@@ -265,7 +274,9 @@ fn head_rendering_and_empty_bodies_do_not_allocate() {
 
 /// `n` rules, 500 ms each, as `delta_fleet` installs them.
 fn rules(n: usize) -> Vec<RefreshRule> {
-    (0..n).map(|i| RefreshRule::new(format!("/obj/{i:06}"), Duration::from_millis(500))).collect()
+    (0..n)
+        .map(|i| RefreshRule::new(format!("/obj/{i:06}"), Duration::from_millis(500)))
+        .collect()
 }
 
 /// A rule install diffs the rule set against the schedule in place.
@@ -290,5 +301,8 @@ fn a_rule_install_allocates_for_the_rules_it_adds_alone() {
     let grown = rules(1_024);
     let (report, adding) = counted(|| runtime.install(grown, None).expect("valid rules"));
     assert_eq!((report.added.len(), report.removed.len()), (64, 0));
-    assert!(adding <= 64 + 16, "adding 64 rules to 960: {adding} allocations");
+    assert!(
+        adding <= 64 + 16,
+        "adding 64 rules to 960: {adding} allocations"
+    );
 }
