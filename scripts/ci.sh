@@ -15,6 +15,7 @@ rustfmt --edition 2021 --check \
   crates/http/src/conditional.rs crates/http/src/extensions.rs \
   crates/http/src/headers.rs crates/http/src/types.rs \
   crates/http/tests/corpus.rs crates/http/tests/parser_splits.rs \
+  crates/live/src/vectored.rs crates/live/tests/alloc_budget.rs \
   crates/live/tests/harness/wire.rs crates/live/tests/threads.rs \
   crates/proxy/src/cache.rs \
   crates/shims/bytes/src/lib.rs crates/shims/parking_lot/src/lib.rs \
