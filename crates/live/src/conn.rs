@@ -313,9 +313,10 @@ impl OriginConn {
                 self.served += 1;
                 Received::Done { response, reusable }
             }
-            Ok(None) if self.eof => {
-                Received::Failed(io::Error::new(io::ErrorKind::UnexpectedEof, "origin closed"))
-            }
+            Ok(None) if self.eof => Received::Failed(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "origin closed",
+            )),
             Ok(None) => Received::Pending,
             Err(e) => Received::Failed(io::Error::new(io::ErrorKind::InvalidData, e)),
         }
@@ -507,7 +508,11 @@ mod tests {
     impl Read for Endless {
         fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
             self.0 += buf.len();
-            assert!(self.0 <= 16 * MAX_BUFFERED, "discarded {} bytes and still reading", self.0);
+            assert!(
+                self.0 <= 16 * MAX_BUFFERED,
+                "discarded {} bytes and still reading",
+                self.0
+            );
             buf.fill(b'x');
             Ok(buf.len())
         }
@@ -664,7 +669,11 @@ mod tests {
     }
 
     fn ok_wire(body: &str) -> Vec<u8> {
-        Response::ok().keep_alive().body(body.as_bytes().to_vec()).build().to_bytes()
+        Response::ok()
+            .keep_alive()
+            .body(body.as_bytes().to_vec())
+            .build()
+            .to_bytes()
     }
 
     /// Whether a response in `wire` (fed in one read, then `eof`) leaves
@@ -688,7 +697,11 @@ mod tests {
     #[test]
     fn an_origin_socket_is_reusable_only_after_a_clean_keep_alive_response() {
         assert!(reusable(&ok_wire("a"), false));
-        let close = Response::ok().connection_close().body(&b"a"[..]).build().to_bytes();
+        let close = Response::ok()
+            .connection_close()
+            .body(&b"a"[..])
+            .build()
+            .to_bytes();
         assert!(!reusable(&close, false), "the origin said close");
         assert!(!reusable(&ok_wire("a"), true), "the origin sent EOF");
         let smuggled = [ok_wire("a"), ok_wire("WRONG")].concat();
@@ -703,8 +716,14 @@ mod tests {
         receive(&mut origin, head, false);
         assert!(matches!(origin.response(), Received::Pending));
         receive(&mut origin, tail, false);
-        assert!(matches!(origin.response(), Received::Done { reusable: true, .. }));
-        assert!(matches!(origin.response(), Received::Pending), "nothing buffered");
+        assert!(matches!(
+            origin.response(),
+            Received::Done { reusable: true, .. }
+        ));
+        assert!(
+            matches!(origin.response(), Received::Pending),
+            "nothing buffered"
+        );
     }
 
     #[test]
@@ -715,7 +734,11 @@ mod tests {
         assert_eq!(failure(&mut origin), io::ErrorKind::UnexpectedEof);
         let mut origin = OriginConn::default();
         receive(&mut origin, &[], true);
-        assert_eq!(failure(&mut origin), io::ErrorKind::UnexpectedEof, "before any byte");
+        assert_eq!(
+            failure(&mut origin),
+            io::ErrorKind::UnexpectedEof,
+            "before any byte"
+        );
     }
 
     #[test]
@@ -747,10 +770,16 @@ mod tests {
         }
         assert_eq!(out, request);
         assert!(turns > 1, "it took several writes");
-        assert!(origin.send(&request, |_| panic!("all of it is out")).unwrap());
+        assert!(origin
+            .send(&request, |_| panic!("all of it is out"))
+            .unwrap());
 
         let closed = OriginConn::default().send(&request, |_| Ok(0));
-        assert_eq!(closed.unwrap_err().kind(), io::ErrorKind::WriteZero, "it took nothing");
+        assert_eq!(
+            closed.unwrap_err().kind(),
+            io::ErrorKind::WriteZero,
+            "it took nothing"
+        );
     }
 
     #[test]
@@ -761,10 +790,16 @@ mod tests {
         assert!(!origin.stale(&reset()), "a fresh socket is never stale");
 
         receive(&mut origin, &ok_wire("a"), false);
-        assert!(matches!(origin.response(), Received::Done { reusable: true, .. }));
+        assert!(matches!(
+            origin.response(),
+            Received::Done { reusable: true, .. }
+        ));
         assert!(origin.stale(&reset()));
         assert!(origin.stale(&eof()));
-        assert!(!origin.stale(&io::ErrorKind::TimedOut.into()), "the reactor's timeout");
+        assert!(
+            !origin.stale(&io::ErrorKind::TimedOut.into()),
+            "the reactor's timeout"
+        );
 
         receive(&mut origin, b"HTTP/1.1 2", false);
         assert!(matches!(origin.response(), Received::Pending));

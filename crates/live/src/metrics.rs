@@ -231,7 +231,12 @@ pub fn put(doc: &mut Json, path: &str, value: Json) {
 
 /// A JSON object with `entries` as its members.
 pub fn obj(entries: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
-    Json::Object(entries.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
+    Json::Object(
+        entries
+            .into_iter()
+            .map(|(k, v)| (k.to_owned(), v))
+            .collect(),
+    )
 }
 
 /// Declares a set of metrics: each `name: Cell => "path";` line, with

@@ -49,7 +49,11 @@ impl LiveOriginBuilder {
 
     /// Enables the §5.1 modification-history extension header.
     pub fn with_history(mut self, yes: bool) -> Self {
-        let history = if yes { HistorySupport::Full } else { HistorySupport::None };
+        let history = if yes {
+            HistorySupport::Full
+        } else {
+            HistorySupport::None
+        };
         self.origin = self.origin.with_history(history);
         self
     }
@@ -75,7 +79,11 @@ impl LiveOriginBuilder {
         });
         let server = EventLoop::start(
             "mutcon-live-origin-reactor",
-            || Box::new(OriginService { shared: Arc::clone(&shared) }),
+            || {
+                Box::new(OriginService {
+                    shared: Arc::clone(&shared),
+                })
+            },
             EngineConfig {
                 reactors: self.reactors.unwrap_or_else(default_reactors),
                 ..EngineConfig::default()
@@ -167,14 +175,22 @@ impl Service for OriginService {
 /// `now` from `origin`, whose trace time 0 is `epoch_unix_ms`: the
 /// request's validator moved to trace time, `HostedObject::poll`,
 /// then [`render`]. `404` for a path not hosted or not yet created.
-pub(crate) fn answer(origin: &OriginServer, epoch_unix_ms: u64, request: &Request, now: Timestamp) -> Response {
+pub(crate) fn answer(
+    origin: &OriginServer,
+    epoch_unix_ms: u64,
+    request: &Request,
+    now: Timestamp,
+) -> Response {
     // A validator from before trace time 0 (an `If-Modified-Since` date
     // rounded down to the second) predates every version: it validates
     // nothing, rather than reading as trace time 0.
     let validator = crate::client::validator_ms(request)
         .and_then(|v| v.as_millis().checked_sub(epoch_unix_ms))
         .map(Timestamp::from_millis);
-    match origin.object(&ObjectId::new(request.target())).map(|o| o.poll(now, validator)) {
+    match origin
+        .object(&ObjectId::new(request.target()))
+        .map(|o| o.poll(now, validator))
+    {
         Ok(Ok(response)) => render(request.target(), &response, epoch_unix_ms),
         _ => Response::builder(StatusCode::NOT_FOUND).build(),
     }
@@ -218,9 +234,9 @@ mod tests {
     use super::*;
     use crate::client::{last_modified_ms, ObjectStamps};
     use crate::wire::Client;
-    use std::time::Duration as StdDuration;
     use mutcon_core::value::Value;
     use mutcon_traces::UpdateEvent;
+    use std::time::Duration as StdDuration;
 
     fn connect(origin: &LiveOrigin, timeout_ms: u64) -> Client {
         Client::new(origin.local_addr(), StdDuration::from_millis(timeout_ms))

@@ -600,8 +600,7 @@ pub fn raise_nofile_limit(cap: u64) -> io::Result<(u64, u64)> {
     if cap > old.max {
         // Privileged path: lift the hard limit with the soft one.
         let new = sys::RLimit64 { cur: cap, max: cap };
-        if cvt(unsafe { sys::prlimit64(0, sys::RLIMIT_NOFILE, &new, std::ptr::null_mut()) })
-            .is_ok()
+        if cvt(unsafe { sys::prlimit64(0, sys::RLIMIT_NOFILE, &new, std::ptr::null_mut()) }).is_ok()
         {
             return Ok((old.cur, cap));
         }
@@ -728,7 +727,11 @@ mod tests {
 
         // A fresh connected socket is writable but not readable.
         poller
-            .register(client.as_raw_fd(), 1, Interest::READABLE | Interest::WRITABLE)
+            .register(
+                client.as_raw_fd(),
+                1,
+                Interest::READABLE | Interest::WRITABLE,
+            )
             .unwrap();
         let mut events = Events::with_capacity(8);
         poller
@@ -742,10 +745,7 @@ mod tests {
         poller
             .modify(client.as_raw_fd(), 1, Interest::READABLE)
             .unwrap();
-        assert_eq!(
-            poller.wait(&mut events, Some(Duration::ZERO)).unwrap(),
-            0
-        );
+        assert_eq!(poller.wait(&mut events, Some(Duration::ZERO)).unwrap(), 0);
 
         // Data arrives → readable.
         (&server_side).write_all(b"ping").unwrap();
@@ -797,10 +797,7 @@ mod tests {
         assert!(events.iter().next().unwrap().readable);
         waker.drain();
         // Drained: no longer readable.
-        assert_eq!(
-            poller.wait(&mut events, Some(Duration::ZERO)).unwrap(),
-            0
-        );
+        assert_eq!(poller.wait(&mut events, Some(Duration::ZERO)).unwrap(), 0);
         handle.join().unwrap();
     }
 
@@ -821,7 +818,10 @@ mod tests {
             .collect();
         waited.sort();
         assert!(waited[0] >= timeout, "woke early: {waited:?}");
-        assert!(waited[5] < Duration::from_micros(900), "rounded up: {waited:?}");
+        assert!(
+            waited[5] < Duration::from_micros(900),
+            "rounded up: {waited:?}"
+        );
     }
 
     #[test]

@@ -24,7 +24,9 @@ impl BackendKind {
     /// `Some` for `epoll`, `None` for anything else; kept for the
     /// benchmark's `--backend` flag.
     pub fn parse(s: &str) -> Option<BackendKind> {
-        s.trim().eq_ignore_ascii_case("epoll").then_some(BackendKind::Epoll)
+        s.trim()
+            .eq_ignore_ascii_case("epoll")
+            .then_some(BackendKind::Epoll)
     }
 }
 

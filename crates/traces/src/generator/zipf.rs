@@ -252,7 +252,10 @@ mod tests {
     #[test]
     fn validation_errors() {
         assert!(ZipfCatalogBuilder::new(0).build().is_err());
-        assert!(ZipfCatalogBuilder::new(8).exponent(f64::NAN).build().is_err());
+        assert!(ZipfCatalogBuilder::new(8)
+            .exponent(f64::NAN)
+            .build()
+            .is_err());
         assert!(ZipfCatalogBuilder::new(8).exponent(-1.0).build().is_err());
     }
 
