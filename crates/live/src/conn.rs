@@ -24,13 +24,15 @@ use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
 use mutcon_http::message::{Request, Response};
-use mutcon_http::parse::{ParseError, RequestParser, ResponseParser};
+use mutcon_http::parse::{
+    ParseError, RequestParser, ResponseParser, MAX_BODY_BYTES, MAX_HEAD_BYTES,
+};
 use mutcon_http::types::StatusCode;
 use mutcon_sim::reactor::Interest;
 
 use crate::server::Reply;
 use crate::upstream::JobId;
-use crate::vectored::{FlushOutcome, FlushStats, WritePlan, WriteSink, MAX_RETAINED_CAP};
+use crate::vectored::{FlushStats, WritePlan, WriteSink, MAX_RETAINED_CAP};
 
 /// The most input buffered ahead of the state machine (pipelining
 /// back-pressure), and so the largest request a client may send: one
@@ -67,17 +69,6 @@ pub(crate) enum Next {
     TooLarge,
     /// The bytes can never become a request: the connection is lost.
     Malformed,
-}
-
-/// How far [`ClientConn::flush`] got.
-#[derive(Debug)]
-pub(crate) enum Flush {
-    /// Nothing was queued.
-    Idle,
-    /// The socket is full; the rest waits for writability.
-    Blocked,
-    /// All of it is out.
-    Done,
 }
 
 /// One client connection's request/response state. See the module docs.
@@ -147,34 +138,21 @@ impl ClientConn {
     }
 
     /// Queues the response to the request in flight, which ends any
-    /// fetch it waited on. The head is rendered into the connection's
-    /// reusable write buffer; a body, whatever the reply, rides behind
-    /// it as a shared slice, never copied, and the two leave in one
-    /// `writev`.
+    /// fetch it waited on. The reply's head, its extra lines and, if the
+    /// connection closes after it, `connection: close` go into the
+    /// connection's reusable write buffer; the body rides behind them as
+    /// a shared slice, never copied, and the two leave in one `writev`.
     pub(crate) fn queue(&mut self, reply: Reply) {
         debug_assert!(self.write.is_idle(), "one response in flight at a time");
         self.pending = None;
         let buf = self.write.buf_mut();
-        let body = match reply {
-            Reply::Full(mut response) => {
-                if self.close_after_write {
-                    mutcon_http::connection::set_close(response.headers_mut());
-                }
-                response.write_head(buf);
-                buf.extend_from_slice(b"\r\n");
-                response.body().clone()
-            }
-            Reply::Prepared(prepared) => {
-                buf.extend_from_slice(&prepared.head);
-                buf.extend_from_slice(prepared.extra);
-                if self.close_after_write {
-                    buf.extend_from_slice(b"connection: close\r\n");
-                }
-                buf.extend_from_slice(b"\r\n");
-                prepared.body
-            }
-        };
-        self.write.set_body(body);
+        buf.extend_from_slice(&reply.head);
+        buf.extend_from_slice(reply.extra);
+        if self.close_after_write {
+            buf.extend_from_slice(b"connection: close\r\n");
+        }
+        buf.extend_from_slice(b"\r\n");
+        self.write.set_body(reply.body);
     }
 
     /// Queues `status` as the connection's last response: it closes once
@@ -183,23 +161,18 @@ impl ClientConn {
         self.close_after_write = true;
         self.request_started = None;
         self.read_buf.clear();
-        self.queue(Reply::Full(Response::builder(status).build()));
+        self.queue(Response::builder(status).build().into());
     }
 
-    /// Writes as much of the queued response as `sink` takes; an error
-    /// (other than `WouldBlock`) ends the connection.
+    /// Writes as much of the queued response as `sink` takes; `true` if
+    /// that finished it. An error (other than `WouldBlock`) ends the
+    /// connection.
     pub(crate) fn flush(
         &mut self,
         sink: &mut impl WriteSink,
         stats: &mut FlushStats,
-    ) -> io::Result<Flush> {
-        if self.write.is_idle() {
-            return Ok(Flush::Idle);
-        }
-        Ok(match self.write.flush(sink, MAX_RETAINED_CAP, stats)? {
-            FlushOutcome::Blocked => Flush::Blocked,
-            FlushOutcome::Done => Flush::Done,
-        })
+    ) -> io::Result<bool> {
+        Ok(!self.write.is_idle() && self.write.flush(sink, MAX_RETAINED_CAP, stats)?)
     }
 
     /// The readiness to wait for: WRITABLE while a response is unwritten;
@@ -244,6 +217,11 @@ impl ClientConn {
     }
 }
 
+/// The most an origin socket buffers: the largest head and body the
+/// parser accepts. An origin that sends more, however fast, is not read
+/// further.
+pub(crate) const MAX_ORIGIN_BUFFERED: usize = MAX_HEAD_BYTES + MAX_BODY_BYTES;
+
 /// What [`OriginConn::response`] found.
 #[derive(Debug)]
 pub(crate) enum Received {
@@ -252,8 +230,9 @@ pub(crate) enum Received {
     /// A whole response; `reusable` if it was keep-alive, nothing
     /// followed it and the origin sent no EOF. Otherwise the socket closes.
     Done { response: Response, reusable: bool },
-    /// EOF mid-response (`UnexpectedEof`) or bytes that can never parse
-    /// (`InvalidData`): the socket is lost.
+    /// EOF mid-response (`UnexpectedEof`), or bytes that can never parse
+    /// or a full buffer with no whole response (`InvalidData`): the
+    /// socket is lost.
     Failed(io::Error),
 }
 
@@ -291,13 +270,15 @@ impl OriginConn {
         Ok(true)
     }
 
-    /// Takes input: `read` appends to the buffer and returns whether the
-    /// origin sent EOF.
+    /// Takes input: `read` appends to the buffer at most the room it is
+    /// given, so the buffer never holds more than [`MAX_ORIGIN_BUFFERED`],
+    /// and returns whether the origin sent EOF.
     pub(crate) fn fill(
         &mut self,
-        read: impl FnOnce(&mut BytesMut) -> io::Result<bool>,
+        read: impl FnOnce(&mut BytesMut, usize) -> io::Result<bool>,
     ) -> io::Result<()> {
-        self.eof |= read(&mut self.read_buf)?;
+        let room = MAX_ORIGIN_BUFFERED.saturating_sub(self.read_buf.len());
+        self.eof |= read(&mut self.read_buf, room)?;
         Ok(())
     }
 
@@ -317,6 +298,9 @@ impl OriginConn {
                 io::ErrorKind::UnexpectedEof,
                 "origin closed",
             )),
+            Ok(None) if self.read_buf.len() >= MAX_ORIGIN_BUFFERED => Received::Failed(
+                io::Error::new(io::ErrorKind::InvalidData, "origin response too large"),
+            ),
             Ok(None) => Received::Pending,
             Err(e) => Received::Failed(io::Error::new(io::ErrorKind::InvalidData, e)),
         }
@@ -337,7 +321,6 @@ impl OriginConn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::PreparedResponse;
     use bytes::Bytes;
     use mutcon_http::parse::parse_response;
     use mutcon_http::types::Method;
@@ -381,7 +364,7 @@ mod tests {
     }
 
     fn ok(body: &str) -> Reply {
-        Reply::Full(Response::ok().body(body.as_bytes().to_vec()).build())
+        Response::ok().body(body.as_bytes().to_vec()).build().into()
     }
 
     /// A client socket that takes `room` more bytes, then blocks.
@@ -421,7 +404,8 @@ mod tests {
         }
     }
 
-    fn flush(conn: &mut ClientConn, sink: &mut Sink) -> Flush {
+    /// Whether the flush finished the queued response.
+    fn flush(conn: &mut ClientConn, sink: &mut Sink) -> bool {
         conn.flush(sink, &mut FlushStats::default()).unwrap()
     }
 
@@ -450,14 +434,11 @@ mod tests {
             matches!(conn.next_request(now), Next::Busy),
             "its response is unwritten"
         );
-        assert!(matches!(flush(&mut conn, &mut sink), Flush::Done));
+        assert!(flush(&mut conn, &mut sink));
 
         assert_eq!(target(conn.next_request(now)), "/2");
         conn.await_fetch(7);
-        assert!(
-            matches!(flush(&mut conn, &mut sink), Flush::Idle),
-            "nothing queued"
-        );
+        assert!(!flush(&mut conn, &mut sink), "nothing queued");
         assert!(
             matches!(conn.next_request(now), Next::Busy),
             "a fetch is out"
@@ -486,7 +467,7 @@ mod tests {
         assert_eq!(target(conn.next_request(now)), "/last");
         conn.queue(ok("bye"));
         let mut sink = Sink::open();
-        assert!(matches!(flush(&mut conn, &mut sink), Flush::Done));
+        assert!(flush(&mut conn, &mut sink));
         assert!(
             matches!(conn.next_request(now), Next::Busy),
             "nothing after the close"
@@ -498,6 +479,50 @@ mod tests {
             !sent[0].wants_keep_alive(),
             "the response announces the close"
         );
+    }
+
+    /// The head `conn` writes for `reply` to a client whose request was
+    /// `request`.
+    fn head_sent(request: Request, reply: Reply) -> String {
+        let mut conn = ClientConn::default();
+        feed(&mut conn, &request.to_bytes(), false);
+        target(conn.next_request(Instant::now()));
+        conn.queue(reply);
+        let mut sink = Sink::open();
+        assert!(flush(&mut conn, &mut sink));
+        let wire = String::from_utf8(sink.out).unwrap();
+        wire[..wire.find("\r\n\r\n").unwrap() + 2].to_owned()
+    }
+
+    /// A rendered reply loses the `Connection` header it carried (it is
+    /// hop-by-hop) and, like a cached one, gets `connection: close` last
+    /// when the client asked to close.
+    #[test]
+    fn the_client_alone_decides_the_connection_header_and_close_comes_last() {
+        let passed = || {
+            let response = Response::builder(StatusCode::NOT_FOUND)
+                .keep_alive()
+                .header("x-from", "origin")
+                .build();
+            Reply::from(response)
+        };
+        let keep = head_sent(Request::get("/a").build(), passed());
+        assert_eq!(keep, "HTTP/1.1 404 Not Found\r\nx-from: origin\r\n");
+        let close = head_sent(Request::get("/a").connection_close().build(), passed());
+        assert_eq!(close, format!("{keep}connection: close\r\n"));
+
+        let cached = || Reply {
+            head: Bytes::from_static(b"HTTP/1.1 200 OK\r\ncontent-length: 4\r\n"),
+            extra: b"x-cache: hit\r\n",
+            body: Bytes::from_static(b"body"),
+        };
+        let close = head_sent(Request::get("/a").connection_close().build(), cached());
+        assert!(
+            close.ends_with("x-cache: hit\r\nconnection: close\r\n"),
+            "{close}"
+        );
+        let keep = head_sent(Request::get("/a").build(), cached());
+        assert!(!keep.contains("connection"), "{keep}");
     }
 
     /// A sender that never stops: every read fills the buffer. It panics
@@ -572,20 +597,20 @@ mod tests {
         conn.await_fetch(1);
         assert_eq!(conn.interest(), Interest::READABLE, "armed behind a fetch");
 
-        conn.queue(Reply::Prepared(PreparedResponse {
+        conn.queue(Reply {
             head: Bytes::from_static(b"HTTP/1.1 200 OK\r\ncontent-length: 4\r\n"),
             extra: b"x-cache: hit\r\n",
             body: Bytes::from_static(b"body"),
-        }));
+        });
         assert_eq!(conn.interest(), Interest::WRITABLE);
         let mut sink = Sink {
             out: Vec::new(),
             room: 3,
         };
-        assert!(matches!(flush(&mut conn, &mut sink), Flush::Blocked));
+        assert!(!flush(&mut conn, &mut sink), "blocked");
         assert_eq!(conn.interest(), Interest::WRITABLE, "still unwritten");
         sink.room = usize::MAX;
-        assert!(matches!(flush(&mut conn, &mut sink), Flush::Done));
+        assert!(flush(&mut conn, &mut sink));
         assert_eq!(conn.interest(), Interest::READABLE);
         assert_eq!(responses(&sink.out)[0].body().as_ref(), b"body");
 
@@ -661,7 +686,8 @@ mod tests {
     /// then closed.
     fn receive(origin: &mut OriginConn, bytes: &[u8], eof: bool) {
         origin
-            .fill(|buf| {
+            .fill(|buf, room| {
+                assert!(bytes.len() <= room);
                 buf.extend_from_slice(bytes);
                 Ok(eof)
             })

@@ -37,7 +37,8 @@
 //!   coalescing, idle reuse, stale-socket retry) and origin fan-out's
 //!   one static bound, [`upstream::MAX_CONNS_PER_ORIGIN`].
 //! * [`vectored`] — the zero-copy send path: per-connection write plans
-//!   (contiguous head + shared body flushed via `writev`).
+//!   (contiguous head + shared body gathered by std's `write_vectored`,
+//!   one `writev`).
 //! * [`cache`] — the 16-way sharded, recency-indexed object cache;
 //!   entries pre-render their serving head so a hit is two shared
 //!   slices, not a serialization.

@@ -2,7 +2,7 @@
 //! in.
 //!
 //! Three lock-free cells — [`Counter`], [`Gauge`], [`Histogram`] — and
-//! [`metrics!`], which turns a list of `name: Cell => "json.path"` lines
+//! `metrics!`, which turns a list of `name: Cell => "json.path"` lines
 //! into a struct of cells, one accessor per cell, the table of what was
 //! declared ([`Metric`], which the README's table is checked against) and
 //! `render`, which writes every cell to its place in `GET /admin/stats`.
@@ -19,7 +19,7 @@ use std::time::Duration;
 
 use mutcon_traces::json::Json;
 
-/// What [`metrics!`] asks of a cell: the value its accessor returns and
+/// What `metrics!` asks of a cell: the value its accessor returns and
 /// its form in `GET /admin/stats`.
 pub trait Cell {
     /// What the generated accessor returns.
@@ -30,7 +30,7 @@ pub trait Cell {
     fn json(&self) -> Json;
 }
 
-/// One declared metric: the table [`metrics!`] generates has one per cell.
+/// One declared metric: the table `metrics!` generates has one per cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Metric {
     /// The cell's (and its accessor's) Rust name.

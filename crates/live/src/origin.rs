@@ -31,7 +31,7 @@ use mutcon_proxy::origin::{HistorySupport, OriginResponse, OriginServer};
 use mutcon_traces::UpdateTrace;
 
 use crate::client::X_LAST_MODIFIED_MS;
-use crate::server::{default_reactors, EngineConfig, EventLoop, Reply, Service, ServiceResult};
+use crate::server::{default_reactors, EngineConfig, EventLoop, Service, ServiceResult};
 
 /// Builder for [`LiveOrigin`].
 #[derive(Debug, Default)]
@@ -167,7 +167,7 @@ impl Service for OriginService {
             let now = Timestamp::from_millis(shared.epoch.elapsed().as_millis() as u64);
             answer(&shared.origin, shared.epoch_unix_ms, request, now)
         };
-        ServiceResult::Reply(Reply::Full(response))
+        ServiceResult::Reply(response.into())
     }
 }
 

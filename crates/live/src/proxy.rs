@@ -85,7 +85,7 @@ use crate::metrics::{metrics, obj, put, Counter};
 use crate::origin::unix_now_ms;
 use crate::runtime::{ConsistencyRuntime, Plane, PollKind};
 use crate::server::{
-    default_reactors, EngineConfig, EngineMetrics, EventLoop, PreparedResponse, Reply, Service,
+    default_reactors, EngineConfig, EngineMetrics, EventLoop, Reply, Service,
     ServiceResult, DEFAULT_L1_OBJECTS, DEFAULT_MAX_CONNS, MAX_L1_OBJECTS,
 };
 
@@ -388,11 +388,11 @@ impl Service for ProxyService {
         // bearer token is configured, it gates every admin endpoint.
         if path.starts_with(ADMIN_PREFIX) {
             let response = self.check_admin_auth(request).unwrap_or_else(|| self.admin(request));
-            return ServiceResult::Reply(Reply::Full(response));
+            return ServiceResult::Reply(response.into());
         }
         if request.method() != &Method::Get {
             let response = Response::builder(StatusCode::METHOD_NOT_ALLOWED).build();
-            return ServiceResult::Reply(Reply::Full(response));
+            return ServiceResult::Reply(response.into());
         }
 
         // Cache hit: the entry's pre-rendered head and shared body go
@@ -402,7 +402,7 @@ impl Service for ProxyService {
         let cache = &self.shared.cache;
         let hit = |entry: &CacheEntry| {
             self.shared.counters.hits.inc();
-            ServiceResult::Reply(Reply::Prepared(prepared(entry, true)))
+            ServiceResult::Reply(prepared(entry, true))
         };
         if let Some(l1) = &mut self.l1 {
             match l1.lookup(path, cache.generation()) {
@@ -436,12 +436,11 @@ impl Service for ProxyService {
     }
 
     fn fetched(&mut self, request: &[u8], result: io::Result<Response>) -> Reply {
-        let Ok(mut response) = result else {
-            return Reply::Full(
-                Response::builder(StatusCode::INTERNAL_SERVER_ERROR)
-                    .body(&b"origin unreachable\n"[..])
-                    .build(),
-            );
+        let Ok(response) = result else {
+            return Response::builder(StatusCode::INTERNAL_SERVER_ERROR)
+                .body(&b"origin unreachable\n"[..])
+                .build()
+                .into();
         };
         // One store however many misses coalesced onto the fetch.
         let stored = match (response.status(), wire_target(request)) {
@@ -451,17 +450,12 @@ impl Service for ProxyService {
         match stored {
             // Serve the freshly stored entry the same zero-copy way a
             // hit would.
-            Some(entry) => Reply::Prepared(prepared(&entry, false)),
+            Some(entry) => prepared(&entry, false),
             // 404 etc., or a 200 without a modification stamp: pass
-            // through uncached. `Connection` is hop-by-hop (RFC 7230
-            // §6.1): the origin's choice governs the pooled origin
-            // socket, not the client connection — strip it before
-            // forwarding (the engine re-adds `close` when the *client*
-            // asked for it).
-            None => {
-                response.headers_mut().remove(HeaderName::CONNECTION);
-                Reply::Full(response)
-            }
+            // through uncached. Rendering drops the origin's
+            // `Connection`, which governs the pooled origin socket, not
+            // the client's.
+            None => response.into(),
         }
     }
 
@@ -810,8 +804,8 @@ fn poll_outcome(
 /// The zero-copy serving form of a cache entry: the head pre-rendered
 /// at store time, a static `x-cache` marker line, and the shared body
 /// slice — two refcount bumps, no serialization.
-fn prepared(entry: &CacheEntry, hit: bool) -> PreparedResponse {
-    PreparedResponse {
+fn prepared(entry: &CacheEntry, hit: bool) -> Reply {
+    Reply {
         head: entry.head().clone(),
         extra: if hit {
             b"x-cache: hit\r\n"

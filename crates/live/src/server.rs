@@ -25,8 +25,8 @@
 //!             └────────peer gone───────┘    alive socket) ───┘
 //! ```
 //!
-//! A client's side of that diagram is a [`ClientConn`], and an origin
-//! socket's is an [`OriginConn`]; neither holds a socket, and the reactor
+//! A client's side of that diagram is a `ClientConn`, and an origin
+//! socket's is an `OriginConn`; neither holds a socket, and the reactor
 //! moves bytes between them and the sockets. A parsed request is handed
 //! to the reactor's own [`Service`] instance, which answers with a
 //! [`Reply`] (*WRITING*) or by fetching from an upstream origin; state it
@@ -57,10 +57,10 @@
 //! timer is a function of the reactor's state and `now`.
 //!
 //! *WRITING* goes through the zero-copy send path ([`crate::vectored`]):
-//! each response is its head, rendered into a reusable contiguous
-//! buffer, plus its body as a shared slice, gathered into one
-//! `writev(2)`; no body byte is copied. Cache hits arrive pre-serialized
-//! ([`Reply::Prepared`]).
+//! every [`Reply`] is a head rendered once (a cache hit's at store time)
+//! and a shared body; the head is copied into the connection's reusable
+//! buffer and the body gathered behind it into one `writev(2)`, so no
+//! body byte is copied.
 //! A connection owns its read and write buffers from accept to close, and
 //! the accept loop drains the whole backlog per listener wakeup with
 //! `accept4` (already-nonblocking sockets, one metrics store per
@@ -90,6 +90,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::{Bytes, BytesMut};
+use mutcon_http::headers::HeaderName;
 use mutcon_http::message::{Request, Response};
 use mutcon_http::types::StatusCode;
 use mutcon_proxy::schedule::POLL_WIDTH;
@@ -98,7 +99,7 @@ use mutcon_sim::reactor::{
     Interest, Poller, Waker,
 };
 
-use crate::conn::{discard_input, ClientConn, Flush, Next, OriginConn, Received};
+use crate::conn::{discard_input, ClientConn, Next, OriginConn, Received};
 use crate::metrics::{metrics, Cell, Counter, Gauge};
 use crate::upstream::{JobId, PoolCore, Submit};
 use crate::vectored::FlushStats;
@@ -189,32 +190,37 @@ fn split_conns(max_conns: usize, reactors: usize) -> Vec<usize> {
         .collect()
 }
 
-/// A response pre-serialized at store time, served without touching the
-/// body bytes: the head is copied into the connection's write buffer
-/// (~150 bytes), the body rides as a shared [`Bytes`] slice gathered by
-/// `writev`. This is the zero-copy cache-hit path.
+/// A response a [`Service`] hands the engine to write: an answer to a
+/// request, or the outcome of a fetch that every waiting client gets.
+/// Its head is rendered once and its body is shared, so a clone per
+/// waiter is two refcount bumps. The engine copies the head into the
+/// connection's write buffer (~150 bytes) and gathers the body behind it
+/// with `writev`; no body byte is copied.
 #[derive(Debug, Clone)]
-pub struct PreparedResponse {
+pub struct Reply {
     /// Status line + headers, ending after the last header's CRLF (no
-    /// terminating blank line) so per-response headers can still append.
+    /// terminating blank line) and with no `Connection` header: the
+    /// engine adds `connection: close\r\n` when the client asked for it.
     pub head: Bytes,
     /// Per-response header lines (e.g. `x-cache: hit\r\n`), appended
-    /// after `head`. The engine adds `connection: close\r\n` and the
-    /// blank line itself.
+    /// after `head`.
     pub extra: &'static [u8],
     /// The shared body slice — cloned by refcount bump, never copied.
     pub body: Bytes,
 }
 
-/// A response a [`Service`] hands the engine to write: an answer to a
-/// request, or the outcome of a fetch that every waiting client gets.
-#[derive(Debug, Clone)]
-pub enum Reply {
-    /// A response to serialize per-connection.
-    Full(Response),
-    /// A pre-serialized response sharing its body allocation (no
-    /// serialization, no body copy) — the cache-hit path.
-    Prepared(PreparedResponse),
+/// Renders a response's head once. `Connection` is hop-by-hop (RFC 7230
+/// §6.1): the engine decides it per client connection, so whatever the
+/// response carried is dropped.
+impl From<Response> for Reply {
+    fn from(mut response: Response) -> Reply {
+        response.headers_mut().remove(HeaderName::CONNECTION);
+        Reply {
+            head: Bytes::from(response.head_bytes()),
+            extra: b"",
+            body: response.body().clone(),
+        }
+    }
 }
 
 /// What a [`Service`] wants done with a parsed request.
@@ -251,9 +257,9 @@ pub trait Service: Send + 'static {
     /// relays the response, or a bare `500` if the fetch failed.
     fn fetched(&mut self, request: &[u8], result: io::Result<Response>) -> Reply {
         let _ = request;
-        Reply::Full(result.unwrap_or_else(|_| {
-            Response::builder(StatusCode::INTERNAL_SERVER_ERROR).build()
-        }))
+        result
+            .unwrap_or_else(|_| Response::builder(StatusCode::INTERNAL_SERVER_ERROR).build())
+            .into()
     }
 
     /// Fetches the service starts for itself, not for a client. The
@@ -624,12 +630,12 @@ struct Reactor {
     paused_since: Option<Instant>,
 }
 
-/// Reads what `stream` (nonblocking) has into `buf` through `scratch`,
-/// at most `limit` bytes in all. Stops at a short read, which drained the
-/// socket (the level-triggered poller raises a new event for more data
-/// or EOF), or at `WouldBlock`; `Ok(true)` if the peer sent EOF.
+/// Reads what `stream` (a nonblocking socket) has into `buf` through
+/// `scratch`, at most `limit` bytes in all. Stops at a short read, which
+/// drained the socket (the level-triggered poller raises a new event for
+/// more data or EOF), or at `WouldBlock`; `Ok(true)` if the peer sent EOF.
 fn read_into(
-    mut stream: &TcpStream,
+    mut stream: impl Read,
     scratch: &mut [u8],
     buf: &mut BytesMut,
     limit: usize,
@@ -998,17 +1004,14 @@ impl Reactor {
         self.metrics.write_calls.add(stats.write_calls);
         self.metrics.writev_calls.add(stats.writev_calls);
         self.metrics.write_stalls.add(stats.blocked);
-        match flushed {
-            Ok(Flush::Done) => {
-                *last_activity = now;
-                true
-            }
-            Ok(Flush::Idle | Flush::Blocked) => true,
-            Err(_) => {
-                self.close_client(idx);
-                false
-            }
+        let Ok(done) = flushed else {
+            self.close_client(idx);
+            return false;
+        };
+        if done {
+            *last_activity = now;
         }
+        true
     }
 
     /// Starts queued fetches for `addr` on whatever capacity exists:
@@ -1112,7 +1115,7 @@ impl Reactor {
             return;
         };
         let scratch = &mut self.scratch;
-        if let Err(err) = up.http.fill(|buf| read_into(&conn.stream, scratch, buf, usize::MAX)) {
+        if let Err(err) = up.http.fill(|buf, room| read_into(&conn.stream, scratch, buf, room)) {
             self.upstream_broken(idx, err, now);
             return;
         }
@@ -1319,12 +1322,15 @@ mod tests {
     struct Echo;
     impl Service for Echo {
         fn respond(&mut self, request: &Request) -> ServiceResult {
-            ServiceResult::Reply(Reply::Full(match request.method() {
-                Method::Get => Response::ok()
-                    .body(request.target().as_bytes().to_vec())
-                    .build(),
-                _ => Response::builder(StatusCode::METHOD_NOT_ALLOWED).build(),
-            }))
+            ServiceResult::Reply(
+                match request.method() {
+                    Method::Get => Response::ok()
+                        .body(request.target().as_bytes().to_vec())
+                        .build(),
+                    _ => Response::builder(StatusCode::METHOD_NOT_ALLOWED).build(),
+                }
+                .into(),
+            )
         }
     }
 
@@ -1417,7 +1423,7 @@ mod tests {
     struct Tagged(usize);
     impl Service for Tagged {
         fn respond(&mut self, _request: &Request) -> ServiceResult {
-            ServiceResult::Reply(Reply::Full(Response::ok().body(self.0.to_string()).build()))
+            ServiceResult::Reply(Response::ok().body(self.0.to_string()).build().into())
         }
     }
 
@@ -1534,6 +1540,54 @@ mod tests {
             assert!(max - min <= 1, "uneven split {shares:?}");
             // The extra slots go to the first shards, deterministically.
             assert!(shares.windows(2).all(|w| w[0] >= w[1]), "{shares:?}");
+        }
+    }
+
+    /// An origin that never stops sending: every read fills the buffer,
+    /// with `head` first and `x` after it. It panics far past an origin
+    /// socket's bound, so a fill without the bound fails here, not hangs.
+    struct Firehose {
+        head: &'static [u8],
+        sent: usize,
+    }
+
+    impl Read for Firehose {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            for (at, byte) in (self.sent..).zip(buf.iter_mut()) {
+                *byte = self.head.get(at).copied().unwrap_or(b'x');
+            }
+            self.sent += buf.len();
+            let ceiling = 4 * crate::conn::MAX_ORIGIN_BUFFERED;
+            assert!(self.sent <= ceiling, "read {} bytes and still reading", self.sent);
+            Ok(buf.len())
+        }
+    }
+
+    /// An origin socket is read up to its bound and no further, however
+    /// fast the origin sends: garbage with no head end fails the fetch
+    /// (`upstream_readable` ends it in `upstream_broken`), and a response
+    /// followed by more than it declared is served and its socket closed.
+    #[test]
+    fn an_origin_that_never_stops_sending_is_read_to_the_bound_and_no_further() {
+        let mut scratch = vec![0; 16 * 1024];
+        let ok: &[u8] = b"HTTP/1.1 200 OK\r\ncontent-length: 2\r\n\r\nok";
+        for head in [&b""[..], ok] {
+            let mut origin = OriginConn::default();
+            let mut firehose = Firehose { head, sent: 0 };
+            // What `upstream_readable` does with a readable origin socket.
+            for _ in 0..2 {
+                origin.fill(|buf, room| read_into(&mut firehose, &mut scratch, buf, room)).unwrap();
+                assert_eq!(firehose.sent, crate::conn::MAX_ORIGIN_BUFFERED);
+            }
+            match origin.response() {
+                Received::Failed(err) if head.is_empty() => {
+                    assert_eq!(err.kind(), io::ErrorKind::InvalidData)
+                }
+                Received::Done { response, reusable: false } if !head.is_empty() => {
+                    assert_eq!(&response.body()[..], b"ok")
+                }
+                other => panic!("{other:?} after {} bytes of {head:?}", firehose.sent),
+            }
         }
     }
 
@@ -1661,7 +1715,7 @@ mod tests {
     struct Fetches(Outcomes);
     impl Service for Fetches {
         fn respond(&mut self, _request: &Request) -> ServiceResult {
-            ServiceResult::Reply(Reply::Full(Response::builder(StatusCode::NOT_FOUND).build()))
+            ServiceResult::Reply(Response::builder(StatusCode::NOT_FOUND).build().into())
         }
         fn own_fetched(&mut self, _request: &[u8], result: &io::Result<Response>, _now: Instant) {
             let outcome = result.as_ref().map(Response::status).map_err(io::Error::kind);
@@ -1928,11 +1982,11 @@ mod tests {
             use crate::cache::{CacheEntry, L1Lookup};
             let path = request.target();
             let prepared = |entry: &CacheEntry| {
-                ServiceResult::Reply(Reply::Prepared(PreparedResponse {
+                ServiceResult::Reply(Reply {
                     head: entry.head().clone(),
                     extra: b"x-cache: l1\r\n",
                     body: entry.body().clone(),
-                }))
+                })
             };
             let l1 = &mut self.l1;
             match l1.lookup(path, self.cache.generation()) {

@@ -7,8 +7,8 @@
 //! never copied.
 //! [`WritePlan`] tracks flush progress across both segments and pushes
 //! them with one `writev(2)` per readiness while both still have
-//! unwritten bytes, falling back to plain `write(2)` when only one
-//! remains.
+//! unwritten bytes (std's `write_vectored` on the socket), falling back
+//! to plain `write(2)` when only one remains.
 //!
 //! Each connection owns its plan's buffer and keeps it across keep-alive
 //! responses (cleared, not freed), so a keep-alive connection allocates
@@ -20,13 +20,10 @@
 //! through every possible partial-write split (the write-side mirror of
 //! the parser's byte-at-a-time tests) without a socket.
 
-use std::io;
+use std::io::{self, IoSlice};
 use std::net::TcpStream;
-use std::os::fd::AsRawFd;
 
 use bytes::Bytes;
-
-use mutcon_sim::reactor;
 
 /// Per-buffer capacity ceiling for retention: a buffer grown past this
 /// by an outsized response is dropped at reset instead of kept hot.
@@ -59,7 +56,7 @@ impl WriteSink for TcpStream {
     }
 
     fn write_two(&mut self, first: &[u8], second: &[u8]) -> io::Result<usize> {
-        reactor::writev(self.as_raw_fd(), &[first, second])
+        io::Write::write_vectored(self, &[IoSlice::new(first), IoSlice::new(second)])
     }
 }
 
@@ -71,20 +68,9 @@ pub struct FlushStats {
     pub write_calls: u64,
     /// `writev(2)` calls issued.
     pub writev_calls: u64,
-    /// Flush passes that ended [`FlushOutcome::Blocked`] — the client
-    /// socket back-pressured mid-response. The engine counts these as
-    /// write stalls.
+    /// Flush passes the sink blocked — the client socket back-pressured
+    /// mid-response. The engine counts these as write stalls.
     pub blocked: u64,
-}
-
-/// What a flush ended on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlushOutcome {
-    /// Every queued byte reached the sink; the plan was reset and the
-    /// (capacity-capped) buffer is ready for the next response.
-    Done,
-    /// The sink is full; re-flush when it reports writable again.
-    Blocked,
 }
 
 /// Flush progress over a contiguous buffer plus an optional shared body
@@ -156,11 +142,11 @@ impl WritePlan {
         self.written = 0;
     }
 
-    /// Pushes queued bytes into `sink` until everything is out
-    /// ([`FlushOutcome::Done`] — the plan auto-resets, retaining at most
-    /// `max_retain` buffer capacity) or the sink blocks
-    /// ([`FlushOutcome::Blocked`]). Uses one gathering `write_two` per
-    /// pass while both segments have unwritten bytes.
+    /// Pushes queued bytes into `sink` until everything is out (`true`:
+    /// the plan auto-resets, retaining at most `max_retain` buffer
+    /// capacity) or the sink blocks (`false`: re-flush when it reports
+    /// writable again). Uses one gathering `write_two` per pass while both
+    /// segments have unwritten bytes.
     ///
     /// # Errors
     ///
@@ -172,11 +158,11 @@ impl WritePlan {
         sink: &mut impl WriteSink,
         max_retain: usize,
         stats: &mut FlushStats,
-    ) -> io::Result<FlushOutcome> {
+    ) -> io::Result<bool> {
         loop {
             if !self.has_unwritten() {
                 self.reset(max_retain);
-                return Ok(FlushOutcome::Done);
+                return Ok(true);
             }
             // With nothing of the buffer left, what is unwritten is body.
             let head = &self.buf[self.written.min(self.buf.len())..];
@@ -204,7 +190,7 @@ impl WritePlan {
                 Ok(n) => self.written += n,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     stats.blocked += 1;
-                    return Ok(FlushOutcome::Blocked);
+                    return Ok(false);
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
@@ -275,12 +261,8 @@ mod tests {
 
     fn drain(plan: &mut WritePlan, sink: &mut TrickleSink) -> FlushStats {
         let mut stats = FlushStats::default();
-        loop {
-            match plan.flush(sink, MAX_RETAINED_CAP, &mut stats).unwrap() {
-                FlushOutcome::Done => return stats,
-                FlushOutcome::Blocked => continue,
-            }
-        }
+        while !plan.flush(sink, MAX_RETAINED_CAP, &mut stats).unwrap() {}
+        stats
     }
 
     #[test]
@@ -365,6 +347,66 @@ mod tests {
         plan.reset(64);
         assert_eq!(plan.buf_mut().capacity(), cap, "small buffer retained");
         assert!(plan.is_idle());
+    }
+
+    /// A connected loopback pair: the sender, then the receiver.
+    fn socket_pair() -> (TcpStream, TcpStream) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let sender = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (receiver, _) = listener.accept().unwrap();
+        (sender, receiver)
+    }
+
+    #[test]
+    fn writev_gathers_slices_in_order() {
+        use std::io::Read;
+
+        let (mut sender, mut receiver) = socket_pair();
+        let n = sender.write_two(b"head: 1\r\n\r\n", b"shared").unwrap();
+        assert_eq!(n, b"head: 1\r\n\r\nshared".len());
+        assert_eq!(
+            sender.write_two(b"", b" body").unwrap(),
+            5,
+            "an empty slice"
+        );
+
+        let mut got = vec![0u8; n + 5];
+        receiver.read_exact(&mut got).unwrap();
+        assert_eq!(got, b"head: 1\r\n\r\nshared body");
+    }
+
+    #[test]
+    fn writev_reports_partial_progress() {
+        use std::io::Read;
+
+        // A 4 MiB body cannot fit a socket's send buffer: the kernel takes
+        // only a prefix of the gather, which callers must account for.
+        let (mut sender, mut receiver) = socket_pair();
+        sender.set_nonblocking(true).unwrap();
+        let head = vec![b'h'; 64];
+        let body = vec![b'b'; 4 * 1024 * 1024];
+        let mut sent = 0;
+        loop {
+            match sender.write_two(&head[sent.min(64)..], &body) {
+                Ok(n) => {
+                    assert!(n > 0);
+                    sent += n;
+                    if sent >= 64 {
+                        break;
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) => panic!("{e}"),
+            }
+        }
+        assert!(sent > 0, "at least one writev must land");
+        assert!(
+            sent < 64 + body.len(),
+            "a 4 MiB gather cannot fit a socket buffer in one call"
+        );
+        let mut got = vec![0u8; sent.min(64)];
+        receiver.read_exact(&mut got).unwrap();
+        assert!(got.iter().all(|&b| b == b'h'));
     }
 
     #[test]

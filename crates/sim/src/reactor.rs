@@ -125,14 +125,6 @@ mod sys {
         pub nsec: i64,
     }
 
-    /// `struct iovec` for scatter/gather I/O.
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    pub struct IoVec {
-        pub base: *const c_void,
-        pub len: usize,
-    }
-
     extern "C" {
         pub fn epoll_create1(flags: c_int) -> c_int;
         pub fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
@@ -156,7 +148,6 @@ mod sys {
         ) -> c_int;
         pub fn bind(fd: c_int, addr: *const c_void, len: u32) -> c_int;
         pub fn listen(fd: c_int, backlog: c_int) -> c_int;
-        pub fn writev(fd: c_int, iov: *const IoVec, iovcnt: c_int) -> isize;
         pub fn accept4(fd: c_int, addr: *mut c_void, addrlen: *mut u32, flags: c_int) -> c_int;
         pub fn prlimit64(
             pid: c_int,
@@ -617,45 +608,6 @@ pub fn raise_nofile_limit(cap: u64) -> io::Result<(u64, u64)> {
     Ok((old.cur, target))
 }
 
-/// Most slices a single [`writev`] call accepts. Callers with more
-/// segments must coalesce; the response path only ever needs two
-/// (contiguous head, shared body).
-pub const MAX_IOVECS: usize = 8;
-
-/// Gathers up to [`MAX_IOVECS`] slices into one `writev(2)` syscall and
-/// returns how many bytes the kernel took (possibly a partial prefix
-/// spanning a slice boundary).
-///
-/// Empty slices are passed through; the kernel skips them. This is the
-/// zero-copy half of the response path: the shared body slice goes to
-/// the socket straight from the cache entry's allocation.
-///
-/// # Panics
-///
-/// Panics if more than [`MAX_IOVECS`] slices are passed.
-///
-/// # Errors
-///
-/// Propagates the syscall failure (`WouldBlock` when the socket's send
-/// buffer is full).
-pub fn writev(fd: RawFd, bufs: &[&[u8]]) -> io::Result<usize> {
-    assert!(bufs.len() <= MAX_IOVECS, "too many iovecs");
-    let mut iov = [sys::IoVec {
-        base: std::ptr::null(),
-        len: 0,
-    }; MAX_IOVECS];
-    for (slot, buf) in iov.iter_mut().zip(bufs) {
-        slot.base = buf.as_ptr().cast();
-        slot.len = buf.len();
-    }
-    let ret = unsafe { sys::writev(fd, iov.as_ptr(), bufs.len() as i32) };
-    if ret < 0 {
-        Err(io::Error::last_os_error())
-    } else {
-        Ok(ret as usize)
-    }
-}
-
 /// Accepts one pending connection with `accept4(2)`, atomically marking
 /// the new socket non-blocking and close-on-exec.
 ///
@@ -909,60 +861,6 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         assert_eq!(accepted, 1, "kernel must route the connect to one shard");
-    }
-
-    #[test]
-    fn writev_gathers_slices_in_order() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let sender = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let (mut receiver, _) = listener.accept().unwrap();
-
-        let n = writev(
-            sender.as_raw_fd(),
-            &[b"head: 1\r\n", b"", b"\r\n", b"shared body"],
-        )
-        .unwrap();
-        assert_eq!(n, b"head: 1\r\n\r\nshared body".len());
-
-        let mut got = vec![0u8; n];
-        receiver.read_exact(&mut got).unwrap();
-        assert_eq!(got, b"head: 1\r\n\r\nshared body");
-    }
-
-    #[test]
-    fn writev_reports_partial_progress() {
-        // A tiny send buffer forces the kernel to take only a prefix of a
-        // large gather, exercising the partial-write accounting callers
-        // must handle.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let sender = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        sender.set_nonblocking(true).unwrap();
-        let (mut receiver, _) = listener.accept().unwrap();
-
-        let head = vec![b'h'; 64];
-        let body = vec![b'b'; 4 * 1024 * 1024];
-        let mut sent = 0;
-        loop {
-            match writev(sender.as_raw_fd(), &[&head[sent.min(64)..], &body]) {
-                Ok(n) => {
-                    assert!(n > 0);
-                    sent += n;
-                    if sent >= 64 {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) => panic!("{e}"),
-            }
-        }
-        assert!(sent > 0, "at least one writev must land");
-        assert!(
-            sent < 64 + body.len(),
-            "a 4 MiB gather cannot fit a socket buffer in one call"
-        );
-        let mut got = vec![0u8; sent.min(64)];
-        receiver.read_exact(&mut got).unwrap();
-        assert!(got.iter().all(|&b| b == b'h'));
     }
 
     #[test]

@@ -157,12 +157,6 @@ impl ZipfCatalog {
             .partition_point(|&c| c < u)
             .min(self.paths.len() - 1)
     }
-
-    /// Draws a path from the Zipf law using `rng`.
-    pub fn sample_path(&self, rng: &mut SimRng) -> &str {
-        let rank = self.sample(rng);
-        &self.paths[rank]
-    }
 }
 
 #[cfg(test)]
