@@ -383,7 +383,7 @@ mod tests {
         // only a prefix of the gather, which callers must account for.
         let (mut sender, mut receiver) = socket_pair();
         sender.set_nonblocking(true).unwrap();
-        let head = vec![b'h'; 64];
+        let head = [b'h'; 64];
         let body = vec![b'b'; 4 * 1024 * 1024];
         let mut sent = 0;
         loop {
