@@ -43,7 +43,6 @@
 
 use std::fmt;
 
-
 use crate::time::{Duration, Timestamp};
 use crate::value::Value;
 
@@ -137,7 +136,10 @@ impl ValidityInterval {
     ///
     /// Panics if `end < start`.
     pub fn closed(start: Timestamp, end: Timestamp) -> Self {
-        assert!(end >= start, "validity interval ends ({end}) before it starts ({start})");
+        assert!(
+            end >= start,
+            "validity interval ends ({end}) before it starts ({start})"
+        );
         ValidityInterval {
             start,
             end: Some(end),
@@ -258,11 +260,17 @@ mod tests {
         assert_eq!(Semantics::Strong.domain(), Domain::Temporal);
         assert_eq!(Semantics::Strong.scope(), Scope::Individual);
         let dt = Semantics::DeltaT(Duration::from_mins(5));
-        assert_eq!((dt.domain(), dt.scope()), (Domain::Temporal, Scope::Individual));
+        assert_eq!(
+            (dt.domain(), dt.scope()),
+            (Domain::Temporal, Scope::Individual)
+        );
         let mt = Semantics::MutualT(Duration::from_mins(5));
         assert_eq!((mt.domain(), mt.scope()), (Domain::Temporal, Scope::Mutual));
         let dv = Semantics::DeltaV(Value::new(2.5));
-        assert_eq!((dv.domain(), dv.scope()), (Domain::Value, Scope::Individual));
+        assert_eq!(
+            (dv.domain(), dv.scope()),
+            (Domain::Value, Scope::Individual)
+        );
         let mv = Semantics::MutualV(Value::new(2.5));
         assert_eq!((mv.domain(), mv.scope()), (Domain::Value, Scope::Mutual));
     }
@@ -274,13 +282,19 @@ mod tests {
             Semantics::DeltaT(Duration::from_mins(5)).to_string(),
             "Δt(5min)"
         );
-        assert!(Semantics::MutualV(Value::new(2.5)).to_string().starts_with("Mv"));
+        assert!(Semantics::MutualV(Value::new(2.5))
+            .to_string()
+            .starts_with("Mv"));
     }
 
     #[test]
     fn current_copy_always_delta_t_consistent() {
         let copy = ValidityInterval::open(secs(0));
-        assert!(delta_t_satisfied(copy, secs(1_000_000), Duration::from_millis(1)));
+        assert!(delta_t_satisfied(
+            copy,
+            secs(1_000_000),
+            Duration::from_millis(1)
+        ));
         assert_eq!(delta_t_violation_onset(copy, Duration::from_secs(1)), None);
     }
 
@@ -352,9 +366,21 @@ mod tests {
     fn value_predicates_are_strict() {
         let delta = Value::new(0.5);
         assert!(delta_v_satisfied(Value::new(10.0), Value::new(10.4), delta));
-        assert!(!delta_v_satisfied(Value::new(10.0), Value::new(10.5), delta));
-        assert!(mutual_v_satisfied(Value::new(124.0), Value::new(124.4), delta));
-        assert!(!mutual_v_satisfied(Value::new(124.0), Value::new(125.0), delta));
+        assert!(!delta_v_satisfied(
+            Value::new(10.0),
+            Value::new(10.5),
+            delta
+        ));
+        assert!(mutual_v_satisfied(
+            Value::new(124.0),
+            Value::new(124.4),
+            delta
+        ));
+        assert!(!mutual_v_satisfied(
+            Value::new(124.0),
+            Value::new(125.0),
+            delta
+        ));
     }
 
     #[test]
@@ -369,6 +395,9 @@ mod tests {
             ValidityInterval::closed(secs(1), secs(2)).to_string(),
             "[t+1000ms, t+2000ms)"
         );
-        assert_eq!(ValidityInterval::open(secs(1)).to_string(), "[t+1000ms, now)");
+        assert_eq!(
+            ValidityInterval::open(secs(1)).to_string(),
+            "[t+1000ms, now)"
+        );
     }
 }

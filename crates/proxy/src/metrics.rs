@@ -101,9 +101,7 @@ pub fn mutual_temporal(
 
     let pair_violates = |ha: Option<usize>, hb: Option<usize>| -> bool {
         match (ha, hb) {
-            (Some(ha), Some(hb)) => {
-                trace_a.validity_of(ha).gap(trace_b.validity_of(hb)) > delta
-            }
+            (Some(ha), Some(hb)) => trace_a.validity_of(ha).gap(trace_b.validity_of(hb)) > delta,
             _ => false, // nothing cached yet: nothing to be inconsistent
         }
     };
@@ -184,7 +182,9 @@ pub fn mutual_value(
                 stats.record_violation(Duration::ZERO);
             }
         }
-        let apply = |recs: &[PollRecord], i: &mut usize, cached: &mut Option<Value>,
+        let apply = |recs: &[PollRecord],
+                     i: &mut usize,
+                     cached: &mut Option<Value>,
                      trace: &UpdateTrace| {
             while *i < recs.len() && recs[*i].at == t {
                 if let PollOutcome::Refreshed { version_index } = recs[*i].outcome {
@@ -199,11 +199,19 @@ pub fn mutual_value(
 
     // Exact out-of-sync time.
     let mut out_of_sync = Duration::ZERO;
-    sweep_value_pair(trace_a, log_a, trace_b, log_b, f, until, |_, seg_len, server, proxy| {
-        if server.abs_diff(proxy) >= delta {
-            out_of_sync = out_of_sync.saturating_add(seg_len);
-        }
-    });
+    sweep_value_pair(
+        trace_a,
+        log_a,
+        trace_b,
+        log_b,
+        f,
+        until,
+        |_, seg_len, server, proxy| {
+            if server.abs_diff(proxy) >= delta {
+                out_of_sync = out_of_sync.saturating_add(seg_len);
+            }
+        },
+    );
     stats.add_out_of_sync(out_of_sync);
     stats
 }
@@ -233,19 +241,27 @@ pub fn f_timeline(
     to: Timestamp,
 ) -> Vec<FPoint> {
     let mut points = Vec::new();
-    sweep_value_pair(trace_a, log_a, trace_b, log_b, f, to, |seg_start, seg_len, server, proxy| {
-        // Emit one point per constant segment intersecting [from, to],
-        // clamped to the window start.
-        let seg_end = seg_start.saturating_add(seg_len);
-        if seg_end <= from || seg_start > to {
-            return;
-        }
-        points.push(FPoint {
-            at: seg_start.max(from),
-            server: server.as_f64(),
-            proxy: proxy.as_f64(),
-        });
-    });
+    sweep_value_pair(
+        trace_a,
+        log_a,
+        trace_b,
+        log_b,
+        f,
+        to,
+        |seg_start, seg_len, server, proxy| {
+            // Emit one point per constant segment intersecting [from, to],
+            // clamped to the window start.
+            let seg_end = seg_start.saturating_add(seg_len);
+            if seg_end <= from || seg_start > to {
+                return;
+            }
+            points.push(FPoint {
+                at: seg_start.max(from),
+                server: server.as_f64(),
+                proxy: proxy.as_f64(),
+            });
+        },
+    );
     points
 }
 
@@ -461,7 +477,7 @@ mod tests {
             secs(300),
         );
         assert_eq!(stats.out_of_sync(), Duration::from_secs(200)); // 100..300
-        // Now with a refresh of a at 150: violation seen there, sync after.
+                                                                   // Now with a refresh of a at 150: violation seen there, sync after.
         let la = log(&[(0, Some(0)), (150, Some(1))]);
         let stats = mutual_value(
             &ta,
@@ -518,7 +534,9 @@ mod tests {
             secs(150),
             secs(250),
         );
-        assert!(points.iter().all(|p| p.at >= secs(150) && p.at <= secs(250)));
+        assert!(points
+            .iter()
+            .all(|p| p.at >= secs(150) && p.at <= secs(250)));
         // The state current at `from` is represented.
         assert_eq!(points[0].at, secs(150));
         assert_eq!(points[0].server, 5.0);

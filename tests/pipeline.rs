@@ -45,7 +45,9 @@ fn html_deduction_drives_mutual_consistency() {
         &members,
         &TemporalSimConfig {
             policy: TemporalPolicy::Limd(
-                LimdConfig::builder(Duration::from_mins(10)).build().unwrap(),
+                LimdConfig::builder(Duration::from_mins(10))
+                    .build()
+                    .unwrap(),
             ),
             mutual: Some(MutualSetup {
                 delta: Duration::from_mins(2),
@@ -84,7 +86,9 @@ fn persistence_preserves_experiment_results() {
             std::slice::from_ref(&id),
             &TemporalSimConfig {
                 policy: TemporalPolicy::Limd(
-                    LimdConfig::builder(Duration::from_mins(10)).build().unwrap(),
+                    LimdConfig::builder(Duration::from_mins(10))
+                        .build()
+                        .unwrap(),
                 ),
                 mutual: None,
                 until: t.end(),
@@ -147,7 +151,10 @@ fn extension_headers_carry_consistency_metadata() {
     );
     assert_eq!(
         modification_history(&headers),
-        Some(vec![Timestamp::from_millis(100), Timestamp::from_millis(2_500)])
+        Some(vec![
+            Timestamp::from_millis(100),
+            Timestamp::from_millis(2_500)
+        ])
     );
 }
 
@@ -171,8 +178,12 @@ fn experiments_are_reproducible() {
                 until: trace.end(),
             },
         );
-        let stats =
-            metrics::individual_temporal(&trace, &out.logs[&id], Duration::from_mins(5), trace.end());
+        let stats = metrics::individual_temporal(
+            &trace,
+            &out.logs[&id],
+            Duration::from_mins(5),
+            trace.end(),
+        );
         (out.logs[&id].clone(), stats.polls(), stats.violations())
     };
     assert_eq!(run(), run());
