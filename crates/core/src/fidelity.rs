@@ -71,11 +71,6 @@ impl FidelityStats {
         self.out_of_sync = self.out_of_sync.saturating_add(d);
     }
 
-    /// Extends the observation window (when runs are concatenated).
-    pub fn extend_observed(&mut self, d: Duration) {
-        self.observed = self.observed.saturating_add(d);
-    }
-
     /// Total polls.
     pub fn polls(&self) -> u64 {
         self.polls
@@ -192,12 +187,5 @@ mod tests {
         assert_eq!(total.observed(), Duration::from_mins(30));
         assert_eq!(total.out_of_sync(), Duration::from_mins(1));
         assert!((total.fidelity_by_violations() - 0.95).abs() < 1e-12);
-    }
-
-    #[test]
-    fn extend_observed_grows_window() {
-        let mut s = FidelityStats::new(Duration::from_mins(10));
-        s.extend_observed(Duration::from_mins(10));
-        assert_eq!(s.observed(), Duration::from_mins(20));
     }
 }

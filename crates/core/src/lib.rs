@@ -62,8 +62,8 @@
 //! The sibling crates build the rest of the paper's system on top of this
 //! one: `mutcon-sim` (event-driven simulation), `mutcon-traces`
 //! (workloads), `mutcon-proxy` (the simulated proxy cache and the
-//! experiment harness), `mutcon-http` + `mutcon-live` (a real HTTP
-//! origin/proxy pair) and `mutcon-depgraph` (related-object deduction).
+//! experiment harness) and `mutcon-http` + `mutcon-live` (a real HTTP
+//! origin/proxy pair).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -73,7 +73,6 @@ pub mod adaptive_ttr;
 pub mod error;
 pub mod fidelity;
 pub mod functions;
-pub mod group;
 pub mod limd;
 pub mod limit;
 pub mod mutual;

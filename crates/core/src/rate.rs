@@ -92,11 +92,6 @@ impl UpdateRateEstimator {
         self.mean_interval_ms
             .map(|ms| Duration::from_millis(ms.round() as u64))
     }
-
-    /// The most recent modification time observed.
-    pub fn last_modification(&self) -> Option<Timestamp> {
-        self.last_update
-    }
 }
 
 /// Instantaneous value slope from consecutive samples (§4.1, Figure 2):
@@ -139,7 +134,6 @@ mod tests {
         assert_eq!(est.rate_per_ms(), None);
         est.observe_modification(Timestamp::from_secs(10));
         assert_eq!(est.rate_per_ms(), None);
-        assert_eq!(est.last_modification(), Some(Timestamp::from_secs(10)));
         est.observe_modification(Timestamp::from_secs(20));
         let r = est.rate_per_ms().unwrap();
         assert!((r - 1.0 / 10_000.0).abs() < 1e-12);

@@ -200,8 +200,10 @@ pub fn delta_t_satisfied(copy: ValidityInterval, now: Timestamp, delta: Duration
     match copy.end() {
         None => true, // still current: stale by 0
         // Valid until `end`; the copy matched the server as recently as
-        // just before `end`, so staleness at `now` is `now − end`.
-        Some(end) => now.checked_since(end).unwrap_or(Duration::ZERO) < delta,
+        // just before `end`, so staleness at `now` is `now − end`. Before
+        // `end` the copy is still current, which satisfies any Δ, Δ = 0
+        // included.
+        Some(end) => now.checked_since(end).is_none_or(|stale| stale < delta),
     }
 }
 
@@ -309,6 +311,14 @@ mod tests {
         assert!(!delta_t_satisfied(copy, secs(90), delta));
         assert!(!delta_t_satisfied(copy, secs(200), delta));
         assert_eq!(delta_t_violation_onset(copy, delta), Some(secs(90)));
+        // At Δ = 0 the copy is fresh until it is superseded, as an open
+        // interval is, and stale from `end` on.
+        assert!(delta_t_satisfied(copy, secs(59), Duration::ZERO));
+        assert!(!delta_t_satisfied(copy, secs(60), Duration::ZERO));
+        assert_eq!(
+            delta_t_violation_onset(copy, Duration::ZERO),
+            Some(secs(60))
+        );
     }
 
     #[test]

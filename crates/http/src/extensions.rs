@@ -1,25 +1,18 @@
-//! The paper's proposed HTTP/1.1 extensions (§5.1).
+//! The paper's proposed HTTP/1.1 modification history (§5.1).
 //!
 //! Plain HTTP reports only the *most recent* modification time, which
 //! makes the Figure 1(b) violation (several updates between polls, the
-//! first of them too old) undetectable at the proxy. §5.1 proposes two
-//! extensions, both implemented here over standard user-defined headers:
-//!
-//! * **Modification history** — the origin attaches
-//!   `X-Modification-History`, the recent update instants of the object,
-//!   letting the proxy compute violations exactly and feed its rate
-//!   estimators with real inter-update gaps.
-//! * **Tolerance cache-control directives** — clients (or proxies, on
-//!   behalf of users) declare their consistency requirements with
-//!   `Cache-Control` extension directives: `delta=<ms>` for Δ,
-//!   `mutual-delta=<ms>` for δ, and `group="<id>"` to name the related-
-//!   object group a request belongs to.
+//! first of them too old) undetectable at the proxy. §5.1 proposes that
+//! the origin attach `X-Modification-History`, the recent update instants
+//! of the object, letting the proxy compute violations exactly and feed
+//! its rate estimators with real inter-update gaps. It is implemented
+//! here over a standard user-defined header.
 //!
 //! History timestamps travel as integer milliseconds since the Unix epoch:
 //! unambiguous, compact, and — unlike IMF-fixdate — free of the one-second
 //! truncation that would blur closely spaced updates.
 
-use mutcon_core::time::{Duration, Timestamp};
+use mutcon_core::time::Timestamp;
 
 use crate::headers::{HeaderMap, HeaderName};
 
@@ -62,97 +55,6 @@ pub fn modification_history(headers: &HeaderMap) -> Option<Vec<Timestamp>> {
     decode_modification_history(headers.get(HeaderName::X_MODIFICATION_HISTORY)?)
 }
 
-/// The consistency requirements a client expresses through `Cache-Control`
-/// extension directives (§5.1).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ConsistencyDirectives {
-    /// Individual temporal tolerance Δ (`delta=<ms>`).
-    pub delta: Option<Duration>,
-    /// Mutual tolerance δ (`mutual-delta=<ms>`).
-    pub mutual_delta: Option<Duration>,
-    /// Related-object group this object belongs to (`group="<id>"`).
-    pub group: Option<String>,
-}
-
-impl ConsistencyDirectives {
-    /// Whether no directive is set.
-    pub fn is_empty(&self) -> bool {
-        self.delta.is_none() && self.mutual_delta.is_none() && self.group.is_none()
-    }
-
-    /// Renders the directives as a `Cache-Control` value (empty string if
-    /// no directive is set).
-    pub fn to_header_value(&self) -> String {
-        let mut parts = Vec::new();
-        if let Some(d) = self.delta {
-            parts.push(format!("delta={}", d.as_millis()));
-        }
-        if let Some(d) = self.mutual_delta {
-            parts.push(format!("mutual-delta={}", d.as_millis()));
-        }
-        if let Some(g) = &self.group {
-            parts.push(format!("group=\"{g}\""));
-        }
-        parts.join(", ")
-    }
-
-    /// Parses the recognized extension directives out of a `Cache-Control`
-    /// value, ignoring standard directives (`max-age`, `no-cache`, …) and
-    /// anything malformed — the forward-compatible behaviour HTTP requires
-    /// of unknown cache-control extensions.
-    pub fn parse(value: &str) -> ConsistencyDirectives {
-        let mut out = ConsistencyDirectives::default();
-        for directive in value.split(',') {
-            let directive = directive.trim();
-            let Some((key, val)) = directive.split_once('=') else {
-                continue;
-            };
-            match key.trim() {
-                "delta" => {
-                    if let Ok(ms) = val.trim().parse::<u64>() {
-                        out.delta = Some(Duration::from_millis(ms));
-                    }
-                }
-                "mutual-delta" => {
-                    if let Ok(ms) = val.trim().parse::<u64>() {
-                        out.mutual_delta = Some(Duration::from_millis(ms));
-                    }
-                }
-                "group" => {
-                    let val = val.trim();
-                    let unquoted = val
-                        .strip_prefix('"')
-                        .and_then(|v| v.strip_suffix('"'))
-                        .unwrap_or(val);
-                    if !unquoted.is_empty() {
-                        out.group = Some(unquoted.to_owned());
-                    }
-                }
-                _ => {}
-            }
-        }
-        out
-    }
-
-    /// Reads the directives from a header map's `Cache-Control` field.
-    pub fn from_headers(headers: &HeaderMap) -> ConsistencyDirectives {
-        match headers.get(HeaderName::CACHE_CONTROL) {
-            Some(v) => ConsistencyDirectives::parse(v),
-            None => ConsistencyDirectives::default(),
-        }
-    }
-
-    /// Writes the directives into a header map (replacing `Cache-Control`);
-    /// clears the header if no directive is set.
-    pub fn apply(&self, headers: &mut HeaderMap) {
-        if self.is_empty() {
-            headers.remove(HeaderName::CACHE_CONTROL);
-        } else {
-            headers.insert(HeaderName::CACHE_CONTROL, self.to_header_value());
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,57 +91,5 @@ mod tests {
         assert_eq!(modification_history(&headers), None);
         set_modification_history(&mut headers, &[ms(5), ms(10)]);
         assert_eq!(modification_history(&headers), Some(vec![ms(5), ms(10)]));
-    }
-
-    #[test]
-    fn directives_round_trip() {
-        let d = ConsistencyDirectives {
-            delta: Some(Duration::from_mins(10)),
-            mutual_delta: Some(Duration::from_mins(5)),
-            group: Some("breaking-news".to_owned()),
-        };
-        let value = d.to_header_value();
-        assert_eq!(
-            value,
-            "delta=600000, mutual-delta=300000, group=\"breaking-news\""
-        );
-        assert_eq!(ConsistencyDirectives::parse(&value), d);
-    }
-
-    #[test]
-    fn parse_ignores_standard_and_malformed_directives() {
-        let d = ConsistencyDirectives::parse("max-age=60, no-cache, delta=abc, delta=1000");
-        assert_eq!(d.delta, Some(Duration::from_secs(1)));
-        assert_eq!(d.mutual_delta, None);
-        assert_eq!(d.group, None);
-    }
-
-    #[test]
-    fn parse_group_quoting() {
-        assert_eq!(
-            ConsistencyDirectives::parse("group=plain").group,
-            Some("plain".to_owned())
-        );
-        assert_eq!(
-            ConsistencyDirectives::parse("group=\"quoted\"").group,
-            Some("quoted".to_owned())
-        );
-        assert_eq!(ConsistencyDirectives::parse("group=\"\"").group, None);
-    }
-
-    #[test]
-    fn apply_and_from_headers() {
-        let mut headers = HeaderMap::new();
-        let d = ConsistencyDirectives {
-            delta: Some(Duration::from_secs(30)),
-            ..Default::default()
-        };
-        d.apply(&mut headers);
-        assert_eq!(headers.get(HeaderName::CACHE_CONTROL), Some("delta=30000"));
-        assert_eq!(ConsistencyDirectives::from_headers(&headers), d);
-
-        ConsistencyDirectives::default().apply(&mut headers);
-        assert!(!headers.contains(HeaderName::CACHE_CONTROL));
-        assert!(ConsistencyDirectives::from_headers(&headers).is_empty());
     }
 }

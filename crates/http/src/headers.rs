@@ -26,10 +26,6 @@ impl HeaderName {
     pub const CONTENT_TYPE: &'static str = "content-type";
     /// `Transfer-Encoding`.
     pub const TRANSFER_ENCODING: &'static str = "transfer-encoding";
-    /// `Cache-Control`.
-    pub const CACHE_CONTROL: &'static str = "cache-control";
-    /// `Date`.
-    pub const DATE: &'static str = "date";
     /// `Connection`.
     pub const CONNECTION: &'static str = "connection";
     /// The paper's §5.1 modification-history extension header.

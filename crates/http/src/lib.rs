@@ -3,10 +3,9 @@
 //! Every consistency mechanism in the paper rides on HTTP: the proxy
 //! refreshes objects with `If-Modified-Since` requests, servers answer
 //! `304 Not Modified` or `200 OK` with a `Last-Modified` stamp, and §5.1
-//! proposes protocol extensions (a modification history and tolerance
-//! cache-control directives) that make violation detection exact. This
-//! crate implements exactly that subset, with no external HTTP
-//! dependencies:
+//! proposes a protocol extension (a modification history) that makes
+//! violation detection exact. This crate implements exactly that subset,
+//! with no external HTTP dependencies:
 //!
 //! * [`types`] — methods, status codes, protocol versions.
 //! * [`date`] — IMF-fixdate (`Sun, 06 Nov 1994 08:49:37 GMT`) parsing and
@@ -17,9 +16,8 @@
 //! * [`conditional`] — `If-Modified-Since` / `Last-Modified` logic.
 //! * [`connection`] — `Connection` header semantics (keep-alive vs
 //!   close), used by the live proxy's persistent origin pool.
-//! * [`extensions`] — the paper's §5.1 extensions:
-//!   `X-Modification-History` and the `delta`/`mutual-delta`/`group`
-//!   cache-control directives.
+//! * [`extensions`] — the paper's §5.1 modification history,
+//!   `X-Modification-History`.
 //!
 //! ```
 //! use mutcon_http::message::Request;

@@ -1289,9 +1289,9 @@ impl Reactor {
     /// connections with [`PARKED_503`]; `true` if that emptied the
     /// backlog.
     fn shed_backlog(&mut self) -> bool {
-        let mut shed: u64 = 0;
-        let drained = loop {
-            if shed as usize == PARK_SHED_BATCH {
+        let mut shed = 0;
+        loop {
+            if shed == PARK_SHED_BATCH {
                 break false;
             }
             match accept_nonblocking(&self.listener) {
@@ -1301,14 +1301,15 @@ impl Reactor {
                     let _ = (&stream).write(PARKED_503);
                     discard_input(&stream);
                     shed += 1;
+                    // Counted before the close, so a client that has read
+                    // the EOF finds its shed in the count.
+                    self.metrics.parked_shed.add(1);
                 }
                 Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => break true,
                 Err(ref e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(_) => break false,
             }
-        };
-        self.metrics.parked_shed.add(shed);
-        drained
+        }
     }
 }
 

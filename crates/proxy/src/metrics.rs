@@ -11,14 +11,20 @@
 //!   the set of instants at which the guarantee was broken, computed by
 //!   sweeping the piecewise-constant cached/server state.
 //!
-//! Conventions: a guarantee is *violated* when the bound is reached
-//! (staleness ≥ Δ, drift ≥ Δv — Equations 2/3 demand strict inequality
-//! the other way). Individual-object violations are counted per poll;
-//! mutual violations are counted per poll *instant* (a pair poll or a
-//! trigger cascade at one instant is one occasion).
+//! Conventions: every check is one of the §2 predicates in
+//! [`mutcon_core::semantics`], so a guarantee is *violated* when the
+//! bound is reached (staleness ≥ Δ, drift ≥ Δv or δ — Equations 2, 3
+//! and 5 demand strict inequality the other way), and Mt holds while the
+//! gap is at most δ (Equation 4). Individual-object violations are
+//! counted per poll; mutual violations are counted per poll *instant* (a
+//! pair poll or a trigger cascade at one instant is one occasion).
 
 use mutcon_core::fidelity::FidelityStats;
 use mutcon_core::functions::ValueFunction;
+use mutcon_core::semantics::{
+    delta_t_satisfied, delta_t_violation_onset, delta_v_satisfied, mutual_t_satisfied,
+    mutual_v_satisfied,
+};
 use mutcon_core::time::{Duration, Timestamp};
 use mutcon_core::value::Value;
 use mutcon_traces::UpdateTrace;
@@ -43,10 +49,8 @@ pub fn individual_temporal(
     let mut held: Option<usize> = None;
     for r in log.records() {
         if let Some(h) = held {
-            if let Some(next_update) = trace.events().get(h + 1) {
-                if r.at >= next_update.at + delta {
-                    stats.record_violation(Duration::ZERO);
-                }
+            if !delta_t_satisfied(trace.validity_of(h), r.at, delta) {
+                stats.record_violation(Duration::ZERO);
             }
         }
         if let PollOutcome::Refreshed { version_index } = r.outcome {
@@ -62,8 +66,7 @@ pub fn individual_temporal(
             .get(k + 1)
             .map_or(until, |&(next_from, _)| next_from)
             .min(until);
-        if let Some(next_update) = trace.events().get(version + 1) {
-            let onset = next_update.at + delta;
+        if let Some(onset) = delta_t_violation_onset(trace.validity_of(version), delta) {
             if onset < seg_end {
                 // The held version was current when fetched, so the onset
                 // always falls inside the segment.
@@ -101,7 +104,9 @@ pub fn mutual_temporal(
 
     let pair_violates = |ha: Option<usize>, hb: Option<usize>| -> bool {
         match (ha, hb) {
-            (Some(ha), Some(hb)) => trace_a.validity_of(ha).gap(trace_b.validity_of(hb)) > delta,
+            (Some(ha), Some(hb)) => {
+                !mutual_t_satisfied(trace_a.validity_of(ha), trace_b.validity_of(hb), delta)
+            }
             _ => false, // nothing cached yet: nothing to be inconsistent
         }
     };
@@ -178,7 +183,7 @@ pub fn mutual_value(
         if let (Some(pa), Some(pb)) = (cached_a, cached_b) {
             let sa = trace_a.value_at(t).expect("valued trace");
             let sb = trace_b.value_at(t).expect("valued trace");
-            if f.eval(sa, sb).abs_diff(f.eval(pa, pb)) >= delta {
+            if !mutual_v_satisfied(f.eval(sa, sb), f.eval(pa, pb), delta) {
                 stats.record_violation(Duration::ZERO);
             }
         }
@@ -197,7 +202,9 @@ pub fn mutual_value(
         apply(rb, &mut ib, &mut cached_b, trace_b);
     }
 
-    // Exact out-of-sync time.
+    // Exact out-of-sync time. The pair's `f` is one virtual object
+    // (§4.2), so each segment is a Δv check of its server value against
+    // its cached one.
     let mut out_of_sync = Duration::ZERO;
     sweep_value_pair(
         trace_a,
@@ -207,7 +214,7 @@ pub fn mutual_value(
         f,
         until,
         |_, seg_len, server, proxy| {
-            if server.abs_diff(proxy) >= delta {
+            if !delta_v_satisfied(server, proxy, delta) {
                 out_of_sync = out_of_sync.saturating_add(seg_len);
             }
         },
@@ -399,6 +406,13 @@ mod tests {
         let stats = individual_temporal(&trace, &l, Duration::from_secs(60), secs(1_000));
         assert_eq!(stats.violations(), 1);
         assert_eq!(stats.out_of_sync(), Duration::from_secs(140));
+        // A poll exactly Δ after the update finds staleness == Δ, which
+        // Equation 2's strict bound counts as a violation; the stale span
+        // before it has zero length.
+        let l = log(&[(0, Some(0)), (160, Some(1))]);
+        let stats = individual_temporal(&trace, &l, Duration::from_secs(60), secs(1_000));
+        assert_eq!(stats.violations(), 1);
+        assert_eq!(stats.out_of_sync(), Duration::ZERO);
     }
 
     #[test]
@@ -453,10 +467,14 @@ mod tests {
         assert_eq!(stats.violations(), 1);
         // Out-of-sync from 110 (when a refreshed) to window end.
         assert_eq!(stats.out_of_sync(), Duration::from_secs(890));
-        // A larger δ absorbs the gap.
-        let stats = mutual_temporal(&ta, &la, &tb, &lb, Duration::from_secs(60), secs(1_000));
-        assert_eq!(stats.violations(), 0);
-        assert_eq!(stats.out_of_sync(), Duration::ZERO);
+        // A larger δ absorbs the gap, and so does δ equal to it: Equation
+        // 4 bounds the gap with ≤.
+        for delta in [60, 50] {
+            let stats =
+                mutual_temporal(&ta, &la, &tb, &lb, Duration::from_secs(delta), secs(1_000));
+            assert_eq!(stats.violations(), 0, "δ = {delta} s");
+            assert_eq!(stats.out_of_sync(), Duration::ZERO, "δ = {delta} s");
+        }
     }
 
     #[test]
@@ -476,8 +494,9 @@ mod tests {
             Value::new(0.5),
             secs(300),
         );
-        assert_eq!(stats.out_of_sync(), Duration::from_secs(200)); // 100..300
-                                                                   // Now with a refresh of a at 150: violation seen there, sync after.
+        // Out of sync over 100..300.
+        assert_eq!(stats.out_of_sync(), Duration::from_secs(200));
+        // Now with a refresh of a at 150: violation seen there, sync after.
         let la = log(&[(0, Some(0)), (150, Some(1))]);
         let stats = mutual_value(
             &ta,
@@ -489,7 +508,20 @@ mod tests {
             secs(300),
         );
         assert_eq!(stats.violations(), 1);
-        assert_eq!(stats.out_of_sync(), Duration::from_secs(50)); // 100..150
+        // Out of sync over 100..150.
+        assert_eq!(stats.out_of_sync(), Duration::from_secs(50));
+        // A drift exactly equal to Δv breaks Equation 5's strict bound.
+        let stats = mutual_value(
+            &ta,
+            &la,
+            &tb,
+            &lb,
+            ValueFunction::Difference,
+            Value::new(1.0),
+            secs(300),
+        );
+        assert_eq!(stats.violations(), 1);
+        assert_eq!(stats.out_of_sync(), Duration::from_secs(50));
     }
 
     #[test]

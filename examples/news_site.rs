@@ -1,9 +1,9 @@
-//! A breaking-news site: a story page with embedded photos, kept
-//! *mutually* consistent (§1's motivating example).
+//! A breaking-news site: a story page with its embedded chart, portrait
+//! and stylesheet, kept *mutually* consistent (§1's motivating example).
 //!
-//! The related-object group is deduced syntactically by parsing the HTML
-//! for embedded links (§5.2), then the three Mt approaches of §3.2 are
-//! compared on the same workload.
+//! The related-object group is declared (§5.2 lets the user specify it),
+//! then the three Mt approaches of §3.2 are compared on the same
+//! workload.
 //!
 //! ```sh
 //! cargo run --example news_site
@@ -13,32 +13,23 @@ use mutcon::core::limd::LimdConfig;
 use mutcon::core::mutual::temporal::MtPolicy;
 use mutcon::core::object::ObjectId;
 use mutcon::core::time::Duration;
-use mutcon::depgraph::GroupDeducer;
 use mutcon::proxy::drivers::{run_temporal, MutualSetup, TemporalPolicy, TemporalSimConfig};
 use mutcon::proxy::metrics;
 use mutcon::proxy::origin::OriginServer;
 use mutcon::traces::generator::NewsTraceBuilder;
 
-const STORY_HTML: &str = r#"<html>
-  <head><link rel="stylesheet" href="/style/news.css"></head>
-  <body>
-    <h1>Breaking: markets move</h1>
-    <img src="chart.png">
-    <img src="reporter.jpg">
-    <a href="/archive.html">archive</a>
-  </body>
-</html>"#;
-
 fn main() {
-    // 1. Deduce the related-object group from the page itself.
-    let story = ObjectId::new("/news/story.html");
-    let mut deducer = GroupDeducer::new();
-    let embedded = deducer.add_document(story.clone(), STORY_HTML);
-    let registry = deducer.into_registry();
-    let members: Vec<ObjectId> = std::iter::once(story.clone())
-        .chain(registry.related(&story).cloned())
-        .collect();
-    println!("deduced {embedded} embedded objects; group:");
+    // 1. The related-object group: the story page and what it embeds.
+    let members: Vec<ObjectId> = [
+        "/news/story.html",
+        "/news/chart.png",
+        "/news/reporter.jpg",
+        "/style/news.css",
+    ]
+    .map(ObjectId::new)
+    .into();
+    let story = members[0].clone();
+    println!("group:");
     for m in &members {
         println!("  {m}");
     }

@@ -14,8 +14,6 @@
 //!   `epoll` primitives the live reactors run on.
 //! * [`http`] — a from-scratch HTTP/1.1 subset with the paper's §5.1
 //!   extensions.
-//! * [`depgraph`] — HTML link extraction and dependence graphs for
-//!   deducing related-object groups.
 //! * [`traces`] — the calibrated synthetic workloads of Tables 2–3.
 //! * [`proxy`] — the simulated proxy cache and the experiment harness
 //!   regenerating every figure.
@@ -42,7 +40,6 @@
 //! paper reproduction.
 
 pub use mutcon_core as core;
-pub use mutcon_depgraph as depgraph;
 pub use mutcon_http as http;
 pub use mutcon_live as live;
 pub use mutcon_proxy as proxy;

@@ -1,75 +1,17 @@
-//! Cross-crate pipeline tests: HTML deduction feeding simulation,
-//! persistence round-trips feeding identical experiments, and the HTTP
-//! extension headers carrying what the algorithms need.
+//! Cross-crate pipeline tests: persistence round-trips feeding identical
+//! experiments, and the HTTP extension header carrying what the
+//! algorithms need.
 
 use mutcon::core::limd::LimdConfig;
-use mutcon::core::mutual::temporal::MtPolicy;
 use mutcon::core::object::ObjectId;
 use mutcon::core::time::{Duration, Timestamp};
-use mutcon::depgraph::GroupDeducer;
-use mutcon::http::extensions::{modification_history, ConsistencyDirectives};
+use mutcon::http::extensions::modification_history;
 use mutcon::http::headers::HeaderMap;
-use mutcon::proxy::drivers::{run_temporal, MutualSetup, TemporalPolicy, TemporalSimConfig};
+use mutcon::proxy::drivers::{run_temporal, TemporalPolicy, TemporalSimConfig};
 use mutcon::proxy::metrics;
 use mutcon::proxy::origin::{HistorySupport, OriginServer};
-use mutcon::traces::generator::NewsTraceBuilder;
 use mutcon::traces::io::{from_tsv, to_tsv};
 use mutcon::traces::NamedTrace;
-
-/// HTML → groups → mutual-consistency simulation, end to end.
-#[test]
-fn html_deduction_drives_mutual_consistency() {
-    let page = ObjectId::new("/front.html");
-    let html = r#"<html><body>
-        <img src="ticker.png"><img src="headline.png">
-    </body></html>"#;
-    let mut deducer = GroupDeducer::new();
-    assert_eq!(deducer.add_document(page.clone(), html), 2);
-    let registry = deducer.into_registry();
-    let members: Vec<ObjectId> = std::iter::once(page.clone())
-        .chain(registry.related(&page).cloned())
-        .collect();
-    assert_eq!(members.len(), 3);
-
-    let mut origin = OriginServer::new();
-    for (i, m) in members.iter().enumerate() {
-        let trace = NewsTraceBuilder::new(m.as_str(), Duration::from_hours(6), 40)
-            .seed(900 + i as u64)
-            .build()
-            .unwrap();
-        origin.host(m.clone(), trace);
-    }
-    let until = Timestamp::ZERO + Duration::from_hours(6);
-    let out = run_temporal(
-        &origin,
-        &members,
-        &TemporalSimConfig {
-            policy: TemporalPolicy::Limd(
-                LimdConfig::builder(Duration::from_mins(10))
-                    .build()
-                    .unwrap(),
-            ),
-            mutual: Some(MutualSetup {
-                delta: Duration::from_mins(2),
-                policy: MtPolicy::TriggeredPolls,
-            }),
-            until,
-        },
-    );
-    // Every pair involving the page is perfectly consistent.
-    for m in &members[1..] {
-        let stats = metrics::mutual_temporal(
-            origin.trace(&page).unwrap(),
-            &out.logs[&page],
-            origin.trace(m).unwrap(),
-            &out.logs[m],
-            Duration::from_mins(2),
-            until,
-        );
-        assert_eq!(stats.fidelity_by_violations(), 1.0);
-    }
-    assert!(out.total_triggered() > 0);
-}
 
 /// Persisted traces drive byte-identical experiments.
 #[test]
@@ -132,19 +74,11 @@ fn history_extension_improves_detection() {
     );
 }
 
-/// The extension headers round-trip through a real header map, so a §5.1
-/// server↔proxy exchange can carry tolerances and histories.
+/// The history header round-trips through a real header map, so a §5.1
+/// server↔proxy exchange can carry modification histories.
 #[test]
 fn extension_headers_carry_consistency_metadata() {
     let mut headers = HeaderMap::new();
-    let directives = ConsistencyDirectives {
-        delta: Some(Duration::from_mins(10)),
-        mutual_delta: Some(Duration::from_mins(5)),
-        group: Some("front-page".to_owned()),
-    };
-    directives.apply(&mut headers);
-    assert_eq!(ConsistencyDirectives::from_headers(&headers), directives);
-
     mutcon::http::extensions::set_modification_history(
         &mut headers,
         &[Timestamp::from_millis(100), Timestamp::from_millis(2_500)],
