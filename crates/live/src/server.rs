@@ -1929,8 +1929,16 @@ mod tests {
         assert_eq!(c.read_to_end(&mut rest).unwrap(), 0, "then a clean close");
         assert!(server.metrics().parked_shed() >= 1);
         // The slots themselves were untouched: freeing one serves a
-        // newly connected client normally.
+        // newly connected client normally. The client connects once the
+        // reactor has seen the slot free; before that it would arrive at
+        // the bound, where a shed pass still draining the backlog may
+        // rightly shed it.
         drop(_a);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while server.metrics().reactor_connections() != [1] {
+            assert!(Instant::now() < deadline, "the reactor never saw the slot free");
+            std::thread::sleep(Duration::from_millis(1));
+        }
         let resp = get(server.local_addr(), "/after").unwrap();
         assert_eq!(&resp.body()[..], b"/after");
     }
