@@ -49,7 +49,6 @@
 //! # }
 //! ```
 
-
 use crate::adaptive_ttr::{AdaptiveTtr, AdaptiveTtrConfig};
 use crate::error::ConfigError;
 use crate::functions::ValueFunction;
@@ -464,7 +463,9 @@ mod tests {
     }
 
     fn default_ttr(delta: f64) -> AdaptiveTtrConfig {
-        AdaptiveTtrConfig::builder(Value::new(delta)).build().unwrap()
+        AdaptiveTtrConfig::builder(Value::new(delta))
+            .build()
+            .unwrap()
     }
 
     fn virtual_policy(delta: f64) -> VirtualObjectPolicy {
@@ -487,9 +488,21 @@ mod tests {
                 .feedback(f)
                 .build()
         };
-        assert!(bad(FeedbackConfig { decrease: 1.0, ..Default::default() }).is_err());
-        assert!(bad(FeedbackConfig { increase: 0.9, ..Default::default() }).is_err());
-        assert!(bad(FeedbackConfig { min: 0.0, ..Default::default() }).is_err());
+        assert!(bad(FeedbackConfig {
+            decrease: 1.0,
+            ..Default::default()
+        })
+        .is_err());
+        assert!(bad(FeedbackConfig {
+            increase: 0.9,
+            ..Default::default()
+        })
+        .is_err());
+        assert!(bad(FeedbackConfig {
+            min: 0.0,
+            ..Default::default()
+        })
+        .is_err());
         assert!(bad(FeedbackConfig::default()).is_ok());
     }
 
@@ -510,7 +523,7 @@ mod tests {
     fn virtual_object_detects_violation_and_shrinks_theta() {
         let mut p = virtual_policy(0.6);
         p.on_poll(secs(0), Value::new(160.0), Value::new(36.0)); // f = 124.0
-        // f jumps by 1.0 ≥ δ → violation, θ ← 0.7.
+                                                                 // f jumps by 1.0 ≥ δ → violation, θ ← 0.7.
         let d = p.on_poll(secs(10), Value::new(161.0), Value::new(36.0));
         assert!(d.violated);
         assert!((d.theta - 0.7).abs() < 1e-12);
@@ -567,7 +580,10 @@ mod tests {
     fn partitioned_rejects_ratio() {
         assert!(matches!(
             PartitionedConfig::builder(ValueFunction::Ratio, default_ttr(1.0)).build(),
-            Err(ConfigError::ParameterOutOfRange { name: "function", .. })
+            Err(ConfigError::ParameterOutOfRange {
+                name: "function",
+                ..
+            })
         ));
     }
 
@@ -647,7 +663,11 @@ mod tests {
         for i in 0..50u64 {
             t += 3 + i % 5;
             let ta = p.on_poll(PairMember::A, secs(t), Value::new(100.0 + (i % 7) as f64));
-            let tb = p.on_poll(PairMember::B, secs(t), Value::new(36.0 + (i % 3) as f64 * 0.01));
+            let tb = p.on_poll(
+                PairMember::B,
+                secs(t),
+                Value::new(36.0 + (i % 3) as f64 * 0.01),
+            );
             assert!(ta >= lo && ta <= hi);
             assert!(tb >= lo && tb <= hi);
         }

@@ -23,7 +23,6 @@ use std::borrow::Borrow;
 use std::fmt;
 use std::sync::Arc;
 
-
 use crate::time::Timestamp;
 use crate::value::Value;
 
@@ -77,9 +76,7 @@ impl Borrow<str> for ObjectId {
 }
 
 /// A monotonically increasing version number assigned by the origin server.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Version(u64);
 
 impl Version {

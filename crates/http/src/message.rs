@@ -447,10 +447,7 @@ mod tests {
     #[test]
     fn response_builder_and_accessors() {
         let t = Timestamp::from_secs(784_111_777);
-        let resp = Response::ok()
-            .last_modified(t)
-            .body(&b"data"[..])
-            .build();
+        let resp = Response::ok().last_modified(t).body(&b"data"[..]).build();
         assert_eq!(resp.status(), StatusCode::OK);
         assert_eq!(resp.last_modified(), Some(t));
         assert_eq!(&resp.body()[..], b"data");

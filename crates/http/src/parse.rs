@@ -365,7 +365,10 @@ mod tests {
     #[test]
     fn incomplete_head_returns_none() {
         assert_eq!(parse_request(b"GET / HT").unwrap(), None);
-        assert_eq!(parse_request(b"GET / HTTP/1.1\r\nHost: h\r\n").unwrap(), None);
+        assert_eq!(
+            parse_request(b"GET / HTTP/1.1\r\nHost: h\r\n").unwrap(),
+            None
+        );
     }
 
     #[test]
@@ -420,7 +423,13 @@ mod tests {
             ParseError::InvalidHeader
         );
         // A header name is a token: not empty, no space, no control byte.
-        for bad in ["bad name: v", ": v", "bad\tname: v", "na\u{e9}me: v", "name : v"] {
+        for bad in [
+            "bad name: v",
+            ": v",
+            "bad\tname: v",
+            "na\u{e9}me: v",
+            "name : v",
+        ] {
             let wire = format!("GET / HTTP/1.1\r\n{bad}\r\n\r\n");
             assert_eq!(
                 parse_request(wire.as_bytes()).unwrap_err(),
@@ -462,10 +471,8 @@ mod tests {
     #[test]
     fn rejects_content_lengths_that_disagree() {
         assert_eq!(
-            parse_request(
-                b"PUT /o HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 0\r\n\r\nabc"
-            )
-            .unwrap_err(),
+            parse_request(b"PUT /o HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 0\r\n\r\nabc")
+                .unwrap_err(),
             ParseError::InvalidContentLength
         );
         assert_eq!(
@@ -474,11 +481,10 @@ mod tests {
             ParseError::InvalidContentLength
         );
         // Repeating the same value is harmless and stays accepted.
-        let (req, _) = parse_request(
-            b"PUT /o HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 3\r\n\r\nabc",
-        )
-        .unwrap()
-        .unwrap();
+        let (req, _) =
+            parse_request(b"PUT /o HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 3\r\n\r\nabc")
+                .unwrap()
+                .unwrap();
         assert_eq!(&req.body()[..], b"abc");
     }
 
@@ -512,11 +518,19 @@ mod tests {
     #[test]
     fn head_and_body_limits_are_exact() {
         let at_limit = head_of_len(MAX_HEAD_BYTES);
-        let (_, n) = parse_request(&at_limit).unwrap().expect("a head of MAX_HEAD_BYTES parses");
+        let (_, n) = parse_request(&at_limit)
+            .unwrap()
+            .expect("a head of MAX_HEAD_BYTES parses");
         assert_eq!(n, MAX_HEAD_BYTES);
         let mut parser = RequestParser::new();
-        assert!(parser.advance(&at_limit[..MAX_HEAD_BYTES - 2]).unwrap().is_none());
-        assert!(parser.advance(&at_limit).unwrap().is_some(), "terminator in a second read");
+        assert!(parser
+            .advance(&at_limit[..MAX_HEAD_BYTES - 2])
+            .unwrap()
+            .is_none());
+        assert!(
+            parser.advance(&at_limit).unwrap().is_some(),
+            "terminator in a second read"
+        );
         let over = head_of_len(MAX_HEAD_BYTES + 1);
         assert_eq!(parse_request(&over).unwrap_err(), ParseError::HeadTooLarge);
         // Without a terminator: MAX_HEAD_BYTES buffered is still "read
@@ -524,13 +538,18 @@ mod tests {
         let mut unfinished = b"GET / HTTP/1.1\r\nx: ".to_vec();
         unfinished.resize(MAX_HEAD_BYTES + 1, b'a');
         assert_eq!(parse_request(&unfinished[..MAX_HEAD_BYTES]).unwrap(), None);
-        assert_eq!(parse_request(&unfinished).unwrap_err(), ParseError::HeadTooLarge);
+        assert_eq!(
+            parse_request(&unfinished).unwrap_err(),
+            ParseError::HeadTooLarge
+        );
 
         let put = |len: usize| format!("PUT /o HTTP/1.1\r\nContent-Length: {len}\r\n\r\n");
         let mut wire = put(MAX_BODY_BYTES).into_bytes();
         let head = wire.len();
         wire.resize(head + MAX_BODY_BYTES, b'b');
-        let (req, n) = parse_request(&wire).unwrap().expect("a MAX_BODY_BYTES body parses");
+        let (req, n) = parse_request(&wire)
+            .unwrap()
+            .expect("a MAX_BODY_BYTES body parses");
         assert_eq!((req.body().len(), n), (MAX_BODY_BYTES, wire.len()));
         assert_eq!(
             parse_request(put(MAX_BODY_BYTES + 1).as_bytes()).unwrap_err(),

@@ -186,7 +186,10 @@ impl Shard {
             replaced.supersede();
             self.version_bumps += 1;
         }
-        let evicted = self.map.insert(path.to_owned(), entry, now).map(|(_, victim)| victim);
+        let evicted = self
+            .map
+            .insert(path.to_owned(), entry, now)
+            .map(|(_, victim)| victim);
         if let Some(victim) = &evicted {
             victim.supersede();
             self.evictions += 1;
@@ -341,7 +344,9 @@ impl ShardedCache {
     pub fn insert(&self, path: &str, entry: CacheEntry) {
         let now = self.tick();
         // The guard goes at the end of the statement, the copies after it.
-        let _displaced = self.shards[shard_index(path)].write().store(path, Arc::new(entry), now);
+        let _displaced = self.shards[shard_index(path)]
+            .write()
+            .store(path, Arc::new(entry), now);
     }
 
     /// Stores a copy unless one at least as fresh (by modification
@@ -350,7 +355,11 @@ impl ShardedCache {
     /// refresh can never clobber the newer copy, and a second store of
     /// the same version supersedes nothing. Returns the entry now
     /// resident (the given one, or the incumbent).
-    pub fn insert_if_newer(&self, path: &str, entry: impl Into<Arc<CacheEntry>>) -> Arc<CacheEntry> {
+    pub fn insert_if_newer(
+        &self,
+        path: &str,
+        entry: impl Into<Arc<CacheEntry>>,
+    ) -> Arc<CacheEntry> {
         let now = self.tick();
         let entry = entry.into();
         let mut shard = self.shards[shard_index(path)].write();
@@ -406,9 +415,21 @@ impl ShardedCache {
             row
         });
         put(doc, "cache.shards", Json::Array(rows.collect()));
-        put(doc, "cache.objects", num(shards.iter().map(|s| s.len as u64).sum()));
-        put(doc, "cache.evictions", num(shards.iter().map(|s| s.evictions).sum()));
-        put(doc, "cache.version_bumps", num(shards.iter().map(|s| s.version_bumps).sum()));
+        put(
+            doc,
+            "cache.objects",
+            num(shards.iter().map(|s| s.len as u64).sum()),
+        );
+        put(
+            doc,
+            "cache.evictions",
+            num(shards.iter().map(|s| s.evictions).sum()),
+        );
+        put(
+            doc,
+            "cache.version_bumps",
+            num(shards.iter().map(|s| s.version_bumps).sum()),
+        );
         put(doc, "cache.generation", num(self.generation()));
     }
 
@@ -711,8 +732,20 @@ mod tests {
         use mutcon_http::headers::HeaderName;
         use mutcon_http::message::Response;
 
-        let stamps = [0, 999, 784_111_777_123, 4_102_444_800_000, 253_402_300_799_999];
-        let values = [None, Some(0.0), Some(-2.5), Some(1e21), Some(f64::MIN_POSITIVE)];
+        let stamps = [
+            0,
+            999,
+            784_111_777_123,
+            4_102_444_800_000,
+            253_402_300_799_999,
+        ];
+        let values = [
+            None,
+            Some(0.0),
+            Some(-2.5),
+            Some(1e21),
+            Some(f64::MIN_POSITIVE),
+        ];
         let versions = [None, Some(""), Some("0"), Some("v7 (beta)")];
         let bodies = [Bytes::new(), Bytes::from("x"), Bytes::from(vec![7u8; 8192])];
         for stamp in stamps.map(Timestamp::from_millis) {
@@ -787,9 +820,7 @@ mod tests {
         for i in 0..256 {
             cache.insert(&format!("/obj/{i}"), entry(i));
         }
-        let populated = (0..SHARD_COUNT)
-            .filter(|&s| cache.shard_len(s) > 0)
-            .count();
+        let populated = (0..SHARD_COUNT).filter(|&s| cache.shard_len(s) > 0).count();
         assert!(
             populated >= SHARD_COUNT / 2,
             "FNV spread only {populated}/{SHARD_COUNT} shards"
@@ -869,9 +900,17 @@ mod tests {
         cache.insert(&colliding, entry(2));
         let skips = cache.metrics.touch_skips();
         assert!(cache.get("/hot").is_some());
-        assert_eq!(cache.metrics.touch_skips(), skips, "non-tail read must not skip");
+        assert_eq!(
+            cache.metrics.touch_skips(),
+            skips,
+            "non-tail read must not skip"
+        );
         assert!(cache.get("/hot").is_some());
-        assert_eq!(cache.metrics.touch_skips(), skips + 1, "touched entry skips again");
+        assert_eq!(
+            cache.metrics.touch_skips(),
+            skips + 1,
+            "touched entry skips again"
+        );
         // Unbounded caches have no recency to protect; no skip counting.
         let unbounded = ShardedCache::new(None);
         unbounded.insert("/a", entry(1));
@@ -891,7 +930,10 @@ mod tests {
             cache.insert(&format!("/cold/{i}"), entry(i));
         }
         assert!(cache.get("/hot").is_some(), "hot entry evicted");
-        assert!(cache.metrics.touch_skips() > 0, "skew never took the skip path");
+        assert!(
+            cache.metrics.touch_skips() > 0,
+            "skew never took the skip path"
+        );
     }
 
     /// Named for the counter (`version_bumps`): what is checked is that
@@ -966,7 +1008,10 @@ mod tests {
         let cache = ShardedCache::new(None);
         let mut l1 = L1Cache::new(32);
         assert!(l1.is_empty());
-        assert!(matches!(l1.lookup("/a", cache.generation()), L1Lookup::Miss));
+        assert!(matches!(
+            l1.lookup("/a", cache.generation()),
+            L1Lookup::Miss
+        ));
 
         cache.insert("/a", entry(1));
         l1.insert("/a", cache.get("/a").unwrap());
@@ -979,8 +1024,14 @@ mod tests {
         // A store invalidates: next lookup rejects as stale and drops
         // the slot, the one after misses.
         cache.insert("/a", entry(2));
-        assert!(matches!(l1.lookup("/a", cache.generation()), L1Lookup::Stale));
-        assert!(matches!(l1.lookup("/a", cache.generation()), L1Lookup::Miss));
+        assert!(matches!(
+            l1.lookup("/a", cache.generation()),
+            L1Lookup::Stale
+        ));
+        assert!(matches!(
+            l1.lookup("/a", cache.generation()),
+            L1Lookup::Miss
+        ));
         assert!(l1.is_empty());
 
         // Refill serves the new copy.
@@ -1002,11 +1053,17 @@ mod tests {
         }
         assert_eq!(l1.len(), 8);
         cache.bump_generation();
-        assert!(matches!(l1.lookup("/g/0", cache.generation()), L1Lookup::Miss));
+        assert!(matches!(
+            l1.lookup("/g/0", cache.generation()),
+            L1Lookup::Miss
+        ));
         assert!(l1.is_empty(), "a new generation drops every slot");
         // Same generation again: refills are accepted as usual.
         l1.insert("/g/0", cache.get("/g/0").unwrap());
-        assert!(matches!(l1.lookup("/g/0", cache.generation()), L1Lookup::Hit(_)));
+        assert!(matches!(
+            l1.lookup("/g/0", cache.generation()),
+            L1Lookup::Hit(_)
+        ));
     }
 
     #[test]
@@ -1023,7 +1080,10 @@ mod tests {
         assert_eq!(evictions, 4, "a full window evicts its LRU slot");
         // The most recent insert is resident.
         let last = format!("/p/{}", L1_PROBE as u64 + 3);
-        assert!(matches!(l1.lookup(&last, cache.generation()), L1Lookup::Hit(_)));
+        assert!(matches!(
+            l1.lookup(&last, cache.generation()),
+            L1Lookup::Hit(_)
+        ));
     }
 
     #[test]
@@ -1033,7 +1093,10 @@ mod tests {
         cache.insert("/a", entry(1));
         assert!(!l1.insert("/a", cache.get("/a").unwrap()));
         cache.insert("/a", entry(2));
-        assert!(!l1.insert("/a", cache.get("/a").unwrap()), "replaced, not evicted");
+        assert!(
+            !l1.insert("/a", cache.get("/a").unwrap()),
+            "replaced, not evicted"
+        );
         assert_eq!(l1.len(), 1);
         let L1Lookup::Hit(hit) = l1.lookup("/a", cache.generation()) else {
             panic!("replaced entry must hit");

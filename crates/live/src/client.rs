@@ -129,7 +129,10 @@ mod tests {
         let host = "127.0.0.1:8080";
         let plain = Request::get("/a/b?c=1").host(host).keep_alive().build();
         assert_eq!(get_wire("/a/b?c=1", host, None), plain.to_bytes());
-        assert_eq!(wire_target(&get_wire("/a/b?c=1", host, None)), Some("/a/b?c=1"));
+        assert_eq!(
+            wire_target(&get_wire("/a/b?c=1", host, None)),
+            Some("/a/b?c=1")
+        );
         for ms in [0, 999, 784_111_777_123, 4_102_444_800_000] {
             let v = Timestamp::from_millis(ms);
             let poll = Request::get("/obj")
@@ -139,7 +142,11 @@ mod tests {
                 .keep_alive()
                 .build();
             assert_eq!(get_wire("/obj", host, Some(v)), poll.to_bytes(), "{ms}");
-            assert_eq!(wire_target(&get_wire("/obj", host, Some(v))), Some("/obj"), "{ms}");
+            assert_eq!(
+                wire_target(&get_wire("/obj", host, Some(v))),
+                Some("/obj"),
+                "{ms}"
+            );
         }
         for not_a_get in [
             &b""[..],
@@ -164,13 +171,20 @@ mod tests {
             .to_bytes();
         let addr = one_shot_server(canned);
         let mut stream = TcpStream::connect(addr).unwrap();
-        stream.set_read_timeout(Some(StdDuration::from_secs(5))).unwrap();
+        stream
+            .set_read_timeout(Some(StdDuration::from_secs(5)))
+            .unwrap();
         let host = addr.to_string();
-        stream.write_all(&get_wire("/x", &host, Some(Timestamp::from_millis(1_000)))).unwrap();
+        stream
+            .write_all(&get_wire("/x", &host, Some(Timestamp::from_millis(1_000))))
+            .unwrap();
         let resp = read_response(&mut stream, &mut BytesMut::new()).unwrap();
         assert_eq!(resp.status(), StatusCode::OK);
         assert_eq!(&resp.body()[..], b"hello");
-        assert_eq!(last_modified_ms(&resp), Some(Timestamp::from_millis(123_456)));
+        assert_eq!(
+            last_modified_ms(&resp),
+            Some(Timestamp::from_millis(123_456))
+        );
     }
 
     #[test]
@@ -179,7 +193,10 @@ mod tests {
         let resp = Response::ok()
             .last_modified(Timestamp::from_secs(784_111_777))
             .build();
-        assert_eq!(last_modified_ms(&resp), Some(Timestamp::from_secs(784_111_777)));
+        assert_eq!(
+            last_modified_ms(&resp),
+            Some(Timestamp::from_secs(784_111_777))
+        );
         // Garbage extension → fall back too.
         let resp = Response::ok()
             .header(X_LAST_MODIFIED_MS, "junk")
@@ -196,9 +213,7 @@ mod tests {
 
     #[test]
     fn request_validator_parsing() {
-        let req = Request::get("/x")
-            .header(X_LAST_MODIFIED_MS, "999")
-            .build();
+        let req = Request::get("/x").header(X_LAST_MODIFIED_MS, "999").build();
         assert_eq!(validator_ms(&req), Some(Timestamp::from_millis(999)));
         let req = Request::get("/x")
             .if_modified_since(Timestamp::from_secs(5))

@@ -4,7 +4,6 @@
 //! module replays logs against the ground-truth traces to compute exact
 //! poll counts, violations and out-of-sync time.
 
-
 use mutcon_core::time::Timestamp;
 
 /// What one poll did to the cache.
@@ -138,10 +137,7 @@ mod tests {
         let timeline: Vec<_> = log.refresh_timeline().collect();
         assert_eq!(
             timeline,
-            vec![
-                (Timestamp::from_secs(0), 0),
-                (Timestamp::from_secs(20), 2)
-            ]
+            vec![(Timestamp::from_secs(0), 0), (Timestamp::from_secs(20), 2)]
         );
     }
 

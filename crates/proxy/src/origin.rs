@@ -110,9 +110,7 @@ impl<'a> HostedObject<'a> {
             None => false,
         };
         let history = match (self.history, not_modified, validator) {
-            (HistorySupport::Full, false, Some(v)) => {
-                Some(self.trace.times_between(v, now))
-            }
+            (HistorySupport::Full, false, Some(v)) => Some(self.trace.times_between(v, now)),
             (HistorySupport::Full, false, None) => {
                 Some(&self.trace.times()[version_index..=version_index])
             }

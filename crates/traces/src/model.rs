@@ -8,7 +8,6 @@
 
 use std::fmt;
 
-
 use mutcon_core::object::Version;
 use mutcon_core::semantics::ValidityInterval;
 use mutcon_core::time::{Duration, Timestamp};
@@ -192,7 +191,8 @@ impl UpdateTrace {
 
     /// The version number current at `t` (version model of §2).
     pub fn version_at(&self, t: Timestamp) -> Option<Version> {
-        self.version_index_at(t).map(|i| Version::from_raw(i as u64))
+        self.version_index_at(t)
+            .map(|i| Version::from_raw(i as u64))
     }
 
     /// The event that created the version current at `t`.
@@ -302,7 +302,10 @@ mod tests {
             UpdateTrace::new("x", secs(0), secs(10), vec![]).unwrap_err(),
             TraceError::Empty
         );
-        let dup = vec![UpdateEvent::temporal(secs(5)), UpdateEvent::temporal(secs(5))];
+        let dup = vec![
+            UpdateEvent::temporal(secs(5)),
+            UpdateEvent::temporal(secs(5)),
+        ];
         assert_eq!(
             UpdateTrace::new("x", secs(0), secs(10), dup).unwrap_err(),
             TraceError::OutOfOrder { index: 1 }
@@ -334,13 +337,8 @@ mod tests {
         assert_eq!(t.version_at(secs(20)), Some(Version::from_raw(1)));
         assert_eq!(t.version_at(secs(99)), Some(Version::from_raw(2)));
         // Before the first event the object has no version yet.
-        let late = UpdateTrace::new(
-            "x",
-            secs(0),
-            secs(10),
-            vec![UpdateEvent::temporal(secs(5))],
-        )
-        .unwrap();
+        let late =
+            UpdateTrace::new("x", secs(0), secs(10), vec![UpdateEvent::temporal(secs(5))]).unwrap();
         assert_eq!(late.version_at(secs(1)), None);
     }
 
@@ -400,7 +398,10 @@ mod tests {
             "news",
             secs(0),
             secs(10),
-            vec![UpdateEvent::temporal(secs(0)), UpdateEvent::temporal(secs(5))],
+            vec![
+                UpdateEvent::temporal(secs(0)),
+                UpdateEvent::temporal(secs(5)),
+            ],
         )
         .unwrap();
         assert!(!t.is_valued());
