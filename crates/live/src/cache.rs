@@ -936,6 +936,46 @@ mod tests {
         );
     }
 
+    #[test]
+    fn contended_read_serves_without_touching_recency() {
+        use std::sync::Barrier;
+
+        // Two entries per shard: /a, then a colliding key, fill /a's
+        // shard, and /a is its LRU victim.
+        let cache = ShardedCache::new(Some(SHARD_COUNT * 2));
+        let shard = shard_of("/a");
+        let mut colliding = (0..)
+            .map(|i| format!("/a/{i}"))
+            .filter(|p| shard_of(p) == shard);
+        cache.insert("/a", entry(1));
+        cache.insert(&colliding.next().unwrap(), entry(2));
+        assert_eq!(cache.shard_len(shard), 2);
+
+        let (held, released) = (Barrier::new(2), Barrier::new(2));
+        let copy = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = cache.shards[shard].read();
+                held.wait();
+                released.wait();
+            });
+            held.wait();
+            // Another thread's read guard makes `try_write` fail: the hit
+            // is served under the read lock, and recency is not touched.
+            let skips = cache.metrics.touch_skips();
+            let copy = cache.get("/a").expect("served under contention");
+            assert_eq!(copy.last_modified(), Timestamp::from_millis(1));
+            assert_eq!(cache.metrics.touch_skips(), skips, "not the skip path");
+            released.wait();
+            copy
+        });
+
+        // /a is still the LRU victim: the next colliding store evicts it.
+        cache.insert(&colliding.next().unwrap(), entry(3));
+        assert!(!copy.is_current(), "the untouched entry was evicted");
+        assert!(cache.get("/a").is_none());
+        assert_eq!(cache.evictions(), 1);
+    }
+
     /// Named for the counter (`version_bumps`): what is checked is that
     /// each of the four mutations supersedes exactly the copy it should.
     #[test]
