@@ -33,6 +33,9 @@
 //! * [`limit`] — the LIMD/AIMD shape applied to concurrency limits; only
 //!   the benchmark drives it (`core.limit.on_sample_ns`).
 //!
+//! Their shared vocabulary: [`object`] (object ids and §2 version
+//! numbers), [`time`] (millisecond instants and spans) and [`value`].
+//!
 //! ## Quick start
 //!
 //! Maintain Δt-consistency for one object and react to what polls find:
@@ -83,7 +86,7 @@ pub mod time;
 pub mod value;
 
 pub use error::ConfigError;
-pub use object::{ObjectId, Version, VersionStamp};
+pub use object::{ObjectId, Version};
 pub use semantics::Semantics;
 pub use time::{Duration, Timestamp};
 pub use value::Value;

@@ -194,7 +194,6 @@ pub struct VirtualObjectPolicy {
     ttr: AdaptiveTtr,
     theta: f64,
     last_f: Option<Value>,
-    violations: u64,
     polls: u64,
 }
 
@@ -206,7 +205,6 @@ impl VirtualObjectPolicy {
             config,
             theta: 1.0,
             last_f: None,
-            violations: 0,
             polls: 0,
         }
     }
@@ -219,11 +217,6 @@ impl VirtualObjectPolicy {
     /// Current feedback factor θ.
     pub fn theta(&self) -> f64 {
         self.theta
-    }
-
-    /// Violations detected so far.
-    pub fn violation_count(&self) -> u64 {
-        self.violations
     }
 
     /// Pair-polls performed so far.
@@ -242,7 +235,6 @@ impl VirtualObjectPolicy {
             .last_f
             .is_some_and(|prev| f_new.abs_diff(prev) >= self.config.delta());
         if violated {
-            self.violations += 1;
             self.theta = (self.theta * self.config.feedback.decrease).max(self.config.feedback.min);
         } else {
             self.theta = (self.theta * self.config.feedback.increase).min(1.0);
@@ -527,7 +519,6 @@ mod tests {
         let d = p.on_poll(secs(10), Value::new(161.0), Value::new(36.0));
         assert!(d.violated);
         assert!((d.theta - 0.7).abs() < 1e-12);
-        assert_eq!(p.violation_count(), 1);
         // A calm poll grows θ back towards 1.
         let d = p.on_poll(secs(20), Value::new(161.0), Value::new(36.0));
         assert!(!d.violated);

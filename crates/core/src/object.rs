@@ -4,27 +4,21 @@
 //! by updates at the origin server: the version number starts at zero when
 //! the object is created and increments on every update (§2). A proxy's
 //! cached copy `P_a(t)` is always some (possibly stale) server version
-//! `S_a(t')`. [`VersionStamp`] couples the version number with the server
-//! time at which that version came into existence — the quantity that both
-//! Δt-consistency and Mt-consistency are defined over.
+//! `S_a(t')`. An update trace numbers the versions it holds
+//! (`UpdateTrace::version_at` in `mutcon-traces`); the instant a version
+//! came into existence is the time of the update that created it.
 //!
 //! ```
-//! use mutcon_core::object::{ObjectId, VersionStamp};
-//! use mutcon_core::time::Timestamp;
+//! use mutcon_core::object::{ObjectId, Version};
 //!
 //! let story = ObjectId::new("cnn/breaking-news");
-//! let v0 = VersionStamp::initial(Timestamp::ZERO);
-//! let v1 = v0.next(Timestamp::from_mins(5));
-//! assert!(v1.version() > v0.version());
 //! assert_eq!(story.as_str(), "cnn/breaking-news");
+//! assert!(Version::from_raw(0) < Version::from_raw(1));
 //! ```
 
 use std::borrow::Borrow;
 use std::fmt;
 use std::sync::Arc;
-
-use crate::time::Timestamp;
-use crate::value::Value;
 
 /// A cheap-to-clone, hashable identifier for a web object (e.g. a URL path).
 ///
@@ -80,116 +74,9 @@ impl Borrow<str> for ObjectId {
 pub struct Version(u64);
 
 impl Version {
-    /// The version assigned when the object is first created (§2: "the
-    /// version number is set to zero when the object is created").
-    pub const INITIAL: Version = Version(0);
-
     /// Creates a version from its raw counter value.
     pub const fn from_raw(v: u64) -> Self {
         Version(v)
-    }
-
-    /// The raw counter value.
-    pub const fn as_u64(self) -> u64 {
-        self.0
-    }
-
-    /// The version produced by the next update.
-    pub const fn next(self) -> Version {
-        Version(self.0 + 1)
-    }
-}
-
-impl fmt::Display for Version {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "v{}", self.0)
-    }
-}
-
-/// A version together with the server time at which it was created.
-///
-/// The creation time is exactly the `Last-Modified` value an HTTP origin
-/// would report for this version, and the origination instant `t1`/`t2`
-/// used in the Mt-consistency definition (Equation 4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct VersionStamp {
-    version: Version,
-    created_at: Timestamp,
-}
-
-impl VersionStamp {
-    /// The stamp for a freshly created object.
-    pub fn initial(created_at: Timestamp) -> Self {
-        VersionStamp {
-            version: Version::INITIAL,
-            created_at,
-        }
-    }
-
-    /// Creates a stamp from parts.
-    pub fn new(version: Version, created_at: Timestamp) -> Self {
-        VersionStamp {
-            version,
-            created_at,
-        }
-    }
-
-    /// The stamp produced by an update at `at`.
-    pub fn next(self, at: Timestamp) -> VersionStamp {
-        VersionStamp {
-            version: self.version.next(),
-            created_at: at,
-        }
-    }
-
-    /// The version number.
-    pub fn version(self) -> Version {
-        self.version
-    }
-
-    /// Server time at which this version came into existence
-    /// (the HTTP `Last-Modified` instant).
-    pub fn created_at(self) -> Timestamp {
-        self.created_at
-    }
-}
-
-impl fmt::Display for VersionStamp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}@{}", self.version, self.created_at)
-    }
-}
-
-/// A snapshot of an object as fetched from (or held at) a server or proxy:
-/// version stamp plus, for value-domain objects, the numeric value.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ObjectSnapshot {
-    stamp: VersionStamp,
-    value: Option<Value>,
-}
-
-impl ObjectSnapshot {
-    /// A snapshot of a purely temporal object (HTML page, image, …).
-    pub fn temporal(stamp: VersionStamp) -> Self {
-        ObjectSnapshot { stamp, value: None }
-    }
-
-    /// A snapshot of a value-bearing object (stock quote, score, …).
-    pub fn with_value(stamp: VersionStamp, value: Value) -> Self {
-        ObjectSnapshot {
-            stamp,
-            value: Some(value),
-        }
-    }
-
-    /// The version stamp.
-    pub fn stamp(&self) -> VersionStamp {
-        self.stamp
-    }
-
-    /// The numeric value, if this object carries one.
-    pub fn value(&self) -> Option<Value> {
-        self.value
     }
 }
 
@@ -218,32 +105,8 @@ mod tests {
 
     #[test]
     fn versions_increment() {
-        let v = Version::INITIAL;
-        assert_eq!(v.as_u64(), 0);
-        assert_eq!(v.next().as_u64(), 1);
-        assert_eq!(v.next().to_string(), "v1");
-        assert!(v < v.next());
-    }
-
-    #[test]
-    fn stamps_track_creation_time() {
-        let v0 = VersionStamp::initial(Timestamp::from_secs(5));
-        assert_eq!(v0.version(), Version::INITIAL);
-        assert_eq!(v0.created_at(), Timestamp::from_secs(5));
-        let v1 = v0.next(Timestamp::from_secs(9));
-        assert_eq!(v1.version().as_u64(), 1);
-        assert_eq!(v1.created_at(), Timestamp::from_secs(9));
+        let (v0, v1) = (Version::from_raw(0), Version::from_raw(1));
+        assert_eq!(v0, Version::default());
         assert!(v0 < v1);
-        assert_eq!(v1.to_string(), "v1@t+9000ms");
-    }
-
-    #[test]
-    fn snapshots_expose_parts() {
-        let stamp = VersionStamp::initial(Timestamp::ZERO);
-        let plain = ObjectSnapshot::temporal(stamp);
-        assert_eq!(plain.value(), None);
-        let priced = ObjectSnapshot::with_value(stamp, Value::from(36.25));
-        assert_eq!(priced.value(), Some(Value::from(36.25)));
-        assert_eq!(priced.stamp(), stamp);
     }
 }

@@ -13,11 +13,13 @@
 //! * [`headers`] — a case-insensitive multi-map with typed accessors.
 //! * [`message`] — request/response types with builders.
 //! * [`parse`] — an incremental wire-format parser.
-//! * [`conditional`] — `If-Modified-Since` / `Last-Modified` logic.
 //! * [`connection`] — `Connection` header semantics (keep-alive vs
 //!   close), used by the live proxy's persistent origin pool.
 //! * [`extensions`] — the paper's §5.1 modification history,
 //!   `X-Modification-History`.
+//!
+//! The `304`-or-`200` decision is the origins': they compare the
+//! millisecond validator (`mutcon_live::client::validator_ms`).
 //!
 //! ```
 //! use mutcon_http::message::Request;
@@ -42,7 +44,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod conditional;
 pub mod connection;
 pub mod date;
 pub mod extensions;

@@ -251,11 +251,6 @@ impl Response {
         crate::connection::wants_keep_alive(self.version, &self.headers)
     }
 
-    /// The parsed `Last-Modified` header, if present and valid.
-    pub fn last_modified(&self) -> Option<Timestamp> {
-        crate::date::parse_http_date(self.headers.get(HeaderName::LAST_MODIFIED)?).ok()
-    }
-
     /// Serializes the response to its wire form.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(128 + self.body.len());
@@ -449,7 +444,10 @@ mod tests {
         let t = Timestamp::from_secs(784_111_777);
         let resp = Response::ok().last_modified(t).body(&b"data"[..]).build();
         assert_eq!(resp.status(), StatusCode::OK);
-        assert_eq!(resp.last_modified(), Some(t));
+        assert_eq!(
+            resp.headers().get(HeaderName::LAST_MODIFIED),
+            Some("Sun, 06 Nov 1994 08:49:37 GMT")
+        );
         assert_eq!(&resp.body()[..], b"data");
         let wire = String::from_utf8(resp.to_bytes()).unwrap();
         assert!(wire.starts_with("HTTP/1.1 200 OK\r\n"));
@@ -462,14 +460,6 @@ mod tests {
         let wire = String::from_utf8(resp.to_bytes()).unwrap();
         assert!(wire.starts_with("HTTP/1.1 304 Not Modified\r\n"));
         assert!(!wire.contains("content-length"));
-    }
-
-    #[test]
-    fn last_modified_absent_or_invalid() {
-        let resp = Response::ok().build();
-        assert_eq!(resp.last_modified(), None);
-        let resp = Response::ok().header("Last-Modified", "garbage").build();
-        assert_eq!(resp.last_modified(), None);
     }
 
     #[test]

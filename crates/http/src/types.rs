@@ -171,11 +171,6 @@ impl StatusCode {
         self.0
     }
 
-    /// `true` for `2xx`.
-    pub const fn is_success(self) -> bool {
-        self.0 >= 200 && self.0 < 300
-    }
-
     /// The canonical reason phrase for the codes this crate uses.
     pub fn reason(self) -> &'static str {
         match self.0 {
@@ -269,8 +264,6 @@ mod tests {
     #[test]
     fn status_codes() {
         assert_eq!(StatusCode::OK.as_u16(), 200);
-        assert!(StatusCode::OK.is_success());
-        assert!(!StatusCode::NOT_MODIFIED.is_success());
         assert_eq!(StatusCode::NOT_MODIFIED.reason(), "Not Modified");
         assert_eq!(StatusCode::new(299).unwrap().reason(), "Unknown");
         assert!(StatusCode::new(42).is_none());

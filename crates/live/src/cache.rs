@@ -36,10 +36,9 @@
 
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 use bytes::Bytes;
-use parking_lot::RwLock;
 
 use mutcon_core::time::Timestamp;
 use mutcon_http::date::write_http_date;
@@ -222,6 +221,9 @@ metrics! {
     }
 }
 
+/// The panic once a panic under a shard's write guard has poisoned it.
+const POISONED: &str = "cache shard lock poisoned";
+
 /// A sharded, optionally bounded cache keyed by object path.
 pub struct ShardedCache {
     shards: Vec<RwLock<Shard>>,
@@ -317,18 +319,18 @@ impl ShardedCache {
         let shard = &self.shards[shard_index(path)];
         if self.bounded {
             {
-                let guard = shard.read();
+                let guard = shard.read().expect(POISONED);
                 if guard.map.is_most_recent(path) {
                     self.metrics.touch_skips.inc();
                     return guard.map.get(path).cloned();
                 }
             }
-            if let Some(mut guard) = shard.try_write() {
+            if let Ok(mut guard) = shard.try_write() {
                 let now = self.tick();
                 return guard.map.touch(path, now).cloned();
             }
         }
-        shard.read().map.get(path).cloned()
+        shard.read().expect(POISONED).map.get(path).cloned()
     }
 
     /// [`ShardedCache::get`]; kept because `benchmark/` (read-only here)
@@ -346,6 +348,7 @@ impl ShardedCache {
         // The guard goes at the end of the statement, the copies after it.
         let _displaced = self.shards[shard_index(path)]
             .write()
+            .expect(POISONED)
             .store(path, Arc::new(entry), now);
     }
 
@@ -362,7 +365,7 @@ impl ShardedCache {
     ) -> Arc<CacheEntry> {
         let now = self.tick();
         let entry = entry.into();
-        let mut shard = self.shards[shard_index(path)].write();
+        let mut shard = self.shards[shard_index(path)].write().expect(POISONED);
         if let Some(existing) = shard.map.get(path) {
             if existing.last_modified >= entry.last_modified {
                 return Arc::clone(existing);
@@ -380,7 +383,7 @@ impl ShardedCache {
     /// superseded, so outstanding L1 copies reject on their next
     /// validation.
     pub fn remove(&self, path: &str) -> Option<Arc<CacheEntry>> {
-        let mut shard = self.shards[shard_index(path)].write();
+        let mut shard = self.shards[shard_index(path)].write().expect(POISONED);
         let removed = shard.map.remove(path)?;
         removed.supersede();
         shard.version_bumps += 1;
@@ -435,12 +438,15 @@ impl ShardedCache {
 
     /// Total copies superseded across all shards.
     pub fn version_bumps(&self) -> u64 {
-        self.shards.iter().map(|s| s.read().version_bumps).sum()
+        self.shard_stats().iter().map(|s| s.version_bumps).sum()
     }
 
     /// Total cached objects across all shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().map.len()).sum()
+        self.shards
+            .iter()
+            .map(|s| s.read().expect(POISONED).map.len())
+            .sum()
     }
 
     /// Whether every shard is empty.
@@ -455,7 +461,7 @@ impl ShardedCache {
     ///
     /// Panics if `index >= SHARD_COUNT`.
     pub fn shard_len(&self, index: usize) -> usize {
-        self.shards[index].read().map.len()
+        self.shards[index].read().expect(POISONED).map.len()
     }
 
     /// Per-shard occupancy and eviction counts (the admin stats
@@ -464,7 +470,7 @@ impl ShardedCache {
         self.shards
             .iter()
             .map(|s| {
-                let shard = s.read();
+                let shard = s.read().expect(POISONED);
                 ShardStats {
                     len: shard.map.len(),
                     evictions: shard.evictions,
@@ -476,7 +482,7 @@ impl ShardedCache {
 
     /// Total LRU evictions across all shards.
     pub fn evictions(&self) -> u64 {
-        self.shards.iter().map(|s| s.read().evictions).sum()
+        self.shard_stats().iter().map(|s| s.evictions).sum()
     }
 }
 
@@ -938,10 +944,7 @@ mod tests {
 
     #[test]
     fn contended_read_serves_without_touching_recency() {
-        use std::sync::Barrier;
-
-        // Two entries per shard: /a, then a colliding key, fill /a's
-        // shard, and /a is its LRU victim.
+        // Two entries per shard fill /a's shard; /a is its LRU victim.
         let cache = ShardedCache::new(Some(SHARD_COUNT * 2));
         let shard = shard_of("/a");
         let mut colliding = (0..)
@@ -951,10 +954,10 @@ mod tests {
         cache.insert(&colliding.next().unwrap(), entry(2));
         assert_eq!(cache.shard_len(shard), 2);
 
-        let (held, released) = (Barrier::new(2), Barrier::new(2));
+        let (held, released) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
         let copy = std::thread::scope(|s| {
             s.spawn(|| {
-                let _guard = cache.shards[shard].read();
+                let _guard = cache.shards[shard].read().unwrap();
                 held.wait();
                 released.wait();
             });

@@ -89,14 +89,15 @@ pub fn last_modified_ms(response: &Response) -> Option<Timestamp> {
 }
 
 /// Reads the millisecond validator from a request (the extension header,
-/// falling back to `If-Modified-Since`).
+/// falling back to `If-Modified-Since`); `None` when absent or unparseable
+/// (RFC 7232: an invalid date makes the request unconditional).
 pub fn validator_ms(request: &Request) -> Option<Timestamp> {
     if let Some(v) = request.headers().get(X_LAST_MODIFIED_MS) {
         if let Ok(ms) = v.trim().parse::<u64>() {
             return Some(Timestamp::from_millis(ms));
         }
     }
-    mutcon_http::conditional::if_modified_since(request)
+    parse_http_date(request.headers().get(HeaderName::IF_MODIFIED_SINCE)?).ok()
 }
 
 #[cfg(test)]
@@ -220,5 +221,10 @@ mod tests {
             .build();
         assert_eq!(validator_ms(&req), Some(Timestamp::from_secs(5)));
         assert_eq!(validator_ms(&Request::get("/x").build()), None);
+        // An invalid date is ignored: the request is unconditional.
+        let req = Request::get("/x")
+            .header(HeaderName::IF_MODIFIED_SINCE, "not a date")
+            .build();
+        assert_eq!(validator_ms(&req), None);
     }
 }

@@ -71,14 +71,6 @@ impl PollLog {
         self.records.len() as u64
     }
 
-    /// Polls that refreshed the cached copy.
-    pub fn refresh_count(&self) -> u64 {
-        self.records
-            .iter()
-            .filter(|r| matches!(r.outcome, PollOutcome::Refreshed { .. }))
-            .count() as u64
-    }
-
     /// Polls initiated by the mutual-consistency coordinator.
     pub fn triggered_count(&self) -> u64 {
         self.records.iter().filter(|r| r.triggered).count() as u64
@@ -123,7 +115,6 @@ mod tests {
             triggered: true,
         });
         assert_eq!(log.poll_count(), 3);
-        assert_eq!(log.refresh_count(), 2);
         assert_eq!(log.triggered_count(), 1);
         assert_eq!(log.records().len(), 3);
     }

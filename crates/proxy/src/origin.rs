@@ -181,11 +181,6 @@ impl OriginServer {
         self.objects.keys()
     }
 
-    /// Whether the history extension is on.
-    pub fn history_support(&self) -> HistorySupport {
-        self.history
-    }
-
     /// Resolves `id` to a poll handle (see [`HostedObject`]).
     ///
     /// # Errors
@@ -327,7 +322,6 @@ mod tests {
     #[test]
     fn accessors() {
         let (o, id) = origin(HistorySupport::Full);
-        assert_eq!(o.history_support(), HistorySupport::Full);
         assert!(o.trace(&id).is_some());
         assert_eq!(o.object_ids().count(), 1);
     }

@@ -163,16 +163,6 @@ impl BytesMut {
         self.0.drain(..cnt);
     }
 
-    /// Wraps an existing `Vec`, keeping its contents and capacity.
-    pub fn from_vec(vec: Vec<u8>) -> Self {
-        BytesMut(vec)
-    }
-
-    /// Unwraps into the backing `Vec`, keeping contents and capacity.
-    pub fn into_vec(self) -> Vec<u8> {
-        self.0
-    }
-
     /// Length in bytes.
     pub fn len(&self) -> usize {
         self.0.len()
@@ -262,16 +252,5 @@ mod tests {
         let mut buf = BytesMut::new();
         buf.extend_from_slice(b"ab");
         buf.advance(3);
-    }
-
-    #[test]
-    fn vec_round_trip_keeps_capacity() {
-        let mut vec = Vec::with_capacity(128);
-        vec.extend_from_slice(b"xy");
-        let buf = BytesMut::from_vec(vec);
-        assert_eq!(&buf[..], b"xy");
-        let back = buf.into_vec();
-        assert_eq!(back, b"xy");
-        assert!(back.capacity() >= 128);
     }
 }

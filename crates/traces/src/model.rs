@@ -205,15 +205,6 @@ impl UpdateTrace {
         self.event_at(t).and_then(|e| e.value)
     }
 
-    /// The first event strictly after `t`, if any.
-    pub fn next_event_after(&self, t: Timestamp) -> Option<&UpdateEvent> {
-        let idx = match self.events.binary_search_by(|e| e.at.cmp(&t)) {
-            Ok(i) => i + 1,
-            Err(i) => i,
-        };
-        self.events.get(idx)
-    }
-
     /// Events with `t1 < at ≤ t2` — "updates since the previous poll" for
     /// a poll at `t2` following one at `t1`.
     pub fn events_between(&self, t1: Timestamp, t2: Timestamp) -> &[UpdateEvent] {
@@ -349,15 +340,6 @@ mod tests {
         assert_eq!(t.value_at(secs(20)), Some(Value::new(12.0)));
         assert_eq!(t.value_at(secs(100)), Some(Value::new(11.0)));
         assert_eq!(t.value_range(), Some((Value::new(10.0), Value::new(12.0))));
-    }
-
-    #[test]
-    fn next_event_lookup() {
-        let t = trace();
-        assert_eq!(t.next_event_after(secs(0)).unwrap().at, secs(20));
-        assert_eq!(t.next_event_after(secs(20)).unwrap().at, secs(50));
-        assert_eq!(t.next_event_after(secs(19)).unwrap().at, secs(20));
-        assert!(t.next_event_after(secs(50)).is_none());
     }
 
     #[test]
