@@ -221,7 +221,7 @@ metrics! {
     }
 }
 
-/// The panic once a panic under a shard's write guard has poisoned it.
+/// Panic message for a shard lock poisoned by a panic under its write guard.
 const POISONED: &str = "cache shard lock poisoned";
 
 /// A sharded, optionally bounded cache keyed by object path.
