@@ -1,24 +1,15 @@
-//! Conditional-request logic: `If-Modified-Since` versus `Last-Modified`.
+//! The `If-Modified-Since` header of a §5 poll.
 //!
-//! A TTR expiry turns into an `If-Modified-Since` poll (§5): the proxy
-//! sends the modification time of its cached copy, and the origin answers
-//! `304 Not Modified` (cheap) or `200 OK` with a fresh copy. IMF-fixdates
-//! have one-second resolution, so all comparisons here are performed at
-//! second granularity — a sub-second update is only visible on the *next*
-//! poll, exactly as with real HTTP.
+//! A TTR expiry turns into an `If-Modified-Since` poll: the proxy sends
+//! the modification time of its cached copy, and the origin answers
+//! `304 Not Modified` or `200 OK` with a fresh copy. The origins decide
+//! on the millisecond validator (`mutcon_live::client::validator_ms`),
+//! which falls back to this header.
 
 use mutcon_core::time::Timestamp;
 
 use crate::headers::HeaderName;
 use crate::message::Request;
-
-/// Does a resource last modified at `last_modified` count as modified for
-/// a client that validated at `if_modified_since`?
-///
-/// Comparison is at second granularity (the resolution of HTTP dates).
-pub fn is_modified_since(last_modified: Timestamp, if_modified_since: Timestamp) -> bool {
-    last_modified.as_secs() > if_modified_since.as_secs()
-}
 
 /// Extracts and parses the `If-Modified-Since` header of a request.
 ///
@@ -29,32 +20,9 @@ pub fn if_modified_since(request: &Request) -> Option<Timestamp> {
     crate::date::parse_http_date(request.headers().get(HeaderName::IF_MODIFIED_SINCE)?).ok()
 }
 
-/// Decides whether a conditional request should receive a full response.
-///
-/// `true` → respond `200 OK` with the current copy; `false` → `304 Not
-/// Modified`. Unconditional requests (no valid `If-Modified-Since`) always
-/// get the full response.
-pub fn wants_full_response(request: &Request, last_modified: Timestamp) -> bool {
-    match if_modified_since(request) {
-        None => true,
-        Some(since) => is_modified_since(last_modified, since),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mutcon_core::time::Duration;
-
-    #[test]
-    fn second_granularity_comparison() {
-        let base = Timestamp::from_secs(1_000);
-        assert!(!is_modified_since(base, base));
-        assert!(is_modified_since(base + Duration::from_secs(1), base));
-        // Sub-second updates are invisible at HTTP-date resolution.
-        assert!(!is_modified_since(base + Duration::from_millis(500), base));
-        assert!(!is_modified_since(base, base + Duration::from_secs(5)));
-    }
 
     #[test]
     fn extracts_header() {
@@ -71,26 +39,5 @@ mod tests {
             .header(HeaderName::IF_MODIFIED_SINCE, "not a date")
             .build();
         assert_eq!(if_modified_since(&req), None);
-    }
-
-    #[test]
-    fn full_response_decisions() {
-        let lm = Timestamp::from_secs(2_000);
-        // Unconditional → full response.
-        let req = Request::get("/x").build();
-        assert!(wants_full_response(&req, lm));
-        // Validated before the update → full response.
-        let req = Request::get("/x")
-            .if_modified_since(Timestamp::from_secs(1_000))
-            .build();
-        assert!(wants_full_response(&req, lm));
-        // Validated at/after the update → 304.
-        let req = Request::get("/x").if_modified_since(lm).build();
-        assert!(!wants_full_response(&req, lm));
-        // Invalid date → treated as unconditional.
-        let req = Request::get("/x")
-            .header(HeaderName::IF_MODIFIED_SINCE, "garbage")
-            .build();
-        assert!(wants_full_response(&req, lm));
     }
 }

@@ -13,13 +13,15 @@
 //! * [`headers`] — a case-insensitive multi-map with typed accessors.
 //! * [`message`] — request/response types with builders.
 //! * [`parse`] — an incremental wire-format parser.
+//! * [`conditional`] — the `If-Modified-Since` header of a §5 poll.
 //! * [`connection`] — `Connection` header semantics (keep-alive vs
 //!   close), used by the live proxy's persistent origin pool.
 //! * [`extensions`] — the paper's §5.1 modification history,
 //!   `X-Modification-History`.
 //!
 //! The `304`-or-`200` decision is the origins': they compare the
-//! millisecond validator (`mutcon_live::client::validator_ms`).
+//! millisecond validator (`mutcon_live::client::validator_ms`), which
+//! falls back to [`conditional::if_modified_since`].
 //!
 //! ```
 //! use mutcon_http::message::Request;
@@ -44,6 +46,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod conditional;
 pub mod connection;
 pub mod date;
 pub mod extensions;

@@ -97,7 +97,7 @@ pub fn validator_ms(request: &Request) -> Option<Timestamp> {
             return Some(Timestamp::from_millis(ms));
         }
     }
-    parse_http_date(request.headers().get(HeaderName::IF_MODIFIED_SINCE)?).ok()
+    mutcon_http::conditional::if_modified_since(request)
 }
 
 #[cfg(test)]

@@ -14,6 +14,7 @@ cargo test -q
 rustfmt --edition 2021 --check \
   crates/core/src/mutual/value.rs crates/core/src/object.rs \
   crates/core/src/semantics.rs \
+  crates/http/src/conditional.rs \
   crates/http/src/extensions.rs crates/http/src/headers.rs \
   crates/http/src/message.rs crates/http/src/parse.rs \
   crates/http/src/types.rs \
