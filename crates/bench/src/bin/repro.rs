@@ -116,11 +116,7 @@ fn main() {
             None => {
                 eprintln!(
                     "unknown experiment {other:?}; expected one of: all, {}",
-                    known
-                        .iter()
-                        .map(|(n, _)| *n)
-                        .collect::<Vec<_>>()
-                        .join(", ")
+                    known.iter().map(|(n, _)| *n).collect::<Vec<_>>().join(", ")
                 );
                 std::process::exit(2);
             }
@@ -177,7 +173,11 @@ fn table1() -> Section {
     use std::fmt::Write as _;
     let mut text = String::new();
     let _ = writeln!(text, "Table 1 — taxonomy of cache consistency semantics");
-    let _ = writeln!(text, "{:<10} {:<10} {:<12} example", "Semantics", "Domain", "Type");
+    let _ = writeln!(
+        text,
+        "{:<10} {:<10} {:<12} example",
+        "Semantics", "Domain", "Type"
+    );
     for s in [
         Semantics::DeltaT(Duration::from_mins(5)),
         Semantics::MutualT(Duration::from_mins(5)),

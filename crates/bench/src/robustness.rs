@@ -79,8 +79,7 @@ fn fig3_outcome(collection: u64) -> GridOutcome {
     let rows = individual_temporal_sweep(&trace, &fig3_deltas(), &paper_fig3_config());
     GridOutcome {
         polls: rows.iter().map(|r| r.limd_polls).sum(),
-        fidelity: rows.iter().map(|r| r.limd_fidelity_violations).sum::<f64>()
-            / rows.len() as f64,
+        fidelity: rows.iter().map(|r| r.limd_fidelity_violations).sum::<f64>() / rows.len() as f64,
         claim: rows[0].limd_polls < rows[0].baseline_polls,
     }
 }
@@ -89,7 +88,13 @@ fn fig5_outcome(collection: u64) -> GridOutcome {
     let (a, b) = FIG5_PAIR;
     let ta = a.generate_with_seed(a.seed() + collection * SEED_STRIDE);
     let tb = b.generate_with_seed(b.seed() + collection * SEED_STRIDE);
-    let rows = mutual_temporal_sweep(&ta, &tb, fixed_delta(), &fig5_deltas(), &paper_fig3_config());
+    let rows = mutual_temporal_sweep(
+        &ta,
+        &tb,
+        fixed_delta(),
+        &fig5_deltas(),
+        &paper_fig3_config(),
+    );
     GridOutcome {
         polls: rows.iter().map(|r| r.heuristic.polls).sum(),
         fidelity: rows.iter().map(|r| r.heuristic.fidelity).sum::<f64>() / rows.len() as f64,
@@ -235,8 +240,7 @@ fn multi_object_outcome(collection: u64) -> GridOutcome {
     GridOutcome {
         polls: triggered.total_polls(),
         fidelity: triggered_fidelity,
-        claim: triggered.total_triggered() > 0
-            && triggered_fidelity >= baseline_fidelity - 1e-9,
+        claim: triggered.total_triggered() > 0 && triggered_fidelity >= baseline_fidelity - 1e-9,
     }
 }
 
@@ -362,7 +366,8 @@ mod tests {
         let rows = robustness_grid(3);
         for r in &rows {
             assert_eq!(
-                r.claim_held, r.runs,
+                r.claim_held,
+                r.runs,
                 "{} claim failed in {}/{} collections",
                 r.grid,
                 r.runs - r.claim_held,

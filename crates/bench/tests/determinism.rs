@@ -8,8 +8,7 @@ use mutcon_bench::{
 };
 use mutcon_core::time::Duration;
 use mutcon_proxy::experiment::{
-    individual_temporal_sweep, mutual_temporal_sweep, mutual_value_sweep, Fig3Row, Fig5Row,
-    Fig7Row,
+    individual_temporal_sweep, mutual_temporal_sweep, mutual_value_sweep, Fig3Row, Fig5Row, Fig7Row,
 };
 use mutcon_proxy::{ablation, report};
 
@@ -49,10 +48,7 @@ fn snapshot() -> Snapshot {
     );
     let fig7_report = report::fig7(&fig7_rows);
 
-    let ablation_a = ablation::render(
-        "A",
-        &ablation::limd_aggressiveness(&cnn, fixed_delta()),
-    );
+    let ablation_a = ablation::render("A", &ablation::limd_aggressiveness(&cnn, fixed_delta()));
     let ablation_c = ablation::render(
         "C",
         &ablation::heuristic_threshold(

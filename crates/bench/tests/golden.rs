@@ -28,13 +28,20 @@ delta_min  baseline   triggered  heuristic
 fn fig5_rows_are_the_committed_ones() {
     let (a, b) = FIG5_PAIR;
     let deltas = [1, 5, 15, 30].map(Duration::from_mins);
-    let rows = mutual_temporal_sweep(&a.generate(), &b.generate(), fixed_delta(), &deltas, &paper_fig3_config());
+    let rows = mutual_temporal_sweep(
+        &a.generate(),
+        &b.generate(),
+        fixed_delta(),
+        &deltas,
+        &paper_fig3_config(),
+    );
     let mut table = String::from("\ndelta_min  baseline   triggered  heuristic\n");
     for row in &rows {
         // The paper's claim is exact, not "rounds to": §3.2's triggered
         // polls leave no Mt violation.
         assert_eq!(row.triggered.fidelity, 1.0, "δ = {}", row.mutual_delta);
-        let cell = |r: &mutcon_proxy::experiment::PolicyResult| format!("{} {:.3}", r.polls, r.fidelity);
+        let cell =
+            |r: &mutcon_proxy::experiment::PolicyResult| format!("{} {:.3}", r.polls, r.fidelity);
         table += &format!(
             "{:>9}  {}  {}  {}\n",
             row.mutual_delta.as_millis() / 60_000,
@@ -54,10 +61,16 @@ fn fig5_rows_are_the_committed_ones() {
 #[test]
 fn multi4_polls_are_the_committed_ones() {
     let grid = robustness::robustness_grid(10);
-    let multi4 = grid.iter().find(|row| row.grid == "multi4").expect("the n = 4 group");
+    let multi4 = grid
+        .iter()
+        .find(|row| row.grid == "multi4")
+        .expect("the n = 4 group");
     assert_eq!(multi4.polls_total, 9_170);
     assert_eq!((multi4.fidelity_min, multi4.claim_held), (1.0, 10));
-    assert!(grid.iter().all(|row| row.claim_held == row.runs), "{grid:?}");
+    assert!(
+        grid.iter().all(|row| row.claim_held == row.runs),
+        "{grid:?}"
+    );
     let totals: Vec<(&str, u64)> = grid.iter().map(|row| (row.grid, row.polls_total)).collect();
     assert_eq!(
         totals,
@@ -91,8 +104,12 @@ delta  adaptive    partitioned
 #[test]
 fn fig7_rows_are_the_committed_ones() {
     let (a, b) = VALUE_PAIR;
-    let rows =
-        mutual_value_sweep(&a.generate(), &b.generate(), &fig7_deltas(), &paper_fig7_config());
+    let rows = mutual_value_sweep(
+        &a.generate(),
+        &b.generate(),
+        &fig7_deltas(),
+        &paper_fig7_config(),
+    );
     let mut table = String::from("\ndelta  adaptive    partitioned\n");
     for r in &rows {
         table += &format!(
@@ -135,8 +152,9 @@ fn ablation_d_rows_are_the_committed_ones() {
 
 /// Figure 6(b): the heuristic's extra (triggered) polls per two-hour
 /// window, as `repro fig6` prints them.
-const FIG6_EXTRA_POLLS: [u32; 23] =
-    [0, 4, 2, 6, 3, 2, 0, 0, 0, 0, 6, 3, 5, 2, 4, 4, 3, 1, 0, 0, 0, 0, 0];
+const FIG6_EXTRA_POLLS: [u32; 23] = [
+    0, 4, 2, 6, 3, 2, 0, 0, 0, 0, 6, 3, 5, 2, 4, 4, 3, 1, 0, 0, 0, 0, 0,
+];
 
 #[test]
 fn fig6_extra_polls_are_the_committed_ones() {

@@ -47,7 +47,6 @@
 //! # }
 //! ```
 
-
 use crate::error::ConfigError;
 use crate::rate::ValueRateEstimator;
 use crate::time::{Duration, Timestamp};
@@ -324,11 +323,15 @@ mod tests {
             Err(ConfigError::ZeroTolerance { .. })
         ));
         assert!(matches!(
-            AdaptiveTtrConfig::builder(Value::new(1.0)).smoothing(1.5).build(),
+            AdaptiveTtrConfig::builder(Value::new(1.0))
+                .smoothing(1.5)
+                .build(),
             Err(ConfigError::ParameterOutOfRange { name: "w", .. })
         ));
         assert!(matches!(
-            AdaptiveTtrConfig::builder(Value::new(1.0)).alpha(-0.1).build(),
+            AdaptiveTtrConfig::builder(Value::new(1.0))
+                .alpha(-0.1)
+                .build(),
             Err(ConfigError::ParameterOutOfRange { name: "alpha", .. })
         ));
         assert!(matches!(

@@ -53,7 +53,10 @@ impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ConfigError::ParameterOutOfRange { name, value, range } => {
-                write!(f, "parameter `{name}` = {value} outside required range {range}")
+                write!(
+                    f,
+                    "parameter `{name}` = {value} outside required range {range}"
+                )
             }
             ConfigError::InvalidTtrBounds { min, max } => {
                 write!(f, "ttr_min ({min}) exceeds ttr_max ({max})")
@@ -62,7 +65,10 @@ impl fmt::Display for ConfigError {
                 write!(f, "tolerance `{name}` must be positive")
             }
             ConfigError::GroupTooSmall { len } => {
-                write!(f, "a related-object group needs at least 2 members, got {len}")
+                write!(
+                    f,
+                    "a related-object group needs at least 2 members, got {len}"
+                )
             }
             ConfigError::InvalidSpec { message } => {
                 write!(f, "invalid configuration spec: {message}")

@@ -26,7 +26,6 @@
 
 use std::iter::Sum;
 
-
 use crate::time::Duration;
 
 /// Raw counters behind both fidelity metrics.

@@ -13,7 +13,6 @@
 //! functions (like [`ValueFunction::Ratio`]) where no such static split
 //! exists and the virtual-object approach must be used.
 
-
 use crate::value::Value;
 
 /// A binary function over object values for Mv-consistency.
@@ -49,9 +48,7 @@ impl ValueFunction {
         match self {
             ValueFunction::Difference => a - b,
             ValueFunction::Sum => a + b,
-            ValueFunction::WeightedSum { wa, wb } => {
-                Value::new(wa * a.as_f64() + wb * b.as_f64())
-            }
+            ValueFunction::WeightedSum { wa, wb } => Value::new(wa * a.as_f64() + wb * b.as_f64()),
             ValueFunction::Ratio => {
                 if b.as_f64() == 0.0 {
                     Value::ZERO
@@ -127,7 +124,10 @@ mod tests {
                 .abs_diff(f.eval(Value::new(pa), Value::new(pb)))
                 .as_f64();
             let rhs = (sa - pa).abs() + (sb - pb).abs();
-            assert!(lhs <= rhs + 1e-12, "triangle inequality failed: {lhs} > {rhs}");
+            assert!(
+                lhs <= rhs + 1e-12,
+                "triangle inequality failed: {lhs} > {rhs}"
+            );
         }
     }
 }

@@ -58,7 +58,6 @@
 
 use std::fmt;
 
-
 use crate::error::ConfigError;
 use crate::time::{Duration, Timestamp};
 
@@ -543,7 +542,9 @@ impl Limd {
     ) -> LimdDecision {
         // Case 4 takes precedence: an update after a long quiet spell.
         if let Some(previous_mod) = self.last_known_modification {
-            if last_modified.checked_since(previous_mod).unwrap_or(Duration::ZERO)
+            if last_modified
+                .checked_since(previous_mod)
+                .unwrap_or(Duration::ZERO)
                 > self.config.idle_threshold
             {
                 return LimdDecision {
@@ -564,8 +565,7 @@ impl Limd {
             let m = match self.config.decrease {
                 DecreaseFactor::Fixed(m) => m,
                 DecreaseFactor::DeltaOverOutSync { floor, ceiling } => {
-                    let ratio =
-                        self.config.delta.as_millis() as f64 / staleness.as_millis() as f64;
+                    let ratio = self.config.delta.as_millis() as f64 / staleness.as_millis() as f64;
                     ratio.clamp(floor, ceiling)
                 }
             };
@@ -639,27 +639,46 @@ mod tests {
             Err(ConfigError::ParameterOutOfRange { name: "l", .. })
         ));
         assert!(matches!(
-            LimdConfig::builder(d).decrease(DecreaseFactor::Fixed(1.0)).build(),
+            LimdConfig::builder(d)
+                .decrease(DecreaseFactor::Fixed(1.0))
+                .build(),
             Err(ConfigError::ParameterOutOfRange { name: "m", .. })
         ));
         assert!(matches!(
             LimdConfig::builder(d)
-                .decrease(DecreaseFactor::DeltaOverOutSync { floor: 0.0, ceiling: 0.9 })
+                .decrease(DecreaseFactor::DeltaOverOutSync {
+                    floor: 0.0,
+                    ceiling: 0.9
+                })
                 .build(),
-            Err(ConfigError::ParameterOutOfRange { name: "m.floor", .. })
+            Err(ConfigError::ParameterOutOfRange {
+                name: "m.floor",
+                ..
+            })
         ));
         assert!(matches!(
             LimdConfig::builder(d)
-                .decrease(DecreaseFactor::DeltaOverOutSync { floor: 0.5, ceiling: 0.2 })
+                .decrease(DecreaseFactor::DeltaOverOutSync {
+                    floor: 0.5,
+                    ceiling: 0.2
+                })
                 .build(),
-            Err(ConfigError::ParameterOutOfRange { name: "m.ceiling", .. })
+            Err(ConfigError::ParameterOutOfRange {
+                name: "m.ceiling",
+                ..
+            })
         ));
         assert!(matches!(
             LimdConfig::builder(d).epsilon(-0.1).build(),
-            Err(ConfigError::ParameterOutOfRange { name: "epsilon", .. })
+            Err(ConfigError::ParameterOutOfRange {
+                name: "epsilon",
+                ..
+            })
         ));
         assert!(matches!(
-            LimdConfig::builder(d).ttr_min(Duration::from_mins(90)).build(),
+            LimdConfig::builder(d)
+                .ttr_min(Duration::from_mins(90))
+                .build(),
             Err(ConfigError::InvalidTtrBounds { .. })
         ));
     }
@@ -801,7 +820,10 @@ mod tests {
         // even though the update itself would also count as a violation.
         let lm = Timestamp::from_mins(5) + Duration::from_hours(2);
         let poll = lm + Duration::from_mins(1);
-        let d = limd.on_poll(poll.max(now + limd.current_ttr()), &PollResult::modified(lm));
+        let d = limd.on_poll(
+            poll.max(now + limd.current_ttr()),
+            &PollResult::modified(lm),
+        );
         assert_eq!(d.case, LimdCase::IdleReset);
         assert_eq!(d.ttr, Duration::from_mins(10));
     }
@@ -871,15 +893,23 @@ mod tests {
         let mut limd = Limd::new(config());
         let t1 = Timestamp::from_mins(10);
         limd.on_poll(t1, &PollResult::modified(Timestamp::from_mins(7)));
-        assert_eq!(limd.last_known_modification(), Some(Timestamp::from_mins(7)));
+        assert_eq!(
+            limd.last_known_modification(),
+            Some(Timestamp::from_mins(7))
+        );
         let t2 = t1 + limd.current_ttr();
         limd.on_poll(t2, &PollResult::NotModified);
-        assert_eq!(limd.last_known_modification(), Some(Timestamp::from_mins(7)));
+        assert_eq!(
+            limd.last_known_modification(),
+            Some(Timestamp::from_mins(7))
+        );
     }
 
     #[test]
     fn spec_renders_every_field() {
-        let paper = LimdConfig::builder(Duration::from_mins(10)).build().unwrap();
+        let paper = LimdConfig::builder(Duration::from_mins(10))
+            .build()
+            .unwrap();
         assert_eq!(
             paper.to_spec(),
             "delta_ms=600000,l=0.2,m=adaptive:0.05:0.95,eps=0.02,ttr_min_ms=600000,ttr_max_ms=3600000,idle_ms=3600000"
@@ -893,7 +923,10 @@ mod tests {
             .idle_threshold(Duration::from_secs(9))
             .build()
             .unwrap();
-        assert_eq!(tuned.to_spec(), "delta_ms=50,l=0.35,m=fixed:0.5,eps=0,ttr_min_ms=25,ttr_max_ms=3200,idle_ms=9000");
+        assert_eq!(
+            tuned.to_spec(),
+            "delta_ms=50,l=0.35,m=fixed:0.5,eps=0,ttr_min_ms=25,ttr_max_ms=3200,idle_ms=9000"
+        );
     }
 
     /// Random valid configurations fed random poll sequences: the TTR

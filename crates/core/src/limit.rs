@@ -45,12 +45,20 @@ pub struct Sample {
 impl Sample {
     /// Convenience constructor for a successful sample.
     pub fn success(in_flight: usize, latency: Duration) -> Self {
-        Sample { in_flight, latency, outcome: Outcome::Success }
+        Sample {
+            in_flight,
+            latency,
+            outcome: Outcome::Success,
+        }
     }
 
     /// Convenience constructor for an overload sample.
     pub fn overload(in_flight: usize, latency: Duration) -> Self {
-        Sample { in_flight, latency, outcome: Outcome::Overload }
+        Sample {
+            in_flight,
+            latency,
+            outcome: Outcome::Overload,
+        }
     }
 }
 
@@ -79,14 +87,22 @@ pub struct AimdConfig {
 
 impl Default for AimdConfig {
     fn default() -> Self {
-        AimdConfig { min: 1, max: 256, increase_by: 1, decrease: 0.75, utilisation: 0.8 }
+        AimdConfig {
+            min: 1,
+            max: 256,
+            increase_by: 1,
+            decrease: 0.75,
+            utilisation: 0.8,
+        }
     }
 }
 
 impl AimdConfig {
     fn validate(&self) -> Result<(), ConfigError> {
         if self.min == 0 {
-            return Err(ConfigError::InvalidSpec { message: "`min` must be >= 1".into() });
+            return Err(ConfigError::InvalidSpec {
+                message: "`min` must be >= 1".into(),
+            });
         }
         if self.max < self.min {
             return Err(ConfigError::InvalidSpec {
@@ -123,7 +139,9 @@ impl AimdConfig {
             Outcome::Success => {
                 let utilised = sample.in_flight as f64 > old_limit as f64 * self.utilisation;
                 if utilised {
-                    old_limit.saturating_add(self.increase_by).clamp(self.min, self.max)
+                    old_limit
+                        .saturating_add(self.increase_by)
+                        .clamp(self.min, self.max)
                 } else {
                     old_limit.clamp(self.min, self.max)
                 }
@@ -131,8 +149,9 @@ impl AimdConfig {
             // Floor (not round) before clamping, so the limit still
             // shrinks at small values instead of rounding back to where
             // it was.
-            Outcome::Overload => ((old_limit as f64 * self.decrease).floor() as usize)
-                .clamp(self.min, old_limit),
+            Outcome::Overload => {
+                ((old_limit as f64 * self.decrease).floor() as usize).clamp(self.min, old_limit)
+            }
         }
     }
 }
@@ -194,27 +213,33 @@ mod tests {
         trace
             .iter()
             .map(|&(in_flight, latency, outcome)| {
-                limiter.on_sample(&Sample { in_flight, latency: ms(latency), outcome })
+                limiter.on_sample(&Sample {
+                    in_flight,
+                    latency: ms(latency),
+                    outcome,
+                })
             })
             .collect()
     }
 
     #[test]
     fn aimd_grows_additively_under_utilised_success() {
-        let mut l =
-            Limiter::new(LimiterConfig::Aimd(AimdConfig::default()), 10).unwrap();
+        let mut l = Limiter::new(LimiterConfig::Aimd(AimdConfig::default()), 10).unwrap();
         // Fully utilised, healthy latency: +1 per sample.
         let limits = run_trace(
             &mut l,
-            &[(10, 5, Outcome::Success), (11, 5, Outcome::Success), (12, 5, Outcome::Success)],
+            &[
+                (10, 5, Outcome::Success),
+                (11, 5, Outcome::Success),
+                (12, 5, Outcome::Success),
+            ],
         );
         assert_eq!(limits, vec![11, 12, 13]);
     }
 
     #[test]
     fn aimd_holds_when_under_utilised() {
-        let mut l =
-            Limiter::new(LimiterConfig::Aimd(AimdConfig::default()), 100).unwrap();
+        let mut l = Limiter::new(LimiterConfig::Aimd(AimdConfig::default()), 100).unwrap();
         // 10 in flight against a limit of 100: no pressure, no growth.
         let limits = run_trace(&mut l, &[(10, 5, Outcome::Success); 5]);
         assert_eq!(limits, vec![100; 5]);
@@ -222,8 +247,7 @@ mod tests {
 
     #[test]
     fn aimd_backs_off_multiplicatively_and_respects_min() {
-        let mut l =
-            Limiter::new(LimiterConfig::Aimd(AimdConfig::default()), 100).unwrap();
+        let mut l = Limiter::new(LimiterConfig::Aimd(AimdConfig::default()), 100).unwrap();
         assert_eq!(l.on_sample(&Sample::overload(100, ms(500))), 75);
         assert_eq!(l.on_sample(&Sample::overload(75, ms(500))), 56);
         // Repeated overloads converge to min, never 0.
@@ -242,7 +266,10 @@ mod tests {
 
     #[test]
     fn aimd_respects_max() {
-        let config = AimdConfig { max: 12, ..AimdConfig::default() };
+        let config = AimdConfig {
+            max: 12,
+            ..AimdConfig::default()
+        };
         let mut l = Limiter::new(LimiterConfig::Aimd(config), 10).unwrap();
         for i in 0..10 {
             l.on_sample(&Sample::success(10 + i, ms(5)));

@@ -49,7 +49,6 @@
 
 use std::collections::BTreeMap;
 
-
 use crate::limd::{PollResult, PollView};
 use crate::object::ObjectId;
 use crate::rate::UpdateRateEstimator;
@@ -106,7 +105,7 @@ impl std::str::FromStr for MtPolicy {
                     })?;
                     if !(threshold.is_finite() && threshold >= 0.0) {
                         return Err(bad(
-                            "rate threshold must be finite and non-negative".to_owned(),
+                            "rate threshold must be finite and non-negative".to_owned()
                         ));
                     }
                     Ok(MtPolicy::RateHeuristic { threshold })
@@ -161,11 +160,7 @@ impl<K: Ord + Clone> MtCoordinator<K> {
 
     /// Creates a coordinator with tolerance `delta` (the δ of Equation 4)
     /// over the given group members.
-    pub fn new(
-        delta: Duration,
-        policy: MtPolicy,
-        members: impl IntoIterator<Item = K>,
-    ) -> Self {
+    pub fn new(delta: Duration, policy: MtPolicy, members: impl IntoIterator<Item = K>) -> Self {
         MtCoordinator {
             delta,
             policy,
@@ -211,12 +206,7 @@ impl<K: Ord + Clone> MtCoordinator<K> {
     /// Mt-consistency.
     ///
     /// Objects outside the group are ignored and produce no triggers.
-    pub fn on_poll(
-        &mut self,
-        object: &K,
-        now: Timestamp,
-        result: &PollResult,
-    ) -> Vec<K> {
+    pub fn on_poll(&mut self, object: &K, now: Timestamp, result: &PollResult) -> Vec<K> {
         self.observe(object, now, result.as_view())
     }
 
@@ -233,7 +223,10 @@ impl<K: Ord + Clone> MtCoordinator<K> {
         // the next regular poll will be re-announced by the scheduler.
         let modified = match view {
             PollView::NotModified => false,
-            PollView::Modified { last_modified, history } => {
+            PollView::Modified {
+                last_modified,
+                history,
+            } => {
                 if let Some(history) = history {
                     for &t in history {
                         state.rate.observe_modification(t);
@@ -320,7 +313,11 @@ mod tests {
     }
 
     fn coordinator(policy: MtPolicy) -> MtCoordinator {
-        MtCoordinator::new(Duration::from_mins(5), policy, [oid("a"), oid("b"), oid("c")])
+        MtCoordinator::new(
+            Duration::from_mins(5),
+            policy,
+            [oid("a"), oid("b"), oid("c")],
+        )
     }
 
     #[test]
@@ -400,11 +397,16 @@ mod tests {
         mt.on_poll(&oid("fast"), mins(20), &PollResult::modified(mins(20)));
         mt.on_poll(&oid("slow"), mins(60), &PollResult::modified(mins(60)));
         mt.on_poll(&oid("slow"), mins(120), &PollResult::modified(mins(120)));
-        assert!(mt.estimated_rate(&oid("fast")).unwrap() > mt.estimated_rate(&oid("slow")).unwrap());
+        assert!(
+            mt.estimated_rate(&oid("fast")).unwrap() > mt.estimated_rate(&oid("slow")).unwrap()
+        );
 
         // Now a fast-object update must NOT trigger the slow object…
         let triggers = mt.on_poll(&oid("fast"), mins(130), &PollResult::modified(mins(129)));
-        assert!(triggers.is_empty(), "slow object unexpectedly triggered: {triggers:?}");
+        assert!(
+            triggers.is_empty(),
+            "slow object unexpectedly triggered: {triggers:?}"
+        );
 
         // …but a slow-object update triggers the fast object.
         let triggers = mt.on_poll(&oid("slow"), mins(180), &PollResult::modified(mins(179)));

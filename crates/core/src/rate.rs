@@ -12,7 +12,6 @@
 //!   value will have drifted by Δ. [`ValueRateEstimator`] computes this
 //!   instantaneous slope from consecutive samples.
 
-
 use crate::time::{Duration, Timestamp};
 use crate::value::Value;
 
@@ -157,7 +156,7 @@ mod tests {
         est.observe_modification(Timestamp::from_secs(0));
         est.observe_modification(Timestamp::from_secs(10)); // mean = 10s
         est.observe_modification(Timestamp::from_secs(40)); // newest = 30s
-        // mean = 0.5*30 + 0.5*10 = 20s
+                                                            // mean = 0.5*30 + 0.5*10 = 20s
         assert_eq!(est.mean_interval(), Some(Duration::from_secs(20)));
     }
 
@@ -170,7 +169,10 @@ mod tests {
     #[test]
     fn value_rate_slope() {
         let mut est = ValueRateEstimator::new();
-        assert_eq!(est.observe(Timestamp::from_secs(0), Value::new(100.0)), None);
+        assert_eq!(
+            est.observe(Timestamp::from_secs(0), Value::new(100.0)),
+            None
+        );
         let r = est
             .observe(Timestamp::from_secs(10), Value::new(105.0))
             .unwrap();
@@ -189,7 +191,9 @@ mod tests {
         est.observe(Timestamp::from_secs(1), Value::new(1.0));
         assert_eq!(est.observe(Timestamp::from_secs(1), Value::new(2.0)), None);
         // The repeated instant's sample replaced the first: 0.5 over 1 s.
-        let r = est.observe(Timestamp::from_secs(2), Value::new(2.5)).unwrap();
+        let r = est
+            .observe(Timestamp::from_secs(2), Value::new(2.5))
+            .unwrap();
         assert!((r - 0.0005).abs() < 1e-12);
     }
 }

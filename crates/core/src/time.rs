@@ -25,15 +25,12 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-
 /// An absolute point in time, in milliseconds since an arbitrary epoch.
 ///
 /// For simulated experiments the epoch is the start of the simulation; for
 /// the live proxy it is the Unix epoch. Only differences between timestamps
 /// are ever semantically meaningful.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Timestamp(u64);
 
 impl Timestamp {
@@ -160,9 +157,7 @@ impl Sub<Timestamp> for Timestamp {
 }
 
 /// A non-negative span of time in milliseconds.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Duration(u64);
 
 impl Duration {
@@ -436,8 +431,14 @@ mod tests {
             Duration::ZERO.saturating_sub(Duration::from_secs(1)),
             Duration::ZERO
         );
-        assert_eq!(Duration::from_secs(2).saturating_mul(3), Duration::from_secs(6));
-        assert_eq!(Duration::from_millis(u64::MAX / 2).saturating_mul(64), Duration::MAX);
+        assert_eq!(
+            Duration::from_secs(2).saturating_mul(3),
+            Duration::from_secs(6)
+        );
+        assert_eq!(
+            Duration::from_millis(u64::MAX / 2).saturating_mul(64),
+            Duration::MAX
+        );
     }
 
     #[test]

@@ -9,7 +9,6 @@
 use std::fmt;
 use std::ops::{Add, Div, Mul, Neg, Sub};
 
-
 /// A finite numeric value of a web object (e.g. a stock price in dollars).
 ///
 /// `Value` is totally ordered; construction rejects NaN (and the arithmetic

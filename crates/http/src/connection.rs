@@ -122,7 +122,10 @@ mod tests {
         // Request: builder → bytes → parser preserves the semantics.
         let req = Request::get("/pool").keep_alive().build();
         let (parsed, _) = parse_request(&req.to_bytes()).unwrap().unwrap();
-        assert_eq!(parsed.headers().get(HeaderName::CONNECTION), Some(KEEP_ALIVE));
+        assert_eq!(
+            parsed.headers().get(HeaderName::CONNECTION),
+            Some(KEEP_ALIVE)
+        );
         assert!(wants_keep_alive(parsed.version(), parsed.headers()));
 
         let req = Request::get("/last").connection_close().build();

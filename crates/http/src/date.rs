@@ -189,13 +189,19 @@ mod tests {
 
     #[test]
     fn epoch_is_thursday() {
-        assert_eq!(format_http_date(Timestamp::ZERO), "Thu, 01 Jan 1970 00:00:00 GMT");
+        assert_eq!(
+            format_http_date(Timestamp::ZERO),
+            "Thu, 01 Jan 1970 00:00:00 GMT"
+        );
     }
 
     #[test]
     fn truncates_milliseconds() {
         let t = Timestamp::from_millis(1_500);
-        assert_eq!(format_http_date(t), format_http_date(Timestamp::from_secs(1)));
+        assert_eq!(
+            format_http_date(t),
+            format_http_date(Timestamp::from_secs(1))
+        );
     }
 
     #[test]

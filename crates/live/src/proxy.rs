@@ -72,11 +72,11 @@ use std::time::Instant;
 use mutcon_core::limd::PollResult;
 use mutcon_core::mutual::temporal::MtPolicy;
 use mutcon_core::time::{Duration, Timestamp};
-use mutcon_sim::reactor::BackendKind;
-use mutcon_sim::signal;
 use mutcon_http::headers::HeaderName;
 use mutcon_http::message::{Request, Response};
 use mutcon_http::types::{Method, StatusCode};
+use mutcon_sim::reactor::BackendKind;
+use mutcon_sim::signal;
 use mutcon_traces::json::Json;
 
 use crate::cache::{CacheEntry, L1Cache, L1Lookup, ShardedCache};
@@ -85,8 +85,8 @@ use crate::metrics::{metrics, obj, put, Counter};
 use crate::origin::unix_now_ms;
 use crate::runtime::{ConsistencyRuntime, Plane, PollKind};
 use crate::server::{
-    default_reactors, EngineConfig, EngineMetrics, EventLoop, Reply, Service,
-    ServiceResult, DEFAULT_L1_OBJECTS, DEFAULT_MAX_CONNS, MAX_L1_OBJECTS,
+    default_reactors, EngineConfig, EngineMetrics, EventLoop, Reply, Service, ServiceResult,
+    DEFAULT_L1_OBJECTS, DEFAULT_MAX_CONNS, MAX_L1_OBJECTS,
 };
 
 /// Paths under this prefix are the proxy's admin plane: answered on the
@@ -252,11 +252,15 @@ impl LiveProxy {
     pub fn start(config: ProxyConfig) -> io::Result<LiveProxy> {
         let invalid = |reason: String| io::Error::new(io::ErrorKind::InvalidInput, reason);
         if config.cache_objects == Some(0) {
-            return Err(invalid("cache_objects must be positive (None = unbounded)".to_owned()));
+            return Err(invalid(
+                "cache_objects must be positive (None = unbounded)".to_owned(),
+            ));
         }
         let l1_objects = config.l1_objects.unwrap_or(DEFAULT_L1_OBJECTS);
         if l1_objects > MAX_L1_OBJECTS {
-            return Err(invalid(format!("l1_objects must be at most {MAX_L1_OBJECTS}")));
+            return Err(invalid(format!(
+                "l1_objects must be at most {MAX_L1_OBJECTS}"
+            )));
         }
         let runtime = ConsistencyRuntime::new(config.rules, config.group).map_err(invalid)?;
         let shared = Arc::new(Shared {
@@ -387,7 +391,9 @@ impl Service for ProxyService {
         // never touches the cache-miss/upstream machinery. When a
         // bearer token is configured, it gates every admin endpoint.
         if path.starts_with(ADMIN_PREFIX) {
-            let response = self.check_admin_auth(request).unwrap_or_else(|| self.admin(request));
+            let response = self
+                .check_admin_auth(request)
+                .unwrap_or_else(|| self.admin(request));
             return ServiceResult::Reply(response.into());
         }
         if request.method() != &Method::Get {
@@ -418,7 +424,9 @@ impl Service for ProxyService {
             let response = hit(&entry);
             if let Some(l1) = &mut self.l1 {
                 self.metrics.l1_refills.inc();
-                self.metrics.l1_evictions.add(u64::from(l1.insert(path, entry)));
+                self.metrics
+                    .l1_evictions
+                    .add(u64::from(l1.insert(path, entry)));
             }
             return response;
         }
@@ -462,7 +470,11 @@ impl Service for ProxyService {
     /// Reactor 0 re-reads the rules file if a `SIGHUP` came since it
     /// last looked, then reads the wall clock once and steps the refresh
     /// plane ([`ProxyService::refresh`]).
-    fn own_work(&mut self, now: Instant, start: &mut dyn FnMut(SocketAddr, Vec<u8>)) -> Option<Instant> {
+    fn own_work(
+        &mut self,
+        now: Instant,
+        start: &mut dyn FnMut(SocketAddr, Vec<u8>),
+    ) -> Option<Instant> {
         if !self.plane {
             return None;
         }
@@ -478,7 +490,9 @@ impl Service for ProxyService {
     }
 
     fn own_fetched(&mut self, request: &[u8], result: &io::Result<Response>, now: Instant) {
-        let Some(path) = wire_target(request) else { return };
+        let Some(path) = wire_target(request) else {
+            return;
+        };
         let shared = &*self.shared;
         let mut plane = shared.runtime.plane();
         let outcome = poll_outcome(shared, &plane, path, result);
@@ -510,7 +524,12 @@ impl ProxyService {
     /// timeline, reading no clock: hands every due poll the width admits
     /// to `start` as a conditional `GET`, validated by the cached copy's
     /// stamp, and returns when to step again.
-    fn refresh(&self, now: Instant, ts: Timestamp, start: &mut dyn FnMut(SocketAddr, Vec<u8>)) -> Option<Instant> {
+    fn refresh(
+        &self,
+        now: Instant,
+        ts: Timestamp,
+        start: &mut dyn FnMut(SocketAddr, Vec<u8>),
+    ) -> Option<Instant> {
         let shared = &*self.shared;
         let mut plane = shared.runtime.plane();
         while let Some(job) = plane.next_poll(now, ts) {
@@ -519,7 +538,10 @@ impl ProxyService {
             if job.kind == PollKind::Triggered {
                 shared.counters.triggered.inc();
             }
-            start(shared.origin, get_wire(&job.key, &shared.origin_host, validator));
+            start(
+                shared.origin,
+                get_wire(&job.key, &shared.origin_host, validator),
+            );
         }
         plane.next_wake()
     }
@@ -545,9 +567,7 @@ impl ProxyService {
         } else {
             let mut response =
                 error_response(StatusCode::UNAUTHORIZED, "missing or invalid bearer token");
-            response
-                .headers_mut()
-                .insert("www-authenticate", "Bearer");
+            response.headers_mut().insert("www-authenticate", "Bearer");
             Some(response)
         }
     }
@@ -577,7 +597,10 @@ impl ProxyService {
                 ("ttr_max_ms", num(s.ttr_max.as_millis())),
                 ("limd", Json::String(limd.to_spec())),
                 ("ttr_ms", num(s.ttr.as_millis())),
-                ("last_poll_unix_ms", s.last_poll_unix_ms.map_or(Json::Null, num)),
+                (
+                    "last_poll_unix_ms",
+                    s.last_poll_unix_ms.map_or(Json::Null, num),
+                ),
                 ("polls", num(s.polls)),
                 ("rule_epoch", num(s.rule_epoch)),
             ])
@@ -605,7 +628,12 @@ impl ProxyService {
                 Ok(report) => {
                     self.shared.counters.reloads.inc();
                     let paths = |paths: &[Arc<str>]| {
-                        Json::Array(paths.iter().map(|path| Json::String(path.to_string())).collect())
+                        Json::Array(
+                            paths
+                                .iter()
+                                .map(|path| Json::String(path.to_string()))
+                                .collect(),
+                        )
                     };
                     let doc = obj([
                         ("epoch", Json::Number(report.version as f64)),
@@ -627,7 +655,11 @@ impl ProxyService {
         self.metrics.render(&mut doc);
         self.shared.runtime.refresh_metrics().render(&mut doc);
         self.shared.counters.render(&mut doc);
-        put(&mut doc, "cache.l1.capacity", Json::Number(self.shared.l1_objects as f64));
+        put(
+            &mut doc,
+            "cache.l1.capacity",
+            Json::Number(self.shared.l1_objects as f64),
+        );
         let reactors = self
             .metrics
             .reactor_connections()
@@ -680,7 +712,11 @@ fn parse_rules_body(body: &[u8]) -> Result<(Vec<RefreshRule>, Option<GroupRule>)
         .ok_or_else(|| "missing `rules` array".to_owned())?;
     let mut rules = Vec::with_capacity(rules_json.len());
     for (i, r) in rules_json.iter().enumerate() {
-        known_keys_only(r, &["path", "delta_ms", "ttr_max_ms"], &format!("rule #{i}"))?;
+        known_keys_only(
+            r,
+            &["path", "delta_ms", "ttr_max_ms"],
+            &format!("rule #{i}"),
+        )?;
         let path = r
             .get("path")
             .and_then(Json::as_str)
@@ -691,9 +727,9 @@ fn parse_rules_body(body: &[u8]) -> Result<(Vec<RefreshRule>, Option<GroupRule>)
             .ok_or_else(|| format!("rule for {path}: `delta_ms` must be a non-negative integer"))?;
         let mut rule = RefreshRule::new(path, Duration::from_millis(delta_ms));
         if let Some(ttr) = r.get("ttr_max_ms") {
-            let ttr_max = ttr
-                .as_u64()
-                .ok_or_else(|| format!("rule for {path}: `ttr_max_ms` must be a non-negative integer"))?;
+            let ttr_max = ttr.as_u64().ok_or_else(|| {
+                format!("rule for {path}: `ttr_max_ms` must be a non-negative integer")
+            })?;
             rule = rule.ttr_max(Duration::from_millis(ttr_max));
         }
         rules.push(rule);
@@ -840,15 +876,11 @@ mod tests {
 
     #[test]
     fn parse_rules_body_defaults_and_null_group() {
-        let (rules, group) =
-            parse_rules_body(br#"{"rules": [], "group": null}"#).unwrap();
+        let (rules, group) = parse_rules_body(br#"{"rules": [], "group": null}"#).unwrap();
         assert!(rules.is_empty());
         assert!(group.is_none());
         // Group absent entirely is also fine; policy defaults to triggered.
-        let (_, group) = parse_rules_body(
-            br#"{"rules": [], "group": {"delta_ms": 10}}"#,
-        )
-        .unwrap();
+        let (_, group) = parse_rules_body(br#"{"rules": [], "group": {"delta_ms": 10}}"#).unwrap();
         assert_eq!(group.unwrap().policy, MtPolicy::TriggeredPolls);
     }
 
@@ -860,7 +892,10 @@ mod tests {
             (br#"{"no_rules": 1}"#, "unknown key `no_rules`"),
             (br#"{"rules": [{"delta_ms": 5}]}"#, "missing `path`"),
             (br#"{"rules": [{"path": "/a"}]}"#, "delta_ms"),
-            (br#"{"rules": [{"path": "/a", "delta_ms": -3}]}"#, "delta_ms"),
+            (
+                br#"{"rules": [{"path": "/a", "delta_ms": -3}]}"#,
+                "delta_ms",
+            ),
             (
                 br#"{"rules": [{"path": "/a", "delta_ms": 5, "ttr_max_ms": 1.5}]}"#,
                 "ttr_max_ms",
@@ -905,7 +940,11 @@ mod tests {
                 out.splice(at..at, copy);
             }
             4 => {
-                let line = out[at..].split(|&b| b == b'\n').next().unwrap_or_default().to_vec();
+                let line = out[at..]
+                    .split(|&b| b == b'\n')
+                    .next()
+                    .unwrap_or_default()
+                    .to_vec();
                 out.splice(at..at, line.into_iter().chain([b'\n']));
             }
             5 => out.truncate(at),
@@ -933,12 +972,15 @@ mod tests {
                 if rng.chance(0.3) {
                     mutant = mutate(&mut rng, &mutant);
                 }
-                let Ok((rules, group)) = parse_rules_body(&mutant) else { continue };
+                let Ok((rules, group)) = parse_rules_body(&mutant) else {
+                    continue;
+                };
                 let mut parsed: Vec<String> = rules.iter().map(|rule| rule.path.clone()).collect();
                 if runtime.install(rules, group).is_ok() {
                     accepted += 1;
                     parsed.sort();
-                    let installed: Vec<String> = runtime.status().into_iter().map(|s| s.path).collect();
+                    let installed: Vec<String> =
+                        runtime.status().into_iter().map(|s| s.path).collect();
                     assert_eq!(installed, parsed);
                 }
             }
@@ -999,14 +1041,19 @@ mod tests {
         type Golden = [(u64, usize, u64); 4];
         // (ms since trace time 0, status, version) per poll.
         type Polls = Vec<(u64, u16, Option<usize>)>;
-        let pair: (&[&str], Golden) =
-            (&["/0-cnn-fn", "/1-nyt-ap"], [(1, 389, 118), (5, 373, 102), (15, 325, 30), (30, 310, 5)]);
+        let pair: (&[&str], Golden) = (
+            &["/0-cnn-fn", "/1-nyt-ap"],
+            [(1, 389, 118), (5, 373, 102), (15, 325, 30), (30, 310, 5)],
+        );
         let group: (&[&str], Golden) = (
             &["/0-cnn-fn", "/1-nyt-ap", "/2-nyt-reuters", "/3-guardian"],
             [(1, 1048, 545), (5, 857, 402), (15, 678, 145), (30, 612, 10)],
         );
         for (paths, goldens) in [pair, group] {
-            let traces: Vec<_> = NamedTrace::TEMPORAL[..paths.len()].iter().map(|t| t.generate()).collect();
+            let traces: Vec<_> = NamedTrace::TEMPORAL[..paths.len()]
+                .iter()
+                .map(|t| t.generate())
+                .collect();
             let ids: Vec<_> = paths.iter().map(ObjectId::new).collect();
             let mut origin = OriginServer::new();
             for (id, trace) in ids.iter().zip(&traces) {
@@ -1014,13 +1061,19 @@ mod tests {
             }
             let until = traces.iter().map(|t| t.end()).min().unwrap();
             for (group_min, golden, golden_triggered) in goldens {
-                let group = GroupRule { delta: Duration::from_mins(group_min), policy: MtPolicy::TriggeredPolls };
+                let group = GroupRule {
+                    delta: Duration::from_mins(group_min),
+                    policy: MtPolicy::TriggeredPolls,
+                };
                 let sim = run_temporal(
                     &origin,
                     &ids,
                     &TemporalSimConfig {
                         policy: TemporalPolicy::Limd(limd),
-                        mutual: Some(MutualSetup { delta: group.delta, policy: group.policy }),
+                        mutual: Some(MutualSetup {
+                            delta: group.delta,
+                            policy: group.policy,
+                        }),
                         until,
                     },
                 );
@@ -1031,15 +1084,28 @@ mod tests {
                         polls
                             .map(|r| match r.outcome {
                                 PollOutcome::NotModified => (r.at.as_millis(), 304, None),
-                                PollOutcome::Refreshed { version_index } => (r.at.as_millis(), 200, Some(version_index)),
+                                PollOutcome::Refreshed { version_index } => {
+                                    (r.at.as_millis(), 200, Some(version_index))
+                                }
                             })
                             .collect()
                     })
                     .collect();
-                assert_eq!(expected.iter().map(Vec::len).sum::<usize>(), golden, "δ = {group_min} min");
-                assert_eq!(sim.total_triggered(), golden_triggered, "δ = {group_min} min");
+                assert_eq!(
+                    expected.iter().map(Vec::len).sum::<usize>(),
+                    golden,
+                    "δ = {group_min} min"
+                );
+                assert_eq!(
+                    sim.total_triggered(),
+                    golden_triggered,
+                    "δ = {group_min} min"
+                );
 
-                let rules = paths.iter().map(|p| RefreshRule::new(*p, delta).ttr_max(ttr_max)).collect();
+                let rules = paths
+                    .iter()
+                    .map(|p| RefreshRule::new(*p, delta).ttr_max(ttr_max))
+                    .collect();
                 let mut service = plane_service(rules, Some(group));
                 // After the install: every path is due at `base`.
                 let base = Instant::now();
@@ -1048,14 +1114,20 @@ mod tests {
                 loop {
                     let now = base + offset;
                     let mut sent = Vec::new();
-                    let wake = service.refresh(now, Timestamp::from_millis(EPOCH_UNIX_MS) + offset, &mut |_, wire| {
-                        sent.push(wire);
-                    });
+                    let wake = service.refresh(
+                        now,
+                        Timestamp::from_millis(EPOCH_UNIX_MS) + offset,
+                        &mut |_, wire| {
+                            sent.push(wire);
+                        },
+                    );
                     widest = widest.max(sent.len());
                     if sent.is_empty() {
                         // Nothing more at this instant: on to the next due one,
                         // within the simulator's window.
-                        let next = wake.map(|at| Duration::from_millis(at.duration_since(base).as_millis() as u64));
+                        let next = wake.map(|at| {
+                            Duration::from_millis(at.duration_since(base).as_millis() as u64)
+                        });
                         match next.filter(|&next| Timestamp::ZERO + next <= until) {
                             Some(next) => offset = next,
                             None => break,
@@ -1064,10 +1136,19 @@ mod tests {
                     }
                     for wire in sent {
                         let (request, _) = parse_request(&wire).unwrap().expect("a whole request");
-                        let response =
-                            crate::origin::answer(&origin, EPOCH_UNIX_MS, &request, Timestamp::ZERO + offset);
-                        let version = ObjectStamps::of(&response).version.map(|v| v.parse().unwrap());
-                        let path = paths.iter().position(|p| *p == request.target()).expect("a ruled path");
+                        let response = crate::origin::answer(
+                            &origin,
+                            EPOCH_UNIX_MS,
+                            &request,
+                            Timestamp::ZERO + offset,
+                        );
+                        let version = ObjectStamps::of(&response)
+                            .version
+                            .map(|v| v.parse().unwrap());
+                        let path = paths
+                            .iter()
+                            .position(|p| *p == request.target())
+                            .expect("a ruled path");
                         live[path].push((offset.as_millis(), response.status().as_u16(), version));
                         service.own_fetched(&wire, &Ok(response), now);
                     }
@@ -1086,8 +1167,16 @@ mod tests {
                     );
                 }
                 let stats = service.shared.counters.snapshot();
-                assert_eq!((stats.polls, stats.triggered), (golden as u64, golden_triggered), "δ = {group_min} min");
-                assert_eq!(widest, paths.len().min(crate::runtime::POLL_WIDTH), "δ = {group_min} min");
+                assert_eq!(
+                    (stats.polls, stats.triggered),
+                    (golden as u64, golden_triggered),
+                    "δ = {group_min} min"
+                );
+                assert_eq!(
+                    widest,
+                    paths.len().min(crate::runtime::POLL_WIDTH),
+                    "δ = {group_min} min"
+                );
                 assert_eq!(service.shared.runtime.refresh_metrics().in_flight(), 0);
             }
         }
@@ -1117,16 +1206,42 @@ mod tests {
             UpdateTrace::new("valued", Timestamp::ZERO, at(5_000), events.to_vec()).unwrap()
         };
         let objects = [("/early", trace(0)), ("/late", trace(1_000))];
-        let rules = objects.iter().map(|(path, _)| RefreshRule::new(*path, Duration::from_millis(10))).collect();
+        let rules = objects
+            .iter()
+            .map(|(path, _)| RefreshRule::new(*path, Duration::from_millis(10)))
+            .collect();
         let service = plane_service(rules, None);
         // What the proxy reads off a response, and what it makes of it.
-        type ReadBack = (u16, Option<Timestamp>, Option<String>, Option<f64>, Option<Vec<Timestamp>>, Option<PollResult>);
+        type ReadBack = (
+            u16,
+            Option<Timestamp>,
+            Option<String>,
+            Option<f64>,
+            Option<Vec<Timestamp>>,
+            Option<PollResult>,
+        );
         let read_back = |path: &str, response: Response| -> ReadBack {
             let stamps = ObjectStamps::of(&response);
-            let (version, value, last_modified) = (stamps.version.map(str::to_owned), stamps.value, stamps.last_modified);
+            let (version, value, last_modified) = (
+                stamps.version.map(str::to_owned),
+                stamps.value,
+                stamps.last_modified,
+            );
             let history = modification_history(response.headers());
-            let outcome = poll_outcome(&service.shared, &service.shared.runtime.plane(), path, &Ok(response.clone()));
-            (response.status().as_u16(), last_modified, version, value, history, outcome)
+            let outcome = poll_outcome(
+                &service.shared,
+                &service.shared.runtime.plane(),
+                path,
+                &Ok(response.clone()),
+            );
+            (
+                response.status().as_u16(),
+                last_modified,
+                version,
+                value,
+                history,
+                outcome,
+            )
         };
         let (mut seen_304, mut seen_history_after_validator, mut seen_404) = (0, 0, 0);
         for history in [HistorySupport::None, HistorySupport::Full] {
@@ -1141,24 +1256,39 @@ mod tests {
                 // copy, or an `If-Modified-Since` date alone. That date
                 // rounds trace time 0 down to before the epoch, so it
                 // validates no version, not even one created at 0.
-                let mut ims = format!("GET {path} HTTP/1.1\r\nhost: o\r\nif-modified-since: ").into_bytes();
+                let mut ims =
+                    format!("GET {path} HTTP/1.1\r\nhost: o\r\nif-modified-since: ").into_bytes();
                 write_http_date(&mut ims, unix(Timestamp::ZERO));
                 ims.extend_from_slice(b"\r\n\r\n");
                 let mut validators = vec![(get_wire(path, "o", None), None), (ims, None)];
                 for ms in [0, 999, 1_000, 1_999, 2_000, 2_499, 2_500, 4_000, 9_999] {
                     validators.push((get_wire(path, "o", Some(unix(at(ms)))), Some(at(ms))));
                 }
-                for now in [0, 500, 999, 1_000, 1_500, 2_000, 2_200, 2_500, 3_000, 4_000, 5_000, 60_000].map(at) {
+                for now in [
+                    0, 500, 999, 1_000, 1_500, 2_000, 2_200, 2_500, 3_000, 4_000, 5_000, 60_000,
+                ]
+                .map(at)
+                {
                     for (wire, validator) in &validators {
                         let (request, _) = parse_request(wire).unwrap().unwrap();
-                        let live = read_back(path, crate::origin::answer(&origin, EPOCH_UNIX_MS, &request, now));
+                        let live = read_back(
+                            path,
+                            crate::origin::answer(&origin, EPOCH_UNIX_MS, &request, now),
+                        );
                         let expected: ReadBack = match hosted.poll(now, *validator) {
                             Err(_) => (404, None, None, None, None, None),
-                            Ok(r) if r.not_modified => {
-                                (304, Some(unix(r.last_modified)), None, None, None, Some(PollResult::NotModified))
-                            }
+                            Ok(r) if r.not_modified => (
+                                304,
+                                Some(unix(r.last_modified)),
+                                None,
+                                None,
+                                None,
+                                Some(PollResult::NotModified),
+                            ),
                             Ok(r) => {
-                                let history = r.history.map(|h| h.iter().map(|&t| unix(t)).collect::<Vec<_>>());
+                                let history = r
+                                    .history
+                                    .map(|h| h.iter().map(|&t| unix(t)).collect::<Vec<_>>());
                                 let last_modified = unix(r.last_modified);
                                 (
                                     200,
@@ -1166,29 +1296,46 @@ mod tests {
                                     Some(r.version_index.to_string()),
                                     r.value.map(Value::as_f64),
                                     history.clone(),
-                                    Some(PollResult::Modified { last_modified, history }),
+                                    Some(PollResult::Modified {
+                                        last_modified,
+                                        history,
+                                    }),
                                 )
                             }
                         };
-                        assert_eq!(live, expected, "{history:?} {path} at {now} with {validator:?}");
+                        assert_eq!(
+                            live, expected,
+                            "{history:?} {path} at {now} with {validator:?}"
+                        );
                         seen_304 += u32::from(live.0 == 304);
                         seen_404 += u32::from(live.0 == 404);
-                        seen_history_after_validator += u32::from(validator.is_some() && live.4.is_some());
+                        seen_history_after_validator +=
+                            u32::from(validator.is_some() && live.4.is_some());
                         if hosted.trace().version_index_at(now).is_some() && validator.is_none() {
                             // Unconditional, or validated by a pre-epoch date:
                             // a `200`, with the current version alone as its
                             // history.
                             assert_eq!(live.0, 200, "{history:?} {path} at {now}");
                             if history == HistorySupport::Full {
-                                assert_eq!(live.4.as_deref(), live.1.as_slice().into(), "{path} at {now}");
+                                assert_eq!(
+                                    live.4.as_deref(),
+                                    live.1.as_slice().into(),
+                                    "{path} at {now}"
+                                );
                             }
                         }
                     }
                 }
                 // Past the window's end the last version stays current.
                 let (request, _) = parse_request(&validators[0].0).unwrap().unwrap();
-                let live = read_back(path, crate::origin::answer(&origin, EPOCH_UNIX_MS, &request, at(60_000)));
-                assert_eq!((live.1, live.2.as_deref()), (Some(unix(at(4_000))), Some("3")));
+                let live = read_back(
+                    path,
+                    crate::origin::answer(&origin, EPOCH_UNIX_MS, &request, at(60_000)),
+                );
+                assert_eq!(
+                    (live.1, live.2.as_deref()),
+                    (Some(unix(at(4_000))), Some("3"))
+                );
             }
         }
         assert!(seen_304 > 0 && seen_404 > 0 && seen_history_after_validator > 0);

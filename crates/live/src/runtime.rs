@@ -64,8 +64,8 @@ use std::time::{Duration as StdDuration, Instant};
 
 use mutcon_core::limd::{LimdConfig, PollResult};
 use mutcon_core::time::{Duration, Timestamp};
-pub use mutcon_proxy::schedule::{PollKind, POLL_WIDTH};
 use mutcon_proxy::schedule::{Job, Schedule, Swap};
+pub use mutcon_proxy::schedule::{PollKind, POLL_WIDTH};
 
 pub use crate::metrics::HistogramSnapshot as DriftSnapshot;
 use crate::metrics::{metrics, Counter, Gauge, Histogram};
@@ -88,7 +88,10 @@ pub const MAX_DELTA: Duration = Duration::from_hours(365 * 24);
 /// # Errors
 ///
 /// Returns a human-readable reason (the PUT endpoint's 400 body).
-pub fn validate(rules: &[RefreshRule], group: Option<&GroupRule>) -> Result<Vec<LimdConfig>, String> {
+pub fn validate(
+    rules: &[RefreshRule],
+    group: Option<&GroupRule>,
+) -> Result<Vec<LimdConfig>, String> {
     let mut seen: HashSet<&str> = HashSet::with_capacity(rules.len());
     let mut configs = Vec::with_capacity(rules.len());
     for rule in rules {
@@ -98,7 +101,11 @@ pub fn validate(rules: &[RefreshRule], group: Option<&GroupRule>) -> Result<Vec<
         // The path goes out verbatim as the poll's request target, so it
         // must be one: no space to split the request line, no CR/LF to
         // end it early (the request parser refuses them too).
-        if rule.path.bytes().any(|b| b.is_ascii_whitespace() || b.is_ascii_control()) {
+        if rule
+            .path
+            .bytes()
+            .any(|b| b.is_ascii_whitespace() || b.is_ascii_control())
+        {
             return Err(format!(
                 "rule path {:?} contains whitespace or a control byte",
                 rule.path
@@ -117,11 +124,17 @@ pub fn validate(rules: &[RefreshRule], group: Option<&GroupRule>) -> Result<Vec<
             return Err(format!("rule for {}: delta exceeds {MAX_DELTA}", rule.path));
         }
         if rule.ttr_max > MAX_DELTA * 64 {
-            return Err(format!("rule for {}: ttr_max exceeds {}", rule.path, MAX_DELTA * 64));
+            return Err(format!(
+                "rule for {}: ttr_max exceeds {}",
+                rule.path,
+                MAX_DELTA * 64
+            ));
         }
         // Rejected rather than silently clamped: inverted TTR bounds
         // are for the admin plane to hear about, with the reason.
-        let config = LimdConfig::builder(rule.delta).ttr_max(rule.ttr_max).build();
+        let config = LimdConfig::builder(rule.delta)
+            .ttr_max(rule.ttr_max)
+            .build();
         configs.push(config.map_err(|e| format!("rule for {}: {e}", rule.path))?);
     }
     if let Some(group) = group {
@@ -166,22 +179,8 @@ pub struct PathStatus {
 /// logarithmic from 100 µs to 10 s — fine where a healthy refresh plane
 /// lives, coarse where it is already on fire.
 const DRIFT_BUCKET_BOUNDS_US: [u64; 16] = [
-    100,
-    200,
-    500,
-    1_000,
-    2_000,
-    5_000,
-    10_000,
-    20_000,
-    50_000,
-    100_000,
-    200_000,
-    500_000,
-    1_000_000,
-    2_000_000,
-    5_000_000,
-    10_000_000,
+    100, 200, 500, 1_000, 2_000, 5_000, 10_000, 20_000, 50_000, 100_000, 200_000, 500_000,
+    1_000_000, 2_000_000, 5_000_000, 10_000_000,
 ];
 
 metrics! {
@@ -221,11 +220,17 @@ impl Plane<'_> {
     /// The next poll due at `now`, sent at `ts` on the LIMD/Mt timeline
     /// (Unix milliseconds), if any: marked in flight in the schedule,
     /// counted, and its drift from its due instant recorded.
-    pub(crate) fn next_poll(&mut self, now: Instant, ts: Timestamp) -> Option<Job<Arc<str>, Instant>> {
+    pub(crate) fn next_poll(
+        &mut self,
+        now: Instant,
+        ts: Timestamp,
+    ) -> Option<Job<Arc<str>, Instant>> {
         let job = self.core.next_job(now, ts)?;
         self.metrics.polls.inc();
         self.metrics.in_flight.set(self.core.in_flight() as u64);
-        self.metrics.drift.record(now.saturating_duration_since(job.due));
+        self.metrics
+            .drift
+            .record(now.saturating_duration_since(job.due));
         Some(job)
     }
 
@@ -307,7 +312,10 @@ impl ConsistencyRuntime {
 
     /// Locks the plane.
     pub(crate) fn plane(&self) -> Plane<'_> {
-        Plane { core: self.lock(), metrics: &self.metrics }
+        Plane {
+            core: self.lock(),
+            metrics: &self.metrics,
+        }
     }
 
     /// Registers what runs after every later install, outside the lock,
@@ -347,7 +355,9 @@ impl ConsistencyRuntime {
         let limd = validate(&rules, group.as_ref())?;
         let members = rules.iter().map(|rule| rule.path.as_str()).zip(limd);
         // New and changed rules fall due now.
-        let report = self.lock().reconcile(members, group.map(|g| (g.delta, g.policy)), Instant::now());
+        let report =
+            self.lock()
+                .reconcile(members, group.map(|g| (g.delta, g.policy)), Instant::now());
         self.work.notify_all();
         if let Some(hook) = self.on_install.get() {
             hook(&report);
@@ -360,7 +370,9 @@ impl ConsistencyRuntime {
     /// state, sorted by path.
     pub(crate) fn rules(&self) -> (u64, Option<GroupRule>, Vec<(LimdConfig, PathStatus)>) {
         let core = self.lock();
-        let group = core.group().map(|(delta, policy)| GroupRule { delta, policy });
+        let group = core
+            .group()
+            .map(|(delta, policy)| GroupRule { delta, policy });
         let mut rows: Vec<(LimdConfig, PathStatus)> = core
             .paths()
             .map(|(path, s)| {
@@ -386,7 +398,11 @@ impl ConsistencyRuntime {
     /// Every ruled path's live state, sorted by path, read from the
     /// scheduler itself.
     pub fn status(&self) -> Vec<PathStatus> {
-        self.rules().2.into_iter().map(|(_, status)| status).collect()
+        self.rules()
+            .2
+            .into_iter()
+            .map(|(_, status)| status)
+            .collect()
     }
 
     /// The refresh plane stepped by blocking workers until `shutdown`:
@@ -423,10 +439,15 @@ impl ConsistencyRuntime {
                     // With nothing scheduled, forever: only a finish
                     // (whose worker then looks for work itself), an
                     // install or `wake` can create work.
-                    let left = plane.next_wake().map_or(StdDuration::MAX, |at| at.saturating_duration_since(now));
+                    let left = plane
+                        .next_wake()
+                        .map_or(StdDuration::MAX, |at| at.saturating_duration_since(now));
                     let waited = self.work.wait_timeout(plane.core, left);
                     let core = waited.unwrap_or_else(PoisonError::into_inner).0;
-                    plane = Plane { core, metrics: &self.metrics };
+                    plane = Plane {
+                        core,
+                        metrics: &self.metrics,
+                    };
                     continue;
                 };
                 // While this worker is on the wire somebody else has to
@@ -488,7 +509,12 @@ mod tests {
 
     /// Polls whatever is due at `now`, in order, answering `304` except to the
     /// paths in `updated`; returns `(kind, path)` per poll.
-    fn poll_due(core: &mut Core, now: Instant, ts: Timestamp, updated: &[&str]) -> Vec<(PollKind, String)> {
+    fn poll_due(
+        core: &mut Core,
+        now: Instant,
+        ts: Timestamp,
+        updated: &[&str],
+    ) -> Vec<(PollKind, String)> {
         let mut polled = Vec::new();
         while let Some(job) = core.next_job(now, ts) {
             let result = match updated.contains(&&*job.key) {
@@ -502,7 +528,10 @@ mod tests {
     }
 
     fn state<'a>(core: &'a Core, path: &str) -> &'a mutcon_proxy::schedule::PathSched<Instant> {
-        core.paths().find(|(p, _)| p.as_ref() == path).map(|(_, s)| s).expect("ruled")
+        core.paths()
+            .find(|(p, _)| p.as_ref() == path)
+            .map(|(_, s)| s)
+            .expect("ruled")
     }
 
     #[test]
@@ -520,22 +549,31 @@ mod tests {
         assert!(validate(&inverted, None).unwrap_err().contains("ttr"));
 
         let shadowing = [rule("/admin/rules", 10)];
-        assert!(validate(&shadowing, None).unwrap_err().contains("control endpoint"));
+        assert!(validate(&shadowing, None)
+            .unwrap_err()
+            .contains("control endpoint"));
 
         let relative = [rule("x", 10)];
-        assert!(validate(&relative, None).unwrap_err().contains("start with"));
+        assert!(validate(&relative, None)
+            .unwrap_err()
+            .contains("start with"));
 
         // Not a request target: the poll's request line would split or end.
         for path in ["/a b", "/a\tb", "/a\r\nx: y", "/a\nb", "/a\0", "/a\x7f"] {
             let err = validate(&[rule(path, 10)], None).unwrap_err();
-            assert!(err.contains("whitespace or a control byte"), "{path:?}: {err}");
+            assert!(
+                err.contains("whitespace or a control byte"),
+                "{path:?}: {err}"
+            );
         }
 
         let bad_group = GroupRule {
             delta: Duration::ZERO,
             policy: MtPolicy::TriggeredPolls,
         };
-        assert!(validate(&ok, Some(&bad_group)).unwrap_err().contains("group"));
+        assert!(validate(&ok, Some(&bad_group))
+            .unwrap_err()
+            .contains("group"));
 
         // The ceiling: Δ, ttr_max and group δ each refused just past it
         // (a direct `RefreshRule::new` saturates instead of overflowing).
@@ -544,9 +582,16 @@ mod tests {
         let huge = [RefreshRule::new("/a", Duration::MAX)];
         assert!(validate(&huge, None).unwrap_err().contains("delta exceeds"));
         let long_ttr = [rule("/a", 10).ttr_max(MAX_DELTA * 64 + Duration::from_millis(1))];
-        assert!(validate(&long_ttr, None).unwrap_err().contains("ttr_max exceeds"));
-        let wide_group = GroupRule { delta: over, ..bad_group };
-        assert!(validate(&ok, Some(&wide_group)).unwrap_err().contains("group delta exceeds"));
+        assert!(validate(&long_ttr, None)
+            .unwrap_err()
+            .contains("ttr_max exceeds"));
+        let wide_group = GroupRule {
+            delta: over,
+            ..bad_group
+        };
+        assert!(validate(&ok, Some(&wide_group))
+            .unwrap_err()
+            .contains("group delta exceeds"));
     }
 
     #[test]
@@ -556,7 +601,10 @@ mod tests {
         assert_eq!(runtime.rules().0, 1);
 
         let report = runtime
-            .install(vec![rule("/keep", 10), rule("/grow", 10), rule("/drop2", 10)], None)
+            .install(
+                vec![rule("/keep", 10), rule("/grow", 10), rule("/drop2", 10)],
+                None,
+            )
             .unwrap();
         assert_eq!(report.version, 2);
         assert_eq!(paths(&report.added), ["/grow", "/drop2"]);
@@ -585,27 +633,50 @@ mod tests {
         let runtime = ConsistencyRuntime::new(vec![rule("/b", 10), rule("/a", 10)], None).unwrap();
         assert_eq!(ruled(&runtime), ["/a", "/b"]);
 
-        runtime.install(vec![rule("/c", 10), rule("/a", 20)], None).unwrap();
+        runtime
+            .install(vec![rule("/c", 10), rule("/a", 20)], None)
+            .unwrap();
         let status = runtime.status();
-        let rows: Vec<(&str, u64, Duration)> =
-            status.iter().map(|s| (s.path.as_str(), s.rule_epoch, s.delta)).collect();
-        assert_eq!(rows, [("/a", 2, Duration::from_millis(20)), ("/c", 2, Duration::from_millis(10))]);
+        let rows: Vec<(&str, u64, Duration)> = status
+            .iter()
+            .map(|s| (s.path.as_str(), s.rule_epoch, s.delta))
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                ("/a", 2, Duration::from_millis(20)),
+                ("/c", 2, Duration::from_millis(10))
+            ]
+        );
     }
 
     #[test]
     fn reconcile_preserves_unchanged_paths_and_rebuilds_changed_ones() {
         let (mut core, base) = (Core::default(), Instant::now());
-        swap(&mut core, vec![rule("/keep", 10), rule("/change", 10), rule("/drop", 10)], None);
+        swap(
+            &mut core,
+            vec![rule("/keep", 10), rule("/change", 10), rule("/drop", 10)],
+            None,
+        );
 
         // Grow every TTR with a few quiet polls, a second apart.
         for round in 1..=4 {
-            let polled = poll_due(&mut core, base + StdDuration::from_secs(round), unix_now(), &[]);
+            let polled = poll_due(
+                &mut core,
+                base + StdDuration::from_secs(round),
+                unix_now(),
+                &[],
+            );
             assert_eq!(polled.len(), 3);
         }
         let grown = state(&core, "/keep").limd.current_ttr();
         assert!(grown > Duration::from_millis(10), "TTR must have grown");
 
-        let report = swap(&mut core, vec![rule("/keep", 10), rule("/change", 25), rule("/new", 10)], None);
+        let report = swap(
+            &mut core,
+            vec![rule("/keep", 10), rule("/change", 25), rule("/new", 10)],
+            None,
+        );
         assert_eq!(paths(&report.removed), ["/drop"]);
 
         // Unchanged: adaptive state and origin epoch preserved.
@@ -613,7 +684,10 @@ mod tests {
         assert_eq!(state(&core, "/keep").rule_version, 1);
         assert_eq!(state(&core, "/keep").polls, 4);
         // Changed: rebuilt from the new config.
-        assert_eq!(state(&core, "/change").limd.config().delta(), Duration::from_millis(25));
+        assert_eq!(
+            state(&core, "/change").limd.config().delta(),
+            Duration::from_millis(25)
+        );
         assert_eq!(state(&core, "/change").rule_version, 2);
         assert_eq!(state(&core, "/change").polls, 0);
         // Added: fresh; removed: gone.
@@ -625,15 +699,23 @@ mod tests {
     fn poll_for_a_removed_path_is_discarded() {
         let mut core = Core::default();
         swap(&mut core, vec![rule("/gone", 10)], None);
-        let job = core.next_job(Instant::now(), unix_now()).expect("due at once");
+        let job = core
+            .next_job(Instant::now(), unix_now())
+            .expect("due at once");
         swap(&mut core, vec![], None);
         // The in-flight poll's outcome arrives after the swap: no panic,
         // no state, no triggers — and the stale heap entry is discarded.
-        let done = core.complete(&job.key, Some(PollResult::NotModified.as_view()), Instant::now());
+        let done = core.complete(
+            &job.key,
+            Some(PollResult::NotModified.as_view()),
+            Instant::now(),
+        );
         assert_eq!((done.coalesced, done.ttr), (0, None));
         assert_eq!((core.paths().count(), core.in_flight()), (0, 0));
         assert_eq!(core.next_wake(), None);
-        assert!(core.next_job(Instant::now() + StdDuration::from_secs(1), unix_now()).is_none());
+        assert!(core
+            .next_job(Instant::now() + StdDuration::from_secs(1), unix_now())
+            .is_none());
     }
 
     #[test]
@@ -649,27 +731,45 @@ mod tests {
         let at = |ms: u64| base + StdDuration::from_millis(ms);
         let ts = |ms: u64| Timestamp::from_millis(1_000_000 + ms);
         let polls = |polled: &[(PollKind, &str)]| -> Vec<(PollKind, String)> {
-            polled.iter().map(|(kind, path)| (*kind, path.to_string())).collect()
+            polled
+                .iter()
+                .map(|(kind, path)| (*kind, path.to_string()))
+                .collect()
         };
         let mut core = Core::default();
         swap(&mut core, vec![rule("/a", 10), rule("/b", 10)], group);
         // /a's update finds /b due: one poll serves both. The `304`
         // stretches /b's TTR to 12 ms, the update keeps /a's at 10.
-        assert_eq!(poll_due(&mut core, at(0), ts(0), &["/a"]), polls(&[(Scheduled, "/a"), (Scheduled, "/b")]));
+        assert_eq!(
+            poll_due(&mut core, at(0), ts(0), &["/a"]),
+            polls(&[(Scheduled, "/a"), (Scheduled, "/b")])
+        );
         // The next one finds /b polled more than δ ago and not yet due.
-        assert_eq!(poll_due(&mut core, at(11), ts(11), &["/a"]), polls(&[(Scheduled, "/a"), (Triggered, "/b")]));
+        assert_eq!(
+            poll_due(&mut core, at(11), ts(11), &["/a"]),
+            polls(&[(Scheduled, "/a"), (Triggered, "/b")])
+        );
 
         // Same group, same membership, changed Δ on one path: the
         // coordinator survives, and remembers polling /b within δ.
         swap(&mut core, vec![rule("/a", 25), rule("/b", 10)], group);
-        assert_eq!(poll_due(&mut core, at(11), ts(12), &["/a"]), polls(&[(Scheduled, "/a")]));
+        assert_eq!(
+            poll_due(&mut core, at(11), ts(12), &["/a"]),
+            polls(&[(Scheduled, "/a")])
+        );
 
         // A membership change rebuilds it: it has never seen /a polled.
         swap(&mut core, vec![rule("/a", 25), rule("/c", 10)], group);
-        assert_eq!(poll_due(&mut core, at(11), ts(13), &["/c"]), polls(&[(Scheduled, "/c"), (Triggered, "/a")]));
+        assert_eq!(
+            poll_due(&mut core, at(11), ts(13), &["/c"]),
+            polls(&[(Scheduled, "/c"), (Triggered, "/a")])
+        );
         // Dropping the group removes it: /a, 11 ms on, is left alone.
         swap(&mut core, vec![rule("/a", 25), rule("/c", 10)], None);
-        assert_eq!(poll_due(&mut core, at(22), ts(24), &["/c"]), polls(&[(Scheduled, "/c")]));
+        assert_eq!(
+            poll_due(&mut core, at(22), ts(24), &["/c"]),
+            polls(&[(Scheduled, "/c")])
+        );
     }
 
     #[test]
@@ -823,7 +923,11 @@ mod tests {
             "workers against a 3 ms origin overlap polls up to the width: {max_overlap}"
         );
         let metrics = runtime.refresh_metrics();
-        assert_eq!(metrics.polls(), total, "every started poll completed and was counted");
+        assert_eq!(
+            metrics.polls(),
+            total,
+            "every started poll completed and was counted"
+        );
         assert_eq!(metrics.in_flight(), 0);
         let drift = metrics.drift();
         assert_eq!(drift.count, total);

@@ -365,12 +365,18 @@ impl EngineMetrics {
 
     /// Client connections currently open, one entry per reactor.
     pub fn reactor_connections(&self) -> Vec<usize> {
-        self.conns[..self.reactor_count()].iter().map(|conns| conns.value() as usize).collect()
+        self.conns[..self.reactor_count()]
+            .iter()
+            .map(|conns| conns.value() as usize)
+            .collect()
     }
 
     /// Client connections ever accepted, one entry per reactor.
     pub fn reactor_accepted(&self) -> Vec<u64> {
-        self.accepted[..self.reactor_count()].iter().map(Cell::value).collect()
+        self.accepted[..self.reactor_count()]
+            .iter()
+            .map(Cell::value)
+            .collect()
     }
 
     /// `"epoll"` once per reactor; kept because `benchmark/` (read-only
@@ -444,7 +450,11 @@ impl EventLoop {
         mut new_service: impl FnMut() -> Box<dyn Service>,
         config: EngineConfig,
     ) -> io::Result<EventLoop> {
-        let EngineConfig { max_conns, reactors, metrics } = config;
+        let EngineConfig {
+            max_conns,
+            reactors,
+            metrics,
+        } = config;
         // Raise the fd ceiling once per process so 10k-connection runs
         // don't trip the default 1024 soft limit.
         static RAISE_NOFILE: Once = Once::new();
@@ -498,7 +508,11 @@ impl EventLoop {
                 paused_since: None,
             };
             reactor.register(reactor.waker.as_raw_fd(), TOKEN_WAKER, Interest::READABLE)?;
-            reactor.register(reactor.listener.as_raw_fd(), TOKEN_LISTENER, Interest::READABLE)?;
+            reactor.register(
+                reactor.listener.as_raw_fd(),
+                TOKEN_LISTENER,
+                Interest::READABLE,
+            )?;
             let waker = reactor.waker.clone();
             let thread = std::thread::Builder::new()
                 .name(format!("{name}-r{i}"))
@@ -729,13 +743,17 @@ impl Reactor {
         loop {
             let (pool, metrics) = (&mut self.pool, &self.metrics);
             let mut origins: Vec<SocketAddr> = Vec::new();
-            let due = self.service.own_work(now, &mut |addr, request| {
-                match pool.submit(addr, request, Waiter::Service) {
+            let due = self
+                .service
+                .own_work(now, &mut |addr, request| match pool.submit(
+                    addr,
+                    request,
+                    Waiter::Service,
+                ) {
                     Submit::Coalesced(_) => metrics.pool_coalesced.inc(),
                     Submit::New(_) if !origins.contains(&addr) => origins.push(addr),
                     Submit::New(_) => {}
-                }
-            });
+                });
             if origins.is_empty() {
                 return due;
             }
@@ -798,11 +816,14 @@ impl Reactor {
     /// `epoll_ctl(MOD)` when it differs from what the kernel holds,
     /// nothing when it does not. The caller handles a failure.
     fn set_interest(&mut self, idx: usize, interest: Interest) -> io::Result<()> {
-        let Some(conn) = self.conns[idx].as_mut() else { return Ok(()) };
+        let Some(conn) = self.conns[idx].as_mut() else {
+            return Ok(());
+        };
         if conn.interest == interest {
             return Ok(());
         }
-        self.poller.modify(conn.stream.as_raw_fd(), idx + TOKEN_BASE, interest)?;
+        self.poller
+            .modify(conn.stream.as_raw_fd(), idx + TOKEN_BASE, interest)?;
         conn.interest = interest;
         self.metrics.epoll_ctl_calls.inc();
         Ok(())
@@ -891,7 +912,12 @@ impl Reactor {
             Kind::Client(_) => {}
             Kind::Upstream(_) if event.closed => {
                 let hung_up = || io::Error::new(io::ErrorKind::BrokenPipe, "origin hung up");
-                let err = conn.stream.take_error().ok().flatten().unwrap_or_else(hung_up);
+                let err = conn
+                    .stream
+                    .take_error()
+                    .ok()
+                    .flatten()
+                    .unwrap_or_else(hung_up);
                 self.upstream_broken(idx, err, now);
             }
             Kind::Upstream(_) => {
@@ -908,13 +934,20 @@ impl Reactor {
     /// Drains the socket into the client's read buffer, then drives the
     /// request/response state machine.
     fn client_readable(&mut self, idx: usize, now: Instant) {
-        let Some(Conn { stream, last_activity, kind: Kind::Client(client), .. }) =
-            self.conns[idx].as_mut()
+        let Some(Conn {
+            stream,
+            last_activity,
+            kind: Kind::Client(client),
+            ..
+        }) = self.conns[idx].as_mut()
         else {
             return;
         };
         let scratch = &mut self.scratch;
-        if client.fill(|buf, room| read_into(stream, scratch, buf, room)).is_err() {
+        if client
+            .fill(|buf, room| read_into(stream, scratch, buf, room))
+            .is_err()
+        {
             self.close_client(idx);
             return;
         }
@@ -930,7 +963,13 @@ impl Reactor {
         if !self.drive_client(idx, now) {
             return;
         }
-        let Some(Conn { kind: Kind::Client(client), .. }) = &self.conns[idx] else { return };
+        let Some(Conn {
+            kind: Kind::Client(client),
+            ..
+        }) = &self.conns[idx]
+        else {
+            return;
+        };
         let interest = client.interest();
         if client.is_finished() || self.set_interest(idx, interest).is_err() {
             self.close_client(idx);
@@ -955,7 +994,11 @@ impl Reactor {
             if !self.flush_client(idx, now) {
                 return false;
             }
-            let Some(Conn { stream, kind: Kind::Client(client), .. }) = self.conns[idx].as_mut()
+            let Some(Conn {
+                stream,
+                kind: Kind::Client(client),
+                ..
+            }) = self.conns[idx].as_mut()
             else {
                 return false;
             };
@@ -994,8 +1037,12 @@ impl Reactor {
     /// accepts and merges the flush's syscall tallies into the shared
     /// metrics. Returns `false` if the connection was closed.
     fn flush_client(&mut self, idx: usize, now: Instant) -> bool {
-        let Some(Conn { stream, last_activity, kind: Kind::Client(client), .. }) =
-            self.conns[idx].as_mut()
+        let Some(Conn {
+            stream,
+            last_activity,
+            kind: Kind::Client(client),
+            ..
+        }) = self.conns[idx].as_mut()
         else {
             return false;
         };
@@ -1024,8 +1071,11 @@ impl Reactor {
                 self.metrics.pool_reuses.inc();
                 self.pool.pop_queued(addr);
                 self.pool.assign(job, conn_idx);
-                if let Some(Conn { last_activity, kind: Kind::Upstream(up), .. }) =
-                    self.conns[conn_idx].as_mut()
+                if let Some(Conn {
+                    last_activity,
+                    kind: Kind::Upstream(up),
+                    ..
+                }) = self.conns[conn_idx].as_mut()
                 {
                     up.job = Some(job);
                     *last_activity = now;
@@ -1071,8 +1121,12 @@ impl Reactor {
         // Split borrows: the connection lives in `conns`, its request
         // bytes in the pool's job.
         let (conns, pool) = (&mut self.conns, &self.pool);
-        let Some(conn) = conns[idx].as_mut() else { return };
-        let Kind::Upstream(up) = &mut conn.kind else { return };
+        let Some(conn) = conns[idx].as_mut() else {
+            return;
+        };
+        let Kind::Upstream(up) = &mut conn.kind else {
+            return;
+        };
         if !up.connected {
             // Writability concludes the nonblocking connect; SO_ERROR
             // says how it went.
@@ -1085,8 +1139,13 @@ impl Reactor {
             }
         }
         // Parked idle: nothing to write.
-        let Some(request) = up.job.and_then(|job| pool.job(job)) else { return };
-        let interest = match up.http.send(&request.request, |bytes| (&conn.stream).write(bytes)) {
+        let Some(request) = up.job.and_then(|job| pool.job(job)) else {
+            return;
+        };
+        let interest = match up
+            .http
+            .send(&request.request, |bytes| (&conn.stream).write(bytes))
+        {
             Ok(true) => {
                 conn.last_activity = now;
                 Interest::READABLE
@@ -1104,8 +1163,12 @@ impl Reactor {
     }
 
     fn upstream_readable(&mut self, idx: usize, now: Instant) {
-        let Some(conn) = self.conns[idx].as_mut() else { return };
-        let Kind::Upstream(up) = &mut conn.kind else { return };
+        let Some(conn) = self.conns[idx].as_mut() else {
+            return;
+        };
+        let Kind::Upstream(up) = &mut conn.kind else {
+            return;
+        };
         let Some(job) = up.job else {
             // A parked idle connection turned readable: the origin
             // closed it (EOF) or sent nonsense — either way the socket
@@ -1115,7 +1178,10 @@ impl Reactor {
             return;
         };
         let scratch = &mut self.scratch;
-        if let Err(err) = up.http.fill(|buf, room| read_into(&conn.stream, scratch, buf, room)) {
+        if let Err(err) = up
+            .http
+            .fill(|buf, room| read_into(&conn.stream, scratch, buf, room))
+        {
             self.upstream_broken(idx, err, now);
             return;
         }
@@ -1145,7 +1211,13 @@ impl Reactor {
     /// byte, not a timeout) is retried once on a fresh socket; everything
     /// else fails the job to its waiters.
     fn upstream_broken(&mut self, idx: usize, err: io::Error, now: Instant) {
-        let Some(Conn { kind: Kind::Upstream(up), .. }) = self.conns[idx].as_ref() else { return };
+        let Some(Conn {
+            kind: Kind::Upstream(up),
+            ..
+        }) = self.conns[idx].as_ref()
+        else {
+            return;
+        };
         let (addr, job, stale) = (up.addr, up.job, up.http.stale(&err));
         // Closes the socket before any retry connects.
         self.release_slot(idx);
@@ -1170,13 +1242,17 @@ impl Reactor {
     /// wait, [`Service::fetched`] makes one reply, which every client gets
     /// in arrival order (all but the last a clone).
     fn finish_fetch(&mut self, job: JobId, result: io::Result<Response>, now: Instant) {
-        let Some(mut job) = self.pool.complete(job) else { return };
+        let Some(mut job) = self.pool.complete(job) else {
+            return;
+        };
         let waiters = job.waiters.len();
         job.waiters.retain(|&waiter| waiter != Waiter::Service);
         if job.waiters.len() < waiters {
             self.service.own_fetched(&job.request, &result, now);
         }
-        let Some((&last, rest)) = job.waiters.split_last() else { return };
+        let Some((&last, rest)) = job.waiters.split_last() else {
+            return;
+        };
         let reply = self.service.fetched(&job.request, result);
         for &client in rest {
             self.complete_client(client, reply.clone(), now);
@@ -1204,7 +1280,11 @@ impl Reactor {
     /// bursts iterative instead of recursive).
     fn complete_client(&mut self, waiter: Waiter, reply: Reply, now: Instant) {
         let Waiter::Client(idx) = waiter else { return };
-        let Some(Conn { kind: Kind::Client(client), .. }) = self.conns[idx].as_mut() else {
+        let Some(Conn {
+            kind: Kind::Client(client),
+            ..
+        }) = self.conns[idx].as_mut()
+        else {
             return; // client gone; drop the reply
         };
         client.queue(reply);
@@ -1219,7 +1299,9 @@ impl Reactor {
     fn sweep_idle(&mut self, now: Instant) {
         // By index: acting on one connection may close or open others.
         for idx in 0..self.conns.len() {
-            let Some(conn) = &mut self.conns[idx] else { continue };
+            let Some(conn) = &mut self.conns[idx] else {
+                continue;
+            };
             let idle = now.duration_since(conn.last_activity);
             match &mut conn.kind {
                 Kind::Client(_) if idle > IDLE_TIMEOUT => self.close_client(idx),
@@ -1247,7 +1329,11 @@ impl Reactor {
     /// Closes a client connection, detaching it from any fetch it waits
     /// on.
     fn close_client(&mut self, idx: usize) {
-        let Some(Conn { kind: Kind::Client(client), .. }) = self.release_slot(idx) else {
+        let Some(Conn {
+            kind: Kind::Client(client),
+            ..
+        }) = self.release_slot(idx)
+        else {
             return;
         };
         self.clients -= 1;
@@ -1255,7 +1341,8 @@ impl Reactor {
         if let Some(job) = client.close() {
             // The last waiter leaving a queued fetch cancels it; a fetch
             // already on a connection finishes and parks, unread.
-            self.pool.leave(job, |&waiter| waiter == Waiter::Client(idx));
+            self.pool
+                .leave(job, |&waiter| waiter == Waiter::Client(idx));
         }
         self.resume_accepting();
     }
@@ -1340,7 +1427,11 @@ mod tests {
     }
 
     fn engine(max_conns: usize, reactors: usize) -> EngineConfig {
-        EngineConfig { max_conns, reactors, ..EngineConfig::default() }
+        EngineConfig {
+            max_conns,
+            reactors,
+            ..EngineConfig::default()
+        }
     }
 
     fn get(addr: SocketAddr, path: &str) -> io::Result<Response> {
@@ -1441,7 +1532,9 @@ mod tests {
         assert_eq!(built.load(Ordering::SeqCst), server.reactor_count());
         for _ in 0..8 {
             let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-            stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
             let mut buf = BytesMut::new();
             let mut tags = Vec::new();
             for _ in 0..5 {
@@ -1449,7 +1542,10 @@ mod tests {
                 let resp = read_response(&mut stream, &mut buf).unwrap();
                 tags.push(String::from_utf8(resp.body().to_vec()).unwrap());
             }
-            assert!(tags.iter().all(|tag| *tag == tags[0]), "several instances: {tags:?}");
+            assert!(
+                tags.iter().all(|tag| *tag == tags[0]),
+                "several instances: {tags:?}"
+            );
             assert!(tags[0].parse::<usize>().unwrap() < server.reactor_count());
         }
     }
@@ -1515,7 +1611,10 @@ mod tests {
         // the reactor count collapses to the bound.
         let server = EventLoop::start("test-tiny-bound", echo, engine(2, 8)).unwrap();
         assert_eq!(server.reactor_count(), 2);
-        assert_eq!(get(server.local_addr(), "/ok").unwrap().status(), StatusCode::OK);
+        assert_eq!(
+            get(server.local_addr(), "/ok").unwrap().status(),
+            StatusCode::OK
+        );
     }
 
     #[test]
@@ -1523,9 +1622,16 @@ mod tests {
         // Non-divisible bounds must neither lose nor invent slots: the
         // shares sum to the bound, every reactor keeps at least one
         // slot, and no two shares differ by more than one.
-        for (max_conns, reactors) in
-            [(1024, 3), (7, 4), (5, 5), (1023, 64), (2, 2), (1, 1), (64, 7), (100, 9)]
-        {
+        for (max_conns, reactors) in [
+            (1024, 3),
+            (7, 4),
+            (5, 5),
+            (1023, 64),
+            (2, 2),
+            (1, 1),
+            (64, 7),
+            (100, 9),
+        ] {
             let shares = split_conns(max_conns, reactors);
             assert_eq!(shares.len(), reactors);
             assert_eq!(
@@ -1559,7 +1665,11 @@ mod tests {
             }
             self.sent += buf.len();
             let ceiling = 4 * crate::conn::MAX_ORIGIN_BUFFERED;
-            assert!(self.sent <= ceiling, "read {} bytes and still reading", self.sent);
+            assert!(
+                self.sent <= ceiling,
+                "read {} bytes and still reading",
+                self.sent
+            );
             Ok(buf.len())
         }
     }
@@ -1577,14 +1687,19 @@ mod tests {
             let mut firehose = Firehose { head, sent: 0 };
             // What `upstream_readable` does with a readable origin socket.
             for _ in 0..2 {
-                origin.fill(|buf, room| read_into(&mut firehose, &mut scratch, buf, room)).unwrap();
+                origin
+                    .fill(|buf, room| read_into(&mut firehose, &mut scratch, buf, room))
+                    .unwrap();
                 assert_eq!(firehose.sent, crate::conn::MAX_ORIGIN_BUFFERED);
             }
             match origin.response() {
                 Received::Failed(err) if head.is_empty() => {
                     assert_eq!(err.kind(), io::ErrorKind::InvalidData)
                 }
-                Received::Done { response, reusable: false } if !head.is_empty() => {
+                Received::Done {
+                    response,
+                    reusable: false,
+                } if !head.is_empty() => {
                     assert_eq!(&response.body()[..], b"ok")
                 }
                 other => panic!("{other:?} after {} bytes of {head:?}", firehose.sent),
@@ -1613,8 +1728,16 @@ mod tests {
             reactor_index: 0,
             paused_since: None,
         };
-        reactor.register(reactor.waker.as_raw_fd(), TOKEN_WAKER, Interest::READABLE).unwrap();
-        reactor.register(reactor.listener.as_raw_fd(), TOKEN_LISTENER, Interest::READABLE).unwrap();
+        reactor
+            .register(reactor.waker.as_raw_fd(), TOKEN_WAKER, Interest::READABLE)
+            .unwrap();
+        reactor
+            .register(
+                reactor.listener.as_raw_fd(),
+                TOKEN_LISTENER,
+                Interest::READABLE,
+            )
+            .unwrap();
         reactor
     }
 
@@ -1625,10 +1748,17 @@ mod tests {
     fn only_a_changed_interest_issues_an_epoll_ctl() {
         let metrics = Arc::new(EngineMetrics::default());
         let mut reactor = idle_reactor(&metrics);
-        assert_eq!(metrics.epoll_ctl_calls(), 2, "the waker's ADD and the listener's");
+        assert_eq!(
+            metrics.epoll_ctl_calls(),
+            2,
+            "the waker's ADD and the listener's"
+        );
         let _client = TcpStream::connect(reactor.listener.local_addr().unwrap()).unwrap();
         let mut events = Events::with_capacity(4);
-        reactor.poller.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
+        reactor
+            .poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
         let now = Instant::now();
         reactor.dispatch(&events, now);
         assert_eq!(reactor.clients, 1);
@@ -1656,7 +1786,10 @@ mod tests {
     fn dispatch_until(reactor: &mut Reactor, now: Instant, done: impl Fn(&Reactor) -> bool) {
         let mut events = Events::with_capacity(16);
         while !done(reactor) {
-            let ready = reactor.poller.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
+            let ready = reactor
+                .poller
+                .wait(&mut events, Some(Duration::from_secs(5)))
+                .unwrap();
             assert!(ready > 0, "no readiness in 5 s");
             reactor.dispatch(&events, now);
         }
@@ -1666,7 +1799,9 @@ mod tests {
     fn reactor_with_client(metrics: &Arc<EngineMetrics>, now: Instant) -> (Reactor, TcpStream) {
         let mut reactor = idle_reactor(metrics);
         let client = TcpStream::connect(reactor.listener.local_addr().unwrap()).unwrap();
-        client.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
         dispatch_until(&mut reactor, now, |r| r.clients == 1);
         (reactor, client)
     }
@@ -1694,7 +1829,9 @@ mod tests {
         let metrics = Arc::new(EngineMetrics::default());
         let t0 = Instant::now();
         let (mut reactor, mut client) = reactor_with_client(&metrics, t0);
-        client.write_all(b"GET /slow HTTP/1.1\r\nhost: x\r\n").unwrap();
+        client
+            .write_all(b"GET /slow HTTP/1.1\r\nhost: x\r\n")
+            .unwrap();
         // Read and found incomplete at t0: the request deadline starts.
         dispatch_until(&mut reactor, t0, |r| {
             matches!(&r.conns[0], Some(Conn { kind: Kind::Client(c), .. })
@@ -1719,7 +1856,10 @@ mod tests {
             ServiceResult::Reply(Response::builder(StatusCode::NOT_FOUND).build().into())
         }
         fn own_fetched(&mut self, _request: &[u8], result: &io::Result<Response>, _now: Instant) {
-            let outcome = result.as_ref().map(Response::status).map_err(io::Error::kind);
+            let outcome = result
+                .as_ref()
+                .map(Response::status)
+                .map_err(io::Error::kind);
             self.0.lock().unwrap().push(outcome);
         }
     }
@@ -1745,16 +1885,24 @@ mod tests {
         reactor.service = Box::new(Fetches(Arc::clone(&outcomes)));
         let origin = TcpListener::bind(SocketAddr::from(([127, 0, 0, 1], 0))).unwrap();
         let addr = origin.local_addr().unwrap();
-        reactor.pool.submit(addr, Request::get("/first").build().to_bytes(), Waiter::Service);
+        reactor.pool.submit(
+            addr,
+            Request::get("/first").build().to_bytes(),
+            Waiter::Service,
+        );
         reactor.pump_origin(addr, now);
         let (mut upstream, _) = origin.accept().unwrap();
-        upstream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        upstream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
         // The connect concludes and the request goes out.
         dispatch_until(&mut reactor, now, sent_all);
         let mut buf = BytesMut::new();
         let sent = read_request(&mut upstream, &mut buf).unwrap().unwrap();
         assert_eq!(sent.target(), "/first");
-        upstream.write_all(b"HTTP/1.1 200 OK\r\ncontent-length: 2\r\n\r\nok").unwrap();
+        upstream
+            .write_all(b"HTTP/1.1 200 OK\r\ncontent-length: 2\r\n\r\nok")
+            .unwrap();
         dispatch_until(&mut reactor, now, |r| r.pool.idle_len(addr) == 1);
         assert_eq!(*outcomes.lock().unwrap(), [Ok(StatusCode::OK)]);
         (reactor, addr, upstream, outcomes)
@@ -1766,11 +1914,26 @@ mod tests {
         let t0 = Instant::now();
         let (mut reactor, addr, mut upstream, _) = reactor_with_parked_origin(&metrics, t0);
         reactor.sweep_idle(t0 + POOL_IDLE_TIMEOUT);
-        assert_eq!((reactor.pool.idle_len(addr), reactor.pool.open_len(addr)), (1, 1), "kept");
+        assert_eq!(
+            (reactor.pool.idle_len(addr), reactor.pool.open_len(addr)),
+            (1, 1),
+            "kept"
+        );
         reactor.sweep_idle(t0 + POOL_IDLE_TIMEOUT + Duration::from_millis(1));
-        assert_eq!((reactor.pool.idle_len(addr), reactor.pool.open_len(addr)), (0, 0), "reaped");
-        assert!(reactor.conns.iter().all(Option::is_none), "its slot is freed");
-        assert_eq!(upstream.read(&mut [0; 1]).unwrap(), 0, "the origin sees EOF");
+        assert_eq!(
+            (reactor.pool.idle_len(addr), reactor.pool.open_len(addr)),
+            (0, 0),
+            "reaped"
+        );
+        assert!(
+            reactor.conns.iter().all(Option::is_none),
+            "its slot is freed"
+        );
+        assert_eq!(
+            upstream.read(&mut [0; 1]).unwrap(),
+            0,
+            "the origin sees EOF"
+        );
     }
 
     /// A fetch on a reused socket that gets no answer fails with
@@ -1782,17 +1945,28 @@ mod tests {
         let t0 = Instant::now();
         let (mut reactor, addr, _upstream, outcomes) = reactor_with_parked_origin(&metrics, t0);
         let t1 = t0 + Duration::from_secs(1);
-        reactor.pool.submit(addr, Request::get("/held").build().to_bytes(), Waiter::Service);
+        reactor.pool.submit(
+            addr,
+            Request::get("/held").build().to_bytes(),
+            Waiter::Service,
+        );
         reactor.pump_origin(addr, t1);
         assert_eq!(metrics.pool_reuses(), 1);
         dispatch_until(&mut reactor, t1, sent_all);
         reactor.sweep_idle(t1 + UPSTREAM_TIMEOUT);
-        assert_eq!(outcomes.lock().unwrap().len(), 1, "still held at the timeout");
+        assert_eq!(
+            outcomes.lock().unwrap().len(),
+            1,
+            "still held at the timeout"
+        );
         reactor.sweep_idle(t1 + UPSTREAM_TIMEOUT + Duration::from_millis(1));
         assert_eq!(outcomes.lock().unwrap()[1], Err(io::ErrorKind::TimedOut));
         assert_eq!(metrics.pool_retries(), 0);
         assert_eq!(metrics.pool_opened(), 1, "no fresh socket");
-        assert_eq!((reactor.pool.queued_len(addr), reactor.pool.open_len(addr)), (0, 0));
+        assert_eq!(
+            (reactor.pool.queued_len(addr), reactor.pool.open_len(addr)),
+            (0, 0)
+        );
     }
 
     /// A listener paused at the connection bound is shed at
@@ -1810,11 +1984,15 @@ mod tests {
         assert_eq!(reactor.shed_at(), Some(t0 + PARK_DEADLINE));
 
         let mut parked = TcpStream::connect(addr).unwrap();
-        parked.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        parked
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
         // Wait (for readiness) until the backlog holds it, on a probe of
         // its own: the reactor's poller no longer watches the listener.
         let probe = Poller::new().unwrap();
-        probe.register(reactor.listener.as_raw_fd(), 0, Interest::READABLE).unwrap();
+        probe
+            .register(reactor.listener.as_raw_fd(), 0, Interest::READABLE)
+            .unwrap();
         let ready = probe.wait(&mut Events::with_capacity(1), Some(Duration::from_secs(5)));
         assert!(ready.unwrap() > 0, "no parked connection in 5 s");
 
@@ -1822,10 +2000,17 @@ mod tests {
         let mut last_sweep = t0;
         assert_eq!(reactor.turn(&none, t0, &mut last_sweep), TICK);
         let early = t0 + PARK_DEADLINE - Duration::from_millis(1);
-        assert_eq!(reactor.turn(&none, early, &mut last_sweep), Duration::from_millis(1));
+        assert_eq!(
+            reactor.turn(&none, early, &mut last_sweep),
+            Duration::from_millis(1)
+        );
         assert_eq!(metrics.parked_shed(), 0, "not before the deadline");
         let at = t0 + PARK_DEADLINE;
-        assert_eq!(reactor.turn(&none, at, &mut last_sweep), TICK, "the backlog is empty");
+        assert_eq!(
+            reactor.turn(&none, at, &mut last_sweep),
+            TICK,
+            "the backlog is empty"
+        );
         assert_eq!(metrics.parked_shed(), 1);
         let resp = read_response(&mut parked, &mut BytesMut::new()).unwrap();
         assert_eq!(resp.status(), StatusCode::SERVICE_UNAVAILABLE);
@@ -1851,22 +2036,41 @@ mod tests {
         let none = Events::with_capacity(1);
         let mut last_sweep = t0;
         let t1 = t0 + PARK_DEADLINE;
-        assert_eq!(reactor.turn(&none, t1, &mut last_sweep), TICK, "no wake for an empty backlog");
+        assert_eq!(
+            reactor.turn(&none, t1, &mut last_sweep),
+            TICK,
+            "no wake for an empty backlog"
+        );
         assert_eq!((reactor.accepting, reactor.shed_at()), (true, None));
-        assert_eq!(reactor.turn(&none, t1 + PARK_DEADLINE, &mut last_sweep), TICK);
+        assert_eq!(
+            reactor.turn(&none, t1 + PARK_DEADLINE, &mut last_sweep),
+            TICK
+        );
         assert_eq!(metrics.parked_shed(), 0);
 
         // A client arrives at the bound much later and parks with a
         // deadline of its own.
         let mut parked = TcpStream::connect(addr).unwrap();
-        parked.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        parked
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
         let t2 = t1 + 3 * PARK_DEADLINE;
         dispatch_until(&mut reactor, t2, |r| !r.accepting);
-        assert_eq!(reactor.shed_at(), Some(t2 + PARK_DEADLINE), "its arrival's deadline");
+        assert_eq!(
+            reactor.shed_at(),
+            Some(t2 + PARK_DEADLINE),
+            "its arrival's deadline"
+        );
         let early = t2 + PARK_DEADLINE - Duration::from_millis(1);
-        assert_eq!(reactor.turn(&none, early, &mut last_sweep), Duration::from_millis(1));
+        assert_eq!(
+            reactor.turn(&none, early, &mut last_sweep),
+            Duration::from_millis(1)
+        );
         assert_eq!(metrics.parked_shed(), 0, "not before its deadline");
-        assert_eq!(reactor.turn(&none, t2 + PARK_DEADLINE, &mut last_sweep), TICK);
+        assert_eq!(
+            reactor.turn(&none, t2 + PARK_DEADLINE, &mut last_sweep),
+            TICK
+        );
         assert_eq!(metrics.parked_shed(), 1);
         let resp = read_response(&mut parked, &mut BytesMut::new()).unwrap();
         assert_eq!(resp.status(), StatusCode::SERVICE_UNAVAILABLE);
@@ -1886,10 +2090,18 @@ mod tests {
             let now = swept + Duration::from_millis(wake);
             assert_eq!(reactor.turn(&none, now, &mut last_sweep), TICK);
         }
-        assert_eq!((reactor.clients, last_sweep), (1, swept), "999 wakes in the second, no sweep");
+        assert_eq!(
+            (reactor.clients, last_sweep),
+            (1, swept),
+            "999 wakes in the second, no sweep"
+        );
         let next = swept + Duration::from_secs(1);
         reactor.turn(&none, next, &mut last_sweep);
-        assert_eq!((reactor.clients, last_sweep), (0, next), "the second's sweep closed it");
+        assert_eq!(
+            (reactor.clients, last_sweep),
+            (0, next),
+            "the second's sweep closed it"
+        );
     }
 
     #[test]
@@ -1899,10 +2111,23 @@ mod tests {
         assert_eq!(wait_timeout(now, None, None), TICK);
         assert_eq!(wait_timeout(now, Some(now + ms(50)), None), ms(50));
         assert_eq!(wait_timeout(now, None, Some(now + ms(10))), ms(10));
-        assert_eq!(wait_timeout(now, Some(now + ms(50)), Some(now + ms(10))), ms(10));
-        assert_eq!(wait_timeout(now, Some(now + ms(5)), Some(now + ms(10))), ms(5));
-        assert_eq!(wait_timeout(now, Some(now + ms(500)), Some(now + ms(300))), TICK);
-        assert_eq!(wait_timeout(now + ms(20), Some(now + ms(10)), None), Duration::ZERO, "overdue");
+        assert_eq!(
+            wait_timeout(now, Some(now + ms(50)), Some(now + ms(10))),
+            ms(10)
+        );
+        assert_eq!(
+            wait_timeout(now, Some(now + ms(5)), Some(now + ms(10))),
+            ms(5)
+        );
+        assert_eq!(
+            wait_timeout(now, Some(now + ms(500)), Some(now + ms(300))),
+            TICK
+        );
+        assert_eq!(
+            wait_timeout(now + ms(20), Some(now + ms(10)), None),
+            Duration::ZERO,
+            "overdue"
+        );
     }
 
     #[test]
@@ -1924,7 +2149,10 @@ mod tests {
         let resp = read_response(&mut c, &mut buf).unwrap();
         assert_eq!(resp.status(), StatusCode::SERVICE_UNAVAILABLE);
         let retry_after = RETRY_AFTER_SECS.to_string();
-        assert_eq!(resp.headers().get("retry-after"), Some(retry_after.as_str()));
+        assert_eq!(
+            resp.headers().get("retry-after"),
+            Some(retry_after.as_str())
+        );
         let mut rest = Vec::new();
         assert_eq!(c.read_to_end(&mut rest).unwrap(), 0, "then a clean close");
         assert!(server.metrics().parked_shed() >= 1);
@@ -1936,7 +2164,10 @@ mod tests {
         drop(_a);
         let deadline = Instant::now() + Duration::from_secs(5);
         while server.metrics().reactor_connections() != [1] {
-            assert!(Instant::now() < deadline, "the reactor never saw the slot free");
+            assert!(
+                Instant::now() < deadline,
+                "the reactor never saw the slot free"
+            );
             std::thread::sleep(Duration::from_millis(1));
         }
         let resp = get(server.local_addr(), "/after").unwrap();
@@ -1949,7 +2180,10 @@ mod tests {
         let server = EventLoop::start(
             "test-metrics",
             echo,
-            EngineConfig { metrics: Arc::clone(&metrics), ..engine(64, 2) },
+            EngineConfig {
+                metrics: Arc::clone(&metrics),
+                ..engine(64, 2)
+            },
         )
         .unwrap();
         assert_eq!(metrics.reactor_count(), 2);
@@ -2009,7 +2243,8 @@ mod tests {
             let entry = self.cache.get(path).unwrap_or_else(|| {
                 let body = Bytes::from(format!("body:{path}").into_bytes());
                 let stamp = mutcon_core::time::Timestamp::from_millis(1);
-                self.cache.insert_if_newer(path, CacheEntry::new(body, stamp, None, None))
+                self.cache
+                    .insert_if_newer(path, CacheEntry::new(body, stamp, None, None))
             });
             l1.insert(path, Arc::clone(&entry));
             self.metrics.l1_refills.inc();
@@ -2043,7 +2278,10 @@ mod tests {
         let server = EventLoop::start(
             "test-l1",
             new_service,
-            EngineConfig { metrics: Arc::clone(&metrics), ..engine(64, 1) },
+            EngineConfig {
+                metrics: Arc::clone(&metrics),
+                ..engine(64, 1)
+            },
         )
         .unwrap();
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
@@ -2093,7 +2331,10 @@ mod tests {
         let server = EventLoop::start(
             "test-l1-gen",
             new_service,
-            EngineConfig { metrics: Arc::clone(&metrics), ..engine(64, 1) },
+            EngineConfig {
+                metrics: Arc::clone(&metrics),
+                ..engine(64, 1)
+            },
         )
         .unwrap();
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();

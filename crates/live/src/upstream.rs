@@ -128,7 +128,10 @@ impl<W> PoolCore<W> {
     ///
     /// Panics if `max_per_origin` is zero.
     pub fn new(max_per_origin: usize) -> PoolCore<W> {
-        assert!(max_per_origin > 0, "pool needs at least one connection per origin");
+        assert!(
+            max_per_origin > 0,
+            "pool needs at least one connection per origin"
+        );
         PoolCore {
             jobs: Vec::new(),
             free_jobs: Vec::new(),
@@ -147,16 +150,20 @@ impl<W> PoolCore<W> {
 
     /// `addr`'s record, made if this is its first use.
     fn origin_entry(&mut self, addr: SocketAddr) -> &mut Origin {
-        let at = self.origins.iter().position(|o| o.addr == addr).unwrap_or_else(|| {
-            self.origins.push(Origin {
-                addr,
-                by_key: HashMap::new(),
-                queued: VecDeque::new(),
-                idle: Vec::new(),
-                open: 0,
+        let at = self
+            .origins
+            .iter()
+            .position(|o| o.addr == addr)
+            .unwrap_or_else(|| {
+                self.origins.push(Origin {
+                    addr,
+                    by_key: HashMap::new(),
+                    queued: VecDeque::new(),
+                    idle: Vec::new(),
+                    open: 0,
+                });
+                self.origins.len() - 1
             });
-            self.origins.len() - 1
-        });
         &mut self.origins[at]
     }
 
@@ -164,7 +171,10 @@ impl<W> PoolCore<W> {
     /// and queues a new one. The coalescing lookup borrows `request`;
     /// only a genuinely new job takes ownership of the bytes.
     pub fn submit(&mut self, addr: SocketAddr, request: Vec<u8>, waiter: W) -> Submit {
-        let live = self.origin(addr).and_then(|o| o.by_key.get(request.as_slice())).copied();
+        let live = self
+            .origin(addr)
+            .and_then(|o| o.by_key.get(request.as_slice()))
+            .copied();
         if let Some((id, Some(job))) = live.map(|id| (id, self.jobs[id].as_mut())) {
             job.waiters.push(waiter);
             return Submit::Coalesced(id);
@@ -252,7 +262,8 @@ impl<W> PoolCore<W> {
     /// Whether `job`, whose socket turned out stale, may be retried on a
     /// fresh one: its one retry is unspent and someone still waits on it.
     pub fn retry_eligible(&self, job: JobId) -> bool {
-        self.job(job).is_some_and(|j| !j.retried && !j.waiters.is_empty())
+        self.job(job)
+            .is_some_and(|j| !j.retried && !j.waiters.is_empty())
     }
 
     /// Returns a failed job to the *front* of its origin's queue for the
@@ -300,7 +311,11 @@ impl<W> PoolCore<W> {
 
     /// Idle connections parked longer than `max_age`, removed from the
     /// ledger and returned (with their origin) for the caller to close.
-    pub fn reap_idle(&mut self, now: Instant, max_age: std::time::Duration) -> Vec<(usize, SocketAddr)> {
+    pub fn reap_idle(
+        &mut self,
+        now: Instant,
+        max_age: std::time::Duration,
+    ) -> Vec<(usize, SocketAddr)> {
         let mut reaped = Vec::new();
         for origin in &mut self.origins {
             origin.idle.retain(|&(conn, since)| {
@@ -363,9 +378,18 @@ mod tests {
         let mut pool: PoolCore<u32> = PoolCore::default();
         let a = addr(9000);
         let b = addr(9001);
-        assert!(matches!(pool.submit(a, b"GET /x".to_vec(), 1), Submit::New(_)));
-        assert!(matches!(pool.submit(a, b"GET /y".to_vec(), 2), Submit::New(_)));
-        assert!(matches!(pool.submit(b, b"GET /x".to_vec(), 3), Submit::New(_)));
+        assert!(matches!(
+            pool.submit(a, b"GET /x".to_vec(), 1),
+            Submit::New(_)
+        ));
+        assert!(matches!(
+            pool.submit(a, b"GET /y".to_vec(), 2),
+            Submit::New(_)
+        ));
+        assert!(matches!(
+            pool.submit(b, b"GET /x".to_vec(), 3),
+            Submit::New(_)
+        ));
         assert_eq!(pool.queued_len(a), 2);
         assert_eq!(pool.queued_len(b), 1);
     }
@@ -380,7 +404,10 @@ mod tests {
         let done = pool.complete(job).unwrap();
         assert_eq!(done.waiters, vec![1]);
         // The key is free again: a new miss is a new fetch.
-        assert!(matches!(pool.submit(a, b"GET /x".to_vec(), 2), Submit::New(_)));
+        assert!(matches!(
+            pool.submit(a, b"GET /x".to_vec(), 2),
+            Submit::New(_)
+        ));
     }
 
     #[test]
@@ -508,7 +535,10 @@ mod tests {
         assert!(pool.job(running).unwrap().waiters.is_empty());
         // Completion still works and frees the key.
         pool.complete(running);
-        assert!(matches!(pool.submit(a, b"GET /r".to_vec(), 3), Submit::New(_)));
+        assert!(matches!(
+            pool.submit(a, b"GET /r".to_vec(), 3),
+            Submit::New(_)
+        ));
     }
 
     #[test]

@@ -12,8 +12,8 @@ mod tests {
     use super::*;
     use bytes::BytesMut;
     use mutcon_http::message::{Request, Response};
-    use std::io;
     use mutcon_http::types::StatusCode;
+    use std::io;
     use std::io::Cursor;
 
     #[test]

@@ -23,10 +23,10 @@ use harness::{
     get, get_json, put, read_response, stamp_of, Behavior, FakeClock, ScriptedOrigin, CLOCK_BASE_MS,
 };
 use mutcon_core::time::Duration;
-use mutcon_live::proxy::{LiveProxy, ProxyConfig, RefreshRule};
-use mutcon_live::server::{default_reactors, DEFAULT_L1_OBJECTS, MAX_L1_OBJECTS};
 use mutcon_http::message::Request;
 use mutcon_http::types::StatusCode;
+use mutcon_live::proxy::{LiveProxy, ProxyConfig, RefreshRule};
+use mutcon_live::server::{default_reactors, DEFAULT_L1_OBJECTS, MAX_L1_OBJECTS};
 use mutcon_sim::rng::SimRng;
 use mutcon_traces::json::{self, Json};
 
@@ -88,7 +88,8 @@ fn put_changes_delta_in_place_without_dropping_cache_or_connections() {
     let mut conns: Vec<(TcpStream, BytesMut)> = (0..4)
         .map(|_| {
             let sock = TcpStream::connect(addr).expect("connect");
-            sock.set_read_timeout(Some(StdDuration::from_secs(5))).unwrap();
+            sock.set_read_timeout(Some(StdDuration::from_secs(5)))
+                .unwrap();
             (sock, BytesMut::new())
         })
         .collect();
@@ -104,7 +105,11 @@ fn put_changes_delta_in_place_without_dropping_cache_or_connections() {
     // The old cadence really is quiet: no further polls for 60 s.
     let polls_before = proxy.stats().polls;
     std::thread::sleep(StdDuration::from_millis(150));
-    assert_eq!(proxy.stats().polls, polls_before, "Δ=60s must not poll again yet");
+    assert_eq!(
+        proxy.stats().polls,
+        polls_before,
+        "Δ=60s must not poll again yet"
+    );
 
     // Rules as the control plane sees them, pre-swap.
     let doc = admin_get(&proxy, "/admin/rules");
@@ -112,7 +117,12 @@ fn put_changes_delta_in_place_without_dropping_cache_or_connections() {
     let rule = &doc.get("rules").unwrap().as_array().unwrap()[0];
     assert_eq!(rule.get("path").unwrap().as_str(), Some("/obj"));
     assert_eq!(rule.get("delta_ms").unwrap().as_u64(), Some(60_000));
-    assert!(rule.get("limd").unwrap().as_str().unwrap().contains("delta_ms=60000"));
+    assert!(rule
+        .get("limd")
+        .unwrap()
+        .as_str()
+        .unwrap()
+        .contains("delta_ms=60000"));
     assert!(doc.get("group").unwrap().is_null());
 
     // The swap: Δ 60 s → 25 ms, under a group.
@@ -153,9 +163,17 @@ fn put_changes_delta_in_place_without_dropping_cache_or_connections() {
             .expect("established keep-alive connection must survive the swap");
         assert_eq!(resp.status(), StatusCode::OK);
         assert_eq!(resp.headers().get("x-cache"), Some("hit"), "cache survived");
-        assert_eq!(stamp_of(&resp), *stamp, "same cached copy as before the swap");
+        assert_eq!(
+            stamp_of(&resp),
+            *stamp,
+            "same cached copy as before the swap"
+        );
     }
-    assert_eq!(proxy.cached_objects(), 1, "the swap dropped no cache entries");
+    assert_eq!(
+        proxy.cached_objects(),
+        1,
+        "the swap dropped no cache entries"
+    );
     assert_eq!(proxy.stats().reloads, 1);
 }
 
@@ -202,7 +220,11 @@ fn removed_path_in_flight_poll_cannot_resurrect_cache_entry() {
     // And polling for the removed path has stopped entirely.
     let polls = proxy.stats().polls;
     std::thread::sleep(StdDuration::from_millis(120));
-    assert_eq!(proxy.stats().polls, polls, "a removed path must stop polling");
+    assert_eq!(
+        proxy.stats().polls,
+        polls,
+        "a removed path must stop polling"
+    );
 }
 
 /// Unchanged paths carry their accumulated adaptive-TTR state across a
@@ -231,8 +253,7 @@ fn unchanged_paths_preserve_adaptive_ttr_state_across_swap() {
             .find(|s| s.path == "/keep")
     };
     wait_until("/keep TTR growth", || {
-        keep_status(&proxy)
-            .is_some_and(|s| s.polls >= 4 && s.ttr > Duration::from_millis(20))
+        keep_status(&proxy).is_some_and(|s| s.polls >= 4 && s.ttr > Duration::from_millis(20))
     });
     let before = keep_status(&proxy).expect("/keep status");
 
@@ -256,12 +277,18 @@ fn unchanged_paths_preserve_adaptive_ttr_state_across_swap() {
         after.ttr
     );
     assert!(after.polls >= before.polls, "poll count must carry over");
-    assert_eq!(after.rule_epoch, 1, "unchanged rule keeps its original epoch");
+    assert_eq!(
+        after.rule_epoch, 1,
+        "unchanged rule keeps its original epoch"
+    );
 
     let statuses = proxy.runtime().status();
     let add = statuses.iter().find(|s| s.path == "/add").unwrap();
     assert_eq!(add.rule_epoch, 2, "added rule belongs to the new epoch");
-    assert!(!statuses.iter().any(|s| s.path == "/drop"), "removed rule gone");
+    assert!(
+        !statuses.iter().any(|s| s.path == "/drop"),
+        "removed rule gone"
+    );
 
     // /drop's cached copy was evicted with its rule: the next client
     // read is a miss (refetched fresh), not a stale never-refreshed hit.
@@ -292,11 +319,20 @@ fn bad_rules_are_rejected_by_put_and_by_start() {
             r#"{"rules": [{"path": "/a", "delta_ms": 100, "ttr_max_ms": 50}]}"#,
             "ttr",
         ),
-        (r#"{"rules": [{"path": "relative", "delta_ms": 5}]}"#, "start with"),
+        (
+            r#"{"rules": [{"path": "relative", "delta_ms": 5}]}"#,
+            "start with",
+        ),
         // Not a request target: reactor 0 would send `GET /a b HTTP/1.1`
         // or end the poll's request line early.
-        (r#"{"rules": [{"path": "/a b", "delta_ms": 5}]}"#, "whitespace"),
-        (r#"{"rules": [{"path": "/a\r\nx: y", "delta_ms": 5}]}"#, "control byte"),
+        (
+            r#"{"rules": [{"path": "/a b", "delta_ms": 5}]}"#,
+            "whitespace",
+        ),
+        (
+            r#"{"rules": [{"path": "/a\r\nx: y", "delta_ms": 5}]}"#,
+            "control byte",
+        ),
         (r#"not json at all"#, "invalid JSON"),
         (r#"{"rules": 5}"#, "rules"),
         (
@@ -416,7 +452,10 @@ fn an_oversized_l1_is_rejected_at_start() {
         ..ProxyConfig::new(origin.addr())
     })
     .expect("the ceiling starts");
-    assert_eq!(get(proxy.local_addr(), "/ok").unwrap().status(), StatusCode::OK);
+    assert_eq!(
+        get(proxy.local_addr(), "/ok").unwrap().status(),
+        StatusCode::OK
+    );
 }
 
 /// `GET /admin/stats` reports the threaded-through counters: per-shard
@@ -446,7 +485,10 @@ fn admin_stats_reports_shards_reactors_and_pool_counters() {
         .iter()
         .map(|r| r.get("accepted").unwrap().as_u64().unwrap())
         .sum();
-    assert!(accepted >= 7, "every client connection is accounted: {accepted}");
+    assert!(
+        accepted >= 7,
+        "every client connection is accounted: {accepted}"
+    );
     let pool = doc.get("origin_pool").unwrap();
     assert!(pool.get("opened").unwrap().as_u64().unwrap() >= 1);
     let proxy_counters = doc.get("proxy").unwrap();
@@ -464,7 +506,10 @@ fn unset_config_fields_resolve_to_the_documented_defaults() {
     assert_eq!(proxy.reactor_count(), default_reactors());
     let doc = admin_get(&proxy, "/admin/stats");
     let l1 = doc.get("cache").unwrap().get("l1").unwrap();
-    assert_eq!(l1.get("capacity").unwrap().as_u64(), Some(DEFAULT_L1_OBJECTS as u64));
+    assert_eq!(
+        l1.get("capacity").unwrap().as_u64(),
+        Some(DEFAULT_L1_OBJECTS as u64)
+    );
 }
 
 /// With `admin_token` set, every `/admin/*` endpoint demands a matching
@@ -486,7 +531,8 @@ fn admin_endpoints_demand_the_configured_bearer_token() {
     // (the convenience client never sends credentials).
     let raw_get = |path: &str, auth: Option<&str>| {
         let mut sock = TcpStream::connect(addr).expect("connect");
-        sock.set_read_timeout(Some(StdDuration::from_secs(5))).unwrap();
+        sock.set_read_timeout(Some(StdDuration::from_secs(5)))
+            .unwrap();
         let mut builder = Request::get(path);
         if let Some(credentials) = auth {
             builder = builder.header("authorization", credentials);
@@ -533,7 +579,11 @@ fn admin_endpoints_demand_the_configured_bearer_token() {
         std::str::from_utf8(raw_get("/admin/rules", Some("Bearer s3cret")).body()).unwrap(),
     )
     .unwrap();
-    assert_eq!(doc.get("epoch").unwrap().as_u64(), Some(1), "PUT was rejected");
+    assert_eq!(
+        doc.get("epoch").unwrap().as_u64(),
+        Some(1),
+        "PUT was rejected"
+    );
 
     // The data plane never asks for auth.
     assert_eq!(get(addr, "/obj").unwrap().status(), StatusCode::OK);
@@ -587,9 +637,16 @@ fn sighup_rereads_the_rules_file() {
             proxy.stats().reload_errors == errors
         });
         let doc = admin_get(&proxy, "/admin/rules");
-        assert_eq!(doc.get("epoch").unwrap().as_u64(), Some(2), "{bad:?} changed nothing");
+        assert_eq!(
+            doc.get("epoch").unwrap().as_u64(),
+            Some(2),
+            "{bad:?} changed nothing"
+        );
         assert_eq!(proxy.stats().reloads, 1);
-        assert_eq!(get(proxy.local_addr(), "/hup").unwrap().status(), StatusCode::OK);
+        assert_eq!(
+            get(proxy.local_addr(), "/hup").unwrap().status(),
+            StatusCode::OK
+        );
     }
 
     drop(proxy);

@@ -23,9 +23,9 @@ use std::time::Duration as StdDuration;
 use bytes::Bytes;
 use harness::{get, stamp_of, stats_counter, FakeClock, ScriptedOrigin, CLOCK_BASE_MS};
 use mutcon_core::time::{Duration, Timestamp};
+use mutcon_http::types::StatusCode;
 use mutcon_live::cache::{shard_of, CacheEntry, L1Cache, L1Lookup, ShardedCache, SHARD_COUNT};
 use mutcon_live::proxy::{LiveProxy, ProxyConfig, RefreshRule};
-use mutcon_http::types::StatusCode;
 use mutcon_sim::rng::SimRng;
 
 /// A proxy with the L1 capacity pinned explicitly (`0` disables) and an
@@ -159,8 +159,14 @@ fn l1_scenarios_replay_bit_identically_across_seeds() {
     for seed in [7u64, 42, 0xFEED] {
         let first = seeded_transcript(seed, 128);
         let second = seeded_transcript(seed, 128);
-        assert_eq!(first.0, second.0, "seed {seed}: origin logs must replay identically");
-        assert_eq!(first.1, second.1, "seed {seed}: transcripts must replay identically");
+        assert_eq!(
+            first.0, second.0,
+            "seed {seed}: origin logs must replay identically"
+        );
+        assert_eq!(
+            first.1, second.1,
+            "seed {seed}: transcripts must replay identically"
+        );
     }
 }
 
@@ -233,7 +239,9 @@ fn a_copy_superseded_before_the_lookup_is_never_an_l1_hit() {
     const LOOKUPS: usize = 30_000;
     let mut paths: Vec<String> = Vec::new();
     for shard in 0..3 {
-        let colliding = (0..).map(|i| format!("/lin/{i}")).filter(|p| shard_of(p) == shard);
+        let colliding = (0..)
+            .map(|i| format!("/lin/{i}"))
+            .filter(|p| shard_of(p) == shard);
         paths.extend(colliding.take(2));
     }
     let cache = ShardedCache::new(Some(SHARD_COUNT));
@@ -262,9 +270,11 @@ fn a_copy_superseded_before_the_lookup_is_never_an_l1_hit() {
                                 hits += 1;
                                 Some(copy)
                             }
-                            L1Lookup::Stale | L1Lookup::Miss => cache.get(&paths[p]).inspect(|copy| {
-                                l1.insert(&paths[p], Arc::clone(copy));
-                            }),
+                            L1Lookup::Stale | L1Lookup::Miss => {
+                                cache.get(&paths[p]).inspect(|copy| {
+                                    l1.insert(&paths[p], Arc::clone(copy));
+                                })
+                            }
                         };
                         // `None`: evicted; a reactor would go to the origin.
                         if let Some(copy) = served {
@@ -299,5 +309,8 @@ fn a_copy_superseded_before_the_lookup_is_never_an_l1_hit() {
     });
     assert!(hits > 0, "the readers never hit their L1s");
     assert!(stale > 0, "the readers never met a superseded copy");
-    assert!(cache.evictions() > 0, "colliding paths never evicted each other");
+    assert!(
+        cache.evictions() > 0,
+        "colliding paths never evicted each other"
+    );
 }

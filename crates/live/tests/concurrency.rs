@@ -14,10 +14,10 @@ use std::time::{Duration as StdDuration, Instant};
 use bytes::Bytes;
 use harness::{get, stamp_of, stats_counter, Behavior, FakeClock, ScriptedOrigin, CLOCK_BASE_MS};
 use mutcon_core::time::{Duration, Timestamp};
+use mutcon_http::types::StatusCode;
 use mutcon_live::cache::{shard_of, CacheEntry, ShardedCache, SHARD_COUNT};
 use mutcon_live::proxy::{LiveProxy, ProxyConfig, RefreshRule};
 use mutcon_live::upstream::MAX_CONNS_PER_ORIGIN;
-use mutcon_http::types::StatusCode;
 use mutcon_sim::rng::SimRng;
 
 /// A proxy in front of a scripted origin with an explicit reactor count
@@ -127,7 +127,11 @@ fn hundred_concurrent_misses_coalesce_into_one_origin_fetch() {
     origin.release_all();
     let resp = reader.join().expect("reader panicked");
     assert_eq!(resp.status(), StatusCode::OK);
-    assert_eq!(origin.fetches("/ruled"), 1, "the miss rode the poll's fetch");
+    assert_eq!(
+        origin.fetches("/ruled"),
+        1,
+        "the miss rode the poll's fetch"
+    );
     assert_eq!(proxy.stats().refreshes, 1, "one fetch, one store");
     assert_eq!(stats_counter(addr, &["cache", "version_bumps"]), 0);
 }
@@ -159,14 +163,20 @@ fn a_many_key_crowd_opens_exactly_the_static_cap() {
             std::thread::spawn(move || {
                 barrier.wait();
                 let path = format!("/crowd/{key}");
-                get(addr, &path).unwrap_or_else(|e| panic!("{path}: {e}")).status()
+                get(addr, &path)
+                    .unwrap_or_else(|e| panic!("{path}: {e}"))
+                    .status()
             })
         })
         .collect();
 
     origin.wait_for_held(cap);
     wait_for_misses(&proxy, KEYS);
-    assert_eq!(origin.held(), cap, "the cap bounds the fetches at the origin");
+    assert_eq!(
+        origin.held(),
+        cap,
+        "the cap bounds the fetches at the origin"
+    );
     assert_eq!(origin.accepted(), cap, "one socket per held fetch");
     assert_eq!(proxy.engine_metrics().pool_opened(), cap);
     origin.release_all();
@@ -221,11 +231,19 @@ fn mid_transfer_origin_death_fails_cleanly_then_recovers() {
         "a truncated origin transfer must surface as a 500"
     );
     let engine = proxy.engine_metrics();
-    assert_eq!(engine.pool_reuses(), 1, "the death was on the parked socket");
+    assert_eq!(
+        engine.pool_reuses(),
+        1,
+        "the death was on the parked socket"
+    );
     assert_eq!(engine.pool_retries(), 0, "bytes had arrived: no retry");
 
     let recovered = get(proxy.local_addr(), "/frail").expect("response");
-    assert_eq!(recovered.status(), StatusCode::OK, "the retry-by-client recovers");
+    assert_eq!(
+        recovered.status(),
+        StatusCode::OK,
+        "the retry-by-client recovers"
+    );
     assert_eq!(origin.fetches("/frail"), 2);
     assert_eq!(
         origin.log(),
@@ -434,8 +452,14 @@ fn seeded_scenario_replays_bit_identically() {
 
     let first = run_scenario(42);
     let second = run_scenario(42);
-    assert_eq!(first.0, second.0, "origin event logs must replay identically");
-    assert_eq!(first.1, second.1, "client transcripts must replay identically");
+    assert_eq!(
+        first.0, second.0,
+        "origin event logs must replay identically"
+    );
+    assert_eq!(
+        first.1, second.1,
+        "client transcripts must replay identically"
+    );
 }
 
 /// Keys that all hash into shard 0, for hammering one shard from

@@ -37,9 +37,9 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use bytes::{Bytes, BytesMut};
-use mutcon_live::client::{validator_ms, X_LAST_MODIFIED_MS};
 use mutcon_http::message::{Request, Response};
 use mutcon_http::types::{Method, StatusCode};
+use mutcon_live::client::{validator_ms, X_LAST_MODIFIED_MS};
 use mutcon_traces::json::{self, Json};
 
 mod wire;
@@ -75,9 +75,12 @@ pub fn stats_counter(addr: SocketAddr, path: &[&str]) -> u64 {
     let doc = get_json(addr, "/admin/stats");
     let mut node = &doc;
     for key in path {
-        node = node.get(key).unwrap_or_else(|| panic!("stats key {path:?}"));
+        node = node
+            .get(key)
+            .unwrap_or_else(|| panic!("stats key {path:?}"));
     }
-    node.as_u64().unwrap_or_else(|| panic!("stats key {path:?} not a number"))
+    node.as_u64()
+        .unwrap_or_else(|| panic!("stats key {path:?} not a number"))
 }
 
 /// Base Unix-epoch-ish stamp for fake-clock time 0 (an arbitrary,
@@ -320,7 +323,9 @@ impl Drop for ScriptedOrigin {
 
 impl std::fmt::Debug for ScriptedOrigin {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ScriptedOrigin").field("addr", &self.addr).finish()
+        f.debug_struct("ScriptedOrigin")
+            .field("addr", &self.addr)
+            .finish()
     }
 }
 
@@ -354,7 +359,11 @@ fn serve_request(stream: &mut TcpStream, inner: &Inner, request: &Request) -> bo
         *n += 1;
         *n
     };
-    inner.log.lock().unwrap().push(format!("fetch {path} #{fetch_no}"));
+    inner
+        .log
+        .lock()
+        .unwrap()
+        .push(format!("fetch {path} #{fetch_no}"));
 
     // Overlap gauge: count this request as in flight until the function
     // returns, whichever exit path it takes.
@@ -365,7 +374,9 @@ fn serve_request(stream: &mut TcpStream, inner: &Inner, request: &Request) -> bo
         }
     }
     let now_in_flight = inner.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
-    inner.max_in_flight.fetch_max(now_in_flight, Ordering::SeqCst);
+    inner
+        .max_in_flight
+        .fetch_max(now_in_flight, Ordering::SeqCst);
     let _in_flight = InFlight(&inner.in_flight);
 
     let behavior = {
@@ -456,7 +467,11 @@ fn serve_request(stream: &mut TcpStream, inner: &Inner, request: &Request) -> bo
             false
         }
         Behavior::SilentClose => {
-            inner.log.lock().unwrap().push(format!("silent-close {path}"));
+            inner
+                .log
+                .lock()
+                .unwrap()
+                .push(format!("silent-close {path}"));
             let _ = stream.shutdown(std::net::Shutdown::Both);
             false
         }

@@ -5,14 +5,14 @@ mod harness;
 
 use std::time::Duration as StdDuration;
 
+use harness::Client;
 use mutcon_core::mutual::temporal::MtPolicy;
 use mutcon_core::time::{Duration, Timestamp};
 use mutcon_core::value::Value;
-use harness::Client;
+use mutcon_http::types::StatusCode;
 use mutcon_live::client::{last_modified_ms, X_LAST_MODIFIED_MS};
 use mutcon_live::origin::LiveOrigin;
 use mutcon_live::proxy::{GroupRule, LiveProxy, ProxyConfig, RefreshRule};
-use mutcon_http::types::StatusCode;
 use mutcon_traces::{UpdateEvent, UpdateTrace};
 
 /// An object updated every `period_ms` for `total_ms`.
@@ -22,10 +22,19 @@ fn ticking_trace(name: &str, period_ms: u64, total_ms: u64) -> UpdateTrace {
     let mut v = 100.0;
     while t <= total_ms {
         v += 0.25;
-        events.push(UpdateEvent::valued(Timestamp::from_millis(t), Value::new(v)));
+        events.push(UpdateEvent::valued(
+            Timestamp::from_millis(t),
+            Value::new(v),
+        ));
         t += period_ms;
     }
-    UpdateTrace::new(name, Timestamp::ZERO, Timestamp::from_millis(total_ms), events).unwrap()
+    UpdateTrace::new(
+        name,
+        Timestamp::ZERO,
+        Timestamp::from_millis(total_ms),
+        events,
+    )
+    .unwrap()
 }
 
 /// A static object (initial version only).

@@ -7,8 +7,8 @@ mod harness;
 use std::time::{Duration as StdDuration, Instant};
 
 use harness::{get, Behavior, FakeClock, ScriptedOrigin};
-use mutcon_live::proxy::{LiveProxy, ProxyConfig};
 use mutcon_http::types::StatusCode;
+use mutcon_live::proxy::{LiveProxy, ProxyConfig};
 use mutcon_sim::rng::SimRng;
 
 /// A proxy in front of a scripted origin with an explicit reactor count

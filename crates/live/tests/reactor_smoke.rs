@@ -10,14 +10,14 @@ use std::net::TcpStream;
 use std::time::{Duration as StdDuration, Instant};
 
 use bytes::BytesMut;
+use harness::{read_response, Client};
 use mutcon_core::time::{Duration, Timestamp};
 use mutcon_core::value::Value;
-use harness::{read_response, Client};
+use mutcon_http::message::Request;
+use mutcon_http::types::StatusCode;
 use mutcon_live::client::last_modified_ms;
 use mutcon_live::origin::LiveOrigin;
 use mutcon_live::proxy::{LiveProxy, ProxyConfig, RefreshRule};
-use mutcon_http::message::Request;
-use mutcon_http::types::StatusCode;
 use mutcon_traces::{UpdateEvent, UpdateTrace};
 
 /// An object updated every `period_ms` for `total_ms`.
@@ -27,10 +27,19 @@ fn ticking_trace(name: &str, period_ms: u64, total_ms: u64) -> UpdateTrace {
     let mut v = 1.0;
     while t <= total_ms {
         v += 0.5;
-        events.push(UpdateEvent::valued(Timestamp::from_millis(t), Value::new(v)));
+        events.push(UpdateEvent::valued(
+            Timestamp::from_millis(t),
+            Value::new(v),
+        ));
         t += period_ms;
     }
-    UpdateTrace::new(name, Timestamp::ZERO, Timestamp::from_millis(total_ms), events).unwrap()
+    UpdateTrace::new(
+        name,
+        Timestamp::ZERO,
+        Timestamp::from_millis(total_ms),
+        events,
+    )
+    .unwrap()
 }
 
 /// The acceptance bar: ≥ 500 clients hold connections open *at the same
@@ -57,9 +66,10 @@ fn five_hundred_concurrent_connections_through_one_reactor() {
     // Phase 1: open every connection and keep all of them open.
     let mut socks: Vec<TcpStream> = Vec::with_capacity(CONNS);
     for i in 0..CONNS {
-        let sock = TcpStream::connect(proxy.local_addr())
-            .unwrap_or_else(|e| panic!("connect #{i}: {e}"));
-        sock.set_read_timeout(Some(StdDuration::from_secs(30))).unwrap();
+        let sock =
+            TcpStream::connect(proxy.local_addr()).unwrap_or_else(|e| panic!("connect #{i}: {e}"));
+        sock.set_read_timeout(Some(StdDuration::from_secs(30)))
+            .unwrap();
         socks.push(sock);
     }
 
@@ -76,8 +86,7 @@ fn five_hundred_concurrent_connections_through_one_reactor() {
     let mut hits = 0usize;
     for (i, sock) in socks.iter_mut().enumerate() {
         let mut buf = BytesMut::new();
-        let resp = read_response(sock, &mut buf)
-            .unwrap_or_else(|e| panic!("response #{i}: {e}"));
+        let resp = read_response(sock, &mut buf).unwrap_or_else(|e| panic!("response #{i}: {e}"));
         assert_eq!(resp.status(), StatusCode::OK, "connection #{i}");
         assert!(!resp.body().is_empty(), "connection #{i} got an empty body");
         if resp.headers().get("x-cache") == Some("hit") {
@@ -104,8 +113,8 @@ fn five_hundred_concurrent_connections_through_one_reactor() {
     }
     for (i, sock) in socks.iter_mut().enumerate() {
         let mut buf = BytesMut::new();
-        let resp = read_response(sock, &mut buf)
-            .unwrap_or_else(|e| panic!("round 2 response #{i}: {e}"));
+        let resp =
+            read_response(sock, &mut buf).unwrap_or_else(|e| panic!("round 2 response #{i}: {e}"));
         assert_eq!(resp.status(), StatusCode::OK, "round 2 connection #{i}");
     }
 
@@ -142,7 +151,8 @@ fn refreshes_during_reads_stay_consistent() {
         .map(|r| {
             std::thread::spawn(move || {
                 let mut sock = TcpStream::connect(addr).unwrap();
-                sock.set_read_timeout(Some(StdDuration::from_secs(10))).unwrap();
+                sock.set_read_timeout(Some(StdDuration::from_secs(10)))
+                    .unwrap();
                 let wire = Request::get("/hot").build().to_bytes();
                 let mut last_seen = Timestamp::ZERO;
                 let deadline = Instant::now() + StdDuration::from_millis(600);
@@ -176,7 +186,10 @@ fn refreshes_during_reads_stay_consistent() {
         total_reads += handle.join().expect("reader panicked");
     }
     let stats = proxy.stats();
-    assert!(total_reads > 50, "readers made little progress: {total_reads}");
+    assert!(
+        total_reads > 50,
+        "readers made little progress: {total_reads}"
+    );
     assert!(
         stats.refreshes > 3,
         "refresher should have rewritten the entry during the reads: {stats:?}"
@@ -202,7 +215,8 @@ fn pipelined_miss_burst_against_dead_origin_is_iterative() {
     .unwrap();
 
     let mut sock = TcpStream::connect(proxy.local_addr()).unwrap();
-    sock.set_read_timeout(Some(StdDuration::from_secs(30))).unwrap();
+    sock.set_read_timeout(Some(StdDuration::from_secs(30)))
+        .unwrap();
     let mut burst = Vec::new();
     for i in 0..BURST {
         burst.extend(Request::get(&format!("/miss/{i}")).build().to_bytes());
@@ -211,8 +225,8 @@ fn pipelined_miss_burst_against_dead_origin_is_iterative() {
 
     let mut buf = BytesMut::new();
     for i in 0..BURST {
-        let resp = read_response(&mut sock, &mut buf)
-            .unwrap_or_else(|e| panic!("response #{i}: {e}"));
+        let resp =
+            read_response(&mut sock, &mut buf).unwrap_or_else(|e| panic!("response #{i}: {e}"));
         assert_eq!(
             resp.status(),
             StatusCode::INTERNAL_SERVER_ERROR,
@@ -233,7 +247,7 @@ fn bounded_cache_misses_fetch_through_reactor() {
     }
     let origin = builder.start().unwrap();
     let proxy = LiveProxy::start(ProxyConfig {
-        rules: vec![], // no refresher: every path exercises the miss path
+        rules: vec![],           // no refresher: every path exercises the miss path
         cache_objects: Some(16), // far below the 64-object key space
         ..ProxyConfig::new(origin.local_addr())
     })
@@ -255,6 +269,9 @@ fn bounded_cache_misses_fetch_through_reactor() {
         proxy.cached_objects()
     );
     let stats = proxy.stats();
-    assert!(stats.misses > 64, "eviction should force repeat misses: {stats:?}");
+    assert!(
+        stats.misses > 64,
+        "eviction should force repeat misses: {stats:?}"
+    );
     assert_eq!(stats.errors, 0);
 }

@@ -10,7 +10,9 @@ mod harness;
 
 use std::time::{Duration as StdDuration, Instant};
 
-use harness::{get, get_json, stamp_of, Behavior, Client, FakeClock, ScriptedOrigin, CLOCK_BASE_MS};
+use harness::{
+    get, get_json, stamp_of, Behavior, Client, FakeClock, ScriptedOrigin, CLOCK_BASE_MS,
+};
 use mutcon_core::time::Duration;
 use mutcon_http::types::StatusCode;
 use mutcon_live::proxy::{LiveProxy, ProxyConfig, RefreshRule};
@@ -94,10 +96,18 @@ fn a_due_backlog_drains_once_per_path_within_the_poll_width() {
     origin.wait_for_held(WIDTH);
     let metrics = proxy.runtime().refresh_metrics();
     std::thread::sleep(StdDuration::from_millis(50));
-    assert_eq!(origin.held(), WIDTH, "only the plane's width of polls may be on the wire");
+    assert_eq!(
+        origin.held(),
+        WIDTH,
+        "only the plane's width of polls may be on the wire"
+    );
     assert_eq!(metrics.in_flight(), WIDTH, "and only that many handed out");
     let engine = proxy.engine_metrics();
-    assert_eq!(engine.pool_opened(), WIDTH, "one pooled socket per poll out");
+    assert_eq!(
+        engine.pool_opened(),
+        WIDTH,
+        "one pooled socket per poll out"
+    );
     origin.release_all();
     // Every poll stores its response, so a full cache is a drained backlog.
     wait_until("the backlog to drain", || {
@@ -144,10 +154,26 @@ fn a_miss_is_answered_while_a_poll_backlog_is_held() {
         .expect("a miss answered while the polls are held");
     assert_eq!(miss.status(), StatusCode::OK);
     assert_eq!(miss.headers().get("x-cache"), Some("miss"));
-    assert!(started.elapsed() < StdDuration::from_secs(2), "the miss took {:?}", started.elapsed());
-    assert_eq!(origin.held(), POLL_WIDTH as u64, "every poll out is still held");
-    assert_eq!(origin.max_concurrent(), POLL_WIDTH as u64 + 1, "the held polls and the miss");
-    assert_eq!(proxy.stats().polls, POLL_WIDTH as u64, "the rest wait in the schedule");
+    assert!(
+        started.elapsed() < StdDuration::from_secs(2),
+        "the miss took {:?}",
+        started.elapsed()
+    );
+    assert_eq!(
+        origin.held(),
+        POLL_WIDTH as u64,
+        "every poll out is still held"
+    );
+    assert_eq!(
+        origin.max_concurrent(),
+        POLL_WIDTH as u64 + 1,
+        "the held polls and the miss"
+    );
+    assert_eq!(
+        proxy.stats().polls,
+        POLL_WIDTH as u64,
+        "the rest wait in the schedule"
+    );
     origin.release_all();
     drop(proxy);
 }
@@ -258,9 +284,16 @@ fn a_removed_path_is_not_resurrected_by_its_in_flight_poll() {
     wait_until("/gone parked at the origin", || origin.held() >= 1);
     proxy
         .runtime()
-        .install(vec![RefreshRule::new("/keep", Duration::from_millis(10))], None)
+        .install(
+            vec![RefreshRule::new("/keep", Duration::from_millis(10))],
+            None,
+        )
         .expect("valid rules");
-    assert_eq!(proxy.cached_objects(), 1, "/gone is evicted when the install returns");
+    assert_eq!(
+        proxy.cached_objects(),
+        1,
+        "/gone is evicted when the install returns"
+    );
 
     // A newer stamp, so the held poll reads a 200 rather than a 304.
     clock.advance(1_000);
@@ -278,7 +311,10 @@ fn a_removed_path_is_not_resurrected_by_its_in_flight_poll() {
         "removed path must vanish from the live status"
     );
     assert_eq!(
-        (proxy.runtime().refresh_metrics().errors(), proxy.stats().errors),
+        (
+            proxy.runtime().refresh_metrics().errors(),
+            proxy.stats().errors
+        ),
         (0, 0),
         "refresh.errors and proxy.errors count the same failed polls"
     );
@@ -333,8 +369,13 @@ fn a_response_smuggled_behind_a_poll_is_not_the_next_polls_answer() {
     let proxy = refresh_proxy(&origin, &["/a"], 60_000);
     wait_until("/a's poll stored", || proxy.cached_objects() == 1);
     let rules = ["/a", "/b", "/c"].map(|p| RefreshRule::new(p, Duration::from_millis(60_000)));
-    proxy.runtime().install(rules.to_vec(), None).expect("valid rules");
-    wait_until("/b and /c polled and stored", || proxy.cached_objects() == 3);
+    proxy
+        .runtime()
+        .install(rules.to_vec(), None)
+        .expect("valid rules");
+    wait_until("/b and /c polled and stored", || {
+        proxy.cached_objects() == 3
+    });
 
     for path in ["/a", "/b", "/c"] {
         let resp = get(proxy.local_addr(), path).expect(path);
@@ -377,7 +418,11 @@ fn status_is_a_whole_epoch_while_rule_sets_swap_under_polling() {
     let refs: Vec<&str> = paths_one.iter().map(String::as_str).collect();
     let proxy = refresh_proxy(&origin, &refs, 5);
     let runtime = proxy.runtime();
-    assert_eq!(runtime.status().len(), paths_one.len(), "the first epoch is in force at start");
+    assert_eq!(
+        runtime.status().len(),
+        paths_one.len(),
+        "the first epoch is in force at start"
+    );
 
     // One deadline for both threads, so a failing reader cannot leave
     // the installer spinning.
@@ -414,12 +459,22 @@ fn status_is_a_whole_epoch_while_rule_sets_swap_under_polling() {
                 let rows = doc.get("rules").and_then(Json::as_array).expect("rules");
                 for row in rows {
                     for key in ["delta_ms", "ttr_ms", "polls", "rule_epoch"] {
-                        assert!(row.get(key).and_then(Json::as_u64).is_some(), "{key} in {row}");
+                        assert!(
+                            row.get(key).and_then(Json::as_u64).is_some(),
+                            "{key} in {row}"
+                        );
                     }
                     let rule_epoch = row.get("rule_epoch").and_then(Json::as_u64).unwrap();
-                    assert!(rule_epoch <= epoch, "row from epoch {rule_epoch} in epoch {epoch}: {row}");
+                    assert!(
+                        rule_epoch <= epoch,
+                        "row from epoch {rule_epoch} in epoch {epoch}: {row}"
+                    );
                 }
-                count(rows.iter().map(|r| r.get("path").and_then(Json::as_str).unwrap().to_owned()).collect());
+                count(
+                    rows.iter()
+                        .map(|r| r.get("path").and_then(Json::as_str).unwrap().to_owned())
+                        .collect(),
+                );
                 documents += 1;
             }
             assert!(documents > 0);
@@ -431,7 +486,10 @@ fn status_is_a_whole_epoch_while_rule_sets_swap_under_polling() {
         snapshots[0] > 0 && snapshots[1] > 0,
         "the reader must have seen both epochs: {snapshots:?}"
     );
-    assert!(proxy.stats().polls > 0, "the reactor kept polling throughout");
+    assert!(
+        proxy.stats().polls > 0,
+        "the reactor kept polling throughout"
+    );
     drop(proxy);
 }
 
@@ -469,7 +527,10 @@ fn an_install_wakes_the_idle_plane_at_once() {
         let path = format!("/w{round}");
         rules.push(RefreshRule::new(path.clone(), Duration::from_secs(60)));
         let installed = Instant::now();
-        proxy.runtime().install(rules.clone(), None).expect("valid rules");
+        proxy
+            .runtime()
+            .install(rules.clone(), None)
+            .expect("valid rules");
         wait_until("the new rule's first poll", || origin.fetches(&path) == 1);
         assert!(
             installed.elapsed() < TICK / 2,
@@ -496,7 +557,10 @@ fn a_poll_the_origin_never_answers_times_out_without_stalling_hits() {
     origin.wait_for_held(1);
     let stalled = Instant::now();
     let engine = proxy.engine_metrics();
-    assert!(engine.pool_reuses() >= 1, "the held poll rides a parked socket");
+    assert!(
+        engine.pool_reuses() >= 1,
+        "the held poll rides a parked socket"
+    );
 
     while proxy.stats().errors == 0 {
         let started = Instant::now();
@@ -507,7 +571,10 @@ fn a_poll_the_origin_never_answers_times_out_without_stalling_hits() {
             "a hit waited {:?} behind the stalled poll",
             started.elapsed()
         );
-        assert!(stalled.elapsed() < UPSTREAM_TIMEOUT * 2, "the stalled poll never failed");
+        assert!(
+            stalled.elapsed() < UPSTREAM_TIMEOUT * 2,
+            "the stalled poll never failed"
+        );
         std::thread::sleep(StdDuration::from_millis(20));
     }
     let failed = Instant::now();
@@ -521,7 +588,9 @@ fn a_poll_the_origin_never_answers_times_out_without_stalling_hits() {
     assert_eq!(origin.fetches("/stall"), 2, "nor sent again at once");
 
     // Backed off by min(Δ, 200 ms), then polled (and served) again.
-    wait_until("the poll after the back-off", || origin.fetches("/stall") == 3);
+    wait_until("the poll after the back-off", || {
+        origin.fetches("/stall") == 3
+    });
     assert!(
         failed.elapsed() >= StdDuration::from_millis(100),
         "the failed path was polled again after only {:?}",
@@ -574,7 +643,10 @@ fn admin_stats_exports_the_refresh_plane() {
             .and_then(Json::as_u64)
             .unwrap_or_else(|| panic!("refresh.{key} missing in {v}"))
     };
-    assert!(refresh.get("workers").is_none(), "the plane runs no workers");
+    assert!(
+        refresh.get("workers").is_none(),
+        "the plane runs no workers"
+    );
     assert!(num(refresh, "polls") >= 10);
     let drift = refresh.get("drift").expect("drift histogram");
     assert!(num(drift, "count") >= 10, "every poll records its drift");

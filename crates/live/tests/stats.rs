@@ -143,17 +143,29 @@ fn admin_stats_keeps_every_key_path_and_type() {
 
     let mut found = BTreeMap::new();
     flatten("", &doc, &mut found);
-    let mut lines: Vec<String> = found.iter().map(|(path, kind)| format!("{path}: {kind}")).collect();
+    let mut lines: Vec<String> = found
+        .iter()
+        .map(|(path, kind)| format!("{path}: {kind}"))
+        .collect();
     for line in GOLDEN.lines() {
-        assert!(lines.iter().any(|l| l == line), "`{line}` is gone from /admin/stats");
+        assert!(
+            lines.iter().any(|l| l == line),
+            "`{line}` is gone from /admin/stats"
+        );
     }
     lines.retain(|l| !GOLDEN.lines().any(|g| g == l) && !ADDED.contains(&l.as_str()));
-    assert!(lines.is_empty(), "paths neither golden nor listed as added: {lines:?}");
+    assert!(
+        lines.is_empty(),
+        "paths neither golden nor listed as added: {lines:?}"
+    );
 
     // The keys the benchmark reads by name.
     let cache = doc.get("cache").unwrap();
     for key in ["evictions", "version_bumps", "touch_skips"] {
-        assert!(cache.get(key).and_then(Json::as_u64).is_some(), "cache.{key}");
+        assert!(
+            cache.get(key).and_then(Json::as_u64).is_some(),
+            "cache.{key}"
+        );
     }
 }
 
@@ -206,9 +218,14 @@ fn the_document_and_the_accessors_read_the_same_cells() {
     let doc = get(&mut client, "/admin/stats");
     let after = read();
     for ((path, low), (_, high)) in before.into_iter().zip(after) {
-        let cell = path.split('.').fold(&doc, |at, key| at.get(key).expect(path));
+        let cell = path
+            .split('.')
+            .fold(&doc, |at, key| at.get(key).expect(path));
         let shown = cell.as_u64().expect(path);
-        assert!((low..=high).contains(&shown), "{path}: {shown} outside {low}..={high}");
+        assert!(
+            (low..=high).contains(&shown),
+            "{path}: {shown} outside {low}..={high}"
+        );
     }
     let stats = proxy.stats();
     assert_eq!(

@@ -30,10 +30,10 @@ use bytes::BytesMut;
 use harness::{
     get, get_json, read_request, read_response, write_response, Client, FakeClock, ScriptedOrigin,
 };
-use mutcon_live::client::X_LAST_MODIFIED_MS;
-use mutcon_live::proxy::{LiveProxy, ProxyConfig};
 use mutcon_http::message::{Request, Response};
 use mutcon_http::types::StatusCode;
+use mutcon_live::client::X_LAST_MODIFIED_MS;
+use mutcon_live::proxy::{LiveProxy, ProxyConfig};
 use mutcon_traces::json::Json;
 
 /// A proxy with no refresher rules: first access to a path is a miss,
@@ -57,7 +57,8 @@ fn wait_until(what: &str, mut pred: impl FnMut() -> bool) {
 
 fn connect(addr: SocketAddr) -> TcpStream {
     let sock = TcpStream::connect(addr).expect("connect");
-    sock.set_read_timeout(Some(StdDuration::from_secs(10))).unwrap();
+    sock.set_read_timeout(Some(StdDuration::from_secs(10)))
+        .unwrap();
     sock
 }
 
@@ -183,7 +184,11 @@ fn fresh_connections_read_bit_identical_hit_bytes() {
         drop(sock);
         wait_until("connection reaped", || gauge(&metrics) == 0);
     }
-    assert_eq!(metrics.buf_allocs() - allocs_before, 16, "two buffers per accepted client");
+    assert_eq!(
+        metrics.buf_allocs() - allocs_before,
+        16,
+        "two buffers per accepted client"
+    );
 }
 
 /// An origin that serves `body` for GETs under `/big` and a short body
@@ -257,9 +262,7 @@ fn megabyte_hit_survives_partial_writes_byte_for_byte() {
         std::thread::sleep(StdDuration::from_millis(100));
         let raw = read_raw_response(&mut sock);
         let head_end = raw.windows(4).position(|w| w == b"\r\n\r\n").unwrap() + 4;
-        assert!(raw[..head_end]
-            .windows(12)
-            .any(|w| w == b"x-cache: hit"));
+        assert!(raw[..head_end].windows(12).any(|w| w == b"x-cache: hit"));
         assert_eq!(&raw[head_end..], &body[..], "body must survive intact");
         match &first_hit {
             Some(expected) => assert_eq!(raw, *expected, "hits must be bit-identical"),
@@ -334,22 +337,33 @@ fn admin_stats_exposes_l1_and_cache_counters() {
 
     let doc = get_json(proxy.local_addr(), "/admin/stats");
     let cache = doc.get("cache").expect("cache section");
-    for key in ["objects", "evictions", "generation", "version_bumps", "touch_skips"] {
+    for key in [
+        "objects",
+        "evictions",
+        "generation",
+        "version_bumps",
+        "touch_skips",
+    ] {
         assert!(
             cache.get(key).and_then(Json::as_u64).is_some(),
             "cache.{key} missing from /admin/stats"
         );
     }
     let l1 = cache.get("l1").expect("cache.l1 section");
-    let counter = |key: &str| l1.get(key).and_then(Json::as_u64).unwrap_or_else(|| {
-        panic!("cache.l1.{key} missing from /admin/stats")
-    });
+    let counter = |key: &str| {
+        l1.get(key)
+            .and_then(Json::as_u64)
+            .unwrap_or_else(|| panic!("cache.l1.{key} missing from /admin/stats"))
+    };
     assert_eq!(counter("capacity"), 64);
     assert!(counter("hits") >= 2, "both repeat reads must be L1 hits");
     assert!(counter("refills") >= 1, "the miss must refill the L1");
     let _ = (counter("stale_rejects"), counter("evictions"));
     // Per-shard version bumps are itemized too.
-    let shards = cache.get("shards").and_then(Json::as_array).expect("shards");
+    let shards = cache
+        .get("shards")
+        .and_then(Json::as_array)
+        .expect("shards");
     assert!(shards
         .iter()
         .all(|s| s.get("version_bumps").and_then(Json::as_u64).is_some()));
@@ -385,7 +399,10 @@ fn epoll_ctl_calls_grow_sublinearly_in_requests() {
         assert_eq!(resp.headers().get("x-cache"), Some("hit"));
     }
     let ctl = metrics.epoll_ctl_calls() - ctl_before;
-    assert_eq!(ctl, 0, "{ctl} epoll_ctl calls for {REQUESTS} keep-alive hits");
+    assert_eq!(
+        ctl, 0,
+        "{ctl} epoll_ctl calls for {REQUESTS} keep-alive hits"
+    );
 }
 
 /// A request whose body the parser cannot delimit closes the connection
@@ -438,19 +455,28 @@ fn epoll_ctl_calls_stay_flat_over_keep_alive_misses() {
     let mut buf = BytesMut::new();
     // First miss: the client's ADD, the origin socket's ADD and its
     // connect-time MOD all land before the measured window.
-    sock.write_all(&Request::get("/miss/warm").build().to_bytes()).unwrap();
+    sock.write_all(&Request::get("/miss/warm").build().to_bytes())
+        .unwrap();
     read_response(&mut sock, &mut buf).expect("first miss");
 
     const MISSES: u64 = 200;
     let ctl_before = metrics.epoll_ctl_calls();
     for i in 0..MISSES {
-        sock.write_all(&Request::get(format!("/miss/{i}")).build().to_bytes()).unwrap();
+        sock.write_all(&Request::get(format!("/miss/{i}")).build().to_bytes())
+            .unwrap();
         let resp = read_response(&mut sock, &mut buf).expect("miss response");
         assert_eq!(resp.headers().get("x-cache"), Some("miss"));
     }
     let ctl = metrics.epoll_ctl_calls() - ctl_before;
-    assert_eq!(ctl, 0, "{ctl} epoll_ctl calls for {MISSES} keep-alive misses");
-    assert_eq!(metrics.pool_opened(), 1, "every miss rode the one pooled origin socket");
+    assert_eq!(
+        ctl, 0,
+        "{ctl} epoll_ctl calls for {MISSES} keep-alive misses"
+    );
+    assert_eq!(
+        metrics.pool_opened(),
+        1,
+        "every miss rode the one pooled origin socket"
+    );
 }
 
 /// CPU time (user + system, in clock ticks) the thread named `comm` has
@@ -458,7 +484,9 @@ fn epoll_ctl_calls_stay_flat_over_keep_alive_misses() {
 fn thread_cpu_ticks(comm: &str) -> u64 {
     for task in std::fs::read_dir("/proc/self/task").expect("procfs") {
         let dir = task.expect("task entry").path();
-        let Ok(name) = std::fs::read_to_string(dir.join("comm")) else { continue };
+        let Ok(name) = std::fs::read_to_string(dir.join("comm")) else {
+            continue;
+        };
         if name.trim_end() != comm {
             continue;
         }
@@ -467,7 +495,12 @@ fn thread_cpu_ticks(comm: &str) -> u64 {
         // 14th and 15th of the line, the 12th and 13th from there.
         let rest = stat.rsplit_once(')').expect("comm in parentheses").1;
         let mut fields = rest.split_ascii_whitespace().skip(11);
-        let mut tick = || fields.next().and_then(|f| f.parse::<u64>().ok()).expect("cpu field");
+        let mut tick = || {
+            fields
+                .next()
+                .and_then(|f| f.parse::<u64>().ok())
+                .expect("cpu field")
+        };
         return tick() + tick();
     }
     panic!("no thread named {comm}");
@@ -499,12 +532,16 @@ fn half_closed_client_gets_its_held_miss_without_a_spinning_reactor() {
     let engine = EventLoop::start(
         "eofhold",
         || Box::new(FetchEverything(origin.addr())),
-        EngineConfig { reactors: 1, ..EngineConfig::default() },
+        EngineConfig {
+            reactors: 1,
+            ..EngineConfig::default()
+        },
     )
     .expect("start engine");
 
     let mut sock = connect(engine.local_addr());
-    sock.write_all(&Request::get("/held").build().to_bytes()).unwrap();
+    sock.write_all(&Request::get("/held").build().to_bytes())
+        .unwrap();
     origin.wait_for_held(1);
     sock.shutdown(std::net::Shutdown::Write).unwrap();
 
@@ -513,7 +550,10 @@ fn half_closed_client_gets_its_held_miss_without_a_spinning_reactor() {
     let spent = thread_cpu_ticks("eofhold-r0") - before;
     // A reactor woken by the EOF on every turn burns the whole hold
     // (about 50 ticks of 10 ms); one that disarmed sleeps through it.
-    assert!(spent <= 10, "the reactor spun on the client's EOF: {spent} ticks in 500 ms");
+    assert!(
+        spent <= 10,
+        "the reactor spun on the client's EOF: {spent} ticks in 500 ms"
+    );
 
     origin.release_all();
     let mut buf = BytesMut::new();
@@ -521,7 +561,11 @@ fn half_closed_client_gets_its_held_miss_without_a_spinning_reactor() {
     assert_eq!(resp.status(), StatusCode::OK);
     assert!(resp.body().starts_with(b"path=/held "));
     let mut rest = Vec::new();
-    assert_eq!(sock.read_to_end(&mut rest).unwrap(), 0, "then the drained connection closes");
+    assert_eq!(
+        sock.read_to_end(&mut rest).unwrap(),
+        0,
+        "then the drained connection closes"
+    );
 }
 
 /// Read interest stays armed behind a pending miss, but not without
@@ -536,7 +580,8 @@ fn pipelining_flood_behind_a_pending_miss_stops_being_read() {
     let proxy = hit_only_proxy(origin.addr(), 1);
 
     let mut sock = connect(proxy.local_addr());
-    sock.write_all(&Request::get("/held").build().to_bytes()).unwrap();
+    sock.write_all(&Request::get("/held").build().to_bytes())
+        .unwrap();
     origin.wait_for_held(1);
 
     // Far more than the engine's limit plus anything the kernel will
@@ -591,7 +636,11 @@ fn oversized_request_body_gets_a_413_and_a_close() {
     let _ = sock.write_all(&wire);
     let mut buf = BytesMut::new();
     let resp = read_response(&mut sock, &mut buf).expect("the 413");
-    assert!(started.elapsed() < StdDuration::from_secs(1), "answered in {:?}", started.elapsed());
+    assert!(
+        started.elapsed() < StdDuration::from_secs(1),
+        "answered in {:?}",
+        started.elapsed()
+    );
     assert_eq!(resp.status(), StatusCode::PAYLOAD_TOO_LARGE);
     assert!(!resp.wants_keep_alive(), "the refusal announces the close");
     let mut rest = Vec::new();
@@ -664,12 +713,17 @@ fn a_byte_at_a_time_request_gets_a_408_at_the_deadline() {
     let origin = ScriptedOrigin::start(FakeClock::new());
     let proxy = hit_only_proxy(origin.addr(), 1);
     let mut idle = connect(proxy.local_addr());
-    idle.write_all(b"GET /obj HTTP/1.1\r\nhost: x\r\n\r\n").unwrap();
+    idle.write_all(b"GET /obj HTTP/1.1\r\nhost: x\r\n\r\n")
+        .unwrap();
     read_raw_response(&mut idle);
 
     let mut slow = connect(proxy.local_addr());
-    slow.set_read_timeout(Some(StdDuration::from_millis(100))).unwrap();
-    let head = format!("GET /obj HTTP/1.1\r\nhost: x\r\nx-padding: {}\r\n\r\n", "p".repeat(200));
+    slow.set_read_timeout(Some(StdDuration::from_millis(100)))
+        .unwrap();
+    let head = format!(
+        "GET /obj HTTP/1.1\r\nhost: x\r\nx-padding: {}\r\n\r\n",
+        "p".repeat(200)
+    );
     let started = Instant::now();
     let mut raw = Vec::new();
     for byte in head.bytes() {
@@ -679,14 +733,21 @@ fn a_byte_at_a_time_request_gets_a_408_at_the_deadline() {
         match slow.read(&mut chunk) {
             Ok(0) => break,
             Ok(n) => raw.extend_from_slice(&chunk[..n]),
-            Err(e) if matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut) => {}
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) => {}
             Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => break,
             Err(e) => panic!("slow client read: {e}"),
         }
     }
     let took = started.elapsed();
     let text = String::from_utf8_lossy(&raw);
-    assert!(text.starts_with("HTTP/1.1 408 Request Timeout\r\n"), "after {took:?}: {text:?}");
+    assert!(
+        text.starts_with("HTTP/1.1 408 Request Timeout\r\n"),
+        "after {took:?}: {text:?}"
+    );
     assert!(text.contains("connection: close\r\n"), "{text:?}");
     // The deadline, one sweep interval, one loop tick.
     assert!(
@@ -695,9 +756,13 @@ fn a_byte_at_a_time_request_gets_a_408_at_the_deadline() {
     );
     assert_eq!(proxy.engine_metrics().slow_requests(), 1);
 
-    idle.write_all(b"GET /obj HTTP/1.1\r\nhost: x\r\n\r\n").unwrap();
+    idle.write_all(b"GET /obj HTTP/1.1\r\nhost: x\r\n\r\n")
+        .unwrap();
     let again = read_raw_response(&mut idle);
-    assert!(again.starts_with(b"HTTP/1.1 200 OK\r\n"), "the idle connection was closed too");
+    assert!(
+        again.starts_with(b"HTTP/1.1 200 OK\r\n"),
+        "the idle connection was closed too"
+    );
 }
 
 /// A client that asks for a 12 MiB hit and then reads nothing (ROADMAP
@@ -723,7 +788,9 @@ fn a_client_that_stops_reading_mid_body_stalls_only_itself() {
     let stalls = metrics.write_stalls();
     let mut stuck = connect(proxy.local_addr());
     stuck.write_all(&request).unwrap();
-    wait_until("the stuck reader's flush to stall", || metrics.write_stalls() > stalls);
+    wait_until("the stuck reader's flush to stall", || {
+        metrics.write_stalls() > stalls
+    });
 
     for i in 0..100 {
         let started = Instant::now();

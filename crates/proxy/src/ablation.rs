@@ -67,8 +67,16 @@ pub fn limd_aggressiveness(trace: &UpdateTrace, delta: Duration) -> Vec<Ablation
     let variants: [(&str, f64, DecreaseFactor); 4] = [
         ("optimistic   l=0.5, adaptive m", 0.5, DecreaseFactor::PAPER),
         ("paper        l=0.2, adaptive m", 0.2, DecreaseFactor::PAPER),
-        ("conservative l=0.05, adaptive m", 0.05, DecreaseFactor::PAPER),
-        ("harsh        l=0.2, fixed m=0.2", 0.2, DecreaseFactor::Fixed(0.2)),
+        (
+            "conservative l=0.05, adaptive m",
+            0.05,
+            DecreaseFactor::PAPER,
+        ),
+        (
+            "harsh        l=0.2, fixed m=0.2",
+            0.2,
+            DecreaseFactor::Fixed(0.2),
+        ),
     ];
     variants
         .into_iter()
@@ -152,16 +160,16 @@ pub fn heuristic_threshold(
 
 /// The Equation 10 α-blend in the value domain: α = 1 ignores the
 /// observed minimum; α = 0 always uses it (most conservative).
-pub fn alpha_blend(
-    trace_a: &UpdateTrace,
-    trace_b: &UpdateTrace,
-    delta: Value,
-) -> Vec<AblationRow> {
+pub fn alpha_blend(trace_a: &UpdateTrace, trace_b: &UpdateTrace, delta: Value) -> Vec<AblationRow> {
     let (origin, ids, until) = host([trace_a, trace_b], HistorySupport::None);
     [1.0, 0.75, 0.5, 0.25, 0.0]
         .into_iter()
         .map(|alpha| {
-            let ttr = Fig7Config { alpha, ..Fig7Config::default() }.ttr(delta);
+            let ttr = Fig7Config {
+                alpha,
+                ..Fig7Config::default()
+            }
+            .ttr(delta);
             let cfg = VirtualObjectConfig::builder(ValueFunction::Difference, ttr)
                 .build()
                 .expect("ablation parameters are valid");
@@ -266,7 +274,12 @@ mod tests {
         assert_eq!(rows.len(), 5);
         // Every stricter threshold triggers fewer polls (non-strictly).
         for step in rows.windows(2) {
-            assert!(step[1].polls <= step[0].polls, "{} then {}", step[0].polls, step[1].polls);
+            assert!(
+                step[1].polls <= step[0].polls,
+                "{} then {}",
+                step[0].polls,
+                step[1].polls
+            );
         }
     }
 

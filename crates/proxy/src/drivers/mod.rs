@@ -17,5 +17,7 @@
 pub mod temporal;
 pub mod value;
 
-pub use temporal::{run_temporal, MutualSetup, TemporalPolicy, TemporalSimConfig, TemporalSimOutput};
+pub use temporal::{
+    run_temporal, MutualSetup, TemporalPolicy, TemporalSimConfig, TemporalSimOutput,
+};
 pub use value::{run_value_pair, ValuePairOutput, ValuePairPolicy};

@@ -109,7 +109,11 @@ pub fn run_temporal(
     };
     let mut schedule: Schedule<u32, Timestamp> = Schedule::default();
     let members = (0..hosted.len() as u32).map(|obj| (obj, limd));
-    schedule.reconcile(members, config.mutual.map(|m| (m.delta, m.policy)), Timestamp::ZERO);
+    schedule.reconcile(
+        members,
+        config.mutual.map(|m| (m.delta, m.policy)),
+        Timestamp::ZERO,
+    );
 
     let mut validators: Vec<Option<Timestamp>> = vec![None; hosted.len()];
     let mut logs = vec![PollLog::new(); hosted.len()];
@@ -118,15 +122,23 @@ pub fn run_temporal(
     while let Some(now) = schedule.next_wake().filter(|&at| at <= config.until) {
         while let Some(job) = schedule.next_job(now, now) {
             let i = job.key as usize;
-            let resp = hosted[i].poll(now, validators[i]).expect("object hosted by origin for the whole window");
+            let resp = hosted[i]
+                .poll(now, validators[i])
+                .expect("object hosted by origin for the whole window");
             let triggered = job.kind == PollKind::Triggered;
             let outcome = if resp.not_modified {
                 PollOutcome::NotModified
             } else {
                 validators[i] = Some(resp.last_modified);
-                PollOutcome::Refreshed { version_index: resp.version_index }
+                PollOutcome::Refreshed {
+                    version_index: resp.version_index,
+                }
             };
-            logs[i].push(PollRecord { at: now, outcome, triggered });
+            logs[i].push(PollRecord {
+                at: now,
+                outcome,
+                triggered,
+            });
             if triggered {
                 out.triggered_instants.push(now);
             }
@@ -266,7 +278,10 @@ mod tests {
             until: mins(600),
         };
         let out = run_temporal(&origin, &[a.clone(), b.clone()], &config);
-        assert!(out.total_triggered() > 0, "updates to a must trigger polls of b");
+        assert!(
+            out.total_triggered() > 0,
+            "updates to a must trigger polls of b"
+        );
         assert!(!out.triggered_instants.is_empty());
         // Triggered records are flagged.
         assert!(out.logs[&b].records().iter().any(|r| r.triggered));
@@ -300,7 +315,11 @@ mod tests {
         assert!(out.total_triggered() > 0);
         for id in &ids {
             for pair in out.logs[id].records().windows(2) {
-                assert!(pair[0].at < pair[1].at, "{id} polled twice at {}", pair[1].at);
+                assert!(
+                    pair[0].at < pair[1].at,
+                    "{id} polled twice at {}",
+                    pair[1].at
+                );
             }
         }
     }

@@ -201,7 +201,13 @@ mod tests {
         let cfg = VirtualObjectConfig::builder(ValueFunction::Difference, ttr(1.0, 10))
             .build()
             .unwrap();
-        let out = run_value_pair(&origin, &att, &yahoo, &ValuePairPolicy::Virtual(cfg), until());
+        let out = run_value_pair(
+            &origin,
+            &att,
+            &yahoo,
+            &ValuePairPolicy::Virtual(cfg),
+            until(),
+        );
         // Lockstep: equal counts, identical instants.
         assert_eq!(out.log_a.poll_count(), out.log_b.poll_count());
         for (ra, rb) in out.log_a.records().iter().zip(out.log_b.records()) {
@@ -238,7 +244,11 @@ mod tests {
     fn partitioned_ties_go_to_the_member_scheduled_first() {
         use PairMember::{A, B};
         let t = Timestamp::from_secs;
-        assert_eq!(next_poll(Some(t(0)), Some(t(0)), B), Some((A, t(0))), "A first at 0");
+        assert_eq!(
+            next_poll(Some(t(0)), Some(t(0)), B),
+            Some((A, t(0))),
+            "A first at 0"
+        );
         // After A polls, B was scheduled first; after B, A.
         assert_eq!(next_poll(Some(t(5)), Some(t(5)), A), Some((B, t(5))));
         assert_eq!(next_poll(Some(t(5)), Some(t(5)), B), Some((A, t(5))));
@@ -258,8 +268,14 @@ mod tests {
             let cfg = VirtualObjectConfig::builder(ValueFunction::Difference, ttr(delta, 5))
                 .build()
                 .unwrap();
-            run_value_pair(&origin, &att, &yahoo, &ValuePairPolicy::Virtual(cfg), until())
-                .total_polls()
+            run_value_pair(
+                &origin,
+                &att,
+                &yahoo,
+                &ValuePairPolicy::Virtual(cfg),
+                until(),
+            )
+            .total_polls()
         };
         let tight = mk(0.25);
         let loose = mk(5.0);
@@ -275,7 +291,13 @@ mod tests {
         let cfg = VirtualObjectConfig::builder(ValueFunction::Difference, ttr(0.25, 30))
             .build()
             .unwrap();
-        let out = run_value_pair(&origin, &att, &yahoo, &ValuePairPolicy::Virtual(cfg), until());
+        let out = run_value_pair(
+            &origin,
+            &att,
+            &yahoo,
+            &ValuePairPolicy::Virtual(cfg),
+            until(),
+        );
         // With a tight tolerance and a floor on the TTR, some drift slips
         // through — that is exactly what θ reacts to.
         assert!(out.detected_violations > 0);

@@ -453,7 +453,15 @@ pub fn value_timeline(
         .map(|policy| run_value_pair(&origin, &ids[0], &ids[1], &policy, until));
 
     Fig8Output {
-        adaptive: metrics::f_timeline(trace_a, &adaptive.log_a, trace_b, &adaptive.log_b, f, from, to),
+        adaptive: metrics::f_timeline(
+            trace_a,
+            &adaptive.log_a,
+            trace_b,
+            &adaptive.log_b,
+            f,
+            from,
+            to,
+        ),
         partitioned: metrics::f_timeline(
             trace_a,
             &partitioned.log_a,
@@ -614,7 +622,11 @@ mod tests {
                 let out = run_value_pair(&origin, &ids[0], &ids[1], &policy, until);
                 let stats =
                     metrics::mutual_value(&yahoo, &out.log_a, &att, &out.log_b, f, delta, until);
-                (stats.polls(), out.log_b.poll_count(), stats.fidelity_by_violations())
+                (
+                    stats.polls(),
+                    out.log_b.poll_count(),
+                    stats.fidelity_by_violations(),
+                )
             })
             .into();
         let polls: Vec<u64> = rows.iter().map(|r| r.0).collect();
@@ -643,7 +655,11 @@ mod tests {
             assert!(p.at >= Timestamp::from_secs(600));
             assert!(p.at <= Timestamp::from_secs(1_800));
             // f stays within the band implied by the two price ranges.
-            assert!(p.server > 123.0 && p.server < 136.0, "f_server = {}", p.server);
+            assert!(
+                p.server > 123.0 && p.server < 136.0,
+                "f_server = {}",
+                p.server
+            );
         }
     }
 }

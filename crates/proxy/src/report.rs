@@ -94,8 +94,13 @@ pub fn fig3(trace: &UpdateTrace, rows: &[Fig3Row]) -> String {
 pub fn fig4(out4: &Fig4Output) -> String {
     let mut out = String::from("Figure 4(a) — updates per window\n");
     for w in &out4.update_counts {
-        writeln!(out, "{:>10.1} h {:>6}", w.start.as_secs_f64() / 3_600.0, w.count)
-            .expect("writing to String cannot fail");
+        writeln!(
+            out,
+            "{:>10.1} h {:>6}",
+            w.start.as_secs_f64() / 3_600.0,
+            w.count
+        )
+        .expect("writing to String cannot fail");
     }
     out.push_str("\nFigure 4(b) — TTR after each poll\n");
     for (t, ttr) in &out4.ttr {
@@ -116,7 +121,13 @@ pub fn fig5(rows: &[Fig5Row]) -> String {
     writeln!(
         out,
         "{:>9} {:>15} {:>15} {:>15} {:>10} {:>10} {:>10}",
-        "δ (min)", "baseline polls", "triggered", "heuristic", "fid(base)", "fid(trig)", "fid(heur)"
+        "δ (min)",
+        "baseline polls",
+        "triggered",
+        "heuristic",
+        "fid(base)",
+        "fid(trig)",
+        "fid(heur)"
     )
     .expect("writing to String cannot fail");
     for r in rows {
@@ -139,8 +150,12 @@ pub fn fig5(rows: &[Fig5Row]) -> String {
 /// Renders the Figure 6 timelines (rate ratio and extra polls).
 pub fn fig6(out6: &Fig6Output) -> String {
     let mut out = String::from("Figure 6 — heuristic adaptivity\n");
-    writeln!(out, "{:>10} {:>12} {:>12}", "window (h)", "rate ratio", "extra polls")
-        .expect("writing to String cannot fail");
+    writeln!(
+        out,
+        "{:>10} {:>12} {:>12}",
+        "window (h)", "rate ratio", "extra polls"
+    )
+    .expect("writing to String cannot fail");
     for (r, e) in out6.rate_ratio.iter().zip(&out6.extra_polls) {
         let ratio = r.1.map_or("-".to_owned(), |v| format!("{v:.2}"));
         writeln!(
@@ -183,7 +198,10 @@ pub fn fig7(rows: &[Fig7Row]) -> String {
 /// `max_points` rows per approach).
 pub fn fig8(out8: &Fig8Output, max_points: usize) -> String {
     let mut out = String::from("Figure 8 — f at proxy vs server (δ = $0.6)\n");
-    for (label, points) in [("adaptive", &out8.adaptive), ("partitioned", &out8.partitioned)] {
+    for (label, points) in [
+        ("adaptive", &out8.adaptive),
+        ("partitioned", &out8.partitioned),
+    ] {
         writeln!(out, "\n[{label}]").expect("writing to String cannot fail");
         writeln!(out, "{:>10} {:>12} {:>12}", "t (s)", "server f", "proxy f")
             .expect("writing to String cannot fail");
@@ -246,7 +264,12 @@ mod tests {
         let rows = individual_temporal_sweep(&news, &[Duration::from_mins(10)], &cfg);
         assert!(fig3(&news, &rows).contains("LIMD"));
 
-        let out4 = ttr_timeline(&news, Duration::from_mins(10), Duration::from_hours(2), &cfg);
+        let out4 = ttr_timeline(
+            &news,
+            Duration::from_mins(10),
+            Duration::from_hours(2),
+            &cfg,
+        );
         assert!(fig4(&out4).contains("TTR"));
 
         let rows5 = mutual_temporal_sweep(

@@ -241,10 +241,19 @@ where
     {
         self.version += 1;
         let version = self.version;
-        let mut swap = Swap { version, added: Vec::new(), changed: Vec::new(), removed: Vec::new() };
+        let mut swap = Swap {
+            version,
+            added: Vec::new(),
+            changed: Vec::new(),
+            removed: Vec::new(),
+        };
         for (name, config) in members {
             let name = name.borrow();
-            if let Some(sched) = self.paths.get_mut(name).filter(|s| *s.limd.config() == config) {
+            if let Some(sched) = self
+                .paths
+                .get_mut(name)
+                .filter(|s| *s.limd.config() == config)
+            {
                 sched.listed = version;
                 continue;
             }
@@ -255,21 +264,35 @@ where
             report.push(key.clone());
             self.next_gen += 1;
             let gen = self.next_gen;
-            self.due_queue.push(Reverse(DueEntry { due: now, key: key.clone(), gen }));
+            self.due_queue.push(Reverse(DueEntry {
+                due: now,
+                key: key.clone(),
+                gen,
+            }));
             let fresh = PathSched {
-                limd: Limd::new(config), polls: 0, rule_version: version, listed: version,
-                due: now, gen, errors: 0, trigger_queued: false,
+                limd: Limd::new(config),
+                polls: 0,
+                rule_version: version,
+                listed: version,
+                due: now,
+                gen,
+                errors: 0,
+                trigger_queued: false,
             };
             self.paths.insert(key, fresh);
         }
         // A key the new set did not list has no rule any more.
-        let unlisted = self.paths.iter().filter(|(_, sched)| sched.listed != version);
+        let unlisted = self
+            .paths
+            .iter()
+            .filter(|(_, sched)| sched.listed != version);
         swap.removed = unlisted.map(|(key, _)| key.clone()).collect();
         swap.removed.sort();
         self.paths.retain(|_, sched| sched.listed == version);
         if self.group() != group || !swap.added.is_empty() || !swap.removed.is_empty() {
-            self.coordinator =
-                group.map(|(delta, policy)| MtCoordinator::new(delta, policy, self.paths.keys().cloned()));
+            self.coordinator = group.map(|(delta, policy)| {
+                MtCoordinator::new(delta, policy, self.paths.keys().cloned())
+            });
         }
         swap
     }
@@ -282,7 +305,11 @@ where
             self.next_gen += 1;
             sched.due = due;
             sched.gen = self.next_gen;
-            let entry = DueEntry { due, key: key.clone(), gen: sched.gen };
+            let entry = DueEntry {
+                due,
+                key: key.clone(),
+                gen: sched.gen,
+            };
             self.due_queue.push(Reverse(entry));
         }
     }
@@ -303,7 +330,11 @@ where
     fn earliest_due(&mut self) -> Option<T> {
         loop {
             let Reverse(entry) = self.due_queue.peek()?;
-            if self.paths.get(&entry.key).is_some_and(|s| s.gen == entry.gen) {
+            if self
+                .paths
+                .get(&entry.key)
+                .is_some_and(|s| s.gen == entry.gen)
+            {
                 return Some(entry.due);
             }
             self.due_queue.pop();
@@ -328,14 +359,27 @@ where
         if self.in_flight.len() >= POLL_WIDTH {
             return None;
         }
-        let flight = |kind| Flight { kind, sent: ts, deferred: None };
+        let flight = |kind| Flight {
+            kind,
+            sent: ts,
+            deferred: None,
+        };
         // Nothing scheduled is handed out while a trigger waits, so a
         // queued target (free when it was queued) is still free here.
         while let Some((key, due)) = self.trig_queue.pop_front() {
             // Not if the target was un-ruled, or its rule rebuilt, since.
-            if self.paths.get_mut(&key).is_some_and(|s| std::mem::take(&mut s.trigger_queued)) {
-                self.in_flight.insert(key.clone(), flight(PollKind::Triggered));
-                return Some(Job { kind: PollKind::Triggered, key, due });
+            if self
+                .paths
+                .get_mut(&key)
+                .is_some_and(|s| std::mem::take(&mut s.trigger_queued))
+            {
+                self.in_flight
+                    .insert(key.clone(), flight(PollKind::Triggered));
+                return Some(Job {
+                    kind: PollKind::Triggered,
+                    key,
+                    due,
+                });
             }
         }
         while let Some(entry) = self.pop_due(now) {
@@ -346,8 +390,13 @@ where
                 out.deferred = Some(entry);
                 continue;
             }
-            self.in_flight.insert(entry.key.clone(), flight(PollKind::Scheduled));
-            return Some(Job { kind: PollKind::Scheduled, key: entry.key, due: entry.due });
+            self.in_flight
+                .insert(entry.key.clone(), flight(PollKind::Scheduled));
+            return Some(Job {
+                kind: PollKind::Scheduled,
+                key: entry.key,
+                due: entry.due,
+            });
         }
         None
     }
@@ -378,7 +427,10 @@ where
         };
         // `ts` is wall-clock time on sockets, and a wall clock can step
         // back: this key's polls stay in order whatever it does.
-        let ts = sched.limd.last_poll().map_or(flight.sent, |previous| flight.sent.max(previous));
+        let ts = sched
+            .limd
+            .last_poll()
+            .map_or(flight.sent, |previous| flight.sent.max(previous));
         let Some(view) = result else {
             if flight.kind == PollKind::Scheduled {
                 // The first retry comes after min(Δ, 200 ms), each further
@@ -388,8 +440,12 @@ where
                 // back on its LIMD schedule. (A failed trigger changes
                 // nothing: the target's own schedule still governs it.)
                 let config = sched.limd.config();
-                let first = config.delta().clamp(Duration::from_millis(20), Duration::from_millis(200));
-                let retry = first.saturating_mul(1 << sched.errors.min(32)).min(config.ttr_max().max(first));
+                let first = config
+                    .delta()
+                    .clamp(Duration::from_millis(20), Duration::from_millis(200));
+                let retry = first
+                    .saturating_mul(1 << sched.errors.min(32))
+                    .min(config.ttr_max().max(first));
                 sched.errors = sched.errors.saturating_add(1);
                 self.reschedule(&key, now + retry);
             }
@@ -472,7 +528,10 @@ mod tests {
     }
 
     fn limd_up_to(delta_ms: u64, ttr_max_ms: u64) -> LimdConfig {
-        LimdConfig::builder(ms(delta_ms)).ttr_max(ms(ttr_max_ms)).build().unwrap()
+        LimdConfig::builder(ms(delta_ms))
+            .ttr_max(ms(ttr_max_ms))
+            .build()
+            .unwrap()
     }
 
     /// Version 1: `keys`, all under `config`, first due at `now`.
@@ -490,14 +549,19 @@ mod tests {
     const QUIET: Option<PollView<'static>> = Some(PollView::NotModified);
 
     fn modified(last_modified: Timestamp, history: &[Timestamp]) -> Option<PollView<'_>> {
-        Some(PollView::Modified { last_modified, history: Some(history) })
+        Some(PollView::Modified {
+            last_modified,
+            history: Some(history),
+        })
     }
 
     #[test]
     fn due_queue_matches_the_linear_scan_order_at_10k_paths() {
         // Insertion order is a permutation (7 is coprime with 10k), so
         // nothing about the heap order can ride on insertion order.
-        let paths: Vec<String> = (0..10_000u64).map(|i| format!("/obj/{:05}", i * 7 % 10_000)).collect();
+        let paths: Vec<String> = (0..10_000u64)
+            .map(|i| format!("/obj/{:05}", i * 7 % 10_000))
+            .collect();
         let mut s = schedule(paths.iter().cloned(), limd(10), None, at(0));
         // Re-stamp every path with a clustered pseudo-random due — ~20
         // paths share each of 500 distinct stamps, so the (due, key)
@@ -508,7 +572,8 @@ mod tests {
         }
         // Oracle: exactly what an O(P) full-map scan returns — min by
         // (due, key).
-        let mut expected: Vec<(Timestamp, String)> = s.paths.iter().map(|(p, s)| (s.due, p.clone())).collect();
+        let mut expected: Vec<(Timestamp, String)> =
+            s.paths.iter().map(|(p, s)| (s.due, p.clone())).collect();
         expected.sort();
         let mut order: Vec<(Timestamp, String)> = Vec::with_capacity(expected.len());
         while let Some(entry) = s.pop_due(at(5_000)) {
@@ -535,13 +600,20 @@ mod tests {
             let live: HashSet<String> = members.iter().map(|(p, _)| p.clone()).collect();
             let removed = s.reconcile(members, None, at(round)).removed;
             for gone in &removed {
-                assert!(!live.contains(gone), "{gone} reported removed but still ruled");
+                assert!(
+                    !live.contains(gone),
+                    "{gone} reported removed but still ruled"
+                );
             }
             // Drain: every live path exactly once, no ghosts from the
             // stale entries the previous rounds left in the heap.
             drained.clear();
             while let Some(entry) = s.pop_due(at(5_000)) {
-                assert!(drained.insert(entry.key.clone()), "double pop of {}", entry.key);
+                assert!(
+                    drained.insert(entry.key.clone()),
+                    "double pop of {}",
+                    entry.key
+                );
             }
             assert_eq!(drained, live, "round {round} drained set != ruled set");
             // Put everything back on the schedule for the next round.
@@ -558,9 +630,22 @@ mod tests {
         assert!(!d.enqueue_trigger(&"/b", now));
         assert!(d.enqueue_trigger(&"/b", now), "already queued: coalesced");
         assert_eq!(d.trig_queue.len(), 1);
-        d.in_flight.insert("/a", Flight { kind: PollKind::Scheduled, sent: at(0), deferred: None });
-        assert!(d.enqueue_trigger(&"/a", now), "already on the wire: coalesced");
-        assert!(!d.enqueue_trigger(&"/zzz", now), "un-ruled target: dropped, not counted");
+        d.in_flight.insert(
+            "/a",
+            Flight {
+                kind: PollKind::Scheduled,
+                sent: at(0),
+                deferred: None,
+            },
+        );
+        assert!(
+            d.enqueue_trigger(&"/a", now),
+            "already on the wire: coalesced"
+        );
+        assert!(
+            !d.enqueue_trigger(&"/zzz", now),
+            "un-ruled target: dropped, not counted"
+        );
         assert_eq!(d.trig_queue.len(), 1);
 
         // The trigger goes out ahead of scheduled work.
@@ -573,7 +658,10 @@ mod tests {
         // The triggered poll's completion leaves /b's own schedule alone:
         // the deferred entry is back, a trigger now coalesces into it.
         assert_eq!(d.complete(&first.key, QUIET, due), Completion::default());
-        assert!(d.enqueue_trigger(&"/b", due), "its own poll is due: coalesced");
+        assert!(
+            d.enqueue_trigger(&"/b", due),
+            "its own poll is due: coalesced"
+        );
         let second = d.next_job(due, at(1_000)).unwrap();
         assert_eq!((second.kind, second.key), (PollKind::Scheduled, "/b"));
         assert_eq!(second.due, due);
@@ -592,10 +680,16 @@ mod tests {
         assert_eq!(d.next_wake(), None, "both on the wire, nothing scheduled");
         // /free completes and is rescheduled one TTR out; /held stays on
         // the wire while a rule swap marks it due immediately.
-        let ttr = d.complete(&free.key, QUIET, start).ttr.expect("LIMD chose one");
+        let ttr = d
+            .complete(&free.key, QUIET, start)
+            .ttr
+            .expect("LIMD chose one");
         d.reschedule(&"/held", start);
 
-        assert!(d.next_job(start, at(1_000)).is_none(), "/held is not handed out twice");
+        assert!(
+            d.next_job(start, at(1_000)).is_none(),
+            "/held is not handed out twice"
+        );
         assert_eq!(d.next_wake(), Some(start + ttr));
         // The deferred entry waits for /held's completion.
         assert!(d.in_flight["/held"].deferred.is_some());
@@ -612,7 +706,10 @@ mod tests {
         let fail = |d: &mut Sched<&str>, now: &mut Timestamp| {
             let job = d.next_job(*now, at(1_000)).expect("due");
             assert_eq!(d.complete(&job.key, None, *now), Completion::default());
-            assert!(d.next_job(*now, at(1_000)).is_none(), "nothing is due before the retry");
+            assert!(
+                d.next_job(*now, at(1_000)).is_none(),
+                "nothing is due before the retry"
+            );
             let wait = d.next_wake().expect("a retry is scheduled") - *now;
             *now += wait;
             wait
@@ -621,14 +718,20 @@ mod tests {
         assert_eq!(waits, [200, 400, 800, 1_600, 3_000, 3_000, 3_000].map(ms));
 
         let job = d.next_job(now, at(9_000)).expect("due");
-        let ttr = d.complete(&job.key, QUIET, now).ttr.expect("LIMD chose one");
+        let ttr = d
+            .complete(&job.key, QUIET, now)
+            .ttr
+            .expect("LIMD chose one");
         assert_eq!(d.next_wake(), Some(now + ttr), "back on the LIMD schedule");
         now += ttr;
         assert_eq!(fail(&mut d, &mut now), ms(200), "the count starts over");
         // A Δ below the floor retries at the floor even past `ttr_max`.
         let mut d = schedule(["/fast"], limd_up_to(5, 5), None, at(0));
         let mut now = at(0);
-        assert_eq!([fail(&mut d, &mut now), fail(&mut d, &mut now)], [ms(20), ms(20)]);
+        assert_eq!(
+            [fail(&mut d, &mut now), fail(&mut d, &mut now)],
+            [ms(20), ms(20)]
+        );
     }
 
     /// §3.2 asks the same of an update whoever found it: a triggered
@@ -639,13 +742,20 @@ mod tests {
         // Updates every 1 s, 1.25 s and 1.6 s: under the 0.75 threshold
         // /a's reach /b but not /c, and /b's reach /c.
         let every = |period: u64, until: Timestamp| -> Vec<Timestamp> {
-            (90_000..=until.as_millis()).step_by(period as usize).map(at).collect()
+            (90_000..=until.as_millis())
+                .step_by(period as usize)
+                .map(at)
+                .collect()
         };
         let start = at(100_000);
         let mut d: Sched<&str> = Schedule::default();
         // /a polls four times as often, so its second poll finds /b and
         // /c a long way from theirs.
-        let members = [("/a", limd(10_000)), ("/b", limd(40_000)), ("/c", limd(40_000))];
+        let members = [
+            ("/a", limd(10_000)),
+            ("/b", limd(40_000)),
+            ("/c", limd(40_000)),
+        ];
         d.reconcile(members, Some((ms(1_000), MtPolicy::HEURISTIC)), start);
         for period in [1_000, 1_250, 1_600] {
             let job = d.next_job(start, start).expect("all due at the start");
@@ -660,14 +770,24 @@ mod tests {
         let a = d.next_job(now, now).unwrap();
         assert_eq!((a.kind, a.key), (PollKind::Scheduled, "/a"));
         let seen = every(1_000, now);
-        assert_eq!(d.complete(&a.key, modified(*seen.last().unwrap(), &seen), now).coalesced, 0);
+        assert_eq!(
+            d.complete(&a.key, modified(*seen.last().unwrap(), &seen), now)
+                .coalesced,
+            0
+        );
         let b = d.next_job(now, now).unwrap();
         assert_eq!((b.kind, b.key), (PollKind::Triggered, "/b"));
-        assert!(d.next_job(now, now).is_none(), "/a's update does not reach /c");
+        assert!(
+            d.next_job(now, now).is_none(),
+            "/a's update does not reach /c"
+        );
 
         // /b changed too, and its triggered poll is what finds out.
         let seen = every(1_250, now);
-        assert_eq!(d.complete(&b.key, modified(*seen.last().unwrap(), &seen), now), Completion::default());
+        assert_eq!(
+            d.complete(&b.key, modified(*seen.last().unwrap(), &seen), now),
+            Completion::default()
+        );
         let c = d.next_job(now, now).expect("/b's update reaches /c");
         assert_eq!((c.kind, c.key), (PollKind::Triggered, "/c"));
     }
@@ -681,8 +801,16 @@ mod tests {
         for ts in [50_000, 20_000, 20_005] {
             let job = d.next_job(now, at(ts)).expect("/a is due");
             let ttr = d.complete(&job.key, modified(at(ts), &[]), now).ttr;
-            assert_eq!(d.paths["/a"].limd.last_poll(), Some(at(50_000)), "polls stay in order");
-            assert_eq!(d.next_wake(), Some(now + ttr.expect("a scheduled poll")), "a live due entry");
+            assert_eq!(
+                d.paths["/a"].limd.last_poll(),
+                Some(at(50_000)),
+                "polls stay in order"
+            );
+            assert_eq!(
+                d.next_wake(),
+                Some(now + ttr.expect("a scheduled poll")),
+                "a live due entry"
+            );
             now += ttr.unwrap();
         }
     }
@@ -700,14 +828,25 @@ mod tests {
         let snapshot = |d: &mut Sched<&str>| {
             let wake = d.next_wake();
             let flights: Vec<_> = d.in_flight.keys().copied().collect();
-            format!("{:?} {:?} {:?} {flights:?} {wake:?}", d.paths, d.trig_queue, d.coordinator)
+            format!(
+                "{:?} {:?} {:?} {flights:?} {wake:?}",
+                d.paths, d.trig_queue, d.coordinator
+            )
         };
         let before = snapshot(&mut d);
         let update = modified(at(5), &[]);
         // /a completed already, /c was never handed out, /zzz is not ruled.
         for key in ["/a", "/c", "/zzz"] {
-            assert_eq!(d.complete(&key, update, at(5)), Completion::default(), "{key}");
-            assert_eq!(d.complete(&key, None, at(5)), Completion::default(), "{key}");
+            assert_eq!(
+                d.complete(&key, update, at(5)),
+                Completion::default(),
+                "{key}"
+            );
+            assert_eq!(
+                d.complete(&key, None, at(5)),
+                Completion::default(),
+                "{key}"
+            );
             assert_eq!(snapshot(&mut d), before, "{key}");
         }
         assert_eq!(d.in_flight(), 1);
@@ -728,9 +867,11 @@ mod tests {
         use mutcon_sim::rng::SimRng;
 
         let group = Some((ms(20), MtPolicy::TriggeredPolls));
-        let full: Vec<(&str, LimdConfig)> =
-            ["/m0", "/m1", "/m2", "/m3", "/m4", "/m5"].map(|p| (p, limd_up_to(10, 80))).to_vec();
-        let without: Vec<(&str, LimdConfig)> = full.iter().filter(|(p, _)| *p != "/m3").copied().collect();
+        let full: Vec<(&str, LimdConfig)> = ["/m0", "/m1", "/m2", "/m3", "/m4", "/m5"]
+            .map(|p| (p, limd_up_to(10, 80)))
+            .to_vec();
+        let without: Vec<(&str, LimdConfig)> =
+            full.iter().filter(|(p, _)| *p != "/m3").copied().collect();
         // Everything a completion may change, minus the in-flight set
         // and the heap (which may take a stale deferred entry back).
         let fingerprint =
@@ -743,7 +884,10 @@ mod tests {
             // (The simulator's origin always answers.)
             let outcome = |rng: &mut SimRng, sent: u64| match rng.uniform_u64(0, 10) {
                 0 if !zero_latency => None,
-                0..=3 => Some(PollView::Modified { last_modified: unix(sent), history: None }),
+                0..=3 => Some(PollView::Modified {
+                    last_modified: unix(sent),
+                    history: None,
+                }),
                 _ => QUIET,
             };
             let remove_after = rng.uniform_u64(100, 700);
@@ -765,15 +909,22 @@ mod tests {
                     let queued = d.trig_queue.len();
                     if d.paths.contains_key(job.key) {
                         d.complete(&job.key, result, at(t));
-                        let found_update = job.kind == PollKind::Triggered && d.trig_queue.len() > queued;
+                        let found_update =
+                            job.kind == PollKind::Triggered && d.trig_queue.len() > queued;
                         cascades += u64::from(found_update);
                     } else {
                         // Its own cascade included: nothing is queued.
                         late_completions += 1;
-                        late_cascades += u64::from(matches!(result, Some(PollView::Modified { .. })));
+                        late_cascades +=
+                            u64::from(matches!(result, Some(PollView::Modified { .. })));
                         let before = fingerprint(&d);
                         assert_eq!(d.complete(&job.key, result, at(t)), Completion::default());
-                        assert_eq!(fingerprint(&d), before, "seed {seed}: late completion of {}", job.key);
+                        assert_eq!(
+                            fingerprint(&d),
+                            before,
+                            "seed {seed}: late completion of {}",
+                            job.key
+                        );
                     }
                 }
                 // the swap if it is due (here, where triggers just raised
@@ -781,7 +932,10 @@ mod tests {
                 // of it on the wire if polls take time),
                 let m3_on_wire = on_wire.iter().any(|(job, _)| job.key == "/m3");
                 if d.version() == 1 && t >= remove_after && (zero_latency || m3_on_wire) {
-                    assert_eq!(d.reconcile(without.clone(), group, at(t)).removed, vec!["/m3"]);
+                    assert_eq!(
+                        d.reconcile(without.clone(), group, at(t)).removed,
+                        vec!["/m3"]
+                    );
                     readd_at = Some(t + rng.uniform_u64(1, 200));
                 }
                 if readd_at == Some(t) {
@@ -800,15 +954,26 @@ mod tests {
                         // Nothing ready: every free path is due later
                         // (one that is not has been lost, and starves),
                         // and the wake instant covers the earliest.
-                        let earliest_free =
-                            d.paths.iter().filter(|(p, _)| !d.in_flight.contains_key(*p)).map(|(_, s)| s.due).min();
+                        let earliest_free = d
+                            .paths
+                            .iter()
+                            .filter(|(p, _)| !d.in_flight.contains_key(*p))
+                            .map(|(_, s)| s.due)
+                            .min();
                         if let Some(due) = earliest_free {
                             assert!(due > at(t), "seed {seed} t {t}: a free path is overdue");
-                            assert!(wake.is_some_and(|w| w <= due), "seed {seed} t {t}: wake {wake:?}");
+                            assert!(
+                                wake.is_some_and(|w| w <= due),
+                                "seed {seed} t {t}: wake {wake:?}"
+                            );
                         }
                         break;
                     };
-                    assert!(d.paths.contains_key(job.key), "seed {seed}: un-ruled {}", job.key);
+                    assert!(
+                        d.paths.contains_key(job.key),
+                        "seed {seed}: un-ruled {}",
+                        job.key
+                    );
                     assert!(
                         on_wire.iter().all(|(j, _)| j.key != job.key),
                         "seed {seed} t {t}: {} handed out twice",
@@ -819,14 +984,23 @@ mod tests {
                         // Drained at every instant, nobody is polled
                         // twice at one, whatever cascades.
                         let previous = handed_at.insert(job.key, t);
-                        assert_ne!(previous, Some(t), "seed {seed}: {} polled twice at {t}", job.key);
+                        assert_ne!(
+                            previous,
+                            Some(t),
+                            "seed {seed}: {} polled twice at {t}",
+                            job.key
+                        );
                         let result = outcome(&mut rng, t);
                         d.complete(&job.key, result, at(t));
                     } else {
                         on_wire.push((job, t));
                     }
                 }
-                assert!(d.in_flight.len() <= POLL_WIDTH, "seed {seed} t {t}: {} out", d.in_flight.len());
+                assert!(
+                    d.in_flight.len() <= POLL_WIDTH,
+                    "seed {seed} t {t}: {} out",
+                    d.in_flight.len()
+                );
                 assert_eq!(d.in_flight.len(), on_wire.len(), "seed {seed} t {t}");
             }
             // Every path kept polling on its own schedule to the end.
@@ -834,8 +1008,14 @@ mod tests {
                 assert!(s.polls >= 4, "seed {seed}: {path} polled {} times", s.polls);
             }
         }
-        assert!(late_completions > 0, "no seed completed a poll of the removed path late");
-        assert!(late_cascades > 0, "no late completion had an update to cascade");
+        assert!(
+            late_completions > 0,
+            "no seed completed a poll of the removed path late"
+        );
+        assert!(
+            late_cascades > 0,
+            "no late completion had an update to cascade"
+        );
         assert!(cascades > 0, "no triggered poll's update triggered anybody");
         assert!(full_width > 0, "no seed filled the width");
     }
@@ -850,17 +1030,31 @@ mod tests {
         d.reschedule(&"/p4", at(5));
         d.reschedule(&"/p5", at(3));
         let now = at(10);
-        let out: Vec<_> = (0..POLL_WIDTH).map(|_| d.next_job(now, now).expect("free width")).collect();
-        assert_eq!(out.iter().map(|j| j.key).collect::<Vec<_>>(), ["/p0", "/p1", "/p2", "/p3"]);
-        assert!(d.next_job(now, now).is_none(), "/p4 and /p5 are due, but the width is full");
+        let out: Vec<_> = (0..POLL_WIDTH)
+            .map(|_| d.next_job(now, now).expect("free width"))
+            .collect();
+        assert_eq!(
+            out.iter().map(|j| j.key).collect::<Vec<_>>(),
+            ["/p0", "/p1", "/p2", "/p3"]
+        );
+        assert!(
+            d.next_job(now, now).is_none(),
+            "/p4 and /p5 are due, but the width is full"
+        );
         assert_eq!(d.next_wake(), None);
         // A trigger for a path waiting past the width coalesces into it.
         assert!(d.enqueue_trigger(&"/p4", now));
 
         d.complete(&out[0].key, QUIET, now);
         let next = d.next_job(now, now).expect("a slot is free");
-        assert_eq!((next.kind, next.key, next.due), (PollKind::Scheduled, "/p5", at(3)));
-        assert!(d.next_job(now, now).is_none() && d.next_wake().is_none(), "full again");
+        assert_eq!(
+            (next.kind, next.key, next.due),
+            (PollKind::Scheduled, "/p5", at(3))
+        );
+        assert!(
+            d.next_job(now, now).is_none() && d.next_wake().is_none(),
+            "full again"
+        );
         d.complete(&out[1].key, QUIET, now);
         assert_eq!(d.next_job(now, now).map(|j| j.key), Some("/p4"));
     }

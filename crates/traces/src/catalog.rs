@@ -106,12 +106,12 @@ impl NamedTrace {
     /// diurnal phase for the news workloads).
     pub fn start_hour(self) -> f64 {
         match self {
-            NamedTrace::CnnFn => 13.07,      // 13:04
-            NamedTrace::NytAp => 14.12,      // 14:07
-            NamedTrace::NytReuters => 14.2,  // 14:12
-            NamedTrace::Guardian => 13.67,   // 13:40
-            NamedTrace::Att => 13.83,        // 13:50
-            NamedTrace::Yahoo => 13.5,       // 13:30
+            NamedTrace::CnnFn => 13.07,     // 13:04
+            NamedTrace::NytAp => 14.12,     // 14:07
+            NamedTrace::NytReuters => 14.2, // 14:12
+            NamedTrace::Guardian => 13.67,  // 13:40
+            NamedTrace::Att => 13.83,       // 13:50
+            NamedTrace::Yahoo => 13.5,      // 13:30
         }
     }
 
@@ -140,7 +140,9 @@ impl NamedTrace {
     /// across multiple synthetic "collections").
     pub fn generate_with_seed(self, seed: u64) -> UpdateTrace {
         match self {
-            NamedTrace::CnnFn | NamedTrace::NytAp | NamedTrace::NytReuters
+            NamedTrace::CnnFn
+            | NamedTrace::NytAp
+            | NamedTrace::NytReuters
             | NamedTrace::Guardian => {
                 NewsTraceBuilder::new(self.name(), self.duration(), self.update_count())
                     .start_hour(self.start_hour())

@@ -204,7 +204,10 @@ mod tests {
         let (lo, hi) = t.value_range().unwrap();
         assert!(lo.as_f64() >= 35.8 && hi.as_f64() <= 36.5);
         // The walk should explore a reasonable part of the band.
-        assert!(hi.as_f64() - lo.as_f64() > 0.2, "band barely explored: {lo}..{hi}");
+        assert!(
+            hi.as_f64() - lo.as_f64() > 0.2,
+            "band barely explored: {lo}..{hi}"
+        );
     }
 
     #[test]
@@ -241,9 +244,11 @@ mod tests {
     #[test]
     fn validation_errors() {
         // Inverted band.
-        assert!(StockTraceBuilder::new("x", Duration::from_hours(1), 10, 5.0, 4.0)
-            .build()
-            .is_err());
+        assert!(
+            StockTraceBuilder::new("x", Duration::from_hours(1), 10, 5.0, 4.0)
+                .build()
+                .is_err()
+        );
         // Initial outside band.
         assert!(
             StockTraceBuilder::new("x", Duration::from_hours(1), 10, 1.0, 2.0)
@@ -252,14 +257,18 @@ mod tests {
                 .is_err()
         );
         // Window too small for the tick count.
-        assert!(StockTraceBuilder::new("x", Duration::from_millis(5), 100, 1.0, 2.0)
-            .build()
-            .is_err());
+        assert!(
+            StockTraceBuilder::new("x", Duration::from_millis(5), 100, 1.0, 2.0)
+                .build()
+                .is_err()
+        );
         // Bad volatility.
-        assert!(StockTraceBuilder::new("x", Duration::from_hours(1), 10, 1.0, 2.0)
-            .volatility(0.0)
-            .build()
-            .is_err());
+        assert!(
+            StockTraceBuilder::new("x", Duration::from_hours(1), 10, 1.0, 2.0)
+                .volatility(0.0)
+                .build()
+                .is_err()
+        );
     }
 
     #[test]

@@ -178,7 +178,10 @@ mod tests {
             "news",
             secs(5),
             secs(50),
-            vec![UpdateEvent::temporal(secs(5)), UpdateEvent::temporal(secs(20))],
+            vec![
+                UpdateEvent::temporal(secs(5)),
+                UpdateEvent::temporal(secs(20)),
+            ],
         )
         .unwrap();
         let back = from_tsv(&to_tsv(&t)).unwrap();
@@ -203,13 +206,17 @@ mod tests {
             from_tsv(no_name),
             Err(TraceIoError::MissingHeader("name"))
         ));
-        let bad_line = "# mutcon-trace v1\n# name: x\n# start_ms: 0\n# end_ms: 10\nnot-a-number\t-\n";
+        let bad_line =
+            "# mutcon-trace v1\n# name: x\n# start_ms: 0\n# end_ms: 10\nnot-a-number\t-\n";
         assert!(matches!(
             from_tsv(bad_line),
             Err(TraceIoError::BadLine { line: 5 })
         ));
         let bad_value = "# mutcon-trace v1\n# name: x\n# start_ms: 0\n# end_ms: 10\n0\tNaN\n";
-        assert!(matches!(from_tsv(bad_value), Err(TraceIoError::BadLine { .. })));
+        assert!(matches!(
+            from_tsv(bad_value),
+            Err(TraceIoError::BadLine { .. })
+        ));
         let event_before_header =
             "# mutcon-trace v1\n0\t-\n# name: x\n# start_ms: 0\n# end_ms: 10\n";
         assert!(matches!(
@@ -231,7 +238,9 @@ mod tests {
     #[test]
     fn error_display() {
         assert!(TraceIoError::BadMagic.to_string().contains("magic"));
-        assert!(TraceIoError::MissingHeader("name").to_string().contains("name"));
+        assert!(TraceIoError::MissingHeader("name")
+            .to_string()
+            .contains("name"));
         assert!(TraceIoError::BadLine { line: 3 }.to_string().contains('3'));
     }
 

@@ -172,7 +172,11 @@ impl<'a> Parser<'a> {
                     return Err(self.err("nested too deeply"));
                 }
                 self.depth += 1;
-                let nested = if open == b'[' { self.array() } else { self.object() };
+                let nested = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
                 self.depth -= 1;
                 nested
             }
@@ -231,7 +235,10 @@ impl<'a> Parser<'a> {
                     let start = self.pos - 1;
                     let text = std::str::from_utf8(&self.bytes[start..])
                         .map_err(|_| self.err("invalid UTF-8"))?;
-                    let ch = text.chars().next().ok_or_else(|| self.err("invalid UTF-8"))?;
+                    let ch = text
+                        .chars()
+                        .next()
+                        .ok_or_else(|| self.err("invalid UTF-8"))?;
                     self.pos = start + ch.len_utf8();
                     out.push(ch);
                 }
@@ -244,11 +251,13 @@ impl<'a> Parser<'a> {
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
+        while matches!(
+            self.peek(),
+            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+        ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("digits are ASCII");
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("digits are ASCII");
         let n: f64 = text.parse().map_err(|_| self.err("invalid number"))?;
         if !n.is_finite() {
             return Err(self.err("non-finite number"));
@@ -392,7 +401,10 @@ mod tests {
     fn nesting_is_bounded() {
         let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
         assert!(parse(&nest(MAX_DEPTH)).is_ok());
-        assert_eq!(parse(&nest(MAX_DEPTH + 1)).unwrap_err().message, "nested too deeply");
+        assert_eq!(
+            parse(&nest(MAX_DEPTH + 1)).unwrap_err().message,
+            "nested too deeply"
+        );
         // Refused at the limit, long before the recursion could run out
         // of stack.
         assert_eq!(
@@ -406,7 +418,10 @@ mod tests {
         let original = Json::String("a\"b\\c\nd\te\u{1F980}é".into());
         let text = original.to_string();
         assert_eq!(parse(&text).unwrap(), original);
-        assert_eq!(parse(r#""\u0041\u00e9""#).unwrap(), Json::String("Aé".into()));
+        assert_eq!(
+            parse(r#""\u0041\u00e9""#).unwrap(),
+            Json::String("Aé".into())
+        );
     }
 
     #[test]
@@ -420,8 +435,18 @@ mod tests {
     #[test]
     fn rejects_malformed_input() {
         for bad in [
-            "", "{", "[1,", "nul", "\"unterminated", "{\"a\" 1}", "1 2",
-            "{\"a\":}", "[1,]", "\"\\q\"", "NaN", "01a",
+            "",
+            "{",
+            "[1,",
+            "nul",
+            "\"unterminated",
+            "{\"a\" 1}",
+            "1 2",
+            "{\"a\":}",
+            "[1,]",
+            "\"\\q\"",
+            "NaN",
+            "01a",
         ] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
         }

@@ -5,7 +5,6 @@
 //! Figure 4(a); [`rate_ratio_timeline`] the frequency-ratio curve of
 //! Figure 6(a).
 
-
 use mutcon_core::time::{Duration, Timestamp};
 use mutcon_core::value::Value;
 
@@ -163,7 +162,7 @@ mod tests {
         assert_eq!(r.len(), 2);
         assert_eq!(r[0], (secs(0), Some(3.0))); // a: 5,10,30 vs b: 20
         assert_eq!(r[1], (secs(50), Some(1.0))); // a: 55 vs b: 60
-        // Division by zero reported as None.
+                                                 // Division by zero reported as None.
         let quiet = make("q", &[]);
         let r = rate_ratio_timeline(&a, &quiet, Duration::from_secs(50));
         assert_eq!(r[0].1, None);

@@ -76,7 +76,11 @@ pub fn shift(trace: &UpdateTrace, offset: Duration) -> UpdateTrace {
 /// Returns [`TraceError::InvalidWindow`] if the window is inverted or
 /// outside the trace, or [`TraceError::Empty`] if no version exists at
 /// `from` (window opens before the object's first version).
-pub fn window(trace: &UpdateTrace, from: Timestamp, to: Timestamp) -> Result<UpdateTrace, TraceError> {
+pub fn window(
+    trace: &UpdateTrace,
+    from: Timestamp,
+    to: Timestamp,
+) -> Result<UpdateTrace, TraceError> {
     if to < from || from < trace.start() || to > trace.end() {
         return Err(TraceError::InvalidWindow);
     }

@@ -25,13 +25,19 @@ use mutcon::traces::NamedTrace;
 fn get(addr: SocketAddr, path: &str) -> io::Result<Response> {
     let mut stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(StdDuration::from_secs(5)))?;
-    let request = Request::get(path).host(addr.to_string()).connection_close().build();
+    let request = Request::get(path)
+        .host(addr.to_string())
+        .connection_close()
+        .build();
     stream.write_all(&request.to_bytes())?;
     let mut wire = Vec::new();
     stream.read_to_end(&mut wire)?;
     match parse_response(&wire) {
         Ok(Some((response, _))) => Ok(response),
-        _ => Err(io::Error::new(io::ErrorKind::InvalidData, "no whole response")),
+        _ => Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "no whole response",
+        )),
     }
 }
 

@@ -44,10 +44,14 @@ fn main() {
         _ => 3,
     };
     for (i, m) in members.iter().enumerate() {
-        let trace = NewsTraceBuilder::new(m.as_str(), Duration::from_hours(24), updates_for(m.as_str()))
-            .seed(42 + i as u64)
-            .build()
-            .expect("valid generator parameters");
+        let trace = NewsTraceBuilder::new(
+            m.as_str(),
+            Duration::from_hours(24),
+            updates_for(m.as_str()),
+        )
+        .seed(42 + i as u64)
+        .build()
+        .expect("valid generator parameters");
         origin.host(m.clone(), trace);
     }
     let until = mutcon::core::time::Timestamp::ZERO + Duration::from_hours(24);

@@ -61,13 +61,17 @@ fn main() {
         .expect("valid policy parameters");
 
     for (label, policy) in [
-        ("adaptive (virtual f)", ValuePairPolicy::Virtual(virtual_cfg)),
-        ("partitioned (δa+δb=δ)", ValuePairPolicy::Partitioned(partitioned_cfg)),
+        (
+            "adaptive (virtual f)",
+            ValuePairPolicy::Virtual(virtual_cfg),
+        ),
+        (
+            "partitioned (δa+δb=δ)",
+            ValuePairPolicy::Partitioned(partitioned_cfg),
+        ),
     ] {
         let out = run_value_pair(&origin, &ids[0], &ids[1], &policy, until);
-        let stats = metrics::mutual_value(
-            &yahoo, &out.log_a, &att, &out.log_b, f, delta, until,
-        );
+        let stats = metrics::mutual_value(&yahoo, &out.log_a, &att, &out.log_b, f, delta, until);
         println!(
             "{label:<22} {:>7} {:>14.3} {:>11.1} s",
             stats.polls(),

@@ -40,7 +40,10 @@ fn main() {
 
     // The diurnal fingerprint: updates per 2-hour window of CNN/FN.
     let trace = NamedTrace::CnnFn.generate();
-    println!("\n{} updates per 2-hour window (note the nightly lulls):", trace.name());
+    println!(
+        "\n{} updates per 2-hour window (note the nightly lulls):",
+        trace.name()
+    );
     for w in updates_per_window(&trace, Duration::from_hours(2)) {
         let hour = 13.07 + w.start.as_secs_f64() / 3_600.0; // trace starts 13:04
         println!(

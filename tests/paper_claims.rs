@@ -5,8 +5,8 @@
 use mutcon::core::time::Duration;
 use mutcon::core::value::Value;
 use mutcon::proxy::experiment::{
-    individual_temporal_sweep, mutual_temporal_sweep, mutual_value_sweep, ttr_timeline,
-    Fig3Config, Fig7Config,
+    individual_temporal_sweep, mutual_temporal_sweep, mutual_value_sweep, ttr_timeline, Fig3Config,
+    Fig7Config,
 };
 use mutcon::traces::NamedTrace;
 
@@ -16,11 +16,7 @@ use mutcon::traces::NamedTrace;
 #[test]
 fn limd_saves_a_large_factor_at_small_delta() {
     let trace = NamedTrace::CnnFn.generate();
-    let rows = individual_temporal_sweep(
-        &trace,
-        &[Duration::from_mins(1)],
-        &Fig3Config::default(),
-    );
+    let rows = individual_temporal_sweep(&trace, &[Duration::from_mins(1)], &Fig3Config::default());
     let row = &rows[0];
     let factor = row.baseline_polls as f64 / row.limd_polls as f64;
     assert!(
@@ -42,11 +38,8 @@ fn limd_saves_a_large_factor_at_small_delta() {
 #[test]
 fn limd_converges_to_baseline_at_large_delta() {
     let trace = NamedTrace::CnnFn.generate();
-    let rows = individual_temporal_sweep(
-        &trace,
-        &[Duration::from_mins(60)],
-        &Fig3Config::default(),
-    );
+    let rows =
+        individual_temporal_sweep(&trace, &[Duration::from_mins(60)], &Fig3Config::default());
     let row = &rows[0];
     let ratio = row.limd_polls as f64 / row.baseline_polls as f64;
     assert!(
@@ -162,8 +155,7 @@ fn mutual_consistency_cost_and_fidelity_ordering() {
     );
     // Incremental cost of the heuristic at the tightest δ.
     let tight = &rows[0];
-    let overhead =
-        tight.heuristic.polls as f64 / tight.baseline.polls as f64 - 1.0;
+    let overhead = tight.heuristic.polls as f64 / tight.baseline.polls as f64 - 1.0;
     assert!(
         overhead < 0.25,
         "heuristic overhead {:.0}% exceeds the paper's ~20% bound",
