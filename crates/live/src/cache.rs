@@ -28,14 +28,17 @@
 //! its shard's map — replaced by a store, pushed out by the LRU bound, or
 //! removed — is marked **superseded**, once and for good. The flag has
 //! one writer, the shard's map mutation, under the shard write lock
-//! (`Release`), and one reader, [`L1Cache::lookup`]
+//! (`Release`), and one reader, [`L1Cache::get`]
 //! ([`CacheEntry::is_current`], one `Relaxed` load) — no shard lock on
 //! the L1 hit path at all. A set flag means the copy *may* be stale; the
-//! reader falls through to the shared cache and refills. A whole-cache
-//! **generation** counter covers bulk invalidation (admin rule swaps).
+//! reader falls through to the shared cache and refills. The flag is the
+//! L1's only validity rule: a rules install changes no stored copy, and
+//! the copy of a path it un-rules is superseded by that path's eviction.
+//! The cache keeps no state wider than a shard: each shard orders its own
+//! recency under its own write lock.
 
 use std::io::Write;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
 
 use bytes::Bytes;
@@ -162,6 +165,9 @@ impl CacheEntry {
 
 struct Shard {
     map: LruMap<String, Arc<CacheEntry>, u64>,
+    /// The shard's recency clock, bumped under its write lock by every
+    /// store and touch; its stamps are compared only inside `map`.
+    tick: u64,
     /// Entries pushed out by the LRU bound (not replacements/removals),
     /// surfaced by the admin stats endpoint.
     evictions: u64,
@@ -176,10 +182,17 @@ struct Shard {
 type Displaced = [Option<Arc<CacheEntry>>; 2];
 
 impl Shard {
+    /// The next recency stamp.
+    fn tick(&mut self) -> u64 {
+        self.tick += 1;
+        self.tick
+    }
+
     /// The one place a copy enters the map: marks the copy it replaces
     /// and the copy the LRU bound evicts to make room, and hands both
     /// back.
-    fn store(&mut self, path: &str, entry: Arc<CacheEntry>, now: u64) -> Displaced {
+    fn store(&mut self, path: &str, entry: Arc<CacheEntry>) -> Displaced {
+        let now = self.tick();
         let replaced = self.map.get(path).cloned();
         if let Some(replaced) = &replaced {
             replaced.supersede();
@@ -227,11 +240,6 @@ const POISONED: &str = "cache shard lock poisoned";
 /// A sharded, optionally bounded cache keyed by object path.
 pub struct ShardedCache {
     shards: Vec<RwLock<Shard>>,
-    /// Monotonic logical clock ordering recency across all shards.
-    clock: AtomicU64,
-    /// Bulk-invalidation generation: bumped by admin rule swaps; every
-    /// reactor L1 drops wholesale when it observes a new value.
-    generation: AtomicU64,
     metrics: CacheMetrics,
     /// Whether a capacity bound is set; the unbounded cache (the
     /// paper's model, and the default) has no recency to maintain, so
@@ -243,24 +251,15 @@ pub struct ShardedCache {
 /// construct colliding key sets — e.g. hammering one shard from four
 /// reactor threads to probe the lock discipline.
 pub fn shard_of(path: &str) -> usize {
-    shard_index(path)
-}
-
-/// FNV-1a; hand-rolled because the default `RandomState` hasher cannot
-/// hash a bare `&str` to a shard index without building a `Hasher` per
-/// call anyway, and the workspace vendors no external hashers.
-fn shard_index(path: &str) -> usize {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in path.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let hash = fnv1a(path);
     // Fold the high bits in so the mask doesn't only see the low byte.
     ((hash ^ (hash >> 32)) as usize) & (SHARD_COUNT - 1)
 }
 
-/// Full 64-bit FNV-1a (the shard index above keeps only masked bits; the
-/// L1's probe sequence wants the whole hash).
+/// 64-bit FNV-1a: the shard index and the L1's probe sequence. Hand-rolled
+/// because the default `RandomState` hasher cannot hash a bare `&str`
+/// without building a `Hasher` per call anyway, and the workspace vendors
+/// no external hashers.
 fn fnv1a(path: &str) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for byte in path.as_bytes() {
@@ -292,20 +291,15 @@ impl ShardedCache {
                             Some(cap) => LruMap::with_capacity(cap),
                             None => LruMap::unbounded(),
                         },
+                        tick: 0,
                         evictions: 0,
                         version_bumps: 0,
                     })
                 })
                 .collect(),
-            clock: AtomicU64::new(0),
-            generation: AtomicU64::new(0),
             metrics: CacheMetrics::default(),
             bounded: per_shard.is_some(),
         }
-    }
-
-    fn tick(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Looks up a copy; the returned `Arc` is a refcount bump, no byte
@@ -316,7 +310,7 @@ impl ShardedCache {
     /// skewed workload serves entirely under the shared read lock.
     /// Unbounded caches read under the shared lock unconditionally.
     pub fn get(&self, path: &str) -> Option<Arc<CacheEntry>> {
-        let shard = &self.shards[shard_index(path)];
+        let shard = &self.shards[shard_of(path)];
         if self.bounded {
             {
                 let guard = shard.read().expect(POISONED);
@@ -326,7 +320,7 @@ impl ShardedCache {
                 }
             }
             if let Ok(mut guard) = shard.try_write() {
-                let now = self.tick();
+                let now = guard.tick();
                 return guard.map.touch(path, now).cloned();
             }
         }
@@ -339,39 +333,34 @@ impl ShardedCache {
         self.get(path)
     }
 
-    /// Stores (or replaces) a copy, evicting the shard's LRU entry if
-    /// the shard is at capacity. The replaced copy and the evicted one
-    /// are superseded: every outstanding L1 copy of either is
-    /// invalidated. Both are dropped after the shard's lock is released.
+    /// [`ShardedCache::insert_if_newer`], for a caller that does not need
+    /// the resident copy back.
     pub fn insert(&self, path: &str, entry: CacheEntry) {
-        let now = self.tick();
-        // The guard goes at the end of the statement, the copies after it.
-        let _displaced = self.shards[shard_index(path)]
-            .write()
-            .expect(POISONED)
-            .store(path, Arc::new(entry), now);
+        self.insert_if_newer(path, entry);
     }
 
     /// Stores a copy unless one at least as fresh (by modification
     /// stamp) is already resident — the check and the insert happen
     /// under one shard write lock, so a slow fetch that raced a faster
     /// refresh can never clobber the newer copy, and a second store of
-    /// the same version supersedes nothing. Returns the entry now
-    /// resident (the given one, or the incumbent).
+    /// the same version supersedes nothing. A store evicts the shard's
+    /// LRU entry if the shard is at capacity; the replaced copy and the
+    /// evicted one are superseded, and both are dropped after the shard's
+    /// lock is released. Returns the entry now resident (the given one,
+    /// or the incumbent).
     pub fn insert_if_newer(
         &self,
         path: &str,
         entry: impl Into<Arc<CacheEntry>>,
     ) -> Arc<CacheEntry> {
-        let now = self.tick();
         let entry = entry.into();
-        let mut shard = self.shards[shard_index(path)].write().expect(POISONED);
+        let mut shard = self.shards[shard_of(path)].write().expect(POISONED);
         if let Some(existing) = shard.map.get(path) {
             if existing.last_modified >= entry.last_modified {
                 return Arc::clone(existing);
             }
         }
-        let displaced = shard.store(path, Arc::clone(&entry), now);
+        let displaced = shard.store(path, Arc::clone(&entry));
         drop(shard);
         drop(displaced);
         entry
@@ -383,25 +372,17 @@ impl ShardedCache {
     /// superseded, so outstanding L1 copies reject on their next
     /// validation.
     pub fn remove(&self, path: &str) -> Option<Arc<CacheEntry>> {
-        let mut shard = self.shards[shard_index(path)].write().expect(POISONED);
+        let mut shard = self.shards[shard_of(path)].write().expect(POISONED);
         let removed = shard.map.remove(path)?;
         removed.supersede();
         shard.version_bumps += 1;
         Some(removed)
     }
 
-    /// The bulk-invalidation generation. Relaxed: the L1 only needs to
-    /// observe new values eventually-promptly, and a swap's own shard
-    /// removals supersede their copies with `Release` ordering anyway.
+    /// Always 0: the cache has no generation. Kept because `benchmark/`
+    /// (read-only here) calls it.
     pub fn generation(&self) -> u64 {
-        self.generation.load(Ordering::Relaxed)
-    }
-
-    /// Invalidates every reactor L1 wholesale (admin rule swaps call
-    /// this: membership of the rule set changed, so conservatively no
-    /// reactor-local copy should outlive the swap).
-    pub fn bump_generation(&self) {
-        self.generation.fetch_add(1, Ordering::Release);
+        0
     }
 
     /// Writes the `cache` section of the stats document: the cells, then
@@ -433,7 +414,6 @@ impl ShardedCache {
             "cache.version_bumps",
             num(shards.iter().map(|s| s.version_bumps).sum()),
         );
-        put(doc, "cache.generation", num(self.generation()));
     }
 
     /// Total copies superseded across all shards.
@@ -508,7 +488,7 @@ struct L1Slot {
     used: u64,
 }
 
-/// Outcome of an [`L1Cache::lookup`].
+/// Outcome of an [`L1Cache::get`].
 #[derive(Debug, Clone)]
 pub enum L1Lookup {
     /// Resident and revalidated: the copy is provably current as of the
@@ -529,9 +509,6 @@ pub enum L1Lookup {
 pub struct L1Cache {
     slots: Vec<Option<L1Slot>>,
     mask: u64,
-    /// The shared cache's bulk-invalidation generation last observed;
-    /// a change drops every slot before the lookup proceeds.
-    generation: u64,
     tick: u64,
     len: usize,
 }
@@ -544,7 +521,6 @@ impl L1Cache {
         L1Cache {
             slots: (0..slots).map(|_| None).collect(),
             mask: (slots - 1) as u64,
-            generation: 0,
             tick: 0,
             len: 0,
         }
@@ -552,14 +528,8 @@ impl L1Cache {
 
     /// Looks up `path`, revalidating any resident copy against its
     /// supersede flag ([`CacheEntry::is_current`], the single
-    /// revalidation load) and against the shared cache's bulk
-    /// `generation` (a changed generation clears the whole L1).
-    pub fn lookup(&mut self, path: &str, generation: u64) -> L1Lookup {
-        if generation != self.generation {
-            self.clear();
-            self.generation = generation;
-            return L1Lookup::Miss;
-        }
+    /// revalidation load).
+    pub fn get(&mut self, path: &str) -> L1Lookup {
         let base = fnv1a(path);
         for i in 0..L1_PROBE as u64 {
             let idx = ((base.wrapping_add(i)) & self.mask) as usize;
@@ -579,6 +549,12 @@ impl L1Cache {
             return L1Lookup::Stale;
         }
         L1Lookup::Miss
+    }
+
+    /// [`L1Cache::get`]; kept because `benchmark/` (read-only here) calls
+    /// it by this name, with the generation the cache no longer has.
+    pub fn lookup(&mut self, path: &str, _generation: u64) -> L1Lookup {
+        self.get(path)
     }
 
     /// Refills after an L2 hit. A full probe window evicts its least
@@ -627,14 +603,6 @@ impl L1Cache {
         }
     }
 
-    /// Drops every slot (bulk invalidation).
-    pub fn clear(&mut self) {
-        for slot in &mut self.slots {
-            *slot = None;
-        }
-        self.len = 0;
-    }
-
     /// Objects currently resident.
     pub fn len(&self) -> usize {
         self.len
@@ -656,7 +624,6 @@ impl std::fmt::Debug for L1Cache {
         f.debug_struct("L1Cache")
             .field("capacity", &self.slots.len())
             .field("len", &self.len)
-            .field("generation", &self.generation)
             .finish()
     }
 }
@@ -1039,27 +1006,16 @@ mod tests {
     }
 
     #[test]
-    fn generation_bumps_are_observable() {
-        let cache = ShardedCache::new(None);
-        let g = cache.generation();
-        cache.bump_generation();
-        assert_eq!(cache.generation(), g + 1);
-    }
-
-    #[test]
     fn l1_round_trip_and_revalidation() {
         let cache = ShardedCache::new(None);
         let mut l1 = L1Cache::new(32);
         assert!(l1.is_empty());
-        assert!(matches!(
-            l1.lookup("/a", cache.generation()),
-            L1Lookup::Miss
-        ));
+        assert!(matches!(l1.get("/a"), L1Lookup::Miss));
 
         cache.insert("/a", entry(1));
         l1.insert("/a", cache.get("/a").unwrap());
         assert_eq!(l1.len(), 1);
-        let L1Lookup::Hit(hit) = l1.lookup("/a", cache.generation()) else {
+        let L1Lookup::Hit(hit) = l1.get("/a") else {
             panic!("valid entry must hit");
         };
         assert_eq!(&hit.body()[..], b"v1");
@@ -1067,46 +1023,16 @@ mod tests {
         // A store invalidates: next lookup rejects as stale and drops
         // the slot, the one after misses.
         cache.insert("/a", entry(2));
-        assert!(matches!(
-            l1.lookup("/a", cache.generation()),
-            L1Lookup::Stale
-        ));
-        assert!(matches!(
-            l1.lookup("/a", cache.generation()),
-            L1Lookup::Miss
-        ));
+        assert!(matches!(l1.get("/a"), L1Lookup::Stale));
+        assert!(matches!(l1.get("/a"), L1Lookup::Miss));
         assert!(l1.is_empty());
 
         // Refill serves the new copy.
         l1.insert("/a", cache.get("/a").unwrap());
-        let L1Lookup::Hit(hit) = l1.lookup("/a", cache.generation()) else {
+        let L1Lookup::Hit(hit) = l1.get("/a") else {
             panic!("refilled entry must hit");
         };
         assert_eq!(&hit.body()[..], b"v2");
-    }
-
-    #[test]
-    fn l1_generation_change_clears_everything() {
-        let cache = ShardedCache::new(None);
-        let mut l1 = L1Cache::new(32);
-        for i in 0..8u64 {
-            let path = format!("/g/{i}");
-            cache.insert(&path, entry(i));
-            l1.insert(&path, cache.get(&path).unwrap());
-        }
-        assert_eq!(l1.len(), 8);
-        cache.bump_generation();
-        assert!(matches!(
-            l1.lookup("/g/0", cache.generation()),
-            L1Lookup::Miss
-        ));
-        assert!(l1.is_empty(), "a new generation drops every slot");
-        // Same generation again: refills are accepted as usual.
-        l1.insert("/g/0", cache.get("/g/0").unwrap());
-        assert!(matches!(
-            l1.lookup("/g/0", cache.generation()),
-            L1Lookup::Hit(_)
-        ));
     }
 
     #[test]
@@ -1123,10 +1049,7 @@ mod tests {
         assert_eq!(evictions, 4, "a full window evicts its LRU slot");
         // The most recent insert is resident.
         let last = format!("/p/{}", L1_PROBE as u64 + 3);
-        assert!(matches!(
-            l1.lookup(&last, cache.generation()),
-            L1Lookup::Hit(_)
-        ));
+        assert!(matches!(l1.get(&last), L1Lookup::Hit(_)));
     }
 
     #[test]
@@ -1141,7 +1064,7 @@ mod tests {
             "replaced, not evicted"
         );
         assert_eq!(l1.len(), 1);
-        let L1Lookup::Hit(hit) = l1.lookup("/a", cache.generation()) else {
+        let L1Lookup::Hit(hit) = l1.get("/a") else {
             panic!("replaced entry must hit");
         };
         assert_eq!(&hit.body()[..], b"v2");

@@ -300,10 +300,10 @@ impl LiveProxy {
         )?;
         // After each install, outside the plane's lock: an un-ruled path
         // loses its copy (a late poll cannot put it back, see
-        // `crate::runtime`), every reactor's L1 is invalidated wholesale,
-        // since a swap may change what a path's bytes mean (Δ, group),
-        // and reactor 0 looks at the new schedule at once. The hook holds
-        // the proxy weakly: the runtime is part of it.
+        // `crate::runtime`), which supersedes every reactor's L1 copy of
+        // it, and reactor 0 looks at the new schedule at once. No other
+        // copy changes: an install rewrites no stored byte. The hook
+        // holds the proxy weakly: the runtime is part of it.
         let proxy = Arc::downgrade(&shared);
         let waker = server.waker(0);
         runtime.on_install(move |report| {
@@ -311,7 +311,6 @@ impl LiveProxy {
                 for path in &report.removed {
                     shared.cache.remove(path);
                 }
-                shared.cache.bump_generation();
             }
             waker.wake();
         });
@@ -411,7 +410,7 @@ impl Service for ProxyService {
             ServiceResult::Reply(prepared(entry, true))
         };
         if let Some(l1) = &mut self.l1 {
-            match l1.lookup(path, cache.generation()) {
+            match l1.get(path) {
                 L1Lookup::Hit(entry) => {
                     self.metrics.l1_hits.inc();
                     return hit(&entry);

@@ -16,7 +16,7 @@
 //! changed and removed. That is a swap's linearization point: when
 //! `install` returns, the new rules are in force. After unlocking it
 //! runs the install hook, which the proxy registers at start to evict
-//! the un-ruled paths, bump its cache generation and wake reactor 0.
+//! the un-ruled paths and wake reactor 0.
 //! `ConsistencyRuntime::plane` locks the machine for the reactor:
 //! `next_poll` hands out a due poll, `ruled` says whether a path is still
 //! ruled, `finish` applies the outcome of a path's poll and `next_wake`
@@ -319,9 +319,9 @@ impl ConsistencyRuntime {
     }
 
     /// Registers what runs after every later install, outside the lock,
-    /// with its report: the proxy evicts the un-ruled paths, bumps its
-    /// cache generation and wakes reactor 0. Only the first registration
-    /// counts; the hook must not install.
+    /// with its report: the proxy evicts the un-ruled paths and wakes
+    /// reactor 0. Only the first registration counts; the hook must not
+    /// install.
     pub(crate) fn on_install(&self, hook: impl Fn(&InstallReport) + Send + Sync + 'static) {
         let _ = self.on_install.set(Box::new(hook));
     }
@@ -843,8 +843,8 @@ mod tests {
             |version| panic!("run's adoption hook is never called, got {version}"),
         );
         // The install hook fired exactly once, with the whole swap: the
-        // proxy's eviction and L1 bulk invalidation ride on it, so they
-        // do not depend on the HTTP plane.
+        // proxy's eviction rides on it, so it does not depend on the HTTP
+        // plane.
         let expected = InstallReport {
             version: 2,
             added: vec![Arc::from("/new")],

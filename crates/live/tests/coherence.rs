@@ -8,8 +8,10 @@
 //! removed that copy. These scenarios attack that rule from the outside:
 //! readers hammer the L1 while the refresher stores newer bodies, seeded
 //! runs must replay bit-identically, and an L1-disabled proxy must be
-//! byte-indistinguishable from an L1-enabled one. The last scenario
-//! states the rule on the two caches alone, without sockets.
+//! byte-indistinguishable from an L1-enabled one, and a rules install
+//! touches an L1 copy only through that flag: it keeps the copy of a path
+//! it leaves alone and rejects the copy of a path it un-rules. The last
+//! scenario states the rule on the two caches alone, without sockets.
 //!
 //! Reactor counts and L1 capacities are inputs of the scenarios, pinned
 //! explicitly.
@@ -18,10 +20,10 @@ mod harness;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration as StdDuration;
+use std::time::{Duration as StdDuration, Instant};
 
 use bytes::Bytes;
-use harness::{get, stamp_of, stats_counter, FakeClock, ScriptedOrigin, CLOCK_BASE_MS};
+use harness::{get, put, stamp_of, stats_counter, FakeClock, ScriptedOrigin, CLOCK_BASE_MS};
 use mutcon_core::time::{Duration, Timestamp};
 use mutcon_http::types::StatusCode;
 use mutcon_live::cache::{shard_of, CacheEntry, L1Cache, L1Lookup, ShardedCache, SHARD_COUNT};
@@ -225,6 +227,84 @@ fn disabled_l1_keeps_the_same_invariants() {
     assert_eq!(stats_counter(addr, &["cache", "l1", "refills"]), 0);
 }
 
+/// One `GET` that must answer `200`; returns its `x-cache` marker.
+fn served_from(proxy: &LiveProxy, path: &str) -> String {
+    let resp = get(proxy.local_addr(), path).expect("get");
+    assert_eq!(resp.status(), StatusCode::OK, "{path}");
+    resp.headers().get("x-cache").unwrap_or("?").to_owned()
+}
+
+/// `PUT /admin/rules` with `body`, which must be accepted.
+fn install(proxy: &LiveProxy, body: &str) {
+    let resp = put(proxy.local_addr(), "/admin/rules", body.as_bytes().to_vec()).expect("PUT");
+    assert_eq!(resp.status(), StatusCode::OK, "{body}");
+}
+
+/// An install that leaves a path alone leaves its L1 copy alone: the
+/// copy was not superseded, so the next `GET` is an L1 hit, with no
+/// refill and no second origin fetch.
+#[test]
+fn an_install_keeps_the_l1_copy_of_a_path_it_does_not_touch() {
+    let clock = FakeClock::new();
+    let origin = ScriptedOrigin::start(clock);
+    let proxy = l1_proxy(&origin, 1, 128, vec![]);
+    let addr = proxy.local_addr();
+    // A miss, an L2 hit that refills the L1, then an L1 hit.
+    for _ in 0..3 {
+        served_from(&proxy, "/a");
+    }
+    let l1 = |key: &str| stats_counter(addr, &["cache", "l1", key]);
+    let (hits, refills) = (l1("hits"), l1("refills"));
+    assert_eq!((hits, refills), (1, 1));
+
+    install(&proxy, r#"{"rules": [{"path": "/b", "delta_ms": 60000}]}"#);
+    assert_eq!(served_from(&proxy, "/a"), "hit");
+    assert_eq!(l1("hits"), hits + 1, "the untouched copy must be an L1 hit");
+    assert_eq!(l1("refills"), refills, "and must need no refill");
+    assert_eq!(origin.fetches("/a"), 1);
+}
+
+/// An install that un-rules a path evicts its copy, and the eviction is
+/// what the L1 sees: the next `GET` rejects the L1 copy as superseded
+/// and goes to the origin.
+#[test]
+fn an_install_that_unrules_a_path_rejects_its_l1_copy() {
+    let clock = FakeClock::new();
+    let origin = ScriptedOrigin::start(clock);
+    // Δ = 60 s: after its first poll the path is not polled again here.
+    let proxy = l1_proxy(
+        &origin,
+        1,
+        128,
+        vec![RefreshRule::new("/a", Duration::from_secs(60))],
+    );
+    let addr = proxy.local_addr();
+    let deadline = Instant::now() + StdDuration::from_secs(5);
+    while !(proxy.stats().polls >= 1
+        && proxy.runtime().refresh_metrics().in_flight() == 0
+        && proxy.cached_objects() == 1)
+    {
+        assert!(Instant::now() < deadline, "the first poll never finished");
+        std::thread::sleep(StdDuration::from_millis(2));
+    }
+    // An L2 hit that refills the L1, then an L1 hit.
+    for _ in 0..2 {
+        assert_eq!(served_from(&proxy, "/a"), "hit");
+    }
+    let l1 = |key: &str| stats_counter(addr, &["cache", "l1", key]);
+    assert_eq!(l1("hits"), 1);
+    let (stale, fetches) = (l1("stale_rejects"), origin.fetches("/a"));
+
+    install(&proxy, r#"{"rules": []}"#);
+    assert_eq!(served_from(&proxy, "/a"), "miss");
+    assert_eq!(
+        l1("stale_rejects"),
+        stale + 1,
+        "the evicted copy must reject"
+    );
+    assert_eq!(origin.fetches("/a"), fetches + 1);
+}
+
 /// The linearization rule, on the two caches alone: a copy superseded
 /// before a lookup began is never an L1 hit. A writer stores stamps 1, 2,
 /// 3, … and publishes each, per path, after the store; a reader loads the
@@ -263,7 +343,7 @@ fn a_copy_superseded_before_the_lookup_is_never_an_l1_hit() {
                         }
                         let p = rng.uniform_u64(0, paths.len() as u64) as usize;
                         let floor = published[p].load(Ordering::SeqCst);
-                        let found = l1.lookup(&paths[p], cache.generation());
+                        let found = l1.get(&paths[p]);
                         stale += u64::from(matches!(found, L1Lookup::Stale));
                         let served = match found {
                             L1Lookup::Hit(copy) => {

@@ -22,7 +22,6 @@ use mutcon_traces::json::{self, Json};
 /// `path: type` per line, sorted. Array elements share the path `[]`.
 const GOLDEN: &str = "\
 cache.evictions: number
-cache.generation: number
 cache.l1.capacity: number
 cache.l1.evictions: number
 cache.l1.hits: number

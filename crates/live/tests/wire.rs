@@ -337,13 +337,7 @@ fn admin_stats_exposes_l1_and_cache_counters() {
 
     let doc = get_json(proxy.local_addr(), "/admin/stats");
     let cache = doc.get("cache").expect("cache section");
-    for key in [
-        "objects",
-        "evictions",
-        "generation",
-        "version_bumps",
-        "touch_skips",
-    ] {
+    for key in ["objects", "evictions", "version_bumps", "touch_skips"] {
         assert!(
             cache.get(key).and_then(Json::as_u64).is_some(),
             "cache.{key} missing from /admin/stats"

@@ -197,12 +197,20 @@ fi
 # One coherence mechanism, and the engine does not know the cache: an L1
 # copy is valid until the flag on it says the L2 let go of it
 # (crates/live/src/cache.rs). No per-path version table, handle or stamp
-# comes back beside the flag. Each reactor owns its service instance and
-# lends it nothing: above its test module server.rs names no cache type,
-# and no L1 sizing hook or second immediate-reply variant comes back.
+# comes back beside the flag, and no cache-wide state either: no bulk
+# generation that wipes every L1, no atomic in `ShardedCache` (each
+# shard orders its own recency under its own lock) and no generation
+# field in `L1Cache`. Each reactor owns its service instance and lends
+# it nothing: above its test module server.rs names no cache type, and
+# no L1 sizing hook or second immediate-reply variant comes back (the
+# classes keep these patterns from matching themselves).
 lent='l1_capacit[y]|ServiceResult::(Respon[d]|Prepare[d])\b'
+struct_body() { sed -n "/^pub struct $2 {/,/^}/p" "$1"; }
 if grep -rnE 'VersionedEntry|bump_version|retire_version|RespondCacheable|l1_try_serve|l1_refill\b' crates \
     || grep -rnE "$lent" crates src tests examples \
+    || grep -n 'bump_generatio[n]' crates/live/src/cache.rs \
+    || struct_body crates/live/src/cache.rs 'ShardedCach[e]' | grep -n 'AtomicU6[4]' \
+    || struct_body crates/live/src/cache.rs 'L1Cach[e]' | grep -nE '^[[:space:]]*generatio[n]:' \
     || sed '/#\[cfg(test)\]/q' crates/live/src/server.rs | grep -nE 'L1Cache|L1Lookup|ShardedCache|CacheEntry'; then
   echo "ci: a second L1 coherence protocol, or a cache in the engine, is back (lines above)" >&2
   exit 1
