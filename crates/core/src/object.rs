@@ -1,19 +1,18 @@
-//! Identities and versions of cached web objects.
+//! Identities of cached web objects.
 //!
 //! The paper models each web object `a` as a sequence of *versions* created
 //! by updates at the origin server: the version number starts at zero when
 //! the object is created and increments on every update (§2). A proxy's
 //! cached copy `P_a(t)` is always some (possibly stale) server version
-//! `S_a(t')`. An update trace numbers the versions it holds
-//! (`UpdateTrace::version_at` in `mutcon-traces`); the instant a version
-//! came into existence is the time of the update that created it.
+//! `S_a(t')`. An update trace numbers the versions it holds by index
+//! (`UpdateTrace::version_index_at` in `mutcon-traces`); the instant a
+//! version came into existence is the time of the update that created it.
 //!
 //! ```
-//! use mutcon_core::object::{ObjectId, Version};
+//! use mutcon_core::object::ObjectId;
 //!
 //! let story = ObjectId::new("cnn/breaking-news");
 //! assert_eq!(story.as_str(), "cnn/breaking-news");
-//! assert!(Version::from_raw(0) < Version::from_raw(1));
 //! ```
 
 use std::borrow::Borrow;
@@ -69,17 +68,6 @@ impl Borrow<str> for ObjectId {
     }
 }
 
-/// A monotonically increasing version number assigned by the origin server.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct Version(u64);
-
-impl Version {
-    /// Creates a version from its raw counter value.
-    pub const fn from_raw(v: u64) -> Self {
-        Version(v)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,12 +89,5 @@ mod tests {
         let mut map: HashMap<ObjectId, u32> = HashMap::new();
         map.insert(ObjectId::new("a"), 1);
         assert_eq!(map.get("a"), Some(&1));
-    }
-
-    #[test]
-    fn versions_increment() {
-        let (v0, v1) = (Version::from_raw(0), Version::from_raw(1));
-        assert_eq!(v0, Version::default());
-        assert!(v0 < v1);
     }
 }

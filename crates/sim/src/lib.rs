@@ -7,7 +7,7 @@
 //! daemons share underneath:
 //!
 //! * [`rng`] — seeded random numbers and the distributions used by the
-//!   trace generators (exponential, normal, Poisson), so every simulation
+//!   trace generators (exponential, normal), so every simulation
 //!   is bit-for-bit reproducible.
 //! * [`reactor`] — hand-rolled `epoll` readiness primitives driving the
 //!   live daemons' single-thread event loops.

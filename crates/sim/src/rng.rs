@@ -8,8 +8,8 @@
 //! The uniform source is an in-tree xoshiro256++ generator (seeded via
 //! SplitMix64, the reference recommendation), and this module implements
 //! the distributions the workload generators need — exponential
-//! inter-arrival gaps, Box–Muller normals and Knuth Poisson counts — so
-//! no randomness crate is required at all.
+//! inter-arrival gaps and Box–Muller normals — so no randomness crate is
+//! required at all.
 
 /// The xoshiro256++ PRNG (Blackman & Vigna): fast, 256-bit state, more
 /// than enough statistical quality for workload synthesis. Implemented
@@ -158,38 +158,6 @@ impl SimRng {
         mean + std_dev * z
     }
 
-    /// A Poisson count with the given rate (Knuth's method; intended for
-    /// the modest λ of the workload generators).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lambda` is negative or not finite.
-    pub fn poisson(&mut self, lambda: f64) -> u64 {
-        assert!(
-            lambda >= 0.0 && lambda.is_finite(),
-            "poisson lambda must be non-negative and finite, got {lambda}"
-        );
-        if lambda == 0.0 {
-            return 0;
-        }
-        // For large λ, fall back to a normal approximation to avoid the
-        // O(λ) loop and underflow of exp(−λ).
-        if lambda > 500.0 {
-            let sample = self.normal(lambda, lambda.sqrt());
-            return sample.max(0.0).round() as u64;
-        }
-        let limit = (-lambda).exp();
-        let mut k = 0u64;
-        let mut p = 1.0;
-        loop {
-            p *= self.uniform();
-            if p <= limit {
-                return k;
-            }
-            k += 1;
-        }
-    }
-
     /// Picks a uniformly random element of a non-empty slice.
     ///
     /// # Panics
@@ -266,23 +234,6 @@ mod tests {
         let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!((mean - 10.0).abs() < 0.1, "mean {mean}");
         assert!((var - 4.0).abs() < 0.3, "var {var}");
-    }
-
-    #[test]
-    fn poisson_mean_is_close() {
-        let mut rng = SimRng::seed_from_u64(17);
-        let n = 20_000;
-        let sum: u64 = (0..n).map(|_| rng.poisson(3.5)).sum();
-        let observed = sum as f64 / n as f64;
-        assert!((observed - 3.5).abs() < 0.1, "observed {observed}");
-        assert_eq!(rng.poisson(0.0), 0);
-    }
-
-    #[test]
-    fn poisson_large_lambda_uses_normal_approx() {
-        let mut rng = SimRng::seed_from_u64(19);
-        let sample = rng.poisson(10_000.0);
-        assert!((9_000..11_000).contains(&sample), "sample {sample}");
     }
 
     #[test]

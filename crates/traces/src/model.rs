@@ -8,7 +8,6 @@
 
 use std::fmt;
 
-use mutcon_core::object::Version;
 use mutcon_core::semantics::ValidityInterval;
 use mutcon_core::time::{Duration, Timestamp};
 use mutcon_core::value::Value;
@@ -189,12 +188,6 @@ impl UpdateTrace {
         }
     }
 
-    /// The version number current at `t` (version model of §2).
-    pub fn version_at(&self, t: Timestamp) -> Option<Version> {
-        self.version_index_at(t)
-            .map(|i| Version::from_raw(i as u64))
-    }
-
     /// The event that created the version current at `t`.
     pub fn event_at(&self, t: Timestamp) -> Option<&UpdateEvent> {
         self.version_index_at(t).map(|i| &self.events[i])
@@ -323,14 +316,14 @@ mod tests {
     #[test]
     fn version_lookup() {
         let t = trace();
-        assert_eq!(t.version_at(secs(0)), Some(Version::from_raw(0)));
-        assert_eq!(t.version_at(secs(19)), Some(Version::from_raw(0)));
-        assert_eq!(t.version_at(secs(20)), Some(Version::from_raw(1)));
-        assert_eq!(t.version_at(secs(99)), Some(Version::from_raw(2)));
+        assert_eq!(t.version_index_at(secs(0)), Some(0));
+        assert_eq!(t.version_index_at(secs(19)), Some(0));
+        assert_eq!(t.version_index_at(secs(20)), Some(1));
+        assert_eq!(t.version_index_at(secs(99)), Some(2));
         // Before the first event the object has no version yet.
         let late =
             UpdateTrace::new("x", secs(0), secs(10), vec![UpdateEvent::temporal(secs(5))]).unwrap();
-        assert_eq!(late.version_at(secs(1)), None);
+        assert_eq!(late.version_index_at(secs(1)), None);
     }
 
     #[test]
