@@ -551,8 +551,8 @@ impl L1Cache {
         L1Lookup::Miss
     }
 
-    /// [`L1Cache::get`]; kept because `benchmark/` (read-only here) calls
-    /// it by this name, with the generation the cache no longer has.
+    /// [`L1Cache::get`], ignoring its second argument; kept because
+    /// `benchmark/` (read-only here) calls it by this name.
     pub fn lookup(&mut self, path: &str, _generation: u64) -> L1Lookup {
         self.get(path)
     }
