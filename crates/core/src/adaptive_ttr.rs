@@ -245,12 +245,6 @@ impl AdaptiveTtr {
         Ok(())
     }
 
-    /// The smallest raw TTR estimate observed so far.
-    pub fn observed_min(&self) -> Option<Duration> {
-        self.observed_min_ms
-            .map(|ms| Duration::from_millis(ms.round() as u64))
-    }
-
     /// Feeds the value observed by a poll at `now`; returns the new TTR.
     ///
     /// The TTR is computed with `scale = 1`; use
@@ -411,7 +405,6 @@ mod tests {
         s.on_poll(Timestamp::from_secs(0), Value::new(100.0));
         // Fast drift: raw = 5 s → observed min = 5 s.
         s.on_poll(Timestamp::from_secs(10), Value::new(101.0));
-        assert_eq!(s.observed_min(), Some(Duration::from_secs(5)));
         // Slow drift afterwards: raw = 500 s, but α = 0 keeps TTR at 5 s.
         let d = s.on_poll(Timestamp::from_secs(20), Value::new(101.01));
         assert_eq!(d, Duration::from_secs(5));

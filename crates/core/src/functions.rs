@@ -72,11 +72,6 @@ impl ValueFunction {
             ValueFunction::Ratio => None,
         }
     }
-
-    /// Whether the partitioned approach is sound for this function.
-    pub fn supports_partitioning(self) -> bool {
-        self.lipschitz_weights().is_some()
-    }
 }
 
 #[cfg(test)]
@@ -99,10 +94,12 @@ mod tests {
 
     #[test]
     fn partitioning_support() {
-        assert!(ValueFunction::Difference.supports_partitioning());
-        assert!(ValueFunction::Sum.supports_partitioning());
-        assert!(ValueFunction::WeightedSum { wa: -2.0, wb: 1.0 }.supports_partitioning());
-        assert!(!ValueFunction::Ratio.supports_partitioning());
+        assert_eq!(
+            ValueFunction::Difference.lipschitz_weights(),
+            Some((1.0, 1.0))
+        );
+        assert_eq!(ValueFunction::Sum.lipschitz_weights(), Some((1.0, 1.0)));
+        assert_eq!(ValueFunction::Ratio.lipschitz_weights(), None);
         assert_eq!(
             ValueFunction::WeightedSum { wa: -2.0, wb: 1.0 }.lipschitz_weights(),
             Some((2.0, 1.0))

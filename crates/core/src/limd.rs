@@ -178,11 +178,6 @@ impl LimdConfig {
         self.ttr_max
     }
 
-    /// Quiet spell after which a fresh update triggers the Case-4 reset.
-    pub fn idle_threshold(&self) -> Duration {
-        self.idle_threshold
-    }
-
     /// Serializes the configuration to its canonical one-line spec form:
     /// comma-separated `key=value` pairs, e.g.
     ///
@@ -466,11 +461,6 @@ impl Limd {
         self.last_poll
     }
 
-    /// Most recent server modification time this instance has learned of.
-    pub fn last_known_modification(&self) -> Option<Timestamp> {
-        self.last_known_modification
-    }
-
     /// Restores the state used after a proxy failure: TTR back to
     /// `TTR_min`, history forgotten (§3.1: "recovering from a proxy
     /// failure simply involves resetting the TTRs of all objects to
@@ -621,7 +611,6 @@ mod tests {
         assert_eq!(c.delta(), Duration::from_mins(5));
         assert_eq!(c.ttr_min(), Duration::from_mins(5));
         assert_eq!(c.ttr_max(), Duration::from_mins(60));
-        assert_eq!(c.idle_threshold(), Duration::from_mins(60));
         assert_eq!(c.linear_increase(), 0.2);
         assert_eq!(c.epsilon(), 0.02);
         assert_eq!(c.decrease(), DecreaseFactor::PAPER);
@@ -877,7 +866,6 @@ mod tests {
         limd.reset();
         assert_eq!(limd.current_ttr(), Duration::from_mins(10));
         assert_eq!(limd.last_poll(), None);
-        assert_eq!(limd.last_known_modification(), None);
     }
 
     #[test]
@@ -886,23 +874,6 @@ mod tests {
         let mut limd = Limd::new(config());
         limd.on_poll(Timestamp::from_mins(10), &PollResult::NotModified);
         limd.on_poll(Timestamp::from_mins(5), &PollResult::NotModified);
-    }
-
-    #[test]
-    fn tracks_last_known_modification() {
-        let mut limd = Limd::new(config());
-        let t1 = Timestamp::from_mins(10);
-        limd.on_poll(t1, &PollResult::modified(Timestamp::from_mins(7)));
-        assert_eq!(
-            limd.last_known_modification(),
-            Some(Timestamp::from_mins(7))
-        );
-        let t2 = t1 + limd.current_ttr();
-        limd.on_poll(t2, &PollResult::NotModified);
-        assert_eq!(
-            limd.last_known_modification(),
-            Some(Timestamp::from_mins(7))
-        );
     }
 
     #[test]

@@ -195,12 +195,6 @@ impl<K: Ord + Clone> MtCoordinator<K> {
         }
     }
 
-    /// Estimated update rate of `object` in updates per millisecond, once
-    /// two modifications have been observed.
-    pub fn estimated_rate(&self, object: &K) -> Option<f64> {
-        self.members.get(object)?.rate.rate_per_ms()
-    }
-
     /// Reports a completed poll of `object` at `now` and returns the
     /// related objects that should be polled immediately to preserve
     /// Mt-consistency.
@@ -397,9 +391,6 @@ mod tests {
         mt.on_poll(&oid("fast"), mins(20), &PollResult::modified(mins(20)));
         mt.on_poll(&oid("slow"), mins(60), &PollResult::modified(mins(60)));
         mt.on_poll(&oid("slow"), mins(120), &PollResult::modified(mins(120)));
-        assert!(
-            mt.estimated_rate(&oid("fast")).unwrap() > mt.estimated_rate(&oid("slow")).unwrap()
-        );
 
         // Now a fast-object update must NOT trigger the slow object…
         let triggers = mt.on_poll(&oid("fast"), mins(130), &PollResult::modified(mins(129)));
@@ -415,12 +406,19 @@ mod tests {
 
     #[test]
     fn history_feeds_rate_estimator() {
-        let mut mt = coordinator(MtPolicy::HEURISTIC);
-        let result = PollResult::modified_with_history(mins(28), [mins(20), mins(24), mins(28)]);
-        mt.on_poll(&oid("a"), mins(30), &result);
-        // Three modifications 4 minutes apart → a rate is available after
-        // a single poll.
-        assert!(mt.estimated_rate(&oid("a")).is_some());
+        let mut mt = MtCoordinator::new(
+            Duration::from_mins(5),
+            MtPolicy::HEURISTIC,
+            [oid("fast"), oid("slow")],
+        );
+        // One poll each, with history: slow updates every 60 min, fast
+        // every 4 min.
+        let slow = PollResult::modified_with_history(mins(120), [mins(0), mins(60), mins(120)]);
+        mt.on_poll(&oid("slow"), mins(130), &slow);
+        let fast = PollResult::modified_with_history(mins(136), [mins(128), mins(132), mins(136)]);
+        // Both rates are known after a single poll, so the fast update
+        // leaves the slower object alone; an unknown rate would trigger it.
+        assert!(mt.on_poll(&oid("fast"), mins(140), &fast).is_empty());
     }
 
     #[test]

@@ -31,13 +31,12 @@ use mutcon_proxy::origin::{HistorySupport, OriginResponse, OriginServer};
 use mutcon_traces::UpdateTrace;
 
 use crate::client::X_LAST_MODIFIED_MS;
-use crate::server::{default_reactors, EngineConfig, EventLoop, Service, ServiceResult};
+use crate::server::{default_reactors, EventLoop, Service, ServiceResult};
 
 /// Builder for [`LiveOrigin`].
 #[derive(Debug, Default)]
 pub struct LiveOriginBuilder {
     origin: OriginServer,
-    reactors: Option<usize>,
 }
 
 impl LiveOriginBuilder {
@@ -58,14 +57,8 @@ impl LiveOriginBuilder {
         self
     }
 
-    /// Overrides the reactor-thread count (default: one per core, see
-    /// [`crate::server::default_reactors`]).
-    pub fn reactors(mut self, reactors: usize) -> Self {
-        self.reactors = Some(reactors);
-        self
-    }
-
-    /// Binds a localhost listener on an ephemeral port and starts serving.
+    /// Binds a localhost listener on an ephemeral port and starts serving
+    /// on one reactor per core ([`default_reactors`]).
     ///
     /// # Errors
     ///
@@ -77,18 +70,11 @@ impl LiveOriginBuilder {
             epoch: Instant::now(),
             requests: AtomicU64::new(0),
         });
-        let server = EventLoop::start(
-            "mutcon-live-origin-reactor",
-            || {
-                Box::new(OriginService {
-                    shared: Arc::clone(&shared),
-                })
-            },
-            EngineConfig {
-                reactors: self.reactors.unwrap_or_else(default_reactors),
-                ..EngineConfig::default()
-            },
-        )?;
+        let server = EventLoop::start("mutcon-live-origin-reactor", default_reactors(), |_, _| {
+            Box::new(OriginService {
+                shared: Arc::clone(&shared),
+            })
+        })?;
         Ok(LiveOrigin { server, shared })
     }
 }
@@ -161,8 +147,6 @@ impl Service for OriginService {
         shared.requests.fetch_add(1, Ordering::SeqCst);
         let response = if request.method() != &Method::Get {
             Response::builder(StatusCode::METHOD_NOT_ALLOWED).build()
-        } else if request.target() == "/__health" {
-            Response::ok().body(&b"ok\n"[..]).build()
         } else {
             let now = Timestamp::from_millis(shared.epoch.elapsed().as_millis() as u64);
             answer(&shared.origin, shared.epoch_unix_ms, request, now)
@@ -261,17 +245,15 @@ mod tests {
     }
 
     #[test]
-    fn serves_health_and_404() {
+    fn an_unhosted_path_is_a_404() {
         let origin = LiveOrigin::builder()
             .object("/obj", fast_trace())
             .start()
             .unwrap();
         let mut client = connect(&origin, 5_000);
-        let resp = client.get("/__health", None).unwrap();
-        assert_eq!(resp.status(), StatusCode::OK);
         let resp = client.get("/missing", None).unwrap();
         assert_eq!(resp.status(), StatusCode::NOT_FOUND);
-        assert!(origin.request_count() >= 2);
+        assert_eq!(origin.request_count(), 1);
     }
 
     #[test]

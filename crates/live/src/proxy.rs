@@ -27,7 +27,7 @@
 //! of all of them. Entries pre-render their serving head at store time,
 //! so a hit is two shared slices handed to `writev` — no serialization
 //! and no body copy on the hot path, however many clients share the
-//! entry. Concurrency is bounded by [`crate::server::DEFAULT_MAX_CONNS`]
+//! entry. Concurrency is bounded by [`crate::server::MAX_CONNS`]
 //! connections, split across the reactors.
 //!
 //! # The admin control plane
@@ -85,8 +85,8 @@ use crate::metrics::{metrics, obj, put, Counter};
 use crate::origin::unix_now_ms;
 use crate::runtime::{ConsistencyRuntime, Plane, PollKind};
 use crate::server::{
-    default_reactors, EngineConfig, EngineMetrics, EventLoop, Reply, Service, ServiceResult,
-    DEFAULT_L1_OBJECTS, DEFAULT_MAX_CONNS, MAX_L1_OBJECTS,
+    default_reactors, EngineMetrics, EventLoop, Reply, Service, ServiceResult, DEFAULT_L1_OBJECTS,
+    MAX_L1_OBJECTS,
 };
 
 /// Paths under this prefix are the proxy's admin plane: answered on the
@@ -277,25 +277,19 @@ impl LiveProxy {
         }
         // The `SIGHUP` count as of now: only later signals reload.
         let mut reload = config.rules_file.map(|path| (path, signal::sighup_count()));
-        let metrics = Arc::new(EngineMetrics::default());
-        // Reactor 0's instance is built first, and only it steps the plane
-        // and reloads.
-        let mut first = true;
+        // Only reactor 0's instance, built first, steps the plane and
+        // reloads.
         let server = EventLoop::start(
             "mutcon-live-proxy-reactor",
-            || {
+            config.reactors.unwrap_or_else(default_reactors),
+            |i, metrics| {
                 Box::new(ProxyService {
                     shared: Arc::clone(&shared),
-                    metrics: Arc::clone(&metrics),
+                    metrics: Arc::clone(metrics),
                     l1: (l1_objects > 0).then(|| L1Cache::new(l1_objects)),
-                    plane: std::mem::take(&mut first),
+                    plane: i == 0,
                     reload: reload.take(),
                 })
-            },
-            EngineConfig {
-                max_conns: DEFAULT_MAX_CONNS,
-                reactors: config.reactors.unwrap_or_else(default_reactors),
-                metrics: Arc::clone(&metrics),
             },
         )?;
         // After each install, outside the plane's lock: an un-ruled path

@@ -2,7 +2,7 @@
 //! the live proxy.
 //!
 //! The engine runs **one reactor per core** by default
-//! ([`default_reactors`]; [`EngineConfig::reactors`] sets it): each
+//! ([`default_reactors`]; [`EventLoop::start`] takes the count): each
 //! reactor thread owns its own level-triggered epoll [`Poller`], its own
 //! eventfd [`Waker`], its own connection slab, its own keep-alive origin
 //! pool, its own [`Service`] instance — and its own
@@ -67,8 +67,7 @@
 //! batch). [`EngineMetrics`] counts the syscalls so the
 //! effect is observable from `/admin/stats`.
 //!
-//! Concurrent-connection capacity is bounded by
-//! [`EngineConfig::max_conns`] (default [`DEFAULT_MAX_CONNS`]), split
+//! Concurrent-connection capacity is bounded by [`MAX_CONNS`], split
 //! evenly across reactors: a reactor at its share drops its listener's
 //! readiness interest, parking further clients in the kernel backlog
 //! until a slot frees. That is the engine's one overload policy, and it
@@ -104,11 +103,10 @@ use crate::metrics::{metrics, Cell, Counter, Gauge};
 use crate::upstream::{JobId, PoolCore, Submit};
 use crate::vectored::FlushStats;
 
-/// Default concurrent-connection bound per event loop (split evenly
-/// across its reactors), and the live proxy's bound. Sized for "hundreds
-/// of sockets through one process" with headroom; an engine that needs
-/// another sets [`EngineConfig::max_conns`].
-pub const DEFAULT_MAX_CONNS: usize = 1024;
+/// Concurrent-connection bound of every event loop, split exactly across
+/// its reactors. Sized for "hundreds of sockets through one process"
+/// with headroom.
+pub const MAX_CONNS: usize = 1024;
 
 /// Default per-reactor L1 capacity in objects
 /// ([`crate::proxy::ProxyConfig::l1_objects`]): big enough to hold the
@@ -181,8 +179,8 @@ const TOKEN_BASE: usize = 2;
 /// the first `max_conns % reactors` shards take one extra slot, so the
 /// shares always sum to `max_conns` and never differ by more than one.
 /// Callers must pass `1 <= reactors <= max_conns` (the constructor
-/// clamps); the audit tests below pin the exactness over non-divisible
-/// combinations.
+/// passes [`MAX_CONNS`] and at most [`MAX_REACTORS`]); the audit tests
+/// below pin the exactness over non-divisible combinations.
 fn split_conns(max_conns: usize, reactors: usize) -> Vec<usize> {
     debug_assert!(reactors >= 1 && reactors <= max_conns);
     (0..reactors)
@@ -297,9 +295,10 @@ enum Waiter {
 
 metrics! {
     /// Lightweight always-on counters an event loop's reactors maintain, for
-    /// the admin control plane (`GET /admin/stats`). Per-reactor slots are
-    /// sized at [`MAX_REACTORS`] up front so the struct can be shared with a
-    /// [`Service`] before the final reactor count is known; all cells are
+    /// the admin control plane (`GET /admin/stats`). The loop builds them
+    /// and lends them to each [`Service`] it constructs. Per-reactor slots
+    /// are sized at [`MAX_REACTORS`], the most reactors a loop runs, so
+    /// the struct's shape does not depend on the count; all cells are
     /// relaxed atomics — observability, not synchronization.
     pub struct EngineMetrics {
         /// Upstream fetches served on a parked keep-alive origin connection.
@@ -348,7 +347,7 @@ metrics! {
         parked_shed: Counter => "overload.parked_shed";
     }
     plus {
-        /// How many reactors report (0 until an event loop adopts the struct).
+        /// How many reactors report.
         reactors: Gauge = Gauge::default(),
         /// Client connections currently open, per reactor.
         conns: Vec<Gauge> = (0..MAX_REACTORS).map(|_| Gauge::default()).collect(),
@@ -408,53 +407,22 @@ pub struct EventLoop {
     metrics: Arc<EngineMetrics>,
 }
 
-/// Everything an [`EventLoop`] is started with. `..Default::default()`
-/// fills in what a caller does not care about.
-#[derive(Debug)]
-pub struct EngineConfig {
-    /// Concurrent-connection bound, total across reactors
-    /// ([`DEFAULT_MAX_CONNS`]). It is split exactly, and each shard
-    /// enforces its share independently, since the kernel's
-    /// `SO_REUSEPORT` balancing ignores occupancy.
-    pub max_conns: usize,
-    /// Reactor threads ([`default_reactors`]); clamped to
-    /// `1..=`[`MAX_REACTORS`] and to `max_conns`, so a small bound is
-    /// never multiplied.
-    pub reactors: usize,
-    /// Where the reactors count. The live proxy shares the struct with
-    /// its admin control plane, which needs it before the loop exists.
-    pub metrics: Arc<EngineMetrics>,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            max_conns: DEFAULT_MAX_CONNS,
-            reactors: default_reactors(),
-            metrics: Arc::new(EngineMetrics::default()),
-        }
-    }
-}
-
 impl EventLoop {
     /// Binds localhost listeners on a shared ephemeral port, one per
-    /// reactor, and starts the reactor threads. `new_service` is called
-    /// once per reactor, in reactor order (reactor 0's instance first);
-    /// each reactor owns the instance it gets.
+    /// reactor, and starts `reactors` reactor threads (clamped to
+    /// `1..=`[`MAX_REACTORS`]; [`default_reactors`] is one per core).
+    /// `new_service(i, metrics)` is called once per reactor, in reactor
+    /// order (reactor 0's instance first), with the loop's counters; each
+    /// reactor owns the instance it gets.
     ///
     /// # Errors
     ///
     /// Propagates socket and epoll setup failures.
     pub fn start(
         name: &str,
-        mut new_service: impl FnMut() -> Box<dyn Service>,
-        config: EngineConfig,
+        reactors: usize,
+        mut new_service: impl FnMut(usize, &Arc<EngineMetrics>) -> Box<dyn Service>,
     ) -> io::Result<EventLoop> {
-        let EngineConfig {
-            max_conns,
-            reactors,
-            metrics,
-        } = config;
         // Raise the fd ceiling once per process so 10k-connection runs
         // don't trip the default 1024 soft limit.
         static RAISE_NOFILE: Once = Once::new();
@@ -465,13 +433,7 @@ impl EventLoop {
             Ok(_) => {}
             Err(err) => eprintln!("mutcon-live: could not raise RLIMIT_NOFILE: {err}"),
         });
-        let max_conns = max_conns.max(1);
-        // Never spawn more reactors than the connection bound allows:
-        // the bound is enforced per shard (the kernel's SO_REUSEPORT
-        // balancing ignores occupancy), and splitting it must not
-        // multiply it — `max_conns: 2, reactors: 8` means 2
-        // connections total, not 8.
-        let reactors = reactors.clamp(1, MAX_REACTORS).min(max_conns);
+        let reactors = reactors.clamp(1, MAX_REACTORS);
         // The first listener picks the ephemeral port; its SO_REUSEPORT
         // siblings join it, one per reactor.
         let first = listen_reuseport(SocketAddr::from(([127, 0, 0, 1], 0)))?;
@@ -482,19 +444,20 @@ impl EventLoop {
         }
 
         let shutdown = Arc::new(AtomicBool::new(false));
+        let metrics = Arc::new(EngineMetrics::default());
         metrics.reactors.set(reactors as u64);
         let mut handles = Vec::with_capacity(reactors);
-        // Split the bound exactly: the first (max_conns % reactors)
-        // shards take one extra slot, total = max_conns.
-        let shares = split_conns(max_conns, reactors);
+        // Each shard enforces its share on its own, since the kernel's
+        // SO_REUSEPORT balancing ignores occupancy.
+        let shares = split_conns(MAX_CONNS, reactors);
         for (i, listener) in listeners.into_iter().enumerate() {
             let reactor = Reactor {
                 poller: Poller::new()?,
                 waker: Waker::new()?,
                 listener,
-                service: new_service(),
+                service: new_service(i, &metrics),
                 shutdown: Arc::clone(&shutdown),
-                max_conns: shares[i].max(1),
+                max_conns: shares[i],
                 conns: Vec::new(),
                 free: Vec::new(),
                 clients: 0,
@@ -550,7 +513,8 @@ impl EventLoop {
         self.reactors[i].waker.clone()
     }
 
-    /// The loop's always-on counters ([`EngineConfig::metrics`]).
+    /// The loop's always-on counters, the ones each service was built
+    /// with.
     pub fn metrics(&self) -> &Arc<EngineMetrics> {
         &self.metrics
     }
@@ -1422,16 +1386,8 @@ mod tests {
         }
     }
 
-    fn echo() -> Box<dyn Service> {
+    fn echo(_: usize, _: &Arc<EngineMetrics>) -> Box<dyn Service> {
         Box::new(Echo)
-    }
-
-    fn engine(max_conns: usize, reactors: usize) -> EngineConfig {
-        EngineConfig {
-            max_conns,
-            reactors,
-            ..EngineConfig::default()
-        }
     }
 
     fn get(addr: SocketAddr, path: &str) -> io::Result<Response> {
@@ -1444,7 +1400,7 @@ mod tests {
 
     #[test]
     fn serves_requests_and_keep_alive() {
-        let server = EventLoop::start("test-echo", echo, EngineConfig::default()).unwrap();
+        let server = EventLoop::start("test-echo", default_reactors(), echo).unwrap();
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         stream
             .set_read_timeout(Some(Duration::from_secs(5)))
@@ -1461,7 +1417,7 @@ mod tests {
 
     #[test]
     fn serves_pipelined_requests_in_order() {
-        let server = EventLoop::start("test-pipeline", echo, EngineConfig::default()).unwrap();
+        let server = EventLoop::start("test-pipeline", default_reactors(), echo).unwrap();
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         stream
             .set_read_timeout(Some(Duration::from_secs(5)))
@@ -1479,7 +1435,7 @@ mod tests {
 
     #[test]
     fn connection_close_is_honored() {
-        let server = EventLoop::start("test-close", echo, EngineConfig::default()).unwrap();
+        let server = EventLoop::start("test-close", default_reactors(), echo).unwrap();
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         stream
             .set_read_timeout(Some(Duration::from_secs(5)))
@@ -1500,7 +1456,7 @@ mod tests {
 
     #[test]
     fn multiple_reactors_all_serve() {
-        let server = EventLoop::start("test-multi", echo, engine(64, 4)).unwrap();
+        let server = EventLoop::start("test-multi", 4, echo).unwrap();
         assert_eq!(server.reactor_count(), 4);
         // Enough connections that the kernel spreads them over several
         // listeners; every one must be served regardless of shard.
@@ -1519,17 +1475,18 @@ mod tests {
         }
     }
 
-    /// The constructor runs once per reactor, and a connection, which
-    /// lives on one reactor, is served by that reactor's instance alone.
+    /// The constructor runs once per reactor, in reactor order, and a
+    /// connection, which lives on one reactor, is served by that
+    /// reactor's instance alone.
     #[test]
     fn each_reactor_owns_one_service_instance() {
-        let built = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let counter = Arc::clone(&built);
-        let new_tagged = move || -> Box<dyn Service> {
-            Box::new(Tagged(counter.fetch_add(1, Ordering::SeqCst)))
-        };
-        let server = EventLoop::start("test-instances", new_tagged, engine(64, 4)).unwrap();
-        assert_eq!(built.load(Ordering::SeqCst), server.reactor_count());
+        let mut built = Vec::new();
+        let server = EventLoop::start("test-instances", 4, |i, _| -> Box<dyn Service> {
+            built.push(i);
+            Box::new(Tagged(i))
+        })
+        .unwrap();
+        assert_eq!(built, (0..server.reactor_count()).collect::<Vec<_>>());
         for _ in 0..8 {
             let mut stream = TcpStream::connect(server.local_addr()).unwrap();
             stream
@@ -1550,20 +1507,39 @@ mod tests {
         }
     }
 
+    /// Waits until the loop's reactors hold `open` client connections.
+    fn wait_for_connections(server: &EventLoop, open: &[usize]) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while server.metrics().reactor_connections() != open {
+            assert!(
+                Instant::now() < deadline,
+                "the reactors never held {open:?}"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Fills a one-reactor loop's whole bound with idle keep-alive
+    /// connections, returned so that they stay open.
+    fn fill_the_bound(server: &EventLoop) -> Vec<TcpStream> {
+        let clients = (0..MAX_CONNS)
+            .map(|_| TcpStream::connect(server.local_addr()).unwrap())
+            .collect();
+        wait_for_connections(server, &[MAX_CONNS]);
+        clients
+    }
+
     #[test]
     fn connection_bound_parks_clients_in_backlog() {
-        // One reactor so the two capacity slots are a single bound.
-        let server = EventLoop::start("test-bound", echo, engine(2, 1)).unwrap();
-        // Fill both slots with idle keep-alive connections.
-        let _a = TcpStream::connect(server.local_addr()).unwrap();
-        let _b = TcpStream::connect(server.local_addr()).unwrap();
-        std::thread::sleep(Duration::from_millis(50));
-        // A third client connects (kernel backlog) but is not served
+        // One reactor so the whole bound is a single shard.
+        let server = EventLoop::start("test-bound", 1, echo).unwrap();
+        let mut held = fill_the_bound(&server);
+        // One more client connects (kernel backlog) but is not served
         // until a slot frees.
         let mut c = TcpStream::connect(server.local_addr()).unwrap();
         c.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         write_request(&mut c, &Request::get("/queued").build()).unwrap();
-        drop(_a); // free a slot
+        drop(held.pop()); // free a slot
         let mut buf = BytesMut::new();
         let resp = read_response(&mut c, &mut buf).unwrap();
         assert_eq!(&resp.body()[..], b"/queued");
@@ -1573,7 +1549,7 @@ mod tests {
     fn half_closed_peer_still_gets_all_pipelined_responses() {
         // Write two requests, shut down the write side, then read: both
         // responses must arrive before the server closes.
-        let server = EventLoop::start("test-half-close", echo, EngineConfig::default()).unwrap();
+        let server = EventLoop::start("test-half-close", default_reactors(), echo).unwrap();
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         stream
             .set_read_timeout(Some(Duration::from_secs(5)))
@@ -1594,7 +1570,7 @@ mod tests {
 
     #[test]
     fn malformed_input_closes_the_connection() {
-        let server = EventLoop::start("test-garbage", echo, EngineConfig::default()).unwrap();
+        let server = EventLoop::start("test-garbage", default_reactors(), echo).unwrap();
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         stream
             .set_read_timeout(Some(Duration::from_secs(5)))
@@ -1603,18 +1579,6 @@ mod tests {
         let mut sink = Vec::new();
         let n = stream.read_to_end(&mut sink).unwrap();
         assert_eq!(n, 0, "server must close without a response");
-    }
-
-    #[test]
-    fn small_connection_bounds_cap_the_reactor_count() {
-        // A bound of 2 must mean 2 connections total, not 2 per shard:
-        // the reactor count collapses to the bound.
-        let server = EventLoop::start("test-tiny-bound", echo, engine(2, 8)).unwrap();
-        assert_eq!(server.reactor_count(), 2);
-        assert_eq!(
-            get(server.local_addr(), "/ok").unwrap().status(),
-            StatusCode::OK
-        );
     }
 
     #[test]
@@ -2135,12 +2099,9 @@ mod tests {
         // At the connection bound, further clients sit in the kernel
         // backlog. They must not wait forever: once the park deadline
         // lapses the reactor drains them with a clean `503`.
-        let server = EventLoop::start("test-park-deadline", echo, engine(2, 1)).unwrap();
-        // Fill both slots with idle keep-alive connections.
-        let _a = TcpStream::connect(server.local_addr()).unwrap();
-        let _b = TcpStream::connect(server.local_addr()).unwrap();
-        std::thread::sleep(Duration::from_millis(50));
-        // The third client is parked; instead of stalling forever it
+        let server = EventLoop::start("test-park-deadline", 1, echo).unwrap();
+        let mut held = fill_the_bound(&server);
+        // The next client is parked; instead of stalling forever it
         // must receive a 503 with a Retry-After hint, then EOF.
         let mut c = TcpStream::connect(server.local_addr()).unwrap();
         c.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
@@ -2161,33 +2122,24 @@ mod tests {
         // reactor has seen the slot free; before that it would arrive at
         // the bound, where a shed pass still draining the backlog may
         // rightly shed it.
-        drop(_a);
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while server.metrics().reactor_connections() != [1] {
-            assert!(
-                Instant::now() < deadline,
-                "the reactor never saw the slot free"
-            );
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        drop(held.pop());
+        wait_for_connections(&server, &[MAX_CONNS - 1]);
         let resp = get(server.local_addr(), "/after").unwrap();
         assert_eq!(&resp.body()[..], b"/after");
     }
 
     #[test]
     fn engine_metrics_track_accepts_and_open_connections() {
-        let metrics = Arc::new(EngineMetrics::default());
-        let server = EventLoop::start(
-            "test-metrics",
-            echo,
-            EngineConfig {
-                metrics: Arc::clone(&metrics),
-                ..engine(64, 2)
-            },
-        )
+        let mut lent = Vec::new();
+        let server = EventLoop::start("test-metrics", 2, |i, metrics| {
+            lent.push(Arc::clone(metrics));
+            echo(i, metrics)
+        })
         .unwrap();
+        let metrics = Arc::clone(server.metrics());
         assert_eq!(metrics.reactor_count(), 2);
-        assert!(Arc::ptr_eq(server.metrics(), &metrics));
+        assert_eq!(lent.len(), 2);
+        assert!(lent.iter().all(|m| Arc::ptr_eq(m, &metrics)));
         assert_eq!(metrics.reactor_accepted().iter().sum::<u64>(), 0);
         for i in 0..6 {
             let resp = get(server.local_addr(), &format!("/m/{i}")).unwrap();
@@ -2252,38 +2204,18 @@ mod tests {
         }
     }
 
-    /// The metrics and the shared cache the tests inspect, and the
-    /// constructor of the instances that use them.
-    fn cached_echo() -> (
-        Arc<EngineMetrics>,
-        Arc<crate::cache::ShardedCache>,
-        impl FnMut() -> Box<dyn Service>,
-    ) {
-        let metrics = Arc::new(EngineMetrics::default());
-        let cache = Arc::new(crate::cache::ShardedCache::new(None));
-        let (m, c) = (Arc::clone(&metrics), Arc::clone(&cache));
-        let new_service = move || -> Box<dyn Service> {
-            Box::new(CachedEcho {
-                cache: Arc::clone(&c),
-                metrics: Arc::clone(&m),
-                l1: crate::cache::L1Cache::new(32),
-            })
-        };
-        (metrics, cache, new_service)
-    }
-
     #[test]
     fn l1_serves_validated_hits_and_invalidates_on_store() {
-        let (metrics, cache, new_service) = cached_echo();
-        let server = EventLoop::start(
-            "test-l1",
-            new_service,
-            EngineConfig {
-                metrics: Arc::clone(&metrics),
-                ..engine(64, 1)
-            },
-        )
+        let cache = Arc::new(crate::cache::ShardedCache::new(None));
+        let server = EventLoop::start("test-l1", 1, |_, metrics| {
+            Box::new(CachedEcho {
+                cache: Arc::clone(&cache),
+                metrics: Arc::clone(metrics),
+                l1: crate::cache::L1Cache::new(32),
+            })
+        })
         .unwrap();
+        let metrics = server.metrics();
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         stream
             .set_read_timeout(Some(Duration::from_secs(5)))

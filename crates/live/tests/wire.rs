@@ -509,7 +509,7 @@ fn thread_cpu_ticks(comm: &str) -> u64 {
 #[test]
 fn half_closed_client_gets_its_held_miss_without_a_spinning_reactor() {
     use mutcon_live::client::get_wire;
-    use mutcon_live::server::{EngineConfig, EventLoop, Service, ServiceResult};
+    use mutcon_live::server::{EventLoop, Service, ServiceResult};
 
     struct FetchEverything(SocketAddr);
     impl Service for FetchEverything {
@@ -523,14 +523,9 @@ fn half_closed_client_gets_its_held_miss_without_a_spinning_reactor() {
 
     let origin = ScriptedOrigin::start(FakeClock::new());
     origin.script("/held", vec![harness::Behavior::Hold]);
-    let engine = EventLoop::start(
-        "eofhold",
-        || Box::new(FetchEverything(origin.addr())),
-        EngineConfig {
-            reactors: 1,
-            ..EngineConfig::default()
-        },
-    )
+    let engine = EventLoop::start("eofhold", 1, |_, _| {
+        Box::new(FetchEverything(origin.addr()))
+    })
     .expect("start engine");
 
     let mut sock = connect(engine.local_addr());

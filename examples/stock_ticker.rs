@@ -84,6 +84,6 @@ fn main() {
         "\nThe partitioned approach tracks the server difference more tightly\n\
          (higher fidelity) at the cost of more polls — the Figure 7 trade-off.\n\
          It is only available because the difference function decomposes\n\
-         per-object (ValueFunction::supports_partitioning)."
+         per-object (ValueFunction::lipschitz_weights)."
     );
 }

@@ -40,15 +40,22 @@ if grep -rniE "$second_path" crates scripts src tests examples \
   exit 1
 fi
 
-# One option surface: every engine setting is a `ProxyConfig` /
-# `EngineConfig` field with a coded default. Nothing reads the
-# environment, nothing documents a variable that would be read, and this
-# script sets none (the class keeps the pattern from matching itself).
+# One option surface: every proxy setting is a `ProxyConfig` field with
+# a coded default, and the engine's one setting is the reactor count
+# `EventLoop::start` takes; the connection bound is the constant
+# `MAX_CONNS`. Nothing reads the environment, nothing documents a
+# variable that would be read, and this script sets none. No engine
+# config struct, settable bound, origin health path or origin reactor
+# override comes back (the classes keep the patterns from matching
+# themselves).
 env_knob='MUTCON[_]'
+engine_knob='EngineConfi[g]|DEFAULT_MAX_CONN[S]|__healt[h]'
 if grep -rn 'env::var' crates/*/src \
     || grep -rn "$env_knob" crates src tests examples README.md .claude \
-    || grep -nE "(^|[[:space:]])${env_knob}[A-Z0-9_]*=" scripts/ci.sh; then
-  echo "ci: an environment knob is back (lines above)" >&2
+    || grep -nE "(^|[[:space:]])${env_knob}[A-Z0-9_]*=" scripts/ci.sh \
+    || grep -rnE "$engine_knob" crates src tests examples README.md .claude \
+    || grep -nE 'fn reactors\b' crates/live/src/origin.rs; then
+  echo "ci: an environment knob or a second engine setting is back (lines above)" >&2
   exit 1
 fi
 
