@@ -58,16 +58,16 @@ pub const SHARD_COUNT: usize = 16;
 /// One cached object copy as served to clients.
 ///
 /// Immutable after construction: [`CacheEntry::new`] renders the serving
-/// header block once, so every later hit reuses it. Fields are private to
-/// keep the pre-rendered head in sync with what it describes. Neither
-/// `Clone` nor `PartialEq`: the supersede flag is identity, and a clone
-/// of the resident copy is not the resident copy.
+/// header block once, so every later hit reuses it, and keeps only what
+/// it serves: the value and version it was built with live in the head
+/// alone. Fields are private to keep the head in sync with the body and
+/// stamp it describes. Neither `Clone` nor `PartialEq`: the supersede
+/// flag is identity, and a clone of the resident copy is not the
+/// resident copy.
 #[derive(Debug)]
 pub struct CacheEntry {
     body: Bytes,
     last_modified: Timestamp,
-    value: Option<f64>,
-    version: Option<String>,
     /// Pre-rendered response head: status line and headers (including
     /// `content-length`), **without** the terminating blank line, so the
     /// server can append per-response headers (`x-cache`,
@@ -85,14 +85,16 @@ impl CacheEntry {
     /// The head is exactly what [`Response::write_head`] produces for the
     /// equivalent response: status line, `last-modified`,
     /// `x-last-modified-ms`, optional `x-object-value` /
-    /// `x-object-version`, and the derived `content-length`.
+    /// `x-object-version`, and the derived `content-length`. The version
+    /// is copied into the head and not kept, so a borrowed one costs no
+    /// allocation.
     ///
     /// [`Response::write_head`]: mutcon_http::message::Response::write_head
     pub fn new(
         body: Bytes,
         last_modified: Timestamp,
         value: Option<f64>,
-        version: Option<String>,
+        version: Option<impl AsRef<str>>,
     ) -> CacheEntry {
         let mut head = Vec::with_capacity(192);
         head.extend_from_slice(b"HTTP/1.1 200 OK\r\nlast-modified: ");
@@ -103,9 +105,9 @@ impl CacheEntry {
             // Writing into a `Vec` cannot fail.
             let _ = write!(head, "\r\nx-object-value: {v}");
         }
-        if let Some(ver) = &version {
+        if let Some(ver) = version {
             head.extend_from_slice(b"\r\nx-object-version: ");
-            head.extend_from_slice(ver.as_bytes());
+            head.extend_from_slice(ver.as_ref().as_bytes());
         }
         if !body.is_empty() {
             head.extend_from_slice(b"\r\ncontent-length: ");
@@ -115,8 +117,6 @@ impl CacheEntry {
         CacheEntry {
             body,
             last_modified,
-            value,
-            version,
             head: Bytes::from(head),
             superseded: AtomicBool::new(false),
         }
@@ -145,16 +145,6 @@ impl CacheEntry {
     /// Millisecond-precise modification stamp.
     pub fn last_modified(&self) -> Timestamp {
         self.last_modified
-    }
-
-    /// The `x-object-value` payload, for value-bearing objects.
-    pub fn value(&self) -> Option<f64> {
-        self.value
-    }
-
-    /// The `x-object-version` payload.
-    pub fn version(&self) -> Option<&str> {
-        self.version.as_deref()
     }
 
     /// The pre-rendered response head (no terminating blank line).
@@ -677,7 +667,7 @@ mod tests {
             Bytes::from("payload"),
             Timestamp::from_millis(784_111_777_123),
             Some(2.5),
-            Some("v7".to_owned()),
+            Some("v7"),
         );
         let head = std::str::from_utf8(e.head()).unwrap();
         assert!(head.starts_with("HTTP/1.1 200 OK\r\n"), "{head:?}");
@@ -691,7 +681,12 @@ mod tests {
             "head must leave room for per-response headers"
         );
         // Optional fields stay out of the head entirely.
-        let bare = CacheEntry::new(Bytes::from("x"), Timestamp::from_millis(1), None, None);
+        let bare = CacheEntry::new(
+            Bytes::from("x"),
+            Timestamp::from_millis(1),
+            None,
+            None::<&str>,
+        );
         let head = std::str::from_utf8(bare.head()).unwrap();
         assert!(!head.contains("x-object-value"));
         assert!(!head.contains("x-object-version"));
@@ -735,8 +730,7 @@ mod tests {
                             builder = builder.header(HeaderName::X_OBJECT_VERSION, ver);
                         }
                         let golden = builder.body(body.clone()).build().head_bytes();
-                        let entry =
-                            CacheEntry::new(body.clone(), stamp, value, version.map(str::to_owned));
+                        let entry = CacheEntry::new(body.clone(), stamp, value, version);
                         assert_eq!(
                             String::from_utf8_lossy(entry.head()),
                             String::from_utf8_lossy(&golden),

@@ -250,33 +250,7 @@ pub fn obj(entries: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
 ///   `Default` (a [`Histogram`] needs its bounds).
 /// * A trailing `plus { field: Type = expr, … }` adds fields that are not
 ///   metrics: state the struct owns next to its cells.
-/// * `struct Cells, snapshot Snap { … }` also generates `Snap`, a plain
-///   struct of every cell's value, and `Cells::snapshot()`.
 macro_rules! metrics {
-    (
-        $(#[$meta:meta])* $vis:vis struct $Name:ident,
-        snapshot $(#[$smeta:meta])* $Snap:ident {
-            $( $(#[doc = $doc:literal])* $field:ident : $kind:ty => $path:literal ; )*
-        }
-    ) => {
-        $crate::metrics::metrics! {
-            $(#[$meta])* $vis struct $Name {
-                $( $(#[doc = $doc])* $field : $kind => $path ; )*
-            }
-        }
-
-        $(#[$smeta])*
-        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-        pub struct $Snap {
-            $( $(#[doc = $doc])* pub $field: <$kind as $crate::metrics::Cell>::Value, )*
-        }
-
-        impl $Name {
-            fn snapshot(&self) -> $Snap {
-                $Snap { $( $field: self.$field(), )* }
-            }
-        }
-    };
     (
         $(#[$meta:meta])* $vis:vis struct $Name:ident {
             $(
@@ -341,9 +315,7 @@ mod tests {
 
     metrics! {
         /// A set with one cell of each kind.
-        struct Sample, snapshot
-        /// What `Sample` read.
-        SampleSnap {
+        struct Sample {
             /// Things seen.
             seen: Counter => "sample.seen";
             /// Things held.
@@ -374,7 +346,6 @@ mod tests {
         sample.held.set(1);
         sample.held.raise(0);
         assert_eq!((sample.seen(), sample.held()), (3, 1));
-        assert_eq!(sample.snapshot(), SampleSnap { seen: 3, held: 1 });
         assert_eq!(
             Sample::METRICS,
             [

@@ -54,8 +54,9 @@
 //!   per-reactor connection counts, origin-pool reuse/coalesce
 //!   counters, wire-path syscall/copy counters (`writev` vs `write`
 //!   calls, accept batches, body copies, `epoll_ctl` calls), the refresh
-//!   plane's poll/in-flight/drift figures, the proxy's poll/hit/miss
-//!   counters, and the parked clients the engine shed with `503`.
+//!   plane's poll/error/in-flight/drift figures, the proxy's
+//!   hit/miss/store counters, and the parked clients the engine shed
+//!   with `503`.
 //!
 //! When a bearer token is configured ([`ProxyConfig::admin_token`]),
 //! every `/admin/*` request must carry
@@ -83,7 +84,7 @@ use crate::cache::{CacheEntry, L1Cache, L1Lookup, ShardedCache};
 use crate::client::{get_wire, wire_target, ObjectStamps};
 use crate::metrics::{metrics, obj, put, Counter};
 use crate::origin::unix_now_ms;
-use crate::runtime::{ConsistencyRuntime, Plane, PollKind};
+use crate::runtime::{ConsistencyRuntime, Plane};
 use crate::server::{
     default_reactors, EngineMetrics, EventLoop, Reply, Service, ServiceResult, DEFAULT_L1_OBJECTS,
     MAX_L1_OBJECTS,
@@ -190,15 +191,10 @@ impl ProxyConfig {
 }
 
 metrics! {
-    /// The proxy's own counters, all counted by the reactors (hits,
-    /// misses, `PUT` reloads; polls and `SIGHUP` reloads on reactor 0).
-    pub(crate) struct Counters, snapshot
-    /// A snapshot of the proxy's counters.
-    ProxyStats {
-        /// Refresher polls sent to the origin.
-        polls: Counter => "proxy.polls";
-        /// Polls initiated by the mutual-consistency coordinator.
-        triggered: Counter => "proxy.triggered";
+    /// The proxy's own counters, all counted by the reactors (stores,
+    /// hits, misses, `PUT` reloads; `SIGHUP` reloads on reactor 0). Its
+    /// polls are the refresh plane's to count.
+    pub(crate) struct Counters {
         /// Fetches and polls that stored a fresh copy; a fetch that
         /// coalesced many misses counts once.
         refreshes: Counter => "proxy.refreshes";
@@ -206,15 +202,35 @@ metrics! {
         hits: Counter => "proxy.hits";
         /// Client requests that had to fetch from the origin.
         misses: Counter => "proxy.misses";
-        /// Failed origin polls (timeouts, resets, unexpected statuses, a
-        /// `200` without a modification stamp).
-        errors: Counter => "proxy.errors";
         /// Rule reloads applied through `PUT /admin/rules` or `SIGHUP`.
         reloads: Counter => "proxy.reloads";
         /// `SIGHUP` re-reads that failed (unreadable file, bad JSON,
         /// invalid rules) and therefore changed nothing.
         reload_errors: Counter => "proxy.reload_errors";
     }
+}
+
+/// A snapshot of the proxy's counters, its polls read from the refresh
+/// plane's ([`crate::runtime::RefreshMetrics`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ProxyStats {
+    /// Refresher polls sent to the origin (`refresh.polls`).
+    pub polls: u64,
+    /// Polls initiated by the mutual-consistency coordinator
+    /// (`refresh.triggered`).
+    pub triggered: u64,
+    /// Fetches and polls that stored a fresh copy (`proxy.refreshes`).
+    pub refreshes: u64,
+    /// Client requests served from cache (`proxy.hits`).
+    pub hits: u64,
+    /// Client requests that had to fetch from the origin (`proxy.misses`).
+    pub misses: u64,
+    /// Failed origin polls (`refresh.errors`).
+    pub errors: u64,
+    /// Rule reloads applied (`proxy.reloads`).
+    pub reloads: u64,
+    /// `SIGHUP` re-reads that failed (`proxy.reload_errors`).
+    pub reload_errors: u64,
 }
 
 struct Shared {
@@ -247,10 +263,17 @@ impl LiveProxy {
     ///
     /// Propagates socket errors; returns [`io::ErrorKind::InvalidInput`]
     /// for invalid rules (zero Δ, duplicate paths, inverted TTR bounds —
-    /// the same validation `PUT /admin/rules` applies), for a
-    /// zero-object cache bound and for an L1 above [`MAX_L1_OBJECTS`].
+    /// the same validation `PUT /admin/rules` applies), for an IPv6
+    /// origin, for a zero-object cache bound and for an L1 above
+    /// [`MAX_L1_OBJECTS`].
     pub fn start(config: ProxyConfig) -> io::Result<LiveProxy> {
         let invalid = |reason: String| io::Error::new(io::ErrorKind::InvalidInput, reason);
+        if config.origin_addr.is_ipv6() {
+            return Err(invalid(format!(
+                "origin_addr {} must be IPv4",
+                config.origin_addr
+            )));
+        }
         if config.cache_objects == Some(0) {
             return Err(invalid(
                 "cache_objects must be positive (None = unbounded)".to_owned(),
@@ -318,7 +341,17 @@ impl LiveProxy {
 
     /// A snapshot of the counters.
     pub fn stats(&self) -> ProxyStats {
-        self.shared.counters.snapshot()
+        let (counters, plane) = (&self.shared.counters, self.shared.runtime.refresh_metrics());
+        ProxyStats {
+            polls: plane.polls(),
+            triggered: plane.triggered(),
+            refreshes: counters.refreshes(),
+            hits: counters.hits(),
+            misses: counters.misses(),
+            errors: plane.errors(),
+            reloads: counters.reloads(),
+            reload_errors: counters.reload_errors(),
+        }
     }
 
     /// Number of objects currently cached (across all shards).
@@ -527,10 +560,6 @@ impl ProxyService {
         let mut plane = shared.runtime.plane();
         while let Some(job) = plane.next_poll(now, ts) {
             let validator = shared.cache.get(&job.key).map(|e| e.last_modified());
-            shared.counters.polls.inc();
-            if job.kind == PollKind::Triggered {
-                shared.counters.triggered.inc();
-            }
             start(
                 shared.origin,
                 get_wire(&job.key, &shared.origin_host, validator),
@@ -782,7 +811,7 @@ fn store_response(shared: &Shared, path: &str, response: &Response) -> Option<Ar
         response.body().clone(),
         lm,
         stamps.value,
-        stamps.version.map(str::to_owned),
+        stamps.version,
     ));
     let resident = shared.cache.insert_if_newer(path, Arc::clone(&offered));
     if Arc::ptr_eq(&resident, &offered) {
@@ -792,20 +821,21 @@ fn store_response(shared: &Shared, path: &str, response: &Response) -> Option<Ar
 }
 
 /// What one refresher poll's answer means for the adaptation layers:
-/// the poll result, or `None` (counted in `proxy.errors`) for a network
-/// error, a timeout, an unexpected status or a `200` without a
-/// modification stamp. A `200` is stored only while `plane`, the locked
-/// schedule, still rules the path, so a rule removed while the poll was
-/// on the wire leaves no copy behind (the ordering argument is in
-/// `crate::runtime`). Its result is still returned; the scheduler drops
-/// the outcome of an un-ruled path itself.
+/// the poll result, or `None` (a failed poll, which `Plane::finish`
+/// counts in `refresh.errors`) for a network error, a timeout, an
+/// unexpected status or a `200` without a modification stamp. A `200`
+/// is stored only while `plane`, the locked schedule, still rules the
+/// path, so a rule removed while the poll was on the wire leaves no copy
+/// behind (the ordering argument is in `crate::runtime`). Its result is
+/// still returned; the scheduler drops the outcome of an un-ruled path
+/// itself.
 fn poll_outcome(
     shared: &Shared,
     plane: &Plane<'_>,
     path: &str,
     answer: &io::Result<Response>,
 ) -> Option<PollResult> {
-    let result = match answer {
+    match answer {
         Ok(response) if response.status() == StatusCode::NOT_MODIFIED => {
             Some(PollResult::NotModified)
         }
@@ -823,11 +853,7 @@ fn poll_outcome(
             })
         }
         Ok(_) | Err(_) => None,
-    };
-    if result.is_none() {
-        shared.counters.errors.inc();
     }
-    result
 }
 
 /// The zero-copy serving form of a cache entry: the head pre-rendered
@@ -1159,9 +1185,9 @@ mod tests {
                         expected.len(),
                     );
                 }
-                let stats = service.shared.counters.snapshot();
+                let plane = service.shared.runtime.refresh_metrics();
                 assert_eq!(
-                    (stats.polls, stats.triggered),
+                    (plane.polls(), plane.triggered()),
                     (golden as u64, golden_triggered),
                     "δ = {group_min} min"
                 );

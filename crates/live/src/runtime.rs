@@ -192,8 +192,10 @@ metrics! {
         in_flight: Gauge => "refresh.in_flight";
         /// Polls started (scheduled and triggered).
         polls: Counter => "refresh.polls";
-        /// Polls that failed; in the live proxy, the polls `proxy.errors`
-        /// counts.
+        /// Polls started that the Mt coordinator asked for.
+        triggered: Counter => "refresh.triggered";
+        /// Polls that failed (timeouts, resets, unexpected statuses, a
+        /// `200` without a modification stamp).
         errors: Counter => "refresh.errors";
         /// Mt triggers satisfied by a poll already in flight or queued for
         /// the same target, instead of an extra origin round trip.
@@ -227,6 +229,9 @@ impl Plane<'_> {
     ) -> Option<Job<Arc<str>, Instant>> {
         let job = self.core.next_job(now, ts)?;
         self.metrics.polls.inc();
+        self.metrics
+            .triggered
+            .add(u64::from(job.kind == PollKind::Triggered));
         self.metrics.in_flight.set(self.core.in_flight() as u64);
         self.metrics
             .drift

@@ -63,9 +63,9 @@
 //! body byte is copied.
 //! A connection owns its read and write buffers from accept to close, and
 //! the accept loop drains the whole backlog per listener wakeup with
-//! `accept4` (already-nonblocking sockets, one metrics store per
-//! batch). [`EngineMetrics`] counts the syscalls so the
-//! effect is observable from `/admin/stats`.
+//! std's `TcpListener::accept`, one metrics store per batch.
+//! [`EngineMetrics`] counts the syscalls so the effect is observable
+//! from `/admin/stats`.
 //!
 //! Concurrent-connection capacity is bounded by [`MAX_CONNS`], split
 //! evenly across reactors: a reactor at its share drops its listener's
@@ -94,8 +94,8 @@ use mutcon_http::message::{Request, Response};
 use mutcon_http::types::StatusCode;
 use mutcon_proxy::schedule::POLL_WIDTH;
 use mutcon_sim::reactor::{
-    accept_nonblocking, connect_nonblocking, listen_reuseport, raise_nofile_limit, Event, Events,
-    Interest, Poller, Waker,
+    connect_nonblocking, listen_reuseport, raise_nofile_limit, Event, Events, Interest, Poller,
+    Waker,
 };
 
 use crate::conn::{discard_input, ClientConn, Next, OriginConn, Received};
@@ -153,9 +153,6 @@ const TICK: Duration = Duration::from_millis(200);
 /// How long a shutting-down reactor keeps serving to flush in-flight
 /// responses before closing everything.
 const DRAIN_GRACE: Duration = Duration::from_millis(250);
-/// Ceiling when raising `RLIMIT_NOFILE` at startup: enough fd headroom
-/// for 10k-connection wire runs without demanding the hard limit.
-const NOFILE_CAP: u64 = 65536;
 
 /// How long a client may wait parked in the kernel backlog of a reactor
 /// at its connection bound before it is accepted, told `503` and closed.
@@ -423,10 +420,10 @@ impl EventLoop {
         reactors: usize,
         mut new_service: impl FnMut(usize, &Arc<EngineMetrics>) -> Box<dyn Service>,
     ) -> io::Result<EventLoop> {
-        // Raise the fd ceiling once per process so 10k-connection runs
-        // don't trip the default 1024 soft limit.
+        // Lift the soft fd limit to the hard one once per process: a loop
+        // at its bound holds more sockets than the usual 1024 default.
         static RAISE_NOFILE: Once = Once::new();
-        RAISE_NOFILE.call_once(|| match raise_nofile_limit(NOFILE_CAP) {
+        RAISE_NOFILE.call_once(|| match raise_nofile_limit() {
             Ok((before, after)) if after > before => {
                 eprintln!("mutcon-live: raised RLIMIT_NOFILE {before} -> {after}");
             }
@@ -461,7 +458,6 @@ impl EventLoop {
                 conns: Vec::new(),
                 free: Vec::new(),
                 clients: 0,
-                accepting: true,
                 freed_this_batch: Vec::new(),
                 pool: PoolCore::default(),
                 scratch: vec![0; 16 * 1024],
@@ -584,7 +580,6 @@ struct Reactor {
     /// Client connections currently open (upstream sockets don't count
     /// against the accept bound).
     clients: usize,
-    accepting: bool,
     /// Slots freed while processing the current event batch. Reuse is
     /// deferred to the end of the batch so a stale event queued for a
     /// closed connection's token can never be applied to a new
@@ -605,6 +600,8 @@ struct Reactor {
     /// When `pause_accepting` parked the listener, or when the last shed
     /// pass left clients parked; [`PARK_DEADLINE`] later the backlog is
     /// drained with `503`s instead of making parked clients wait forever.
+    /// `None` exactly while the kernel holds the listener's `READABLE`
+    /// interest ([`Reactor::accepting`]).
     paused_since: Option<Instant>,
 }
 
@@ -794,7 +791,7 @@ impl Reactor {
     }
 
     /// Moves the listener's kernel interest: one counted
-    /// `epoll_ctl(MOD)`. `false` if it failed, so `accepting` (which
+    /// `epoll_ctl(MOD)`. `false` if it failed, so `paused_since` (which
     /// records what the kernel holds) stays as it was and the next pause
     /// or resume tries again.
     fn listener_interest(&self, interest: Interest) -> bool {
@@ -806,37 +803,48 @@ impl Reactor {
         modified
     }
 
+    /// Whether the listener is watched: not paused at the bound.
+    fn accepting(&self) -> bool {
+        self.paused_since.is_none()
+    }
+
     fn pause_accepting(&mut self, now: Instant) {
-        if self.accepting && self.listener_interest(Interest::NONE) {
-            self.accepting = false;
+        if self.accepting() && self.listener_interest(Interest::NONE) {
             self.paused_since = Some(now);
         }
     }
 
     fn resume_accepting(&mut self) {
-        if !self.accepting
+        if !self.accepting()
             && self.clients < self.max_conns
             && self.listener_interest(Interest::READABLE)
         {
-            self.accepting = true;
             self.paused_since = None;
         }
     }
 
-    /// Drains the whole accept backlog in one batch. Each connection
-    /// arrives already nonblocking (`accept4`, no per-accept `fcntl`)
-    /// with its own read and write buffers; shared metrics are stored
-    /// once per batch, not once per connection, and the listener's
-    /// epoll interest is only touched when the batch hits the
-    /// connection bound (a failed pause is retried at the next wakeup).
+    /// Accepts one connection from the backlog and makes it nonblocking;
+    /// `WouldBlock` once the backlog is empty.
+    fn accept(&self) -> io::Result<TcpStream> {
+        let (stream, _) = self.listener.accept()?;
+        stream.set_nonblocking(true)?;
+        Ok(stream)
+    }
+
+    /// Drains the whole accept backlog in one batch. Each connection is
+    /// made nonblocking and gets its own read and write buffers; shared
+    /// metrics are stored once per batch, not once per connection, and
+    /// the listener's epoll interest is only touched when the batch hits
+    /// the connection bound (a failed pause is retried at the next
+    /// wakeup).
     fn accept_ready(&mut self, now: Instant) {
         let mut batch: u64 = 0;
-        while self.accepting {
+        while self.accepting() {
             if self.clients >= self.max_conns {
                 self.pause_accepting(now);
                 break;
             }
-            match accept_nonblocking(&self.listener) {
+            match self.accept() {
                 Ok(stream) => {
                     let _ = stream.set_nodelay(true);
                     let Ok(idx) = self.register_slot(&stream, Interest::READABLE) else {
@@ -1328,7 +1336,6 @@ impl Reactor {
     fn check_park_deadline(&mut self, now: Instant) {
         if self.shed_at().is_some_and(|at| now >= at) {
             if self.shed_backlog() && self.listener_interest(Interest::READABLE) {
-                self.accepting = true;
                 self.paused_since = None;
             } else {
                 self.paused_since = Some(now);
@@ -1345,7 +1352,7 @@ impl Reactor {
             if shed == PARK_SHED_BATCH {
                 break false;
             }
-            match accept_nonblocking(&self.listener) {
+            match self.accept() {
                 Ok(stream) => {
                     // Best effort: the head fits any fresh socket's send
                     // buffer; a peer that raced away just gets the close.
@@ -1683,7 +1690,6 @@ mod tests {
             conns: Vec::new(),
             free: Vec::new(),
             clients: 0,
-            accepting: true,
             freed_this_batch: Vec::new(),
             pool: PoolCore::new(1),
             scratch: vec![0; 16 * 1024],
@@ -1741,7 +1747,7 @@ mod tests {
         reactor.pause_accepting(now);
         assert_eq!(metrics.epoll_ctl_calls(), 6, "the listener's MOD, once");
         reactor.close_client(0);
-        assert!(reactor.accepting);
+        assert!(reactor.accepting());
         assert_eq!(metrics.epoll_ctl_calls(), 7, "and back");
     }
 
@@ -1770,6 +1776,25 @@ mod tests {
         (reactor, client)
     }
 
+    /// std's `accept` hands back a blocking socket; the reactor makes it
+    /// nonblocking before it registers it, so a read with nothing sent
+    /// returns at once instead of stalling every connection it serves.
+    #[test]
+    fn an_accepted_socket_is_nonblocking() {
+        let metrics = Arc::new(EngineMetrics::default());
+        let (reactor, _client) = reactor_with_client(&metrics, Instant::now());
+        let accepted = &reactor.conns[0].as_ref().unwrap().stream;
+        // The kernel's file status flags for the fd, in octal: checked
+        // before the read, which would hang on a blocking socket.
+        let fdinfo = format!("/proc/self/fdinfo/{}", accepted.as_raw_fd());
+        let fdinfo = std::fs::read_to_string(fdinfo).unwrap();
+        let flags = fdinfo.lines().find_map(|l| l.strip_prefix("flags:"));
+        let flags = u32::from_str_radix(flags.unwrap().trim(), 8).unwrap();
+        assert_ne!(flags & 0o4000, 0, "no O_NONBLOCK in flags {flags:o}");
+        let read = (&*accepted).read(&mut [0; 1]);
+        assert_eq!(read.unwrap_err().kind(), io::ErrorKind::WouldBlock);
+    }
+
     // The timers below are functions of the reactor's state and the
     // instant it is handed: each test steps `now` past a deadline without
     // waiting for it.
@@ -1786,6 +1811,15 @@ mod tests {
         assert_eq!(client.read(&mut [0; 1]).unwrap(), 0, "the client sees EOF");
     }
 
+    /// Whether connection `idx` last made progress at `at`.
+    fn active_at(reactor: &Reactor, idx: usize, at: Instant) -> bool {
+        matches!(&reactor.conns[idx], Some(conn) if conn.last_activity == at)
+    }
+
+    /// A request whose bytes keep trickling in is never idle, so only the
+    /// request deadline, `REQUEST_TIMEOUT` from its first byte, ends
+    /// it: `408`, `connection: close`, a close, and a client beside it
+    /// that is still served.
     #[test]
     fn a_partial_request_is_answered_408_after_the_request_timeout() {
         use crate::conn::REQUEST_TIMEOUT;
@@ -1793,21 +1827,41 @@ mod tests {
         let metrics = Arc::new(EngineMetrics::default());
         let t0 = Instant::now();
         let (mut reactor, mut client) = reactor_with_client(&metrics, t0);
-        client
-            .write_all(b"GET /slow HTTP/1.1\r\nhost: x\r\n")
+        let mut other = TcpStream::connect(reactor.listener.local_addr().unwrap()).unwrap();
+        other
+            .set_read_timeout(Some(Duration::from_secs(5)))
             .unwrap();
-        // Read and found incomplete at t0: the request deadline starts.
-        dispatch_until(&mut reactor, t0, |r| {
-            matches!(&r.conns[0], Some(Conn { kind: Kind::Client(c), .. })
-                if c.overdue(t0 + IDLE_TIMEOUT))
-        });
-        reactor.sweep_idle(t0 + REQUEST_TIMEOUT);
+        dispatch_until(&mut reactor, t0, |r| r.clients == 2);
+
+        // One piece a second from t1, the last at the deadline itself;
+        // each is read at its own instant.
+        let t1 = t0 + Duration::from_millis(1);
+        let pieces = [
+            "GET /slow",
+            " HTTP/1.1\r\n",
+            "host",
+            ": x\r\n",
+            "x-pad",
+            ": p",
+        ];
+        for (at, piece) in (0..).map(|s| t1 + Duration::from_secs(s)).zip(pieces) {
+            client.write_all(piece.as_bytes()).unwrap();
+            dispatch_until(&mut reactor, at, |r| active_at(r, 0, at));
+        }
+        reactor.sweep_idle(t1 + REQUEST_TIMEOUT);
         assert_eq!(metrics.slow_requests(), 0, "not at the deadline");
-        reactor.sweep_idle(t0 + REQUEST_TIMEOUT + Duration::from_millis(1));
+        reactor.sweep_idle(t1 + REQUEST_TIMEOUT + Duration::from_millis(1));
         assert_eq!(metrics.slow_requests(), 1);
         let resp = read_response(&mut client, &mut BytesMut::new()).unwrap();
         assert_eq!(resp.status(), StatusCode::REQUEST_TIMEOUT);
-        assert_eq!(reactor.clients, 0, "closed after the 408");
+        assert_eq!(resp.headers().get("connection"), Some("close"));
+        assert_eq!(reactor.clients, 1, "closed after the 408");
+
+        let late = t1 + REQUEST_TIMEOUT + Duration::from_millis(2);
+        write_request(&mut other, &Request::get("/other").build()).unwrap();
+        dispatch_until(&mut reactor, late, |r| active_at(r, 1, late));
+        let resp = read_response(&mut other, &mut BytesMut::new()).unwrap();
+        assert_eq!(&resp.body()[..], b"/other", "the other client is served");
     }
 
     /// The outcome of each fetch a service waited on, in finishing order.
@@ -1902,7 +1956,8 @@ mod tests {
 
     /// A fetch on a reused socket that gets no answer fails with
     /// `TimedOut`: a slow origin, not a stale socket, so the one retry a
-    /// stale socket earns is not spent.
+    /// stale socket earns is not spent and no fresh socket is opened.
+    /// Meanwhile the reactor goes on serving its clients.
     #[test]
     fn a_held_fetch_times_out_after_the_upstream_timeout_and_is_not_retried() {
         let metrics = Arc::new(EngineMetrics::default());
@@ -1917,6 +1972,21 @@ mod tests {
         reactor.pump_origin(addr, t1);
         assert_eq!(metrics.pool_reuses(), 1);
         dispatch_until(&mut reactor, t1, sent_all);
+
+        // A client served while the fetch is held; its slot is the one
+        // after the origin socket's.
+        let mut client = TcpStream::connect(reactor.listener.local_addr().unwrap()).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        dispatch_until(&mut reactor, t1, |r| r.clients == 1);
+        let t2 = t1 + Duration::from_secs(1);
+        write_request(&mut client, &Request::get("/meanwhile").build()).unwrap();
+        dispatch_until(&mut reactor, t2, |r| active_at(r, 1, t2));
+        let resp = read_response(&mut client, &mut BytesMut::new()).unwrap();
+        assert_eq!(resp.status(), StatusCode::NOT_FOUND, "the service's answer");
+        assert_eq!(outcomes.lock().unwrap().len(), 1, "the fetch is still held");
+
         reactor.sweep_idle(t1 + UPSTREAM_TIMEOUT);
         assert_eq!(
             outcomes.lock().unwrap().len(),
@@ -1944,7 +2014,7 @@ mod tests {
         let addr = reactor.listener.local_addr().unwrap();
         let _held = TcpStream::connect(addr).unwrap();
         let t0 = Instant::now();
-        dispatch_until(&mut reactor, t0, |r| !r.accepting);
+        dispatch_until(&mut reactor, t0, |r| !r.accepting());
         assert_eq!(reactor.shed_at(), Some(t0 + PARK_DEADLINE));
 
         let mut parked = TcpStream::connect(addr).unwrap();
@@ -1993,7 +2063,7 @@ mod tests {
         let addr = reactor.listener.local_addr().unwrap();
         let _held = TcpStream::connect(addr).unwrap();
         let t0 = Instant::now();
-        dispatch_until(&mut reactor, t0, |r| !r.accepting);
+        dispatch_until(&mut reactor, t0, |r| !r.accepting());
 
         // Nobody is parked: the pass at the deadline finds the backlog
         // empty and leaves no next deadline to wake for.
@@ -2005,7 +2075,7 @@ mod tests {
             TICK,
             "no wake for an empty backlog"
         );
-        assert_eq!((reactor.accepting, reactor.shed_at()), (true, None));
+        assert_eq!((reactor.accepting(), reactor.shed_at()), (true, None));
         assert_eq!(
             reactor.turn(&none, t1 + PARK_DEADLINE, &mut last_sweep),
             TICK
@@ -2019,7 +2089,7 @@ mod tests {
             .set_read_timeout(Some(Duration::from_secs(5)))
             .unwrap();
         let t2 = t1 + 3 * PARK_DEADLINE;
-        dispatch_until(&mut reactor, t2, |r| !r.accepting);
+        dispatch_until(&mut reactor, t2, |r| !r.accepting());
         assert_eq!(
             reactor.shed_at(),
             Some(t2 + PARK_DEADLINE),
@@ -2196,7 +2266,7 @@ mod tests {
                 let body = Bytes::from(format!("body:{path}").into_bytes());
                 let stamp = mutcon_core::time::Timestamp::from_millis(1);
                 self.cache
-                    .insert_if_newer(path, CacheEntry::new(body, stamp, None, None))
+                    .insert_if_newer(path, CacheEntry::new(body, stamp, None, None::<&str>))
             });
             l1.insert(path, Arc::clone(&entry));
             self.metrics.l1_refills.inc();
@@ -2242,7 +2312,7 @@ mod tests {
                 Bytes::from_static(b"fresh"),
                 mutcon_core::time::Timestamp::from_millis(2),
                 None,
-                None,
+                None::<&str>,
             ),
         );
         write_request(&mut stream, &Request::get("/obj").build()).unwrap();

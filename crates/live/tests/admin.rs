@@ -16,11 +16,12 @@ use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration as StdDuration, Instant};
+use std::time::Duration as StdDuration;
 
 use bytes::BytesMut;
 use harness::{
-    get, get_json, put, read_response, stamp_of, Behavior, FakeClock, ScriptedOrigin, CLOCK_BASE_MS,
+    get, get_json, put, read_response, stamp_of, wait_until, Behavior, FakeClock, ScriptedOrigin,
+    CLOCK_BASE_MS,
 };
 use mutcon_core::time::Duration;
 use mutcon_http::message::Request;
@@ -50,15 +51,6 @@ fn put_rules(proxy: &LiveProxy, body: &str) -> (StatusCode, Json) {
         .expect("PUT /admin/rules");
     let parsed = json::parse(std::str::from_utf8(resp.body()).expect("utf8")).expect("JSON body");
     (resp.status(), parsed)
-}
-
-/// Waits (5 s cap) until `pred` on the proxy holds.
-fn wait_until(what: &str, mut pred: impl FnMut() -> bool) {
-    let deadline = Instant::now() + StdDuration::from_secs(5);
-    while !pred() {
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(StdDuration::from_millis(2));
-    }
 }
 
 /// The acceptance scenario: a PUT changing Δ for one path takes effect —
@@ -428,6 +420,18 @@ fn a_zero_object_cache_is_rejected_at_start() {
     .expect_err("a zero-object cache must be rejected at start");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
     assert!(err.to_string().contains("cache_objects"));
+}
+
+/// The origin socket is IPv4 only, so an IPv6 origin is a config error
+/// at start, not a fetch that fails on every miss.
+#[test]
+fn an_ipv6_origin_is_rejected_at_start() {
+    let origin = ScriptedOrigin::start(FakeClock::new());
+    let v6 = format!("[::1]:{}", origin.addr().port()).parse().unwrap();
+    let err = LiveProxy::start(ProxyConfig::new(v6))
+        .expect_err("an IPv6 origin must be rejected at start");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    assert!(err.to_string().contains("IPv4"), "{err}");
 }
 
 /// An L1 capacity no reactor can size is refused at start too, instead

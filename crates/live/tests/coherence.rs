@@ -377,7 +377,12 @@ fn a_copy_superseded_before_the_lookup_is_never_an_l1_hit() {
         while readers.iter().any(|reader| !reader.is_finished()) {
             stamp += 1;
             let p = rng.uniform_u64(0, paths.len() as u64) as usize;
-            let copy = CacheEntry::new(Bytes::new(), Timestamp::from_millis(stamp), None, None);
+            let copy = CacheEntry::new(
+                Bytes::new(),
+                Timestamp::from_millis(stamp),
+                None,
+                None::<&str>,
+            );
             cache.insert(&paths[p], copy);
             published[p].store(stamp, Ordering::SeqCst);
             std::thread::yield_now();

@@ -510,7 +510,7 @@ fn sharded_cache_multi_writer_insert_if_newer_is_monotone() {
                             Bytes::copy_from_slice(stamp.to_string().as_bytes()),
                             Timestamp::from_millis(stamp),
                             None,
-                            None,
+                            None::<&str>,
                         );
                         let resident = cache.insert_if_newer(key, entry);
                         let got = resident.last_modified().as_millis();
@@ -588,7 +588,7 @@ fn sharded_cache_multi_writer_lru_bound_holds_under_contention() {
                             Bytes::copy_from_slice(stamp.to_string().as_bytes()),
                             Timestamp::from_millis(stamp),
                             None,
-                            None,
+                            None::<&str>,
                         );
                         let resident = cache.insert_if_newer(key, entry);
                         assert!(

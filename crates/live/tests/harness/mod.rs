@@ -34,7 +34,7 @@ use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::{Bytes, BytesMut};
 use mutcon_http::message::{Request, Response};
@@ -68,6 +68,16 @@ pub fn get_json(addr: SocketAddr, path: &str) -> Json {
     let resp = get(addr, path).expect(path);
     assert_eq!(resp.status(), StatusCode::OK, "{path}");
     json::parse(std::str::from_utf8(resp.body()).expect("utf8")).expect("JSON body")
+}
+
+/// Waits until `pred` holds, looking every 2 ms; fails naming `what`
+/// after 5 s.
+pub fn wait_until(what: &str, mut pred: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !pred() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(2));
+    }
 }
 
 /// One `u64` of `GET /admin/stats`, by key path.

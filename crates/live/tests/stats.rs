@@ -10,9 +10,9 @@
 mod harness;
 
 use std::collections::BTreeMap;
-use std::time::{Duration as StdDuration, Instant};
+use std::time::Duration as StdDuration;
 
-use harness::{Client, FakeClock, ScriptedOrigin};
+use harness::{wait_until, Client, FakeClock, ScriptedOrigin};
 use mutcon_core::time::Duration;
 use mutcon_http::types::StatusCode;
 use mutcon_live::proxy::{LiveProxy, ProxyConfig, RefreshRule};
@@ -38,14 +38,11 @@ origin_pool.opened: number
 origin_pool.retries: number
 origin_pool.reuses: number
 overload.parked_shed: number
-proxy.errors: number
 proxy.hits: number
 proxy.misses: number
-proxy.polls: number
 proxy.refreshes: number
 proxy.reload_errors: number
 proxy.reloads: number
-proxy.triggered: number
 reactors[].accepted: number
 reactors[].connections: number
 refresh.drift.count: number
@@ -66,7 +63,7 @@ wire.writev_calls: number
 ";
 
 /// Paths added since the golden list was taken.
-const ADDED: [&str; 1] = ["wire.slow_requests: number"];
+const ADDED: [&str; 2] = ["wire.slow_requests: number", "refresh.triggered: number"];
 
 /// One ruled path, so the refresh plane polls.
 fn proxy(origin: &ScriptedOrigin) -> LiveProxy {
@@ -76,14 +73,6 @@ fn proxy(origin: &ScriptedOrigin) -> LiveProxy {
         ..ProxyConfig::new(origin.addr())
     })
     .expect("start proxy")
-}
-
-fn wait_until(what: &str, mut pred: impl FnMut() -> bool) {
-    let deadline = Instant::now() + StdDuration::from_secs(5);
-    while !pred() {
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(StdDuration::from_millis(2));
-    }
 }
 
 fn get(client: &mut Client, path: &str) -> Json {
@@ -182,16 +171,17 @@ fn the_document_and_the_accessors_read_the_same_cells() {
     let read = || {
         let (p, r) = (proxy.stats(), proxy.runtime().refresh_metrics());
         [
-            ("proxy.polls", p.polls),
-            ("proxy.triggered", p.triggered),
+            ("refresh.polls", p.polls),
+            ("refresh.triggered", p.triggered),
             ("proxy.refreshes", p.refreshes),
             ("proxy.hits", p.hits),
             ("proxy.misses", p.misses),
-            ("proxy.errors", p.errors),
+            ("refresh.errors", p.errors),
             ("proxy.reloads", p.reloads),
             ("proxy.reload_errors", p.reload_errors),
             ("refresh.in_flight", r.in_flight()),
             ("refresh.polls", r.polls()),
+            ("refresh.triggered", r.triggered()),
             ("refresh.errors", r.errors()),
             ("refresh.triggered_coalesced", r.triggered_coalesced()),
             ("refresh.drift.count", r.drift().count),

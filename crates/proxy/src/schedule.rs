@@ -706,6 +706,7 @@ mod tests {
         let fail = |d: &mut Sched<&str>, now: &mut Timestamp| {
             let job = d.next_job(*now, at(1_000)).expect("due");
             assert_eq!(d.complete(&job.key, None, *now), Completion::default());
+            assert_eq!(d.in_flight(), 0, "a failed poll keeps no slot in the width");
             assert!(
                 d.next_job(*now, at(1_000)).is_none(),
                 "nothing is due before the retry"

@@ -4,14 +4,18 @@
 //! reactor thread instead of a thread per connection. This module is the
 //! substrate for that: a zero-dependency, level-triggered [`Poller`] over
 //! the raw Linux `epoll` syscalls, an eventfd-backed [`Waker`] so other
-//! threads can interrupt a blocked `epoll_wait` (shutdown, new work), and
-//! a [`connect_nonblocking`] helper so upstream fetches never block the
-//! reactor either.
+//! threads can interrupt a blocked `epoll_wait` (shutdown, new work), a
+//! [`connect_nonblocking`] helper so upstream fetches never block the
+//! reactor either, [`listen_reuseport`] for the per-reactor listeners
+//! and [`raise_nofile_limit`].
 //!
-//! The workspace is intentionally dependency-free, so instead of `libc`
-//! or `mio` the handful of symbols needed are declared directly against
-//! the C library every Rust binary on Linux already links. All `unsafe`
-//! in the workspace lives in this module, behind a safe API.
+//! It wraps only what std cannot do: epoll, eventfd, `SO_REUSEPORT`,
+//! nonblocking connect and `prlimit64`. Accepting is std's
+//! `TcpListener::accept`. Sockets are IPv4 only, as every listener and
+//! origin here is: an IPv6 address is `ErrorKind::Unsupported`. The
+//! workspace is intentionally dependency-free, so instead of `libc` or
+//! `mio` the handful of symbols needed are declared directly against the
+//! C library every Rust binary on Linux already links, behind a safe API.
 //!
 //! ```
 //! use mutcon_sim::reactor::{Events, Interest, Poller};
@@ -62,7 +66,6 @@ mod sys {
     pub const EFD_NONBLOCK: c_int = 0o4000;
 
     pub const AF_INET: c_int = 2;
-    pub const AF_INET6: c_int = 10;
     pub const SOCK_STREAM: c_int = 1;
     pub const SOCK_NONBLOCK: c_int = 0o4000;
     pub const SOCK_CLOEXEC: c_int = 0o2000000;
@@ -108,16 +111,6 @@ mod sys {
         pub zero: [u8; 8],
     }
 
-    /// IPv6 `struct sockaddr_in6`.
-    #[repr(C)]
-    pub struct SockAddrIn6 {
-        pub family: u16,
-        pub port: u16,
-        pub flowinfo: u32,
-        pub addr: [u8; 16],
-        pub scope_id: u32,
-    }
-
     /// `struct __kernel_timespec`, the timeout `epoll_pwait2` takes.
     #[repr(C)]
     pub struct KernelTimespec {
@@ -148,7 +141,6 @@ mod sys {
         ) -> c_int;
         pub fn bind(fd: c_int, addr: *const c_void, len: u32) -> c_int;
         pub fn listen(fd: c_int, backlog: c_int) -> c_int;
-        pub fn accept4(fd: c_int, addr: *mut c_void, addrlen: *mut u32, flags: c_int) -> c_int;
         pub fn prlimit64(
             pid: c_int,
             resource: c_int,
@@ -447,50 +439,31 @@ impl std::fmt::Debug for Waker {
     }
 }
 
-/// A `SocketAddr` encoded as the C sockaddr the syscalls expect.
-enum SockAddrStorage {
-    V4(sys::SockAddrIn),
-    V6(sys::SockAddrIn6),
+/// `addr` as the `struct sockaddr_in` the syscalls take, with its
+/// length; an IPv6 address is [`io::ErrorKind::Unsupported`].
+fn sockaddr_in(addr: SocketAddr) -> io::Result<(sys::SockAddrIn, u32)> {
+    let SocketAddr::V4(v4) = addr else {
+        return Err(io::Error::new(
+            io::ErrorKind::Unsupported,
+            format!("{addr}: only IPv4 addresses are supported"),
+        ));
+    };
+    let encoded = sys::SockAddrIn {
+        family: sys::AF_INET as u16,
+        port: v4.port().to_be(),
+        addr: u32::from_ne_bytes(v4.ip().octets()),
+        zero: [0; 8],
+    };
+    Ok((encoded, std::mem::size_of::<sys::SockAddrIn>() as u32))
 }
 
-impl SockAddrStorage {
-    fn encode(addr: SocketAddr) -> (i32, SockAddrStorage) {
-        match addr {
-            SocketAddr::V4(v4) => (
-                sys::AF_INET,
-                SockAddrStorage::V4(sys::SockAddrIn {
-                    family: sys::AF_INET as u16,
-                    port: v4.port().to_be(),
-                    addr: u32::from_ne_bytes(v4.ip().octets()),
-                    zero: [0; 8],
-                }),
-            ),
-            SocketAddr::V6(v6) => (
-                sys::AF_INET6,
-                SockAddrStorage::V6(sys::SockAddrIn6 {
-                    family: sys::AF_INET6 as u16,
-                    port: v6.port().to_be(),
-                    flowinfo: v6.flowinfo().to_be(),
-                    addr: v6.ip().octets(),
-                    scope_id: v6.scope_id(),
-                }),
-            ),
-        }
-    }
-
-    fn as_ptr(&self) -> *const std::os::raw::c_void {
-        match self {
-            SockAddrStorage::V4(v4) => (v4 as *const sys::SockAddrIn).cast(),
-            SockAddrStorage::V6(v6) => (v6 as *const sys::SockAddrIn6).cast(),
-        }
-    }
-
-    fn len(&self) -> u32 {
-        match self {
-            SockAddrStorage::V4(_) => std::mem::size_of::<sys::SockAddrIn>() as u32,
-            SockAddrStorage::V6(_) => std::mem::size_of::<sys::SockAddrIn6>() as u32,
-        }
-    }
+/// A fresh nonblocking, close-on-exec IPv4 TCP socket.
+fn tcp_socket() -> io::Result<OwnedFd> {
+    let flags = sys::SOCK_STREAM | sys::SOCK_NONBLOCK | sys::SOCK_CLOEXEC;
+    // SAFETY: `socket` takes no pointer.
+    let fd = cvt(unsafe { sys::socket(sys::AF_INET, flags, 0) })?;
+    // SAFETY: `socket` just opened `fd`, and nothing else owns it.
+    Ok(unsafe { OwnedFd::from_raw_fd(fd) })
 }
 
 /// Starts a non-blocking TCP connect to `addr` and returns the socket
@@ -502,20 +475,21 @@ impl SockAddrStorage {
 ///
 /// # Errors
 ///
-/// Returns immediately-diagnosable failures (no route, bad fd); an
-/// asynchronous refusal surfaces later via `take_error`.
+/// Returns immediately-diagnosable failures (no route, bad fd), and
+/// [`io::ErrorKind::Unsupported`] for an IPv6 address; an asynchronous
+/// refusal surfaces later via `take_error`.
 pub fn connect_nonblocking(addr: SocketAddr) -> io::Result<TcpStream> {
-    let (domain, storage) = SockAddrStorage::encode(addr);
-    let fd = cvt(unsafe {
-        sys::socket(
-            domain,
-            sys::SOCK_STREAM | sys::SOCK_NONBLOCK | sys::SOCK_CLOEXEC,
-            0,
+    let (sa, len) = sockaddr_in(addr)?;
+    let stream = TcpStream::from(tcp_socket()?);
+    // SAFETY: `sa` is a live `sockaddr_in` of `len` bytes, and the
+    // stream owns the fd for the whole call.
+    let ret = unsafe {
+        sys::connect(
+            stream.as_raw_fd(),
+            (&sa as *const sys::SockAddrIn).cast(),
+            len,
         )
-    })?;
-    // Wrap first so the fd is closed on every early-return path.
-    let stream = unsafe { TcpStream::from_raw_fd(fd) };
-    let ret = unsafe { sys::connect(fd, storage.as_ptr(), storage.len()) };
+    };
     if ret < 0 {
         let err = io::Error::last_os_error();
         if err.raw_os_error() != Some(sys::EINPROGRESS) {
@@ -537,18 +511,12 @@ pub fn connect_nonblocking(addr: SocketAddr) -> io::Result<TcpStream> {
 ///
 /// # Errors
 ///
-/// Propagates socket/setsockopt/bind/listen failures.
+/// Propagates socket/setsockopt/bind/listen failures, and returns
+/// [`io::ErrorKind::Unsupported`] for an IPv6 address.
 pub fn listen_reuseport(addr: SocketAddr) -> io::Result<TcpListener> {
-    let (domain, storage) = SockAddrStorage::encode(addr);
-    let fd = cvt(unsafe {
-        sys::socket(
-            domain,
-            sys::SOCK_STREAM | sys::SOCK_NONBLOCK | sys::SOCK_CLOEXEC,
-            0,
-        )
-    })?;
-    // Wrap first so the fd is closed on every early-return path.
-    let listener = unsafe { TcpListener::from_raw_fd(fd) };
+    let (sa, len) = sockaddr_in(addr)?;
+    let listener = TcpListener::from(tcp_socket()?);
+    let fd = listener.as_raw_fd();
     let one: i32 = 1;
     for opt in [sys::SO_REUSEADDR, sys::SO_REUSEPORT] {
         cvt(unsafe {
@@ -561,80 +529,37 @@ pub fn listen_reuseport(addr: SocketAddr) -> io::Result<TcpListener> {
             )
         })?;
     }
-    cvt(unsafe { sys::bind(fd, storage.as_ptr(), storage.len()) })?;
+    // SAFETY: `sa` is a live `sockaddr_in` of `len` bytes, and the
+    // listener owns `fd` for the whole call.
+    cvt(unsafe { sys::bind(fd, (&sa as *const sys::SockAddrIn).cast(), len) })?;
     cvt(unsafe { sys::listen(fd, 1024) })?;
     Ok(listener)
 }
 
-/// Raises the process's soft `RLIMIT_NOFILE` toward `cap` via a raw
-/// `prlimit64(2)` call on the current process. When `cap` exceeds the
-/// hard limit, raising the hard limit too is *attempted* — that
-/// succeeds with `CAP_SYS_RESOURCE` (root in a container) and fails
-/// `EPERM` otherwise, in which case the soft limit settles at the hard
-/// limit.
-///
-/// Returns `(previous_soft, new_soft)`; the two are equal when the soft
-/// limit was already at or above the target. A 10k-connection proxy plus
-/// its origin pool needs ~20k fds, far past the usual 1024 default, so
-/// the event loop calls this once at startup.
+/// Raises the process's soft `RLIMIT_NOFILE` to its hard limit with a
+/// raw `prlimit64(2)` call on the current process, and does nothing
+/// more: the hard limit is left alone. Returns `(previous_soft,
+/// new_soft)`, equal when the soft limit was already at the hard one.
+/// The event loop calls this once at startup: at its bound it holds
+/// 1,024 client sockets plus up to 32 origin sockets per reactor, past
+/// the usual soft default of 1,024.
 ///
 /// # Errors
 ///
 /// Propagates `prlimit64` failures (e.g. `EPERM` in a locked-down
 /// sandbox); the caller should treat that as "run with what we have".
-pub fn raise_nofile_limit(cap: u64) -> io::Result<(u64, u64)> {
-    let mut old = sys::RLimit64 { cur: 0, max: 0 };
-    cvt(unsafe { sys::prlimit64(0, sys::RLIMIT_NOFILE, std::ptr::null(), &mut old) })?;
-    if old.cur >= cap {
-        return Ok((old.cur, old.cur));
+pub fn raise_nofile_limit() -> io::Result<(u64, u64)> {
+    let mut limit = sys::RLimit64 { cur: 0, max: 0 };
+    // SAFETY: a null new limit only reads; `limit` is a live `rlimit64`.
+    cvt(unsafe { sys::prlimit64(0, sys::RLIMIT_NOFILE, std::ptr::null(), &mut limit) })?;
+    let before = limit.cur;
+    if limit.cur < limit.max {
+        limit.cur = limit.max;
+        // SAFETY: `limit` is a live `rlimit64`; a null old limit is not
+        // written.
+        cvt(unsafe { sys::prlimit64(0, sys::RLIMIT_NOFILE, &limit, std::ptr::null_mut()) })?;
     }
-    if cap > old.max {
-        // Privileged path: lift the hard limit with the soft one.
-        let new = sys::RLimit64 { cur: cap, max: cap };
-        if cvt(unsafe { sys::prlimit64(0, sys::RLIMIT_NOFILE, &new, std::ptr::null_mut()) }).is_ok()
-        {
-            return Ok((old.cur, cap));
-        }
-    }
-    let target = old.max.min(cap);
-    if old.cur >= target {
-        return Ok((old.cur, old.cur));
-    }
-    let new = sys::RLimit64 {
-        cur: target,
-        max: old.max,
-    };
-    cvt(unsafe { sys::prlimit64(0, sys::RLIMIT_NOFILE, &new, std::ptr::null_mut()) })?;
-    Ok((old.cur, target))
-}
-
-/// Accepts one pending connection with `accept4(2)`, atomically marking
-/// the new socket non-blocking and close-on-exec.
-///
-/// The plain `TcpListener::accept` path costs an extra `fcntl` per
-/// connection to flip `O_NONBLOCK` afterwards; folding the flag into the
-/// accept matters when a reactor drains a deep backlog in one batch.
-/// The peer address is not requested (another small saving) — use
-/// `TcpStream::peer_addr` on the rare path that needs it.
-///
-/// # Errors
-///
-/// Propagates the syscall failure (`WouldBlock` when the backlog is
-/// empty).
-pub fn accept_nonblocking(listener: &TcpListener) -> io::Result<TcpStream> {
-    let fd = unsafe {
-        sys::accept4(
-            listener.as_raw_fd(),
-            std::ptr::null_mut(),
-            std::ptr::null_mut(),
-            sys::SOCK_NONBLOCK | sys::SOCK_CLOEXEC,
-        )
-    };
-    if fd < 0 {
-        Err(io::Error::last_os_error())
-    } else {
-        Ok(unsafe { TcpStream::from_raw_fd(fd) })
-    }
+    Ok((before, limit.cur))
 }
 
 #[cfg(test)]
@@ -864,49 +789,22 @@ mod tests {
     }
 
     #[test]
-    fn accept_nonblocking_yields_nonblocking_sockets() {
-        let listener = listen_reuseport("127.0.0.1:0".parse().unwrap()).unwrap();
-        let addr = listener.local_addr().unwrap();
-
-        // Empty backlog → WouldBlock, not a hang.
-        match accept_nonblocking(&listener) {
-            Err(e) => assert_eq!(e.kind(), io::ErrorKind::WouldBlock),
-            Ok(_) => panic!("nothing connected yet"),
-        }
-
-        let mut client = TcpStream::connect(addr).unwrap();
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        let accepted = loop {
-            match accept_nonblocking(&listener) {
-                Ok(s) => break s,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    assert!(std::time::Instant::now() < deadline, "accept timed out");
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(e) => panic!("{e}"),
-            }
-        };
-
-        // The accepted socket must already be non-blocking: a read with no
-        // data returns WouldBlock immediately instead of hanging.
-        let mut chunk = [0u8; 8];
-        match (&accepted).read(&mut chunk) {
-            Err(e) => assert_eq!(e.kind(), io::ErrorKind::WouldBlock),
-            Ok(n) => panic!("unexpected read of {n} bytes"),
-        }
-
-        // And it is a working full-duplex socket.
-        (&accepted).write_all(b"hello").unwrap();
-        let mut got = [0u8; 5];
-        client.read_exact(&mut got).unwrap();
-        assert_eq!(&got, b"hello");
+    fn raise_nofile_limit_reports_current() {
+        let (_, raised) = raise_nofile_limit().unwrap();
+        // At the hard limit already: a second call changes nothing.
+        assert_eq!(raise_nofile_limit().unwrap(), (raised, raised));
     }
 
     #[test]
-    fn raise_nofile_limit_reports_current() {
-        let (before, after) = raise_nofile_limit(64).unwrap();
-        // The cap is far below any sane soft limit: nothing changes.
-        assert_eq!(before, after);
+    fn an_ipv6_address_is_unsupported() {
+        let addr: SocketAddr = "[::1]:80".parse().unwrap();
+        let refused = [
+            connect_nonblocking(addr).map(drop),
+            listen_reuseport(addr).map(drop),
+        ];
+        for result in refused {
+            assert_eq!(result.unwrap_err().kind(), io::ErrorKind::Unsupported);
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The live engine (`mutcon_live::server`) drives readiness with the
 //! level-triggered [`Poller`](super::Poller) directly: each reactor owns
 //! one, issues an `epoll_ctl` when a socket is registered or its interest
-//! changes, and makes the data calls (`accept4`, `read`, `write`,
+//! changes, and makes the data calls (`accept`, `read`, `write`,
 //! `writev`) on the sockets themselves. [`BackendKind`] only names that
 //! path for the benchmark's `--backend` flag and report line.
 

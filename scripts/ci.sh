@@ -319,6 +319,22 @@ if grep -rnE "$second_reply" crates src tests examples; then
   exit 1
 fi
 
+# The syscall layer wraps only what std cannot do, for the peers and
+# limits that exist: accepting is std's `TcpListener::accept` (no
+# `accept4` fast path for connection churn no workload makes), sockets
+# are IPv4 (no `sockaddr_in6` encoder that no caller ran) and the fd
+# limit is lifted to the hard limit only (no cap, no privileged raise).
+# Each poll event is counted once, by the refresh plane: proxy.rs counts
+# no poll, trigger or poll error of its own. The reactor stores its
+# accept state once, as `paused_since` (the classes keep these patterns
+# from matching themselves).
+if grep -rnE 'accept[4]|SockAddrIn[6]|AF_INET[6]|NOFILE_CA[P]' crates \
+    || grep -nE 'counters\.(poll[s]|error[s]|triggere[d])' crates/live/src/proxy.rs \
+    || sed -n '/^struct Reacto[r] {/,/^}/p' crates/live/src/server.rs | grep -nE '^[[:space:]]*accepting:'; then
+  echo "ci: an accept4 path, an IPv6 encoder, an fd cap, a second poll count or a second accept flag is back (lines above)" >&2
+  exit 1
+fi
+
 # Live-proxy smoke: origin + proxy on real sockets, hundreds of
 # concurrent clients through the reactor threads — a stalled event
 # loop shows up here as read timeouts, not as a hang. (One run in ~120
