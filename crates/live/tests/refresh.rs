@@ -19,6 +19,9 @@ use mutcon_live::proxy::{LiveProxy, ProxyConfig, RefreshRule};
 use mutcon_live::runtime::POLL_WIDTH;
 use mutcon_traces::json::Json;
 
+/// The reactor's `UPSTREAM_TIMEOUT`: a fetch that makes no progress
+/// this long fails (found by its once-a-second sweep).
+const UPSTREAM_TIMEOUT: StdDuration = StdDuration::from_secs(5);
 /// The reactor's longest sleep with nothing due (`TICK`).
 const TICK: StdDuration = StdDuration::from_millis(200);
 /// How long a dropped reactor keeps serving its in-flight work
@@ -526,6 +529,68 @@ fn an_install_wakes_the_idle_plane_at_once() {
             installed.elapsed()
         );
     }
+    drop(proxy);
+}
+
+/// A poll the origin never answers, on a reused pooled socket: client
+/// hits on the same reactor go on unhindered, the poll fails at the
+/// reactor's upstream timeout without a retry (a slow origin is not a
+/// stale socket), counts as a failed poll, and the path is polled again
+/// only after its back-off.
+#[test]
+fn a_poll_the_origin_never_answers_times_out_without_stalling_hits() {
+    let origin = ScriptedOrigin::start(FakeClock::new());
+    // The first poll parks its socket; the second reuses it and hangs.
+    origin.script("/stall", vec![Behavior::Serve, Behavior::Hold]);
+    let proxy = refresh_proxy(&origin, &["/stall"], 200);
+    let addr = proxy.local_addr();
+    assert_eq!(get(addr, "/cached").expect("warm").status(), StatusCode::OK);
+    origin.wait_for_held(1);
+    let stalled = Instant::now();
+    let engine = proxy.engine_metrics();
+    assert!(
+        engine.pool_reuses() >= 1,
+        "the held poll rides a parked socket"
+    );
+
+    while proxy.stats().errors == 0 {
+        let started = Instant::now();
+        let hit = get(addr, "/cached").expect("a hit during the stall");
+        assert_eq!(hit.headers().get("x-cache"), Some("hit"));
+        assert!(
+            started.elapsed() < StdDuration::from_millis(200),
+            "a hit waited {:?} behind the stalled poll",
+            started.elapsed()
+        );
+        assert!(
+            stalled.elapsed() < UPSTREAM_TIMEOUT * 2,
+            "the stalled poll never failed"
+        );
+        std::thread::sleep(StdDuration::from_millis(20));
+    }
+    let failed = Instant::now();
+    assert!(
+        stalled.elapsed() >= UPSTREAM_TIMEOUT - StdDuration::from_millis(100),
+        "the poll failed after {:?}, before the upstream timeout",
+        stalled.elapsed()
+    );
+    assert_eq!(proxy.runtime().refresh_metrics().errors(), 1);
+    assert_eq!(engine.pool_retries(), 0, "a timeout is never retried");
+    assert_eq!(origin.fetches("/stall"), 2, "nor sent again at once");
+
+    // Backed off by min(Δ, 200 ms), then polled (and served) again.
+    wait_until("the poll after the back-off", || {
+        origin.fetches("/stall") == 3
+    });
+    assert!(
+        failed.elapsed() >= StdDuration::from_millis(100),
+        "the failed path was polled again after only {:?}",
+        failed.elapsed()
+    );
+    // The timed-out poll did not keep its slot in the width.
+    let metrics = proxy.runtime().refresh_metrics();
+    wait_until("no poll out", || metrics.in_flight() == 0);
+    origin.release_all();
     drop(proxy);
 }
 

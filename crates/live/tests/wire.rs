@@ -684,6 +684,68 @@ fn a_request_one_byte_over_the_read_buffer_is_refused_however_it_arrives() {
     }
 }
 
+/// A client sending one byte every 100 ms is never idle, so the 30 s
+/// idle sweep would hold its slot for as long as it cared to go on. The
+/// request deadline (5 s from the first byte) answers it `408` and
+/// closes at the first sweep after that, counts it as a slow request,
+/// and leaves the idle keep-alive connection next to it alone.
+#[test]
+fn a_byte_at_a_time_request_gets_a_408_at_the_deadline() {
+    let origin = ScriptedOrigin::start(FakeClock::new());
+    let proxy = hit_only_proxy(origin.addr(), 1);
+    let mut idle = connect(proxy.local_addr());
+    idle.write_all(b"GET /obj HTTP/1.1\r\nhost: x\r\n\r\n")
+        .unwrap();
+    read_raw_response(&mut idle);
+
+    let mut slow = connect(proxy.local_addr());
+    slow.set_read_timeout(Some(StdDuration::from_millis(100)))
+        .unwrap();
+    let head = format!(
+        "GET /obj HTTP/1.1\r\nhost: x\r\nx-padding: {}\r\n\r\n",
+        "p".repeat(200)
+    );
+    let started = Instant::now();
+    let mut raw = Vec::new();
+    for byte in head.bytes() {
+        // After the refusal the proxy may already have closed.
+        let _ = slow.write_all(&[byte]);
+        let mut chunk = [0u8; 512];
+        match slow.read(&mut chunk) {
+            Ok(0) => break,
+            Ok(n) => raw.extend_from_slice(&chunk[..n]),
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => break,
+            Err(e) => panic!("slow client read: {e}"),
+        }
+    }
+    let took = started.elapsed();
+    let text = String::from_utf8_lossy(&raw);
+    assert!(
+        text.starts_with("HTTP/1.1 408 Request Timeout\r\n"),
+        "after {took:?}: {text:?}"
+    );
+    assert!(text.contains("connection: close\r\n"), "{text:?}");
+    // The deadline, one sweep interval, one loop tick.
+    assert!(
+        (StdDuration::from_secs(5)..StdDuration::from_millis(6_600)).contains(&took),
+        "closed after {took:?}"
+    );
+    assert_eq!(proxy.engine_metrics().slow_requests(), 1);
+
+    idle.write_all(b"GET /obj HTTP/1.1\r\nhost: x\r\n\r\n")
+        .unwrap();
+    let again = read_raw_response(&mut idle);
+    assert!(
+        again.starts_with(b"HTTP/1.1 200 OK\r\n"),
+        "the idle connection was closed too"
+    );
+}
+
 /// A client that asks for a 12 MiB hit and then reads nothing (ROADMAP
 /// 5) stalls only its own connection: on the one reactor, another
 /// client's hits keep coming back promptly while the stalls are counted,
