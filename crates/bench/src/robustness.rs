@@ -74,6 +74,9 @@ struct GridOutcome {
     claim: bool,
 }
 
+/// One grid's realization, by collection index.
+type GridRun = fn(u64) -> GridOutcome;
+
 fn fig3_outcome(collection: u64) -> GridOutcome {
     let trace = FIG3_TRACE.generate_with_seed(FIG3_TRACE.seed() + collection * SEED_STRIDE);
     let rows = individual_temporal_sweep(&trace, &fig3_deltas(), &paper_fig3_config());
@@ -249,7 +252,7 @@ fn multi_object_outcome(collection: u64) -> GridOutcome {
 /// their traces and aggregates per grid. Deterministic for a given
 /// `repeats`.
 pub fn robustness_grid(repeats: u64) -> Vec<RobustnessRow> {
-    let grids: [(&'static str, fn(u64) -> GridOutcome); 8] = [
+    let grids: [(&'static str, GridRun); 8] = [
         ("fig3", fig3_outcome),
         ("fig5", fig5_outcome),
         ("fig7", fig7_outcome),

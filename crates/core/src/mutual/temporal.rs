@@ -235,7 +235,7 @@ impl<K: Ord + Clone> MtCoordinator<K> {
             return Vec::new();
         }
 
-        let updated_rate = self.members[&*object].rate.rate_per_ms();
+        let updated_rate = self.members[object].rate.rate_per_ms();
         // §3.2 suppresses triggers when the target's next/previous poll is
         // within δ. The previous-poll case is *provably* safe: a copy
         // polled x ≤ δ ago was current then, so its validity reaches to

@@ -131,9 +131,7 @@ fn body_length(headers: &HeaderMap) -> Result<usize, ParseError> {
 
 /// Parses `"GET /path HTTP/1.1"`; the second part of the result is where
 /// in the line the target sits.
-fn parse_request_line(
-    start_line: &str,
-) -> Result<((Method, HttpVersion), (usize, usize)), ParseError> {
+fn parse_request_line(start_line: &str) -> ParsedLine<(Method, HttpVersion)> {
     let mut parts = start_line.split(' ');
     let method = parts.next().ok_or(ParseError::InvalidStartLine)?;
     let target = parts.next().ok_or(ParseError::InvalidStartLine)?;
@@ -155,9 +153,7 @@ fn parse_request_line(
 
 /// Parses `"HTTP/1.1 200 OK"` — the reason phrase may contain spaces or
 /// be absent. A response keeps nothing of its start line.
-fn parse_status_line(
-    start_line: &str,
-) -> Result<((HttpVersion, StatusCode), (usize, usize)), ParseError> {
+fn parse_status_line(start_line: &str) -> ParsedLine<(HttpVersion, StatusCode)> {
     let mut parts = start_line.splitn(3, ' ');
     let version: HttpVersion = parts
         .next()
@@ -185,7 +181,10 @@ struct Head<L> {
 
 /// What a start-line parser returns: the parsed line, and the part of it
 /// the message keeps as its header map's lead.
-type StartLine<L> = fn(&str) -> Result<(L, (usize, usize)), ParseError>;
+type ParsedLine<L> = Result<(L, (usize, usize)), ParseError>;
+
+/// A start-line parser.
+type StartLine<L> = fn(&str) -> ParsedLine<L>;
 
 /// The resumable state both parsers share: how far the terminator scan
 /// got, then the parsed head while its body trickles in.

@@ -4,15 +4,15 @@
 //! key hash, so a refresh write serializes only the 1/16th of reads that
 //! share its shard, where one lock over the whole map would stall every
 //! concurrent client hit behind every background TTR refresh. Each shard
-//! reuses [`mutcon_proxy::cache::LruMap`] — an O(log n)
-//! recency-indexed bounded map — so a capacity bound buys LRU eviction
-//! without scans.
+//! is one [`mutcon_proxy::cache::LruMap`], whose capacity bound evicts by
+//! CLOCK (second chance).
 //!
-//! Reads take the shard's read lock and hand out an `Arc` of the entry —
-//! a refcount bump, no byte copying. LRU recency on the hit path is
-//! refreshed *opportunistically* with `try_write`: under contention the
-//! touch is skipped rather than making readers queue behind each other —
-//! recency degrades gracefully, the capacity bound never does.
+//! A hit takes the shard's read lock, sets the entry's referenced bit if
+//! it is clear, and hands out an `Arc` of the entry: a refcount bump, no
+//! byte copying, no write lock and no allocation, bounded or not. A store
+//! at capacity, under the write lock it already holds, sweeps the shard's
+//! hand past referenced entries, clearing their bits, and evicts the
+//! first one whose bit is clear.
 //!
 //! Entries are immutable once stored and carry a **pre-rendered header
 //! block** ([`CacheEntry::head`]) alongside the shared body: the wire
@@ -25,7 +25,7 @@
 //!
 //! Every store installs a *new* `Arc<CacheEntry>`, so "is my copy still
 //! the resident one" is one bit on the copy itself: a copy that leaves
-//! its shard's map — replaced by a store, pushed out by the LRU bound, or
+//! its shard's map — replaced by a store, pushed out by the bound, or
 //! removed — is marked **superseded**, once and for good. The flag has
 //! one writer, the shard's map mutation, under the shard write lock
 //! (`Release`), and one reader, [`L1Cache::get`]
@@ -34,8 +34,9 @@
 //! reader falls through to the shared cache and refills. The flag is the
 //! L1's only validity rule: a rules install changes no stored copy, and
 //! the copy of a path it un-rules is superseded by that path's eviction.
-//! The cache keeps no state wider than a shard: each shard orders its own
-//! recency under its own write lock.
+//! The cache keeps no state wider than a shard: readers set a shard's
+//! referenced bits under its read lock, and only its sweep, under its
+//! write lock, clears them.
 
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -49,7 +50,7 @@ use mutcon_http::message::push_decimal;
 use mutcon_proxy::cache::LruMap;
 use mutcon_traces::json::Json;
 
-use crate::metrics::{metrics, put, Counter};
+use crate::metrics::put;
 
 /// Number of independent shards (a fixed power of two so the hash→shard
 /// map is a mask).
@@ -154,11 +155,9 @@ impl CacheEntry {
 }
 
 struct Shard {
-    map: LruMap<String, Arc<CacheEntry>, u64>,
-    /// The shard's recency clock, bumped under its write lock by every
-    /// store and touch; its stamps are compared only inside `map`.
-    tick: u64,
-    /// Entries pushed out by the LRU bound (not replacements/removals),
+    /// Keyed by `Arc<str>`, so the ring's copy of a key is a refcount.
+    map: LruMap<Arc<str>, Arc<CacheEntry>>,
+    /// Entries pushed out by the bound (not replacements/removals),
     /// surfaced by the admin stats endpoint.
     evictions: u64,
     /// Copies this shard has superseded (replacements, evictions,
@@ -167,22 +166,16 @@ struct Shard {
 }
 
 /// The copies a store pushed out of a shard: the one it replaced and
-/// the one the LRU bound evicted. The caller drops them after releasing
+/// the one the bound evicted. The caller drops them after releasing
 /// the shard's write lock, so freeing a body is not done under it.
 type Displaced = [Option<Arc<CacheEntry>>; 2];
 
 impl Shard {
-    /// The next recency stamp.
-    fn tick(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
-    }
-
     /// The one place a copy enters the map: marks the copy it replaces
-    /// and the copy the LRU bound evicts to make room, and hands both
-    /// back.
+    /// and the copy the bound evicts to make room, and hands both back.
     fn store(&mut self, path: &str, entry: Arc<CacheEntry>) -> Displaced {
-        let now = self.tick();
+        // This look-up marks a replaced copy's place referenced: a store
+        // of a resident path counts as a use of it.
         let replaced = self.map.get(path).cloned();
         if let Some(replaced) = &replaced {
             replaced.supersede();
@@ -190,7 +183,7 @@ impl Shard {
         }
         let evicted = self
             .map
-            .insert(path.to_owned(), entry, now)
+            .insert(Arc::from(path), entry, ())
             .map(|(_, victim)| victim);
         if let Some(victim) = &evicted {
             victim.supersede();
@@ -207,21 +200,10 @@ impl Shard {
 pub struct ShardStats {
     /// Objects currently resident in the shard.
     pub len: usize,
-    /// LRU evictions the shard has performed so far.
+    /// Evictions the shard's bound has made so far.
     pub evictions: u64,
     /// Copies superseded (L1-invalidating mutations) so far.
     pub version_bumps: u64,
-}
-
-metrics! {
-    /// What the shared cache counts outside any shard lock. (What a shard
-    /// counts under its own lock is in [`ShardStats`].)
-    pub struct CacheMetrics {
-        /// Hit-path lookups that skipped the recency write lock because the
-        /// entry was already the shard's most recently used — reads that
-        /// never queued on a shard write lock.
-        touch_skips: Counter => "cache.touch_skips";
-    }
 }
 
 /// Panic message for a shard lock poisoned by a panic under its write guard.
@@ -230,11 +212,6 @@ const POISONED: &str = "cache shard lock poisoned";
 /// A sharded, optionally bounded cache keyed by object path.
 pub struct ShardedCache {
     shards: Vec<RwLock<Shard>>,
-    metrics: CacheMetrics,
-    /// Whether a capacity bound is set; the unbounded cache (the
-    /// paper's model, and the default) has no recency to maintain, so
-    /// its hit path never touches a write lock at all.
-    bounded: bool,
 }
 
 /// The shard a path maps to. Public so tests (and ops tooling) can
@@ -281,40 +258,19 @@ impl ShardedCache {
                             Some(cap) => LruMap::with_capacity(cap),
                             None => LruMap::unbounded(),
                         },
-                        tick: 0,
                         evictions: 0,
                         version_bumps: 0,
                     })
                 })
                 .collect(),
-            metrics: CacheMetrics::default(),
-            bounded: per_shard.is_some(),
         }
     }
 
-    /// Looks up a copy; the returned `Arc` is a refcount bump, no byte
-    /// copying. On a bounded cache LRU recency is refreshed only if the
-    /// shard's write lock is free (see module docs) — and not at all
-    /// when the entry is already the shard's most recently used, where a
-    /// touch could not change the eviction order: the hottest key of a
-    /// skewed workload serves entirely under the shared read lock.
-    /// Unbounded caches read under the shared lock unconditionally.
+    /// Looks up a copy under the shard's read lock, marking it
+    /// referenced; the returned `Arc` is a refcount bump, no byte copying.
     pub fn get(&self, path: &str) -> Option<Arc<CacheEntry>> {
-        let shard = &self.shards[shard_of(path)];
-        if self.bounded {
-            {
-                let guard = shard.read().expect(POISONED);
-                if guard.map.is_most_recent(path) {
-                    self.metrics.touch_skips.inc();
-                    return guard.map.get(path).cloned();
-                }
-            }
-            if let Ok(mut guard) = shard.try_write() {
-                let now = guard.tick();
-                return guard.map.touch(path, now).cloned();
-            }
-        }
-        shard.read().expect(POISONED).map.get(path).cloned()
+        let shard = self.shards[shard_of(path)].read().expect(POISONED);
+        shard.map.get(path).cloned()
     }
 
     /// [`ShardedCache::get`]; kept because `benchmark/` (read-only here)
@@ -333,11 +289,11 @@ impl ShardedCache {
     /// stamp) is already resident — the check and the insert happen
     /// under one shard write lock, so a slow fetch that raced a faster
     /// refresh can never clobber the newer copy, and a second store of
-    /// the same version supersedes nothing. A store evicts the shard's
-    /// LRU entry if the shard is at capacity; the replaced copy and the
-    /// evicted one are superseded, and both are dropped after the shard's
-    /// lock is released. Returns the entry now resident (the given one,
-    /// or the incumbent).
+    /// the same version supersedes nothing. A store into a shard at
+    /// capacity evicts the entry its sweep settles on; the replaced copy
+    /// and the evicted one are superseded, and both are dropped after the
+    /// shard's lock is released. Returns the entry now resident (the
+    /// given one, or the incumbent).
     pub fn insert_if_newer(
         &self,
         path: &str,
@@ -375,11 +331,13 @@ impl ShardedCache {
         0
     }
 
-    /// Writes the `cache` section of the stats document: the cells, then
-    /// what the shards count under their own locks, per shard and summed.
+    /// Writes the `cache` section of the stats document: what the shards
+    /// count under their own locks, per shard and summed.
     pub fn render(&self, doc: &mut Json) {
-        self.metrics.render(doc);
         let num = |n: u64| Json::Number(n as f64);
+        // Always 0, since a hit skips no write lock: kept because
+        // `benchmark/` (read-only here) reads it.
+        put(doc, "cache.touch_skips", num(0));
         let shards = self.shard_stats();
         let rows = shards.iter().map(|s| {
             let mut row = Json::Null;
@@ -450,7 +408,7 @@ impl ShardedCache {
             .collect()
     }
 
-    /// Total LRU evictions across all shards.
+    /// Total evictions across all shards.
     pub fn evictions(&self) -> u64 {
         self.shard_stats().iter().map(|s| s.evictions).sum()
     }
@@ -653,7 +611,6 @@ mod tests {
             Arc::ptr_eq(&first, &second),
             "hits must hand out the same Arc, not clones"
         );
-        // The bounded cache's try_write touch path must share too.
         let bounded = ShardedCache::new(Some(16));
         bounded.insert("/a", entry(1));
         let first = bounded.get("/a").unwrap();
@@ -811,7 +768,7 @@ mod tests {
             );
         }
         assert!(cache.len() <= capacity);
-        assert!(cache.len() > 0);
+        assert!(!cache.is_empty());
     }
 
     #[test]
@@ -830,6 +787,53 @@ mod tests {
         );
     }
 
+    /// Second chance keeps the hit ratio of exact LRU: Zipf(1.0) over 4×
+    /// the cache's capacity, against a test-only LRU of the same bound
+    /// per shard, on a fixed seed list.
+    #[test]
+    fn clock_hit_ratio_tracks_lru_under_zipf() {
+        use mutcon_traces::generator::ZipfCatalogBuilder;
+        use std::collections::HashMap;
+
+        const CAPACITY: usize = 1_024;
+        const DRAWS: usize = 100_000;
+        for seed in [1, 2, 3] {
+            let catalog = ZipfCatalogBuilder::new(4 * CAPACITY)
+                .exponent(1.0)
+                .seed(seed)
+                .build()
+                .expect("valid catalog");
+            let mut rng = catalog.stream_rng(0);
+            let cache = ShardedCache::new(Some(CAPACITY));
+            // Per shard: path → the draw that last used it.
+            let mut lru: Vec<HashMap<&str, usize>> = vec![HashMap::new(); SHARD_COUNT];
+            let (mut clock_hits, mut lru_hits) = (0, 0);
+            for draw in 0..DRAWS {
+                let path = catalog.path(catalog.sample(&mut rng));
+                if cache.get(path).is_some() {
+                    clock_hits += 1;
+                } else {
+                    cache.insert(path, entry(0));
+                }
+                let shard = &mut lru[shard_of(path)];
+                if shard.insert(path, draw).is_some() {
+                    lru_hits += 1;
+                } else if shard.len() > CAPACITY / SHARD_COUNT {
+                    let (&victim, _) = shard.iter().min_by_key(|(_, used)| **used).unwrap();
+                    shard.remove(victim);
+                }
+            }
+            let (clock, lru) = (
+                clock_hits as f64 / DRAWS as f64,
+                lru_hits as f64 / DRAWS as f64,
+            );
+            assert!(
+                clock >= lru - 0.02,
+                "seed {seed}: CLOCK hit ratio {clock:.3} against LRU's {lru:.3}"
+            );
+        }
+    }
+
     #[test]
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_rejected() {
@@ -846,97 +850,67 @@ mod tests {
         assert_eq!(cache.len(), 0);
     }
 
-    #[test]
-    fn hot_entry_reads_skip_the_write_lock() {
-        let cache = ShardedCache::new(Some(SHARD_COUNT * 4));
-        cache.insert("/hot", entry(1));
-        assert_eq!(cache.metrics.touch_skips(), 0);
-        // The freshly inserted entry is its shard's most recent: every
-        // repeat read takes the skip path, and recency stays intact.
-        for _ in 0..10 {
-            assert!(cache.get("/hot").is_some());
-        }
-        assert_eq!(cache.metrics.touch_skips(), 10);
-        // A second key in the same shard displaces /hot from the
-        // recency tail; its next read must take the touch path again
-        // (no new skip) and restore it.
-        let colliding = (0..)
-            .map(|i| format!("/hot/{i}"))
-            .find(|p| shard_of(p) == shard_of("/hot"))
-            .unwrap();
-        cache.insert(&colliding, entry(2));
-        let skips = cache.metrics.touch_skips();
-        assert!(cache.get("/hot").is_some());
-        assert_eq!(
-            cache.metrics.touch_skips(),
-            skips,
-            "non-tail read must not skip"
-        );
-        assert!(cache.get("/hot").is_some());
-        assert_eq!(
-            cache.metrics.touch_skips(),
-            skips + 1,
-            "touched entry skips again"
-        );
-        // Unbounded caches have no recency to protect; no skip counting.
-        let unbounded = ShardedCache::new(None);
-        unbounded.insert("/a", entry(1));
-        let _ = unbounded.get("/a");
-        assert_eq!(unbounded.metrics.touch_skips(), 0);
-    }
-
-    #[test]
-    fn touch_skip_preserves_lru_survival() {
-        // The regression the counter guards: skipping the touch for the
-        // most-recent entry must never let eviction pressure push out a
-        // constantly-read key.
-        let cache = ShardedCache::new(Some(SHARD_COUNT * 4));
-        cache.insert("/hot", entry(0));
-        for i in 0..5_000u64 {
-            let _ = cache.get("/hot");
-            cache.insert(&format!("/cold/{i}"), entry(i));
-        }
-        assert!(cache.get("/hot").is_some(), "hot entry evicted");
-        assert!(
-            cache.metrics.touch_skips() > 0,
-            "skew never took the skip path"
-        );
-    }
-
-    #[test]
-    fn contended_read_serves_without_touching_recency() {
-        // Two entries per shard fill /a's shard; /a is its LRU victim.
+    /// The shard, its `/a`-colliding paths past `/a` itself, and a cache
+    /// of two entries per shard holding `/a` and the first of them.
+    fn two_in_a_shard() -> (ShardedCache, usize, impl Iterator<Item = String>) {
         let cache = ShardedCache::new(Some(SHARD_COUNT * 2));
         let shard = shard_of("/a");
         let mut colliding = (0..)
             .map(|i| format!("/a/{i}"))
-            .filter(|p| shard_of(p) == shard);
+            .filter(move |p| shard_of(p) == shard);
         cache.insert("/a", entry(1));
         cache.insert(&colliding.next().unwrap(), entry(2));
         assert_eq!(cache.shard_len(shard), 2);
+        (cache, shard, colliding)
+    }
 
+    /// Serves a hit on `/a` while another thread holds its shard's read
+    /// guard: the hit needs no write lock.
+    fn hit_beside_a_reader(cache: &ShardedCache, shard: usize) -> Arc<CacheEntry> {
         let (held, released) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
-        let copy = std::thread::scope(|s| {
+        std::thread::scope(|s| {
             s.spawn(|| {
                 let _guard = cache.shards[shard].read().unwrap();
                 held.wait();
                 released.wait();
             });
             held.wait();
-            // Another thread's read guard makes `try_write` fail: the hit
-            // is served under the read lock, and recency is not touched.
-            let skips = cache.metrics.touch_skips();
-            let copy = cache.get("/a").expect("served under contention");
-            assert_eq!(copy.last_modified(), Timestamp::from_millis(1));
-            assert_eq!(cache.metrics.touch_skips(), skips, "not the skip path");
+            let copy = cache.get("/a").expect("served beside a reader");
             released.wait();
             copy
-        });
+        })
+    }
 
-        // /a is still the LRU victim: the next colliding store evicts it.
+    #[test]
+    fn hot_entry_reads_skip_the_write_lock() {
+        // A hit beside a reader marks `/a`, and the mark buys one sweep:
+        // the next store evicts the other entry and clears `/a`'s bit.
+        let (cache, shard, mut colliding) = two_in_a_shard();
+        let copy = hit_beside_a_reader(&cache, shard);
         cache.insert(&colliding.next().unwrap(), entry(3));
-        assert!(!copy.is_current(), "the untouched entry was evicted");
-        assert!(cache.get("/a").is_none());
+        assert!(copy.is_current(), "the marked entry survived the sweep");
+        // With no hit since, `/a` is the next victim.
+        cache.insert(&colliding.next().unwrap(), entry(4));
+        assert!(!copy.is_current(), "an unmarked entry is evicted");
+        assert_eq!(cache.evictions(), 2);
+        // `touch_skips` stays in the stats document, and reads 0.
+        let mut doc = Json::Null;
+        cache.render(&mut doc);
+        let skips = doc.get("cache").and_then(|c| c.get("touch_skips"));
+        assert_eq!(skips.and_then(Json::as_u64), Some(0));
+    }
+
+    #[test]
+    fn contended_read_marks_recency() {
+        // Two entries per shard fill /a's shard; the hand points at /a.
+        let (cache, shard, mut colliding) = two_in_a_shard();
+        let copy = hit_beside_a_reader(&cache, shard);
+        assert_eq!(copy.last_modified(), Timestamp::from_millis(1));
+        // The contended hit marked /a: the next colliding store evicts
+        // the other entry.
+        cache.insert(&colliding.next().unwrap(), entry(3));
+        assert!(copy.is_current(), "the marked entry was kept");
+        assert!(cache.get("/a").is_some());
         assert_eq!(cache.evictions(), 1);
     }
 

@@ -39,7 +39,7 @@
 //! * [`vectored`] — the zero-copy send path: per-connection write plans
 //!   (contiguous head + shared body gathered by std's `write_vectored`,
 //!   one `writev`).
-//! * [`cache`] — the 16-way sharded, recency-indexed object cache;
+//! * [`cache`] — the 16-way sharded object cache, CLOCK-evicting when bounded;
 //!   entries pre-render their serving head so a hit is two shared
 //!   slices, not a serialization.
 //! * [`client`] — the origin `GET` bytes (a miss's and a poll's) and

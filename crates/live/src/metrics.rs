@@ -204,12 +204,11 @@ pub struct HistogramSnapshot {
 }
 
 /// Every metric the crate declares, one table per `metrics!` use.
-pub fn declared() -> [&'static [Metric]; 4] {
+pub fn declared() -> [&'static [Metric]; 3] {
     [
         crate::server::EngineMetrics::METRICS,
         crate::proxy::Counters::METRICS,
         crate::runtime::RefreshMetrics::METRICS,
-        crate::cache::CacheMetrics::METRICS,
     ]
 }
 

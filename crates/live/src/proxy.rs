@@ -144,7 +144,7 @@ pub struct ProxyConfig {
     /// Optional Mt coordination across all rule paths.
     pub group: Option<GroupRule>,
     /// Cache bound in objects (`None` = unbounded, the paper's model);
-    /// enforced per shard with LRU eviction.
+    /// enforced per shard with CLOCK (second-chance) eviction.
     pub cache_objects: Option<usize>,
     /// Reactor threads for the connection engine (`None` = one per
     /// core, [`crate::server::default_reactors`]).

@@ -226,7 +226,7 @@ mod tests {
 
         fn admit(&mut self) -> io::Result<usize> {
             self.calls += 1;
-            if self.block_alternate && self.calls % 2 == 0 {
+            if self.block_alternate && self.calls.is_multiple_of(2) {
                 return Err(io::ErrorKind::WouldBlock.into());
             }
             Ok(self.per_call)
@@ -339,7 +339,7 @@ mod tests {
     #[test]
     fn reset_caps_retained_capacity() {
         let mut plan = WritePlan::new();
-        plan.buf_mut().extend_from_slice(&vec![0u8; 100]);
+        plan.buf_mut().extend_from_slice(&[0u8; 100]);
         plan.reset(64);
         assert_eq!(plan.buf_mut().capacity(), 0, "oversized buffer dropped");
         plan.buf_mut().extend_from_slice(&[1, 2, 3]);

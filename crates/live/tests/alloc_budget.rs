@@ -166,7 +166,7 @@ fn each_stage_of_a_miss_stays_within_its_allocation_budget() {
     );
     assert_eq!(look_ups, 0, "store look-ups must not allocate");
     assert!(entry_new <= 2, "CacheEntry::new: {entry_new} allocations");
-    assert!(whole_miss <= 13, "whole miss: {whole_miss} allocations");
+    assert!(whole_miss <= 12, "whole miss: {whole_miss} allocations");
 }
 
 fn entry(stamp: u64) -> CacheEntry {
@@ -179,10 +179,10 @@ fn entry(stamp: u64) -> CacheEntry {
 }
 
 /// What a store allocates for itself: the map's key and the entry's
-/// `Arc`, plus the recency index's key on a bounded cache. Nothing is
-/// kept per path beside the map, whether or not an L1 exists. The bounded
-/// cache holds one object per shard, so its recency index is one node
-/// that never splits and every store evicts.
+/// `Arc`, bounded or not (the eviction ring shares the map's key, and an
+/// evicting store reuses its victim's place). Nothing is kept per path
+/// beside the map, whether or not an L1 exists. The bounded cache holds
+/// one object per shard, so every store evicts.
 #[test]
 fn stores_and_l1_refills_stay_within_their_allocation_budgets() {
     let colliding: Vec<String> = (0..)
@@ -196,7 +196,7 @@ fn stores_and_l1_refills_stay_within_their_allocation_budgets() {
     for (stamp, path) in colliding.iter().enumerate() {
         let fresh = entry(stamp as u64);
         let (_, evicting) = counted(|| bounded.insert_if_newer(path, fresh));
-        assert!(evicting <= 3, "evicting store: {evicting} allocations");
+        assert!(evicting <= 2, "evicting store: {evicting} allocations");
     }
     assert_eq!(bounded.evictions(), colliding.len() as u64);
 
@@ -217,6 +217,32 @@ fn stores_and_l1_refills_stay_within_their_allocation_budgets() {
     let (evicted, refill) = counted(|| l1.insert(&colliding[0], copy));
     assert!(!evicted);
     assert_eq!(refill, 0, "L1 refill of a resident path");
+}
+
+/// A hit allocates nothing, bounded or not: it marks its entry under the
+/// shard's read lock and hands out a refcount. The bounded cache is at
+/// capacity: 512 paths, `hot_hit`'s hot set, poured into 64 places.
+#[test]
+fn a_hit_allocates_nothing_on_a_bounded_or_an_unbounded_cache() {
+    let paths: Vec<String> = (0..512).map(|i| format!("/obj/{i:06}")).collect();
+    for capacity in [Some(SHARD_COUNT * 4), None] {
+        let cache = ShardedCache::new(capacity);
+        for (stamp, path) in paths.iter().enumerate() {
+            cache.insert(path, entry(stamp as u64));
+        }
+        if capacity.is_some() {
+            assert!(cache.evictions() > 0, "the bounded cache is full");
+        }
+        let resident: Vec<&String> = paths.iter().filter(|p| cache.get(p).is_some()).collect();
+        let (hits, allocations) = counted(|| {
+            (0..10)
+                .flat_map(|_| &resident)
+                .filter(|p| cache.get(p).is_some())
+                .count()
+        });
+        assert_eq!(hits, 10 * resident.len());
+        assert_eq!(allocations, 0, "{hits} hits, capacity {capacity:?}");
+    }
 }
 
 /// The pool ledger's share of a sequential miss, in steady state: the

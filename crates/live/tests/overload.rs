@@ -29,7 +29,7 @@ fn plain_proxy(origin: &ScriptedOrigin, reactors: usize) -> LiveProxy {
 /// reap-vs-reuse race reproducibly; recovery is asserted every round.
 #[test]
 fn double_death_fails_fast_with_a_clean_error() {
-    let mut rng = SimRng::seed_from_u64(0xDEAD_2);
+    let mut rng = SimRng::seed_from_u64(0xDEAD2);
     for round in 0..8 {
         let origin = ScriptedOrigin::start(FakeClock::new());
         // Seed the pool with a connection the origin then silently

@@ -219,7 +219,7 @@ fn pipelined_miss_burst_against_dead_origin_is_iterative() {
         .unwrap();
     let mut burst = Vec::new();
     for i in 0..BURST {
-        burst.extend(Request::get(&format!("/miss/{i}")).build().to_bytes());
+        burst.extend(Request::get(format!("/miss/{i}")).build().to_bytes());
     }
     sock.write_all(&burst).unwrap();
 

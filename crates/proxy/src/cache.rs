@@ -1,72 +1,62 @@
-//! The bounded-LRU map under the live proxy's object cache.
+//! The bounded map under the live proxy's object cache, with CLOCK
+//! (second-chance) eviction.
 //!
 //! The paper's simulation assumes "an infinitely large cache" (§6.1.1);
-//! a capacity bound with LRU eviction is for experiments beyond the
-//! paper. [`LruMap`] pairs a hash table with a `BTreeSet<(used, key)>`
-//! recency index giving O(log n) eviction; each shard of the live
-//! proxy's cache in `mutcon-live` is one.
+//! a capacity bound is for experiments beyond the paper, and the
+//! simulator never uses this map. Each shard of the live proxy's cache in
+//! `mutcon-live` is one [`LruMap`]. A hit sets the entry's referenced bit
+//! through `&self`, so a reader under a shared lock keeps recency without
+//! a write lock or an allocation; a store at capacity sweeps a hand over
+//! the entries, clearing set bits, and evicts the first entry whose bit
+//! is clear.
 
 use std::borrow::Borrow;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::hash::Hash;
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 
-use mutcon_core::time::Timestamp;
-
-/// One stored value plus its recency key.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Slot<V, U> {
+/// One stored value, its referenced bit and its place in the ring.
+#[derive(Debug)]
+struct Slot<V> {
     value: V,
-    used: U,
+    referenced: AtomicBool,
+    pos: usize,
 }
 
-/// A map with optional capacity bound and least-recently-used eviction.
+/// A map with an optional capacity bound and CLOCK eviction.
 ///
-/// Recency is indexed by a `BTreeSet<(used, key)>` kept in lock-step with
-/// the entry table, so eviction is O(log n) — no scans, no per-comparison
-/// key clones. The recency key `U` is supplied by the caller on every
-/// insert/touch (a virtual-time [`Timestamp`] for the simulator, a
-/// monotonic sequence number for the live daemons), and ties on `used`
-/// evict the smallest key in `K`'s order — for string-like keys, the
-/// lexicographically smallest. When no capacity bound is set the recency
-/// index is not maintained at all (the unbounded paper model pays
-/// nothing).
-#[derive(Debug, Clone)]
-pub struct LruMap<K, V, U = Timestamp> {
-    entries: HashMap<K, Slot<V, U>>,
-    /// `(used, key)` pairs, one per entry; only maintained when a
-    /// capacity bound is set.
-    recency: BTreeSet<(U, K)>,
+/// Entries live in one hash table, so a lookup is one hash probe, bounded
+/// or not. A bounded map also keeps a ring of its keys, which the hand
+/// sweeps; an unbounded one keeps none. The recency type `U` is unused,
+/// kept because `benchmark/` names it (as `LruMap<String, u64, u64>`).
+#[derive(Debug)]
+pub struct LruMap<K, V, U = ()> {
+    entries: HashMap<K, Slot<V>>,
+    /// One key per entry of a bounded map; `Slot::pos` is its index.
+    ring: Vec<K>,
+    /// The ring index the next sweep starts at.
+    hand: usize,
     capacity: Option<usize>,
-}
-
-// Hand-written so `Default` does not demand it of K/V/U (the derive
-// would), matching `HashMap`/`BTreeSet`.
-impl<K, V, U> Default for LruMap<K, V, U> {
-    fn default() -> Self {
-        LruMap {
-            entries: HashMap::new(),
-            recency: BTreeSet::new(),
-            capacity: None,
-        }
-    }
+    recency: PhantomData<U>,
 }
 
 impl<K, V, U> LruMap<K, V, U>
 where
-    K: Ord + Hash + Eq + Clone,
-    U: Ord + Copy,
+    K: Hash + Eq + Clone,
 {
     /// An unbounded map: nothing is ever evicted.
     pub fn unbounded() -> Self {
         LruMap {
             entries: HashMap::new(),
-            recency: BTreeSet::new(),
+            ring: Vec::new(),
+            hand: 0,
             capacity: None,
+            recency: PhantomData,
         }
     }
 
-    /// A map holding at most `capacity` entries, evicting the least
-    /// recently used.
+    /// A map holding at most `capacity` entries.
     ///
     /// # Panics
     ///
@@ -79,11 +69,6 @@ where
         }
     }
 
-    /// The capacity bound, if any.
-    pub fn capacity(&self) -> Option<usize> {
-        self.capacity
-    }
-
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -94,105 +79,89 @@ where
         self.entries.is_empty()
     }
 
-    /// Looks up without refreshing recency.
+    /// Looks up and marks the entry referenced. The bit is loaded first
+    /// and stored only if clear, so a hot entry's line is not rewritten
+    /// on every hit. `Relaxed` is enough: the bit is cleared only by a
+    /// sweep under `&mut self`, which the caller's lock orders after
+    /// every reader.
     pub fn get<Q>(&self, key: &Q) -> Option<&V>
     where
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        self.entries.get(key).map(|slot| &slot.value)
-    }
-
-    /// Whether `key` is resident and already the most recently used
-    /// entry, i.e. a `touch` would not change the eviction order. On an
-    /// unbounded map no recency is maintained, so every resident key
-    /// trivially qualifies. Lets read paths skip the write lock a
-    /// recency refresh would need (see `ShardedCache::get` in
-    /// `mutcon-live`).
-    pub fn is_most_recent<Q>(&self, key: &Q) -> bool
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        let Some((stored_key, slot)) = self.entries.get_key_value(key) else {
-            return false;
-        };
-        if self.capacity.is_none() {
-            return true;
+        let slot = self.entries.get(key)?;
+        if !slot.referenced.load(Relaxed) {
+            slot.referenced.store(true, Relaxed);
         }
-        match self.recency.last() {
-            Some((used, key)) => *used == slot.used && key == stored_key,
-            None => false,
-        }
-    }
-
-    /// Looks up and marks the entry as used at `now`.
-    pub fn touch<Q>(&mut self, key: &Q, now: U) -> Option<&V>
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        if self.capacity.is_some() {
-            let (stored_key, slot) = self.entries.get_key_value(key)?;
-            if slot.used != now {
-                let old = (slot.used, stored_key.clone());
-                self.recency.remove(&old);
-                self.recency.insert((now, old.1));
-            }
-        }
-        let slot = self.entries.get_mut(key)?;
-        slot.used = now;
         Some(&slot.value)
     }
 
-    /// Inserts (or replaces) an entry used at `now`. When a capacity
-    /// bound is set and would be exceeded, the least-recently-used
-    /// *existing* entry is evicted first (a fresh insert never evicts
-    /// itself, even if `now` orders before every resident entry) and
-    /// returned.
-    pub fn insert(&mut self, key: K, value: V, now: U) -> Option<(K, V)> {
-        let slot = Slot { value, used: now };
-        let Some(cap) = self.capacity else {
-            self.entries.insert(key, slot);
+    /// Inserts or replaces an entry; `now` is ignored, kept because
+    /// `benchmark/` passes it. A replacement keeps its place and its bit.
+    /// A new entry starts unreferenced; at capacity it takes the ring
+    /// place of the entry the sweep evicts, which is returned.
+    pub fn insert(&mut self, key: K, value: V, _now: U) -> Option<(K, V)> {
+        if let Some(slot) = self.entries.get_mut(&key) {
+            slot.value = value;
             return None;
-        };
+        }
+        let mut pos = self.ring.len();
         let mut evicted = None;
-        match self.entries.insert(key.clone(), slot) {
-            Some(old) => {
-                // Replacement: re-key the existing recency slot.
-                self.recency.remove(&(old.used, key.clone()));
-            }
-            None => {
-                if self.entries.len() > cap {
-                    // The LRU victim sits at the front of the ordered
-                    // recency index: one O(log n) pop, no scan.
-                    let victim = self
-                        .recency
-                        .pop_first()
-                        .expect("bounded map over capacity has a recency entry");
-                    let value = self
-                        .entries
-                        .remove(&victim.1)
-                        .expect("recency index entry is resident");
-                    evicted = Some((victim.1, value.value));
-                }
+        match self.capacity {
+            None => {}
+            Some(cap) if pos < cap => self.ring.push(key.clone()),
+            Some(cap) => {
+                pos = self.sweep();
+                self.hand = (pos + 1) % cap;
+                let victim = std::mem::replace(&mut self.ring[pos], key.clone());
+                let slot = self.entries.remove(&victim).expect("ring key resident");
+                evicted = Some((victim, slot.value));
             }
         }
-        self.recency.insert((now, key));
+        let referenced = AtomicBool::new(false);
+        self.entries.insert(
+            key,
+            Slot {
+                value,
+                referenced,
+                pos,
+            },
+        );
         evicted
     }
 
-    /// Removes an entry.
+    /// Moves the hand to the first unreferenced entry, clearing the bits
+    /// it passes, and returns its ring index. Ends within one turn: a
+    /// full turn leaves every bit clear.
+    fn sweep(&mut self) -> usize {
+        loop {
+            let slot = self.entries.get_mut(&self.ring[self.hand]);
+            if !std::mem::take(slot.expect("ring key resident").referenced.get_mut()) {
+                return self.hand;
+            }
+            self.hand = (self.hand + 1) % self.ring.len();
+        }
+    }
+
+    /// Removes an entry. On a bounded map the ring's last key takes its
+    /// place.
     pub fn remove<Q>(&mut self, key: &Q) -> Option<V>
     where
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        let (stored_key, _) = self.entries.get_key_value(key)?;
-        let stored_key = stored_key.clone();
         let slot = self.entries.remove(key)?;
         if self.capacity.is_some() {
-            self.recency.remove(&(slot.used, stored_key));
+            self.ring.swap_remove(slot.pos);
+            if let Some(moved) = self.ring.get(slot.pos) {
+                self.entries
+                    .get_mut::<K>(moved)
+                    .expect("ring key resident")
+                    .pos = slot.pos;
+            }
+            if self.hand >= self.ring.len() {
+                self.hand = 0;
+            }
         }
         Some(slot.value)
     }
@@ -207,67 +176,97 @@ mod tests {
         let mut m: LruMap<&str, (), u64> = LruMap::with_capacity(2);
         m.insert("a", (), 1);
         m.insert("b", (), 2);
-        // Touch a so b becomes LRU.
-        m.touch("a", 3);
-        m.insert("c", (), 4);
-        assert_eq!(m.len(), 2);
+        // The hit marks "a": the sweep clears its bit and evicts "b".
         assert!(m.get("a").is_some());
-        assert!(m.get("b").is_none());
-        assert!(m.get("c").is_some());
+        assert_eq!(m.insert("c", (), 3), Some(("b", ())));
+        // Its bit is spent: with no hit since, "a" is the next victim.
+        assert_eq!(m.insert("d", (), 4), Some(("a", ())));
+        assert_eq!(m.len(), 2);
+        assert!(m.get("c").is_some() && m.get("d").is_some());
     }
 
     #[test]
-    fn lru_tie_break_is_lexicographic() {
-        // Three entries stored at the same instant: ties on `used` evict
-        // the smallest key, as a linear scan by (used, key) would.
+    fn clock_evicts_in_insertion_order_when_no_bit_is_set() {
         let mut m: LruMap<&str, (), u64> = LruMap::with_capacity(3);
         for name in ["b", "c", "a"] {
             m.insert(name, (), 5);
         }
-        m.insert("d", (), 6);
-        assert!(m.get("a").is_none(), "lexicographically smallest tie loses");
-        assert!(m.get("b").is_some());
-        assert!(m.get("c").is_some());
-        assert!(m.get("d").is_some());
+        // The hand starts at the first place taken: "b", then "c".
+        assert_eq!(m.insert("d", (), 6), Some(("b", ())));
+        assert_eq!(m.insert("e", (), 7), Some(("c", ())));
+        assert!(m.get("a").is_some() && m.get("d").is_some() && m.get("e").is_some());
+    }
+
+    /// A test-only CLOCK over one vector, found by linear scan: the map
+    /// must evict what it evicts, step for step.
+    #[derive(Default)]
+    struct ClockModel {
+        ring: Vec<(String, bool)>,
+        hand: usize,
+    }
+
+    impl ClockModel {
+        fn find(&self, id: &str) -> Option<usize> {
+            self.ring.iter().position(|(name, _)| name == id)
+        }
+
+        fn get(&mut self, id: &str) -> bool {
+            self.find(id).map(|at| self.ring[at].1 = true).is_some()
+        }
+
+        fn insert(&mut self, id: &str, cap: usize) -> Option<String> {
+            if self.find(id).is_some() {
+                return None;
+            }
+            if self.ring.len() < cap {
+                self.ring.push((id.to_owned(), false));
+                return None;
+            }
+            while std::mem::take(&mut self.ring[self.hand].1) {
+                self.hand = (self.hand + 1) % cap;
+            }
+            let victim = std::mem::replace(&mut self.ring[self.hand], (id.to_owned(), false));
+            self.hand = (self.hand + 1) % cap;
+            Some(victim.0)
+        }
+
+        fn remove(&mut self, id: &str) -> bool {
+            let Some(at) = self.find(id) else {
+                return false;
+            };
+            self.ring.swap_remove(at);
+            if self.hand >= self.ring.len() {
+                self.hand = 0;
+            }
+            true
+        }
     }
 
     #[test]
     fn lru_matches_reference_scan_model() {
-        // Randomized equivalence against O(n) scan semantics: evict min
-        // by (last_used, key).
         use mutcon_sim::SimRng;
 
         let cap = 8;
         let mut map: LruMap<String, u64, u64> = LruMap::with_capacity(cap);
-        let mut model: HashMap<String, u64> = HashMap::new();
+        let mut model = ClockModel::default();
         let mut rng = SimRng::seed_from_u64(0xCAC4E);
         let names: Vec<String> = (0..24).map(|i| format!("obj-{i:02}")).collect();
 
         for step in 0u64..2_000 {
-            let now = step / 3; // deliberate ties
             let id = rng.pick(&names).clone();
-            if rng.chance(0.5) {
-                map.insert(id.clone(), step, now);
-                if !model.contains_key(&id) && model.len() >= cap {
-                    let victim = model
-                        .iter()
-                        .min_by_key(|(name, t)| (**t, (*name).clone()))
-                        .map(|(name, _)| name.clone())
-                        .expect("model not empty");
-                    model.remove(&victim);
-                }
-                model.insert(id, now);
+            let roll = rng.uniform();
+            if roll < 0.45 {
+                let evicted = map.insert(id.clone(), step, step).map(|(name, _)| name);
+                assert_eq!(evicted, model.insert(&id, cap), "step {step}");
+            } else if roll < 0.9 {
+                assert_eq!(map.get(&id).is_some(), model.get(&id), "step {step}");
             } else {
-                let hit = map.touch(&id, now).is_some();
-                assert_eq!(hit, model.contains_key(&id), "step {step}");
-                if hit {
-                    model.insert(id, now);
-                }
+                assert_eq!(map.remove(&id).is_some(), model.remove(&id), "step {step}");
             }
-            assert_eq!(map.len(), model.len(), "step {step}");
+            assert_eq!(map.len(), model.ring.len(), "step {step}");
         }
         for id in &names {
-            assert_eq!(map.get(id).is_some(), model.contains_key(id), "{id}");
+            assert_eq!(map.get(id).is_some(), model.find(id).is_some(), "{id}");
         }
     }
 
@@ -288,17 +287,15 @@ mod tests {
 
     #[test]
     fn lru_map_generic_over_string_keys_and_sequence_clock() {
-        // The live proxy's shard configuration: String keys, u64 ticks.
+        // The shape `benchmark/` times: String keys, u64 values and ticks.
         let mut m: LruMap<String, u32, u64> = LruMap::with_capacity(2);
         assert_eq!(m.insert("/a".to_owned(), 1, 0), None);
         assert_eq!(m.insert("/b".to_owned(), 2, 1), None);
         // Borrowed lookups: no owned key needed.
         assert_eq!(m.get("/a"), Some(&1));
-        assert_eq!(m.touch("/a", 2), Some(&1));
         let evicted = m.insert("/c".to_owned(), 3, 3);
         assert_eq!(evicted, Some(("/b".to_owned(), 2)));
         assert_eq!(m.len(), 2);
-        assert_eq!(m.capacity(), Some(2));
         assert!(m.get("/b").is_none());
         assert_eq!(m.remove("/a"), Some(1));
         assert_eq!(m.remove("/a"), None);
@@ -306,36 +303,16 @@ mod tests {
     }
 
     #[test]
-    fn lru_map_reports_most_recent_entries() {
-        let mut m: LruMap<String, u32, u64> = LruMap::with_capacity(3);
-        assert!(!m.is_most_recent("/a"), "absent keys are never most recent");
-        m.insert("/a".to_owned(), 1, 0);
-        assert!(m.is_most_recent("/a"));
-        m.insert("/b".to_owned(), 2, 1);
-        assert!(!m.is_most_recent("/a"));
-        assert!(m.is_most_recent("/b"));
-        m.touch("/a", 2);
-        assert!(m.is_most_recent("/a"));
-        assert!(!m.is_most_recent("/b"));
-        // Unbounded maps keep no recency: every resident key qualifies.
-        let mut u: LruMap<String, u32, u64> = LruMap::unbounded();
-        u.insert("/x".to_owned(), 1, 0);
-        u.insert("/y".to_owned(), 2, 1);
-        assert!(u.is_most_recent("/x"));
-        assert!(u.is_most_recent("/y"));
-        assert!(!u.is_most_recent("/z"));
-    }
-
-    #[test]
     fn lru_map_fresh_insert_never_evicts_itself() {
-        // An insert whose recency key orders before every resident entry
-        // must evict the resident LRU, not the entry being inserted.
-        let mut m: LruMap<String, u32, u64> = LruMap::with_capacity(2);
-        m.insert("/x".to_owned(), 1, 10);
-        m.insert("/y".to_owned(), 2, 20);
-        let evicted = m.insert("/old".to_owned(), 3, 0);
+        // Every resident entry is referenced: the sweep clears them all
+        // and evicts the first, never the entry being inserted.
+        let mut m: LruMap<String, u32> = LruMap::with_capacity(2);
+        m.insert("/x".to_owned(), 1, ());
+        m.insert("/y".to_owned(), 2, ());
+        assert!(m.get("/x").is_some() && m.get("/y").is_some());
+        let evicted = m.insert("/new".to_owned(), 3, ());
         assert_eq!(evicted, Some(("/x".to_owned(), 1)));
-        assert!(m.get("/old").is_some());
+        assert!(m.get("/new").is_some());
     }
 
     #[test]
@@ -346,19 +323,33 @@ mod tests {
         // Replacing a resident key must not evict anything.
         assert_eq!(m.insert("/a".to_owned(), 10, 2), None);
         assert_eq!(m.len(), 2);
-        // /b is now LRU.
-        assert_eq!(m.insert("/c".to_owned(), 3, 3), Some(("/b".to_owned(), 2)));
+        // "/a" keeps the first place and its clear bit: the hand takes it.
+        assert_eq!(m.insert("/c".to_owned(), 3, 3), Some(("/a".to_owned(), 10)));
+    }
+
+    #[test]
+    fn a_removal_moves_the_last_key_into_its_place() {
+        let mut m: LruMap<String, u32> = LruMap::with_capacity(3);
+        for (i, name) in ["/x", "/y", "/z"].into_iter().enumerate() {
+            m.insert(name.to_owned(), i as u32, ());
+        }
+        // "/z" takes "/x"'s place at the hand, so it is the next victim.
+        assert_eq!(m.remove("/x"), Some(0));
+        m.insert("/w".to_owned(), 3, ());
+        let evicted = m.insert("/v".to_owned(), 4, ());
+        assert_eq!(evicted, Some(("/z".to_owned(), 2)));
+        assert!(m.get("/y").is_some() && m.get("/w").is_some());
     }
 
     #[test]
     fn lru_map_unbounded_skips_recency_maintenance() {
         let mut m: LruMap<String, u32, u64> = LruMap::unbounded();
         for i in 0..100u32 {
-            m.insert(format!("/{i}"), i, 0); // identical recency keys: fine
+            assert_eq!(m.insert(format!("/{i}"), i, 0), None);
         }
         assert_eq!(m.len(), 100);
-        assert_eq!(m.capacity(), None);
-        assert_eq!(m.touch("/7", 1), Some(&7));
+        assert!(m.ring.is_empty(), "no ring without a bound");
+        assert_eq!(m.get("/7"), Some(&7));
         assert_eq!(m.remove("/7"), Some(7));
         assert_eq!(m.len(), 99);
     }

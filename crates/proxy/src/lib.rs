@@ -7,7 +7,7 @@
 //! * [`origin`] — the trace-driven origin server: answers
 //!   `If-Modified-Since` polls from an [`UpdateTrace`], optionally with
 //!   the §5.1 modification-history extension.
-//! * [`cache`] — the bounded-LRU map each shard of the live proxy's
+//! * [`cache`] — the CLOCK-evicting map each shard of the live proxy's
 //!   object cache is built on.
 //! * [`log`] — per-object poll logs, the raw material of every metric.
 //! * [`schedule`] — the §3 scheduler (LIMD per object, Mt triggers

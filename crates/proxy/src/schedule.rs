@@ -594,7 +594,7 @@ mod tests {
             let members: Vec<(String, LimdConfig)> = all
                 .iter()
                 .enumerate()
-                .filter(|(i, _)| (*i as u64 + round) % 2 == 0)
+                .filter(|(i, _)| (*i as u64 + round).is_multiple_of(2))
                 .map(|(i, p)| (p.clone(), limd(if i % 3 == 0 { 10 + round } else { 10 })))
                 .collect();
             let live: HashSet<String> = members.iter().map(|(p, _)| p.clone()).collect();

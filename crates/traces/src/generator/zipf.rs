@@ -206,9 +206,9 @@ mod tests {
         }
         // The head of the distribution must match the law within a few
         // percent at this sample size.
-        for r in 0..8 {
+        for (r, &got) in counts.iter().enumerate().take(8) {
             let expected = c.probability(r) * draws as f64;
-            let got = counts[r] as f64;
+            let got = got as f64;
             assert!(
                 (got - expected).abs() / expected < 0.05,
                 "rank {r}: {got} draws vs expected {expected}"

@@ -16,6 +16,10 @@ cargo fmt --all --check
 # public doc links an item its readers cannot see.
 RUSTDOCFLAGS='-D warnings' cargo doc --no-deps --workspace
 
+# Lints: clippy over every target of the root workspace, warnings as
+# errors, rustc's own `dead_code` among them.
+cargo clippy --workspace --all-targets -- -D warnings
+
 # Every property check runs in tier-1, as a loop over a fixed seed list
 # on `mutcon_sim::rng::SimRng`. No suite hides behind a cargo feature or
 # a crate the workspace does not have, and every feature of every crate
@@ -205,8 +209,9 @@ fi
 # copy is valid until the flag on it says the L2 let go of it
 # (crates/live/src/cache.rs). No per-path version table, handle or stamp
 # comes back beside the flag, and no cache-wide state either: no bulk
-# generation that wipes every L1, no atomic in `ShardedCache` (each
-# shard orders its own recency under its own lock) and no generation
+# generation that wipes every L1, no atomic in `ShardedCache` (a hit
+# sets its entry's referenced bit under the shard's read lock, and only
+# the shard's sweep, under its write lock, clears it) and no generation
 # field in `L1Cache`. Each reactor owns its service instance and lends
 # it nothing: above its test module server.rs names no cache type, and
 # no L1 sizing hook or second immediate-reply variant comes back (the
@@ -222,6 +227,17 @@ if grep -rnE 'VersionedEntry|bump_version|retire_version|RespondCacheable|l1_try
   echo "ci: a second L1 coherence protocol, or a cache in the engine, is back (lines above)" >&2
   exit 1
 fi
+
+# A cache hit writes nothing but its referenced bit: the shared cache
+# evicts by CLOCK, so above their tests neither cache file keeps an
+# ordered recency index, tries a write lock on the read path, asks
+# whether an entry is the most recent or touches one.
+for f in crates/proxy/src/cache.rs crates/live/src/cache.rs; do
+  if above_tests "$f" | grep -nE 'BTreeSet|try_write|is_most_recent|fn touch\b' | sed "s|^|$f:|"; then
+    echo "ci: an LRU recency index or a write on the hit path is back (lines above)" >&2
+    exit 1
+  fi
+done
 
 # One fixed overload policy, and one origin fan-out bound. Park-and-503
 # is the engine's own: `PARK_DEADLINE` and `RETRY_AFTER_SECS` are
