@@ -1,4 +1,4 @@
-//! The live proxy's 16-way sharded object cache.
+//! The live proxy's one cache: 16-way sharded, shared by every reactor.
 //!
 //! The key space is split across [`SHARD_COUNT`] independent shards by
 //! key hash, so a refresh write serializes only the 1/16th of reads that
@@ -12,7 +12,10 @@
 //! byte copying, no write lock and no allocation, bounded or not. A store
 //! at capacity, under the write lock it already holds, sweeps the shard's
 //! hand past referenced entries, clearing their bits, and evicts the
-//! first one whose bit is clear.
+//! first one whose bit is clear. The read lock is a read's linearization
+//! point: a hit serves the copy resident when the lock was taken, and no
+//! reactor keeps a copy of its own, so there is one copy of a path to be
+//! valid and no second validity rule.
 //!
 //! Entries are immutable once stored and carry a **pre-rendered header
 //! block** ([`CacheEntry::head`]) alongside the shared body: the wire
@@ -21,22 +24,20 @@
 //! two shared slices handed to `writev` — zero per-request serialization
 //! and zero body copies.
 //!
-//! ## The supersede flag and the per-reactor L1
-//!
-//! Every store installs a *new* `Arc<CacheEntry>`, so "is my copy still
-//! the resident one" is one bit on the copy itself: a copy that leaves
-//! its shard's map — replaced by a store, pushed out by the bound, or
-//! removed — is marked **superseded**, once and for good. The flag has
-//! one writer, the shard's map mutation, under the shard write lock
-//! (`Release`), and one reader, [`L1Cache::get`]
-//! ([`CacheEntry::is_current`], one `Relaxed` load) — no shard lock on
-//! the L1 hit path at all. A set flag means the copy *may* be stale; the
-//! reader falls through to the shared cache and refills. The flag is the
-//! L1's only validity rule: a rules install changes no stored copy, and
-//! the copy of a path it un-rules is superseded by that path's eviction.
 //! The cache keeps no state wider than a shard: readers set a shard's
 //! referenced bits under its read lock, and only its sweep, under its
 //! write lock, clears them.
+//!
+//! ## Kept for `benchmark/`: the supersede flag and [`L1Cache`]
+//!
+//! A copy that leaves its shard's map — replaced by a store, pushed out
+//! by the bound, or removed — is marked **superseded**, once and for
+//! good, under the shard's write lock ([`CacheEntry::is_current`] reads
+//! the mark). Its one reader is [`L1Cache`], a per-reactor copy cache the
+//! proxy no longer runs, since once a shared hit wrote nothing the L1 did
+//! not win (ROADMAP direction 4 has the lookup figures). The flag,
+//! [`L1Cache`] and [`L1Lookup`] are kept because `benchmark/` (read-only
+//! here) replays them in its layer figures.
 
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -75,7 +76,8 @@ pub struct CacheEntry {
     /// `connection: close`) before the body.
     head: Bytes,
     /// Set once, under its shard's write lock, when this copy leaves the
-    /// map (see the module docs); never cleared.
+    /// map (see the module docs); never cleared. Read only by
+    /// [`L1Cache`], kept because `benchmark/` (read-only here) uses it.
     superseded: AtomicBool,
 }
 
@@ -127,7 +129,9 @@ impl CacheEntry {
     /// as far as this thread can see. Relaxed is the point: a store not
     /// yet visible here is exactly the propagation window the paper's Δ
     /// tolerates, and the bytes served are the ones the caller already
-    /// holds — no new memory is read on the strength of this load.
+    /// holds — no new memory is read on the strength of this load. Kept
+    /// because `benchmark/` (read-only here) replays [`L1Cache`], its
+    /// one reader.
     pub fn is_current(&self) -> bool {
         !self.superseded.load(Ordering::Relaxed)
     }
@@ -160,8 +164,8 @@ struct Shard {
     /// Entries pushed out by the bound (not replacements/removals),
     /// surfaced by the admin stats endpoint.
     evictions: u64,
-    /// Copies this shard has superseded (replacements, evictions,
-    /// removals — every L1-invalidating mutation).
+    /// Copies this shard has superseded: replacements, evictions and
+    /// removals.
     version_bumps: u64,
 }
 
@@ -202,7 +206,7 @@ pub struct ShardStats {
     pub len: usize,
     /// Evictions the shard's bound has made so far.
     pub evictions: u64,
-    /// Copies superseded (L1-invalidating mutations) so far.
+    /// Copies superseded (replaced, evicted or removed) so far.
     pub version_bumps: u64,
 }
 
@@ -314,9 +318,8 @@ impl ShardedCache {
 
     /// Drops a copy (the admin plane evicts paths whose refresh rule was
     /// removed — an unrefreshed copy would otherwise be served stale
-    /// forever). Returns the removed entry, if one was resident; it is
-    /// superseded, so outstanding L1 copies reject on their next
-    /// validation.
+    /// forever), so the path's next read is a miss. Returns the removed
+    /// entry, if one was resident; it is marked superseded.
     pub fn remove(&self, path: &str) -> Option<Arc<CacheEntry>> {
         let mut shard = self.shards[shard_of(path)].write().expect(POISONED);
         let removed = shard.map.remove(path)?;
@@ -436,7 +439,8 @@ struct L1Slot {
     used: u64,
 }
 
-/// Outcome of an [`L1Cache::get`].
+/// Outcome of an [`L1Cache::get`]. Kept because `benchmark/` (read-only
+/// here) replays the L1.
 #[derive(Debug, Clone)]
 pub enum L1Lookup {
     /// Resident and revalidated: the copy is provably current as of the
@@ -449,11 +453,12 @@ pub enum L1Lookup {
     Miss,
 }
 
-/// A reactor-local hot-object cache: an open-addressed `path →
-/// Arc<CacheEntry>` map consulted before the shared [`ShardedCache`].
-/// Owned by one reactor's service instance, so reads and writes are
-/// plain `&mut` — no locks, no atomics but the relaxed flag load that
-/// revalidates a hit.
+/// A thread-local copy cache in front of a [`ShardedCache`]: an
+/// open-addressed `path → Arc<CacheEntry>` map whose hit is revalidated
+/// by the copy's supersede flag. Its owner reads and writes it through
+/// `&mut` — no locks, no atomics but the relaxed flag load. The proxy
+/// does not run one (see the module docs); kept because `benchmark/`
+/// (read-only here) replays it.
 pub struct L1Cache {
     slots: Vec<Option<L1Slot>>,
     mask: u64,
@@ -559,11 +564,6 @@ impl L1Cache {
     /// Whether the L1 holds nothing.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Slot capacity.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
     }
 }
 

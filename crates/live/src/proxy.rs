@@ -18,17 +18,17 @@
 //! ([`crate::server`]): one reactor per core (or
 //! [`ProxyConfig::reactors`]), each with its own `SO_REUSEPORT`
 //! listener shard, its own keep-alive origin pool and its own instance of
-//! the proxy's service, which owns that reactor's L1 — cache misses
-//! ride pooled persistent connections, and identical concurrent misses
-//! coalesce into a single origin fetch. There is no thread pool and no
-//! thread per connection. The cache is the 16-way sharded
-//! [`crate::cache::ShardedCache`], shared by every reactor, so the
-//! refresher's write locks stall only 1/16th of concurrent hits instead
-//! of all of them. Entries pre-render their serving head at store time,
-//! so a hit is two shared slices handed to `writev` — no serialization
-//! and no body copy on the hot path, however many clients share the
-//! entry. Concurrency is bounded by [`crate::server::MAX_CONNS`]
-//! connections, split across the reactors.
+//! the proxy's service — cache misses ride pooled persistent
+//! connections, and identical concurrent misses coalesce into a single
+//! origin fetch. There is no thread pool and no thread per connection.
+//! The one cache is the 16-way sharded [`crate::cache::ShardedCache`],
+//! shared by every reactor: a hit takes its shard's read lock and writes
+//! nothing, and the refresher's write locks stall only 1/16th of
+//! concurrent hits instead of all of them. Entries pre-render their
+//! serving head at store time, so a hit is two shared slices handed to
+//! `writev` — no serialization and no body copy on the hot path, however
+//! many clients share the entry. Concurrency is bounded by
+//! [`crate::server::MAX_CONNS`] connections, split across the reactors.
 //!
 //! # The admin control plane
 //!
@@ -80,15 +80,12 @@ use mutcon_sim::reactor::BackendKind;
 use mutcon_sim::signal;
 use mutcon_traces::json::Json;
 
-use crate::cache::{CacheEntry, L1Cache, L1Lookup, ShardedCache};
+use crate::cache::{CacheEntry, ShardedCache};
 use crate::client::{get_wire, wire_target, ObjectStamps};
 use crate::metrics::{metrics, obj, put, Counter};
 use crate::origin::unix_now_ms;
 use crate::runtime::{ConsistencyRuntime, Plane};
-use crate::server::{
-    default_reactors, EngineMetrics, EventLoop, Reply, Service, ServiceResult, DEFAULT_L1_OBJECTS,
-    MAX_L1_OBJECTS,
-};
+use crate::server::{default_reactors, EngineMetrics, EventLoop, Reply, Service, ServiceResult};
 
 /// Paths under this prefix are the proxy's admin plane: answered on the
 /// reactor, never from the cache or the origin, and never a rule path
@@ -151,13 +148,6 @@ pub struct ProxyConfig {
     pub reactors: Option<usize>,
     /// Read by nothing; kept because `benchmark/` (read-only here) sets it.
     pub backend: Option<BackendKind>,
-    /// Per-reactor L1 hot-object cache capacity in objects (`None` =
-    /// [`crate::server::DEFAULT_L1_OBJECTS`]; `Some(0)` disables the L1
-    /// entirely; more than [`crate::server::MAX_L1_OBJECTS`] is refused
-    /// at start). A validated L1 hit is served
-    /// without touching any shared shard lock; coherence comes from the
-    /// supersede flag on each copy (see [`crate::cache`]).
-    pub l1_objects: Option<usize>,
     /// Bearer token gating the `/admin/*` plane (`None` or empty = no
     /// auth). When set, admin requests without
     /// `Authorization: Bearer <token>` get `401`.
@@ -183,7 +173,6 @@ impl ProxyConfig {
             cache_objects: None,
             reactors: None,
             backend: None,
-            l1_objects: None,
             admin_token: None,
             rules_file: None,
         }
@@ -242,9 +231,6 @@ struct Shared {
     runtime: Arc<ConsistencyRuntime>,
     /// Bearer token gating `/admin/*`; `None` leaves the plane open.
     admin_token: Option<String>,
-    /// Each reactor's L1 capacity as configured (0 = no L1), reported as
-    /// `cache.l1.capacity`.
-    l1_objects: usize,
 }
 
 /// The running proxy; shuts down (and joins its reactors) on drop.
@@ -264,8 +250,7 @@ impl LiveProxy {
     /// Propagates socket errors; returns [`io::ErrorKind::InvalidInput`]
     /// for invalid rules (zero Δ, duplicate paths, inverted TTR bounds —
     /// the same validation `PUT /admin/rules` applies), for an IPv6
-    /// origin, for a zero-object cache bound and for an L1 above
-    /// [`MAX_L1_OBJECTS`].
+    /// origin and for a zero-object cache bound.
     pub fn start(config: ProxyConfig) -> io::Result<LiveProxy> {
         let invalid = |reason: String| io::Error::new(io::ErrorKind::InvalidInput, reason);
         if config.origin_addr.is_ipv6() {
@@ -279,12 +264,6 @@ impl LiveProxy {
                 "cache_objects must be positive (None = unbounded)".to_owned(),
             ));
         }
-        let l1_objects = config.l1_objects.unwrap_or(DEFAULT_L1_OBJECTS);
-        if l1_objects > MAX_L1_OBJECTS {
-            return Err(invalid(format!(
-                "l1_objects must be at most {MAX_L1_OBJECTS}"
-            )));
-        }
         let runtime = ConsistencyRuntime::new(config.rules, config.group).map_err(invalid)?;
         let shared = Arc::new(Shared {
             origin: config.origin_addr,
@@ -293,7 +272,6 @@ impl LiveProxy {
             counters: Counters::default(),
             runtime: Arc::clone(&runtime),
             admin_token: config.admin_token.filter(|t| !t.is_empty()),
-            l1_objects,
         });
         if config.rules_file.is_some() {
             signal::count_sighups()?;
@@ -309,7 +287,6 @@ impl LiveProxy {
                 Box::new(ProxyService {
                     shared: Arc::clone(&shared),
                     metrics: Arc::clone(metrics),
-                    l1: (l1_objects > 0).then(|| L1Cache::new(l1_objects)),
                     plane: i == 0,
                     reload: reload.take(),
                 })
@@ -317,8 +294,8 @@ impl LiveProxy {
         )?;
         // After each install, outside the plane's lock: an un-ruled path
         // loses its copy (a late poll cannot put it back, see
-        // `crate::runtime`), which supersedes every reactor's L1 copy of
-        // it, and reactor 0 looks at the new schedule at once. No other
+        // `crate::runtime`), so its next read goes to the origin, and
+        // reactor 0 looks at the new schedule at once. No other
         // copy changes: an install rewrites no stored byte. The hook
         // holds the proxy weakly: the runtime is part of it.
         let proxy = Arc::downgrade(&shared);
@@ -398,10 +375,6 @@ impl std::fmt::Debug for LiveProxy {
 struct ProxyService {
     shared: Arc<Shared>,
     metrics: Arc<EngineMetrics>,
-    /// This reactor's hot-object cache, asked before the shared one
-    /// (`None` when `l1_objects` is 0). Only this instance's reactor
-    /// thread touches it, so it needs no lock.
-    l1: Option<L1Cache>,
     /// Whether this is reactor 0's instance, which alone steps the
     /// refresh plane.
     plane: bool,
@@ -429,32 +402,11 @@ impl Service for ProxyService {
 
         // Cache hit: the entry's pre-rendered head and shared body go
         // out as-is — no serialization, no body copy, one writev. The
-        // reactor's own L1 is asked first, so a hot path skips the shard
-        // lock entirely; an L2 hit refills it for the *next* request.
-        let cache = &self.shared.cache;
-        let hit = |entry: &CacheEntry| {
+        // shard's read lock is the read's linearization point: the copy
+        // served is the one resident when the lock was taken.
+        if let Some(entry) = self.shared.cache.get(path) {
             self.shared.counters.hits.inc();
-            ServiceResult::Reply(prepared(entry, true))
-        };
-        if let Some(l1) = &mut self.l1 {
-            match l1.get(path) {
-                L1Lookup::Hit(entry) => {
-                    self.metrics.l1_hits.inc();
-                    return hit(&entry);
-                }
-                L1Lookup::Stale => self.metrics.l1_stale_rejects.inc(),
-                L1Lookup::Miss => {}
-            }
-        }
-        if let Some(entry) = cache.get(path) {
-            let response = hit(&entry);
-            if let Some(l1) = &mut self.l1 {
-                self.metrics.l1_refills.inc();
-                self.metrics
-                    .l1_evictions
-                    .add(u64::from(l1.insert(path, entry)));
-            }
-            return response;
+            return ServiceResult::Reply(prepared(&entry, true));
         }
 
         // Miss: fetch from the origin through the reactor (its own
@@ -670,18 +622,13 @@ impl ProxyService {
     }
 
     /// `GET /admin/stats`: every declared metric at its path, then what
-    /// is not a counter: the L1 capacity and the reactors.
+    /// is not a counter: the reactors.
     fn stats_json(&self) -> Response {
         let mut doc = Json::Null;
         self.shared.cache.render(&mut doc);
         self.metrics.render(&mut doc);
         self.shared.runtime.refresh_metrics().render(&mut doc);
         self.shared.counters.render(&mut doc);
-        put(
-            &mut doc,
-            "cache.l1.capacity",
-            Json::Number(self.shared.l1_objects as f64),
-        );
         let reactors = self
             .metrics
             .reactor_connections()
@@ -1020,12 +967,10 @@ mod tests {
             counters: Counters::default(),
             runtime: ConsistencyRuntime::new(rules, group).unwrap(),
             admin_token: None,
-            l1_objects: 0,
         };
         ProxyService {
             shared: Arc::new(shared),
             metrics: Arc::new(EngineMetrics::default()),
-            l1: None,
             plane: true,
             reload: None,
         }

@@ -4,7 +4,7 @@
 //! The engine runs **one reactor per core** by default
 //! ([`default_reactors`]; [`EventLoop::start`] takes the count): each
 //! reactor thread owns its own level-triggered epoll [`Poller`], its own
-//! eventfd [`Waker`], its own connection slab, its own keep-alive origin
+//! [`Waker`], its own connection slab, its own keep-alive origin
 //! pool, its own [`Service`] instance — and its own
 //! `SO_REUSEPORT` listener on the shared port, so the kernel
 //! load-balances incoming connections across reactors with no shared
@@ -108,16 +108,10 @@ use crate::vectored::FlushStats;
 /// with headroom.
 pub const MAX_CONNS: usize = 1024;
 
-/// Default per-reactor L1 capacity in objects
-/// ([`crate::proxy::ProxyConfig::l1_objects`]): big enough to hold the
-/// hot head of a Zipf(≈1.0) catalog, small enough that N reactors'
-/// copies stay a footnote next to the shared cache.
+/// The capacity of the L1 `benchmark/` replays in its layer figures;
+/// kept because `benchmark/` (read-only here) reads it. The proxy has
+/// no L1: its one cache is the shared cache ([`crate::cache`]).
 pub const DEFAULT_L1_OBJECTS: usize = 128;
-
-/// The largest per-reactor L1 capacity the live proxy accepts
-/// ([`crate::proxy::ProxyConfig::l1_objects`]): 64 Ki objects, a few MiB
-/// of slots per reactor. Anything larger is refused at start.
-pub const MAX_L1_OBJECTS: usize = 1 << 16;
 
 /// The worker count `benchmark/` drives
 /// [`crate::runtime::ConsistencyRuntime::run`] with; kept because
@@ -324,16 +318,6 @@ metrics! {
         /// socket, one MOD per change of a socket's interest, none per
         /// request.
         epoll_ctl_calls: Counter => "wire.epoll_ctl_calls";
-        /// Requests served from a reactor-local L1: one flag load, no
-        /// shard lock. Counted by the service instance that owns the L1.
-        l1_hits: Counter => "cache.l1.hits";
-        /// L1 lookups whose copy had been superseded; the slot is dropped
-        /// and the request falls through to the shared cache.
-        l1_stale_rejects: Counter => "cache.l1.stale_rejects";
-        /// L1 slots (re)filled from shared-cache hits.
-        l1_refills: Counter => "cache.l1.refills";
-        /// L1 slots evicted by probe-window pressure (not invalidation).
-        l1_evictions: Counter => "cache.l1.evictions";
         /// Flush passes that ended with the socket still unwritable: a
         /// stalled client holds only its own connection.
         write_stalls: Counter => "wire.write_stalls";
@@ -385,6 +369,24 @@ impl EngineMetrics {
     /// drained with `503` are [`EngineMetrics::parked_shed`]. Kept
     /// because `benchmark/` (read-only here) reads it.
     pub fn shed(&self) -> u64 {
+        0
+    }
+
+    /// Always 0: the proxy has no L1, so no request is an L1 hit. Kept
+    /// because `benchmark/` (read-only here) reads it.
+    pub fn l1_hits(&self) -> u64 {
+        0
+    }
+
+    /// Always 0: the proxy has no L1 copy to reject. Kept because
+    /// `benchmark/` (read-only here) reads it.
+    pub fn l1_stale_rejects(&self) -> u64 {
+        0
+    }
+
+    /// Always 0: the proxy has no L1 to refill. Kept because
+    /// `benchmark/` (read-only here) reads it.
+    pub fn l1_refills(&self) -> u64 {
         0
     }
 }
@@ -2230,100 +2232,5 @@ mod tests {
             );
             std::thread::sleep(Duration::from_millis(5));
         }
-    }
-
-    /// An echo service with a shared cache and an L1 of its own, used the
-    /// way the proxy uses them: the first GET for a path stores + refills,
-    /// later GETs must be L1 hits, and a store invalidates every
-    /// instance's copy.
-    struct CachedEcho {
-        cache: Arc<crate::cache::ShardedCache>,
-        metrics: Arc<EngineMetrics>,
-        l1: crate::cache::L1Cache,
-    }
-
-    impl Service for CachedEcho {
-        fn respond(&mut self, request: &Request) -> ServiceResult {
-            use crate::cache::{CacheEntry, L1Lookup};
-            let path = request.target();
-            let prepared = |entry: &CacheEntry| {
-                ServiceResult::Reply(Reply {
-                    head: entry.head().clone(),
-                    extra: b"x-cache: l1\r\n",
-                    body: entry.body().clone(),
-                })
-            };
-            let l1 = &mut self.l1;
-            match l1.get(path) {
-                L1Lookup::Hit(entry) => {
-                    self.metrics.l1_hits.inc();
-                    return prepared(&entry);
-                }
-                L1Lookup::Stale => self.metrics.l1_stale_rejects.inc(),
-                L1Lookup::Miss => {}
-            }
-            let entry = self.cache.get(path).unwrap_or_else(|| {
-                let body = Bytes::from(format!("body:{path}").into_bytes());
-                let stamp = mutcon_core::time::Timestamp::from_millis(1);
-                self.cache
-                    .insert_if_newer(path, CacheEntry::new(body, stamp, None, None::<&str>))
-            });
-            l1.insert(path, Arc::clone(&entry));
-            self.metrics.l1_refills.inc();
-            prepared(&entry)
-        }
-    }
-
-    #[test]
-    fn l1_serves_validated_hits_and_invalidates_on_store() {
-        let cache = Arc::new(crate::cache::ShardedCache::new(None));
-        let server = EventLoop::start("test-l1", 1, |_, metrics| {
-            Box::new(CachedEcho {
-                cache: Arc::clone(&cache),
-                metrics: Arc::clone(metrics),
-                l1: crate::cache::L1Cache::new(32),
-            })
-        })
-        .unwrap();
-        let metrics = server.metrics();
-        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
-        let mut buf = BytesMut::new();
-        // First GET: shared-cache path, refills the reactor's L1.
-        write_request(&mut stream, &Request::get("/obj").build()).unwrap();
-        let first = read_response(&mut stream, &mut buf).unwrap();
-        assert_eq!(&first.body()[..], b"body:/obj");
-        assert_eq!(metrics.l1_hits(), 0);
-        assert!(metrics.l1_refills() >= 1);
-        // Second GET on the same (only) reactor: must be an L1 hit with
-        // identical bytes.
-        write_request(&mut stream, &Request::get("/obj").build()).unwrap();
-        let second = read_response(&mut stream, &mut buf).unwrap();
-        assert_eq!(&second.body()[..], b"body:/obj");
-        assert_eq!(second.headers().get("x-cache"), Some("l1"));
-        assert_eq!(metrics.l1_hits(), 1);
-        // A store supersedes the copy the L1 holds: it must be rejected
-        // and the fresh body served.
-        cache.insert(
-            "/obj",
-            crate::cache::CacheEntry::new(
-                Bytes::from_static(b"fresh"),
-                mutcon_core::time::Timestamp::from_millis(2),
-                None,
-                None::<&str>,
-            ),
-        );
-        write_request(&mut stream, &Request::get("/obj").build()).unwrap();
-        let third = read_response(&mut stream, &mut buf).unwrap();
-        assert_eq!(&third.body()[..], b"fresh");
-        assert_eq!(metrics.l1_hits(), 1, "stale copy must not count as a hit");
-        assert_eq!(metrics.l1_stale_rejects(), 1);
-        // The refill from the fresh store serves the next request.
-        write_request(&mut stream, &Request::get("/obj").build()).unwrap();
-        let fourth = read_response(&mut stream, &mut buf).unwrap();
-        assert_eq!(&fourth.body()[..], b"fresh");
-        assert_eq!(metrics.l1_hits(), 2);
     }
 }

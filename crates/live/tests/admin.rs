@@ -27,7 +27,7 @@ use mutcon_core::time::Duration;
 use mutcon_http::message::Request;
 use mutcon_http::types::StatusCode;
 use mutcon_live::proxy::{LiveProxy, ProxyConfig, RefreshRule};
-use mutcon_live::server::{default_reactors, DEFAULT_L1_OBJECTS, MAX_L1_OBJECTS};
+use mutcon_live::server::default_reactors;
 use mutcon_sim::rng::SimRng;
 use mutcon_traces::json::{self, Json};
 
@@ -434,34 +434,6 @@ fn an_ipv6_origin_is_rejected_at_start() {
     assert!(err.to_string().contains("IPv4"), "{err}");
 }
 
-/// An L1 capacity no reactor can size is refused at start too, instead
-/// of overflowing while the L1 is built or killing a reactor at its
-/// first lookup; the ceiling itself still starts.
-#[test]
-fn an_oversized_l1_is_rejected_at_start() {
-    let origin = ScriptedOrigin::start(FakeClock::new());
-    for l1_objects in [MAX_L1_OBJECTS + 1, usize::MAX] {
-        let err = LiveProxy::start(ProxyConfig {
-            l1_objects: Some(l1_objects),
-            reactors: Some(1),
-            ..ProxyConfig::new(origin.addr())
-        })
-        .expect_err("an oversized L1 must be rejected at start");
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
-        assert!(err.to_string().contains("l1_objects"));
-    }
-    let proxy = LiveProxy::start(ProxyConfig {
-        l1_objects: Some(MAX_L1_OBJECTS),
-        reactors: Some(1),
-        ..ProxyConfig::new(origin.addr())
-    })
-    .expect("the ceiling starts");
-    assert_eq!(
-        get(proxy.local_addr(), "/ok").unwrap().status(),
-        StatusCode::OK
-    );
-}
-
 /// `GET /admin/stats` reports the threaded-through counters: per-shard
 /// cache state, per-reactor connections, origin-pool activity.
 #[test]
@@ -509,11 +481,8 @@ fn unset_config_fields_resolve_to_the_documented_defaults() {
     let proxy = LiveProxy::start(ProxyConfig::new(origin.addr())).expect("start proxy");
     assert_eq!(proxy.reactor_count(), default_reactors());
     let doc = admin_get(&proxy, "/admin/stats");
-    let l1 = doc.get("cache").unwrap().get("l1").unwrap();
-    assert_eq!(
-        l1.get("capacity").unwrap().as_u64(),
-        Some(DEFAULT_L1_OBJECTS as u64)
-    );
+    let reactors = doc.get("reactors").unwrap().as_array().unwrap();
+    assert_eq!(reactors.len(), default_reactors());
 }
 
 /// With `admin_token` set, every `/admin/*` endpoint demands a matching

@@ -1,20 +1,18 @@
-//! L1 coherence scenarios for the per-reactor hot-object cache, driven
-//! by the deterministic harness (fake clock + scripted origin + seeded
+//! Coherence scenarios for the proxy's one cache, driven by the
+//! deterministic harness (fake clock + scripted origin + seeded
 //! schedules; see `harness/`).
 //!
-//! The L1 serves validated copies with no locks on the read path; its
-//! only correctness obligation is the supersede flag — an L1 entry is
-//! served iff one atomic load says the L2 has not replaced, evicted or
-//! removed that copy. These scenarios attack that rule from the outside:
-//! readers hammer the L1 while the refresher stores newer bodies, seeded
-//! runs must replay bit-identically, and an L1-disabled proxy must be
-//! byte-indistinguishable from an L1-enabled one, and a rules install
-//! touches an L1 copy only through that flag: it keeps the copy of a path
-//! it leaves alone and rejects the copy of a path it un-rules. The last
-//! scenario states the rule on the two caches alone, without sockets.
+//! A hit is served from the shared cache under its shard's read lock,
+//! which is the read's linearization point; no reactor keeps a copy of
+//! its own. These scenarios attack that from the outside: readers hammer
+//! a path on one and on two reactors while the refresher stores newer
+//! bodies, seeded runs must replay bit-identically, and a rules install
+//! sends the next read of a path it un-rules to the origin while every
+//! other cached copy stays a hit. The last scenario states the rule of
+//! the copy cache `benchmark/` replays (`L1Cache`, kept for it) on the
+//! two caches alone, without sockets.
 //!
-//! Reactor counts and L1 capacities are inputs of the scenarios, pinned
-//! explicitly.
+//! Reactor counts are inputs of the scenarios, pinned explicitly.
 
 mod harness;
 
@@ -30,43 +28,39 @@ use mutcon_live::cache::{shard_of, CacheEntry, L1Cache, L1Lookup, ShardedCache, 
 use mutcon_live::proxy::{LiveProxy, ProxyConfig, RefreshRule};
 use mutcon_sim::rng::SimRng;
 
-/// A proxy with the L1 capacity pinned explicitly (`0` disables) and an
-/// optional refresher rule set.
-fn l1_proxy(
-    origin: &ScriptedOrigin,
-    reactors: usize,
-    l1_objects: usize,
-    rules: Vec<RefreshRule>,
-) -> LiveProxy {
+/// A proxy on `reactors` reactors with an optional refresher rule set.
+fn proxy(origin: &ScriptedOrigin, reactors: usize, rules: Vec<RefreshRule>) -> LiveProxy {
     LiveProxy::start(ProxyConfig {
         rules,
         reactors: Some(reactors),
-        l1_objects: Some(l1_objects),
         ..ProxyConfig::new(origin.addr())
     })
     .expect("start proxy")
 }
 
-/// The tentpole coherence scenario: the refresher keeps storing newer
-/// bodies for the hot object (every store a version bump that must
-/// invalidate each reactor's L1 copy) while seeded readers hammer it
-/// through the L1 from several reactors. Every reader must observe
-/// complete copies whose body bytes match the version header, with
-/// stamps monotonically nondecreasing and bounded by the logical clock.
+/// The refresher keeps storing newer bodies for the hot object (every
+/// store a version bump) while seeded readers hammer it, on one reactor
+/// and on two. Every reader must observe complete copies whose body
+/// bytes match the version header, with stamps monotonically
+/// nondecreasing and bounded by the logical clock.
 #[test]
-fn l1_readers_never_see_old_bytes_after_a_version_bump() {
+fn readers_never_see_old_bytes_after_a_version_bump() {
+    for reactors in [1, 2] {
+        readers_race_the_refresher(reactors);
+    }
+}
+
+fn readers_race_the_refresher(reactors: usize) {
     let clock = FakeClock::new();
     let origin = ScriptedOrigin::start(clock.clone());
-    let proxy = LiveProxy::start(ProxyConfig {
-        rules: vec![RefreshRule::new("/hot", Duration::from_millis(20))],
-        reactors: Some(2),
-        l1_objects: Some(128),
-        ..ProxyConfig::new(origin.addr())
-    })
-    .expect("start proxy");
+    let proxy = proxy(
+        &origin,
+        reactors,
+        vec![RefreshRule::new("/hot", Duration::from_millis(20))],
+    );
     let addr = proxy.local_addr();
 
-    // Warm so readers start from a cached (and L1-refillable) copy.
+    // Warm so readers start from a cached copy.
     assert_eq!(get(addr, "/hot").unwrap().status(), StatusCode::OK);
 
     let stop = Arc::new(AtomicU64::new(0));
@@ -85,7 +79,7 @@ fn l1_readers_never_see_old_bytes_after_a_version_bump() {
                     // The body is stamped by the origin at fetch
                     // time; header and bytes must be the same
                     // version — a reader holding a newer header
-                    // over older bytes caught a torn L1 serve.
+                    // over older bytes caught a torn serve.
                     assert_eq!(
                         resp.body().as_ref(),
                         format!("path=/hot stamp={stamp}\n").as_bytes(),
@@ -119,21 +113,28 @@ fn l1_readers_never_see_old_bytes_after_a_version_bump() {
     }
     stop.store(1, Ordering::SeqCst);
     let total: u32 = readers.into_iter().map(|r| r.join().expect("reader")).sum();
-    assert!(total > 100, "readers made little progress: {total}");
+    assert!(
+        total > 100,
+        "{reactors} reactors: readers made little progress: {total}"
+    );
 
-    // The readers must actually have exercised the L1.
-    let hits = stats_counter(addr, &["cache", "l1", "hits"]);
-    assert!(hits > 0, "the run never served from the L1");
+    // The readers must actually have been served from the cache while
+    // it changed under them.
+    let hits = stats_counter(addr, &["proxy", "hits"]);
+    assert!(hits > 0, "{reactors} reactors: the run never hit the cache");
     let bumps = stats_counter(addr, &["cache", "version_bumps"]);
-    assert!(bumps > 1, "the refresher never bumped a version");
+    assert!(
+        bumps > 1,
+        "{reactors} reactors: the refresher never bumped a version"
+    );
 }
 
 /// One seeded scenario transcript: client-visible (path, status, stamp,
 /// cache marker) per request plus the origin's event log.
-fn seeded_transcript(seed: u64, l1_objects: usize) -> (Vec<String>, Vec<String>) {
+fn seeded_transcript(seed: u64) -> (Vec<String>, Vec<String>) {
     let clock = FakeClock::new();
     let origin = ScriptedOrigin::start(clock.clone());
-    let proxy = l1_proxy(&origin, 1, l1_objects, vec![]);
+    let proxy = proxy(&origin, 1, vec![]);
     let mut rng = SimRng::seed_from_u64(seed);
     let paths = ["/a", "/b", "/c", "/d", "/e", "/f"];
     let mut transcript = Vec::new();
@@ -154,13 +155,13 @@ fn seeded_transcript(seed: u64, l1_objects: usize) -> (Vec<String>, Vec<String>)
     (origin.log(), transcript)
 }
 
-/// With the L1 in the serving path, a seeded scenario must still replay
-/// bit-identically — run to run, for every seed.
+/// A seeded scenario must replay bit-identically — run to run, for
+/// every seed.
 #[test]
-fn l1_scenarios_replay_bit_identically_across_seeds() {
+fn scenarios_replay_bit_identically_across_seeds() {
     for seed in [7u64, 42, 0xFEED] {
-        let first = seeded_transcript(seed, 128);
-        let second = seeded_transcript(seed, 128);
+        let first = seeded_transcript(seed);
+        let second = seeded_transcript(seed);
         assert_eq!(
             first.0, second.0,
             "seed {seed}: origin logs must replay identically"
@@ -172,61 +173,6 @@ fn l1_scenarios_replay_bit_identically_across_seeds() {
     }
 }
 
-/// The L1 is a cache of a cache: disabling it must not change a single
-/// client-visible byte of a seeded scenario — same statuses, same
-/// stamps, same hit markers, same origin fetch sequence.
-#[test]
-fn l1_on_and_off_are_client_indistinguishable() {
-    for seed in [3u64, 0xD15C] {
-        let enabled = seeded_transcript(seed, 128);
-        let disabled = seeded_transcript(seed, 0);
-        assert_eq!(
-            enabled.0, disabled.0,
-            "seed {seed}: L1 must not change the origin fetch sequence"
-        );
-        assert_eq!(
-            enabled.1, disabled.1,
-            "seed {seed}: L1 must not change client-visible responses"
-        );
-    }
-}
-
-/// Parity under load: the refresher-vs-readers scenario
-/// with the L1 disabled — the L1-enabled variant above must not be the
-/// only configuration whose invariants hold.
-#[test]
-fn disabled_l1_keeps_the_same_invariants() {
-    let clock = FakeClock::new();
-    let origin = ScriptedOrigin::start(clock.clone());
-    let proxy = l1_proxy(
-        &origin,
-        2,
-        0,
-        vec![RefreshRule::new("/hot", Duration::from_millis(20))],
-    );
-    let addr = proxy.local_addr();
-    assert_eq!(get(addr, "/hot").unwrap().status(), StatusCode::OK);
-
-    let mut rng = SimRng::seed_from_u64(0x0FF);
-    let mut last = 0u64;
-    for _ in 0..40 {
-        clock.advance(rng.uniform_u64(1, 40));
-        let resp = get(addr, "/hot").expect("get");
-        assert_eq!(resp.status(), StatusCode::OK);
-        let stamp = stamp_of(&resp);
-        assert!(stamp >= last, "stamp went backwards ({last} → {stamp})");
-        last = stamp;
-    }
-
-    assert_eq!(
-        stats_counter(addr, &["cache", "l1", "capacity"]),
-        0,
-        "capacity 0 must disable the L1"
-    );
-    assert_eq!(stats_counter(addr, &["cache", "l1", "hits"]), 0);
-    assert_eq!(stats_counter(addr, &["cache", "l1", "refills"]), 0);
-}
-
 /// One `GET` that must answer `200`; returns its `x-cache` marker.
 fn served_from(proxy: &LiveProxy, path: &str) -> String {
     let resp = get(proxy.local_addr(), path).expect("get");
@@ -234,51 +180,19 @@ fn served_from(proxy: &LiveProxy, path: &str) -> String {
     resp.headers().get("x-cache").unwrap_or("?").to_owned()
 }
 
-/// `PUT /admin/rules` with `body`, which must be accepted.
-fn install(proxy: &LiveProxy, body: &str) {
-    let resp = put(proxy.local_addr(), "/admin/rules", body.as_bytes().to_vec()).expect("PUT");
-    assert_eq!(resp.status(), StatusCode::OK, "{body}");
-}
-
-/// An install that leaves a path alone leaves its L1 copy alone: the
-/// copy was not superseded, so the next `GET` is an L1 hit, with no
-/// refill and no second origin fetch.
+/// An install that un-rules a path evicts its copy, so the next `GET`
+/// of it is a fresh origin fetch. A path the install does not touch
+/// keeps its copy: its next `GET` is a hit, with no second fetch.
 #[test]
-fn an_install_keeps_the_l1_copy_of_a_path_it_does_not_touch() {
-    let clock = FakeClock::new();
-    let origin = ScriptedOrigin::start(clock);
-    let proxy = l1_proxy(&origin, 1, 128, vec![]);
-    let addr = proxy.local_addr();
-    // A miss, an L2 hit that refills the L1, then an L1 hit.
-    for _ in 0..3 {
-        served_from(&proxy, "/a");
-    }
-    let l1 = |key: &str| stats_counter(addr, &["cache", "l1", key]);
-    let (hits, refills) = (l1("hits"), l1("refills"));
-    assert_eq!((hits, refills), (1, 1));
-
-    install(&proxy, r#"{"rules": [{"path": "/b", "delta_ms": 60000}]}"#);
-    assert_eq!(served_from(&proxy, "/a"), "hit");
-    assert_eq!(l1("hits"), hits + 1, "the untouched copy must be an L1 hit");
-    assert_eq!(l1("refills"), refills, "and must need no refill");
-    assert_eq!(origin.fetches("/a"), 1);
-}
-
-/// An install that un-rules a path evicts its copy, and the eviction is
-/// what the L1 sees: the next `GET` rejects the L1 copy as superseded
-/// and goes to the origin.
-#[test]
-fn an_install_that_unrules_a_path_rejects_its_l1_copy() {
+fn an_install_that_unrules_a_path_sends_its_next_read_to_the_origin() {
     let clock = FakeClock::new();
     let origin = ScriptedOrigin::start(clock);
     // Δ = 60 s: after its first poll the path is not polled again here.
-    let proxy = l1_proxy(
+    let proxy = proxy(
         &origin,
         1,
-        128,
         vec![RefreshRule::new("/a", Duration::from_secs(60))],
     );
-    let addr = proxy.local_addr();
     let deadline = Instant::now() + StdDuration::from_secs(5);
     while !(proxy.stats().polls >= 1
         && proxy.runtime().refresh_metrics().in_flight() == 0
@@ -287,22 +201,26 @@ fn an_install_that_unrules_a_path_rejects_its_l1_copy() {
         assert!(Instant::now() < deadline, "the first poll never finished");
         std::thread::sleep(StdDuration::from_millis(2));
     }
-    // An L2 hit that refills the L1, then an L1 hit.
-    for _ in 0..2 {
-        assert_eq!(served_from(&proxy, "/a"), "hit");
-    }
-    let l1 = |key: &str| stats_counter(addr, &["cache", "l1", key]);
-    assert_eq!(l1("hits"), 1);
-    let (stale, fetches) = (l1("stale_rejects"), origin.fetches("/a"));
+    assert_eq!(served_from(&proxy, "/a"), "hit");
+    // `/b` has no rule: a miss caches it.
+    assert_eq!(served_from(&proxy, "/b"), "miss");
+    let (fetches_a, fetches_b) = (origin.fetches("/a"), origin.fetches("/b"));
 
-    install(&proxy, r#"{"rules": []}"#);
+    let body = br#"{"rules": []}"#.to_vec();
+    let resp = put(proxy.local_addr(), "/admin/rules", body).expect("PUT");
+    assert_eq!(resp.status(), StatusCode::OK);
     assert_eq!(served_from(&proxy, "/a"), "miss");
     assert_eq!(
-        l1("stale_rejects"),
-        stale + 1,
-        "the evicted copy must reject"
+        origin.fetches("/a"),
+        fetches_a + 1,
+        "the un-ruled path must be fetched afresh"
     );
-    assert_eq!(origin.fetches("/a"), fetches + 1);
+    assert_eq!(served_from(&proxy, "/b"), "hit");
+    assert_eq!(
+        origin.fetches("/b"),
+        fetches_b,
+        "an install touches no other cached copy"
+    );
 }
 
 /// The linearization rule, on the two caches alone: a copy superseded

@@ -3,15 +3,15 @@
 //! The live daemons (`mutcon-live`) serve every connection from a single
 //! reactor thread instead of a thread per connection. This module is the
 //! substrate for that: a zero-dependency, level-triggered [`Poller`] over
-//! the raw Linux `epoll` syscalls, an eventfd-backed [`Waker`] so other
-//! threads can interrupt a blocked `epoll_wait` (shutdown, new work), a
-//! [`connect_nonblocking`] helper so upstream fetches never block the
-//! reactor either, [`listen_reuseport`] for the per-reactor listeners
-//! and [`raise_nofile_limit`].
+//! the raw Linux `epoll` syscalls, a [`Waker`] (a std socket pair) so
+//! other threads can interrupt a blocked `epoll_wait` (shutdown, new
+//! work), a [`connect_nonblocking`] helper so upstream fetches never
+//! block the reactor either, [`listen_reuseport`] for the per-reactor
+//! listeners and [`raise_nofile_limit`].
 //!
-//! It wraps only what std cannot do: epoll, eventfd, `SO_REUSEPORT`,
-//! nonblocking connect and `prlimit64`. Accepting is std's
-//! `TcpListener::accept`. Sockets are IPv4 only, as every listener and
+//! It wraps only what std cannot do: epoll, `SO_REUSEPORT`, nonblocking
+//! connect and `prlimit64`. Accepting is std's `TcpListener::accept`, and
+//! the waker is std's `UnixStream::pair`. Sockets are IPv4 only, as every listener and
 //! origin here is: an IPv6 address is `ErrorKind::Unsupported`. The
 //! workspace is intentionally dependency-free, so instead of `libc` or
 //! `mio` the handful of symbols needed are declared directly against the
@@ -38,9 +38,11 @@
 pub mod backend;
 
 use std::io;
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 use std::os::raw::{c_long, c_void};
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -61,9 +63,6 @@ mod sys {
     pub const EPOLLERR: u32 = 0x008;
     pub const EPOLLHUP: u32 = 0x010;
     pub const EPOLLRDHUP: u32 = 0x2000;
-
-    pub const EFD_CLOEXEC: c_int = 0o2000000;
-    pub const EFD_NONBLOCK: c_int = 0o4000;
 
     pub const AF_INET: c_int = 2;
     pub const SOCK_STREAM: c_int = 1;
@@ -127,9 +126,6 @@ mod sys {
             maxevents: c_int,
             timeout: c_int,
         ) -> c_int;
-        pub fn eventfd(initval: u32, flags: c_int) -> c_int;
-        pub fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
-        pub fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
         pub fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
         pub fn connect(fd: c_int, addr: *const c_void, len: u32) -> c_int;
         pub fn setsockopt(
@@ -376,65 +372,54 @@ impl std::fmt::Debug for Poller {
 
 /// Wakes a [`Poller`] blocked in [`Poller::wait`] from another thread.
 ///
-/// Backed by an `eventfd` registered like any other fd: when woken, the
-/// wait reports the waker's token readable and [`Waker::drain`] resets
-/// it. Cloning shares the same eventfd.
+/// A nonblocking socket pair: [`Waker::wake`] writes a byte into one
+/// end, and the other end, registered like any other fd, reports
+/// readable until [`Waker::drain`] empties it. Cloning shares the pair.
 #[derive(Clone)]
 pub struct Waker {
-    fd: Arc<OwnedFd>,
+    pair: Arc<(UnixStream, UnixStream)>,
 }
 
 impl Waker {
-    /// Creates the eventfd (non-blocking, close-on-exec).
+    /// Creates the pair (nonblocking, close-on-exec).
     ///
     /// # Errors
     ///
-    /// Propagates the `eventfd` failure.
+    /// Propagates the `socketpair` or `fcntl` failure.
     pub fn new() -> io::Result<Waker> {
-        let fd = cvt(unsafe { sys::eventfd(0, sys::EFD_CLOEXEC | sys::EFD_NONBLOCK) })?;
+        let (rx, tx) = UnixStream::pair()?;
+        rx.set_nonblocking(true)?;
+        tx.set_nonblocking(true)?;
         Ok(Waker {
-            fd: Arc::new(unsafe { OwnedFd::from_raw_fd(fd) }),
+            pair: Arc::new((rx, tx)),
         })
     }
 
     /// The fd to register with the poller (readable interest).
     pub fn as_raw_fd(&self) -> RawFd {
-        self.fd.as_raw_fd()
+        self.pair.0.as_raw_fd()
     }
 
     /// Makes the poller's next (or current) wait report the waker
     /// readable. Safe to call from any thread, any number of times.
     pub fn wake(&self) {
-        let one: u64 = 1;
-        // An EAGAIN here means the counter is already saturated — the
-        // reactor is certainly going to wake; nothing to handle.
-        let _ = unsafe {
-            sys::write(
-                self.fd.as_raw_fd(),
-                (&one as *const u64).cast(),
-                std::mem::size_of::<u64>(),
-            )
-        };
+        // A `WouldBlock` here means the pair is full: a wake is already
+        // pending, so there is nothing to handle.
+        let _ = (&self.pair.1).write(&[1]);
     }
 
-    /// Resets the waker so it can fire again (call when its token is
+    /// Empties the pair so it can fire again (call when its token is
     /// reported readable).
     pub fn drain(&self) {
-        let mut counter: u64 = 0;
-        let _ = unsafe {
-            sys::read(
-                self.fd.as_raw_fd(),
-                (&mut counter as *mut u64).cast(),
-                std::mem::size_of::<u64>(),
-            )
-        };
+        let mut buf = [0u8; 256];
+        while matches!((&self.pair.0).read(&mut buf), Ok(n) if n > 0) {}
     }
 }
 
 impl std::fmt::Debug for Waker {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Waker")
-            .field("fd", &self.fd.as_raw_fd())
+            .field("fd", &self.as_raw_fd())
             .finish()
     }
 }
@@ -676,6 +661,28 @@ mod tests {
         // Drained: no longer readable.
         assert_eq!(poller.wait(&mut events, Some(Duration::ZERO)).unwrap(), 0);
         handle.join().unwrap();
+    }
+
+    /// A full pair is a pending wake, not an error: 100,000 wakes with no
+    /// drain in between return (none blocks), the waker reports readable,
+    /// and one drain empties it.
+    #[test]
+    fn a_full_waker_neither_blocks_nor_fails_and_one_drain_empties_it() {
+        let poller = Poller::new().unwrap();
+        let waker = Waker::new().unwrap();
+        poller
+            .register(waker.as_raw_fd(), 0, Interest::READABLE)
+            .unwrap();
+        for _ in 0..100_000 {
+            waker.wake();
+        }
+        let mut events = Events::with_capacity(4);
+        assert_eq!(poller.wait(&mut events, Some(Duration::ZERO)).unwrap(), 1);
+        waker.drain();
+        assert_eq!(poller.wait(&mut events, Some(Duration::ZERO)).unwrap(), 0);
+        // Drained, it fires again.
+        waker.wake();
+        assert_eq!(poller.wait(&mut events, Some(Duration::ZERO)).unwrap(), 1);
     }
 
     /// A timeout shorter than a millisecond is kept, not rounded up to

@@ -205,16 +205,18 @@ if grep -nE 'Json::Number\(self\.metrics\.|\.(load|fetch_add|fetch_max)\([^)]*Or
   exit 1
 fi
 
-# One coherence mechanism, and the engine does not know the cache: an L1
-# copy is valid until the flag on it says the L2 let go of it
-# (crates/live/src/cache.rs). No per-path version table, handle or stamp
+# One cache tier, and the engine does not know the cache: a hit is served
+# from the shared cache under its shard's read lock, the read's
+# linearization point (crates/live/src/cache.rs), and no reactor keeps a
+# copy of its own. The supersede flag and `L1Cache` stay only because
+# `benchmark/` replays them; no per-path version table, handle or stamp
 # comes back beside the flag, and no cache-wide state either: no bulk
-# generation that wipes every L1, no atomic in `ShardedCache` (a hit
-# sets its entry's referenced bit under the shard's read lock, and only
-# the shard's sweep, under its write lock, clears it) and no generation
-# field in `L1Cache`. Each reactor owns its service instance and lends
-# it nothing: above its test module server.rs names no cache type, and
-# no L1 sizing hook or second immediate-reply variant comes back (the
+# generation, no atomic in `ShardedCache` (a hit sets its entry's
+# referenced bit under the shard's read lock, and only the shard's
+# sweep, under its write lock, clears it) and no generation field in
+# `L1Cache`. Each reactor owns its service instance and lends it
+# nothing: above its test module server.rs names no cache type, and no
+# L1 sizing hook or second immediate-reply variant comes back (the
 # classes keep these patterns from matching themselves).
 lent='l1_capacit[y]|ServiceResult::(Respon[d]|Prepare[d])\b'
 struct_body() { sed -n "/^pub struct $2 {/,/^}/p" "$1"; }
@@ -227,6 +229,16 @@ if grep -rnE 'VersionedEntry|bump_version|retire_version|RespondCacheable|l1_try
   echo "ci: a second L1 coherence protocol, or a cache in the engine, is back (lines above)" >&2
   exit 1
 fi
+
+# No L1 in the serving path: above their test modules neither proxy.rs
+# nor server.rs names an L1 size, its bound, a `cache.l1.` stats key or
+# the L1 types, so a read has one copy to find and one rule to trust.
+for f in crates/live/src/proxy.rs crates/live/src/server.rs; do
+  if above_tests "$f" | grep -nE 'l1_objects|MAX_L1_OBJECTS|cache\.l1\.|L1Cache|L1Lookup' | sed "s|^|$f:|"; then
+    echo "ci: a per-reactor L1 is back in the serving path (lines above)" >&2
+    exit 1
+  fi
+done
 
 # A cache hit writes nothing but its referenced bit: the shared cache
 # evicts by CLOCK, so above their tests neither cache file keeps an
@@ -337,7 +349,8 @@ fi
 
 # The syscall layer wraps only what std cannot do, for the peers and
 # limits that exist: accepting is std's `TcpListener::accept` (no
-# `accept4` fast path for connection churn no workload makes), sockets
+# `accept4` fast path for connection churn no workload makes), the
+# waker is std's `UnixStream::pair` (no `eventfd` binding), sockets
 # are IPv4 (no `sockaddr_in6` encoder that no caller ran) and the fd
 # limit is lifted to the hard limit only (no cap, no privileged raise).
 # Each poll event is counted once, by the refresh plane: proxy.rs counts
@@ -345,9 +358,10 @@ fi
 # accept state once, as `paused_since` (the classes keep these patterns
 # from matching themselves).
 if grep -rnE 'accept[4]|SockAddrIn[6]|AF_INET[6]|NOFILE_CA[P]' crates \
+    || grep -rn 'eventf[d]' crates/sim/src \
     || grep -nE 'counters\.(poll[s]|error[s]|triggere[d])' crates/live/src/proxy.rs \
     || sed -n '/^struct Reacto[r] {/,/^}/p' crates/live/src/server.rs | grep -nE '^[[:space:]]*accepting:'; then
-  echo "ci: an accept4 path, an IPv6 encoder, an fd cap, a second poll count or a second accept flag is back (lines above)" >&2
+  echo "ci: an accept4 path, an eventfd waker, an IPv6 encoder, an fd cap, a second poll count or a second accept flag is back (lines above)" >&2
   exit 1
 fi
 
@@ -359,8 +373,8 @@ timeout 300 cargo test -q -p mutcon-live --test reactor_smoke
 
 # The deterministic concurrency harness (fake clock + scripted origin +
 # seeded schedules), the hot-swappable rule runtime, the zero-copy wire
-# path, the L1's supersede flag and the refresh plane. Reactor
-# counts and L1 on/off are inputs the scenarios pin themselves.
+# path, the one cache's coherence and the refresh plane. Reactor counts
+# are inputs the scenarios pin themselves.
 # `alloc_budget` holds each stage of a cache miss to its allocation
 # count (exact, so a gate with no noise to know). `stats` pins every key
 # path and value type of `/admin/stats`. `threads` counts the process's
@@ -369,10 +383,22 @@ cargo test -q -p mutcon-live \
   --test concurrency --test admin --test wire --test coherence --test refresh \
   --test alloc_budget --test stats --test threads
 
-# Soak: readers on the L1 racing refresher stores, and reactor 0's poll
-# timing (woken by an install, asleep until the next due instant, polls
-# queued at the pool's cap and timed out), must pass every time, not most
-# times. The timeout turns a lost wakeup into a failure instead of a hung
+# AddressSanitizer over the crates that hold the raw syscalls and their
+# callers: the installed nightly instruments `mutcon-sim` and every
+# `mutcon-live` suite, doctests included, in a target dir of its own so
+# the stable build stays cached. It runs offline and adds ≈ 50 s cold,
+# ≈ 26 s warm, on 2 vCPUs. ThreadSanitizer is not run: without
+# `-Zbuild-std` std's locks are uninstrumented and it reports races
+# that are not there.
+RUSTFLAGS=-Zsanitizer=address RUSTDOCFLAGS=-Zsanitizer=address \
+  cargo +nightly test -q -p mutcon-sim -p mutcon-live \
+  --target x86_64-unknown-linux-gnu --target-dir target/asan
+
+# Soak: readers on one and on two reactors racing refresher stores into
+# the shared cache, the supersede rule `benchmark/`'s L1 replay relies
+# on, and reactor 0's poll timing (woken by an install, asleep until the
+# next due instant, polls queued at the pool's cap and timed out), must
+# pass every time, not most times. The timeout turns a lost wakeup into a failure instead of a hung
 # job. The overload suite soaks the double-death stale-socket retry (a
 # seeded reap-versus-reuse race).
 for _ in $(seq 20); do
