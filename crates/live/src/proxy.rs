@@ -60,13 +60,12 @@
 //!
 //! When a bearer token is configured ([`ProxyConfig::admin_token`]),
 //! every `/admin/*` request must carry
-//! `Authorization: Bearer <token>` or it is refused with `401`. A
-//! configured [`ProxyConfig::rules_file`] is re-read on `SIGHUP` by
-//! reactor 0 at its next wake, through `PUT /admin/rules`'s path.
+//! `Authorization: Bearer <token>` or it is refused with `401`.
+//! `PUT /admin/rules` and a direct [`ConsistencyRuntime::install`] are
+//! the only ways to change the rules in force.
 
 use std::io;
 use std::net::SocketAddr;
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -77,7 +76,6 @@ use mutcon_http::headers::HeaderName;
 use mutcon_http::message::{Request, Response};
 use mutcon_http::types::{Method, StatusCode};
 use mutcon_sim::reactor::BackendKind;
-use mutcon_sim::signal;
 use mutcon_traces::json::Json;
 
 use crate::cache::{CacheEntry, ShardedCache};
@@ -152,14 +150,6 @@ pub struct ProxyConfig {
     /// auth). When set, admin requests without
     /// `Authorization: Bearer <token>` get `401`.
     pub admin_token: Option<String>,
-    /// Rules file re-read on `SIGHUP` (`None` = no signal handler) by
-    /// reactor 0 at its next wake, at most one 200 ms tick after its
-    /// wait (re)starts; signals that arrive together make one re-read.
-    /// The file holds the same JSON body `PUT /admin/rules` accepts; a
-    /// successful re-read feeds [`ConsistencyRuntime::install`] as the
-    /// HTTP handler does, a failed one bumps `reload_errors` and changes
-    /// nothing.
-    pub rules_file: Option<PathBuf>,
 }
 
 impl ProxyConfig {
@@ -174,15 +164,14 @@ impl ProxyConfig {
             reactors: None,
             backend: None,
             admin_token: None,
-            rules_file: None,
         }
     }
 }
 
 metrics! {
     /// The proxy's own counters, all counted by the reactors (stores,
-    /// hits, misses, `PUT` reloads; `SIGHUP` reloads on reactor 0). Its
-    /// polls are the refresh plane's to count.
+    /// hits, misses, `PUT` reloads). Its polls are the refresh plane's
+    /// to count.
     pub(crate) struct Counters {
         /// Fetches and polls that stored a fresh copy; a fetch that
         /// coalesced many misses counts once.
@@ -191,11 +180,8 @@ metrics! {
         hits: Counter => "proxy.hits";
         /// Client requests that had to fetch from the origin.
         misses: Counter => "proxy.misses";
-        /// Rule reloads applied through `PUT /admin/rules` or `SIGHUP`.
+        /// Rule sets installed through `PUT /admin/rules`.
         reloads: Counter => "proxy.reloads";
-        /// `SIGHUP` re-reads that failed (unreadable file, bad JSON,
-        /// invalid rules) and therefore changed nothing.
-        reload_errors: Counter => "proxy.reload_errors";
     }
 }
 
@@ -216,10 +202,8 @@ pub struct ProxyStats {
     pub misses: u64,
     /// Failed origin polls (`refresh.errors`).
     pub errors: u64,
-    /// Rule reloads applied (`proxy.reloads`).
+    /// Rule sets installed through `PUT /admin/rules` (`proxy.reloads`).
     pub reloads: u64,
-    /// `SIGHUP` re-reads that failed (`proxy.reload_errors`).
-    pub reload_errors: u64,
 }
 
 struct Shared {
@@ -273,13 +257,7 @@ impl LiveProxy {
             runtime: Arc::clone(&runtime),
             admin_token: config.admin_token.filter(|t| !t.is_empty()),
         });
-        if config.rules_file.is_some() {
-            signal::count_sighups()?;
-        }
-        // The `SIGHUP` count as of now: only later signals reload.
-        let mut reload = config.rules_file.map(|path| (path, signal::sighup_count()));
-        // Only reactor 0's instance, built first, steps the plane and
-        // reloads.
+        // Only reactor 0's instance, built first, steps the plane.
         let server = EventLoop::start(
             "mutcon-live-proxy-reactor",
             config.reactors.unwrap_or_else(default_reactors),
@@ -288,7 +266,6 @@ impl LiveProxy {
                     shared: Arc::clone(&shared),
                     metrics: Arc::clone(metrics),
                     plane: i == 0,
-                    reload: reload.take(),
                 })
             },
         )?;
@@ -327,7 +304,6 @@ impl LiveProxy {
             misses: counters.misses(),
             errors: plane.errors(),
             reloads: counters.reloads(),
-            reload_errors: counters.reload_errors(),
         }
     }
 
@@ -378,9 +354,6 @@ struct ProxyService {
     /// Whether this is reactor 0's instance, which alone steps the
     /// refresh plane.
     plane: bool,
-    /// The rules file re-read on `SIGHUP` and the signal count last
-    /// seen; reactor 0's only, and only with a rules file.
-    reload: Option<(PathBuf, u64)>,
 }
 
 impl Service for ProxyService {
@@ -445,9 +418,8 @@ impl Service for ProxyService {
         }
     }
 
-    /// Reactor 0 re-reads the rules file if a `SIGHUP` came since it
-    /// last looked, then reads the wall clock once and steps the refresh
-    /// plane ([`ProxyService::refresh`]).
+    /// Reactor 0 reads the wall clock once and steps the refresh plane
+    /// ([`ProxyService::refresh`]).
     fn own_work(
         &mut self,
         now: Instant,
@@ -455,14 +427,6 @@ impl Service for ProxyService {
     ) -> Option<Instant> {
         if !self.plane {
             return None;
-        }
-        // Before the plane's lock, which `install` takes.
-        if let Some((path, seen)) = &mut self.reload {
-            let count = signal::sighup_count();
-            if count != *seen {
-                *seen = count;
-                reload_rules_file(&self.shared, path);
-            }
         }
         self.refresh(now, Timestamp::from_millis(unix_now_ms()), start)
     }
@@ -727,21 +691,6 @@ fn parse_rules_body(body: &[u8]) -> Result<(Vec<RefreshRule>, Option<GroupRule>)
     Ok((rules, group))
 }
 
-/// One `SIGHUP`-triggered re-read of the configured rules file, on
-/// reactor 0: read → parse → validate → install, as an admin `PUT` does. Any
-/// failure (unreadable file, bad JSON, invalid rules) bumps
-/// `reload_errors` and leaves the running epoch untouched.
-fn reload_rules_file(shared: &Shared, path: &Path) {
-    let outcome = std::fs::read(path)
-        .map_err(|e| e.to_string())
-        .and_then(|body| parse_rules_body(&body))
-        .and_then(|(rules, group)| shared.runtime.install(rules, group));
-    match outcome {
-        Ok(_) => shared.counters.reloads.inc(),
-        Err(_) => shared.counters.reload_errors.inc(),
-    }
-}
-
 /// Stores a 200 response in the cache; returns the entry now resident —
 /// the stored one, or a copy at least as fresh that was already there (a
 /// slow fetch must never roll the cache backwards, and a second store of
@@ -972,7 +921,6 @@ mod tests {
             shared: Arc::new(shared),
             metrics: Arc::new(EngineMetrics::default()),
             plane: true,
-            reload: None,
         }
     }
 

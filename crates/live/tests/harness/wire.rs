@@ -16,9 +16,9 @@ use mutcon_http::parse::{ParseError, RequestParser, ResponseParser};
 use mutcon_http::types::Method;
 use mutcon_live::client::get_wire;
 
-/// `read` retrying `EINTR`: a handled signal (the `SIGHUP` rules reload)
-/// interrupts a blocking read on a socket with a receive timeout even
-/// under `SA_RESTART`.
+/// `read` retrying `EINTR`: any signal the process handles interrupts a
+/// blocking read on a socket with a receive timeout, even under
+/// `SA_RESTART`.
 fn read_uninterrupted(stream: &mut impl Read, chunk: &mut [u8]) -> io::Result<usize> {
     loop {
         match stream.read(chunk) {

@@ -36,7 +36,6 @@ overload.parked_shed: number
 proxy.hits: number
 proxy.misses: number
 proxy.refreshes: number
-proxy.reload_errors: number
 proxy.reloads: number
 reactors[].accepted: number
 reactors[].connections: number
@@ -173,7 +172,6 @@ fn the_document_and_the_accessors_read_the_same_cells() {
             ("proxy.misses", p.misses),
             ("refresh.errors", p.errors),
             ("proxy.reloads", p.reloads),
-            ("proxy.reload_errors", p.reload_errors),
             ("refresh.in_flight", r.in_flight()),
             ("refresh.polls", r.polls()),
             ("refresh.triggered", r.triggered()),

@@ -1,8 +1,6 @@
 //! The proxy's threads are its reactors and nothing else: the refresh
 //! plane runs on reactor 0, so a rule set — present at start or
-//! installed later, polling or idle — adds no thread to the process,
-//! and neither does a rules file, since reactor 0 also does its
-//! `SIGHUP` reload.
+//! installed later, polling or idle — adds no thread to the process.
 //!
 //! One test in its own binary, because it counts the whole process's
 //! threads (`/proc/self/task`), and a test running beside it would move
@@ -83,30 +81,4 @@ fn a_proxy_adds_its_reactors_and_no_other_thread() {
     );
     drop(proxy);
     assert_eq!(threads(), before, "the drop joins every reactor");
-
-    // A rules file, reloaded on SIGHUP: the reload runs on reactor 0.
-    let rules_file =
-        std::env::temp_dir().join(format!("mutcon-threads-{}.json", std::process::id()));
-    std::fs::write(
-        &rules_file,
-        r#"{"rules": [{"path": "/obj", "delta_ms": 20}]}"#,
-    )
-    .expect("write rules file");
-    let proxy = LiveProxy::start(ProxyConfig {
-        rules_file: Some(rules_file.clone()),
-        ..config(Vec::new())
-    })
-    .expect("proxy");
-    assert_eq!(threads(), before + REACTORS, "a proxy with a rules file");
-    mutcon_sim::signal::raise_sighup().expect("raise SIGHUP");
-    wait_for_polls(&proxy, 5);
-    assert_eq!(proxy.stats().reloads, 1);
-    assert_eq!(
-        threads(),
-        before + REACTORS,
-        "after a SIGHUP reload, polling"
-    );
-    drop(proxy);
-    assert_eq!(threads(), before, "the drop leaves no signal thread behind");
-    let _ = std::fs::remove_file(&rules_file);
 }

@@ -262,8 +262,11 @@ impl Poller {
     ///
     /// Propagates the `epoll_create1` failure.
     pub fn new() -> io::Result<Poller> {
+        // SAFETY: `epoll_create1` takes no pointer.
         let fd = cvt(unsafe { sys::epoll_create1(sys::EPOLL_CLOEXEC) })?;
         Ok(Poller {
+            // SAFETY: `epoll_create1` just opened `fd`, and nothing else
+            // owns it.
             epfd: unsafe { OwnedFd::from_raw_fd(fd) },
         })
     }
@@ -273,6 +276,8 @@ impl Poller {
             events: interest.bits(),
             data: token as u64,
         };
+        // SAFETY: `ev` is a live `epoll_event` the kernel only reads
+        // during the call, and `self` owns the epoll fd.
         cvt(unsafe { sys::epoll_ctl(self.epfd.as_raw_fd(), op, fd, &mut ev) })?;
         Ok(())
     }
@@ -341,6 +346,8 @@ impl Poller {
                     }
                     ret as i32
                 }
+                // SAFETY: the kernel writes at most `buf.len()` events
+                // into `buf`, which owns that many.
                 _ => unsafe {
                     sys::epoll_wait(
                         self.epfd.as_raw_fd(),
@@ -504,6 +511,8 @@ pub fn listen_reuseport(addr: SocketAddr) -> io::Result<TcpListener> {
     let fd = listener.as_raw_fd();
     let one: i32 = 1;
     for opt in [sys::SO_REUSEADDR, sys::SO_REUSEPORT] {
+        // SAFETY: `one` is a live `i32` of the length passed, which the
+        // kernel only reads, and the listener owns `fd`.
         cvt(unsafe {
             sys::setsockopt(
                 fd,
@@ -517,6 +526,7 @@ pub fn listen_reuseport(addr: SocketAddr) -> io::Result<TcpListener> {
     // SAFETY: `sa` is a live `sockaddr_in` of `len` bytes, and the
     // listener owns `fd` for the whole call.
     cvt(unsafe { sys::bind(fd, (&sa as *const sys::SockAddrIn).cast(), len) })?;
+    // SAFETY: `listen` takes no pointer, and the listener owns `fd`.
     cvt(unsafe { sys::listen(fd, 1024) })?;
     Ok(listener)
 }
