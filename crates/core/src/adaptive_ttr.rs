@@ -210,16 +210,6 @@ impl AdaptiveTtr {
         }
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> &AdaptiveTtrConfig {
-        &self.config
-    }
-
-    /// The TTR separating the latest poll from the next one.
-    pub fn current_ttr(&self) -> Duration {
-        self.current_ttr
-    }
-
     /// The last observed rate of change `r` (Figure 2), in value units
     /// per millisecond; `None` until two samples at distinct instants.
     ///
@@ -237,7 +227,7 @@ impl AdaptiveTtr {
     /// # Errors
     ///
     /// Returns [`ConfigError::ZeroTolerance`] if `delta` is not positive.
-    pub fn set_delta(&mut self, delta: Value) -> Result<(), ConfigError> {
+    pub(crate) fn set_delta(&mut self, delta: Value) -> Result<(), ConfigError> {
         if delta <= Value::ZERO {
             return Err(ConfigError::ZeroTolerance { name: "delta" });
         }
@@ -248,7 +238,7 @@ impl AdaptiveTtr {
     /// Feeds the value observed by a poll at `now`; returns the new TTR.
     ///
     /// The TTR is computed with `scale = 1`; use
-    /// [`AdaptiveTtr::on_poll_scaled`] to apply a feedback factor (used by
+    /// `AdaptiveTtr::on_poll_scaled` to apply a feedback factor (used by
     /// the Mv virtual-object policy, Equation 12).
     pub fn on_poll(&mut self, now: Timestamp, value: Value) -> Duration {
         self.on_poll_scaled(now, value, 1.0)
@@ -257,7 +247,7 @@ impl AdaptiveTtr {
     /// Like [`AdaptiveTtr::on_poll`], but multiplies the raw `Δ / r`
     /// estimate by `scale` before smoothing — the `θ` feedback factor of
     /// Equation 12 (`0 < θ ≤ 1`).
-    pub fn on_poll_scaled(&mut self, now: Timestamp, value: Value, scale: f64) -> Duration {
+    pub(crate) fn on_poll_scaled(&mut self, now: Timestamp, value: Value, scale: f64) -> Duration {
         debug_assert!(scale > 0.0 && scale <= 1.0, "scale must be in (0, 1]");
         let Some(rate) = self.estimator.observe(now, value) else {
             // First sample (or repeated timestamp): stay conservative.

@@ -111,7 +111,7 @@ impl FidelityStats {
     }
 
     /// Merges another set of counters into this one (summing windows).
-    pub fn merge(&mut self, other: &FidelityStats) {
+    pub(crate) fn merge(&mut self, other: &FidelityStats) {
         self.polls += other.polls;
         self.violations += other.violations;
         self.out_of_sync = self.out_of_sync.saturating_add(other.out_of_sync);

@@ -131,7 +131,6 @@ pub struct LimdConfig {
     epsilon: f64,
     ttr_min: Duration,
     ttr_max: Duration,
-    idle_threshold: Duration,
 }
 
 impl LimdConfig {
@@ -144,7 +143,6 @@ impl LimdConfig {
             epsilon: 0.02,
             ttr_min: None,
             ttr_max: Duration::from_mins(60),
-            idle_threshold: None,
         }
     }
 
@@ -185,7 +183,8 @@ impl LimdConfig {
     /// delta_ms=600000,l=0.2,m=adaptive:0.05:0.95,eps=0.02,ttr_min_ms=600000,ttr_max_ms=3600000,idle_ms=3600000
     /// ```
     ///
-    /// The decrease rule is `m=fixed:M` or `m=adaptive:FLOOR:CEILING`.
+    /// The decrease rule is `m=fixed:M` or `m=adaptive:FLOOR:CEILING`;
+    /// `idle_ms`, the Case-4 idle threshold, is always `TTR_max`.
     /// The live proxy's `GET /admin/rules` shows each path's config in
     /// this form.
     pub fn to_spec(&self) -> String {
@@ -202,7 +201,7 @@ impl LimdConfig {
             self.epsilon,
             self.ttr_min.as_millis(),
             self.ttr_max.as_millis(),
-            self.idle_threshold.as_millis(),
+            self.ttr_max.as_millis(),
         )
     }
 }
@@ -216,7 +215,6 @@ pub struct LimdConfigBuilder {
     epsilon: f64,
     ttr_min: Option<Duration>,
     ttr_max: Duration,
-    idle_threshold: Option<Duration>,
 }
 
 impl LimdConfigBuilder {
@@ -251,13 +249,6 @@ impl LimdConfigBuilder {
     /// Sets `TTR_max`.
     pub fn ttr_max(mut self, ttr_max: Duration) -> Self {
         self.ttr_max = ttr_max;
-        self
-    }
-
-    /// Sets the idle spell that arms the Case-4 reset (defaults to
-    /// `TTR_max`).
-    pub fn idle_threshold(mut self, idle: Duration) -> Self {
-        self.idle_threshold = Some(idle);
         self
     }
 
@@ -303,7 +294,6 @@ impl LimdConfigBuilder {
             epsilon: self.epsilon,
             ttr_min,
             ttr_max: self.ttr_max,
-            idle_threshold: self.idle_threshold.unwrap_or(self.ttr_max),
         })
     }
 }
@@ -331,18 +321,6 @@ impl PollResult {
         PollResult::Modified {
             last_modified,
             history: None,
-        }
-    }
-
-    /// Convenience constructor for a modified response carrying the
-    /// modification-history extension.
-    pub fn modified_with_history(
-        last_modified: Timestamp,
-        history: impl IntoIterator<Item = Timestamp>,
-    ) -> Self {
-        PollResult::Modified {
-            last_modified,
-            history: Some(history.into_iter().collect()),
         }
     }
 
@@ -530,12 +508,13 @@ impl Limd {
         last_modified: Timestamp,
         history: Option<&[Timestamp]>,
     ) -> LimdDecision {
-        // Case 4 takes precedence: an update after a long quiet spell.
+        // Case 4 takes precedence: an update after a quiet spell longer
+        // than `TTR_max`.
         if let Some(previous_mod) = self.last_known_modification {
             if last_modified
                 .checked_since(previous_mod)
                 .unwrap_or(Duration::ZERO)
-                > self.config.idle_threshold
+                > self.config.ttr_max
             {
                 return LimdDecision {
                     case: LimdCase::IdleReset,
@@ -789,8 +768,8 @@ mod tests {
 
     #[test]
     fn case4_idle_reset_fires_after_quiet_spell() {
+        // The idle threshold is `TTR_max`, 60 minutes by default.
         let cfg = LimdConfig::builder(Duration::from_mins(10))
-            .idle_threshold(Duration::from_mins(60))
             .build()
             .unwrap();
         let mut limd = Limd::new(cfg);
@@ -832,7 +811,10 @@ mod tests {
         let mut with_history = limd.clone();
         let d = with_history.on_poll(
             t2,
-            &PollResult::modified_with_history(late_update, [early_update, late_update]),
+            &PollResult::Modified {
+                last_modified: late_update,
+                history: Some(vec![early_update, late_update]),
+            },
         );
         assert_eq!(d.case, LimdCase::Violation);
 
@@ -852,7 +834,10 @@ mod tests {
         let recent = t2 - Duration::from_mins(3);
         let d = limd.on_poll(
             t2,
-            &PollResult::modified_with_history(recent, [Timestamp::from_mins(2), recent]),
+            &PollResult::Modified {
+                last_modified: recent,
+                history: Some(vec![Timestamp::from_mins(2), recent]),
+            },
         );
         assert_eq!(d.case, LimdCase::InSync);
     }
@@ -891,12 +876,11 @@ mod tests {
             .epsilon(0.0)
             .ttr_min(Duration::from_millis(25))
             .ttr_max(Duration::from_millis(3_200))
-            .idle_threshold(Duration::from_secs(9))
             .build()
             .unwrap();
         assert_eq!(
             tuned.to_spec(),
-            "delta_ms=50,l=0.35,m=fixed:0.5,eps=0,ttr_min_ms=25,ttr_max_ms=3200,idle_ms=9000"
+            "delta_ms=50,l=0.35,m=fixed:0.5,eps=0,ttr_min_ms=25,ttr_max_ms=3200,idle_ms=3200"
         );
     }
 
@@ -921,7 +905,8 @@ mod tests {
                 let result = if rng.chance(0.5) {
                     // Last-modified moves forward only.
                     let age = Duration::from_mins(rng.uniform_u64(0, 601));
-                    last_mod = now.saturating_sub(age).max(last_mod);
+                    let aged = now.as_millis().saturating_sub(age.as_millis());
+                    last_mod = Timestamp::from_millis(aged).max(last_mod);
                     PollResult::modified(last_mod)
                 } else {
                     PollResult::NotModified

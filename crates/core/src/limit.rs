@@ -51,15 +51,6 @@ impl Sample {
             outcome: Outcome::Success,
         }
     }
-
-    /// Convenience constructor for an overload sample.
-    pub fn overload(in_flight: usize, latency: Duration) -> Self {
-        Sample {
-            in_flight,
-            latency,
-            outcome: Outcome::Overload,
-        }
-    }
 }
 
 /// The parameters of the additive-increase / multiplicative-decrease rule
@@ -186,11 +177,6 @@ impl Limiter {
         Ok(Limiter { config, limit })
     }
 
-    /// The current limit.
-    pub fn limit(&self) -> usize {
-        self.limit
-    }
-
     /// Feeds one sample and returns the (possibly unchanged) new limit.
     pub fn on_sample(&mut self, sample: &Sample) -> usize {
         let LimiterConfig::Aimd(c) = &self.config;
@@ -205,6 +191,14 @@ mod tests {
 
     fn ms(n: u64) -> Duration {
         Duration::from_millis(n)
+    }
+
+    fn overload(in_flight: usize, latency: Duration) -> Sample {
+        Sample {
+            in_flight,
+            latency,
+            outcome: Outcome::Overload,
+        }
     }
 
     /// Drives a limiter through a scripted trace of (in_flight, latency_ms,
@@ -248,20 +242,20 @@ mod tests {
     #[test]
     fn aimd_backs_off_multiplicatively_and_respects_min() {
         let mut l = Limiter::new(LimiterConfig::Aimd(AimdConfig::default()), 100).unwrap();
-        assert_eq!(l.on_sample(&Sample::overload(100, ms(500))), 75);
-        assert_eq!(l.on_sample(&Sample::overload(75, ms(500))), 56);
+        assert_eq!(l.on_sample(&overload(100, ms(500))), 75);
+        assert_eq!(l.on_sample(&overload(75, ms(500))), 56);
         // Repeated overloads converge to min, never 0.
         for _ in 0..40 {
-            l.on_sample(&Sample::overload(1, ms(500)));
+            l.on_sample(&overload(1, ms(500)));
         }
-        assert_eq!(l.limit(), 1);
+        assert_eq!(l.limit, 1);
     }
 
     #[test]
     fn aimd_decrease_makes_progress_at_small_limits() {
         // floor() rather than round(): 3 * 0.75 = 2.25 must become 2.
         let mut l = Limiter::new(LimiterConfig::Aimd(AimdConfig::default()), 3).unwrap();
-        assert_eq!(l.on_sample(&Sample::overload(3, ms(500))), 2);
+        assert_eq!(l.on_sample(&overload(3, ms(500))), 2);
     }
 
     #[test]
@@ -274,6 +268,6 @@ mod tests {
         for i in 0..10 {
             l.on_sample(&Sample::success(10 + i, ms(5)));
         }
-        assert_eq!(l.limit(), 12);
+        assert_eq!(l.limit, 12);
     }
 }

@@ -181,11 +181,6 @@ impl<K: Ord + Clone> MtCoordinator<K> {
         self.policy
     }
 
-    /// Group members known to this coordinator.
-    pub fn members(&self) -> impl Iterator<Item = &K> + '_ {
-        self.members.keys()
-    }
-
     /// Records when `object`'s next regular (LIMD-scheduled) poll will
     /// occur. Keeping this current lets the coordinator skip triggers that
     /// the regular schedule already covers.
@@ -413,9 +408,15 @@ mod tests {
         );
         // One poll each, with history: slow updates every 60 min, fast
         // every 4 min.
-        let slow = PollResult::modified_with_history(mins(120), [mins(0), mins(60), mins(120)]);
+        let slow = PollResult::Modified {
+            last_modified: mins(120),
+            history: Some(vec![mins(0), mins(60), mins(120)]),
+        };
         mt.on_poll(&oid("slow"), mins(130), &slow);
-        let fast = PollResult::modified_with_history(mins(136), [mins(128), mins(132), mins(136)]);
+        let fast = PollResult::Modified {
+            last_modified: mins(136),
+            history: Some(vec![mins(128), mins(132), mins(136)]),
+        };
         // Both rates are known after a single poll, so the fast update
         // leaves the slower object alone; an unknown rate would trigger it.
         assert!(mt.on_poll(&oid("fast"), mins(140), &fast).is_empty());

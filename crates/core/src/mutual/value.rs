@@ -124,11 +124,6 @@ impl VirtualObjectConfig {
         }
     }
 
-    /// The function being tracked.
-    pub fn function(&self) -> ValueFunction {
-        self.function
-    }
-
     /// The mutual tolerance δ.
     pub fn delta(&self) -> Value {
         self.ttr.delta()
@@ -194,7 +189,6 @@ pub struct VirtualObjectPolicy {
     ttr: AdaptiveTtr,
     theta: f64,
     last_f: Option<Value>,
-    polls: u64,
 }
 
 impl VirtualObjectPolicy {
@@ -205,7 +199,6 @@ impl VirtualObjectPolicy {
             config,
             theta: 1.0,
             last_f: None,
-            polls: 0,
         }
     }
 
@@ -214,20 +207,9 @@ impl VirtualObjectPolicy {
         &self.config
     }
 
-    /// Current feedback factor θ.
-    pub fn theta(&self) -> f64 {
-        self.theta
-    }
-
-    /// Pair-polls performed so far.
-    pub fn poll_count(&self) -> u64 {
-        self.polls
-    }
-
     /// Feeds the values fetched by polling *both* objects at `now`.
     pub fn on_poll(&mut self, now: Timestamp, value_a: Value, value_b: Value) -> MvDecision {
         let f_new = self.config.function.eval(value_a, value_b);
-        self.polls += 1;
 
         // Violation: f drifted by at least δ between the previous poll and
         // this one, so the cached pair was (at some point) out of bounds.
@@ -278,11 +260,6 @@ impl PartitionedConfig {
             ttr,
             repartition_every: 8,
         }
-    }
-
-    /// The function being tracked.
-    pub fn function(&self) -> ValueFunction {
-        self.function
     }
 
     /// The mutual tolerance δ.
@@ -382,13 +359,6 @@ impl PartitionedPolicy {
     /// The configuration in force.
     pub fn config(&self) -> &PartitionedConfig {
         &self.config
-    }
-
-    /// The current per-object tolerances `(δ_a, δ_b)`.
-    ///
-    /// Invariant: `w_a·δ_a + w_b·δ_b = δ` (up to float rounding).
-    pub fn tolerances(&self) -> (Value, Value) {
-        self.tolerances
     }
 
     /// Splits δ so a share `frac_a ∈ (0, 1)` of the *weighted* budget goes
@@ -504,7 +474,6 @@ mod tests {
         let d = p.on_poll(secs(0), Value::new(160.0), Value::new(36.0));
         assert_eq!(d.f_value, Value::new(124.0));
         assert!(!d.violated);
-        assert_eq!(p.poll_count(), 1);
         // f drifts slowly: 0.1 in 10 s → TTR = 0.6/0.01 = 60 s.
         let d = p.on_poll(secs(10), Value::new(160.1), Value::new(36.0));
         assert!(!d.violated);
@@ -542,13 +511,13 @@ mod tests {
             t += 10;
             p.on_poll(secs(t), Value::new(100.0 + i as f64), Value::ZERO);
         }
-        assert!(p.theta() >= 0.05);
+        assert!(p.theta >= 0.05);
         // Calm polls: θ must not exceed 1.
         for _ in 0..10 {
             t += 10;
             p.on_poll(secs(t), Value::new(104.0), Value::ZERO);
         }
-        assert!((p.theta() - 1.0).abs() < 1e-12);
+        assert!((p.theta - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -584,7 +553,7 @@ mod tests {
             .build()
             .unwrap()
             .into_policy();
-        let (da, db) = p.tolerances();
+        let (da, db) = p.tolerances;
         assert!((da.as_f64() - 0.3).abs() < 1e-12);
         assert!((db.as_f64() - 0.3).abs() < 1e-12);
     }
@@ -598,7 +567,7 @@ mod tests {
         .build()
         .unwrap()
         .into_policy();
-        let (da, db) = p.tolerances();
+        let (da, db) = p.tolerances;
         // w_a·δ_a + w_b·δ_b = 2·0.25 + 1·0.5 = 1.0 = δ.
         assert!((2.0 * da.as_f64() + db.as_f64() - 1.0).abs() < 1e-12);
     }
@@ -618,7 +587,7 @@ mod tests {
             p.on_poll(PairMember::A, secs(t), Value::new(100.0 + i as f64));
             p.on_poll(PairMember::B, secs(t), Value::new(36.0 + 0.01 * i as f64));
         }
-        let (da, db) = p.tolerances();
+        let (da, db) = p.tolerances;
         // Faster object A must hold the smaller tolerance.
         assert!(da < db, "expected δa < δb, got {da} vs {db}");
         // Budget preserved.
@@ -632,14 +601,14 @@ mod tests {
             .build()
             .unwrap()
             .into_policy();
-        let before = p.tolerances();
+        let before = p.tolerances;
         let mut t = 0;
         for i in 0..10u64 {
             t += 10;
             p.on_poll(PairMember::A, secs(t), Value::new(100.0 + i as f64));
             p.on_poll(PairMember::B, secs(t), Value::new(36.0));
         }
-        assert_eq!(p.tolerances(), before);
+        assert_eq!(p.tolerances, before);
     }
 
     #[test]
@@ -691,7 +660,7 @@ mod tests {
                 };
                 values[i] += rng.uniform_range(-2.0, 2.0);
                 p.on_poll(member, secs(t), Value::new(values[i]));
-                let (da, db) = p.tolerances();
+                let (da, db) = p.tolerances;
                 assert!(
                     da > Value::ZERO && db > Value::ZERO,
                     "seed {seed}: tolerances {da}, {db}"

@@ -9,10 +9,10 @@
 //!   intervals, fed by the `Last-Modified` stamps observed on polls.
 //! * the **rate of change of a value** (§4.1, Figure 2) — the slope
 //!   `r = |P_cur − P_prev| / (t_cur − t_prev)` used to extrapolate when the
-//!   value will have drifted by Δ. [`ValueRateEstimator`] computes this
+//!   value will have drifted by Δ. `ValueRateEstimator` computes this
 //!   instantaneous slope from consecutive samples.
 
-use crate::time::{Duration, Timestamp};
+use crate::time::Timestamp;
 use crate::value::Value;
 
 /// EWMA estimator of an object's update rate, fed with the modification
@@ -85,19 +85,13 @@ impl UpdateRateEstimator {
             1.0 / mean
         })
     }
-
-    /// Estimated mean inter-update interval.
-    pub fn mean_interval(&self) -> Option<Duration> {
-        self.mean_interval_ms
-            .map(|ms| Duration::from_millis(ms.round() as u64))
-    }
 }
 
 /// Instantaneous value slope from consecutive samples (§4.1, Figure 2):
 /// `r = |P_cur − P_prev| / (t_cur − t_prev)`, in value units per
 /// millisecond.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ValueRateEstimator {
+pub(crate) struct ValueRateEstimator {
     prev: Option<(Timestamp, Value)>,
 }
 
@@ -136,7 +130,7 @@ mod tests {
         est.observe_modification(Timestamp::from_secs(20));
         let r = est.rate_per_ms().unwrap();
         assert!((r - 1.0 / 10_000.0).abs() < 1e-12);
-        assert_eq!(est.mean_interval(), Some(Duration::from_secs(10)));
+        assert_eq!(est.mean_interval_ms, Some(10_000.0));
     }
 
     #[test]
@@ -147,7 +141,7 @@ mod tests {
         est.observe_modification(Timestamp::from_secs(5));
         assert_eq!(est.rate_per_ms(), None);
         est.observe_modification(Timestamp::from_secs(30));
-        assert_eq!(est.mean_interval(), Some(Duration::from_secs(20)));
+        assert_eq!(est.mean_interval_ms, Some(20_000.0));
     }
 
     #[test]
@@ -157,7 +151,7 @@ mod tests {
         est.observe_modification(Timestamp::from_secs(10)); // mean = 10s
         est.observe_modification(Timestamp::from_secs(40)); // newest = 30s
                                                             // mean = 0.5*30 + 0.5*10 = 20s
-        assert_eq!(est.mean_interval(), Some(Duration::from_secs(20)));
+        assert_eq!(est.mean_interval_ms, Some(20_000.0));
     }
 
     #[test]

@@ -146,19 +146,9 @@ impl ValidityInterval {
         }
     }
 
-    /// When the version came into existence.
-    pub fn start(self) -> Timestamp {
-        self.start
-    }
-
     /// When the version was superseded, or `None` if still current.
     pub fn end(self) -> Option<Timestamp> {
         self.end
-    }
-
-    /// `true` while the version is still the current one at the server.
-    pub fn is_current(self) -> bool {
-        self.end.is_none()
     }
 
     /// The smallest separation between some instant in `self` and some

@@ -36,9 +36,6 @@ pub struct Timestamp(u64);
 impl Timestamp {
     /// The origin of the timeline.
     pub const ZERO: Timestamp = Timestamp(0);
-    /// The largest representable timestamp; useful as an "infinitely far in
-    /// the future" sentinel for event scheduling.
-    pub const MAX: Timestamp = Timestamp(u64::MAX);
 
     /// Creates a timestamp from raw milliseconds since the epoch.
     pub const fn from_millis(ms: u64) -> Self {
@@ -75,7 +72,7 @@ impl Timestamp {
     /// # Panics
     ///
     /// Panics if `earlier` is later than `self`; use
-    /// [`Timestamp::checked_since`] when the ordering is not statically
+    /// `Timestamp::checked_since` when the ordering is not statically
     /// known.
     pub fn since(self, earlier: Timestamp) -> Duration {
         self.checked_since(earlier).unwrap_or_else(|| {
@@ -84,7 +81,7 @@ impl Timestamp {
     }
 
     /// The span from `earlier` to `self`, or `None` if `earlier > self`.
-    pub fn checked_since(self, earlier: Timestamp) -> Option<Duration> {
+    pub(crate) fn checked_since(self, earlier: Timestamp) -> Option<Duration> {
         self.0.checked_sub(earlier.0).map(Duration)
     }
 
@@ -96,11 +93,6 @@ impl Timestamp {
     /// Saturating addition of a duration.
     pub fn saturating_add(self, d: Duration) -> Timestamp {
         Timestamp(self.0.saturating_add(d.0))
-    }
-
-    /// Saturating subtraction of a duration (clamps at the epoch).
-    pub fn saturating_sub(self, d: Duration) -> Timestamp {
-        Timestamp(self.0.saturating_sub(d.0))
     }
 }
 
@@ -188,7 +180,7 @@ impl Duration {
 
     /// Creates a duration from fractional seconds, rounding to the nearest
     /// millisecond and clamping negatives to zero.
-    pub fn from_secs_f64(secs: f64) -> Self {
+    pub(crate) fn from_secs_f64(secs: f64) -> Self {
         if secs <= 0.0 || secs.is_nan() {
             Duration::ZERO
         } else {
@@ -250,11 +242,6 @@ impl Duration {
         Duration(self.0.saturating_mul(rhs))
     }
 
-    /// Saturating subtraction (clamps at zero).
-    pub fn saturating_sub(self, rhs: Duration) -> Duration {
-        Duration(self.0.saturating_sub(rhs.0))
-    }
-
     /// Clamps the duration into `[lo, hi]`.
     ///
     /// # Panics
@@ -263,16 +250,6 @@ impl Duration {
     pub fn clamp(self, lo: Duration, hi: Duration) -> Duration {
         assert!(lo <= hi, "invalid clamp bounds: {lo} > {hi}");
         Duration(self.0.clamp(lo.0, hi.0))
-    }
-
-    /// The larger of two durations.
-    pub fn max(self, other: Duration) -> Duration {
-        Duration(self.0.max(other.0))
-    }
-
-    /// The smaller of two durations.
-    pub fn min(self, other: Duration) -> Duration {
-        Duration(self.0.min(other.0))
     }
 }
 
@@ -416,20 +393,12 @@ mod tests {
     #[test]
     fn saturating_ops() {
         assert_eq!(
-            Timestamp::MAX.saturating_add(Duration::from_secs(1)),
-            Timestamp::MAX
-        );
-        assert_eq!(
-            Timestamp::ZERO.saturating_sub(Duration::from_secs(1)),
-            Timestamp::ZERO
+            Timestamp(u64::MAX).saturating_add(Duration::from_secs(1)),
+            Timestamp(u64::MAX)
         );
         assert_eq!(
             Duration::MAX.saturating_add(Duration::from_secs(1)),
             Duration::MAX
-        );
-        assert_eq!(
-            Duration::ZERO.saturating_sub(Duration::from_secs(1)),
-            Duration::ZERO
         );
         assert_eq!(
             Duration::from_secs(2).saturating_mul(3),

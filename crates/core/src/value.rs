@@ -45,11 +45,6 @@ impl Value {
         Value((self.0 - other.0).abs())
     }
 
-    /// Absolute value.
-    pub fn abs(self) -> Value {
-        Value(self.0.abs())
-    }
-
     /// The smaller of two values.
     pub fn min(self, other: Value) -> Value {
         if self <= other {
@@ -159,7 +154,7 @@ mod tests {
         let b = Value::new(36.25);
         assert_eq!((a - b).as_f64(), 124.25);
         assert_eq!(a.abs_diff(b), b.abs_diff(a));
-        assert_eq!((-b).abs(), b);
+        assert_eq!(-(-b), b);
         assert_eq!((a + Value::ZERO), a);
         assert_eq!((a * Value::new(2.0)).as_f64(), 321.0);
         assert_eq!((a / Value::new(2.0)).as_f64(), 80.25);

@@ -16,13 +16,13 @@ use crate::headers::{HeaderMap, HeaderName};
 use crate::types::HttpVersion;
 
 /// The `Connection` token requesting persistence.
-pub const KEEP_ALIVE: &str = "keep-alive";
+pub(crate) const KEEP_ALIVE: &str = "keep-alive";
 /// The `Connection` token requesting teardown after this message.
-pub const CLOSE: &str = "close";
+pub(crate) const CLOSE: &str = "close";
 
 /// Whether any `Connection` field contains `token` (case-insensitive,
 /// comma-separated lists across repeated fields per RFC 7230 §6.1).
-pub fn connection_has_token(headers: &HeaderMap, token: &str) -> bool {
+pub(crate) fn connection_has_token(headers: &HeaderMap, token: &str) -> bool {
     headers
         .get_all(HeaderName::CONNECTION)
         .flat_map(|value| value.split(','))
@@ -50,7 +50,7 @@ pub fn set_keep_alive(headers: &mut HeaderMap) {
 
 /// Marks a message as the last on its connection: replaces any
 /// `Connection` field with `close`.
-pub fn set_close(headers: &mut HeaderMap) {
+pub(crate) fn set_close(headers: &mut HeaderMap) {
     headers.insert(HeaderName::CONNECTION, CLOSE);
 }
 

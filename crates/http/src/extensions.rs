@@ -18,7 +18,7 @@ use crate::headers::{HeaderMap, HeaderName};
 
 /// Encodes update instants (milliseconds since the epoch) as an
 /// `X-Modification-History` value: `"t1, t2, t3"`, oldest first.
-pub fn encode_modification_history(history: &[Timestamp]) -> String {
+pub(crate) fn encode_modification_history(history: &[Timestamp]) -> String {
     let mut out = String::with_capacity(history.len() * 14);
     for (i, t) in history.iter().enumerate() {
         if i > 0 {
@@ -31,7 +31,7 @@ pub fn encode_modification_history(history: &[Timestamp]) -> String {
 
 /// Decodes an `X-Modification-History` value. Returns `None` if any entry
 /// is not a valid integer.
-pub fn decode_modification_history(value: &str) -> Option<Vec<Timestamp>> {
+pub(crate) fn decode_modification_history(value: &str) -> Option<Vec<Timestamp>> {
     let trimmed = value.trim();
     if trimmed.is_empty() {
         return Some(Vec::new());

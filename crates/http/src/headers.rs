@@ -15,21 +15,21 @@ pub enum HeaderName {}
 
 impl HeaderName {
     /// `Host`.
-    pub const HOST: &'static str = "host";
+    pub(crate) const HOST: &'static str = "host";
     /// `Last-Modified`.
     pub const LAST_MODIFIED: &'static str = "last-modified";
     /// `If-Modified-Since`.
     pub const IF_MODIFIED_SINCE: &'static str = "if-modified-since";
     /// `Content-Length`.
-    pub const CONTENT_LENGTH: &'static str = "content-length";
+    pub(crate) const CONTENT_LENGTH: &'static str = "content-length";
     /// `Content-Type`.
     pub const CONTENT_TYPE: &'static str = "content-type";
     /// `Transfer-Encoding`.
-    pub const TRANSFER_ENCODING: &'static str = "transfer-encoding";
+    pub(crate) const TRANSFER_ENCODING: &'static str = "transfer-encoding";
     /// `Connection`.
     pub const CONNECTION: &'static str = "connection";
     /// The paper's §5.1 modification-history extension header.
-    pub const X_MODIFICATION_HISTORY: &'static str = "x-modification-history";
+    pub(crate) const X_MODIFICATION_HISTORY: &'static str = "x-modification-history";
     /// Extension header carrying the object's numeric value (for
     /// value-domain objects served by the live origin).
     pub const X_OBJECT_VALUE: &'static str = "x-object-value";
@@ -115,16 +115,6 @@ impl HeaderMap {
     /// The text the owning message keeps beside its fields.
     pub(crate) fn lead(&self) -> &str {
         &self.text[self.lead.0..self.lead.1]
-    }
-
-    /// Number of header fields (counting repeats).
-    pub fn len(&self) -> usize {
-        self.fields.len()
-    }
-
-    /// Whether the map holds no fields.
-    pub fn is_empty(&self) -> bool {
-        self.fields.is_empty()
     }
 
     /// First value for `name`, if any.
@@ -217,10 +207,10 @@ mod tests {
         h.append("Set-Thing", "a");
         h.append("set-thing", "b");
         assert_eq!(h.get_all("SET-THING").collect::<Vec<_>>(), vec!["a", "b"]);
-        assert_eq!(h.len(), 2);
+        assert_eq!(h.fields.len(), 2);
         h.insert("Set-Thing", "c");
         assert_eq!(h.get_all("set-thing").collect::<Vec<_>>(), vec!["c"]);
-        assert_eq!(h.len(), 1);
+        assert_eq!(h.fields.len(), 1);
     }
 
     #[test]
@@ -242,8 +232,7 @@ mod tests {
         h.append("b", "3");
         assert_eq!(h.remove("a"), 2);
         assert_eq!(h.remove("a"), 0);
-        assert_eq!(h.len(), 1);
-        assert!(!h.is_empty());
+        assert_eq!(h.fields.len(), 1);
     }
 
     #[test]

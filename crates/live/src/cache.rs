@@ -32,7 +32,7 @@
 //!
 //! A copy that leaves its shard's map — replaced by a store, pushed out
 //! by the bound, or removed — is marked **superseded**, once and for
-//! good, under the shard's write lock ([`CacheEntry::is_current`] reads
+//! good, under the shard's write lock (`CacheEntry::is_current` reads
 //! the mark). Its one reader is [`L1Cache`], a per-reactor copy cache the
 //! proxy no longer runs, since once a shared hit wrote nothing the L1 did
 //! not win (ROADMAP direction 4 has the lookup figures). The flag,
@@ -132,7 +132,7 @@ impl CacheEntry {
     /// holds — no new memory is read on the strength of this load. Kept
     /// because `benchmark/` (read-only here) replays [`L1Cache`], its
     /// one reader.
-    pub fn is_current(&self) -> bool {
+    pub(crate) fn is_current(&self) -> bool {
         !self.superseded.load(Ordering::Relaxed)
     }
 
@@ -201,7 +201,7 @@ impl Shard {
 /// One shard's occupancy and eviction count, as reported by
 /// [`ShardedCache::shard_stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ShardStats {
+pub(crate) struct ShardStats {
     /// Objects currently resident in the shard.
     pub len: usize,
     /// Evictions the shard's bound has made so far.
@@ -367,11 +367,6 @@ impl ShardedCache {
         );
     }
 
-    /// Total copies superseded across all shards.
-    pub fn version_bumps(&self) -> u64 {
-        self.shard_stats().iter().map(|s| s.version_bumps).sum()
-    }
-
     /// Total cached objects across all shards.
     pub fn len(&self) -> usize {
         self.shards
@@ -397,7 +392,7 @@ impl ShardedCache {
 
     /// Per-shard occupancy and eviction counts (the admin stats
     /// endpoint's view of the cache), in shard order.
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
+    pub(crate) fn shard_stats(&self) -> Vec<ShardStats> {
         self.shards
             .iter()
             .map(|s| {
@@ -480,7 +475,7 @@ impl L1Cache {
     }
 
     /// Looks up `path`, revalidating any resident copy against its
-    /// supersede flag ([`CacheEntry::is_current`], the single
+    /// supersede flag (`CacheEntry::is_current`, the single
     /// revalidation load).
     pub fn get(&mut self, path: &str) -> L1Lookup {
         let base = fnv1a(path);
@@ -555,16 +550,6 @@ impl L1Cache {
             }
         }
     }
-
-    /// Objects currently resident.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the L1 holds nothing.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
 }
 
 impl std::fmt::Debug for L1Cache {
@@ -579,6 +564,11 @@ impl std::fmt::Debug for L1Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Total copies superseded across all shards.
+    fn version_bumps(cache: &ShardedCache) -> u64 {
+        cache.shard_stats().iter().map(|s| s.version_bumps).sum()
+    }
 
     fn entry(stamp: u64) -> CacheEntry {
         CacheEntry::new(
@@ -921,7 +911,7 @@ mod tests {
         let cache = ShardedCache::new(None);
         // A first store supersedes nothing.
         cache.insert("/a", entry(1));
-        assert_eq!(cache.version_bumps(), 0);
+        assert_eq!(version_bumps(&cache), 0);
         let v1 = cache.get("/a").expect("resident");
         assert!(v1.is_current());
 
@@ -935,7 +925,7 @@ mod tests {
         let resident = cache.insert_if_newer("/a", entry(1));
         assert!(Arc::ptr_eq(&resident, &v2));
         assert!(v2.is_current());
-        assert_eq!(cache.version_bumps(), 1);
+        assert_eq!(version_bumps(&cache), 1);
 
         // An accepted offer supersedes the incumbent.
         let v3 = cache.insert_if_newer("/a", entry(3));
@@ -946,7 +936,7 @@ mod tests {
         cache.remove("/a");
         assert!(!v3.is_current());
         assert!(cache.get("/a").is_none());
-        assert_eq!(cache.version_bumps(), 3, "two replacements + one removal");
+        assert_eq!(version_bumps(&cache), 3, "two replacements + one removal");
     }
 
     #[test]
@@ -967,7 +957,7 @@ mod tests {
             "eviction must invalidate outstanding L1 copies"
         );
         assert_eq!(
-            cache.version_bumps(),
+            version_bumps(&cache),
             cache.evictions(),
             "each eviction supersedes one copy, the victim"
         );
@@ -977,12 +967,12 @@ mod tests {
     fn l1_round_trip_and_revalidation() {
         let cache = ShardedCache::new(None);
         let mut l1 = L1Cache::new(32);
-        assert!(l1.is_empty());
+        assert!(l1.len == 0);
         assert!(matches!(l1.get("/a"), L1Lookup::Miss));
 
         cache.insert("/a", entry(1));
         l1.insert("/a", cache.get("/a").unwrap());
-        assert_eq!(l1.len(), 1);
+        assert_eq!(l1.len, 1);
         let L1Lookup::Hit(hit) = l1.get("/a") else {
             panic!("valid entry must hit");
         };
@@ -993,7 +983,7 @@ mod tests {
         cache.insert("/a", entry(2));
         assert!(matches!(l1.get("/a"), L1Lookup::Stale));
         assert!(matches!(l1.get("/a"), L1Lookup::Miss));
-        assert!(l1.is_empty());
+        assert!(l1.len == 0);
 
         // Refill serves the new copy.
         l1.insert("/a", cache.get("/a").unwrap());
@@ -1013,7 +1003,7 @@ mod tests {
             cache.insert(&path, entry(i));
             evictions += u64::from(l1.insert(&path, cache.get(&path).unwrap()));
         }
-        assert!(l1.len() <= L1_PROBE);
+        assert!(l1.len <= L1_PROBE);
         assert_eq!(evictions, 4, "a full window evicts its LRU slot");
         // The most recent insert is resident.
         let last = format!("/p/{}", L1_PROBE as u64 + 3);
@@ -1031,7 +1021,7 @@ mod tests {
             !l1.insert("/a", cache.get("/a").unwrap()),
             "replaced, not evicted"
         );
-        assert_eq!(l1.len(), 1);
+        assert_eq!(l1.len, 1);
         let L1Lookup::Hit(hit) = l1.get("/a") else {
             panic!("replaced entry must hit");
         };

@@ -17,7 +17,7 @@
 //! and a keep-alive origin connection pool ([`upstream`]) that
 //! coalesces identical concurrent misses into one fetch. One process
 //! sustains hundreds of concurrent sockets (bounded by
-//! [`server::MAX_CONNS`]). The proxy's cache
+//! `server::MAX_CONNS`). The proxy's cache
 //! is sharded 16 ways by key hash ([`cache::ShardedCache`]), shared
 //! across all reactors, so background refreshes don't serialize
 //! concurrent hits.

@@ -47,7 +47,7 @@ pub struct Counter(AtomicU64);
 
 impl Counter {
     /// Counts one.
-    pub fn inc(&self) {
+    pub(crate) fn inc(&self) {
         self.0.fetch_add(1, Relaxed);
     }
 
@@ -72,7 +72,7 @@ impl Cell for Counter {
     }
 }
 
-/// A level: set, or raised to a high-water mark.
+/// A level, replaced by each `set`.
 #[derive(Debug, Default)]
 pub struct Gauge(AtomicU64);
 
@@ -80,11 +80,6 @@ impl Gauge {
     /// Replaces the level.
     pub fn set(&self, level: u64) {
         self.0.store(level, Relaxed);
-    }
-
-    /// Raises the level to `level` if that is higher (a high-water mark).
-    pub fn raise(&self, level: u64) {
-        self.0.fetch_max(level, Relaxed);
     }
 }
 
@@ -278,7 +273,7 @@ macro_rules! metrics {
         impl $Name {
             /// Every metric declared here: name, `GET /admin/stats`
             /// path, meaning.
-            pub const METRICS: &'static [$crate::metrics::Metric] = &[
+            pub(crate) const METRICS: &'static [$crate::metrics::Metric] = &[
                 $( $crate::metrics::Metric {
                     name: stringify!($field),
                     path: $path,
@@ -343,7 +338,6 @@ mod tests {
         sample.seen.add(2);
         sample.seen.add(0);
         sample.held.set(1);
-        sample.held.raise(0);
         assert_eq!((sample.seen(), sample.held()), (3, 1));
         assert_eq!(
             Sample::METRICS,
@@ -366,11 +360,10 @@ mod tests {
     }
 
     #[test]
-    fn a_gauge_keeps_its_high_water_and_a_histogram_its_bounds() {
+    fn a_gauge_keeps_its_level_and_a_histogram_its_bounds() {
         let timed = Timed::default();
         assert_eq!((timed.label, Timed::METRICS.len()), ("timed", 2));
-        timed.most.raise(7);
-        timed.most.raise(3);
+        timed.most.set(7);
         timed.most.set(timed.most() + 1);
         assert_eq!(timed.most(), 8);
         for ms in [1, 2, 3, 50] {

@@ -108,12 +108,6 @@ impl LiveOrigin {
     pub fn request_count(&self) -> u64 {
         self.shared.requests.load(Ordering::SeqCst)
     }
-
-    /// Unix-epoch milliseconds of trace time 0 (for converting reported
-    /// stamps back to trace time in tests).
-    pub fn epoch_unix_ms(&self) -> u64 {
-        self.shared.epoch_unix_ms
-    }
 }
 
 impl std::fmt::Debug for LiveOrigin {
@@ -266,7 +260,7 @@ mod tests {
         let resp = client.get("/obj", None).unwrap();
         assert_eq!(resp.status(), StatusCode::OK);
         let lm = last_modified_ms(&resp).expect("stamped");
-        assert!(lm.as_millis() >= origin.epoch_unix_ms());
+        assert!(lm.as_millis() >= origin.shared.epoch_unix_ms);
         assert!(ObjectStamps::of(&resp).value.is_some());
         assert!(std::str::from_utf8(resp.body()).unwrap().contains("/obj"));
     }

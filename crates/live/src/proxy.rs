@@ -28,7 +28,7 @@
 //! serving head at store time, so a hit is two shared slices handed to
 //! `writev` — no serialization and no body copy on the hot path, however
 //! many clients share the entry. Concurrency is bounded by
-//! [`crate::server::MAX_CONNS`] connections, split across the reactors.
+//! `crate::server::MAX_CONNS` connections, split across the reactors.
 //!
 //! # The admin control plane
 //!

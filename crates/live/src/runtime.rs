@@ -76,11 +76,11 @@ use crate::proxy::{GroupRule, RefreshRule, ADMIN_PREFIX};
 /// against a looser bound, and with `ttr_max` held to 64 times it (the
 /// default multiple) every `timestamp + TTR` on the millisecond timeline
 /// stays far from `u64` overflow.
-pub const MAX_DELTA: Duration = Duration::from_hours(365 * 24);
+pub(crate) const MAX_DELTA: Duration = Duration::from_hours(365 * 24);
 
 /// Validates a rule set + group the way both [`crate::proxy::LiveProxy::start`]
 /// and the `PUT /admin/rules` endpoint require: unique paths that don't
-/// shadow control endpoints, tolerances within [`MAX_DELTA`], per-rule
+/// shadow control endpoints, tolerances within `MAX_DELTA`, per-rule
 /// LIMD configs that build cleanly (positive Δ, `ttr_max ≥ Δ`), and a
 /// positive group δ. Returns the LIMD configuration each rule implies,
 /// in order.
@@ -151,7 +151,7 @@ pub fn validate(
 /// What a successful [`ConsistencyRuntime::install`] did, as the
 /// schedule reports it: paths added and changed in the rule set's order,
 /// paths removed sorted (the proxy's install hook evicts their copies).
-pub type InstallReport = Swap<Arc<str>>;
+pub(crate) type InstallReport = Swap<Arc<str>>;
 
 /// Live per-path refresher state, as published for `GET /admin/rules`.
 #[derive(Debug, Clone, PartialEq)]

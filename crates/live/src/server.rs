@@ -67,12 +67,12 @@
 //! [`EngineMetrics`] counts the syscalls so the effect is observable
 //! from `/admin/stats`.
 //!
-//! Concurrent-connection capacity is bounded by [`MAX_CONNS`], split
+//! Concurrent-connection capacity is bounded by `MAX_CONNS`, split
 //! evenly across reactors: a reactor at its share drops its listener's
 //! readiness interest, parking further clients in the kernel backlog
 //! until a slot frees. That is the engine's one overload policy, and it
-//! is fixed: a client parked for [`PARK_DEADLINE`] is accepted, told
-//! `503` with `Retry-After:` [`RETRY_AFTER_SECS`] and closed. A shed
+//! is fixed: a client parked for `PARK_DEADLINE` is accepted, told
+//! `503` with `Retry-After: 1` and closed. A shed
 //! pass that empties the backlog watches the listener again, so the next
 //! client to arrive at the bound parks with a deadline of its own and an
 //! empty backlog costs no wake. On shutdown every reactor is woken and
@@ -106,7 +106,7 @@ use crate::vectored::FlushStats;
 /// Concurrent-connection bound of every event loop, split exactly across
 /// its reactors. Sized for "hundreds of sockets through one process"
 /// with headroom.
-pub const MAX_CONNS: usize = 1024;
+pub(crate) const MAX_CONNS: usize = 1024;
 
 /// The capacity of the L1 `benchmark/` replays in its layer figures;
 /// kept because `benchmark/` (read-only here) reads it. The proxy has
@@ -122,10 +122,10 @@ pub const DEFAULT_REFRESH_WORKERS: usize = POLL_WIDTH;
 
 /// Ceiling on the reactor count — beyond this the listeners outnumber
 /// any plausible load.
-pub const MAX_REACTORS: usize = 64;
+pub(crate) const MAX_REACTORS: usize = 64;
 
 /// The default reactor count: one per available core, capped at
-/// [`MAX_REACTORS`].
+/// `MAX_REACTORS`.
 pub fn default_reactors() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
@@ -150,12 +150,9 @@ const DRAIN_GRACE: Duration = Duration::from_millis(250);
 
 /// How long a client may wait parked in the kernel backlog of a reactor
 /// at its connection bound before it is accepted, told `503` and closed.
-pub const PARK_DEADLINE: Duration = Duration::from_secs(1);
-/// The `Retry-After` a parked client is told, in seconds: the value
-/// written in `PARKED_503`.
-pub const RETRY_AFTER_SECS: u32 = 1;
+pub(crate) const PARK_DEADLINE: Duration = Duration::from_secs(1);
 /// What a client parked past [`PARK_DEADLINE`] is told before the close,
-/// rendered once: `503` with `Retry-After:` [`RETRY_AFTER_SECS`].
+/// rendered once: `503` with `Retry-After: 1` (seconds).
 const PARKED_503: &[u8] = b"HTTP/1.1 503 Service Unavailable\r\n\
     retry-after: 1\r\nconnection: close\r\ncontent-length: 0\r\n\r\n";
 /// Most parked backlog connections drained with a `503` per deadline
@@ -288,7 +285,7 @@ metrics! {
     /// Lightweight always-on counters an event loop's reactors maintain, for
     /// the admin control plane (`GET /admin/stats`). The loop builds them
     /// and lends them to each [`Service`] it constructs. Per-reactor slots
-    /// are sized at [`MAX_REACTORS`], the most reactors a loop runs, so
+    /// are sized at `MAX_REACTORS`, the most reactors a loop runs, so
     /// the struct's shape does not depend on the count; all cells are
     /// relaxed atomics — observability, not synchronization.
     pub struct EngineMetrics {
@@ -352,7 +349,7 @@ impl EngineMetrics {
     }
 
     /// Client connections ever accepted, one entry per reactor.
-    pub fn reactor_accepted(&self) -> Vec<u64> {
+    pub(crate) fn reactor_accepted(&self) -> Vec<u64> {
         self.accepted[..self.reactor_count()]
             .iter()
             .map(Cell::value)
@@ -409,7 +406,7 @@ pub struct EventLoop {
 impl EventLoop {
     /// Binds localhost listeners on a shared ephemeral port, one per
     /// reactor, and starts `reactors` reactor threads (clamped to
-    /// `1..=`[`MAX_REACTORS`]; [`default_reactors`] is one per core).
+    /// `1..=MAX_REACTORS`; [`default_reactors`] is one per core).
     /// `new_service(i, metrics)` is called once per reactor, in reactor
     /// order (reactor 0's instance first), with the loop's counters; each
     /// reactor owns the instance it gets.
@@ -2181,11 +2178,7 @@ mod tests {
         let mut buf = BytesMut::new();
         let resp = read_response(&mut c, &mut buf).unwrap();
         assert_eq!(resp.status(), StatusCode::SERVICE_UNAVAILABLE);
-        let retry_after = RETRY_AFTER_SECS.to_string();
-        assert_eq!(
-            resp.headers().get("retry-after"),
-            Some(retry_after.as_str())
-        );
+        assert_eq!(resp.headers().get("retry-after"), Some("1"));
         let mut rest = Vec::new();
         assert_eq!(c.read_to_end(&mut rest).unwrap(), 0, "then a clean close");
         assert!(server.metrics().parked_shed() >= 1);

@@ -33,7 +33,7 @@ use std::time::Instant;
 pub const MAX_CONNS_PER_ORIGIN: usize = 32;
 
 /// Identifies one fetch job within a pool.
-pub type JobId = usize;
+pub(crate) type JobId = usize;
 
 /// How a submitted miss was filed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,7 +42,7 @@ pub enum Submit {
     /// was added to it. No new origin work.
     Coalesced(JobId),
     /// A new job was created and queued; the caller should try to start
-    /// it ([`PoolCore::claim_idle`] / [`PoolCore::can_open`]).
+    /// it ([`PoolCore::claim_idle`] / `PoolCore::can_open`).
     New(JobId),
 }
 
@@ -57,7 +57,7 @@ impl Submit {
 
 /// What remains of a job after a waiter leaves it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AfterLeave {
+pub(crate) enum AfterLeave {
     /// Other waiters remain; the fetch continues.
     StillWanted,
     /// No waiters remain but a connection is already fetching; let it
@@ -201,7 +201,7 @@ impl<W> PoolCore<W> {
     }
 
     /// The next queued job for `addr` without removing it.
-    pub fn front_queued(&self, addr: SocketAddr) -> Option<JobId> {
+    pub(crate) fn front_queued(&self, addr: SocketAddr) -> Option<JobId> {
         self.origin(addr)?.queued.front().copied()
     }
 
@@ -216,7 +216,7 @@ impl<W> PoolCore<W> {
     }
 
     /// Whether another connection to `addr` may be opened.
-    pub fn can_open(&self, addr: SocketAddr) -> bool {
+    pub(crate) fn can_open(&self, addr: SocketAddr) -> bool {
         self.open_len(addr) < self.max_per_origin
     }
 
@@ -226,7 +226,7 @@ impl<W> PoolCore<W> {
     }
 
     /// Records a connection to `addr` closed (for any reason).
-    pub fn note_closed(&mut self, addr: SocketAddr) {
+    pub(crate) fn note_closed(&mut self, addr: SocketAddr) {
         if let Some(origin) = self.origin_mut(addr) {
             origin.open = origin.open.saturating_sub(1);
         }
@@ -261,14 +261,14 @@ impl<W> PoolCore<W> {
 
     /// Whether `job`, whose socket turned out stale, may be retried on a
     /// fresh one: its one retry is unspent and someone still waits on it.
-    pub fn retry_eligible(&self, job: JobId) -> bool {
+    pub(crate) fn retry_eligible(&self, job: JobId) -> bool {
         self.job(job)
             .is_some_and(|j| !j.retried && !j.waiters.is_empty())
     }
 
     /// Returns a failed job to the *front* of its origin's queue for the
     /// one-shot stale-socket retry.
-    pub fn requeue_for_retry(&mut self, job: JobId) {
+    pub(crate) fn requeue_for_retry(&mut self, job: JobId) {
         if let Some(j) = self.jobs[job].as_mut() {
             j.assigned = None;
             j.retried = true;
@@ -279,7 +279,7 @@ impl<W> PoolCore<W> {
 
     /// Removes the waiters matching `leaving` from a job (a client that
     /// closed before its fetch finished) and reports what is left.
-    pub fn leave(&mut self, job: JobId, mut leaving: impl FnMut(&W) -> bool) -> AfterLeave {
+    pub(crate) fn leave(&mut self, job: JobId, mut leaving: impl FnMut(&W) -> bool) -> AfterLeave {
         let Some(j) = self.jobs.get_mut(job).and_then(Option::as_mut) else {
             return AfterLeave::Dropped;
         };
@@ -301,7 +301,7 @@ impl<W> PoolCore<W> {
 
     /// Removes a connection from the idle lists (it died while parked).
     /// Returns its origin if it was indeed idle.
-    pub fn forget_idle(&mut self, conn: usize) -> Option<SocketAddr> {
+    pub(crate) fn forget_idle(&mut self, conn: usize) -> Option<SocketAddr> {
         self.origins.iter_mut().find_map(|origin| {
             let at = origin.idle.iter().position(|&(c, _)| c == conn)?;
             origin.idle.remove(at);
@@ -311,7 +311,7 @@ impl<W> PoolCore<W> {
 
     /// Idle connections parked longer than `max_age`, removed from the
     /// ledger and returned (with their origin) for the caller to close.
-    pub fn reap_idle(
+    pub(crate) fn reap_idle(
         &mut self,
         now: Instant,
         max_age: std::time::Duration,
@@ -329,19 +329,23 @@ impl<W> PoolCore<W> {
         reaped
     }
 
-    /// Number of idle pooled connections for `addr` (tests).
-    pub fn idle_len(&self, addr: SocketAddr) -> usize {
+    /// Open connections recorded for `addr`.
+    pub(crate) fn open_len(&self, addr: SocketAddr) -> usize {
+        self.origin(addr).map_or(0, |o| o.open)
+    }
+}
+
+/// What the reactor's and this module's tests read of the pool.
+#[cfg(test)]
+impl<W> PoolCore<W> {
+    /// Number of idle pooled connections for `addr`.
+    pub(crate) fn idle_len(&self, addr: SocketAddr) -> usize {
         self.origin(addr).map_or(0, |o| o.idle.len())
     }
 
-    /// Number of queued jobs for `addr` (tests).
-    pub fn queued_len(&self, addr: SocketAddr) -> usize {
+    /// Number of queued jobs for `addr`.
+    pub(crate) fn queued_len(&self, addr: SocketAddr) -> usize {
         self.origin(addr).map_or(0, |o| o.queued.len())
-    }
-
-    /// Open connections recorded for `addr` (tests).
-    pub fn open_len(&self, addr: SocketAddr) -> usize {
-        self.origin(addr).map_or(0, |o| o.open)
     }
 }
 

@@ -121,12 +121,12 @@ impl WritePlan {
     }
 
     /// Whether nothing is queued at all.
-    pub fn is_idle(&self) -> bool {
+    pub(crate) fn is_idle(&self) -> bool {
         self.buf.is_empty() && self.body.is_none()
     }
 
     /// Whether queued bytes are still waiting for the sink.
-    pub fn has_unwritten(&self) -> bool {
+    pub(crate) fn has_unwritten(&self) -> bool {
         self.written < self.total()
     }
 

@@ -72,7 +72,7 @@ impl PollLog {
     }
 
     /// Polls initiated by the mutual-consistency coordinator.
-    pub fn triggered_count(&self) -> u64 {
+    pub(crate) fn triggered_count(&self) -> u64 {
         self.records.iter().filter(|r| r.triggered).count() as u64
     }
 
@@ -83,7 +83,7 @@ impl PollLog {
 
     /// Iterates over the held-version timeline: `(held_from, version_index)`
     /// for every refresh, in order.
-    pub fn refresh_timeline(&self) -> impl Iterator<Item = (Timestamp, usize)> + '_ {
+    pub(crate) fn refresh_timeline(&self) -> impl Iterator<Item = (Timestamp, usize)> + '_ {
         self.records.iter().filter_map(|r| match r.outcome {
             PollOutcome::Refreshed { version_index } => Some((r.at, version_index)),
             PollOutcome::NotModified => None,

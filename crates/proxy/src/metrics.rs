@@ -238,7 +238,7 @@ pub struct FPoint {
 /// `[from, to]` (Figure 8). Points are emitted at every change instant,
 /// plus one at `from`; segments where either side is still unfetched are
 /// skipped.
-pub fn f_timeline(
+pub(crate) fn f_timeline(
     trace_a: &UpdateTrace,
     log_a: &PollLog,
     trace_b: &UpdateTrace,

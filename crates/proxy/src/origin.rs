@@ -77,11 +77,6 @@ pub struct HostedObject<'a> {
 }
 
 impl<'a> HostedObject<'a> {
-    /// The object's id.
-    pub fn id(&self) -> &'a ObjectId {
-        self.id
-    }
-
     /// The ground-truth trace behind the object.
     pub fn trace(&self) -> &'a UpdateTrace {
         self.trace

@@ -39,16 +39,6 @@ impl Bytes {
     pub fn from_static(data: &'static [u8]) -> Self {
         Bytes::copy_from_slice(data)
     }
-
-    /// Length in bytes.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
 }
 
 impl Deref for Bytes {
@@ -128,11 +118,6 @@ impl BytesMut {
         BytesMut(Vec::new())
     }
 
-    /// An empty buffer with reserved capacity.
-    pub fn with_capacity(cap: usize) -> Self {
-        BytesMut(Vec::with_capacity(cap))
-    }
-
     /// Appends `data` to the buffer.
     pub fn extend_from_slice(&mut self, data: &[u8]) {
         self.0.extend_from_slice(data);
@@ -163,23 +148,13 @@ impl BytesMut {
         self.0.drain(..cnt);
     }
 
-    /// Length in bytes.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
     /// Clears the buffer.
     pub fn clear(&mut self) {
         self.0.clear();
     }
 
     /// Converts into an immutable [`Bytes`].
-    pub fn freeze(self) -> Bytes {
+    pub(crate) fn freeze(self) -> Bytes {
         Bytes::from(self.0)
     }
 }
@@ -235,7 +210,7 @@ mod tests {
 
     #[test]
     fn advance_consumes_in_place() {
-        let mut buf = BytesMut::with_capacity(64);
+        let mut buf = BytesMut(Vec::with_capacity(64));
         buf.extend_from_slice(b"abcdef");
         let cap = buf.0.capacity();
         buf.advance(4);

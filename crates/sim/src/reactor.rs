@@ -54,39 +54,39 @@ pub use backend::BackendKind;
 mod sys {
     use std::os::raw::{c_int, c_long, c_void};
 
-    pub const EPOLL_CLOEXEC: c_int = 0o2000000;
-    pub const EPOLL_CTL_ADD: c_int = 1;
-    pub const EPOLL_CTL_MOD: c_int = 3;
+    pub(crate) const EPOLL_CLOEXEC: c_int = 0o2000000;
+    pub(crate) const EPOLL_CTL_ADD: c_int = 1;
+    pub(crate) const EPOLL_CTL_MOD: c_int = 3;
 
-    pub const EPOLLIN: u32 = 0x001;
+    pub(crate) const EPOLLIN: u32 = 0x001;
     pub const EPOLLOUT: u32 = 0x004;
-    pub const EPOLLERR: u32 = 0x008;
-    pub const EPOLLHUP: u32 = 0x010;
-    pub const EPOLLRDHUP: u32 = 0x2000;
+    pub(crate) const EPOLLERR: u32 = 0x008;
+    pub(crate) const EPOLLHUP: u32 = 0x010;
+    pub(crate) const EPOLLRDHUP: u32 = 0x2000;
 
-    pub const AF_INET: c_int = 2;
-    pub const SOCK_STREAM: c_int = 1;
-    pub const SOCK_NONBLOCK: c_int = 0o4000;
-    pub const SOCK_CLOEXEC: c_int = 0o2000000;
+    pub(crate) const AF_INET: c_int = 2;
+    pub(crate) const SOCK_STREAM: c_int = 1;
+    pub(crate) const SOCK_NONBLOCK: c_int = 0o4000;
+    pub(crate) const SOCK_CLOEXEC: c_int = 0o2000000;
 
     pub const EINTR: i32 = 4;
-    pub const ENOSYS: i32 = 38;
+    pub(crate) const ENOSYS: i32 = 38;
 
     /// `epoll_pwait2(2)` (Linux 5.11), numbered alike on every
     /// architecture; called through `syscall(2)`, which every C library
     /// has, where the wrapper needs glibc 2.35.
-    pub const SYS_EPOLL_PWAIT2: c_long = 441;
-    pub const EINPROGRESS: i32 = 115;
+    pub(crate) const SYS_EPOLL_PWAIT2: c_long = 441;
+    pub(crate) const EINPROGRESS: i32 = 115;
 
-    pub const SOL_SOCKET: c_int = 1;
-    pub const SO_REUSEADDR: c_int = 2;
+    pub(crate) const SOL_SOCKET: c_int = 1;
+    pub(crate) const SO_REUSEADDR: c_int = 2;
     pub const SO_REUSEPORT: c_int = 15;
 
     pub const RLIMIT_NOFILE: c_int = 7;
 
     /// `struct rlimit64` for `prlimit64(2)`.
     #[repr(C)]
-    pub struct RLimit64 {
+    pub(crate) struct RLimit64 {
         pub cur: u64,
         pub max: u64,
     }
@@ -96,14 +96,14 @@ mod sys {
     #[repr(C)]
     #[cfg_attr(target_arch = "x86_64", repr(packed))]
     #[derive(Clone, Copy)]
-    pub struct EpollEvent {
+    pub(crate) struct EpollEvent {
         pub events: u32,
         pub data: u64,
     }
 
     /// IPv4 `struct sockaddr_in` (port and address in network byte order).
     #[repr(C)]
-    pub struct SockAddrIn {
+    pub(crate) struct SockAddrIn {
         pub family: u16,
         pub port: u16,
         pub addr: u32,
@@ -112,15 +112,15 @@ mod sys {
 
     /// `struct __kernel_timespec`, the timeout `epoll_pwait2` takes.
     #[repr(C)]
-    pub struct KernelTimespec {
+    pub(crate) struct KernelTimespec {
         pub sec: i64,
         pub nsec: i64,
     }
 
     extern "C" {
-        pub fn epoll_create1(flags: c_int) -> c_int;
+        pub(crate) fn epoll_create1(flags: c_int) -> c_int;
         pub fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
-        pub fn epoll_wait(
+        pub(crate) fn epoll_wait(
             epfd: c_int,
             events: *mut EpollEvent,
             maxevents: c_int,
@@ -128,7 +128,7 @@ mod sys {
         ) -> c_int;
         pub fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
         pub fn connect(fd: c_int, addr: *const c_void, len: u32) -> c_int;
-        pub fn setsockopt(
+        pub(crate) fn setsockopt(
             fd: c_int,
             level: c_int,
             optname: c_int,
@@ -136,8 +136,8 @@ mod sys {
             optlen: u32,
         ) -> c_int;
         pub fn bind(fd: c_int, addr: *const c_void, len: u32) -> c_int;
-        pub fn listen(fd: c_int, backlog: c_int) -> c_int;
-        pub fn prlimit64(
+        pub(crate) fn listen(fd: c_int, backlog: c_int) -> c_int;
+        pub(crate) fn prlimit64(
             pid: c_int,
             resource: c_int,
             new_limit: *const RLimit64,
@@ -151,6 +151,16 @@ mod sys {
 /// kernel before 5.11); every wait then takes `epoll_wait`'s whole
 /// milliseconds. Relaxed: it publishes nothing but itself.
 static PWAIT2: AtomicBool = AtomicBool::new(true);
+
+/// `epoll_wait`'s timeout for `timeout`: `-1` (forever) for `None`, else
+/// whole milliseconds rounded up, so a 0.4 ms deadline does not busy-spin
+/// at 0 and a whole-millisecond one is not waited a millisecond past;
+/// capped at `i32::MAX`.
+fn timeout_ms(timeout: Option<Duration>) -> i32 {
+    timeout.map_or(-1, |d| {
+        d.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as i32
+    })
+}
 
 /// Converts a `-1` syscall return into the current `errno` as an
 /// [`io::Error`].
@@ -312,12 +322,7 @@ impl Poller {
     ///
     /// Propagates `epoll_wait` failures.
     pub fn wait(&self, events: &mut Events, timeout: Option<Duration>) -> io::Result<usize> {
-        let timeout_ms: i32 = match timeout {
-            None => -1,
-            Some(d) if d.is_zero() => 0,
-            // Round up so a 0.4 ms deadline doesn't busy-spin at 0.
-            Some(d) => d.as_millis().saturating_add(1).min(i32::MAX as u128) as i32,
-        };
+        let timeout_ms = timeout_ms(timeout);
         events.len = 0;
         loop {
             let ret = match timeout {
@@ -716,6 +721,21 @@ mod tests {
             waited[5] < Duration::from_micros(900),
             "rounded up: {waited:?}"
         );
+    }
+
+    /// The `epoll_wait` fallback's milliseconds: rounded up, never one
+    /// past a whole millisecond, and capped.
+    #[test]
+    fn a_timeout_rounds_up_to_whole_milliseconds() {
+        assert_eq!(timeout_ms(None), -1);
+        assert_eq!(timeout_ms(Some(Duration::ZERO)), 0);
+        assert_eq!(timeout_ms(Some(Duration::from_micros(300))), 1);
+        assert_eq!(timeout_ms(Some(Duration::from_millis(5))), 5);
+        assert_eq!(timeout_ms(Some(Duration::from_micros(5_300))), 6);
+        assert_eq!(timeout_ms(Some(Duration::from_millis(200))), 200);
+        let past = Duration::from_millis(i32::MAX as u64 + 1);
+        assert_eq!(timeout_ms(Some(past)), i32::MAX);
+        assert_eq!(timeout_ms(Some(Duration::MAX)), i32::MAX);
     }
 
     #[test]

@@ -104,7 +104,7 @@ impl NamedTrace {
 
     /// Wall-clock hour at which the collection window opened (sets the
     /// diurnal phase for the news workloads).
-    pub fn start_hour(self) -> f64 {
+    pub(crate) fn start_hour(self) -> f64 {
         match self {
             NamedTrace::CnnFn => 13.07,     // 13:04
             NamedTrace::NytAp => 14.12,     // 14:07

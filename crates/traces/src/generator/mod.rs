@@ -18,6 +18,6 @@ pub mod news;
 pub mod stock;
 pub mod zipf;
 
-pub use news::{DiurnalProfile, NewsTraceBuilder};
+pub use news::NewsTraceBuilder;
 pub use stock::StockTraceBuilder;
 pub use zipf::{ZipfCatalog, ZipfCatalogBuilder};

@@ -14,83 +14,16 @@ use mutcon_sim::rng::SimRng;
 
 use crate::model::{TraceError, UpdateEvent, UpdateTrace};
 
-/// Relative newsroom activity for each hour of the day (0–23).
+/// Relative newsroom activity for each hour of the day (0–23): silent in
+/// the small hours (02:00–05:59), a morning ramp, a midday/afternoon peak
+/// and a gradual evening decline — the shape visible in Figure 4(a).
 ///
 /// Values are relative weights (they need not sum to anything); hours with
 /// weight zero never receive updates.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DiurnalProfile {
-    weights: [f64; 24],
-}
-
-impl DiurnalProfile {
-    /// A flat profile: updates uniformly likely at any hour.
-    pub fn flat() -> Self {
-        DiurnalProfile { weights: [1.0; 24] }
-    }
-
-    /// A newsroom profile: silent in the small hours (02:00–05:59), a
-    /// morning ramp, a midday/afternoon peak and a gradual evening
-    /// decline — the shape visible in Figure 4(a).
-    pub fn newsroom() -> Self {
-        let mut weights = [0.0f64; 24];
-        let shape: [(usize, f64); 24] = [
-            (0, 0.3),
-            (1, 0.1),
-            (2, 0.0),
-            (3, 0.0),
-            (4, 0.0),
-            (5, 0.0),
-            (6, 0.2),
-            (7, 0.5),
-            (8, 0.9),
-            (9, 1.2),
-            (10, 1.4),
-            (11, 1.5),
-            (12, 1.5),
-            (13, 1.6),
-            (14, 1.6),
-            (15, 1.5),
-            (16, 1.4),
-            (17, 1.3),
-            (18, 1.1),
-            (19, 1.0),
-            (20, 0.9),
-            (21, 0.8),
-            (22, 0.6),
-            (23, 0.4),
-        ];
-        for (h, w) in shape {
-            weights[h] = w;
-        }
-        DiurnalProfile { weights }
-    }
-
-    /// Builds a profile from explicit per-hour weights.
-    ///
-    /// # Errors
-    ///
-    /// Returns `None` if any weight is negative/non-finite or all weights
-    /// are zero.
-    pub fn from_weights(weights: [f64; 24]) -> Option<Self> {
-        if weights.iter().any(|w| !w.is_finite() || *w < 0.0) {
-            return None;
-        }
-        if weights.iter().sum::<f64>() <= 0.0 {
-            return None;
-        }
-        Some(DiurnalProfile { weights })
-    }
-
-    /// The weight for a given hour (0–23).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hour >= 24`.
-    pub fn weight(&self, hour: usize) -> f64 {
-        self.weights[hour]
-    }
-}
+const NEWSROOM: [f64; 24] = [
+    0.3, 0.1, 0.0, 0.0, 0.0, 0.0, 0.2, 0.5, 0.9, 1.2, 1.4, 1.5, // 00–11
+    1.5, 1.6, 1.6, 1.5, 1.4, 1.3, 1.1, 1.0, 0.9, 0.8, 0.6, 0.4, // 12–23
+];
 
 /// Builder for a news-style (temporal) update trace.
 #[derive(Debug, Clone)]
@@ -99,7 +32,6 @@ pub struct NewsTraceBuilder {
     duration: Duration,
     updates: usize,
     start_hour: f64,
-    profile: DiurnalProfile,
     seed: u64,
 }
 
@@ -112,21 +44,14 @@ impl NewsTraceBuilder {
             duration,
             updates,
             start_hour: 13.0, // the paper's collections began early afternoon
-            profile: DiurnalProfile::newsroom(),
             seed: 0,
         }
     }
 
     /// Wall-clock hour of day (0–24) at which the trace window opens;
     /// determines where the diurnal quiet periods fall.
-    pub fn start_hour(mut self, hour: f64) -> Self {
+    pub(crate) fn start_hour(mut self, hour: f64) -> Self {
         self.start_hour = hour.rem_euclid(24.0);
-        self
-    }
-
-    /// Sets the diurnal profile.
-    pub fn profile(mut self, profile: DiurnalProfile) -> Self {
-        self.profile = profile;
         self
     }
 
@@ -150,7 +75,7 @@ impl NewsTraceBuilder {
 
         // Piecewise-constant intensity over hour-aligned segments,
         // beginning mid-hour if start_hour is fractional.
-        let segments = hour_segments(self.start_hour, self.duration, &self.profile);
+        let segments = hour_segments(self.start_hour, self.duration, &NEWSROOM);
         let total_weight: f64 = segments.iter().map(|s| s.weight()).sum();
         // All-zero windows (short trace inside the quiet hours) fall back
         // to uniform placement rather than failing.
@@ -209,7 +134,7 @@ impl Segment {
     }
 }
 
-fn hour_segments(start_hour: f64, duration: Duration, profile: &DiurnalProfile) -> Vec<Segment> {
+fn hour_segments(start_hour: f64, duration: Duration, profile: &[f64; 24]) -> Vec<Segment> {
     const HOUR_MS: u64 = 3_600_000;
     let mut segments = Vec::new();
     let mut offset = 0u64;
@@ -223,7 +148,7 @@ fn hour_segments(start_hour: f64, duration: Duration, profile: &DiurnalProfile) 
         segments.push(Segment {
             offset_ms: offset,
             len_ms: len,
-            rate: profile.weight(hour as usize),
+            rate: profile[hour as usize],
         });
         offset += len;
         wall_ms += len;
@@ -301,24 +226,6 @@ mod tests {
     }
 
     #[test]
-    fn flat_profile_spreads_updates() {
-        let trace = NewsTraceBuilder::new("t", Duration::from_hours(10), 1_000)
-            .profile(DiurnalProfile::flat())
-            .seed(5)
-            .build()
-            .unwrap();
-        // Count per 1-hour bucket; flat placement keeps buckets within a
-        // loose band around 100.
-        let mut buckets = [0u32; 10];
-        for e in &trace.events()[1..] {
-            buckets[(e.at.as_millis() / 3_600_000) as usize] += 1;
-        }
-        for (i, b) in buckets.iter().enumerate() {
-            assert!((50..200).contains(b), "bucket {i} has {b} updates");
-        }
-    }
-
-    #[test]
     fn zero_weight_window_falls_back_to_uniform() {
         // 2-hour window starting 03:00: entirely inside the quiet period.
         let trace = NewsTraceBuilder::new("t", Duration::from_hours(2), 10)
@@ -332,7 +239,6 @@ mod tests {
     #[test]
     fn events_strictly_increase() {
         let trace = NewsTraceBuilder::new("t", Duration::from_secs(10), 500)
-            .profile(DiurnalProfile::flat())
             .seed(11)
             .build()
             .unwrap();
@@ -341,25 +247,30 @@ mod tests {
         }
     }
 
+    /// The profile's weights shape placement: over two days from
+    /// midnight, the 13:00 hour (weight 1.6) gets many times the updates
+    /// of the 01:00 hour (weight 0.1).
     #[test]
     fn profile_validation() {
-        assert!(DiurnalProfile::from_weights([0.0; 24]).is_none());
-        let mut bad = [1.0; 24];
-        bad[3] = -1.0;
-        assert!(DiurnalProfile::from_weights(bad).is_none());
-        bad[3] = f64::NAN;
-        assert!(DiurnalProfile::from_weights(bad).is_none());
-        assert!(DiurnalProfile::from_weights([1.0; 24]).is_some());
-        assert_eq!(DiurnalProfile::newsroom().weight(3), 0.0);
-        assert!(DiurnalProfile::newsroom().weight(13) > 1.0);
+        let trace = NewsTraceBuilder::new("t", Duration::from_hours(48), 2_000)
+            .start_hour(0.0)
+            .seed(13)
+            .build()
+            .unwrap();
+        let in_hour = |h: u64| {
+            trace.events()[1..]
+                .iter()
+                .filter(|e| (e.at.as_millis() / 3_600_000) % 24 == h)
+                .count()
+        };
+        let (busy, quiet) = (in_hour(13), in_hour(1));
+        assert!(busy > 5 * quiet.max(1), "13:00 {busy} vs 01:00 {quiet}");
     }
 
     #[test]
     fn overfull_window_errors() {
         // 5 ms window cannot hold 100 distinct update instants.
-        let result = NewsTraceBuilder::new("t", Duration::from_millis(5), 100)
-            .profile(DiurnalProfile::flat())
-            .build();
+        let result = NewsTraceBuilder::new("t", Duration::from_millis(5), 100).build();
         assert!(result.is_err());
     }
 
@@ -395,12 +306,10 @@ mod tests {
         }
     }
 
-    /// A custom profile active only 08:00–15:59 puts no update outside it.
+    /// The newsroom profile's silent hours, 02:00–05:59, get no update
+    /// for any seed.
     #[test]
     fn zero_weight_hours_stay_quiet_for_any_seed() {
-        let mut weights = [0.0; 24];
-        weights[8..16].fill(1.0);
-        let profile = DiurnalProfile::from_weights(weights).unwrap();
         for seed in 0..256 {
             let mut rng = SimRng::seed_from_u64(seed);
             let trace = NewsTraceBuilder::new(
@@ -409,14 +318,13 @@ mod tests {
                 rng.uniform_u64(1, 200) as usize,
             )
             .start_hour(0.0)
-            .profile(profile.clone())
             .seed(rng.uniform_u64(0, u64::MAX))
             .build()
             .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
             for e in &trace.events()[1..] {
                 let hour = (e.at.as_millis() / 3_600_000) % 24;
                 assert!(
-                    (8..16).contains(&hour),
+                    !(2..6).contains(&hour),
                     "seed {seed}: update at hour {hour}"
                 );
             }

@@ -18,6 +18,12 @@ use mutcon_sim::rng::SimRng;
 
 use crate::model::{TraceError, UpdateEvent, UpdateTrace};
 
+/// Per-tick standard deviation of the walk, as a fraction of the band
+/// width.
+const VOLATILITY: f64 = 0.15;
+/// Pull-to-centre strength per tick.
+const MEAN_REVERSION: f64 = 0.02;
+
 /// Builder for a stock-style (valued) update trace.
 #[derive(Debug, Clone)]
 pub struct StockTraceBuilder {
@@ -27,8 +33,6 @@ pub struct StockTraceBuilder {
     min: f64,
     max: f64,
     initial: Option<f64>,
-    volatility: f64,
-    mean_reversion: f64,
     jitter: f64,
     seed: u64,
 }
@@ -50,8 +54,6 @@ impl StockTraceBuilder {
             min,
             max,
             initial: None,
-            volatility: 0.15,
-            mean_reversion: 0.02,
             jitter: 0.35,
             seed: 0,
         }
@@ -60,20 +62,6 @@ impl StockTraceBuilder {
     /// Sets the opening price (defaults to the band midpoint).
     pub fn initial(mut self, price: f64) -> Self {
         self.initial = Some(price);
-        self
-    }
-
-    /// Per-tick standard deviation as a fraction of the band width
-    /// (default 0.15). Larger values make the price noisier.
-    pub fn volatility(mut self, v: f64) -> Self {
-        self.volatility = v;
-        self
-    }
-
-    /// Pull-to-centre strength per tick (default 0.02); zero disables
-    /// mean reversion.
-    pub fn mean_reversion(mut self, kappa: f64) -> Self {
-        self.mean_reversion = kappa;
         self
     }
 
@@ -95,9 +83,9 @@ impl StockTraceBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`TraceError`] for an inverted/degenerate price band, an
-    /// opening price outside the band, non-finite parameters, or a window
-    /// too short to hold the ticks.
+    /// Returns [`TraceError`] for an inverted, degenerate or non-finite
+    /// price band, an opening price outside the band, or a window too
+    /// short to hold the ticks.
     pub fn build(self) -> Result<UpdateTrace, TraceError> {
         // Price-band and parameter validation; TraceError::InvalidWindow
         // covers window problems, parameter issues map onto OutOfRange.
@@ -112,11 +100,6 @@ impl StockTraceBuilder {
             return Err(TraceError::OutOfRange {
                 index: self.updates,
             });
-        }
-        let volatility_ok = self.volatility.is_finite() && self.volatility > 0.0;
-        let reversion_ok = self.mean_reversion.is_finite() && self.mean_reversion >= 0.0;
-        if !volatility_ok || !reversion_ok {
-            return Err(TraceError::OutOfRange { index: 0 });
         }
 
         let mut rng = SimRng::seed_from_u64(self.seed);
@@ -149,12 +132,12 @@ impl StockTraceBuilder {
         let mid = (self.min + self.max) / 2.0;
         // Scale the per-tick step so a full trace explores a good part of
         // the band regardless of tick count: σ_tick = volatility·width/√n.
-        let sigma = self.volatility * width / (n.max(1) as f64).sqrt() * 4.0;
+        let sigma = VOLATILITY * width / (n.max(1) as f64).sqrt() * 4.0;
         let mut price = initial;
         let mut events = Vec::with_capacity(n + 1);
         events.push(UpdateEvent::valued(start, Value::new(price)));
         for ms in instants {
-            let step = rng.normal(0.0, sigma) + self.mean_reversion * (mid - price);
+            let step = rng.normal(0.0, sigma) + MEAN_REVERSION * (mid - price);
             price = reflect(price + step, self.min, self.max);
             events.push(UpdateEvent::valued(
                 start + Duration::from_millis(ms),
@@ -259,13 +242,6 @@ mod tests {
         // Window too small for the tick count.
         assert!(
             StockTraceBuilder::new("x", Duration::from_millis(5), 100, 1.0, 2.0)
-                .build()
-                .is_err()
-        );
-        // Bad volatility.
-        assert!(
-            StockTraceBuilder::new("x", Duration::from_hours(1), 10, 1.0, 2.0)
-                .volatility(0.0)
                 .build()
                 .is_err()
         );

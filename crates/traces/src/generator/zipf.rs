@@ -88,7 +88,6 @@ impl ZipfCatalogBuilder {
         Ok(ZipfCatalog {
             paths,
             cdf,
-            exponent: self.exponent,
             seed: self.seed,
         })
     }
@@ -103,40 +102,13 @@ impl ZipfCatalogBuilder {
 pub struct ZipfCatalog {
     paths: Vec<String>,
     cdf: Vec<f64>,
-    exponent: f64,
     seed: u64,
 }
 
 impl ZipfCatalog {
-    /// Number of objects in the catalog.
-    pub fn len(&self) -> usize {
-        self.paths.len()
-    }
-
-    /// Whether the catalog is empty (never true for a built catalog).
-    pub fn is_empty(&self) -> bool {
-        self.paths.is_empty()
-    }
-
-    /// The Zipf exponent the catalog was built with.
-    pub fn exponent(&self) -> f64 {
-        self.exponent
-    }
-
-    /// All paths in rank order (rank 0 first).
-    pub fn paths(&self) -> &[String] {
-        &self.paths
-    }
-
     /// The path at `rank` (0 = hottest).
     pub fn path(&self, rank: usize) -> &str {
         &self.paths[rank]
-    }
-
-    /// The popularity mass of `rank` — the expected request fraction.
-    pub fn probability(&self, rank: usize) -> f64 {
-        let below = if rank == 0 { 0.0 } else { self.cdf[rank - 1] };
-        self.cdf[rank] - below
     }
 
     /// An RNG for request stream `stream`, forked deterministically from
@@ -167,14 +139,18 @@ mod tests {
         ZipfCatalogBuilder::new(512).seed(7).build().unwrap()
     }
 
+    /// The popularity mass of `rank`: the expected request fraction.
+    fn probability(c: &ZipfCatalog, rank: usize) -> f64 {
+        let below = if rank == 0 { 0.0 } else { c.cdf[rank - 1] };
+        c.cdf[rank] - below
+    }
+
     #[test]
     fn catalog_shape_and_paths() {
         let c = catalog();
-        assert_eq!(c.len(), 512);
-        assert!(!c.is_empty());
+        assert_eq!(c.paths.len(), 512);
         assert_eq!(c.path(0), "/zipf/000");
         assert_eq!(c.path(511), "/zipf/511");
-        assert_eq!(c.paths().len(), 512);
         let ten = ZipfCatalogBuilder::new(10).prefix("/obj").build().unwrap();
         assert_eq!(ten.path(9), "/obj/9");
     }
@@ -184,14 +160,14 @@ mod tests {
         let c = catalog();
         // s = 1: p(rank r) / p(rank 2r) = 2 exactly (same normalizer).
         for r in [0usize, 1, 3, 7, 100] {
-            let ratio = c.probability(r) / c.probability(2 * r + 1);
+            let ratio = probability(&c, r) / probability(&c, 2 * r + 1);
             let expected = (2 * r + 2) as f64 / (r + 1) as f64;
             assert!(
                 (ratio - expected).abs() < 1e-9,
                 "rank {r}: ratio {ratio} vs {expected}"
             );
         }
-        let total: f64 = (0..c.len()).map(|r| c.probability(r)).sum();
+        let total: f64 = (0..c.paths.len()).map(|r| probability(&c, r)).sum();
         assert!((total - 1.0).abs() < 1e-9, "mass sums to {total}");
     }
 
@@ -200,14 +176,14 @@ mod tests {
         let c = catalog();
         let mut rng = c.stream_rng(0);
         let draws = 200_000usize;
-        let mut counts = vec![0u64; c.len()];
+        let mut counts = vec![0u64; c.paths.len()];
         for _ in 0..draws {
             counts[c.sample(&mut rng)] += 1;
         }
         // The head of the distribution must match the law within a few
         // percent at this sample size.
         for (r, &got) in counts.iter().enumerate().take(8) {
-            let expected = c.probability(r) * draws as f64;
+            let expected = probability(&c, r) * draws as f64;
             let got = got as f64;
             assert!(
                 (got - expected).abs() / expected < 0.05,
@@ -239,7 +215,7 @@ mod tests {
     fn exponent_zero_is_uniform() {
         let c = ZipfCatalogBuilder::new(64).exponent(0.0).build().unwrap();
         for r in 0..64 {
-            assert!((c.probability(r) - 1.0 / 64.0).abs() < 1e-12);
+            assert!((probability(&c, r) - 1.0 / 64.0).abs() < 1e-12);
         }
     }
 

@@ -117,7 +117,7 @@ pub fn parse(text: &str) -> Result<Json, JsonError> {
 /// Deepest array/object nesting [`parse`] follows. The parser recurses
 /// per level, and documents arrive from the network (`PUT /admin/rules`):
 /// unbounded, a body of `[[[[…` overflows the stack of whoever parses it.
-pub const MAX_DEPTH: usize = 64;
+pub(crate) const MAX_DEPTH: usize = 64;
 
 struct Parser<'a> {
     bytes: &'a [u8],

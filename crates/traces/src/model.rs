@@ -159,25 +159,6 @@ impl UpdateTrace {
         self.events.len() - 1
     }
 
-    /// Whether the trace carries values on every event.
-    pub fn is_valued(&self) -> bool {
-        self.events.iter().all(|e| e.value.is_some())
-    }
-
-    /// Mean gap between consecutive events, or `None` with fewer than two.
-    pub fn mean_interval(&self) -> Option<Duration> {
-        if self.events.len() < 2 {
-            return None;
-        }
-        let total = self
-            .events
-            .last()
-            .expect("non-empty")
-            .at
-            .since(self.events[0].at);
-        Some(total / (self.events.len() as u64 - 1))
-    }
-
     /// Index of the version current at time `t` (the last event at or
     /// before `t`), or `None` before the first event.
     pub fn version_index_at(&self, t: Timestamp) -> Option<usize> {
@@ -189,7 +170,7 @@ impl UpdateTrace {
     }
 
     /// The event that created the version current at `t`.
-    pub fn event_at(&self, t: Timestamp) -> Option<&UpdateEvent> {
+    pub(crate) fn event_at(&self, t: Timestamp) -> Option<&UpdateEvent> {
         self.version_index_at(t).map(|i| &self.events[i])
     }
 
@@ -200,7 +181,7 @@ impl UpdateTrace {
 
     /// Events with `t1 < at ≤ t2` — "updates since the previous poll" for
     /// a poll at `t2` following one at `t1`.
-    pub fn events_between(&self, t1: Timestamp, t2: Timestamp) -> &[UpdateEvent] {
+    pub(crate) fn events_between(&self, t1: Timestamp, t2: Timestamp) -> &[UpdateEvent] {
         let (lo, hi) = self.range_between(t1, t2);
         &self.events[lo..hi]
     }
@@ -251,6 +232,15 @@ impl UpdateTrace {
         let mut iter = self.events.iter().filter_map(|e| e.value);
         let first = iter.next()?;
         Some(iter.fold((first, first), |(lo, hi), v| (lo.min(v), hi.max(v))))
+    }
+}
+
+/// What the crate's tests read of a trace.
+#[cfg(test)]
+impl UpdateTrace {
+    /// Whether the trace carries values on every event.
+    pub(crate) fn is_valued(&self) -> bool {
+        self.events.iter().all(|e| e.value.is_some())
     }
 }
 
@@ -310,7 +300,6 @@ mod tests {
         assert_eq!(t.update_count(), 2);
         assert_eq!(t.events().len(), 3);
         assert!(t.is_valued());
-        assert_eq!(t.mean_interval(), Some(Duration::from_secs(25)));
     }
 
     #[test]
@@ -394,7 +383,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(t.update_count(), 0);
-        assert_eq!(t.mean_interval(), None);
         assert_eq!(t.validity_of(0), ValidityInterval::open(secs(0)));
     }
 }

@@ -20,6 +20,47 @@ RUSTDOCFLAGS='-D warnings' cargo doc --no-deps --workspace
 # errors, rustc's own `dead_code` among them.
 cargo clippy --workspace --all-targets -- -D warnings
 
+# One public surface per crate, so `dead_code` sees the rest: an item is
+# `pub` only if something outside its crate names it (another workspace
+# crate, the crate's own `tests/` or `src/bin/`, a root
+# `src`/`tests`/`examples` file, `benchmark/src` or a doc example) or a
+# public signature exposes it. A word grep lists the `pub` items above
+# the test modules of every library crate that nothing outside names;
+# the types public signatures expose are all that is left, and the
+# count may only fall.
+max_unnamed_pub=31
+unnamed_pub_items() {
+  local crate known f
+  local item='^[[:space:]]*pub (const |unsafe )?(fn|struct|enum|const|trait|type|static) [A-Za-z_][A-Za-z0-9_]*'
+  for crate in crates/*/ crates/shims/*/; do
+    crate=${crate%/}
+    [ -d "$crate/src" ] || continue
+    known=$( {
+      find crates src tests examples benchmark/src -name '*.rs' \
+        \( -not -path "$crate/src/*" -o -path "$crate/src/bin/*" \) -print0 \
+        | xargs -0 cat
+      find "$crate/src" -name '*.rs' -print0 | xargs -0 awk '
+        /^[[:space:]]*\/\/[\/!][[:space:]]*```/ { fence = !fence; next }
+        fence && /^[[:space:]]*\/\/[\/!]/'
+    } | grep -oE '[A-Za-z_][A-Za-z0-9_]*' | sort -u)
+    for f in $(find "$crate/src" -name '*.rs' -not -path '*/src/bin/*' | sort); do
+      sed '/#\[cfg(test)\]/q' "$f" | { grep -nE "$item" || true; } \
+        | sed -E 's/^([0-9]+):.* (fn|struct|enum|const|trait|type|static) ([A-Za-z_][A-Za-z0-9_]*).*/\1 \3/' \
+        | while read -r line name; do
+            grep -qxF "$name" <<<"$known" || echo "$f:$line: $name"
+          done
+    done
+  done
+}
+unnamed_pub=$(unnamed_pub_items)
+unnamed_count=$(grep -c . <<<"$unnamed_pub" || true)
+echo "ci: $unnamed_count pub items named nowhere outside their crate (at most $max_unnamed_pub):"
+echo "$unnamed_pub"
+if [ "$unnamed_count" -gt "$max_unnamed_pub" ]; then
+  echo "ci: a pub item nothing outside its crate names is back: make it pub(crate) (lines above)" >&2
+  exit 1
+fi
+
 # Every property check runs in tier-1, as a loop over a fixed seed list
 # on `mutcon_sim::rng::SimRng`. No suite hides behind a cargo feature or
 # a crate the workspace does not have, and every feature of every crate
@@ -255,7 +296,7 @@ for f in crates/proxy/src/cache.rs crates/live/src/cache.rs; do
 done
 
 # One fixed overload policy, and one origin fan-out bound. Park-and-503
-# is the engine's own: `PARK_DEADLINE` and `RETRY_AFTER_SECS` are
+# is the engine's own: `PARK_DEADLINE` and the `503` it sends are
 # constants in crates/live/src/server.rs and the parked-shed count is an
 # `EngineMetrics` cell, so no settable park config, its text form or an
 # admin endpoint for it comes back (no workload could park a client, and
