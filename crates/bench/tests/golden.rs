@@ -1,18 +1,119 @@
-//! The paper's rows, pinned: Figures 5–8, ablation D and every
+//! The paper's rows, pinned: Figures 3–8, ablations A–D and every
 //! robustness grid's poll total. `determinism.rs` compares two runs with
 //! each other, so a change that moves a figure passes it; here it shows
 //! up as a diff of this file, to be reviewed with its cause. (`repro`
 //! prints the same numbers.)
 
 use mutcon_bench::{
-    fig4_window, fig7_deltas, fig8_delta, fig8_window, fixed_delta, paper_fig3_config,
-    paper_fig7_config, robustness, FIG5_PAIR, FIG6_PAIR, VALUE_PAIR,
+    fig3_deltas, fig4_window, fig7_deltas, fig8_delta, fig8_window, fixed_delta, paper_fig3_config,
+    paper_fig7_config, robustness, FIG3_TRACE, FIG5_PAIR, FIG6_PAIR, VALUE_PAIR,
 };
 use mutcon_core::time::{Duration, Timestamp};
 use mutcon_proxy::experiment::{
-    heuristic_timeline, mutual_temporal_sweep, mutual_value_sweep, value_timeline,
+    heuristic_timeline, individual_temporal_sweep, mutual_temporal_sweep, mutual_value_sweep,
+    ttr_timeline, value_timeline,
 };
 use mutcon_proxy::{ablation, report};
+use mutcon_traces::NamedTrace;
+
+/// The 64-bit FNV-1a digest of a rendered section.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, byte| {
+        (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Figure 3 on CNN/FN, as `repro fig3` prints it: polls of the every-Δ
+/// baseline and of LIMD, and LIMD's fidelity by violations and by time.
+const FIG3: &str = "
+delta_min  baseline  limd  fid(v)  fid(t)
+        1      2971   541   0.880   0.904
+        2      1486   414   0.855   0.906
+        5       595   242   0.818   0.921
+       10       298   166   0.837   0.951
+       15       199   118   0.720   0.924
+       20       149   100   0.770   0.944
+       30       100    78   0.859   0.987
+       45        67    60   0.900   0.995
+       60        50    50   1.000   1.000
+";
+
+#[test]
+fn fig3_rows_are_the_committed_ones() {
+    let rows =
+        individual_temporal_sweep(&FIG3_TRACE.generate(), &fig3_deltas(), &paper_fig3_config());
+    let mut table = String::from("\ndelta_min  baseline  limd  fid(v)  fid(t)\n");
+    for r in &rows {
+        table += &format!(
+            "{:>9}  {:>8}  {:>4}  {:>6.3}  {:>6.3}\n",
+            r.delta.as_millis() / 60_000,
+            r.baseline_polls,
+            r.limd_polls,
+            r.limd_fidelity_violations,
+            r.limd_fidelity_time,
+        );
+    }
+    assert_eq!(table, FIG3);
+}
+
+/// Figure 4's two series on CNN/FN at Δ = 10 min, every line of
+/// `report::fig4`, pinned as the series lengths and the text's digest.
+#[test]
+fn fig4_series_is_the_committed_one() {
+    let out = ttr_timeline(
+        &FIG3_TRACE.generate(),
+        fixed_delta(),
+        fig4_window(),
+        &paper_fig3_config(),
+    );
+    let digest = fnv1a(&report::fig4(&out));
+    assert_eq!(
+        (out.update_counts.len(), out.ttr.len(), digest),
+        (25, 166, 0x88bc_eff3_39f1_6815)
+    );
+}
+
+/// Ablations A–C, as `repro ablation` prints them: each setting's polls
+/// and fidelity by violations and by time.
+const ABLATIONS_A_TO_C: &str = "
+A  optimistic   l=0.5, adaptive m     124  0.726  0.856
+A  paper        l=0.2, adaptive m     166  0.837  0.951
+A  conservative l=0.05, adaptive m    217  0.889  0.982
+A  harsh        l=0.2, fixed m=0.2    169  0.828  0.946
+B  last-modified only (plain HTTP)    236  0.419  0.798
+B  modification history (§5.1)        335  0.779  0.962
+C  threshold = 0.25                   356  0.989  0.990
+C  threshold = 0.50                   350  0.969  0.991
+C  threshold = 0.75                   345  0.968  0.991
+C  threshold = 1.00                   334  0.979  0.988
+C  threshold = 1.50                   326  0.972  0.988
+";
+
+#[test]
+fn ablation_a_to_c_rows_are_the_committed_ones() {
+    let cnn = FIG3_TRACE.generate();
+    let (a, b) = FIG5_PAIR;
+    let sections = [
+        ablation::limd_aggressiveness(&cnn, fixed_delta()),
+        ablation::violation_detection(&NamedTrace::Guardian.generate(), fixed_delta()),
+        ablation::heuristic_threshold(
+            &a.generate(),
+            &b.generate(),
+            fixed_delta(),
+            Duration::from_mins(5),
+        ),
+    ];
+    let mut table = String::from("\n");
+    for (name, rows) in ["A", "B", "C"].iter().zip(&sections) {
+        for r in rows {
+            table += &format!(
+                "{name}  {:<32}  {:>4}  {:.3}  {:.3}\n",
+                r.setting, r.polls, r.fidelity_violations, r.fidelity_time
+            );
+        }
+    }
+    assert_eq!(table, ABLATIONS_A_TO_C);
+}
 
 /// Figure 5 at Δ = 10 min: polls and fidelity of plain LIMD, triggered
 /// polls and the rate heuristic.
@@ -186,10 +287,7 @@ fn fig8_series_is_the_committed_one() {
         Timestamp::ZERO + to,
         &paper_fig7_config(),
     );
-    let text = report::fig8(&out, usize::MAX);
-    let digest = text.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, byte| {
-        (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
-    });
+    let digest = fnv1a(&report::fig8(&out, usize::MAX));
     assert_eq!(
         (out.adaptive.len(), out.partitioned.len(), digest),
         (685, 830, 0xf631_7f7f_d41f_fb0c)
