@@ -15,8 +15,9 @@
 //!
 //! Two refinements tame the raw estimate:
 //!
-//! * **Exponential smoothing** — `TTR ← w · TTR_est + (1 − w) · TTR_prev`,
-//!   damping reaction to a single noisy sample.
+//! * **Exponential smoothing** — `TTR ← w · TTR_est + (1 − w) · TTR_prev`
+//!   with `w = 0.5` (`SMOOTHING`), damping reaction to a single noisy
+//!   sample.
 //! * **The α-blend with the most aggressive TTR seen so far**
 //!   (Equation 10):
 //!
@@ -26,7 +27,10 @@
 //!
 //! Small α biases the result towards the smallest (most conservative) TTR
 //! the object has ever required — the paper's knob for data with poor
-//! temporal locality.
+//! temporal locality, and the one tunable parameter
+//! ([`AdaptiveTtrConfigBuilder::alpha`]). The bounds are `TTR_min` = 10 s
+//! and `TTR_max` = 10 min (`TTR_MIN`, `TTR_MAX`), the stock experiments'
+//! values.
 //!
 //! ```
 //! use mutcon_core::adaptive_ttr::AdaptiveTtrConfig;
@@ -35,14 +39,13 @@
 //!
 //! # fn main() -> Result<(), mutcon_core::error::ConfigError> {
 //! let mut ttr = AdaptiveTtrConfig::builder(Value::new(0.5))
-//!     .ttr_bounds(Duration::from_secs(5), Duration::from_secs(600))
 //!     .build()?
 //!     .into_state();
 //!
 //! ttr.on_poll(Timestamp::from_secs(0), Value::new(36.00));
 //! // 0.10 drift over 60 s ⇒ r ≈ 0.00167/s ⇒ Δ/r = 300 s to drift 0.5.
 //! let d = ttr.on_poll(Timestamp::from_secs(60), Value::new(36.10));
-//! assert!(d > Duration::from_secs(5));
+//! assert!(d > Duration::from_secs(10));
 //! # Ok(())
 //! # }
 //! ```
@@ -52,29 +55,25 @@ use crate::rate::ValueRateEstimator;
 use crate::time::{Duration, Timestamp};
 use crate::value::Value;
 
+/// Smoothing weight `w` given to the newest raw estimate.
+const SMOOTHING: f64 = 0.5;
+/// Lower TTR bound.
+const TTR_MIN: Duration = Duration::from_secs(10);
+/// Upper TTR bound.
+const TTR_MAX: Duration = Duration::from_mins(10);
+
 /// Validated configuration for the value-domain adaptive-TTR algorithm.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveTtrConfig {
     delta: Value,
-    smoothing: f64,
     alpha: f64,
-    ttr_min: Duration,
-    ttr_max: Duration,
 }
 
 impl AdaptiveTtrConfig {
-    /// Starts building a configuration for value tolerance `delta`.
-    ///
-    /// Defaults: smoothing weight `w = 0.5`, blend `α = 0.5`, TTR bounds
-    /// `[1 s, 10 min]`.
+    /// Starts building a configuration for value tolerance `delta`, with
+    /// the blend `α = 0.5` by default.
     pub fn builder(delta: Value) -> AdaptiveTtrConfigBuilder {
-        AdaptiveTtrConfigBuilder {
-            delta,
-            smoothing: 0.5,
-            alpha: 0.5,
-            ttr_min: Duration::from_secs(1),
-            ttr_max: Duration::from_mins(10),
-        }
+        AdaptiveTtrConfigBuilder { delta, alpha: 0.5 }
     }
 
     /// The Δv tolerance.
@@ -82,25 +81,10 @@ impl AdaptiveTtrConfig {
         self.delta
     }
 
-    /// Smoothing weight `w` given to the newest raw estimate.
-    pub fn smoothing(&self) -> f64 {
-        self.smoothing
-    }
-
     /// Blend factor `α` between the smoothed TTR and the smallest observed
     /// TTR (Equation 10).
     pub fn alpha(&self) -> f64 {
         self.alpha
-    }
-
-    /// Lower TTR bound.
-    pub fn ttr_min(&self) -> Duration {
-        self.ttr_min
-    }
-
-    /// Upper TTR bound.
-    pub fn ttr_max(&self) -> Duration {
-        self.ttr_max
     }
 
     /// Consumes the configuration into a ready-to-drive state machine.
@@ -113,29 +97,13 @@ impl AdaptiveTtrConfig {
 #[derive(Debug, Clone)]
 pub struct AdaptiveTtrConfigBuilder {
     delta: Value,
-    smoothing: f64,
     alpha: f64,
-    ttr_min: Duration,
-    ttr_max: Duration,
 }
 
 impl AdaptiveTtrConfigBuilder {
-    /// Sets the smoothing weight `w ∈ [0, 1]` for the newest estimate.
-    pub fn smoothing(mut self, w: f64) -> Self {
-        self.smoothing = w;
-        self
-    }
-
     /// Sets the blend factor `α ∈ [0, 1]`; smaller is more conservative.
     pub fn alpha(mut self, alpha: f64) -> Self {
         self.alpha = alpha;
-        self
-    }
-
-    /// Sets both TTR bounds.
-    pub fn ttr_bounds(mut self, min: Duration, max: Duration) -> Self {
-        self.ttr_min = min;
-        self.ttr_max = max;
         self
     }
 
@@ -143,18 +111,11 @@ impl AdaptiveTtrConfigBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] if Δ is not positive, a weight is outside
-    /// `[0, 1]`, or the TTR bounds are empty or inverted.
+    /// Returns [`ConfigError`] if Δ is not positive or α is outside
+    /// `[0, 1]`.
     pub fn build(self) -> Result<AdaptiveTtrConfig, ConfigError> {
         if self.delta <= Value::ZERO {
             return Err(ConfigError::ZeroTolerance { name: "delta" });
-        }
-        if !(0.0..=1.0).contains(&self.smoothing) {
-            return Err(ConfigError::ParameterOutOfRange {
-                name: "w",
-                value: self.smoothing,
-                range: "[0, 1]",
-            });
         }
         if !(0.0..=1.0).contains(&self.alpha) {
             return Err(ConfigError::ParameterOutOfRange {
@@ -163,21 +124,9 @@ impl AdaptiveTtrConfigBuilder {
                 range: "[0, 1]",
             });
         }
-        if self.ttr_min.is_zero() {
-            return Err(ConfigError::ZeroTolerance { name: "ttr_min" });
-        }
-        if self.ttr_min > self.ttr_max {
-            return Err(ConfigError::InvalidTtrBounds {
-                min: self.ttr_min,
-                max: self.ttr_max,
-            });
-        }
         Ok(AdaptiveTtrConfig {
             delta: self.delta,
-            smoothing: self.smoothing,
             alpha: self.alpha,
-            ttr_min: self.ttr_min,
-            ttr_max: self.ttr_max,
         })
     }
 }
@@ -201,7 +150,7 @@ impl AdaptiveTtr {
     /// `TTR_min` (poll conservatively while nothing is known).
     pub fn new(config: AdaptiveTtrConfig) -> Self {
         AdaptiveTtr {
-            current_ttr: config.ttr_min,
+            current_ttr: TTR_MIN,
             config,
             estimator: ValueRateEstimator::new(),
             rate: None,
@@ -251,7 +200,7 @@ impl AdaptiveTtr {
         debug_assert!(scale > 0.0 && scale <= 1.0, "scale must be in (0, 1]");
         let Some(rate) = self.estimator.observe(now, value) else {
             // First sample (or repeated timestamp): stay conservative.
-            self.current_ttr = self.config.ttr_min;
+            self.current_ttr = TTR_MIN;
             return self.current_ttr;
         };
         self.rate = Some(rate);
@@ -260,7 +209,7 @@ impl AdaptiveTtr {
         // observed rate. A zero rate means "no drift observed": optimistic
         // estimate capped by TTR_max.
         let raw_ms = if rate <= 0.0 {
-            self.config.ttr_max.as_millis() as f64
+            TTR_MAX.as_millis() as f64
         } else {
             (self.config.delta.as_f64() / rate) * scale
         };
@@ -268,7 +217,7 @@ impl AdaptiveTtr {
         // Exponential smoothing against the previous estimate.
         let smoothed = match self.smoothed_ms {
             None => raw_ms,
-            Some(prev) => self.config.smoothing * raw_ms + (1.0 - self.config.smoothing) * prev,
+            Some(prev) => SMOOTHING * raw_ms + (1.0 - SMOOTHING) * prev,
         };
         self.smoothed_ms = Some(smoothed);
 
@@ -281,8 +230,7 @@ impl AdaptiveTtr {
 
         // Equation 10: α-blend, then clamp.
         let blended = self.config.alpha * smoothed + (1.0 - self.config.alpha) * observed_min;
-        self.current_ttr = Duration::from_secs_f64(blended / 1_000.0)
-            .clamp(self.config.ttr_min, self.config.ttr_max);
+        self.current_ttr = Duration::from_secs_f64(blended / 1_000.0).clamp(TTR_MIN, TTR_MAX);
         self.current_ttr
     }
 }
@@ -293,9 +241,7 @@ mod tests {
 
     fn cfg(delta: f64) -> AdaptiveTtrConfig {
         AdaptiveTtrConfig::builder(Value::new(delta))
-            .smoothing(1.0) // no smoothing: raw estimates pass through
             .alpha(1.0) // no blending with observed min
-            .ttr_bounds(Duration::from_secs(1), Duration::from_secs(3_600))
             .build()
             .unwrap()
     }
@@ -308,27 +254,9 @@ mod tests {
         ));
         assert!(matches!(
             AdaptiveTtrConfig::builder(Value::new(1.0))
-                .smoothing(1.5)
-                .build(),
-            Err(ConfigError::ParameterOutOfRange { name: "w", .. })
-        ));
-        assert!(matches!(
-            AdaptiveTtrConfig::builder(Value::new(1.0))
                 .alpha(-0.1)
                 .build(),
             Err(ConfigError::ParameterOutOfRange { name: "alpha", .. })
-        ));
-        assert!(matches!(
-            AdaptiveTtrConfig::builder(Value::new(1.0))
-                .ttr_bounds(Duration::from_secs(10), Duration::from_secs(1))
-                .build(),
-            Err(ConfigError::InvalidTtrBounds { .. })
-        ));
-        assert!(matches!(
-            AdaptiveTtrConfig::builder(Value::new(1.0))
-                .ttr_bounds(Duration::ZERO, Duration::from_secs(1))
-                .build(),
-            Err(ConfigError::ZeroTolerance { name: "ttr_min" })
         ));
     }
 
@@ -336,7 +264,7 @@ mod tests {
     fn first_poll_stays_at_ttr_min() {
         let mut s = cfg(0.5).into_state();
         let d = s.on_poll(Timestamp::from_secs(0), Value::new(100.0));
-        assert_eq!(d, Duration::from_secs(1));
+        assert_eq!(d, Duration::from_secs(10));
     }
 
     #[test]
@@ -353,51 +281,43 @@ mod tests {
         let mut s = cfg(0.5).into_state();
         s.on_poll(Timestamp::from_secs(0), Value::new(100.0));
         let d = s.on_poll(Timestamp::from_secs(10), Value::new(100.0));
-        assert_eq!(d, Duration::from_secs(3_600)); // ttr_max
+        assert_eq!(d, Duration::from_mins(10)); // TTR_max
     }
 
     #[test]
     fn fast_drift_clamps_to_ttr_min() {
         let mut s = cfg(0.5).into_state();
         s.on_poll(Timestamp::from_secs(0), Value::new(100.0));
-        // Drift 100 in 1 s ⇒ TTR = 0.005 s, clamped to 1 s.
+        // Drift 100 in 1 s ⇒ TTR = 0.005 s, clamped to 10 s.
         let d = s.on_poll(Timestamp::from_secs(1), Value::new(200.0));
-        assert_eq!(d, Duration::from_secs(1));
+        assert_eq!(d, Duration::from_secs(10));
     }
 
     #[test]
     fn smoothing_damps_spikes() {
-        let c = AdaptiveTtrConfig::builder(Value::new(0.5))
-            .smoothing(0.5)
-            .alpha(1.0)
-            .ttr_bounds(Duration::from_secs(1), Duration::from_secs(10_000))
-            .build()
-            .unwrap();
-        let mut s = c.into_state();
+        let mut s = cfg(0.5).into_state();
         s.on_poll(Timestamp::from_secs(0), Value::new(100.0));
         // Steady drift: raw = 50 s; smoothed = 50 s.
         s.on_poll(Timestamp::from_secs(10), Value::new(100.1));
-        // Sudden stillness: raw = ttr_max = 10_000 s;
-        // smoothed = 0.5·10_000 + 0.5·50 = 5_025 s.
+        // Sudden stillness: raw = TTR_max = 600 s;
+        // smoothed = 0.5·600 + 0.5·50 = 325 s.
         let d = s.on_poll(Timestamp::from_secs(20), Value::new(100.1));
-        assert_eq!(d, Duration::from_secs(5_025));
+        assert_eq!(d, Duration::from_secs(325));
     }
 
     #[test]
     fn alpha_blend_pulls_towards_observed_min() {
         let c = AdaptiveTtrConfig::builder(Value::new(0.5))
-            .smoothing(1.0)
             .alpha(0.0) // fully conservative: always the observed min
-            .ttr_bounds(Duration::from_secs(1), Duration::from_secs(10_000))
             .build()
             .unwrap();
         let mut s = c.into_state();
         s.on_poll(Timestamp::from_secs(0), Value::new(100.0));
-        // Fast drift: raw = 5 s → observed min = 5 s.
-        s.on_poll(Timestamp::from_secs(10), Value::new(101.0));
-        // Slow drift afterwards: raw = 500 s, but α = 0 keeps TTR at 5 s.
-        let d = s.on_poll(Timestamp::from_secs(20), Value::new(101.01));
-        assert_eq!(d, Duration::from_secs(5));
+        // Fast drift: raw = 20 s → observed min = 20 s.
+        s.on_poll(Timestamp::from_secs(10), Value::new(100.25));
+        // Slow drift afterwards: raw = 500 s, but α = 0 keeps TTR at 20 s.
+        let d = s.on_poll(Timestamp::from_secs(20), Value::new(100.26));
+        assert_eq!(d, Duration::from_secs(20));
     }
 
     #[test]
@@ -427,9 +347,7 @@ mod tests {
     #[test]
     fn ttr_always_within_bounds() {
         let mut s = AdaptiveTtrConfig::builder(Value::new(0.25))
-            .smoothing(0.7)
             .alpha(0.3)
-            .ttr_bounds(Duration::from_secs(2), Duration::from_secs(120))
             .build()
             .unwrap()
             .into_state();
@@ -439,20 +357,17 @@ mod tests {
             t += Duration::from_secs(1 + (i % 7));
             v += if i % 3 == 0 { 0.8 } else { -0.05 };
             let d = s.on_poll(t, Value::new(v));
-            assert!(d >= Duration::from_secs(2) && d <= Duration::from_secs(120));
+            assert!((TTR_MIN..=TTR_MAX).contains(&d));
         }
     }
 
     /// Random tunings on random walks stay inside the TTR bounds too.
     #[test]
     fn ttr_within_bounds_on_random_walks() {
-        let (lo, hi) = (Duration::from_secs(1), Duration::from_mins(30));
         for seed in 0..512 {
             let mut rng = mutcon_sim::rng::SimRng::seed_from_u64(seed);
             let mut s = AdaptiveTtrConfig::builder(Value::new(rng.uniform_range(0.05, 5.0)))
-                .smoothing(rng.uniform())
                 .alpha(rng.uniform())
-                .ttr_bounds(lo, hi)
                 .build()
                 .unwrap_or_else(|e| panic!("seed {seed}: {e}"))
                 .into_state();
@@ -463,8 +378,8 @@ mod tests {
                 v += rng.uniform_range(-5.0, 5.0);
                 let d = s.on_poll(t, Value::new(v));
                 assert!(
-                    d >= lo && d <= hi,
-                    "seed {seed}: ttr {d} outside [{lo}, {hi}]"
+                    (TTR_MIN..=TTR_MAX).contains(&d),
+                    "seed {seed}: ttr {d} outside [{TTR_MIN}, {TTR_MAX}]"
                 );
             }
         }

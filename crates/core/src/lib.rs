@@ -75,7 +75,6 @@
 pub mod adaptive_ttr;
 pub mod error;
 pub mod fidelity;
-pub mod functions;
 pub mod limd;
 pub mod limit;
 pub mod mutual;

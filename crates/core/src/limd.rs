@@ -20,13 +20,19 @@
 //!    back-off towards `TTR_min` under successive violations.
 //! 3. **Changed, no violation** — `TTR ← TTR · (1 + ε)` for a small ε:
 //!    the proxy is polling at roughly the right frequency and only
-//!    fine-tunes.
+//!    fine-tunes. ε is the constant `EPSILON`, the paper's 0.02.
 //! 4. **Changed after a long idle period** — `TTR ← TTR_min`: a cold
 //!    object has become hot; restart probing from the most conservative
 //!    setting.
 //!
 //! Every TTR is clamped into `[TTR_min, TTR_max]`, with `TTR_min = Δ` by
 //! default (the minimum poll spacing that can still maintain the bound).
+//!
+//! The tunable parameters are `l`, the decrease rule `m` and the TTR
+//! bounds ([`LimdConfigBuilder`]). Case 2's adaptive `m`
+//! ([`DecreaseFactor::DeltaOverOutSync`], §6.2.1) is clamped into
+//! `[M_FLOOR, M_CEILING]` = `[0.05, 0.95]`, and ε is fixed at 0.02: every
+//! experiment of the paper runs at those values.
 //!
 //! # Violation detection
 //!
@@ -61,6 +67,13 @@ use std::fmt;
 use crate::error::ConfigError;
 use crate::time::{Duration, Timestamp};
 
+/// Case 3's fine-tuning factor ε (§3.1).
+const EPSILON: f64 = 0.02;
+/// Smallest adaptive `m`: guards against a collapse to zero.
+const M_FLOOR: f64 = 0.05;
+/// Largest adaptive `m`: stays below one so a violation still decreases.
+const M_CEILING: f64 = 0.95;
+
 /// How the multiplicative-decrease factor `m` is chosen when a violation
 /// is detected (Case 2).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -70,65 +83,20 @@ pub enum DecreaseFactor {
     /// The rule used in the paper's evaluation (§6.2.1): `m` is the ratio
     /// of Δ to the observed out-of-sync span (current poll − first missed
     /// update). Bigger misses shrink the TTR harder. The ratio is clamped
-    /// into `[floor, ceiling]` to keep the state well-behaved.
-    DeltaOverOutSync {
-        /// Smallest admissible factor (guards against collapse to zero).
-        floor: f64,
-        /// Largest admissible factor (must stay below one to decrease).
-        ceiling: f64,
-    },
-}
-
-impl DecreaseFactor {
-    /// The paper's adaptive rule with sensible clamps.
-    pub const PAPER: DecreaseFactor = DecreaseFactor::DeltaOverOutSync {
-        floor: 0.05,
-        ceiling: 0.95,
-    };
-
-    fn validate(self) -> Result<(), ConfigError> {
-        match self {
-            DecreaseFactor::Fixed(m) => {
-                if !(m > 0.0 && m < 1.0) {
-                    return Err(ConfigError::ParameterOutOfRange {
-                        name: "m",
-                        value: m,
-                        range: "(0, 1)",
-                    });
-                }
-            }
-            DecreaseFactor::DeltaOverOutSync { floor, ceiling } => {
-                if !(floor > 0.0 && floor < 1.0) {
-                    return Err(ConfigError::ParameterOutOfRange {
-                        name: "m.floor",
-                        value: floor,
-                        range: "(0, 1)",
-                    });
-                }
-                if !(ceiling > 0.0 && ceiling < 1.0) || ceiling < floor {
-                    return Err(ConfigError::ParameterOutOfRange {
-                        name: "m.ceiling",
-                        value: ceiling,
-                        range: "[floor, 1)",
-                    });
-                }
-            }
-        }
-        Ok(())
-    }
+    /// into `[0.05, 0.95]` to keep the state well-behaved.
+    DeltaOverOutSync,
 }
 
 /// Validated configuration for the LIMD algorithm.
 ///
 /// Build one through [`LimdConfig::builder`]; Δ is mandatory, everything
-/// else has paper defaults (`l = 0.2`, adaptive `m`, `ε = 0.02`,
-/// `TTR_min = Δ`, `TTR_max = 60 min`, idle threshold `TTR_max`).
+/// else has paper defaults (`l = 0.2`, adaptive `m`, `TTR_min = Δ`,
+/// `TTR_max = 60 min`, idle threshold `TTR_max`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LimdConfig {
     delta: Duration,
     linear_increase: f64,
     decrease: DecreaseFactor,
-    epsilon: f64,
     ttr_min: Duration,
     ttr_max: Duration,
 }
@@ -139,8 +107,7 @@ impl LimdConfig {
         LimdConfigBuilder {
             delta,
             linear_increase: 0.2,
-            decrease: DecreaseFactor::PAPER,
-            epsilon: 0.02,
+            decrease: DecreaseFactor::DeltaOverOutSync,
             ttr_min: None,
             ttr_max: Duration::from_mins(60),
         }
@@ -161,11 +128,6 @@ impl LimdConfig {
         self.decrease
     }
 
-    /// Fine-tuning factor `ε`.
-    pub fn epsilon(&self) -> f64 {
-        self.epsilon
-    }
-
     /// Lower TTR bound.
     pub fn ttr_min(&self) -> Duration {
         self.ttr_min
@@ -184,21 +146,19 @@ impl LimdConfig {
     /// ```
     ///
     /// The decrease rule is `m=fixed:M` or `m=adaptive:FLOOR:CEILING`;
-    /// `idle_ms`, the Case-4 idle threshold, is always `TTR_max`.
+    /// `eps` is always 0.02 and `idle_ms`, the Case-4 idle threshold,
+    /// always `TTR_max`.
     /// The live proxy's `GET /admin/rules` shows each path's config in
     /// this form.
     pub fn to_spec(&self) -> String {
         let m = match self.decrease {
             DecreaseFactor::Fixed(m) => format!("fixed:{m}"),
-            DecreaseFactor::DeltaOverOutSync { floor, ceiling } => {
-                format!("adaptive:{floor}:{ceiling}")
-            }
+            DecreaseFactor::DeltaOverOutSync => format!("adaptive:{M_FLOOR}:{M_CEILING}"),
         };
         format!(
-            "delta_ms={},l={},m={m},eps={},ttr_min_ms={},ttr_max_ms={},idle_ms={}",
+            "delta_ms={},l={},m={m},eps={EPSILON},ttr_min_ms={},ttr_max_ms={},idle_ms={}",
             self.delta.as_millis(),
             self.linear_increase,
-            self.epsilon,
             self.ttr_min.as_millis(),
             self.ttr_max.as_millis(),
             self.ttr_max.as_millis(),
@@ -212,7 +172,6 @@ pub struct LimdConfigBuilder {
     delta: Duration,
     linear_increase: f64,
     decrease: DecreaseFactor,
-    epsilon: f64,
     ttr_min: Option<Duration>,
     ttr_max: Duration,
 }
@@ -229,13 +188,6 @@ impl LimdConfigBuilder {
     /// proxy *conservative*: it backs off hard after a violation.
     pub fn decrease(mut self, m: DecreaseFactor) -> Self {
         self.decrease = m;
-        self
-    }
-
-    /// Sets the fine-tuning factor `ε ≥ 0` applied when an update is seen
-    /// without a violation.
-    pub fn epsilon(mut self, epsilon: f64) -> Self {
-        self.epsilon = epsilon;
         self
     }
 
@@ -269,13 +221,14 @@ impl LimdConfigBuilder {
                 range: "(0, 1)",
             });
         }
-        self.decrease.validate()?;
-        if !(self.epsilon >= 0.0 && self.epsilon.is_finite()) {
-            return Err(ConfigError::ParameterOutOfRange {
-                name: "epsilon",
-                value: self.epsilon,
-                range: "[0, ∞)",
-            });
+        if let DecreaseFactor::Fixed(m) = self.decrease {
+            if !(m > 0.0 && m < 1.0) {
+                return Err(ConfigError::ParameterOutOfRange {
+                    name: "m",
+                    value: m,
+                    range: "(0, 1)",
+                });
+            }
         }
         let ttr_min = self.ttr_min.unwrap_or(self.delta);
         if ttr_min > self.ttr_max {
@@ -291,7 +244,6 @@ impl LimdConfigBuilder {
             delta: self.delta,
             linear_increase: self.linear_increase,
             decrease: self.decrease,
-            epsilon: self.epsilon,
             ttr_min,
             ttr_max: self.ttr_max,
         })
@@ -439,16 +391,6 @@ impl Limd {
         self.last_poll
     }
 
-    /// Restores the state used after a proxy failure: TTR back to
-    /// `TTR_min`, history forgotten (§3.1: "recovering from a proxy
-    /// failure simply involves resetting the TTRs of all objects to
-    /// TTR_min").
-    pub fn reset(&mut self) {
-        self.ttr = self.config.ttr_min;
-        self.last_poll = None;
-        self.last_known_modification = None;
-    }
-
     /// Feeds the outcome of a poll performed at `now` and returns the case
     /// taken plus the new TTR.
     ///
@@ -533,9 +475,9 @@ impl Limd {
             let overshoot = staleness - self.config.delta;
             let m = match self.config.decrease {
                 DecreaseFactor::Fixed(m) => m,
-                DecreaseFactor::DeltaOverOutSync { floor, ceiling } => {
+                DecreaseFactor::DeltaOverOutSync => {
                     let ratio = self.config.delta.as_millis() as f64 / staleness.as_millis() as f64;
-                    ratio.clamp(floor, ceiling)
+                    ratio.clamp(M_FLOOR, M_CEILING)
                 }
             };
             LimdDecision {
@@ -546,7 +488,7 @@ impl Limd {
         } else {
             LimdDecision {
                 case: LimdCase::InSync,
-                ttr: self.clamp(self.ttr.mul_f64(1.0 + self.config.epsilon)),
+                ttr: self.clamp(self.ttr.mul_f64(1.0 + EPSILON)),
                 overshoot: Duration::ZERO,
             }
         }
@@ -578,7 +520,6 @@ mod tests {
         LimdConfig::builder(Duration::from_mins(10))
             .linear_increase(0.2)
             .decrease(DecreaseFactor::Fixed(0.5))
-            .epsilon(0.02)
             .ttr_max(Duration::from_mins(60))
             .build()
             .unwrap()
@@ -591,8 +532,7 @@ mod tests {
         assert_eq!(c.ttr_min(), Duration::from_mins(5));
         assert_eq!(c.ttr_max(), Duration::from_mins(60));
         assert_eq!(c.linear_increase(), 0.2);
-        assert_eq!(c.epsilon(), 0.02);
-        assert_eq!(c.decrease(), DecreaseFactor::PAPER);
+        assert_eq!(c.decrease(), DecreaseFactor::DeltaOverOutSync);
     }
 
     #[test]
@@ -611,37 +551,6 @@ mod tests {
                 .decrease(DecreaseFactor::Fixed(1.0))
                 .build(),
             Err(ConfigError::ParameterOutOfRange { name: "m", .. })
-        ));
-        assert!(matches!(
-            LimdConfig::builder(d)
-                .decrease(DecreaseFactor::DeltaOverOutSync {
-                    floor: 0.0,
-                    ceiling: 0.9
-                })
-                .build(),
-            Err(ConfigError::ParameterOutOfRange {
-                name: "m.floor",
-                ..
-            })
-        ));
-        assert!(matches!(
-            LimdConfig::builder(d)
-                .decrease(DecreaseFactor::DeltaOverOutSync {
-                    floor: 0.5,
-                    ceiling: 0.2
-                })
-                .build(),
-            Err(ConfigError::ParameterOutOfRange {
-                name: "m.ceiling",
-                ..
-            })
-        ));
-        assert!(matches!(
-            LimdConfig::builder(d).epsilon(-0.1).build(),
-            Err(ConfigError::ParameterOutOfRange {
-                name: "epsilon",
-                ..
-            })
         ));
         assert!(matches!(
             LimdConfig::builder(d)
@@ -714,7 +623,7 @@ mod tests {
     #[test]
     fn case2_adaptive_m_scales_with_overshoot() {
         let cfg = LimdConfig::builder(Duration::from_mins(10))
-            .decrease(DecreaseFactor::PAPER)
+            .decrease(DecreaseFactor::DeltaOverOutSync)
             .ttr_min(Duration::from_mins(1))
             .ttr_max(Duration::from_mins(60))
             .build()
@@ -751,19 +660,6 @@ mod tests {
         assert_eq!(d.overshoot, Duration::ZERO);
         // 10min * 1.02 = 10.2min = 612_000 ms.
         assert_eq!(d.ttr, Duration::from_millis(612_000));
-    }
-
-    #[test]
-    fn epsilon_zero_keeps_ttr_unchanged() {
-        let cfg = LimdConfig::builder(Duration::from_mins(10))
-            .epsilon(0.0)
-            .build()
-            .unwrap();
-        let mut limd = Limd::new(cfg);
-        let t = Timestamp::from_mins(10);
-        let d = limd.on_poll(t, &PollResult::modified(t - Duration::from_mins(1)));
-        assert_eq!(d.case, LimdCase::InSync);
-        assert_eq!(d.ttr, Duration::from_mins(10));
     }
 
     #[test]
@@ -843,17 +739,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_restores_initial_state() {
-        let mut limd = Limd::new(config());
-        let t = Timestamp::from_mins(10);
-        limd.on_poll(t, &PollResult::NotModified);
-        assert!(limd.current_ttr() > Duration::from_mins(10));
-        limd.reset();
-        assert_eq!(limd.current_ttr(), Duration::from_mins(10));
-        assert_eq!(limd.last_poll(), None);
-    }
-
-    #[test]
     #[should_panic(expected = "polls must be fed in order")]
     fn out_of_order_polls_panic() {
         let mut limd = Limd::new(config());
@@ -873,14 +758,13 @@ mod tests {
         let tuned = LimdConfig::builder(Duration::from_millis(50))
             .linear_increase(0.35)
             .decrease(DecreaseFactor::Fixed(0.5))
-            .epsilon(0.0)
             .ttr_min(Duration::from_millis(25))
             .ttr_max(Duration::from_millis(3_200))
             .build()
             .unwrap();
         assert_eq!(
             tuned.to_spec(),
-            "delta_ms=50,l=0.35,m=fixed:0.5,eps=0,ttr_min_ms=25,ttr_max_ms=3200,idle_ms=3200"
+            "delta_ms=50,l=0.35,m=fixed:0.5,eps=0.02,ttr_min_ms=25,ttr_max_ms=3200,idle_ms=3200"
         );
     }
 
@@ -893,7 +777,6 @@ mod tests {
             let config = LimdConfig::builder(Duration::from_mins(rng.uniform_u64(1, 61)))
                 .linear_increase(rng.uniform_range(0.01, 0.9))
                 .decrease(DecreaseFactor::Fixed(rng.uniform_range(0.05, 0.9)))
-                .epsilon(rng.uniform_range(0.0, 0.2))
                 .ttr_max(Duration::from_mins(rng.uniform_u64(61, 241)))
                 .build()
                 .unwrap_or_else(|e| panic!("seed {seed}: {e}"));

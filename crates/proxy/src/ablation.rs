@@ -13,10 +13,8 @@
 //! * [`alpha_blend`] — the Equation 10 α: biasing the value-domain TTR
 //!   towards the smallest TTR ever required.
 
-use mutcon_core::functions::ValueFunction;
 use mutcon_core::limd::DecreaseFactor;
 use mutcon_core::mutual::temporal::MtPolicy;
-use mutcon_core::mutual::value::VirtualObjectConfig;
 use mutcon_core::time::Duration;
 use mutcon_core::value::Value;
 use mutcon_traces::UpdateTrace;
@@ -65,12 +63,20 @@ fn run_limd_once(trace: &UpdateTrace, delta: Duration, config: &Fig3Config) -> A
 /// `l`, harsh fixed `m`), at a fixed Δ.
 pub fn limd_aggressiveness(trace: &UpdateTrace, delta: Duration) -> Vec<AblationRow> {
     let variants: [(&str, f64, DecreaseFactor); 4] = [
-        ("optimistic   l=0.5, adaptive m", 0.5, DecreaseFactor::PAPER),
-        ("paper        l=0.2, adaptive m", 0.2, DecreaseFactor::PAPER),
+        (
+            "optimistic   l=0.5, adaptive m",
+            0.5,
+            DecreaseFactor::DeltaOverOutSync,
+        ),
+        (
+            "paper        l=0.2, adaptive m",
+            0.2,
+            DecreaseFactor::DeltaOverOutSync,
+        ),
         (
             "conservative l=0.05, adaptive m",
             0.05,
-            DecreaseFactor::PAPER,
+            DecreaseFactor::DeltaOverOutSync,
         ),
         (
             "harsh        l=0.2, fixed m=0.2",
@@ -170,25 +176,15 @@ pub fn alpha_blend(trace_a: &UpdateTrace, trace_b: &UpdateTrace, delta: Value) -
                 ..Fig7Config::default()
             }
             .ttr(delta);
-            let cfg = VirtualObjectConfig::builder(ValueFunction::Difference, ttr)
-                .build()
-                .expect("ablation parameters are valid");
             let out = run_value_pair(
                 &origin,
                 &ids[0],
                 &ids[1],
-                &ValuePairPolicy::Virtual(cfg),
+                &ValuePairPolicy::Virtual(ttr),
                 until,
             );
-            let stats = metrics::mutual_value(
-                trace_a,
-                &out.log_a,
-                trace_b,
-                &out.log_b,
-                ValueFunction::Difference,
-                delta,
-                until,
-            );
+            let stats =
+                metrics::mutual_value(trace_a, &out.log_a, trace_b, &out.log_b, delta, until);
             AblationRow {
                 setting: format!("alpha = {alpha:.2}"),
                 polls: stats.polls(),

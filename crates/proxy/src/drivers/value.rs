@@ -2,13 +2,15 @@
 //! steps a pair of valued objects under one of the two Mv approaches.
 //!
 //! * [`ValuePairPolicy::Virtual`] — the pair is polled *together* on one
-//!   schedule derived from the rate of change of `f` (Equations 11–12);
+//!   schedule derived from the rate of change of `f(a, b) = a − b`
+//!   (Equations 11–12);
 //!   each pair poll issues two HTTP requests.
 //! * [`ValuePairPolicy::Partitioned`] — δ is split into per-object
 //!   tolerances and each object polls independently.
 
+use mutcon_core::adaptive_ttr::AdaptiveTtrConfig;
 use mutcon_core::mutual::value::{
-    PairMember, PartitionedConfig, PartitionedPolicy, VirtualObjectConfig, VirtualObjectPolicy,
+    PairMember, PartitionedConfig, PartitionedPolicy, VirtualObjectPolicy,
 };
 use mutcon_core::object::ObjectId;
 use mutcon_core::time::Timestamp;
@@ -20,8 +22,9 @@ use crate::origin::{HostedObject, OriginServer};
 /// Which Mv approach drives the pair.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ValuePairPolicy {
-    /// Track `f(a, b)` as a virtual object (§4.2, Equations 11–12).
-    Virtual(VirtualObjectConfig),
+    /// Track `f(a, b)` as a virtual object (§4.2, Equations 11–12), run by
+    /// the §4.1 adaptive TTR whose Δ is the mutual tolerance δ.
+    Virtual(AdaptiveTtrConfig),
     /// Split δ into per-object tolerances (§4.2, partitioned approach).
     Partitioned(PartitionedConfig),
 }
@@ -84,7 +87,9 @@ pub fn run_value_pair(
     until: Timestamp,
 ) -> ValuePairOutput {
     match policy {
-        ValuePairPolicy::Virtual(cfg) => run_virtual(origin, a, b, cfg.into_policy(), until),
+        ValuePairPolicy::Virtual(ttr) => {
+            run_virtual(origin, a, b, VirtualObjectPolicy::new(*ttr), until)
+        }
         ValuePairPolicy::Partitioned(cfg) => {
             run_partitioned(origin, a, b, cfg.into_policy(), until)
         }
@@ -169,9 +174,6 @@ fn next_poll(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mutcon_core::adaptive_ttr::AdaptiveTtrConfig;
-    use mutcon_core::functions::ValueFunction;
-    use mutcon_core::time::Duration;
     use mutcon_traces::NamedTrace;
 
     fn stock_origin() -> (OriginServer, ObjectId, ObjectId) {
@@ -187,10 +189,9 @@ mod tests {
         Timestamp::ZERO + NamedTrace::Att.duration()
     }
 
-    /// The §4.1 tuning at `delta` with TTR bounds `[ttr_min_s, 10 min]`.
-    fn ttr(delta: f64, ttr_min_s: u64) -> AdaptiveTtrConfig {
+    /// The §4.1 tuning at `delta`.
+    fn ttr(delta: f64) -> AdaptiveTtrConfig {
         AdaptiveTtrConfig::builder(Value::new(delta))
-            .ttr_bounds(Duration::from_secs(ttr_min_s), Duration::from_mins(10))
             .build()
             .unwrap()
     }
@@ -198,14 +199,11 @@ mod tests {
     #[test]
     fn virtual_pair_polls_in_lockstep() {
         let (origin, att, yahoo) = stock_origin();
-        let cfg = VirtualObjectConfig::builder(ValueFunction::Difference, ttr(1.0, 10))
-            .build()
-            .unwrap();
         let out = run_value_pair(
             &origin,
             &att,
             &yahoo,
-            &ValuePairPolicy::Virtual(cfg),
+            &ValuePairPolicy::Virtual(ttr(1.0)),
             until(),
         );
         // Lockstep: equal counts, identical instants.
@@ -219,9 +217,7 @@ mod tests {
     #[test]
     fn partitioned_pair_polls_independently() {
         let (origin, att, yahoo) = stock_origin();
-        let cfg = PartitionedConfig::builder(ValueFunction::Difference, ttr(1.0, 10))
-            .build()
-            .unwrap();
+        let cfg = PartitionedConfig::builder(ttr(1.0)).build();
         let out = run_value_pair(
             &origin,
             &att,
@@ -265,14 +261,11 @@ mod tests {
     fn tighter_delta_means_more_polls() {
         let (origin, att, yahoo) = stock_origin();
         let mk = |delta: f64| {
-            let cfg = VirtualObjectConfig::builder(ValueFunction::Difference, ttr(delta, 5))
-                .build()
-                .unwrap();
             run_value_pair(
                 &origin,
                 &att,
                 &yahoo,
-                &ValuePairPolicy::Virtual(cfg),
+                &ValuePairPolicy::Virtual(ttr(delta)),
                 until(),
             )
             .total_polls()
@@ -288,14 +281,11 @@ mod tests {
     #[test]
     fn virtual_detects_some_violations_under_tight_delta() {
         let (origin, att, yahoo) = stock_origin();
-        let cfg = VirtualObjectConfig::builder(ValueFunction::Difference, ttr(0.25, 30))
-            .build()
-            .unwrap();
         let out = run_value_pair(
             &origin,
             &att,
             &yahoo,
-            &ValuePairPolicy::Virtual(cfg),
+            &ValuePairPolicy::Virtual(ttr(0.25)),
             until(),
         );
         // With a tight tolerance and a floor on the TTR, some drift slips

@@ -16,10 +16,9 @@
 //! `EXPERIMENTS.md` records both.
 
 use mutcon_core::adaptive_ttr::AdaptiveTtrConfig;
-use mutcon_core::functions::ValueFunction;
 use mutcon_core::limd::{DecreaseFactor, LimdConfig};
 use mutcon_core::mutual::temporal::MtPolicy;
-use mutcon_core::mutual::value::{PartitionedConfig, VirtualObjectConfig};
+use mutcon_core::mutual::value::PartitionedConfig;
 use mutcon_core::object::ObjectId;
 use mutcon_core::time::{Duration, Timestamp};
 use mutcon_core::value::Value;
@@ -39,10 +38,6 @@ use crate::origin::{HistorySupport, OriginServer};
 pub struct Fig3Config {
     /// Linear increase factor `l` (paper: 0.2).
     pub linear_increase: f64,
-    /// Fine-tuning factor `ε` (paper: 0.02).
-    pub epsilon: f64,
-    /// Upper TTR bound (paper: 60 minutes).
-    pub ttr_max: Duration,
     /// Multiplicative decrease rule (paper: Δ over observed out-of-sync).
     pub decrease: DecreaseFactor,
     /// Whether the origin provides the §5.1 modification history.
@@ -53,22 +48,19 @@ impl Default for Fig3Config {
     fn default() -> Self {
         Fig3Config {
             linear_increase: 0.2,
-            epsilon: 0.02,
-            ttr_max: Duration::from_mins(60),
-            decrease: DecreaseFactor::PAPER,
+            decrease: DecreaseFactor::DeltaOverOutSync,
             history: HistorySupport::None,
         }
     }
 }
 
 impl Fig3Config {
-    /// The LIMD configuration for tolerance `delta` under this tuning
-    /// (the TTR cap is raised to Δ when Δ exceeds it).
+    /// The LIMD configuration for tolerance `delta` under this tuning,
+    /// with the paper's 60-minute TTR cap (raised to Δ when Δ exceeds it).
     pub fn limd(&self, delta: Duration) -> LimdConfig {
         LimdConfig::builder(delta)
             .linear_increase(self.linear_increase)
-            .epsilon(self.epsilon)
-            .ttr_max(self.ttr_max.max(delta))
+            .ttr_max(Duration::from_mins(60).max(delta))
             .decrease(self.decrease)
             .build()
             .expect("experiment parameters are valid")
@@ -329,24 +321,13 @@ pub fn heuristic_timeline(
 /// Adaptive-TTR tuning for the value-domain experiments.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig7Config {
-    /// Smoothing weight `w`.
-    pub smoothing: f64,
     /// Blend factor `α` (Equation 10).
     pub alpha: f64,
-    /// Lower TTR bound.
-    pub ttr_min: Duration,
-    /// Upper TTR bound.
-    pub ttr_max: Duration,
 }
 
 impl Default for Fig7Config {
     fn default() -> Self {
-        Fig7Config {
-            smoothing: 0.5,
-            alpha: 0.5,
-            ttr_min: Duration::from_secs(10),
-            ttr_max: Duration::from_mins(10),
-        }
+        Fig7Config { alpha: 0.5 }
     }
 }
 
@@ -355,9 +336,7 @@ impl Fig7Config {
     /// this tuning.
     pub fn ttr(&self, delta: Value) -> AdaptiveTtrConfig {
         AdaptiveTtrConfig::builder(delta)
-            .smoothing(self.smoothing)
             .alpha(self.alpha)
-            .ttr_bounds(self.ttr_min, self.ttr_max)
             .build()
             .expect("experiment parameters are valid")
     }
@@ -378,21 +357,12 @@ pub struct Fig7Row {
     pub partitioned_fidelity: f64,
 }
 
-/// The two Mv approaches (virtual-object, partitioned) at one δ, both
-/// over the difference function of the paper's stock-comparison scenario.
+/// The two Mv approaches (virtual-object, partitioned) at one δ.
 fn value_pair_policies(delta: Value, config: &Fig7Config) -> [ValuePairPolicy; 2] {
-    let (f, ttr) = (ValueFunction::Difference, config.ttr(delta));
+    let ttr = config.ttr(delta);
     [
-        ValuePairPolicy::Virtual(
-            VirtualObjectConfig::builder(f, ttr)
-                .build()
-                .expect("experiment parameters are valid"),
-        ),
-        ValuePairPolicy::Partitioned(
-            PartitionedConfig::builder(f, ttr)
-                .build()
-                .expect("experiment parameters are valid"),
-        ),
+        ValuePairPolicy::Virtual(ttr),
+        ValuePairPolicy::Partitioned(PartitionedConfig::builder(ttr).build()),
     ]
 }
 
@@ -406,15 +376,13 @@ pub fn mutual_value_sweep(
     config: &Fig7Config,
 ) -> Vec<Fig7Row> {
     let (origin, ids, until) = host([trace_a, trace_b], HistorySupport::None);
-    let f = ValueFunction::Difference;
-
     deltas
         .iter()
         .map(|&delta| {
             let [adaptive_stats, partitioned_stats] =
                 value_pair_policies(delta, config).map(|policy| {
                     let out = run_value_pair(&origin, &ids[0], &ids[1], &policy, until);
-                    metrics::mutual_value(trace_a, &out.log_a, trace_b, &out.log_b, f, delta, until)
+                    metrics::mutual_value(trace_a, &out.log_a, trace_b, &out.log_b, delta, until)
                 });
             Fig7Row {
                 delta,
@@ -447,27 +415,16 @@ pub fn value_timeline(
     config: &Fig7Config,
 ) -> Fig8Output {
     let (origin, ids, until) = host([trace_a, trace_b], HistorySupport::None);
-    let f = ValueFunction::Difference;
-
     let [adaptive, partitioned] = value_pair_policies(delta, config)
         .map(|policy| run_value_pair(&origin, &ids[0], &ids[1], &policy, until));
 
     Fig8Output {
-        adaptive: metrics::f_timeline(
-            trace_a,
-            &adaptive.log_a,
-            trace_b,
-            &adaptive.log_b,
-            f,
-            from,
-            to,
-        ),
+        adaptive: metrics::f_timeline(trace_a, &adaptive.log_a, trace_b, &adaptive.log_b, from, to),
         partitioned: metrics::f_timeline(
             trace_a,
             &partitioned.log_a,
             trace_b,
             &partitioned.log_b,
-            f,
             from,
             to,
         ),
@@ -610,18 +567,16 @@ mod tests {
 
         let (yahoo, att) = (NamedTrace::Yahoo.generate(), NamedTrace::Att.generate());
         let (origin, ids, until) = host([&yahoo, &att], HistorySupport::None);
-        let f = ValueFunction::Difference;
         let rows: Vec<(u64, u64, f64)> = [0.25, 0.5, 0.6, 1.0, 2.0, 3.0, 4.0, 5.0]
             .map(|d| {
                 let delta = Value::new(d);
-                let config = PartitionedConfig::builder(f, Fig7Config::default().ttr(delta))
+                let config = PartitionedConfig::builder(Fig7Config::default().ttr(delta))
                     .repartition_every(0)
-                    .build()
-                    .unwrap();
+                    .build();
                 let policy = ValuePairPolicy::Partitioned(config);
                 let out = run_value_pair(&origin, &ids[0], &ids[1], &policy, until);
                 let stats =
-                    metrics::mutual_value(&yahoo, &out.log_a, &att, &out.log_b, f, delta, until);
+                    metrics::mutual_value(&yahoo, &out.log_a, &att, &out.log_b, delta, until);
                 (
                     stats.polls(),
                     out.log_b.poll_count(),

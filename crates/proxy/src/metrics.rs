@@ -20,7 +20,6 @@
 //! pair poll or a trigger cascade at one instant is one occasion).
 
 use mutcon_core::fidelity::FidelityStats;
-use mutcon_core::functions::ValueFunction;
 use mutcon_core::semantics::{
     delta_t_satisfied, delta_t_violation_onset, delta_v_satisfied, mutual_t_satisfied,
     mutual_v_satisfied,
@@ -151,13 +150,12 @@ pub fn mutual_temporal(
     stats
 }
 
-/// Evaluates Mv-consistency of a pair's run for function `f`.
+/// Evaluates Mv-consistency of a pair's run for `f(a, b) = a − b`.
 pub fn mutual_value(
     trace_a: &UpdateTrace,
     log_a: &PollLog,
     trace_b: &UpdateTrace,
     log_b: &PollLog,
-    f: ValueFunction,
     delta: Value,
     until: Timestamp,
 ) -> FidelityStats {
@@ -183,7 +181,7 @@ pub fn mutual_value(
         if let (Some(pa), Some(pb)) = (cached_a, cached_b) {
             let sa = trace_a.value_at(t).expect("valued trace");
             let sb = trace_b.value_at(t).expect("valued trace");
-            if !mutual_v_satisfied(f.eval(sa, sb), f.eval(pa, pb), delta) {
+            if !mutual_v_satisfied(sa - sb, pa - pb, delta) {
                 stats.record_violation(Duration::ZERO);
             }
         }
@@ -211,7 +209,6 @@ pub fn mutual_value(
         log_a,
         trace_b,
         log_b,
-        f,
         until,
         |_, seg_len, server, proxy| {
             if !delta_v_satisfied(server, proxy, delta) {
@@ -243,7 +240,6 @@ pub(crate) fn f_timeline(
     log_a: &PollLog,
     trace_b: &UpdateTrace,
     log_b: &PollLog,
-    f: ValueFunction,
     from: Timestamp,
     to: Timestamp,
 ) -> Vec<FPoint> {
@@ -253,7 +249,6 @@ pub(crate) fn f_timeline(
         log_a,
         trace_b,
         log_b,
-        f,
         to,
         |seg_start, seg_len, server, proxy| {
             // Emit one point per constant segment intersecting [from, to],
@@ -281,7 +276,6 @@ fn sweep_value_pair(
     log_a: &PollLog,
     trace_b: &UpdateTrace,
     log_b: &PollLog,
-    f: ValueFunction,
     until: Timestamp,
     mut visit: impl FnMut(Timestamp, Duration, Value, Value),
 ) {
@@ -316,7 +310,7 @@ fn sweep_value_pair(
     let mut cursor = Timestamp::ZERO;
     let mut segment = |start: Timestamp, end: Timestamp, sa, pa, sb, pb| {
         if let (Some(sa), Some(pa), Some(sb), Some(pb)) = (sa, pa, sb, pb) {
-            visit(start, end.since(start), f.eval(sa, sb), f.eval(pa, pb));
+            visit(start, end.since(start), sa - sb, pa - pb);
         }
     };
     let mut idx = 0;
@@ -485,41 +479,17 @@ mod tests {
         let tb = valued_trace(&[(0, 6.0)]);
         let la = log(&[(0, Some(0))]);
         let lb = log(&[(0, Some(0))]);
-        let stats = mutual_value(
-            &ta,
-            &la,
-            &tb,
-            &lb,
-            ValueFunction::Difference,
-            Value::new(0.5),
-            secs(300),
-        );
+        let stats = mutual_value(&ta, &la, &tb, &lb, Value::new(0.5), secs(300));
         // Out of sync over 100..300.
         assert_eq!(stats.out_of_sync(), Duration::from_secs(200));
         // Now with a refresh of a at 150: violation seen there, sync after.
         let la = log(&[(0, Some(0)), (150, Some(1))]);
-        let stats = mutual_value(
-            &ta,
-            &la,
-            &tb,
-            &lb,
-            ValueFunction::Difference,
-            Value::new(0.5),
-            secs(300),
-        );
+        let stats = mutual_value(&ta, &la, &tb, &lb, Value::new(0.5), secs(300));
         assert_eq!(stats.violations(), 1);
         // Out of sync over 100..150.
         assert_eq!(stats.out_of_sync(), Duration::from_secs(50));
         // A drift exactly equal to Δv breaks Equation 5's strict bound.
-        let stats = mutual_value(
-            &ta,
-            &la,
-            &tb,
-            &lb,
-            ValueFunction::Difference,
-            Value::new(1.0),
-            secs(300),
-        );
+        let stats = mutual_value(&ta, &la, &tb, &lb, Value::new(1.0), secs(300));
         assert_eq!(stats.violations(), 1);
         assert_eq!(stats.out_of_sync(), Duration::from_secs(50));
     }
@@ -530,15 +500,7 @@ mod tests {
         let tb = valued_trace(&[(0, 6.0)]);
         let la = log(&[(0, Some(0)), (150, Some(1))]);
         let lb = log(&[(0, Some(0))]);
-        let points = f_timeline(
-            &ta,
-            &la,
-            &tb,
-            &lb,
-            ValueFunction::Difference,
-            secs(0),
-            secs(300),
-        );
+        let points = f_timeline(&ta, &la, &tb, &lb, secs(0), secs(300));
         assert!(points.len() >= 3);
         // At t=0 both are 4; at 100 server jumps to 5; at 150 proxy catches up.
         assert_eq!(points[0].at, secs(0));
@@ -557,15 +519,7 @@ mod tests {
         let tb = valued_trace(&[(0, 6.0)]);
         let la = log(&[(0, Some(0))]);
         let lb = log(&[(0, Some(0))]);
-        let points = f_timeline(
-            &ta,
-            &la,
-            &tb,
-            &lb,
-            ValueFunction::Difference,
-            secs(150),
-            secs(250),
-        );
+        let points = f_timeline(&ta, &la, &tb, &lb, secs(150), secs(250));
         assert!(points
             .iter()
             .all(|p| p.at >= secs(150) && p.at <= secs(250)));

@@ -7,10 +7,10 @@
 //!
 //! * tick instants on a jittered quasi-regular grid (quotes arrive at a
 //!   fairly steady pace during market hours), and
-//! * prices following an Ornstein–Uhlenbeck-style walk — a normal step
-//!   plus mild pull towards the band centre, reflected at the band edges —
-//!   which gives the *temporal locality* that makes rate extrapolation
-//!   (§4.1) meaningful.
+//! * prices opening at the band midpoint and following an
+//!   Ornstein–Uhlenbeck-style walk — a normal step plus mild pull towards
+//!   the band centre, reflected at the band edges — which gives the
+//!   *temporal locality* that makes rate extrapolation (§4.1) meaningful.
 
 use mutcon_core::time::{Duration, Timestamp};
 use mutcon_core::value::Value;
@@ -23,6 +23,9 @@ use crate::model::{TraceError, UpdateEvent, UpdateTrace};
 const VOLATILITY: f64 = 0.15;
 /// Pull-to-centre strength per tick.
 const MEAN_REVERSION: f64 = 0.02;
+/// Tick-time jitter as a fraction of the grid spacing; below 0.5, so
+/// ticks cannot reorder.
+const JITTER: f64 = 0.35;
 
 /// Builder for a stock-style (valued) update trace.
 #[derive(Debug, Clone)]
@@ -32,8 +35,6 @@ pub struct StockTraceBuilder {
     updates: usize,
     min: f64,
     max: f64,
-    initial: Option<f64>,
-    jitter: f64,
     seed: u64,
 }
 
@@ -53,23 +54,8 @@ impl StockTraceBuilder {
             updates,
             min,
             max,
-            initial: None,
-            jitter: 0.35,
             seed: 0,
         }
-    }
-
-    /// Sets the opening price (defaults to the band midpoint).
-    pub fn initial(mut self, price: f64) -> Self {
-        self.initial = Some(price);
-        self
-    }
-
-    /// Tick-time jitter as a fraction of the grid spacing (default 0.35,
-    /// clamped to `[0, 0.49]` so ticks cannot reorder).
-    pub fn jitter(mut self, j: f64) -> Self {
-        self.jitter = j.clamp(0.0, 0.49);
-        self
     }
 
     /// Sets the RNG seed.
@@ -84,17 +70,12 @@ impl StockTraceBuilder {
     /// # Errors
     ///
     /// Returns [`TraceError`] for an inverted, degenerate or non-finite
-    /// price band, an opening price outside the band, or a window too
-    /// short to hold the ticks.
+    /// price band, or a window too short to hold the ticks.
     pub fn build(self) -> Result<UpdateTrace, TraceError> {
         // Price-band and parameter validation; TraceError::InvalidWindow
         // covers window problems, parameter issues map onto OutOfRange.
         if !(self.min.is_finite() && self.max.is_finite()) || self.min >= self.max {
             return Err(TraceError::InvalidWindow);
-        }
-        let initial = self.initial.unwrap_or((self.min + self.max) / 2.0);
-        if !(self.min..=self.max).contains(&initial) {
-            return Err(TraceError::OutOfRange { index: 0 });
         }
         if self.duration.as_millis() <= self.updates as u64 {
             return Err(TraceError::OutOfRange {
@@ -111,7 +92,7 @@ impl StockTraceBuilder {
         let spacing = self.duration.as_millis() as f64 / (n as f64 + 1.0);
         let mut instants: Vec<u64> = (1..=n)
             .map(|i| {
-                let jitter = rng.uniform_range(-self.jitter, self.jitter) * spacing;
+                let jitter = rng.uniform_range(-JITTER, JITTER) * spacing;
                 ((i as f64 * spacing + jitter).max(1.0) as u64).min(self.duration.as_millis())
             })
             .collect();
@@ -133,7 +114,7 @@ impl StockTraceBuilder {
         // Scale the per-tick step so a full trace explores a good part of
         // the band regardless of tick count: σ_tick = volatility·width/√n.
         let sigma = VOLATILITY * width / (n.max(1) as f64).sqrt() * 4.0;
-        let mut price = initial;
+        let mut price = mid;
         let mut events = Vec::with_capacity(n + 1);
         events.push(UpdateEvent::valued(start, Value::new(price)));
         for ms in instants {
@@ -216,12 +197,12 @@ mod tests {
 
     #[test]
     fn initial_price_respected() {
+        // The opening quote is the band midpoint.
         let t = StockTraceBuilder::new("x", Duration::from_hours(1), 10, 100.0, 110.0)
-            .initial(101.0)
             .seed(1)
             .build()
             .unwrap();
-        assert_eq!(t.events()[0].value, Some(Value::new(101.0)));
+        assert_eq!(t.events()[0].value, Some(Value::new(105.0)));
     }
 
     #[test]
@@ -229,13 +210,6 @@ mod tests {
         // Inverted band.
         assert!(
             StockTraceBuilder::new("x", Duration::from_hours(1), 10, 5.0, 4.0)
-                .build()
-                .is_err()
-        );
-        // Initial outside band.
-        assert!(
-            StockTraceBuilder::new("x", Duration::from_hours(1), 10, 1.0, 2.0)
-                .initial(9.0)
                 .build()
                 .is_err()
         );

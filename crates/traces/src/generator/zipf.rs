@@ -19,17 +19,16 @@ use crate::model::TraceError;
 pub struct ZipfCatalogBuilder {
     objects: usize,
     exponent: f64,
-    prefix: String,
     seed: u64,
 }
 
 impl ZipfCatalogBuilder {
-    /// Starts building a catalog of `objects` ranked paths.
+    /// Starts building a catalog of `objects` ranked paths: `/zipf/0`,
+    /// `/zipf/1`, … in rank order, zero-padded to one width.
     pub fn new(objects: usize) -> Self {
         ZipfCatalogBuilder {
             objects,
             exponent: 1.0,
-            prefix: "/zipf".to_string(),
             seed: 0,
         }
     }
@@ -37,13 +36,6 @@ impl ZipfCatalogBuilder {
     /// Sets the Zipf exponent `s` (default 1.0 — the classic web law).
     pub fn exponent(mut self, s: f64) -> Self {
         self.exponent = s;
-        self
-    }
-
-    /// Sets the path prefix (default `/zipf`, yielding `/zipf/0000`,
-    /// `/zipf/0001`, … in rank order).
-    pub fn prefix(mut self, prefix: impl Into<String>) -> Self {
-        self.prefix = prefix.into();
         self
     }
 
@@ -83,7 +75,7 @@ impl ZipfCatalogBuilder {
             .collect();
         let digits = (self.objects - 1).max(1).to_string().len();
         let paths = (0..self.objects)
-            .map(|i| format!("{}/{:0digits$}", self.prefix, i))
+            .map(|i| format!("/zipf/{i:0digits$}"))
             .collect();
         Ok(ZipfCatalog {
             paths,
@@ -151,8 +143,8 @@ mod tests {
         assert_eq!(c.paths.len(), 512);
         assert_eq!(c.path(0), "/zipf/000");
         assert_eq!(c.path(511), "/zipf/511");
-        let ten = ZipfCatalogBuilder::new(10).prefix("/obj").build().unwrap();
-        assert_eq!(ten.path(9), "/obj/9");
+        let ten = ZipfCatalogBuilder::new(10).build().unwrap();
+        assert_eq!(ten.path(9), "/zipf/9");
     }
 
     #[test]

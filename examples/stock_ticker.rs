@@ -10,10 +10,9 @@
 //! ```
 
 use mutcon::core::adaptive_ttr::AdaptiveTtrConfig;
-use mutcon::core::functions::ValueFunction;
-use mutcon::core::mutual::value::{PartitionedConfig, VirtualObjectConfig};
+use mutcon::core::mutual::value::PartitionedConfig;
 use mutcon::core::object::ObjectId;
-use mutcon::core::time::{Duration, Timestamp};
+use mutcon::core::time::Timestamp;
 use mutcon::core::value::Value;
 use mutcon::proxy::drivers::{run_value_pair, ValuePairPolicy};
 use mutcon::proxy::metrics;
@@ -40,7 +39,6 @@ fn main() {
     let until = Timestamp::ZERO + att.duration();
 
     let delta = Value::new(0.6); // the paper's Figure 8 tolerance
-    let f = ValueFunction::Difference;
     println!("requirement: |f(S) − f(P)| < δ = ${delta} for f = difference\n");
     println!(
         "{:<22} {:>7} {:>14} {:>14}",
@@ -49,29 +47,18 @@ fn main() {
 
     // The §4.1 adaptive TTR both approaches run, its Δ being δ.
     let ttr = AdaptiveTtrConfig::builder(delta)
-        .ttr_bounds(Duration::from_secs(10), Duration::from_mins(10))
-        .build()
-        .expect("valid policy parameters");
-
-    let virtual_cfg = VirtualObjectConfig::builder(f, ttr)
-        .build()
-        .expect("valid policy parameters");
-    let partitioned_cfg = PartitionedConfig::builder(f, ttr)
         .build()
         .expect("valid policy parameters");
 
     for (label, policy) in [
-        (
-            "adaptive (virtual f)",
-            ValuePairPolicy::Virtual(virtual_cfg),
-        ),
+        ("adaptive (virtual f)", ValuePairPolicy::Virtual(ttr)),
         (
             "partitioned (δa+δb=δ)",
-            ValuePairPolicy::Partitioned(partitioned_cfg),
+            ValuePairPolicy::Partitioned(PartitionedConfig::builder(ttr).build()),
         ),
     ] {
         let out = run_value_pair(&origin, &ids[0], &ids[1], &policy, until);
-        let stats = metrics::mutual_value(&yahoo, &out.log_a, &att, &out.log_b, f, delta, until);
+        let stats = metrics::mutual_value(&yahoo, &out.log_a, &att, &out.log_b, delta, until);
         println!(
             "{label:<22} {:>7} {:>14.3} {:>11.1} s",
             stats.polls(),
@@ -83,7 +70,7 @@ fn main() {
     println!(
         "\nThe partitioned approach tracks the server difference more tightly\n\
          (higher fidelity) at the cost of more polls — the Figure 7 trade-off.\n\
-         It is only available because the difference function decomposes\n\
-         per-object (ValueFunction::lipschitz_weights)."
+         It is only available because the difference decomposes per object:\n\
+         |Δf| ≤ |ΔS_a| + |ΔS_b|, so δa + δb = δ bounds f."
     );
 }
