@@ -604,6 +604,16 @@ struct Reactor {
     paused_since: Option<Instant>,
 }
 
+/// An accept error that concerns one connection, not the listener: a
+/// signal, or a peer that reset before it was accepted. The next accept
+/// may succeed at once.
+fn is_transient_accept_error(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::Interrupted | io::ErrorKind::ConnectionAborted
+    )
+}
+
 /// Reads what `stream` (a nonblocking socket) has into `buf` through
 /// `scratch`, at most `limit` bytes in all. Stops at a short read, which
 /// drained the socket (the level-triggered poller raises a new event for
@@ -835,7 +845,11 @@ impl Reactor {
     /// metrics are stored once per batch, not once per connection, and
     /// the listener's epoll interest is only touched when the batch hits
     /// the connection bound (a failed pause is retried at the next
-    /// wakeup).
+    /// wakeup). An accept that fails for want of a resource (`EMFILE`,
+    /// `ENFILE`, `ENOBUFS`, …) is that bound too: the level-triggered
+    /// listener would otherwise wake every wait at once with the backlog
+    /// still there, so it pauses, and the parked clients get their
+    /// [`PARK_DEADLINE`] as at the bound.
     fn accept_ready(&mut self, now: Instant) {
         let mut batch: u64 = 0;
         while self.accepting() {
@@ -859,8 +873,11 @@ impl Reactor {
                     batch += 1;
                 }
                 Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(ref e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => break,
+                Err(ref e) if is_transient_accept_error(e) => continue,
+                Err(_) => {
+                    self.pause_accepting(now);
+                    break;
+                }
             }
         }
         if batch > 0 {
@@ -1363,7 +1380,7 @@ impl Reactor {
                     self.metrics.parked_shed.add(1);
                 }
                 Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => break true,
-                Err(ref e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(ref e) if is_transient_accept_error(e) => {}
                 Err(_) => break false,
             }
         }
@@ -1999,6 +2016,78 @@ mod tests {
         assert_eq!(
             (reactor.pool.queued_len(addr), reactor.pool.open_len(addr)),
             (0, 0)
+        );
+    }
+
+    /// The soft `RLIMIT_NOFILE` of this process, from `/proc/self/limits`.
+    fn open_file_limit() -> u64 {
+        let limits = std::fs::read_to_string("/proc/self/limits").unwrap();
+        let line = limits
+            .lines()
+            .find(|l| l.starts_with("Max open files"))
+            .unwrap();
+        line.split_whitespace().nth(3).unwrap().parse().unwrap()
+    }
+
+    /// Run by `running_out_of_descriptors_pauses_accepting` in a child
+    /// process limited to 64 descriptors. Clients connect until the
+    /// process has no descriptor left, then four of them are closed, so
+    /// the reactor accepts four from the backlog and the next accept fails
+    /// with `EMFILE`. A listener left watched would wake every wait at
+    /// once with the backlog still there; it is paused like one at the
+    /// connection bound, parked clients keep their deadline, a shed pass
+    /// that cannot accept retries one deadline later, and a closed client
+    /// watches the listener again.
+    #[test]
+    #[ignore = "needs `ulimit -n 64`; run by running_out_of_descriptors_pauses_accepting"]
+    fn out_of_descriptors_in_a_limited_process() {
+        assert!(open_file_limit() <= 64, "run under `ulimit -n 64`");
+        let metrics = Arc::new(EngineMetrics::default());
+        let mut reactor = idle_reactor(&metrics);
+        reactor.max_conns = MAX_CONNS;
+        let addr = reactor.listener.local_addr().unwrap();
+        let mut clients = Vec::new();
+        while let Ok(client) = TcpStream::connect(addr) {
+            clients.push(client);
+            assert!(clients.len() < 64, "the descriptor limit never hit");
+        }
+        clients.truncate(clients.len() - 4);
+
+        let t0 = Instant::now();
+        reactor.accept_ready(t0);
+        assert_eq!(reactor.clients, 4);
+        assert!(!reactor.accepting(), "the listener is still watched");
+        assert_eq!(reactor.shed_at(), Some(t0 + PARK_DEADLINE));
+
+        let t1 = t0 + PARK_DEADLINE;
+        reactor.check_park_deadline(t1);
+        assert_eq!(metrics.parked_shed(), 0, "no descriptor to shed with");
+        assert_eq!(reactor.shed_at(), Some(t1 + PARK_DEADLINE));
+
+        let idx = (0..reactor.conns.len())
+            .find(|&i| matches!(&reactor.conns[i], Some(c) if matches!(c.kind, Kind::Client(_))))
+            .unwrap();
+        reactor.close_client(idx);
+        assert!(reactor.accepting(), "a freed descriptor resumes accepting");
+        reactor.accept_ready(t1);
+        assert_eq!(reactor.clients, 4);
+        assert!(!reactor.accepting());
+    }
+
+    #[test]
+    fn running_out_of_descriptors_pauses_accepting() {
+        let out = std::process::Command::new("sh")
+            .arg("-c")
+            .arg(r#"ulimit -n 64 && exec "$0" --ignored --exact "$1""#)
+            .arg(std::env::current_exe().unwrap())
+            .arg("server::tests::out_of_descriptors_in_a_limited_process")
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success() && stdout.contains("1 passed"),
+            "{stdout}{}",
+            String::from_utf8_lossy(&out.stderr)
         );
     }
 
