@@ -22,13 +22,16 @@
 //! ## The algorithms
 //!
 //! * [`limd`] — linear-increase multiplicative-decrease adaptation of the
-//!   poll interval (TTR) for Δt-consistency (§3.1).
+//!   poll interval (TTR) for Δt-consistency (§3.1); ε (0.02) and the
+//!   adaptive `m`'s clamps (0.05–0.95) are constants.
 //! * [`adaptive_ttr`] — rate-extrapolating TTR computation for
-//!   Δv-consistency (§4.1).
+//!   Δv-consistency (§4.1); the smoothing weight w (0.5) and the TTR
+//!   bounds (10 s–10 min) are constants, α is tunable.
 //! * [`mutual::temporal`] — Mt coordination: triggered polls and the
 //!   update-rate heuristic (§3.2).
-//! * [`mutual::value`] — Mv coordination: the virtual-object and
-//!   partitioned-tolerance approaches (§4.2).
+//! * [`mutual::value`] — Mv coordination for `f(a, b) = a − b`, the `f`
+//!   the paper evaluates: the virtual-object approach (θ feedback × 0.7,
+//!   × 1.1, floor 0.05) and the partitioned-tolerance approach (§4.2).
 //! * [`fidelity`] — the two fidelity metrics of the evaluation (§6.1.3).
 //! * [`limit`] — the LIMD/AIMD shape applied to concurrency limits; only
 //!   the benchmark drives it (`core.limit.on_sample_ns`).

@@ -20,7 +20,7 @@
 //!    back-off towards `TTR_min` under successive violations.
 //! 3. **Changed, no violation** — `TTR ← TTR · (1 + ε)` for a small ε:
 //!    the proxy is polling at roughly the right frequency and only
-//!    fine-tunes. ε is the constant `EPSILON`, the paper's 0.02.
+//!    fine-tunes.
 //! 4. **Changed after a long idle period** — `TTR ← TTR_min`: a cold
 //!    object has become hot; restart probing from the most conservative
 //!    setting.
@@ -29,10 +29,10 @@
 //! default (the minimum poll spacing that can still maintain the bound).
 //!
 //! The tunable parameters are `l`, the decrease rule `m` and the TTR
-//! bounds ([`LimdConfigBuilder`]). Case 2's adaptive `m`
-//! ([`DecreaseFactor::DeltaOverOutSync`], §6.2.1) is clamped into
-//! `[M_FLOOR, M_CEILING]` = `[0.05, 0.95]`, and ε is fixed at 0.02: every
-//! experiment of the paper runs at those values.
+//! bounds ([`LimdConfigBuilder`]). The rest are constants at the values
+//! every figure and ablation here uses: Case 3's ε is 0.02 (`EPSILON`),
+//! and Case 2's adaptive `m` ([`DecreaseFactor::DeltaOverOutSync`],
+//! §6.2.1) is clamped into `[0.05, 0.95]` (`M_FLOOR`, `M_CEILING`).
 //!
 //! # Violation detection
 //!

@@ -93,6 +93,11 @@ pub mod runtime;
 pub mod server;
 pub mod upstream;
 pub mod vectored;
+
+pub use origin::LiveOrigin;
+pub use proxy::{LiveProxy, ProxyConfig, RefreshRule};
+pub use runtime::ConsistencyRuntime;
+
 #[cfg(test)]
 mod wire;
 
@@ -100,7 +105,3 @@ mod wire;
 // this crate.
 #[cfg(test)]
 extern crate self as mutcon_live;
-
-pub use origin::LiveOrigin;
-pub use proxy::{LiveProxy, ProxyConfig, RefreshRule};
-pub use runtime::ConsistencyRuntime;

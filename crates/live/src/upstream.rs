@@ -335,24 +335,23 @@ impl<W> PoolCore<W> {
     }
 }
 
-/// What the reactor's and this module's tests read of the pool.
-#[cfg(test)]
-impl<W> PoolCore<W> {
-    /// Number of idle pooled connections for `addr`.
-    pub(crate) fn idle_len(&self, addr: SocketAddr) -> usize {
-        self.origin(addr).map_or(0, |o| o.idle.len())
-    }
-
-    /// Number of queued jobs for `addr`.
-    pub(crate) fn queued_len(&self, addr: SocketAddr) -> usize {
-        self.origin(addr).map_or(0, |o| o.queued.len())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::time::Duration;
+
+    /// What the reactor's and this module's tests read of the pool.
+    impl<W> PoolCore<W> {
+        /// Number of idle pooled connections for `addr`.
+        pub(crate) fn idle_len(&self, addr: SocketAddr) -> usize {
+            self.origin(addr).map_or(0, |o| o.idle.len())
+        }
+
+        /// Number of queued jobs for `addr`.
+        pub(crate) fn queued_len(&self, addr: SocketAddr) -> usize {
+            self.origin(addr).map_or(0, |o| o.queued.len())
+        }
+    }
 
     fn addr(port: u16) -> SocketAddr {
         format!("127.0.0.1:{port}").parse().unwrap()

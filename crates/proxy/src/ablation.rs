@@ -171,11 +171,7 @@ pub fn alpha_blend(trace_a: &UpdateTrace, trace_b: &UpdateTrace, delta: Value) -
     [1.0, 0.75, 0.5, 0.25, 0.0]
         .into_iter()
         .map(|alpha| {
-            let ttr = Fig7Config {
-                alpha,
-                ..Fig7Config::default()
-            }
-            .ttr(delta);
+            let ttr = Fig7Config { alpha }.ttr(delta);
             let out = run_value_pair(
                 &origin,
                 &ids[0],

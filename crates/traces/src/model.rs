@@ -235,18 +235,17 @@ impl UpdateTrace {
     }
 }
 
-/// What the crate's tests read of a trace.
-#[cfg(test)]
-impl UpdateTrace {
-    /// Whether the trace carries values on every event.
-    pub(crate) fn is_valued(&self) -> bool {
-        self.events.iter().all(|e| e.value.is_some())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// What the crate's tests read of a trace.
+    impl UpdateTrace {
+        /// Whether the trace carries values on every event.
+        pub(crate) fn is_valued(&self) -> bool {
+            self.events.iter().all(|e| e.value.is_some())
+        }
+    }
 
     fn secs(s: u64) -> Timestamp {
         Timestamp::from_secs(s)
