@@ -167,6 +167,11 @@ impl AdaptiveTtr {
         self.rate
     }
 
+    /// The tolerance Δ in force.
+    pub(crate) fn delta(&self) -> Value {
+        self.config.delta
+    }
+
     /// Replaces the tolerance Δ, keeping the learned rate state.
     ///
     /// Used by the partitioned Mv approach (§4.2), which periodically

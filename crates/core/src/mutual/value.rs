@@ -78,7 +78,6 @@ pub struct MvDecision {
 /// and 12).
 #[derive(Debug, Clone, PartialEq)]
 pub struct VirtualObjectPolicy {
-    delta: Value,
     ttr: AdaptiveTtr,
     theta: f64,
     last_f: Option<Value>,
@@ -90,7 +89,6 @@ impl VirtualObjectPolicy {
     /// θ = 1").
     pub fn new(ttr: AdaptiveTtrConfig) -> Self {
         VirtualObjectPolicy {
-            delta: ttr.delta(),
             ttr: AdaptiveTtr::new(ttr),
             theta: 1.0,
             last_f: None,
@@ -105,7 +103,7 @@ impl VirtualObjectPolicy {
         // this one, so the cached pair was (at some point) out of bounds.
         let violated = self
             .last_f
-            .is_some_and(|prev| f_new.abs_diff(prev) >= self.delta);
+            .is_some_and(|prev| f_new.abs_diff(prev) >= self.ttr.delta());
         if violated {
             self.theta = (self.theta * THETA_DECREASE).max(THETA_MIN);
         } else {

@@ -251,7 +251,7 @@ if grep -nE 'Limd::new|MtCoordinator::new' \
   exit 1
 fi
 
-# One §4 tuning, one rate estimate, one LIMD-from-tuning. The Mv configs
+# One §4 tuning, one rate estimate, one LIMD-from-tuning. The Mv policies
 # in crates/core/src/mutual/value.rs take the §4.1 `AdaptiveTtrConfig`
 # and keep no copy of its fields, and the partitioned policy reads each
 # member's slope from that member's `AdaptiveTtr` rather than estimating
@@ -479,7 +479,7 @@ done
 
 # The paper's tables and figures (the simulator's timings go under the
 # git-ignored target/, so a green run leaves the tree clean), and the
-# golden test that pins Figures 5–8, ablation D and every robustness
+# golden test that pins Figures 3–8, ablations A–D and every robustness
 # grid's poll total: a scheduling or §4 policy change fails it until the
 # new rows are committed in crates/bench/tests/golden.rs with their
 # cause.
