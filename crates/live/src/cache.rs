@@ -169,35 +169,6 @@ struct Shard {
     version_bumps: u64,
 }
 
-/// The copies a store pushed out of a shard: the one it replaced and
-/// the one the bound evicted. The caller drops them after releasing
-/// the shard's write lock, so freeing a body is not done under it.
-type Displaced = [Option<Arc<CacheEntry>>; 2];
-
-impl Shard {
-    /// The one place a copy enters the map: marks the copy it replaces
-    /// and the copy the bound evicts to make room, and hands both back.
-    fn store(&mut self, path: &str, entry: Arc<CacheEntry>) -> Displaced {
-        // This look-up marks a replaced copy's place referenced: a store
-        // of a resident path counts as a use of it.
-        let replaced = self.map.get(path).cloned();
-        if let Some(replaced) = &replaced {
-            replaced.supersede();
-            self.version_bumps += 1;
-        }
-        let evicted = self
-            .map
-            .insert(Arc::from(path), entry, ())
-            .map(|(_, victim)| victim);
-        if let Some(victim) = &evicted {
-            victim.supersede();
-            self.evictions += 1;
-            self.version_bumps += 1;
-        }
-        [replaced, evicted]
-    }
-}
-
 /// One shard's occupancy and eviction count, as reported by
 /// [`ShardedCache::shard_stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -290,28 +261,40 @@ impl ShardedCache {
     }
 
     /// Stores a copy unless one at least as fresh (by modification
-    /// stamp) is already resident — the check and the insert happen
-    /// under one shard write lock, so a slow fetch that raced a faster
-    /// refresh can never clobber the newer copy, and a second store of
-    /// the same version supersedes nothing. A store into a shard at
-    /// capacity evicts the entry its sweep settles on; the replaced copy
-    /// and the evicted one are superseded, and both are dropped after the
-    /// shard's lock is released. Returns the entry now resident (the
-    /// given one, or the incumbent).
+    /// stamp) is already resident — the check and the store happen
+    /// under one shard write lock and one look-up, so a slow fetch that
+    /// raced a faster refresh can never clobber the newer copy, and a
+    /// second store of the same version supersedes nothing. A resident
+    /// path's copy is replaced in place (the store counts as a use of
+    /// it); only a new path allocates its key, and into a shard at
+    /// capacity it evicts the entry the sweep settles on. The copy pushed
+    /// out is superseded and dropped after the shard's lock is released.
+    /// Returns the entry now resident (the given one, or the incumbent).
     pub fn insert_if_newer(
         &self,
         path: &str,
         entry: impl Into<Arc<CacheEntry>>,
     ) -> Arc<CacheEntry> {
         let entry = entry.into();
-        let mut shard = self.shards[shard_of(path)].write().expect(POISONED);
-        if let Some(existing) = shard.map.get(path) {
-            if existing.last_modified >= entry.last_modified {
-                return Arc::clone(existing);
+        let mut guard = self.shards[shard_of(path)].write().expect(POISONED);
+        let shard = &mut *guard;
+        let displaced = match shard.map.get_mut(path) {
+            Some(resident) if resident.last_modified >= entry.last_modified => {
+                return Arc::clone(resident);
             }
-        }
-        let displaced = shard.store(path, Arc::clone(&entry));
-        drop(shard);
+            Some(resident) => std::mem::replace(resident, Arc::clone(&entry)),
+            None => {
+                let evicted = shard.map.insert_new(Arc::from(path), Arc::clone(&entry));
+                let Some((_, victim)) = evicted else {
+                    return entry;
+                };
+                shard.evictions += 1;
+                victim
+            }
+        };
+        displaced.supersede();
+        shard.version_bumps += 1;
+        drop(guard);
         drop(displaced);
         entry
     }

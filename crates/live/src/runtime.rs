@@ -21,8 +21,9 @@
 //! `next_poll` hands out a due poll, `ruled` says whether a path is still
 //! ruled, `finish` applies the outcome of a path's poll and `next_wake`
 //! says when to look again. The lock is never held across a round trip.
-//! [`ConsistencyRuntime::run`] steps the same plane from blocking worker
-//! threads; it is kept because `benchmark/` drives it.
+//! [`ConsistencyRuntime::run`] steps the same plane the same way on its
+//! caller's thread; it is kept because `benchmark/` drives it. There is
+//! no condvar and no worker: the install hook is the plane's one wake path.
 //!
 //! **One ledger, no clock.** A poll out is an entry in the schedule's
 //! in-flight table (kind, send stamp) until `finish` names its path;
@@ -59,7 +60,7 @@
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex as StdMutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration as StdDuration, Instant};
 
 use mutcon_core::limd::{LimdConfig, PollResult};
@@ -77,6 +78,10 @@ use crate::proxy::{GroupRule, RefreshRule, ADMIN_PREFIX};
 /// default multiple) every `timestamp + TTR` on the millisecond timeline
 /// stays far from `u64` overflow.
 pub(crate) const MAX_DELTA: Duration = Duration::from_hours(365 * 24);
+
+/// The longest [`ConsistencyRuntime::run`] sleeps with nothing due, so a
+/// shutdown or an install is seen within it (as reactor 0's tick caps its wait).
+const RUN_NAP: StdDuration = StdDuration::from_millis(10);
 
 /// Validates a rule set + group the way both [`crate::proxy::LiveProxy::start`]
 /// and the `PUT /admin/rules` endpoint require: unique paths that don't
@@ -274,8 +279,6 @@ pub struct ConsistencyRuntime {
     metrics: RefreshMetrics,
     /// The whole refresh state machine; its version is the epoch in force.
     core: StdMutex<Core>,
-    /// Where idle [`ConsistencyRuntime::run`] workers wait, with `core`.
-    work: Condvar,
     /// Registered by the proxy at start (`ConsistencyRuntime::on_install`).
     on_install: OnceLock<InstallHook>,
 }
@@ -299,7 +302,6 @@ impl ConsistencyRuntime {
         let runtime = ConsistencyRuntime {
             metrics: RefreshMetrics::default(),
             core: StdMutex::new(Core::default()),
-            work: Condvar::new(),
             on_install: OnceLock::new(),
         };
         runtime.install(rules, group)?;
@@ -331,23 +333,17 @@ impl ConsistencyRuntime {
         let _ = self.on_install.set(Box::new(hook));
     }
 
-    /// Makes [`ConsistencyRuntime::run`]'s idle workers look at the
-    /// schedule and the shutdown flag again. Installs notify them
-    /// themselves; a `run` caller must call this after storing the
-    /// shutdown flag, or idle workers keep waiting for their next due
-    /// instant.
-    pub fn wake(&self) {
-        // Through the lock, so the notify cannot fall between a
-        // worker's look at the flag and its wait.
-        drop(self.lock());
-        self.work.notify_all();
-    }
+    /// Does nothing: [`ConsistencyRuntime::run`] looks at the shutdown
+    /// flag and the schedule at least every `RUN_NAP` (10 ms) on its own.
+    /// Kept because `benchmark/` calls it after storing its shutdown flag.
+    pub fn wake(&self) {}
 
     /// Validates a new rule set, then, under the plane's lock,
     /// reconciles the schedule with it, which bumps the epoch; the new
-    /// rules are in force when it returns. Then it wakes whoever steps the
-    /// plane and runs the install hook. The swap is the whole reload: no
-    /// thread restarts, no cache drop, no connection churn.
+    /// rules are in force when it returns. Then it runs the install hook,
+    /// the plane's one wake path (the proxy's wakes reactor 0). The swap
+    /// is the whole reload: no thread restarts, no cache drop, no
+    /// connection churn.
     ///
     /// # Errors
     ///
@@ -363,7 +359,6 @@ impl ConsistencyRuntime {
         let report =
             self.lock()
                 .reconcile(members, group.map(|g| (g.delta, g.policy)), Instant::now());
-        self.work.notify_all();
         if let Some(hook) = self.on_install.get() {
             hook(&report);
         }
@@ -410,74 +405,40 @@ impl ConsistencyRuntime {
             .collect()
     }
 
-    /// The refresh plane stepped by blocking workers until `shutdown`:
-    /// kept because `benchmark/` drives it for its dispatch-capacity
-    /// figure; the live proxy steps the plane on its reactor instead.
-    /// Runs on exactly `workers` threads, the calling one and
-    /// `workers - 1` scoped ones, each owning the poller `make_poller`
-    /// builds for it and looping *plane → next poll → unlock → poll →
-    /// plane → finish*; workers past [`POLL_WIDTH`] stay idle. A worker
-    /// with nothing due waits on the one condvar until the earliest due
-    /// instant; whoever takes a poll notifies one idle worker to watch
-    /// the next one, and an install or [`ConsistencyRuntime::wake`]
-    /// notifies all.
+    /// The refresh plane stepped on the calling thread until `shutdown`,
+    /// as reactor 0 steps it: *next poll → unlock → poll → finish*, one
+    /// poll out at a time, sleeping at most `RUN_NAP` with nothing due.
+    /// Kept because `benchmark/` drives it for its dispatch figure.
     ///
-    /// A poller performs the origin round trip; `None` marks a failed
-    /// poll. `_on_removed` and `_on_adopted` are never called: an install
-    /// reconciles the schedule itself, and only the install hook hears
-    /// of it. They are kept because `benchmark/` passes them.
+    /// The one poller, `make_poller(0)`, does the round trip; `None` marks
+    /// a failed poll. `_workers`, `_on_removed` and `_on_adopted` are
+    /// unused, kept because `benchmark/` passes them.
     pub fn run<P>(
         &self,
         shutdown: &AtomicBool,
-        workers: usize,
+        _workers: usize,
         mut make_poller: impl FnMut(usize) -> P,
         _on_removed: impl FnMut(&str) + Send,
         _on_adopted: impl FnMut(u64) + Send,
     ) where
         P: FnMut(PollKind, &str) -> Option<PollResult> + Send,
     {
-        let work = |mut poller: P| {
+        let mut poller = make_poller(0);
+        while !shutdown.load(Ordering::SeqCst) {
+            let now = Instant::now();
             let mut plane = self.plane();
-            while !shutdown.load(Ordering::SeqCst) {
-                let now = Instant::now();
-                let Some(job) = plane.next_poll(now, Timestamp::from_millis(unix_now_ms())) else {
-                    // With nothing scheduled, forever: only a finish
-                    // (whose worker then looks for work itself), an
-                    // install or `wake` can create work.
-                    let left = plane
-                        .next_wake()
-                        .map_or(StdDuration::MAX, |at| at.saturating_duration_since(now));
-                    let waited = self.work.wait_timeout(plane.core, left);
-                    let core = waited.unwrap_or_else(PoisonError::into_inner).0;
-                    plane = Plane {
-                        core,
-                        metrics: &self.metrics,
-                    };
-                    continue;
-                };
-                // While this worker is on the wire somebody else has to
-                // watch the next due instant.
-                self.work.notify_one();
+            let Some(job) = plane.next_poll(now, Timestamp::from_millis(unix_now_ms())) else {
+                let left = plane
+                    .next_wake()
+                    .map_or(RUN_NAP, |at| at.saturating_duration_since(now));
                 drop(plane);
-                let result = poller(job.kind, &job.key);
-                plane = self.plane();
-                plane.finish(&job.key, result, Instant::now());
-            }
+                std::thread::sleep(left.min(RUN_NAP));
+                continue;
+            };
             drop(plane);
-            // A poller may store the flag without a `wake`: take the idle
-            // workers along.
-            self.work.notify_all();
-        };
-
-        // Worker 0 is the calling thread; the rest are scoped threads.
-        let work = &work;
-        std::thread::scope(|scope| {
-            let first = make_poller(0);
-            for poller in (1..workers.max(1)).map(&mut make_poller) {
-                scope.spawn(move || work(poller));
-            }
-            work(first);
-        });
+            let result = poller(job.kind, &job.key);
+            self.plane().finish(&job.key, result, Instant::now());
+        }
     }
 }
 
@@ -887,59 +848,6 @@ mod tests {
     }
 
     #[test]
-    fn worker_pool_overlaps_polls_without_double_polling() {
-        let rules: Vec<RefreshRule> = (0..8).map(|i| rule(&format!("/p{i}"), 1)).collect();
-        let runtime = ConsistencyRuntime::new(rules, None).unwrap();
-        let shutdown = AtomicBool::new(false);
-        let on_wire: StdMutex<HashSet<String>> = StdMutex::new(HashSet::new());
-        let cur = AtomicU64::new(0);
-        let max_overlap = AtomicU64::new(0);
-        let total = AtomicU64::new(0);
-        // Twice the width in workers: the schedule, not the worker
-        // count, bounds the polls out.
-        runtime.run(
-            &shutdown,
-            2 * POLL_WIDTH,
-            |_| {
-                |_: PollKind, path: &str| {
-                    assert!(
-                        on_wire.lock().unwrap().insert(path.to_owned()),
-                        "double poll on {path}"
-                    );
-                    let now = cur.fetch_add(1, Ordering::SeqCst) + 1;
-                    max_overlap.fetch_max(now, Ordering::SeqCst);
-                    std::thread::sleep(StdDuration::from_millis(3));
-                    cur.fetch_sub(1, Ordering::SeqCst);
-                    on_wire.lock().unwrap().remove(path);
-                    if total.fetch_add(1, Ordering::SeqCst) + 1 >= 60 {
-                        shutdown.store(true, Ordering::SeqCst);
-                    }
-                    Some(PollResult::NotModified)
-                }
-            },
-            |_| {},
-            |_| {},
-        );
-        let total = total.load(Ordering::SeqCst);
-        assert!(total >= 60);
-        let max_overlap = max_overlap.load(Ordering::SeqCst);
-        assert!(
-            (2..=POLL_WIDTH as u64).contains(&max_overlap),
-            "workers against a 3 ms origin overlap polls up to the width: {max_overlap}"
-        );
-        let metrics = runtime.refresh_metrics();
-        assert_eq!(
-            metrics.polls(),
-            total,
-            "every started poll completed and was counted"
-        );
-        assert_eq!(metrics.in_flight(), 0);
-        let drift = metrics.drift();
-        assert_eq!(drift.count, total);
-        assert!(drift.p50_ms <= drift.p99_ms && drift.p99_ms <= drift.max_ms + 1e-9);
-    }
-
-    #[test]
     fn install_wakes_an_idle_scheduler_promptly() {
         let runtime = ConsistencyRuntime::new(Vec::new(), None).unwrap();
         let shutdown = AtomicBool::new(false);
@@ -961,8 +869,9 @@ mod tests {
                     |_| {},
                 );
             });
-            // Let the scheduler reach its idle (indefinite) park, then
-            // install: only the install's notify can end that park.
+            // Let the scheduler reach its idle loop, then install: with
+            // nothing scheduled it naps `RUN_NAP` at a time, so its next
+            // look at the plane finds the install's due path.
             std::thread::sleep(StdDuration::from_millis(30));
             let installed = Instant::now();
             runtime.install(vec![rule("/fresh", 50)], None).unwrap();

@@ -79,6 +79,7 @@
 //! drains: it stops accepting, finishes flushing in-flight responses
 //! (bounded by a short grace period), then closes everything and joins.
 
+use std::fs::File;
 use std::io;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -113,11 +114,11 @@ pub(crate) const MAX_CONNS: usize = 1024;
 /// no L1: its one cache is the shared cache ([`crate::cache`]).
 pub const DEFAULT_L1_OBJECTS: usize = 128;
 
-/// The worker count `benchmark/` drives
-/// [`crate::runtime::ConsistencyRuntime::run`] with; kept because
-/// `benchmark/` (read-only here) reads it. It is the plane's width,
-/// [`POLL_WIDTH`], so no worker waits for a slot. The live proxy runs no
-/// poll workers: its polls are reactor 0's pooled fetches.
+/// The worker count `benchmark/` passes to
+/// [`crate::runtime::ConsistencyRuntime::run`], which ignores it: `run`
+/// steps the plane on its caller's thread, as reactor 0 does. Kept
+/// because `benchmark/` (read-only here) reads it; its value is the
+/// plane's width, [`POLL_WIDTH`].
 pub const DEFAULT_REFRESH_WORKERS: usize = POLL_WIDTH;
 
 /// Ceiling on the reactor count — beyond this the listeners outnumber
@@ -304,6 +305,9 @@ metrics! {
         writev_calls: Counter => "wire.writev_calls";
         /// Listener wakeups handled; each drains the whole accept backlog.
         accept_batches: Counter => "wire.accept_batches";
+        /// Accepts that failed for another reason than an empty backlog:
+        /// out of descriptors (`EMFILE`), a signal, a peer gone first, …
+        accept_errors: Counter => "wire.accept_errors";
         /// Response bodies copied into a write buffer: none, since every
         /// body is sent as a shared slice, so it reads 0. Kept because
         /// `benchmark/` reads it.
@@ -464,6 +468,7 @@ impl EventLoop {
                 metrics: Arc::clone(&metrics),
                 reactor_index: i,
                 paused_since: None,
+                reserve: reserve(),
             };
             reactor.register(reactor.waker.as_raw_fd(), TOKEN_WAKER, Interest::READABLE)?;
             reactor.register(
@@ -602,6 +607,15 @@ struct Reactor {
     /// `None` exactly while the kernel holds the listener's `READABLE`
     /// interest ([`Reactor::accepting`]).
     paused_since: Option<Instant>,
+    /// A descriptor held back so that a shed pass can still accept when
+    /// the process has none left ([`Reactor::shed_backlog`]); `None` while
+    /// spent or after a failed reopen.
+    reserve: Option<File>,
+}
+
+/// Opens the reactor's reserve descriptor, on `/dev/null`.
+fn reserve() -> Option<File> {
+    File::open("/dev/null").ok()
 }
 
 /// An accept error that concerns one connection, not the listener: a
@@ -833,11 +847,17 @@ impl Reactor {
     }
 
     /// Accepts one connection from the backlog and makes it nonblocking;
-    /// `WouldBlock` once the backlog is empty.
+    /// `WouldBlock` once the backlog is empty. Any other failure counts in
+    /// `wire.accept_errors`.
     fn accept(&self) -> io::Result<TcpStream> {
-        let (stream, _) = self.listener.accept()?;
-        stream.set_nonblocking(true)?;
-        Ok(stream)
+        let accepted = self.listener.accept().and_then(|(stream, _)| {
+            stream.set_nonblocking(true)?;
+            Ok(stream)
+        });
+        if matches!(&accepted, Err(e) if e.kind() != io::ErrorKind::WouldBlock) {
+            self.metrics.accept_errors.inc();
+        }
+        accepted
     }
 
     /// Drains the whole accept backlog in one batch. Each connection is
@@ -1361,14 +1381,24 @@ impl Reactor {
 
     /// Accepts and immediately rejects up to [`PARK_SHED_BATCH`] parked
     /// connections with [`PARKED_503`]; `true` if that emptied the
-    /// backlog.
+    /// backlog. An accept that fails for want of a descriptor spends the
+    /// reserve: close it, accept into its slot, and reopen it after the
+    /// close. A reopen that fails is tried again before the next accept.
     fn shed_backlog(&mut self) -> bool {
         let mut shed = 0;
-        loop {
+        let emptied = loop {
+            self.reserve = self.reserve.take().or_else(reserve);
             if shed == PARK_SHED_BATCH {
                 break false;
             }
-            match self.accept() {
+            let mut accepted = self.accept();
+            let starved = |e: &io::Error| {
+                e.kind() != io::ErrorKind::WouldBlock && !is_transient_accept_error(e)
+            };
+            if accepted.as_ref().is_err_and(starved) && self.reserve.take().is_some() {
+                accepted = self.accept();
+            }
+            match accepted {
                 Ok(stream) => {
                     // Best effort: the head fits any fresh socket's send
                     // buffer; a peer that raced away just gets the close.
@@ -1383,7 +1413,9 @@ impl Reactor {
                 Err(ref e) if is_transient_accept_error(e) => {}
                 Err(_) => break false,
             }
-        }
+        };
+        self.reserve = self.reserve.take().or_else(reserve);
+        emptied
     }
 }
 
@@ -1713,6 +1745,7 @@ mod tests {
             metrics: Arc::clone(metrics),
             reactor_index: 0,
             paused_since: None,
+            reserve: reserve(),
         };
         reactor
             .register(reactor.waker.as_raw_fd(), TOKEN_WAKER, Interest::READABLE)
@@ -2035,9 +2068,10 @@ mod tests {
     /// the reactor accepts four from the backlog and the next accept fails
     /// with `EMFILE`. A listener left watched would wake every wait at
     /// once with the backlog still there; it is paused like one at the
-    /// connection bound, parked clients keep their deadline, a shed pass
-    /// that cannot accept retries one deadline later, and a closed client
-    /// watches the listener again.
+    /// connection bound, and parked clients keep their deadline. At the
+    /// deadline the shed pass accepts into its reserve descriptor's slot:
+    /// every parked client reads its `503`, the backlog empties and the
+    /// listener is watched again.
     #[test]
     #[ignore = "needs `ulimit -n 64`; run by running_out_of_descriptors_pauses_accepting"]
     fn out_of_descriptors_in_a_limited_process() {
@@ -2058,20 +2092,19 @@ mod tests {
         assert_eq!(reactor.clients, 4);
         assert!(!reactor.accepting(), "the listener is still watched");
         assert_eq!(reactor.shed_at(), Some(t0 + PARK_DEADLINE));
+        assert_eq!(metrics.accept_errors(), 1);
 
         let t1 = t0 + PARK_DEADLINE;
         reactor.check_park_deadline(t1);
-        assert_eq!(metrics.parked_shed(), 0, "no descriptor to shed with");
-        assert_eq!(reactor.shed_at(), Some(t1 + PARK_DEADLINE));
-
-        let idx = (0..reactor.conns.len())
-            .find(|&i| matches!(&reactor.conns[i], Some(c) if matches!(c.kind, Kind::Client(_))))
+        assert!(metrics.parked_shed() >= 1, "the reserve sheds");
+        assert!(reactor.accepting(), "an emptied backlog is watched again");
+        assert!(reactor.reserve.is_some(), "the reserve is taken back");
+        let mut reply = Vec::new();
+        clients[4]
+            .set_read_timeout(Some(Duration::from_secs(5)))
             .unwrap();
-        reactor.close_client(idx);
-        assert!(reactor.accepting(), "a freed descriptor resumes accepting");
-        reactor.accept_ready(t1);
-        assert_eq!(reactor.clients, 4);
-        assert!(!reactor.accepting());
+        clients[4].read_to_end(&mut reply).unwrap();
+        assert_eq!(reply, PARKED_503, "a parked client reads its 503");
     }
 
     #[test]

@@ -184,3 +184,49 @@ fn stats_endpoint_and_miss_path() {
     let stats = proxy.stats();
     assert_eq!((stats.hits, stats.misses), (1, 2), "stats: {stats:?}");
 }
+
+/// A path no rule covers is static by contract: its first stamped `200`
+/// is stored and served as a hit, with no poll, however the origin moves
+/// on. A rule installed for it later makes its first poll refresh the
+/// copy.
+#[test]
+fn an_unruled_path_is_static_until_a_rule_covers_it() {
+    let moved = UpdateTrace::new(
+        "a",
+        Timestamp::ZERO,
+        Timestamp::from_millis(120_000),
+        vec![
+            UpdateEvent::temporal(Timestamp::ZERO),
+            UpdateEvent::temporal(Timestamp::from_millis(200)),
+        ],
+    )
+    .unwrap();
+    let origin = LiveOrigin::builder().object("/a", moved).start().unwrap();
+    let proxy = LiveProxy::start(ProxyConfig::new(origin.local_addr())).unwrap();
+    let mut client = Client::new(proxy.local_addr(), StdDuration::from_secs(5));
+    let stamp = |client: &mut Client| {
+        let resp = client.get("/a", None).unwrap();
+        assert_eq!(resp.status(), StatusCode::OK);
+        let cache = resp.headers().get("x-cache").unwrap().to_owned();
+        (cache, last_modified_ms(&resp).expect("stamped"))
+    };
+
+    let (cache, first) = stamp(&mut client);
+    assert_eq!(cache, "miss");
+    // Past the origin's second version: the proxy does not look.
+    std::thread::sleep(StdDuration::from_millis(400));
+    assert_eq!(stamp(&mut client), ("hit".to_owned(), first));
+    assert_eq!(proxy.stats().polls, 0);
+
+    let rules = r#"{"rules": [{"path": "/a", "delta_ms": 10000}]}"#;
+    let resp = harness::put(proxy.local_addr(), "/admin/rules", rules).unwrap();
+    assert_eq!(resp.status(), StatusCode::OK);
+    let refresh = proxy.runtime().refresh_metrics();
+    harness::wait_until("the rule's first poll", || {
+        refresh.polls() == 1 && refresh.in_flight() == 0
+    });
+    let (cache, second) = stamp(&mut client);
+    assert_eq!(cache, "hit");
+    assert_eq!(second.as_millis(), first.as_millis() + 200);
+    assert_eq!(proxy.stats().polls, 1);
+}

@@ -57,7 +57,11 @@ wire.writev_calls: number
 ";
 
 /// Paths added since the golden list was taken.
-const ADDED: [&str; 2] = ["wire.slow_requests: number", "refresh.triggered: number"];
+const ADDED: [&str; 3] = [
+    "wire.slow_requests: number",
+    "refresh.triggered: number",
+    "wire.accept_errors: number",
+];
 
 /// One ruled path, so the refresh plane polls.
 fn proxy(origin: &ScriptedOrigin) -> LiveProxy {
@@ -185,6 +189,7 @@ fn the_document_and_the_accessors_read_the_same_cells() {
             ("wire.write_calls", engine.write_calls()),
             ("wire.writev_calls", engine.writev_calls()),
             ("wire.accept_batches", engine.accept_batches()),
+            ("wire.accept_errors", engine.accept_errors()),
             ("wire.body_copies", engine.body_copies()),
             ("wire.buf_allocs", engine.buf_allocs()),
             ("wire.epoll_ctl_calls", engine.epoll_ctl_calls()),

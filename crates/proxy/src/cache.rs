@@ -96,15 +96,34 @@ where
         Some(&slot.value)
     }
 
+    /// [`LruMap::get`] for a caller that holds the map mutably, to
+    /// replace the value in place: it keeps its ring place, and its bit is
+    /// set.
+    pub fn get_mut<Q>(&mut self, key: &Q) -> Option<&mut V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let slot = self.entries.get_mut(key)?;
+        *slot.referenced.get_mut() = true;
+        Some(&mut slot.value)
+    }
+
     /// Inserts or replaces an entry; `now` is ignored, kept because
     /// `benchmark/` passes it. A replacement keeps its place and its bit.
-    /// A new entry starts unreferenced; at capacity it takes the ring
-    /// place of the entry the sweep evicts, which is returned.
     pub fn insert(&mut self, key: K, value: V, _now: U) -> Option<(K, V)> {
         if let Some(slot) = self.entries.get_mut(&key) {
             slot.value = value;
             return None;
         }
+        self.insert_new(key, value)
+    }
+
+    /// Inserts a key the caller has just found absent (with the map held
+    /// mutably since), without looking it up again. The entry starts
+    /// unreferenced; at capacity it takes the ring place of the entry the
+    /// sweep evicts, which is returned.
+    pub fn insert_new(&mut self, key: K, value: V) -> Option<(K, V)> {
         let mut pos = self.ring.len();
         let mut evicted = None;
         match self.capacity {
@@ -119,7 +138,7 @@ where
             }
         }
         let referenced = AtomicBool::new(false);
-        self.entries.insert(
+        let resident = self.entries.insert(
             key,
             Slot {
                 value,
@@ -127,6 +146,7 @@ where
                 pos,
             },
         );
+        debug_assert!(resident.is_none(), "insert_new of a resident key");
         evicted
     }
 

@@ -132,17 +132,27 @@ if grep -rn 'env::var' crates/*/src \
   exit 1
 fi
 
-# One refresh plane: reactor 0 steps the scheduler under one lock, and
-# its polls are pooled origin fetches. No scheduler thread, job queue,
-# completion channel, wake latch or status mirror comes back beside it,
-# and the proxy starts no thread of its own again: no blocking poll
-# client, no worker count, no spawn (the classes keep these patterns
-# from matching themselves).
-proxy_threads='PersistentClien[t]|refresh_worker[s]|thread::(spawn|scope|Builde[r])|\.spawn\('
+# One refresh plane and one concurrency model: reactor 0 steps the
+# scheduler under one lock, its polls are pooled origin fetches, and
+# `ConsistencyRuntime::run` steps the same plane on its caller's thread.
+# No scheduler thread, worker pool, condvar, job queue, completion
+# channel, wake latch or status mirror comes back beside it: above their
+# test modules runtime.rs and proxy.rs start no thread and hold no
+# `Condvar`, and no blocking poll client or worker count returns. The
+# live crate's one spawn above its tests is the reactor thread in
+# `EventLoop::start` (the classes keep these patterns from matching
+# themselves).
+proxy_threads='Condva[r]|PersistentClien[t]|refresh_worker[s]|thread::(spawn|scope|Builde[r])|\.spawn\('
+above_tests() { sed '/#\[cfg(test)\]/q' "$1"; }
 if grep -nE 'mpsc|JobQueue|WakeSignal|publish_one' crates/live/src/runtime.rs \
-    || grep -nE "$proxy_threads" crates/live/src/proxy.rs \
+    || for f in crates/live/src/runtime.rs crates/live/src/proxy.rs; do
+         above_tests "$f" | { grep -nE "$proxy_threads" || true; } | sed "s|^|$f:|"
+       done | grep . \
+    || for f in crates/live/src/*.rs; do
+         above_tests "$f" | { grep -nE 'thread::(spawn|scope)|\.spawn\(' || true; } | sed "s|^|$f:|"
+       done | grep -v '^crates/live/src/server\.rs:[0-9]*: *\.spawn(move || reactor\.run())?;$' \
     || grep -rn 'PersistentClien[t]' crates src tests examples; then
-  echo "ci: a second hand-off or a refresh thread is back in the refresh plane (lines above)" >&2
+  echo "ci: a second hand-off, a condvar or a refresh thread is back in the refresh plane (lines above)" >&2
   exit 1
 fi
 
@@ -257,7 +267,6 @@ fi
 # member's slope from that member's `AdaptiveTtr` rather than estimating
 # it a second time. The ablations and the robustness grid build LIMD
 # through `Fig3Config::limd` (crates/proxy/src/experiment.rs).
-above_tests() { sed '/#\[cfg(test)\]/q' "$1"; }
 if above_tests crates/core/src/mutual/value.rs \
       | grep -nE '^[[:space:]]*(pub )?(smoothing|alpha|ttr_min|ttr_max):' \
     || grep -n 'ValueRateEstimator' crates/core/src/mutual/value.rs \
@@ -344,7 +353,7 @@ done
 overload_state='Limiter|mutcon_core::limit|set_cap|record_fetch|pool_cap|fetch_started|ReactorOverload|PartitionState|overload_version|sync_overload|publish_overload|OverloadConfig|parse_overload_body|render_overload|admin/overload'
 admission='Ticket|fn admit|partition_of|MAX_PARTITIONS|OVERFLOW_PARTITION|admission|TOO_MANY_REQUESTS'
 if for f in crates/live/src/*.rs; do
-     above_tests "$f" | grep -nE "$overload_state|$admission" | sed "s|^|$f:|"
+     above_tests "$f" | { grep -nE "$overload_state|$admission" || true; } | sed "s|^|$f:|"
    done | grep . \
     || above_tests crates/core/src/limit.rs | grep -nE 'fn (to|from)_spec' | sed 's|^|crates/core/src/limit.rs:|'; then
   echo "ci: a settable overload policy, an adaptive pool cap or per-path admission is back (lines above)" >&2
